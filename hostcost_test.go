@@ -1,0 +1,115 @@
+package geckoftl_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"geckoftl"
+)
+
+// steadyDevice opens the benchmark's device (4096 blocks x 64 pages x 4 KiB,
+// 4096 cached mapping entries in all) and brings it to steady state: every
+// logical page written once in order, then as many uniform overwrites again,
+// so that the cache is full of dirty entries, garbage collection runs on
+// every few writes and Logarithmic Gecko has runs on every level. It returns
+// the device and the seeded source the caller draws further pages from.
+func steadyDevice(tb testing.TB, ftlName string, channels int) (*geckoftl.Device, *rand.Rand) {
+	tb.Helper()
+	dev, err := geckoftl.Open(
+		geckoftl.WithGeometry(4096, 64, 4096),
+		geckoftl.WithChannels(channels, 1),
+		geckoftl.WithFTL(ftlName),
+		geckoftl.WithCacheEntries(4096/channels),
+	)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { dev.Close(context.Background()) })
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1))
+	pages := dev.LogicalPages()
+	for i := int64(0); i < 2*pages; i++ {
+		lpn := geckoftl.LPN(i)
+		if i >= pages {
+			lpn = geckoftl.LPN(rng.Int63n(pages))
+		}
+		if err := dev.Write(ctx, lpn); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return dev, rng
+}
+
+// TestHostAllocBudget pins the host-side allocation cost of the public write
+// and read paths in steady state: uniform overwrites, every one a cache miss
+// that evicts a dirty entry and runs a translation-page synchronization, with
+// garbage collection and (on GeckoFTL) buffer flushes and merges amortized
+// in. What is left allocates per flush, merge and GC query, not per write.
+func TestHostAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the program's behalf")
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		ftl    string
+		budget float64
+	}{{"geckoftl", 3}, {"dftl", 1}} {
+		t.Run(tc.ftl, func(t *testing.T) {
+			dev, rng := steadyDevice(t, tc.ftl, 1)
+			pages := dev.LogicalPages()
+			const writes = 50000
+			lpns := make([]geckoftl.LPN, writes)
+			for i := range lpns {
+				lpns[i] = geckoftl.LPN(rng.Int63n(pages))
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, lpn := range lpns {
+				if err := dev.Write(ctx, lpn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perWrite := float64(after.Mallocs-before.Mallocs) / writes
+			t.Logf("%s: %.3f allocs and %.0f bytes per Device.Write", tc.ftl, perWrite, float64(after.TotalAlloc-before.TotalAlloc)/writes)
+			if perWrite > tc.budget {
+				t.Errorf("%s: %.2f allocs per steady-state Device.Write, budget %.0f", tc.ftl, perWrite, tc.budget)
+			}
+
+			// A read of a page whose mapping entry is cached.
+			hot := lpns[writes-1]
+			if perRead := testing.AllocsPerRun(1000, func() {
+				if err := dev.Read(ctx, hot); err != nil {
+					t.Fatal(err)
+				}
+			}); perRead != 0 {
+				t.Errorf("%s: %.0f allocs per cached Device.Read, want 0", tc.ftl, perRead)
+			}
+		})
+	}
+}
+
+// BenchmarkDeviceWrite times one steady-state Device.Write of a uniformly
+// drawn page: the public path of the perfbench write workloads, as a
+// `go test -bench` entry.
+func BenchmarkDeviceWrite(b *testing.B) {
+	ctx := context.Background()
+	for _, ftlName := range []string{"geckoftl", "dftl"} {
+		for _, channels := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s/%dch", ftlName, channels), func(b *testing.B) {
+				dev, rng := steadyDevice(b, ftlName, channels)
+				pages := dev.LogicalPages()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := dev.Write(ctx, geckoftl.LPN(rng.Int63n(pages))); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

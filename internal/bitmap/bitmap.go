@@ -142,12 +142,26 @@ func (b *Bitmap) Or(other *Bitmap) {
 // Entry-partitioning (Section 3.3) stores B/S-bit chunks that must be folded
 // back into a full B-bit bitmap at query time.
 func (b *Bitmap) OrRange(offset int, other *Bitmap) {
-	if offset < 0 || offset+other.bits > b.bits {
-		panic(fmt.Sprintf("bitmap: OrRange [%d,%d) out of range [0,%d)", offset, offset+other.bits, b.bits))
+	b.OrWords(offset, other.words, other.bits)
+}
+
+// OrWords merges the first n bits of raw little-endian words into bits
+// [offset, offset+n), a word at a time. Logarithmic Gecko keeps the chunks of
+// its entries as bare words inside per-run slabs and folds them into a GC
+// query's result with it, without materializing a Bitmap per chunk.
+func (b *Bitmap) OrWords(offset int, words []uint64, n int) {
+	if offset < 0 || n < 0 || offset+n > b.bits || n > len(words)*wordBits {
+		panic(fmt.Sprintf("bitmap: OrWords [%d,%d) out of range [0,%d)", offset, offset+n, b.bits))
 	}
-	for i := 0; i < other.bits; i++ {
-		if other.Get(i) {
-			b.Set(offset + i)
+	shift := uint(offset % wordBits)
+	for i, dst := 0, offset/wordBits; i*wordBits < n; i, dst = i+1, dst+1 {
+		w := words[i]
+		if rest := n - i*wordBits; rest < wordBits {
+			w &= 1<<uint(rest) - 1
+		}
+		b.words[dst] |= w << shift
+		if shift != 0 && dst+1 < len(b.words) {
+			b.words[dst+1] |= w >> (wordBits - shift)
 		}
 	}
 }

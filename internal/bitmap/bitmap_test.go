@@ -376,3 +376,35 @@ func BenchmarkPopCount(b *testing.B) {
 		}
 	}
 }
+
+// TestOrWordsMatchesBitwise checks the word-at-a-time OrWords (and OrRange,
+// which is built on it) against setting the bits one by one, at every
+// alignment of offset and length around word boundaries.
+func TestOrWordsMatchesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, size := range []int{1, 63, 64, 65, 128, 200} {
+		for offset := 0; offset < size; offset++ {
+			for _, n := range []int{0, 1, 31, 63, 64, 65, 127, 128, size - offset} {
+				if n < 0 || offset+n > size {
+					continue
+				}
+				words := make([]uint64, (n+63)/64+1)
+				for i := range words {
+					words[i] = rng.Uint64() // bits past n must be ignored
+				}
+				got, want := New(size), New(size)
+				got.Set(rng.Intn(size))
+				want.OrRange(0, got)
+				got.OrWords(offset, words, n)
+				for i := 0; i < n; i++ {
+					if words[i/64]&(1<<uint(i%64)) != 0 {
+						want.Set(offset + i)
+					}
+				}
+				if !got.Equal(want) {
+					t.Fatalf("size %d: OrWords(%d, words, %d) = %v, bit by bit %v", size, offset, n, got, want)
+				}
+			}
+		}
+	}
+}

@@ -1,10 +1,11 @@
 package ftl
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"geckoftl/internal/flash"
 )
@@ -173,6 +174,13 @@ type blockManager struct {
 	// programRetries counts page programs that failed and were retried on
 	// the next frontier page.
 	programRetries int64
+
+	// dead counts, per group, the allocated full blocks with no valid page
+	// (active ones included), so that FullyInvalidBlocks scans the device
+	// only when there is something to find. The methods that change a
+	// block's state keep it; code that rewrites blocks wholesale (recovery,
+	// checkpoint import) calls recountDead afterwards.
+	dead [numGroups]int
 }
 
 // newBlockManager creates a block manager with every block free.
@@ -202,6 +210,22 @@ func newBlockManager(dev flash.Plane, gcReserve int, hotCold, wearAware bool) *b
 func (bm *blockManager) restoreFreeOrder() {
 	if bm.wearAware {
 		heap.Init(freeHeap{bm})
+	}
+}
+
+// isDead reports whether a block counts toward dead: allocated, full, and
+// without a valid page.
+func (bm *blockManager) isDead(info *blockInfo) bool {
+	return info.allocated && info.valid == 0 && info.writePointer >= bm.cfg.PagesPerBlock
+}
+
+// recountDead recomputes the dead counts from the per-block state.
+func (bm *blockManager) recountDead() {
+	bm.dead = [numGroups]int{}
+	for i := range bm.blocks {
+		if info := &bm.blocks[i]; bm.isDead(info) {
+			bm.dead[info.group]++
+		}
 	}
 }
 
@@ -364,6 +388,9 @@ func (bm *blockManager) allocateOnFrontier(g Group, frontier int, spare flash.Sp
 			// in a fresh block once this one runs out.
 			bm.programRetries++
 			info.writePointer++
+			if bm.isDead(info) {
+				bm.dead[g]++
+			}
 			continue
 		}
 		if err != nil {
@@ -404,6 +431,9 @@ func (bm *blockManager) InvalidatePage(ppn flash.PPN) error {
 		return fmt.Errorf("ftl: BVC underflow on block %d", block)
 	}
 	info.valid--
+	if bm.isDead(info) {
+		bm.dead[info.group]++
+	}
 	return nil
 }
 
@@ -419,6 +449,7 @@ func (bm *blockManager) Erase(block flash.BlockID, p flash.Purpose) error {
 			return fmt.Errorf("ftl: erasing active %v block %d", info.group, block)
 		}
 	}
+	wasDead := bm.isDead(info)
 	if err := bm.dev.EraseBlock(block, p); err != nil {
 		if errors.Is(err, flash.ErrWornOut) || errors.Is(err, flash.ErrEraseFailed) {
 			// The block's contents are dead (callers only erase drained
@@ -432,9 +463,15 @@ func (bm *blockManager) Erase(block flash.BlockID, p flash.Purpose) error {
 			info.allocated = false
 			info.retired = true
 			info.valid = 0
+			if wasDead {
+				bm.dead[info.group]--
+			}
 			return nil
 		}
 		return err
+	}
+	if wasDead {
+		bm.dead[info.group]--
 	}
 	bm.erases++
 	info.allocated = false
@@ -515,25 +552,22 @@ func (bm *blockManager) PickVictim(policy VictimPolicy, excluded map[flash.Block
 		if !info.allocated || info.writePointer < bm.cfg.PagesPerBlock {
 			continue
 		}
-		id := flash.BlockID(i)
-		if bm.isActive(id) || excluded[id] {
-			continue
-		}
 		if !policy.MigratesMetadata() && info.group != GroupUser {
 			continue
 		}
-		switch policy {
-		case VictimCostBenefit:
-			score := bm.costBenefitScore(info)
-			if best == flash.InvalidBlock || score > bestScore {
-				best = id
-				bestScore = score
-			}
-		default:
-			if best == flash.InvalidBlock || info.valid < bestValid {
-				best = id
-				bestValid = info.valid
-			}
+		score := 0.0
+		better := best == flash.InvalidBlock
+		if policy == VictimCostBenefit {
+			score = bm.costBenefitScore(info)
+			better = better || score > bestScore
+		} else {
+			better = better || info.valid < bestValid
+		}
+		// The exclusions are tested last, and only for a block that would
+		// become the best candidate: nearly every block loses on its score,
+		// and the map probe is the expensive test.
+		if id := flash.BlockID(i); better && !bm.isActive(id) && !excluded[id] {
+			best, bestValid, bestScore = id, info.valid, score
 		}
 	}
 	return best, best != flash.InvalidBlock
@@ -557,6 +591,9 @@ func (bm *blockManager) costBenefitScore(info *blockInfo) float64 {
 // group with zero valid pages. Under the non-greedy policies these are the
 // only metadata blocks the FTL erases.
 func (bm *blockManager) FullyInvalidBlocks(g Group) []flash.BlockID {
+	if bm.dead[g] == 0 {
+		return nil
+	}
 	var out []flash.BlockID
 	for i := range bm.blocks {
 		info := &bm.blocks[i]
@@ -596,6 +633,7 @@ func (bm *blockManager) CrashRAM() {
 	for i := range bm.blocks {
 		bm.blocks[i] = blockInfo{}
 	}
+	bm.dead = [numGroups]int{}
 	bm.free = bm.free[:0]
 	for fr := range bm.active {
 		bm.active[fr] = flash.InvalidBlock
@@ -610,8 +648,8 @@ func (bm *blockManager) CrashRAM() {
 // backwards scan visits them (Section 4.3).
 func (bm *blockManager) userBlocksByRecency() []flash.BlockID {
 	blocks := bm.BlocksInGroup(GroupUser)
-	sort.Slice(blocks, func(i, j int) bool {
-		return bm.blocks[blocks[i]].firstWriteSeq > bm.blocks[blocks[j]].firstWriteSeq
+	slices.SortFunc(blocks, func(a, b flash.BlockID) int {
+		return cmp.Compare(bm.blocks[b].firstWriteSeq, bm.blocks[a].firstWriteSeq)
 	})
 	return blocks
 }

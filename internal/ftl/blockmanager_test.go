@@ -6,7 +6,7 @@ import (
 	"geckoftl/internal/flash"
 )
 
-func newTestDevice(t *testing.T, blocks, pagesPerBlock, pageSize int) *flash.Device {
+func newTestDevice(t testing.TB, blocks, pagesPerBlock, pageSize int) *flash.Device {
 	t.Helper()
 	cfg := flash.ScaledConfig(blocks)
 	cfg.PagesPerBlock = pagesPerBlock

@@ -513,6 +513,7 @@ func (f *FTL) importShardCheckpoint(sc *shardCheckpoint) error {
 	f.bm.active = sc.active
 	f.bm.lastSeq = sc.lastSeq
 	f.bm.restoreFreeOrder()
+	f.bm.recountDead()
 
 	for tp, ppn := range sc.gmd {
 		f.table.SetGMDLocation(tp, ppn)

@@ -1,8 +1,9 @@
 package ftl
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"geckoftl/internal/bitmap"
@@ -118,6 +119,11 @@ type FTL struct {
 	// instrumentation reads them through LastWriteGCStall.
 	opGCTime  time.Duration
 	opGCSteps int
+
+	// Scratch of synchronize, which is never re-entered, reused across calls.
+	syncAll       []mapcache.Entry
+	syncUpdates   []dirtyUpdate
+	syncUncertain []flash.LPN
 }
 
 // New creates an FTL over the device with the given options.
@@ -463,7 +469,7 @@ func (f *FTL) reportInvalid(ppn flash.PPN) error {
 	if f.lg != nil && f.lg.BufferLen() == 0 {
 		// The Gecko buffer just flushed: the protected previous versions of
 		// translation pages are no longer needed for buffer recovery.
-		f.table.ClearProtected()
+		f.table.ClearProtected(true)
 	}
 	return nil
 }
@@ -490,21 +496,20 @@ func (f *FTL) synchronize(seed mapcache.Entry) error {
 	dirty := f.cache.DirtyEntriesOnTranslationPage(tp)
 
 	// The seed entry may already have been evicted from the cache; include
-	// it explicitly.
-	all := append([]mapcache.Entry{seed}, dirty...)
-	sort.Slice(all, func(i, j int) bool { return all[i].Logical < all[j].Logical })
+	// it explicitly. When it is still cached it appears twice, identically,
+	// and sorting makes the copies adjacent.
+	f.syncAll = append(append(f.syncAll[:0], seed), dirty...)
+	all := f.syncAll
+	slices.SortFunc(all, func(a, b mapcache.Entry) int { return cmp.Compare(a.Logical, b.Logical) })
 
-	var updates []dirtyUpdate
-	seen := make(map[flash.LPN]bool, len(all))
-	var uncertainChecked []flash.LPN
-	for _, e := range all {
-		if seen[e.Logical] {
+	f.syncUpdates, f.syncUncertain = f.syncUpdates[:0], f.syncUncertain[:0]
+	for i, e := range all {
+		if i > 0 && e.Logical == all[i-1].Logical {
 			continue
 		}
-		seen[e.Logical] = true
 		flashPPN := f.table.FlashEntry(e.Logical)
 		if e.Uncertain {
-			uncertainChecked = append(uncertainChecked, e.Logical)
+			f.syncUncertain = append(f.syncUncertain, e.Logical)
 			if flashPPN == e.Physical {
 				// The entry was wrongly assumed dirty after recovery
 				// (Appendix C.3.1): clear its flags and omit it.
@@ -512,7 +517,7 @@ func (f *FTL) synchronize(seed mapcache.Entry) error {
 				continue
 			}
 		}
-		updates = append(updates, dirtyUpdate{Logical: e.Logical, Physical: e.Physical})
+		f.syncUpdates = append(f.syncUpdates, dirtyUpdate{Logical: e.Logical, Physical: e.Physical})
 		// Lazy invalid-page identification (Section 4.1): if the entry's UIP
 		// flag is set, its flash-resident before-image has not been reported
 		// invalid yet; the synchronization is the moment to do so.
@@ -541,12 +546,11 @@ func (f *FTL) synchronize(seed mapcache.Entry) error {
 		}
 	}
 
+	updates := f.syncUpdates
 	oldTPLocation := f.table.GMDLocation(tp)
-	before, err := f.table.Synchronize(tp, updates)
-	if err != nil {
+	if err := f.table.Synchronize(tp, updates); err != nil {
 		return err
 	}
-	_ = before // before-images were handled through the UIP flags above
 	if len(updates) > 0 {
 		f.stats.SyncOperations++
 		// FTLs whose garbage-collector may target translation blocks (the
@@ -566,7 +570,7 @@ func (f *FTL) synchronize(seed mapcache.Entry) error {
 	for _, u := range updates {
 		f.clearFlags(u.Logical)
 	}
-	for _, lpn := range uncertainChecked {
+	for _, lpn := range f.syncUncertain {
 		f.cache.Update(lpn, func(en *mapcache.Entry) { en.Uncertain = false })
 	}
 	return nil
@@ -595,27 +599,22 @@ func (f *FTL) maybeCheckpoint() error {
 		return nil
 	}
 	f.stats.Checkpoints++
+	// Group the lingering dirty entries by translation page, in ascending
+	// page order (the stable sort keeps each group in queue order), and
+	// synchronize each group once, seeded with its first entry.
 	stale := f.cache.Checkpoint()
-	// Group the lingering dirty entries by translation page and synchronize
-	// each group once.
-	byTP := make(map[int][]mapcache.Entry)
-	for _, e := range stale {
-		tp := f.cache.TranslationPageOf(e.Logical)
-		byTP[tp] = append(byTP[tp], e)
-	}
-	tps := make([]int, 0, len(byTP))
-	for tp := range byTP {
-		tps = append(tps, tp)
-	}
-	sort.Ints(tps)
-	for _, tp := range tps {
-		entries := byTP[tp]
-		// Re-check dirtiness: an earlier synchronization in this loop may
-		// have cleaned entries sharing the translation page.
-		if cur, ok := f.cache.Peek(entries[0].Logical); !ok || !cur.Dirty {
+	tpOf := f.cache.TranslationPageOf
+	slices.SortStableFunc(stale, func(a, b mapcache.Entry) int { return cmp.Compare(tpOf(a.Logical), tpOf(b.Logical)) })
+	for i, e := range stale {
+		if i > 0 && tpOf(e.Logical) == tpOf(stale[i-1].Logical) {
 			continue
 		}
-		if err := f.synchronize(entries[0]); err != nil {
+		// Re-check dirtiness: an earlier synchronization in this loop may
+		// have cleaned entries sharing the translation page.
+		if cur, ok := f.cache.Peek(e.Logical); !ok || !cur.Dirty {
+			continue
+		}
+		if err := f.synchronize(e); err != nil {
 			return err
 		}
 	}
@@ -962,7 +961,7 @@ func (f *FTL) Flush() error {
 		if err := f.lg.Flush(); err != nil {
 			return err
 		}
-		f.table.ClearProtected()
+		f.table.ClearProtected(false)
 	}
 	return nil
 }

@@ -1,8 +1,9 @@
 package ftl
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"geckoftl/internal/bitmap"
@@ -287,12 +288,8 @@ func (f *FTL) recoverBlockManager() error {
 			}
 			partials = append(partials, flash.BlockID(i))
 		}
-		sort.Slice(partials, func(i, j int) bool {
-			a, b := &bm.blocks[partials[i]], &bm.blocks[partials[j]]
-			if a.firstWriteSeq != b.firstWriteSeq {
-				return a.firstWriteSeq > b.firstWriteSeq
-			}
-			return partials[i] < partials[j]
+		slices.SortFunc(partials, func(x, y flash.BlockID) int {
+			return cmp.Or(cmp.Compare(bm.blocks[y].firstWriteSeq, bm.blocks[x].firstWriteSeq), cmp.Compare(x, y))
 		})
 		if len(partials) > 0 {
 			bm.active[frontierFor(g, TempCold)] = partials[0]
@@ -301,6 +298,7 @@ func (f *FTL) recoverBlockManager() error {
 			bm.active[frontierUserHot] = partials[1]
 		}
 	}
+	bm.recountDead()
 	return nil
 }
 
@@ -407,7 +405,7 @@ func (f *FTL) recoverGeckoBuffer() error {
 			}
 		}
 	}
-	f.table.ClearProtected()
+	f.table.ClearProtected(false)
 	return nil
 }
 
@@ -550,6 +548,7 @@ func (f *FTL) rebuildBVC() error {
 			info.valid = metaLive[block]
 		}
 	}
+	f.bm.recountDead()
 	f.reconcileRecoveredUIP(geckoScan)
 	return nil
 }
@@ -682,7 +681,7 @@ func (f *FTL) synchronizeRecoveredEntries() (int, error) {
 	for tp := range byTP {
 		tps = append(tps, tp)
 	}
-	sort.Ints(tps)
+	slices.Sort(tps)
 	for _, tp := range tps {
 		if err := f.synchronize(byTP[tp]); err != nil {
 			return 0, err

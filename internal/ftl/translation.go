@@ -2,7 +2,7 @@ package ftl
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"geckoftl/internal/flash"
 )
@@ -41,8 +41,11 @@ type translationTable struct {
 	flashMapping  []flash.PPN // flash-resident mapping value per logical page
 	prevVersions  map[int]prevVersion
 	protectBlocks map[flash.BlockID]bool
-	syncOps       int64
-	aborted       int64
+	// contentPool holds the content buffers of dropped previous versions for
+	// the next protections to reuse.
+	contentPool [][]flash.PPN
+	syncOps     int64
+	aborted     int64
 }
 
 // newTranslationTable creates the table for the given number of logical
@@ -119,26 +122,25 @@ type dirtyUpdate struct {
 // to it, writes the updated page out-of-place into the translation block
 // group, updates the GMD and invalidates the old version.
 //
-// It returns the physical pages that held the previous versions of the
-// updated logical pages (the before-images): the caller reports them to the
-// page-validity store, which is how invalid user pages are identified lazily
-// (Section 4.1).
+// The before-images of the updated logical pages are the caller's business:
+// it reports them to the page-validity store through the entries' UIP flags,
+// which is how invalid user pages are identified lazily (Section 4.1).
 //
 // If updates is empty the operation is aborted at no cost beyond the read
 // that discovered it (Appendix C.3.1 relies on this).
-func (t *translationTable) Synchronize(tp int, updates []dirtyUpdate) (beforeImages []flash.PPN, err error) {
+func (t *translationTable) Synchronize(tp int, updates []dirtyUpdate) error {
 	if tp < 0 || tp >= t.pages {
-		return nil, fmt.Errorf("ftl: translation page %d out of range [0,%d)", tp, t.pages)
+		return fmt.Errorf("ftl: translation page %d out of range [0,%d)", tp, t.pages)
 	}
 	old := t.gmd[tp]
 	if old != flash.InvalidPPN {
 		if err := t.bm.dev.ReadPage(old, flash.PurposeTranslation); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if len(updates) == 0 {
 		t.aborted++
-		return nil, nil
+		return nil
 	}
 	t.syncOps++
 
@@ -155,11 +157,7 @@ func (t *translationTable) Synchronize(tp int, updates []dirtyUpdate) (beforeIma
 
 	for _, u := range updates {
 		if t.pageOf(u.Logical) != tp {
-			return nil, fmt.Errorf("ftl: update for logical page %d does not belong to translation page %d", u.Logical, tp)
-		}
-		prev := t.flashMapping[u.Logical]
-		if prev != flash.InvalidPPN && prev != u.Physical {
-			beforeImages = append(beforeImages, prev)
+			return fmt.Errorf("ftl: update for logical page %d does not belong to translation page %d", u.Logical, tp)
 		}
 		t.flashMapping[u.Logical] = u.Physical
 	}
@@ -173,28 +171,29 @@ func (t *translationTable) Synchronize(tp int, updates []dirtyUpdate) (beforeIma
 	spare := flash.SpareArea{Logical: flash.InvalidLPN, Tag: uint64(tp), Aux: t.bm.LastWriteSeq()}
 	loc, err := t.bm.AllocatePage(GroupTranslation, spare, flash.PurposeTranslation)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if old != flash.InvalidPPN {
 		if err := t.bm.InvalidatePage(old); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	t.gmd[tp] = loc
-	return beforeImages, nil
+	return nil
 }
 
 // snapshot copies the current flash-resident mapping values of a translation
-// page.
+// page, into a recycled buffer when ClearProtected has left one.
 func (t *translationTable) snapshot(tp int) []flash.PPN {
 	start := int64(tp) * int64(t.entriesPerTP)
-	end := start + int64(t.entriesPerTP)
-	if end > t.logicalPages {
-		end = t.logicalPages
+	end := min(start+int64(t.entriesPerTP), t.logicalPages)
+	var out []flash.PPN
+	if last := len(t.contentPool) - 1; last >= 0 {
+		out, t.contentPool = t.contentPool[last][:0], t.contentPool[:last]
+	} else {
+		out = make([]flash.PPN, 0, t.entriesPerTP)
 	}
-	out := make([]flash.PPN, end-start)
-	copy(out, t.flashMapping[start:end])
-	return out
+	return append(out, t.flashMapping[start:end]...)
 }
 
 // PreviousVersion returns the preserved pre-update version of a translation
@@ -215,7 +214,7 @@ func (t *translationTable) UpdatedSinceProtection() []int {
 	for tp := range t.prevVersions {
 		out = append(out, tp)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -224,10 +223,20 @@ func (t *translationTable) UpdatedSinceProtection() []int {
 func (t *translationTable) ProtectedBlocks() map[flash.BlockID]bool { return t.protectBlocks }
 
 // ClearProtected drops the protected previous versions; the FTL calls it
-// whenever Logarithmic Gecko's buffer is flushed.
-func (t *translationTable) ClearProtected() {
-	t.prevVersions = make(map[int]prevVersion)
-	t.protectBlocks = make(map[flash.BlockID]bool)
+// whenever Logarithmic Gecko's buffer is flushed. With recycle their content
+// buffers are kept for the next protections — the steady state, where the
+// next flush is a few hundred writes away; without, they are released, so
+// that a device left idle after a shutdown flush or a recovery holds none.
+func (t *translationTable) ClearProtected(recycle bool) {
+	if !recycle {
+		t.contentPool = nil
+	} else {
+		for _, prev := range t.prevVersions {
+			t.contentPool = append(t.contentPool, prev.content)
+		}
+	}
+	clear(t.prevVersions)
+	clear(t.protectBlocks)
 }
 
 // GMDLocation returns the current flash location of a translation page.

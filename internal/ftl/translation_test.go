@@ -47,12 +47,8 @@ func TestTranslationTableUnmappedReadsAreFree(t *testing.T) {
 func TestTranslationTableSynchronizeRoundTrip(t *testing.T) {
 	bm, table, dev := newTestTable(t)
 	updates := []dirtyUpdate{{Logical: 1, Physical: 100}, {Logical: 2, Physical: 200}}
-	before, err := table.Synchronize(0, updates)
-	if err != nil {
+	if err := table.Synchronize(0, updates); err != nil {
 		t.Fatal(err)
-	}
-	if len(before) != 0 {
-		t.Errorf("first synchronization returned before-images %v", before)
 	}
 	if table.FlashEntry(1) != 100 || table.FlashEntry(2) != 200 {
 		t.Error("flash mapping not updated")
@@ -65,15 +61,14 @@ func TestTranslationTableSynchronizeRoundTrip(t *testing.T) {
 		t.Error("translation page not written into the translation block group")
 	}
 
-	// A second synchronization that changes page 1 returns its before-image
-	// and invalidates the old translation page in the BVC.
+	// A second synchronization that changes page 1 remaps it and invalidates
+	// the old translation page in the BVC.
 	oldLoc := loc
-	before, err = table.Synchronize(0, []dirtyUpdate{{Logical: 1, Physical: 111}})
-	if err != nil {
+	if err := table.Synchronize(0, []dirtyUpdate{{Logical: 1, Physical: 111}}); err != nil {
 		t.Fatal(err)
 	}
-	if len(before) != 1 || before[0] != 100 {
-		t.Errorf("before-images = %v, want [100]", before)
+	if table.FlashEntry(1) != 111 || table.FlashEntry(2) != 200 {
+		t.Error("flash mapping not updated by the second synchronization")
 	}
 	if table.GMDLocation(0) == oldLoc {
 		t.Error("GMD still points at the old translation page")
@@ -88,11 +83,11 @@ func TestTranslationTableSynchronizeRoundTrip(t *testing.T) {
 
 func TestTranslationTableAbortsEmptySynchronization(t *testing.T) {
 	_, table, dev := newTestTable(t)
-	if _, err := table.Synchronize(0, []dirtyUpdate{{Logical: 3, Physical: 30}}); err != nil {
+	if err := table.Synchronize(0, []dirtyUpdate{{Logical: 3, Physical: 30}}); err != nil {
 		t.Fatal(err)
 	}
 	writesBefore := dev.Counters()
-	if _, err := table.Synchronize(0, nil); err != nil {
+	if err := table.Synchronize(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	delta := dev.Counters().Sub(writesBefore)
@@ -106,16 +101,16 @@ func TestTranslationTableAbortsEmptySynchronization(t *testing.T) {
 
 func TestTranslationTableRejectsForeignUpdates(t *testing.T) {
 	_, table, _ := newTestTable(t)
-	if _, err := table.Synchronize(-1, nil); err == nil {
+	if err := table.Synchronize(-1, nil); err == nil {
 		t.Error("negative translation page accepted")
 	}
-	if _, err := table.Synchronize(table.Pages(), nil); err == nil {
+	if err := table.Synchronize(table.Pages(), nil); err == nil {
 		t.Error("out-of-range translation page accepted")
 	}
 	// An update whose logical page belongs to another translation page.
 	foreign := flash.LPN(int64(table.EntriesPerPage()))
 	if int(foreign) < int(table.logicalPages) {
-		if _, err := table.Synchronize(0, []dirtyUpdate{{Logical: foreign, Physical: 9}}); err == nil {
+		if err := table.Synchronize(0, []dirtyUpdate{{Logical: foreign, Physical: 9}}); err == nil {
 			t.Error("update for a foreign translation page accepted")
 		}
 	}
@@ -123,15 +118,15 @@ func TestTranslationTableRejectsForeignUpdates(t *testing.T) {
 
 func TestTranslationTableProtectsPreviousVersions(t *testing.T) {
 	_, table, dev := newTestTable(t)
-	if _, err := table.Synchronize(0, []dirtyUpdate{{Logical: 1, Physical: 10}}); err != nil {
+	if err := table.Synchronize(0, []dirtyUpdate{{Logical: 1, Physical: 10}}); err != nil {
 		t.Fatal(err)
 	}
 	firstLoc := table.GMDLocation(0)
 	// A Gecko buffer flush clears the protection window; the next update to
 	// the translation page starts a new one whose snapshot is the state as
 	// of that flush.
-	table.ClearProtected()
-	if _, err := table.Synchronize(0, []dirtyUpdate{{Logical: 1, Physical: 20}}); err != nil {
+	table.ClearProtected(false)
+	if err := table.Synchronize(0, []dirtyUpdate{{Logical: 1, Physical: 20}}); err != nil {
 		t.Fatal(err)
 	}
 	tps := table.UpdatedSinceProtection()
@@ -151,7 +146,7 @@ func TestTranslationTableProtectsPreviousVersions(t *testing.T) {
 	if !table.ProtectedBlocks()[flash.BlockOf(firstLoc, dev.Config().PagesPerBlock)] {
 		t.Error("block of the previous version not protected")
 	}
-	table.ClearProtected()
+	table.ClearProtected(false)
 	if len(table.UpdatedSinceProtection()) != 0 || len(table.ProtectedBlocks()) != 0 {
 		t.Error("ClearProtected left state behind")
 	}
@@ -159,7 +154,7 @@ func TestTranslationTableProtectsPreviousVersions(t *testing.T) {
 
 func TestTranslationTableCrashDropsGMDOnly(t *testing.T) {
 	_, table, _ := newTestTable(t)
-	if _, err := table.Synchronize(0, []dirtyUpdate{{Logical: 1, Physical: 10}}); err != nil {
+	if err := table.Synchronize(0, []dirtyUpdate{{Logical: 1, Physical: 10}}); err != nil {
 		t.Fatal(err)
 	}
 	table.CrashRAM()

@@ -1,0 +1,60 @@
+package gecko
+
+import (
+	"math/rand"
+	"testing"
+
+	"geckoftl/internal/flash"
+)
+
+// BenchmarkGeckoUpdate times one Update in steady state: uniform invalid-page
+// reports over 1024 blocks, with a GC query and an erase report of a random
+// block every 64 updates, so that flushes and merges at every level are
+// amortized in as they are under an FTL.
+func BenchmarkGeckoUpdate(b *testing.B) {
+	const blocks, pagesPerBlock = 1024, 64
+	h := newHarness(b, blocks, pagesPerBlock, 4096, 64, nil)
+	rng := rand.New(rand.NewSource(1))
+	step := func(i int) {
+		if err := h.g.Update(flash.Addr{Block: flash.BlockID(rng.Intn(blocks)), Offset: rng.Intn(pagesPerBlock)}); err != nil {
+			b.Fatal(err)
+		}
+		if i%64 == 63 {
+			victim := flash.BlockID(rng.Intn(blocks))
+			if _, err := h.g.Query(victim); err != nil {
+				b.Fatal(err)
+			}
+			if err := h.g.RecordErase(victim); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 200000; i++ {
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+}
+
+// BenchmarkGeckoMerge times the sort-merge of two 8-page runs over the same
+// key space (the two-way merge of Section 3.2), without the flash IO around
+// it.
+func BenchmarkGeckoMerge(b *testing.B) {
+	cfg := DefaultConfig(2048, 64, 4096)
+	rng := rand.New(rand.NewSource(1))
+	var inputs []*run
+	for seq := uint64(1); seq <= 2; seq++ {
+		_, r := randomRunPair(rng, cfg, cfg.Blocks, cfg.EntriesPerPage(), seq)
+		inputs = append(inputs, r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	entries := 0
+	for i := 0; i < b.N; i++ {
+		entries = len(mergeEntryStreams(inputs, cfg.wordsPerEntry()).ents)
+	}
+	b.ReportMetric(float64(entries), "entries/merge")
+}

@@ -1,7 +1,7 @@
 package gecko
 
 import (
-	"sort"
+	"slices"
 
 	"geckoftl/internal/bitmap"
 	"geckoftl/internal/flash"
@@ -10,9 +10,15 @@ import (
 // buffer is the RAM-resident buffer of Logarithmic Gecko. Its capacity is one
 // flash page: V entries. Updates are absorbed here and flushed to a level-0
 // run when V distinct (block, sub-key) entries have accumulated.
+//
+// The entries live by value in one slab of V slots allocated at construction
+// and reused across flushes; index maps a key to its slot.
 type buffer struct {
-	cfg     Config
-	entries map[key]*Entry
+	cfg Config
+	slab
+	index map[key]int
+	// order is sorted's reused result.
+	order []int
 	// inserts counts insertions (including ones absorbed by an existing
 	// entry) since the last flush; it implements the optional BufferLimit
 	// bound of Appendix C.2.
@@ -20,38 +26,65 @@ type buffer struct {
 }
 
 func newBuffer(cfg Config) *buffer {
-	return &buffer{cfg: cfg, entries: make(map[key]*Entry, cfg.EntriesPerPage())}
+	v := cfg.EntriesPerPage()
+	return &buffer{
+		cfg:   cfg,
+		slab:  newSlab(v, cfg.wordsPerEntry()),
+		index: make(map[key]int, v),
+		order: make([]int, 0, v),
+	}
 }
 
 // len returns the number of distinct entries currently buffered.
-func (b *buffer) len() int { return len(b.entries) }
+func (b *buffer) len() int { return len(b.ents) }
 
 // full reports whether the buffer must be flushed: either V distinct entries
 // exist (one flash page worth) or the configured absorption limit is hit.
 func (b *buffer) full() bool {
-	if len(b.entries) >= b.cfg.EntriesPerPage() {
+	if len(b.ents) >= b.cfg.EntriesPerPage() {
 		return true
 	}
 	return b.cfg.BufferLimit > 0 && b.inserts >= b.cfg.BufferLimit
 }
 
+// insert adds a new entry with no bits set in the next slot.
+func (b *buffer) insert(e entry) int {
+	b.index[e.key] = len(b.ents)
+	b.ents = append(b.ents, e)
+	for range b.wpe {
+		b.words = append(b.words, 0)
+	}
+	return len(b.ents) - 1
+}
+
+// remove frees slot i by moving the last entry into it.
+func (b *buffer) remove(i int) {
+	last := len(b.ents) - 1
+	delete(b.index, b.ents[i].key)
+	if i != last {
+		b.ents[i] = b.ents[last]
+		copy(b.bits(i), b.bits(last))
+		b.index[b.ents[i].key] = i
+	}
+	b.ents = b.ents[:last]
+	b.words = b.words[:last*b.wpe]
+}
+
 // recordInvalid implements Algorithm 1: mark one page of a block invalid.
 func (b *buffer) recordInvalid(block flash.BlockID, pageOffset int) {
 	b.inserts++
-	bits := b.cfg.BitsPerEntry()
-	sub := 0
+	k := key{block, 0}
 	chunkOffset := pageOffset
 	if b.cfg.PartitionFactor > 1 {
-		sub = pageOffset / bits
+		bits := b.cfg.BitsPerEntry()
+		k.subKey = pageOffset / bits
 		chunkOffset = pageOffset % bits
 	}
-	k := key{block, sub}
-	e, ok := b.entries[k]
+	i, ok := b.index[k]
 	if !ok {
-		e = &Entry{Block: block, SubKey: sub, Bits: bitmap.New(bits)}
-		b.entries[k] = e
+		i = b.insert(entry{key: k})
 	}
-	e.Bits.Set(chunkOffset)
+	b.bits(i)[chunkOffset/64] |= 1 << uint(chunkOffset%64)
 }
 
 // recordErase implements Algorithm 2: note that a block was erased. All
@@ -61,50 +94,58 @@ func (b *buffer) recordInvalid(block flash.BlockID, pageOffset int) {
 func (b *buffer) recordErase(block flash.BlockID) {
 	b.inserts++
 	for sub := 0; sub < b.cfg.PartitionFactor; sub++ {
-		delete(b.entries, key{block, sub})
-	}
-	b.entries[key{block, WholeBlock}] = &Entry{Block: block, SubKey: WholeBlock, EraseFlag: true}
-}
-
-// query returns the buffered entries for a block, and whether one of them is
-// an erase entry (in which case the GC query stops at the buffer).
-func (b *buffer) query(block flash.BlockID) (chunks []Entry, erased bool) {
-	if e, ok := b.entries[key{block, WholeBlock}]; ok && e.EraseFlag {
-		erased = true
-	}
-	for sub := 0; sub < b.cfg.PartitionFactor; sub++ {
-		if e, ok := b.entries[key{block, sub}]; ok {
-			chunks = append(chunks, e.Clone())
+		if i, ok := b.index[key{block, sub}]; ok {
+			b.remove(i)
 		}
 	}
-	return chunks, erased
+	if k := (key{block, WholeBlock}); !b.has(k) {
+		b.insert(entry{key: k, erase: true})
+	}
 }
 
-// drain removes and returns all buffered entries sorted by key, resetting the
+func (b *buffer) has(k key) bool {
+	_, ok := b.index[k]
+	return ok
+}
+
+// query folds the buffered chunks of a block into result and reports whether
+// the buffer holds an erase entry for it (in which case the GC query stops at
+// the buffer).
+func (b *buffer) query(block flash.BlockID, result *bitmap.Bitmap) (erased bool) {
+	for sub := 0; sub < b.cfg.PartitionFactor; sub++ {
+		if i, ok := b.index[key{block, sub}]; ok {
+			b.cfg.fold(result, sub, b.bits(i))
+		}
+	}
+	return b.has(key{block, WholeBlock})
+}
+
+// sorted returns the occupied slots in key order. The slice is reused: it is
+// valid until the next call.
+func (b *buffer) sorted() []int {
+	b.order = b.order[:0]
+	for i := range b.ents {
+		b.order = append(b.order, i)
+	}
+	slices.SortFunc(b.order, func(x, y int) int { return b.ents[x].compare(b.ents[y].key) })
+	return b.order
+}
+
+// drain empties the buffer into a new slab sorted by key, resetting the
 // absorption counter. The result is the content of a new level-0 run.
-func (b *buffer) drain() []Entry {
-	out := make([]Entry, 0, len(b.entries))
-	for _, e := range b.entries {
-		out = append(out, *e)
+func (b *buffer) drain() slab {
+	out := newSlab(len(b.ents), b.wpe)
+	for _, i := range b.sorted() {
+		out.push(b.ents[i], b.bits(i))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key().less(out[j].key()) })
-	b.entries = make(map[key]*Entry, b.cfg.EntriesPerPage())
-	b.inserts = 0
-	return out
-}
-
-// snapshot returns a copy of the buffered entries without draining them.
-func (b *buffer) snapshot() []Entry {
-	out := make([]Entry, 0, len(b.entries))
-	for _, e := range b.entries {
-		out = append(out, e.Clone())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key().less(out[j].key()) })
+	b.clear()
 	return out
 }
 
 // clear drops the buffer contents; power failure does this.
 func (b *buffer) clear() {
-	b.entries = make(map[key]*Entry, b.cfg.EntriesPerPage())
+	clear(b.index)
+	b.ents = b.ents[:0]
+	b.words = b.words[:0]
 	b.inserts = 0
 }

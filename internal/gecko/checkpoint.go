@@ -99,10 +99,10 @@ func (g *Gecko) ImportDirectories(runs []RunExport) error {
 		for _, p := range re.Pages {
 			ppn := flash.PPN(p.PPN)
 			r.pages = append(r.pages, runPage{
-				ppn:     ppn,
-				minKey:  unpackKey(p.MinKey),
-				maxKey:  unpackKey(p.MaxKey),
-				entries: content[ppn],
+				ppn:    ppn,
+				minKey: unpackKey(p.MinKey),
+				maxKey: unpackKey(p.MaxKey),
+				slab:   content[ppn],
 			})
 		}
 		if re.CreateSeq > g.seq {

@@ -3,6 +3,8 @@ package gecko
 import (
 	"fmt"
 	"math"
+
+	"geckoftl/internal/bitmap"
 )
 
 // DefaultSizeRatio is T, the size ratio between adjacent levels. The paper's
@@ -104,6 +106,28 @@ func (c Config) RecommendedPartitionFactor() int {
 // implementation rounds the chunk size up so that every page is covered.
 func (c Config) BitsPerEntry() int {
 	return (c.PagesPerBlock + c.PartitionFactor - 1) / c.PartitionFactor
+}
+
+// wordsPerEntry returns the number of 64-bit words a slab keeps per entry for
+// its BitsPerEntry validity bits.
+func (c Config) wordsPerEntry() int { return (c.BitsPerEntry() + 63) / 64 }
+
+// fold ORs the validity bits of one chunk entry into a full-block bitmap.
+// Erase entries carry no bits.
+func (c Config) fold(result *bitmap.Bitmap, subKey int, words []uint64) {
+	if subKey == WholeBlock {
+		return
+	}
+	// The last chunk of a block may extend past B when S does not divide B;
+	// clamp it.
+	width := c.BitsPerEntry()
+	offset := 0
+	if c.PartitionFactor > 1 {
+		offset = subKey * width
+	}
+	if width = min(width, result.Len()-offset); width > 0 {
+		result.OrWords(offset, words, width)
+	}
 }
 
 // EntryBytes returns the serialized size of one Gecko (sub-)entry: key,

@@ -24,6 +24,21 @@
 //   - Gecko.RecoverDirectories rebuilds the RAM-resident run directories and the
 //     buffer's protected state after power failure (Appendix C.2).
 //
+// # Storage layout
+//
+// Entries are stored by value in slabs: the fixed parts (block, sub-key,
+// erase flag) in one slice and the validity bits of entry i as bare words
+// [i*w, (i+1)*w) of another, w = ceil(BitsPerEntry/64). The buffer is one
+// slab of V slots allocated once and reused across flushes. Every run is one
+// slab, allocated by the flush or merge that writes it and immutable from
+// then on; its pages, and the flash image recovery relinks them from, are
+// sub-slabs of it. A merge streams the input pages through cursors into the
+// output run's slab and a GC query ORs words into its result, so neither
+// copies an entry it only reads, and an update allocates only its share of
+// the next flush and merges. Slices that methods return from reused storage
+// (the runs in recency order, the buffer's sorted slots) are valid until the
+// next call of the same method.
+//
 // Within an FTL, one Gecko instance serves as the validity store of a single
 // flash plane or engine shard; its state is guarded by the owning shard's
 // lock.

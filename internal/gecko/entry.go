@@ -1,9 +1,8 @@
 package gecko
 
 import (
-	"fmt"
+	"cmp"
 
-	"geckoftl/internal/bitmap"
 	"geckoftl/internal/flash"
 )
 
@@ -13,24 +12,17 @@ import (
 // (Section 3, "Erase Flag"). It sorts before every real sub-key.
 const WholeBlock = -1
 
-// Entry is a Gecko entry (Figure 3 of the paper): a block ID key, a bitmap of
-// page-validity bits, and an erase flag. With entry-partitioning
-// (Section 3.3) an entry carries only a chunk of the block's bitmap and a
-// sub-key identifying which chunk.
-type Entry struct {
-	// Block is the key: the flash block the entry describes.
-	Block flash.BlockID
-	// SubKey identifies the bitmap chunk [SubKey*BitsPerEntry,
-	// (SubKey+1)*BitsPerEntry) when entry-partitioning is enabled, or
-	// WholeBlock for erase entries.
-	SubKey int
-	// Bits holds one validity bit per page in the chunk; a set bit means the
-	// page is invalid. Erase entries carry a nil or empty bitmap.
-	Bits *bitmap.Bitmap
-	// EraseFlag records that the block was erased after every older entry
-	// for the block was created; GC queries stop when they meet it and
-	// merges discard older colliding entries (Algorithms 2 and 3).
-	EraseFlag bool
+// entry is the fixed part of a Gecko entry (Figure 3 of the paper): a block
+// ID key, the sub-key identifying which chunk of the block's bitmap the
+// entry carries under entry-partitioning (Section 3.3; WholeBlock for erase
+// entries), and the erase flag. The validity bits — one per page of the
+// chunk, set meaning invalid — live beside it in the owning slab.
+type entry struct {
+	key
+	// erase records that the block was erased after every older entry for
+	// the block was created; GC queries stop when they meet it and merges
+	// discard older colliding entries (Algorithms 2 and 3).
+	erase bool
 }
 
 // key is the composite sort key of an entry within a run.
@@ -38,8 +30,6 @@ type key struct {
 	block  flash.BlockID
 	subKey int
 }
-
-func (e Entry) key() key { return key{e.Block, e.SubKey} }
 
 // less orders keys by block, then sub-key; WholeBlock (-1) naturally sorts
 // before every real sub-key, so an erase entry precedes the block's chunks.
@@ -50,44 +40,36 @@ func (a key) less(b key) bool {
 	return a.subKey < b.subKey
 }
 
-// Clone deep-copies the entry.
-func (e Entry) Clone() Entry {
-	out := e
-	if e.Bits != nil {
-		out.Bits = e.Bits.Clone()
-	}
-	return out
+// compare is less as a three-way comparison for slices.SortFunc.
+func (a key) compare(b key) int {
+	return cmp.Or(cmp.Compare(a.block, b.block), cmp.Compare(a.subKey, b.subKey))
 }
 
-// String renders the entry compactly for debugging and test failure output.
-func (e Entry) String() string {
-	erase := ""
-	if e.EraseFlag {
-		erase = " erase"
-	}
-	bits := "-"
-	if e.Bits != nil {
-		bits = fmt.Sprintf("%d set", e.Bits.PopCount())
-	}
-	return fmt.Sprintf("entry(block=%d sub=%d %s%s)", e.Block, e.SubKey, bits, erase)
+// slab stores entries by value: the fixed parts in ents and entry i's
+// validity bits in words[i*wpe:(i+1)*wpe]. The buffer is one slab of V
+// slots; every run is one slab, of which each of its pages is a sub-slab.
+// Erase entries keep their words zero.
+type slab struct {
+	ents  []entry
+	words []uint64
+	wpe   int // words per entry
 }
 
-// mergeCollision resolves a collision between an entry from a newer run and
-// one from an older run with the same key, per Algorithm 3: if the newer
-// entry's erase flag is set the older entry is discarded; otherwise the
-// bitmaps are merged with OR and the older entry's erase flag is preserved.
-func mergeCollision(newer, older Entry) Entry {
-	if newer.EraseFlag {
-		return newer.Clone()
-	}
-	out := newer.Clone()
-	if older.Bits != nil {
-		if out.Bits == nil {
-			out.Bits = older.Bits.Clone()
-		} else {
-			out.Bits.Or(older.Bits)
-		}
-	}
-	out.EraseFlag = older.EraseFlag
-	return out
+func newSlab(capacity, wpe int) slab {
+	return slab{ents: make([]entry, 0, capacity), words: make([]uint64, 0, capacity*wpe), wpe: wpe}
+}
+
+// bits returns the validity words of entry i.
+func (s *slab) bits(i int) []uint64 { return s.words[i*s.wpe : (i+1)*s.wpe] }
+
+// slice returns the sub-slab of entries [lo, hi); it shares storage with s.
+func (s *slab) slice(lo, hi int) slab {
+	return slab{ents: s.ents[lo:hi:hi], words: s.words[lo*s.wpe : hi*s.wpe : hi*s.wpe], wpe: s.wpe}
+}
+
+// push appends an entry and its bits and returns its index.
+func (s *slab) push(e entry, bits []uint64) int {
+	s.ents = append(s.ents, e)
+	s.words = append(s.words, bits...)
+	return len(s.ents) - 1
 }

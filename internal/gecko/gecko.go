@@ -1,8 +1,9 @@
 package gecko
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"geckoftl/internal/bitmap"
 	"geckoftl/internal/flash"
@@ -45,7 +46,10 @@ type Gecko struct {
 	// physical address. The device simulator does not store payload bytes,
 	// so this map is the "flash image" that survives power failures and is
 	// consulted when recovery rebuilds the run directories.
-	pageContent map[flash.PPN][]Entry
+	pageContent map[flash.PPN]slab
+
+	// newestFirst is runsNewestFirst's reused result.
+	newestFirst []*run
 
 	nextRunID uint64
 	seq       uint64 // logical creation sequence for runs
@@ -65,7 +69,7 @@ func New(cfg Config, store metastore.Storage) (*Gecko, error) {
 		store:       store,
 		buf:         newBuffer(cfg),
 		levels:      make([][]*run, cfg.Levels()+1),
-		pageContent: make(map[flash.PPN][]Entry),
+		pageContent: make(map[flash.PPN]slab),
 		nextRunID:   1,
 	}, nil
 }
@@ -154,67 +158,39 @@ func (g *Gecko) Query(block flash.BlockID) (*bitmap.Bitmap, error) {
 	}
 	g.stats.Queries++
 	result := bitmap.New(g.cfg.PagesPerBlock)
-
-	chunks, erased := g.buf.query(block)
-	g.fold(result, chunks)
-	if erased {
+	if g.buf.query(block, result) {
 		return result, nil
 	}
-
 	for _, r := range g.runsNewestFirst() {
-		pageIdxs := r.directoryLookupAll(block)
-		stop := false
-		for _, pi := range pageIdxs {
+		erased := false
+		for pi, hi := r.pagesFor(block); pi < hi; pi++ {
 			page := &r.pages[pi]
 			if err := g.store.Read(page.ppn); err != nil {
 				return nil, fmt.Errorf("gecko: reading run %d page %d: %w", r.id, pi, err)
 			}
 			g.stats.QueryPageReads++
-			chunks, erased := page.entriesForBlock(block)
-			g.fold(result, chunks)
-			if erased {
-				stop = true
+			if page.query(g.cfg, block, result) {
+				erased = true
 			}
 		}
-		if stop {
+		if erased {
 			break
 		}
 	}
 	return result, nil
 }
 
-// fold ORs partitioned chunk entries into a full-block bitmap.
-func (g *Gecko) fold(result *bitmap.Bitmap, chunks []Entry) {
-	bits := g.cfg.BitsPerEntry()
-	for _, c := range chunks {
-		if c.Bits == nil {
-			continue
-		}
-		offset := 0
-		if g.cfg.PartitionFactor > 1 {
-			offset = c.SubKey * bits
-		}
-		// The last chunk of a block may extend past B when S does not
-		// divide B; clamp it.
-		width := c.Bits.Len()
-		if offset+width > result.Len() {
-			width = result.Len() - offset
-		}
-		if width <= 0 {
-			continue
-		}
-		result.OrRange(offset, c.Bits.Slice(0, width))
-	}
-}
-
 // runsNewestFirst returns all live runs ordered from most recently created to
-// least recently created.
+// least recently created. The slice is reused: it is valid until the next
+// call.
 func (g *Gecko) runsNewestFirst() []*run {
-	var runs []*run
+	clear(g.newestFirst) // do not keep merged-away runs alive past this call
+	runs := g.newestFirst[:0]
 	for _, lvl := range g.levels {
 		runs = append(runs, lvl...)
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].createSeq > runs[j].createSeq })
+	slices.SortFunc(runs, func(a, b *run) int { return cmp.Compare(b.createSeq, a.createSeq) })
+	g.newestFirst = runs
 	return runs
 }
 
@@ -239,7 +215,7 @@ func (g *Gecko) maybeFlush() error {
 // merging.
 func (g *Gecko) flushBuffer() error {
 	entries := g.buf.drain()
-	if len(entries) == 0 {
+	if len(entries.ents) == 0 {
 		return nil
 	}
 	g.stats.Flushes++
@@ -251,8 +227,9 @@ func (g *Gecko) flushBuffer() error {
 	return g.mergeIfNeeded()
 }
 
-// writeRun persists a sorted slice of entries as a new run and returns it.
-func (g *Gecko) writeRun(entries []Entry) (*run, error) {
+// writeRun persists a sorted slab of entries as a new run, which takes
+// ownership of the slab, and returns it.
+func (g *Gecko) writeRun(entries slab) (*run, error) {
 	pages := splitIntoPages(entries, g.cfg.EntriesPerPage())
 	g.seq++
 	r := &run{
@@ -270,7 +247,7 @@ func (g *Gecko) writeRun(entries []Entry) (*run, error) {
 			return nil, fmt.Errorf("gecko: writing run %d page %d: %w", r.id, i, err)
 		}
 		p.ppn = ppn
-		g.pageContent[ppn] = p.entries
+		g.pageContent[ppn] = p.slab
 	}
 	return r, nil
 }
@@ -375,7 +352,7 @@ func (g *Gecko) mergeRuns(inputs []*run) (*run, error) {
 		}
 	}
 
-	merged := mergeEntryStreams(inputs)
+	merged := mergeEntryStreams(inputs, g.cfg.wordsPerEntry())
 
 	// Discard the input runs: their pages are now obsolete.
 	for _, r := range inputs {
@@ -387,101 +364,97 @@ func (g *Gecko) mergeRuns(inputs []*run) (*run, error) {
 		}
 	}
 
-	if len(merged) == 0 {
+	if len(merged.ents) == 0 {
 		return nil, nil
 	}
 	return g.writeRun(merged)
 }
 
-// mergeEntryStreams performs the k-way sort-merge of the input runs' entries.
-// Inputs must be ordered by recency is NOT required; recency is taken from
-// each run's createSeq. For every block, the newest erase entry (if any)
-// discards all entries from strictly older runs; colliding chunk entries from
-// surviving runs are OR-merged (Algorithm 3).
-func mergeEntryStreams(inputs []*run) []Entry {
-	// Order inputs newest first so that "first occurrence wins" rules are
-	// easy to express.
-	ordered := append([]*run(nil), inputs...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].createSeq > ordered[j].createSeq })
+// cursor walks one input run's entries in key order, page by page.
+type cursor struct {
+	pages []runPage // pages[0] is the page being read
+	pos   int       // next entry of pages[0]
+	seq   uint64    // the run's createSeq
+}
 
-	// cursor walks one run's entries in key order.
-	type cursor struct {
-		entries []Entry
-		pos     int
-		recency int // 0 = newest
+func (c *cursor) done() bool     { return len(c.pages) == 0 }
+func (c *cursor) head() *entry   { return &c.pages[0].ents[c.pos] }
+func (c *cursor) bits() []uint64 { return c.pages[0].bits(c.pos) }
+
+// settle steps over exhausted pages.
+func (c *cursor) settle() {
+	for len(c.pages) > 0 && c.pos >= len(c.pages[0].ents) {
+		c.pages, c.pos = c.pages[1:], 0
 	}
-	cursors := make([]*cursor, 0, len(ordered))
-	for rank, r := range ordered {
-		var all []Entry
-		for i := range r.pages {
-			all = append(all, r.pages[i].entries...)
-		}
-		if len(all) > 0 {
-			cursors = append(cursors, &cursor{entries: all, recency: rank})
-		}
+}
+
+// mergeEntryStreams performs the k-way sort-merge of the input runs' entries,
+// streaming from the inputs' pages straight into the slab of the output run;
+// the inputs are only read. Inputs need not be ordered by recency; recency is
+// taken from each run's createSeq. For every block, the newest erase entry
+// (if any) discards all entries from strictly older runs; colliding chunk
+// entries from surviving runs are OR-merged (Algorithm 3).
+func mergeEntryStreams(inputs []*run, wpe int) slab {
+	// Cursors are ordered newest run first, so a cursor's index is its
+	// recency rank and "first occurrence wins" rules are a forward scan.
+	total := 0
+	cursors := make([]cursor, 0, len(inputs))
+	for _, r := range inputs {
+		total += r.entryCount()
+		cursors = append(cursors, cursor{pages: r.pages, seq: r.createSeq})
+		cursors[len(cursors)-1].settle()
 	}
+	slices.SortFunc(cursors, func(a, b cursor) int { return cmp.Compare(b.seq, a.seq) })
+	out := newSlab(total, wpe)
 
-	var out []Entry
-	// eraseCut maps a block to the recency rank of the newest run holding an
-	// erase entry for it; entries from runs older than the cut are dropped.
-	// Because WholeBlock sorts before all real sub-keys, the erase entry for
-	// a block is always processed before the block's chunk entries.
-	eraseCut := make(map[flash.BlockID]int)
-
+	// cut is the rank of the newest run holding an erase entry for cutBlock;
+	// entries from runs older than the cut are dropped. Because WholeBlock
+	// sorts before all real sub-keys, the erase entry for a block is always
+	// processed before the block's chunk entries. len(cursors) means no cut.
+	cutBlock, cut := flash.InvalidBlock, 0
 	for {
-		// Find the smallest key among the cursors.
 		best := -1
-		var bestKey key
-		for i, c := range cursors {
-			if c.pos >= len(c.entries) {
-				continue
-			}
-			k := c.entries[c.pos].key()
-			if best < 0 || k.less(bestKey) {
+		for i := range cursors {
+			if !cursors[i].done() && (best < 0 || cursors[i].head().less(cursors[best].head().key)) {
 				best = i
-				bestKey = k
 			}
 		}
 		if best < 0 {
-			break
+			return out
+		}
+		k := cursors[best].head().key
+		if k.block != cutBlock {
+			cutBlock, cut = k.block, len(cursors)
 		}
 
-		// Collect every entry with that key, newest run first.
-		var colliding []*cursor
-		for _, c := range cursors {
-			if c.pos < len(c.entries) && c.entries[c.pos].key() == bestKey {
-				colliding = append(colliding, c)
+		// Fold every entry with that key, newest run first (Algorithm 3): a
+		// newer erase flag discards the older entry; otherwise the bitmaps
+		// are merged with OR and the older entry's erase flag is preserved.
+		res := -1
+		for rank := range cursors {
+			c := &cursors[rank]
+			if c.done() || c.head().key != k {
+				continue
 			}
-		}
-		sort.Slice(colliding, func(i, j int) bool { return colliding[i].recency < colliding[j].recency })
-
-		cut, hasCut := eraseCut[bestKey.block]
-
-		var result *Entry
-		for _, c := range colliding {
-			e := c.entries[c.pos]
+			e, bits := c.head(), c.bits()
 			c.pos++
-			if hasCut && c.recency > cut {
-				// Entry predates the newest erase of this block.
-				continue
+			c.settle()
+			if rank > cut {
+				continue // predates the newest erase of this block
 			}
-			if e.EraseFlag && e.SubKey == WholeBlock {
-				if !hasCut || c.recency < cut {
-					cut, hasCut = c.recency, true
-					eraseCut[bestKey.block] = cut
+			if e.erase && k.subKey == WholeBlock && rank < cut {
+				cut = rank
+			}
+			switch {
+			case res < 0:
+				res = out.push(*e, bits)
+			case !out.ents[res].erase:
+				dst := out.bits(res)
+				for w := range dst {
+					dst[w] |= bits[w]
 				}
+				out.ents[res].erase = e.erase
 			}
-			if result == nil {
-				cloned := e.Clone()
-				result = &cloned
-				continue
-			}
-			merged := mergeCollision(*result, e)
-			result = &merged
-		}
-		if result != nil {
-			out = append(out, *result)
 		}
 	}
-	return out
 }

@@ -21,7 +21,7 @@ type testHarness struct {
 
 // newHarness builds a harness indexing the given number of user blocks.
 // metaBlocks blocks at the top of the device hold the Gecko runs.
-func newHarness(t *testing.T, userBlocks, pagesPerBlock, pageSize, metaBlocks int, mutate func(*Config)) *testHarness {
+func newHarness(t testing.TB, userBlocks, pagesPerBlock, pageSize, metaBlocks int, mutate func(*Config)) *testHarness {
 	t.Helper()
 	devCfg := flash.ScaledConfig(userBlocks + metaBlocks)
 	devCfg.PagesPerBlock = pagesPerBlock

@@ -1,8 +1,9 @@
 package gecko
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"geckoftl/internal/flash"
 	"geckoftl/internal/metastore"
@@ -107,7 +108,7 @@ func (g *Gecko) RecoverDirectories() error {
 		if len(metas) != total {
 			continue
 		}
-		sort.Slice(metas, func(i, j int) bool { return metas[i].pageIndex < metas[j].pageIndex })
+		slices.SortFunc(metas, func(a, b runPageMeta) int { return cmp.Compare(a.pageIndex, b.pageIndex) })
 		complete := true
 		for i, m := range metas {
 			if m.pageIndex != i || m.totalPages != total {
@@ -125,7 +126,7 @@ func (g *Gecko) RecoverDirectories() error {
 	// ID on every recovery, not to whichever run the map yielded first.
 	// Recovery must replay identically or post-crash GC diverges between
 	// runs of the same crash image.
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].id < candidates[j].id })
+	slices.SortFunc(candidates, func(a, b candidate) int { return cmp.Compare(a.id, b.id) })
 
 	// Step 3: newest complete run per level.
 	newestPerLevel := make(map[int]candidate)
@@ -142,7 +143,7 @@ func (g *Gecko) RecoverDirectories() error {
 	for level := range newestPerLevel {
 		levels = append(levels, level)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(levels)))
+	slices.SortFunc(levels, func(a, b int) int { return cmp.Compare(b, a) })
 	var live []candidate
 	liveLevels := make([]int, 0, len(levels))
 	minSeqOfLarger := uint64(0)
@@ -169,10 +170,10 @@ func (g *Gecko) RecoverDirectories() error {
 				return fmt.Errorf("gecko: recovered run %d references page %d with no content", c.id, m.ppn)
 			}
 			r.pages = append(r.pages, runPage{
-				ppn:     m.ppn,
-				minKey:  m.minKey,
-				maxKey:  m.maxKey,
-				entries: page,
+				ppn:    m.ppn,
+				minKey: m.minKey,
+				maxKey: m.maxKey,
+				slab:   page,
 			})
 		}
 		// Keep logical sequencing consistent for future runs and merges.
@@ -192,8 +193,8 @@ func (g *Gecko) RecoverDirectories() error {
 // the crash because the simulator does not store payload bytes in the device;
 // only directory state (locations, key ranges, levels) is actually lost and
 // re-derived by RecoverDirectories.
-func (g *Gecko) flashImage() map[flash.PPN][]Entry {
-	out := make(map[flash.PPN][]Entry)
+func (g *Gecko) flashImage() map[flash.PPN]slab {
+	out := make(map[flash.PPN]slab)
 	for ppn, entries := range g.pageContent {
 		out[ppn] = entries
 	}

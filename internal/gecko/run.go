@@ -2,7 +2,9 @@ package gecko
 
 import (
 	"fmt"
+	"sort"
 
+	"geckoftl/internal/bitmap"
 	"geckoftl/internal/flash"
 )
 
@@ -10,17 +12,18 @@ import (
 // key range used by the run directory to route GC queries to the single page
 // that may contain a given block.
 type runPage struct {
-	ppn     flash.PPN
-	minKey  key
-	maxKey  key
-	entries []Entry
+	ppn    flash.PPN
+	minKey key
+	maxKey key
+	slab
 }
 
 // run is a sorted run of Gecko entries stored in flash, together with its
 // RAM-resident run directory (the per-page key ranges and physical
-// locations). The entries slices model the flash content of the run's pages;
-// the directory fields are what is lost at power failure and recovered by
-// Appendix C.1.
+// locations). The pages' slabs — consecutive sub-slabs of the one slab the
+// run was written from, immutable from then on — model the flash content of
+// the run's pages; the directory fields are what is lost at power failure and
+// recovered by Appendix C.1.
 type run struct {
 	id        uint64
 	level     int
@@ -32,7 +35,7 @@ type run struct {
 func (r *run) entryCount() int {
 	n := 0
 	for i := range r.pages {
-		n += len(r.pages[i].entries)
+		n += len(r.pages[i].ents)
 	}
 	return n
 }
@@ -94,81 +97,46 @@ func decodeRunPageSpare(spare flash.SpareArea, ppn flash.PPN) runPageMeta {
 
 // splitIntoPages partitions sorted entries into consecutive groups of at most
 // V entries, computing each group's key range.
-func splitIntoPages(entries []Entry, v int) []runPage {
-	if len(entries) == 0 {
-		return nil
-	}
-	pages := make([]runPage, 0, (len(entries)+v-1)/v)
-	for start := 0; start < len(entries); start += v {
-		end := start + v
-		if end > len(entries) {
-			end = len(entries)
-		}
-		group := entries[start:end]
+func splitIntoPages(s slab, v int) []runPage {
+	n := len(s.ents)
+	pages := make([]runPage, 0, (n+v-1)/v)
+	for start := 0; start < n; start += v {
+		end := min(start+v, n)
 		pages = append(pages, runPage{
-			minKey:  group[0].key(),
-			maxKey:  group[len(group)-1].key(),
-			entries: group,
+			minKey: s.ents[start].key,
+			maxKey: s.ents[end-1].key,
+			slab:   s.slice(start, end),
 		})
 	}
 	return pages
 }
 
-// directoryLookup returns the index of the page of r whose key range may
-// contain entries for the given block, or -1 when no page overlaps it. Run
-// directories let a GC query read at most one page per run.
-func (r *run) directoryLookup(block flash.BlockID) int {
-	lo := key{block, WholeBlock}
-	hi := key{block, int(^uint(0) >> 1)}
-	for i := range r.pages {
-		p := &r.pages[i]
-		if p.maxKey.less(lo) {
-			continue
-		}
-		if hi.less(p.minKey) {
-			return -1
-		}
-		return i
+// pagesFor returns the index range [lo, hi) of the pages of r whose key range
+// overlaps the block. Run directories let a GC query read one page per run;
+// with entry-partitioning a block's sub-entries can straddle a page boundary,
+// in which case the query must read both pages.
+func (r *run) pagesFor(block flash.BlockID) (lo, hi int) {
+	first := key{block, WholeBlock}
+	last := key{block, int(^uint(0) >> 1)}
+	for lo < len(r.pages) && r.pages[lo].maxKey.less(first) {
+		lo++
 	}
-	return -1
+	hi = lo
+	for hi < len(r.pages) && !last.less(r.pages[hi].minKey) {
+		hi++
+	}
+	return lo, hi
 }
 
-// directoryLookupAll returns the indices of every page of r whose key range
-// overlaps the block. With entry-partitioning a block's sub-entries can
-// straddle a page boundary, in which case a GC query must read both pages.
-func (r *run) directoryLookupAll(block flash.BlockID) []int {
-	lo := key{block, WholeBlock}
-	hi := key{block, int(^uint(0) >> 1)}
-	var out []int
-	for i := range r.pages {
-		p := &r.pages[i]
-		if p.maxKey.less(lo) {
-			continue
-		}
-		if hi.less(p.minKey) {
-			break
-		}
-		out = append(out, i)
+// query folds the chunks a single run page holds for the block into result,
+// and reports whether one of the block's entries carries the erase flag.
+func (p *runPage) query(cfg Config, block flash.BlockID, result *bitmap.Bitmap) (erased bool) {
+	i := sort.Search(len(p.ents), func(i int) bool { return p.ents[i].block >= block })
+	for ; i < len(p.ents) && p.ents[i].block == block; i++ {
+		erased = erased || p.ents[i].erase
+		cfg.fold(result, p.ents[i].subKey, p.bits(i))
 	}
-	return out
-}
-
-// entriesForBlock returns the entries of a single run page that belong to the
-// block, and whether one of them carries the erase flag.
-func (p *runPage) entriesForBlock(block flash.BlockID) (chunks []Entry, erased bool) {
-	for i := range p.entries {
-		e := &p.entries[i]
-		if e.Block != block {
-			continue
-		}
-		if e.EraseFlag {
-			erased = true
-		}
-		if e.SubKey != WholeBlock {
-			chunks = append(chunks, e.Clone())
-		}
-	}
-	return chunks, erased
+	return erased
 }
 
 // ramBytes returns the integrated-RAM footprint of the run's directory: one

@@ -19,55 +19,47 @@ func (g *Gecko) ScanValidity() (map[flash.BlockID]*bitmap.Bitmap, error) {
 	// entries for them in older sources are obsolete.
 	skip := make(map[flash.BlockID]bool)
 
-	fold := func(entries []Entry) []flash.BlockID {
-		var erased []flash.BlockID
-		for _, e := range entries {
-			if skip[e.Block] {
-				continue
-			}
-			if e.EraseFlag && e.SubKey == WholeBlock {
-				erased = append(erased, e.Block)
-				continue
-			}
-			if e.Bits == nil {
-				continue
-			}
-			bm, ok := result[e.Block]
-			if !ok {
-				bm = bitmap.New(g.cfg.PagesPerBlock)
-				result[e.Block] = bm
-			}
-			offset := 0
-			if g.cfg.PartitionFactor > 1 && e.SubKey > 0 {
-				offset = e.SubKey * g.cfg.BitsPerEntry()
-			}
-			width := e.Bits.Len()
-			if offset+width > bm.Len() {
-				width = bm.Len() - offset
-			}
-			if width > 0 {
-				bm.OrRange(offset, e.Bits.Slice(0, width))
-			}
+	fold := func(s *slab, i int) (erased bool) {
+		e := &s.ents[i]
+		if skip[e.block] {
+			return false
 		}
-		return erased
+		if e.erase && e.subKey == WholeBlock {
+			return true
+		}
+		bm, ok := result[e.block]
+		if !ok {
+			bm = bitmap.New(g.cfg.PagesPerBlock)
+			result[e.block] = bm
+		}
+		g.cfg.fold(bm, e.subKey, s.bits(i))
+		return false
 	}
 
-	// The buffer is the newest source.
-	for _, block := range fold(g.buf.snapshot()) {
-		skip[block] = true
+	// The buffer is the newest source. Entries within the same source as an
+	// erase entry postdate the erase, so the block is only skipped for older
+	// sources.
+	var erased []flash.BlockID
+	for i := range g.buf.ents {
+		if fold(&g.buf.slab, i) {
+			erased = append(erased, g.buf.ents[i].block)
+		}
 	}
 	for _, r := range g.runsNewestFirst() {
-		var erasedInRun []flash.BlockID
-		for i := range r.pages {
-			if err := g.store.Read(r.pages[i].ppn); err != nil {
+		for _, block := range erased {
+			skip[block] = true
+		}
+		erased = erased[:0]
+		for pi := range r.pages {
+			page := &r.pages[pi]
+			if err := g.store.Read(page.ppn); err != nil {
 				return nil, err
 			}
-			erasedInRun = append(erasedInRun, fold(r.pages[i].entries)...)
-		}
-		// Entries within the same run as an erase entry postdate the erase,
-		// so the block is only skipped for older runs.
-		for _, block := range erasedInRun {
-			skip[block] = true
+			for i := range page.ents {
+				if fold(&page.slab, i) {
+					erased = append(erased, page.ents[i].block)
+				}
+			}
 		}
 	}
 	return result, nil

@@ -11,8 +11,15 @@
 //
 // The paper notes that "the LRU cache is implemented as a tree to enable
 // efficient range queries for mapping entries on a particular translation
-// page". This implementation keeps an explicit secondary index from
-// translation-page number to the set of cached logical pages it covers, which
-// provides the same O(entries-on-page) synchronization scans without a
-// balanced tree.
+// page". This implementation keeps every entry in one slab of nodes allocated
+// at construction — C entries, the queue's sentinel and the one checkpoint
+// symbol that can be queued at a time (a flagged node) — and links nodes by
+// slab index twice: into the LRU queue, and into the list of cached entries
+// of their translation page, whose head a map from translation-page number
+// holds. That gives the same O(entries-on-page) synchronization scans
+// without a balanced tree, and no operation allocates.
+//
+// EntriesOnTranslationPage, DirtyEntriesOnTranslationPage and Checkpoint
+// fill buffers the cache reuses: a returned slice is valid until the next
+// call of the same method (the first two share one buffer).
 package mapcache

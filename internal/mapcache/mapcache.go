@@ -1,9 +1,9 @@
 package mapcache
 
 import (
-	"container/list"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"geckoftl/internal/flash"
 )
@@ -33,12 +33,23 @@ type Entry struct {
 	Trimmed bool
 }
 
-// element is what the LRU list stores: either a real mapping entry or a
-// checkpoint symbol (Section 4.3).
-type element struct {
-	entry      Entry
-	checkpoint bool
+// node is one slot of the cache's slab: a real mapping entry or a checkpoint
+// symbol (Section 4.3), linked by slab index into the LRU queue and, for real
+// entries, into the list of cached entries of its translation page. Free
+// slots are chained through next.
+type node struct {
+	entry          Entry
+	prev, next     int32 // LRU queue: prev is toward most recently used
+	tpPrev, tpNext int32 // translation-page list; none terminates it
+	checkpoint     bool
 }
+
+// The LRU queue is circular through the sentinel slot: its next is the most
+// recently used node, its prev the least recently used one.
+const (
+	sentinel int32 = 0
+	none     int32 = -1
+)
 
 // EvictionStats counts cache-management events; the FTL uses them to decide
 // when synchronization operations and checkpoints were triggered.
@@ -59,17 +70,25 @@ type EvictionStats struct {
 type Cache struct {
 	capacity int
 
-	// order is the LRU list; front = most recently used.
-	order *list.List
-	// byLPN indexes list elements holding real entries.
-	byLPN map[flash.LPN]*list.Element
+	// nodes is the slab every entry lives in, allocated at construction:
+	// the sentinel, C entries and the one checkpoint symbol that can be
+	// queued at a time. Nothing is allocated per operation.
+	nodes []node
+	// free heads the chain of unused slots.
+	free int32
+	// byLPN indexes the slots holding real entries.
+	byLPN map[flash.LPN]int32
 
-	// byTP groups cached logical pages by translation page so that a
-	// synchronization operation can find "all dirty mapping entries in the
-	// LRU cache that belong to the same translation page as the evicted
-	// entry" without scanning the whole cache.
-	byTP         map[int]map[flash.LPN]struct{}
+	// tpHead maps a translation page to the head of the list of its cached
+	// logical pages, so that a synchronization operation can find "all dirty
+	// mapping entries in the LRU cache that belong to the same translation
+	// page as the evicted entry" without scanning the whole cache.
+	tpHead       map[int]int32
 	entriesPerTP int
+
+	// tpBuf and staleBuf are the reused results of EntriesOnTranslationPage
+	// and Checkpoint.
+	tpBuf, staleBuf []Entry
 
 	// opsSinceCheckpoint counts inserts/updates since the last checkpoint;
 	// GeckoFTL takes a checkpoint every C operations (Section 4.3).
@@ -89,13 +108,64 @@ func New(capacity, entriesPerTranslationPage int) *Cache {
 	if entriesPerTranslationPage <= 0 {
 		panic(fmt.Sprintf("mapcache: entries per translation page %d must be positive", entriesPerTranslationPage))
 	}
-	return &Cache{
+	c := &Cache{
 		capacity:     capacity,
-		order:        list.New(),
-		byLPN:        make(map[flash.LPN]*list.Element),
-		byTP:         make(map[int]map[flash.LPN]struct{}),
+		nodes:        make([]node, capacity+2),
+		byLPN:        make(map[flash.LPN]int32, capacity),
+		tpHead:       make(map[int]int32),
 		entriesPerTP: entriesPerTranslationPage,
 	}
+	c.reset()
+	return c
+}
+
+// reset empties the LRU queue and chains every slot into the free list.
+func (c *Cache) reset() {
+	c.nodes[sentinel] = node{prev: sentinel, next: sentinel}
+	for i := 1; i < len(c.nodes); i++ {
+		c.nodes[i] = node{next: int32(i + 1)}
+	}
+	c.nodes[len(c.nodes)-1].next = none
+	c.free = 1
+}
+
+// pushFront takes a free slot, fills it and queues it as most recently used.
+func (c *Cache) pushFront(n node) int32 {
+	i := c.free
+	c.free = c.nodes[i].next
+	c.nodes[i] = n
+	c.link(i)
+	return i
+}
+
+// link queues slot i as most recently used.
+func (c *Cache) link(i int32) {
+	first := c.nodes[sentinel].next
+	c.nodes[i].prev, c.nodes[i].next = sentinel, first
+	c.nodes[first].prev = i
+	c.nodes[sentinel].next = i
+}
+
+// unlink takes slot i out of the LRU queue.
+func (c *Cache) unlink(i int32) {
+	n := &c.nodes[i]
+	c.nodes[n.prev].next = n.next
+	c.nodes[n.next].prev = n.prev
+}
+
+// promote makes the queued slot i the most recently used.
+func (c *Cache) promote(i int32) {
+	if c.nodes[i].prev != sentinel {
+		c.unlink(i)
+		c.link(i)
+	}
+}
+
+// release unlinks slot i and returns it to the free list.
+func (c *Cache) release(i int32) {
+	c.unlink(i)
+	c.nodes[i] = node{next: c.free}
+	c.free = i
 }
 
 // Capacity returns C, the maximum number of mapping entries.
@@ -118,47 +188,65 @@ func (c *Cache) TranslationPageOf(lpn flash.LPN) int {
 	return int(int64(lpn) / int64(c.entriesPerTP))
 }
 
-func (c *Cache) indexAdd(lpn flash.LPN) {
+// indexAdd puts slot i, holding lpn, at the head of its translation page's
+// list.
+func (c *Cache) indexAdd(i int32, lpn flash.LPN) {
 	tp := c.TranslationPageOf(lpn)
-	set, ok := c.byTP[tp]
+	head, ok := c.tpHead[tp]
 	if !ok {
-		set = make(map[flash.LPN]struct{})
-		c.byTP[tp] = set
+		head = none
+	} else {
+		c.nodes[head].tpPrev = i
 	}
-	set[lpn] = struct{}{}
+	c.nodes[i].tpPrev, c.nodes[i].tpNext = none, head
+	c.tpHead[tp] = i
 }
 
-func (c *Cache) indexRemove(lpn flash.LPN) {
-	tp := c.TranslationPageOf(lpn)
-	if set, ok := c.byTP[tp]; ok {
-		delete(set, lpn)
-		if len(set) == 0 {
-			delete(c.byTP, tp)
-		}
+// indexRemove takes slot i, holding lpn, out of its translation page's list.
+func (c *Cache) indexRemove(i int32, lpn flash.LPN) {
+	n := &c.nodes[i]
+	if n.tpNext != none {
+		c.nodes[n.tpNext].tpPrev = n.tpPrev
 	}
+	switch {
+	case n.tpPrev != none:
+		c.nodes[n.tpPrev].tpNext = n.tpNext
+	case n.tpNext != none:
+		c.tpHead[c.TranslationPageOf(lpn)] = n.tpNext
+	default:
+		delete(c.tpHead, c.TranslationPageOf(lpn))
+	}
+}
+
+// remove drops the real entry in slot i from the queue and both indexes.
+func (c *Cache) remove(i int32) {
+	lpn := c.nodes[i].entry.Logical
+	delete(c.byLPN, lpn)
+	c.indexRemove(i, lpn)
+	c.release(i)
 }
 
 // Lookup returns the entry for lpn and whether it is cached. A hit promotes
 // the entry to most-recently-used.
 func (c *Cache) Lookup(lpn flash.LPN) (Entry, bool) {
-	el, ok := c.byLPN[lpn]
+	i, ok := c.byLPN[lpn]
 	if !ok {
 		c.stats.Misses++
 		return Entry{}, false
 	}
 	c.stats.Hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*element).entry, true
+	c.promote(i)
+	return c.nodes[i].entry, true
 }
 
 // Peek returns the entry for lpn without affecting LRU order or hit/miss
 // statistics. Recovery and invariant checks use it.
 func (c *Cache) Peek(lpn flash.LPN) (Entry, bool) {
-	el, ok := c.byLPN[lpn]
+	i, ok := c.byLPN[lpn]
 	if !ok {
 		return Entry{}, false
 	}
-	return el.Value.(*element).entry, true
+	return c.nodes[i].entry, true
 }
 
 // Contains reports whether lpn is cached, without touching LRU order.
@@ -184,15 +272,15 @@ func (c *Cache) Put(e Entry) Evicted {
 		panic(fmt.Sprintf("mapcache: negative logical page %d", e.Logical))
 	}
 	c.opsSinceCheckpoint++
-	if el, ok := c.byLPN[e.Logical]; ok {
-		el.Value.(*element).entry = e
-		c.order.MoveToFront(el)
+	if i, ok := c.byLPN[e.Logical]; ok {
+		c.nodes[i].entry = e
+		c.promote(i)
 		return Evicted{}
 	}
 	evicted := c.makeRoom()
-	el := c.order.PushFront(&element{entry: e})
-	c.byLPN[e.Logical] = el
-	c.indexAdd(e.Logical)
+	i := c.pushFront(node{entry: e})
+	c.byLPN[e.Logical] = i
+	c.indexAdd(i, e.Logical)
 	return evicted
 }
 
@@ -201,68 +289,60 @@ func (c *Cache) makeRoom() Evicted {
 	if len(c.byLPN) < c.capacity {
 		return Evicted{}
 	}
-	for el := c.order.Back(); el != nil; {
-		prev := el.Prev()
-		node := el.Value.(*element)
-		if node.checkpoint {
+	for i := c.nodes[sentinel].prev; i != sentinel; i = c.nodes[sentinel].prev {
+		if c.nodes[i].checkpoint {
 			// A checkpoint symbol at the LRU end is stale; drop it.
-			c.order.Remove(el)
-			el = prev
+			c.release(i)
 			continue
 		}
-		c.order.Remove(el)
-		delete(c.byLPN, node.entry.Logical)
-		c.indexRemove(node.entry.Logical)
+		e := c.nodes[i].entry
+		c.remove(i)
 		c.stats.Evictions++
-		if node.entry.Dirty {
+		if e.Dirty {
 			c.stats.DirtyEvictions++
 		}
-		return Evicted{Entry: node.entry, Valid: true}
+		return Evicted{Entry: e, Valid: true}
 	}
 	return Evicted{}
 }
 
 // Remove deletes the entry for lpn, reporting whether it was present.
 func (c *Cache) Remove(lpn flash.LPN) bool {
-	el, ok := c.byLPN[lpn]
-	if !ok {
-		return false
+	i, ok := c.byLPN[lpn]
+	if ok {
+		c.remove(i)
 	}
-	c.order.Remove(el)
-	delete(c.byLPN, lpn)
-	c.indexRemove(lpn)
-	return true
+	return ok
 }
 
 // Update applies fn to the cached entry for lpn, if present, and reports
 // whether it was. The entry is not promoted; Update models flag maintenance
 // rather than an application access.
 func (c *Cache) Update(lpn flash.LPN, fn func(*Entry)) bool {
-	el, ok := c.byLPN[lpn]
-	if !ok {
-		return false
+	i, ok := c.byLPN[lpn]
+	if ok {
+		fn(&c.nodes[i].entry)
 	}
-	fn(&el.Value.(*element).entry)
-	return true
+	return ok
 }
 
 // EntriesOnTranslationPage returns the cached entries whose logical pages
 // belong to the given translation page, in ascending logical order. This is
 // the range query used by synchronization operations; the pinned order
 // means the entries a synchronization writes back — durable flash state —
-// do not depend on map iteration order.
+// do not depend on insertion history. The slice is reused: it is valid until
+// the next call of this method or DirtyEntriesOnTranslationPage.
 func (c *Cache) EntriesOnTranslationPage(tp int) []Entry {
-	set, ok := c.byTP[tp]
+	head, ok := c.tpHead[tp]
 	if !ok {
 		return nil
 	}
-	out := make([]Entry, 0, len(set))
-	for lpn := range set {
-		if el, ok := c.byLPN[lpn]; ok {
-			out = append(out, el.Value.(*element).entry)
-		}
+	out := c.tpBuf[:0]
+	for i := head; i != none; i = c.nodes[i].tpNext {
+		out = append(out, c.nodes[i].entry)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Logical < out[j].Logical })
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Logical, b.Logical) })
+	c.tpBuf = out
 	return out
 }
 
@@ -283,23 +363,20 @@ func (c *Cache) DirtyEntriesOnTranslationPage(tp int) []Entry {
 // IB-FTL bound this number during runtime; GeckoFTL does not.
 func (c *Cache) DirtyCount() int {
 	n := 0
-	for _, el := range c.byLPN {
-		if el.Value.(*element).entry.Dirty {
+	c.ForEach(func(e Entry) bool {
+		if e.Dirty {
 			n++
 		}
-	}
+		return true
+	})
 	return n
 }
 
 // ForEach calls fn on every cached entry in most-recently-used-first order.
 // It stops early if fn returns false.
 func (c *Cache) ForEach(fn func(Entry) bool) {
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		node := el.Value.(*element)
-		if node.checkpoint {
-			continue
-		}
-		if !fn(node.entry) {
+	for i := c.nodes[sentinel].next; i != sentinel; i = c.nodes[i].next {
+		if n := &c.nodes[i]; !n.checkpoint && !fn(n.entry) {
 			return
 		}
 	}
@@ -317,10 +394,9 @@ func (c *Cache) Entries() []Entry {
 
 // LeastRecentlyUsed returns the entry that would be evicted next, if any.
 func (c *Cache) LeastRecentlyUsed() (Entry, bool) {
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		node := el.Value.(*element)
-		if !node.checkpoint {
-			return node.entry, true
+	for i := c.nodes[sentinel].prev; i != sentinel; i = c.nodes[i].prev {
+		if n := &c.nodes[i]; !n.checkpoint {
+			return n.entry, true
 		}
 	}
 	return Entry{}, false
@@ -334,25 +410,25 @@ func (c *Cache) LeastRecentlyUsed() (Entry, bool) {
 // FTL can synchronize it; the entries themselves are left in place (the FTL
 // marks them clean through Update once synchronized).
 //
-// The operation counter used to schedule checkpoints is reset.
+// The operation counter used to schedule checkpoints is reset. The returned
+// slice is reused: it is valid until the next Checkpoint.
 func (c *Cache) Checkpoint() []Entry {
 	c.stats.Checkpoints++
 	c.opsSinceCheckpoint = 0
 
-	var stale []Entry
-	for el := c.order.Back(); el != nil; {
-		prev := el.Prev()
-		node := el.Value.(*element)
-		if node.checkpoint {
-			c.order.Remove(el)
+	stale := c.staleBuf[:0]
+	for i := c.nodes[sentinel].prev; i != sentinel; i = c.nodes[i].prev {
+		n := &c.nodes[i]
+		if n.checkpoint {
+			c.release(i)
 			break
 		}
-		if node.entry.Dirty {
-			stale = append(stale, node.entry)
+		if n.entry.Dirty {
+			stale = append(stale, n.entry)
 		}
-		el = prev
 	}
-	c.order.PushFront(&element{checkpoint: true})
+	c.pushFront(node{checkpoint: true})
+	c.staleBuf = stale
 	return stale
 }
 
@@ -363,9 +439,9 @@ func (c *Cache) CheckpointDue() bool { return c.opsSinceCheckpoint >= c.capacity
 // Clear drops every entry and checkpoint symbol. It models the loss of
 // integrated RAM at power failure.
 func (c *Cache) Clear() {
-	c.order.Init()
-	c.byLPN = make(map[flash.LPN]*list.Element)
-	c.byTP = make(map[int]map[flash.LPN]struct{})
+	c.reset()
+	clear(c.byLPN)
+	clear(c.tpHead)
 	c.opsSinceCheckpoint = 0
 }
 

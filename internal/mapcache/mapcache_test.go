@@ -526,3 +526,21 @@ func BenchmarkCheckpoint(b *testing.B) {
 		c.Checkpoint()
 	}
 }
+
+// BenchmarkMapcachePutEvict times a Put into a full cache: every call evicts
+// the least recently used entry, unlinks it from its translation page and
+// links the new entry into another, as every steady-state FTL write does.
+func BenchmarkMapcachePutEvict(b *testing.B) {
+	const capacity = 4096
+	c := New(capacity, 1024)
+	for i := 0; i < capacity; i++ {
+		c.Put(Entry{Logical: flash.LPN(i), Dirty: true})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A stride coprime to the page count scatters consecutive puts over
+		// the translation pages.
+		c.Put(Entry{Logical: flash.LPN((capacity + i) * 7919 % (1 << 20)), Dirty: true})
+	}
+}
