@@ -42,13 +42,12 @@
 // backpressure keeping tail latency finite past it (see docs/benchmarks.md).
 //
 // With -json, each experiment emits one JSON object per line of the form
-// {"experiment": name, "rows": [...], "alloc": {...}}, so benchmark
-// trajectories can be recorded by machines instead of scraped from tables.
-// The alloc block is the host-side counterpart of the geckolint -hotpath
-// gate: total heap allocations and bytes during the experiment, plus
-// allocs/op normalized by the scale's measured writes, so an allocation
-// regression on the hot path shows up in the artifact diff even when it
-// slips past the static gate.
+// {"experiment": name, "rows": [...], "go_version": ..., "gomaxprocs": ...,
+// "revision": ...}, so benchmark trajectories can be recorded by machines
+// instead of scraped from tables. The rows are a pure function of the flags
+// (testdata/bench holds them at -quick); the other fields say what produced
+// them. Host-side cost per operation is perfbench's job
+// (internal/perfbench), not this tool's.
 package main
 
 import (
@@ -57,6 +56,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -227,34 +227,17 @@ func experiments() []experimentSpec {
 	}
 }
 
-// allocStats is the host-side allocation profile of one experiment run: the
-// measured counterpart of the geckolint -hotpath static gate.
-type allocStats struct {
-	// Mallocs and AllocBytes are heap allocation deltas over the experiment
-	// (all phases: setup, warm-up and measurement).
-	Mallocs    uint64 `json:"mallocs"`
-	AllocBytes uint64 `json:"alloc_bytes"`
-	// AllocsPerOp normalizes Mallocs by the scale's measured writes — a
-	// coarse per-operation figure (setup allocations included) whose drift
-	// between runs of the same experiment flags a hot-path regression.
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
-// measureAllocs runs fn and returns its result alongside the heap
-// allocation delta, normalized by ops (when positive).
-func measureAllocs(fn func() (any, error), ops int64) (any, allocStats, error) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	rows, err := fn()
-	runtime.ReadMemStats(&after)
-	st := allocStats{
-		Mallocs:    after.Mallocs - before.Mallocs,
-		AllocBytes: after.TotalAlloc - before.TotalAlloc,
+// vcsRevision is the commit the binary was built from, when the toolchain
+// stamped one (go build inside a checkout; go run and go test do not).
+func vcsRevision() string {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range info.Settings {
+			if kv.Key == "vcs.revision" {
+				return kv.Value
+			}
+		}
 	}
-	if ops > 0 {
-		st.AllocsPerOp = float64(st.Mallocs) / float64(ops)
-	}
-	return rows, st, err
+	return ""
 }
 
 func run(experiment string, scale geckoftl.ExperimentScale) error {
@@ -266,16 +249,18 @@ func run(experiment string, scale geckoftl.ExperimentScale) error {
 			continue
 		}
 		ran = true
-		rows, alloc, err := measureAllocs(func() (any, error) { return e.rows(scale) }, scale.MeasureWrites)
+		rows, err := e.rows(scale)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
 		if jsonMode {
 			if err := enc.Encode(struct {
-				Experiment string     `json:"experiment"`
-				Rows       any        `json:"rows"`
-				Alloc      allocStats `json:"alloc"`
-			}{e.name, rows, alloc}); err != nil {
+				Experiment string `json:"experiment"`
+				Rows       any    `json:"rows"`
+				GoVersion  string `json:"go_version"`
+				GOMAXPROCS int    `json:"gomaxprocs"`
+				Revision   string `json:"revision,omitempty"`
+			}{e.name, rows, runtime.Version(), runtime.GOMAXPROCS(0), vcsRevision()}); err != nil {
 				return fmt.Errorf("%s: %w", e.name, err)
 			}
 			continue

@@ -16,11 +16,11 @@ func BenchmarkPickVictim(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	bm := newBlockManager(newTestDevice(b, blocks, pagesPerBlock, 4096), 2, false, false)
 	bm.free = bm.free[:0]
-	bm.lastSeq = 1 << 20
+	bm.programs = 1 << 20
 	for i := range bm.blocks {
 		bm.blocks[i] = blockInfo{
 			allocated: true, writePointer: pagesPerBlock, valid: 16 + rng.Intn(pagesPerBlock-16),
-			lastWriteSeq: uint64(rng.Intn(1 << 20)),
+			lastProgram: uint64(rng.Intn(1 << 20)),
 		}
 	}
 	excluded := map[flash.BlockID]bool{}

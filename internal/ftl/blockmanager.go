@@ -118,12 +118,12 @@ type blockInfo struct {
 	// firstWriteSeq is the device write sequence of the block's first page
 	// since its last erase; recovery uses it to order blocks by age.
 	firstWriteSeq uint64
-	// lastWriteSeq is the device write sequence of the block's most recent
-	// page; the cost-benefit victim policy uses it as the block's age
-	// anchor. Recovery approximates it with firstWriteSeq (the spare scan
-	// reads only first pages), which only makes recovered blocks look
-	// older, i.e. better victims.
-	lastWriteSeq uint64
+	// lastProgram is the manager's program clock (see programs) at the
+	// block's most recent page; the cost-benefit victim policy uses it as
+	// the block's age anchor. Recovery approximates it with firstWriteSeq
+	// (the spare scan reads only first pages), which only makes recovered
+	// blocks look older, i.e. better victims.
+	lastProgram uint64
 	// eraseCount mirrors the device's per-block erase counter in RAM so
 	// that wear-aware allocation never costs IO on the write path. It is
 	// lost at power failure and re-based from the device during recovery.
@@ -164,6 +164,15 @@ type blockManager struct {
 	// content is known current. Unlike the page's own WriteSeq it survives
 	// garbage-collection copies, which refresh WriteSeq but not content.
 	lastSeq uint64
+	// programs is the cost-benefit policy's age clock: it advances by one
+	// per page this manager programs, so a block's age counts only its own
+	// shard's programs. Device sequences are shared by every shard of an
+	// engine, and how sibling shards interleave is the Go scheduler's
+	// choice, not the seed's. Recovery and checkpoint restore lift the clock
+	// to the recorded device sequences they rebuild lastProgram from, so it
+	// never trails a block's anchor; with one shard the two clocks advance
+	// together.
+	programs uint64
 
 	erases int64
 	// frees counts blocks returned to the free pool; the wear-conservation
@@ -339,7 +348,7 @@ func (bm *blockManager) takeFreeBlock(g Group) (flash.BlockID, error) {
 	info.writePointer = 0
 	info.valid = 0
 	info.firstWriteSeq = 0
-	info.lastWriteSeq = 0
+	info.lastProgram = 0
 	return id, nil
 }
 
@@ -396,11 +405,14 @@ func (bm *blockManager) allocateOnFrontier(g Group, frontier int, spare flash.Sp
 		if err != nil {
 			return flash.InvalidPPN, err
 		}
-		bm.NoteWriteSeq(seq)
+		if seq > bm.lastSeq {
+			bm.lastSeq = seq
+		}
 		if info.firstWriteSeq == 0 {
 			info.firstWriteSeq = seq
 		}
-		info.lastWriteSeq = seq
+		bm.programs++
+		info.lastProgram = bm.programs
 		info.writePointer++
 		info.valid++
 		return ppn, nil
@@ -413,10 +425,14 @@ func (bm *blockManager) LastWriteSeq() uint64 { return bm.lastSeq }
 
 // NoteWriteSeq ratchets lastSeq forward; recovery calls it with the sequence
 // numbers of the spares it scans so post-recovery synchronizations stamp
-// content sequences no older than the flash they recovered from.
+// content sequences no older than the flash they recovered from. The age
+// clock follows, staying ahead of every anchor recovery rebuilds.
 func (bm *blockManager) NoteWriteSeq(seq uint64) {
 	if seq > bm.lastSeq {
 		bm.lastSeq = seq
+	}
+	if seq > bm.programs {
+		bm.programs = seq
 	}
 }
 
@@ -478,7 +494,7 @@ func (bm *blockManager) Erase(block flash.BlockID, p flash.Purpose) error {
 	info.valid = 0
 	info.writePointer = 0
 	info.firstWriteSeq = 0
-	info.lastWriteSeq = 0
+	info.lastProgram = 0
 	info.eraseCount++
 	if bm.wearAware {
 		heap.Push(freeHeap{bm}, block)
@@ -573,17 +589,17 @@ func (bm *blockManager) PickVictim(policy VictimPolicy, excluded map[flash.Block
 	return best, best != flash.InvalidBlock
 }
 
-// costBenefitScore is the block's age (device write sequences since its last
-// program) times its invalid fraction. Age uses lastWriteSeq so a block still
-// absorbing GC migrations does not look old, and the score of a fully valid
-// block is zero regardless of age.
+// costBenefitScore is the block's age (pages this manager programmed since
+// the block's last program) times its invalid fraction. Age uses lastProgram
+// so a block still absorbing GC migrations does not look old, and the score
+// of a fully valid block is zero regardless of age.
 func (bm *blockManager) costBenefitScore(info *blockInfo) float64 {
 	written := info.writePointer
 	if written <= 0 {
 		return 0
 	}
 	invalidFrac := float64(written-info.valid) / float64(written)
-	age := float64(bm.lastSeq - info.lastWriteSeq)
+	age := float64(bm.programs - info.lastProgram)
 	return age * invalidFrac
 }
 
@@ -639,8 +655,9 @@ func (bm *blockManager) CrashRAM() {
 		bm.active[fr] = flash.InvalidBlock
 	}
 	// The write-sequence high-water mark is RAM too; recovery re-learns it
-	// from the spares it scans (NoteWriteSeq).
+	// from the spares it scans (NoteWriteSeq), and the age clock with it.
 	bm.lastSeq = 0
+	bm.programs = 0
 }
 
 // userBlocksByRecency returns the allocated user blocks ordered from most

@@ -36,7 +36,7 @@ func shardSectionID(kind uint32, shard int) uint32 { return kind | uint32(shard)
 // Minimum encoded bytes per record of each repeated sequence; Reader.Count
 // uses them to bound slice pre-allocation by the input size.
 const (
-	blockRecordBytes   = 30 // flags + group + writePointer + valid + firstWriteSeq + lastWriteSeq + eraseCount
+	blockRecordBytes   = 30 // flags + group + writePointer + valid + firstWriteSeq + lastProgram + eraseCount
 	gmdRecordBytes     = 8  // translation-page location
 	cacheRecordBytes   = 17 // lpn + ppn + flags
 	runHeaderBytes     = 24 // id + createSeq + level + page count
@@ -150,7 +150,7 @@ func (f *FTL) exportShardSections(shard int) []checkpoint.Section {
 		blocks.U32(uint32(b.writePointer))
 		blocks.U32(uint32(b.valid))
 		blocks.U64(b.firstWriteSeq)
-		blocks.U64(b.lastWriteSeq)
+		blocks.U64(b.lastProgram)
 		blocks.U32(uint32(b.eraseCount))
 	}
 	blocks.U32(uint32(len(f.bm.free)))
@@ -284,7 +284,7 @@ func (sc *shardCheckpoint) decodeSection(kind uint32, payload []byte) error {
 			b.writePointer = int(r.U32())
 			b.valid = int(r.U32())
 			b.firstWriteSeq = r.U64()
-			b.lastWriteSeq = r.U64()
+			b.lastProgram = r.U64()
 			b.eraseCount = int(r.U32())
 		}
 		nFree := r.Count(4)
@@ -512,6 +512,9 @@ func (f *FTL) importShardCheckpoint(sc *shardCheckpoint) error {
 	f.bm.free = sc.free
 	f.bm.active = sc.active
 	f.bm.lastSeq = sc.lastSeq
+	// The age clock is not in the file; the device sequence is at or past
+	// every restored anchor (see blockManager.programs).
+	f.bm.programs = sc.lastSeq
 	f.bm.restoreFreeOrder()
 	f.bm.recountDead()
 

@@ -134,7 +134,7 @@ func TestPickVictimTieBreaksByLowestBlockID(t *testing.T) {
 		}
 	}
 	// Equalize the age anchors so the cost-benefit scores tie exactly.
-	bm.blocks[blocks[1]].lastWriteSeq = bm.blocks[blocks[2]].lastWriteSeq
+	bm.blocks[blocks[1]].lastProgram = bm.blocks[blocks[2]].lastProgram
 	want := blocks[1]
 	if blocks[2] < want {
 		want = blocks[2]

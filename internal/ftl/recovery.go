@@ -239,7 +239,7 @@ func (f *FTL) recoverBlockManager() error {
 		// The block's true last-write sequence would need a spare read of its
 		// newest page; the first-write sequence is a safe stand-in that only
 		// makes recovered blocks look older to the cost-benefit policy.
-		info.lastWriteSeq = spare.WriteSeq
+		info.lastProgram = spare.WriteSeq
 		bm.NoteWriteSeq(spare.WriteSeq)
 		switch spare.BlockType {
 		case flash.BlockTranslation:

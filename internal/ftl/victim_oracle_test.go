@@ -70,7 +70,7 @@ func TestVictimScansMatchNaive(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		bm := newBlockManager(newTestDevice(t, blocks, pagesPerBlock, 512), 2, seed%2 == 0, false)
-		bm.lastSeq = 1000
+		bm.programs = 1000
 		for i := range bm.blocks {
 			info := &bm.blocks[i]
 			info.allocated = rng.Intn(8) != 0
@@ -87,7 +87,7 @@ func TestVictimScansMatchNaive(t *testing.T) {
 			if info.valid = rng.Intn(3); seed%3 != 0 {
 				info.valid = rng.Intn(info.writePointer + 1)
 			}
-			info.lastWriteSeq = uint64(900 + 25*rng.Intn(4))
+			info.lastProgram = uint64(900 + 25*rng.Intn(4))
 		}
 		for fr := range bm.active {
 			if rng.Intn(3) != 0 {
