@@ -1,9 +1,7 @@
-// Package geckoftl's module-level benchmarks regenerate every table and
-// figure of the paper's evaluation section (run with
-// `go test -bench=. -benchmem`), plus ablation benchmarks for the design
-// choices DESIGN.md calls out. Each benchmark reports the figure's key
-// numbers as custom metrics so that `bench_output.txt` doubles as the
-// reproduced results.
+// Package geckoftl's module-level benchmarks run every registered experiment
+// (run with `go test -bench=. -benchmem`), plus ablation benchmarks for the
+// design choices the paper calls out, which report their key numbers as
+// custom metrics.
 package geckoftl_test
 
 import (
@@ -29,220 +27,21 @@ func benchScale() sim.ExperimentScale {
 	}
 }
 
-// BenchmarkFigure1 reproduces Figure 1: LazyFTL's integrated RAM requirement
-// and recovery time as device capacity grows (analytical, full scale).
-func BenchmarkFigure1(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		points := sim.Figure1()
-		if i == 0 {
-			for _, p := range points {
-				b.ReportMetric(float64(p.RAMBytes)/(1<<20), fmt.Sprintf("RAM_MB_at_%dGB", p.CapacityBytes>>30))
-				b.ReportMetric(p.Recovery.Seconds(), fmt.Sprintf("recovery_s_at_%dGB", p.CapacityBytes>>30))
-			}
-		}
-	}
-}
-
-// BenchmarkTable1 reproduces Table 1: the per-operation IO costs and RAM of
-// the three page-validity schemes (analytical, full scale).
-func BenchmarkTable1(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows := sim.Table1()
-		if i == 0 {
-			for _, r := range rows {
-				name := map[string]string{
-					"RAM-resident PVB":   "ramPVB",
-					"Flash-resident PVB": "flashPVB",
-					"Logarithmic Gecko":  "gecko",
-				}[r.Technique]
-				b.ReportMetric(r.UpdateWrites, name+"_update_writes")
-				b.ReportMetric(r.QueryReads, name+"_query_reads")
-				b.ReportMetric(float64(r.RAMBytes)/(1<<20), name+"_RAM_MB")
-			}
-		}
-	}
-}
-
-// BenchmarkFigure9 reproduces Figure 9: Logarithmic Gecko under size ratios
-// T = 2..32 versus a flash-resident PVB, under uniform random updates.
-func BenchmarkFigure9(b *testing.B) {
-	b.ReportAllocs()
-	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		rows, err := sim.Figure9(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.WA, "WA_"+r.Name)
-			}
-		}
-	}
-}
-
-// BenchmarkFigure10 reproduces Figure 10: entry-partitioning makes
-// write-amplification independent of the block size B.
-func BenchmarkFigure10(b *testing.B) {
-	b.ReportAllocs()
-	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		rows, err := sim.Figure10(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				label := fmt.Sprintf("WA_B%d_S%d", r.BlockSize, r.PartitionFactor)
-				if r.PartitionFactor == -1 {
-					label = fmt.Sprintf("WA_B%d_Srec", r.BlockSize)
+// BenchmarkExperiment times every registered experiment — each table and
+// figure of the paper and each sweep beyond it — once per iteration at the
+// benchmark scale with default parameters. The numbers the experiments
+// produce are `geckobench -json`'s job and testdata/bench's record; this
+// loop is what keeps every experiment running at a second, larger scale.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range sim.Experiments() {
+		b.Run(e.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(sim.Params{Scale: benchScale()}); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(r.WA, label)
 			}
-		}
-	}
-}
-
-// BenchmarkFigure11 reproduces Figure 11: write-amplification versus the
-// number of blocks K for Logarithmic Gecko and the flash PVB.
-func BenchmarkFigure11(b *testing.B) {
-	b.ReportAllocs()
-	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		rows, err := sim.Figure11(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.GeckoWA, fmt.Sprintf("gecko_WA_K%d", r.Blocks))
-				b.ReportMetric(r.PVBWA, fmt.Sprintf("pvb_WA_K%d", r.Blocks))
-			}
-		}
-	}
-}
-
-// BenchmarkFigure12 reproduces Figure 12: the effect of over-provisioning on
-// Logarithmic Gecko's IO.
-func BenchmarkFigure12(b *testing.B) {
-	b.ReportAllocs()
-	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		rows, err := sim.Figure12(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.WA, fmt.Sprintf("WA_R%.0f", r.OverProvision*100))
-				b.ReportMetric(float64(r.GCQueries), fmt.Sprintf("gc_queries_R%.0f", r.OverProvision*100))
-			}
-		}
-	}
-}
-
-// BenchmarkFigure13RAM reproduces the top part of Figure 13: the integrated
-// RAM breakdown of every FTL (analytical, full scale).
-func BenchmarkFigure13RAM(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows := sim.Figure13RAM()
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(float64(r.Total())/(1<<20), fmt.Sprintf("RAM_MB_%s", r.FTL))
-			}
-		}
-	}
-}
-
-// BenchmarkFigure13Recovery reproduces the middle part of Figure 13: the
-// recovery-time breakdown of every FTL (analytical, full scale).
-func BenchmarkFigure13Recovery(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows := sim.Figure13Recovery()
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.Total().Seconds(), fmt.Sprintf("recovery_s_%s", r.FTL))
-			}
-		}
-	}
-}
-
-// BenchmarkFigure13WA reproduces the bottom part of Figure 13: the simulated
-// write-amplification breakdown of every FTL under uniform random writes.
-func BenchmarkFigure13WA(b *testing.B) {
-	b.ReportAllocs()
-	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		rows, err := sim.Figure13WA(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.WA, "WA_"+r.Name)
-				b.ReportMetric(r.ValidityWA, "validityWA_"+r.Name)
-				b.ReportMetric(r.TranslationWA, "translationWA_"+r.Name)
-			}
-		}
-	}
-}
-
-// BenchmarkFigure14 reproduces Figure 14: with an equal RAM budget, the RAM
-// freed by dropping the PVB is spent on a larger mapping cache.
-func BenchmarkFigure14(b *testing.B) {
-	b.ReportAllocs()
-	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		rows, err := sim.Figure14(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.WA, "WA_"+r.Name)
-				b.ReportMetric(float64(r.CacheEntries), "cache_"+r.Name)
-			}
-		}
-	}
-}
-
-// BenchmarkRecoverySimulation complements the analytical Figure 13 middle
-// with an executable crash-recovery measurement of every FTL.
-func BenchmarkRecoverySimulation(b *testing.B) {
-	b.ReportAllocs()
-	scale := benchScale()
-	scale.MeasureWrites = 10000
-	for i := 0; i < b.N; i++ {
-		rows, err := sim.RecoverySimulation(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.Duration.Seconds()*1000, "recovery_ms_"+r.Name)
-			}
-		}
-	}
-}
-
-// BenchmarkHeadlineSummary evaluates the paper's three headline claims.
-func BenchmarkHeadlineSummary(b *testing.B) {
-	b.ReportAllocs()
-	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		s, err := sim.Headlines(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(100*s.RAMReduction, "ram_reduction_pct")
-			b.ReportMetric(100*s.RecoveryReduction, "recovery_reduction_pct")
-			b.ReportMetric(100*s.ValidityWAReduction, "validity_WA_reduction_pct")
-		}
+		})
 	}
 }
 
@@ -369,142 +168,6 @@ func BenchmarkAblationDirtyBound(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(ru.TranslationWA, "translationWA_unbounded")
 			b.ReportMetric(rb.TranslationWA, "translationWA_bounded")
-		}
-	}
-}
-
-// BenchmarkChannelSweep measures how the sharded engine's write throughput
-// scales with the device's channel count (the multi-channel extension beyond
-// the paper; see docs/benchmarks.md). It reports simulated logical writes
-// per second and the speedup over one channel.
-func BenchmarkChannelSweep(b *testing.B) {
-	b.ReportAllocs()
-	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		points, err := sim.ChannelSweep(sim.ChannelSweepOptions{Scale: scale})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, p := range points {
-				b.ReportMetric(p.Throughput, fmt.Sprintf("writes_per_s_C%d", p.Channels))
-				b.ReportMetric(p.Speedup, fmt.Sprintf("speedup_C%d", p.Channels))
-				b.ReportMetric(p.LoadImbalance, fmt.Sprintf("imbalance_C%d", p.Channels))
-			}
-		}
-	}
-}
-
-// BenchmarkRecoverySweep measures engine-wide crash recovery across channel
-// counts, checkpoint intervals and device capacities (see docs/benchmarks.md,
-// "Recovery experiments"). It reports the recovery wall-clock per channel
-// count and the parallel speedup over the serial scan.
-func BenchmarkRecoverySweep(b *testing.B) {
-	b.ReportAllocs()
-	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		points, err := sim.RecoverySweep(sim.RecoverySweepOptions{Scale: scale})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, p := range points {
-				if p.Dimension != "channels" {
-					continue
-				}
-				b.ReportMetric(p.WallClock.Seconds()*1000, fmt.Sprintf("recovery_ms_C%d", p.Channels))
-				b.ReportMetric(p.Speedup, fmt.Sprintf("recovery_speedup_C%d", p.Channels))
-			}
-		}
-	}
-}
-
-// BenchmarkLatencySweep measures per-write tail latency of the sharded
-// engine under inline versus incremental garbage-collection scheduling (see
-// docs/benchmarks.md, "Latency experiments"). It reports the p99.9 and
-// maximum write latency plus the worst GC stall per mode, under zipfian
-// skew at both victim policies.
-func BenchmarkLatencySweep(b *testing.B) {
-	b.ReportAllocs()
-	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		points, err := sim.LatencySweep(sim.LatencySweepOptions{
-			Scale:     scale,
-			Workloads: []string{"zipfian"},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, p := range points {
-				tag := fmt.Sprintf("%s_%s", p.GCMode, p.Policy)
-				b.ReportMetric(p.Write.P999.Seconds()*1000, "p999_ms_"+tag)
-				b.ReportMetric(p.Write.Max.Seconds()*1000, "max_ms_"+tag)
-				b.ReportMetric(p.MaxGCStall.Seconds()*1000, "max_stall_ms_"+tag)
-				b.ReportMetric(p.WA, "WA_"+tag)
-			}
-		}
-	}
-}
-
-// BenchmarkWearSweep measures the hot/cold-separation experiment on the
-// skewed workloads, reporting write-amplification and erase spread per
-// frontier configuration.
-func BenchmarkWearSweep(b *testing.B) {
-	b.ReportAllocs()
-	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		points, err := sim.WearSweep(sim.WearSweepOptions{
-			Scale:     scale,
-			Workloads: []string{"zipfian", "hotcold"},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, p := range points {
-				tag := fmt.Sprintf("%s_%s_%s", p.Workload, p.Policy, p.Frontier)
-				if p.WearAware {
-					tag += "_wear"
-				}
-				b.ReportMetric(p.WA, "WA_"+tag)
-				b.ReportMetric(float64(p.EraseSpread), "erase_spread_"+tag)
-			}
-		}
-	}
-}
-
-// BenchmarkQueueSweep measures the async submission engine against the
-// synchronous baseline and the queueing model's saturation knee (see
-// docs/benchmarks.md, "Queueing experiments"). It reports the closed-loop
-// throughput per depth, the overload row's delivered rate against the
-// modeled knee, and the p99.9 contrast between bounded admission and the
-// unbounded queue.
-func BenchmarkQueueSweep(b *testing.B) {
-	b.ReportAllocs()
-	scale := benchScale()
-	for i := 0; i < b.N; i++ {
-		points, err := sim.QueueSweep(sim.QueueSweepOptions{Scale: scale})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for j, p := range points {
-				tag := fmt.Sprintf("%s_%s_d%d", p.Mode, p.Policy, p.Depth)
-				if p.Offered > 0 {
-					// Open rows repeat the same policy and depth at
-					// different offered rates; the row index keeps their
-					// metric names distinct.
-					tag = fmt.Sprintf("%s_r%d", tag, j)
-					b.ReportMetric(p.Offered, "offered_per_s_"+tag)
-				}
-				b.ReportMetric(p.Throughput, "tput_per_s_"+tag)
-				if p.Shed > 0 {
-					b.ReportMetric(float64(p.Shed), "shed_"+tag)
-				}
-				b.ReportMetric(p.Latency.P999.Seconds()*1000, "p999_ms_"+tag)
-				b.ReportMetric(p.ModelKnee, "model_knee_per_s_"+tag)
-			}
 		}
 	}
 }

@@ -1,28 +1,35 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"geckoftl"
 )
 
 // TestGCModeFlagRoundTrip pins that every geckoftl.GCMode's String() is accepted
-// verbatim by the -gc-mode flag parser, so option names printed in
-// experiment output can be pasted back into the command line.
+// verbatim by -gc-mode, so option names printed in experiment output can be
+// pasted back into the command line.
 func TestGCModeFlagRoundTrip(t *testing.T) {
 	for _, m := range []geckoftl.GCMode{geckoftl.GCInline, geckoftl.GCIncremental} {
-		got, err := parseGCModes(m.String())
+		opts, err := parseArgs([]string{"-gc-mode", m.String()}, flag.ContinueOnError)
 		if err != nil {
 			t.Fatalf("-gc-mode %q rejected: %v", m.String(), err)
 		}
-		if len(got) != 1 || got[0] != m {
+		if got := opts.params.GCModes; len(got) != 1 || got[0] != m {
 			t.Fatalf("-gc-mode %q parsed to %v", m.String(), got)
 		}
 	}
-	if both, err := parseGCModes("both"); err != nil || len(both) != 2 {
-		t.Fatalf("-gc-mode both parsed to %v, %v", both, err)
+	if opts, err := parseArgs([]string{"-gc-mode", "both"}, flag.ContinueOnError); err != nil || opts.params.GCModes != nil {
+		t.Fatalf("-gc-mode both parsed to %v, %v; want the sweep default", opts.params.GCModes, err)
 	}
-	if _, err := parseGCModes("bogus"); err == nil {
+	if _, err := parseArgs([]string{"-gc-mode", "bogus"}, flag.ContinueOnError); err == nil {
 		t.Fatal("-gc-mode bogus accepted")
 	}
 }
@@ -30,44 +37,20 @@ func TestGCModeFlagRoundTrip(t *testing.T) {
 // TestVictimPolicyFlagRoundTrip pins the same for -policy and
 // geckoftl.VictimPolicy.String().
 func TestVictimPolicyFlagRoundTrip(t *testing.T) {
-	for _, p := range []geckoftl.VictimPolicy{geckoftl.VictimGreedy, geckoftl.VictimMetadataAware} {
-		got, err := parsePolicies(p.String())
+	for _, p := range []geckoftl.VictimPolicy{geckoftl.VictimGreedy, geckoftl.VictimMetadataAware, geckoftl.VictimCostBenefit} {
+		opts, err := parseArgs([]string{"-policy", p.String()}, flag.ContinueOnError)
 		if err != nil {
 			t.Fatalf("-policy %q rejected: %v", p.String(), err)
 		}
-		if len(got) != 1 || got[0] != p {
+		if got := opts.params.Policies; len(got) != 1 || got[0] != p {
 			t.Fatalf("-policy %q parsed to %v", p.String(), got)
 		}
 	}
-	if both, err := parsePolicies("both"); err != nil || len(both) != 2 {
-		t.Fatalf("-policy both parsed to %v, %v", both, err)
+	if opts, err := parseArgs([]string{"-policy", "both"}, flag.ContinueOnError); err != nil || opts.params.Policies != nil {
+		t.Fatalf("-policy both parsed to %v, %v; want each sweep's default", opts.params.Policies, err)
 	}
-	if _, err := parsePolicies("bogus"); err == nil {
+	if _, err := parseArgs([]string{"-policy", "bogus"}, flag.ContinueOnError); err == nil {
 		t.Fatal("-policy bogus accepted")
-	}
-}
-
-// TestKnownExperimentNames pins that every spec registered in experiments()
-// is reachable through -experiment, including by its group selector, and
-// that the restart experiment is registered.
-func TestKnownExperimentNames(t *testing.T) {
-	found := false
-	for _, e := range experiments() {
-		if !knownExperiment(e.name) {
-			t.Errorf("experiment %q not selectable by name", e.name)
-		}
-		if e.group != "" && !knownExperiment(e.group) {
-			t.Errorf("group %q of experiment %q not selectable", e.group, e.name)
-		}
-		if e.name == "restart" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("restart experiment not registered")
-	}
-	if knownExperiment("bogus") {
-		t.Error("knownExperiment accepted bogus")
 	}
 }
 
@@ -76,72 +59,154 @@ func TestKnownExperimentNames(t *testing.T) {
 // in queue-sweep rows can be pasted back into the command line.
 func TestAdmissionFlagRoundTrip(t *testing.T) {
 	for _, p := range []geckoftl.AdmissionPolicy{geckoftl.AdmitShed, geckoftl.AdmitWait} {
-		got, err := geckoftl.ParseAdmissionPolicy(p.String())
-		if err != nil {
+		if _, err := parseArgs([]string{"-admission", p.String()}, flag.ContinueOnError); err != nil {
 			t.Fatalf("-admission %q rejected: %v", p.String(), err)
 		}
-		if got != p {
-			t.Fatalf("-admission %q parsed to %v", p.String(), got)
-		}
 	}
-	if _, err := geckoftl.ParseAdmissionPolicy("bogus"); err == nil {
+	if _, err := parseArgs([]string{"-admission", "bogus"}, flag.ContinueOnError); err == nil {
 		t.Fatal("-admission bogus accepted")
 	}
 }
 
-// TestParseDepths covers the -depths queue-depth ladder parser: empty keeps
-// the sweep default, lists parse with whitespace tolerance, and zero or
-// malformed depths are rejected.
-func TestParseDepths(t *testing.T) {
-	if got, err := parseDepths(""); err != nil || got != nil {
-		t.Fatalf("parseDepths(\"\") = %v, %v; want nil, nil", got, err)
+// TestListFlags covers the comma-separated list flags: lists parse with
+// whitespace tolerance, and empty lists, zero or malformed counts and
+// out-of-range fractions are rejected.
+func TestListFlags(t *testing.T) {
+	var counts []int
+	cf := &listFlag[int]{dst: &counts, parse: parseCount}
+	if err := cf.Set("1, 4,16"); err != nil || !reflect.DeepEqual(counts, []int{1, 4, 16}) {
+		t.Fatalf("count list = %v, %v", counts, err)
 	}
-	got, err := parseDepths("1, 4,16")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 4 || got[2] != 16 {
-		t.Fatalf("parseDepths = %v, %v", got, err)
+	for _, bad := range []string{"", "0", "x", "-4", ","} {
+		if err := cf.Set(bad); err == nil {
+			t.Errorf("count list %q accepted", bad)
+		}
 	}
-	for _, bad := range []string{"0", "x", "-4", ","} {
-		if _, err := parseDepths(bad); err == nil {
-			t.Errorf("parseDepths(%q) accepted", bad)
+	var fractions []float64
+	ff := &listFlag[float64]{dst: &fractions, parse: parseFraction}
+	if err := ff.Set("0,0.25"); err != nil || !reflect.DeepEqual(fractions, []float64{0, 0.25}) {
+		t.Fatalf("fraction list = %v, %v", fractions, err)
+	}
+	for _, bad := range []string{"1", "-0.1", "x"} {
+		if err := ff.Set(bad); err == nil {
+			t.Errorf("fraction list %q accepted", bad)
 		}
 	}
 }
 
-// TestExperimentNamesListed pins the usage-error contract: the valid-name
-// list offered on an unknown -experiment contains every selectable name
-// exactly once, ends with the "all" selector, and includes queue.
-func TestExperimentNamesListed(t *testing.T) {
-	names := experimentNames()
-	seen := make(map[string]bool)
-	for _, n := range names {
-		if seen[n] {
-			t.Errorf("experiment name %q listed twice", n)
-		}
-		seen[n] = true
-		if !knownExperiment(n) {
-			t.Errorf("listed name %q is not selectable", n)
-		}
+// jsonLeaves returns the dotted key path of every leaf of a decoded JSON
+// object.
+func jsonLeaves(prefix string, v any, out *[]string) {
+	obj, ok := v.(map[string]any)
+	if !ok {
+		*out = append(*out, strings.TrimSuffix(prefix, "."))
+		return
 	}
-	for _, want := range []string{"queue", "recovery", "all"} {
-		if !seen[want] {
-			t.Errorf("name list %v is missing %q", names, want)
-		}
+	for k, child := range obj {
+		jsonLeaves(prefix+k+".", child, out)
+	}
+}
+
+// TestRegistry is the registry's self-check: every registered experiment has
+// a recorded golden and every golden a registered experiment; every name and
+// group is selectable by -experiment and listed exactly once in the usage
+// error, which ends with "all", and README.md carries that list; every flag
+// an entry says it reads exists; the default command line is the default
+// parameters the goldens were recorded with; and text mode renders each
+// golden's rows with one column for every field of their JSON encoding, so
+// the tables drop nothing the machines see.
+func TestRegistry(t *testing.T) {
+	dir := filepath.Join("..", "..", "testdata", "bench")
+	recorded, err := filepath.Glob(filepath.Join(dir, "*.quick.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unclaimed := make(map[string]bool)
+	for _, path := range recorded {
+		unclaimed[filepath.Base(path)] = true
+	}
+
+	opts, err := parseArgs([]string{"-quick"}, flag.ContinueOnError)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (geckoftl.ExperimentParams{Scale: geckoftl.QuickScale()}); !reflect.DeepEqual(opts.params, want) {
+		t.Errorf("geckobench -quick runs %+v, the goldens record %+v", opts.params, want)
+	}
+	if len(opts.selected) != len(geckoftl.Experiments()) {
+		t.Errorf("-experiment defaults to %d of %d experiments", len(opts.selected), len(geckoftl.Experiments()))
+	}
+
+	listed := make(map[string]int)
+	names := experimentNames()
+	for _, n := range names {
+		listed[n]++
 	}
 	if names[len(names)-1] != "all" {
 		t.Errorf("name list %v does not end with the all selector", names)
 	}
-}
-
-// TestParseSweep covers the pre-existing channel-list parser alongside the
-// new flag parsers.
-func TestParseSweep(t *testing.T) {
-	got, err := parseSweep("1, 2,8")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 8 {
-		t.Fatalf("parseSweep = %v, %v", got, err)
+	if len(selectExperiments("bogus")) != 0 {
+		t.Error("selector bogus matched an experiment")
 	}
-	for _, bad := range []string{"", "0", "x", "-1"} {
-		if _, err := parseSweep(bad); err == nil {
-			t.Errorf("parseSweep(%q) accepted", bad)
+	if readme, err := os.ReadFile(filepath.Join("..", "..", "README.md")); err != nil {
+		t.Error(err)
+	} else if list := strings.Join(names, ", "); !strings.Contains(string(readme), list) {
+		t.Errorf("README.md does not list the experiments in registry order: %s", list)
+	}
+
+	for _, e := range geckoftl.Experiments() {
+		for _, selector := range []string{e.Name, e.Group} {
+			if selector == "" {
+				continue
+			}
+			if len(selectExperiments(selector)) == 0 {
+				t.Errorf("%s: selector %q selects nothing", e.Name, selector)
+			}
+			if listed[selector] != 1 {
+				t.Errorf("%s: selector %q listed %d times in %v", e.Name, selector, listed[selector], names)
+			}
 		}
+		for _, name := range e.Flags {
+			if opts.flags.Lookup(name) == nil {
+				t.Errorf("%s: reads flag -%s, which geckobench does not define", e.Name, name)
+			}
+		}
+
+		file := e.Name + ".quick.json"
+		delete(unclaimed, file)
+		golden, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Errorf("%s: no golden (run go test -run TestExperimentGoldens -update .): %v", e.Name, err)
+			continue
+		}
+		rows := e.NewRows()
+		if err := json.Unmarshal(golden, rows); err != nil {
+			t.Errorf("%s: golden does not decode into %T: %v", e.Name, rows, err)
+			continue
+		}
+		var table bytes.Buffer
+		renderTable(&table, reflect.ValueOf(rows).Elem().Interface())
+		header, _, _ := strings.Cut(table.String(), "\n")
+		columns := make(map[string]bool)
+		for _, c := range strings.Fields(header) {
+			columns[c] = true
+		}
+		var generic any
+		if err := json.Unmarshal(golden, &generic); err != nil {
+			t.Fatal(err)
+		}
+		if list, ok := generic.([]any); ok {
+			generic = list[0]
+		}
+		var leaves []string
+		jsonLeaves("", generic, &leaves)
+		for _, leaf := range leaves {
+			if !columns[leaf] {
+				t.Errorf("%s: text mode has no column for JSON field %s (columns: %s)", e.Name, leaf, header)
+			}
+		}
+	}
+	for file := range unclaimed {
+		t.Errorf("golden %s belongs to no registered experiment", file)
 	}
 }

@@ -11,12 +11,9 @@
 //
 // Standalone invocation accepts the usual package patterns (defaulting to
 // ./...) plus -<analyzer>.* flags, which are forwarded to the vet run, and
-// two modes of its own:
+// one mode of its own:
 //
 //	geckolint -json ./...   # findings as a flat JSON array for CI annotations
-//	geckolint -hotpath      # escape analysis gate over //geckolint:hotpath
-//
-// The modes combine: -hotpath -json emits the gate's findings as JSON.
 package main
 
 import (
@@ -49,22 +46,17 @@ func main() {
 // package loading, caching and export data. Exit codes follow go vet: 0
 // clean, non-zero on findings or failure.
 func standalone(args []string) int {
-	var jsonOut, hotpath bool
+	var jsonOut bool
 	rest := make([]string, 0, len(args))
 	for _, a := range args {
 		switch a {
 		case "-json", "--json":
 			jsonOut = true
-		case "-hotpath", "--hotpath":
-			hotpath = true
 		default:
 			rest = append(rest, a)
 		}
 	}
 	args = rest
-	if hotpath {
-		return hotpathMain(jsonOut)
-	}
 	exe, err := os.Executable()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "geckolint: locating own binary: %v\n", err)

@@ -6,8 +6,8 @@ import (
 
 // The experiment harness behind the paper's evaluation, re-exported so that
 // the cmd/ binaries (and external users) never import internal packages.
-// Types are aliases — rows returned here are the same values the internal
-// harness produces — and functions are thin forwarding wrappers.
+// Types are aliases: rows returned here are the same values the internal
+// harness produces.
 
 // ExperimentScale controls how much work the simulation experiments do.
 type ExperimentScale = sim.ExperimentScale
@@ -21,36 +21,39 @@ func QuickScale() ExperimentScale { return sim.QuickScale() }
 // FullScale is the default scale of geckobench and the benchmarks.
 func FullScale() ExperimentScale { return sim.FullScale() }
 
-// DefaultDeviceSpec is the scaled-down device used by the simulation
-// experiments.
-func DefaultDeviceSpec() DeviceSpec { return sim.DefaultDeviceSpec() }
+// Experiment is one entry of the experiment registry: its name and group
+// selectors, the title of its table, the geckobench flags it reads, and the
+// function that produces its typed rows. ExperimentParams carries the scale
+// and those flags' values; its zero value selects every default.
+type (
+	Experiment       = sim.Experiment
+	ExperimentParams = sim.Params
+)
 
-// Result is the outcome of running one FTL configuration under a workload.
-type Result = sim.Result
-
-// RunOptions controls a single simulation run.
-type RunOptions = sim.RunOptions
-
-// Run executes one FTL-under-workload simulation and returns its result.
-func Run(opts RunOptions) (Result, error) {
-	rows, err := sim.Run(opts)
-	return rows, wrapErr(err)
+// Experiments returns every table and figure of the paper's evaluation plus
+// the sweeps beyond it, in the order geckobench -experiment all runs them.
+// Run's errors carry the package's error taxonomy.
+func Experiments() []Experiment {
+	list := sim.Experiments()
+	for i := range list {
+		run := list[i].Run
+		list[i].Run = func(p ExperimentParams) (any, error) {
+			rows, err := run(p)
+			return rows, wrapErr(err)
+		}
+	}
+	return list
 }
-
-// FormatTable renders results as an aligned text table with a header.
-func FormatTable(header string, results []Result) string { return sim.FormatTable(header, results) }
 
 // IsolatedResult is the outcome of driving a page-validity scheme in
 // isolation from a full FTL (the Section 5.1/5.2 methodology).
 type IsolatedResult = sim.IsolatedResult
 
-// Rows of the reproduced figures and tables.
+// Rows of Figures 9 and 10, for callers that tune Logarithmic Gecko
+// programmatically (examples/tuning).
 type (
 	Figure9Row  = sim.Figure9Row
 	Figure10Row = sim.Figure10Row
-	Figure11Row = sim.Figure11Row
-	Figure12Row = sim.Figure12Row
-	Figure14Row = sim.Figure14Row
 )
 
 // Figure9 compares Logarithmic Gecko under size ratios T = 2..32 against the
@@ -64,182 +67,5 @@ func Figure9(scale ExperimentScale) ([]Figure9Row, error) {
 // of the block size (Section 5.2).
 func Figure10(scale ExperimentScale) ([]Figure10Row, error) {
 	rows, err := sim.Figure10(scale)
-	return rows, wrapErr(err)
-}
-
-// Figure11 scales capacity and compares Logarithmic Gecko against the
-// flash-resident PVB (Section 5.2, "Capacity").
-func Figure11(scale ExperimentScale) ([]Figure11Row, error) {
-	rows, err := sim.Figure11(scale)
-	return rows, wrapErr(err)
-}
-
-// Figure12 varies over-provisioning (Section 5.2, "Over-Provisioning").
-func Figure12(scale ExperimentScale) ([]Figure12Row, error) {
-	rows, err := sim.Figure12(scale)
-	return rows, wrapErr(err)
-}
-
-// Figure13WA runs the five FTLs under uniformly random writes and reports
-// the write-amplification breakdown of Figure 13 (bottom).
-func Figure13WA(scale ExperimentScale) ([]Result, error) {
-	rows, err := sim.Figure13WA(scale)
-	return rows, wrapErr(err)
-}
-
-// Figure13RAM returns the analytical integrated-RAM breakdown (Figure 13
-// top) at the paper's full 2 TB scale.
-func Figure13RAM() []RAMBreakdown { return sim.Figure13RAM() }
-
-// Figure13Recovery returns the analytical recovery-time breakdown (Figure 13
-// middle) at the paper's full 2 TB scale.
-func Figure13Recovery() []RecoveryBreakdown { return sim.Figure13Recovery() }
-
-// Figure14 reproduces the equal-RAM-budget experiment of Section 5.4.
-func Figure14(scale ExperimentScale) ([]Figure14Row, error) {
-	rows, err := sim.Figure14(scale)
-	return rows, wrapErr(err)
-}
-
-// Figure1 returns the capacity sweep of Figure 1 (LazyFTL RAM requirement
-// and recovery time versus device capacity).
-func Figure1() []CapacityPoint { return sim.Figure1() }
-
-// Table1 returns the evaluated Table 1 at the paper's full 2 TB scale.
-func Table1() []Table1Row { return sim.Table1() }
-
-// RecoveryResult is the measured recovery cost of one FTL.
-type RecoveryResult = sim.RecoveryResult
-
-// RecoverySimulation crashes each FTL mid-workload and measures its
-// recovery.
-func RecoverySimulation(scale ExperimentScale) ([]RecoveryResult, error) {
-	rows, err := sim.RecoverySimulation(scale)
-	return rows, wrapErr(err)
-}
-
-// RecoverySweepOptions parameterizes RecoverySweep; RecoveryPoint is one of
-// its rows.
-type (
-	RecoverySweepOptions = sim.RecoverySweepOptions
-	RecoveryPoint        = sim.RecoveryPoint
-)
-
-// RecoverySweep crashes the sharded engine across channel counts, checkpoint
-// intervals and capacities, and measures parallel recovery wall-clock.
-func RecoverySweep(opts RecoverySweepOptions) ([]RecoveryPoint, error) {
-	rows, err := sim.RecoverySweep(opts)
-	return rows, wrapErr(err)
-}
-
-// ChannelSweepOptions parameterizes ChannelSweep; ChannelPoint is one of its
-// rows.
-type (
-	ChannelSweepOptions = sim.ChannelSweepOptions
-	ChannelPoint        = sim.ChannelPoint
-)
-
-// ChannelSweep measures write throughput of the sharded engine across
-// channel counts.
-func ChannelSweep(opts ChannelSweepOptions) ([]ChannelPoint, error) {
-	rows, err := sim.ChannelSweep(opts)
-	return rows, wrapErr(err)
-}
-
-// LatencySweepOptions parameterizes LatencySweep; LatencyPoint is one of its
-// rows.
-type (
-	LatencySweepOptions = sim.LatencySweepOptions
-	LatencyPoint        = sim.LatencyPoint
-)
-
-// LatencySweep measures per-write tail latency across GC modes, victim
-// policies and workloads.
-func LatencySweep(opts LatencySweepOptions) ([]LatencyPoint, error) {
-	rows, err := sim.LatencySweep(opts)
-	return rows, wrapErr(err)
-}
-
-// TrimSweepOptions parameterizes TrimSweep; TrimPoint is one of its rows.
-type (
-	TrimSweepOptions = sim.TrimSweepOptions
-	TrimPoint        = sim.TrimPoint
-)
-
-// TrimSweep measures write-amplification as the host supplies an increasing
-// fraction of trims; WA falls monotonically with the trim fraction.
-func TrimSweep(opts TrimSweepOptions) ([]TrimPoint, error) {
-	rows, err := sim.TrimSweep(opts)
-	return rows, wrapErr(err)
-}
-
-// WearSweepOptions parameterizes WearSweep; WearPoint is one of its rows.
-type (
-	WearSweepOptions = sim.WearSweepOptions
-	WearPoint        = sim.WearPoint
-)
-
-// WearSweep measures write-amplification and erase-count spread across
-// frontier configurations (single vs hot/cold, wear-aware vs LIFO
-// allocation), victim policies and workloads: the endurance experiment.
-func WearSweep(opts WearSweepOptions) ([]WearPoint, error) {
-	rows, err := sim.WearSweep(opts)
-	return rows, wrapErr(err)
-}
-
-// RestartSweepOptions parameterizes RestartSweep; RestartPoint is one of its
-// rows.
-type (
-	RestartSweepOptions = sim.RestartSweepOptions
-	RestartPoint        = sim.RestartPoint
-)
-
-// RestartSweep compares warm restarts (restore all FTL metadata from the
-// shutdown checkpoint) against cold GeckoRec recovery of the identical
-// state, across device capacities, in both measurement and the analytic
-// model.
-func RestartSweep(opts RestartSweepOptions) ([]RestartPoint, error) {
-	rows, err := sim.RestartSweep(opts)
-	return rows, wrapErr(err)
-}
-
-// QueueSweepOptions parameterizes QueueSweep; QueuePoint is one of its rows.
-type (
-	QueueSweepOptions = sim.QueueSweepOptions
-	QueuePoint        = sim.QueuePoint
-)
-
-// QueueSweep measures the asynchronous submission/completion engine: closed-
-// loop rows pin how throughput scales with queue depth against the
-// synchronous ceiling, open-loop rows drive Poisson and bursty arrival
-// streams at multiples of the queueing model's saturation knee and pin that
-// admission control keeps the latency tail bounded under overload where an
-// unbounded queue collapses.
-func QueueSweep(opts QueueSweepOptions) ([]QueuePoint, error) {
-	rows, err := sim.QueueSweep(opts)
-	return rows, wrapErr(err)
-}
-
-// EnduranceSweepOptions parameterizes EnduranceSweep; EndurancePoint is one
-// of its rows.
-type (
-	EnduranceSweepOptions = sim.EnduranceSweepOptions
-	EndurancePoint        = sim.EndurancePoint
-)
-
-// EnduranceSweep drives fault-injected devices with a finite per-block erase
-// budget until they die, measuring lifetime in host writes across fault
-// rates and allocation policies.
-func EnduranceSweep(opts EnduranceSweepOptions) ([]EndurancePoint, error) {
-	rows, err := sim.EnduranceSweep(opts)
-	return rows, wrapErr(err)
-}
-
-// HeadlineSummary evaluates the paper's three headline claims.
-type HeadlineSummary = sim.HeadlineSummary
-
-// Headlines computes the headline-claim summary.
-func Headlines(scale ExperimentScale) (HeadlineSummary, error) {
-	rows, err := sim.Headlines(scale)
 	return rows, wrapErr(err)
 }

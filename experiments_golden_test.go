@@ -11,55 +11,6 @@ import (
 	"geckoftl"
 )
 
-// goldenRuns lists every geckobench experiment with the options the tool's
-// default flags give it.
-var goldenRuns = []struct {
-	name string
-	rows func(geckoftl.ExperimentScale) (any, error)
-}{
-	{"fig1", func(geckoftl.ExperimentScale) (any, error) { return geckoftl.Figure1(), nil }},
-	{"table1", func(geckoftl.ExperimentScale) (any, error) { return geckoftl.Table1(), nil }},
-	{"fig9", func(s geckoftl.ExperimentScale) (any, error) { return geckoftl.Figure9(s) }},
-	{"fig10", func(s geckoftl.ExperimentScale) (any, error) { return geckoftl.Figure10(s) }},
-	{"fig11", func(s geckoftl.ExperimentScale) (any, error) { return geckoftl.Figure11(s) }},
-	{"fig12", func(s geckoftl.ExperimentScale) (any, error) { return geckoftl.Figure12(s) }},
-	{"fig13ram", func(geckoftl.ExperimentScale) (any, error) { return geckoftl.Figure13RAM(), nil }},
-	{"fig13rec", func(geckoftl.ExperimentScale) (any, error) { return geckoftl.Figure13Recovery(), nil }},
-	{"fig13wa", func(s geckoftl.ExperimentScale) (any, error) { return geckoftl.Figure13WA(s) }},
-	{"fig14", func(s geckoftl.ExperimentScale) (any, error) { return geckoftl.Figure14(s) }},
-	{"recovery", func(s geckoftl.ExperimentScale) (any, error) { return geckoftl.RecoverySimulation(s) }},
-	{"recovery-sweep", func(s geckoftl.ExperimentScale) (any, error) {
-		return geckoftl.RecoverySweep(geckoftl.RecoverySweepOptions{Scale: s, Channels: []int{1, 2, 4, 8}})
-	}},
-	{"channels", func(s geckoftl.ExperimentScale) (any, error) {
-		s.Device.DiesPerChannel = 1
-		return geckoftl.ChannelSweep(geckoftl.ChannelSweepOptions{Scale: s, Channels: []int{1, 2, 4, 8}, Workload: "uniform"})
-	}},
-	{"latency", func(s geckoftl.ExperimentScale) (any, error) {
-		return geckoftl.LatencySweep(geckoftl.LatencySweepOptions{
-			Scale:    s,
-			Modes:    []geckoftl.GCMode{geckoftl.GCInline, geckoftl.GCIncremental},
-			Policies: []geckoftl.VictimPolicy{geckoftl.VictimMetadataAware, geckoftl.VictimGreedy},
-		})
-	}},
-	{"trim", func(s geckoftl.ExperimentScale) (any, error) {
-		return geckoftl.TrimSweep(geckoftl.TrimSweepOptions{Scale: s, Workload: "uniform", TrimFractions: []float64{0, 0.1, 0.2, 0.3}})
-	}},
-	{"wear", func(s geckoftl.ExperimentScale) (any, error) {
-		return geckoftl.WearSweep(geckoftl.WearSweepOptions{Scale: s})
-	}},
-	{"endurance", func(s geckoftl.ExperimentScale) (any, error) {
-		return geckoftl.EnduranceSweep(geckoftl.EnduranceSweepOptions{Scale: s})
-	}},
-	{"restart", func(s geckoftl.ExperimentScale) (any, error) {
-		return geckoftl.RestartSweep(geckoftl.RestartSweepOptions{Scale: s})
-	}},
-	{"queue", func(s geckoftl.ExperimentScale) (any, error) {
-		return geckoftl.QueueSweep(geckoftl.QueueSweepOptions{Scale: s, Workload: "uniform"})
-	}},
-	{"summary", func(s geckoftl.ExperimentScale) (any, error) { return geckoftl.Headlines(s) }},
-}
-
 // goldenRows encodes rows exactly as `geckobench -json` does and lays a row
 // list out one row per line, so a number that moves diffs as one line.
 func goldenRows(t *testing.T, rows any) []byte {
@@ -85,21 +36,22 @@ func goldenRows(t *testing.T, rows any) []byte {
 	return b.Bytes()
 }
 
-// TestExperimentGoldens reruns every experiment at the quick scale and
-// compares its rows byte for byte with testdata/bench/<name>.quick.json:
-// the rows of `geckobench -experiment <name> -quick -json`. The files are the
+// TestExperimentGoldens reruns every registered experiment at the quick
+// scale with default parameters and compares its rows byte for byte with
+// testdata/bench/<name>.quick.json: the rows of
+// `geckobench -experiment <name> -quick -json`. The files are the
 // repo's recorded trajectory — a refactor that moves no number leaves them
 // alone, and a change that moves one shows which. Regenerate with
 // `go test -run TestExperimentGoldens -update .` and review the diff.
 func TestExperimentGoldens(t *testing.T) {
-	for _, e := range goldenRuns {
-		t.Run(e.name, func(t *testing.T) {
-			rows, err := e.rows(geckoftl.QuickScale())
+	for _, e := range geckoftl.Experiments() {
+		t.Run(e.Name, func(t *testing.T) {
+			rows, err := e.Run(geckoftl.ExperimentParams{Scale: geckoftl.QuickScale()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := goldenRows(t, rows)
-			golden := filepath.Join("testdata", "bench", e.name+".quick.json")
+			golden := filepath.Join("testdata", "bench", e.Name+".quick.json")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 					t.Fatal(err)

@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"geckoftl"
+	"geckoftl/internal/flash"
+	"geckoftl/internal/ftl"
+	"geckoftl/internal/stats"
 )
 
 // steadyDevice opens the benchmark's device (4096 blocks x 64 pages x 4 KiB,
@@ -43,11 +46,14 @@ func steadyDevice(tb testing.TB, ftlName string, channels int) (*geckoftl.Device
 	return dev, rng
 }
 
-// TestHostAllocBudget pins the host-side allocation cost of the public write
-// and read paths in steady state: uniform overwrites, every one a cache miss
-// that evicts a dirty entry and runs a translation-page synchronization, with
+// TestHostAllocBudget pins the host-side allocation cost of the public paths
+// in steady state. Writes are uniform overwrites, every one a cache miss that
+// evicts a dirty entry and runs a translation-page synchronization, with
 // garbage collection and (on GeckoFTL) buffer flushes and merges amortized
-// in. What is left allocates per flush, merge and GC query, not per write.
+// in; what is left allocates per flush, merge and GC query, not per write.
+// Reads and trims of a cached page, and recording a latency, allocate
+// nothing beneath the plumbing that carries them, and an asynchronous write
+// costs its ticket and no more.
 func TestHostAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the program's behalf")
@@ -88,8 +94,87 @@ func TestHostAllocBudget(t *testing.T) {
 			}); perRead != 0 {
 				t.Errorf("%s: %.0f allocs per cached Device.Read, want 0", tc.ftl, perRead)
 			}
+
+			// A trim of the same page. Device.Trim takes the batch path, so
+			// it pays the fan-out's page list, buckets and goroutine; the
+			// trim beneath adds nothing (see engine-trim below).
+			if perTrim := testing.AllocsPerRun(1000, func() {
+				if err := dev.Trim(ctx, hot, 1); err != nil {
+					t.Fatal(err)
+				}
+			}); perTrim > 7 {
+				t.Errorf("%s: %.0f allocs per cached one-page Device.Trim, budget 7", tc.ftl, perTrim)
+			}
 		})
 	}
+
+	t.Run("engine-trim", func(t *testing.T) {
+		flashDev, err := flash.NewDevice(flash.ScaledConfig(256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := ftl.NewEngine(flashDev, ftl.GeckoFTLOptions(64), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Write(7); err != nil {
+			t.Fatal(err)
+		}
+		if perTrim := testing.AllocsPerRun(1000, func() {
+			if err := eng.Trim(7); err != nil {
+				t.Fatal(err)
+			}
+		}); perTrim != 0 {
+			t.Errorf("%.0f allocs per Engine.Trim of a cached entry, want 0", perTrim)
+		}
+	})
+
+	t.Run("histogram", func(t *testing.T) {
+		h := stats.NewHistogram()
+		if perRecord := testing.AllocsPerRun(1000, func() { h.Record(1234567) }); perRecord != 0 {
+			t.Errorf("%.0f allocs per Histogram.Record, want 0", perRecord)
+		}
+	})
+
+	// Asynchronous writes, 64 tickets in flight at a time as perfbench's
+	// async-write-8ch submits them: the item, the ticket and its completion
+	// channel are the API, and the queue adds little over one more.
+	t.Run("submit-wait", func(t *testing.T) {
+		dev, rng := steadyDevice(t, "geckoftl", 8)
+		pages := dev.LogicalPages()
+		const depth, rounds = 64, 300
+		lpns := make([]geckoftl.LPN, depth*rounds)
+		for i := range lpns {
+			lpns[i] = geckoftl.LPN(rng.Int63n(pages))
+		}
+		tickets := make([]*geckoftl.Ticket, depth)
+		round := func(batch []geckoftl.LPN) {
+			for i, lpn := range batch {
+				tk, err := dev.SubmitWrite(ctx, lpn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tickets[i] = tk
+			}
+			for _, tk := range tickets {
+				if err := tk.Wait(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		round(lpns[:depth]) // starts the queue's workers
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := depth; i < len(lpns); i += depth {
+			round(lpns[i : i+depth])
+		}
+		runtime.ReadMemStats(&after)
+		perOp := float64(after.Mallocs-before.Mallocs) / float64(len(lpns)-depth)
+		t.Logf("%.3f allocs and %.0f bytes per SubmitWrite+Wait", perOp, float64(after.TotalAlloc-before.TotalAlloc)/float64(len(lpns)-depth))
+		if perOp > 5 {
+			t.Errorf("%.2f allocs per SubmitWrite+Wait, budget 5", perOp)
+		}
+	})
 }
 
 // BenchmarkDeviceWrite times one steady-state Device.Write of a uniformly

@@ -39,12 +39,11 @@ func Ignored(pass *analysis.Pass, pos token.Pos, name string) bool {
 	return false
 }
 
-// IgnoredIn is Ignored for callers that hold the file directly (the hotpath
-// gate parses files outside any analysis.Pass). A waiver attaches to the
-// innermost statement enclosing pos, not to the literal diagnostic line: the
-// comment may sit on the diagnostic's line, the line directly above it,
-// anywhere within the enclosing statement's span, or on the line directly
-// above that statement. gofmt re-attaching a comment within a multi-line
+// IgnoredIn is Ignored for callers that hold the file directly. A waiver
+// attaches to the innermost statement enclosing pos, not to the literal
+// diagnostic line: the comment may sit on the diagnostic's line, the line
+// directly above it, anywhere within the enclosing statement's span, or on
+// the line directly above that statement. gofmt re-attaching a comment within a multi-line
 // statement therefore cannot silently drop a waiver. Suppressions stay
 // per-analyzer so a waiver cannot widen to other rules.
 func IgnoredIn(fset *token.FileSet, f *ast.File, pos token.Pos, name string) bool {

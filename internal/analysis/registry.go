@@ -15,7 +15,6 @@ import (
 	"geckoftl/internal/analysis/ctxcheck"
 	"geckoftl/internal/analysis/detrand"
 	"geckoftl/internal/analysis/errwrap"
-	"geckoftl/internal/analysis/hotalloc"
 	"geckoftl/internal/analysis/lockdiscipline"
 	"geckoftl/internal/analysis/lockorder"
 	"geckoftl/internal/analysis/maporder"
@@ -43,7 +42,6 @@ func Assemble() ([]*goanalysis.Analyzer, error) {
 		ctxcheck.Analyzer,
 		detrand.Analyzer,
 		errwrap.Analyzer,
-		hotalloc.Analyzer,
 		lockdiscipline.Analyzer,
 		lockorder.Analyzer,
 		maporder.Analyzer,

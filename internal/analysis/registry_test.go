@@ -13,8 +13,8 @@ import (
 // names, docs, and the Requires graph must satisfy the go vet contract.
 func TestSuiteValid(t *testing.T) {
 	all := analysis.All()
-	if len(all) != 10 {
-		t.Fatalf("suite has %d analyzers, want 10", len(all))
+	if len(all) != 9 {
+		t.Fatalf("suite has %d analyzers, want 9", len(all))
 	}
 	if err := goanalysis.Validate(all); err != nil {
 		t.Fatalf("invalid suite: %v", err)
@@ -28,7 +28,7 @@ func TestSuiteValid(t *testing.T) {
 	}
 	for _, name := range []string{
 		"ctxcheck", "maporder", "errwrap", "lockdiscipline", "detrand", "apiboundary",
-		"atomicmix", "hotalloc", "lockorder", "ticketcomplete",
+		"atomicmix", "lockorder", "ticketcomplete",
 	} {
 		if !seen[name] {
 			t.Errorf("suite is missing analyzer %q", name)
@@ -46,7 +46,7 @@ func TestStableOrder(t *testing.T) {
 	}
 	want := []string{
 		"apiboundary", "atomicmix", "ctxcheck", "detrand", "errwrap",
-		"hotalloc", "lockdiscipline", "lockorder", "maporder", "ticketcomplete",
+		"lockdiscipline", "lockorder", "maporder", "ticketcomplete",
 	}
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {

@@ -72,8 +72,6 @@ const (
 // the shard: the completion instant of the shard's dies minus the round's
 // arrival instant, which includes queueing behind earlier operations of the
 // same round on the same dies. Callers hold the shard lock.
-//
-//geckolint:hotpath
 func (sh *engineShard) observe(arrival time.Duration, kind opKind) {
 	latency := sh.ftl.Device().BusyUntil() - arrival
 	if latency < 0 {
@@ -169,8 +167,6 @@ func (e *Engine) LogicalPages() int64 { return e.logicalPages }
 // shardOf routes a logical page to its shard: LPNs are striped so that
 // consecutive pages land on different shards (and therefore different
 // channels), which spreads both sequential and uniform workloads.
-//
-//geckolint:hotpath
 func (e *Engine) shardOf(lpn flash.LPN) (int, flash.LPN, error) {
 	if lpn < 0 || int64(lpn) >= e.logicalPages {
 		return 0, 0, outOfRangeErr(lpn, e.logicalPages)
@@ -182,7 +178,7 @@ func (e *Engine) shardOf(lpn flash.LPN) (int, flash.LPN, error) {
 // outOfRangeErr formats the range error off the hot path: fmt.Errorf boxes
 // its arguments into interfaces, which would otherwise charge every in-range
 // routing call two heap escapes. noinline keeps it cold — inlined back into
-// shardOf, the boxing would reattach to the annotated function.
+// shardOf, the boxing would come back with it.
 //
 //go:noinline
 func outOfRangeErr(lpn flash.LPN, logicalPages int64) error {
@@ -223,8 +219,6 @@ func (e *Engine) ShardAdvanceArrival(s int, t time.Duration) {
 // operations already holding the shard — IO cannot start before the stamp
 // even on an idle die of a multi-die shard — without charging it work from
 // other shards' dies and without touching their die locks.
-//
-//geckolint:hotpath
 func (e *Engine) Write(lpn flash.LPN) error {
 	s, local, err := e.shardOf(lpn)
 	if err != nil {
@@ -243,8 +237,6 @@ func (e *Engine) Write(lpn flash.LPN) error {
 
 // Read serves one application read. Safe for concurrent use; arrival
 // semantics as for Write.
-//
-//geckolint:hotpath
 func (e *Engine) Read(lpn flash.LPN) error {
 	s, local, err := e.shardOf(lpn)
 	if err != nil {
@@ -264,8 +256,6 @@ func (e *Engine) Read(lpn flash.LPN) error {
 // Trim serves one host trim (discard) of a logical page. Safe for concurrent
 // use; arrival semantics as for Write. See FTL.Trim for the durability
 // contract (a trim is durable once synchronized, e.g. by Flush).
-//
-//geckolint:hotpath
 func (e *Engine) Trim(lpn flash.LPN) error {
 	s, local, err := e.shardOf(lpn)
 	if err != nil {

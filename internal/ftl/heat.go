@@ -59,8 +59,6 @@ func newHeatClassifier(enabled bool, logicalPages int64, halfLife int, threshold
 }
 
 // classify records a write to the logical page and returns its temperature.
-//
-//geckolint:hotpath
 func (h *heatClassifier) classify(lpn int64) Temperature {
 	if !h.enabled {
 		return TempCold

@@ -281,8 +281,6 @@ func New(cfg Config) (*Engine, error) {
 // budget — is made by the shard worker in submission order and delivered
 // through the Ticket. ctx is also consulted by the worker before execution,
 // so cancelling it fails queued-but-unexecuted operations with ctx's error.
-//
-//geckolint:hotpath
 func (e *Engine) Submit(ctx context.Context, req Request) (*Ticket, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -293,7 +291,8 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Ticket, error) {
 	}
 	sq := e.shards[s]
 	sq.submitted.Add(1)
-	//geckolint:ignore hotalloc the two allocations per submission are the API: the item outlives the call on the worker's queue and the Ticket is the future handed back; a zero-alloc completion-callback path is the ROADMAP follow-on
+	// The two allocations per submission are the API: the item outlives the
+	// call on the worker's queue and the Ticket is the future handed back.
 	it := &item{ctx: ctx, req: req, tk: &Ticket{done: make(chan struct{})}}
 	sq.inFlight.Add(1)
 	if err := e.send(ctx, sq, it); err != nil {
@@ -310,8 +309,6 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Ticket, error) {
 // timed request's admission is decided by the shard worker against the
 // virtual clock instead (deterministically, in submission order), so its
 // transport send always blocks for room.
-//
-//geckolint:hotpath
 func (e *Engine) send(ctx context.Context, sq *shardQueue, it *item) error {
 	sq.mu.RLock()
 	defer sq.mu.RUnlock()
@@ -341,8 +338,6 @@ func (e *Engine) send(ctx context.Context, sq *shardQueue, it *item) error {
 
 // worker drains shard s's queue in FIFO order until Close closes it,
 // executing each admitted item and completing its ticket.
-//
-//geckolint:hotpath
 func (e *Engine) worker(s int) {
 	defer e.wg.Done()
 	sq := e.shards[s]
@@ -352,8 +347,6 @@ func (e *Engine) worker(s int) {
 }
 
 // finish completes a ticket.
-//
-//geckolint:hotpath
 func finish(tk *Ticket, arrival, completedAt time.Duration, err error) {
 	tk.arrival = arrival
 	tk.completedAt = completedAt
@@ -365,8 +358,6 @@ func finish(tk *Ticket, arrival, completedAt time.Duration, err error) {
 // here, on the worker, because only the worker sees the shard's clock advance
 // in submission order: a shed/delay decision is then a pure function of the
 // shard's arrival stream, deterministic regardless of host scheduling.
-//
-//geckolint:hotpath
 func (e *Engine) process(s int, sq *shardQueue, it *item) {
 	if it.req.Kind == opBarrier {
 		finish(it.tk, it.req.Arrival, 0, nil)

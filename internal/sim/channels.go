@@ -1,13 +1,10 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"geckoftl/internal/ftl"
 	"geckoftl/internal/model"
-	"geckoftl/internal/workload"
 )
 
 // ChannelPoint is one row of a channel-scaling sweep: the same workload run
@@ -43,17 +40,6 @@ type ChannelPoint struct {
 	LoadImbalance float64
 }
 
-// MinSweepShardBlocks is the fewest blocks ChannelSweep allows per shard.
-// Below roughly this size a GeckoFTL shard's fixed overheads (active blocks,
-// GC reserve, Gecko runs) eat the over-provisioned space and garbage
-// collection cannot converge.
-const MinSweepShardBlocks = 32
-
-// minSweepShardCache is the fewest mapping-cache entries ChannelSweep allows
-// per shard. ChannelSweep grows the sweep-wide budget (uniformly, so points
-// stay comparable) rather than silently giving wide points extra cache.
-const minSweepShardCache = 16
-
 // ChannelSweepOptions parameterizes a sweep.
 type ChannelSweepOptions struct {
 	// Scale sizes the device and the measured window. Scale.Device.Channels
@@ -61,17 +47,9 @@ type ChannelSweepOptions struct {
 	Scale ExperimentScale
 	// Channels lists the channel counts to sweep. Empty means 1,2,4,8.
 	Channels []int
-	// BatchSize is the number of writes dispatched per engine batch (the
-	// queue depth the host keeps). Zero means 8 per die.
-	BatchSize int
 	// Workload names the generator: "uniform" (default), "sequential",
 	// "zipfian" or "hotcold".
 	Workload string
-}
-
-// generator builds the sweep workload for an engine's logical page count.
-func (o ChannelSweepOptions) generator(logicalPages int64) (workload.Generator, error) {
-	return workload.ByName(o.Workload, logicalPages, o.Scale.Seed)
 }
 
 // ChannelSweep measures write throughput of the sharded GeckoFTL engine
@@ -87,28 +65,10 @@ func ChannelSweep(opts ChannelSweepOptions) ([]ChannelPoint, error) {
 	if len(channels) == 0 {
 		channels = []int{1, 2, 4, 8}
 	}
-	// Shards that are too small live-lock their garbage collector (every
-	// victim stays nearly fully valid), so grow the device until the widest
-	// point keeps a healthy number of blocks per shard. The grown geometry
-	// applies to every point, keeping the sweep comparable.
-	maxChannels := 0
-	for _, c := range channels {
-		if c > maxChannels {
-			maxChannels = c
-		}
-	}
-	if min := MinSweepShardBlocks * maxChannels; opts.Scale.Device.Blocks < min {
-		opts.Scale.Device.Blocks = min
-	}
-	// Likewise grow the cache budget so that dividing it by the widest
-	// point still leaves a workable per-shard cache; growing it once, for
-	// every point, keeps the total budget constant across the sweep.
-	if min := minSweepShardCache * maxChannels; opts.Scale.CacheEntries < min {
-		opts.Scale.CacheEntries = min
-	}
+	scale := opts.Scale.workable(widest(channels))
 	var points []ChannelPoint
 	for _, c := range channels {
-		p, err := channelPoint(opts, c)
+		p, err := channelPoint(scale, c, opts.Workload)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %d channels: %w", c, err)
 		}
@@ -121,59 +81,24 @@ func ChannelSweep(opts ChannelSweepOptions) ([]ChannelPoint, error) {
 	return points, nil
 }
 
-func channelPoint(opts ChannelSweepOptions, channels int) (ChannelPoint, error) {
-	scale := opts.Scale
-	spec := scale.Device
-	spec.Channels = channels
-	dev, err := spec.NewDevice()
+// channelBatchPerDie is the queue depth the host keeps per die: deep enough
+// that every die of the widest point stays busy.
+const channelBatchPerDie = 8
+
+func channelPoint(scale ExperimentScale, channels int, wl string) (ChannelPoint, error) {
+	run, err := newEngineRun(runSpec{scale: scale, channels: channels, workload: wl, batchPerDie: channelBatchPerDie})
 	if err != nil {
 		return ChannelPoint{}, err
 	}
-	cfg := dev.Config()
-
-	// Hold the total cache budget constant across sweep points (ChannelSweep
-	// has already grown the budget so this never rounds below a workable
-	// per-shard cache).
-	cachePerShard := scale.CacheEntries / channels
-	eng, err := ftl.NewEngine(dev, ftl.GeckoFTLOptions(cachePerShard), 0)
-	if err != nil {
+	if _, err := run.warm(); err != nil {
 		return ChannelPoint{}, err
 	}
-	gen, err := opts.generator(eng.LogicalPages())
-	if err != nil {
-		return ChannelPoint{}, err
-	}
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = 8 * cfg.Dies()
-	}
-
-	pump := func(writes int64) error {
-		var done int64
-		for done < writes {
-			_, targets, _ := workload.SplitBatch(workload.TakeBatch(gen, batchSize))
-			if len(targets) == 0 {
-				continue
-			}
-			if err := eng.WriteBatch(context.Background(), targets); err != nil {
-				return err
-			}
-			done += int64(len(targets))
-		}
-		return nil
-	}
-
-	if err := pump(2 * eng.LogicalPages()); err != nil {
-		return ChannelPoint{}, fmt.Errorf("warm-up: %w", err)
-	}
-
-	countersBefore := dev.Counters()
+	dev, eng, cfg := run.dev, run.eng, run.cfg
 	diesBefore := dev.DieTimes()
-	writesBefore := eng.Stats().LogicalWrites
-	if err := pump(scale.MeasureWrites); err != nil {
-		return ChannelPoint{}, fmt.Errorf("measurement: %w", err)
+	w, err := run.measure(scale.MeasureWrites)
+	if err != nil {
+		return ChannelPoint{}, err
 	}
-	writes := eng.Stats().LogicalWrites - writesBefore
 
 	// Each shard drives its dies from a single goroutine, so a shard's
 	// critical path is the SUM of its dies' busy time — taking the busiest
@@ -210,16 +135,15 @@ func channelPoint(opts ChannelSweepOptions, channels int) (ChannelPoint, error) 
 	p := ChannelPoint{
 		Channels:   channels,
 		Dies:       cfg.Dies(),
-		Writes:     writes,
+		Writes:     w.writes,
 		WallTime:   wall,
 		SerialTime: sum,
+		WA:         w.wa(),
 	}
-	delta := cfg.Latency.WriteReadRatio()
-	p.WA = dev.Counters().Sub(countersBefore).WriteAmplification(writes, delta)
 	if p.WallTime > 0 {
-		p.Throughput = float64(writes) / p.WallTime.Seconds()
+		p.Throughput = float64(w.writes) / p.WallTime.Seconds()
 	}
-	params := model.ParallelParams{Channels: channels, DiesPerChannel: spec.DiesPerChannel}
+	params := model.ParallelParams{Channels: channels, DiesPerChannel: scale.Device.DiesPerChannel}
 	p.ModelThroughput = params.WriteThroughput(cfg.Latency, p.WA)
 	if sum > 0 {
 		p.LoadImbalance = float64(maxDie) * float64(len(diesAfter)) / float64(sum)

@@ -1,12 +1,25 @@
 // Package sim is the experiment harness that reproduces the evaluation
 // section of the GeckoFTL paper and the engine-scaling experiments that go
 // beyond it. It runs FTLs (or Logarithmic Gecko and the PVB baselines in
-// isolation) against workload generators on the simulated device, collects
-// per-purpose IO breakdowns, and exposes one driver per table and figure of
-// the paper. The cmd/geckobench tool and the module-level benchmarks print
-// the drivers' results.
+// isolation) against workload generators on the simulated device and
+// collects per-purpose IO breakdowns.
 //
-// The sweep drivers extend the paper to the multi-channel engine:
+// Experiments are data. Experiments (experiments.go) is the registry: one
+// entry per table, figure and sweep, carrying its name, group, table title,
+// the geckobench flags it reads and a run function from Params to typed rows.
+// cmd/geckobench (selection, JSON, one generic table renderer), the root
+// package's re-export, the goldens under testdata/bench, the
+// BenchmarkExperiment loop and CI's single bench step are all derived from
+// it; adding an experiment is adding its row type, its run function and one
+// entry.
+//
+// The sweeps beyond the paper share one engine-run harness (harness.go):
+// newEngineRun is the only place a device, a sharded ftl.Engine and a seeded
+// workload are assembled (growing geometry and cache until every shard is
+// workable), pump drives batches of writes with optional interleaved trims,
+// warm brings the stack to steady-state garbage collection, and measure
+// returns a window's counter and stat deltas with its write-amplification
+// breakdown:
 //
 //   - ChannelSweep measures how the sharded engine's write throughput scales
 //     with the channel count.
@@ -21,7 +34,18 @@
 //   - WearSweep compares the single user write frontier against hot/cold
 //     separation and wear-aware allocation, reporting write-amplification
 //     and erase-count spread per victim policy and workload.
+//   - RestartSweep compares warm restarts from the shutdown checkpoint with
+//     cold GeckoRec recovery of the identical state.
+//   - QueueSweep drives the async submission queue closed- and open-loop
+//     against the queueing model's saturation knee.
 //
-// All sweep results are deterministic: time is the device's simulated
-// latency model, never the host clock.
+// The harness builds flash.Device + ftl.Engine directly rather than going
+// through geckoftl.Open: the root package imports this one (a cycle), and the
+// public Snapshot does not yet carry per-die busy time, the GC-stall
+// distribution or fallback counts the sweeps report. Once it does, moving
+// the sweeps onto the public device is a change to newEngineRun alone.
+//
+// All results are deterministic: time is the device's simulated latency
+// model, never the host clock, and same seed means same bytes whatever
+// GOMAXPROCS is (testdata/bench pins the quick-scale rows).
 package sim

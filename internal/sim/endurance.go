@@ -41,37 +41,27 @@ type EndurancePoint struct {
 	Capped bool
 }
 
-// String renders the point as a table row.
-func (p EndurancePoint) String() string {
-	capped := ""
-	if p.Capped {
-		capped = " (capped)"
-	}
-	return fmt.Sprintf("%-8s %-10s fault=%.2f lifetime=%d%s bad=%d retries=%d spread=%d",
-		p.Workload, p.Policy, p.FaultRate, p.Lifetime, capped, p.BadBlocks, p.ProgramRetries, p.EraseSpread)
-}
-
 // EnduranceSweepOptions parameterizes EnduranceSweep.
 type EnduranceSweepOptions struct {
 	// Scale sizes the device and cache and seeds the workload and fault
 	// plan. MeasureWrites is not used: endurance runs until death.
 	Scale ExperimentScale
-	// MaxEraseCount is the per-block erase budget. Zero means 24.
-	MaxEraseCount int
-	// FaultRates lists the program-failure rates to sweep. Empty means
-	// {0, 0.02, 0.08}. Rates share the scale's seed, so the injected
-	// failure sets are nested across rates (a failure at rate r also fails
-	// at every r' > r), which keeps the lifetime trend monotone by
-	// construction rather than by luck.
-	FaultRates []float64
-	// Workload names the write pattern. Empty means zipfian: skew is what
-	// separates wear-aware allocation from LIFO reuse, because a skewed
-	// stream recycles hot blocks while stranding budget in cold ones.
-	Workload string
-	// WriteCap bounds a single point's host writes as a runaway guard. Zero
-	// derives it from the device's total program budget.
-	WriteCap int64
 }
+
+const (
+	// enduranceMaxErase is the per-block erase budget.
+	enduranceMaxErase = 24
+	// enduranceWorkload is the write pattern: skew is what separates
+	// wear-aware allocation from LIFO reuse, because a skewed stream recycles
+	// hot blocks while stranding budget in cold ones.
+	enduranceWorkload = "zipfian"
+)
+
+// enduranceFaultRates are the program-failure rates swept. Rates share the
+// scale's seed, so the injected failure sets are nested across rates (a
+// failure at rate r also fails at every r' > r), which keeps the lifetime
+// trend monotone by construction rather than by luck.
+var enduranceFaultRates = []float64{0, 0.02, 0.08}
 
 // capacityExhausted reports the errors that mean the device died of lost
 // capacity — the expected end of an endurance run.
@@ -89,32 +79,12 @@ func capacityExhausted(err error) bool {
 // throughput: the budget a policy strands in cold blocks is budget the device
 // dies without spending.
 func EnduranceSweep(opts EnduranceSweepOptions) ([]EndurancePoint, error) {
-	maxErase := opts.MaxEraseCount
-	if maxErase <= 0 {
-		maxErase = 24
-	}
-	rates := opts.FaultRates
-	if len(rates) == 0 {
-		rates = []float64{0, 0.02, 0.08}
-	}
-	wl := opts.Workload
-	if wl == "" {
-		wl = "zipfian"
-	}
-	spec := opts.Scale.Device
-	cap := opts.WriteCap
-	if cap <= 0 {
-		// The device cannot program more pages than its total erase budget
-		// allows; 3x that in host writes is unreachable.
-		cap = 3 * int64(spec.Blocks) * int64(spec.PagesPerBlock) * int64(maxErase)
-	}
-
 	var points []EndurancePoint
 	for _, wearAware := range []bool{false, true} {
-		for _, rate := range rates {
-			p, err := endurancePoint(opts.Scale, wl, maxErase, rate, wearAware, cap)
+		for _, rate := range enduranceFaultRates {
+			p, err := endurancePoint(opts.Scale, rate, wearAware)
 			if err != nil {
-				return nil, fmt.Errorf("sim: endurance (%s, fault=%.2f, wearAware=%v): %w", wl, rate, wearAware, err)
+				return nil, fmt.Errorf("sim: endurance (fault=%.2f, wearAware=%v): %w", rate, wearAware, err)
 			}
 			points = append(points, p)
 		}
@@ -123,9 +93,9 @@ func EnduranceSweep(opts EnduranceSweepOptions) ([]EndurancePoint, error) {
 }
 
 // endurancePoint drives one device to death.
-func endurancePoint(scale ExperimentScale, wl string, maxErase int, rate float64, wearAware bool, cap int64) (EndurancePoint, error) {
+func endurancePoint(scale ExperimentScale, rate float64, wearAware bool) (EndurancePoint, error) {
 	cfg := scale.Device.Config()
-	cfg.MaxEraseCount = maxErase
+	cfg.MaxEraseCount = enduranceMaxErase
 	dev, err := flash.NewDevice(cfg)
 	if err != nil {
 		return EndurancePoint{}, err
@@ -137,6 +107,9 @@ func endurancePoint(scale ExperimentScale, wl string, maxErase int, rate float64
 	}); err != nil {
 		return EndurancePoint{}, err
 	}
+	// Runaway guard: the device cannot program more pages than its total
+	// erase budget allows; 3x that in host writes is unreachable.
+	cap := 3 * int64(cfg.Blocks) * int64(cfg.PagesPerBlock) * enduranceMaxErase
 
 	ftlOpts := ftl.GeckoFTLOptions(scale.CacheEntries)
 	ftlOpts.WearAwareAllocation = wearAware
@@ -145,7 +118,7 @@ func endurancePoint(scale ExperimentScale, wl string, maxErase int, rate float64
 	if err != nil {
 		return EndurancePoint{}, err
 	}
-	gen, err := workload.ByName(wl, f.LogicalPages(), scale.Seed)
+	gen, err := workload.ByName(enduranceWorkload, f.LogicalPages(), scale.Seed)
 	if err != nil {
 		return EndurancePoint{}, err
 	}
@@ -155,11 +128,11 @@ func endurancePoint(scale ExperimentScale, wl string, maxErase int, rate float64
 		policy = "wear-aware"
 	}
 	p := EndurancePoint{
-		Workload:      wl,
+		Workload:      enduranceWorkload,
 		Policy:        policy,
 		WearAware:     wearAware,
 		FaultRate:     rate,
-		MaxEraseCount: maxErase,
+		MaxEraseCount: enduranceMaxErase,
 	}
 	for p.Lifetime < cap {
 		op := gen.Next()

@@ -44,6 +44,158 @@ func FullScale() ExperimentScale {
 	}
 }
 
+// Params is everything an experiment run can depend on: the scale plus the
+// sweep dimensions geckobench exposes as flags. The zero value of every
+// field but Scale selects the experiment's own default, so Params{Scale: s}
+// is the run the recorded goldens pin.
+type Params struct {
+	// Scale sizes the simulations (-quick, -writes, -blocks).
+	Scale ExperimentScale
+	// Channels lists channel counts (-sweep); Dies is the dies per channel
+	// of the channels experiment (-dies).
+	Channels []int
+	Dies     int
+	// Workload names the page stream (-sweep-workload).
+	Workload string
+	// GCModes, Policies and GCPagesPerWrite select GC scheduling modes,
+	// victim policies and the incremental step budget (-gc-mode, -policy,
+	// -gc-pages).
+	GCModes         []ftl.GCMode
+	Policies        []ftl.VictimPolicy
+	GCPagesPerWrite int
+	// TrimFractions lists host trim fractions (-trim-fractions).
+	TrimFractions []float64
+	// Depth, Depths and Admission shape the queue experiment's open-loop
+	// depth, closed-loop depth ladder and admission policy (-depth, -depths,
+	// -admission).
+	Depth     int
+	Depths    []int
+	Admission string
+}
+
+// Experiment is one entry of the registry: all that geckobench, the goldens
+// under testdata/bench, the benchmarks and CI know about an experiment.
+type Experiment struct {
+	// Name selects the experiment; Group, when set, is a second selector
+	// that also runs it (recovery-sweep runs under "recovery").
+	Name, Group string
+	// Title heads the experiment's text table.
+	Title string
+	// Flags names the geckobench flags, beyond the scale's, whose Params
+	// fields Run reads.
+	Flags []string
+	// Run produces the experiment's typed rows: a slice of row structs (one
+	// struct for summary). Their JSON encoding is the recorded contract.
+	Run func(Params) (any, error)
+	// NewRows returns a pointer to an empty value of Run's row type, for
+	// decoding recorded rows back into it.
+	NewRows func() any
+}
+
+// experiment builds a registry entry from a typed run function.
+func experiment[R any](name, group, title string, flags []string, run func(Params) (R, error)) Experiment {
+	return Experiment{
+		Name: name, Group: group, Title: title, Flags: flags,
+		Run:     func(p Params) (any, error) { return run(p) },
+		NewRows: func() any { return new(R) },
+	}
+}
+
+// analytic adapts a model evaluation that depends on no parameter.
+func analytic[R any](rows func() R) func(Params) (R, error) {
+	return func(Params) (R, error) { return rows(), nil }
+}
+
+// scaled adapts a simulation that depends on the scale alone.
+func scaled[R any](rows func(ExperimentScale) (R, error)) func(Params) (R, error) {
+	return func(p Params) (R, error) { return rows(p.Scale) }
+}
+
+// Experiments returns the registry, in the order "all" runs it: the paper's
+// tables and figures, then the sweeps that go beyond the paper. Adding an
+// experiment is adding its row type, its run function and one entry here,
+// plus the golden `go test -run TestExperimentGoldens -update .` records.
+func Experiments() []Experiment {
+	return []Experiment{
+		experiment("fig1", "", "Figure 1: LazyFTL integrated RAM and recovery time vs device capacity (analytical, full scale)",
+			nil, analytic(Figure1)),
+		experiment("table1", "", "Table 1: per-operation IO costs and RAM of page-validity schemes (analytical, full scale)",
+			nil, analytic(Table1)),
+		experiment("fig9", "", "Figure 9: Logarithmic Gecko vs flash-resident PVB under uniform random updates (simulation)",
+			nil, scaled(Figure9)),
+		experiment("fig10", "", "Figure 10: entry-partitioning makes write-amplification independent of block size (simulation; PartitionFactor -1 is the recommended factor)",
+			nil, scaled(Figure10)),
+		experiment("fig11", "", "Figure 11: write-amplification vs number of blocks K (simulation)",
+			nil, scaled(Figure11)),
+		experiment("fig12", "", "Figure 12: over-provisioning vs Logarithmic Gecko IO (simulation)",
+			nil, scaled(Figure12)),
+		experiment("fig13ram", "", "Figure 13 (top): integrated RAM breakdown per FTL (analytical, full scale)",
+			nil, analytic(Figure13RAM)),
+		experiment("fig13rec", "", "Figure 13 (middle): recovery time breakdown per FTL (analytical, full scale)",
+			nil, analytic(Figure13Recovery)),
+		experiment("fig13wa", "", "Figure 13 (bottom): write-amplification breakdown per FTL (simulation)",
+			nil, scaled(Figure13WA)),
+		experiment("fig14", "", "Figure 14: equal RAM budget; freed PVB RAM used as extra cache (simulation)",
+			nil, scaled(Figure14)),
+		experiment("recovery", "", "Recovery simulation: crash each FTL mid-workload on one plane, measure recovery IO and time",
+			nil, scaled(RecoverySimulation)),
+		experiment("recovery-sweep", "recovery", "Engine recovery sweep: crash the sharded engine, recover all shards in parallel",
+			[]string{"sweep"}, func(p Params) ([]RecoveryPoint, error) {
+				return RecoverySweep(RecoverySweepOptions{Scale: p.Scale, Channels: p.Channels})
+			}),
+		experiment("channels", "", "Channel scaling: sharded GeckoFTL engine write throughput vs channel count (uniform workload, 1 die per channel by default)",
+			[]string{"sweep", "dies", "sweep-workload"}, func(p Params) ([]ChannelPoint, error) {
+				p.Scale.Device.DiesPerChannel = p.Dies
+				return ChannelSweep(ChannelSweepOptions{Scale: p.Scale, Channels: p.Channels, Workload: p.Workload})
+			}),
+		experiment("latency", "", "Latency sweep: per-write service time of the sharded GeckoFTL engine, inline vs incremental GC",
+			[]string{"gc-mode", "policy", "gc-pages"}, func(p Params) ([]LatencyPoint, error) {
+				return LatencySweep(LatencySweepOptions{Scale: p.Scale, Policies: p.Policies, Modes: p.GCModes, GCPagesPerWrite: p.GCPagesPerWrite})
+			}),
+		experiment("trim", "", "Trim sweep: write-amplification of the sharded GeckoFTL engine vs host trim fraction",
+			[]string{"sweep-workload", "trim-fractions"}, func(p Params) ([]TrimPoint, error) {
+				return TrimSweep(TrimSweepOptions{Scale: p.Scale, Workload: p.Workload, TrimFractions: p.TrimFractions})
+			}),
+		experiment("wear", "", "Wear sweep: WA and erase-count spread of the sharded GeckoFTL engine, single vs hot/cold frontiers",
+			[]string{"policy"}, func(p Params) ([]WearPoint, error) {
+				return WearSweep(WearSweepOptions{Scale: p.Scale, Policies: p.Policies})
+			}),
+		experiment("endurance", "", "Endurance sweep: device lifetime in host writes until capacity exhaustion, fault rate x allocation policy",
+			nil, func(p Params) ([]EndurancePoint, error) {
+				return EnduranceSweep(EnduranceSweepOptions{Scale: p.Scale})
+			}),
+		experiment("restart", "", "Restart sweep: warm restart from the shutdown checkpoint vs cold GeckoRec recovery of identical state",
+			nil, func(p Params) ([]RestartPoint, error) {
+				return RestartSweep(RestartSweepOptions{Scale: p.Scale})
+			}),
+		experiment("queue", "", "Queue sweep: async submission engine vs the synchronous baseline and the queueing model's saturation knee",
+			[]string{"sweep-workload", "depth", "depths", "admission"}, func(p Params) ([]QueuePoint, error) {
+				return QueueSweep(QueueSweepOptions{Scale: p.Scale, Depth: p.Depth, Depths: p.Depths, Workload: p.Workload, Policy: p.Admission})
+			}),
+		experiment("summary", "", "Headline claims: reductions as fractions (paper: page-validity RAM 0.95 vs RAM-resident PVB, recovery time >= 0.51 vs LazyFTL, page-validity WA 0.98 vs flash-resident PVB)",
+			nil, scaled(Headlines)),
+	}
+}
+
+// isolated describes an isolated page-validity run of the scheme at this
+// scale: the scale's geometry with half as many metadata blocks as user
+// blocks.
+func (s ExperimentScale) isolated(scheme SchemeBuilder) IsolatedOptions {
+	return IsolatedOptions{
+		UserBlocks:    s.Device.Blocks,
+		MetaBlocks:    s.Device.Blocks / 2,
+		PagesPerBlock: s.Device.PagesPerBlock,
+		PageSize:      s.Device.PageSize,
+		OverProvision: s.Device.OverProvision,
+		Scheme:        scheme,
+		MeasureWrites: s.MeasureWrites,
+		Seed:          s.Seed,
+	}
+}
+
+// fiveFTLs names the FTLs of the paper's comparison, in Figure 13's order.
+var fiveFTLs = []string{"DFTL", "LazyFTL", "uFTL", "IB-FTL", "GeckoFTL"}
+
 // Figure9Row is one bar group of Figure 9: a page-validity scheme with its
 // internal IO counts and write-amplification under uniformly random updates.
 type Figure9Row struct {
@@ -60,16 +212,7 @@ func Figure9(scale ExperimentScale) ([]Figure9Row, error) {
 	}
 	var rows []Figure9Row
 	for _, s := range schemes {
-		res, err := RunIsolated(IsolatedOptions{
-			UserBlocks:    scale.Device.Blocks,
-			MetaBlocks:    scale.Device.Blocks / 2,
-			PagesPerBlock: scale.Device.PagesPerBlock,
-			PageSize:      scale.Device.PageSize,
-			OverProvision: scale.Device.OverProvision,
-			Scheme:        s,
-			MeasureWrites: scale.MeasureWrites,
-			Seed:          scale.Seed,
-		})
+		res, err := RunIsolated(scale.isolated(s))
 		if err != nil {
 			return nil, fmt.Errorf("sim: figure 9 (%s): %w", s.Name, err)
 		}
@@ -96,16 +239,9 @@ func Figure10(scale ExperimentScale) ([]Figure10Row, error) {
 	blockSizes := []int{16, 32, 64, 128}
 	for _, b := range blockSizes {
 		for _, s := range []int{1, 0, b / 2} { // 0 selects the recommended factor
-			res, err := RunIsolated(IsolatedOptions{
-				UserBlocks:    scale.Device.Blocks,
-				MetaBlocks:    scale.Device.Blocks / 2,
-				PagesPerBlock: b,
-				PageSize:      scale.Device.PageSize,
-				OverProvision: scale.Device.OverProvision,
-				Scheme:        GeckoScheme(2, s),
-				MeasureWrites: scale.MeasureWrites,
-				Seed:          scale.Seed,
-			})
+			opts := scale.isolated(GeckoScheme(2, s))
+			opts.PagesPerBlock = b
+			res, err := RunIsolated(opts)
 			if err != nil {
 				return nil, fmt.Errorf("sim: figure 10 (B=%d S=%d): %w", b, s, err)
 			}
@@ -135,16 +271,9 @@ func Figure11(scale ExperimentScale) ([]Figure11Row, error) {
 	for _, k := range []int{64, 128, 256, 512} {
 		row := Figure11Row{Blocks: k}
 		for _, s := range []SchemeBuilder{GeckoScheme(2, 0), FlashPVBScheme()} {
-			res, err := RunIsolated(IsolatedOptions{
-				UserBlocks:    k,
-				MetaBlocks:    k / 2,
-				PagesPerBlock: scale.Device.PagesPerBlock,
-				PageSize:      scale.Device.PageSize,
-				OverProvision: scale.Device.OverProvision,
-				Scheme:        s,
-				MeasureWrites: scale.MeasureWrites,
-				Seed:          scale.Seed,
-			})
+			opts := scale.isolated(s)
+			opts.UserBlocks, opts.MetaBlocks = k, k/2
+			res, err := RunIsolated(opts)
 			if err != nil {
 				return nil, fmt.Errorf("sim: figure 11 (K=%d, %s): %w", k, s.Name, err)
 			}
@@ -176,16 +305,9 @@ type Figure12Row struct {
 func Figure12(scale ExperimentScale) ([]Figure12Row, error) {
 	var rows []Figure12Row
 	for _, r := range []float64{0.5, 0.6, 0.7, 0.8, 0.9} {
-		res, err := RunIsolated(IsolatedOptions{
-			UserBlocks:    scale.Device.Blocks,
-			MetaBlocks:    scale.Device.Blocks / 2,
-			PagesPerBlock: scale.Device.PagesPerBlock,
-			PageSize:      scale.Device.PageSize,
-			OverProvision: r,
-			Scheme:        GeckoScheme(2, 0),
-			MeasureWrites: scale.MeasureWrites,
-			Seed:          scale.Seed,
-		})
+		opts := scale.isolated(GeckoScheme(2, 0))
+		opts.OverProvision = r
+		res, err := RunIsolated(opts)
 		if err != nil {
 			return nil, fmt.Errorf("sim: figure 12 (R=%.1f): %w", r, err)
 		}
@@ -197,26 +319,19 @@ func Figure12(scale ExperimentScale) ([]Figure12Row, error) {
 // Figure13WA runs the five FTLs under uniformly random writes and reports the
 // write-amplification breakdown of Figure 13 (bottom).
 func Figure13WA(scale ExperimentScale) ([]Result, error) {
-	builders := []struct {
-		name string
-		opts ftl.Options
-	}{
-		{"DFTL", ftl.DFTLOptions(scale.CacheEntries)},
-		{"LazyFTL", ftl.LazyFTLOptions(scale.CacheEntries)},
-		{"uFTL", ftl.MuFTLOptions(scale.CacheEntries)},
-		{"IB-FTL", ftl.IBFTLOptions(scale.CacheEntries)},
-		{"GeckoFTL", ftl.GeckoFTLOptions(scale.CacheEntries)},
-	}
 	var out []Result
-	for _, b := range builders {
+	for _, name := range fiveFTLs {
+		opts, _, err := shardOptions(name, scale.CacheEntries)
+		if err != nil {
+			return nil, err
+		}
 		res, err := Run(RunOptions{
 			Device:        scale.Device,
-			FTLOptions:    b.opts,
-			Workload:      nil,
+			FTLOptions:    opts,
 			MeasureWrites: scale.MeasureWrites,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("sim: figure 13 WA (%s): %w", b.name, err)
+			return nil, fmt.Errorf("sim: figure 13 WA (%s): %w", name, err)
 		}
 		out = append(out, res)
 	}
@@ -320,23 +435,17 @@ type RecoveryResult struct {
 
 // RecoverySimulation crashes each FTL mid-workload and measures its recovery.
 func RecoverySimulation(scale ExperimentScale) ([]RecoveryResult, error) {
-	builders := []struct {
-		name string
-		opts ftl.Options
-	}{
-		{"DFTL", ftl.DFTLOptions(scale.CacheEntries)},
-		{"LazyFTL", ftl.LazyFTLOptions(scale.CacheEntries)},
-		{"uFTL", ftl.MuFTLOptions(scale.CacheEntries)},
-		{"IB-FTL", ftl.IBFTLOptions(scale.CacheEntries)},
-		{"GeckoFTL", ftl.GeckoFTLOptions(scale.CacheEntries)},
-	}
 	var out []RecoveryResult
-	for _, b := range builders {
+	for _, name := range fiveFTLs {
+		opts, _, err := shardOptions(name, scale.CacheEntries)
+		if err != nil {
+			return nil, err
+		}
 		dev, err := scale.Device.NewDevice()
 		if err != nil {
 			return nil, err
 		}
-		f, err := ftl.New(dev, b.opts)
+		f, err := ftl.New(dev, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -346,7 +455,7 @@ func RecoverySimulation(scale ExperimentScale) ([]RecoveryResult, error) {
 		}
 		for i := int64(0); i < scale.MeasureWrites; i++ {
 			if err := f.Write(gen.Next().Page); err != nil {
-				return nil, fmt.Errorf("sim: recovery workload (%s): %w", b.name, err)
+				return nil, fmt.Errorf("sim: recovery workload (%s): %w", name, err)
 			}
 		}
 		if err := f.PowerFail(); err != nil {
@@ -354,10 +463,10 @@ func RecoverySimulation(scale ExperimentScale) ([]RecoveryResult, error) {
 		}
 		report, err := f.Recover()
 		if err != nil {
-			return nil, fmt.Errorf("sim: recovery (%s): %w", b.name, err)
+			return nil, fmt.Errorf("sim: recovery (%s): %w", name, err)
 		}
 		out = append(out, RecoveryResult{
-			Name:                    b.name,
+			Name:                    name,
 			Duration:                report.Duration,
 			SpareReads:              report.SpareReads,
 			PageReads:               report.PageReads,
@@ -388,29 +497,11 @@ func Headlines(scale ExperimentScale) (HeadlineSummary, error) {
 		RAMReduction:      model.RAMReductionVsPVB(model.GeckoFTL, p),
 		RecoveryReduction: model.RecoveryReductionVsLazyFTL(model.GeckoFTL, p),
 	}
-	gecko, err := RunIsolated(IsolatedOptions{
-		UserBlocks:    scale.Device.Blocks,
-		MetaBlocks:    scale.Device.Blocks / 2,
-		PagesPerBlock: scale.Device.PagesPerBlock,
-		PageSize:      scale.Device.PageSize,
-		OverProvision: scale.Device.OverProvision,
-		Scheme:        GeckoScheme(2, 0),
-		MeasureWrites: scale.MeasureWrites,
-		Seed:          scale.Seed,
-	})
+	gecko, err := RunIsolated(scale.isolated(GeckoScheme(2, 0)))
 	if err != nil {
 		return out, err
 	}
-	pvbRes, err := RunIsolated(IsolatedOptions{
-		UserBlocks:    scale.Device.Blocks,
-		MetaBlocks:    scale.Device.Blocks / 2,
-		PagesPerBlock: scale.Device.PagesPerBlock,
-		PageSize:      scale.Device.PageSize,
-		OverProvision: scale.Device.OverProvision,
-		Scheme:        FlashPVBScheme(),
-		MeasureWrites: scale.MeasureWrites,
-		Seed:          scale.Seed,
-	})
+	pvbRes, err := RunIsolated(scale.isolated(FlashPVBScheme()))
 	if err != nil {
 		return out, err
 	}

@@ -1,0 +1,246 @@
+package sim
+
+import (
+	"context"
+	"fmt"
+
+	"geckoftl/internal/flash"
+	"geckoftl/internal/ftl"
+	"geckoftl/internal/model"
+	"geckoftl/internal/workload"
+)
+
+// MinSweepShardBlocks is the fewest blocks a sweep allows per shard. Below
+// roughly this size a GeckoFTL shard's fixed overheads (active blocks, GC
+// reserve, Gecko runs) eat the over-provisioned space and garbage collection
+// cannot converge.
+const MinSweepShardBlocks = 32
+
+// minSweepShardCache is the fewest mapping-cache entries a sweep allows per
+// shard.
+const minSweepShardCache = 16
+
+// workable grows the device and the engine-wide cache budget until a point
+// with the given channel count keeps workable shards. Shards that are too
+// small live-lock their garbage collector (every victim stays nearly fully
+// valid), and a cache budget divided too thinly rounds to nothing. A sweep
+// grows its scale once, for its widest point, and runs every point on the
+// grown values: that keeps the points comparable and the total RAM budget
+// constant instead of silently giving wide points extra room.
+func (s ExperimentScale) workable(channels int) ExperimentScale {
+	if min := MinSweepShardBlocks * channels; s.Device.Blocks < min {
+		s.Device.Blocks = min
+	}
+	if min := minSweepShardCache * channels; s.CacheEntries < min {
+		s.CacheEntries = min
+	}
+	return s
+}
+
+// widest returns the largest channel count of a sweep.
+func widest(channels []int) int {
+	max := 0
+	for _, c := range channels {
+		if c > max {
+			max = c
+		}
+	}
+	return max
+}
+
+// runSpec describes one engine run.
+type runSpec struct {
+	// scale sizes the device, the engine-wide cache budget (divided across
+	// shards, so the total RAM budget does not depend on the width) and
+	// seeds the workload; it is grown to stay workable at this width.
+	scale ExperimentScale
+	// channels is the engine width; it overrides scale.Device.Channels.
+	channels int
+	// ftl names the shard configuration ("" means GeckoFTL) and tune, when
+	// set, adjusts its options.
+	ftl  string
+	tune func(*ftl.Options)
+	// workload names the page stream ("" means uniform) and trims is the
+	// fraction of host operations that are trims of random pages.
+	workload string
+	trims    float64
+	// batchPerDie is the number of operations dispatched per engine batch
+	// for every die of the device: the queue depth the host keeps.
+	batchPerDie int
+}
+
+// engineRun is the one stack every engine sweep measures: a simulated
+// device, the sharded engine over it and the seeded host workload.
+type engineRun struct {
+	dev   *flash.Device
+	eng   *ftl.Engine
+	gen   workload.Generator
+	cfg   flash.Config
+	kind  model.FTLKind
+	scale ExperimentScale
+	batch int
+}
+
+// newEngineRun builds the stack a spec describes.
+func newEngineRun(s runSpec) (*engineRun, error) {
+	scale := s.scale.workable(s.channels)
+	spec := scale.Device
+	spec.Channels = s.channels
+	dev, err := spec.NewDevice()
+	if err != nil {
+		return nil, err
+	}
+	name := s.ftl
+	if name == "" {
+		name = "GeckoFTL"
+	}
+	opts, kind, err := shardOptions(name, scale.CacheEntries/s.channels)
+	if err != nil {
+		return nil, err
+	}
+	if s.tune != nil {
+		s.tune(&opts)
+	}
+	eng, err := ftl.NewEngine(dev, opts, 0)
+	if err != nil {
+		return nil, err
+	}
+	gen, err := workload.ByName(s.workload, eng.LogicalPages(), scale.Seed)
+	if err != nil {
+		return nil, err
+	}
+	if s.trims != 0 {
+		if gen, err = workload.NewTrimming(gen, eng.LogicalPages(), s.trims, scale.Seed+1); err != nil {
+			return nil, err
+		}
+	}
+	cfg := dev.Config()
+	return &engineRun{dev: dev, eng: eng, gen: gen, cfg: cfg, kind: kind, scale: scale, batch: s.batchPerDie * cfg.Dies()}, nil
+}
+
+// shardOptions builds the named FTL configuration for a per-shard cache.
+func shardOptions(name string, cacheEntries int) (ftl.Options, model.FTLKind, error) {
+	switch name {
+	case "GeckoFTL":
+		return ftl.GeckoFTLOptions(cacheEntries), model.GeckoFTL, nil
+	case "LazyFTL":
+		return ftl.LazyFTLOptions(cacheEntries), model.LazyFTL, nil
+	case "DFTL":
+		return ftl.DFTLOptions(cacheEntries), model.DFTL, nil
+	case "uFTL":
+		return ftl.MuFTLOptions(cacheEntries), model.MuFTL, nil
+	case "IB-FTL":
+		return ftl.IBFTLOptions(cacheEntries), model.IBFTL, nil
+	default:
+		return ftl.Options{}, 0, fmt.Errorf("sim: unknown FTL %q", name)
+	}
+}
+
+// reserveForMerges scales the garbage-collection reserve with the shard
+// size. Logarithmic Gecko's merge runs grow with the shard's capacity, and a
+// single merge must fit inside the reserve, or the large single-shard points
+// of the capacity sweeps exhaust the free pool mid-merge.
+func reserveForMerges(shardBlocks int) func(*ftl.Options) {
+	return func(o *ftl.Options) {
+		if reserve := 4 + shardBlocks/128; reserve > o.GCFreeBlockReserve {
+			o.GCFreeBlockReserve = reserve
+		}
+	}
+}
+
+// pump dispatches batches until the target number of logical writes has been
+// served. Interleaved trims ride along without counting; reads are dropped,
+// matching the paper's write-only accounting.
+func (r *engineRun) pump(target int64) error {
+	ctx := context.Background()
+	var done int64
+	for done < target {
+		_, writes, trims := workload.SplitBatch(workload.TakeBatch(r.gen, r.batch))
+		if len(trims) > 0 {
+			if err := r.eng.TrimBatch(ctx, trims); err != nil {
+				return err
+			}
+		}
+		if len(writes) == 0 {
+			continue
+		}
+		if err := r.eng.WriteBatch(ctx, writes); err != nil {
+			return err
+		}
+		done += int64(len(writes))
+	}
+	return nil
+}
+
+// warm overwrites the logical space twice, so that whatever follows runs in
+// (or crashes out of) steady-state garbage collection. It returns the number
+// of writes it targeted.
+func (r *engineRun) warm() (int64, error) {
+	pre := 2 * r.eng.LogicalPages()
+	if err := r.pump(pre); err != nil {
+		return pre, fmt.Errorf("warm-up: %w", err)
+	}
+	return pre, nil
+}
+
+// window is what one measured stretch of an engine run did.
+type window struct {
+	// writes is the number of logical writes served.
+	writes int64
+	// io is the device IO issued, by operation and purpose.
+	io flash.Counters
+	// before and after are the engine's logical counters at the edges.
+	before, after ftl.Stats
+	// latency holds the service-time distributions of the stretch.
+	latency ftl.EngineStats
+	// delta is the device's write/read cost ratio.
+	delta float64
+}
+
+// measure serves target further logical writes and reports what they cost.
+func (r *engineRun) measure(target int64) (window, error) {
+	r.eng.ResetLatencyStats()
+	w := window{before: r.eng.Stats(), delta: r.cfg.Latency.WriteReadRatio()}
+	ioBefore := r.dev.Counters()
+	if err := r.pump(target); err != nil {
+		return w, fmt.Errorf("measurement: %w", err)
+	}
+	w.io = r.dev.Counters().Sub(ioBefore)
+	w.after = r.eng.Stats()
+	w.latency = r.eng.LatencyStats()
+	w.writes = w.after.LogicalWrites - w.before.LogicalWrites
+	return w, nil
+}
+
+// wa is the write-amplification of the window.
+func (w window) wa() float64 { return w.io.WriteAmplification(w.writes, w.delta) }
+
+// breakdown splits the window's write-amplification by purpose.
+func (w window) breakdown() (user, translation, validity float64) {
+	return waBreakdown(w.io, w.writes, w.delta)
+}
+
+// waBreakdown splits write-amplification by purpose as in Figure 13 bottom:
+// user data (application writes plus their garbage collection), translation
+// metadata (synchronization operations) and page-validity metadata (PVB /
+// Logarithmic Gecko / PVL updates, GC queries and their garbage collection).
+func waBreakdown(io flash.Counters, writes int64, delta float64) (user, translation, validity float64) {
+	user = io.PurposeWriteAmplification(flash.PurposeUserWrite, writes, delta) +
+		io.PurposeWriteAmplification(flash.PurposeGCMigration, writes, delta)
+	translation = io.PurposeWriteAmplification(flash.PurposeTranslation, writes, delta)
+	validity = io.PurposeWriteAmplification(flash.PurposePageValidity, writes, delta)
+	return user, translation, validity
+}
+
+// modelParams describes the run's geometry, latencies and engine-wide cache
+// budget to the analytic models.
+func (r *engineRun) modelParams() model.Parameters {
+	p := model.Default()
+	p.Blocks = int64(r.cfg.Blocks)
+	p.PagesPerBlock = int64(r.cfg.PagesPerBlock)
+	p.PageSize = int64(r.cfg.PageSize)
+	p.OverProvision = r.cfg.OverProvision
+	p.CacheEntries = int64(r.scale.CacheEntries)
+	p.Latency = r.cfg.Latency
+	return p
+}

@@ -108,12 +108,6 @@ type IsolatedResult struct {
 	RAMBytes int64
 }
 
-// String renders one row.
-func (r IsolatedResult) String() string {
-	return fmt.Sprintf("%-16s WA=%.4f reads=%d writes=%d gc=%d ram=%dB",
-		r.Name, r.WA, r.FlashReads, r.FlashWrites, r.GCQueries, r.RAMBytes)
-}
-
 // RunIsolated drives the invalidation stream of the workload through the
 // page-validity structure alone, with a minimal in-memory page mapping and a
 // greedy garbage-collector supplying the update and GC-query pattern a real

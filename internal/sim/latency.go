@@ -1,14 +1,12 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"geckoftl/internal/ftl"
 	"geckoftl/internal/model"
 	"geckoftl/internal/stats"
-	"geckoftl/internal/workload"
 )
 
 // LatencyPoint is one row of the latency sweep: the sharded GeckoFTL engine
@@ -51,22 +49,9 @@ type LatencyPoint struct {
 
 // LatencySweepOptions parameterizes LatencySweep.
 type LatencySweepOptions struct {
-	// Scale sizes the device, cache budget and measured window. As in
-	// ChannelSweep, the device and cache grow until every shard stays
-	// workable, and the grown values apply to every point.
+	// Scale sizes the device, cache budget and measured window; the device
+	// and cache grow until every shard stays workable.
 	Scale ExperimentScale
-	// Channels is the engine width of every point (the sweep varies GC
-	// behaviour, not topology). Zero means 2.
-	Channels int
-	// BatchSize is the number of writes dispatched per engine batch: the
-	// queue depth the host keeps, and therefore how much queueing behind
-	// earlier batchmates the recorded latencies include. Zero means 2 per
-	// die, a shallow queue that keeps the tail dominated by GC stalls rather
-	// than queueing noise.
-	BatchSize int
-	// Workloads lists the write patterns. Empty means uniform, zipfian,
-	// hotcold.
-	Workloads []string
 	// Policies lists the victim policies. Empty means metadata-aware and
 	// greedy.
 	Policies []ftl.VictimPolicy
@@ -77,6 +62,19 @@ type LatencySweepOptions struct {
 	// ftl.DefaultGCPagesPerWrite.
 	GCPagesPerWrite int
 }
+
+// sweepChannels is the engine width of the sweeps that vary garbage
+// collection, trims or frontiers rather than topology.
+const sweepChannels = 2
+
+// shallowBatchPerDie is the queue depth those sweeps keep per die: shallow,
+// so the recorded latencies are dominated by GC stalls rather than by
+// queueing behind batchmates.
+const shallowBatchPerDie = 2
+
+// sweepWorkloads are the write patterns the latency and wear sweeps cross
+// with their other dimensions.
+var sweepWorkloads = []string{"uniform", "zipfian", "hotcold"}
 
 // LatencySweep measures per-write tail latency of the sharded GeckoFTL
 // engine across {GC mode} x {victim policy} x {workload}. Every point runs
@@ -90,14 +88,6 @@ func LatencySweep(opts LatencySweepOptions) ([]LatencyPoint, error) {
 	if opts.Scale.MeasureWrites <= 0 {
 		return nil, fmt.Errorf("sim: measure writes %d must be positive", opts.Scale.MeasureWrites)
 	}
-	channels := opts.Channels
-	if channels <= 0 {
-		channels = 2
-	}
-	workloads := opts.Workloads
-	if len(workloads) == 0 {
-		workloads = []string{"uniform", "zipfian", "hotcold"}
-	}
 	policies := opts.Policies
 	if len(policies) == 0 {
 		policies = []ftl.VictimPolicy{ftl.VictimMetadataAware, ftl.VictimGreedy}
@@ -106,20 +96,11 @@ func LatencySweep(opts LatencySweepOptions) ([]LatencyPoint, error) {
 	if len(modes) == 0 {
 		modes = []ftl.GCMode{ftl.GCInline, ftl.GCIncremental}
 	}
-	// Grow the device and cache once so every shard stays workable; the
-	// grown geometry applies to every point (see ChannelSweep).
-	if min := MinSweepShardBlocks * channels; opts.Scale.Device.Blocks < min {
-		opts.Scale.Device.Blocks = min
-	}
-	if min := minSweepShardCache * channels; opts.Scale.CacheEntries < min {
-		opts.Scale.CacheEntries = min
-	}
-
 	var points []LatencyPoint
-	for _, wl := range workloads {
+	for _, wl := range sweepWorkloads {
 		for _, policy := range policies {
 			for _, mode := range modes {
-				p, err := latencyPoint(opts, channels, wl, policy, mode)
+				p, err := latencyPoint(opts, wl, policy, mode)
 				if err != nil {
 					return nil, fmt.Errorf("sim: latency sweep (%s, %v, %v): %w", wl, policy, mode, err)
 				}
@@ -131,79 +112,42 @@ func LatencySweep(opts LatencySweepOptions) ([]LatencyPoint, error) {
 }
 
 // latencyPoint measures one configuration.
-func latencyPoint(opts LatencySweepOptions, channels int, wl string, policy ftl.VictimPolicy, mode ftl.GCMode) (LatencyPoint, error) {
-	scale := opts.Scale
-	spec := scale.Device
-	spec.Channels = channels
-	dev, err := spec.NewDevice()
+func latencyPoint(opts LatencySweepOptions, wl string, policy ftl.VictimPolicy, mode ftl.GCMode) (LatencyPoint, error) {
+	run, err := newEngineRun(runSpec{
+		scale: opts.Scale, channels: sweepChannels, workload: wl, batchPerDie: shallowBatchPerDie,
+		tune: func(o *ftl.Options) {
+			o.VictimPolicy = policy
+			o.GCMode = mode
+			o.GCPagesPerWrite = opts.GCPagesPerWrite
+		},
+	})
 	if err != nil {
 		return LatencyPoint{}, err
 	}
-	cfg := dev.Config()
-
-	ftlOpts := ftl.GeckoFTLOptions(scale.CacheEntries / channels)
-	ftlOpts.VictimPolicy = policy
-	ftlOpts.GCMode = mode
-	ftlOpts.GCPagesPerWrite = opts.GCPagesPerWrite
-	eng, err := ftl.NewEngine(dev, ftlOpts, 0)
+	if _, err := run.warm(); err != nil {
+		return LatencyPoint{}, err
+	}
+	w, err := run.measure(opts.Scale.MeasureWrites)
 	if err != nil {
 		return LatencyPoint{}, err
 	}
-	gen, err := workload.ByName(wl, eng.LogicalPages(), scale.Seed)
-	if err != nil {
-		return LatencyPoint{}, err
-	}
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = 2 * cfg.Dies()
-	}
-
-	pump := func(writes int64) error {
-		var done int64
-		for done < writes {
-			_, targets, _ := workload.SplitBatch(workload.TakeBatch(gen, batchSize))
-			if len(targets) == 0 {
-				continue
-			}
-			if err := eng.WriteBatch(context.Background(), targets); err != nil {
-				return err
-			}
-			done += int64(len(targets))
-		}
-		return nil
-	}
-
-	if err := pump(2 * eng.LogicalPages()); err != nil {
-		return LatencyPoint{}, fmt.Errorf("warm-up: %w", err)
-	}
-	eng.ResetLatencyStats()
-	countersBefore := dev.Counters()
-	statsBefore := eng.Stats()
-	if err := pump(scale.MeasureWrites); err != nil {
-		return LatencyPoint{}, fmt.Errorf("measurement: %w", err)
-	}
-
-	es := eng.LatencyStats()
-	after := eng.Stats()
-	writes := after.LogicalWrites - statsBefore.LogicalWrites
-	delta := cfg.Latency.WriteReadRatio()
 	p := LatencyPoint{
 		Workload:        wl,
 		Policy:          policy.String(),
 		GCMode:          mode.String(),
-		GCPagesPerWrite: eng.Shard(0).Options().GCPagesPerWrite,
-		Channels:        channels,
-		Writes:          writes,
-		WA:              dev.Counters().Sub(countersBefore).WriteAmplification(writes, delta),
-		Write:           es.Writes,
-		GCStalledWrites: es.GCStalledWrites,
-		MaxGCStall:      es.MaxGCStall,
-		GCFallbacks:     after.GCFallbacks - statsBefore.GCFallbacks,
+		GCPagesPerWrite: run.eng.Shard(0).Options().GCPagesPerWrite,
+		Channels:        sweepChannels,
+		Writes:          w.writes,
+		WA:              w.wa(),
+		Write:           w.latency.Writes,
+		GCStalledWrites: w.latency.GCStalledWrites,
+		MaxGCStall:      w.latency.MaxGCStall,
+		GCFallbacks:     w.after.GCFallbacks - w.before.GCFallbacks,
 	}
 	if mode == ftl.GCIncremental {
-		p.ModelStallBound = model.IncrementalGCStallBound(cfg.Latency, p.GCPagesPerWrite)
+		p.ModelStallBound = model.IncrementalGCStallBound(run.cfg.Latency, p.GCPagesPerWrite)
 	} else {
-		p.ModelStallBound = model.InlineGCStallBound(cfg.Latency, cfg.PagesPerBlock)
+		p.ModelStallBound = model.InlineGCStallBound(run.cfg.Latency, run.cfg.PagesPerBlock)
 	}
 	return p, nil
 }

@@ -60,10 +60,8 @@ type QueuePoint struct {
 // QueueSweepOptions parameterizes QueueSweep.
 type QueueSweepOptions struct {
 	// Scale sizes the device, cache budget and measured window; the device
-	// and cache grow until every shard stays workable, as in ChannelSweep.
+	// and cache grow until every shard stays workable.
 	Scale ExperimentScale
-	// Channels is the engine width of every row. Zero means 4.
-	Channels int
 	// Depth is the per-shard queue depth of the open-loop rows. Zero means 8.
 	Depth int
 	// Depths lists the closed-loop depths swept. Empty means 1, 4, 8, 16.
@@ -81,6 +79,9 @@ type QueueSweepOptions struct {
 	// means 4; values <= 1 skip the row.
 	BurstRatio float64
 }
+
+// queueChannels is the engine width of every queue-sweep row.
+const queueChannels = 4
 
 // QueueSweep measures the async submission/completion engine against the
 // synchronous baseline and the queueing model, in two parts.
@@ -105,10 +106,6 @@ type QueueSweepOptions struct {
 func QueueSweep(opts QueueSweepOptions) ([]QueuePoint, error) {
 	if opts.Scale.MeasureWrites <= 0 {
 		return nil, fmt.Errorf("sim: measure writes %d must be positive", opts.Scale.MeasureWrites)
-	}
-	channels := opts.Channels
-	if channels <= 0 {
-		channels = 4
 	}
 	depth := opts.Depth
 	if depth <= 0 {
@@ -137,27 +134,19 @@ func QueueSweep(opts QueueSweepOptions) ([]QueuePoint, error) {
 			return nil, fmt.Errorf("sim: queue sweep: %w", err)
 		}
 	}
-	// Grow the device and cache once so every shard stays workable; the
-	// grown geometry applies to every row (see ChannelSweep).
-	if min := MinSweepShardBlocks * channels; opts.Scale.Device.Blocks < min {
-		opts.Scale.Device.Blocks = min
-	}
-	if min := minSweepShardCache * channels; opts.Scale.CacheEntries < min {
-		opts.Scale.CacheEntries = min
-	}
 
 	var points []QueuePoint
 
 	// Synchronous baseline: calibrates the model knee's WA besides anchoring
 	// the depth-scaling comparison.
-	sync, err := queueSyncPoint(opts, channels, wl)
+	sync, err := queueSyncPoint(opts.Scale, wl)
 	if err != nil {
 		return nil, fmt.Errorf("sim: queue sweep (sync): %w", err)
 	}
 	points = append(points, sync)
 
 	for _, d := range depths {
-		p, err := queueClosedPoint(opts, channels, wl, d)
+		p, err := queueClosedPoint(opts.Scale, wl, d)
 		if err != nil {
 			return nil, fmt.Errorf("sim: queue sweep (closed, depth %d): %w", d, err)
 		}
@@ -190,7 +179,7 @@ func QueueSweep(opts QueueSweepOptions) ([]QueuePoint, error) {
 		rows = append(rows, openRow{rate: knee, policy: ratePolicy, depth: depth, label: ratePolicy.String(), burst: burst})
 	}
 	for _, r := range rows {
-		p, err := queueOpenPoint(opts, channels, wl, r.rate, r.policy, r.depth, r.label, r.burst)
+		p, err := queueOpenPoint(opts.Scale, wl, r.rate, r.policy, r.depth, r.label, r.burst)
 		if err != nil {
 			return nil, fmt.Errorf("sim: queue sweep (open, %s, %.0f ops/s): %w", r.label, r.rate, err)
 		}
@@ -199,65 +188,40 @@ func QueueSweep(opts QueueSweepOptions) ([]QueuePoint, error) {
 	return points, nil
 }
 
-// queueBench is the warmed engine + device every row starts from.
+// queueBench is the warmed engine run every row starts from, with its
+// measurement window anchored.
 type queueBench struct {
-	dev  *flash.Device
-	eng  *ftl.Engine
-	gen  workload.Generator
-	cfg  flash.Config
+	*engineRun
 	t0   time.Duration
 	base flash.Counters
 	ops  ftl.Stats
 }
 
-// newQueueBench builds a fresh device and engine, warms them with two full
-// overwrites through the batched path, and anchors the measurement window:
-// stats reset, counters snapshotted, and the device-wide arrival clock
-// ratcheted so every shard's clock starts at the same virtual instant t0.
-func newQueueBench(opts QueueSweepOptions, channels int, wl string) (*queueBench, error) {
-	scale := opts.Scale
-	spec := scale.Device
-	spec.Channels = channels
-	dev, err := spec.NewDevice()
+// newQueueBench builds a fresh engine run, warms it with two full overwrites
+// through the batched path, and anchors the measurement window: stats reset,
+// counters snapshotted, and the device-wide arrival clock ratcheted so every
+// shard's clock starts at the same virtual instant t0.
+func newQueueBench(scale ExperimentScale, wl string) (*queueBench, error) {
+	run, err := newEngineRun(runSpec{
+		scale: scale, channels: queueChannels, workload: wl, batchPerDie: shallowBatchPerDie,
+		// Incremental GC scheduling: the queue sweep is about tail latency,
+		// and an inline collector's whole-victim stalls (tens of
+		// milliseconds) would dominate every distribution and blur the
+		// saturation knee the model predicts from mean service rates.
+		tune: func(o *ftl.Options) { o.GCMode = ftl.GCIncremental },
+	})
 	if err != nil {
 		return nil, err
 	}
-	cfg := dev.Config()
-	// Incremental GC scheduling: the queue sweep is about tail latency, and
-	// an inline collector's whole-victim stalls (tens of milliseconds) would
-	// dominate every distribution and blur the saturation knee the model
-	// predicts from mean service rates.
-	ftlOpts := ftl.GeckoFTLOptions(scale.CacheEntries / channels)
-	ftlOpts.GCMode = ftl.GCIncremental
-	eng, err := ftl.NewEngine(dev, ftlOpts, 0)
-	if err != nil {
+	if _, err := run.warm(); err != nil {
 		return nil, err
 	}
-	gen, err := workload.ByName(wl, eng.LogicalPages(), scale.Seed)
-	if err != nil {
-		return nil, err
-	}
-	batchSize := 2 * cfg.Dies()
-	var done int64
-	for warm := 2 * eng.LogicalPages(); done < warm; {
-		_, targets, _ := workload.SplitBatch(workload.TakeBatch(gen, batchSize))
-		if len(targets) == 0 {
-			continue
-		}
-		if err := eng.WriteBatch(context.Background(), targets); err != nil {
-			return nil, fmt.Errorf("warm-up: %w", err)
-		}
-		done += int64(len(targets))
-	}
-	eng.ResetLatencyStats()
+	run.eng.ResetLatencyStats()
 	return &queueBench{
-		dev:  dev,
-		eng:  eng,
-		gen:  gen,
-		cfg:  cfg,
-		t0:   dev.SyncArrival(),
-		base: dev.Counters(),
-		ops:  eng.Stats(),
+		engineRun: run,
+		t0:        run.dev.SyncArrival(),
+		base:      run.dev.Counters(),
+		ops:       run.eng.Stats(),
 	}, nil
 }
 
@@ -303,13 +267,13 @@ func (b *queueBench) point(mode, wlName, policy string, depth int, end time.Dura
 // host-side dependency chain of a caller that waits. The chain crosses
 // shards, so the device can never overlap two of the caller's operations no
 // matter how many dies it has.
-func queueSyncPoint(opts QueueSweepOptions, channels int, wl string) (QueuePoint, error) {
-	b, err := newQueueBench(opts, channels, wl)
+func queueSyncPoint(scale ExperimentScale, wl string) (QueuePoint, error) {
+	b, err := newQueueBench(scale, wl)
 	if err != nil {
 		return QueuePoint{}, err
 	}
 	pc := b.t0
-	n := opts.Scale.MeasureWrites
+	n := scale.MeasureWrites
 	for i := int64(0); i < n; i++ {
 		op := b.gen.Next()
 		s, err := b.eng.ShardOf(op.Page)
@@ -369,8 +333,8 @@ func (b *queueBench) newQueue(depth int, policy queue.Policy) (*queue.Engine, er
 // on). Depth 1 degenerates to the synchronous chain; once the window covers
 // the die count the shards' timelines overlap and throughput approaches the
 // topology's ceiling.
-func queueClosedPoint(opts QueueSweepOptions, channels int, wl string, depth int) (QueuePoint, error) {
-	b, err := newQueueBench(opts, channels, wl)
+func queueClosedPoint(scale ExperimentScale, wl string, depth int) (QueuePoint, error) {
+	b, err := newQueueBench(scale, wl)
 	if err != nil {
 		return QueuePoint{}, err
 	}
@@ -380,7 +344,7 @@ func queueClosedPoint(opts QueueSweepOptions, channels int, wl string, depth int
 	}
 	defer q.Close()
 	ctx := context.Background()
-	n := opts.Scale.MeasureWrites
+	n := scale.MeasureWrites
 	window := make([]*queue.Ticket, 0, depth)
 	pc := b.t0
 	end := b.t0
@@ -439,17 +403,17 @@ func queueKind(k workload.OpKind) queue.OpKind {
 // rate: operations arrive on the process's schedule whether or not earlier
 // ones completed, which is what exposes saturation. burst > 1 swaps the
 // Poisson process for the bursty one at the same nominal rate.
-func queueOpenPoint(opts QueueSweepOptions, channels int, wl string, rate float64, policy queue.Policy, depth int, label string, burst float64) (QueuePoint, error) {
-	b, err := newQueueBench(opts, channels, wl)
+func queueOpenPoint(scale ExperimentScale, wl string, rate float64, policy queue.Policy, depth int, label string, burst float64) (QueuePoint, error) {
+	b, err := newQueueBench(scale, wl)
 	if err != nil {
 		return QueuePoint{}, err
 	}
 	var proc workload.ArrivalProcess
 	if burst > 1 {
 		meanGap := time.Duration(float64(time.Second) / rate)
-		proc, err = workload.NewBursty(rate, burst, 50*meanGap, opts.Scale.Seed+1)
+		proc, err = workload.NewBursty(rate, burst, 50*meanGap, scale.Seed+1)
 	} else {
-		proc, err = workload.NewPoisson(rate, opts.Scale.Seed+1)
+		proc, err = workload.NewPoisson(rate, scale.Seed+1)
 	}
 	if err != nil {
 		return QueuePoint{}, err
@@ -464,7 +428,7 @@ func queueOpenPoint(opts QueueSweepOptions, channels int, wl string, rate float6
 	}
 	defer q.Close()
 	ctx := context.Background()
-	n := opts.Scale.MeasureWrites
+	n := scale.MeasureWrites
 	tickets := make([]*queue.Ticket, 0, n)
 	last := b.t0
 	for i := int64(0); i < n; i++ {

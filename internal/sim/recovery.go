@@ -1,14 +1,10 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"geckoftl/internal/flash"
-	"geckoftl/internal/ftl"
 	"geckoftl/internal/model"
-	"geckoftl/internal/workload"
 )
 
 // RecoveryPoint is one measurement of the engine-wide recovery sweep: a
@@ -52,23 +48,18 @@ type RecoveryPoint struct {
 
 // RecoverySweepOptions parameterizes RecoverySweep.
 type RecoverySweepOptions struct {
-	// Scale sizes the device, cache budget and workload seed. As in
-	// ChannelSweep, the device and cache grow until the widest point keeps
-	// workable shards, and the grown values apply to every point.
+	// Scale sizes the device, cache budget and workload seed. The device and
+	// cache grow until the widest point keeps workable shards, and the grown
+	// values apply to every point.
 	Scale ExperimentScale
 	// Channels lists the channel counts of the parallelism dimension.
 	// Empty means 1,2,4,8.
 	Channels []int
-	// CacheEntries lists engine-wide cache budgets for the checkpoint
-	// dimension, measured at the widest channel count. Empty means half and
-	// double the scale's budget (the scale's own budget is already covered
-	// by the channels dimension).
-	CacheEntries []int
-	// CapacityFactors lists device-size multipliers for the capacity
-	// dimension, measured on one channel for GeckoFTL and LazyFTL. Empty
-	// means 1,2,4.
-	CapacityFactors []int
 }
+
+// capacityFactors are the device-size multipliers of the recovery and
+// restart sweeps' capacity dimension.
+var capacityFactors = []int{1, 2, 4}
 
 // RecoverySweep measures engine-wide crash recovery across three axes:
 // recovery parallelism (channel count), checkpoint interval (cache capacity)
@@ -82,58 +73,38 @@ type RecoverySweepOptions struct {
 // LazyFTL's recovery grows with capacity while GeckoFTL's cache recovery
 // stays bounded.
 func RecoverySweep(opts RecoverySweepOptions) ([]RecoveryPoint, error) {
-	scale := opts.Scale
 	channels := opts.Channels
 	if len(channels) == 0 {
 		channels = []int{1, 2, 4, 8}
 	}
-	maxChannels := 0
-	for _, c := range channels {
-		if c > maxChannels {
-			maxChannels = c
-		}
-	}
-	// Grow the device and cache once so the widest point keeps workable
-	// shards; every point uses the grown values (see ChannelSweep).
-	if min := MinSweepShardBlocks * maxChannels; scale.Device.Blocks < min {
-		scale.Device.Blocks = min
-	}
-	if min := minSweepShardCache * maxChannels; scale.CacheEntries < min {
-		scale.CacheEntries = min
-	}
-	caches := opts.CacheEntries
-	if len(caches) == 0 {
-		caches = []int{scale.CacheEntries / 2, scale.CacheEntries * 2}
-	}
-	factors := opts.CapacityFactors
-	if len(factors) == 0 {
-		factors = []int{1, 2, 4}
-	}
+	maxChannels := widest(channels)
+	scale := opts.Scale.workable(maxChannels)
 
 	var points []RecoveryPoint
 	for _, c := range channels {
-		p, err := recoveryPoint("channels", scale, "GeckoFTL", c, scale.Device.Blocks, scale.CacheEntries)
+		p, err := recoveryPoint("channels", scale, "GeckoFTL", c)
 		if err != nil {
 			return nil, fmt.Errorf("sim: recovery sweep, %d channels: %w", c, err)
 		}
 		points = append(points, p)
 	}
-	for _, cache := range caches {
-		if cache < minSweepShardCache*maxChannels {
-			cache = minSweepShardCache * maxChannels
-		}
-		p, err := recoveryPoint("checkpoint", scale, "GeckoFTL", maxChannels, scale.Device.Blocks, cache)
+	// The checkpoint dimension runs at the widest channel count with half
+	// and double the scale's cache budget (the channels dimension already
+	// covers the budget itself).
+	for _, cache := range []int{scale.CacheEntries / 2, scale.CacheEntries * 2} {
+		at := scale
+		at.CacheEntries = cache
+		p, err := recoveryPoint("checkpoint", at, "GeckoFTL", maxChannels)
 		if err != nil {
 			return nil, fmt.Errorf("sim: recovery sweep, cache %d: %w", cache, err)
 		}
 		points = append(points, p)
 	}
-	for _, factor := range factors {
-		if factor < 1 {
-			factor = 1
-		}
+	for _, factor := range capacityFactors {
+		at := scale
+		at.Device.Blocks *= factor
 		for _, name := range []string{"GeckoFTL", "LazyFTL"} {
-			p, err := recoveryPoint("capacity", scale, name, 1, scale.Device.Blocks*factor, scale.CacheEntries)
+			p, err := recoveryPoint("capacity", at, name, 1)
 			if err != nil {
 				return nil, fmt.Errorf("sim: recovery sweep, %s x%d capacity: %w", name, factor, err)
 			}
@@ -143,68 +114,23 @@ func RecoverySweep(opts RecoverySweepOptions) ([]RecoveryPoint, error) {
 	return points, nil
 }
 
-// shardOptions builds the named FTL configuration for a per-shard cache.
-func shardOptions(name string, cacheEntries int) (ftl.Options, model.FTLKind, error) {
-	switch name {
-	case "GeckoFTL":
-		return ftl.GeckoFTLOptions(cacheEntries), model.GeckoFTL, nil
-	case "LazyFTL":
-		return ftl.LazyFTLOptions(cacheEntries), model.LazyFTL, nil
-	case "DFTL":
-		return ftl.DFTLOptions(cacheEntries), model.DFTL, nil
-	case "uFTL":
-		return ftl.MuFTLOptions(cacheEntries), model.MuFTL, nil
-	case "IB-FTL":
-		return ftl.IBFTLOptions(cacheEntries), model.IBFTL, nil
-	default:
-		return ftl.Options{}, 0, fmt.Errorf("sim: unknown FTL %q", name)
-	}
-}
-
 // recoveryPoint fills one sharded engine to steady state, crashes it,
 // recovers it and audits the result.
-func recoveryPoint(dimension string, scale ExperimentScale, ftlName string, channels, blocks, cacheTotal int) (RecoveryPoint, error) {
-	spec := scale.Device
-	spec.Blocks = blocks
-	spec.Channels = channels
-	dev, err := spec.NewDevice()
+func recoveryPoint(dimension string, scale ExperimentScale, ftlName string, channels int) (RecoveryPoint, error) {
+	run, err := newEngineRun(runSpec{
+		scale: scale, channels: channels, ftl: ftlName, batchPerDie: channelBatchPerDie,
+		tune: reserveForMerges(scale.Device.Blocks / channels),
+	})
 	if err != nil {
 		return RecoveryPoint{}, err
 	}
-	cfg := dev.Config()
-	opts, kind, err := shardOptions(ftlName, cacheTotal/channels)
-	if err != nil {
-		return RecoveryPoint{}, err
-	}
-	// Logarithmic Gecko's merge runs grow with the shard's capacity, and a
-	// single merge must fit inside the garbage-collection reserve; scale the
-	// reserve with the shard size so the capacity dimension's large
-	// single-shard points cannot exhaust the free pool mid-merge.
-	if shardBlocks := blocks / channels; 4+shardBlocks/128 > opts.GCFreeBlockReserve {
-		opts.GCFreeBlockReserve = 4 + shardBlocks/128
-	}
-	eng, err := ftl.NewEngine(dev, opts, 0)
-	if err != nil {
-		return RecoveryPoint{}, err
-	}
-	gen, err := workload.NewUniform(eng.LogicalPages(), scale.Seed)
-	if err != nil {
-		return RecoveryPoint{}, err
-	}
-
 	// Fill the device past capacity so the crash interrupts steady-state
 	// garbage collection with a realistic population of dirty entries.
-	pre := 2 * eng.LogicalPages()
-	batch := make([]flash.LPN, 8*cfg.Dies())
-	for done := int64(0); done < pre; done += int64(len(batch)) {
-		for i := range batch {
-			batch[i] = gen.Next().Page
-		}
-		if err := eng.WriteBatch(context.Background(), batch); err != nil {
-			return RecoveryPoint{}, fmt.Errorf("fill: %w", err)
-		}
+	pre, err := run.warm()
+	if err != nil {
+		return RecoveryPoint{}, err
 	}
-
+	eng := run.eng
 	if err := eng.PowerFail(); err != nil {
 		return RecoveryPoint{}, err
 	}
@@ -215,24 +141,16 @@ func recoveryPoint(dimension string, scale ExperimentScale, ftlName string, chan
 	if err := eng.CheckConsistency(); err != nil {
 		return RecoveryPoint{}, fmt.Errorf("post-recovery audit: %w", err)
 	}
-
-	mp := model.Default()
-	mp.Blocks = int64(cfg.Blocks)
-	mp.PagesPerBlock = int64(cfg.PagesPerBlock)
-	mp.PageSize = int64(cfg.PageSize)
-	mp.OverProvision = cfg.OverProvision
-	mp.CacheEntries = int64(cacheTotal)
-	mp.Latency = cfg.Latency
-	est := model.EngineRecovery(kind, mp, eng.Shards())
+	est := model.EngineRecovery(run.kind, run.modelParams(), eng.Shards())
 
 	return RecoveryPoint{
 		Dimension:        dimension,
 		FTL:              eng.Name(),
 		Channels:         channels,
-		Dies:             cfg.Dies(),
+		Dies:             run.cfg.Dies(),
 		Shards:           eng.Shards(),
-		Blocks:           cfg.Blocks,
-		CacheEntries:     cacheTotal,
+		Blocks:           run.cfg.Blocks,
+		CacheEntries:     run.scale.CacheEntries,
 		PreWrites:        pre,
 		WallClock:        report.WallClock,
 		SerialTime:       report.SerialTime,

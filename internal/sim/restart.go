@@ -1,15 +1,11 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"geckoftl/internal/checkpoint"
-	"geckoftl/internal/flash"
-	"geckoftl/internal/ftl"
 	"geckoftl/internal/model"
-	"geckoftl/internal/workload"
 )
 
 // RestartPoint is one measurement of the restart sweep: the same filled,
@@ -46,13 +42,12 @@ type RestartPoint struct {
 type RestartSweepOptions struct {
 	// Scale sizes the device, cache budget and workload seed.
 	Scale ExperimentScale
-	// Channels is the engine topology of every point. Zero means 1: warm
-	// restart cost is capacity- and parallelism-independent, so the sweep
-	// varies capacity and pins the topology.
-	Channels int
-	// CapacityFactors lists device-size multipliers. Empty means 1,2,4.
-	CapacityFactors []int
 }
+
+// restartChannels is the topology of every restart point: warm restart cost
+// is capacity- and parallelism-independent, so the sweep varies capacity and
+// pins the width.
+const restartChannels = 1
 
 // RestartSweep measures warm versus cold restart across device sizes. Every
 // point fills a GeckoFTL engine to steady state, flushes it, exports the
@@ -62,28 +57,12 @@ type RestartSweepOptions struct {
 // per-structure work; the warm restore costs only the checkpoint read, so
 // warm beats cold at every size and the gap widens with capacity.
 func RestartSweep(opts RestartSweepOptions) ([]RestartPoint, error) {
-	scale := opts.Scale
-	channels := opts.Channels
-	if channels <= 0 {
-		channels = 1
-	}
-	if min := MinSweepShardBlocks * channels; scale.Device.Blocks < min {
-		scale.Device.Blocks = min
-	}
-	if min := minSweepShardCache * channels; scale.CacheEntries < min {
-		scale.CacheEntries = min
-	}
-	factors := opts.CapacityFactors
-	if len(factors) == 0 {
-		factors = []int{1, 2, 4}
-	}
-
+	scale := opts.Scale.workable(restartChannels)
 	var points []RestartPoint
-	for _, factor := range factors {
-		if factor < 1 {
-			factor = 1
-		}
-		p, err := restartPoint(scale, channels, scale.Device.Blocks*factor)
+	for _, factor := range capacityFactors {
+		at := scale
+		at.Device.Blocks *= factor
+		p, err := restartPoint(at)
 		if err != nil {
 			return nil, fmt.Errorf("sim: restart sweep, x%d capacity: %w", factor, err)
 		}
@@ -94,40 +73,19 @@ func RestartSweep(opts RestartSweepOptions) ([]RestartPoint, error) {
 
 // restartPoint fills one engine, shuts it down cleanly, restarts it warm
 // from its checkpoint, then crashes and recovers the same state cold.
-func restartPoint(scale ExperimentScale, channels, blocks int) (RestartPoint, error) {
-	spec := scale.Device
-	spec.Blocks = blocks
-	spec.Channels = channels
-	dev, err := spec.NewDevice()
+func restartPoint(scale ExperimentScale) (RestartPoint, error) {
+	run, err := newEngineRun(runSpec{
+		scale: scale, channels: restartChannels, batchPerDie: channelBatchPerDie,
+		tune: reserveForMerges(scale.Device.Blocks / restartChannels),
+	})
 	if err != nil {
 		return RestartPoint{}, err
 	}
-	cfg := dev.Config()
-	opts := ftl.GeckoFTLOptions(scale.CacheEntries / channels)
-	// Scale the GC reserve with the shard size, as in recoveryPoint: a
-	// Logarithmic Gecko merge must fit inside the reserve.
-	if shardBlocks := blocks / channels; 4+shardBlocks/128 > opts.GCFreeBlockReserve {
-		opts.GCFreeBlockReserve = 4 + shardBlocks/128
-	}
-	eng, err := ftl.NewEngine(dev, opts, 0)
+	pre, err := run.warm()
 	if err != nil {
 		return RestartPoint{}, err
 	}
-	gen, err := workload.NewUniform(eng.LogicalPages(), scale.Seed)
-	if err != nil {
-		return RestartPoint{}, err
-	}
-
-	pre := 2 * eng.LogicalPages()
-	batch := make([]flash.LPN, 8*cfg.Dies())
-	for done := int64(0); done < pre; done += int64(len(batch)) {
-		for i := range batch {
-			batch[i] = gen.Next().Page
-		}
-		if err := eng.WriteBatch(context.Background(), batch); err != nil {
-			return RestartPoint{}, fmt.Errorf("fill: %w", err)
-		}
-	}
+	eng := run.eng
 
 	// Clean shutdown: flush dirty state, then export the checkpoint the
 	// warm restart will load.
@@ -164,25 +122,18 @@ func restartPoint(scale ExperimentScale, channels, blocks int) (RestartPoint, er
 	}
 
 	warm := model.WarmRestart(int64(len(encoded)))
-
-	mp := model.Default()
-	mp.Blocks = int64(cfg.Blocks)
-	mp.PagesPerBlock = int64(cfg.PagesPerBlock)
-	mp.PageSize = int64(cfg.PageSize)
-	mp.OverProvision = cfg.OverProvision
-	mp.CacheEntries = int64(scale.CacheEntries)
-	mp.Latency = cfg.Latency
-	cold := model.EngineRecovery(model.GeckoFTL, mp, eng.Shards())
+	mp := run.modelParams()
+	cold := model.EngineRecovery(run.kind, mp, eng.Shards())
 
 	speedup := 0.0
 	if warm.WallClock > 0 {
 		speedup = float64(report.WallClock) / float64(warm.WallClock)
 	}
 	return RestartPoint{
-		Channels:        channels,
+		Channels:        restartChannels,
 		Shards:          eng.Shards(),
-		Blocks:          cfg.Blocks,
-		CacheEntries:    scale.CacheEntries,
+		Blocks:          run.cfg.Blocks,
+		CacheEntries:    run.scale.CacheEntries,
 		PreWrites:       pre,
 		CheckpointBytes: int64(len(encoded)),
 		WarmWallClock:   warm.WallClock,

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"geckoftl/internal/flash"
@@ -74,12 +73,6 @@ type Result struct {
 	SimulatedTime time.Duration
 }
 
-// String renders the result as a table row.
-func (r Result) String() string {
-	return fmt.Sprintf("%-10s WA=%.3f (user=%.3f translation=%.3f validity=%.3f) RAM=%dB GC=%d",
-		r.Name, r.WA, r.UserWA, r.TranslationWA, r.ValidityWA, r.RAMBytes, r.GCOperations)
-}
-
 // RunOptions controls a simulation run.
 type RunOptions struct {
 	// Device is the device geometry.
@@ -143,10 +136,7 @@ func Run(opts RunOptions) (Result, error) {
 		GCOperations:  f.Stats().GCOperations - statsBefore.GCOperations,
 		SimulatedTime: dev.SimulatedTime() - timeBefore,
 	}
-	result.UserWA = counters.PurposeWriteAmplification(flash.PurposeUserWrite, writes, delta) +
-		counters.PurposeWriteAmplification(flash.PurposeGCMigration, writes, delta)
-	result.TranslationWA = counters.PurposeWriteAmplification(flash.PurposeTranslation, writes, delta)
-	result.ValidityWA = counters.PurposeWriteAmplification(flash.PurposePageValidity, writes, delta)
+	result.UserWA, result.TranslationWA, result.ValidityWA = waBreakdown(counters, writes, delta)
 	return result, nil
 }
 
@@ -169,17 +159,4 @@ func drive(f *ftl.FTL, gen workload.Generator, n int64) error {
 		done++
 	}
 	return nil
-}
-
-// FormatTable renders results as an aligned text table with a header.
-func FormatTable(header string, results []Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", header)
-	fmt.Fprintf(&b, "%-12s %10s %10s %12s %10s %12s %8s\n",
-		"ftl", "WA", "user", "translation", "validity", "RAM(bytes)", "GC-ops")
-	for _, r := range results {
-		fmt.Fprintf(&b, "%-12s %10.3f %10.3f %12.3f %10.3f %12d %8d\n",
-			r.Name, r.WA, r.UserWA, r.TranslationWA, r.ValidityWA, r.RAMBytes, r.GCOperations)
-	}
-	return b.String()
 }

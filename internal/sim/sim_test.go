@@ -61,9 +61,6 @@ func TestRunProducesSensibleResult(t *testing.T) {
 	if res.RAMBytes <= 0 || res.SimulatedTime <= 0 {
 		t.Errorf("missing RAM/time: %+v", res)
 	}
-	if res.String() == "" || FormatTable("x", []Result{res}) == "" {
-		t.Error("formatting is empty")
-	}
 }
 
 func TestRunWithMixedWorkloadCountsOnlyWrites(t *testing.T) {
@@ -120,9 +117,6 @@ func TestIsolatedGeckoBeatsFlashPVB(t *testing.T) {
 	}
 	if gecko.RAMBytes <= 0 || pvb.RAMBytes <= 0 {
 		t.Error("missing RAM accounting")
-	}
-	if gecko.String() == "" {
-		t.Error("empty string rendering")
 	}
 }
 

@@ -1,13 +1,9 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
-	"geckoftl/internal/flash"
-	"geckoftl/internal/ftl"
 	"geckoftl/internal/stats"
-	"geckoftl/internal/workload"
 )
 
 // TrimPoint is one row of the trim sweep: the sharded GeckoFTL engine run
@@ -45,13 +41,8 @@ type TrimPoint struct {
 // TrimSweepOptions parameterizes TrimSweep.
 type TrimSweepOptions struct {
 	// Scale sizes the device, cache budget and measured window; the device
-	// and cache grow until every shard stays workable, as in ChannelSweep.
+	// and cache grow until every shard stays workable.
 	Scale ExperimentScale
-	// Channels is the engine width of every point. Zero means 2.
-	Channels int
-	// BatchSize is the number of operations dispatched per engine batch.
-	// Zero means 2 per die.
-	BatchSize int
 	// Workload names the write pattern ("uniform" when empty).
 	Workload string
 	// TrimFractions lists the trim fractions to sweep. Empty means
@@ -68,10 +59,6 @@ func TrimSweep(opts TrimSweepOptions) ([]TrimPoint, error) {
 	if opts.Scale.MeasureWrites <= 0 {
 		return nil, fmt.Errorf("sim: measure writes %d must be positive", opts.Scale.MeasureWrites)
 	}
-	channels := opts.Channels
-	if channels <= 0 {
-		channels = 2
-	}
 	wl := opts.Workload
 	if wl == "" {
 		wl = "uniform"
@@ -85,18 +72,9 @@ func TrimSweep(opts TrimSweepOptions) ([]TrimPoint, error) {
 			return nil, fmt.Errorf("sim: trim fraction %g out of range [0,1)", f)
 		}
 	}
-	// Grow the device and cache once so every shard stays workable; the
-	// grown geometry applies to every point (see ChannelSweep).
-	if min := MinSweepShardBlocks * channels; opts.Scale.Device.Blocks < min {
-		opts.Scale.Device.Blocks = min
-	}
-	if min := minSweepShardCache * channels; opts.Scale.CacheEntries < min {
-		opts.Scale.CacheEntries = min
-	}
-
 	var points []TrimPoint
 	for _, f := range fractions {
-		p, err := trimPoint(opts, channels, wl, f)
+		p, err := trimPoint(opts.Scale, wl, f)
 		if err != nil {
 			return nil, fmt.Errorf("sim: trim sweep (%s, f=%.2f): %w", wl, f, err)
 		}
@@ -106,83 +84,31 @@ func TrimSweep(opts TrimSweepOptions) ([]TrimPoint, error) {
 }
 
 // trimPoint measures one trim fraction.
-func trimPoint(opts TrimSweepOptions, channels int, wl string, fraction float64) (TrimPoint, error) {
-	scale := opts.Scale
-	spec := scale.Device
-	spec.Channels = channels
-	dev, err := spec.NewDevice()
+func trimPoint(scale ExperimentScale, wl string, fraction float64) (TrimPoint, error) {
+	run, err := newEngineRun(runSpec{
+		scale: scale, channels: sweepChannels, workload: wl, trims: fraction, batchPerDie: shallowBatchPerDie,
+	})
 	if err != nil {
 		return TrimPoint{}, err
 	}
-	cfg := dev.Config()
-
-	eng, err := ftl.NewEngine(dev, ftl.GeckoFTLOptions(scale.CacheEntries/channels), 0)
+	if _, err := run.warm(); err != nil {
+		return TrimPoint{}, err
+	}
+	w, err := run.measure(scale.MeasureWrites)
 	if err != nil {
 		return TrimPoint{}, err
 	}
-	writes, err := workload.ByName(wl, eng.LogicalPages(), scale.Seed)
-	if err != nil {
-		return TrimPoint{}, err
-	}
-	gen, err := workload.NewTrimming(writes, eng.LogicalPages(), fraction, scale.Seed+1)
-	if err != nil {
-		return TrimPoint{}, err
-	}
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = 2 * cfg.Dies()
-	}
-
-	// pump dispatches batches until the target number of logical writes has
-	// been served; interleaved trims ride along without counting.
-	pump := func(target int64) error {
-		var done int64
-		for done < target {
-			_, targets, trims := workload.SplitBatch(workload.TakeBatch(gen, batchSize))
-			if len(trims) > 0 {
-				if err := eng.TrimBatch(context.Background(), trims); err != nil {
-					return err
-				}
-			}
-			if len(targets) == 0 {
-				continue
-			}
-			if err := eng.WriteBatch(context.Background(), targets); err != nil {
-				return err
-			}
-			done += int64(len(targets))
-		}
-		return nil
-	}
-
-	if err := pump(2 * eng.LogicalPages()); err != nil {
-		return TrimPoint{}, fmt.Errorf("warm-up: %w", err)
-	}
-	eng.ResetLatencyStats()
-	countersBefore := dev.Counters()
-	statsBefore := eng.Stats()
-	if err := pump(scale.MeasureWrites); err != nil {
-		return TrimPoint{}, fmt.Errorf("measurement: %w", err)
-	}
-
-	es := eng.LatencyStats()
-	after := eng.Stats()
-	nWrites := after.LogicalWrites - statsBefore.LogicalWrites
-	counters := dev.Counters().Sub(countersBefore)
-	delta := cfg.Latency.WriteReadRatio()
-	return TrimPoint{
+	p := TrimPoint{
 		Workload:     wl,
 		TrimFraction: fraction,
-		Channels:     channels,
-		Writes:       nWrites,
-		Trims:        after.LogicalTrims - statsBefore.LogicalTrims,
-		TrimmedPages: after.TrimmedPages - statsBefore.TrimmedPages,
-		WA:           counters.WriteAmplification(nWrites, delta),
-		UserWA: counters.PurposeWriteAmplification(flash.PurposeUserWrite, nWrites, delta) +
-			counters.PurposeWriteAmplification(flash.PurposeGCMigration, nWrites, delta),
-		TranslationWA: counters.PurposeWriteAmplification(flash.PurposeTranslation, nWrites, delta),
-		ValidityWA:    counters.PurposeWriteAmplification(flash.PurposePageValidity, nWrites, delta),
-		Write:         es.Writes,
-		Trim:          es.Trims,
-	}, nil
+		Channels:     sweepChannels,
+		Writes:       w.writes,
+		Trims:        w.after.LogicalTrims - w.before.LogicalTrims,
+		TrimmedPages: w.after.TrimmedPages - w.before.TrimmedPages,
+		WA:           w.wa(),
+		Write:        w.latency.Writes,
+		Trim:         w.latency.Trims,
+	}
+	p.UserWA, p.TranslationWA, p.ValidityWA = w.breakdown()
+	return p, nil
 }

@@ -1,13 +1,11 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"geckoftl/internal/flash"
 	"geckoftl/internal/ftl"
 	"geckoftl/internal/model"
-	"geckoftl/internal/workload"
 )
 
 // WearPoint is one row of the wear sweep: the sharded GeckoFTL engine run
@@ -51,19 +49,20 @@ type WearPoint struct {
 	ModelSingleWA, ModelSeparatedWA float64
 }
 
+// HotPercent is the share of the window's writes the heat classifier routed
+// to the hot frontier, in percent: a derived column of the text table.
+func (p WearPoint) HotPercent() float64 {
+	if p.Writes == 0 {
+		return 0
+	}
+	return 100 * float64(p.HotWrites) / float64(p.Writes)
+}
+
 // WearSweepOptions parameterizes WearSweep.
 type WearSweepOptions struct {
 	// Scale sizes the device, cache budget and measured window; the device
-	// and cache grow until every shard stays workable, as in ChannelSweep.
+	// and cache grow until every shard stays workable.
 	Scale ExperimentScale
-	// Channels is the engine width of every point. Zero means 2.
-	Channels int
-	// BatchSize is the number of writes dispatched per engine batch. Zero
-	// means 2 per die.
-	BatchSize int
-	// Workloads lists the write patterns. Empty means uniform, zipfian,
-	// hotcold.
-	Workloads []string
 	// Policies lists the victim policies. Empty means metadata-aware and
 	// cost-benefit.
 	Policies []ftl.VictimPolicy
@@ -117,32 +116,15 @@ func WearSweep(opts WearSweepOptions) ([]WearPoint, error) {
 	if opts.Scale.MeasureWrites <= 0 {
 		return nil, fmt.Errorf("sim: measure writes %d must be positive", opts.Scale.MeasureWrites)
 	}
-	channels := opts.Channels
-	if channels <= 0 {
-		channels = 2
-	}
-	workloads := opts.Workloads
-	if len(workloads) == 0 {
-		workloads = []string{"uniform", "zipfian", "hotcold"}
-	}
 	policies := opts.Policies
 	if len(policies) == 0 {
 		policies = []ftl.VictimPolicy{ftl.VictimMetadataAware, ftl.VictimCostBenefit}
 	}
-	// Grow the device and cache once so every shard stays workable; the
-	// grown geometry applies to every point (see ChannelSweep).
-	if min := MinSweepShardBlocks * channels; opts.Scale.Device.Blocks < min {
-		opts.Scale.Device.Blocks = min
-	}
-	if min := minSweepShardCache * channels; opts.Scale.CacheEntries < min {
-		opts.Scale.CacheEntries = min
-	}
-
 	var points []WearPoint
-	for _, wl := range workloads {
+	for _, wl := range sweepWorkloads {
 		for _, policy := range policies {
 			for _, cfg := range wearConfigs() {
-				p, err := wearPoint(opts, channels, wl, policy, cfg)
+				p, err := wearPoint(opts.Scale, wl, policy, cfg)
 				if err != nil {
 					return nil, fmt.Errorf("sim: wear sweep (%s, %v, %s): %w", wl, policy, cfg.frontier, err)
 				}
@@ -154,81 +136,42 @@ func WearSweep(opts WearSweepOptions) ([]WearPoint, error) {
 }
 
 // wearPoint measures one configuration.
-func wearPoint(opts WearSweepOptions, channels int, wl string, policy ftl.VictimPolicy, wc wearConfig) (WearPoint, error) {
-	scale := opts.Scale
-	spec := scale.Device
-	spec.Channels = channels
-	dev, err := spec.NewDevice()
+func wearPoint(scale ExperimentScale, wl string, policy ftl.VictimPolicy, wc wearConfig) (WearPoint, error) {
+	run, err := newEngineRun(runSpec{
+		scale: scale, channels: sweepChannels, workload: wl, batchPerDie: shallowBatchPerDie,
+		tune: func(o *ftl.Options) {
+			o.VictimPolicy = policy
+			o.HotColdSeparation = wc.hotCold
+			o.WearAwareAllocation = wc.wearAware
+		},
+	})
 	if err != nil {
 		return WearPoint{}, err
 	}
-	cfg := dev.Config()
-
-	ftlOpts := ftl.GeckoFTLOptions(scale.CacheEntries / channels)
-	ftlOpts.VictimPolicy = policy
-	ftlOpts.HotColdSeparation = wc.hotCold
-	ftlOpts.WearAwareAllocation = wc.wearAware
-	eng, err := ftl.NewEngine(dev, ftlOpts, 0)
+	if _, err := run.warm(); err != nil {
+		return WearPoint{}, err
+	}
+	w, err := run.measure(scale.MeasureWrites)
 	if err != nil {
 		return WearPoint{}, err
 	}
-	gen, err := workload.ByName(wl, eng.LogicalPages(), scale.Seed)
-	if err != nil {
-		return WearPoint{}, err
-	}
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = 2 * cfg.Dies()
-	}
-
-	pump := func(writes int64) error {
-		var done int64
-		for done < writes {
-			_, targets, _ := workload.SplitBatch(workload.TakeBatch(gen, batchSize))
-			if len(targets) == 0 {
-				continue
-			}
-			if err := eng.WriteBatch(context.Background(), targets); err != nil {
-				return err
-			}
-			done += int64(len(targets))
-		}
-		return nil
-	}
-
-	if err := pump(2 * eng.LogicalPages()); err != nil {
-		return WearPoint{}, fmt.Errorf("warm-up: %w", err)
-	}
-	countersBefore := dev.Counters()
-	statsBefore := eng.Stats()
-	if err := pump(scale.MeasureWrites); err != nil {
-		return WearPoint{}, fmt.Errorf("measurement: %w", err)
-	}
-
-	after := eng.Stats()
-	writes := after.LogicalWrites - statsBefore.LogicalWrites
-	counters := dev.Counters().Sub(countersBefore)
-	delta := cfg.Latency.WriteReadRatio()
-	minErase, maxErase, _ := dev.BlocksEndurance()
+	minErase, maxErase, _ := run.dev.BlocksEndurance()
 	p := WearPoint{
-		Workload:  wl,
-		Policy:    policy.String(),
-		Frontier:  wc.frontier,
-		WearAware: wc.wearAware,
-		Channels:  channels,
-		Writes:    writes,
-		HotWrites: after.HotWrites - statsBefore.HotWrites,
-		WA:        counters.WriteAmplification(writes, delta),
-		UserWA: counters.PurposeWriteAmplification(flash.PurposeUserWrite, writes, delta) +
-			counters.PurposeWriteAmplification(flash.PurposeGCMigration, writes, delta),
-		TranslationWA: counters.PurposeWriteAmplification(flash.PurposeTranslation, writes, delta),
-		ValidityWA:    counters.PurposeWriteAmplification(flash.PurposePageValidity, writes, delta),
-		Erases:        counters.TotalOp(flash.OpErase),
-		MinErase:      minErase,
-		MaxErase:      maxErase,
-		EraseSpread:   maxErase - minErase,
+		Workload:    wl,
+		Policy:      policy.String(),
+		Frontier:    wc.frontier,
+		WearAware:   wc.wearAware,
+		Channels:    sweepChannels,
+		Writes:      w.writes,
+		HotWrites:   w.after.HotWrites - w.before.HotWrites,
+		WA:          w.wa(),
+		Erases:      w.io.TotalOp(flash.OpErase),
+		MinErase:    minErase,
+		MaxErase:    maxErase,
+		EraseSpread: maxErase - minErase,
 	}
-	if mp, ok := twoClassApprox(wl, cfg.OverProvision); ok {
+	p.UserWA, p.TranslationWA, p.ValidityWA = w.breakdown()
+	if mp, ok := twoClassApprox(wl, run.cfg.OverProvision); ok {
 		if p.ModelSingleWA, err = model.SingleFrontierWA(mp); err != nil {
 			return WearPoint{}, err
 		}

@@ -56,8 +56,6 @@ type Histogram struct {
 func NewHistogram() *Histogram { return &Histogram{} }
 
 // Record adds one observation. Negative durations are clamped to zero.
-//
-//geckolint:hotpath
 func (h *Histogram) Record(d time.Duration) {
 	if d < 0 {
 		d = 0
