@@ -81,11 +81,10 @@ func columns(t reflect.Type, index []int, prefix string) []column {
 			cols = append(cols, columns(f.Type, path, sub)...)
 			continue
 		}
-		name := f.Name
 		cols = append(cols, column{
-			name: prefix + name,
+			name: prefix + f.Name,
 			text: f.Type.Kind() == reflect.String,
-			cell: func(row reflect.Value) string { return formatCell(name, row.FieldByIndex(path)) },
+			cell: func(row reflect.Value) string { return formatCell(f.Name, row.FieldByIndex(path)) },
 		})
 	}
 	if len(index) > 0 {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"geckoftl/internal/model"
@@ -65,7 +66,7 @@ func ChannelSweep(opts ChannelSweepOptions) ([]ChannelPoint, error) {
 	if len(channels) == 0 {
 		channels = []int{1, 2, 4, 8}
 	}
-	scale := opts.Scale.workable(widest(channels))
+	scale := opts.Scale.workable(slices.Max(channels))
 	var points []ChannelPoint
 	for _, c := range channels {
 		p, err := channelPoint(scale, c, opts.Workload)
@@ -81,12 +82,8 @@ func ChannelSweep(opts ChannelSweepOptions) ([]ChannelPoint, error) {
 	return points, nil
 }
 
-// channelBatchPerDie is the queue depth the host keeps per die: deep enough
-// that every die of the widest point stays busy.
-const channelBatchPerDie = 8
-
 func channelPoint(scale ExperimentScale, channels int, wl string) (ChannelPoint, error) {
-	run, err := newEngineRun(runSpec{scale: scale, channels: channels, workload: wl, batchPerDie: channelBatchPerDie})
+	run, err := newEngineRun(runSpec{scale: scale, channels: channels, workload: wl, batchPerDie: deepBatchPerDie})
 	if err != nil {
 		return ChannelPoint{}, err
 	}

@@ -20,6 +20,29 @@ const MinSweepShardBlocks = 32
 // shard.
 const minSweepShardCache = 16
 
+// The dimensions the sweeps hold fixed.
+const (
+	// sweepChannels is the engine width of the sweeps that vary garbage
+	// collection, trims or frontiers rather than topology.
+	sweepChannels = 2
+	// shallowBatchPerDie is the queue depth those sweeps keep per die:
+	// shallow, so the recorded latencies are dominated by GC stalls rather
+	// than by queueing behind batchmates.
+	shallowBatchPerDie = 2
+	// deepBatchPerDie is the queue depth of the throughput sweep and of the
+	// fills before a crash: deep enough that every die stays busy.
+	deepBatchPerDie = 8
+)
+
+var (
+	// sweepWorkloads are the write patterns the latency and wear sweeps
+	// cross with their other dimensions.
+	sweepWorkloads = []string{"uniform", "zipfian", "hotcold"}
+	// capacityFactors are the device-size multipliers of the recovery and
+	// restart sweeps' capacity dimension.
+	capacityFactors = []int{1, 2, 4}
+)
+
 // workable grows the device and the engine-wide cache budget until a point
 // with the given channel count keeps workable shards. Shards that are too
 // small live-lock their garbage collector (every victim stays nearly fully
@@ -35,17 +58,6 @@ func (s ExperimentScale) workable(channels int) ExperimentScale {
 		s.CacheEntries = min
 	}
 	return s
-}
-
-// widest returns the largest channel count of a sweep.
-func widest(channels []int) int {
-	max := 0
-	for _, c := range channels {
-		if c > max {
-			max = c
-		}
-	}
-	return max
 }
 
 // runSpec describes one engine run.

@@ -63,19 +63,6 @@ type LatencySweepOptions struct {
 	GCPagesPerWrite int
 }
 
-// sweepChannels is the engine width of the sweeps that vary garbage
-// collection, trims or frontiers rather than topology.
-const sweepChannels = 2
-
-// shallowBatchPerDie is the queue depth those sweeps keep per die: shallow,
-// so the recorded latencies are dominated by GC stalls rather than by
-// queueing behind batchmates.
-const shallowBatchPerDie = 2
-
-// sweepWorkloads are the write patterns the latency and wear sweeps cross
-// with their other dimensions.
-var sweepWorkloads = []string{"uniform", "zipfian", "hotcold"}
-
 // LatencySweep measures per-write tail latency of the sharded GeckoFTL
 // engine across {GC mode} x {victim policy} x {workload}. Every point runs
 // the same measured window after a two-full-overwrite warm-up, so the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"geckoftl/internal/model"
@@ -57,10 +58,6 @@ type RecoverySweepOptions struct {
 	Channels []int
 }
 
-// capacityFactors are the device-size multipliers of the recovery and
-// restart sweeps' capacity dimension.
-var capacityFactors = []int{1, 2, 4}
-
 // RecoverySweep measures engine-wide crash recovery across three axes:
 // recovery parallelism (channel count), checkpoint interval (cache capacity)
 // and device capacity (GeckoFTL versus LazyFTL). Every point fills a sharded
@@ -77,7 +74,7 @@ func RecoverySweep(opts RecoverySweepOptions) ([]RecoveryPoint, error) {
 	if len(channels) == 0 {
 		channels = []int{1, 2, 4, 8}
 	}
-	maxChannels := widest(channels)
+	maxChannels := slices.Max(channels)
 	scale := opts.Scale.workable(maxChannels)
 
 	var points []RecoveryPoint
@@ -118,7 +115,7 @@ func RecoverySweep(opts RecoverySweepOptions) ([]RecoveryPoint, error) {
 // recovers it and audits the result.
 func recoveryPoint(dimension string, scale ExperimentScale, ftlName string, channels int) (RecoveryPoint, error) {
 	run, err := newEngineRun(runSpec{
-		scale: scale, channels: channels, ftl: ftlName, batchPerDie: channelBatchPerDie,
+		scale: scale, channels: channels, ftl: ftlName, batchPerDie: deepBatchPerDie,
 		tune: reserveForMerges(scale.Device.Blocks / channels),
 	})
 	if err != nil {

@@ -75,7 +75,7 @@ func RestartSweep(opts RestartSweepOptions) ([]RestartPoint, error) {
 // from its checkpoint, then crashes and recovers the same state cold.
 func restartPoint(scale ExperimentScale) (RestartPoint, error) {
 	run, err := newEngineRun(runSpec{
-		scale: scale, channels: restartChannels, batchPerDie: channelBatchPerDie,
+		scale: scale, channels: restartChannels, batchPerDie: deepBatchPerDie,
 		tune: reserveForMerges(scale.Device.Blocks / restartChannels),
 	})
 	if err != nil {
