@@ -4,92 +4,73 @@
 // randomness, the internal/ API boundary). See docs/analysis.md for the
 // catalogue of rules and the bugs that motivated them.
 //
-// It speaks the go vet -vettool protocol, so both forms work:
+//	geckolint [-json] [packages]
 //
-//	geckolint ./...                      # standalone: re-execs go vet
-//	go vet -vettool=$(which geckolint) ./...
-//
-// Standalone invocation accepts the usual package patterns (defaulting to
-// ./...) plus -<analyzer>.* flags, which are forwarded to the vet run, and
-// one mode of its own:
-//
-//	geckolint -json ./...   # findings as a flat JSON array for CI annotations
+// It loads the packages (./... by default) with their tests, runs every
+// rule over them in this one process and prints the findings, one per line
+// or with -json as a flat JSON array for CI annotations. Exit status: 0
+// clean, 1 findings, 2 the packages could not be loaded.
 package main
 
 import (
+	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/exec"
-	"strings"
-
-	"golang.org/x/tools/go/analysis/unitchecker"
+	"path/filepath"
 
 	//geckolint:ignore apiboundary the linter command carries its own analyzers
 	"geckoftl/internal/analysis"
 )
 
 func main() {
-	// Under go vet, the tool is probed with -V=full (build caching) and
-	// -flags (flag discovery), then invoked on one package at a time with a
-	// trailing *.cfg argument. Everything else is a human at a terminal
-	// asking for a standalone run.
-	if len(os.Args) > 1 {
-		last := os.Args[len(os.Args)-1]
-		if os.Args[1] == "-V=full" || os.Args[1] == "-flags" || strings.HasSuffix(last, ".cfg") {
-			unitchecker.Main(analysis.All()...) // never returns
-		}
+	jsonOut := flag.Bool("json", false, "print the findings as a JSON array of {file,line,col,analyzer,message}")
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: geckolint [-json] [packages]")
+		flag.PrintDefaults()
 	}
-	os.Exit(standalone(os.Args[1:]))
-}
-
-// standalone re-execs the suite through go vet so the toolchain handles
-// package loading, caching and export data. Exit codes follow go vet: 0
-// clean, non-zero on findings or failure.
-func standalone(args []string) int {
-	var jsonOut bool
-	rest := make([]string, 0, len(args))
-	for _, a := range args {
-		switch a {
-		case "-json", "--json":
-			jsonOut = true
-		default:
-			rest = append(rest, a)
-		}
+	flag.Parse()
+	patterns := flag.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	args = rest
-	exe, err := os.Executable()
+	findings, err := analysis.Lint(".", nil, patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "geckolint: locating own binary: %v\n", err)
-		return 2
+		fmt.Fprintf(os.Stderr, "geckolint: %v\n", err)
+		os.Exit(2)
 	}
-	if jsonOut {
-		return jsonMain(exe, args)
+	if err := emit(os.Stdout, findings, *jsonOut); err != nil {
+		fmt.Fprintf(os.Stderr, "geckolint: %v\n", err)
+		os.Exit(2)
 	}
-	vetArgs := append([]string{"vet", "-vettool=" + exe}, args...)
-	if !hasPackagePattern(args) {
-		vetArgs = append(vetArgs, "./...")
+	if len(findings) > 0 {
+		os.Exit(1)
 	}
-	cmd := exec.Command("go", vetArgs...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	cmd.Stdin = os.Stdin
-	if err := cmd.Run(); err != nil {
-		if exit, ok := err.(*exec.ExitError); ok {
-			return exit.ExitCode()
-		}
-		fmt.Fprintf(os.Stderr, "geckolint: running go vet: %v\n", err)
-		return 2
-	}
-	return 0
 }
 
-// hasPackagePattern reports whether args name any package (anything that is
-// not a flag).
-func hasPackagePattern(args []string) bool {
-	for _, a := range args {
-		if !strings.HasPrefix(a, "-") {
-			return true
+// emit prints the findings: a "file:line:col: analyzer: message" line each,
+// or a JSON array — [] when there are none — with the file names absolute,
+// as the annotations CI makes of it want them.
+func emit(w io.Writer, findings []analysis.Finding, asJSON bool) error {
+	if !asJSON {
+		for _, f := range findings {
+			if _, err := fmt.Fprintf(w, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	return false
+	out := make([]analysis.Finding, len(findings))
+	for i, f := range findings {
+		abs, err := filepath.Abs(f.File)
+		if err != nil {
+			return err
+		}
+		f.File = abs
+		out[i] = f
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
 }

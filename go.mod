@@ -2,10 +2,6 @@ module geckoftl
 
 go 1.24
 
-// The analyzer framework is vendored under third_party/ (copied from the Go
-// distribution's cmd/vendor tree) so the build needs no network; see
-// third_party/golang.org/x/tools/README.md for provenance and how to
-// upgrade.
-replace golang.org/x/tools => ./third_party/golang.org/x/tools
-
-require golang.org/x/tools v0.28.1-0.20250131145412-98746475647e
+// No requirements, on purpose: the product, the tools and the analyzer suite
+// (cmd/geckolint) build on the standard library alone, so nothing here needs
+// the network or a go.sum. CI's lint job fails if a dependency appears.

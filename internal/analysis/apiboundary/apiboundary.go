@@ -6,14 +6,12 @@
 //
 // PR 4 introduced this boundary and enforced it with a grep over cmd/ and
 // examples/ in CI; this analyzer is the typed replacement — it sees the
-// real import graph, not file text, and runs under go vet everywhere.
+// real import graph, not file text, and covers every package of the module.
 package apiboundary
 
 import (
 	"strconv"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 
 	"geckoftl/internal/analysis/lintutil"
 )
@@ -27,7 +25,7 @@ is what keeps the examples honest documentation and the tools portable to a
 real device backend.`
 
 // Analyzer is the apiboundary analyzer.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &lintutil.Analyzer{
 	Name: "apiboundary",
 	Doc:  doc,
 	Run:  run,
@@ -37,19 +35,14 @@ var Analyzer = &analysis.Analyzer{
 // the fixture tests can run under a synthetic module name.
 var module = "geckoftl"
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *lintutil.Pass) {
 	internalPrefix := module + "/internal"
 	path := pass.Pkg.Path()
-	// The in-module test binary variants report paths like
-	// "geckoftl_test [geckoftl.test]"; strip the binary qualifier.
-	if i := strings.Index(path, " ["); i >= 0 {
-		path = path[:i]
-	}
 	switch {
 	case path == module, path == module+"_test":
-		return nil, nil // the public facade wraps the internals by design
+		return // the public facade wraps the internals by design
 	case path == internalPrefix, strings.HasPrefix(path, internalPrefix+"/"):
-		return nil, nil
+		return
 	}
 	for _, f := range pass.Files {
 		for _, imp := range f.Imports {
@@ -60,10 +53,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if p != internalPrefix && !strings.HasPrefix(p, internalPrefix+"/") {
 				continue
 			}
-			lintutil.Report(pass, "apiboundary", imp,
+			pass.Reportf(imp,
 				"%s imports %s across the API boundary; packages outside internal/ must use the public %s package",
 				path, p, module)
 		}
 	}
-	return nil, nil
 }

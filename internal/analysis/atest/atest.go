@@ -1,12 +1,7 @@
 // Package atest is a minimal analysistest-style harness for the geckolint
-// analyzers.
-//
-// The upstream golang.org/x/tools/go/analysis/analysistest package is not
-// part of the subset vendored under third_party/ (it drags in go/packages
-// and the txtar loader), so this package reimplements the slice of it the
-// suite needs: load a fixture package from testdata/src/<path>, type-check
-// it, run an analyzer and its Requires, and compare the diagnostics against
-// `// want` comments.
+// analyzers: load a fixture package from testdata/src/<path>, type-check it,
+// run an analyzer over it through the same lintutil.Run the command uses —
+// waivers included — and compare the findings against `// want` comments.
 //
 // Fixture convention (same as analysistest):
 //
@@ -17,6 +12,7 @@
 //
 //	rand.Intn(6) // want `global math/rand`
 //
+// (`/* want ... */` works too, for a line that ends in a comment of its own.)
 // Each regexp must match a diagnostic reported on that line, and every
 // diagnostic must be matched by some regexp. Imports between fixture
 // packages resolve inside testdata/src; standard-library imports resolve
@@ -35,95 +31,33 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"geckoftl/internal/analysis/lintutil"
 )
 
 // Run checks the analyzer against each fixture package path under
 // testdata/src.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
+func Run(t *testing.T, testdata string, a *lintutil.Analyzer, paths ...string) {
 	t.Helper()
-	if err := analysis.Validate([]*analysis.Analyzer{a}); err != nil {
-		t.Fatalf("invalid analyzer %s: %v", a.Name, err)
-	}
 	for _, path := range paths {
 		t.Run(path, func(t *testing.T) {
 			t.Helper()
-			runOne(t, testdata, a, path)
+			ld := &loader{
+				fset:     token.NewFileSet(),
+				srcRoot:  filepath.Join(testdata, "src"),
+				packages: map[string]*lintutil.Package{},
+			}
+			ld.std = importer.ForCompiler(ld.fset, "source", nil)
+			pkg, err := ld.load(path)
+			if err != nil {
+				t.Fatalf("loading fixture %s: %v", path, err)
+			}
+			findings := lintutil.Run([]*lintutil.Package{pkg}, []*lintutil.Analyzer{a})
+			checkFindings(t, ld.fset, pkg.Files, findings)
 		})
 	}
-}
-
-func runOne(t *testing.T, testdata string, a *analysis.Analyzer, path string) {
-	t.Helper()
-	ld := &loader{
-		fset:     token.NewFileSet(),
-		srcRoot:  filepath.Join(testdata, "src"),
-		packages: map[string]*fixturePkg{},
-	}
-	ld.std = importer.ForCompiler(ld.fset, "source", nil)
-	pkg, err := ld.load(path)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", path, err)
-	}
-
-	var diags []analysis.Diagnostic
-	results := map[*analysis.Analyzer]interface{}{}
-	if err := runAnalyzer(a, ld.fset, pkg, results, &diags); err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, path, err)
-	}
-
-	checkDiagnostics(t, ld.fset, pkg.files, diags)
-}
-
-// runAnalyzer runs a (and, first, its Requires transitively), collecting
-// diagnostics only for the root analyzer.
-func runAnalyzer(a *analysis.Analyzer, fset *token.FileSet, pkg *fixturePkg, results map[*analysis.Analyzer]interface{}, diags *[]analysis.Diagnostic) error {
-	if _, done := results[a]; done {
-		return nil
-	}
-	for _, req := range a.Requires {
-		if err := runAnalyzer(req, fset, pkg, results, nil); err != nil {
-			return err
-		}
-	}
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       fset,
-		Files:      pkg.files,
-		Pkg:        pkg.types,
-		TypesInfo:  pkg.info,
-		TypesSizes: types.SizesFor("gc", "amd64"),
-		ResultOf:   results,
-		ReadFile:   os.ReadFile,
-		Report: func(d analysis.Diagnostic) {
-			if diags != nil {
-				*diags = append(*diags, d)
-			}
-		},
-		ImportObjectFact:  func(types.Object, analysis.Fact) bool { return false },
-		ImportPackageFact: func(*types.Package, analysis.Fact) bool { return false },
-		ExportObjectFact:  func(types.Object, analysis.Fact) {},
-		ExportPackageFact: func(analysis.Fact) {},
-		AllObjectFacts:    func() []analysis.ObjectFact { return nil },
-		AllPackageFacts:   func() []analysis.PackageFact { return nil },
-	}
-	res, err := a.Run(pass)
-	if err != nil {
-		return fmt.Errorf("%s: %w", a.Name, err)
-	}
-	results[a] = res
-	return nil
-}
-
-// fixturePkg is one loaded and type-checked fixture package.
-type fixturePkg struct {
-	files []*ast.File
-	types *types.Package
-	info  *types.Info
 }
 
 // loader resolves fixture imports: testdata/src first, the standard library
@@ -132,10 +66,10 @@ type loader struct {
 	fset     *token.FileSet
 	srcRoot  string
 	std      types.Importer
-	packages map[string]*fixturePkg
+	packages map[string]*lintutil.Package
 }
 
-func (ld *loader) load(path string) (*fixturePkg, error) {
+func (ld *loader) load(path string) (*lintutil.Package, error) {
 	if pkg, ok := ld.packages[path]; ok {
 		return pkg, nil
 	}
@@ -158,25 +92,8 @@ func (ld *loader) load(path string) (*fixturePkg, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Instances:  map[*ast.Ident]types.Instance{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{
-		Importer:                 importerFunc(ld.importPkg),
-		DisableUnusedImportCheck: true,
-		Error:                    func(error) {}, // lenient: placeholder imports produce benign errors
-	}
-	tpkg, err := conf.Check(path, ld.fset, files, info)
-	if err != nil && tpkg == nil {
-		return nil, err
-	}
-	pkg := &fixturePkg{files: files, types: tpkg, info: info}
+	// Lenient: placeholder imports produce benign type errors.
+	pkg, _ := lintutil.Check(ld.fset, path, files, lintutil.ImporterFunc(ld.importPkg))
 	ld.packages[path] = pkg
 	return pkg, nil
 }
@@ -188,7 +105,7 @@ func (ld *loader) importPkg(path string) (*types.Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		return pkg.types, nil
+		return pkg.Pkg, nil
 	}
 	if pkg, err := ld.std.Import(path); err == nil {
 		return pkg, nil
@@ -201,10 +118,6 @@ func (ld *loader) importPkg(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-type importerFunc func(string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
 // expectation is one backquoted regexp from a want comment.
 type expectation struct {
 	file    string
@@ -215,8 +128,8 @@ type expectation struct {
 
 var wantRe = regexp.MustCompile("`([^`]*)`")
 
-// checkDiagnostics matches reported diagnostics against want comments.
-func checkDiagnostics(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
+// checkFindings matches the findings against want comments.
+func checkFindings(t *testing.T, fset *token.FileSet, files []*ast.File, findings []lintutil.Finding) {
 	t.Helper()
 	var wants []*expectation
 	for _, f := range files {
@@ -224,7 +137,9 @@ func checkDiagnostics(t *testing.T, fset *token.FileSet, files []*ast.File, diag
 			for _, c := range cg.List {
 				text, ok := strings.CutPrefix(c.Text, "// want ")
 				if !ok {
-					continue
+					if text, ok = strings.CutPrefix(c.Text, "/* want "); !ok {
+						continue
+					}
 				}
 				pos := fset.Position(c.Pos())
 				ms := wantRe.FindAllStringSubmatch(text, -1)
@@ -244,22 +159,20 @@ func checkDiagnostics(t *testing.T, fset *token.FileSet, files []*ast.File, diag
 		}
 	}
 
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
+	for _, f := range findings {
 		matched := false
 		for _, w := range wants {
-			if w.matched || w.file != pos.Filename || w.line != pos.Line {
+			if w.matched || w.file != f.File || w.line != f.Line {
 				continue
 			}
-			if w.re.MatchString(d.Message) {
+			if w.re.MatchString(f.Message) {
 				w.matched = true
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			t.Errorf("%s:%d: unexpected diagnostic: %s", pos.Filename, pos.Line, d.Message)
+			t.Errorf("%s:%d: unexpected diagnostic: %s", f.File, f.Line, f.Message)
 		}
 	}
 	for _, w := range wants {

@@ -27,10 +27,6 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"geckoftl/internal/analysis/lintutil"
 )
 
@@ -43,22 +39,20 @@ discipline — a typed atomic (atomic.Int64), all free-function atomics, or
 the mutex.`
 
 // Analyzer is the atomicmix analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name:     "atomicmix",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lintutil.Analyzer{
+	Name: "atomicmix",
+	Doc:  doc,
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
+func run(pass *lintutil.Pass) {
 
 	// Pass 1: find every object whose address is taken by a sync/atomic free
 	// function, remembering one representative site per object and the exact
 	// operand expressions (to exclude them from the plain-access scan).
 	atomicSite := map[types.Object]ast.Expr{}
 	inAtomicCall := map[ast.Expr]bool{}
-	insp.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
+	pass.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
 		call := n.(*ast.CallExpr)
 		fn := lintutil.CalleeFunc(pass.TypesInfo, call)
 		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
@@ -84,14 +78,14 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	})
 	if len(atomicSite) == 0 {
-		return nil, nil
+		return
 	}
 
 	// Pass 2: report every plain access of those objects. Taking the address
 	// for another atomic call was excluded above; any other appearance is a
 	// plain load, store, or escape of the address into code this analyzer
 	// cannot follow — all of them break the discipline.
-	insp.Preorder([]ast.Node{(*ast.SelectorExpr)(nil), (*ast.Ident)(nil)}, func(n ast.Node) {
+	pass.Preorder([]ast.Node{(*ast.SelectorExpr)(nil), (*ast.Ident)(nil)}, func(n ast.Node) {
 		var obj types.Object
 		switch e := n.(type) {
 		case *ast.SelectorExpr:
@@ -117,11 +111,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if !mixed {
 			return
 		}
-		lintutil.Report(pass, "atomicmix", n.(analysis.Range),
+		pass.Reportf(n,
 			"%s is accessed atomically at %s but with a plain load/store here: pick one discipline (typed atomic, all sync/atomic, or the mutex)",
 			obj.Name(), pass.Fset.Position(site.Pos()))
 	})
-	return nil, nil
 }
 
 // accessedObject resolves the operand of &x in an atomic call to the object

@@ -15,10 +15,6 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"geckoftl/internal/analysis/lintutil"
 )
 
@@ -33,17 +29,15 @@ error-returning calls) are exempt. Suppress a deliberate drain-to-completion
 loop with //geckolint:ignore ctxcheck <reason>.`
 
 // Analyzer is the ctxcheck analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name:     "ctxcheck",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lintutil.Analyzer{
+	Name: "ctxcheck",
+	Doc:  doc,
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
+func run(pass *lintutil.Pass) {
 	nodeFilter := []ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}
-	insp.Preorder(nodeFilter, func(n ast.Node) {
+	pass.Preorder(nodeFilter, func(n ast.Node) {
 		var ftype *ast.FuncType
 		var body *ast.BlockStmt
 		switch fn := n.(type) {
@@ -61,12 +55,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 		checkBody(pass, body, ctxObj)
 	})
-	return nil, nil
 }
 
 // contextParam returns the object of the function's context.Context
 // parameter, or nil if the function takes none (or discards it as _).
-func contextParam(pass *analysis.Pass, ftype *ast.FuncType) types.Object {
+func contextParam(pass *lintutil.Pass, ftype *ast.FuncType) types.Object {
 	if ftype == nil || ftype.Params == nil {
 		return nil
 	}
@@ -89,11 +82,11 @@ func contextParam(pass *analysis.Pass, ftype *ast.FuncType) types.Object {
 
 // checkBody flags each loop in body that makes fallible calls without
 // consulting ctx. Function literals that declare their own context
-// parameter are skipped (the inspector analyzes them as their own nodes
+// parameter are skipped (run visits them as nodes of their own,
 // against that parameter); literals that merely capture ctx — the engine's
 // per-shard goroutines, where the PR 5 bug actually lived — are traversed
 // against the captured object.
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt, ctx types.Object) {
+func checkBody(pass *lintutil.Pass, body *ast.BlockStmt, ctx types.Object) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch loop := n.(type) {
 		case *ast.FuncLit:
@@ -107,7 +100,7 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt, ctx types.Object) {
 	})
 }
 
-func checkLoop(pass *analysis.Pass, loop analysis.Range, body *ast.BlockStmt, ctx types.Object) {
+func checkLoop(pass *lintutil.Pass, loop ast.Node, body *ast.BlockStmt, ctx types.Object) {
 	if body == nil {
 		return
 	}
@@ -117,7 +110,7 @@ func checkLoop(pass *analysis.Pass, loop analysis.Range, body *ast.BlockStmt, ct
 	if !hasFallibleCall(pass, body) {
 		return
 	}
-	lintutil.Report(pass, "ctxcheck", loop,
+	pass.Reportf(loop,
 		"loop performs fallible per-item work but never consults %s; check %s.Err() (or pass %s) each iteration so cancellation stops the batch at an operation boundary",
 		ctx.Name(), ctx.Name(), ctx.Name())
 }
@@ -126,7 +119,7 @@ func checkLoop(pass *analysis.Pass, loop analysis.Range, body *ast.BlockStmt, ct
 // (or last tuple element) is an error — the per-item work a cancelled batch
 // must not keep doing. Function literals declared inside the body count too:
 // work deferred into a closure is still work.
-func hasFallibleCall(pass *analysis.Pass, body *ast.BlockStmt) bool {
+func hasFallibleCall(pass *lintutil.Pass, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {

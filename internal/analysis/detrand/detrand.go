@@ -15,10 +15,6 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"geckoftl/internal/analysis/lintutil"
 )
 
@@ -30,11 +26,10 @@ Constructors (New, NewSource, NewZipf, NewPCG) are allowed — they are how a
 seeded generator is made. Methods on a *rand.Rand are always allowed.`
 
 // Analyzer is the detrand analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name:     "detrand",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lintutil.Analyzer{
+	Name: "detrand",
+	Doc:  doc,
+	Run:  run,
 }
 
 // allowed are the package-level functions that construct or compose seeded
@@ -47,9 +42,8 @@ var allowed = map[string]bool{
 	"NewChaCha8": true,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	insp.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
+func run(pass *lintutil.Pass) {
+	pass.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
 		call := n.(*ast.CallExpr)
 		if lintutil.IsTestFile(pass, call.Pos()) {
 			return
@@ -68,9 +62,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if allowed[fn.Name()] {
 			return
 		}
-		lintutil.Report(pass, "detrand", call,
+		pass.Reportf(call,
 			"global %s.%s draws from the shared unseeded source, breaking seed-replayability; thread a seeded *rand.Rand instead",
 			path, fn.Name())
 	})
-	return nil, nil
 }

@@ -19,10 +19,6 @@ import (
 	"strings"
 	"unicode/utf8"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"geckoftl/internal/analysis/lintutil"
 )
 
@@ -35,26 +31,24 @@ route them through wrapErr (or an explicit %w wrap) to classify them under
 the public taxonomy.`
 
 // Analyzer is the errwrap analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name:     "errwrap",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lintutil.Analyzer{
+	Name: "errwrap",
+	Doc:  doc,
+	Run:  run,
 }
 
 // publicPkg is the import path of the package whose exported surface rule 2
 // seals. Kept a variable for the fixture tests.
 var publicPkg = "geckoftl"
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
+func run(pass *lintutil.Pass) {
 
-	insp.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
+	pass.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
 		checkErrorf(pass, n.(*ast.CallExpr))
 	})
 
 	if pass.Pkg.Path() == publicPkg {
-		insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
+		pass.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 			fn := n.(*ast.FuncDecl)
 			if fn.Body == nil || !fn.Name.IsExported() || lintutil.IsTestFile(pass, fn.Pos()) {
 				return
@@ -62,12 +56,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			checkBoundary(pass, fn)
 		})
 	}
-	return nil, nil
 }
 
 // checkErrorf verifies that every error operand of a fmt.Errorf call with a
 // constant format string is matched to a %w verb.
-func checkErrorf(pass *analysis.Pass, call *ast.CallExpr) {
+func checkErrorf(pass *lintutil.Pass, call *ast.CallExpr) {
 	fn := lintutil.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" {
 		return
@@ -95,14 +88,14 @@ func checkErrorf(pass *analysis.Pass, call *ast.CallExpr) {
 		if t == nil || !lintutil.IsErrorType(t) {
 			continue
 		}
-		lintutil.Report(pass, "errwrap", args[i],
+		pass.Reportf(args[i],
 			"error formatted with %%%c loses its chain for errors.Is/As; use %%w (the PR 4 taxonomy bug class)", verb)
 	}
 }
 
 // checkBoundary flags return statements in exported root-package functions
 // whose error results come straight from a geckoftl/internal call.
-func checkBoundary(pass *analysis.Pass, fn *ast.FuncDecl) {
+func checkBoundary(pass *lintutil.Pass, fn *ast.FuncDecl) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
@@ -126,7 +119,7 @@ func checkBoundary(pass *analysis.Pass, fn *ast.FuncDecl) {
 			if !returnsError(pass, call) {
 				continue
 			}
-			lintutil.Report(pass, "errwrap", res,
+			pass.Reportf(res,
 				"%s's error crosses the public API unwrapped; classify it under the taxonomy first (wrapErr or fmt.Errorf with %%w)",
 				callee.Name())
 		}
@@ -136,7 +129,7 @@ func checkBoundary(pass *analysis.Pass, fn *ast.FuncDecl) {
 
 // returnsError reports whether the call produces an error: a single error
 // result or a tuple whose last element is one.
-func returnsError(pass *analysis.Pass, call *ast.CallExpr) bool {
+func returnsError(pass *lintutil.Pass, call *ast.CallExpr) bool {
 	switch t := pass.TypesInfo.TypeOf(call).(type) {
 	case *types.Tuple:
 		return t.Len() > 0 && lintutil.IsErrorType(t.At(t.Len()-1).Type())
@@ -145,7 +138,7 @@ func returnsError(pass *analysis.Pass, call *ast.CallExpr) bool {
 	}
 }
 
-func constantString(pass *analysis.Pass, expr ast.Expr) (string, bool) {
+func constantString(pass *lintutil.Pass, expr ast.Expr) (string, bool) {
 	tv, ok := pass.TypesInfo.Types[expr]
 	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 		return "", false

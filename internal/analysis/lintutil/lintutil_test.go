@@ -1,21 +1,26 @@
 package lintutil_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
 	"testing"
 
+	"geckoftl/internal/analysis/atest"
+	"geckoftl/internal/analysis/detrand"
 	"geckoftl/internal/analysis/lintutil"
 )
 
-// posOnLine returns a position on the given 1-based line of the file.
-func posOnLine(fset *token.FileSet, line int) token.Pos {
-	var p token.Pos
-	fset.Iterate(func(f *token.File) bool {
-		p = f.LineStart(line)
-		return false
-	})
-	return p
+// reportAt is a rule that files one finding at the start of each given line
+// of the package's first file.
+func reportAt(name string, lines ...int) *lintutil.Analyzer {
+	return &lintutil.Analyzer{Name: name, Doc: "reports where it is told to", Run: func(pass *lintutil.Pass) {
+		tf := pass.Fset.File(pass.Files[0].Pos())
+		for _, line := range lines {
+			pass.Reportf(&ast.Ident{NamePos: tf.LineStart(line)}, "finding")
+		}
+	}}
 }
 
 const multilineSrc = `package p
@@ -44,16 +49,26 @@ func TestIgnoredInStatementScope(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if !lintutil.IgnoredIn(fset, f, posOnLine(fset, 7), "detrand") {
-		t.Error("waiver above the statement should cover a diagnostic on its third line")
+	pkg, _ := lintutil.Check(fset, "p", []*ast.File{f}, nil) // pick and g are undefined, and beside the point
+	got := lintutil.Run([]*lintutil.Package{pkg}, []*lintutil.Analyzer{
+		reportAt("detrand", 5, 7, 12),
+		reportAt("maporder", 7),
+	})
+	// Waived: detrand on the statement's first and third line. Not waived:
+	// another analyzer on the same line, and detrand in a different
+	// function's statements.
+	want := []lintutil.Finding{
+		{File: "x.go", Line: 7, Col: 1, Analyzer: "maporder", Message: "finding"},
+		{File: "x.go", Line: 12, Col: 1, Analyzer: "detrand", Message: "finding"},
 	}
-	if !lintutil.IgnoredIn(fset, f, posOnLine(fset, 5), "detrand") {
-		t.Error("waiver should cover the statement's first line too")
+	if !slices.Equal(got, want) {
+		t.Errorf("findings = %+v, want %+v", got, want)
 	}
-	if lintutil.IgnoredIn(fset, f, posOnLine(fset, 7), "maporder") {
-		t.Error("waiver names detrand only; it must not widen to other analyzers")
-	}
-	if lintutil.IgnoredIn(fset, f, posOnLine(fset, 12), "detrand") {
-		t.Error("waiver must not leak into a different function's statements")
-	}
+}
+
+// TestWaiverAudit runs the fixture of waivers that break the promise
+// docs/analysis.md makes of one — no reason, no such rule, nothing to
+// suppress — beside one that keeps it and stays silent.
+func TestWaiverAudit(t *testing.T) {
+	atest.Run(t, "testdata", detrand.Analyzer, "waivers")
 }

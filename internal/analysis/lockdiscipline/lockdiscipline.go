@@ -18,10 +18,6 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"geckoftl/internal/analysis/lintutil"
 )
 
@@ -34,16 +30,14 @@ holds it), and functions that lock a mutex on some path without any matching
 unlock of the same expression.`
 
 // Analyzer is the lockdiscipline analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name:     "lockdiscipline",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lintutil.Analyzer{
+	Name: "lockdiscipline",
+	Doc:  doc,
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
+func run(pass *lintutil.Pass) {
+	pass.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fn := n.(*ast.FuncDecl)
 		checkSignatureCopies(pass, fn)
 		if fn.Body == nil {
@@ -52,15 +46,14 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		checkLockedSuffix(pass, fn)
 		checkPairing(pass, fn)
 	})
-	insp.Preorder([]ast.Node{(*ast.RangeStmt)(nil)}, func(n ast.Node) {
+	pass.Preorder([]ast.Node{(*ast.RangeStmt)(nil)}, func(n ast.Node) {
 		checkRangeCopy(pass, n.(*ast.RangeStmt))
 	})
-	return nil, nil
 }
 
 // checkSignatureCopies flags by-value receivers, parameters and results
 // whose types contain a sync primitive.
-func checkSignatureCopies(pass *analysis.Pass, fn *ast.FuncDecl) {
+func checkSignatureCopies(pass *lintutil.Pass, fn *ast.FuncDecl) {
 	check := func(fields *ast.FieldList, what string) {
 		if fields == nil {
 			return
@@ -74,7 +67,7 @@ func checkSignatureCopies(pass *analysis.Pass, fn *ast.FuncDecl) {
 				continue
 			}
 			if prim := lockPrimitive(t, nil); prim != "" {
-				lintutil.Report(pass, "lockdiscipline", field,
+				pass.Reportf(field,
 					"%s of %s passes %s by value, copying its %s; use a pointer",
 					what, fn.Name.Name, typeLabel(t), prim)
 			}
@@ -88,7 +81,7 @@ func checkSignatureCopies(pass *analysis.Pass, fn *ast.FuncDecl) {
 // checkRangeCopy flags `for _, x := range xs` where the element type
 // contains a sync primitive and is not a pointer: each iteration copies the
 // lock into x.
-func checkRangeCopy(pass *analysis.Pass, rng *ast.RangeStmt) {
+func checkRangeCopy(pass *lintutil.Pass, rng *ast.RangeStmt) {
 	if rng.Value == nil {
 		return
 	}
@@ -103,14 +96,14 @@ func checkRangeCopy(pass *analysis.Pass, rng *ast.RangeStmt) {
 		return
 	}
 	if prim := lockPrimitive(t, nil); prim != "" {
-		lintutil.Report(pass, "lockdiscipline", rng.Value,
+		pass.Reportf(rng.Value,
 			"range copies %s by value, copying its %s; range over indices or pointers",
 			typeLabel(t), prim)
 	}
 }
 
 // checkLockedSuffix flags recv.mu.Lock()/RLock() inside a ...Locked method.
-func checkLockedSuffix(pass *analysis.Pass, fn *ast.FuncDecl) {
+func checkLockedSuffix(pass *lintutil.Pass, fn *ast.FuncDecl) {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 || len(fn.Recv.List[0].Names) == 0 {
 		return
 	}
@@ -138,7 +131,7 @@ func checkLockedSuffix(pass *analysis.Pass, fn *ast.FuncDecl) {
 		if !lintutil.UsesObject(pass.TypesInfo, sel.X, recv) {
 			return true
 		}
-		lintutil.Report(pass, "lockdiscipline", call,
+		pass.Reportf(call,
 			"%s is documented as called-with-lock-held (the Locked suffix) but %ss its own receiver's mutex: self-deadlock",
 			name, kind)
 		return true
@@ -150,7 +143,7 @@ func checkLockedSuffix(pass *analysis.Pass, fn *ast.FuncDecl) {
 // or direct). This is a per-function heuristic, not a path-sensitive proof:
 // it catches the forgotten-unlock shape without chasing interprocedural
 // handoffs.
-func checkPairing(pass *analysis.Pass, fn *ast.FuncDecl) {
+func checkPairing(pass *lintutil.Pass, fn *ast.FuncDecl) {
 	locks := map[string]*ast.CallExpr{}  // expr text -> first Lock call
 	unlocks := map[string]bool{}         // expr text -> has Unlock
 	rlocks := map[string]*ast.CallExpr{} // expr text -> first RLock call
@@ -183,14 +176,14 @@ func checkPairing(pass *analysis.Pass, fn *ast.FuncDecl) {
 	})
 	for key, call := range locks {
 		if !unlocks[key] {
-			lintutil.Report(pass, "lockdiscipline", call,
+			pass.Reportf(call,
 				"%s.Lock() has no matching %s.Unlock() in this function; unlock on every path (defer), or annotate a deliberate handoff",
 				key, key)
 		}
 	}
 	for key, call := range rlocks {
 		if !runlocks[key] {
-			lintutil.Report(pass, "lockdiscipline", call,
+			pass.Reportf(call,
 				"%s.RLock() has no matching %s.RUnlock() in this function; unlock on every path (defer), or annotate a deliberate handoff",
 				key, key)
 		}
@@ -199,7 +192,7 @@ func checkPairing(pass *analysis.Pass, fn *ast.FuncDecl) {
 
 // lockCallKind classifies a call as Lock/Unlock/RLock/RUnlock on a
 // sync.Mutex or sync.RWMutex, or "" otherwise.
-func lockCallKind(pass *analysis.Pass, call *ast.CallExpr) string {
+func lockCallKind(pass *lintutil.Pass, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return ""

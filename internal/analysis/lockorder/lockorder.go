@@ -36,10 +36,6 @@ import (
 	"go/types"
 	"sort"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"geckoftl/internal/analysis/lintutil"
 )
 
@@ -51,11 +47,10 @@ classes acquired in both orders, plus nested acquisitions of the same class.
 Either shape is a latent deadlock under the right interleaving.`
 
 // Analyzer is the lockorder analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name:     "lockorder",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lintutil.Analyzer{
+	Name: "lockorder",
+	Doc:  doc,
+	Run:  run,
 }
 
 // edge is the first-seen site of an acquisition of to while from was held.
@@ -64,10 +59,9 @@ type edge struct {
 	other token.Pos // where from was acquired
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *lintutil.Pass) {
 	g := map[string]map[string]edge{}
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
+	pass.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fn := n.(*ast.FuncDecl)
 		if fn.Body == nil {
 			return
@@ -75,7 +69,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		scanScope(pass, fn.Body, g)
 	})
 	report(pass, g)
-	return nil, nil
 }
 
 // event is one lock-affecting call, replayed in source order.
@@ -90,7 +83,7 @@ type event struct {
 // acquisition edges into g. Nested function literals are scanned as fresh
 // scopes (their bodies run with nothing held by this frame — if they run at
 // all, it is on another goroutine or after a handoff).
-func scanScope(pass *analysis.Pass, body ast.Node, g map[string]map[string]edge) {
+func scanScope(pass *lintutil.Pass, body ast.Node, g map[string]map[string]edge) {
 	var events []event
 	var nested []ast.Node
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -167,7 +160,7 @@ func addEdge(g map[string]map[string]edge, from, to string, pos, fromPos token.P
 
 // report walks the completed graph deterministically and files diagnostics
 // for self-edges and inverted pairs.
-func report(pass *analysis.Pass, g map[string]map[string]edge) {
+func report(pass *lintutil.Pass, g map[string]map[string]edge) {
 	froms := make([]string, 0, len(g))
 	for from := range g {
 		froms = append(froms, from)
@@ -182,7 +175,7 @@ func report(pass *analysis.Pass, g map[string]map[string]edge) {
 		for _, to := range tos {
 			e := g[from][to]
 			if from == to {
-				lintutil.Report(pass, "lockorder", posRange(e.pos),
+				pass.Reportf(posRange(e.pos),
 					"%s acquired while another %s is already held (acquired at %s): nested same-class locking deadlocks unless instance order is fixed",
 					from, from, pass.Fset.Position(e.other))
 				continue
@@ -191,14 +184,14 @@ func report(pass *analysis.Pass, g map[string]map[string]edge) {
 			if !inverted || from > to {
 				continue // report each pair once, at the lexicographically smaller from
 			}
-			lintutil.Report(pass, "lockorder", posRange(back.pos),
+			pass.Reportf(posRange(back.pos),
 				"%s acquired while holding %s, but %s is acquired while holding %s at %s: inconsistent lock order",
 				from, to, to, from, pass.Fset.Position(e.pos))
 		}
 	}
 }
 
-// posRange adapts a single position to analysis.Range.
+// posRange adapts a single position to an ast.Node.
 type posRange token.Pos
 
 func (p posRange) Pos() token.Pos { return token.Pos(p) }
@@ -206,7 +199,7 @@ func (p posRange) End() token.Pos { return token.Pos(p) }
 
 // lockCallKind classifies a call as Lock/Unlock/RLock/RUnlock on a
 // sync.Mutex or sync.RWMutex, or "" otherwise.
-func lockCallKind(pass *analysis.Pass, call *ast.CallExpr) string {
+func lockCallKind(pass *lintutil.Pass, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return ""

@@ -18,10 +18,6 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"geckoftl/internal/analysis/lintutil"
 )
 
@@ -35,33 +31,26 @@ result, or pin a total tie-break instead. Deliberately unordered collection
 can be waived with //geckolint:ignore maporder <reason>.`
 
 // Analyzer is the maporder analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name:     "maporder",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lintutil.Analyzer{
+	Name: "maporder",
+	Doc:  doc,
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
+func run(pass *lintutil.Pass) {
 	// Walk with stacks so each map-range loop knows its enclosing function
 	// body (needed to look for a sort after the loop).
-	insp.WithStack([]ast.Node{(*ast.RangeStmt)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return true
-		}
+	pass.WithStack([]ast.Node{(*ast.RangeStmt)(nil)}, func(n ast.Node, stack []ast.Node) {
 		rng := n.(*ast.RangeStmt)
 		t := pass.TypesInfo.TypeOf(rng.X)
 		if t == nil {
-			return true
+			return
 		}
 		if _, ok := t.Underlying().(*types.Map); !ok {
-			return true
+			return
 		}
 		checkMapRange(pass, rng, enclosingFuncBody(stack))
-		return true
 	})
-	return nil, nil
 }
 
 // enclosingFuncBody returns the body of the innermost function on the stack.
@@ -77,7 +66,7 @@ func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
 	return nil
 }
 
-func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, fnBody *ast.BlockStmt) {
+func checkMapRange(pass *lintutil.Pass, rng *ast.RangeStmt, fnBody *ast.BlockStmt) {
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -96,7 +85,7 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, fnBody *ast.BlockStm
 // checkAppend flags `s = append(s, ...)` inside a map range when s is
 // declared outside the loop and never sorted later in the same function:
 // the slice's element order is the map's random iteration order.
-func checkAppend(pass *analysis.Pass, rng *ast.RangeStmt, fnBody *ast.BlockStmt, assign *ast.AssignStmt) {
+func checkAppend(pass *lintutil.Pass, rng *ast.RangeStmt, fnBody *ast.BlockStmt, assign *ast.AssignStmt) {
 	if len(assign.Lhs) != len(assign.Rhs) {
 		return
 	}
@@ -115,7 +104,7 @@ func checkAppend(pass *analysis.Pass, rng *ast.RangeStmt, fnBody *ast.BlockStmt,
 		if sortedAfter(pass, fnBody, rng, obj) {
 			continue
 		}
-		lintutil.Report(pass, "maporder", assign,
+		pass.Reportf(assign,
 			"%s is appended to in map-iteration order and never sorted in this function; map order is randomized, so the result is nondeterministic — sort %s (or iterate sorted keys)",
 			obj.Name(), obj.Name())
 	}
@@ -129,7 +118,7 @@ func checkAppend(pass *analysis.Pass, rng *ast.RangeStmt, fnBody *ast.BlockStmt,
 // the compared expression, so a tie assigns an equal value and the result is
 // order-independent. The order-dependent shape is argmax — remembering the
 // key, or a composite the comparison only partially orders.
-func checkMinMax(pass *analysis.Pass, rng *ast.RangeStmt, ifStmt *ast.IfStmt) {
+func checkMinMax(pass *lintutil.Pass, rng *ast.RangeStmt, ifStmt *ast.IfStmt) {
 	if !hasOrderingComparison(ifStmt.Cond) {
 		return
 	}
@@ -150,7 +139,7 @@ func checkMinMax(pass *analysis.Pass, rng *ast.RangeStmt, ifStmt *ast.IfStmt) {
 			if compared[exprText(pass.Fset, assign.Rhs[i])] && !usesRangeKey(pass, rng, assign.Rhs[i]) {
 				continue // value-max: ties assign equal values
 			}
-			lintutil.Report(pass, "maporder", ifStmt,
+			pass.Reportf(ifStmt,
 				"min/max selection of %s over map iteration is nondeterministic on ties; iterate sorted keys or pin a total tie-break (the PR 5 victim-selection bug class)",
 				obj.Name())
 			return
@@ -179,7 +168,7 @@ func comparedOperands(fset *token.FileSet, cond ast.Expr) map[string]bool {
 
 // usesRangeKey reports whether expr mentions the range statement's key
 // variable — remembering which key won is argmax, always order-dependent.
-func usesRangeKey(pass *analysis.Pass, rng *ast.RangeStmt, expr ast.Expr) bool {
+func usesRangeKey(pass *lintutil.Pass, rng *ast.RangeStmt, expr ast.Expr) bool {
 	key, ok := rng.Key.(*ast.Ident)
 	if !ok || key.Name == "_" {
 		return false
@@ -188,14 +177,14 @@ func usesRangeKey(pass *analysis.Pass, rng *ast.RangeStmt, expr ast.Expr) bool {
 }
 
 // checkPrint flags per-element output emitted in map-iteration order.
-func checkPrint(pass *analysis.Pass, rng *ast.RangeStmt, call *ast.CallExpr) {
+func checkPrint(pass *lintutil.Pass, rng *ast.RangeStmt, call *ast.CallExpr) {
 	fn := lintutil.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" {
 		return
 	}
 	switch fn.Name() {
 	case "Print", "Printf", "Println", "Fprint", "Fprintf", "Fprintln":
-		lintutil.Report(pass, "maporder", call,
+		pass.Reportf(call,
 			"fmt.%s inside a map range emits output in randomized map order; iterate sorted keys", fn.Name())
 	}
 }
@@ -233,7 +222,7 @@ func hasOrderingComparison(cond ast.Expr) bool {
 
 // sortedAfter reports whether obj is passed (anywhere in the argument tree)
 // to a sort.* or slices.Sort* call after the loop ends, in the same function.
-func sortedAfter(pass *analysis.Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt, obj types.Object) bool {
+func sortedAfter(pass *lintutil.Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt, obj types.Object) bool {
 	if fnBody == nil {
 		return false
 	}

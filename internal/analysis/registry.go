@@ -8,13 +8,12 @@ package analysis
 import (
 	"fmt"
 
-	goanalysis "golang.org/x/tools/go/analysis"
-
 	"geckoftl/internal/analysis/apiboundary"
 	"geckoftl/internal/analysis/atomicmix"
 	"geckoftl/internal/analysis/ctxcheck"
 	"geckoftl/internal/analysis/detrand"
 	"geckoftl/internal/analysis/errwrap"
+	"geckoftl/internal/analysis/lintutil"
 	"geckoftl/internal/analysis/lockdiscipline"
 	"geckoftl/internal/analysis/lockorder"
 	"geckoftl/internal/analysis/maporder"
@@ -23,7 +22,7 @@ import (
 
 // All returns the full geckolint suite in a stable (alphabetical) order.
 // It panics on an invalid suite; Assemble is the checked variant.
-func All() []*goanalysis.Analyzer {
+func All() []*lintutil.Analyzer {
 	all, err := Assemble()
 	if err != nil {
 		panic(err)
@@ -32,11 +31,11 @@ func All() []*goanalysis.Analyzer {
 }
 
 // Assemble builds and validates the suite: analyzer names must be unique
-// (go vet keys diagnostics and -flag namespaces by name, so a collision
-// silently merges two rules) and listed in alphabetical order, keeping
-// diagnostics grouped consistently in CI logs across refactors.
-func Assemble() ([]*goanalysis.Analyzer, error) {
-	all := []*goanalysis.Analyzer{
+// (findings and waivers cite a rule by name, so a collision silently merges
+// two rules) and listed in alphabetical order, keeping the registry
+// reviewable across refactors.
+func Assemble() ([]*lintutil.Analyzer, error) {
+	all := []*lintutil.Analyzer{
 		apiboundary.Analyzer,
 		atomicmix.Analyzer,
 		ctxcheck.Analyzer,
@@ -55,7 +54,7 @@ func Assemble() ([]*goanalysis.Analyzer, error) {
 
 // Check enforces the registry invariants on a candidate suite: unique
 // analyzer names and alphabetical order.
-func Check(all []*goanalysis.Analyzer) error {
+func Check(all []*lintutil.Analyzer) error {
 	seen := map[string]bool{}
 	for i, a := range all {
 		if seen[a.Name] {

@@ -34,10 +34,6 @@ import (
 	"go/types"
 	"sort"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"geckoftl/internal/analysis/lintutil"
 )
 
@@ -49,16 +45,14 @@ off (passed to a call, stored, sent, captured, or returned). A path that
 drops it leaves the waiter blocked forever.`
 
 // Analyzer is the ticketcomplete analyzer.
-var Analyzer = &analysis.Analyzer{
-	Name:     "ticketcomplete",
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lintutil.Analyzer{
+	Name: "ticketcomplete",
+	Doc:  doc,
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}, func(n ast.Node) {
+func run(pass *lintutil.Pass) {
+	pass.Preorder([]ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}, func(n ast.Node) {
 		var body *ast.BlockStmt
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
@@ -77,7 +71,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 		w.report()
 	})
-	return nil, nil
 }
 
 // isTicketType reports whether t (pointers dereferenced) is a named struct
@@ -106,7 +99,7 @@ func isTicketType(t types.Type) bool {
 
 // walker carries the per-function analysis state.
 type walker struct {
-	pass  *analysis.Pass
+	pass  *lintutil.Pass
 	leaks map[types.Object]token.Pos // ticket var -> creation site, first leak only
 }
 
@@ -131,7 +124,7 @@ func (w *walker) report() {
 	}
 	sort.Slice(fs, func(i, j int) bool { return fs[i].pos < fs[j].pos })
 	for _, f := range fs {
-		lintutil.Report(w.pass, "ticketcomplete", posRange(f.pos),
+		w.pass.Reportf(posRange(f.pos),
 			"ticket %s is neither completed (close/field assignment) nor handed off on every return path: a waiter on it blocks forever",
 			f.obj.Name())
 	}
@@ -482,7 +475,7 @@ func clearAndCopy(dst, src map[types.Object]token.Pos) {
 	}
 }
 
-// posRange adapts a single position to analysis.Range.
+// posRange adapts a single position to an ast.Node.
 type posRange token.Pos
 
 func (p posRange) Pos() token.Pos { return token.Pos(p) }

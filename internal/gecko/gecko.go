@@ -219,7 +219,7 @@ func (g *Gecko) flushBuffer() error {
 		return nil
 	}
 	g.stats.Flushes++
-	r, err := g.writeRun(entries)
+	r, err := g.writeRun(entries, nil)
 	if err != nil {
 		return err
 	}
@@ -228,8 +228,12 @@ func (g *Gecko) flushBuffer() error {
 }
 
 // writeRun persists a sorted slab of entries as a new run, which takes
-// ownership of the slab, and returns it.
-func (g *Gecko) writeRun(entries slab) (*run, error) {
+// ownership of the slab, and returns it. The flash image changes only once
+// the last page is programmed: until then a power failure leaves an
+// incomplete run, which recovery drops in favour of the runs it was to
+// supersede (a merge's inputs), and flash keeps their pages, invalidated or
+// not, until their blocks are erased.
+func (g *Gecko) writeRun(entries slab, supersedes []*run) (*run, error) {
 	pages := splitIntoPages(entries, g.cfg.EntriesPerPage())
 	g.seq++
 	r := &run{
@@ -247,7 +251,16 @@ func (g *Gecko) writeRun(entries slab) (*run, error) {
 			return nil, fmt.Errorf("gecko: writing run %d page %d: %w", r.id, i, err)
 		}
 		p.ppn = ppn
-		g.pageContent[ppn] = p.slab
+	}
+	// In this order: a store short of space may have erased a superseded
+	// run's block and programmed one of these pages at the same address.
+	for _, old := range supersedes {
+		for i := range old.pages {
+			delete(g.pageContent, old.pages[i].ppn)
+		}
+	}
+	for i := range r.pages {
+		g.pageContent[r.pages[i].ppn] = r.pages[i].slab
 	}
 	return r, nil
 }
@@ -360,14 +373,15 @@ func (g *Gecko) mergeRuns(inputs []*run) (*run, error) {
 			if err := g.store.Invalidate(r.pages[i].ppn); err != nil {
 				return nil, fmt.Errorf("gecko: invalidating run %d: %w", r.id, err)
 			}
-			delete(g.pageContent, r.pages[i].ppn)
 		}
 	}
 
+	// Only inputs without entries, and so without pages, merge to nothing:
+	// the newest entry of every key survives, erase entries included.
 	if len(merged.ents) == 0 {
 		return nil, nil
 	}
-	return g.writeRun(merged)
+	return g.writeRun(merged, inputs)
 }
 
 // cursor walks one input run's entries in key order, page by page.

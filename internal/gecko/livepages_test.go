@@ -70,3 +70,32 @@ func TestRelocatePreservesQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeOutputReusingInputBlockStaysLive fills a store of four 4-page
+// blocks with 4-page runs, so that a merge's output is programmed into the
+// block of an input the same merge has just invalidated. The output's pages,
+// not the input's, must own those addresses afterwards.
+func TestMergeOutputReusingInputBlockStaysLive(t *testing.T) {
+	h := newHarness(t, 1024, 4, 256, 4, nil)
+	next := flash.BlockID(0)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 4*h.cfg.EntriesPerPage(); i++ {
+			if err := h.g.Update(flash.Addr{Block: next}); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		if err := h.g.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ppn := range h.g.LivePages() {
+			if !h.g.IsLive(ppn) {
+				t.Fatalf("round %d: live page %d has no content", round, ppn)
+			}
+		}
+	}
+	h.g.CrashRAM()
+	if err := h.g.RecoverDirectories(); err != nil {
+		t.Fatal(err)
+	}
+}

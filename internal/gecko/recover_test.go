@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"geckoftl/internal/bitmap"
 	"geckoftl/internal/flash"
 	"geckoftl/internal/metastore"
 )
@@ -201,3 +202,106 @@ func (s nonListingStore) ReadSpare(ppn flash.PPN) (flash.SpareArea, bool, error)
 	return s.inner.ReadSpare(ppn)
 }
 func (s nonListingStore) Invalidate(ppn flash.PPN) error { return s.inner.Invalidate(ppn) }
+
+// cutStore loses power after a set number of page programs: the Append that
+// would follow fails, as one between two pages of a run does on a device
+// whose rail drops.
+type cutStore struct {
+	*metastore.BlockStore
+	appendsLeft int // negative: power stays on
+}
+
+func (s *cutStore) Append(spare flash.SpareArea) (flash.PPN, error) {
+	if s.appendsLeft == 0 {
+		return flash.InvalidPPN, flash.ErrPowerFailed
+	}
+	if s.appendsLeft > 0 {
+		s.appendsLeft--
+	}
+	return s.BlockStore.Append(spare)
+}
+
+// TestMergeIsCrashAtomic cuts power before the k-th page of a merge's output
+// run, for every k. The incomplete output must be ignored and the inputs —
+// invalidated, but still on flash until their blocks are erased — must
+// answer every query as they did before the merge.
+func TestMergeIsCrashAtomic(t *testing.T) {
+	// Flushing every few hundred operations leaves runs on several levels.
+	mixed := func(t *testing.T, h *testHarness) {
+		for i := int64(0); i < 5; i++ {
+			populate(t, h, nil, 250, 17+i)
+			if err := h.g.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fills := map[string]func(*testing.T, *testHarness){
+		"mixed": mixed,
+		// Every entry of the older runs is cancelled by an erase entry of the
+		// newest one, so the output carries the erase entries alone.
+		"cancelled": func(t *testing.T, h *testHarness) {
+			mixed(t, h)
+			for b := 0; b < h.cfg.Blocks; b++ {
+				if err := h.g.RecordErase(flash.BlockID(b)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+	}
+	for name, fill := range fills {
+		t.Run(name, func(t *testing.T) {
+			for k := 0; ; k++ {
+				// A roomy store, so that no input block is reclaimed while
+				// the output is being written.
+				h := newHarness(t, 64, 16, 256, 128, nil)
+				store := &cutStore{BlockStore: h.store, appendsLeft: -1}
+				var err error
+				if h.g, err = New(h.cfg, store); err != nil {
+					t.Fatal(err)
+				}
+				fill(t, h)
+				if err := h.g.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				want := make([]*bitmap.Bitmap, h.cfg.Blocks)
+				for b := range want {
+					if want[b], err = h.g.Query(flash.BlockID(b)); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				var inputs []*run
+				for level, runs := range h.g.levels {
+					inputs = append(inputs, runs...)
+					h.g.levels[level] = nil
+				}
+				if len(inputs) < 2 {
+					t.Fatalf("test setup: %d runs to merge, want at least 2", len(inputs))
+				}
+				store.appendsLeft = k
+				_, err = h.g.mergeRuns(inputs)
+				store.appendsLeft = -1
+				if err == nil {
+					if k == 0 {
+						t.Fatal("test setup: the merge wrote no page")
+					}
+					return // the whole output was written before the cut
+				}
+
+				h.g.CrashRAM()
+				if err := h.g.RecoverDirectories(); err != nil {
+					t.Fatalf("power cut before output page %d: %v", k, err)
+				}
+				for b := range want {
+					got, err := h.g.Query(flash.BlockID(b))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got.Equal(want[b]) {
+						t.Fatalf("power cut before output page %d: block %d answers %v, before the merge %v", k, b, got.SetBits(), want[b].SetBits())
+					}
+				}
+			}
+		})
+	}
+}
