@@ -733,52 +733,6 @@ func (f *FTL) eraseDeadMetadataBlock(block flash.BlockID) error {
 	return nil
 }
 
-// collectBlock garbage-collects one victim block: it queries the
-// page-validity store for the victim's invalid pages, migrates the remaining
-// valid pages (skipping unidentified invalid pages per Section 4.1), then
-// erases the victim. Metadata blocks (reachable only under the greedy
-// policy) are collected through the liveness information of their owning
-// structure instead of the page-validity store.
-func (f *FTL) collectBlock(victim flash.BlockID) error {
-	f.stats.GCOperations++
-	f.noteVictim(victim)
-	group, allocated := f.bm.GroupOf(victim)
-	if !allocated {
-		return fmt.Errorf("ftl: victim block %d is not allocated", victim)
-	}
-	if group == GroupMeta {
-		return f.collectMetaBlock(victim)
-	}
-
-	invalid, err := f.validity.Query(victim)
-	if err != nil {
-		return err
-	}
-
-	written := f.bm.WritePointer(victim)
-	for offset := 0; offset < written; offset++ {
-		if invalid.Get(offset) {
-			continue
-		}
-		ppn := flash.PPNOf(victim, offset, f.cfg.PagesPerBlock)
-		migrated, err := f.migrateValidPage(ppn, group)
-		if err != nil {
-			return err
-		}
-		if migrated {
-			f.stats.GCMigrations++
-		} else {
-			f.stats.UIPSkips++
-		}
-	}
-
-	if err := f.bm.Erase(victim, flash.PurposeGCErase); err != nil {
-		return err
-	}
-	f.chargeGC(f.cfg.Latency.Erase)
-	return f.validity.RecordErase(victim)
-}
-
 // metaRelocator is implemented by flash-resident page-validity stores whose
 // pages can be moved by the garbage-collector (the flash-resident PVB and the
 // page validity log). Logarithmic Gecko deliberately does not implement it:
@@ -788,27 +742,9 @@ type metaRelocator interface {
 	Relocate(old, new flash.PPN) bool
 }
 
-// collectMetaBlock garbage-collects a metadata block under the greedy
-// policy: live metadata pages (as reported by the owning structure) are
-// copied to a fresh metadata page and the structure's directory is updated.
-func (f *FTL) collectMetaBlock(victim flash.BlockID) error {
-	written := f.bm.WritePointer(victim)
-	for offset := 0; offset < written; offset++ {
-		if _, err := f.migrateMetaPage(victim, offset); err != nil {
-			return err
-		}
-	}
-	if err := f.bm.Erase(victim, flash.PurposeGCErase); err != nil {
-		return err
-	}
-	f.chargeGC(f.cfg.Latency.Erase)
-	return f.validity.RecordErase(victim)
-}
-
 // migrateMetaPage relocates the metadata page at the given offset of a victim
 // if its owning structure reports it live, reporting whether any IO was
-// issued. Both the inline and the incremental collector drain metadata
-// victims through it.
+// issued.
 func (f *FTL) migrateMetaPage(victim flash.BlockID, offset int) (bool, error) {
 	relocator, _ := f.validity.(metaRelocator)
 	ppn := flash.PPNOf(victim, offset, f.cfg.PagesPerBlock)

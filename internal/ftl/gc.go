@@ -27,12 +27,13 @@ const (
 	incrementalGCFloor = 2
 )
 
-// gcState is the incremental scheduler's RAM state: the victim currently
-// being drained, the snapshot of its invalid pages taken at selection, and
-// the drain position. Like all RAM state it does not survive a power
-// failure; an abandoned half-drained victim is safe because every migration
-// decision is re-checked against the mapping cache and translation table
-// (see migrateValidPage).
+// gcState is one victim drain's RAM state: the victim being drained, the
+// snapshot of its invalid pages taken at selection, and the drain position.
+// The incremental scheduler keeps one in FTL.gc across writes; a whole-victim
+// collection (collectBlock) runs one to completion on its stack. Like all RAM
+// state it does not survive a power failure; an abandoned half-drained victim
+// is safe because every migration decision is re-checked against the mapping
+// cache and translation table (see migrateValidPage).
 type gcState struct {
 	// victim is the block being drained, InvalidBlock when idle.
 	victim flash.BlockID
@@ -115,59 +116,17 @@ func (f *FTL) garbageCollectIncremental() error {
 // gcStep performs one bounded unit of garbage-collection work and reports
 // whether there was any to do.
 func (f *FTL) gcStep() (bool, error) {
-	if !f.gc.active() {
-		// Fully-invalid translation and metadata blocks are the cheapest
-		// space there is under the non-greedy policies (Section 4.2): erase
-		// one per step before migrating anything.
-		if !f.opts.VictimPolicy.MigratesMetadata() {
-			if did, err := f.eraseOneFullyInvalidMetadata(); did || err != nil {
-				return did, err
-			}
-		}
-		return f.pickIncrementalVictim()
+	if f.gc.active() {
+		return true, f.drainStep(&f.gc)
 	}
-
-	// Drain: advance to the next page that needs IO. Pages the snapshot
-	// marks invalid are skipped for free.
-	for f.gc.offset < f.gc.written {
-		offset := f.gc.offset
-		f.gc.offset++
-		if f.gc.group == GroupMeta {
-			did, err := f.migrateMetaPage(f.gc.victim, offset)
-			if err != nil {
-				return true, err
-			}
-			if did {
-				return true, nil
-			}
-			continue
+	// Fully-invalid translation and metadata blocks are the cheapest space
+	// there is under the non-greedy policies (Section 4.2): erase one per
+	// step before migrating anything.
+	if !f.opts.VictimPolicy.MigratesMetadata() {
+		if did, err := f.eraseOneFullyInvalidMetadata(); did || err != nil {
+			return did, err
 		}
-		if f.gc.invalid.Get(offset) {
-			continue
-		}
-		ppn := flash.PPNOf(f.gc.victim, offset, f.cfg.PagesPerBlock)
-		migrated, err := f.migrateValidPage(ppn, f.gc.group)
-		if err != nil {
-			return true, err
-		}
-		if migrated {
-			f.stats.GCMigrations++
-		} else {
-			f.stats.UIPSkips++
-		}
-		// Even a skipped page cost a spare read, so it consumed this step.
-		return true, nil
 	}
-	// Fully drained without issuing IO on this step: the erase is this
-	// step's work. (A drain whose last page needed IO reaches here on the
-	// following step, so no step ever charges more than one IO unit.)
-	return true, f.finishVictim()
-}
-
-// pickIncrementalVictim selects the next victim and snapshots its invalid
-// pages. Selecting counts as a step: the page-validity query behind the
-// snapshot is itself IO.
-func (f *FTL) pickIncrementalVictim() (bool, error) {
 	victim, ok := f.bm.PickVictim(f.opts.VictimPolicy, f.table.ProtectedBlocks())
 	if !ok {
 		// Nothing eligible right now (all candidates active or protected);
@@ -175,30 +134,92 @@ func (f *FTL) pickIncrementalVictim() (bool, error) {
 		// fallback reports the real error.
 		return false, nil
 	}
+	// Selecting counts as a step: the page-validity query behind the
+	// snapshot is itself IO.
+	return true, f.beginVictim(&f.gc, victim)
+}
+
+// collectBlock garbage-collects one victim block to completion: the inline
+// collector, wear recycling and read-disturb scrubbing reclaim whole victims.
+// It drains on a state of its own, because the latter two may run while the
+// incremental scheduler holds another victim in f.gc.
+func (f *FTL) collectBlock(victim flash.BlockID) error {
+	var g gcState
+	if err := f.beginVictim(&g, victim); err != nil {
+		return err
+	}
+	for g.active() {
+		if err := f.drainStep(&g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// beginVictim starts a victim's drain in g: the victim is counted and
+// reported to the observer, and the page-validity store is queried for its
+// invalid pages. Metadata blocks (reachable only under the greedy policy) are
+// drained through the liveness information of their owning structure instead
+// of the page-validity store.
+func (f *FTL) beginVictim(g *gcState, victim flash.BlockID) error {
 	group, allocated := f.bm.GroupOf(victim)
 	if !allocated {
-		return false, fmt.Errorf("ftl: victim block %d is not allocated", victim)
+		return fmt.Errorf("ftl: victim block %d is not allocated", victim)
 	}
 	f.stats.GCOperations++
 	f.noteVictim(victim)
-	f.gc = gcState{victim: victim, group: group, written: f.bm.WritePointer(victim)}
+	*g = gcState{victim: victim, group: group, written: f.bm.WritePointer(victim)}
 	if group != GroupMeta {
 		invalid, err := f.validity.Query(victim)
 		if err != nil {
-			return true, err
+			return err
 		}
-		f.gc.invalid = invalid
+		g.invalid = invalid
 	}
-	return true, nil
+	return nil
+}
+
+// drainStep advances g's drain to the next page that needs IO and relocates
+// it (skipping unidentified invalid pages per Section 4.1); pages the
+// snapshot marks invalid are skipped for free. A victim drained without
+// issuing IO is erased instead: the erase is that step's work. (A drain whose
+// last page needed IO reaches the erase on the following step, so no step
+// ever charges more than one IO unit.)
+func (f *FTL) drainStep(g *gcState) error {
+	for g.offset < g.written {
+		offset := g.offset
+		g.offset++
+		if g.group == GroupMeta {
+			if did, err := f.migrateMetaPage(g.victim, offset); did || err != nil {
+				return err
+			}
+			continue
+		}
+		if g.invalid.Get(offset) {
+			continue
+		}
+		migrated, err := f.migrateValidPage(flash.PPNOf(g.victim, offset, f.cfg.PagesPerBlock), g.group)
+		if err != nil {
+			return err
+		}
+		if migrated {
+			f.stats.GCMigrations++
+		} else {
+			// Even a skipped page cost a spare read, so it consumed this step.
+			f.stats.UIPSkips++
+		}
+		return nil
+	}
+	return f.finishVictim(g)
 }
 
 // finishVictim erases the drained victim and retires the drain state. A
 // victim that acquired a protected previous translation-page version
 // mid-drain (possible only for translation blocks under the greedy policy)
 // is left allocated for a future pick after the Gecko buffer flushes.
-func (f *FTL) finishVictim() error {
-	victim := f.gc.victim
-	f.gc = gcState{victim: flash.InvalidBlock}
+func (f *FTL) finishVictim(g *gcState) error {
+	victim := g.victim
+	*g = gcState{victim: flash.InvalidBlock}
 	if f.table.ProtectedBlocks()[victim] {
 		return nil
 	}
