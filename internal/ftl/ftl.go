@@ -268,7 +268,14 @@ func (f *FTL) noteVictim(victim flash.BlockID) {
 
 // Write serves an application update of a logical page (Section 4, "Serving
 // Application Writes").
-func (f *FTL) Write(lpn flash.LPN) error {
+func (f *FTL) Write(lpn flash.LPN) error { return f.remap(lpn, false) }
+
+// remap is the one body of Write and Trim: both point a logical page's cached
+// mapping entry somewhere new — a freshly programmed page, or nowhere — and
+// report the before-image invalid, at once when the cache knows it and lazily
+// (GeckoFTL, Section 4.1) or by an eager translation-page read (the
+// comparison FTLs) when it does not.
+func (f *FTL) remap(lpn flash.LPN, trim bool) error {
 	if lpn < 0 || int64(lpn) >= f.logicalPages {
 		return fmt.Errorf("ftl: logical page %d out of range [0,%d): %w", lpn, f.logicalPages, flash.ErrOutOfRange)
 	}
@@ -278,76 +285,93 @@ func (f *FTL) Write(lpn flash.LPN) error {
 	if !f.dev.Powered() {
 		return flash.ErrPowerFailed
 	}
-	f.stats.LogicalWrites++
+	lookup := flash.PurposeTranslation
+	if trim {
+		f.stats.LogicalTrims++
+		lookup = flash.PurposeTrim
+	} else {
+		f.stats.LogicalWrites++
+	}
 	f.opGCTime, f.opGCSteps = 0, 0
 
-	// Make room before writing so garbage-collection never runs out of
-	// destination pages mid-operation. Under GCIncremental this performs at
-	// most GCPagesPerWrite bounded steps; under GCInline it reclaims whole
-	// victims until the free pool is above the reserve.
+	// Make room first so garbage-collection never runs out of destination
+	// pages mid-operation: a trim allocates no user page, but the
+	// synchronizations either operation can trigger (dirty eviction,
+	// checkpoint, dirty bound) allocate translation pages. Under
+	// GCIncremental this performs at most GCPagesPerWrite bounded steps; under
+	// GCInline it reclaims whole victims until the free pool is above the
+	// reserve.
 	if err := f.garbageCollect(); err != nil {
 		return err
 	}
 
 	cached, isCached := f.cache.Peek(lpn)
-
-	// FTLs without lazy invalid-page identification must know the page's
-	// previous location before overwriting it, which costs a translation
-	// page read on a write miss (the DFTL demand-paging behaviour).
-	var flashPrev flash.PPN = flash.InvalidPPN
-	if !isCached && f.opts.Scheme != SchemeGecko {
-		prev, err := f.table.ReadEntry(lpn, flash.PurposeTranslation)
-		if err != nil {
-			return err
-		}
-		flashPrev = prev
+	if trim && isCached && cached.Physical == flash.InvalidPPN {
+		// Already unmapped (trimmed or never written): nothing to drop. The
+		// entry keeps its flags — a pending UIP identification from an
+		// earlier trim must still run at its next synchronization.
+		f.cache.Put(cached)
+		return nil
 	}
 
-	// Write the new version of the page on the frontier its temperature
-	// selects (the single user frontier without hot/cold separation).
-	temp := f.heat.classify(int64(lpn))
-	if f.heat.enabled {
-		if temp == TempHot {
-			f.stats.HotWrites++
-		} else {
-			f.stats.ColdWrites++
-		}
-	}
-	newPPN, err := f.bm.AllocateUserPage(temp, flash.SpareArea{Logical: lpn}, flash.PurposeUserWrite)
-	if err != nil {
-		return err
-	}
-
-	entry := mapcache.Entry{Logical: lpn, Physical: newPPN, Dirty: true}
+	// The before-image is known from the cache or, for FTLs without lazy
+	// invalid-page identification, costs a translation page read on a miss
+	// (the DFTL demand-paging behaviour). GeckoFTL defers identifying it: the
+	// UIP flag records that an unidentified invalid page may exist (Section
+	// 4.1), and Trimmed attributes its eventual report to the trim.
+	entry := mapcache.Entry{Logical: lpn, Physical: flash.InvalidPPN, Dirty: true}
+	prev := flash.InvalidPPN
 	switch {
 	case isCached:
-		// The before-image is known from the cache: report it invalid
-		// immediately (Section 4.1, "Application Writes").
+		prev = cached.Physical
 		entry.UIP = cached.UIP
 		entry.Uncertain = cached.Uncertain
 		entry.Trimmed = cached.Trimmed
-		if cached.Physical != flash.InvalidPPN && cached.Physical != newPPN {
-			if err := f.reportInvalid(cached.Physical); err != nil {
-				return err
+	case f.opts.Scheme == SchemeGecko:
+		entry.UIP = true
+		entry.Trimmed = trim
+	default:
+		var err error
+		if prev, err = f.table.ReadEntry(lpn, lookup); err != nil {
+			return err
+		}
+	}
+
+	if !trim {
+		// Write the new version of the page on the frontier its temperature
+		// selects (the single user frontier without hot/cold separation).
+		temp := f.heat.classify(int64(lpn))
+		if f.heat.enabled {
+			if temp == TempHot {
+				f.stats.HotWrites++
+			} else {
+				f.stats.ColdWrites++
 			}
+		}
+		var err error
+		entry.Physical, err = f.bm.AllocateUserPage(temp, flash.SpareArea{Logical: lpn}, flash.PurposeUserWrite)
+		if err != nil {
+			return err
+		}
+	}
+
+	// A known before-image is reported invalid immediately (Section 4.1,
+	// "Application Writes"); a trim's also counts toward the trim statistics.
+	if prev != flash.InvalidPPN && prev != entry.Physical {
+		var err error
+		if trim {
+			err = f.reportTrimmed(prev)
+		} else {
+			err = f.reportInvalid(prev)
+		}
+		if err != nil {
+			return err
+		}
+		if isCached {
 			f.dropIdentifiedUIP(cached, &entry)
 		}
-		if !cached.Dirty {
-			f.dirtyCount++
-		}
-	case f.opts.Scheme == SchemeGecko:
-		// GeckoFTL defers identifying the flash-resident before-image: the
-		// UIP flag records that an unidentified invalid page exists
-		// (Section 4.1).
-		entry.UIP = true
-		f.dirtyCount++
-	default:
-		// The before-image was fetched from the translation table above.
-		if flashPrev != flash.InvalidPPN {
-			if err := f.reportInvalid(flashPrev); err != nil {
-				return err
-			}
-		}
+	}
+	if !isCached || !cached.Dirty {
 		f.dirtyCount++
 	}
 
@@ -359,6 +383,9 @@ func (f *FTL) Write(lpn flash.LPN) error {
 	}
 	if err := f.enforceDirtyBound(); err != nil {
 		return err
+	}
+	if trim {
+		return nil
 	}
 	return f.wearLevelIfNeeded()
 }

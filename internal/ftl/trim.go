@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"geckoftl/internal/flash"
-	"geckoftl/internal/mapcache"
 )
 
 // Trim serves a host trim (discard) of a logical page: the page's contents
@@ -26,81 +25,12 @@ import (
 // been synchronized (Flush forces this): a trim followed immediately by a
 // power failure may come back mapped after recovery, which matches the
 // contract of a real device's non-flushed TRIM.
-func (f *FTL) Trim(lpn flash.LPN) error {
-	if lpn < 0 || int64(lpn) >= f.logicalPages {
-		return fmt.Errorf("ftl: logical page %d out of range [0,%d): %w", lpn, f.logicalPages, flash.ErrOutOfRange)
-	}
-	if !f.dev.Powered() {
-		return flash.ErrPowerFailed
-	}
-	f.stats.LogicalTrims++
-	f.opGCTime, f.opGCSteps = 0, 0
-
-	// Trims allocate no user page, but the synchronizations they can trigger
-	// (dirty eviction, checkpoint, dirty bound) do allocate translation
-	// pages; keep the free pool above the reserve exactly as Write does.
-	if err := f.garbageCollect(); err != nil {
-		return err
-	}
-
-	cached, isCached := f.cache.Peek(lpn)
-	if isCached && cached.Physical == flash.InvalidPPN {
-		// Already unmapped (trimmed or never written): nothing to drop. The
-		// entry keeps its flags — a pending UIP identification from an
-		// earlier trim must still run at its next synchronization.
-		f.cache.Put(cached)
-		return nil
-	}
-
-	entry := mapcache.Entry{Logical: lpn, Physical: flash.InvalidPPN, Dirty: true}
-	switch {
-	case isCached:
-		// The before-image is known from the cache: report it invalid
-		// immediately, as the write path does.
-		if err := f.reportTrimmed(cached.Physical); err != nil {
-			return err
-		}
-		entry.UIP = cached.UIP
-		entry.Uncertain = cached.Uncertain
-		entry.Trimmed = cached.Trimmed
-		f.dropIdentifiedUIP(cached, &entry)
-		if !cached.Dirty {
-			f.dirtyCount++
-		}
-	case f.opts.Scheme == SchemeGecko:
-		// Lazy invalid-page identification: defer looking up the flash
-		// before-image. Trimmed attributes the eventual report to this trim.
-		entry.UIP = true
-		entry.Trimmed = true
-		f.dirtyCount++
-	default:
-		// Eager identification, like the comparison FTLs' write-miss path.
-		prev, err := f.table.ReadEntry(lpn, flash.PurposeTrim)
-		if err != nil {
-			return err
-		}
-		if err := f.reportTrimmed(prev); err != nil {
-			return err
-		}
-		f.dirtyCount++
-	}
-
-	if err := f.putCacheEntry(entry); err != nil {
-		return err
-	}
-	if err := f.maybeCheckpoint(); err != nil {
-		return err
-	}
-	return f.enforceDirtyBound()
-}
+func (f *FTL) Trim(lpn flash.LPN) error { return f.remap(lpn, true) }
 
 // reportTrimmed reports a page invalidated by a host trim: the regular
 // invalid-page report plus the device's invalidation counter and the trim
-// statistics. A trim of an unmapped page (InvalidPPN) is a no-op.
+// statistics.
 func (f *FTL) reportTrimmed(ppn flash.PPN) error {
-	if ppn == flash.InvalidPPN {
-		return nil
-	}
 	if err := f.reportInvalid(ppn); err != nil {
 		return err
 	}
