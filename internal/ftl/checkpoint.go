@@ -504,7 +504,7 @@ func (f *FTL) importShardCheckpoint(sc *shardCheckpoint) error {
 	}
 	f.dev.PowerOn()
 	if err := f.verifyShardCheckpoint(sc); err != nil {
-		f.recrash()
+		f.crash()
 		return err
 	}
 
@@ -523,7 +523,7 @@ func (f *FTL) importShardCheckpoint(sc *shardCheckpoint) error {
 	}
 
 	if err := f.lg.ImportDirectories(sc.runs); err != nil {
-		f.recrash()
+		f.crash()
 		return fmt.Errorf("%w: %w", checkpoint.ErrInvalid, err)
 	}
 
@@ -542,25 +542,6 @@ func (f *FTL) importShardCheckpoint(sc *shardCheckpoint) error {
 		copy(f.heat.last, sc.heatLast)
 	}
 	return nil
-}
-
-// recrash returns the shard to the crashed state after a failed import:
-// power off, all RAM state dropped, exactly as PowerFail leaves it (minus
-// the battery flush, which checkpointing excludes by construction).
-func (f *FTL) recrash() {
-	f.dev.PowerFail()
-	f.cache.Clear()
-	f.dirtyCount = 0
-	f.crashGC()
-	f.table.CrashRAM()
-	f.bm.CrashRAM()
-	f.heat.CrashRAM()
-	if f.lg != nil {
-		f.lg.CrashRAM()
-	}
-	if crasher, ok := f.validity.(interface{ CrashRAM() }); ok {
-		crasher.CrashRAM()
-	}
 }
 
 // ValidateCheckpoint checks a decoded checkpoint against a live engine
@@ -631,7 +612,7 @@ func (e *Engine) RestoreCheckpoint(file *checkpoint.File) error {
 			// from a clean engine-wide crash.
 			for _, sh2 := range e.shards {
 				sh2.mu.Lock()
-				sh2.ftl.recrash()
+				sh2.ftl.crash()
 				sh2.mu.Unlock()
 			}
 			e.dev.PowerFail()

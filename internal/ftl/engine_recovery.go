@@ -139,7 +139,7 @@ func (e *Engine) Recover() (*EngineRecoveryReport, error) {
 		// recovered shards' Powered() preconditions.
 		for _, sh := range e.shards {
 			sh.mu.Lock()
-			_ = sh.ftl.PowerFail() // best effort; the engine stays failed regardless
+			sh.ftl.crash()
 			sh.mu.Unlock()
 		}
 		e.dev.PowerFail()

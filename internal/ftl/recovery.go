@@ -51,9 +51,17 @@ func (f *FTL) PowerFail() error {
 			return err
 		}
 	}
-	f.dev.PowerFail()
+	f.crash()
+	return nil
+}
 
-	// Integrated RAM is gone.
+// crash cuts the shard's power and drops every RAM-resident structure: what
+// an abrupt power failure leaves behind. Besides PowerFail, the rollbacks of
+// a failed checkpoint import or engine-wide recovery return shards to this
+// state (without PowerFail's battery flush: those shards' RAM is being
+// discarded, not saved).
+func (f *FTL) crash() {
+	f.dev.PowerFail()
 	f.cache.Clear()
 	f.dirtyCount = 0
 	f.crashGC()
@@ -66,7 +74,6 @@ func (f *FTL) PowerFail() error {
 	if crasher, ok := f.validity.(interface{ CrashRAM() }); ok {
 		crasher.CrashRAM()
 	}
-	return nil
 }
 
 // Recover restores the FTL after a power failure, implementing GeckoRec
