@@ -131,25 +131,7 @@ func (d *Device) queueEngine() (*queue.Engine, error) {
 	if d.q != nil {
 		return d.q, nil
 	}
-	q, err := queue.New(queue.Config{
-		Shards:  d.eng.Shards(),
-		Depth:   d.queueDepth,
-		Policy:  d.queueAdmission,
-		Quantum: d.dev.Config().Latency.PageWrite,
-		ShardOf: d.eng.ShardOf,
-		Exec: func(_ int, req queue.Request) error {
-			switch req.Kind {
-			case queue.OpRead:
-				return d.eng.Read(req.LPN)
-			case queue.OpTrim:
-				return d.eng.Trim(req.LPN)
-			default:
-				return d.eng.Write(req.LPN)
-			}
-		},
-		Clock:   d.eng.ShardClock,
-		Advance: d.eng.ShardAdvanceArrival,
-	})
+	q, err := d.eng.NewQueue(d.queueDepth, d.queueAdmission)
 	if err != nil {
 		return nil, wrapErr(err)
 	}

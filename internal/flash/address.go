@@ -8,6 +8,32 @@ type LPN int64
 // InvalidLPN marks a spare area or mapping entry that holds no logical page.
 const InvalidLPN LPN = -1
 
+// HostOp is the kind of a host operation on a logical page. It is the one
+// such enum: the workload generators, the submission queue and the engine's
+// dispatcher name it through aliases.
+type HostOp int
+
+const (
+	// HostWrite is a logical page update.
+	HostWrite HostOp = iota
+	// HostRead is a logical page read.
+	HostRead
+	// HostTrim is a host trim (discard) of a logical page.
+	HostTrim
+)
+
+// String returns "write", "read" or "trim".
+func (k HostOp) String() string {
+	switch k {
+	case HostRead:
+		return "read"
+	case HostTrim:
+		return "trim"
+	default:
+		return "write"
+	}
+}
+
 // PPN is a physical page number in the range [0, K*B).
 type PPN int64
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"geckoftl/internal/flash"
+	"geckoftl/internal/queue"
 	"geckoftl/internal/stats"
 )
 
@@ -59,29 +60,20 @@ type engineShard struct {
 	maxStall time.Duration
 }
 
-// opKind distinguishes the host operations the engine instruments.
-type opKind int
-
-const (
-	opRead opKind = iota
-	opWrite
-	opTrim
-)
-
 // observe records the service time of the operation that just completed on
 // the shard: the completion instant of the shard's dies minus the round's
 // arrival instant, which includes queueing behind earlier operations of the
 // same round on the same dies. Callers hold the shard lock.
-func (sh *engineShard) observe(arrival time.Duration, kind opKind) {
+func (sh *engineShard) observe(arrival time.Duration, kind flash.HostOp) {
 	latency := sh.ftl.Device().BusyUntil() - arrival
 	if latency < 0 {
 		latency = 0
 	}
-	if kind == opRead {
+	if kind == flash.HostRead {
 		sh.readLat.Record(latency)
 		return
 	}
-	if kind == opTrim {
+	if kind == flash.HostTrim {
 		sh.trimLat.Record(latency)
 	} else {
 		sh.writeLat.Record(latency)
@@ -211,7 +203,9 @@ func (e *Engine) ShardAdvanceArrival(s int, t time.Duration) {
 	e.shards[s].ftl.Device().AdvanceArrival(t)
 }
 
-// Write serves one application write. Safe for concurrent use.
+// Do serves one host operation of the given kind: the single-op body behind
+// Write, Read and Trim, and what the submission queue's workers execute. Safe
+// for concurrent use.
 //
 // A single-page operation's arrival instant is stamped on the shard's own
 // plane (Partition.SyncArrival, not the device-wide ratchet): its recorded
@@ -219,7 +213,7 @@ func (e *Engine) ShardAdvanceArrival(s int, t time.Duration) {
 // operations already holding the shard — IO cannot start before the stamp
 // even on an idle die of a multi-die shard — without charging it work from
 // other shards' dies and without touching their die locks.
-func (e *Engine) Write(lpn flash.LPN) error {
+func (e *Engine) Do(kind flash.HostOp, lpn flash.LPN) error {
 	s, local, err := e.shardOf(lpn)
 	if err != nil {
 		return err
@@ -228,49 +222,54 @@ func (e *Engine) Write(lpn flash.LPN) error {
 	arrival := sh.ftl.Device().SyncArrival()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := sh.ftl.Write(local); err != nil {
-		return err
-	}
-	sh.observe(arrival, opWrite)
-	return nil
+	return sh.do(kind, local, arrival)
 }
 
-// Read serves one application read. Safe for concurrent use; arrival
-// semantics as for Write.
-func (e *Engine) Read(lpn flash.LPN) error {
-	s, local, err := e.shardOf(lpn)
-	if err != nil {
-		return err
+// do executes one operation on the shard's FTL and, when it succeeds, records
+// its service time against arrival. Callers hold the shard lock.
+func (sh *engineShard) do(kind flash.HostOp, lpn flash.LPN, arrival time.Duration) error {
+	var err error
+	switch kind {
+	case flash.HostRead:
+		err = sh.ftl.Read(lpn)
+	case flash.HostTrim:
+		err = sh.ftl.Trim(lpn)
+	default:
+		err = sh.ftl.Write(lpn)
 	}
-	sh := e.shards[s]
-	arrival := sh.ftl.Device().SyncArrival()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.ftl.Read(local); err != nil {
-		return err
+	if err == nil {
+		sh.observe(arrival, kind)
 	}
-	sh.observe(arrival, opRead)
-	return nil
+	return err
 }
 
-// Trim serves one host trim (discard) of a logical page. Safe for concurrent
-// use; arrival semantics as for Write. See FTL.Trim for the durability
-// contract (a trim is durable once synchronized, e.g. by Flush).
-func (e *Engine) Trim(lpn flash.LPN) error {
-	s, local, err := e.shardOf(lpn)
-	if err != nil {
-		return err
-	}
-	sh := e.shards[s]
-	arrival := sh.ftl.Device().SyncArrival()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := sh.ftl.Trim(local); err != nil {
-		return err
-	}
-	sh.observe(arrival, opTrim)
-	return nil
+// NewQueue starts an asynchronous submission queue over the engine: one FIFO
+// of the given depth per shard, drained by a worker that executes each
+// admitted request through Do, with admission control measuring the shard's
+// virtual backlog in units of the device's page-program latency. This is the
+// one place the queue's hooks are wired to an engine.
+func (e *Engine) NewQueue(depth int, policy queue.Policy) (*queue.Engine, error) {
+	return queue.New(queue.Config{
+		Shards:  len(e.shards),
+		Depth:   depth,
+		Policy:  policy,
+		Quantum: e.dev.Config().Latency.PageWrite,
+		ShardOf: e.ShardOf,
+		Exec:    func(_ int, req queue.Request) error { return e.Do(req.Kind, req.LPN) },
+		Clock:   e.ShardClock,
+		Advance: e.ShardAdvanceArrival,
+	})
 }
+
+// Write serves one application write.
+func (e *Engine) Write(lpn flash.LPN) error { return e.Do(flash.HostWrite, lpn) }
+
+// Read serves one application read.
+func (e *Engine) Read(lpn flash.LPN) error { return e.Do(flash.HostRead, lpn) }
+
+// Trim serves one host trim (discard) of a logical page. See FTL.Trim for the
+// durability contract (a trim is durable once synchronized, e.g. by Flush).
+func (e *Engine) Trim(lpn flash.LPN) error { return e.Do(flash.HostTrim, lpn) }
 
 // WriteBatch writes every logical page in lpns, fanning the requests out
 // across shards in parallel and joining the results. Pages of the same shard
@@ -280,31 +279,19 @@ func (e *Engine) Trim(lpn flash.LPN) error {
 // skipped, and the joined error matches ctx.Err() under errors.Is. A nil ctx
 // disables cancellation.
 func (e *Engine) WriteBatch(ctx context.Context, lpns []flash.LPN) error {
-	buckets, err := e.bucket(lpns)
-	if err != nil {
-		return err
-	}
-	return e.fanOut(ctx, buckets, (*FTL).Write, opWrite)
+	return e.fanOut(ctx, flash.HostWrite, lpns)
 }
 
 // ReadBatch reads every logical page in lpns, fanning the requests out
 // across shards in parallel. Cancellation semantics as for WriteBatch.
 func (e *Engine) ReadBatch(ctx context.Context, lpns []flash.LPN) error {
-	buckets, err := e.bucket(lpns)
-	if err != nil {
-		return err
-	}
-	return e.fanOut(ctx, buckets, (*FTL).Read, opRead)
+	return e.fanOut(ctx, flash.HostRead, lpns)
 }
 
 // TrimBatch trims every logical page in lpns, fanning the requests out
 // across shards in parallel. Cancellation semantics as for WriteBatch.
 func (e *Engine) TrimBatch(ctx context.Context, lpns []flash.LPN) error {
-	buckets, err := e.bucket(lpns)
-	if err != nil {
-		return err
-	}
-	return e.fanOut(ctx, buckets, (*FTL).Trim, opTrim)
+	return e.fanOut(ctx, flash.HostTrim, lpns)
 }
 
 // Mapped reports whether a logical page currently maps to flash-resident
@@ -335,8 +322,9 @@ func (e *Engine) bucket(lpns []flash.LPN) ([][]flash.LPN, error) {
 	return buckets, nil
 }
 
-// fanOut runs one goroutine per non-empty bucket, each holding its shard's
-// lock while draining the bucket sequentially. A shard that fails stops
+// fanOut buckets a batch of one kind by shard and runs one goroutine per
+// non-empty bucket, each holding its shard's lock while draining the bucket
+// sequentially. A shard that fails stops
 // early; the joined errors of all failed shards are returned. Each bucket
 // re-checks ctx before every operation — a batch observed to be cancelled
 // stops at an operation boundary on every shard instead of running to
@@ -352,7 +340,11 @@ func (e *Engine) bucket(lpns []flash.LPN) ([][]flash.LPN, error) {
 // goroutine scheduling; overlapping batches from concurrent callers ratchet
 // the shared arrival clock and so charge each other's queueing, as
 // overlapping arrivals at a real device would.
-func (e *Engine) fanOut(ctx context.Context, buckets [][]flash.LPN, op func(*FTL, flash.LPN) error, kind opKind) error {
+func (e *Engine) fanOut(ctx context.Context, kind flash.HostOp, lpns []flash.LPN) error {
+	buckets, err := e.bucket(lpns)
+	if err != nil {
+		return err
+	}
 	arrival := e.dev.SyncArrival()
 	var wg sync.WaitGroup
 	errs := make([]error, len(buckets))
@@ -373,11 +365,10 @@ func (e *Engine) fanOut(ctx context.Context, buckets [][]flash.LPN, op func(*FTL
 						return
 					}
 				}
-				if err := op(sh.ftl, lpn); err != nil {
+				if err := sh.do(kind, lpn, arrival); err != nil {
 					errs[i] = fmt.Errorf("shard %d: %w", i, err)
 					return
 				}
-				sh.observe(arrival, kind)
 			}
 		}(i, bucket)
 	}

@@ -66,15 +66,12 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // OpKind is the operation type of a submission.
-type OpKind int
+type OpKind = flash.HostOp
 
 const (
-	// OpWrite updates a logical page.
-	OpWrite OpKind = iota
-	// OpRead reads a logical page.
-	OpRead
-	// OpTrim discards a logical page.
-	OpTrim
+	OpWrite = flash.HostWrite
+	OpRead  = flash.HostRead
+	OpTrim  = flash.HostTrim
 	// opBarrier is Drain's internal fence: it completes when every earlier
 	// submission of its shard has completed, executes nothing, and bypasses
 	// admission control.

@@ -281,7 +281,7 @@ func queueSyncPoint(scale ExperimentScale, wl string) (QueuePoint, error) {
 			return QueuePoint{}, err
 		}
 		b.eng.ShardAdvanceArrival(s, pc)
-		if err := execOp(b.eng, op); err != nil {
+		if err := b.eng.Do(op.Kind, op.Page); err != nil {
 			return QueuePoint{}, err
 		}
 		pc = b.eng.ShardClock(s)
@@ -290,41 +290,6 @@ func queueSyncPoint(scale ExperimentScale, wl string) (QueuePoint, error) {
 	p.Ops = n
 	p.Latency = b.eng.LatencyStats().Writes
 	return p, nil
-}
-
-// execOp issues one closed-loop operation synchronously.
-func execOp(eng *ftl.Engine, op workload.Op) error {
-	switch op.Kind {
-	case workload.OpRead:
-		return eng.Read(op.Page)
-	case workload.OpTrim:
-		return eng.Trim(op.Page)
-	default:
-		return eng.Write(op.Page)
-	}
-}
-
-// newQueue opens a submission queue over the bench's engine.
-func (b *queueBench) newQueue(depth int, policy queue.Policy) (*queue.Engine, error) {
-	return queue.New(queue.Config{
-		Shards:  b.eng.Shards(),
-		Depth:   depth,
-		Policy:  policy,
-		Quantum: b.cfg.Latency.PageWrite,
-		ShardOf: b.eng.ShardOf,
-		Exec: func(_ int, req queue.Request) error {
-			switch req.Kind {
-			case queue.OpRead:
-				return b.eng.Read(req.LPN)
-			case queue.OpTrim:
-				return b.eng.Trim(req.LPN)
-			default:
-				return b.eng.Write(req.LPN)
-			}
-		},
-		Clock:   b.eng.ShardClock,
-		Advance: b.eng.ShardAdvanceArrival,
-	})
 }
 
 // queueClosedPoint measures a caller keeping depth operations in flight
@@ -338,7 +303,7 @@ func queueClosedPoint(scale ExperimentScale, wl string, depth int) (QueuePoint, 
 	if err != nil {
 		return QueuePoint{}, err
 	}
-	q, err := b.newQueue(depth, queue.AdmitWait)
+	q, err := b.eng.NewQueue(depth, queue.AdmitWait)
 	if err != nil {
 		return QueuePoint{}, err
 	}
@@ -368,7 +333,7 @@ func queueClosedPoint(scale ExperimentScale, wl string, depth int) (QueuePoint, 
 			window = window[1:]
 		}
 		op := b.gen.Next()
-		tk, err := q.Submit(ctx, queue.Request{Kind: queueKind(op.Kind), LPN: op.Page, Arrival: pc, Timed: true})
+		tk, err := q.Submit(ctx, queue.Request{Kind: op.Kind, LPN: op.Page, Arrival: pc, Timed: true})
 		if err != nil {
 			return QueuePoint{}, err
 		}
@@ -385,18 +350,6 @@ func queueClosedPoint(scale ExperimentScale, wl string, depth int) (QueuePoint, 
 	p.Shed, p.Delayed = qs.Shed, qs.Delayed
 	p.Latency = qs.Latency
 	return p, nil
-}
-
-// queueKind maps a workload op kind to the queue's.
-func queueKind(k workload.OpKind) queue.OpKind {
-	switch k {
-	case workload.OpRead:
-		return queue.OpRead
-	case workload.OpTrim:
-		return queue.OpTrim
-	default:
-		return queue.OpWrite
-	}
 }
 
 // queueOpenPoint measures an open-loop arrival stream at the given offered
@@ -422,7 +375,7 @@ func queueOpenPoint(scale ExperimentScale, wl string, rate float64, policy queue
 	if err != nil {
 		return QueuePoint{}, err
 	}
-	q, err := b.newQueue(depth, policy)
+	q, err := b.eng.NewQueue(depth, policy)
 	if err != nil {
 		return QueuePoint{}, err
 	}
@@ -434,7 +387,7 @@ func queueOpenPoint(scale ExperimentScale, wl string, rate float64, policy queue
 	for i := int64(0); i < n; i++ {
 		a := ol.Next()
 		at := b.t0 + a.At
-		tk, err := q.Submit(ctx, queue.Request{Kind: queueKind(a.Op.Kind), LPN: a.Op.Page, Arrival: at, Timed: true})
+		tk, err := q.Submit(ctx, queue.Request{Kind: a.Op.Kind, LPN: a.Op.Page, Arrival: at, Timed: true})
 		if err != nil {
 			return QueuePoint{}, err
 		}

@@ -12,29 +12,15 @@ import (
 	"geckoftl/internal/flash"
 )
 
-// OpKind distinguishes reads from writes in a workload stream.
-type OpKind int
+// OpKind distinguishes writes, reads and trims in a workload stream.
+type OpKind = flash.HostOp
 
+// The operation kinds.
 const (
-	// OpWrite is a logical page update.
-	OpWrite OpKind = iota
-	// OpRead is a logical page read.
-	OpRead
-	// OpTrim is a host trim (discard) of a logical page.
-	OpTrim
+	OpWrite = flash.HostWrite
+	OpRead  = flash.HostRead
+	OpTrim  = flash.HostTrim
 )
-
-// String returns "write", "read" or "trim".
-func (k OpKind) String() string {
-	switch k {
-	case OpRead:
-		return "read"
-	case OpTrim:
-		return "trim"
-	default:
-		return "write"
-	}
-}
 
 // Op is one logical operation of a workload.
 type Op struct {
