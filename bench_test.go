@@ -12,7 +12,6 @@ import (
 	"geckoftl/internal/ftl"
 	"geckoftl/internal/model"
 	"geckoftl/internal/sim"
-	"geckoftl/internal/workload"
 )
 
 // benchScale sizes the simulations run by the benchmarks. It is larger than
@@ -45,17 +44,11 @@ func BenchmarkExperiment(b *testing.B) {
 	}
 }
 
-// runVariant measures one FTL options variant under uniform writes and
-// returns its overall write-amplification.
-func runVariant(b *testing.B, opts ftl.Options) sim.Result {
+// runVariant measures GeckoFTL, adjusted by tune, under uniform writes at the
+// given scale.
+func runVariant(b *testing.B, scale sim.ExperimentScale, tune func(*ftl.Options)) sim.Result {
 	b.Helper()
-	scale := benchScale()
-	res, err := sim.Run(sim.RunOptions{
-		Device:        scale.Device,
-		FTLOptions:    opts,
-		Workload:      workload.MustNewUniform(int64(scale.Device.Config().LogicalPages()), scale.Seed),
-		MeasureWrites: scale.MeasureWrites,
-	})
+	res, err := sim.MeasureFTL(scale, "GeckoFTL", tune)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,12 +61,8 @@ func runVariant(b *testing.B, opts ftl.Options) sim.Result {
 func BenchmarkAblationGCPolicy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		aware := ftl.GeckoFTLOptions(benchScale().CacheEntries)
-		greedy := aware
-		greedy.Name = "GeckoFTL-greedy"
-		greedy.VictimPolicy = ftl.VictimGreedy
-		ra := runVariant(b, aware)
-		rg := runVariant(b, greedy)
+		ra := runVariant(b, benchScale(), nil)
+		rg := runVariant(b, benchScale(), func(o *ftl.Options) { o.VictimPolicy = ftl.VictimGreedy })
 		if i == 0 {
 			b.ReportMetric(ra.WA, "WA_metadata_aware")
 			b.ReportMetric(rg.WA, "WA_greedy")
@@ -86,12 +75,8 @@ func BenchmarkAblationGCPolicy(b *testing.B) {
 func BenchmarkAblationMultiWayMerge(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		twoWay := ftl.GeckoFTLOptions(benchScale().CacheEntries)
-		multi := twoWay
-		multi.Name = "GeckoFTL-multiway"
-		multi.GeckoMultiWayMerge = true
-		r2 := runVariant(b, twoWay)
-		rm := runVariant(b, multi)
+		r2 := runVariant(b, benchScale(), nil)
+		rm := runVariant(b, benchScale(), func(o *ftl.Options) { o.GeckoMultiWayMerge = true })
 		if i == 0 {
 			b.ReportMetric(r2.ValidityWA, "validityWA_two_way")
 			b.ReportMetric(rm.ValidityWA, "validityWA_multi_way")
@@ -105,12 +90,8 @@ func BenchmarkAblationMultiWayMerge(b *testing.B) {
 func BenchmarkAblationCheckpoints(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		with := ftl.GeckoFTLOptions(benchScale().CacheEntries)
-		without := with
-		without.Name = "GeckoFTL-nocheckpoint"
-		without.Checkpoints = false
-		rw := runVariant(b, with)
-		ro := runVariant(b, without)
+		rw := runVariant(b, benchScale(), nil)
+		ro := runVariant(b, benchScale(), func(o *ftl.Options) { o.Checkpoints = false })
 		if i == 0 {
 			b.ReportMetric(rw.TranslationWA, "translationWA_checkpoints")
 			b.ReportMetric(ro.TranslationWA, "translationWA_no_checkpoints")
@@ -127,25 +108,9 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 	scale := benchScale()
 	scale.Device.PagesPerBlock = 128
 	scale.Device.Blocks = 128
-	run := func(opts ftl.Options) sim.Result {
-		res, err := sim.Run(sim.RunOptions{
-			Device:        scale.Device,
-			FTLOptions:    opts,
-			Workload:      workload.MustNewUniform(int64(scale.Device.Config().LogicalPages()), scale.Seed),
-			MeasureWrites: scale.MeasureWrites,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
 	for i := 0; i < b.N; i++ {
-		recommended := ftl.GeckoFTLOptions(scale.CacheEntries)
-		unpartitioned := recommended
-		unpartitioned.Name = "GeckoFTL-S1"
-		unpartitioned.GeckoPartitionFactor = 1
-		rr := run(recommended)
-		ru := run(unpartitioned)
+		rr := runVariant(b, scale, nil)
+		ru := runVariant(b, scale, func(o *ftl.Options) { o.GeckoPartitionFactor = 1 })
 		if i == 0 {
 			b.ReportMetric(rr.ValidityWA, "validityWA_partitioned")
 			b.ReportMetric(ru.ValidityWA, "validityWA_unpartitioned")
@@ -159,12 +124,8 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 func BenchmarkAblationDirtyBound(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		unbounded := ftl.GeckoFTLOptions(benchScale().CacheEntries)
-		bounded := unbounded
-		bounded.Name = "GeckoFTL-bounded"
-		bounded.DirtyFraction = 0.1
-		ru := runVariant(b, unbounded)
-		rb := runVariant(b, bounded)
+		ru := runVariant(b, benchScale(), nil)
+		rb := runVariant(b, benchScale(), func(o *ftl.Options) { o.DirtyFraction = 0.1 })
 		if i == 0 {
 			b.ReportMetric(ru.TranslationWA, "translationWA_unbounded")
 			b.ReportMetric(rb.TranslationWA, "translationWA_bounded")

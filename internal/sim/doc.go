@@ -13,13 +13,19 @@
 // it; adding an experiment is adding its row type, its run function and one
 // entry.
 //
-// The sweeps beyond the paper share one engine-run harness (harness.go):
+// Every FTL-level experiment shares one engine-run harness (harness.go):
 // newEngineRun is the only place a device, a sharded ftl.Engine and a seeded
 // workload are assembled (growing geometry and cache until every shard is
 // workable), pump drives batches of writes with optional interleaved trims,
 // warm brings the stack to steady-state garbage collection, and measure
 // returns a window's counter and stat deltas with its write-amplification
-// breakdown:
+// breakdown. The paper's own FTL comparisons (Figure 13 bottom, Figure 14,
+// the recovery simulation) and the root package's ablation benchmarks run it
+// at one channel with one operation per batch — MeasureFTL — where a
+// one-shard engine issues exactly the IO of a bare ftl.FTL (pinned by
+// internal/ftl's TestOneShardEngineMatchesBareFTL). Only the
+// isolated-structure rig of Figures 9-12 (RunIsolated) drives Logarithmic
+// Gecko and the PVB without an FTL around them. The sweeps beyond the paper:
 //
 //   - ChannelSweep measures how the sharded engine's write throughput scales
 //     with the channel count.

@@ -7,7 +7,6 @@ import (
 
 	"geckoftl/internal/ftl"
 	"geckoftl/internal/model"
-	"geckoftl/internal/workload"
 )
 
 // ExperimentScale controls how much work the simulation experiments do. The
@@ -321,15 +320,7 @@ func Figure12(scale ExperimentScale) ([]Figure12Row, error) {
 func Figure13WA(scale ExperimentScale) ([]Result, error) {
 	var out []Result
 	for _, name := range fiveFTLs {
-		opts, _, err := shardOptions(name, scale.CacheEntries)
-		if err != nil {
-			return nil, err
-		}
-		res, err := Run(RunOptions{
-			Device:        scale.Device,
-			FTLOptions:    opts,
-			MeasureWrites: scale.MeasureWrites,
-		})
+		res, err := MeasureFTL(scale, name, nil)
 		if err != nil {
 			return nil, fmt.Errorf("sim: figure 13 WA (%s): %w", name, err)
 		}
@@ -371,13 +362,13 @@ type Figure14Row struct {
 // baseline cache, which is what makes the trade-off interesting at full
 // scale (64 MB of PVB versus a 4 MB cache).
 func Figure14(scale ExperimentScale) ([]Figure14Row, error) {
-	device := DeviceSpec{
+	scale.Device = DeviceSpec{
 		Blocks:        scale.Device.Blocks * 2,
 		PagesPerBlock: 32,
 		PageSize:      scale.Device.PageSize,
 		OverProvision: scale.Device.OverProvision,
 	}
-	cfg := device.Config()
+	cfg := scale.Device.Config()
 	pvbBytes := int64(cfg.Blocks) * int64((cfg.PagesPerBlock+7)/8)
 	pvbEntries := int(pvbBytes / 8)
 	baseCache := pvbEntries / 4
@@ -386,38 +377,19 @@ func Figure14(scale ExperimentScale) ([]Figure14Row, error) {
 	}
 	bigCache := baseCache + pvbEntries
 
-	mk := func(name string, opts ftl.Options, cache int) (Figure14Row, error) {
-		opts.CacheEntries = cache
-		// Same garbage-collection scheme for all three (Section 5.4).
-		opts.VictimPolicy = ftl.VictimMetadataAware
-		res, err := Run(RunOptions{
-			Device:        device,
-			FTLOptions:    opts,
-			MeasureWrites: scale.MeasureWrites,
-		})
-		if err != nil {
-			return Figure14Row{}, fmt.Errorf("sim: figure 14 (%s): %w", name, err)
-		}
-		res.Name = name
-		return Figure14Row{Result: res, CacheEntries: cache}, nil
-	}
-
 	var rows []Figure14Row
-	dftl, err := mk("DFTL", ftl.DFTLOptions(baseCache), baseCache)
-	if err != nil {
-		return nil, err
+	for _, c := range []struct {
+		name  string
+		cache int
+	}{{"DFTL", baseCache}, {"uFTL", bigCache}, {"GeckoFTL", bigCache}} {
+		scale.CacheEntries = c.cache
+		// Same garbage-collection scheme for all three (Section 5.4).
+		res, err := MeasureFTL(scale, c.name, func(o *ftl.Options) { o.VictimPolicy = ftl.VictimMetadataAware })
+		if err != nil {
+			return nil, fmt.Errorf("sim: figure 14 (%s): %w", c.name, err)
+		}
+		rows = append(rows, Figure14Row{Result: res, CacheEntries: c.cache})
 	}
-	rows = append(rows, dftl)
-	mu, err := mk("uFTL", ftl.MuFTLOptions(bigCache), bigCache)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, mu)
-	gecko, err := mk("GeckoFTL", ftl.GeckoFTLOptions(bigCache), bigCache)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, gecko)
 	return rows, nil
 }
 
@@ -437,37 +409,23 @@ type RecoveryResult struct {
 func RecoverySimulation(scale ExperimentScale) ([]RecoveryResult, error) {
 	var out []RecoveryResult
 	for _, name := range fiveFTLs {
-		opts, _, err := shardOptions(name, scale.CacheEntries)
+		run, err := newEngineRun(runSpec{scale: scale, channels: 1, ftl: name, batchPerDie: 1})
 		if err != nil {
 			return nil, err
 		}
-		dev, err := scale.Device.NewDevice()
-		if err != nil {
+		if err := run.pump(scale.MeasureWrites); err != nil {
+			return nil, fmt.Errorf("sim: recovery workload (%s): %w", name, err)
+		}
+		if err := run.eng.PowerFail(); err != nil {
 			return nil, err
 		}
-		f, err := ftl.New(dev, opts)
-		if err != nil {
-			return nil, err
-		}
-		gen, err := workload.NewUniform(f.LogicalPages(), scale.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for i := int64(0); i < scale.MeasureWrites; i++ {
-			if err := f.Write(gen.Next().Page); err != nil {
-				return nil, fmt.Errorf("sim: recovery workload (%s): %w", name, err)
-			}
-		}
-		if err := f.PowerFail(); err != nil {
-			return nil, err
-		}
-		report, err := f.Recover()
+		report, err := run.eng.Recover()
 		if err != nil {
 			return nil, fmt.Errorf("sim: recovery (%s): %w", name, err)
 		}
 		out = append(out, RecoveryResult{
 			Name:                    name,
-			Duration:                report.Duration,
+			Duration:                report.WallClock,
 			SpareReads:              report.SpareReads,
 			PageReads:               report.PageReads,
 			PageWrites:              report.PageWrites,

@@ -1,12 +1,10 @@
 package sim
 
 import (
-	"fmt"
 	"time"
 
 	"geckoftl/internal/flash"
 	"geckoftl/internal/ftl"
-	"geckoftl/internal/workload"
 )
 
 // DeviceSpec describes the simulated device used by an experiment.
@@ -73,90 +71,34 @@ type Result struct {
 	SimulatedTime time.Duration
 }
 
-// RunOptions controls a simulation run.
-type RunOptions struct {
-	// Device is the device geometry.
-	Device DeviceSpec
-	// FTLOptions configures the FTL under test.
-	FTLOptions ftl.Options
-	// Workload generates the logical operation stream. If nil, uniformly
-	// random writes with seed 1 are used.
-	Workload workload.Generator
-	// WarmupWrites fills the device before measurement begins so that
-	// steady-state garbage-collection is included. Defaults to twice the
-	// logical page count when zero and unset (-1 disables warm-up).
-	WarmupWrites int64
-	// MeasureWrites is the number of logical writes in the measured window.
-	MeasureWrites int64
-}
-
-// Run executes one simulation and returns its result.
-func Run(opts RunOptions) (Result, error) {
-	dev, err := opts.Device.NewDevice()
+// MeasureFTL measures one named FTL on the paper's single serialized plane:
+// the engine-run harness at one channel and one operation per batch, warmed
+// to steady-state garbage collection, then a window of scale.MeasureWrites
+// logical writes. A one-shard engine over a one-channel device issues exactly
+// the IO of the bare FTL (internal/ftl pins the equivalence), so the
+// FTL-level figures and the ablation benchmarks need no stack of their own.
+// tune, when set, adjusts the named configuration.
+func MeasureFTL(scale ExperimentScale, name string, tune func(*ftl.Options)) (Result, error) {
+	run, err := newEngineRun(runSpec{scale: scale, channels: 1, ftl: name, tune: tune, batchPerDie: 1})
 	if err != nil {
 		return Result{}, err
 	}
-	f, err := ftl.New(dev, opts.FTLOptions)
+	if _, err := run.warm(); err != nil {
+		return Result{}, err
+	}
+	timeBefore := run.dev.SimulatedTime()
+	w, err := run.measure(scale.MeasureWrites)
 	if err != nil {
 		return Result{}, err
 	}
-	gen := opts.Workload
-	if gen == nil {
-		gen = workload.MustNewUniform(f.LogicalPages(), 1)
-	}
-	warmup := opts.WarmupWrites
-	if warmup == 0 {
-		warmup = 2 * f.LogicalPages()
-	}
-	if warmup < 0 {
-		warmup = 0
-	}
-	if opts.MeasureWrites <= 0 {
-		return Result{}, fmt.Errorf("sim: measure writes %d must be positive", opts.MeasureWrites)
-	}
-
-	if err := drive(f, gen, warmup); err != nil {
-		return Result{}, fmt.Errorf("sim: warm-up: %w", err)
-	}
-	dev.ResetCounters()
-	timeBefore := dev.SimulatedTime()
-	statsBefore := f.Stats()
-	if err := drive(f, gen, opts.MeasureWrites); err != nil {
-		return Result{}, fmt.Errorf("sim: measurement: %w", err)
-	}
-
-	counters := dev.Counters()
-	delta := dev.Config().Latency.WriteReadRatio()
-	writes := opts.MeasureWrites
 	result := Result{
-		Name:          f.Name(),
-		Writes:        writes,
-		WA:            counters.WriteAmplification(writes, delta),
-		RAMBytes:      f.RAMBytes(),
-		GCOperations:  f.Stats().GCOperations - statsBefore.GCOperations,
-		SimulatedTime: dev.SimulatedTime() - timeBefore,
+		Name:          run.eng.Name(),
+		Writes:        w.writes,
+		WA:            w.wa(),
+		RAMBytes:      run.eng.RAMBytes(),
+		GCOperations:  w.after.GCOperations - w.before.GCOperations,
+		SimulatedTime: run.dev.SimulatedTime() - timeBefore,
 	}
-	result.UserWA, result.TranslationWA, result.ValidityWA = waBreakdown(counters, writes, delta)
+	result.UserWA, result.TranslationWA, result.ValidityWA = w.breakdown()
 	return result, nil
-}
-
-// drive pushes n operations from the generator into the FTL, counting only
-// writes toward n (reads are passed through but not counted, matching the
-// paper's write-only accounting).
-func drive(f *ftl.FTL, gen workload.Generator, n int64) error {
-	var done int64
-	for done < n {
-		op := gen.Next()
-		if op.Kind == workload.OpRead {
-			if err := f.Read(op.Page); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := f.Write(op.Page); err != nil {
-			return err
-		}
-		done++
-	}
-	return nil
 }

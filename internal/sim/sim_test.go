@@ -1,83 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"geckoftl/internal/ftl"
-	"geckoftl/internal/workload"
-)
-
-func quickRunOptions(opts ftl.Options) RunOptions {
-	scale := QuickScale()
-	return RunOptions{
-		Device:        scale.Device,
-		FTLOptions:    opts,
-		MeasureWrites: scale.MeasureWrites,
-	}
-}
-
-func TestRunValidatesArguments(t *testing.T) {
-	opts := quickRunOptions(ftl.GeckoFTLOptions(128))
-	opts.MeasureWrites = 0
-	if _, err := Run(opts); err == nil {
-		t.Error("zero measure writes accepted")
-	}
-	bad := quickRunOptions(ftl.Options{Scheme: ftl.SchemeGecko})
-	if _, err := Run(bad); err == nil {
-		t.Error("invalid FTL options accepted")
-	}
-	badDev := quickRunOptions(ftl.GeckoFTLOptions(128))
-	badDev.Device.Blocks = 0
-	if _, err := Run(badDev); err == nil {
-		t.Error("invalid device accepted")
-	}
-}
-
-func TestRunProducesSensibleResult(t *testing.T) {
-	res, err := Run(quickRunOptions(ftl.GeckoFTLOptions(256)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Name != "GeckoFTL" {
-		t.Errorf("name = %q", res.Name)
-	}
-	if res.Writes != QuickScale().MeasureWrites {
-		t.Errorf("writes = %d", res.Writes)
-	}
-	// Write-amplification includes the application write itself, so it must
-	// be at least 1 and is typically below 4 for a healthy configuration.
-	if res.WA < 1 || res.WA > 6 {
-		t.Errorf("WA = %v out of sane range", res.WA)
-	}
-	if res.UserWA <= 0 || res.TranslationWA <= 0 || res.ValidityWA <= 0 {
-		t.Errorf("breakdown has zero component: %+v", res)
-	}
-	if res.UserWA+res.TranslationWA+res.ValidityWA > res.WA+0.01 {
-		t.Errorf("breakdown exceeds total: %+v", res)
-	}
-	if res.GCOperations == 0 {
-		t.Error("no GC in steady state")
-	}
-	if res.RAMBytes <= 0 || res.SimulatedTime <= 0 {
-		t.Errorf("missing RAM/time: %+v", res)
-	}
-}
-
-func TestRunWithMixedWorkloadCountsOnlyWrites(t *testing.T) {
-	scale := QuickScale()
-	opts := quickRunOptions(ftl.DFTLOptions(256))
-	cfg := scale.Device.Config()
-	logical := int64(cfg.LogicalPages())
-	opts.Workload = workload.MustNewMixed(workload.MustNewUniform(logical, 3), logical, 0.4, 4)
-	opts.WarmupWrites = logical
-	res, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Writes != scale.MeasureWrites {
-		t.Errorf("measured writes = %d, want %d", res.Writes, scale.MeasureWrites)
-	}
-}
+import "testing"
 
 func TestRunIsolatedValidation(t *testing.T) {
 	if _, err := RunIsolated(IsolatedOptions{}); err == nil {
