@@ -160,16 +160,5 @@ func (d *Device) queueStats() QueueStats {
 	if q == nil {
 		return QueueStats{Depth: d.queueDepth, Policy: d.queueAdmission.String()}
 	}
-	st := q.Stats()
-	return QueueStats{
-		Depth:     st.Depth,
-		Policy:    st.Policy,
-		Submitted: st.Submitted,
-		Completed: st.Completed,
-		Shed:      st.Shed,
-		Delayed:   st.Delayed,
-		Cancelled: st.Cancelled,
-		InFlight:  st.InFlight,
-		Latency:   toLatencySummary(st.Latency),
-	}
+	return q.Stats()
 }

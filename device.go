@@ -408,53 +408,16 @@ func (d *Device) PowerFail() error {
 	return nil
 }
 
-// ShardRecovery is one engine shard's share of a recovery.
-type ShardRecovery struct {
-	// Shard is the shard index (the channel index under the default
-	// one-shard-per-channel layout).
-	Shard int
-	// Duration is the shard's simulated recovery time.
-	Duration time.Duration
-	// SpareReads, PageReads and PageWrites are the shard's recovery IO.
-	SpareReads, PageReads, PageWrites int64
-	// RecoveredMappingEntries counts the cached mapping entries the shard's
-	// backwards scan recreated.
-	RecoveredMappingEntries int
-}
-
 // RecoveryReport describes a completed Recover: the wall-clock of the
-// parallel per-shard recovery, what a serialized scan would have cost, and
-// the IO spent.
-type RecoveryReport struct {
-	// WallClock is the slowest shard's recovery duration: shards recover
-	// concurrently on disjoint dies, so the device resumes serving when the
-	// last shard finishes.
-	WallClock time.Duration
-	// SerialTime is the summed per-shard duration: the cost of the same
-	// recovery on a single serialized plane.
-	SerialTime time.Duration
-	// SlowestShard is the index of the shard on the critical path.
-	SlowestShard int
-	// SpareReads, PageReads and PageWrites total the recovery IO.
-	SpareReads, PageReads, PageWrites int64
-	// RecoveredMappingEntries totals the mapping entries recreated by the
-	// shards' backwards scans.
-	RecoveredMappingEntries int
-	// UsedBattery reports that dirty entries were synchronized on battery
-	// power at failure time instead of being recovered by scanning.
-	UsedBattery bool
-	// Shards holds the per-shard breakdowns, indexed by shard.
-	Shards []ShardRecovery
-}
+// parallel per-shard recovery (the slowest shard's duration), what a
+// serialized scan would have cost, the IO spent, and one ShardRecovery per
+// shard. Its Speedup method returns SerialTime/WallClock.
+type RecoveryReport = ftl.EngineRecoveryReport
 
-// Speedup returns SerialTime/WallClock: how much faster the parallel
-// recovery finished than a single-plane scan of the same flash.
-func (r *RecoveryReport) Speedup() float64 {
-	if r.WallClock <= 0 {
-		return 1
-	}
-	return float64(r.SerialTime) / float64(r.WallClock)
-}
+// ShardRecovery is one engine shard's share of a recovery: the shard index
+// (the channel index under the default one-shard-per-channel layout) and the
+// shard's own duration, IO and recreated mapping entries.
+type ShardRecovery = ftl.ShardRecoveryReport
 
 // Recover restores the device after PowerFail, running each shard's recovery
 // procedure (GeckoRec for GeckoFTL) concurrently across channels. It returns
@@ -488,27 +451,7 @@ func (d *Device) Recover(ctx context.Context) (*RecoveryReport, error) {
 	// pre-crash writes, and a Snapshot taken after further traffic reports a
 	// write-amplification for a window no workload ever produced.
 	d.ResetStats()
-	out := &RecoveryReport{
-		WallClock:               rep.WallClock,
-		SerialTime:              rep.SerialTime,
-		SlowestShard:            rep.SlowestShard,
-		SpareReads:              rep.SpareReads,
-		PageReads:               rep.PageReads,
-		PageWrites:              rep.PageWrites,
-		RecoveredMappingEntries: rep.RecoveredMappingEntries,
-		UsedBattery:             rep.UsedBattery,
-	}
-	for _, s := range rep.Shards {
-		out.Shards = append(out.Shards, ShardRecovery{
-			Shard:                   s.Shard,
-			Duration:                s.Duration,
-			SpareReads:              s.SpareReads,
-			PageReads:               s.PageReads,
-			PageWrites:              s.PageWrites,
-			RecoveredMappingEntries: s.RecoveredMappingEntries,
-		})
-	}
-	return out, nil
+	return rep, nil
 }
 
 // RestartReport describes a completed Restart: whether the device came back

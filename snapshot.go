@@ -4,27 +4,16 @@ import (
 	"time"
 
 	"geckoftl/internal/flash"
+	"geckoftl/internal/queue"
 	"geckoftl/internal/stats"
 )
 
 // LatencySummary is a stable summary of a simulated service-time
-// distribution: the time from an operation's arrival to its last IO
-// completing under the device's cost model, queueing behind its die
-// included. Deterministic and host-independent.
-type LatencySummary struct {
-	// Count is the number of operations recorded.
-	Count int64
-	// Mean is the distribution's mean.
-	Mean time.Duration
-	// P50, P90, P99 and P999 are the 50th/90th/99th/99.9th percentiles.
-	P50, P90, P99, P999 time.Duration
-	// Max is the largest recorded service time.
-	Max time.Duration
-}
-
-func toLatencySummary(s stats.Summary) LatencySummary {
-	return LatencySummary{Count: s.Count, Mean: s.Mean, P50: s.P50, P90: s.P90, P99: s.P99, P999: s.P999, Max: s.Max}
-}
+// distribution — operation count, mean, 50th/90th/99th/99.9th percentiles and
+// maximum of the time from an operation's arrival to its last IO completing
+// under the device's cost model, queueing behind its die included.
+// Deterministic and host-independent.
+type LatencySummary = stats.Summary
 
 // OpCounts are the logical operations the device has served.
 type OpCounts struct {
@@ -53,32 +42,11 @@ type GCStats struct {
 }
 
 // QueueStats describe the asynchronous submission path (Device.SubmitWrite
-// and friends) since Open: queue configuration, the fates of submitted
-// operations, and the submission-to-completion latency distribution.
-type QueueStats struct {
-	// Depth is the configured per-shard queue depth (WithQueueDepth).
-	Depth int
-	// Policy is the configured admission policy's name (WithAdmissionPolicy).
-	Policy string
-	// Submitted counts operations accepted by Submit*.
-	Submitted int64
-	// Completed counts operations that executed, successfully or not.
-	Completed int64
-	// Shed counts operations dropped by the AdmitShed admission policy; their
-	// Tickets failed with ErrQueueFull.
-	Shed int64
-	// Delayed counts operations the AdmitWait policy admitted past the
-	// backlog budget.
-	Delayed int64
-	// Cancelled counts operations whose submission context was observed
-	// cancelled before execution.
-	Cancelled int64
-	// InFlight is the number of submissions currently queued or executing.
-	InFlight int64
-	// Latency is the submission-to-completion distribution of completed
-	// operations on the virtual timeline, queueing included.
-	Latency LatencySummary
-}
+// and friends) since Open: the queue configuration (WithQueueDepth,
+// WithAdmissionPolicy), the fates of submitted operations — shed ones failed
+// their Tickets with ErrQueueFull — and the submission-to-completion latency
+// distribution on the virtual timeline.
+type QueueStats = queue.Stats
 
 // Snapshot is a stable, self-consistent view of the device's statistics:
 // logical operation counts, write-amplification over the current measurement
@@ -195,10 +163,10 @@ func (d *Device) Snapshot() Snapshot {
 		RAMBytes:        d.eng.RAMBytes(),
 		CheckpointBytes: ckptBytes,
 		SimulatedTime:   d.dev.SimulatedTime(),
-		WriteLatency:    toLatencySummary(es.Writes),
-		ReadLatency:     toLatencySummary(es.Reads),
-		TrimLatency:     toLatencySummary(es.Trims),
-		GCStalledWrites: toLatencySummary(es.GCStalledWrites),
+		WriteLatency:    es.Writes,
+		ReadLatency:     es.Reads,
+		TrimLatency:     es.Trims,
+		GCStalledWrites: es.GCStalledWrites,
 		Queue:           d.queueStats(),
 	}
 }
