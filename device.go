@@ -64,8 +64,9 @@ type Device struct {
 	ckptBytes int64
 }
 
-// Open builds a device from functional options: geometry, topology, FTL
-// scheme, garbage-collection mode, cache budget, battery. Defaults: a
+// Open builds a device from functional options: geometry, topology, a named
+// FTL scheme and its cache budget (or a fully explicit FTLOptions), faults,
+// checkpoint path, submission queue. Defaults: a
 // 256-block device of 32 pages of 1 KB at 70% over-provisioning, one
 // channel, GeckoFTL with a 1024-entry mapping cache, inline GC.
 //
@@ -395,7 +396,7 @@ func (d *Device) closeFlush() error {
 
 // PowerFail simulates a power failure. Without a battery the rail is cut
 // abruptly: operations in flight fail with ErrPowerFailed, all RAM state is
-// lost, flash survives. With a battery (WithBattery, or the DFTL/µ-FTL
+// lost, flash survives. With a battery (FTLOptions.Battery: the DFTL/µ-FTL
 // schemes) dirty state is flushed before the rail drops. A second PowerFail
 // before Recover returns ErrPowerFailed.
 func (d *Device) PowerFail() error {

@@ -33,13 +33,13 @@ func TestOpenDefaults(t *testing.T) {
 }
 
 func TestOpenOptions(t *testing.T) {
+	lazy := geckoftl.LazyFTLOptions(512)
+	lazy.GCMode = geckoftl.GCIncremental
 	dev := open(t,
 		geckoftl.WithGeometry(512, 16, 512),
 		geckoftl.WithChannels(4, 2),
 		geckoftl.WithOverProvision(0.6),
-		geckoftl.WithFTL("lazyftl"),
-		geckoftl.WithCacheEntries(512),
-		geckoftl.WithGCMode(geckoftl.GCIncremental),
+		geckoftl.WithFTLOptions(lazy),
 	)
 	g := dev.Geometry()
 	if g.Channels != 4 || g.DiesPerChannel != 2 || g.Shards != 4 {
@@ -51,13 +51,22 @@ func TestOpenOptions(t *testing.T) {
 }
 
 func TestOpenInvalidConfig(t *testing.T) {
+	// FTL-level settings travel in FTLOptions and are validated by the FTL.
+	withFTL := func(set func(*geckoftl.FTLOptions)) geckoftl.Option {
+		o := geckoftl.GeckoFTLOptions(256)
+		set(&o)
+		return geckoftl.WithFTLOptions(o)
+	}
 	cases := [][]geckoftl.Option{
 		{geckoftl.WithGeometry(0, 32, 1024)},
 		{geckoftl.WithOverProvision(1.5)},
 		{geckoftl.WithChannels(0, 1)},
 		{geckoftl.WithFTL("nope")},
 		{geckoftl.WithCacheEntries(0)},
-		{geckoftl.WithGCPagesPerWrite(-1)},
+		{withFTL(func(o *geckoftl.FTLOptions) { o.GCPagesPerWrite = -1 })},
+		{withFTL(func(o *geckoftl.FTLOptions) { o.GCMode = geckoftl.GCMode(99) })},
+		{withFTL(func(o *geckoftl.FTLOptions) { o.VictimPolicy = geckoftl.VictimPolicy(99) })},
+		{withFTL(func(o *geckoftl.FTLOptions) { o.ScrubReadThreshold = -1 })},
 		{geckoftl.WithShards(0)},
 		// A valid option set whose engine construction fails: more shards
 		// than blocks.
@@ -404,13 +413,11 @@ func TestSnapshotWindowAfterRecover(t *testing.T) {
 // through Open.
 func TestSnapshotWearFields(t *testing.T) {
 	ctx := context.Background()
-	dev := open(t,
-		geckoftl.WithGeometry(128, 16, 512),
-		geckoftl.WithCacheEntries(256),
-		geckoftl.WithHotColdSeparation(true),
-		geckoftl.WithWearAwareAllocation(true),
-		geckoftl.WithVictimPolicy(geckoftl.VictimCostBenefit),
-	)
+	o := geckoftl.GeckoFTLOptions(256)
+	o.HotColdSeparation = true
+	o.WearAwareAllocation = true
+	o.VictimPolicy = geckoftl.VictimCostBenefit
+	dev := open(t, geckoftl.WithGeometry(128, 16, 512), geckoftl.WithFTLOptions(o))
 	lp := dev.LogicalPages()
 	gen, err := geckoftl.NewHotCold(lp, 0.2, 0.8, 9)
 	if err != nil {

@@ -34,8 +34,8 @@ var (
 	// ErrReadDecayed is returned by Read when the page's payload decayed
 	// from read disturb before the FTL relocated it. It only arises under a
 	// fault plan with a ReadDisturbLimit (WithFaultPlan) and signals real
-	// data loss; configure WithScrubReadThreshold below the limit to prevent
-	// it.
+	// data loss; set FTLOptions.ScrubReadThreshold below the limit to
+	// prevent it.
 	ErrReadDecayed = errors.New("geckoftl: page payload decayed before scrub")
 	// ErrCheckpointInvalid classifies a rejected metadata checkpoint: bad
 	// magic, version skew, truncation, a checksum mismatch, or a stale

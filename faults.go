@@ -11,8 +11,8 @@ import (
 // under Seed. Install one at Open with WithFaultPlan. The FTL is built to
 // survive every fault a plan can inject — failed programs are retried on the
 // next frontier page, failed (or worn-out) erases retire the block as a grown
-// bad block, and read-disturbed blocks are scrubbed when a scrub threshold is
-// configured — so a fault plan degrades capacity and performance, never
+// bad block, and read-disturbed blocks are scrubbed when
+// FTLOptions.ScrubReadThreshold is set — so a fault plan degrades capacity and performance, never
 // correctness.
 type FaultPlan = flash.FaultPlan
 
@@ -46,23 +46,6 @@ func WithFaultPlan(plan FaultPlan) Option {
 			return fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 		}
 		c.faults = &plan
-		return nil
-	}
-}
-
-// WithScrubReadThreshold enables read-disturb scrubbing: a block that absorbs
-// the given number of page reads since its last erase is relocated and erased
-// so its payloads are rewritten before they decay. Zero (the default)
-// disables scrubbing. To stay ahead of a fault plan whose ReadDisturbLimit is
-// T, pick a threshold of at most T minus the device's pages per block (the
-// scrub's own migration reads count too). Ignored when WithFTLOptions
-// supplies explicit FTL options — set FTLOptions.ScrubReadThreshold instead.
-func WithScrubReadThreshold(reads int) Option {
-	return func(c *config) error {
-		if reads < 0 {
-			return fmt.Errorf("%w: scrub read threshold %d must be >= 0", ErrInvalidConfig, reads)
-		}
-		c.scrubReads = &reads
 		return nil
 	}
 }

@@ -16,8 +16,8 @@ type FTLOptions = ftl.Options
 // host writes; see GCInline and GCIncremental.
 type GCMode = ftl.GCMode
 
-// VictimPolicy selects garbage-collection victims; see VictimGreedy and
-// VictimMetadataAware.
+// VictimPolicy selects garbage-collection victims; see VictimGreedy,
+// VictimMetadataAware and VictimCostBenefit.
 type VictimPolicy = ftl.VictimPolicy
 
 // The garbage-collection scheduling modes and victim policies.
@@ -51,7 +51,8 @@ func ParseGCMode(s string) (GCMode, error) {
 	return m, configErr(err)
 }
 
-// ParseVictimPolicy maps "greedy" or "metadata-aware" to the VictimPolicy.
+// ParseVictimPolicy maps "greedy", "metadata-aware" or "cost-benefit" to the
+// VictimPolicy; anything else is an ErrInvalidConfig error.
 func ParseVictimPolicy(s string) (VictimPolicy, error) {
 	p, err := ftl.ParseVictimPolicy(s)
 	return p, configErr(err)
@@ -104,17 +105,8 @@ type config struct {
 	ftlName      string
 	cacheEntries int
 
-	// explicit, when set by WithFTLOptions, wins over the named knobs.
-	explicit    *FTLOptions
-	gcMode      *GCMode
-	gcPages     *int
-	policy      *VictimPolicy
-	battery     *bool
-	wearLevel   *bool
-	checkpoints *bool
-	hotCold     *bool
-	wearAware   *bool
-	scrubReads  *int
+	// explicit, when set by WithFTLOptions, replaces the named scheme.
+	explicit *FTLOptions
 
 	// faults, when set by WithFaultPlan, is installed on the device at Open,
 	// before any IO.
@@ -210,8 +202,8 @@ func WithFTL(name string) Option {
 }
 
 // WithCacheEntries sets C, the mapping cache's capacity in entries (the
-// device's RAM budget knob; 8 bytes per entry under the paper's model). With
-// S shards each shard receives C/S entries.
+// device's RAM budget knob; 8 bytes per entry under the paper's model). Every
+// shard receives the whole C: with S shards the device caches S*C entries.
 func WithCacheEntries(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
@@ -220,77 +212,6 @@ func WithCacheEntries(n int) Option {
 		c.cacheEntries = n
 		return nil
 	}
-}
-
-// WithGCMode selects inline or incremental garbage-collection scheduling.
-func WithGCMode(mode GCMode) Option {
-	return func(c *config) error {
-		if mode != GCInline && mode != GCIncremental {
-			return fmt.Errorf("%w: unknown GC mode %v", ErrInvalidConfig, mode)
-		}
-		c.gcMode = &mode
-		return nil
-	}
-}
-
-// WithGCPagesPerWrite sets the incremental garbage collector's per-write
-// step budget (0 selects DefaultGCPagesPerWrite; ignored under GCInline).
-func WithGCPagesPerWrite(k int) Option {
-	return func(c *config) error {
-		if k < 0 {
-			return fmt.Errorf("%w: GC pages per write %d must be >= 0", ErrInvalidConfig, k)
-		}
-		c.gcPages = &k
-		return nil
-	}
-}
-
-// WithVictimPolicy selects the garbage-collection victim policy.
-func WithVictimPolicy(p VictimPolicy) Option {
-	return func(c *config) error {
-		if p != VictimGreedy && p != VictimMetadataAware && p != VictimCostBenefit {
-			return fmt.Errorf("%w: unknown victim policy %v", ErrInvalidConfig, p)
-		}
-		c.policy = &p
-		return nil
-	}
-}
-
-// WithHotColdSeparation gives user data two write frontiers: a per-LPN heat
-// classifier (exponentially decayed write counts) routes each host write to
-// the hot or cold one, so blocks fill with pages of similar lifetimes. On
-// skewed workloads this lowers write-amplification — hot blocks are almost
-// fully invalid when the garbage collector reaches them, and cold blocks are
-// not churned — at the cost of one extra active block and ~4 bytes of RAM
-// per logical page for the classifier.
-func WithHotColdSeparation(on bool) Option {
-	return func(c *config) error { c.hotCold = &on; return nil }
-}
-
-// WithWearAwareAllocation makes the block manager hand out the least-erased
-// free block (coldest-erase-count first) instead of the most recently freed
-// one, narrowing the device's erase-count spread (Snapshot.EraseSpread) and
-// so extending its lifetime.
-func WithWearAwareAllocation(on bool) Option {
-	return func(c *config) error { c.wearAware = &on; return nil }
-}
-
-// WithBattery sets whether the device has a battery that flushes dirty
-// mapping entries at power failure (the DFTL/µ-FTL assumption). Without one,
-// PowerFail is an abrupt rail cut and Recover rebuilds state from flash.
-func WithBattery(on bool) Option {
-	return func(c *config) error { c.battery = &on; return nil }
-}
-
-// WithWearLeveling enables the gradual-scan wear-leveler.
-func WithWearLeveling(on bool) Option {
-	return func(c *config) error { c.wearLevel = &on; return nil }
-}
-
-// WithCheckpoints sets whether runtime checkpoints bound the recovery
-// backwards scan (GeckoFTL's Section 4.3 behaviour, on by default for it).
-func WithCheckpoints(on bool) Option {
-	return func(c *config) error { c.checkpoints = &on; return nil }
 }
 
 // WithCheckpointPath enables durable metadata checkpoints at the given host
@@ -347,9 +268,14 @@ func WithAdmissionPolicy(p AdmissionPolicy) Option {
 	}
 }
 
-// WithFTLOptions hands Open a fully explicit FTL configuration, overriding
-// WithFTL, WithCacheEntries and the other FTL-level knobs. Use the *Options
-// constructors as starting points.
+// WithFTLOptions hands Open a fully explicit FTL configuration in place of
+// the scheme WithFTL and WithCacheEntries name. It is the one route to every
+// FTL-level setting beyond those two — garbage-collection mode and step
+// budget, victim policy, hot/cold separation, wear-aware allocation and
+// wear-leveling, battery, runtime checkpoints, the read-disturb scrub
+// threshold: start from one of the *Options constructors (or
+// FTLOptionsByName) and set the FTLOptions fields. Open rejects invalid
+// values under ErrInvalidConfig.
 func WithFTLOptions(opts FTLOptions) Option {
 	return func(c *config) error { c.explicit = &opts; return nil }
 }
@@ -359,38 +285,7 @@ func (c *config) ftlOptions() (FTLOptions, error) {
 	if c.explicit != nil {
 		return *c.explicit, nil
 	}
-	opts, err := FTLOptionsByName(c.ftlName, c.cacheEntries)
-	if err != nil {
-		return FTLOptions{}, err
-	}
-	if c.gcMode != nil {
-		opts.GCMode = *c.gcMode
-	}
-	if c.gcPages != nil {
-		opts.GCPagesPerWrite = *c.gcPages
-	}
-	if c.policy != nil {
-		opts.VictimPolicy = *c.policy
-	}
-	if c.battery != nil {
-		opts.Battery = *c.battery
-	}
-	if c.wearLevel != nil {
-		opts.WearLeveling = *c.wearLevel
-	}
-	if c.checkpoints != nil {
-		opts.Checkpoints = *c.checkpoints
-	}
-	if c.hotCold != nil {
-		opts.HotColdSeparation = *c.hotCold
-	}
-	if c.wearAware != nil {
-		opts.WearAwareAllocation = *c.wearAware
-	}
-	if c.scrubReads != nil {
-		opts.ScrubReadThreshold = *c.scrubReads
-	}
-	return opts, nil
+	return FTLOptionsByName(c.ftlName, c.cacheEntries)
 }
 
 // flashConfig resolves the configured device geometry.
