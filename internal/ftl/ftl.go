@@ -134,7 +134,7 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 	}
 	bm := newBlockManager(dev, opts.GCFreeBlockReserve, opts.HotColdSeparation, opts.WearAwareAllocation)
 	logicalPages := int64(cfg.LogicalPages())
-	table := newTranslationTable(bm, logicalPages, cfg.PageSize)
+	table := newTranslationTable(bm, logicalPages, cfg.PageSize, opts.Scheme == SchemeGecko)
 	cache := mapcache.New(opts.CacheEntries, table.EntriesPerPage())
 
 	f := &FTL{

@@ -41,6 +41,10 @@ type translationTable struct {
 	flashMapping  []flash.PPN // flash-resident mapping value per logical page
 	prevVersions  map[int]prevVersion
 	protectBlocks map[flash.BlockID]bool
+	// keepPrevious is set when the FTL has a Logarithmic Gecko buffer to
+	// recover: only that recovery reads previous versions, and only Gecko's
+	// flushes drop them, so any other FTL would hold them forever.
+	keepPrevious bool
 	// contentPool holds the content buffers of dropped previous versions for
 	// the next protections to reuse.
 	contentPool [][]flash.PPN
@@ -51,7 +55,7 @@ type translationTable struct {
 // newTranslationTable creates the table for the given number of logical
 // pages. Every mapping starts out unmapped (InvalidPPN) and no translation
 // page exists in flash until the first synchronization touches it.
-func newTranslationTable(bm *blockManager, logicalPages int64, pageSize int) *translationTable {
+func newTranslationTable(bm *blockManager, logicalPages int64, pageSize int, keepPrevious bool) *translationTable {
 	entriesPerTP := pageSize / mappingEntryBytes
 	pages := int((logicalPages + int64(entriesPerTP) - 1) / int64(entriesPerTP))
 	t := &translationTable{
@@ -63,6 +67,7 @@ func newTranslationTable(bm *blockManager, logicalPages int64, pageSize int) *tr
 		flashMapping:  make([]flash.PPN, logicalPages),
 		prevVersions:  make(map[int]prevVersion),
 		protectBlocks: make(map[flash.BlockID]bool),
+		keepPrevious:  keepPrevious,
 	}
 	for i := range t.gmd {
 		t.gmd[i] = flash.InvalidPPN
@@ -148,7 +153,7 @@ func (t *translationTable) Synchronize(tp int, updates []dirtyUpdate) error {
 	// recovery procedure can rebuild Logarithmic Gecko's buffer by diffing
 	// translation-page versions (Appendix C.2.2). The snapshot is dropped
 	// when the Gecko buffer flushes (ClearProtected).
-	if _, ok := t.prevVersions[tp]; !ok {
+	if _, ok := t.prevVersions[tp]; !ok && t.keepPrevious {
 		t.prevVersions[tp] = prevVersion{location: old, content: t.snapshot(tp)}
 		if old != flash.InvalidPPN {
 			t.protectBlocks[flash.BlockOf(old, t.bm.cfg.PagesPerBlock)] = true

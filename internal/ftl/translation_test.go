@@ -10,7 +10,7 @@ func newTestTable(t *testing.T) (*blockManager, *translationTable, *flash.Device
 	t.Helper()
 	dev := newTestDevice(t, 16, 8, 512)
 	bm := newBlockManager(dev, 2, false, false)
-	table := newTranslationTable(bm, int64(dev.Config().LogicalPages()), dev.Config().PageSize)
+	table := newTranslationTable(bm, int64(dev.Config().LogicalPages()), dev.Config().PageSize, true)
 	return bm, table, dev
 }
 
@@ -194,5 +194,41 @@ func TestGroupStoreRoundTrip(t *testing.T) {
 	c := dev.Counters()
 	if c.Count(flash.OpPageWrite, flash.PurposePageValidity) != 1 {
 		t.Error("group store write not attributed to page-validity")
+	}
+}
+
+// TestOnlyGeckoKeepsPreviousVersions pins who pays for previous
+// translation-page versions: only Logarithmic Gecko's buffer recovery reads
+// them and only its flush drops them, so an FTL without a Gecko buffer must
+// record none — it would hold one dead snapshot per translation page forever.
+func TestOnlyGeckoKeepsPreviousVersions(t *testing.T) {
+	dftl, err := NewDFTL(newTestDevice(t, 64, 16, 512), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// GeckoFTL does keep them between buffer flushes, or C.2.2 has nothing to
+	// diff against.
+	gecko, err := NewGeckoFTL(newTestDevice(t, 64, 16, 512), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geckoKept := 0
+	for lpn := flash.LPN(0); int64(lpn) < dftl.LogicalPages(); lpn++ {
+		if err := dftl.Write(lpn); err != nil {
+			t.Fatal(err)
+		}
+		if err := gecko.Write(lpn); err != nil {
+			t.Fatal(err)
+		}
+		geckoKept = max(geckoKept, len(gecko.table.UpdatedSinceProtection()))
+	}
+	if err := dftl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(dftl.table.UpdatedSinceProtection()); n != 0 {
+		t.Errorf("DFTL holds %d previous translation-page versions after a full overwrite, want 0", n)
+	}
+	if geckoKept == 0 {
+		t.Error("GeckoFTL never held a previous translation-page version")
 	}
 }
