@@ -238,3 +238,86 @@ func TestEngineParallelTimeScales(t *testing.T) {
 		t.Errorf("8-channel speedup %.2fx, want >= 2x", speedup)
 	}
 }
+
+// TestOneShardEngineMatchesBareFTL pins the equivalence the FTL-level
+// experiments (internal/sim's MeasureFTL) and this package's bare-FTL tests
+// lean on: a one-shard engine over a one-channel device adds locking and
+// latency instrumentation to an FTL and nothing else. The same seeded stream
+// of writes, reads and trims, then a crash and a recovery, must leave both
+// stacks with identical device IO, logical counters, RAM footprint and
+// recovery report.
+func TestOneShardEngineMatchesBareFTL(t *testing.T) {
+	for _, opts := range []Options{GeckoFTLOptions(96), DFTLOptions(96), LazyFTLOptions(96), MuFTLOptions(96), IBFTLOptions(96)} {
+		t.Run(opts.Name, func(t *testing.T) {
+			bareDev, engDev := engineTestDevice(t, 128, 1), engineTestDevice(t, 128, 1)
+			bare, err := New(bareDev, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := NewEngine(engDev, opts, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.Shards() != 1 || eng.LogicalPages() != bare.LogicalPages() {
+				t.Fatalf("engine has %d shards and %d logical pages, bare FTL %d pages", eng.Shards(), eng.LogicalPages(), bare.LogicalPages())
+			}
+			rng := rand.New(rand.NewSource(19))
+			for i := int64(0); i < 4*bare.LogicalPages(); i++ {
+				kind, lpn := flash.HostWrite, flash.LPN(rng.Int63n(bare.LogicalPages()))
+				switch r := rng.Intn(10); {
+				case r < 3:
+					kind = flash.HostRead
+				case r < 4:
+					kind = flash.HostTrim
+				}
+				var bareErr error
+				switch kind {
+				case flash.HostRead:
+					bareErr = bare.Read(lpn)
+				case flash.HostTrim:
+					bareErr = bare.Trim(lpn)
+				default:
+					bareErr = bare.Write(lpn)
+				}
+				if err := eng.Do(kind, lpn); err != nil || bareErr != nil {
+					t.Fatalf("op %d (%v %d): bare %v, engine %v", i, kind, lpn, bareErr, err)
+				}
+			}
+			same := func(when string) {
+				t.Helper()
+				if b, e := bareDev.Counters(), engDev.Counters(); b != e {
+					t.Errorf("%s: device counters differ:\nbare   %+v\nengine %+v", when, b, e)
+				}
+				if b, e := bare.Stats(), eng.Stats(); b != e {
+					t.Errorf("%s: logical counters differ:\nbare   %+v\nengine %+v", when, b, e)
+				}
+				if b, e := bare.RAMBytes(), eng.RAMBytes(); b != e {
+					t.Errorf("%s: RAM footprint differs: bare %d, engine %d", when, b, e)
+				}
+			}
+			same("after the workload")
+			if st := bare.Stats(); st.GCOperations == 0 || st.TrimmedPages == 0 {
+				t.Fatalf("workload too small to mean anything: %+v", st)
+			}
+
+			if err := bare.PowerFail(); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.PowerFail(); err != nil {
+				t.Fatal(err)
+			}
+			bareRep, err := bare.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			engRep, err := eng.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := engRep.Shards[0].RecoveryReport; got != *bareRep {
+				t.Errorf("recovery reports differ:\nbare   %+v\nengine %+v", *bareRep, got)
+			}
+			same("after recovery")
+		})
+	}
+}
