@@ -66,9 +66,9 @@ type Device struct {
 
 // Open builds a device from functional options: geometry, topology, a named
 // FTL scheme and its cache budget (or a fully explicit FTLOptions), faults,
-// checkpoint path, submission queue. Defaults: a
-// 256-block device of 32 pages of 1 KB at 70% over-provisioning, one
-// channel, GeckoFTL with a 1024-entry mapping cache, inline GC.
+// checkpoint path, submission queue. Defaults: a 256-block device of 32 pages
+// of 1 KB at 70% over-provisioning, one channel, GeckoFTL with a 1024-entry
+// mapping cache, inline GC.
 //
 // Errors are classified under ErrInvalidConfig.
 func Open(opts ...Option) (*Device, error) {

@@ -324,11 +324,11 @@ func (e *Engine) bucket(lpns []flash.LPN) ([][]flash.LPN, error) {
 
 // fanOut buckets a batch of one kind by shard and runs one goroutine per
 // non-empty bucket, each holding its shard's lock while draining the bucket
-// sequentially. A shard that fails stops
-// early; the joined errors of all failed shards are returned. Each bucket
-// re-checks ctx before every operation — a batch observed to be cancelled
-// stops at an operation boundary on every shard instead of running to
-// completion, and the cancelled shards report ctx.Err().
+// sequentially. A shard that fails stops early; the joined errors of all
+// failed shards are returned. Each bucket re-checks ctx before every
+// operation — a batch observed to be cancelled stops at an operation boundary
+// on every shard instead of running to completion, and the cancelled shards
+// report ctx.Err().
 //
 // The batch's arrival instant is taken once, before the fan-out, so every
 // operation's recorded latency is measured against the same virtual "now":

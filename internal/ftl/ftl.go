@@ -321,6 +321,7 @@ func (f *FTL) remap(lpn flash.LPN, trim bool) error {
 	// 4.1), and Trimmed attributes its eventual report to the trim.
 	entry := mapcache.Entry{Logical: lpn, Physical: flash.InvalidPPN, Dirty: true}
 	prev := flash.InvalidPPN
+	var err error
 	switch {
 	case isCached:
 		prev = cached.Physical
@@ -331,7 +332,6 @@ func (f *FTL) remap(lpn flash.LPN, trim bool) error {
 		entry.UIP = true
 		entry.Trimmed = trim
 	default:
-		var err error
 		if prev, err = f.table.ReadEntry(lpn, lookup); err != nil {
 			return err
 		}
@@ -348,7 +348,6 @@ func (f *FTL) remap(lpn flash.LPN, trim bool) error {
 				f.stats.ColdWrites++
 			}
 		}
-		var err error
 		entry.Physical, err = f.bm.AllocateUserPage(temp, flash.SpareArea{Logical: lpn}, flash.PurposeUserWrite)
 		if err != nil {
 			return err
@@ -358,7 +357,6 @@ func (f *FTL) remap(lpn flash.LPN, trim bool) error {
 	// A known before-image is reported invalid immediately (Section 4.1,
 	// "Application Writes"); a trim's also counts toward the trim statistics.
 	if prev != flash.InvalidPPN && prev != entry.Physical {
-		var err error
 		if trim {
 			err = f.reportTrimmed(prev)
 		} else {

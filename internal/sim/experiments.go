@@ -377,14 +377,15 @@ func Figure14(scale ExperimentScale) ([]Figure14Row, error) {
 	}
 	bigCache := baseCache + pvbEntries
 
+	// Same garbage-collection scheme for all three (Section 5.4).
+	sameGC := func(o *ftl.Options) { o.VictimPolicy = ftl.VictimMetadataAware }
 	var rows []Figure14Row
 	for _, c := range []struct {
 		name  string
 		cache int
 	}{{"DFTL", baseCache}, {"uFTL", bigCache}, {"GeckoFTL", bigCache}} {
 		scale.CacheEntries = c.cache
-		// Same garbage-collection scheme for all three (Section 5.4).
-		res, err := MeasureFTL(scale, c.name, func(o *ftl.Options) { o.VictimPolicy = ftl.VictimMetadataAware })
+		res, err := MeasureFTL(scale, c.name, sameGC)
 		if err != nil {
 			return nil, fmt.Errorf("sim: figure 14 (%s): %w", c.name, err)
 		}
