@@ -224,3 +224,50 @@ func TestQueueOptionValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestTicketWaitOutcomeBeatsCancelledContext: Wait on a completed ticket
+// reports the operation's outcome, under the public taxonomy, even when the
+// ctx passed to Wait is already cancelled.
+func TestTicketWaitOutcomeBeatsCancelledContext(t *testing.T) {
+	d, err := Open(WithQueueDepth(1), WithAdmissionPolicy(AdmitShed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close(context.Background())
+	ctx := context.Background()
+	// A producer that outruns a depth-1 shedding queue has most of its
+	// submissions shed: tickets whose outcome wrapErr must translate.
+	tickets := make([]*Ticket, 0, 500)
+	for i := 0; i < cap(tickets); i++ {
+		tk, err := d.SubmitWrite(ctx, LPN(i%int(d.LogicalPages())))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		tickets = append(tickets, tk)
+	}
+	if err := d.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	shed := 0
+	for i, tk := range tickets {
+		got := tk.Wait(dead)
+		switch want := tk.Err(); {
+		case want == nil:
+			if got != nil {
+				t.Fatalf("ticket %d: Wait(cancelled ctx) = %v; want the outcome <nil>", i, got)
+			}
+		case errors.Is(want, ErrQueueFull):
+			shed++
+			if !errors.Is(got, ErrQueueFull) {
+				t.Fatalf("ticket %d: Wait(cancelled ctx) = %v; want the outcome %v", i, got, want)
+			}
+		default:
+			t.Fatalf("ticket %d: unexpected outcome %v", i, want)
+		}
+	}
+	if shed == 0 {
+		t.Error("nothing was shed: no outcome exercised the error mapping")
+	}
+}

@@ -3,6 +3,7 @@ package queue
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -295,6 +296,7 @@ func TestCancelledContextFailsQueuedOps(t *testing.T) {
 	if st.Cancelled != 5 || st.Completed != 1 {
 		t.Errorf("stats: %+v; want 5 cancelled, 1 completed", st)
 	}
+	checkBooks(t, st)
 	if n := e.execed.Load(); n != 1 {
 		t.Errorf("executor ran %d times; cancelled ops must not execute", n)
 	}
@@ -435,5 +437,110 @@ func TestSubmitCompleteHammer(t *testing.T) {
 	}
 	if st.InFlight != 0 {
 		t.Errorf("in flight %d after drain; want 0", st.InFlight)
+	}
+	checkBooks(t, st)
+}
+
+// checkBooks asserts the queue's accounting identity: every submission Stats
+// counts is completed, shed, cancelled or still in flight.
+func checkBooks(t *testing.T, st Stats) {
+	t.Helper()
+	if st.Submitted != st.Completed+st.Shed+st.Cancelled+st.InFlight {
+		t.Errorf("books do not balance: submitted %d != completed %d + shed %d + cancelled %d + in flight %d",
+			st.Submitted, st.Completed, st.Shed, st.Cancelled, st.InFlight)
+	}
+}
+
+// TestAbandonedSendIsAccounted: a Submit whose blocked transport send is given
+// up because its ctx ended was counted as submitted; it must then be counted
+// as cancelled too, or one operation vanishes from the books that
+// internal/sim and perfbench divide by.
+func TestAbandonedSendIsAccounted(t *testing.T) {
+	gate := make(chan struct{})
+	e := newTestEngine(t, testConfig{shards: 1, depth: 1, policy: AdmitWait, clock: -1, gate: gate})
+	first, err := e.Submit(context.Background(), Request{Kind: OpWrite, LPN: 0})
+	if err != nil {
+		t.Fatalf("Submit 1: %v", err)
+	}
+	waitWorkerIdle(t, e.Engine, 0) // the worker holds op 1; op 2 fills the queue
+	second, err := e.Submit(context.Background(), Request{Kind: OpWrite, LPN: 0})
+	if err != nil {
+		t.Fatalf("Submit 2: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := e.Submit(ctx, Request{Kind: OpWrite, LPN: 0}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("blocked Submit = %v; want context.DeadlineExceeded", err)
+	}
+	e.closeGate()
+	for _, tk := range []*Ticket{first, second} {
+		if err := tk.Wait(nil); err != nil {
+			t.Errorf("admitted op failed: %v", err)
+		}
+	}
+	st := e.Stats()
+	if st.Submitted != 3 || st.Completed != 2 || st.Cancelled != 1 || st.InFlight != 0 {
+		t.Errorf("stats: %+v; want 3 submitted = 2 completed + 1 cancelled", st)
+	}
+	checkBooks(t, st)
+}
+
+// TestSubmitRacingCloseIsAccounted: a Submit that loses the race with Close
+// fails with ErrClosed and must not be on the books; everything Submit did
+// accept is completed or shed by the time Close returns.
+func TestSubmitRacingCloseIsAccounted(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		e := newTestEngine(t, testConfig{shards: 2, depth: 2, policy: AdmitShed, clock: -1})
+		var accepted atomic.Int64
+		var wg sync.WaitGroup
+		for p := 0; p < 4; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					_, err := e.Submit(context.Background(), Request{Kind: OpWrite, LPN: flash.LPN(p + i)})
+					if errors.Is(err, ErrClosed) {
+						return
+					}
+					if err != nil && !errors.Is(err, ErrFull) {
+						t.Errorf("producer %d: %v", p, err)
+						return
+					}
+					accepted.Add(1)
+				}
+			}(p)
+		}
+		for accepted.Load() < 100 { // producers are submitting
+			runtime.Gosched()
+		}
+		e.Close()
+		wg.Wait()
+		st := e.Stats()
+		if st.Submitted != accepted.Load() || st.InFlight != 0 {
+			t.Errorf("round %d: %+v; want %d submitted, none in flight", round, st, accepted.Load())
+		}
+		checkBooks(t, st)
+	}
+}
+
+// TestWaitOutcomeBeatsCancelledContext: Wait on a completed ticket returns
+// the operation's outcome even when its own ctx is already cancelled — not
+// one or the other at random, as a select over two ready cases does.
+func TestWaitOutcomeBeatsCancelledContext(t *testing.T) {
+	boom := errors.New("media failure")
+	e := newTestEngine(t, testConfig{shards: 1, depth: 4, policy: AdmitWait, clock: -1, execErr: boom})
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 200; i++ {
+		tk, err := e.Submit(context.Background(), Request{Kind: OpWrite, LPN: 0})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if err := tk.Wait(nil); !errors.Is(err, boom) {
+			t.Fatalf("Wait(nil) = %v; want %v", err, boom)
+		}
+		if err := tk.Wait(dead); !errors.Is(err, boom) {
+			t.Fatalf("iteration %d: Wait(cancelled ctx) on a completed ticket = %v; want the outcome %v", i, err, boom)
+		}
 	}
 }
