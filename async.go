@@ -34,30 +34,38 @@ func ParseAdmissionPolicy(s string) (AdmissionPolicy, error) {
 
 // Ticket is the future of one asynchronous submission: it completes when the
 // operation has executed, been shed by admission control, or been cancelled.
-// All methods are safe for concurrent use.
-type Ticket struct {
-	tk *queue.Ticket
-}
+// All methods are safe for concurrent use. A Ticket must not be copied.
+//
+// It is the submission queue's own entry for the operation under the public
+// error taxonomy — one heap object per submission, not a wrapper around one —
+// so the methods below convert the pointer and classify the outcome.
+type Ticket queue.Ticket
 
-// Done returns a channel closed when the operation has completed.
-func (t *Ticket) Done() <-chan struct{} { return t.tk.Done() }
+func (t *Ticket) entry() *queue.Ticket { return (*queue.Ticket)(t) }
+
+// Done returns a channel closed when the operation has completed. The channel
+// is made on first request; a caller that only uses Wait or Err never pays
+// for one.
+func (t *Ticket) Done() <-chan struct{} { return t.entry().Done() }
 
 // Err returns the operation's outcome under the public error taxonomy: nil
 // for success, ErrQueueFull for an operation shed by admission control, the
 // submission context's error for a cancellation observed before execution,
 // and the executed operation's error otherwise. Before completion it returns
 // ErrPending.
-func (t *Ticket) Err() error { return wrapErr(t.tk.Err()) }
+func (t *Ticket) Err() error { return wrapErr(t.entry().Err()) }
 
 // Wait blocks until the operation completes or ctx is cancelled, returning
-// the operation's outcome as Err would (or ctx's error). A nil ctx waits
-// indefinitely.
-func (t *Ticket) Wait(ctx context.Context) error { return wrapErr(t.tk.Wait(ctx)) }
+// the operation's outcome as Err would (or ctx's error). On a completed
+// ticket the outcome wins even over a ctx that is already cancelled. A nil
+// ctx waits indefinitely.
+func (t *Ticket) Wait(ctx context.Context) error { return wrapErr(t.entry().Wait(ctx)) }
 
 // CompletedAt returns the operation's completion instant on the simulator's
-// virtual timeline (zero for shed or cancelled operations). Valid once Done
-// is closed.
-func (t *Ticket) CompletedAt() time.Duration { return t.tk.CompletedAt() }
+// virtual timeline (zero for shed or cancelled operations). Valid once the
+// ticket has completed: Wait returned, Err is not ErrPending, or Done is
+// closed.
+func (t *Ticket) CompletedAt() time.Duration { return t.entry().CompletedAt() }
 
 // SubmitWrite enqueues one logical page write on the device's asynchronous
 // submission path and returns its Ticket without waiting for execution.
@@ -104,7 +112,7 @@ func (d *Device) submit(ctx context.Context, kind queue.OpKind, lpn LPN) (*Ticke
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	return &Ticket{tk: tk}, nil
+	return (*Ticket)(tk), nil
 }
 
 // Drain blocks until every operation submitted (via Submit*) before the call
@@ -114,9 +122,7 @@ func (d *Device) Drain(ctx context.Context) error {
 	if err := d.guard(ctx); err != nil {
 		return err
 	}
-	d.qMu.Lock()
-	q := d.q
-	d.qMu.Unlock()
+	q := d.q.Load()
 	if q == nil {
 		return nil
 	}
@@ -125,17 +131,22 @@ func (d *Device) Drain(ctx context.Context) error {
 
 // queueEngine returns the device's submission engine, starting it on first
 // use — a device that never submits asynchronously runs no queue goroutines.
+// Once started the engine is published in d.q and found without a lock; qMu
+// only keeps two first submissions from starting two.
 func (d *Device) queueEngine() (*queue.Engine, error) {
+	if q := d.q.Load(); q != nil {
+		return q, nil
+	}
 	d.qMu.Lock()
 	defer d.qMu.Unlock()
-	if d.q != nil {
-		return d.q, nil
+	if q := d.q.Load(); q != nil {
+		return q, nil
 	}
 	q, err := d.eng.NewQueue(d.queueDepth, d.queueAdmission)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	d.q = q
+	d.q.Store(q)
 	return q, nil
 }
 
@@ -143,10 +154,7 @@ func (d *Device) queueEngine() (*queue.Engine, error) {
 // operations execute to completion; Close calls it before the final flush so
 // nothing lands after the checkpoint.
 func (d *Device) stopQueue() {
-	d.qMu.Lock()
-	q := d.q
-	d.qMu.Unlock()
-	if q != nil {
+	if q := d.q.Load(); q != nil {
 		q.Close()
 	}
 }
@@ -154,9 +162,7 @@ func (d *Device) stopQueue() {
 // queueStats reads the submission engine's counters; the zero value when the
 // asynchronous path was never used.
 func (d *Device) queueStats() QueueStats {
-	d.qMu.Lock()
-	q := d.q
-	d.qMu.Unlock()
+	q := d.q.Load()
 	if q == nil {
 		return QueueStats{Depth: d.queueDepth, Policy: d.queueAdmission.String()}
 	}

@@ -49,10 +49,11 @@ type Device struct {
 	// at Close; nil when checkpointing is disabled.
 	checkpointLock *checkpoint.Lock
 
-	// qMu guards the lazily started submission engine (async.go);
-	// queueDepth and queueAdmission are its configuration, fixed at Open.
+	// q is the lazily started submission engine (async.go), published once
+	// under qMu; queueDepth and queueAdmission are its configuration, fixed
+	// at Open.
 	qMu            sync.Mutex
-	q              *queue.Engine
+	q              atomic.Pointer[queue.Engine]
 	queueDepth     int
 	queueAdmission AdmissionPolicy
 

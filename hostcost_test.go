@@ -96,14 +96,15 @@ func TestHostAllocBudget(t *testing.T) {
 			}
 
 			// A trim of the same page. Device.Trim takes the batch path, so
-			// it pays the fan-out's page list, buckets and goroutine; the
-			// trim beneath adds nothing (see engine-trim below).
+			// it pays for the page list it hands the fan-out; the fan-out's
+			// own state is recycled, the caller drives the one bucket itself
+			// and the trim beneath adds nothing (see engine-trim below).
 			if perTrim := testing.AllocsPerRun(1000, func() {
 				if err := dev.Trim(ctx, hot, 1); err != nil {
 					t.Fatal(err)
 				}
-			}); perTrim > 7 {
-				t.Errorf("%s: %.0f allocs per cached one-page Device.Trim, budget 7", tc.ftl, perTrim)
+			}); perTrim > 1 {
+				t.Errorf("%s: %.0f allocs per cached one-page Device.Trim, budget 1", tc.ftl, perTrim)
 			}
 		})
 	}
@@ -137,8 +138,10 @@ func TestHostAllocBudget(t *testing.T) {
 	})
 
 	// Asynchronous writes, 64 tickets in flight at a time as perfbench's
-	// async-write-8ch submits them: the item, the ticket and its completion
-	// channel are the API, and the queue adds little over one more.
+	// async-write-8ch submits them. The ticket handed back is the one object
+	// a submission costs: it is the queue's entry and the future, and under a
+	// ctx that cannot be cancelled waiting on it makes no channel. The rest
+	// of the measured 1.09 is the FTL's amortized flushes and merges.
 	t.Run("submit-wait", func(t *testing.T) {
 		dev, rng := steadyDevice(t, "geckoftl", 8)
 		pages := dev.LogicalPages()
@@ -171,8 +174,94 @@ func TestHostAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		perOp := float64(after.Mallocs-before.Mallocs) / float64(len(lpns)-depth)
 		t.Logf("%.3f allocs and %.0f bytes per SubmitWrite+Wait", perOp, float64(after.TotalAlloc-before.TotalAlloc)/float64(len(lpns)-depth))
-		if perOp > 5 {
-			t.Errorf("%.2f allocs per SubmitWrite+Wait, budget 5", perOp)
+		if perOp > 2 {
+			t.Errorf("%.2f allocs per SubmitWrite+Wait, budget 2", perOp)
+		}
+	})
+
+	// Batches: what the fan-out costs around the operations it carries. A
+	// batch spread over S shards starts S-1 goroutines, one allocation each
+	// (the caller drives one bucket itself), and recycles everything else; a
+	// batch that stays on one shard starts none, so it allocates nothing.
+	t.Run("read-batch", func(t *testing.T) {
+		dev, _ := steadyDevice(t, "geckoftl", 8)
+		const shards = 8
+		spread := make([]geckoftl.LPN, 256)
+		oneShard := make([]geckoftl.LPN, 32)
+		for i := range spread {
+			spread[i] = geckoftl.LPN(i)
+		}
+		for i := range oneShard {
+			oneShard[i] = geckoftl.LPN(i * shards)
+		}
+		for _, tc := range []struct {
+			name   string
+			lpns   []geckoftl.LPN
+			budget float64
+		}{{"256 pages on 8 shards", spread, 8}, {"32 pages on one shard", oneShard, 0}} {
+			if err := dev.WriteBatch(ctx, tc.lpns); err != nil { // cache the pages' entries
+				t.Fatal(err)
+			}
+			perBatch := testing.AllocsPerRun(200, func() {
+				if err := dev.ReadBatch(ctx, tc.lpns); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%.0f allocs per ReadBatch of %s", perBatch, tc.name)
+			if perBatch > tc.budget {
+				t.Errorf("%.0f allocs per ReadBatch of %s, budget %.0f", perBatch, tc.name, tc.budget)
+			}
+		}
+	})
+}
+
+// BenchmarkDeviceSubmitWait times one steady-state asynchronous write, 64
+// tickets in flight on 8 channels: SubmitWrite for a window, then Wait on each
+// ticket, the loop of perfbench's async-write-8ch.
+func BenchmarkDeviceSubmitWait(b *testing.B) {
+	b.Run("8ch", func(b *testing.B) {
+		ctx := context.Background()
+		dev, rng := steadyDevice(b, "geckoftl", 8)
+		pages := dev.LogicalPages()
+		tickets := make([]*geckoftl.Ticket, 64)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for done := 0; done < b.N; done += len(tickets) {
+			window := tickets[:min(len(tickets), b.N-done)]
+			for i := range window {
+				tk, err := dev.SubmitWrite(ctx, geckoftl.LPN(rng.Int63n(pages)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				window[i] = tk
+			}
+			for _, tk := range window {
+				if err := tk.Wait(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkDeviceWriteBatch times steady-state writes issued 256 at a time
+// through WriteBatch on 8 channels, per page written.
+func BenchmarkDeviceWriteBatch(b *testing.B) {
+	b.Run("8ch", func(b *testing.B) {
+		ctx := context.Background()
+		dev, rng := steadyDevice(b, "geckoftl", 8)
+		pages := dev.LogicalPages()
+		lpns := make([]geckoftl.LPN, 256)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for done := 0; done < b.N; done += len(lpns) {
+			batch := lpns[:min(len(lpns), b.N-done)]
+			for i := range batch {
+				batch[i] = geckoftl.LPN(rng.Int63n(pages))
+			}
+			if err := dev.WriteBatch(ctx, batch); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

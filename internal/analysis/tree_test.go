@@ -42,11 +42,10 @@ func TestTreeIsClean(t *testing.T) {
 }
 
 // seeded is the referee's ledger: per rule, one regression written into a
-// real file of this module, in memory. Six undo a guard the tree has; the
-// other three insert a shape the tree does not contain, because today it has
-// no sync/atomic free-function call, no ...Locked method, and creates its two
-// queue.Tickets inside item literals, where ticketcomplete does not track
-// them. docs/analysis.md carries the same ledger.
+// real file of this module, in memory. Seven undo a guard the tree has; the
+// other two insert a shape the tree does not contain, because today it has
+// no sync/atomic free-function call and no ...Locked method.
+// docs/analysis.md carries the same ledger.
 var seeded = []struct {
 	rule     string
 	file     string
@@ -66,10 +65,11 @@ var seeded = []struct {
 		at:  "return refereeOps",
 	},
 	{
-		// Engine.fanOut stops checking ctx between a shard's operations.
+		// Engine.runBucket, the one loop behind every batch, stops checking
+		// ctx between a shard's operations.
 		rule: "ctxcheck", file: "internal/ftl/engine.go",
-		old: "\t\t\t\tif ctx != nil {\n\t\t\t\t\tif err := ctx.Err(); err != nil {\n\t\t\t\t\t\terrs[i] = fmt.Errorf(\"shard %d: %w\", i, err)\n\t\t\t\t\t\treturn\n\t\t\t\t\t}\n\t\t\t\t}\n",
-		at:  "for _, lpn := range bucket {",
+		old: "\t\tif ctx != nil {\n\t\t\tif err := ctx.Err(); err != nil {\n\t\t\t\tb.errs[s] = fmt.Errorf(\"shard %d: %w\", s, err)\n\t\t\t\treturn\n\t\t\t}\n\t\t}\n",
+		at:  "for _, lpn := range b.locals[b.starts[s]:b.starts[s+1]] {",
 	},
 	{
 		rule: "detrand", file: "internal/workload/workload.go",
@@ -106,12 +106,13 @@ var seeded = []struct {
 		at:  "tps = append(tps, tp)",
 	},
 	{
-		// Inserted shape: Submit binds its ticket to a variable and drops
-		// it when the send fails.
+		// Submit no longer hands its ticket to send: each of its error returns
+		// drops the ticket it created, and the worker never sees the one it
+		// returns.
 		rule: "ticketcomplete", file: "internal/queue/queue.go",
-		old: "\tit := &item{ctx: ctx, req: req, tk: &Ticket{done: make(chan struct{})}}\n\tsq.inFlight.Add(1)\n\tif err := e.send(ctx, sq, it); err != nil {\n\t\tsq.inFlight.Add(-1)\n\t\treturn nil, err\n\t}\n\treturn it.tk, nil\n",
-		new: "\ttk := &Ticket{done: make(chan struct{})}\n\tit := &item{ctx: ctx, req: req}\n\tsq.inFlight.Add(1)\n\tif err := e.send(ctx, sq, it); err != nil {\n\t\tsq.inFlight.Add(-1)\n\t\treturn nil, err\n\t}\n\tit.tk = tk\n\treturn tk, nil\n",
-		at:  "tk := &Ticket{done: make(chan struct{})}",
+		old: "\tswitch err := e.send(sq, tk); err {\n",
+		new: "\tswitch err := e.send(sq, nil); err {\n",
+		at:  "&Ticket{ctx: ctx, req: req}",
 	},
 }
 

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -72,3 +73,35 @@ func benchmarkFTLWrite(b *testing.B, build func(flash.Plane, int) (*FTL, error))
 
 func BenchmarkFTLWriteGecko(b *testing.B) { benchmarkFTLWrite(b, NewGeckoFTL) }
 func BenchmarkFTLWriteDFTL(b *testing.B)  { benchmarkFTLWrite(b, NewDFTL) }
+
+// BenchmarkEngineFanOut times one ReadBatch of 256 pages whose mapping entries
+// are cached, spread evenly over 8 shards: the reads beneath are as cheap as
+// an operation gets, so what is left is the fan-out itself — bucketing, the
+// goroutines, the join.
+func BenchmarkEngineFanOut(b *testing.B) {
+	cfg := flash.ScaledConfig(1024)
+	cfg.Channels = 8
+	dev, err := flash.NewDevice(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := NewEngine(dev, GeckoFTLOptions(64), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lpns := make([]flash.LPN, 256)
+	for i := range lpns {
+		lpns[i] = flash.LPN(i)
+	}
+	ctx := context.Background()
+	if err := eng.WriteBatch(ctx, lpns); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.ReadBatch(ctx, lpns); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -37,6 +37,9 @@ type Engine struct {
 	// transitions of PowerFail and Recover.
 	powerMu sync.Mutex
 	failed  bool
+
+	// batches recycles fanOut's per-batch state; see batch.
+	batches sync.Pool
 }
 
 // engineShard pairs one FTL instance with the lock that serializes it. The
@@ -130,6 +133,9 @@ func NewEngine(dev *flash.Device, opts Options, shards int) (*Engine, error) {
 	}
 	e.perShardPages = e.shards[0].ftl.LogicalPages()
 	e.logicalPages = e.perShardPages * int64(shards)
+	e.batches.New = func() any {
+		return &batch{starts: make([]int, shards+1), errs: make([]error, shards)}
+	}
 	return e, nil
 }
 
@@ -308,27 +314,58 @@ func (e *Engine) Mapped(lpn flash.LPN) (bool, error) {
 	return sh.ftl.Mapped(local)
 }
 
-// bucket groups a batch into per-shard slices of shard-local LPNs. Routing
-// errors are reported up front, before any IO is issued.
-func (e *Engine) bucket(lpns []flash.LPN) ([][]flash.LPN, error) {
-	buckets := make([][]flash.LPN, len(e.shards))
-	for _, lpn := range lpns {
-		s, local, err := e.shardOf(lpn)
-		if err != nil {
-			return nil, err
-		}
-		buckets[s] = append(buckets[s], local)
-	}
-	return buckets, nil
+// batch is the carrying state of one fanOut call: the batch's pages grouped by
+// shard, each shard's first error, and the join of the goroutines that run
+// the buckets. Engines recycle them (Engine.batches), so a batch in steady
+// state allocates none of this.
+type batch struct {
+	// locals holds the batch's shard-local LPNs grouped by shard, slice order
+	// preserved within a shard: shard s's bucket is
+	// locals[starts[s]:starts[s+1]].
+	locals []flash.LPN
+	starts []int
+	errs   []error
+	wg     sync.WaitGroup
 }
 
-// fanOut buckets a batch of one kind by shard and runs one goroutine per
-// non-empty bucket, each holding its shard's lock while draining the bucket
-// sequentially. A shard that fails stops early; the joined errors of all
-// failed shards are returned. Each bucket re-checks ctx before every
-// operation — a batch observed to be cancelled stops at an operation boundary
-// on every shard instead of running to completion, and the cancelled shards
-// report ctx.Err().
+// bucket groups lpns by shard into b, a counting sort: one pass counts each
+// shard's pages (and reports routing errors up front, before any IO is
+// issued), a prefix sum turns the counts into each bucket's end, and a
+// backward pass fills the buckets from their ends, which leaves starts[s] at
+// the bucket's start and the pages of a shard in slice order.
+func (e *Engine) bucket(b *batch, lpns []flash.LPN) error {
+	clear(b.starts)
+	clear(b.errs)
+	for _, lpn := range lpns {
+		s, _, err := e.shardOf(lpn)
+		if err != nil {
+			return err
+		}
+		b.starts[s]++
+	}
+	end := 0
+	for s := range e.shards {
+		end += b.starts[s]
+		b.starts[s] = end
+	}
+	b.starts[len(e.shards)] = end
+	if cap(b.locals) < len(lpns) {
+		b.locals = make([]flash.LPN, len(lpns))
+	}
+	b.locals = b.locals[:len(lpns)]
+	for i := len(lpns) - 1; i >= 0; i-- {
+		s, local, _ := e.shardOf(lpns[i]) // in range: the first pass checked
+		b.starts[s]--
+		b.locals[b.starts[s]] = local
+	}
+	return nil
+}
+
+// fanOut buckets a batch of one kind by shard and drains every non-empty
+// bucket through runBucket, in parallel: the calling goroutine runs the first
+// of them itself and a goroutine runs each of the others, so a batch that
+// touches one shard starts none. A shard that fails stops early; the joined
+// errors of all failed shards are returned.
 //
 // The batch's arrival instant is taken once, before the fan-out, so every
 // operation's recorded latency is measured against the same virtual "now":
@@ -341,39 +378,54 @@ func (e *Engine) bucket(lpns []flash.LPN) ([][]flash.LPN, error) {
 // the shared arrival clock and so charge each other's queueing, as
 // overlapping arrivals at a real device would.
 func (e *Engine) fanOut(ctx context.Context, kind flash.HostOp, lpns []flash.LPN) error {
-	buckets, err := e.bucket(lpns)
-	if err != nil {
+	b := e.batches.Get().(*batch)
+	defer e.batches.Put(b)
+	if err := e.bucket(b, lpns); err != nil {
 		return err
 	}
 	arrival := e.dev.SyncArrival()
-	var wg sync.WaitGroup
-	errs := make([]error, len(buckets))
-	for i, bucket := range buckets {
-		if len(bucket) == 0 {
+	own := -1
+	for s := range e.shards {
+		if b.starts[s] == b.starts[s+1] {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, bucket []flash.LPN) {
-			defer wg.Done()
-			sh := e.shards[i]
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			for _, lpn := range bucket {
-				if ctx != nil {
-					if err := ctx.Err(); err != nil {
-						errs[i] = fmt.Errorf("shard %d: %w", i, err)
-						return
-					}
-				}
-				if err := sh.do(kind, lpn, arrival); err != nil {
-					errs[i] = fmt.Errorf("shard %d: %w", i, err)
-					return
-				}
-			}
-		}(i, bucket)
+		b.wg.Add(1)
+		if own < 0 {
+			own = s
+			continue
+		}
+		go e.runBucket(ctx, b, kind, s, arrival)
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	if own >= 0 {
+		e.runBucket(ctx, b, kind, own, arrival)
+	}
+	b.wg.Wait()
+	// Join copies the non-nil errors, so b may be recycled under the result.
+	return errors.Join(b.errs...)
+}
+
+// runBucket drains shard s's bucket of b sequentially, holding the shard's
+// lock, and leaves the shard's first error in b.errs[s]. It re-checks ctx
+// before every operation — a batch observed to be cancelled stops at an
+// operation boundary on every shard instead of running to completion, and the
+// cancelled shards report ctx.Err().
+func (e *Engine) runBucket(ctx context.Context, b *batch, kind flash.HostOp, s int, arrival time.Duration) {
+	defer b.wg.Done()
+	sh := e.shards[s]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, lpn := range b.locals[b.starts[s]:b.starts[s+1]] {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				b.errs[s] = fmt.Errorf("shard %d: %w", s, err)
+				return
+			}
+		}
+		if err := sh.do(kind, lpn, arrival); err != nil {
+			b.errs[s] = fmt.Errorf("shard %d: %w", s, err)
+			return
+		}
+	}
 }
 
 // Flush forces all dirty state of every shard to flash. On a power-failed

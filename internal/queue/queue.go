@@ -123,42 +123,91 @@ type Config struct {
 	Advance func(shard int, t time.Duration)
 }
 
-// Ticket is the future of one submission: it completes when the operation
-// has executed (or been shed or cancelled), carrying the outcome.
+// Ticket is one submission, start to finish: the entry the shard's worker
+// dequeues (it carries the submission's ctx and Request) and the future handed
+// back to the submitter, which completes when the operation has executed (or
+// been shed or cancelled), carrying the outcome. One heap object per
+// submission; completing it makes no channel unless somebody asked for Done.
+// All methods are safe for concurrent use. A Ticket must not be copied.
 type Ticket struct {
-	done chan struct{}
-	// The fields below are written by the shard worker before done is
-	// closed; readers may touch them only after observing Done.
+	// ctx and req are set by Submit before the hand-off to the worker and
+	// never written again.
+	ctx context.Context
+	req Request
+
+	// The outcome, written by the shard worker before it publishes
+	// completion; readers may touch it only once the ticket has completed
+	// (Wait returned, Err is not ErrPending, or Done is closed).
 	err         error
 	arrival     time.Duration
 	completedAt time.Duration
+
+	// completed is the publication: stored, under mu, after the outcome.
+	completed atomic.Bool
+	// pending holds one count from send to finish; it is what Wait blocks on
+	// when its ctx cannot be cancelled.
+	pending sync.WaitGroup
+	// mu guards done, the channel Done makes on first request.
+	mu   sync.Mutex
+	done chan struct{}
 }
 
-// Done returns a channel closed when the operation has completed.
-func (t *Ticket) Done() <-chan struct{} { return t.done }
+// finish records the outcome and completes the ticket; the shard worker calls
+// it exactly once per ticket.
+func (t *Ticket) finish(arrival, completedAt time.Duration, err error) {
+	t.arrival = arrival
+	t.completedAt = completedAt
+	t.err = err
+	t.mu.Lock()
+	t.completed.Store(true)
+	if t.done != nil {
+		close(t.done)
+	}
+	t.mu.Unlock()
+	t.pending.Done()
+}
+
+// Done returns a channel closed when the operation has completed. The channel
+// is made on the first call (already closed if the operation completed
+// first); every call returns the same one.
+func (t *Ticket) Done() <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.done == nil {
+		t.done = make(chan struct{})
+		if t.completed.Load() {
+			close(t.done)
+		}
+	}
+	return t.done
+}
 
 // Err returns the operation's outcome: nil for success, ErrFull for a shed
 // admission, the submission ctx's error for a cancellation observed before
 // execution, the executor's error otherwise. Before completion it returns
 // ErrPending.
 func (t *Ticket) Err() error {
-	select {
-	case <-t.done:
-		return t.err
-	default:
+	if !t.completed.Load() {
 		return ErrPending
 	}
+	return t.err
 }
 
 // Wait blocks until the operation completes or ctx is cancelled, returning
-// the operation's outcome (or ctx's error). A nil ctx waits indefinitely.
+// the operation's outcome (or ctx's error). A completed ticket returns its
+// outcome whatever the state of ctx. A ctx that cannot be cancelled — nil, or
+// one whose Done channel is nil, as context.Background's — waits on the
+// ticket itself and makes no channel; a cancellable one selects on Done.
 func (t *Ticket) Wait(ctx context.Context) error {
-	if ctx == nil {
-		<-t.done
+	if t.completed.Load() {
+		return t.err
+	}
+	if ctx == nil || ctx.Done() == nil {
+		t.pending.Wait()
 		return t.err
 	}
 	select {
-	case <-t.done:
+	case <-t.Done():
 		return t.err
 	case <-ctx.Done():
 		return ctx.Err()
@@ -168,35 +217,29 @@ func (t *Ticket) Wait(ctx context.Context) error {
 // Arrival returns the operation's effective virtual arrival instant: the
 // stamped arrival, pushed forward to the instant the queue had room when
 // AdmitWait delayed it. Closed-loop drivers read it to advance their producer
-// clock. Valid once Done is closed.
+// clock. Valid once the ticket has completed.
 func (t *Ticket) Arrival() time.Duration { return t.arrival }
 
 // CompletedAt returns the operation's virtual completion instant on its
-// shard's timeline; zero for shed or cancelled operations. Valid once Done
-// is closed.
+// shard's timeline; zero for shed or cancelled operations. Valid once the
+// ticket has completed.
 func (t *Ticket) CompletedAt() time.Duration { return t.completedAt }
-
-// item is one queued submission.
-type item struct {
-	ctx context.Context
-	req Request
-	tk  *Ticket
-}
 
 // shardQueue is one shard's submission queue and its counters.
 type shardQueue struct {
 	// mu guards ch against Close: submitters send under RLock, Close closes
 	// the channel under Lock.
 	mu     sync.RWMutex
-	ch     chan *item
+	ch     chan *Ticket
 	closed bool
 
+	// Every submission counted in submitted ends in exactly one of
+	// completed, shed and cancelled; the difference is what is in flight.
 	submitted atomic.Int64
 	completed atomic.Int64
 	shed      atomic.Int64
 	delayed   atomic.Int64
 	cancelled atomic.Int64
-	inFlight  atomic.Int64
 
 	// latMu guards lat: the worker records, Stats merges.
 	latMu sync.Mutex
@@ -221,9 +264,11 @@ type Stats struct {
 	// Delayed counts operations AdmitWait admitted past the backlog budget.
 	Delayed int64
 	// Cancelled counts operations whose submission ctx was observed
-	// cancelled before execution.
+	// cancelled before execution: by the worker on a queued operation, or by
+	// Submit while it was blocked on a full queue.
 	Cancelled int64
-	// InFlight is the number of submissions currently queued or executing.
+	// InFlight is the number of submissions currently queued or executing:
+	// Submitted - Completed - Shed - Cancelled.
 	InFlight int64
 	// Latency is the timed submissions' arrival-to-completion distribution.
 	Latency stats.Summary
@@ -260,7 +305,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{cfg: cfg, budget: time.Duration(cfg.Depth) * cfg.Quantum}
 	for i := 0; i < cfg.Shards; i++ {
 		e.shards = append(e.shards, &shardQueue{
-			ch:  make(chan *item, cfg.Depth),
+			ch:  make(chan *Ticket, cfg.Depth),
 			lat: stats.NewHistogram(),
 		})
 	}
@@ -287,97 +332,95 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Ticket, error) {
 		return nil, err
 	}
 	sq := e.shards[s]
+	tk := &Ticket{ctx: ctx, req: req}
+	// Counted before the send, so that the worker's terminal count can never
+	// run ahead of it.
 	sq.submitted.Add(1)
-	// The two allocations per submission are the API: the item outlives the
-	// call on the worker's queue and the Ticket is the future handed back.
-	it := &item{ctx: ctx, req: req, tk: &Ticket{done: make(chan struct{})}}
-	sq.inFlight.Add(1)
-	if err := e.send(ctx, sq, it); err != nil {
-		sq.inFlight.Add(-1)
+	switch err := e.send(sq, tk); err {
+	case nil:
+		return tk, nil
+	case ErrClosed:
+		sq.submitted.Add(-1) // lost the race with Close: never on the books
+		return nil, err
+	case ErrFull:
+		sq.shed.Add(1)
+		return nil, err
+	default:
+		sq.cancelled.Add(1) // its ctx ended while the send waited for room
 		return nil, err
 	}
-	return it.tk, nil
 }
 
 // send performs the transport admission: a non-blocking attempt first, then
-// policy-dependent handling of a full queue. Only untimed requests shed here
-// — the transport queue reflects host-time backlog, which is the right
-// admission domain for a host submitting without virtual arrival stamps. A
-// timed request's admission is decided by the shard worker against the
-// virtual clock instead (deterministically, in submission order), so its
-// transport send always blocks for room.
-func (e *Engine) send(ctx context.Context, sq *shardQueue, it *item) error {
+// policy-dependent handling of a full queue, honouring the ticket's ctx while
+// blocked. Only untimed requests shed here — the transport queue reflects
+// host-time backlog, which is the right admission domain for a host submitting
+// without virtual arrival stamps. A timed request's admission is decided by
+// the shard worker against the virtual clock instead (deterministically, in
+// submission order), so its transport send always blocks for room.
+func (e *Engine) send(sq *shardQueue, tk *Ticket) error {
 	sq.mu.RLock()
 	defer sq.mu.RUnlock()
 	if sq.closed {
 		return ErrClosed
 	}
+	tk.pending.Add(1) // released by finish; a ticket that is not sent is dropped
 	select {
-	case sq.ch <- it:
+	case sq.ch <- tk:
 		return nil
 	default:
 	}
-	if e.cfg.Policy == AdmitShed && !it.req.Timed && it.req.Kind != opBarrier {
-		sq.shed.Add(1)
+	if e.cfg.Policy == AdmitShed && !tk.req.Timed && tk.req.Kind != opBarrier {
 		return ErrFull
 	}
-	if ctx == nil {
-		sq.ch <- it
+	if tk.ctx == nil {
+		sq.ch <- tk
 		return nil
 	}
 	select {
-	case sq.ch <- it:
+	case sq.ch <- tk:
 		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	case <-tk.ctx.Done():
+		return tk.ctx.Err()
 	}
 }
 
 // worker drains shard s's queue in FIFO order until Close closes it,
-// executing each admitted item and completing its ticket.
+// executing each admitted ticket's request and completing the ticket.
 func (e *Engine) worker(s int) {
 	defer e.wg.Done()
 	sq := e.shards[s]
-	for it := range sq.ch {
-		e.process(s, sq, it)
+	for tk := range sq.ch {
+		e.process(s, sq, tk)
 	}
 }
 
-// finish completes a ticket.
-func finish(tk *Ticket, arrival, completedAt time.Duration, err error) {
-	tk.arrival = arrival
-	tk.completedAt = completedAt
-	tk.err = err
-	close(tk.done)
-}
-
-// process admits and executes one dequeued item. Virtual admission happens
+// process admits and executes one dequeued ticket. Virtual admission happens
 // here, on the worker, because only the worker sees the shard's clock advance
 // in submission order: a shed/delay decision is then a pure function of the
 // shard's arrival stream, deterministic regardless of host scheduling.
-func (e *Engine) process(s int, sq *shardQueue, it *item) {
-	if it.req.Kind == opBarrier {
-		finish(it.tk, it.req.Arrival, 0, nil)
+func (e *Engine) process(s int, sq *shardQueue, tk *Ticket) {
+	if tk.req.Kind == opBarrier {
+		tk.finish(tk.req.Arrival, 0, nil)
 		return
 	}
-	defer sq.inFlight.Add(-1)
 	// The cancellation boundary: an operation whose submission ctx died
 	// while queued fails here, before any IO.
-	if it.ctx != nil {
-		if err := it.ctx.Err(); err != nil {
+	if tk.ctx != nil {
+		if err := tk.ctx.Err(); err != nil {
 			sq.cancelled.Add(1)
-			finish(it.tk, it.req.Arrival, 0, err)
+			tk.finish(tk.req.Arrival, 0, err)
 			return
 		}
 	}
-	arr := it.req.Arrival
-	timed := it.req.Timed && e.cfg.Clock != nil
+	arr := tk.req.Arrival
+	timed := tk.req.Timed && e.cfg.Clock != nil
 	if timed {
 		if lag := e.cfg.Clock(s) - arr; lag > e.budget {
 			switch e.cfg.Policy {
 			case AdmitShed:
 				sq.shed.Add(1)
-				finish(it.tk, arr, 0, ErrFull)
+				tk.finish(arr, 0, ErrFull)
 				return
 			case AdmitWait:
 				// Admit, accounting the wait from the instant the backlog
@@ -391,7 +434,7 @@ func (e *Engine) process(s int, sq *shardQueue, it *item) {
 			e.cfg.Advance(s, arr)
 		}
 	}
-	err := e.cfg.Exec(s, it.req)
+	err := e.cfg.Exec(s, tk.req)
 	sq.completed.Add(1)
 	var done time.Duration
 	if e.cfg.Clock != nil {
@@ -402,7 +445,7 @@ func (e *Engine) process(s int, sq *shardQueue, it *item) {
 		sq.lat.Record(done - arr)
 		sq.latMu.Unlock()
 	}
-	finish(it.tk, arr, done, err)
+	tk.finish(arr, done, err)
 }
 
 // Drain blocks until every operation submitted before the call has completed,
@@ -414,11 +457,11 @@ func (e *Engine) Drain(ctx context.Context) error {
 	}
 	tickets := make([]*Ticket, 0, len(e.shards))
 	for _, sq := range e.shards {
-		it := &item{req: Request{Kind: opBarrier}, tk: &Ticket{done: make(chan struct{})}}
-		if err := e.send(ctx, sq, it); err != nil {
+		fence := &Ticket{ctx: ctx, req: Request{Kind: opBarrier}}
+		if err := e.send(sq, fence); err != nil {
 			return err
 		}
-		tickets = append(tickets, it.tk)
+		tickets = append(tickets, fence)
 	}
 	for _, tk := range tickets {
 		if err := tk.Wait(ctx); err != nil {
@@ -449,19 +492,19 @@ func (e *Engine) Stats() Stats {
 	merged := stats.NewHistogram()
 	out := Stats{Depth: e.cfg.Depth, Policy: e.cfg.Policy.String()}
 	for _, sq := range e.shards {
-		out.Submitted += sq.submitted.Load()
+		// The terminal counters are read before submitted: an operation is
+		// counted as submitted before it can reach a terminal count, so the
+		// difference below is never negative.
 		out.Completed += sq.completed.Load()
 		out.Shed += sq.shed.Load()
-		out.Delayed += sq.delayed.Load()
 		out.Cancelled += sq.cancelled.Load()
-		out.InFlight += sq.inFlight.Load()
+		out.Submitted += sq.submitted.Load()
+		out.Delayed += sq.delayed.Load()
 		sq.latMu.Lock()
 		merged.Merge(sq.lat)
 		sq.latMu.Unlock()
 	}
-	if out.InFlight < 0 {
-		out.InFlight = 0
-	}
+	out.InFlight = out.Submitted - out.Completed - out.Shed - out.Cancelled
 	out.Latency = merged.Summary()
 	return out
 }

@@ -544,3 +544,156 @@ func TestWaitOutcomeBeatsCancelledContext(t *testing.T) {
 		}
 	}
 }
+
+// gatedTicket submits one write to a one-shard engine whose Exec is held at a
+// gate; the returned release lets exactly that operation through.
+func gatedTicket(t *testing.T, execErr error) (tk *Ticket, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	e := newTestEngine(t, testConfig{shards: 1, depth: 2, policy: AdmitWait, clock: -1, gate: gate, execErr: execErr})
+	tk, err := e.Submit(context.Background(), Request{Kind: OpWrite, LPN: 0})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	return tk, func() { gate <- struct{}{} }
+}
+
+// TestWaitCancelledThenOutcome takes the cancellable route through Wait: a
+// ctx cancelled while the operation is held up ends the wait with ctx's
+// error, the ticket still completes, and a later Wait reports the outcome.
+func TestWaitCancelledThenOutcome(t *testing.T) {
+	boom := errors.New("media failure")
+	tk, release := gatedTicket(t, boom)
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(5*time.Millisecond, cancel)
+	if err := tk.Wait(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait under a ctx cancelled mid-flight = %v; want context.Canceled", err)
+	}
+	if err := tk.Err(); !errors.Is(err, ErrPending) {
+		t.Fatalf("Err of the held operation = %v; want ErrPending", err)
+	}
+	release()
+	if err := tk.Wait(nil); !errors.Is(err, boom) {
+		t.Errorf("Wait(nil) after the abandoned wait = %v; want the outcome %v", err, boom)
+	}
+	if err := tk.Wait(ctx); !errors.Is(err, boom) {
+		t.Errorf("Wait(cancelled ctx) on the completed ticket = %v; want the outcome %v", err, boom)
+	}
+}
+
+// TestDone pins the channel nobody pays for until it is asked for: it blocks
+// until completion and then closes, is handed out already closed after
+// completion, and is the same channel on every call.
+func TestDone(t *testing.T) {
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	t.Run("before completion", func(t *testing.T) {
+		tk, release := gatedTicket(t, nil)
+		done := tk.Done()
+		if closed(done) {
+			t.Fatal("Done is closed while the operation is held up")
+		}
+		if tk.Done() != done {
+			t.Error("a second Done call returned a different channel")
+		}
+		release()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Done never closed after the operation completed")
+		}
+		if err := tk.Err(); err != nil {
+			t.Errorf("Err after Done closed = %v", err)
+		}
+	})
+	t.Run("after completion", func(t *testing.T) {
+		tk, release := gatedTicket(t, nil)
+		release()
+		if err := tk.Wait(nil); err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		done := tk.Done()
+		if !closed(done) {
+			t.Error("Done of a completed ticket is not closed")
+		}
+		if tk.Done() != done {
+			t.Error("a second Done call returned a different channel")
+		}
+	})
+}
+
+// TestCompletionRace races one completion against every way of observing it
+// — Done, Wait under a cancellable ctx, Wait(nil) and a polled Err — for the
+// race detector; every observer must see the outcome. CI-style runs use
+// -race -count=200.
+func TestCompletionRace(t *testing.T) {
+	boom := errors.New("media failure")
+	tk, release := gatedTicket(t, boom)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	observers := []func() error{
+		func() error { <-tk.Done(); return tk.Err() },
+		func() error { return tk.Wait(ctx) },
+		func() error { return tk.Wait(nil) },
+		func() error {
+			for {
+				if err := tk.Err(); !errors.Is(err, ErrPending) {
+					return err
+				}
+				runtime.Gosched()
+			}
+		},
+	}
+	var wg sync.WaitGroup
+	for i, observe := range observers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := observe(); !errors.Is(err, boom) {
+				t.Errorf("observer %d saw %v; want the outcome %v", i, err, boom)
+			}
+		}()
+	}
+	release()
+	wg.Wait()
+}
+
+// BenchmarkSubmitWait times one Submit plus Wait through a bare engine whose
+// Exec does nothing, 32 tickets in flight on 8 shards: what the queue's own
+// plumbing costs per operation with no FTL under it (the in-tree twin of
+// perfbench's queue.roundtrip_ns and queue.allocs_per_submit).
+func BenchmarkSubmitWait(b *testing.B) {
+	const shards, depth = 8, 32
+	q, err := New(Config{
+		Shards: shards, Depth: depth, Policy: AdmitWait,
+		ShardOf: func(lpn flash.LPN) (int, error) { return int(lpn % shards), nil },
+		Exec:    func(int, Request) error { return nil },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer q.Close()
+	ctx := context.Background()
+	tickets := make([]*Ticket, depth)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += depth {
+		window := tickets[:min(depth, b.N-done)]
+		for i := range window {
+			if window[i], err = q.Submit(ctx, Request{Kind: OpWrite, LPN: flash.LPN(done + i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, tk := range window {
+			if err := tk.Wait(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
