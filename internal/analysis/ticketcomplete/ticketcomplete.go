@@ -3,7 +3,7 @@
 // return paths.
 //
 // A Ticket is a future: the submitter blocks on Done/Wait until the worker
-// closes the done channel. A ticket that is created and then dropped on an
+// completes it. A ticket that is created and then dropped on an
 // early-return path leaves that submitter blocked forever — the leak shape
 // PR 9's drain hammer only finds probabilistically, because it needs the
 // shedding/cancellation path to actually be taken under the race detector.

@@ -8,6 +8,16 @@
 // advances independently, so measured throughput is bounded by the topology,
 // not by caller concurrency.
 //
+// A submission costs one heap object. The Ticket carries the submission's ctx
+// and Request onto the shard's channel, the worker writes the outcome into it
+// and publishes a completed flag, and the submitter polls (Err) or blocks
+// (Wait) on that same object. Wait under a ctx that cannot be cancelled — nil
+// or one whose Done channel is nil, such as context.Background — blocks on a
+// WaitGroup embedded in the ticket; only a cancellable ctx, or a caller of
+// Done, needs a channel, and the ticket makes it then, once, under its own
+// lock. Every accepted submission ends in exactly one of Stats' Completed,
+// Shed and Cancelled; InFlight is what is left.
+//
 // Admission control keeps overload from collapsing tail latency. Every
 // operation carries a virtual arrival instant; the queue's budget is
 // Depth × Quantum of backlog (depth expressed in service slots). An operation
