@@ -110,8 +110,8 @@ var seeded = []struct {
 		// drops the ticket it created, and the worker never sees the one it
 		// returns.
 		rule: "ticketcomplete", file: "internal/queue/queue.go",
-		old: "\tswitch err := e.send(sq, tk); err {\n",
-		new: "\tswitch err := e.send(sq, nil); err {\n",
+		old: "\tswitch err = e.send(sq, tk); err {\n",
+		new: "\tswitch err = e.send(sq, nil); err {\n",
 		at:  "&Ticket{ctx: ctx, req: req}",
 	},
 }

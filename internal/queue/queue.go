@@ -336,19 +336,17 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Ticket, error) {
 	// Counted before the send, so that the worker's terminal count can never
 	// run ahead of it.
 	sq.submitted.Add(1)
-	switch err := e.send(sq, tk); err {
+	switch err = e.send(sq, tk); err {
 	case nil:
 		return tk, nil
 	case ErrClosed:
 		sq.submitted.Add(-1) // lost the race with Close: never on the books
-		return nil, err
 	case ErrFull:
 		sq.shed.Add(1)
-		return nil, err
 	default:
 		sq.cancelled.Add(1) // its ctx ended while the send waited for room
-		return nil, err
 	}
+	return nil, err
 }
 
 // send performs the transport admission: a non-blocking attempt first, then
