@@ -1,0 +1,90 @@
+package gecko
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"geckoftl/internal/flash"
+)
+
+// sortedDrain is the drain this package had while the buffer found its
+// flush order by sorting: the occupied slots ordered with key.compare, pushed
+// into a fresh slab. It is the reference for buffer.drain.
+func sortedDrain(b *buffer) slab {
+	order := make([]int, len(b.ents))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(x, y int) int { return b.ents[x].compare(b.ents[y].key) })
+	out := newSlab(len(b.ents), b.wpe)
+	for _, i := range order {
+		out.push(b.ents[i], b.bits(i))
+	}
+	return out
+}
+
+// TestBufferDrainIsKeyOrdered interleaves invalid-page and erase reports over
+// the first and the last block of the key space (and a few between), hitting
+// every sub-key and the whole-block erase key, and requires the drained
+// level-0 run to equal the buffered entries sorted by key — fixed part and
+// validity words alike — and the buffer to come back empty and reusable.
+func TestBufferDrainIsKeyOrdered(t *testing.T) {
+	const blocks, pagesPerBlock = 37, 64
+	for _, partition := range []int{1, 2, 4, 64} {
+		cfg := DefaultConfig(blocks, pagesPerBlock, 4096)
+		cfg.PartitionFactor = partition
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		b := newBuffer(cfg)
+		rng := rand.New(rand.NewSource(int64(partition)))
+		pick := func() flash.BlockID {
+			switch rng.Intn(4) {
+			case 0:
+				return 0
+			case 1:
+				return blocks - 1
+			default:
+				return flash.BlockID(rng.Intn(blocks))
+			}
+		}
+		for round := 0; round < 20; round++ {
+			// Every sub-key of the two edge blocks, then a random mix in which
+			// erases drop chunks (swap-with-last removal) and re-reports
+			// bring them back in other slots.
+			for offset := 0; offset < pagesPerBlock; offset++ {
+				b.recordInvalid(0, offset)
+				b.recordInvalid(blocks-1, pagesPerBlock-1-offset)
+			}
+			for range 300 {
+				if rng.Intn(5) == 0 {
+					b.recordErase(pick())
+				} else {
+					b.recordInvalid(pick(), rng.Intn(pagesPerBlock))
+				}
+			}
+			if round%2 == 0 {
+				b.recordErase(0)
+				b.recordErase(blocks - 1)
+				b.recordInvalid(blocks-1, 0)
+			}
+			want := sortedDrain(b)
+			got := b.drain()
+			if !slices.Equal(got.ents, want.ents) || !slices.Equal(got.words, want.words) {
+				t.Fatalf("S=%d round %d: drained\n%v %x\nsorted reference\n%v %x", partition, round, got.ents, got.words, want.ents, want.words)
+			}
+			if !slices.IsSortedFunc(got.ents, func(x, y entry) int { return x.compare(y.key) }) {
+				t.Fatalf("S=%d round %d: drained run is not in key order: %v", partition, round, got.ents)
+			}
+			if b.len() != 0 || b.inserts != 0 {
+				t.Fatalf("S=%d round %d: buffer holds %d entries, %d inserts after drain", partition, round, b.len(), b.inserts)
+			}
+			for block := flash.BlockID(0); block < blocks; block++ {
+				if b.has(key{block, WholeBlock}) || b.has(key{block, 0}) || b.has(key{block, partition - 1}) {
+					t.Fatalf("S=%d round %d: drained buffer still indexes block %d", partition, round, block)
+				}
+			}
+		}
+	}
+}
