@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -405,6 +406,65 @@ func TestOrWordsMatchesBitwise(t *testing.T) {
 					t.Fatalf("size %d: OrWords(%d, words, %d) = %v, bit by bit %v", size, offset, n, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestNextSetMatchesBitByBit walks every [lo, hi) window of bitsets of
+// word-straddling sizes with NextSet and compares with testing each bit,
+// including windows that end past the words and stale bits beyond hi.
+func TestNextSetMatchesBitByBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, size := range []int{0, 1, 63, 64, 65, 130, 192} {
+		for _, density := range []int{1, 3, 40} {
+			words := make([]uint64, (size+63)/64)
+			for i := 0; i < size; i++ {
+				if rng.Intn(density) == 0 {
+					words[i/64] |= 1 << uint(i%64)
+				}
+			}
+			for lo := 0; lo <= size; lo++ {
+				for _, hi := range []int{lo, lo + 1, lo + 7, lo + 64, lo + 100, size, size + 70} {
+					var got, want []int
+					for i := NextSet(words, lo, hi); i >= 0; i = NextSet(words, i+1, hi) {
+						got = append(got, i)
+					}
+					for i := lo; i < hi && i < len(words)*64; i++ {
+						if words[i/64]&(1<<uint(i%64)) != 0 {
+							want = append(want, i)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("size %d density 1/%d: NextSet over [%d,%d) = %v, bit by bit %v", size, density, lo, hi, got, want)
+					}
+				}
+			}
+		}
+	}
+	if got := NextSet(nil, 0, 10); got != -1 {
+		t.Fatalf("NextSet over no words = %d", got)
+	}
+}
+
+// BenchmarkNextSet times one ascending walk over the set bits of a 12288-bit
+// presence bitset holding 455 keys: the Gecko buffer of the benchmark device
+// (4096 blocks, S = 2, V = 455) read back in key order at a flush.
+func BenchmarkNextSet(b *testing.B) {
+	const size, keys = 12288, 455
+	rng := rand.New(rand.NewSource(1))
+	words := make([]uint64, size/64)
+	for _, i := range rng.Perm(size)[:keys] {
+		words[i/64] |= 1 << uint(i%64)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		seen := 0
+		for i := NextSet(words, 0, size); i >= 0; i = NextSet(words, i+1, size) {
+			seen++
+		}
+		if seen != keys {
+			b.Fatalf("walk saw %d bits", seen)
 		}
 	}
 }

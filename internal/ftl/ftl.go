@@ -136,6 +136,7 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 	logicalPages := int64(cfg.LogicalPages())
 	table := newTranslationTable(bm, logicalPages, cfg.PageSize, opts.Scheme == SchemeGecko)
 	cache := mapcache.New(opts.CacheEntries, table.EntriesPerPage())
+	cache.Reserve(int(logicalPages))
 
 	f := &FTL{
 		opts:         opts,
@@ -520,18 +521,26 @@ func (f *FTL) synchronize(seed mapcache.Entry) error {
 	tp := f.cache.TranslationPageOf(seed.Logical)
 	dirty := f.cache.DirtyEntriesOnTranslationPage(tp)
 
-	// The seed entry may already have been evicted from the cache; include
-	// it explicitly. When it is still cached it appears twice, identically,
-	// and sorting makes the copies adjacent.
-	f.syncAll = append(append(f.syncAll[:0], seed), dirty...)
-	all := f.syncAll
-	slices.SortFunc(all, func(a, b mapcache.Entry) int { return cmp.Compare(a.Logical, b.Logical) })
+	// The dirty entries arrive in ascending logical order. The seed entry may
+	// already have been evicted from the cache; put it at its place among
+	// them. When it is still cached it is one of them.
+	all, placed := f.syncAll[:0], false
+	for _, e := range dirty {
+		if !placed && e.Logical >= seed.Logical {
+			placed = true
+			if e.Logical != seed.Logical {
+				all = append(all, seed)
+			}
+		}
+		all = append(all, e)
+	}
+	if !placed {
+		all = append(all, seed)
+	}
+	f.syncAll = all
 
 	f.syncUpdates, f.syncUncertain = f.syncUpdates[:0], f.syncUncertain[:0]
-	for i, e := range all {
-		if i > 0 && e.Logical == all[i-1].Logical {
-			continue
-		}
+	for _, e := range all {
 		flashPPN := f.table.FlashEntry(e.Logical)
 		if e.Uncertain {
 			f.syncUncertain = append(f.syncUncertain, e.Logical)

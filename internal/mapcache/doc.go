@@ -13,11 +13,15 @@
 // efficient range queries for mapping entries on a particular translation
 // page". This implementation keeps every entry in one slab of nodes allocated
 // at construction — C entries, the queue's sentinel and the one checkpoint
-// symbol that can be queued at a time (a flagged node) — and links nodes by
-// slab index twice: into the LRU queue, and into the list of cached entries
-// of their translation page, whose head a map from translation-page number
-// holds. That gives the same O(entries-on-page) synchronization scans
-// without a balanced tree, and no operation allocates.
+// symbol that can be queued at a time (a flagged node) — linked by slab
+// index into the LRU queue. Logical page numbers are dense, so an entry is
+// found by direct address (one int32 per logical page holds its slab index)
+// and a presence bitset, one bit per logical page, answers the range query:
+// a translation page is a contiguous run of logical pages, and the ascending
+// walk over the set bits of that run yields its cached entries in the order
+// a synchronization writes them back. No hashing, no sort, no tree, and no
+// operation allocates. The two arrays are host bookkeeping of the simulator;
+// the RAM the paper charges for the cache (RAMBytes) is C entries.
 //
 // EntriesOnTranslationPage, DirtyEntriesOnTranslationPage and Checkpoint
 // fill buffers the cache reuses: a returned slice is valid until the next

@@ -161,4 +161,4 @@ func TestEntriesOnTranslationPageAscendingAndComplete(t *testing.T) {
 }
 
 // indexSize is the number of keys the by-logical-page index has room for.
-func indexSize(c *Cache) int { return len(c.byLPN) }
+func indexSize(c *Cache) int { return len(c.slot) }

@@ -1,10 +1,9 @@
 package mapcache
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
+	"geckoftl/internal/bitmap"
 	"geckoftl/internal/flash"
 )
 
@@ -34,14 +33,12 @@ type Entry struct {
 }
 
 // node is one slot of the cache's slab: a real mapping entry or a checkpoint
-// symbol (Section 4.3), linked by slab index into the LRU queue and, for real
-// entries, into the list of cached entries of its translation page. Free
-// slots are chained through next.
+// symbol (Section 4.3), linked by slab index into the LRU queue. Free slots
+// are chained through next.
 type node struct {
-	entry          Entry
-	prev, next     int32 // LRU queue: prev is toward most recently used
-	tpPrev, tpNext int32 // translation-page list; none terminates it
-	checkpoint     bool
+	entry      Entry
+	prev, next int32 // LRU queue: prev is toward most recently used
+	checkpoint bool
 }
 
 // The LRU queue is circular through the sentinel slot: its next is the most
@@ -67,6 +64,15 @@ type EvictionStats struct {
 
 // Cache is an LRU cache of mapping entries with capacity C. It is not safe
 // for concurrent use; the FTL serializes access.
+//
+// Logical page numbers are dense (0..logicalPages-1 of a shard), so the cache
+// finds an entry by direct address: slot, one int32 per logical page, holds
+// the entry's slab index, and present, one bit per logical page, marks the
+// cached ones. A translation page's entries are a contiguous range of
+// logical pages, so the ascending walk over present's set bits in that range
+// is the range query of a synchronization operation, already in the order
+// it is written back. Both arrays are the simulator's bookkeeping, like the
+// slab: RAMBytes, the paper's model of the cache, does not count them.
 type Cache struct {
 	capacity int
 
@@ -76,14 +82,14 @@ type Cache struct {
 	nodes []node
 	// free heads the chain of unused slots.
 	free int32
-	// byLPN indexes the slots holding real entries.
-	byLPN map[flash.LPN]int32
+	// slot[lpn] is the slab index of the entry cached for lpn. The sentinel
+	// occupies index 0 and is never an entry, so zero means not cached. A
+	// logical page beyond the slice has never been put. present has lpn's
+	// bit set exactly when slot[lpn] is not zero, and count is their number.
+	slot    []int32
+	present []uint64
+	count   int
 
-	// tpHead maps a translation page to the head of the list of its cached
-	// logical pages, so that a synchronization operation can find "all dirty
-	// mapping entries in the LRU cache that belong to the same translation
-	// page as the evicted entry" without scanning the whole cache.
-	tpHead       map[int]int32
 	entriesPerTP int
 
 	// tpBuf and staleBuf are the reused results of EntriesOnTranslationPage
@@ -111,12 +117,36 @@ func New(capacity, entriesPerTranslationPage int) *Cache {
 	c := &Cache{
 		capacity:     capacity,
 		nodes:        make([]node, capacity+2),
-		byLPN:        make(map[flash.LPN]int32, capacity),
-		tpHead:       make(map[int]int32),
 		entriesPerTP: entriesPerTranslationPage,
 	}
 	c.reset()
 	return c
+}
+
+// Reserve sizes the index for logical pages [0, n) at once, so that a cache
+// whose owner knows the key range allocates it exactly and never again. It
+// changes no behaviour: without it the index grows, by doubling, with the
+// largest logical page ever put.
+func (c *Cache) Reserve(n int) { c.growIndex(n, n) }
+
+// growIndex makes the index cover logical pages [0, need), allocating room
+// for size of them when it has to grow.
+func (c *Cache) growIndex(need, size int) {
+	if need <= len(c.slot) {
+		return
+	}
+	c.slot = append(make([]int32, 0, size), c.slot...)[:size]
+	c.present = append(make([]uint64, 0, (size+63)/64), c.present...)[:(size+63)/64]
+}
+
+// find returns the slab index of the entry cached for lpn, or the sentinel's
+// when there is none.
+func (c *Cache) find(lpn flash.LPN) int32 {
+	// One unsigned comparison: a negative lpn wraps to above any length.
+	if uint64(lpn) >= uint64(len(c.slot)) {
+		return sentinel
+	}
+	return c.slot[lpn]
 }
 
 // reset empties the LRU queue and chains every slot into the free list.
@@ -173,7 +203,7 @@ func (c *Cache) Capacity() int { return c.capacity }
 
 // Len returns the number of cached mapping entries (checkpoint symbols are
 // not counted).
-func (c *Cache) Len() int { return len(c.byLPN) }
+func (c *Cache) Len() int { return c.count }
 
 // Stats returns a copy of the cache-management counters.
 func (c *Cache) Stats() EvictionStats { return c.stats }
@@ -188,49 +218,20 @@ func (c *Cache) TranslationPageOf(lpn flash.LPN) int {
 	return int(int64(lpn) / int64(c.entriesPerTP))
 }
 
-// indexAdd puts slot i, holding lpn, at the head of its translation page's
-// list.
-func (c *Cache) indexAdd(i int32, lpn flash.LPN) {
-	tp := c.TranslationPageOf(lpn)
-	head, ok := c.tpHead[tp]
-	if !ok {
-		head = none
-	} else {
-		c.nodes[head].tpPrev = i
-	}
-	c.nodes[i].tpPrev, c.nodes[i].tpNext = none, head
-	c.tpHead[tp] = i
-}
-
-// indexRemove takes slot i, holding lpn, out of its translation page's list.
-func (c *Cache) indexRemove(i int32, lpn flash.LPN) {
-	n := &c.nodes[i]
-	if n.tpNext != none {
-		c.nodes[n.tpNext].tpPrev = n.tpPrev
-	}
-	switch {
-	case n.tpPrev != none:
-		c.nodes[n.tpPrev].tpNext = n.tpNext
-	case n.tpNext != none:
-		c.tpHead[c.TranslationPageOf(lpn)] = n.tpNext
-	default:
-		delete(c.tpHead, c.TranslationPageOf(lpn))
-	}
-}
-
-// remove drops the real entry in slot i from the queue and both indexes.
+// remove drops the real entry in slot i from the queue and the index.
 func (c *Cache) remove(i int32) {
 	lpn := c.nodes[i].entry.Logical
-	delete(c.byLPN, lpn)
-	c.indexRemove(i, lpn)
+	c.slot[lpn] = sentinel
+	c.present[lpn/64] &^= 1 << uint(lpn%64)
+	c.count--
 	c.release(i)
 }
 
 // Lookup returns the entry for lpn and whether it is cached. A hit promotes
 // the entry to most-recently-used.
 func (c *Cache) Lookup(lpn flash.LPN) (Entry, bool) {
-	i, ok := c.byLPN[lpn]
-	if !ok {
+	i := c.find(lpn)
+	if i == sentinel {
 		c.stats.Misses++
 		return Entry{}, false
 	}
@@ -242,8 +243,8 @@ func (c *Cache) Lookup(lpn flash.LPN) (Entry, bool) {
 // Peek returns the entry for lpn without affecting LRU order or hit/miss
 // statistics. Recovery and invariant checks use it.
 func (c *Cache) Peek(lpn flash.LPN) (Entry, bool) {
-	i, ok := c.byLPN[lpn]
-	if !ok {
+	i := c.find(lpn)
+	if i == sentinel {
 		return Entry{}, false
 	}
 	return c.nodes[i].entry, true
@@ -251,8 +252,7 @@ func (c *Cache) Peek(lpn flash.LPN) (Entry, bool) {
 
 // Contains reports whether lpn is cached, without touching LRU order.
 func (c *Cache) Contains(lpn flash.LPN) bool {
-	_, ok := c.byLPN[lpn]
-	return ok
+	return c.find(lpn) != sentinel
 }
 
 // Evicted describes an entry that had to leave the cache to make room.
@@ -272,21 +272,23 @@ func (c *Cache) Put(e Entry) Evicted {
 		panic(fmt.Sprintf("mapcache: negative logical page %d", e.Logical))
 	}
 	c.opsSinceCheckpoint++
-	if i, ok := c.byLPN[e.Logical]; ok {
+	if i := c.find(e.Logical); i != sentinel {
 		c.nodes[i].entry = e
 		c.promote(i)
 		return Evicted{}
 	}
 	evicted := c.makeRoom()
-	i := c.pushFront(node{entry: e})
-	c.byLPN[e.Logical] = i
-	c.indexAdd(i, e.Logical)
+	need := int(e.Logical) + 1
+	c.growIndex(need, max(need, 2*len(c.slot)))
+	c.slot[e.Logical] = c.pushFront(node{entry: e})
+	c.present[e.Logical/64] |= 1 << uint(e.Logical%64)
+	c.count++
 	return evicted
 }
 
 // makeRoom evicts the least-recently-used real entry if the cache is full.
 func (c *Cache) makeRoom() Evicted {
-	if len(c.byLPN) < c.capacity {
+	if c.count < c.capacity {
 		return Evicted{}
 	}
 	for i := c.nodes[sentinel].prev; i != sentinel; i = c.nodes[sentinel].prev {
@@ -308,54 +310,55 @@ func (c *Cache) makeRoom() Evicted {
 
 // Remove deletes the entry for lpn, reporting whether it was present.
 func (c *Cache) Remove(lpn flash.LPN) bool {
-	i, ok := c.byLPN[lpn]
-	if ok {
+	i := c.find(lpn)
+	if i != sentinel {
 		c.remove(i)
 	}
-	return ok
+	return i != sentinel
 }
 
 // Update applies fn to the cached entry for lpn, if present, and reports
 // whether it was. The entry is not promoted; Update models flag maintenance
 // rather than an application access.
 func (c *Cache) Update(lpn flash.LPN, fn func(*Entry)) bool {
-	i, ok := c.byLPN[lpn]
-	if ok {
+	i := c.find(lpn)
+	if i != sentinel {
 		fn(&c.nodes[i].entry)
 	}
-	return ok
+	return i != sentinel
 }
 
 // EntriesOnTranslationPage returns the cached entries whose logical pages
 // belong to the given translation page, in ascending logical order. This is
-// the range query used by synchronization operations; the pinned order
+// the range query used by synchronization operations — "all dirty mapping
+// entries in the LRU cache that belong to the same translation page as the
+// evicted entry" — answered without scanning the cache; the pinned order
 // means the entries a synchronization writes back — durable flash state —
 // do not depend on insertion history. The slice is reused: it is valid until
 // the next call of this method or DirtyEntriesOnTranslationPage.
 func (c *Cache) EntriesOnTranslationPage(tp int) []Entry {
-	head, ok := c.tpHead[tp]
-	if !ok {
-		return nil
-	}
-	out := c.tpBuf[:0]
-	for i := head; i != none; i = c.nodes[i].tpNext {
-		out = append(out, c.nodes[i].entry)
-	}
-	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Logical, b.Logical) })
-	c.tpBuf = out
-	return out
+	return c.entriesOn(tp, false)
 }
 
 // DirtyEntriesOnTranslationPage returns only the dirty cached entries on the
 // given translation page.
 func (c *Cache) DirtyEntriesOnTranslationPage(tp int) []Entry {
-	all := c.EntriesOnTranslationPage(tp)
-	out := all[:0]
-	for _, e := range all {
-		if e.Dirty {
-			out = append(out, e)
+	return c.entriesOn(tp, true)
+}
+
+func (c *Cache) entriesOn(tp int, dirtyOnly bool) []Entry {
+	if tp < 0 || tp > (len(c.slot)-1)/c.entriesPerTP {
+		return nil
+	}
+	out := c.tpBuf[:0]
+	lo := tp * c.entriesPerTP
+	hi := lo + c.entriesPerTP
+	for lpn := bitmap.NextSet(c.present, lo, hi); lpn >= 0; lpn = bitmap.NextSet(c.present, lpn+1, hi) {
+		if e := &c.nodes[c.slot[lpn]].entry; e.Dirty || !dirtyOnly {
+			out = append(out, *e)
 		}
 	}
+	c.tpBuf = out
 	return out
 }
 
@@ -384,7 +387,7 @@ func (c *Cache) ForEach(fn func(Entry) bool) {
 
 // Entries returns all cached entries in most-recently-used-first order.
 func (c *Cache) Entries() []Entry {
-	out := make([]Entry, 0, len(c.byLPN))
+	out := make([]Entry, 0, c.count)
 	c.ForEach(func(e Entry) bool {
 		out = append(out, e)
 		return true
@@ -440,8 +443,9 @@ func (c *Cache) CheckpointDue() bool { return c.opsSinceCheckpoint >= c.capacity
 // integrated RAM at power failure.
 func (c *Cache) Clear() {
 	c.reset()
-	clear(c.byLPN)
-	clear(c.tpHead)
+	clear(c.slot)
+	clear(c.present)
+	c.count = 0
 	c.opsSinceCheckpoint = 0
 }
 
