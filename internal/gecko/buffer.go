@@ -1,8 +1,6 @@
 package gecko
 
 import (
-	"slices"
-
 	"geckoftl/internal/bitmap"
 	"geckoftl/internal/flash"
 )
@@ -12,11 +10,20 @@ import (
 // run when V distinct (block, sub-key) entries have accumulated.
 //
 // The entries live by value in one slab of V slots allocated at construction
-// and reused across flushes; index maps a key to its slot.
+// and reused across flushes. Keys are dense — K blocks times the S sub-keys
+// and WholeBlock — so a key is found by direct address: index, at the key's
+// position, holds its slot plus one, and present has the position's bit set.
+// Positions ascend in key order, so the ascending walk over present's set
+// bits is the order of the level-0 run a flush writes. Both arrays are the
+// simulator's bookkeeping: the RAM the paper charges the buffer
+// (Gecko.RAMBytes) is its one flash page.
 type buffer struct {
 	cfg Config
 	slab
-	index map[key]int
+	// index[pos(k)] is one more than the slot of the entry with key k, zero
+	// when the buffer holds none.
+	index   []int32
+	present []uint64
 	// order is sorted's reused result.
 	order []int
 	// inserts counts insertions (including ones absorbed by an existing
@@ -27,12 +34,40 @@ type buffer struct {
 
 func newBuffer(cfg Config) *buffer {
 	v := cfg.EntriesPerPage()
+	positions := cfg.Blocks * (cfg.PartitionFactor + 1)
 	return &buffer{
-		cfg:   cfg,
-		slab:  newSlab(v, cfg.wordsPerEntry()),
-		index: make(map[key]int, v),
-		order: make([]int, 0, v),
+		cfg:     cfg,
+		slab:    newSlab(v, cfg.wordsPerEntry()),
+		index:   make([]int32, positions),
+		present: make([]uint64, (positions+63)/64),
+		order:   make([]int, 0, v),
 	}
+}
+
+// pos is the key's place in index and present: a block's S+1 keys are
+// adjacent, WholeBlock (-1) first, which is where it sorts.
+func (b *buffer) pos(k key) int {
+	return int(k.block)*(b.cfg.PartitionFactor+1) + k.subKey + 1
+}
+
+// find returns the slot of the entry with the given key.
+func (b *buffer) find(k key) (slot int, ok bool) {
+	slot = int(b.index[b.pos(k)]) - 1
+	return slot, slot >= 0
+}
+
+// setSlot records that the entry with the given key lives in slot i.
+func (b *buffer) setSlot(k key, i int) {
+	p := b.pos(k)
+	b.index[p] = int32(i + 1)
+	b.present[p/64] |= 1 << uint(p%64)
+}
+
+// forget drops the key from the index.
+func (b *buffer) forget(k key) {
+	p := b.pos(k)
+	b.index[p] = 0
+	b.present[p/64] &^= 1 << uint(p%64)
 }
 
 // len returns the number of distinct entries currently buffered.
@@ -49,7 +84,7 @@ func (b *buffer) full() bool {
 
 // insert adds a new entry with no bits set in the next slot.
 func (b *buffer) insert(e entry) int {
-	b.index[e.key] = len(b.ents)
+	b.setSlot(e.key, len(b.ents))
 	b.ents = append(b.ents, e)
 	for range b.wpe {
 		b.words = append(b.words, 0)
@@ -60,11 +95,11 @@ func (b *buffer) insert(e entry) int {
 // remove frees slot i by moving the last entry into it.
 func (b *buffer) remove(i int) {
 	last := len(b.ents) - 1
-	delete(b.index, b.ents[i].key)
+	b.forget(b.ents[i].key)
 	if i != last {
 		b.ents[i] = b.ents[last]
 		copy(b.bits(i), b.bits(last))
-		b.index[b.ents[i].key] = i
+		b.setSlot(b.ents[i].key, i)
 	}
 	b.ents = b.ents[:last]
 	b.words = b.words[:last*b.wpe]
@@ -80,7 +115,7 @@ func (b *buffer) recordInvalid(block flash.BlockID, pageOffset int) {
 		k.subKey = pageOffset / bits
 		chunkOffset = pageOffset % bits
 	}
-	i, ok := b.index[k]
+	i, ok := b.find(k)
 	if !ok {
 		i = b.insert(entry{key: k})
 	}
@@ -94,7 +129,7 @@ func (b *buffer) recordInvalid(block flash.BlockID, pageOffset int) {
 func (b *buffer) recordErase(block flash.BlockID) {
 	b.inserts++
 	for sub := 0; sub < b.cfg.PartitionFactor; sub++ {
-		if i, ok := b.index[key{block, sub}]; ok {
+		if i, ok := b.find(key{block, sub}); ok {
 			b.remove(i)
 		}
 	}
@@ -104,7 +139,7 @@ func (b *buffer) recordErase(block flash.BlockID) {
 }
 
 func (b *buffer) has(k key) bool {
-	_, ok := b.index[k]
+	_, ok := b.find(k)
 	return ok
 }
 
@@ -113,7 +148,7 @@ func (b *buffer) has(k key) bool {
 // the buffer).
 func (b *buffer) query(block flash.BlockID, result *bitmap.Bitmap) (erased bool) {
 	for sub := 0; sub < b.cfg.PartitionFactor; sub++ {
-		if i, ok := b.index[key{block, sub}]; ok {
+		if i, ok := b.find(key{block, sub}); ok {
 			b.cfg.fold(result, sub, b.bits(i))
 		}
 	}
@@ -124,10 +159,9 @@ func (b *buffer) query(block flash.BlockID, result *bitmap.Bitmap) (erased bool)
 // valid until the next call.
 func (b *buffer) sorted() []int {
 	b.order = b.order[:0]
-	for i := range b.ents {
-		b.order = append(b.order, i)
+	for p := bitmap.NextSet(b.present, 0, len(b.index)); p >= 0; p = bitmap.NextSet(b.present, p+1, len(b.index)) {
+		b.order = append(b.order, int(b.index[p])-1)
 	}
-	slices.SortFunc(b.order, func(x, y int) int { return b.ents[x].compare(b.ents[y].key) })
 	return b.order
 }
 
@@ -144,7 +178,10 @@ func (b *buffer) drain() slab {
 
 // clear drops the buffer contents; power failure does this.
 func (b *buffer) clear() {
-	clear(b.index)
+	// Only the occupied positions: the index spans every key of the device.
+	for i := range b.ents {
+		b.forget(b.ents[i].key)
+	}
 	b.ents = b.ents[:0]
 	b.words = b.words[:0]
 	b.inserts = 0

@@ -1,12 +1,19 @@
 package gecko
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"geckoftl/internal/flash"
 )
+
+// compare is key.less as a three-way comparison: the order the buffer used
+// to sort itself into.
+func (a key) compare(b key) int {
+	return cmp.Or(cmp.Compare(a.block, b.block), cmp.Compare(a.subKey, b.subKey))
+}
 
 // sortedDrain is the drain this package had while the buffer found its
 // flush order by sorting: the occupied slots ordered with key.compare, pushed

@@ -29,7 +29,10 @@
 // Entries are stored by value in slabs: the fixed parts (block, sub-key,
 // erase flag) in one slice and the validity bits of entry i as bare words
 // [i*w, (i+1)*w) of another, w = ceil(BitsPerEntry/64). The buffer is one
-// slab of V slots allocated once and reused across flushes. Every run is one
+// slab of V slots allocated once and reused across flushes, found by key
+// through a direct-addressed array over the dense key space (K blocks times
+// S sub-keys and the whole-block key) and read back in key order at a flush
+// from a presence bitset — host bookkeeping, outside RAMBytes. Every run is one
 // slab, allocated by the flush or merge that writes it and immutable from
 // then on; its pages, and the flash image recovery relinks them from, are
 // sub-slabs of it. A merge streams the input pages through cursors into the

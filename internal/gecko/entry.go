@@ -1,10 +1,6 @@
 package gecko
 
-import (
-	"cmp"
-
-	"geckoftl/internal/flash"
-)
+import "geckoftl/internal/flash"
 
 // WholeBlock is the sub-key of an entry whose erase flag covers the entire
 // block, regardless of partitioning. Erase entries always use it so that one
@@ -38,11 +34,6 @@ func (a key) less(b key) bool {
 		return a.block < b.block
 	}
 	return a.subKey < b.subKey
-}
-
-// compare is less as a three-way comparison for slices.SortFunc.
-func (a key) compare(b key) int {
-	return cmp.Or(cmp.Compare(a.block, b.block), cmp.Compare(a.subKey, b.subKey))
 }
 
 // slab stores entries by value: the fixed parts in ents and entry i's
