@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 
+	"geckoftl/internal/bitmap"
 	"geckoftl/internal/flash"
 )
 
@@ -135,6 +136,55 @@ type blockInfo struct {
 	retired bool
 }
 
+// fullBlocks indexes the allocated, full blocks — the only ones garbage
+// collection may reclaim — by group and Blocks-Validity-Counter value: one
+// bitset over the block IDs per (group, valid) bucket, holding exactly the
+// full blocks of that group with that many valid pages, active frontiers
+// included. The lowest block of the lowest non-empty bucket is the greedy
+// victim, and bucket zero of a group is its fully-invalid blocks, so neither
+// question scans the block table. count holds each bucket's population so
+// that the empty ones, nearly all of them, cost one load to pass over.
+//
+// Like the block table's Go representation it is the simulator's
+// bookkeeping: blockManager.RAMBytes, the paper's model, does not count it.
+type fullBlocks struct {
+	words  int // per bucket: one bit per block
+	valids int // buckets per group: valid counts 0..PagesPerBlock
+	bits   []uint64
+	count  []int32
+}
+
+func newFullBlocks(blocks, pagesPerBlock int) fullBlocks {
+	x := fullBlocks{words: (blocks + 63) / 64, valids: pagesPerBlock + 1}
+	x.bits = make([]uint64, int(numGroups)*x.valids*x.words)
+	x.count = make([]int32, int(numGroups)*x.valids)
+	return x
+}
+
+// bucket returns the bitset of the group's full blocks with the given valid
+// count, and its population.
+func (x *fullBlocks) bucket(g Group, valid int) ([]uint64, *int32) {
+	i := int(g)*x.valids + valid
+	return x.bits[i*x.words : (i+1)*x.words], &x.count[i]
+}
+
+func (x *fullBlocks) add(g Group, valid int, id flash.BlockID) {
+	bits, n := x.bucket(g, valid)
+	bits[id/64] |= 1 << uint(id%64)
+	*n++
+}
+
+func (x *fullBlocks) remove(g Group, valid int, id flash.BlockID) {
+	bits, n := x.bucket(g, valid)
+	bits[id/64] &^= 1 << uint(id%64)
+	*n--
+}
+
+func (x *fullBlocks) clear() {
+	clear(x.bits)
+	clear(x.count)
+}
+
 // blockManager owns the physical layout of GeckoFTL-style FTLs: it separates
 // blocks into user / translation / metadata groups, each with an active block
 // written append-only (two user frontiers when hot/cold separation is on),
@@ -184,12 +234,13 @@ type blockManager struct {
 	// the next frontier page.
 	programRetries int64
 
-	// dead counts, per group, the allocated full blocks with no valid page
-	// (active ones included), so that FullyInvalidBlocks scans the device
-	// only when there is something to find. The methods that change a
-	// block's state keep it; code that rewrites blocks wholesale (recovery,
-	// checkpoint import) calls recountDead afterwards.
-	dead [numGroups]int
+	// full finds victims and fully-invalid blocks without a pass over
+	// blocks. The methods that change a block's state keep it; code that
+	// rewrites blocks wholesale (recovery, checkpoint import) calls
+	// reindexFullBlocks afterwards.
+	full fullBlocks
+	// deadBuf is FullyInvalidBlocks' reused result.
+	deadBuf []flash.BlockID
 }
 
 // newBlockManager creates a block manager with every block free.
@@ -199,6 +250,7 @@ func newBlockManager(dev flash.Plane, gcReserve int, hotCold, wearAware bool) *b
 		dev:       dev,
 		cfg:       cfg,
 		blocks:    make([]blockInfo, cfg.Blocks),
+		full:      newFullBlocks(cfg.Blocks, cfg.PagesPerBlock),
 		hotCold:   hotCold,
 		wearAware: wearAware,
 		gcReserve: gcReserve,
@@ -222,18 +274,18 @@ func (bm *blockManager) restoreFreeOrder() {
 	}
 }
 
-// isDead reports whether a block counts toward dead: allocated, full, and
-// without a valid page.
-func (bm *blockManager) isDead(info *blockInfo) bool {
-	return info.allocated && info.valid == 0 && info.writePointer >= bm.cfg.PagesPerBlock
+// isFull reports whether a block belongs in the full-block index: allocated
+// and written to its last page.
+func (bm *blockManager) isFull(info *blockInfo) bool {
+	return info.allocated && info.writePointer >= bm.cfg.PagesPerBlock
 }
 
-// recountDead recomputes the dead counts from the per-block state.
-func (bm *blockManager) recountDead() {
-	bm.dead = [numGroups]int{}
+// reindexFullBlocks rebuilds the full-block index from the per-block state.
+func (bm *blockManager) reindexFullBlocks() {
+	bm.full.clear()
 	for i := range bm.blocks {
-		if info := &bm.blocks[i]; bm.isDead(info) {
-			bm.dead[info.group]++
+		if info := &bm.blocks[i]; bm.isFull(info) {
+			bm.full.add(info.group, info.valid, flash.BlockID(i))
 		}
 	}
 }
@@ -397,8 +449,8 @@ func (bm *blockManager) allocateOnFrontier(g Group, frontier int, spare flash.Sp
 			// in a fresh block once this one runs out.
 			bm.programRetries++
 			info.writePointer++
-			if bm.isDead(info) {
-				bm.dead[g]++
+			if bm.isFull(info) {
+				bm.full.add(g, info.valid, active)
 			}
 			continue
 		}
@@ -415,6 +467,9 @@ func (bm *blockManager) allocateOnFrontier(g Group, frontier int, spare flash.Sp
 		info.lastProgram = bm.programs
 		info.writePointer++
 		info.valid++
+		if bm.isFull(info) {
+			bm.full.add(g, info.valid, active)
+		}
 		return ppn, nil
 	}
 }
@@ -447,8 +502,9 @@ func (bm *blockManager) InvalidatePage(ppn flash.PPN) error {
 		return fmt.Errorf("ftl: BVC underflow on block %d", block)
 	}
 	info.valid--
-	if bm.isDead(info) {
-		bm.dead[info.group]++
+	if bm.isFull(info) {
+		bm.full.remove(info.group, info.valid+1, block)
+		bm.full.add(info.group, info.valid, block)
 	}
 	return nil
 }
@@ -465,29 +521,27 @@ func (bm *blockManager) Erase(block flash.BlockID, p flash.Purpose) error {
 			return fmt.Errorf("ftl: erasing active %v block %d", info.group, block)
 		}
 	}
-	wasDead := bm.isDead(info)
-	if err := bm.dev.EraseBlock(block, p); err != nil {
-		if errors.Is(err, flash.ErrWornOut) || errors.Is(err, flash.ErrEraseFailed) {
-			// The block's contents are dead (callers only erase drained
-			// blocks) but the block itself is gone as a resource: retire it.
-			// It leaves the group, never re-enters the free pool or the wear
-			// heap, and the device's usable capacity shrinks by one block.
-			// Neither erases nor frees is incremented — no erase happened and
-			// no block was freed — so erase/free conservation holds. The
-			// erase that was due still happened logically: the caller
-			// proceeds exactly as after a successful reclaim.
-			info.allocated = false
-			info.retired = true
-			info.valid = 0
-			if wasDead {
-				bm.dead[info.group]--
-			}
-			return nil
-		}
+	err := bm.dev.EraseBlock(block, p)
+	retire := errors.Is(err, flash.ErrWornOut) || errors.Is(err, flash.ErrEraseFailed)
+	if err != nil && !retire {
 		return err
 	}
-	if wasDead {
-		bm.dead[info.group]--
+	if bm.isFull(info) {
+		bm.full.remove(info.group, info.valid, block)
+	}
+	if retire {
+		// The block's contents are dead (callers only erase drained blocks)
+		// but the block itself is gone as a resource: retire it. It leaves
+		// the group, never re-enters the free pool or the wear heap, and the
+		// device's usable capacity shrinks by one block. Neither erases nor
+		// frees is incremented — no erase happened and no block was freed —
+		// so erase/free conservation holds. The erase that was due still
+		// happened logically: the caller proceeds exactly as after a
+		// successful reclaim.
+		info.allocated = false
+		info.retired = true
+		info.valid = 0
+		return nil
 	}
 	bm.erases++
 	info.allocated = false
@@ -560,30 +614,61 @@ func (p VictimPolicy) MigratesMetadata() bool { return p == VictimGreedy }
 // tie broken by anything but the ID would make identically-seeded
 // simulations diverge.
 func (bm *blockManager) PickVictim(policy VictimPolicy, excluded map[flash.BlockID]bool) (flash.BlockID, bool) {
+	if policy == VictimCostBenefit {
+		return bm.pickByScore(excluded)
+	}
+	// Fewest valid pages first; within a count, the lowest eligible ID of
+	// the groups the policy may migrate.
+	groups := GroupUser + 1
+	if policy.MigratesMetadata() {
+		groups = numGroups
+	}
+	for valid := 0; valid < bm.full.valids; valid++ {
+		best := flash.InvalidBlock
+		for g := Group(0); g < groups; g++ {
+			if id := bm.firstEligible(g, valid, excluded); id != flash.InvalidBlock && (best == flash.InvalidBlock || id < best) {
+				best = id
+			}
+		}
+		if best != flash.InvalidBlock {
+			return best, true
+		}
+	}
+	return flash.InvalidBlock, false
+}
+
+// firstEligible returns the lowest full block of the group with the given
+// valid count that is neither an active frontier nor excluded.
+func (bm *blockManager) firstEligible(g Group, valid int, excluded map[flash.BlockID]bool) flash.BlockID {
+	bits, n := bm.full.bucket(g, valid)
+	if *n == 0 {
+		return flash.InvalidBlock
+	}
+	for i := bitmap.NextSet(bits, 0, len(bm.blocks)); i >= 0; i = bitmap.NextSet(bits, i+1, len(bm.blocks)) {
+		if id := flash.BlockID(i); !bm.isActive(id) && !excluded[id] {
+			return id
+		}
+	}
+	return flash.InvalidBlock
+}
+
+// pickByScore is PickVictim under VictimCostBenefit. Scores move with the
+// program clock, so no static order exists to index: every full user block
+// is scored.
+func (bm *blockManager) pickByScore(excluded map[flash.BlockID]bool) (flash.BlockID, bool) {
 	best := flash.InvalidBlock
-	bestValid := -1
 	bestScore := -1.0
 	for i := range bm.blocks {
 		info := &bm.blocks[i]
-		if !info.allocated || info.writePointer < bm.cfg.PagesPerBlock {
+		if !bm.isFull(info) || info.group != GroupUser {
 			continue
-		}
-		if !policy.MigratesMetadata() && info.group != GroupUser {
-			continue
-		}
-		score := 0.0
-		better := best == flash.InvalidBlock
-		if policy == VictimCostBenefit {
-			score = bm.costBenefitScore(info)
-			better = better || score > bestScore
-		} else {
-			better = better || info.valid < bestValid
 		}
 		// The exclusions are tested last, and only for a block that would
 		// become the best candidate: nearly every block loses on its score,
 		// and the map probe is the expensive test.
-		if id := flash.BlockID(i); better && !bm.isActive(id) && !excluded[id] {
-			best, bestValid, bestScore = id, info.valid, score
+		score := bm.costBenefitScore(info)
+		if id := flash.BlockID(i); (best == flash.InvalidBlock || score > bestScore) && !bm.isActive(id) && !excluded[id] {
+			best, bestScore = id, score
 		}
 	}
 	return best, best != flash.InvalidBlock
@@ -604,20 +689,22 @@ func (bm *blockManager) costBenefitScore(info *blockInfo) float64 {
 }
 
 // FullyInvalidBlocks returns allocated, full, non-active blocks of the given
-// group with zero valid pages. Under the non-greedy policies these are the
-// only metadata blocks the FTL erases.
+// group with zero valid pages, in block-ID order. Under the non-greedy
+// policies these are the only metadata blocks the FTL erases. The result is
+// a snapshot in a reused slice: erasing the blocks while ranging over it is
+// fine, and it is valid until the next call.
 func (bm *blockManager) FullyInvalidBlocks(g Group) []flash.BlockID {
-	if bm.dead[g] == 0 {
+	bits, n := bm.full.bucket(g, 0)
+	if *n == 0 {
 		return nil
 	}
-	var out []flash.BlockID
-	for i := range bm.blocks {
-		info := &bm.blocks[i]
-		if info.allocated && info.group == g && info.valid == 0 &&
-			info.writePointer >= bm.cfg.PagesPerBlock && !bm.isActive(flash.BlockID(i)) {
-			out = append(out, flash.BlockID(i))
+	out := bm.deadBuf[:0]
+	for i := bitmap.NextSet(bits, 0, len(bm.blocks)); i >= 0; i = bitmap.NextSet(bits, i+1, len(bm.blocks)) {
+		if id := flash.BlockID(i); !bm.isActive(id) {
+			out = append(out, id)
 		}
 	}
+	bm.deadBuf = out
 	return out
 }
 
@@ -634,7 +721,8 @@ func (bm *blockManager) isActive(block flash.BlockID) bool {
 // per-block state as charged by the paper's models: 2 bytes per block for the
 // BVC (Appendix B). The group tags and write pointers are charged one
 // additional byte per block, and wear-aware allocation charges 2 more for
-// the per-block erase counters it keeps in RAM.
+// the per-block erase counters it keeps in RAM. The full-block index is host
+// bookkeeping and is not charged.
 func (bm *blockManager) RAMBytes() int64 {
 	perBlock := int64(3)
 	if bm.wearAware {
@@ -649,7 +737,7 @@ func (bm *blockManager) CrashRAM() {
 	for i := range bm.blocks {
 		bm.blocks[i] = blockInfo{}
 	}
-	bm.dead = [numGroups]int{}
+	bm.full.clear()
 	bm.free = bm.free[:0]
 	for fr := range bm.active {
 		bm.active[fr] = flash.InvalidBlock

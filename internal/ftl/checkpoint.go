@@ -516,7 +516,7 @@ func (f *FTL) importShardCheckpoint(sc *shardCheckpoint) error {
 	// every restored anchor (see blockManager.programs).
 	f.bm.programs = sc.lastSeq
 	f.bm.restoreFreeOrder()
-	f.bm.recountDead()
+	f.bm.reindexFullBlocks()
 
 	for tp, ppn := range sc.gmd {
 		f.table.SetGMDLocation(tp, ppn)

@@ -74,12 +74,23 @@ func TestEngineCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkIndexes := func(when string) {
+		t.Helper()
+		for s := range e.Shards() {
+			if err := e.Shard(s).bm.checkIndex(); err != nil {
+				t.Fatalf("shard %d %s: full-block index: %v", s, when, err)
+			}
+		}
+	}
+	checkIndexes("before the power failure")
 	if err := e.PowerFail(); err != nil {
 		t.Fatal(err)
 	}
+	checkIndexes("after the power failure")
 	if err := e.RestoreCheckpoint(decoded); err != nil {
 		t.Fatal(err)
 	}
+	checkIndexes("after the import")
 	if err := e.CheckConsistency(); err != nil {
 		t.Fatalf("restored engine inconsistent: %v", err)
 	}
@@ -99,6 +110,7 @@ func TestEngineCheckpointRoundTrip(t *testing.T) {
 	if err := e.CheckConsistency(); err != nil {
 		t.Fatalf("post-restore workload left engine inconsistent: %v", err)
 	}
+	checkIndexes("after the post-restore workload")
 }
 
 // TestEngineCheckpointUnsupportedSchemes pins the gate: only battery-less

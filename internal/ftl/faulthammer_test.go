@@ -83,11 +83,10 @@ func auditFaultInvariants(f *FTL) error {
 			return fmt.Errorf("block %d: in the free pool but allocated", i)
 		}
 	}
-	// The dead-block counts that gate FullyInvalidBlocks must follow every
-	// state change, fault paths and recovery included.
-	maintained := bm.dead
-	if bm.recountDead(); bm.dead != maintained {
-		return fmt.Errorf("maintained dead-block counts %v, recount %v", maintained, bm.dead)
+	// The full-block index that finds victims and dead blocks must follow
+	// every state change, fault paths and recovery included.
+	if err := bm.checkIndex(); err != nil {
+		return fmt.Errorf("full-block index: %w", err)
 	}
 	if got := int64(bm.BadBlocks()); got != f.Stats().BadBlocks {
 		return fmt.Errorf("Stats().BadBlocks = %d, manager counts %d", f.Stats().BadBlocks, got)

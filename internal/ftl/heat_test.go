@@ -122,6 +122,7 @@ func TestWearAwareTakesColdestFreeBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		bm.blocks[id].writePointer = cfg.PagesPerBlock // full, victim-eligible
+		bm.reindexFullBlocks()
 		if err := bm.Erase(id, flash.PurposeGCErase); err != nil {
 			t.Fatal(err)
 		}

@@ -305,7 +305,7 @@ func (f *FTL) recoverBlockManager() error {
 			bm.active[frontierUserHot] = partials[1]
 		}
 	}
-	bm.recountDead()
+	bm.reindexFullBlocks()
 	return nil
 }
 
@@ -555,7 +555,7 @@ func (f *FTL) rebuildBVC() error {
 			info.valid = metaLive[block]
 		}
 	}
-	f.bm.recountDead()
+	f.bm.reindexFullBlocks()
 	f.reconcileRecoveredUIP(geckoScan)
 	return nil
 }

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
@@ -9,9 +10,10 @@ import (
 	"geckoftl/internal/flash"
 )
 
-// naivePickVictim is PickVictim as it was before the exclusion tests moved
-// behind the score comparison: every full block is tested against the active
-// frontiers and the excluded set first. It is the oracle for the lazy scan.
+// naivePickVictim is PickVictim as a pass over the whole block table, every
+// full block tested against the active frontiers and the excluded set first:
+// what the manager did before it indexed its full blocks. It is the oracle
+// for the index (and, under cost-benefit, for the lazy scored pass).
 func naivePickVictim(bm *blockManager, policy VictimPolicy, excluded map[flash.BlockID]bool) (flash.BlockID, bool) {
 	best := flash.InvalidBlock
 	bestValid := -1
@@ -45,8 +47,8 @@ func naivePickVictim(bm *blockManager, policy VictimPolicy, excluded map[flash.B
 	return best, best != flash.InvalidBlock
 }
 
-// naiveFullyInvalidBlocks is FullyInvalidBlocks without the dead-count
-// shortcut: an unconditional scan of every block.
+// naiveFullyInvalidBlocks is FullyInvalidBlocks without the index: an
+// unconditional scan of every block.
 func naiveFullyInvalidBlocks(bm *blockManager, g Group) []flash.BlockID {
 	var out []flash.BlockID
 	for i := range bm.blocks {
@@ -59,11 +61,73 @@ func naiveFullyInvalidBlocks(bm *blockManager, g Group) []flash.BlockID {
 	return out
 }
 
-// TestVictimScansMatchNaive compares the lazy victim scan and the
-// count-guarded dead-block scan with their naive forms over random block
-// tables: few distinct valid counts and ages so scores tie, full and partial
-// blocks of every group, active frontiers that are full, and exclusion sets
-// that cover the best candidates.
+// checkIndex audits the full-block index against the block table: every
+// allocated full block sits in exactly one bucket, the one for its group and
+// valid count, no other bit is set, and every bucket's population count is
+// the number of its bits.
+func (bm *blockManager) checkIndex() error {
+	for g := Group(0); g < numGroups; g++ {
+		for valid := 0; valid < bm.full.valids; valid++ {
+			bits, n := bm.full.bucket(g, valid)
+			set := 0
+			for i := range len(bits) * 64 {
+				if bits[i/64]&(1<<uint(i%64)) == 0 {
+					continue
+				}
+				set++
+				if i >= len(bm.blocks) {
+					return fmt.Errorf("bucket (%v, %d valid) holds block %d of %d", g, valid, i, len(bm.blocks))
+				}
+				if info := &bm.blocks[i]; !bm.isFull(info) || info.group != g || info.valid != valid {
+					return fmt.Errorf("bucket (%v, %d valid) holds block %d: allocated %v, group %v, %d valid, write pointer %d",
+						g, valid, i, info.allocated, info.group, info.valid, info.writePointer)
+				}
+			}
+			if int(*n) != set {
+				return fmt.Errorf("bucket (%v, %d valid) counts %d blocks, holds %d", g, valid, *n, set)
+			}
+		}
+	}
+	for i := range bm.blocks {
+		info := &bm.blocks[i]
+		if !bm.isFull(info) {
+			continue
+		}
+		if bits, _ := bm.full.bucket(info.group, info.valid); bits[i/64]&(1<<uint(i%64)) == 0 {
+			return fmt.Errorf("full block %d (%v, %d valid) is not in its bucket", i, info.group, info.valid)
+		}
+	}
+	return nil
+}
+
+// checkVictims compares, on the manager's current state, PickVictim under
+// every policy and FullyInvalidBlocks for every group with the naive scans.
+func checkVictims(bm *blockManager, exclusions []map[flash.BlockID]bool) error {
+	for _, policy := range []VictimPolicy{VictimGreedy, VictimMetadataAware, VictimCostBenefit} {
+		for _, excluded := range exclusions {
+			want, wantOK := naivePickVictim(bm, policy, excluded)
+			got, gotOK := bm.PickVictim(policy, excluded)
+			if got != want || gotOK != wantOK {
+				return fmt.Errorf("%v excluding %d blocks: PickVictim = %d,%v, naive scan = %d,%v",
+					policy, len(excluded), got, gotOK, want, wantOK)
+			}
+		}
+	}
+	for g := Group(0); g < numGroups; g++ {
+		if got, want := bm.FullyInvalidBlocks(g), naiveFullyInvalidBlocks(bm, g); !slices.Equal(got, want) {
+			return fmt.Errorf("FullyInvalidBlocks(%v) = %v, naive scan = %v", g, got, want)
+		}
+	}
+	return nil
+}
+
+// TestVictimScansMatchNaive compares the indexed victim choice and the
+// indexed dead-block list with their naive forms over random block tables:
+// few distinct valid counts and ages so scores tie, full and partial blocks
+// of every group, active frontiers that are full, and exclusion sets that
+// cover the best candidates. Each table is then changed through the
+// manager's own methods — programs that fill the frontiers, invalidations,
+// erases — and compared again, with the index audited at every stage.
 func TestVictimScansMatchNaive(t *testing.T) {
 	const blocks, pagesPerBlock = 96, 8
 	policies := []VictimPolicy{VictimGreedy, VictimMetadataAware, VictimCostBenefit}
@@ -94,7 +158,7 @@ func TestVictimScansMatchNaive(t *testing.T) {
 				bm.active[fr] = flash.BlockID(rng.Intn(blocks))
 			}
 		}
-		bm.recountDead()
+		bm.reindexFullBlocks()
 
 		exclusions := []map[flash.BlockID]bool{nil, {}}
 		some := map[flash.BlockID]bool{}
@@ -112,52 +176,115 @@ func TestVictimScansMatchNaive(t *testing.T) {
 			}
 			exclusions = append(exclusions, maps.Clone(best))
 		}
+		check := func(stage string) {
+			t.Helper()
+			if err := bm.checkIndex(); err != nil {
+				t.Fatalf("seed %d, %s: %v", seed, stage, err)
+			}
+			if err := checkVictims(bm, exclusions); err != nil {
+				t.Fatalf("seed %d, %s: %v", seed, stage, err)
+			}
+		}
+		check("random table")
 
-		for _, policy := range policies {
-			for _, excluded := range exclusions {
-				want, wantOK := naivePickVictim(bm, policy, excluded)
-				got, gotOK := bm.PickVictim(policy, excluded)
-				if got != want || gotOK != wantOK {
-					t.Fatalf("seed %d %v excluding %d blocks: PickVictim = %d,%v, naive scan = %d,%v",
-						seed, policy, len(excluded), got, gotOK, want, wantOK)
+		// The table above is not a state the device is in (the manager's
+		// write pointers are invented), so from here on the frontiers start
+		// on fresh blocks of a device that is: free what is not allocated.
+		for fr := range bm.active {
+			bm.active[fr] = flash.InvalidBlock
+		}
+		bm.free = bm.free[:0]
+		for i := range bm.blocks {
+			if info := &bm.blocks[i]; !info.allocated {
+				*info = blockInfo{}
+				bm.free = append(bm.free, flash.BlockID(i))
+			}
+		}
+		for step := 0; step < 60 && bm.FreeBlocks() > 1; step++ {
+			g := Group(rng.Intn(int(numGroups)))
+			ppn, err := bm.AllocatePage(g, flash.SpareArea{Logical: flash.LPN(step)}, g.purpose())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(2) == 0 {
+				if err := bm.InvalidatePage(ppn); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
-		for g := Group(0); g < numGroups; g++ {
-			if got, want := bm.FullyInvalidBlocks(g), naiveFullyInvalidBlocks(bm, g); !slices.Equal(got, want) {
-				t.Fatalf("seed %d group %v: FullyInvalidBlocks = %v, naive scan = %v", seed, g, got, want)
+		check("after programs")
+		for i := range bm.blocks {
+			if info := &bm.blocks[i]; info.allocated && info.valid > 0 && rng.Intn(2) == 0 {
+				// Which page dies does not matter to the manager.
+				if err := bm.InvalidatePage(flash.PPNOf(flash.BlockID(i), 0, pagesPerBlock)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		check("after invalidations")
+		erased := 0
+		for g := Group(0); g < numGroups; g++ {
+			for _, block := range bm.FullyInvalidBlocks(g) {
+				if err := bm.Erase(block, flash.PurposeGCErase); err != nil {
+					t.Fatal(err)
+				}
+				erased++
+			}
+		}
+		check(fmt.Sprintf("after %d erases", erased))
 	}
 }
 
-// TestDeadCountsFollowBlockState drives the block manager through its own
-// methods — fills, invalidations down to zero, frontier rotation, erases —
-// and checks after every step that the maintained dead counts equal a
-// recount, and that FullyInvalidBlocks agrees with the naive scan.
-func TestDeadCountsFollowBlockState(t *testing.T) {
-	const blocks, pagesPerBlock = 24, 4
+// TestFullBlockIndexFollowsBlockState is the differential through the real
+// mutators: a bare block manager on a tiny geometry, both user frontiers on,
+// driven by a seeded stream of AllocatePage, AllocateUserPage, InvalidatePage
+// and Erase while the device fails programs and erases (by rate, and at
+// scripted counts). After every step the index is audited and every policy's
+// victim and every group's dead-block list is compared with the naive scans,
+// under a random exclusion set. It ends with a crash and a reindex.
+func TestFullBlockIndexFollowsBlockState(t *testing.T) {
+	const blocks, pagesPerBlock = 48, 4
+	steps := 50000
+	if testing.Short() {
+		steps = 5000
+	}
+	dev := newTestDevice(t, blocks, pagesPerBlock, 512)
+	plan := flash.FaultPlan{Seed: 11, ProgramFailRate: 0.03, EraseFailRate: 0.0005}
+	for _, at := range []uint64{1, 2, 3, 4, 9, 10, 11, 12} {
+		// Whole blocks of failed programs: a block that fills without ever
+		// holding a valid page.
+		plan.Schedule = append(plan.Schedule, flash.FaultEvent{Op: flash.OpPageWrite, AtCount: at})
+	}
+	plan.Schedule = append(plan.Schedule, flash.FaultEvent{Op: flash.OpErase, AtCount: 2})
+	if err := dev.SetFaultPlan(plan); err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(7))
-	bm := newBlockManager(newTestDevice(t, blocks, pagesPerBlock, 512), 2, false, false)
+	bm := newBlockManager(dev, 2, true, false)
 	var live []flash.PPN
 	check := func(step int, what string) {
 		t.Helper()
-		maintained := bm.dead
-		bm.recountDead()
-		if bm.dead != maintained {
-			t.Fatalf("step %d after %s: dead counts %v, recount %v", step, what, maintained, bm.dead)
+		if err := bm.checkIndex(); err != nil {
+			t.Fatalf("step %d after %s: %v", step, what, err)
 		}
-		for g := Group(0); g < numGroups; g++ {
-			if got, want := bm.FullyInvalidBlocks(g), naiveFullyInvalidBlocks(bm, g); !slices.Equal(got, want) {
-				t.Fatalf("step %d after %s: FullyInvalidBlocks(%v) = %v, naive scan = %v", step, what, g, got, want)
-			}
+		excluded := map[flash.BlockID]bool{}
+		for range rng.Intn(6) {
+			excluded[flash.BlockID(rng.Intn(blocks))] = true
+		}
+		if err := checkVictims(bm, []map[flash.BlockID]bool{excluded}); err != nil {
+			t.Fatalf("step %d after %s: %v", step, what, err)
 		}
 	}
-	for step := 0; step < 4000; step++ {
+	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(10); {
-		case op < 4 && bm.FreeBlocks() > 1:
-			g := Group(rng.Intn(int(numGroups)))
-			ppn, err := bm.AllocatePage(g, flash.SpareArea{Logical: flash.LPN(step)}, g.purpose())
+		case op < 4 && bm.FreeBlocks() > 2:
+			var ppn flash.PPN
+			var err error
+			if g := Group(rng.Intn(int(numGroups))); g == GroupUser {
+				ppn, err = bm.AllocateUserPage(Temperature(rng.Intn(int(numTemps))), flash.SpareArea{Logical: flash.LPN(step)}, g.purpose())
+			} else {
+				ppn, err = bm.AllocatePage(g, flash.SpareArea{Logical: flash.LPN(step)}, g.purpose())
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +299,9 @@ func TestDeadCountsFollowBlockState(t *testing.T) {
 			check(step, "invalidate")
 		default:
 			for g := Group(0); g < numGroups; g++ {
-				for _, block := range bm.FullyInvalidBlocks(g) {
+				// check asks for the list again, and the list is valid until
+				// the next call: range over a copy.
+				for _, block := range slices.Clone(bm.FullyInvalidBlocks(g)) {
 					if err := bm.Erase(block, flash.PurposeGCErase); err != nil {
 						t.Fatal(err)
 					}
@@ -180,6 +309,9 @@ func TestDeadCountsFollowBlockState(t *testing.T) {
 				}
 			}
 		}
+	}
+	if bm.ProgramRetries() == 0 || bm.BadBlocks() == 0 {
+		t.Fatalf("the stream met %d failed programs and %d retired blocks; it should meet both", bm.ProgramRetries(), bm.BadBlocks())
 	}
 	bm.CrashRAM()
 	check(-1, "crash")
