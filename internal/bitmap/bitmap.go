@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"strings"
 )
@@ -200,40 +201,44 @@ func (b *Bitmap) Equal(other *Bitmap) bool {
 	return true
 }
 
-// NextSet returns the lowest set bit at or after from and below hi in a bare
-// word slice (bit i is bit i%64 of words[i/64]), or -1 when there is none.
-// from must not be negative; hi beyond the words is clamped to them. It is
-// the one set-bit walk of the package,
+// Ones iterates, in ascending order, over the set bits at or after lo and
+// below hi of a bare word slice (bit i is bit i%64 of words[i/64]). lo must
+// not be negative; hi beyond the words is clamped to them. It is the one
+// set-bit walk of the package, a word at a time:
 //
-//	for i := NextSet(w, lo, hi); i >= 0; i = NextSet(w, i+1, hi)
+//	for i := range bitmap.Ones(words, lo, hi) { ... }
 //
-// and visits the set bits of [lo, hi) in ascending order a word at a time.
-// The FTL's dense indexes (mapping cache, Gecko buffer, victim buckets) keep
-// a presence bitset beside a direct-addressed array and read their entries
-// back in key order with it, instead of sorting.
-func NextSet(words []uint64, from, hi int) int {
-	hi = min(hi, len(words)*wordBits)
-	if from >= hi {
-		return -1
-	}
-	wi := from / wordBits
-	w := words[wi] &^ (1<<uint(from%wordBits) - 1)
-	for w == 0 {
-		if wi++; wi*wordBits >= hi {
-			return -1
+// The FTL's dense indexes (mapping cache, Gecko buffer, full-block buckets)
+// keep a presence bitset beside a direct-addressed array and read their
+// entries back in key order with it, instead of sorting.
+func Ones(words []uint64, lo, hi int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		hi := min(hi, len(words)*wordBits)
+		if lo >= hi {
+			return
 		}
-		w = words[wi]
+		first, last := lo/wordBits, (hi-1)/wordBits
+		for wi := first; wi <= last; wi++ {
+			w := words[wi]
+			if wi == first {
+				w &^= 1<<uint(lo%wordBits) - 1
+			}
+			if wi == last && hi%wordBits != 0 {
+				w &= 1<<uint(hi%wordBits) - 1
+			}
+			for ; w != 0; w &= w - 1 {
+				if !yield(wi*wordBits + bits.TrailingZeros64(w)) {
+					return
+				}
+			}
+		}
 	}
-	if i := wi*wordBits + bits.TrailingZeros64(w); i < hi {
-		return i
-	}
-	return -1
 }
 
 // ForEachSet calls fn for every set bit in ascending order. It stops early if
 // fn returns false.
 func (b *Bitmap) ForEachSet(fn func(i int) bool) {
-	for i := NextSet(b.words, 0, b.bits); i >= 0; i = NextSet(b.words, i+1, b.bits) {
+	for i := range Ones(b.words, 0, b.bits) {
 		if !fn(i) {
 			return
 		}

@@ -410,10 +410,11 @@ func TestOrWordsMatchesBitwise(t *testing.T) {
 	}
 }
 
-// TestNextSetMatchesBitByBit walks every [lo, hi) window of bitsets of
-// word-straddling sizes with NextSet and compares with testing each bit,
-// including windows that end past the words and stale bits beyond hi.
-func TestNextSetMatchesBitByBit(t *testing.T) {
+// TestOnesMatchesBitByBit walks every [lo, hi) window of bitsets of
+// word-straddling sizes with Ones and compares with testing each bit,
+// including windows that end past the words and set bits beyond hi, and
+// stops early.
+func TestOnesMatchesBitByBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, size := range []int{0, 1, 63, 64, 65, 130, 192} {
 		for _, density := range []int{1, 3, 40} {
@@ -426,7 +427,7 @@ func TestNextSetMatchesBitByBit(t *testing.T) {
 			for lo := 0; lo <= size; lo++ {
 				for _, hi := range []int{lo, lo + 1, lo + 7, lo + 64, lo + 100, size, size + 70} {
 					var got, want []int
-					for i := NextSet(words, lo, hi); i >= 0; i = NextSet(words, i+1, hi) {
+					for i := range Ones(words, lo, hi) {
 						got = append(got, i)
 					}
 					for i := lo; i < hi && i < len(words)*64; i++ {
@@ -435,21 +436,27 @@ func TestNextSetMatchesBitByBit(t *testing.T) {
 						}
 					}
 					if !slices.Equal(got, want) {
-						t.Fatalf("size %d density 1/%d: NextSet over [%d,%d) = %v, bit by bit %v", size, density, lo, hi, got, want)
+						t.Fatalf("size %d density 1/%d: Ones over [%d,%d) = %v, bit by bit %v", size, density, lo, hi, got, want)
+					}
+					for i := range Ones(words, lo, hi) {
+						if i != want[0] {
+							t.Fatalf("size %d: first of Ones over [%d,%d) = %d, want %d", size, lo, hi, i, want[0])
+						}
+						break
 					}
 				}
 			}
 		}
 	}
-	if got := NextSet(nil, 0, 10); got != -1 {
-		t.Fatalf("NextSet over no words = %d", got)
+	for i := range Ones(nil, 0, 10) {
+		t.Fatalf("Ones over no words yields %d", i)
 	}
 }
 
-// BenchmarkNextSet times one ascending walk over the set bits of a 12288-bit
+// BenchmarkOnes times one ascending walk over the set bits of a 12288-bit
 // presence bitset holding 455 keys: the Gecko buffer of the benchmark device
 // (4096 blocks, S = 2, V = 455) read back in key order at a flush.
-func BenchmarkNextSet(b *testing.B) {
+func BenchmarkOnes(b *testing.B) {
 	const size, keys = 12288, 455
 	rng := rand.New(rand.NewSource(1))
 	words := make([]uint64, size/64)
@@ -460,7 +467,7 @@ func BenchmarkNextSet(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		seen := 0
-		for i := NextSet(words, 0, size); i >= 0; i = NextSet(words, i+1, size) {
+		for range Ones(words, 0, size) {
 			seen++
 		}
 		if seen != keys {

@@ -644,7 +644,7 @@ func (bm *blockManager) firstEligible(g Group, valid int, excluded map[flash.Blo
 	if *n == 0 {
 		return flash.InvalidBlock
 	}
-	for i := bitmap.NextSet(bits, 0, len(bm.blocks)); i >= 0; i = bitmap.NextSet(bits, i+1, len(bm.blocks)) {
+	for i := range bitmap.Ones(bits, 0, len(bm.blocks)) {
 		if id := flash.BlockID(i); !bm.isActive(id) && !excluded[id] {
 			return id
 		}
@@ -699,7 +699,7 @@ func (bm *blockManager) FullyInvalidBlocks(g Group) []flash.BlockID {
 		return nil
 	}
 	out := bm.deadBuf[:0]
-	for i := bitmap.NextSet(bits, 0, len(bm.blocks)); i >= 0; i = bitmap.NextSet(bits, i+1, len(bm.blocks)) {
+	for i := range bitmap.Ones(bits, 0, len(bm.blocks)) {
 		if id := flash.BlockID(i); !bm.isActive(id) {
 			out = append(out, id)
 		}

@@ -58,3 +58,23 @@ func BenchmarkGeckoMerge(b *testing.B) {
 	}
 	b.ReportMetric(float64(entries), "entries/merge")
 }
+
+// BenchmarkBufferDrain times one flush's worth of buffer work on the
+// benchmark device's key space (4096 blocks, recommended S): V reports of
+// random pages absorbed into distinct entries, then the drain into a sorted
+// level-0 slab.
+func BenchmarkBufferDrain(b *testing.B) {
+	cfg := DefaultConfig(4096, 64, 4096)
+	buf := newBuffer(cfg)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	entries := 0
+	for i := 0; i < b.N; i++ {
+		for !buf.full() {
+			buf.recordInvalid(flash.BlockID(rng.Intn(cfg.Blocks)), rng.Intn(cfg.PagesPerBlock))
+		}
+		entries = len(buf.drain().ents)
+	}
+	b.ReportMetric(float64(entries), "entries/drain")
+}

@@ -159,7 +159,7 @@ func (b *buffer) query(block flash.BlockID, result *bitmap.Bitmap) (erased bool)
 // valid until the next call.
 func (b *buffer) sorted() []int {
 	b.order = b.order[:0]
-	for p := bitmap.NextSet(b.present, 0, len(b.index)); p >= 0; p = bitmap.NextSet(b.present, p+1, len(b.index)) {
+	for p := range bitmap.Ones(b.present, 0, len(b.index)) {
 		b.order = append(b.order, int(b.index[p])-1)
 	}
 	return b.order

@@ -352,8 +352,7 @@ func (c *Cache) entriesOn(tp int, dirtyOnly bool) []Entry {
 	}
 	out := c.tpBuf[:0]
 	lo := tp * c.entriesPerTP
-	hi := lo + c.entriesPerTP
-	for lpn := bitmap.NextSet(c.present, lo, hi); lpn >= 0; lpn = bitmap.NextSet(c.present, lpn+1, hi) {
+	for lpn := range bitmap.Ones(c.present, lo, lo+c.entriesPerTP) {
 		if e := &c.nodes[c.slot[lpn]].entry; e.Dirty || !dirtyOnly {
 			out = append(out, *e)
 		}

@@ -544,3 +544,67 @@ func BenchmarkMapcachePutEvict(b *testing.B) {
 		c.Put(Entry{Logical: flash.LPN((capacity + i) * 7919 % (1 << 20)), Dirty: true})
 	}
 }
+
+// benchCache is the cache of one shard of the benchmark device: 4096 entries
+// spread uniformly over 359 translation pages of 512 logical pages, about 11
+// to a page, every other one dirty.
+func benchCache() (c *Cache, cached []flash.LPN, logicalPages int) {
+	const capacity, perTP, pages = 4096, 512, 359
+	c = New(capacity, perTP)
+	rng := rand.New(rand.NewSource(1))
+	for c.Len() < capacity {
+		lpn := flash.LPN(rng.Intn(pages * perTP))
+		c.Put(Entry{Logical: lpn, Physical: flash.PPN(lpn), Dirty: lpn%2 == 0})
+	}
+	for _, e := range c.Entries() {
+		cached = append(cached, e.Logical)
+	}
+	return c, cached, pages * perTP
+}
+
+// BenchmarkEntriesOnTranslationPage times the range query a synchronization
+// operation starts with, on every translation page in turn.
+func BenchmarkEntriesOnTranslationPage(b *testing.B) {
+	c, _, logicalPages := benchCache()
+	pages := logicalPages / 512
+	b.ReportAllocs()
+	b.ResetTimer()
+	entries := 0
+	for i := 0; i < b.N; i++ {
+		entries += len(c.EntriesOnTranslationPage(i % pages))
+	}
+	b.ReportMetric(float64(entries)/float64(b.N), "entries/op")
+}
+
+// BenchmarkLookupHit times a Lookup of a cached logical page, promotion
+// included, in an order unrelated to the queue's.
+func BenchmarkLookupHit(b *testing.B) {
+	c, cached, _ := benchCache()
+	rand.New(rand.NewSource(2)).Shuffle(len(cached), func(i, j int) { cached[i], cached[j] = cached[j], cached[i] })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.Lookup(cached[i%len(cached)]); !ok {
+			b.Fatal("miss")
+		}
+	}
+}
+
+// BenchmarkLookupMiss times a Lookup of a logical page that is not cached.
+func BenchmarkLookupMiss(b *testing.B) {
+	c, _, logicalPages := benchCache()
+	rng := rand.New(rand.NewSource(2))
+	var absent []flash.LPN
+	for len(absent) < 4096 {
+		if lpn := flash.LPN(rng.Intn(logicalPages)); !c.Contains(lpn) {
+			absent = append(absent, lpn)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.Lookup(absent[i%len(absent)]); ok {
+			b.Fatal("hit")
+		}
+	}
+}
