@@ -607,12 +607,13 @@ func (p VictimPolicy) MigratesMetadata() bool { return p == VictimGreedy }
 // translation-page versions needed for buffer recovery, Appendix C.2.2) are
 // skipped.
 //
-// Selection is deterministic: candidates are scanned in block-ID order and
-// every comparison is strict, so equal-scoring candidates resolve to the
-// lowest block ID. This matters most under VictimCostBenefit, whose
-// floating-point scores tie easily (all-invalid blocks of the same age); a
-// tie broken by anything but the ID would make identically-seeded
-// simulations diverge.
+// Selection is deterministic: equally good candidates resolve to the lowest
+// block ID, whether they are found as the first set bit of a bucket of the
+// full-block index (greedy, metadata-aware) or by a scored pass in block-ID
+// order whose every comparison is strict (cost-benefit). This matters most
+// under VictimCostBenefit, whose floating-point scores tie easily
+// (all-invalid blocks of the same age); a tie broken by anything but the ID
+// would make identically-seeded simulations diverge.
 func (bm *blockManager) PickVictim(policy VictimPolicy, excluded map[flash.BlockID]bool) (flash.BlockID, bool) {
 	if policy == VictimCostBenefit {
 		return bm.pickByScore(excluded)

@@ -127,14 +127,14 @@ func New(capacity, entriesPerTranslationPage int) *Cache {
 // whose owner knows the key range allocates it exactly and never again. It
 // changes no behaviour: without it the index grows, by doubling, with the
 // largest logical page ever put.
-func (c *Cache) Reserve(n int) { c.growIndex(n, n) }
-
-// growIndex makes the index cover logical pages [0, need), allocating room
-// for size of them when it has to grow.
-func (c *Cache) growIndex(need, size int) {
-	if need <= len(c.slot) {
-		return
+func (c *Cache) Reserve(n int) {
+	if n > len(c.slot) {
+		c.resizeIndex(n)
 	}
+}
+
+// resizeIndex reallocates the index to cover logical pages [0, size).
+func (c *Cache) resizeIndex(size int) {
 	c.slot = append(make([]int32, 0, size), c.slot...)[:size]
 	c.present = append(make([]uint64, 0, (size+63)/64), c.present...)[:(size+63)/64]
 }
@@ -278,8 +278,9 @@ func (c *Cache) Put(e Entry) Evicted {
 		return Evicted{}
 	}
 	evicted := c.makeRoom()
-	need := int(e.Logical) + 1
-	c.growIndex(need, max(need, 2*len(c.slot)))
+	if need := int(e.Logical) + 1; need > len(c.slot) {
+		c.resizeIndex(max(need, 2*len(c.slot)))
+	}
 	c.slot[e.Logical] = c.pushFront(node{entry: e})
 	c.present[e.Logical/64] |= 1 << uint(e.Logical%64)
 	c.count++
