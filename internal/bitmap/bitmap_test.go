@@ -454,10 +454,10 @@ func TestOnesMatchesBitByBit(t *testing.T) {
 }
 
 // BenchmarkOnes times one ascending walk over the set bits of a 12288-bit
-// presence bitset holding 455 keys: the Gecko buffer of the benchmark device
-// (4096 blocks, S = 2, V = 455) read back in key order at a flush.
+// presence bitset holding 372 keys: the Gecko buffer of the benchmark device
+// (4096 blocks, S = 2, V = 372) read back in key order at a flush.
 func BenchmarkOnes(b *testing.B) {
-	const size, keys = 12288, 455
+	const size, keys = 12288, 372
 	rng := rand.New(rand.NewSource(1))
 	words := make([]uint64, size/64)
 	for _, i := range rng.Perm(size)[:keys] {
