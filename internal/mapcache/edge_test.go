@@ -20,7 +20,7 @@ func TestKeysOutsideTheIndexAreMisses(t *testing.T) {
 	for _, lpn := range []flash.LPN{0, 63, 64, largest} {
 		c.Put(Entry{Logical: lpn, Physical: flash.PPN(lpn), Dirty: true})
 	}
-	before := indexSize(c)
+	before := len(c.slot)
 	for _, lpn := range []flash.LPN{-1, math.MaxInt32, largest + 1} {
 		missesBefore := c.Stats().Misses
 		if _, ok := c.Lookup(lpn); ok {
@@ -48,7 +48,7 @@ func TestKeysOutsideTheIndexAreMisses(t *testing.T) {
 	if c.Len() != 4 {
 		t.Errorf("Len = %d after probing absent keys, want 4", c.Len())
 	}
-	if after := indexSize(c); after != before {
+	if after := len(c.slot); after != before {
 		t.Errorf("probing absent keys grew the index from %d to %d", before, after)
 	}
 }
@@ -159,6 +159,3 @@ func TestEntriesOnTranslationPageAscendingAndComplete(t *testing.T) {
 		}
 	}
 }
-
-// indexSize is the number of keys the by-logical-page index has room for.
-func indexSize(c *Cache) int { return len(c.slot) }
