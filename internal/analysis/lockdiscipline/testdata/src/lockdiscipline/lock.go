@@ -1,47 +1,17 @@
-// Fixture for the lockdiscipline analyzer: copied locks, self-locking
-// ...Locked methods, and unpaired Lock calls.
+// Fixture for the lockdiscipline analyzer: unpaired Lock calls.
 package lockdiscipline
 
 import "sync"
-
-type shard struct {
-	mu    sync.Mutex
-	pages int
-}
-
-// BadValueReceiver copies the shard (and its mutex) on every call.
-func BadValueReceiver(s shard) int { // want `parameter of BadValueReceiver passes lockdiscipline.shard by value, copying its sync.Mutex`
-	return s.pages
-}
 
 type table struct {
 	rw   sync.RWMutex
 	rows map[int]int
 }
 
-func (t *table) countLocked() int { return len(t.rows) }
-
-// BadSelfLock promises the caller holds the lock (the Locked suffix) and
-// then takes it again: Go mutexes are not reentrant.
-func (t *table) sizeLocked() int {
-	t.rw.Lock() // want `sizeLocked is documented as called-with-lock-held \(the Locked suffix\) but Locks its own receiver's mutex`
-	defer t.rw.Unlock()
-	return len(t.rows)
-}
-
 // BadForgottenUnlock locks and returns without any unlock in the function.
 func (t *table) BadForgottenUnlock() int {
 	t.rw.Lock() // want `t\.rw\.Lock\(\) has no matching t\.rw\.Unlock\(\) in this function`
 	return len(t.rows)
-}
-
-// BadRangeCopy copies each shard (and its mutex) into the loop variable.
-func BadRangeCopy(shards []shard) int {
-	total := 0
-	for _, s := range shards { // want `range copies lockdiscipline.shard by value, copying its sync.Mutex`
-		total += s.pages
-	}
-	return total
 }
 
 // GoodPointerReceiver locks and unlocks through a pointer.
@@ -55,23 +25,7 @@ func (t *table) GoodPointerReceiver() int {
 func (t *table) GoodRLockPair() int {
 	t.rw.RLock()
 	defer t.rw.RUnlock()
-	return t.countLocked()
-}
-
-// GoodLockedCaller takes the lock, then calls the Locked helper.
-func (t *table) GoodLockedCaller() int {
-	t.rw.Lock()
-	defer t.rw.Unlock()
-	return t.countLocked()
-}
-
-// GoodIndexRange ranges over indices; no copy.
-func GoodIndexRange(shards []shard) int {
-	total := 0
-	for i := range shards {
-		total += shards[i].pages
-	}
-	return total
+	return len(t.rows)
 }
 
 // GoodWaivedHandoff documents a deliberate lock handoff to the caller.

@@ -1,6 +1,6 @@
 // Package analysis assembles geckolint: the repo-specific analyzer suite
 // that turns this project's hard-won invariants — deterministic replay,
-// honest cancellation, a sealed error taxonomy, copy-safe locking — into
+// honest cancellation, a sealed error taxonomy, paired locking — into
 // build breaks. Each analyzer is grounded in a bug class a past PR actually
 // shipped; docs/analysis.md catalogues the mapping.
 package analysis
@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"geckoftl/internal/analysis/apiboundary"
-	"geckoftl/internal/analysis/atomicmix"
 	"geckoftl/internal/analysis/ctxcheck"
 	"geckoftl/internal/analysis/detrand"
 	"geckoftl/internal/analysis/errwrap"
@@ -17,7 +16,6 @@ import (
 	"geckoftl/internal/analysis/lockdiscipline"
 	"geckoftl/internal/analysis/lockorder"
 	"geckoftl/internal/analysis/maporder"
-	"geckoftl/internal/analysis/ticketcomplete"
 )
 
 // All returns the full geckolint suite in a stable (alphabetical) order.
@@ -37,14 +35,12 @@ func All() []*lintutil.Analyzer {
 func Assemble() ([]*lintutil.Analyzer, error) {
 	all := []*lintutil.Analyzer{
 		apiboundary.Analyzer,
-		atomicmix.Analyzer,
 		ctxcheck.Analyzer,
 		detrand.Analyzer,
 		errwrap.Analyzer,
 		lockdiscipline.Analyzer,
 		lockorder.Analyzer,
 		maporder.Analyzer,
-		ticketcomplete.Analyzer,
 	}
 	if err := Check(all); err != nil {
 		return nil, err

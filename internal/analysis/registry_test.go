@@ -12,8 +12,8 @@ import (
 // findings and waivers to cite, documentation, and something to run.
 func TestSuiteValid(t *testing.T) {
 	all := analysis.All()
-	if len(all) != 9 {
-		t.Fatalf("suite has %d analyzers, want 9", len(all))
+	if len(all) != 7 {
+		t.Fatalf("suite has %d analyzers, want 7", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {
@@ -27,7 +27,7 @@ func TestSuiteValid(t *testing.T) {
 	}
 	for _, name := range []string{
 		"ctxcheck", "maporder", "errwrap", "lockdiscipline", "detrand", "apiboundary",
-		"atomicmix", "lockorder", "ticketcomplete",
+		"lockorder",
 	} {
 		if !seen[name] {
 			t.Errorf("suite is missing analyzer %q", name)
@@ -42,8 +42,8 @@ func TestStableOrder(t *testing.T) {
 		got = append(got, a.Name)
 	}
 	want := []string{
-		"apiboundary", "atomicmix", "ctxcheck", "detrand", "errwrap",
-		"lockdiscipline", "lockorder", "maporder", "ticketcomplete",
+		"apiboundary", "ctxcheck", "detrand", "errwrap",
+		"lockdiscipline", "lockorder", "maporder",
 	}
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {

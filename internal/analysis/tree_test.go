@@ -14,7 +14,7 @@ import (
 const moduleRoot = "../.."
 
 // TestTreeIsClean is the lint CI job inside tier-1: the whole module, tests
-// included, through all nine rules, with no finding and no stale waiver.
+// included, through all seven rules, with no finding and no stale waiver.
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -42,14 +42,12 @@ func TestTreeIsClean(t *testing.T) {
 }
 
 // seeded is the referee's ledger: per rule, one regression written into a
-// real file of this module, in memory. Seven undo a guard the tree has; the
-// other two insert a shape the tree does not contain, because today it has
-// no sync/atomic free-function call and no ...Locked method.
+// real file of this module, in memory, each undoing a guard the tree has.
 // docs/analysis.md carries the same ledger.
 var seeded = []struct {
 	rule     string
 	file     string
-	old, new string // old is replaced by new; an empty old appends new
+	old, new string // old, found exactly once, is replaced by new
 	at       string // text of the line the rule must report
 }{
 	{
@@ -57,12 +55,6 @@ var seeded = []struct {
 		old: "\t\"geckoftl\"\n",
 		new: "\t\"geckoftl\"\n\t_ \"geckoftl/internal/flash\"\n",
 		at:  `_ "geckoftl/internal/flash"`,
-	},
-	{
-		// Inserted shape: a counter bumped atomically and read plainly.
-		rule: "atomicmix", file: "internal/queue/queue.go",
-		new: "\nvar refereeOps int64\n\nfunc refereeCount() int64 {\n\tatomic.AddInt64(&refereeOps, 1)\n\treturn refereeOps\n}\n",
-		at:  "return refereeOps",
 	},
 	{
 		// Engine.runBucket, the one loop behind every batch, stops checking
@@ -84,8 +76,7 @@ var seeded = []struct {
 		at:  "return d.eng.Write(lpn)",
 	},
 	{
-		// Engine.Flush forgets to unlock the shard. (The rule's ...Locked
-		// half has no method in the tree to fire on.)
+		// Engine.Flush forgets to unlock the shard.
 		rule: "lockdiscipline", file: "internal/ftl/engine.go",
 		old: "\t\terr := sh.ftl.Flush()\n\t\tsh.mu.Unlock()\n",
 		new: "\t\terr := sh.ftl.Flush()\n",
@@ -104,15 +95,6 @@ var seeded = []struct {
 		rule: "maporder", file: "internal/ftl/recovery.go",
 		old: "\tslices.Sort(tps)\n",
 		at:  "tps = append(tps, tp)",
-	},
-	{
-		// Submit no longer hands its ticket to send: each of its error returns
-		// drops the ticket it created, and the worker never sees the one it
-		// returns.
-		rule: "ticketcomplete", file: "internal/queue/queue.go",
-		old: "\tswitch err = e.send(sq, tk); err {\n",
-		new: "\tswitch err = e.send(sq, nil); err {\n",
-		at:  "&Ticket{ctx: ctx, req: req}",
 	},
 }
 
@@ -141,13 +123,10 @@ func TestSeededRegressions(t *testing.T) {
 				t.Fatal(err)
 			}
 			src := string(b)
-			if s.old == "" {
-				src += s.new
-			} else if strings.Count(src, s.old) != 1 {
+			if strings.Count(src, s.old) != 1 {
 				t.Fatalf("%s no longer contains exactly once the code this regression undoes:\n%s", s.file, s.old)
-			} else {
-				src = strings.Replace(src, s.old, s.new, 1)
 			}
+			src = strings.Replace(src, s.old, s.new, 1)
 			// The finding belongs on the line where s.at starts.
 			wantLine := 1 + strings.Count(src[:strings.Index(src, s.at)], "\n")
 
