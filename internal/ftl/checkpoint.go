@@ -87,11 +87,12 @@ type engineCheckpoint struct {
 func (e *Engine) checkpointFingerprint() uint64 {
 	cfg := e.dev.Config()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d|%d|%d|%d|%d|%d|%t|%t|%d|%g",
+	// The constant "|0|0" tail is part of the version-1 fingerprint: the
+	// checkpoints already written hash it and must keep loading.
+	fmt.Fprintf(h, "%d|%d|%d|%d|%d|%d|%d|%d|%t|%t|0|0",
 		cfg.Blocks, cfg.PagesPerBlock, cfg.PageSize, cfg.Channels, cfg.DiesPerChannel,
 		len(e.shards), e.opts.Scheme, e.opts.CacheEntries,
-		e.opts.HotColdSeparation, e.opts.WearAwareAllocation,
-		e.opts.HeatHalfLife, e.opts.HeatThreshold)
+		e.opts.HotColdSeparation, e.opts.WearAwareAllocation)
 	return h.Sum64()
 }
 

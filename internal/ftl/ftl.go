@@ -146,7 +146,7 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 		table:        table,
 		cache:        cache,
 		wear:         newWearLeveler(opts.WearLeveling, opts.WearThreshold),
-		heat:         newHeatClassifier(opts.HotColdSeparation, logicalPages, opts.HeatHalfLife, opts.HeatThreshold),
+		heat:         newHeatClassifier(opts.HotColdSeparation, logicalPages),
 		logicalPages: logicalPages,
 		gc:           gcState{victim: flash.InvalidBlock},
 	}
@@ -183,7 +183,6 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 			Blocks:        cfg.Blocks,
 			PagesPerBlock: cfg.PagesPerBlock,
 			PageSize:      cfg.PageSize,
-			MaxEntries:    opts.PVLMaxEntries,
 		}, store)
 		if err != nil {
 			return nil, err

@@ -4,14 +4,14 @@ import (
 	"math"
 )
 
-// Default heat-classifier tuning. The half-life is expressed as a fraction
-// of the logical address space: with halfLife = logicalPages/2 a page
-// rewritten once per full-device overwrite decays to ~1.33 steady-state heat
-// and stays cold, while a page rewritten four times as often (the hot set of
-// an 80/20 workload) reaches ~3.4 and crosses the threshold.
+// The heat-classifier tuning. The half-life is expressed as a fraction of the
+// logical address space: with halfLife = logicalPages/2 a page rewritten once
+// per full-device overwrite decays to ~1.33 steady-state heat and stays cold,
+// while a page rewritten four times as often (the hot set of an 80/20
+// workload) reaches ~3.4 and crosses the threshold.
 const (
-	defaultHeatHalfLifeDivisor = 2
-	defaultHeatThreshold       = 2.0
+	heatHalfLifeDivisor = 2
+	heatThreshold       = 2.0
 )
 
 // heatClassifier routes user writes to the hot or cold write frontier. It
@@ -27,9 +27,8 @@ const (
 // the RAM model charges 4 bytes per logical page (16-bit heat, 16-bit
 // truncated clock).
 type heatClassifier struct {
-	enabled   bool
-	halfLife  float64
-	threshold float64
+	enabled  bool
+	halfLife float64
 
 	// clock counts user writes; heat and last hold per-LPN state indexed by
 	// shard-local logical page number.
@@ -38,21 +37,13 @@ type heatClassifier struct {
 	last  []int64
 }
 
-// newHeatClassifier sizes a classifier for logicalPages pages. halfLife and
-// threshold of zero select the defaults.
-func newHeatClassifier(enabled bool, logicalPages int64, halfLife int, threshold float64) *heatClassifier {
+// newHeatClassifier sizes a classifier for logicalPages pages.
+func newHeatClassifier(enabled bool, logicalPages int64) *heatClassifier {
 	h := &heatClassifier{enabled: enabled}
 	if !enabled {
 		return h
 	}
-	h.halfLife = float64(halfLife)
-	if halfLife <= 0 {
-		h.halfLife = math.Max(1, float64(logicalPages)/defaultHeatHalfLifeDivisor)
-	}
-	h.threshold = threshold
-	if threshold <= 0 {
-		h.threshold = defaultHeatThreshold
-	}
+	h.halfLife = math.Max(1, float64(logicalPages)/heatHalfLifeDivisor)
 	h.heat = make([]float32, logicalPages)
 	h.last = make([]int64, logicalPages)
 	return h
@@ -68,7 +59,7 @@ func (h *heatClassifier) classify(lpn int64) Temperature {
 	next := decayed + 1
 	h.heat[lpn] = float32(next)
 	h.last[lpn] = h.clock
-	if next >= h.threshold {
+	if next >= heatThreshold {
 		return TempHot
 	}
 	return TempCold

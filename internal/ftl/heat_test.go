@@ -7,7 +7,7 @@ import (
 )
 
 func TestHeatClassifierDisabled(t *testing.T) {
-	h := newHeatClassifier(false, 1024, 0, 0)
+	h := newHeatClassifier(false, 1024)
 	for lpn := int64(0); lpn < 10; lpn++ {
 		if temp := h.classify(lpn); temp != TempCold {
 			t.Fatalf("disabled classifier returned %v", temp)
@@ -20,7 +20,7 @@ func TestHeatClassifierDisabled(t *testing.T) {
 
 func TestHeatClassifierSeparatesHotFromCold(t *testing.T) {
 	const pages = 1024
-	h := newHeatClassifier(true, pages, 0, 0)
+	h := newHeatClassifier(true, pages)
 	// Interleave a hot page (rewritten every 8 writes) with a cold sweep
 	// that touches each page once: the hot page must cross the threshold,
 	// the sweep must not.

@@ -2,6 +2,8 @@ package ftl
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"geckoftl/internal/flash"
 	"geckoftl/internal/gecko"
@@ -143,9 +145,6 @@ type Options struct {
 	GeckoPartitionFactor int
 	// GeckoMultiWayMerge enables the multi-way merge of Appendix A.
 	GeckoMultiWayMerge bool
-	// PVLMaxEntries bounds the IB-FTL page validity log (0 = the Appendix E
-	// default of twice the over-provisioned space).
-	PVLMaxEntries int
 	// WearLeveling enables the Appendix D gradual-scan wear-leveler: one
 	// spare-area read per application write and recycling of exceptionally
 	// unworn static blocks.
@@ -160,12 +159,6 @@ type Options struct {
 	// skewed workloads (hot blocks die nearly whole, cold blocks are not
 	// churned).
 	HotColdSeparation bool
-	// HeatHalfLife is the heat classifier's decay half-life in logical
-	// writes (0 selects logicalPages/2). Ignored without HotColdSeparation.
-	HeatHalfLife int
-	// HeatThreshold is the decayed write count at which a page counts as
-	// hot (0 selects 2.0). Ignored without HotColdSeparation.
-	HeatThreshold float64
 	// WearAwareAllocation makes the block manager hand out the
 	// least-erased free block (coldest-erase-count first) instead of the
 	// most recently freed one, narrowing the device's erase-count spread.
@@ -216,12 +209,6 @@ func (o *Options) validate(cfg flash.Config) error {
 	}
 	if o.VictimPolicy != VictimGreedy && o.VictimPolicy != VictimMetadataAware && o.VictimPolicy != VictimCostBenefit {
 		return fmt.Errorf("ftl: unknown victim policy %v", o.VictimPolicy)
-	}
-	if o.HeatHalfLife < 0 {
-		return fmt.Errorf("ftl: heat half-life %d must be >= 0", o.HeatHalfLife)
-	}
-	if o.HeatThreshold < 0 {
-		return fmt.Errorf("ftl: heat threshold %g must be >= 0", o.HeatThreshold)
 	}
 	if o.ScrubReadThreshold < 0 {
 		return fmt.Errorf("ftl: scrub read threshold %d must be >= 0", o.ScrubReadThreshold)
@@ -296,4 +283,40 @@ func IBFTLOptions(cacheEntries int) Options {
 		DirtyFraction: 0.1,
 		VictimPolicy:  VictimGreedy,
 	}
+}
+
+// ftls is the one table naming the paper's five FTLs, in Figure 13's order:
+// the canonical name (model.FTLKind.String and the experiment rows use the
+// same one), the names command lines may use in its place, and the
+// constructor. The empty name selects GeckoFTL.
+var ftls = []struct {
+	name    string
+	aliases []string
+	options func(cacheEntries int) Options
+}{
+	{"DFTL", []string{"dftl"}, DFTLOptions},
+	{"LazyFTL", []string{"lazyftl", "lazy"}, LazyFTLOptions},
+	{"uFTL", []string{"muftl", "mu", "uftl", "mu-ftl"}, MuFTLOptions},
+	{"IB-FTL", []string{"ibftl", "ib", "ib-ftl"}, IBFTLOptions},
+	{"GeckoFTL", []string{"geckoftl", "gecko", ""}, GeckoFTLOptions},
+}
+
+// Names returns the canonical names of the five FTLs in Figure 13's order.
+func Names() []string {
+	names := make([]string, len(ftls))
+	for i, f := range ftls {
+		names[i] = f.name
+	}
+	return names
+}
+
+// OptionsByName returns the configuration of the FTL a canonical name or one
+// of its aliases selects.
+func OptionsByName(name string, cacheEntries int) (Options, error) {
+	for _, f := range ftls {
+		if name == f.name || slices.Contains(f.aliases, name) {
+			return f.options(cacheEntries), nil
+		}
+	}
+	return Options{}, fmt.Errorf("ftl: unknown FTL %q (want one of %s)", name, strings.Join(Names(), ", "))
 }

@@ -41,39 +41,29 @@ type ChannelPoint struct {
 	LoadImbalance float64
 }
 
-// ChannelSweepOptions parameterizes a sweep.
-type ChannelSweepOptions struct {
-	// Scale sizes the device and the measured window. Scale.Device.Channels
-	// is overridden by each sweep point; DiesPerChannel is honored.
-	Scale ExperimentScale
-	// Channels lists the channel counts to sweep. Empty means 1,2,4,8.
-	Channels []int
-	// Workload names the generator: "uniform" (default), "sequential",
-	// "zipfian" or "hotcold".
-	Workload string
-}
-
 // ChannelSweep measures write throughput of the sharded GeckoFTL engine
 // across channel counts. Every point runs the same logical workload; the
 // total RAM budget is held constant by dividing the mapping cache across
 // shards. Warm-up fills the device twice over so that each point is measured
-// in steady-state garbage collection.
-func ChannelSweep(opts ChannelSweepOptions) ([]ChannelPoint, error) {
-	if opts.Scale.MeasureWrites <= 0 {
-		return nil, fmt.Errorf("sim: measure writes %d must be positive", opts.Scale.MeasureWrites)
+// in steady-state garbage collection. It reads p.Channels (empty means
+// 1,2,4,8), p.Dies (the dies per channel) and p.Workload (empty means uniform).
+func ChannelSweep(p Params) ([]ChannelPoint, error) {
+	if p.Scale.MeasureWrites <= 0 {
+		return nil, fmt.Errorf("sim: measure writes %d must be positive", p.Scale.MeasureWrites)
 	}
-	channels := opts.Channels
+	channels := p.Channels
 	if len(channels) == 0 {
 		channels = []int{1, 2, 4, 8}
 	}
-	scale := opts.Scale.workable(slices.Max(channels))
+	scale := p.Scale.workable(slices.Max(channels))
+	scale.Device.DiesPerChannel = p.Dies
 	var points []ChannelPoint
 	for _, c := range channels {
-		p, err := channelPoint(scale, c, opts.Workload)
+		pt, err := channelPoint(scale, c, p.Workload)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %d channels: %w", c, err)
 		}
-		points = append(points, p)
+		points = append(points, pt)
 	}
 	base := points[0].Throughput
 	for i := range points {

@@ -5,7 +5,7 @@ import "testing"
 func TestChannelSweep(t *testing.T) {
 	scale := QuickScale()
 	scale.MeasureWrites = 2000
-	points, err := ChannelSweep(ChannelSweepOptions{Scale: scale, Channels: []int{1, 4}})
+	points, err := ChannelSweep(Params{Scale: scale, Channels: []int{1, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestChannelSweepWorkloads(t *testing.T) {
 	scale := QuickScale()
 	scale.MeasureWrites = 500
 	for _, wl := range []string{"sequential", "zipfian", "hotcold"} {
-		points, err := ChannelSweep(ChannelSweepOptions{Scale: scale, Channels: []int{2}, Workload: wl})
+		points, err := ChannelSweep(Params{Scale: scale, Channels: []int{2}, Workload: wl})
 		if err != nil {
 			t.Fatalf("%s: %v", wl, err)
 		}
@@ -57,11 +57,11 @@ func TestChannelSweepWorkloads(t *testing.T) {
 			t.Errorf("%s: non-positive throughput", wl)
 		}
 	}
-	if _, err := ChannelSweep(ChannelSweepOptions{Scale: scale, Channels: []int{1}, Workload: "nope"}); err == nil {
+	if _, err := ChannelSweep(Params{Scale: scale, Channels: []int{1}, Workload: "nope"}); err == nil {
 		t.Error("expected unknown workload to fail")
 	}
 	var zero ExperimentScale
-	if _, err := ChannelSweep(ChannelSweepOptions{Scale: zero}); err == nil {
+	if _, err := ChannelSweep(Params{Scale: zero}); err == nil {
 		t.Error("expected zero MeasureWrites to fail instead of yielding NaN speedups")
 	}
 }
@@ -72,8 +72,7 @@ func TestChannelSweepWorkloads(t *testing.T) {
 func TestChannelSweepSynchronousDies(t *testing.T) {
 	scale := QuickScale()
 	scale.MeasureWrites = 1000
-	scale.Device.DiesPerChannel = 4
-	points, err := ChannelSweep(ChannelSweepOptions{Scale: scale, Channels: []int{1}})
+	points, err := ChannelSweep(Params{Scale: scale, Channels: []int{1}, Dies: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

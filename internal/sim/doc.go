@@ -6,7 +6,9 @@
 //
 // Experiments are data. Experiments (experiments.go) is the registry: one
 // entry per table, figure and sweep, carrying its name, group, table title,
-// the geckobench flags it reads and a run function from Params to typed rows.
+// the geckobench flags it reads and a run function from Params to typed rows
+// (a sweep is registered as it is declared: func(Params), or func of the
+// scale alone through the scaled adapter).
 // cmd/geckobench (selection, JSON, one generic table renderer), the root
 // package's re-export, the goldens under testdata/bench, the
 // BenchmarkExperiment loop and CI's single bench step are all derived from
@@ -47,9 +49,10 @@
 //
 // The harness builds flash.Device + ftl.Engine directly rather than going
 // through geckoftl.Open: the root package imports this one (a cycle), and the
-// public Snapshot does not yet carry per-die busy time, the GC-stall
-// distribution or fallback counts the sweeps report. Once it does, moving
-// the sweeps onto the public device is a change to newEngineRun alone.
+// public Snapshot carries the GC-stall distribution (GCStalledWrites) and the
+// fallback count (GC.Fallbacks) the sweeps report but not yet the per-die
+// busy time ChannelSweep reads. Once it does, moving the sweeps onto the
+// public device is a change to newEngineRun alone.
 //
 // All results are deterministic: time is the device's simulated latency
 // model, never the host clock, and same seed means same bytes whatever

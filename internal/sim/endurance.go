@@ -41,13 +41,6 @@ type EndurancePoint struct {
 	Capped bool
 }
 
-// EnduranceSweepOptions parameterizes EnduranceSweep.
-type EnduranceSweepOptions struct {
-	// Scale sizes the device and cache and seeds the workload and fault
-	// plan. MeasureWrites is not used: endurance runs until death.
-	Scale ExperimentScale
-}
-
 const (
 	// enduranceMaxErase is the per-block erase budget.
 	enduranceMaxErase = 24
@@ -77,12 +70,14 @@ func capacityExhausted(err error) bool {
 // into a fresh device until the FTL can no longer make space, the endurance
 // counterpart of the paper's claim that placement decides lifetime as well as
 // throughput: the budget a policy strands in cold blocks is budget the device
-// dies without spending.
-func EnduranceSweep(opts EnduranceSweepOptions) ([]EndurancePoint, error) {
+// dies without spending. The scale sizes the device and cache and seeds the
+// workload and fault plan; MeasureWrites is not used: endurance runs until
+// death.
+func EnduranceSweep(scale ExperimentScale) ([]EndurancePoint, error) {
 	var points []EndurancePoint
 	for _, wearAware := range []bool{false, true} {
 		for _, rate := range enduranceFaultRates {
-			p, err := endurancePoint(opts.Scale, rate, wearAware)
+			p, err := endurancePoint(scale, rate, wearAware)
 			if err != nil {
 				return nil, fmt.Errorf("sim: endurance (fault=%.2f, wearAware=%v): %w", rate, wearAware, err)
 			}

@@ -10,7 +10,7 @@ import "testing"
 // seeded fault hazards nested across rates — so strict inequalities are
 // stable, not flaky.
 func TestEnduranceSweepTrends(t *testing.T) {
-	points, err := EnduranceSweep(EnduranceSweepOptions{Scale: QuickScale()})
+	points, err := EnduranceSweep(QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,38 +139,21 @@ func Experiments() []Experiment {
 		experiment("recovery", "", "Recovery simulation: crash each FTL mid-workload on one plane, measure recovery IO and time",
 			nil, scaled(RecoverySimulation)),
 		experiment("recovery-sweep", "recovery", "Engine recovery sweep: crash the sharded engine, recover all shards in parallel",
-			[]string{"sweep"}, func(p Params) ([]RecoveryPoint, error) {
-				return RecoverySweep(RecoverySweepOptions{Scale: p.Scale, Channels: p.Channels})
-			}),
+			[]string{"sweep"}, RecoverySweep),
 		experiment("channels", "", "Channel scaling: sharded GeckoFTL engine write throughput vs channel count (uniform workload, 1 die per channel by default)",
-			[]string{"sweep", "dies", "sweep-workload"}, func(p Params) ([]ChannelPoint, error) {
-				p.Scale.Device.DiesPerChannel = p.Dies
-				return ChannelSweep(ChannelSweepOptions{Scale: p.Scale, Channels: p.Channels, Workload: p.Workload})
-			}),
+			[]string{"sweep", "dies", "sweep-workload"}, ChannelSweep),
 		experiment("latency", "", "Latency sweep: per-write service time of the sharded GeckoFTL engine, inline vs incremental GC",
-			[]string{"gc-mode", "policy", "gc-pages"}, func(p Params) ([]LatencyPoint, error) {
-				return LatencySweep(LatencySweepOptions{Scale: p.Scale, Policies: p.Policies, Modes: p.GCModes, GCPagesPerWrite: p.GCPagesPerWrite})
-			}),
+			[]string{"gc-mode", "policy", "gc-pages"}, LatencySweep),
 		experiment("trim", "", "Trim sweep: write-amplification of the sharded GeckoFTL engine vs host trim fraction",
-			[]string{"sweep-workload", "trim-fractions"}, func(p Params) ([]TrimPoint, error) {
-				return TrimSweep(TrimSweepOptions{Scale: p.Scale, Workload: p.Workload, TrimFractions: p.TrimFractions})
-			}),
+			[]string{"sweep-workload", "trim-fractions"}, TrimSweep),
 		experiment("wear", "", "Wear sweep: WA and erase-count spread of the sharded GeckoFTL engine, single vs hot/cold frontiers",
-			[]string{"policy"}, func(p Params) ([]WearPoint, error) {
-				return WearSweep(WearSweepOptions{Scale: p.Scale, Policies: p.Policies})
-			}),
+			[]string{"policy"}, WearSweep),
 		experiment("endurance", "", "Endurance sweep: device lifetime in host writes until capacity exhaustion, fault rate x allocation policy",
-			nil, func(p Params) ([]EndurancePoint, error) {
-				return EnduranceSweep(EnduranceSweepOptions{Scale: p.Scale})
-			}),
+			nil, scaled(EnduranceSweep)),
 		experiment("restart", "", "Restart sweep: warm restart from the shutdown checkpoint vs cold GeckoRec recovery of identical state",
-			nil, func(p Params) ([]RestartPoint, error) {
-				return RestartSweep(RestartSweepOptions{Scale: p.Scale})
-			}),
+			nil, scaled(RestartSweep)),
 		experiment("queue", "", "Queue sweep: async submission engine vs the synchronous baseline and the queueing model's saturation knee",
-			[]string{"sweep-workload", "depth", "depths", "admission"}, func(p Params) ([]QueuePoint, error) {
-				return QueueSweep(QueueSweepOptions{Scale: p.Scale, Depth: p.Depth, Depths: p.Depths, Workload: p.Workload, Policy: p.Admission})
-			}),
+			[]string{"sweep-workload", "depth", "depths", "admission"}, QueueSweep),
 		experiment("summary", "", "Headline claims: reductions as fractions (paper: page-validity RAM 0.95 vs RAM-resident PVB, recovery time >= 0.51 vs LazyFTL, page-validity WA 0.98 vs flash-resident PVB)",
 			nil, scaled(Headlines)),
 	}
@@ -191,9 +174,6 @@ func (s ExperimentScale) isolated(scheme SchemeBuilder) IsolatedOptions {
 		Seed:          s.Seed,
 	}
 }
-
-// fiveFTLs names the FTLs of the paper's comparison, in Figure 13's order.
-var fiveFTLs = []string{"DFTL", "LazyFTL", "uFTL", "IB-FTL", "GeckoFTL"}
 
 // Figure9Row is one bar group of Figure 9: a page-validity scheme with its
 // internal IO counts and write-amplification under uniformly random updates.
@@ -319,7 +299,7 @@ func Figure12(scale ExperimentScale) ([]Figure12Row, error) {
 // write-amplification breakdown of Figure 13 (bottom).
 func Figure13WA(scale ExperimentScale) ([]Result, error) {
 	var out []Result
-	for _, name := range fiveFTLs {
+	for _, name := range ftl.Names() {
 		res, err := MeasureFTL(scale, name, nil)
 		if err != nil {
 			return nil, fmt.Errorf("sim: figure 13 WA (%s): %w", name, err)
@@ -409,7 +389,7 @@ type RecoveryResult struct {
 // RecoverySimulation crashes each FTL mid-workload and measures its recovery.
 func RecoverySimulation(scale ExperimentScale) ([]RecoveryResult, error) {
 	var out []RecoveryResult
-	for _, name := range fiveFTLs {
+	for _, name := range ftl.Names() {
 		run, err := newEngineRun(runSpec{scale: scale, channels: 1, ftl: name, batchPerDie: 1})
 		if err != nil {
 			return nil, err

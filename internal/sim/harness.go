@@ -68,8 +68,8 @@ type runSpec struct {
 	scale ExperimentScale
 	// channels is the engine width; it overrides scale.Device.Channels.
 	channels int
-	// ftl names the shard configuration ("" means GeckoFTL) and tune, when
-	// set, adjusts its options.
+	// ftl names the shard configuration, by a name of the ftl package's
+	// table ("" means GeckoFTL), and tune, when set, adjusts its options.
 	ftl  string
 	tune func(*ftl.Options)
 	// workload names the page stream ("" means uniform) and trims is the
@@ -88,7 +88,6 @@ type engineRun struct {
 	eng   *ftl.Engine
 	gen   workload.Generator
 	cfg   flash.Config
-	kind  model.FTLKind
 	scale ExperimentScale
 	batch int
 }
@@ -102,11 +101,7 @@ func newEngineRun(s runSpec) (*engineRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	name := s.ftl
-	if name == "" {
-		name = "GeckoFTL"
-	}
-	opts, kind, err := shardOptions(name, scale.CacheEntries/s.channels)
+	opts, err := ftl.OptionsByName(s.ftl, scale.CacheEntries/s.channels)
 	if err != nil {
 		return nil, err
 	}
@@ -127,25 +122,7 @@ func newEngineRun(s runSpec) (*engineRun, error) {
 		}
 	}
 	cfg := dev.Config()
-	return &engineRun{dev: dev, eng: eng, gen: gen, cfg: cfg, kind: kind, scale: scale, batch: s.batchPerDie * cfg.Dies()}, nil
-}
-
-// shardOptions builds the named FTL configuration for a per-shard cache.
-func shardOptions(name string, cacheEntries int) (ftl.Options, model.FTLKind, error) {
-	switch name {
-	case "GeckoFTL":
-		return ftl.GeckoFTLOptions(cacheEntries), model.GeckoFTL, nil
-	case "LazyFTL":
-		return ftl.LazyFTLOptions(cacheEntries), model.LazyFTL, nil
-	case "DFTL":
-		return ftl.DFTLOptions(cacheEntries), model.DFTL, nil
-	case "uFTL":
-		return ftl.MuFTLOptions(cacheEntries), model.MuFTL, nil
-	case "IB-FTL":
-		return ftl.IBFTLOptions(cacheEntries), model.IBFTL, nil
-	default:
-		return ftl.Options{}, 0, fmt.Errorf("sim: unknown FTL %q", name)
-	}
+	return &engineRun{dev: dev, eng: eng, gen: gen, cfg: cfg, scale: scale, batch: s.batchPerDie * cfg.Dies()}, nil
 }
 
 // reserveForMerges scales the garbage-collection reserve with the shard

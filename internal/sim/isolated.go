@@ -40,12 +40,10 @@ type IsolatedOptions struct {
 	// Scheme builds the structure under test over the given store. Use
 	// GeckoScheme or FlashPVBScheme.
 	Scheme SchemeBuilder
-	// Workload generates logical updates; nil means uniform random with
-	// seed 1.
-	Workload workload.Generator
-	// WarmupWrites and MeasureWrites delimit the measured window.
-	WarmupWrites, MeasureWrites int64
-	// Seed seeds the default workload.
+	// MeasureWrites is the size of the measured window, which follows a
+	// warm-up of two overwrites of the logical space.
+	MeasureWrites int64
+	// Seed seeds the uniformly random update workload.
 	Seed int64
 }
 
@@ -145,10 +143,7 @@ func RunIsolated(opts IsolatedOptions) (IsolatedResult, error) {
 	}
 
 	logicalPages := int64(opts.OverProvision * float64(opts.UserBlocks*opts.PagesPerBlock))
-	gen := opts.Workload
-	if gen == nil {
-		gen = workload.MustNewUniform(logicalPages, opts.Seed+1)
-	}
+	gen := workload.MustNewUniform(logicalPages, opts.Seed+1)
 
 	driver := &isolatedDriver{
 		scheme:        scheme,
@@ -166,11 +161,7 @@ func RunIsolated(opts IsolatedOptions) (IsolatedResult, error) {
 		driver.ownerOf[i] = flash.InvalidLPN
 	}
 
-	warmup := opts.WarmupWrites
-	if warmup == 0 {
-		warmup = 2 * logicalPages
-	}
-	for i := int64(0); i < warmup; i++ {
+	for i := int64(0); i < 2*logicalPages; i++ {
 		if err := driver.write(gen.Next().Page); err != nil {
 			return IsolatedResult{}, fmt.Errorf("sim: isolated warm-up: %w", err)
 		}

@@ -47,22 +47,6 @@ type LatencyPoint struct {
 	GCFallbacks int64
 }
 
-// LatencySweepOptions parameterizes LatencySweep.
-type LatencySweepOptions struct {
-	// Scale sizes the device, cache budget and measured window; the device
-	// and cache grow until every shard stays workable.
-	Scale ExperimentScale
-	// Policies lists the victim policies. Empty means metadata-aware and
-	// greedy.
-	Policies []ftl.VictimPolicy
-	// Modes lists the GC scheduling modes. Empty means inline and
-	// incremental.
-	Modes []ftl.GCMode
-	// GCPagesPerWrite is the incremental step budget. Zero means
-	// ftl.DefaultGCPagesPerWrite.
-	GCPagesPerWrite int
-}
-
 // LatencySweep measures per-write tail latency of the sharded GeckoFTL
 // engine across {GC mode} x {victim policy} x {workload}. Every point runs
 // the same measured window after a two-full-overwrite warm-up, so the
@@ -71,15 +55,19 @@ type LatencySweepOptions struct {
 // cut the p99.9 write latency (the GC stall moves out of the tail) while
 // keeping write-amplification within 5%, and its measured worst-case stall
 // must stay within the analytic bound.
-func LatencySweep(opts LatencySweepOptions) ([]LatencyPoint, error) {
-	if opts.Scale.MeasureWrites <= 0 {
-		return nil, fmt.Errorf("sim: measure writes %d must be positive", opts.Scale.MeasureWrites)
+//
+// It reads p.Policies (empty means metadata-aware and greedy), p.GCModes
+// (empty means inline and incremental) and p.GCPagesPerWrite, the incremental
+// step budget (0 selects ftl.DefaultGCPagesPerWrite).
+func LatencySweep(p Params) ([]LatencyPoint, error) {
+	if p.Scale.MeasureWrites <= 0 {
+		return nil, fmt.Errorf("sim: measure writes %d must be positive", p.Scale.MeasureWrites)
 	}
-	policies := opts.Policies
+	policies := p.Policies
 	if len(policies) == 0 {
 		policies = []ftl.VictimPolicy{ftl.VictimMetadataAware, ftl.VictimGreedy}
 	}
-	modes := opts.Modes
+	modes := p.GCModes
 	if len(modes) == 0 {
 		modes = []ftl.GCMode{ftl.GCInline, ftl.GCIncremental}
 	}
@@ -87,11 +75,11 @@ func LatencySweep(opts LatencySweepOptions) ([]LatencyPoint, error) {
 	for _, wl := range sweepWorkloads {
 		for _, policy := range policies {
 			for _, mode := range modes {
-				p, err := latencyPoint(opts, wl, policy, mode)
+				pt, err := latencyPoint(p, wl, policy, mode)
 				if err != nil {
 					return nil, fmt.Errorf("sim: latency sweep (%s, %v, %v): %w", wl, policy, mode, err)
 				}
-				points = append(points, p)
+				points = append(points, pt)
 			}
 		}
 	}
@@ -99,13 +87,13 @@ func LatencySweep(opts LatencySweepOptions) ([]LatencyPoint, error) {
 }
 
 // latencyPoint measures one configuration.
-func latencyPoint(opts LatencySweepOptions, wl string, policy ftl.VictimPolicy, mode ftl.GCMode) (LatencyPoint, error) {
+func latencyPoint(params Params, wl string, policy ftl.VictimPolicy, mode ftl.GCMode) (LatencyPoint, error) {
 	run, err := newEngineRun(runSpec{
-		scale: opts.Scale, channels: sweepChannels, workload: wl, batchPerDie: shallowBatchPerDie,
+		scale: params.Scale, channels: sweepChannels, workload: wl, batchPerDie: shallowBatchPerDie,
 		tune: func(o *ftl.Options) {
 			o.VictimPolicy = policy
 			o.GCMode = mode
-			o.GCPagesPerWrite = opts.GCPagesPerWrite
+			o.GCPagesPerWrite = params.GCPagesPerWrite
 		},
 	})
 	if err != nil {
@@ -114,7 +102,7 @@ func latencyPoint(opts LatencySweepOptions, wl string, policy ftl.VictimPolicy, 
 	if _, err := run.warm(); err != nil {
 		return LatencyPoint{}, err
 	}
-	w, err := run.measure(opts.Scale.MeasureWrites)
+	w, err := run.measure(params.Scale.MeasureWrites)
 	if err != nil {
 		return LatencyPoint{}, err
 	}

@@ -13,7 +13,7 @@ import (
 // write-amplification must stay within 5%, and the measured worst-case GC
 // stall of every incremental point must respect the analytic bound.
 func TestLatencySweepTrends(t *testing.T) {
-	points, err := LatencySweep(LatencySweepOptions{Scale: QuickScale()})
+	points, err := LatencySweep(Params{Scale: QuickScale()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestLatencySweepTrends(t *testing.T) {
 
 // TestLatencySweepValidatesInput mirrors the other sweeps' input checking.
 func TestLatencySweepValidatesInput(t *testing.T) {
-	if _, err := LatencySweep(LatencySweepOptions{}); err == nil {
+	if _, err := LatencySweep(Params{}); err == nil {
 		t.Fatal("expected an error for a zero measured window")
 	}
 }

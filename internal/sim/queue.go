@@ -57,31 +57,16 @@ type QueuePoint struct {
 	Latency stats.Summary
 }
 
-// QueueSweepOptions parameterizes QueueSweep.
-type QueueSweepOptions struct {
-	// Scale sizes the device, cache budget and measured window; the device
-	// and cache grow until every shard stays workable.
-	Scale ExperimentScale
-	// Depth is the per-shard queue depth of the open-loop rows. Zero means 8.
-	Depth int
-	// Depths lists the closed-loop depths swept. Empty means 1, 4, 8, 16.
-	Depths []int
-	// Workload names the page stream. Empty means uniform.
-	Workload string
-	// RateMultiples lists the open-loop offered rates as multiples of the
-	// calibrated saturation knee. Empty means 0.25, 0.5, 1.0, 2.0.
-	RateMultiples []float64
-	// Policy is the admission policy of the rate-multiple rows, "shed" or
-	// "wait". Empty means shed. The 2x wait and unbounded contrast rows run
-	// regardless.
-	Policy string
-	// BurstRatio is the burst-to-lull rate ratio of the bursty row. Zero
-	// means 4; values <= 1 skip the row.
-	BurstRatio float64
-}
+const (
+	// queueChannels is the engine width of every queue-sweep row.
+	queueChannels = 4
+	// queueBurstToLull is the burst-to-lull rate ratio of the bursty row.
+	queueBurstToLull = 4
+)
 
-// queueChannels is the engine width of every queue-sweep row.
-const queueChannels = 4
+// queueKneeMultiples are the open-loop offered rates, as multiples of the
+// calibrated saturation knee.
+var queueKneeMultiples = []float64{0.25, 0.5, 1.0, 2.0}
 
 // QueueSweep measures the async submission/completion engine against the
 // synchronous baseline and the queueing model, in two parts.
@@ -103,34 +88,33 @@ const queueChannels = 4
 // All rows are deterministic for a given scale: admission decisions are made
 // by each shard's worker in submission order against the shard's own virtual
 // clock, so host goroutine scheduling never changes a result.
-func QueueSweep(opts QueueSweepOptions) ([]QueuePoint, error) {
-	if opts.Scale.MeasureWrites <= 0 {
-		return nil, fmt.Errorf("sim: measure writes %d must be positive", opts.Scale.MeasureWrites)
+//
+// It reads p.Depth, the per-shard queue depth of the open-loop rows (zero
+// means 8), p.Depths, the closed-loop depths (empty means 1, 4, 8, 16),
+// p.Workload (empty means uniform) and p.Admission, the admission policy of
+// the rate-multiple rows, "shed" or "wait" (empty means shed; the 2x wait and
+// unbounded contrast rows run regardless).
+func QueueSweep(p Params) ([]QueuePoint, error) {
+	scale := p.Scale
+	if scale.MeasureWrites <= 0 {
+		return nil, fmt.Errorf("sim: measure writes %d must be positive", scale.MeasureWrites)
 	}
-	depth := opts.Depth
+	depth := p.Depth
 	if depth <= 0 {
 		depth = 8
 	}
-	depths := opts.Depths
+	depths := p.Depths
 	if len(depths) == 0 {
 		depths = []int{1, 4, 8, 16}
 	}
-	wl := opts.Workload
+	wl := p.Workload
 	if wl == "" {
 		wl = "uniform"
 	}
-	multiples := opts.RateMultiples
-	if len(multiples) == 0 {
-		multiples = []float64{0.25, 0.5, 1.0, 2.0}
-	}
-	burst := opts.BurstRatio
-	if burst == 0 {
-		burst = 4
-	}
 	ratePolicy := queue.AdmitShed
-	if opts.Policy != "" {
+	if p.Admission != "" {
 		var err error
-		if ratePolicy, err = queue.ParsePolicy(opts.Policy); err != nil {
+		if ratePolicy, err = queue.ParsePolicy(p.Admission); err != nil {
 			return nil, fmt.Errorf("sim: queue sweep: %w", err)
 		}
 	}
@@ -139,18 +123,18 @@ func QueueSweep(opts QueueSweepOptions) ([]QueuePoint, error) {
 
 	// Synchronous baseline: calibrates the model knee's WA besides anchoring
 	// the depth-scaling comparison.
-	sync, err := queueSyncPoint(opts.Scale, wl)
+	sync, err := queueSyncPoint(scale, wl)
 	if err != nil {
 		return nil, fmt.Errorf("sim: queue sweep (sync): %w", err)
 	}
 	points = append(points, sync)
 
 	for _, d := range depths {
-		p, err := queueClosedPoint(opts.Scale, wl, d)
+		pt, err := queueClosedPoint(scale, wl, d)
 		if err != nil {
 			return nil, fmt.Errorf("sim: queue sweep (closed, depth %d): %w", d, err)
 		}
-		points = append(points, p)
+		points = append(points, pt)
 	}
 
 	// The calibrated knee sets the open-loop offered rates; each row then
@@ -164,26 +148,24 @@ func QueueSweep(opts QueueSweepOptions) ([]QueuePoint, error) {
 		policy queue.Policy
 		depth  int
 		label  string
-		burst  float64
+		bursty bool
 	}
 	var rows []openRow
-	for _, m := range multiples {
+	for _, m := range queueKneeMultiples {
 		rows = append(rows, openRow{rate: m * knee, policy: ratePolicy, depth: depth, label: ratePolicy.String()})
 	}
 	over := 2 * knee
 	rows = append(rows, openRow{rate: over, policy: queue.AdmitWait, depth: depth, label: "wait"})
 	// The unbounded contrast row: a queue deep enough that admission control
 	// never engages, so the overload's backlog lands in the latency tail.
-	rows = append(rows, openRow{rate: over, policy: queue.AdmitWait, depth: 4 * int(opts.Scale.MeasureWrites), label: "unbounded"})
-	if burst > 1 {
-		rows = append(rows, openRow{rate: knee, policy: ratePolicy, depth: depth, label: ratePolicy.String(), burst: burst})
-	}
+	rows = append(rows, openRow{rate: over, policy: queue.AdmitWait, depth: 4 * int(scale.MeasureWrites), label: "unbounded"})
+	rows = append(rows, openRow{rate: knee, policy: ratePolicy, depth: depth, label: ratePolicy.String(), bursty: true})
 	for _, r := range rows {
-		p, err := queueOpenPoint(opts.Scale, wl, r.rate, r.policy, r.depth, r.label, r.burst)
+		pt, err := queueOpenPoint(scale, wl, r.rate, r.policy, r.depth, r.label, r.bursty)
 		if err != nil {
 			return nil, fmt.Errorf("sim: queue sweep (open, %s, %.0f ops/s): %w", r.label, r.rate, err)
 		}
-		points = append(points, p)
+		points = append(points, pt)
 	}
 	return points, nil
 }
@@ -354,17 +336,17 @@ func queueClosedPoint(scale ExperimentScale, wl string, depth int) (QueuePoint, 
 
 // queueOpenPoint measures an open-loop arrival stream at the given offered
 // rate: operations arrive on the process's schedule whether or not earlier
-// ones completed, which is what exposes saturation. burst > 1 swaps the
-// Poisson process for the bursty one at the same nominal rate.
-func queueOpenPoint(scale ExperimentScale, wl string, rate float64, policy queue.Policy, depth int, label string, burst float64) (QueuePoint, error) {
+// ones completed, which is what exposes saturation. bursty swaps the Poisson
+// process for the bursty one at the same nominal rate.
+func queueOpenPoint(scale ExperimentScale, wl string, rate float64, policy queue.Policy, depth int, label string, bursty bool) (QueuePoint, error) {
 	b, err := newQueueBench(scale, wl)
 	if err != nil {
 		return QueuePoint{}, err
 	}
 	var proc workload.ArrivalProcess
-	if burst > 1 {
+	if bursty {
 		meanGap := time.Duration(float64(time.Second) / rate)
-		proc, err = workload.NewBursty(rate, burst, 50*meanGap, scale.Seed+1)
+		proc, err = workload.NewBursty(rate, queueBurstToLull, 50*meanGap, scale.Seed+1)
 	} else {
 		proc, err = workload.NewPoisson(rate, scale.Seed+1)
 	}

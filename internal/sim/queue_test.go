@@ -14,7 +14,7 @@ import (
 // operations' p99.9 within the admission budget's neighborhood — counting
 // the drops — where the unbounded queue's tail grows with the backlog.
 func TestQueueSweepTrends(t *testing.T) {
-	points, err := QueueSweep(QueueSweepOptions{Scale: QuickScale()})
+	points, err := QueueSweep(Params{Scale: QuickScale()})
 	if err != nil {
 		t.Fatalf("QueueSweep: %v", err)
 	}
@@ -147,12 +147,7 @@ func relErr(got, want float64) float64 {
 // on each shard's virtual timeline in submission order, so host goroutine
 // scheduling must not leak into any row.
 func TestQueueSweepDeterministic(t *testing.T) {
-	opts := QueueSweepOptions{
-		Scale:         QuickScale(),
-		Depths:        []int{8},
-		RateMultiples: []float64{2},
-		BurstRatio:    -1, // skip the bursty row to keep the re-run cheap
-	}
+	opts := Params{Scale: QuickScale(), Depths: []int{8}}
 	opts.Scale.MeasureWrites = 1500
 	first, err := QueueSweep(opts)
 	if err != nil {

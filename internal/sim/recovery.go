@@ -47,17 +47,6 @@ type RecoveryPoint struct {
 	ModelWall, ModelSerial time.Duration
 }
 
-// RecoverySweepOptions parameterizes RecoverySweep.
-type RecoverySweepOptions struct {
-	// Scale sizes the device, cache budget and workload seed. The device and
-	// cache grow until the widest point keeps workable shards, and the grown
-	// values apply to every point.
-	Scale ExperimentScale
-	// Channels lists the channel counts of the parallelism dimension.
-	// Empty means 1,2,4,8.
-	Channels []int
-}
-
 // RecoverySweep measures engine-wide crash recovery across three axes:
 // recovery parallelism (channel count), checkpoint interval (cache capacity)
 // and device capacity (GeckoFTL versus LazyFTL). Every point fills a sharded
@@ -69,21 +58,25 @@ type RecoverySweepOptions struct {
 // the backwards scan is bounded by the checkpointed 2C spare reads, and
 // LazyFTL's recovery grows with capacity while GeckoFTL's cache recovery
 // stays bounded.
-func RecoverySweep(opts RecoverySweepOptions) ([]RecoveryPoint, error) {
-	channels := opts.Channels
+//
+// It reads p.Channels, the parallelism dimension (empty means 1,2,4,8). The
+// device and cache grow until the widest point keeps workable shards, and the
+// grown values apply to every point.
+func RecoverySweep(p Params) ([]RecoveryPoint, error) {
+	channels := p.Channels
 	if len(channels) == 0 {
 		channels = []int{1, 2, 4, 8}
 	}
 	maxChannels := slices.Max(channels)
-	scale := opts.Scale.workable(maxChannels)
+	scale := p.Scale.workable(maxChannels)
 
 	var points []RecoveryPoint
 	for _, c := range channels {
-		p, err := recoveryPoint("channels", scale, "GeckoFTL", c)
+		pt, err := recoveryPoint("channels", scale, model.GeckoFTL, c)
 		if err != nil {
 			return nil, fmt.Errorf("sim: recovery sweep, %d channels: %w", c, err)
 		}
-		points = append(points, p)
+		points = append(points, pt)
 	}
 	// The checkpoint dimension runs at the widest channel count with half
 	// and double the scale's cache budget (the channels dimension already
@@ -91,21 +84,21 @@ func RecoverySweep(opts RecoverySweepOptions) ([]RecoveryPoint, error) {
 	for _, cache := range []int{scale.CacheEntries / 2, scale.CacheEntries * 2} {
 		at := scale
 		at.CacheEntries = cache
-		p, err := recoveryPoint("checkpoint", at, "GeckoFTL", maxChannels)
+		pt, err := recoveryPoint("checkpoint", at, model.GeckoFTL, maxChannels)
 		if err != nil {
 			return nil, fmt.Errorf("sim: recovery sweep, cache %d: %w", cache, err)
 		}
-		points = append(points, p)
+		points = append(points, pt)
 	}
 	for _, factor := range capacityFactors {
 		at := scale
 		at.Device.Blocks *= factor
-		for _, name := range []string{"GeckoFTL", "LazyFTL"} {
-			p, err := recoveryPoint("capacity", at, name, 1)
+		for _, kind := range []model.FTLKind{model.GeckoFTL, model.LazyFTL} {
+			pt, err := recoveryPoint("capacity", at, kind, 1)
 			if err != nil {
-				return nil, fmt.Errorf("sim: recovery sweep, %s x%d capacity: %w", name, factor, err)
+				return nil, fmt.Errorf("sim: recovery sweep, %v x%d capacity: %w", kind, factor, err)
 			}
-			points = append(points, p)
+			points = append(points, pt)
 		}
 	}
 	return points, nil
@@ -113,9 +106,9 @@ func RecoverySweep(opts RecoverySweepOptions) ([]RecoveryPoint, error) {
 
 // recoveryPoint fills one sharded engine to steady state, crashes it,
 // recovers it and audits the result.
-func recoveryPoint(dimension string, scale ExperimentScale, ftlName string, channels int) (RecoveryPoint, error) {
+func recoveryPoint(dimension string, scale ExperimentScale, kind model.FTLKind, channels int) (RecoveryPoint, error) {
 	run, err := newEngineRun(runSpec{
-		scale: scale, channels: channels, ftl: ftlName, batchPerDie: deepBatchPerDie,
+		scale: scale, channels: channels, ftl: kind.String(), batchPerDie: deepBatchPerDie,
 		tune: reserveForMerges(scale.Device.Blocks / channels),
 	})
 	if err != nil {
@@ -138,7 +131,7 @@ func recoveryPoint(dimension string, scale ExperimentScale, ftlName string, chan
 	if err := eng.CheckConsistency(); err != nil {
 		return RecoveryPoint{}, fmt.Errorf("post-recovery audit: %w", err)
 	}
-	est := model.EngineRecovery(run.kind, run.modelParams(), eng.Shards())
+	est := model.EngineRecovery(kind, run.modelParams(), eng.Shards())
 
 	return RecoveryPoint{
 		Dimension:        dimension,

@@ -11,7 +11,7 @@ import (
 // checkpointed cache capacity, and LazyFTL's recovery grows with capacity
 // while GeckoFTL's stays bounded by comparison.
 func TestRecoverySweepTrends(t *testing.T) {
-	points, err := RecoverySweep(RecoverySweepOptions{Scale: QuickScale()})
+	points, err := RecoverySweep(Params{Scale: QuickScale()})
 	if err != nil {
 		t.Fatal(err)
 	}

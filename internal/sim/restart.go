@@ -38,12 +38,6 @@ type RestartPoint struct {
 	ModelWarm, ModelCold time.Duration
 }
 
-// RestartSweepOptions parameterizes RestartSweep.
-type RestartSweepOptions struct {
-	// Scale sizes the device, cache budget and workload seed.
-	Scale ExperimentScale
-}
-
 // restartChannels is the topology of every restart point: warm restart cost
 // is capacity- and parallelism-independent, so the sweep varies capacity and
 // pins the width.
@@ -56,8 +50,8 @@ const restartChannels = 1
 // scans grow with device capacity even though GeckoRec bounds the
 // per-structure work; the warm restore costs only the checkpoint read, so
 // warm beats cold at every size and the gap widens with capacity.
-func RestartSweep(opts RestartSweepOptions) ([]RestartPoint, error) {
-	scale := opts.Scale.workable(restartChannels)
+func RestartSweep(scale ExperimentScale) ([]RestartPoint, error) {
+	scale = scale.workable(restartChannels)
 	var points []RestartPoint
 	for _, factor := range capacityFactors {
 		at := scale
@@ -123,7 +117,7 @@ func restartPoint(scale ExperimentScale) (RestartPoint, error) {
 
 	warm := model.WarmRestart(int64(len(encoded)))
 	mp := run.modelParams()
-	cold := model.EngineRecovery(run.kind, mp, eng.Shards())
+	cold := model.EngineRecovery(model.GeckoFTL, mp, eng.Shards())
 
 	speedup := 0.0
 	if warm.WallClock > 0 {

@@ -7,7 +7,7 @@ import "testing"
 // cold recovery wall-clock at every device size, in both the measurement
 // and the analytic model.
 func TestRestartSweepTrends(t *testing.T) {
-	points, err := RestartSweep(RestartSweepOptions{Scale: QuickScale()})
+	points, err := RestartSweep(QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,32 +38,21 @@ type TrimPoint struct {
 	Trim stats.Summary
 }
 
-// TrimSweepOptions parameterizes TrimSweep.
-type TrimSweepOptions struct {
-	// Scale sizes the device, cache budget and measured window; the device
-	// and cache grow until every shard stays workable.
-	Scale ExperimentScale
-	// Workload names the write pattern ("uniform" when empty).
-	Workload string
-	// TrimFractions lists the trim fractions to sweep. Empty means
-	// 0, 0.1, 0.2, 0.3.
-	TrimFractions []float64
-}
-
 // TrimSweep measures write-amplification of the sharded GeckoFTL engine as
 // the host supplies an increasing fraction of trims. Every point runs the
 // same measured window (counted in logical writes) after a
 // two-full-overwrite warm-up at the point's own trim fraction, so each
-// point is measured in its steady state.
-func TrimSweep(opts TrimSweepOptions) ([]TrimPoint, error) {
-	if opts.Scale.MeasureWrites <= 0 {
-		return nil, fmt.Errorf("sim: measure writes %d must be positive", opts.Scale.MeasureWrites)
+// point is measured in its steady state. It reads p.Workload (empty means
+// uniform) and p.TrimFractions (empty means 0, 0.1, 0.2, 0.3).
+func TrimSweep(p Params) ([]TrimPoint, error) {
+	if p.Scale.MeasureWrites <= 0 {
+		return nil, fmt.Errorf("sim: measure writes %d must be positive", p.Scale.MeasureWrites)
 	}
-	wl := opts.Workload
+	wl := p.Workload
 	if wl == "" {
 		wl = "uniform"
 	}
-	fractions := opts.TrimFractions
+	fractions := p.TrimFractions
 	if len(fractions) == 0 {
 		fractions = []float64{0, 0.1, 0.2, 0.3}
 	}
@@ -74,11 +63,11 @@ func TrimSweep(opts TrimSweepOptions) ([]TrimPoint, error) {
 	}
 	var points []TrimPoint
 	for _, f := range fractions {
-		p, err := trimPoint(opts.Scale, wl, f)
+		pt, err := trimPoint(p.Scale, wl, f)
 		if err != nil {
 			return nil, fmt.Errorf("sim: trim sweep (%s, f=%.2f): %w", wl, f, err)
 		}
-		points = append(points, p)
+		points = append(points, pt)
 	}
 	return points, nil
 }

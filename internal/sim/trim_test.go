@@ -7,7 +7,7 @@ import "testing"
 // the host trim fraction rises, because every trimmed page is an invalid
 // page the garbage collector no longer has to discover or migrate around.
 func TestTrimSweepTrends(t *testing.T) {
-	points, err := TrimSweep(TrimSweepOptions{Scale: QuickScale()})
+	points, err := TrimSweep(Params{Scale: QuickScale()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +48,14 @@ func TestTrimSweepTrends(t *testing.T) {
 
 // TestTrimSweepValidatesInput mirrors the other sweeps' input checking.
 func TestTrimSweepValidatesInput(t *testing.T) {
-	if _, err := TrimSweep(TrimSweepOptions{}); err == nil {
+	if _, err := TrimSweep(Params{}); err == nil {
 		t.Fatal("expected an error for a zero measured window")
 	}
 	scale := QuickScale()
-	if _, err := TrimSweep(TrimSweepOptions{Scale: scale, Workload: "nope"}); err == nil {
+	if _, err := TrimSweep(Params{Scale: scale, Workload: "nope"}); err == nil {
 		t.Fatal("expected an error for an unknown workload")
 	}
-	if _, err := TrimSweep(TrimSweepOptions{Scale: scale, TrimFractions: []float64{1.5}}); err == nil {
+	if _, err := TrimSweep(Params{Scale: scale, TrimFractions: []float64{1.5}}); err == nil {
 		t.Fatal("expected an error for an out-of-range trim fraction")
 	}
 }

@@ -58,16 +58,6 @@ func (p WearPoint) HotPercent() float64 {
 	return 100 * float64(p.HotWrites) / float64(p.Writes)
 }
 
-// WearSweepOptions parameterizes WearSweep.
-type WearSweepOptions struct {
-	// Scale sizes the device, cache budget and measured window; the device
-	// and cache grow until every shard stays workable.
-	Scale ExperimentScale
-	// Policies lists the victim policies. Empty means metadata-aware and
-	// cost-benefit.
-	Policies []ftl.VictimPolicy
-}
-
 // wearConfig is one frontier configuration of the sweep. Wear-aware
 // allocation is measured against the separated configuration (same
 // frontiers, different free-block order) so the erase-spread comparison
@@ -111,12 +101,13 @@ func twoClassApprox(wl string, overProvision float64) (model.SeparationParams, b
 // two-full-overwrite warm-up, so it reflects steady-state garbage
 // collection. The headline comparisons: hot/cold separation must strictly
 // lower WA on skewed workloads at the same policy, and wear-aware allocation
-// must not widen the erase-count spread of the configuration it extends.
-func WearSweep(opts WearSweepOptions) ([]WearPoint, error) {
-	if opts.Scale.MeasureWrites <= 0 {
-		return nil, fmt.Errorf("sim: measure writes %d must be positive", opts.Scale.MeasureWrites)
+// must not widen the erase-count spread of the configuration it extends. It
+// reads p.Policies (empty means metadata-aware and cost-benefit).
+func WearSweep(p Params) ([]WearPoint, error) {
+	if p.Scale.MeasureWrites <= 0 {
+		return nil, fmt.Errorf("sim: measure writes %d must be positive", p.Scale.MeasureWrites)
 	}
-	policies := opts.Policies
+	policies := p.Policies
 	if len(policies) == 0 {
 		policies = []ftl.VictimPolicy{ftl.VictimMetadataAware, ftl.VictimCostBenefit}
 	}
@@ -124,11 +115,11 @@ func WearSweep(opts WearSweepOptions) ([]WearPoint, error) {
 	for _, wl := range sweepWorkloads {
 		for _, policy := range policies {
 			for _, cfg := range wearConfigs() {
-				p, err := wearPoint(opts.Scale, wl, policy, cfg)
+				pt, err := wearPoint(p.Scale, wl, policy, cfg)
 				if err != nil {
 					return nil, fmt.Errorf("sim: wear sweep (%s, %v, %s): %w", wl, policy, cfg.frontier, err)
 				}
-				points = append(points, p)
+				points = append(points, pt)
 			}
 		}
 	}

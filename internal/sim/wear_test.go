@@ -13,7 +13,7 @@ import (
 // direction), and wear-aware allocation narrows — never widens — the
 // erase-count spread of the configuration it extends.
 func TestWearSweepTrends(t *testing.T) {
-	points, err := WearSweep(WearSweepOptions{Scale: QuickScale()})
+	points, err := WearSweep(Params{Scale: QuickScale()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestWearSweepDeterministic(t *testing.T) {
 	var first []byte
 	for run := 0; run < 5; run++ {
 		runtime.GOMAXPROCS(1 + run%2)
-		points, err := WearSweep(WearSweepOptions{Scale: QuickScale()})
+		points, err := WearSweep(Params{Scale: QuickScale()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,22 +76,11 @@ func IBFTLOptions(cacheEntries int) FTLOptions { return ftl.IBFTLOptions(cacheEn
 
 // FTLOptionsByName returns the named scheme's configuration: "geckoftl" (or
 // "gecko"), "dftl", "lazyftl" (or "lazy"), "muftl" (or "mu", "uftl"),
-// "ibftl" (or "ib").
+// "ibftl" (or "ib"), or the name the experiment rows print ("GeckoFTL",
+// "DFTL", "LazyFTL", "uFTL", "IB-FTL").
 func FTLOptionsByName(name string, cacheEntries int) (FTLOptions, error) {
-	switch name {
-	case "", "gecko", "geckoftl":
-		return ftl.GeckoFTLOptions(cacheEntries), nil
-	case "dftl":
-		return ftl.DFTLOptions(cacheEntries), nil
-	case "lazy", "lazyftl":
-		return ftl.LazyFTLOptions(cacheEntries), nil
-	case "mu", "uftl", "muftl", "mu-ftl":
-		return ftl.MuFTLOptions(cacheEntries), nil
-	case "ib", "ibftl", "ib-ftl":
-		return ftl.IBFTLOptions(cacheEntries), nil
-	default:
-		return FTLOptions{}, fmt.Errorf("%w: unknown FTL %q (want geckoftl, dftl, lazyftl, muftl or ibftl)", ErrInvalidConfig, name)
-	}
+	opts, err := ftl.OptionsByName(name, cacheEntries)
+	return opts, configErr(err)
 }
 
 // config collects what the options build before Open turns it into a device
