@@ -422,11 +422,6 @@ func (f *FTL) recoverGeckoBuffer() error {
 // read per translation page, which is the LazyFTL recovery bottleneck the
 // paper identifies.
 func (f *FTL) rebuildRAMPVB() error {
-	type invalidMarker interface {
-		Update(addr flash.Addr) error
-	}
-	store := f.validity.(invalidMarker)
-
 	// Read every live translation page.
 	valid := make(map[flash.PPN]bool, f.logicalPages)
 	for tp := 0; tp < f.table.Pages(); tp++ {
@@ -450,7 +445,7 @@ func (f *FTL) rebuildRAMPVB() error {
 		for offset := 0; offset < written; offset++ {
 			ppn := flash.PPNOf(block, offset, f.cfg.PagesPerBlock)
 			if !valid[ppn] {
-				if err := store.Update(flash.Decompose(ppn, f.cfg.PagesPerBlock)); err != nil {
+				if err := f.validity.Update(flash.Decompose(ppn, f.cfg.PagesPerBlock)); err != nil {
 					return err
 				}
 			}
@@ -497,6 +492,13 @@ func (f *FTL) rebuildBVC() error {
 			metaLive[flash.BlockOf(ppn, f.cfg.PagesPerBlock)]++
 		}
 	}
+	// Valid translation pages are those the recovered GMD points to.
+	tpLive := make(map[flash.BlockID]int)
+	for tp := 0; tp < f.table.Pages(); tp++ {
+		if loc := f.table.GMDLocation(tp); loc != flash.InvalidPPN {
+			tpLive[flash.BlockOf(loc, f.cfg.PagesPerBlock)]++
+		}
+	}
 	// For GeckoFTL, reconstruct every block's validity bitmap with a single
 	// scan of Logarithmic Gecko's pages (GeckoRec step 5) instead of one GC
 	// query per block.
@@ -537,18 +539,7 @@ func (f *FTL) rebuildBVC() error {
 			}
 			info.valid = count
 		case GroupTranslation:
-			// Valid translation pages are those the recovered GMD points to.
-			count := 0
-			for offset := 0; offset < info.writePointer; offset++ {
-				ppn := flash.PPNOf(block, offset, f.cfg.PagesPerBlock)
-				for tp := 0; tp < f.table.Pages(); tp++ {
-					if f.table.GMDLocation(tp) == ppn {
-						count++
-						break
-					}
-				}
-			}
-			info.valid = count
+			info.valid = tpLive[block]
 		case GroupMeta:
 			// Live metadata pages are known to their owning structure, which
 			// rebuilt its directories above.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"geckoftl/internal/flash"
 	"geckoftl/internal/mapcache"
 	"geckoftl/internal/workload"
 )
@@ -208,5 +209,37 @@ func TestRecoveryReportIOBreakdown(t *testing.T) {
 	}
 	if report.Duration < f.cfg.Latency.SpareRead*time.Duration(report.SpareReads) {
 		t.Error("recovery duration below the cost of its spare reads")
+	}
+}
+
+// TestRecoveredTranslationBVCMatchesGMD pins rebuildBVC's one pass over the
+// GMD against the naive recount it replaced: after a crash, a translation
+// block's valid count is the number of its written pages some GMD entry
+// points to.
+func TestRecoveredTranslationBVCMatchesGMD(t *testing.T) {
+	for name, build := range allFTLBuilders() {
+		t.Run(name, func(t *testing.T) {
+			f := testFTL(t, build, 96, 128)
+			crashAndRecover(t, f, 6000, 33)
+			blocks := f.bm.BlocksInGroup(GroupTranslation)
+			if len(blocks) < 2 {
+				t.Fatalf("%d translation blocks, want several", len(blocks))
+			}
+			for _, block := range blocks {
+				want := 0
+				for offset := 0; offset < f.bm.WritePointer(block); offset++ {
+					ppn := flash.PPNOf(block, offset, f.cfg.PagesPerBlock)
+					for tp := 0; tp < f.table.Pages(); tp++ {
+						if f.table.GMDLocation(tp) == ppn {
+							want++
+							break
+						}
+					}
+				}
+				if got := f.bm.ValidCount(block); got != want {
+					t.Errorf("translation block %d: BVC %d, GMD recount %d", block, got, want)
+				}
+			}
+		})
 	}
 }
