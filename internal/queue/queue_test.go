@@ -88,6 +88,25 @@ func waitWorkerIdle(t *testing.T, e *Engine, shard int) {
 	}
 }
 
+// pathDeadline bounds the wait for a ticket that one terminal path of
+// Engine.process must finish.
+const pathDeadline = 5 * time.Second
+
+// waitPath waits for a ticket the named terminal path of Engine.process must
+// finish, and returns its outcome. A worker that drops the ticket on that path
+// fails the test here, within the deadline and under the path's name, where a
+// bare Wait would hang until the package's timeout panics.
+func waitPath(t *testing.T, path string, tk *Ticket) error {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), pathDeadline)
+	defer cancel()
+	err := tk.Wait(ctx)
+	if tk.Err() == ErrPending {
+		t.Fatalf("process path %q dropped its ticket: not finished after %v", path, pathDeadline)
+	}
+	return err
+}
+
 func TestNewValidation(t *testing.T) {
 	shardOf := func(lpn flash.LPN) (int, error) { return 0, nil }
 	exec := func(shard int, req Request) error { return nil }
@@ -155,7 +174,7 @@ func TestExecErrorReachesTicket(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if err := tk.Wait(nil); !errors.Is(err, boom) {
+	if err := waitPath(t, "exec error", tk); !errors.Is(err, boom) {
 		t.Errorf("ticket error = %v; want %v", err, boom)
 	}
 	if st := e.Stats(); st.Completed != 1 {
@@ -219,7 +238,7 @@ func TestVirtualAdmissionSheds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if err := tk.Wait(context.Background()); !errors.Is(err, ErrFull) {
+	if err := waitPath(t, "shed", tk); !errors.Is(err, ErrFull) {
 		t.Fatalf("ticket error = %v; want ErrFull", err)
 	}
 	if tk.CompletedAt() != 0 {
@@ -234,7 +253,7 @@ func TestVirtualAdmissionSheds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if err := tk.Wait(context.Background()); err != nil {
+	if err := waitPath(t, "executed", tk); err != nil {
 		t.Fatalf("in-budget op failed: %v", err)
 	}
 	if at := time.Duration(e.advanced.Load()); at != 99*time.Millisecond {
@@ -248,7 +267,7 @@ func TestVirtualAdmissionWaitRestampsArrival(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if err := tk.Wait(context.Background()); err != nil {
+	if err := waitPath(t, "delayed then executed", tk); err != nil {
 		t.Fatalf("delayed op failed: %v", err)
 	}
 	// The effective arrival is pushed to clock minus budget: the instant the
@@ -284,11 +303,11 @@ func TestCancelledContextFailsQueuedOps(t *testing.T) {
 	cancel()
 	gate <- struct{}{} // release the blocker only; doomed ops observe the dead ctx
 	e.closeGate()
-	if err := blocker.Wait(context.Background()); err != nil {
+	if err := waitPath(t, "executed", blocker); err != nil {
 		t.Fatalf("pre-cancel op failed: %v", err)
 	}
 	for i, tk := range doomed {
-		if err := tk.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+		if err := waitPath(t, "cancelled while queued", tk); !errors.Is(err, context.Canceled) {
 			t.Errorf("queued op %d after cancel: %v; want context.Canceled", i, err)
 		}
 	}
@@ -309,8 +328,12 @@ func TestDrainWaitsForSubmitted(t *testing.T) {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 	}
-	if err := e.Drain(context.Background()); err != nil {
-		t.Fatalf("Drain: %v", err)
+	// Drain waits on one barrier ticket per shard; under a deadline, a worker
+	// that drops a barrier fails here and not as the package's timeout.
+	ctx, cancel := context.WithTimeout(context.Background(), pathDeadline)
+	defer cancel()
+	if err := e.Drain(ctx); err != nil {
+		t.Fatalf("process path %q: Drain: %v", "barrier", err)
 	}
 	st := e.Stats()
 	if st.Completed != 32 || st.InFlight != 0 {
