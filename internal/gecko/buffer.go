@@ -165,10 +165,10 @@ func (b *buffer) sorted() []int {
 	return b.order
 }
 
-// drain empties the buffer into a new slab sorted by key, resetting the
-// absorption counter. The result is the content of a new level-0 run.
-func (b *buffer) drain() slab {
-	out := newSlab(len(b.ents), b.wpe)
+// drain empties the buffer into out, an empty slab with room for its
+// entries, sorted by key, resetting the absorption counter. The result is the
+// content of a new level-0 run.
+func (b *buffer) drain(out slab) slab {
 	for _, i := range b.sorted() {
 		out.push(b.ents[i], b.bits(i))
 	}

@@ -45,6 +45,7 @@ func TestBufferDrainIsKeyOrdered(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := newBuffer(cfg)
+		drain := steadyDrain(b) // from the second round on, into a dirty slab
 		rng := rand.New(rand.NewSource(int64(partition)))
 		pick := func() flash.BlockID {
 			switch rng.Intn(4) {
@@ -77,7 +78,7 @@ func TestBufferDrainIsKeyOrdered(t *testing.T) {
 				b.recordInvalid(blocks-1, 0)
 			}
 			want := sortedDrain(b)
-			got := b.drain()
+			got := drain()
 			if !slices.Equal(got.ents, want.ents) || !slices.Equal(got.words, want.words) {
 				t.Fatalf("S=%d round %d: drained\n%v %x\nsorted reference\n%v %x", partition, round, got.ents, got.words, want.ents, want.words)
 			}

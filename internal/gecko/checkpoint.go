@@ -58,7 +58,6 @@ func (g *Gecko) ExportDirectories() []RunExport {
 // validation is importable; one that fails must fall back to
 // RecoverDirectories.
 func (g *Gecko) ValidateDirectories(runs []RunExport) error {
-	content := g.flashImage()
 	seenID := make(map[uint64]bool, len(runs))
 	for _, re := range runs {
 		if seenID[re.ID] {
@@ -75,7 +74,7 @@ func (g *Gecko) ValidateDirectories(runs []RunExport) error {
 			return fmt.Errorf("gecko: checkpoint run %d of %d pages cannot sit at level %d", re.ID, len(re.Pages), re.Level)
 		}
 		for _, p := range re.Pages {
-			if _, ok := content[flash.PPN(p.PPN)]; !ok {
+			if _, ok := g.pageContent[flash.PPN(p.PPN)]; !ok {
 				return fmt.Errorf("gecko: checkpoint run %d references page %d with no content", re.ID, p.PPN)
 			}
 		}
@@ -92,7 +91,6 @@ func (g *Gecko) ImportDirectories(runs []RunExport) error {
 	if err := g.ValidateDirectories(runs); err != nil {
 		return err
 	}
-	content := g.flashImage()
 	g.levels = make([][]*run, g.cfg.Levels()+1)
 	for _, re := range runs {
 		r := &run{id: re.ID, createSeq: re.CreateSeq, level: re.Level}
@@ -102,7 +100,7 @@ func (g *Gecko) ImportDirectories(runs []RunExport) error {
 				ppn:    ppn,
 				minKey: unpackKey(p.MinKey),
 				maxKey: unpackKey(p.MaxKey),
-				slab:   content[ppn],
+				slab:   g.pageContent[ppn],
 			})
 		}
 		if re.CreateSeq > g.seq {

@@ -150,6 +150,10 @@ func (c Config) MaxEntries() int64 {
 	return int64(c.Blocks) * int64(c.PartitionFactor)
 }
 
+// distinctKeys returns how many keys a run can hold: every block's S
+// sub-keys and its WholeBlock erase key.
+func (c Config) distinctKeys() int { return c.Blocks * (c.PartitionFactor + 1) }
+
 // LargestRunPages returns the number of flash pages in the largest possible
 // run, which contains one entry for every (block, sub-key) pair.
 func (c Config) LargestRunPages() int {

@@ -33,14 +33,16 @@
 // through a direct-addressed array over the dense key space (K blocks times
 // S sub-keys and the whole-block key) and read back in key order at a flush
 // from a presence bitset — host bookkeeping, outside RAMBytes. Every run is one
-// slab, allocated by the flush or merge that writes it and immutable from
-// then on; its pages, and the flash image recovery relinks them from, are
-// sub-slabs of it. A merge streams the input pages through cursors into the
-// output run's slab and a GC query ORs words into its result, so neither
-// copies an entry it only reads, and an update allocates only its share of
-// the next flush and merges. Slices that methods return from reused storage
-// (the runs in recency order, the buffer's sorted slots) are valid until the
-// next call of the same method.
+// slab, filled by the flush or merge that writes it and immutable while the
+// run lives; its pages, and the flash image recovery relinks them from, are
+// sub-slabs of it. When a newer run supersedes it and its pages have left
+// the flash image, the slab goes to a free list (slabList) that the next
+// flush or merge takes its output from, so that in steady state neither
+// allocates; a run rebuilt from the flash image owns no slab and is not
+// recycled. A merge streams the input pages through cursors into the output
+// run's slab and a GC query ORs words into its result, so neither copies an
+// entry it only reads. The buffer's sorted slots are returned from reused
+// storage, valid until the next call.
 //
 // Within an FTL, one Gecko instance serves as the validity store of a single
 // flash plane or engine shard; its state is guarded by the owning shard's

@@ -36,6 +36,12 @@ func (a key) less(b key) bool {
 	return a.subKey < b.subKey
 }
 
+// packed returns the key as one integer that orders as less does: the block
+// above the sub-key plus one, so that WholeBlock packs to zero.
+func (a key) packed() uint64 {
+	return uint64(uint32(a.block))<<32 | uint64(uint32(a.subKey+1))
+}
+
 // slab stores entries by value: the fixed parts in ents and entry i's
 // validity bits in words[i*wpe:(i+1)*wpe]. The buffer is one slab of V
 // slots; every run is one slab, of which each of its pages is a sub-slab.
@@ -63,4 +69,64 @@ func (s *slab) push(e entry, bits []uint64) int {
 	s.ents = append(s.ents, e)
 	s.words = append(s.words, bits...)
 	return len(s.ents) - 1
+}
+
+// slabList is the free list of run slabs: writeRun puts the slabs of the runs
+// a new run supersedes, and flushes and merges take their output from it, so
+// that in steady state neither allocates. Capacities come in classes — a
+// page's entries times a power of two, up to most — so that a slab freed by
+// one merge fits the next of its level exactly, and the list keeps two of a
+// class at most: what a level holds before it is merged. It is the
+// simulator's bookkeeping, not part of Gecko.RAMBytes.
+type slabList struct {
+	slabs []slab
+	// unit is the smallest capacity, V, and most the largest, every key
+	// there is: no run holds more.
+	unit, most int
+}
+
+func newSlabList(cfg Config) slabList {
+	return slabList{unit: cfg.EntriesPerPage(), most: cfg.distinctKeys()}
+}
+
+// class returns the capacity a slab for n entries gets.
+func (l *slabList) class(n int) int {
+	c := l.unit
+	for c < n {
+		c *= 2
+	}
+	return min(c, l.most)
+}
+
+// take returns an empty slab with room for n entries, at most l.most: a free
+// one of n's class, dirty beyond its length, or a new one.
+func (l *slabList) take(n, wpe int) slab {
+	c := l.class(n)
+	for i, s := range l.slabs {
+		if cap(s.ents) == c {
+			last := len(l.slabs) - 1
+			l.slabs[i], l.slabs[last] = l.slabs[last], slab{}
+			l.slabs = l.slabs[:last]
+			return slab{ents: s.ents[:0], words: s.words[:0], wpe: wpe}
+		}
+	}
+	return newSlab(c, wpe)
+}
+
+// put hands the list a slab that nothing refers to any more; it is dropped
+// when the list has two of its class. A run that owns no slab passes the zero
+// slab.
+func (l *slabList) put(s slab) {
+	if cap(s.ents) == 0 {
+		return
+	}
+	same := 0
+	for i := range l.slabs {
+		if cap(l.slabs[i].ents) == cap(s.ents) {
+			same++
+		}
+	}
+	if same < 2 {
+		l.slabs = append(l.slabs, s)
+	}
 }

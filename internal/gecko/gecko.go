@@ -3,6 +3,7 @@ package gecko
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"geckoftl/internal/bitmap"
@@ -48,8 +49,10 @@ type Gecko struct {
 	// consulted when recovery rebuilds the run directories.
 	pageContent map[flash.PPN]slab
 
-	// newestFirst is runsNewestFirst's reused result.
-	newestFirst []*run
+	// free recycles the slabs of superseded runs, and cursors is
+	// mergeEntryStreams' reused scratch.
+	free    slabList
+	cursors []cursor
 
 	nextRunID uint64
 	seq       uint64 // logical creation sequence for runs
@@ -70,6 +73,7 @@ func New(cfg Config, store metastore.Storage) (*Gecko, error) {
 		buf:         newBuffer(cfg),
 		levels:      make([][]*run, cfg.Levels()+1),
 		pageContent: make(map[flash.PPN]slab),
+		free:        newSlabList(cfg),
 		nextRunID:   1,
 	}, nil
 }
@@ -161,7 +165,7 @@ func (g *Gecko) Query(block flash.BlockID) (*bitmap.Bitmap, error) {
 	if g.buf.query(block, result) {
 		return result, nil
 	}
-	for _, r := range g.runsNewestFirst() {
+	for r := range g.runsNewestFirst {
 		erased := false
 		for pi, hi := r.pagesFor(block); pi < hi; pi++ {
 			page := &r.pages[pi]
@@ -180,18 +184,19 @@ func (g *Gecko) Query(block flash.BlockID) (*bitmap.Bitmap, error) {
 	return result, nil
 }
 
-// runsNewestFirst returns all live runs ordered from most recently created to
-// least recently created. The slice is reused: it is valid until the next
-// call.
-func (g *Gecko) runsNewestFirst() []*run {
-	clear(g.newestFirst) // do not keep merged-away runs alive past this call
-	runs := g.newestFirst[:0]
+// runsNewestFirst yields the live runs from most to least recently created.
+// That is the order of the level table: a run is placed when it is the newest
+// of all, at the end of its level and with every smaller level empty or
+// emptied by the merge that made it (mergeIfNeeded always merges the
+// smallest crowded level), and recovery and import keep the order they find.
+func (g *Gecko) runsNewestFirst(yield func(*run) bool) {
 	for _, lvl := range g.levels {
-		runs = append(runs, lvl...)
+		for i := len(lvl) - 1; i >= 0; i-- {
+			if !yield(lvl[i]) {
+				return
+			}
+		}
 	}
-	slices.SortFunc(runs, func(a, b *run) int { return cmp.Compare(b.createSeq, a.createSeq) })
-	g.newestFirst = runs
-	return runs
 }
 
 // Flush forces the buffer to flash even if it is not full. The FTL calls it
@@ -214,7 +219,7 @@ func (g *Gecko) maybeFlush() error {
 // flushBuffer writes the buffer as a new run into level 0 and triggers
 // merging.
 func (g *Gecko) flushBuffer() error {
-	entries := g.buf.drain()
+	entries := g.buf.drain(g.free.take(g.buf.len(), g.cfg.wordsPerEntry()))
 	if len(entries.ents) == 0 {
 		return nil
 	}
@@ -232,7 +237,9 @@ func (g *Gecko) flushBuffer() error {
 // the last page is programmed: until then a power failure leaves an
 // incomplete run, which recovery drops in favour of the runs it was to
 // supersede (a merge's inputs), and flash keeps their pages, invalidated or
-// not, until their blocks are erased.
+// not, until their blocks are erased. Only then, with their pages out of the
+// flash image, do the superseded runs' slabs go to the free list: recovery
+// relinks runs from the image, so a slab it still reaches is never reused.
 func (g *Gecko) writeRun(entries slab, supersedes []*run) (*run, error) {
 	pages := splitIntoPages(entries, g.cfg.EntriesPerPage())
 	g.seq++
@@ -241,6 +248,7 @@ func (g *Gecko) writeRun(entries slab, supersedes []*run) (*run, error) {
 		createSeq: g.seq,
 		level:     g.cfg.LevelOfRunPages(len(pages)),
 		pages:     pages,
+		slab:      entries,
 	}
 	g.nextRunID++
 	for i := range r.pages {
@@ -258,6 +266,7 @@ func (g *Gecko) writeRun(entries slab, supersedes []*run) (*run, error) {
 		for i := range old.pages {
 			delete(g.pageContent, old.pages[i].ppn)
 		}
+		g.free.put(old.slab)
 	}
 	for i := range r.pages {
 		g.pageContent[r.pages[i].ppn] = r.pages[i].slab
@@ -365,7 +374,7 @@ func (g *Gecko) mergeRuns(inputs []*run) (*run, error) {
 		}
 	}
 
-	merged := mergeEntryStreams(inputs, g.cfg.wordsPerEntry())
+	merged := g.mergeEntryStreams(inputs)
 
 	// Discard the input runs: their pages are now obsolete.
 	for _, r := range inputs {
@@ -386,40 +395,52 @@ func (g *Gecko) mergeRuns(inputs []*run) (*run, error) {
 
 // cursor walks one input run's entries in key order, page by page.
 type cursor struct {
-	pages []runPage // pages[0] is the page being read
-	pos   int       // next entry of pages[0]
+	ents  []entry   // the page being read
+	words []uint64  // its entries' bits
+	pos   int       // next entry of ents
+	key   uint64    // ents[pos]'s packed key, exhausted after the last page
+	pages []runPage // the pages after the one being read
 	seq   uint64    // the run's createSeq
 }
 
-func (c *cursor) done() bool     { return len(c.pages) == 0 }
-func (c *cursor) head() *entry   { return &c.pages[0].ents[c.pos] }
-func (c *cursor) bits() []uint64 { return c.pages[0].bits(c.pos) }
+// exhausted is the key of a cursor past its run's last entry. No entry packs
+// to it: block IDs are not negative.
+const exhausted uint64 = math.MaxUint64
 
-// settle steps over exhausted pages.
+// settle steps over exhausted pages and loads the key of the next entry.
 func (c *cursor) settle() {
-	for len(c.pages) > 0 && c.pos >= len(c.pages[0].ents) {
-		c.pages, c.pos = c.pages[1:], 0
+	for c.pos >= len(c.ents) {
+		if len(c.pages) == 0 {
+			c.key = exhausted
+			return
+		}
+		c.ents, c.words, c.pos, c.pages = c.pages[0].ents, c.pages[0].words, 0, c.pages[1:]
 	}
+	c.key = c.ents[c.pos].packed()
 }
 
 // mergeEntryStreams performs the k-way sort-merge of the input runs' entries,
-// streaming from the inputs' pages straight into the slab of the output run;
-// the inputs are only read. Inputs need not be ordered by recency; recency is
-// taken from each run's createSeq. For every block, the newest erase entry
-// (if any) discards all entries from strictly older runs; colliding chunk
-// entries from surviving runs are OR-merged (Algorithm 3).
-func mergeEntryStreams(inputs []*run, wpe int) slab {
+// streaming from the inputs' pages straight into the slab of the output run,
+// which comes from the free list; the inputs are only read. Inputs need not
+// be ordered by recency; recency is taken from each run's createSeq. For
+// every block, the newest erase entry (if any) discards all entries from
+// strictly older runs; colliding chunk entries from surviving runs are
+// OR-merged (Algorithm 3).
+func (g *Gecko) mergeEntryStreams(inputs []*run) slab {
 	// Cursors are ordered newest run first, so a cursor's index is its
 	// recency rank and "first occurrence wins" rules are a forward scan.
 	total := 0
-	cursors := make([]cursor, 0, len(inputs))
+	cursors := g.cursors[:0]
 	for _, r := range inputs {
 		total += r.entryCount()
 		cursors = append(cursors, cursor{pages: r.pages, seq: r.createSeq})
 		cursors[len(cursors)-1].settle()
 	}
 	slices.SortFunc(cursors, func(a, b cursor) int { return cmp.Compare(b.seq, a.seq) })
-	out := newSlab(total, wpe)
+	g.cursors = cursors
+	// The output holds every key once at most.
+	wpe := g.cfg.wordsPerEntry()
+	out := g.free.take(min(total, g.cfg.distinctKeys()), wpe)
 
 	// cut is the rank of the newest run holding an erase entry for cutBlock;
 	// entries from runs older than the cut are dropped. Because WholeBlock
@@ -427,18 +448,16 @@ func mergeEntryStreams(inputs []*run, wpe int) slab {
 	// processed before the block's chunk entries. len(cursors) means no cut.
 	cutBlock, cut := flash.InvalidBlock, 0
 	for {
-		best := -1
+		k := exhausted
 		for i := range cursors {
-			if !cursors[i].done() && (best < 0 || cursors[i].head().less(cursors[best].head().key)) {
-				best = i
-			}
+			k = min(k, cursors[i].key)
 		}
-		if best < 0 {
+		if k == exhausted {
+			clear(cursors) // do not keep the inputs alive past this call
 			return out
 		}
-		k := cursors[best].head().key
-		if k.block != cutBlock {
-			cutBlock, cut = k.block, len(cursors)
+		if block := flash.BlockID(k >> 32); block != cutBlock {
+			cutBlock, cut = block, len(cursors)
 		}
 
 		// Fold every entry with that key, newest run first (Algorithm 3): a
@@ -447,21 +466,21 @@ func mergeEntryStreams(inputs []*run, wpe int) slab {
 		res := -1
 		for rank := range cursors {
 			c := &cursors[rank]
-			if c.done() || c.head().key != k {
+			if c.key != k {
 				continue
 			}
-			e, bits := c.head(), c.bits()
+			e, bits := c.ents[c.pos], c.words[c.pos*wpe:(c.pos+1)*wpe]
 			c.pos++
 			c.settle()
 			if rank > cut {
 				continue // predates the newest erase of this block
 			}
-			if e.erase && k.subKey == WholeBlock && rank < cut {
+			if e.erase && e.subKey == WholeBlock && rank < cut {
 				cut = rank
 			}
 			switch {
 			case res < 0:
-				res = out.push(*e, bits)
+				res = out.push(e, bits)
 			case !out.ents[res].erase:
 				dst := out.bits(res)
 				for w := range dst {

@@ -169,13 +169,15 @@ func randomRunPair(rng *rand.Rand, cfg Config, blocks, v int, seq uint64) (*orac
 // old pointer-entry merge on the same seeded random run sets: two-way and
 // multi-way, partition factors 1, 2 and 4 (one and several words per
 // entry), erase entries at every recency, empty inputs, inputs passed in
-// any recency order.
+// any recency order. From each configuration's second merge on the output
+// goes into a recycled slab, scribbled over to its full capacity.
 func TestMergeMatchesPointerEntryMerge(t *testing.T) {
 	for _, s := range []int{1, 2, 4} {
 		for _, ways := range []int{2, 3, 5} {
+			cfg := Config{Blocks: 24, PagesPerBlock: 256, PageSize: 4096, SizeRatio: 2, KeyBytes: 4, PartitionFactor: s}
+			merge := steadyMerge(cfg)
 			for seed := int64(1); seed <= 40; seed++ {
 				rng := rand.New(rand.NewSource(seed*100 + int64(10*s+ways)))
-				cfg := Config{Blocks: 24, PagesPerBlock: 256, PageSize: 4096, SizeRatio: 2, KeyBytes: 4, PartitionFactor: s}
 				v := 2 + rng.Intn(5) // small pages: sub-entries straddle them
 				var olds []*oracleRun
 				var news []*run
@@ -188,7 +190,7 @@ func TestMergeMatchesPointerEntryMerge(t *testing.T) {
 					olds, news = append(olds, o), append(news, n)
 				}
 				want := oracleMergeEntryStreams(olds)
-				got := mergeEntryStreams(news, cfg.wordsPerEntry())
+				got := merge(news)
 
 				name := fmt.Sprintf("S=%d ways=%d seed=%d", s, ways, seed)
 				if len(got.ents) != len(want) {
@@ -218,6 +220,14 @@ func TestMergeMatchesPointerEntryMerge(t *testing.T) {
 							}
 						}
 					}
+				}
+				// What the next merge gets back from the free list.
+				ents, words := got.ents[:cap(got.ents)], got.words[:cap(got.words)]
+				for i := range ents {
+					ents[i] = entry{key: key{flash.BlockID(i), i % 3}, erase: i%2 == 0}
+				}
+				for i := range words {
+					words[i] = ^uint64(0)
 				}
 			}
 		}

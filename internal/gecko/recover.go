@@ -10,49 +10,33 @@ import (
 )
 
 // CrashRAM simulates the loss of integrated RAM at power failure: the buffer
-// contents and the run directories disappear. The flash-resident runs (their
-// pages and spare areas) survive on the device; RecoverDirectories rebuilds
-// the RAM state from them.
+// contents and the run directories disappear, and the free list with them.
+// The flash-resident runs (their pages and spare areas) survive on the
+// device; RecoverDirectories rebuilds the RAM state from them.
 func (g *Gecko) CrashRAM() {
 	g.buf.clear()
 	g.levels = make([][]*run, g.cfg.Levels()+1)
-}
-
-// OldestPendingCreateSeq returns the creation sequence number of the most
-// recently created run, or zero if no run exists. The FTL's buffer-recovery
-// procedure (Appendix C.2) uses it as the cut-off: anything erased or
-// invalidated after the last buffer flush must be re-inserted into the
-// buffer.
-func (g *Gecko) OldestPendingCreateSeq() uint64 {
-	newest := uint64(0)
-	for _, r := range g.runsNewestFirst() {
-		if r.createSeq > newest {
-			newest = r.createSeq
-		}
-	}
-	return newest
+	g.free.slabs = nil
 }
 
 // NewestRunWriteSeq returns the device write-sequence number of the first
 // page of the most recently created run, or zero when no runs exist. The
 // FTL's recovery uses it to find blocks erased since the last buffer flush.
 func (g *Gecko) NewestRunWriteSeq() (uint64, error) {
-	runs := g.runsNewestFirst()
-	if len(runs) == 0 {
-		return 0, nil
+	for r := range g.runsNewestFirst {
+		if len(r.pages) == 0 {
+			return 0, nil
+		}
+		spare, ok, err := g.store.ReadSpare(r.pages[0].ppn)
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			return 0, fmt.Errorf("gecko: newest run %d has an unwritten first page", r.id)
+		}
+		return spare.WriteSeq, nil
 	}
-	r := runs[0]
-	if len(r.pages) == 0 {
-		return 0, nil
-	}
-	spare, ok, err := g.store.ReadSpare(r.pages[0].ppn)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, fmt.Errorf("gecko: newest run %d has an unwritten first page", r.id)
-	}
-	return spare.WriteSeq, nil
+	return 0, nil
 }
 
 // RecoverDirectories rebuilds the run directories after a power failure
@@ -159,13 +143,14 @@ func (g *Gecko) RecoverDirectories() error {
 
 	// Step 5: rebuild the in-RAM run structures. The entry content of live
 	// pages is the flash content written by writeRun; it is looked up by
-	// physical address from the surviving flash image.
-	content := g.flashImage()
+	// physical address from the surviving flash image, pageContent: the
+	// simulator does not store payload bytes in the device, so only directory
+	// state (locations, key ranges, levels) is actually lost and re-derived.
 	g.levels = make([][]*run, g.cfg.Levels()+1)
 	for i, c := range live {
 		r := &run{id: c.id, createSeq: c.createSeq, level: liveLevels[i]}
 		for _, m := range c.pages {
-			page, ok := content[m.ppn]
+			page, ok := g.pageContent[m.ppn]
 			if !ok {
 				return fmt.Errorf("gecko: recovered run %d references page %d with no content", c.id, m.ppn)
 			}
@@ -186,17 +171,4 @@ func (g *Gecko) RecoverDirectories() error {
 		g.placeRun(r)
 	}
 	return nil
-}
-
-// flashImage returns the surviving flash content of live run pages keyed by
-// physical address. It is rebuilt from the run structures that existed before
-// the crash because the simulator does not store payload bytes in the device;
-// only directory state (locations, key ranges, levels) is actually lost and
-// re-derived by RecoverDirectories.
-func (g *Gecko) flashImage() map[flash.PPN]slab {
-	out := make(map[flash.PPN]slab)
-	for ppn, entries := range g.pageContent {
-		out[ppn] = entries
-	}
-	return out
 }

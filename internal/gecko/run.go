@@ -21,14 +21,18 @@ type runPage struct {
 // run is a sorted run of Gecko entries stored in flash, together with its
 // RAM-resident run directory (the per-page key ranges and physical
 // locations). The pages' slabs — consecutive sub-slabs of the one slab the
-// run was written from, immutable from then on — model the flash content of
-// the run's pages; the directory fields are what is lost at power failure and
-// recovered by Appendix C.1.
+// run was written from, immutable for as long as the flash image holds them —
+// model the flash content of the run's pages; the directory fields are what
+// is lost at power failure and recovered by Appendix C.1.
 type run struct {
 	id        uint64
 	level     int
 	createSeq uint64
 	pages     []runPage
+	// slab is what writeRun wrote the run from and hands to the free list
+	// when the run is superseded. A run rebuilt by recovery or import owns
+	// none: its pages' sub-slabs come from the flash image.
+	slab slab
 }
 
 // entryCount returns the total number of entries in the run.

@@ -45,7 +45,7 @@ func (g *Gecko) ScanValidity() (map[flash.BlockID]*bitmap.Bitmap, error) {
 			erased = append(erased, g.buf.ents[i].block)
 		}
 	}
-	for _, r := range g.runsNewestFirst() {
+	for r := range g.runsNewestFirst {
 		for _, block := range erased {
 			skip[block] = true
 		}
