@@ -72,6 +72,52 @@ func benchmarkFTLWrite(b *testing.B, build func(flash.Plane, int) (*FTL, error))
 func BenchmarkFTLWriteGecko(b *testing.B) { benchmarkFTLWrite(b, NewGeckoFTL) }
 func BenchmarkFTLWriteDFTL(b *testing.B)  { benchmarkFTLWrite(b, NewDFTL) }
 
+// BenchmarkSynchronizeFirstTouch times the synchronization that opens a
+// protection window on a translation page: one dirty entry written to a
+// 1024-entry page, every entry of which is mapped, whose previous version
+// buffer recovery must be able to diff against. Every page is protected once
+// and then the window ends, as a Gecko buffer flush ends it, and dead
+// translation blocks are erased when free ones run short.
+func BenchmarkSynchronizeFirstTouch(b *testing.B) {
+	dev := newTestDevice(b, 1024, 64, 4096)
+	bm := newBlockManager(dev, 2, false, false)
+	table := newTranslationTable(bm, int64(dev.Config().LogicalPages()), dev.Config().PageSize, true)
+	per := int64(table.EntriesPerPage())
+	span := func(tp int) int64 { return min(per, table.logicalPages-int64(tp)*per) }
+	updates := make([]dirtyUpdate, 0, per)
+	for tp := 0; tp < table.Pages(); tp++ {
+		updates = updates[:0]
+		for i := int64(0); i < span(tp); i++ {
+			lpn := flash.LPN(int64(tp)*per + i)
+			updates = append(updates, dirtyUpdate{Logical: lpn, Physical: flash.PPN(lpn)})
+		}
+		if err := table.Synchronize(tp, updates); err != nil {
+			b.Fatal(err)
+		}
+	}
+	table.ClearProtected(true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tp := i % table.Pages()
+		updates = append(updates[:0], dirtyUpdate{Logical: flash.LPN(int64(tp)*per + int64(i)%span(tp)), Physical: flash.PPN(i)})
+		if err := table.Synchronize(tp, updates); err != nil {
+			b.Fatal(err)
+		}
+		if tp < table.Pages()-1 {
+			continue
+		}
+		table.ClearProtected(true)
+		if bm.FreeBlocks() <= 2 {
+			for _, block := range bm.FullyInvalidBlocks(GroupTranslation) {
+				if err := bm.Erase(block, flash.PurposeGCErase); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkEngineFanOut times one ReadBatch of 256 pages whose mapping entries
 // are cached, spread evenly over 8 shards: the reads beneath are as cheap as
 // an operation gets, so what is left is the fan-out itself — bucketing, the

@@ -373,6 +373,7 @@ func (f *FTL) recoverGeckoBuffer() error {
 	// preserved previous version. Every mapping that changed identifies a
 	// candidate before-image; its spare area confirms whether it still holds
 	// that logical page before it is re-reported as invalid.
+	undo := f.table.UndoLog()
 	for _, tp := range f.table.UpdatedSinceProtection() {
 		start, prev, ok := f.table.PreviousVersion(tp)
 		if !ok {
@@ -392,13 +393,12 @@ func (f *FTL) recoverGeckoBuffer() error {
 				return err
 			}
 		}
-		for i, oldPPN := range prev.content {
-			lpn := start + flash.LPN(i)
-			if int64(lpn) >= f.logicalPages {
-				break
-			}
-			curPPN := f.table.FlashEntry(lpn)
-			if oldPPN == curPPN || oldPPN == flash.InvalidPPN {
+		// The undo log is the two versions' difference, in logical-page
+		// order; this page's part of it comes next.
+		end := start + flash.LPN(f.table.EntriesPerPage())
+		for ; len(undo) > 0 && undo[0].lpn < end; undo = undo[1:] {
+			lpn, oldPPN := undo[0].lpn, undo[0].old
+			if oldPPN == f.table.FlashEntry(lpn) {
 				continue
 			}
 			spare, written, err := f.dev.ReadSpare(oldPPN, flash.PurposeRecovery)

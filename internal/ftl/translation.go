@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -24,14 +25,6 @@ const mappingEntryBytes = 4
 // translation pages' content); cached, possibly newer values live in the
 // FTL's LRU cache and reach the table only through synchronization
 // operations.
-// prevVersion preserves the location and content of a translation page as it
-// was before the first update since the last Gecko buffer flush; buffer
-// recovery (Appendix C.2.2) diffs against it.
-type prevVersion struct {
-	location flash.PPN
-	content  []flash.PPN
-}
-
 type translationTable struct {
 	bm            *blockManager
 	logicalPages  int64
@@ -45,11 +38,30 @@ type translationTable struct {
 	// recover: only that recovery reads previous versions, and only Gecko's
 	// flushes drop them, so any other FTL would hold them forever.
 	keepPrevious bool
-	// contentPool holds the content buffers of dropped previous versions for
-	// the next protections to reuse.
-	contentPool [][]flash.PPN
-	syncOps     int64
-	aborted     int64
+	// undo is the content of the previous versions, kept as what differs from
+	// the current ones: for every logical page updated since its translation
+	// page became protected, the mapped value it had before the first such
+	// update. touched has a bit per logical page, set by that first update.
+	// Like flashMapping they model flash content, not integrated RAM.
+	undo    []undoRecord
+	touched []uint64
+	syncOps int64
+	aborted int64
+}
+
+// prevVersion is the location of a translation page as it was before the
+// first update since the last Gecko buffer flush, in a block protected from
+// erasure until the next one; buffer recovery (Appendix C.2.2) diffs the
+// current version against it.
+type prevVersion struct {
+	location flash.PPN
+}
+
+// undoRecord says that the previous version of lpn's translation page maps
+// lpn to old, and the current one to something else or to nothing.
+type undoRecord struct {
+	lpn flash.LPN
+	old flash.PPN
 }
 
 // newTranslationTable creates the table for the given number of logical
@@ -68,6 +80,9 @@ func newTranslationTable(bm *blockManager, logicalPages int64, pageSize int, kee
 		prevVersions:  make(map[int]prevVersion),
 		protectBlocks: make(map[flash.BlockID]bool),
 		keepPrevious:  keepPrevious,
+	}
+	if keepPrevious {
+		t.touched = make([]uint64, (logicalPages+63)/64)
 	}
 	for i := range t.gmd {
 		t.gmd[i] = flash.InvalidPPN
@@ -149,12 +164,13 @@ func (t *translationTable) Synchronize(tp int, updates []dirtyUpdate) error {
 	}
 	t.syncOps++
 
-	// Preserve the previous content of this translation page so that the
+	// Preserve the previous version of this translation page so that the
 	// recovery procedure can rebuild Logarithmic Gecko's buffer by diffing
-	// translation-page versions (Appendix C.2.2). The snapshot is dropped
-	// when the Gecko buffer flushes (ClearProtected).
+	// translation-page versions (Appendix C.2.2): protect the page it is on
+	// and, below, log what each update overwrites. Both are dropped when the
+	// Gecko buffer flushes (ClearProtected).
 	if _, ok := t.prevVersions[tp]; !ok && t.keepPrevious {
-		t.prevVersions[tp] = prevVersion{location: old, content: t.snapshot(tp)}
+		t.prevVersions[tp] = prevVersion{location: old}
 		if old != flash.InvalidPPN {
 			t.protectBlocks[flash.BlockOf(old, t.bm.cfg.PagesPerBlock)] = true
 		}
@@ -164,6 +180,11 @@ func (t *translationTable) Synchronize(tp int, updates []dirtyUpdate) error {
 		if t.pageOf(u.Logical) != tp {
 			return fmt.Errorf("ftl: update for logical page %d does not belong to translation page %d", u.Logical, tp)
 		}
+	}
+	if t.keepPrevious {
+		t.logOverwritten(updates)
+	}
+	for _, u := range updates {
 		t.flashMapping[u.Logical] = u.Physical
 	}
 
@@ -187,18 +208,22 @@ func (t *translationTable) Synchronize(tp int, updates []dirtyUpdate) error {
 	return nil
 }
 
-// snapshot copies the current flash-resident mapping values of a translation
-// page, into a recycled buffer when ClearProtected has left one.
-func (t *translationTable) snapshot(tp int) []flash.PPN {
-	start := int64(tp) * int64(t.entriesPerTP)
-	end := min(start+int64(t.entriesPerTP), t.logicalPages)
-	var out []flash.PPN
-	if last := len(t.contentPool) - 1; last >= 0 {
-		out, t.contentPool = t.contentPool[last][:0], t.contentPool[:last]
-	} else {
-		out = make([]flash.PPN, 0, t.entriesPerTP)
+// logOverwritten appends to the undo log what the updates, not yet applied,
+// are about to overwrite. Only a logical page's first update of the window
+// sees the previous version's value, mapped or not: were the first mapped
+// value logged instead, unmapped -> A -> B would replay A, which the previous
+// version never held.
+func (t *translationTable) logOverwritten(updates []dirtyUpdate) {
+	for _, u := range updates {
+		word, bit := &t.touched[u.Logical/64], uint64(1)<<(u.Logical%64)
+		if *word&bit != 0 {
+			continue
+		}
+		*word |= bit
+		if before := t.flashMapping[u.Logical]; before != flash.InvalidPPN {
+			t.undo = append(t.undo, undoRecord{lpn: u.Logical, old: before})
+		}
 	}
-	return append(out, t.flashMapping[start:end]...)
 }
 
 // PreviousVersion returns the preserved pre-update version of a translation
@@ -206,6 +231,15 @@ func (t *translationTable) snapshot(tp int) []flash.PPN {
 func (t *translationTable) PreviousVersion(tp int) (start flash.LPN, prev prevVersion, ok bool) {
 	prev, ok = t.prevVersions[tp]
 	return flash.LPN(int64(tp) * int64(t.entriesPerTP)), prev, ok
+}
+
+// UndoLog returns what the protected previous versions hold that the current
+// ones may not, in ascending logical-page order, and so grouped by
+// translation page in UpdatedSinceProtection's order. A logical page written
+// back to its old value since is still listed.
+func (t *translationTable) UndoLog() []undoRecord {
+	slices.SortFunc(t.undo, func(a, b undoRecord) int { return cmp.Compare(a.lpn, b.lpn) })
+	return t.undo
 }
 
 // UpdatedSinceProtection returns the translation pages with a protected
@@ -228,17 +262,21 @@ func (t *translationTable) UpdatedSinceProtection() []int {
 func (t *translationTable) ProtectedBlocks() map[flash.BlockID]bool { return t.protectBlocks }
 
 // ClearProtected drops the protected previous versions; the FTL calls it
-// whenever Logarithmic Gecko's buffer is flushed. With recycle their content
-// buffers are kept for the next protections — the steady state, where the
-// next flush is a few hundred writes away; without, they are released, so
-// that a device left idle after a shutdown flush or a recovery holds none.
+// whenever Logarithmic Gecko's buffer is flushed. With recycle the undo log's
+// storage is kept for the next protections — the steady state, where the
+// next flush is a few hundred writes away; without, it is released, so that
+// a device left idle after a shutdown flush or a recovery holds none.
 func (t *translationTable) ClearProtected(recycle bool) {
-	if !recycle {
-		t.contentPool = nil
+	// Whole words: a neighbour sharing one is protected too or has no bit set.
+	for tp := range t.prevVersions {
+		start := int64(tp) * int64(t.entriesPerTP)
+		end := min(start+int64(t.entriesPerTP), t.logicalPages)
+		clear(t.touched[start/64 : (end+63)/64])
+	}
+	if recycle {
+		t.undo = t.undo[:0]
 	} else {
-		for _, prev := range t.prevVersions {
-			t.contentPool = append(t.contentPool, prev.content)
-		}
+		t.undo = nil
 	}
 	clear(t.prevVersions)
 	clear(t.protectBlocks)
@@ -256,7 +294,8 @@ func (t *translationTable) RAMBytes() int64 { return int64(t.pages) * 4 }
 
 // CrashRAM models the loss of the GMD at power failure. The flash-resident
 // mapping content survives (it is flash), as do the protected previous
-// versions (they are flash pages that were deliberately not erased).
+// versions and their undo log (they are flash pages that were deliberately
+// not erased).
 func (t *translationTable) CrashRAM() {
 	for i := range t.gmd {
 		t.gmd[i] = flash.InvalidPPN

@@ -123,8 +123,8 @@ func TestTranslationTableProtectsPreviousVersions(t *testing.T) {
 	}
 	firstLoc := table.GMDLocation(0)
 	// A Gecko buffer flush clears the protection window; the next update to
-	// the translation page starts a new one whose snapshot is the state as
-	// of that flush.
+	// the translation page starts a new one whose previous version is the
+	// state as of that flush.
 	table.ClearProtected(false)
 	if err := table.Synchronize(0, []dirtyUpdate{{Logical: 1, Physical: 20}}); err != nil {
 		t.Fatal(err)
@@ -137,8 +137,8 @@ func TestTranslationTableProtectsPreviousVersions(t *testing.T) {
 	if !ok || start != 0 {
 		t.Fatalf("PreviousVersion missing: start=%d ok=%v", start, ok)
 	}
-	if prev.content[1] != 10 {
-		t.Errorf("previous content of logical 1 = %d, want 10", prev.content[1])
+	if log := table.UndoLog(); len(log) != 1 || log[0] != (undoRecord{lpn: 1, old: 10}) {
+		t.Errorf("undo log = %v, want logical 1 mapped to 10 before", log)
 	}
 	if prev.location != firstLoc {
 		t.Errorf("previous location = %d, want %d", prev.location, firstLoc)
@@ -147,7 +147,7 @@ func TestTranslationTableProtectsPreviousVersions(t *testing.T) {
 		t.Error("block of the previous version not protected")
 	}
 	table.ClearProtected(false)
-	if len(table.UpdatedSinceProtection()) != 0 || len(table.ProtectedBlocks()) != 0 {
+	if len(table.UpdatedSinceProtection()) != 0 || len(table.ProtectedBlocks()) != 0 || len(table.UndoLog()) != 0 {
 		t.Error("ClearProtected left state behind")
 	}
 }
@@ -200,7 +200,7 @@ func TestGroupStoreRoundTrip(t *testing.T) {
 // TestOnlyGeckoKeepsPreviousVersions pins who pays for previous
 // translation-page versions: only Logarithmic Gecko's buffer recovery reads
 // them and only its flush drops them, so an FTL without a Gecko buffer must
-// record none — it would hold one dead snapshot per translation page forever.
+// record none — it would hold one dead version per translation page forever.
 func TestOnlyGeckoKeepsPreviousVersions(t *testing.T) {
 	dftl, err := NewDFTL(newTestDevice(t, 64, 16, 512), 64)
 	if err != nil {
