@@ -48,7 +48,7 @@ func BenchmarkExperiment(b *testing.B) {
 // given scale.
 func runVariant(b *testing.B, scale sim.ExperimentScale, tune func(*ftl.Options)) sim.Result {
 	b.Helper()
-	res, err := sim.MeasureFTL(scale, "GeckoFTL", tune)
+	res, err := sim.MeasureFTL(scale, model.GeckoFTL, tune)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -84,21 +84,6 @@ func BenchmarkAblationMultiWayMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCheckpoints measures the write-amplification cost of
-// GeckoFTL's runtime checkpoints (Section 4.3): the paper argues it is
-// negligible.
-func BenchmarkAblationCheckpoints(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rw := runVariant(b, benchScale(), nil)
-		ro := runVariant(b, benchScale(), func(o *ftl.Options) { o.Checkpoints = false })
-		if i == 0 {
-			b.ReportMetric(rw.TranslationWA, "translationWA_checkpoints")
-			b.ReportMetric(ro.TranslationWA, "translationWA_no_checkpoints")
-		}
-	}
-}
-
 // BenchmarkAblationPartitioning measures entry-partitioning (Section 3.3)
 // inside the full GeckoFTL rather than in isolation. It uses the paper's
 // 128-page blocks: with smaller blocks the recommended partitioning factor is
@@ -114,21 +99,6 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(rr.ValidityWA, "validityWA_partitioned")
 			b.ReportMetric(ru.ValidityWA, "validityWA_unpartitioned")
-		}
-	}
-}
-
-// BenchmarkAblationDirtyBound shows the contention the paper removes: a
-// GeckoFTL variant forced to bound its dirty entries (as LazyFTL does) pays
-// more translation-metadata write-amplification.
-func BenchmarkAblationDirtyBound(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ru := runVariant(b, benchScale(), nil)
-		rb := runVariant(b, benchScale(), func(o *ftl.Options) { o.DirtyFraction = 0.1 })
-		if i == 0 {
-			b.ReportMetric(ru.TranslationWA, "translationWA_unbounded")
-			b.ReportMetric(rb.TranslationWA, "translationWA_bounded")
 		}
 	}
 }

@@ -86,7 +86,7 @@ func TestFTLTable(t *testing.T) {
 		t.Errorf("unknown name: %v, want ErrInvalidConfig", err)
 	}
 	outOfRange := GeckoFTLOptions(cache)
-	outOfRange.Scheme = ftl.Scheme(len(model.Kinds()))
+	outOfRange.FTL = model.FTLKind(len(model.Kinds()))
 	if _, err := Open(WithFTLOptions(outOfRange)); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("out-of-range kind: %v, want ErrInvalidConfig", err)
 	}

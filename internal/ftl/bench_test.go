@@ -18,7 +18,7 @@ import (
 // per victim, which on this table read 9.3 µs (greedy), 10.0 µs
 // (metadata-aware) and 13.1 µs (cost-benefit).
 func BenchmarkPickVictim(b *testing.B) {
-	f := steadyStateFTL(b, 4096, NewGeckoFTL)
+	f := steadyStateFTL(b, 4096, GeckoFTLOptions)
 	excluded := f.table.ProtectedBlocks()
 	for _, policy := range []VictimPolicy{VictimGreedy, VictimMetadataAware, VictimCostBenefit} {
 		b.Run(policy.String(), func(b *testing.B) {
@@ -34,8 +34,8 @@ func BenchmarkPickVictim(b *testing.B) {
 
 // steadyStateFTL builds an FTL over a plane of the given number of 64-page
 // blocks, written through once and overwritten uniformly once more.
-func steadyStateFTL(b *testing.B, blocks int, build func(flash.Plane, int) (*FTL, error)) *FTL {
-	f, err := build(newTestDevice(b, blocks, 64, 4096), 1024)
+func steadyStateFTL(b *testing.B, blocks int, options func(int) Options) *FTL {
+	f, err := New(newTestDevice(b, blocks, 64, 4096), options(1024))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -56,8 +56,8 @@ func steadyStateFTL(b *testing.B, blocks int, build func(flash.Plane, int) (*FTL
 // benchmarkFTLWrite times one steady-state FTL.Write below the engine: a
 // 1024-block plane written through once and overwritten uniformly once more
 // before the timer starts.
-func benchmarkFTLWrite(b *testing.B, build func(flash.Plane, int) (*FTL, error)) {
-	f := steadyStateFTL(b, 1024, build)
+func benchmarkFTLWrite(b *testing.B, options func(int) Options) {
+	f := steadyStateFTL(b, 1024, options)
 	rng := rand.New(rand.NewSource(2))
 	pages := f.LogicalPages()
 	b.ReportAllocs()
@@ -69,8 +69,8 @@ func benchmarkFTLWrite(b *testing.B, build func(flash.Plane, int) (*FTL, error))
 	}
 }
 
-func BenchmarkFTLWriteGecko(b *testing.B) { benchmarkFTLWrite(b, NewGeckoFTL) }
-func BenchmarkFTLWriteDFTL(b *testing.B)  { benchmarkFTLWrite(b, NewDFTL) }
+func BenchmarkFTLWriteGecko(b *testing.B) { benchmarkFTLWrite(b, GeckoFTLOptions) }
+func BenchmarkFTLWriteDFTL(b *testing.B)  { benchmarkFTLWrite(b, DFTLOptions) }
 
 // BenchmarkSynchronizeFirstTouch times the synchronization that opens a
 // protection window on a translation page: one dirty entry written to a

@@ -91,7 +91,7 @@ func (e *Engine) checkpointFingerprint() uint64 {
 	// checkpoints already written hash it and must keep loading.
 	fmt.Fprintf(h, "%d|%d|%d|%d|%d|%d|%d|%d|%t|%t|0|0",
 		cfg.Blocks, cfg.PagesPerBlock, cfg.PageSize, cfg.Channels, cfg.DiesPerChannel,
-		len(e.shards), e.opts.Scheme, e.opts.CacheEntries,
+		len(e.shards), e.opts.FTL, e.opts.CacheEntries,
 		e.opts.HotColdSeparation, e.opts.WearAwareAllocation)
 	return h.Sum64()
 }
@@ -108,7 +108,7 @@ func (e *Engine) ExportCheckpoint() (*checkpoint.File, error) {
 	if e.failed {
 		return nil, fmt.Errorf("ftl: checkpoint export on a power-failed engine: %w", flash.ErrPowerFailed)
 	}
-	if e.opts.Scheme != SchemeGecko || e.opts.Battery {
+	if !e.facts.checkpointFiles() {
 		return nil, ErrCheckpointUnsupported
 	}
 	for _, sh := range e.shards {
@@ -556,7 +556,7 @@ func (e *Engine) ValidateCheckpoint(file *checkpoint.File) error {
 	if e.failed {
 		return fmt.Errorf("ftl: checkpoint validation on a power-failed engine: %w", flash.ErrPowerFailed)
 	}
-	if e.opts.Scheme != SchemeGecko || e.opts.Battery {
+	if !e.facts.checkpointFiles() {
 		return ErrCheckpointUnsupported
 	}
 	ec, err := decodeCheckpoint(file)
@@ -591,7 +591,7 @@ func (e *Engine) RestoreCheckpoint(file *checkpoint.File) error {
 	if !e.failed {
 		return fmt.Errorf("ftl: checkpoint restore without a preceding PowerFail")
 	}
-	if e.opts.Scheme != SchemeGecko || e.opts.Battery {
+	if !e.facts.checkpointFiles() {
 		return ErrCheckpointUnsupported
 	}
 	ec, err := decodeCheckpoint(file)

@@ -8,6 +8,7 @@ import (
 
 	"geckoftl/internal/checkpoint"
 	"geckoftl/internal/flash"
+	"geckoftl/internal/model"
 )
 
 // checkpointTestEngine builds a filled, flushed multi-shard GeckoFTL engine:
@@ -113,27 +114,34 @@ func TestEngineCheckpointRoundTrip(t *testing.T) {
 	checkIndexes("after the post-restore workload")
 }
 
-// TestEngineCheckpointUnsupportedSchemes pins the gate: only battery-less
-// GeckoFTL checkpoints; every battery scheme refuses with
+// TestEngineCheckpointUnsupportedSchemes pins the gate: only GeckoFTL
+// checkpoints; the other four FTLs refuse to export, validate or restore with
 // ErrCheckpointUnsupported.
 func TestEngineCheckpointUnsupportedSchemes(t *testing.T) {
-	dev := engineTestDevice(t, 64, 1)
-	e, err := NewEngine(dev, DFTLOptions(128), 1)
+	file, err := checkpointTestEngine(t, 128, 1).ExportCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ExportCheckpoint(); !errors.Is(err, ErrCheckpointUnsupported) {
-		t.Fatalf("DFTL ExportCheckpoint = %v, want ErrCheckpointUnsupported", err)
-	}
-	opts := GeckoFTLOptions(128)
-	opts.Battery = true
-	dev2 := engineTestDevice(t, 64, 1)
-	e2, err := NewEngine(dev2, opts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e2.ExportCheckpoint(); !errors.Is(err, ErrCheckpointUnsupported) {
-		t.Fatalf("battery GeckoFTL ExportCheckpoint = %v, want ErrCheckpointUnsupported", err)
+	for _, kind := range model.Kinds() {
+		if kind == model.GeckoFTL {
+			continue
+		}
+		e, err := NewEngine(engineTestDevice(t, 64, 1), OptionsFor(kind, 128), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.ExportCheckpoint(); !errors.Is(err, ErrCheckpointUnsupported) {
+			t.Errorf("%v ExportCheckpoint = %v, want ErrCheckpointUnsupported", kind, err)
+		}
+		if err := e.ValidateCheckpoint(file); !errors.Is(err, ErrCheckpointUnsupported) {
+			t.Errorf("%v ValidateCheckpoint = %v, want ErrCheckpointUnsupported", kind, err)
+		}
+		if err := e.PowerFail(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RestoreCheckpoint(file); !errors.Is(err, ErrCheckpointUnsupported) {
+			t.Errorf("%v RestoreCheckpoint = %v, want ErrCheckpointUnsupported", kind, err)
+		}
 	}
 }
 

@@ -37,13 +37,11 @@ func deterministicRun(t *testing.T, opts Options) ([]flash.BlockID, Stats, int64
 		// the page-validity structures, historically in map-iteration order
 		// (UpdatedSinceProtection), which could flush different Gecko buffer
 		// contents on different runs of the same seed.
-		if !opts.Battery {
-			if err := f.PowerFail(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Recover(); err != nil {
-				t.Fatal(err)
-			}
+		if err := f.PowerFail(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Recover(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return victims, f.Stats(), int64(dev.SimulatedTime())

@@ -27,8 +27,10 @@ import (
 // parallelism: with S shards on S channels, the busiest die sees roughly 1/S
 // of the IO.
 type Engine struct {
-	dev           *flash.Device
-	opts          Options
+	dev  *flash.Device
+	opts Options
+	// facts is the shards' row of kindFacts.
+	facts         facts
 	shards        []*engineShard
 	perShardPages int64
 	logicalPages  int64
@@ -131,6 +133,7 @@ func NewEngine(dev *flash.Device, opts Options, shards int) (*Engine, error) {
 			stallLat: stats.NewHistogram(),
 		})
 	}
+	e.facts = e.shards[0].ftl.facts
 	e.perShardPages = e.shards[0].ftl.LogicalPages()
 	e.logicalPages = e.perShardPages * int64(shards)
 	e.batches.New = func() any {
@@ -142,9 +145,9 @@ func NewEngine(dev *flash.Device, opts Options, shards int) (*Engine, error) {
 // Name returns the display name of the sharded configuration.
 func (e *Engine) Name() string {
 	if len(e.shards) == 1 {
-		return e.opts.Name
+		return e.opts.FTL.String()
 	}
-	return fmt.Sprintf("%s/%d", e.opts.Name, len(e.shards))
+	return fmt.Sprintf("%s/%d", e.opts.FTL, len(e.shards))
 }
 
 // Device returns the shared device under all shards.

@@ -24,7 +24,7 @@ func TestFTLShardsRecoverInEitherOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := NewGeckoFTL(part, 128)
+			f, err := New(part, GeckoFTLOptions(128))
 			if err != nil {
 				t.Fatal(err)
 			}

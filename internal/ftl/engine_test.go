@@ -89,7 +89,7 @@ func TestEngineSingleShardMatchesFTL(t *testing.T) {
 	run(e.Write, e.LogicalPages())
 
 	ftlDev := engineTestDevice(t, 128, 1)
-	f, err := NewGeckoFTL(ftlDev, 128)
+	f, err := New(ftlDev, GeckoFTLOptions(128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestEngineParallelTimeScales(t *testing.T) {
 // recovery report.
 func TestOneShardEngineMatchesBareFTL(t *testing.T) {
 	for _, opts := range []Options{GeckoFTLOptions(96), DFTLOptions(96), LazyFTLOptions(96), MuFTLOptions(96), IBFTLOptions(96)} {
-		t.Run(opts.Name, func(t *testing.T) {
+		t.Run(opts.FTL.String(), func(t *testing.T) {
 			bareDev, engDev := engineTestDevice(t, 128, 1), engineTestDevice(t, 128, 1)
 			bare, err := New(bareDev, opts)
 			if err != nil {

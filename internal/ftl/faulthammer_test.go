@@ -239,7 +239,7 @@ func TestFaultHammer(t *testing.T) {
 					if err != nil {
 						minOps := shrinkCampaign(t, c, failedAt, auditEvery)
 						t.Fatalf("campaign failed: %v\nreplay: plan=%+v maxErase=%d ftl=%s seed=%d ops=%d (shrunk from %d)",
-							err, c.plan, c.maxErase, c.opts.Name, seed, minOps, failedAt)
+							err, c.plan, c.maxErase, c.opts.FTL, seed, minOps, failedAt)
 					}
 					// The hammer must actually hammer: campaigns whose fault
 					// plan makes failures statistically certain have to show

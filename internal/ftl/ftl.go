@@ -78,13 +78,17 @@ type Stats struct {
 	ScrubOperations int64
 }
 
-// FTL is a page-associative flash translation layer instance. Use one of the
-// New* constructors to build the paper's five configurations, or New with
-// explicit Options for ablations.
+// FTL is a page-associative flash translation layer instance: New builds the
+// one Options.FTL names.
 //
 // FTL is not safe for concurrent use.
 type FTL struct {
-	opts  Options
+	opts Options
+	// facts is opts.FTL's row of kindFacts; dirtyLimit is the number of dirty
+	// cached entries its dirty bound allows (zero: unbounded).
+	facts      facts
+	dirtyLimit int
+
 	dev   flash.Plane
 	cfg   flash.Config
 	bm    *blockManager
@@ -92,8 +96,8 @@ type FTL struct {
 	cache *mapcache.Cache
 
 	validity validityStore
-	// lg is the Logarithmic Gecko instance when Scheme == SchemeGecko, for
-	// the operations that go beyond the validityStore interface (flush
+	// lg is GeckoFTL's Logarithmic Gecko instance (nil for the other four),
+	// for the operations that go beyond the validityStore interface (flush
 	// coordination and recovery).
 	lg   *gecko.Gecko
 	wear *wearLeveler
@@ -132,14 +136,16 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 	if err := opts.validate(cfg); err != nil {
 		return nil, err
 	}
+	facts := kindFacts[opts.FTL]
 	bm := newBlockManager(dev, opts.GCFreeBlockReserve, opts.HotColdSeparation, opts.WearAwareAllocation)
 	logicalPages := int64(cfg.LogicalPages())
-	table := newTranslationTable(bm, logicalPages, cfg.PageSize, opts.Scheme == SchemeGecko)
+	table := newTranslationTable(bm, logicalPages, cfg.PageSize, facts.store == storeGecko)
 	cache := mapcache.New(opts.CacheEntries, table.EntriesPerPage())
 	cache.Reserve(int(logicalPages))
 
 	f := &FTL{
 		opts:         opts,
+		facts:        facts,
 		dev:          dev,
 		cfg:          cfg,
 		bm:           bm,
@@ -150,10 +156,13 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 		logicalPages: logicalPages,
 		gc:           gcState{victim: flash.InvalidBlock},
 	}
+	if facts.dirtyBound {
+		f.dirtyLimit = max(1, int(dirtyBoundFraction*float64(opts.CacheEntries)))
+	}
 
 	store := &groupStore{bm: bm}
-	switch opts.Scheme {
-	case SchemeGecko:
+	switch facts.store {
+	case storeGecko:
 		gcfg := gecko.DefaultConfig(cfg.Blocks, cfg.PagesPerBlock, cfg.PageSize)
 		gcfg.SizeRatio = opts.GeckoSizeRatio
 		if opts.GeckoPartitionFactor > 0 {
@@ -166,19 +175,19 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 		}
 		f.lg = lg
 		f.validity = lg
-	case SchemeRAMPVB:
+	case storeRAMPVB:
 		p, err := pvb.NewRAMPVB(cfg.Blocks, cfg.PagesPerBlock)
 		if err != nil {
 			return nil, err
 		}
 		f.validity = p
-	case SchemeFlashPVB:
+	case storeFlashPVB:
 		p, err := pvb.NewFlashPVB(cfg.Blocks, cfg.PagesPerBlock, cfg.PageSize, store)
 		if err != nil {
 			return nil, err
 		}
 		f.validity = p
-	case SchemePVL:
+	case storePVL:
 		l, err := pvl.New(pvl.Config{
 			Blocks:        cfg.Blocks,
 			PagesPerBlock: cfg.PagesPerBlock,
@@ -188,39 +197,12 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 			return nil, err
 		}
 		f.validity = l
-	default:
-		return nil, fmt.Errorf("ftl: unknown scheme %v", opts.Scheme)
 	}
 	return f, nil
 }
 
-// NewGeckoFTL builds GeckoFTL with the given cache capacity.
-func NewGeckoFTL(dev flash.Plane, cacheEntries int) (*FTL, error) {
-	return New(dev, GeckoFTLOptions(cacheEntries))
-}
-
-// NewDFTL builds DFTL with the given cache capacity.
-func NewDFTL(dev flash.Plane, cacheEntries int) (*FTL, error) {
-	return New(dev, DFTLOptions(cacheEntries))
-}
-
-// NewLazyFTL builds LazyFTL with the given cache capacity.
-func NewLazyFTL(dev flash.Plane, cacheEntries int) (*FTL, error) {
-	return New(dev, LazyFTLOptions(cacheEntries))
-}
-
-// NewMuFTL builds µ-FTL with the given cache capacity.
-func NewMuFTL(dev flash.Plane, cacheEntries int) (*FTL, error) {
-	return New(dev, MuFTLOptions(cacheEntries))
-}
-
-// NewIBFTL builds IB-FTL with the given cache capacity.
-func NewIBFTL(dev flash.Plane, cacheEntries int) (*FTL, error) {
-	return New(dev, IBFTLOptions(cacheEntries))
-}
-
 // Name returns the FTL's display name.
-func (f *FTL) Name() string { return f.opts.Name }
+func (f *FTL) Name() string { return f.opts.FTL.String() }
 
 // Options returns the FTL's configuration.
 func (f *FTL) Options() Options { return f.opts }
@@ -328,7 +310,7 @@ func (f *FTL) remap(lpn flash.LPN, trim bool) error {
 		entry.UIP = cached.UIP
 		entry.Uncertain = cached.Uncertain
 		entry.Trimmed = cached.Trimmed
-	case f.opts.Scheme == SchemeGecko:
+	case f.lg != nil:
 		entry.UIP = true
 		entry.Trimmed = trim
 	default:
@@ -628,7 +610,7 @@ func (f *FTL) clearFlags(lpn flash.LPN) {
 // previous checkpoint are synchronized so that the recovery backwards scan
 // never has to look further back than 2*C page writes.
 func (f *FTL) maybeCheckpoint() error {
-	if !f.opts.Checkpoints || !f.cache.CheckpointDue() {
+	if !f.facts.checkpoints || !f.cache.CheckpointDue() {
 		return nil
 	}
 	f.stats.Checkpoints++
@@ -658,14 +640,10 @@ func (f *FTL) maybeCheckpoint() error {
 // that bound it (LazyFTL, IB-FTL): while over the bound, the least recently
 // used dirty entry's translation page is synchronized.
 func (f *FTL) enforceDirtyBound() error {
-	if f.opts.DirtyFraction <= 0 {
+	if f.dirtyLimit == 0 {
 		return nil
 	}
-	limit := int(f.opts.DirtyFraction * float64(f.opts.CacheEntries))
-	if limit < 1 {
-		limit = 1
-	}
-	for f.dirtyCount > limit {
+	for f.dirtyCount > f.dirtyLimit {
 		victim, ok := f.oldestDirty()
 		if !ok {
 			return nil

@@ -5,30 +5,19 @@ import (
 	"testing"
 
 	"geckoftl/internal/flash"
+	"geckoftl/internal/model"
 	"geckoftl/internal/workload"
 )
 
-// testDeviceConfig is a small but realistic geometry: 96 blocks of 16 pages
-// of 512 bytes, 70% over-provisioning, strict sequential writes.
-func testFTL(t *testing.T, build func(flash.Plane, int) (*FTL, error), blocks, cacheEntries int) *FTL {
+// testFTL builds the given FTL over a small but realistic geometry: blocks
+// of 16 pages of 512 bytes, 70% over-provisioning, strict sequential writes.
+func testFTL(t *testing.T, kind model.FTLKind, blocks, cacheEntries int) *FTL {
 	t.Helper()
-	dev := newTestDevice(t, blocks, 16, 512)
-	f, err := build(dev, cacheEntries)
+	f, err := New(newTestDevice(t, blocks, 16, 512), OptionsFor(kind, cacheEntries))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return f
-}
-
-// allFTLBuilders returns the five FTL constructors keyed by display name.
-func allFTLBuilders() map[string]func(flash.Plane, int) (*FTL, error) {
-	return map[string]func(flash.Plane, int) (*FTL, error){
-		"GeckoFTL": NewGeckoFTL,
-		"DFTL":     NewDFTL,
-		"LazyFTL":  NewLazyFTL,
-		"uFTL":     NewMuFTL,
-		"IB-FTL":   NewIBFTL,
-	}
 }
 
 // runWorkload drives writes (and optionally reads) through the FTL.
@@ -109,29 +98,28 @@ func checkConsistency(t *testing.T, f *FTL, strictStale bool) {
 
 func TestNewValidatesOptions(t *testing.T) {
 	dev := newTestDevice(t, 32, 16, 512)
-	if _, err := New(dev, Options{Scheme: SchemeGecko, CacheEntries: 0}); err == nil {
+	if _, err := New(dev, Options{CacheEntries: 0}); err == nil {
 		t.Error("zero cache capacity accepted")
 	}
-	if _, err := New(dev, Options{Scheme: SchemeGecko, CacheEntries: 64, DirtyFraction: 1.5}); err == nil {
-		t.Error("dirty fraction > 1 accepted")
-	}
-	if _, err := New(dev, Options{Scheme: SchemeGecko, CacheEntries: 64, GCFreeBlockReserve: 1}); err == nil {
+	if _, err := New(dev, Options{CacheEntries: 64, GCFreeBlockReserve: 1}); err == nil {
 		t.Error("tiny GC reserve accepted")
 	}
-	if _, err := New(dev, Options{Scheme: SchemeGecko, CacheEntries: 64, GCFreeBlockReserve: 31}); err == nil {
+	if _, err := New(dev, Options{CacheEntries: 64, GCFreeBlockReserve: 31}); err == nil {
 		t.Error("oversized GC reserve accepted")
 	}
-	if _, err := New(dev, Options{Scheme: SchemeGecko, CacheEntries: 64, GeckoSizeRatio: 1}); err == nil {
+	if _, err := New(dev, Options{CacheEntries: 64, GeckoSizeRatio: 1}); err == nil {
 		t.Error("gecko size ratio 1 accepted")
 	}
-	if _, err := New(dev, Options{Scheme: Scheme(99), CacheEntries: 64}); err == nil {
-		t.Error("unknown scheme accepted")
+	for _, kind := range []model.FTLKind{-1, model.FTLKind(len(model.Kinds()))} {
+		if _, err := New(dev, Options{FTL: kind, CacheEntries: 64}); err == nil {
+			t.Errorf("unknown FTL %v accepted", kind)
+		}
 	}
-	f, err := New(dev, Options{Scheme: SchemeGecko, CacheEntries: 64})
+	f, err := New(dev, Options{CacheEntries: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Name() != SchemeGecko.String() {
+	if f.Name() != model.GeckoFTL.String() {
 		t.Errorf("default name = %q", f.Name())
 	}
 	if f.Options().GCFreeBlockReserve != 4 {
@@ -139,20 +127,25 @@ func TestNewValidatesOptions(t *testing.T) {
 	}
 }
 
+// TestSchemeAndConstructorNames pins that each of the five constructors
+// builds the FTL it is named after, under the name the experiment rows print.
 func TestSchemeAndConstructorNames(t *testing.T) {
-	for name, build := range allFTLBuilders() {
-		f := testFTL(t, build, 64, 128)
-		if f.Name() != name {
-			t.Errorf("constructor for %s produced name %q", name, f.Name())
+	for kind, options := range map[model.FTLKind]func(int) Options{
+		model.GeckoFTL: GeckoFTLOptions, model.DFTL: DFTLOptions, model.LazyFTL: LazyFTLOptions,
+		model.MuFTL: MuFTLOptions, model.IBFTL: IBFTLOptions,
+	} {
+		f, err := New(newTestDevice(t, 64, 16, 512), options(128))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if Scheme(42).String() == "" {
-		t.Error("unknown scheme has empty name")
+		if f.Name() != kind.String() {
+			t.Errorf("constructor for %s produced name %q", kind, f.Name())
+		}
 	}
 }
 
 func TestWriteReadRejectOutOfRange(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 64, 128)
+	f := testFTL(t, model.GeckoFTL, 64, 128)
 	if err := f.Write(-1); err == nil {
 		t.Error("negative LPN write accepted")
 	}
@@ -168,7 +161,7 @@ func TestWriteReadRejectOutOfRange(t *testing.T) {
 }
 
 func TestReadOfNeverWrittenPageIsCheap(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 64, 128)
+	f := testFTL(t, model.GeckoFTL, 64, 128)
 	before := f.dev.Counters()
 	if err := f.Read(10); err != nil {
 		t.Fatal(err)
@@ -180,7 +173,7 @@ func TestReadOfNeverWrittenPageIsCheap(t *testing.T) {
 }
 
 func TestWriteThenReadHitsNewVersion(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 64, 128)
+	f := testFTL(t, model.GeckoFTL, 64, 128)
 	if err := f.Write(42); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +202,7 @@ func TestWriteThenReadHitsNewVersion(t *testing.T) {
 }
 
 func TestReadMissFetchesTranslationPage(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 64, 4) // tiny cache to force misses
+	f := testFTL(t, model.GeckoFTL, 64, 4) // tiny cache to force misses
 	// Write several pages so their entries evict each other and are
 	// synchronized to flash.
 	for lpn := flash.LPN(0); lpn < 32; lpn++ {
@@ -238,7 +231,7 @@ func TestReadMissFetchesTranslationPage(t *testing.T) {
 func TestUIPLazyIdentification(t *testing.T) {
 	// GeckoFTL: a write miss must not read the translation table; the
 	// before-image is identified lazily at synchronization time.
-	f := testFTL(t, NewGeckoFTL, 96, 256)
+	f := testFTL(t, model.GeckoFTL, 96, 256)
 	// Establish a flash-resident mapping for page 7, then drop it from the
 	// cache so the next write is a miss.
 	if err := f.Write(7); err != nil {
@@ -291,7 +284,7 @@ func TestUIPLazyIdentification(t *testing.T) {
 }
 
 func TestDFTLWriteMissReadsTranslationPage(t *testing.T) {
-	f := testFTL(t, NewDFTL, 96, 256)
+	f := testFTL(t, model.DFTL, 96, 256)
 	if err := f.Write(7); err != nil {
 		t.Fatal(err)
 	}
@@ -313,9 +306,9 @@ func TestDFTLWriteMissReadsTranslationPage(t *testing.T) {
 func TestSustainedWorkloadAllFTLs(t *testing.T) {
 	// Enough writes to trigger garbage-collection several times over on a
 	// 96-block device, for every FTL, with full end-state verification.
-	for name, build := range allFTLBuilders() {
-		t.Run(name, func(t *testing.T) {
-			f := testFTL(t, build, 96, 256)
+	for _, kind := range model.Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			f := testFTL(t, kind, 96, 256)
 			gen := workload.MustNewUniform(f.LogicalPages(), 1)
 			runWorkload(t, f, gen, 8000)
 			if f.Stats().GCOperations == 0 {
@@ -327,21 +320,21 @@ func TestSustainedWorkloadAllFTLs(t *testing.T) {
 }
 
 func TestSequentialAndSkewedWorkloads(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 96, 256)
+	f := testFTL(t, model.GeckoFTL, 96, 256)
 	runWorkload(t, f, workload.MustNewSequential(f.LogicalPages()), 5000)
 	checkConsistency(t, f, true)
 
-	f2 := testFTL(t, NewGeckoFTL, 96, 256)
+	f2 := testFTL(t, model.GeckoFTL, 96, 256)
 	runWorkload(t, f2, workload.MustNewHotCold(f2.LogicalPages(), 0.2, 0.8, 7), 5000)
 	checkConsistency(t, f2, true)
 
-	f3 := testFTL(t, NewGeckoFTL, 96, 256)
+	f3 := testFTL(t, model.GeckoFTL, 96, 256)
 	runWorkload(t, f3, workload.MustNewMixed(workload.MustNewUniform(f3.LogicalPages(), 3), f3.LogicalPages(), 0.3, 4), 5000)
 	checkConsistency(t, f3, true)
 }
 
 func TestGCReclaimsSpace(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 64, 128)
+	f := testFTL(t, model.GeckoFTL, 64, 128)
 	gen := workload.MustNewUniform(f.LogicalPages(), 2)
 	runWorkload(t, f, gen, 6000)
 	if f.bm.FreeBlocks() == 0 {
@@ -359,7 +352,7 @@ func TestGCReclaimsSpace(t *testing.T) {
 }
 
 func TestDirtyBoundEnforced(t *testing.T) {
-	f := testFTL(t, NewLazyFTL, 96, 200)
+	f := testFTL(t, model.LazyFTL, 96, 200)
 	limit := int(0.1 * 200)
 	gen := workload.MustNewUniform(f.LogicalPages(), 3)
 	for i := 0; i < 3000; i++ {
@@ -375,7 +368,7 @@ func TestDirtyBoundEnforced(t *testing.T) {
 	}
 	// GeckoFTL has no such bound: its dirty count is allowed to grow to the
 	// cache size.
-	g := testFTL(t, NewGeckoFTL, 96, 200)
+	g := testFTL(t, model.GeckoFTL, 96, 200)
 	for i := 0; i < 3000; i++ {
 		if err := g.Write(gen.Next().Page); err != nil {
 			t.Fatal(err)
@@ -387,7 +380,7 @@ func TestDirtyBoundEnforced(t *testing.T) {
 }
 
 func TestCheckpointsHappenEveryCOperations(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 96, 64)
+	f := testFTL(t, model.GeckoFTL, 96, 64)
 	gen := workload.MustNewUniform(f.LogicalPages(), 5)
 	runWorkload(t, f, gen, 1000)
 	st := f.Stats()
@@ -400,7 +393,7 @@ func TestCheckpointsHappenEveryCOperations(t *testing.T) {
 		t.Errorf("checkpoints = %d, expected at least %d", st.Checkpoints, 1000/64/2)
 	}
 	// DFTL takes none.
-	d := testFTL(t, NewDFTL, 96, 64)
+	d := testFTL(t, model.DFTL, 96, 64)
 	runWorkload(t, d, gen, 1000)
 	if d.Stats().Checkpoints != 0 {
 		t.Error("DFTL took checkpoints")
@@ -408,7 +401,7 @@ func TestCheckpointsHappenEveryCOperations(t *testing.T) {
 }
 
 func TestMetadataAwareGCNeverTargetsMetadata(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 64, 128)
+	f := testFTL(t, model.GeckoFTL, 64, 128)
 	gen := workload.MustNewUniform(f.LogicalPages(), 6)
 	runWorkload(t, f, gen, 6000)
 	// All GC migrations must have come from user blocks: with the
@@ -435,10 +428,8 @@ func TestWriteAmplificationOrdering(t *testing.T) {
 	results := map[string]struct {
 		total, validity float64
 	}{}
-	for name, build := range map[string]func(flash.Plane, int) (*FTL, error){
-		"GeckoFTL": NewGeckoFTL, "DFTL": NewDFTL, "uFTL": NewMuFTL,
-	} {
-		f := testFTL(t, build, 128, 256)
+	for _, kind := range []model.FTLKind{model.GeckoFTL, model.DFTL, model.MuFTL} {
+		f := testFTL(t, kind, 128, 256)
 		gen := workload.MustNewUniform(f.LogicalPages(), 9)
 		// Warm up so that steady-state GC is included.
 		runWorkloadB(f, gen, ops/2)
@@ -446,7 +437,7 @@ func TestWriteAmplificationOrdering(t *testing.T) {
 		runWorkloadB(f, gen, ops)
 		c := f.dev.Counters()
 		delta := f.cfg.Latency.WriteReadRatio()
-		results[name] = struct{ total, validity float64 }{
+		results[kind.String()] = struct{ total, validity float64 }{
 			total:    c.WriteAmplification(ops, delta),
 			validity: c.PurposeWriteAmplification(flash.PurposePageValidity, ops, delta),
 		}
@@ -485,13 +476,12 @@ func TestRAMFootprintOrdering(t *testing.T) {
 	// more integrated RAM than GeckoFTL and µ-FTL (Figure 13 top). Use the
 	// paper's block size so the PVB dominates the Gecko buffer.
 	ftls := map[string]*FTL{}
-	for name, build := range allFTLBuilders() {
-		dev := newTestDevice(t, 2048, 128, 4096)
-		f, err := build(dev, 128)
+	for _, kind := range model.Kinds() {
+		f, err := New(newTestDevice(t, 2048, 128, 4096), OptionsFor(kind, 128))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ftls[name] = f
+		ftls[kind.String()] = f
 	}
 	if !(ftls["GeckoFTL"].RAMBytes() < ftls["DFTL"].RAMBytes()) {
 		t.Errorf("GeckoFTL RAM %d not below DFTL %d", ftls["GeckoFTL"].RAMBytes(), ftls["DFTL"].RAMBytes())
@@ -502,7 +492,7 @@ func TestRAMFootprintOrdering(t *testing.T) {
 }
 
 func TestFlushLeavesNothingDirty(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 96, 128)
+	f := testFTL(t, model.GeckoFTL, 96, 128)
 	gen := workload.MustNewUniform(f.LogicalPages(), 11)
 	runWorkload(t, f, gen, 2000)
 	if err := f.Flush(); err != nil {
@@ -520,9 +510,9 @@ func TestStressRandomOperationsAcrossSchemes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	for name, build := range allFTLBuilders() {
-		t.Run(name, func(t *testing.T) {
-			f := testFTL(t, build, 96, 128)
+	for _, kind := range model.Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			f := testFTL(t, kind, 96, 128)
 			rng := rand.New(rand.NewSource(99))
 			for i := 0; i < 12000; i++ {
 				lpn := flash.LPN(rng.Int63n(f.LogicalPages()))

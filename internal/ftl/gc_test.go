@@ -197,14 +197,9 @@ func TestIncrementalGCWithWearLeveling(t *testing.T) {
 // every page-validity scheme and both victim policies: the drain logic must
 // be correct for user, translation and metadata victims alike.
 func TestIncrementalGCAllSchemes(t *testing.T) {
-	for name, build := range allFTLBuilders() {
-		t.Run(name, func(t *testing.T) {
-			dev := newTestDevice(t, 96, 16, 512)
-			base, err := build(dev, 128)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := base.Options()
+	for _, kind := range model.Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			opts := OptionsFor(kind, 128)
 			opts.GCMode = GCIncremental
 			f, err := New(newTestDevice(t, 96, 16, 512), opts)
 			if err != nil {

@@ -7,40 +7,8 @@ import (
 
 	"geckoftl/internal/flash"
 	"geckoftl/internal/gecko"
+	"geckoftl/internal/model"
 )
-
-// Scheme selects how an FTL stores page-validity metadata, which is the first
-// of the two axes along which the paper's five FTLs differ (Section 5.3).
-type Scheme int
-
-const (
-	// SchemeGecko stores page-validity metadata in flash with Logarithmic
-	// Gecko (GeckoFTL).
-	SchemeGecko Scheme = iota
-	// SchemeRAMPVB keeps the Page Validity Bitmap in integrated RAM (DFTL,
-	// LazyFTL).
-	SchemeRAMPVB
-	// SchemeFlashPVB stores the Page Validity Bitmap in flash (µ-FTL).
-	SchemeFlashPVB
-	// SchemePVL logs invalidated page addresses in flash with per-block
-	// chains (IB-FTL).
-	SchemePVL
-)
-
-var schemeNames = [...]string{
-	SchemeGecko:    "logarithmic-gecko",
-	SchemeRAMPVB:   "ram-pvb",
-	SchemeFlashPVB: "flash-pvb",
-	SchemePVL:      "pvl",
-}
-
-// String names the scheme.
-func (s Scheme) String() string {
-	if s >= 0 && int(s) < len(schemeNames) {
-		return schemeNames[s]
-	}
-	return fmt.Sprintf("scheme(%d)", int(s))
-}
 
 // GCMode selects how the garbage collector schedules its work relative to
 // application writes, the second axis (besides the victim policy) along
@@ -107,25 +75,18 @@ func ParseVictimPolicy(s string) (VictimPolicy, error) {
 // four pages a logical write consumes across user data and metadata.
 const DefaultGCPagesPerWrite = 4
 
-// Options configures an FTL instance. The New* constructors fill it in for
-// the paper's five FTLs; tests and ablation benchmarks tweak individual
-// fields.
+// Options configures an FTL instance. OptionsFor (and GeckoFTLOptions and
+// its four siblings) fills it in for one of the paper's five FTLs; tests and
+// experiments tweak the shared settings below.
 type Options struct {
-	// Name labels the FTL in experiment output.
-	Name string
-	// Scheme selects the page-validity store.
-	Scheme Scheme
+	// FTL names which of the paper's five FTLs this is. Its row of
+	// kindFacts fixes what that FTL is: validity store, battery, dirty bound
+	// and runtime checkpoints.
+	FTL model.FTLKind
 	// CacheEntries is C, the capacity of the LRU mapping cache.
 	CacheEntries int
-	// DirtyFraction bounds the fraction of the cache that may hold dirty
-	// mapping entries (LazyFTL and IB-FTL use 0.1); zero means unbounded.
-	DirtyFraction float64
-	// Battery marks FTLs that rely on a battery to synchronize dirty
-	// mapping entries at power failure (DFTL, µ-FTL).
-	Battery bool
-	// Checkpoints enables GeckoFTL's runtime checkpoints (Section 4.3).
-	Checkpoints bool
-	// VictimPolicy selects the garbage-collection victim policy.
+	// VictimPolicy selects the garbage-collection victim policy; OptionsFor
+	// sets the FTL's own.
 	VictimPolicy VictimPolicy
 	// GCMode selects inline (whole victim per write) or incremental (bounded
 	// steps per write) garbage-collection scheduling.
@@ -174,11 +135,11 @@ type Options struct {
 
 // validate normalizes and checks the options against a device configuration.
 func (o *Options) validate(cfg flash.Config) error {
+	if o.FTL < 0 || int(o.FTL) >= len(kindFacts) {
+		return fmt.Errorf("ftl: unknown FTL %v", o.FTL)
+	}
 	if o.CacheEntries <= 0 {
 		return fmt.Errorf("ftl: cache capacity %d must be positive", o.CacheEntries)
-	}
-	if o.DirtyFraction < 0 || o.DirtyFraction > 1 {
-		return fmt.Errorf("ftl: dirty fraction %f out of range [0,1]", o.DirtyFraction)
 	}
 	if o.GCFreeBlockReserve == 0 {
 		o.GCFreeBlockReserve = 4
@@ -213,9 +174,6 @@ func (o *Options) validate(cfg flash.Config) error {
 	if o.ScrubReadThreshold < 0 {
 		return fmt.Errorf("ftl: scrub read threshold %d must be >= 0", o.ScrubReadThreshold)
 	}
-	if o.Name == "" {
-		o.Name = o.Scheme.String()
-	}
 	return nil
 }
 
@@ -224,99 +182,100 @@ func (o *Options) validate(cfg flash.Config) error {
 // devices use proportionally smaller caches.
 const DefaultCacheEntries = 1 << 19
 
+// store names a page-validity store, the first of the two axes along which
+// the paper's five FTLs differ (Section 5.3).
+type store int
+
+const (
+	// storeGecko is Logarithmic Gecko in flash.
+	storeGecko store = iota
+	// storeRAMPVB is the Page Validity Bitmap in integrated RAM.
+	storeRAMPVB
+	// storeFlashPVB is the Page Validity Bitmap in flash.
+	storeFlashPVB
+	// storePVL logs invalidated page addresses in flash with per-block
+	// chains.
+	storePVL
+)
+
+// dirtyBoundFraction is the fraction of the cache LazyFTL and IB-FTL let
+// dirty mapping entries fill before they force a synchronization.
+const dirtyBoundFraction = 0.1
+
+// facts is what one of the paper's five FTLs is: its validity store, its
+// recovery model (the second axis), its own victim policy and the names a
+// command line may use for it besides model.FTLKind.String. New copies its
+// FTL's row once; besides New, only OptionsFor and OptionsByName read the
+// table.
+type facts struct {
+	store store
+	// battery: dirty mapping entries are synchronized on battery power at a
+	// power failure instead of being recovered.
+	battery bool
+	// dirtyBound: at most dirtyBoundFraction of the cache may be dirty.
+	dirtyBound bool
+	// checkpoints: runtime checkpoints bound the recovery backwards scan
+	// (Section 4.3).
+	checkpoints bool
+	victims     VictimPolicy
+	aliases     []string
+}
+
+// kindFacts holds one row per model.FTLKind. The empty name selects
+// GeckoFTL.
+var kindFacts = [...]facts{
+	model.GeckoFTL: {store: storeGecko, checkpoints: true, victims: VictimMetadataAware, aliases: []string{"geckoftl", "gecko", ""}},
+	model.DFTL:     {store: storeRAMPVB, battery: true, victims: VictimGreedy, aliases: []string{"dftl"}},
+	model.LazyFTL:  {store: storeRAMPVB, dirtyBound: true, victims: VictimGreedy, aliases: []string{"lazyftl", "lazy"}},
+	model.MuFTL:    {store: storeFlashPVB, battery: true, victims: VictimGreedy, aliases: []string{"muftl", "mu", "uftl", "mu-ftl"}},
+	model.IBFTL:    {store: storePVL, dirtyBound: true, victims: VictimGreedy, aliases: []string{"ibftl", "ib", "ib-ftl"}},
+}
+
+// checkpointFiles reports whether an engine of this FTL can save its RAM
+// state to a host checkpoint file and restore it: only battery-less
+// Logarithmic Gecko (GeckoFTL), whose run directories the file carries.
+func (k facts) checkpointFiles() bool { return k.store == storeGecko && !k.battery }
+
+// OptionsFor returns the configuration of the given FTL with the given
+// mapping-cache capacity and the FTL's own victim policy.
+func OptionsFor(kind model.FTLKind, cacheEntries int) Options {
+	o := Options{FTL: kind, CacheEntries: cacheEntries}
+	if kind >= 0 && int(kind) < len(kindFacts) {
+		o.VictimPolicy = kindFacts[kind].victims
+	}
+	return o
+}
+
 // GeckoFTLOptions returns the paper's GeckoFTL configuration: Logarithmic
 // Gecko for page validity, no battery, runtime checkpoints, metadata-aware
 // garbage-collection and an unbounded dirty fraction.
-func GeckoFTLOptions(cacheEntries int) Options {
-	return Options{
-		Name:         "GeckoFTL",
-		Scheme:       SchemeGecko,
-		CacheEntries: cacheEntries,
-		Checkpoints:  true,
-		VictimPolicy: VictimMetadataAware,
-	}
-}
+func GeckoFTLOptions(cacheEntries int) Options { return OptionsFor(model.GeckoFTL, cacheEntries) }
 
 // DFTLOptions returns the DFTL configuration: RAM-resident PVB, battery
 // recovery, greedy garbage-collection.
-func DFTLOptions(cacheEntries int) Options {
-	return Options{
-		Name:         "DFTL",
-		Scheme:       SchemeRAMPVB,
-		CacheEntries: cacheEntries,
-		Battery:      true,
-		VictimPolicy: VictimGreedy,
-	}
-}
+func DFTLOptions(cacheEntries int) Options { return OptionsFor(model.DFTL, cacheEntries) }
 
 // LazyFTLOptions returns the LazyFTL configuration: RAM-resident PVB, no
 // battery, dirty entries bounded to 10% of the cache, greedy GC.
-func LazyFTLOptions(cacheEntries int) Options {
-	return Options{
-		Name:          "LazyFTL",
-		Scheme:        SchemeRAMPVB,
-		CacheEntries:  cacheEntries,
-		DirtyFraction: 0.1,
-		VictimPolicy:  VictimGreedy,
-	}
-}
+func LazyFTLOptions(cacheEntries int) Options { return OptionsFor(model.LazyFTL, cacheEntries) }
 
 // MuFTLOptions returns the µ-FTL configuration: flash-resident PVB, battery
 // recovery, greedy GC.
-func MuFTLOptions(cacheEntries int) Options {
-	return Options{
-		Name:         "uFTL",
-		Scheme:       SchemeFlashPVB,
-		CacheEntries: cacheEntries,
-		Battery:      true,
-		VictimPolicy: VictimGreedy,
-	}
-}
+func MuFTLOptions(cacheEntries int) Options { return OptionsFor(model.MuFTL, cacheEntries) }
 
 // IBFTLOptions returns the IB-FTL configuration: page validity log, no
 // battery, dirty entries bounded to 10% of the cache, greedy GC.
-func IBFTLOptions(cacheEntries int) Options {
-	return Options{
-		Name:          "IB-FTL",
-		Scheme:        SchemePVL,
-		CacheEntries:  cacheEntries,
-		DirtyFraction: 0.1,
-		VictimPolicy:  VictimGreedy,
-	}
-}
+func IBFTLOptions(cacheEntries int) Options { return OptionsFor(model.IBFTL, cacheEntries) }
 
-// ftls is the one table naming the paper's five FTLs, in Figure 13's order:
-// the canonical name (model.FTLKind.String and the experiment rows use the
-// same one), the names command lines may use in its place, and the
-// constructor. The empty name selects GeckoFTL.
-var ftls = []struct {
-	name    string
-	aliases []string
-	options func(cacheEntries int) Options
-}{
-	{"DFTL", []string{"dftl"}, DFTLOptions},
-	{"LazyFTL", []string{"lazyftl", "lazy"}, LazyFTLOptions},
-	{"uFTL", []string{"muftl", "mu", "uftl", "mu-ftl"}, MuFTLOptions},
-	{"IB-FTL", []string{"ibftl", "ib", "ib-ftl"}, IBFTLOptions},
-	{"GeckoFTL", []string{"geckoftl", "gecko", ""}, GeckoFTLOptions},
-}
-
-// Names returns the canonical names of the five FTLs in Figure 13's order.
-func Names() []string {
-	names := make([]string, len(ftls))
-	for i, f := range ftls {
-		names[i] = f.name
-	}
-	return names
-}
-
-// OptionsByName returns the configuration of the FTL a canonical name or one
-// of its aliases selects.
+// OptionsByName returns the configuration of the FTL a canonical name
+// (model.FTLKind.String) or one of its aliases selects.
 func OptionsByName(name string, cacheEntries int) (Options, error) {
-	for _, f := range ftls {
-		if name == f.name || slices.Contains(f.aliases, name) {
-			return f.options(cacheEntries), nil
+	var names []string
+	for _, kind := range model.Kinds() {
+		if name == kind.String() || slices.Contains(kindFacts[kind].aliases, name) {
+			return OptionsFor(kind, cacheEntries), nil
 		}
+		names = append(names, kind.String())
 	}
-	return Options{}, fmt.Errorf("ftl: unknown FTL %q (want one of %s)", name, strings.Join(Names(), ", "))
+	return Options{}, fmt.Errorf("ftl: unknown FTL %q (want one of %s)", name, strings.Join(names, ", "))
 }

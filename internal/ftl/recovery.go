@@ -43,7 +43,7 @@ type RecoveryReport struct {
 // battery (DFTL, µ-FTL) synchronize their dirty mapping entries with the
 // translation table before the device loses power, as the paper assumes.
 func (f *FTL) PowerFail() error {
-	if f.opts.Battery {
+	if f.facts.battery {
 		// The battery keeps the device alive just long enough to flush
 		// dirty state; this IO happens before the failure, not during
 		// recovery.
@@ -87,7 +87,7 @@ func (f *FTL) Recover() (*RecoveryReport, error) {
 
 	startCounters := f.dev.Counters()
 	startTime := f.dev.SimulatedTime()
-	report := &RecoveryReport{UsedBattery: f.opts.Battery}
+	report := &RecoveryReport{UsedBattery: f.facts.battery}
 
 	// Step 1: rebuild the block information directory (block types, write
 	// pointers, first-write timestamps) with one spare-area read per block,
@@ -111,19 +111,19 @@ func (f *FTL) Recover() (*RecoveryReport, error) {
 	}
 
 	// Steps 3 & 4: recover the flash-resident page-validity structures.
-	switch f.opts.Scheme {
-	case SchemeGecko:
+	switch f.facts.store {
+	case storeGecko:
 		if err := f.lg.RecoverDirectories(); err != nil {
 			return nil, err
 		}
 		if err := f.recoverGeckoBuffer(); err != nil {
 			return nil, err
 		}
-	case SchemeFlashPVB:
+	case storeFlashPVB:
 		// The flash-resident PVB persists across failures; only its small
 		// RAM directory needs to be rebuilt, which the spare scan of step 1
 		// already paid for. Nothing further to do.
-	case SchemePVL:
+	case storePVL:
 		// IB-FTL must rebuild its RAM-resident chain heads by scanning the
 		// whole log, whose size is proportional to device capacity.
 		if err := f.rebuildPVLHeads(); err != nil {
@@ -134,14 +134,14 @@ func (f *FTL) Recover() (*RecoveryReport, error) {
 	// Step 6: recover dirty cached mapping entries with the bounded
 	// backwards scan (Section 4.3), unless a battery already synchronized
 	// them before power ran out.
-	if !f.opts.Battery {
+	if !f.facts.battery {
 		recovered, err := f.recoverDirtyEntries(tpContentSeq)
 		if err != nil {
 			return nil, err
 		}
 		report.RecoveredMappingEntries = recovered
 
-		if f.opts.Scheme == SchemeGecko {
+		if f.facts.store == storeGecko {
 			// Step 7 (GeckoFTL): defer synchronization; the dirty and UIP
 			// flags of the recreated entries are assumed true and corrected
 			// lazily after normal operation resumes (Appendix C.3).
@@ -163,7 +163,7 @@ func (f *FTL) Recover() (*RecoveryReport, error) {
 	// translation table: every mapped physical page is valid, every other
 	// written page is invalid. This runs after the recovered dirty entries
 	// have been synchronized so that the table reflects the newest versions.
-	if f.opts.Scheme == SchemeRAMPVB {
+	if f.facts.store == storeRAMPVB {
 		if err := f.rebuildRAMPVB(); err != nil {
 			return nil, err
 		}

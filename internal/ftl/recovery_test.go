@@ -6,6 +6,7 @@ import (
 
 	"geckoftl/internal/flash"
 	"geckoftl/internal/mapcache"
+	"geckoftl/internal/model"
 	"geckoftl/internal/workload"
 )
 
@@ -26,14 +27,14 @@ func crashAndRecover(t *testing.T, f *FTL, ops int, seed int64) *RecoveryReport 
 }
 
 func TestRecoverRequiresPowerFail(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 64, 128)
+	f := testFTL(t, model.GeckoFTL, 64, 128)
 	if _, err := f.Recover(); err == nil {
 		t.Error("Recover without PowerFail accepted")
 	}
 }
 
 func TestPowerFailDropsRAMState(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 96, 128)
+	f := testFTL(t, model.GeckoFTL, 96, 128)
 	gen := workload.MustNewUniform(f.LogicalPages(), 21)
 	runWorkload(t, f, gen, 2000)
 	if err := f.PowerFail(); err != nil {
@@ -58,7 +59,7 @@ func TestPowerFailDropsRAMState(t *testing.T) {
 }
 
 func TestGeckoFTLRecoveryRestoresConsistency(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 96, 128)
+	f := testFTL(t, model.GeckoFTL, 96, 128)
 	report := crashAndRecover(t, f, 6000, 22)
 	if report.UsedBattery {
 		t.Error("GeckoFTL reported battery use")
@@ -80,9 +81,9 @@ func TestGeckoFTLRecoveryRestoresConsistency(t *testing.T) {
 }
 
 func TestAllFTLsSurvivePowerFailure(t *testing.T) {
-	for name, build := range allFTLBuilders() {
-		t.Run(name, func(t *testing.T) {
-			f := testFTL(t, build, 96, 128)
+	for _, kind := range model.Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			f := testFTL(t, kind, 96, 128)
 			crashAndRecover(t, f, 4000, 24)
 			gen := workload.MustNewUniform(f.LogicalPages(), 25)
 			runWorkload(t, f, gen, 3000)
@@ -92,7 +93,7 @@ func TestAllFTLsSurvivePowerFailure(t *testing.T) {
 }
 
 func TestRepeatedCrashes(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 96, 128)
+	f := testFTL(t, model.GeckoFTL, 96, 128)
 	for round := 0; round < 3; round++ {
 		crashAndRecover(t, f, 2500, int64(30+round))
 	}
@@ -102,7 +103,7 @@ func TestRepeatedCrashes(t *testing.T) {
 }
 
 func TestBatteryFTLsSkipDirtyEntryRecovery(t *testing.T) {
-	f := testFTL(t, NewDFTL, 96, 128)
+	f := testFTL(t, model.DFTL, 96, 128)
 	report := crashAndRecover(t, f, 3000, 26)
 	if !report.UsedBattery {
 		t.Error("DFTL did not report battery use")
@@ -113,7 +114,7 @@ func TestBatteryFTLsSkipDirtyEntryRecovery(t *testing.T) {
 }
 
 func TestBoundedDirtyFTLsSynchronizeBeforeResume(t *testing.T) {
-	f := testFTL(t, NewLazyFTL, 96, 128)
+	f := testFTL(t, model.LazyFTL, 96, 128)
 	report := crashAndRecover(t, f, 3000, 27)
 	if report.UsedBattery {
 		t.Error("LazyFTL reported battery use")
@@ -127,7 +128,7 @@ func TestRecoveryBackwardsScanIsBounded(t *testing.T) {
 	// The checkpointed backwards scan must stay within 2*C spare reads of
 	// user blocks plus the per-block and translation/metadata scans.
 	cacheEntries := 64
-	f := testFTL(t, NewGeckoFTL, 96, cacheEntries)
+	f := testFTL(t, model.GeckoFTL, 96, cacheEntries)
 	gen := workload.MustNewUniform(f.LogicalPages(), 28)
 	runWorkload(t, f, gen, 5000)
 	if err := f.PowerFail(); err != nil {
@@ -160,9 +161,9 @@ func TestGeckoFTLRecoveryCheaperThanBoundedDirtyFTLs(t *testing.T) {
 	// The headline recovery claim, in simulation: GeckoFTL's recovery does
 	// not pay the synchronize-before-resume page writes that LazyFTL and
 	// IB-FTL pay.
-	gecko := testFTL(t, NewGeckoFTL, 96, 256)
+	gecko := testFTL(t, model.GeckoFTL, 96, 256)
 	geckoReport := crashAndRecover(t, gecko, 6000, 29)
-	lazy := testFTL(t, NewLazyFTL, 96, 256)
+	lazy := testFTL(t, model.LazyFTL, 96, 256)
 	lazyReport := crashAndRecover(t, lazy, 6000, 29)
 	if geckoReport.PageWrites > lazyReport.PageWrites {
 		t.Errorf("GeckoFTL recovery wrote %d pages, LazyFTL %d", geckoReport.PageWrites, lazyReport.PageWrites)
@@ -170,7 +171,7 @@ func TestGeckoFTLRecoveryCheaperThanBoundedDirtyFTLs(t *testing.T) {
 }
 
 func TestUncertainEntriesAreCorrectedLazily(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 96, 128)
+	f := testFTL(t, model.GeckoFTL, 96, 128)
 	crashAndRecover(t, f, 4000, 31)
 	// Immediately after recovery some cached entries are marked uncertain.
 	uncertain := 0
@@ -202,7 +203,7 @@ func TestUncertainEntriesAreCorrectedLazily(t *testing.T) {
 }
 
 func TestRecoveryReportIOBreakdown(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 96, 128)
+	f := testFTL(t, model.GeckoFTL, 96, 128)
 	report := crashAndRecover(t, f, 3000, 32)
 	if report.SpareReads == 0 {
 		t.Error("recovery issued no spare reads")
@@ -217,9 +218,9 @@ func TestRecoveryReportIOBreakdown(t *testing.T) {
 // block's valid count is the number of its written pages some GMD entry
 // points to.
 func TestRecoveredTranslationBVCMatchesGMD(t *testing.T) {
-	for name, build := range allFTLBuilders() {
-		t.Run(name, func(t *testing.T) {
-			f := testFTL(t, build, 96, 128)
+	for _, kind := range model.Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			f := testFTL(t, kind, 96, 128)
 			crashAndRecover(t, f, 6000, 33)
 			blocks := f.bm.BlocksInGroup(GroupTranslation)
 			if len(blocks) < 2 {

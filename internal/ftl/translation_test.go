@@ -202,13 +202,13 @@ func TestGroupStoreRoundTrip(t *testing.T) {
 // them and only its flush drops them, so an FTL without a Gecko buffer must
 // record none — it would hold one dead version per translation page forever.
 func TestOnlyGeckoKeepsPreviousVersions(t *testing.T) {
-	dftl, err := NewDFTL(newTestDevice(t, 64, 16, 512), 64)
+	dftl, err := New(newTestDevice(t, 64, 16, 512), DFTLOptions(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// GeckoFTL does keep them between buffer flushes, or C.2.2 has nothing to
 	// diff against.
-	gecko, err := NewGeckoFTL(newTestDevice(t, 64, 16, 512), 64)
+	gecko, err := New(newTestDevice(t, 64, 16, 512), GeckoFTLOptions(64))
 	if err != nil {
 		t.Fatal(err)
 	}

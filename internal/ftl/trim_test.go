@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"geckoftl/internal/flash"
+	"geckoftl/internal/model"
 	"geckoftl/internal/workload"
 )
 
@@ -14,9 +15,9 @@ import (
 // invariants (including the page-validity store's view of the dropped
 // before-images) hold after a flush.
 func TestTrimUnmapsAcrossFTLs(t *testing.T) {
-	for name, build := range allFTLBuilders() {
-		t.Run(name, func(t *testing.T) {
-			f := testFTL(t, build, 96, 128)
+	for _, kind := range model.Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			f := testFTL(t, kind, 96, 128)
 			gen := workload.MustNewUniform(f.LogicalPages(), 51)
 			runWorkload(t, f, gen, 3000)
 
@@ -54,9 +55,9 @@ func TestTrimUnmapsAcrossFTLs(t *testing.T) {
 // TrimmedPages and the device's invalidation counter, and that GeckoFTL's
 // lazy path catches up by the time everything is synchronized.
 func TestTrimCountsInvalidations(t *testing.T) {
-	for name, build := range allFTLBuilders() {
-		t.Run(name, func(t *testing.T) {
-			f := testFTL(t, build, 96, 128)
+	for _, kind := range model.Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			f := testFTL(t, kind, 96, 128)
 			// Write each target once so every trim has a before-image.
 			for lpn := flash.LPN(0); lpn < 64; lpn++ {
 				if err := f.Write(lpn); err != nil {
@@ -88,7 +89,7 @@ func TestTrimCountsInvalidations(t *testing.T) {
 // TestTrimOfUnmappedPage verifies trims of never-written and double-trimmed
 // pages are accepted and invalidate nothing.
 func TestTrimOfUnmappedPage(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 96, 128)
+	f := testFTL(t, model.GeckoFTL, 96, 128)
 	if err := f.Trim(3); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestTrimOfUnmappedPage(t *testing.T) {
 
 // TestTrimOutOfRange pins the typed error contract.
 func TestTrimOutOfRange(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 64, 128)
+	f := testFTL(t, model.GeckoFTL, 64, 128)
 	if err := f.Trim(flash.LPN(f.LogicalPages())); !errors.Is(err, flash.ErrOutOfRange) {
 		t.Errorf("Trim out of range returned %v, want errors.Is(..., flash.ErrOutOfRange)", err)
 	}
@@ -134,10 +135,9 @@ func TestTrimOutOfRange(t *testing.T) {
 // recovery, even though the trimmed page's stale before-image is still
 // physically present for the backwards scan to stumble over.
 func TestTrimSurvivesRecovery(t *testing.T) {
-	for _, name := range []string{"GeckoFTL", "LazyFTL", "IB-FTL"} {
-		build := allFTLBuilders()[name]
-		t.Run(name, func(t *testing.T) {
-			f := testFTL(t, build, 96, 128)
+	for _, kind := range []model.FTLKind{model.GeckoFTL, model.LazyFTL, model.IBFTL} {
+		t.Run(kind.String(), func(t *testing.T) {
+			f := testFTL(t, kind, 96, 128)
 			gen := workload.MustNewUniform(f.LogicalPages(), 52)
 			runWorkload(t, f, gen, 3000)
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"geckoftl/internal/flash"
+	"geckoftl/internal/model"
 	"geckoftl/internal/workload"
 )
 
@@ -37,7 +38,7 @@ func TestWearOptionsValidation(t *testing.T) {
 }
 
 func TestWearLevelerDisabledCostsNothing(t *testing.T) {
-	f := testFTL(t, NewGeckoFTL, 64, 128) // wear-leveling off by default
+	f := testFTL(t, model.GeckoFTL, 64, 128) // wear-leveling off by default
 	gen := workload.MustNewUniform(f.LogicalPages(), 61)
 	runWorkload(t, f, gen, 1000)
 	c := f.dev.Counters()
@@ -100,7 +101,7 @@ func TestWearLevelingRecyclesStaticBlocks(t *testing.T) {
 	// are never erased again and stay essentially unworn; with wear-leveling
 	// those blocks are recycled, so far fewer blocks end the run with at
 	// most one erase.
-	g := testFTL(t, NewGeckoFTL, 64, 256)
+	g := testFTL(t, model.GeckoFTL, 64, 256)
 	for lpn := int64(0); lpn < g.LogicalPages(); lpn++ {
 		if err := g.Write(flash.LPN(lpn)); err != nil {
 			t.Fatal(err)

@@ -299,10 +299,10 @@ func Figure12(scale ExperimentScale) ([]Figure12Row, error) {
 // write-amplification breakdown of Figure 13 (bottom).
 func Figure13WA(scale ExperimentScale) ([]Result, error) {
 	var out []Result
-	for _, name := range ftl.Names() {
-		res, err := MeasureFTL(scale, name, nil)
+	for _, kind := range model.Kinds() {
+		res, err := MeasureFTL(scale, kind, nil)
 		if err != nil {
-			return nil, fmt.Errorf("sim: figure 13 WA (%s): %w", name, err)
+			return nil, fmt.Errorf("sim: figure 13 WA (%s): %w", kind, err)
 		}
 		out = append(out, res)
 	}
@@ -361,13 +361,13 @@ func Figure14(scale ExperimentScale) ([]Figure14Row, error) {
 	sameGC := func(o *ftl.Options) { o.VictimPolicy = ftl.VictimMetadataAware }
 	var rows []Figure14Row
 	for _, c := range []struct {
-		name  string
+		kind  model.FTLKind
 		cache int
-	}{{"DFTL", baseCache}, {"uFTL", bigCache}, {"GeckoFTL", bigCache}} {
+	}{{model.DFTL, baseCache}, {model.MuFTL, bigCache}, {model.GeckoFTL, bigCache}} {
 		scale.CacheEntries = c.cache
-		res, err := MeasureFTL(scale, c.name, sameGC)
+		res, err := MeasureFTL(scale, c.kind, sameGC)
 		if err != nil {
-			return nil, fmt.Errorf("sim: figure 14 (%s): %w", c.name, err)
+			return nil, fmt.Errorf("sim: figure 14 (%s): %w", c.kind, err)
 		}
 		rows = append(rows, Figure14Row{Result: res, CacheEntries: c.cache})
 	}
@@ -389,23 +389,23 @@ type RecoveryResult struct {
 // RecoverySimulation crashes each FTL mid-workload and measures its recovery.
 func RecoverySimulation(scale ExperimentScale) ([]RecoveryResult, error) {
 	var out []RecoveryResult
-	for _, name := range ftl.Names() {
-		run, err := newEngineRun(runSpec{scale: scale, channels: 1, ftl: name, batchPerDie: 1})
+	for _, kind := range model.Kinds() {
+		run, err := newEngineRun(runSpec{scale: scale, channels: 1, kind: kind, batchPerDie: 1})
 		if err != nil {
 			return nil, err
 		}
 		if err := run.pump(scale.MeasureWrites); err != nil {
-			return nil, fmt.Errorf("sim: recovery workload (%s): %w", name, err)
+			return nil, fmt.Errorf("sim: recovery workload (%s): %w", kind, err)
 		}
 		if err := run.eng.PowerFail(); err != nil {
 			return nil, err
 		}
 		report, err := run.eng.Recover()
 		if err != nil {
-			return nil, fmt.Errorf("sim: recovery (%s): %w", name, err)
+			return nil, fmt.Errorf("sim: recovery (%s): %w", kind, err)
 		}
 		out = append(out, RecoveryResult{
-			Name:                    name,
+			Name:                    kind.String(),
 			Duration:                report.WallClock,
 			SpareReads:              report.SpareReads,
 			PageReads:               report.PageReads,

@@ -68,9 +68,9 @@ type runSpec struct {
 	scale ExperimentScale
 	// channels is the engine width; it overrides scale.Device.Channels.
 	channels int
-	// ftl names the shard configuration, by a name of the ftl package's
-	// table ("" means GeckoFTL), and tune, when set, adjusts its options.
-	ftl  string
+	// kind is the shard's FTL (the zero value is GeckoFTL), and tune, when
+	// set, adjusts its options.
+	kind model.FTLKind
 	tune func(*ftl.Options)
 	// workload names the page stream ("" means uniform) and trims is the
 	// fraction of host operations that are trims of random pages.
@@ -101,10 +101,7 @@ func newEngineRun(s runSpec) (*engineRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts, err := ftl.OptionsByName(s.ftl, scale.CacheEntries/s.channels)
-	if err != nil {
-		return nil, err
-	}
+	opts := ftl.OptionsFor(s.kind, scale.CacheEntries/s.channels)
 	if s.tune != nil {
 		s.tune(&opts)
 	}

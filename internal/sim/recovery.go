@@ -108,7 +108,7 @@ func RecoverySweep(p Params) ([]RecoveryPoint, error) {
 // recovers it and audits the result.
 func recoveryPoint(dimension string, scale ExperimentScale, kind model.FTLKind, channels int) (RecoveryPoint, error) {
 	run, err := newEngineRun(runSpec{
-		scale: scale, channels: channels, ftl: kind.String(), batchPerDie: deepBatchPerDie,
+		scale: scale, channels: channels, kind: kind, batchPerDie: deepBatchPerDie,
 		tune: reserveForMerges(scale.Device.Blocks / channels),
 	})
 	if err != nil {

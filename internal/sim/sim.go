@@ -5,6 +5,7 @@ import (
 
 	"geckoftl/internal/flash"
 	"geckoftl/internal/ftl"
+	"geckoftl/internal/model"
 )
 
 // DeviceSpec describes the simulated device used by an experiment.
@@ -71,15 +72,15 @@ type Result struct {
 	SimulatedTime time.Duration
 }
 
-// MeasureFTL measures one named FTL on the paper's single serialized plane:
-// the engine-run harness at one channel and one operation per batch, warmed
-// to steady-state garbage collection, then a window of scale.MeasureWrites
-// logical writes. A one-shard engine over a one-channel device issues exactly
-// the IO of the bare FTL (internal/ftl pins the equivalence), so the
-// FTL-level figures and the ablation benchmarks need no stack of their own.
-// tune, when set, adjusts the named configuration.
-func MeasureFTL(scale ExperimentScale, name string, tune func(*ftl.Options)) (Result, error) {
-	run, err := newEngineRun(runSpec{scale: scale, channels: 1, ftl: name, tune: tune, batchPerDie: 1})
+// MeasureFTL measures one of the five FTLs on the paper's single serialized
+// plane: the engine-run harness at one channel and one operation per batch,
+// warmed to steady-state garbage collection, then a window of
+// scale.MeasureWrites logical writes. A one-shard engine over a one-channel
+// device issues exactly the IO of the bare FTL (internal/ftl pins the
+// equivalence), so the FTL-level figures and the ablation benchmarks need no
+// stack of their own. tune, when set, adjusts the FTL's configuration.
+func MeasureFTL(scale ExperimentScale, kind model.FTLKind, tune func(*ftl.Options)) (Result, error) {
+	run, err := newEngineRun(runSpec{scale: scale, channels: 1, kind: kind, tune: tune, batchPerDie: 1})
 	if err != nil {
 		return Result{}, err
 	}
