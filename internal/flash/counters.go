@@ -2,7 +2,6 @@ package flash
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -145,10 +144,6 @@ func (c *Counters) TotalOp(op Op) int64 {
 	return total
 }
 
-// TotalPurpose returns the number of operations of kind op issued for p.
-// It is a convenience alias of Count kept for readability at call sites.
-func (c *Counters) TotalPurpose(op Op, p Purpose) int64 { return c.Count(op, p) }
-
 // Elapsed returns the total simulated device time consumed.
 func (c *Counters) Elapsed() time.Duration { return c.elapsed }
 
@@ -216,34 +211,31 @@ func (c Counters) PurposeWriteAmplification(p Purpose, logicalWrites int64, delt
 	return (writes + reads/delta) / float64(logicalWrites)
 }
 
-// String renders a compact multi-line table of non-zero counters.
+// WABreakdown splits write-amplification by purpose as in the paper's
+// Figure 13 (bottom): user data (application writes plus their garbage
+// collection), translation metadata (synchronization operations) and
+// page-validity metadata (PVB / Logarithmic Gecko / PVL updates, GC queries
+// and their garbage collection).
+func (c Counters) WABreakdown(logicalWrites int64, delta float64) (user, translation, validity float64) {
+	user = c.PurposeWriteAmplification(PurposeUserWrite, logicalWrites, delta) +
+		c.PurposeWriteAmplification(PurposeGCMigration, logicalWrites, delta)
+	translation = c.PurposeWriteAmplification(PurposeTranslation, logicalWrites, delta)
+	validity = c.PurposeWriteAmplification(PurposePageValidity, logicalWrites, delta)
+	return user, translation, validity
+}
+
+// String renders the non-zero counters on one line, in (op, purpose) order.
 func (c Counters) String() string {
 	var b strings.Builder
-	type row struct {
-		op   Op
-		p    Purpose
-		n    int64
-		text string
-	}
-	var rows []row
 	for op := Op(0); op < numOps; op++ {
 		for p := Purpose(0); p < numPurposes; p++ {
 			if n := c.counts[op][p]; n != 0 {
-				rows = append(rows, row{op, p, n, fmt.Sprintf("%s/%s=%d", op, p, n)})
+				if b.Len() > 0 {
+					b.WriteString(" ")
+				}
+				fmt.Fprintf(&b, "%s/%s=%d", op, p, n)
 			}
 		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].op != rows[j].op {
-			return rows[i].op < rows[j].op
-		}
-		return rows[i].p < rows[j].p
-	})
-	for i, r := range rows {
-		if i > 0 {
-			b.WriteString(" ")
-		}
-		b.WriteString(r.text)
 	}
 	if b.Len() == 0 {
 		return "no-io"

@@ -310,8 +310,9 @@ func (d *Device) NoteTrim(ppn PPN, p Purpose) error {
 	return d.noteTrim(ppn, p, 0)
 }
 
-// noteTrim is NoteTrim with a caller-supplied start floor (unused by the
-// zero-cost record, kept for symmetry with the IO paths).
+// noteTrim is NoteTrim with a caller-supplied start floor. The record costs
+// nothing, but record still raises the die's busy-until to the floor (and to
+// the arrival clock), and Device.SyncArrival reads that.
 func (d *Device) noteTrim(ppn PPN, p Purpose, floor time.Duration) error {
 	addr := Decompose(ppn, d.cfg.PagesPerBlock)
 	if err := d.checkPage(addr.Block, addr.Offset); err != nil {

@@ -744,10 +744,12 @@ func (f *FTL) eraseDeadMetadataBlock(block flash.BlockID) error {
 	return nil
 }
 
-// metaRelocator is implemented by flash-resident page-validity stores whose
-// pages can be moved by the garbage-collector (the flash-resident PVB and the
-// page validity log). Logarithmic Gecko deliberately does not implement it:
-// GeckoFTL never garbage-collects metadata blocks.
+// metaRelocator is implemented by the flash-resident page-validity stores,
+// whose pages a greedy garbage-collector may move: the flash-resident PVB, the
+// page validity log and Logarithmic Gecko (gecko/livepages.go). GeckoFTL's
+// own metadata-aware policy never collects a metadata block, but under the
+// greedy policy (the latency sweep's greedy GeckoFTL rows) its Gecko pages
+// are relocated through it.
 type metaRelocator interface {
 	IsLive(ppn flash.PPN) bool
 	Relocate(old, new flash.PPN) bool

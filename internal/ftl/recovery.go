@@ -68,9 +68,6 @@ func (f *FTL) crash() {
 	f.table.CrashRAM()
 	f.bm.CrashRAM()
 	f.heat.CrashRAM()
-	if f.lg != nil {
-		f.lg.CrashRAM()
-	}
 	if crasher, ok := f.validity.(interface{ CrashRAM() }); ok {
 		crasher.CrashRAM()
 	}

@@ -25,7 +25,6 @@ const (
 	checkpointBlockRecordBytes = 30
 	checkpointGMDRecordBytes   = 8
 	checkpointCacheRecordBytes = 17
-	checkpointHeatRecordBytes  = 12
 )
 
 // CheckpointSize estimates the encoded size in bytes of a metadata
@@ -36,12 +35,6 @@ func CheckpointSize(p Parameters) int64 {
 	return p.Blocks*checkpointBlockRecordBytes +
 		p.TranslationPages()*checkpointGMDRecordBytes +
 		p.CacheEntries*checkpointCacheRecordBytes
-}
-
-// CheckpointSizeWithHeat is CheckpointSize plus the heat-classifier state a
-// hot/cold-separating FTL checkpoints (12 bytes per logical page).
-func CheckpointSizeWithHeat(p Parameters) int64 {
-	return CheckpointSize(p) + p.LogicalPages()*checkpointHeatRecordBytes
 }
 
 // WarmRestartEstimate is the modeled cost of loading a checkpoint at start.

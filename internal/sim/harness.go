@@ -201,21 +201,10 @@ func (r *engineRun) measure(target int64) (window, error) {
 // wa is the write-amplification of the window.
 func (w window) wa() float64 { return w.io.WriteAmplification(w.writes, w.delta) }
 
-// breakdown splits the window's write-amplification by purpose.
+// breakdown splits the window's write-amplification by purpose as in
+// Figure 13 bottom.
 func (w window) breakdown() (user, translation, validity float64) {
-	return waBreakdown(w.io, w.writes, w.delta)
-}
-
-// waBreakdown splits write-amplification by purpose as in Figure 13 bottom:
-// user data (application writes plus their garbage collection), translation
-// metadata (synchronization operations) and page-validity metadata (PVB /
-// Logarithmic Gecko / PVL updates, GC queries and their garbage collection).
-func waBreakdown(io flash.Counters, writes int64, delta float64) (user, translation, validity float64) {
-	user = io.PurposeWriteAmplification(flash.PurposeUserWrite, writes, delta) +
-		io.PurposeWriteAmplification(flash.PurposeGCMigration, writes, delta)
-	translation = io.PurposeWriteAmplification(flash.PurposeTranslation, writes, delta)
-	validity = io.PurposeWriteAmplification(flash.PurposePageValidity, writes, delta)
-	return user, translation, validity
+	return w.io.WABreakdown(w.writes, w.delta)
 }
 
 // modelParams describes the run's geometry, latencies and engine-wide cache

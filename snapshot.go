@@ -3,7 +3,6 @@ package geckoftl
 import (
 	"time"
 
-	"geckoftl/internal/flash"
 	"geckoftl/internal/queue"
 	"geckoftl/internal/stats"
 )
@@ -131,6 +130,7 @@ func (d *Device) Snapshot() Snapshot {
 	d.ckptMu.Lock()
 	ckptBytes := d.ckptBytes
 	d.ckptMu.Unlock()
+	userWA, translationWA, validityWA := window.WABreakdown(windowWrites, delta)
 
 	return Snapshot{
 		Ops: OpCounts{
@@ -151,23 +151,22 @@ func (d *Device) Snapshot() Snapshot {
 		ProgramRetries:     ops.ProgramRetries,
 		Scrubs:             ops.ScrubOperations,
 		WriteAmplification: window.WriteAmplification(windowWrites, delta),
-		UserWA: window.PurposeWriteAmplification(flash.PurposeUserWrite, windowWrites, delta) +
-			window.PurposeWriteAmplification(flash.PurposeGCMigration, windowWrites, delta),
-		TranslationWA:   window.PurposeWriteAmplification(flash.PurposeTranslation, windowWrites, delta),
-		ValidityWA:      window.PurposeWriteAmplification(flash.PurposePageValidity, windowWrites, delta),
-		WindowWrites:    windowWrites,
-		MinEraseCount:   minErase,
-		MaxEraseCount:   maxErase,
-		EraseSpread:     maxErase - minErase,
-		MeanEraseCount:  meanErase,
-		RAMBytes:        d.eng.RAMBytes(),
-		CheckpointBytes: ckptBytes,
-		SimulatedTime:   d.dev.SimulatedTime(),
-		WriteLatency:    es.Writes,
-		ReadLatency:     es.Reads,
-		TrimLatency:     es.Trims,
-		GCStalledWrites: es.GCStalledWrites,
-		Queue:           d.queueStats(),
+		UserWA:             userWA,
+		TranslationWA:      translationWA,
+		ValidityWA:         validityWA,
+		WindowWrites:       windowWrites,
+		MinEraseCount:      minErase,
+		MaxEraseCount:      maxErase,
+		EraseSpread:        maxErase - minErase,
+		MeanEraseCount:     meanErase,
+		RAMBytes:           d.eng.RAMBytes(),
+		CheckpointBytes:    ckptBytes,
+		SimulatedTime:      d.dev.SimulatedTime(),
+		WriteLatency:       es.Writes,
+		ReadLatency:        es.Reads,
+		TrimLatency:        es.Trims,
+		GCStalledWrites:    es.GCStalledWrites,
+		Queue:              d.queueStats(),
 	}
 }
 
