@@ -236,14 +236,11 @@ var kindFacts = [...]facts{
 // Logarithmic Gecko (GeckoFTL), whose run directories the file carries.
 func (k facts) checkpointFiles() bool { return k.store == storeGecko && !k.battery }
 
-// OptionsFor returns the configuration of the given FTL with the given
-// mapping-cache capacity and the FTL's own victim policy.
+// OptionsFor returns the configuration of the given FTL, one of
+// model.Kinds(), with the given mapping-cache capacity and the FTL's own
+// victim policy.
 func OptionsFor(kind model.FTLKind, cacheEntries int) Options {
-	o := Options{FTL: kind, CacheEntries: cacheEntries}
-	if kind >= 0 && int(kind) < len(kindFacts) {
-		o.VictimPolicy = kindFacts[kind].victims
-	}
-	return o
+	return Options{FTL: kind, CacheEntries: cacheEntries, VictimPolicy: kindFacts[kind].victims}
 }
 
 // GeckoFTLOptions returns the paper's GeckoFTL configuration: Logarithmic
