@@ -397,9 +397,9 @@ func (d *Device) closeFlush() error {
 
 // PowerFail simulates a power failure. Without a battery the rail is cut
 // abruptly: operations in flight fail with ErrPowerFailed, all RAM state is
-// lost, flash survives. With a battery (FTLOptions.Battery: the DFTL/µ-FTL
-// schemes) dirty state is flushed before the rail drops. A second PowerFail
-// before Recover returns ErrPowerFailed.
+// lost, flash survives. DFTL and µ-FTL have a battery (their FTLKind carries
+// it), so their dirty state is flushed before the rail drops. A second
+// PowerFail before Recover returns ErrPowerFailed.
 func (d *Device) PowerFail() error {
 	if d.closed.Load() {
 		return ErrClosed

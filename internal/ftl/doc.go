@@ -7,11 +7,21 @@
 // translation table with a Global Mapping Directory and an LRU cache of
 // mapping entries, a block manager that separates user, translation and
 // metadata blocks, and a garbage collector driven by a Blocks Validity
-// Counter -- and differ in how they store page-validity metadata, how they
-// bound dirty cached mapping entries, how they pick garbage-collection
-// victims and how they recover from power failure. The Options type selects
-// those policies; NewGeckoFTL, NewDFTL, NewLazyFTL, NewMuFTL and NewIBFTL
-// build the paper's five configurations.
+// Counter -- and differ along two axes (Section 5.3): how they store
+// page-validity metadata and how they survive a power failure. Options.FTL
+// names one of them (a model.FTLKind), and its row in kindFacts says what it
+// is; New copies the row once, and OptionsFor (or GeckoFTLOptions and its
+// four siblings) adds the FTL's own victim policy:
+//
+//	FTL       validity store     battery  dirty bound  runtime checkpoints  victim policy   names
+//	DFTL      PVB in RAM         yes      none         no                   greedy          dftl
+//	LazyFTL   PVB in RAM         no       C/10         no                   greedy          lazyftl, lazy
+//	uFTL      PVB in flash       yes      none         no                   greedy          muftl, mu, uftl, mu-ftl
+//	IB-FTL    validity log       no       C/10         no                   greedy          ibftl, ib, ib-ftl
+//	GeckoFTL  Logarithmic Gecko  no       none         yes                  metadata-aware  geckoftl, gecko, ""
+//
+// Cache size, garbage collection, wear and the Logarithmic Gecko shape are
+// Options fields any of the five may set.
 //
 // # Mapping to the paper
 //
@@ -29,8 +39,8 @@
 //   - FTL.Recover: the power-failure recovery protocols, including
 //     GeckoFTL's runtime checkpoints that bound the backwards scan
 //     (Section 4.3, Appendix C).
-//   - The validity store behind the Scheme option is the axis of the
-//     paper's comparison: Logarithmic Gecko (package gecko), the RAM- or
+//   - The validity store of each FTL is the first axis of the paper's
+//     comparison: Logarithmic Gecko (package gecko), the RAM- or
 //     flash-resident PVB (package pvb), or IB-FTL's page validity log
 //     (package pvl).
 //

@@ -7,9 +7,11 @@ import (
 	"geckoftl/internal/ftl"
 )
 
-// FTLOptions is the full FTL configuration; the paper's five schemes are
-// built by GeckoFTLOptions, DFTLOptions, LazyFTLOptions, MuFTLOptions and
-// IBFTLOptions, and WithFTLOptions hands a tweaked copy to Open.
+// FTLOptions is the full FTL configuration. Its FTL field names which of the
+// paper's five FTLs it is (an FTLKind, which fixes the validity store,
+// battery, dirty bound and runtime checkpoints); GeckoFTLOptions,
+// DFTLOptions, LazyFTLOptions, MuFTLOptions and IBFTLOptions fill it in, and
+// WithFTLOptions hands a tweaked copy to Open.
 type FTLOptions = ftl.Options
 
 // GCMode selects how the garbage collector schedules its work relative to
@@ -261,10 +263,10 @@ func WithAdmissionPolicy(p AdmissionPolicy) Option {
 // the scheme WithFTL and WithCacheEntries name. It is the one route to every
 // FTL-level setting beyond those two — garbage-collection mode and step
 // budget, victim policy, hot/cold separation, wear-aware allocation and
-// wear-leveling, battery, runtime checkpoints, the read-disturb scrub
-// threshold: start from one of the *Options constructors (or
-// FTLOptionsByName) and set the FTLOptions fields. Open rejects invalid
-// values under ErrInvalidConfig.
+// wear-leveling, the read-disturb scrub threshold: start from one of the
+// *Options constructors (or FTLOptionsByName) and set the FTLOptions fields.
+// Battery and runtime checkpoints are not settings: the FTL field's kind
+// carries them. Open rejects invalid values under ErrInvalidConfig.
 func WithFTLOptions(opts FTLOptions) Option {
 	return func(c *config) error { c.explicit = &opts; return nil }
 }
