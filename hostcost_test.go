@@ -227,6 +227,65 @@ func TestHostAllocBudget(t *testing.T) {
 	})
 }
 
+// TestRecoveryAllocBudget pins how GeckoRec's host allocations grow with the
+// device. Recovery rebuilds its per-block, per-translation-page and
+// per-physical-page indexes as arrays sized once per call, so one GeckoFTL
+// shard's PowerFail+Recover after the same seeded overwrite stream makes
+// about as many objects at 4096 blocks as at 1024: the arrays grow, their
+// number does not. What still grows is small: the directory recovery of
+// Logarithmic Gecko, a few objects per run page, of which there is one per V
+// entries (K·S/V pages for the largest run), and the doubling of a few block
+// lists — 113 objects at 1024 blocks and 172 at 4096 when this was written. A
+// map or a bitmap per block makes two objects per block: 6231 more.
+func TestRecoveryAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the program's behalf")
+	}
+	const budget = 128
+	recoverAllocs := func(blocks int) int64 {
+		cfg := flash.ScaledConfig(blocks)
+		cfg.PagesPerBlock = 64
+		dev, err := flash.NewDevice(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := ftl.New(dev, ftl.GeckoFTLOptions(1024))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		pages := f.LogicalPages()
+		for i := int64(0); i < 2*pages; i++ {
+			lpn := flash.LPN(i)
+			if i >= pages {
+				lpn = flash.LPN(rng.Int63n(pages))
+			}
+			if err := f.Write(lpn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := f.PowerFail(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if err := f.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		n := int64(after.Mallocs - before.Mallocs)
+		t.Logf("%d blocks: %d allocations and %d bytes in PowerFail+Recover", blocks, n, after.TotalAlloc-before.TotalAlloc)
+		return n
+	}
+	small, large := recoverAllocs(1024), recoverAllocs(4096)
+	if large-small >= budget {
+		t.Errorf("PowerFail+Recover makes %d allocations at 4096 blocks and %d at 1024: %d more, budget %d", large, small, large-small, budget)
+	}
+}
+
 // BenchmarkDeviceSubmitWait times one steady-state asynchronous write, 64
 // tickets in flight on 8 channels: SubmitWrite for a window, then Wait on each
 // ticket, the loop of perfbench's async-write-8ch.

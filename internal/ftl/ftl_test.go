@@ -1,10 +1,12 @@
 package ftl
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"geckoftl/internal/flash"
+	"geckoftl/internal/mapcache"
 	"geckoftl/internal/model"
 	"geckoftl/internal/workload"
 )
@@ -527,6 +529,58 @@ func TestStressRandomOperationsAcrossSchemes(t *testing.T) {
 				}
 			}
 			checkConsistency(t, f, true)
+		})
+	}
+}
+
+// cachedPPN returns the physical page of lpn's cached mapping entry.
+func cachedPPN(t *testing.T, f *FTL, lpn flash.LPN) flash.PPN {
+	t.Helper()
+	e, ok := f.cache.Peek(lpn)
+	if !ok {
+		t.Fatalf("logical page %d is not cached", lpn)
+	}
+	return e.Physical
+}
+
+// TestCheckConsistencyNamesEachViolation corrupts a healthy map three ways and
+// requires CheckConsistency's message for each, word for word: the
+// durability hammers tell the open bugs apart by these messages.
+func TestCheckConsistencyNamesEachViolation(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(f *FTL) string
+	}{
+		{"shared", func(f *FTL) string {
+			p7 := cachedPPN(t, f, 7)
+			f.cache.Put(mapcache.Entry{Logical: 9, Physical: p7, Dirty: true})
+			return fmt.Sprintf("ftl: logical pages 7 and 9 both map to physical page %d", p7)
+		}},
+		{"unprogrammed", func(f *FTL) string {
+			blank := flash.PPNOf(f.bm.free[0], 0, f.cfg.PagesPerBlock)
+			f.cache.Put(mapcache.Entry{Logical: 3, Physical: blank, Dirty: true})
+			return fmt.Sprintf("ftl: logical page 3 maps to unprogrammed physical page %d", blank)
+		}},
+		{"foreign", func(f *FTL) string {
+			p5 := cachedPPN(t, f, 5)
+			f.cache.Put(mapcache.Entry{Logical: 4, Physical: p5, Dirty: true})
+			return fmt.Sprintf("ftl: physical page %d holds logical page 5, but the map says 4", p5)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := testFTL(t, model.GeckoFTL, 64, 64)
+			for lpn := flash.LPN(0); lpn < 20; lpn++ {
+				if err := f.Write(lpn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.CheckConsistency(); err != nil {
+				t.Fatal(err)
+			}
+			want := tc.corrupt(f)
+			if err := f.CheckConsistency(); err == nil || err.Error() != want {
+				t.Fatalf("CheckConsistency = %v, want %q", err, want)
+			}
 		})
 	}
 }
