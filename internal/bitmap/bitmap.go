@@ -115,6 +115,20 @@ func (b *Bitmap) PopCount() int {
 	return total
 }
 
+// PopCountBelow returns the number of set bits at indices below n, which is
+// clamped to the bitmap's size.
+func (b *Bitmap) PopCountBelow(n int) int {
+	n = max(0, min(n, b.bits))
+	total := 0
+	for _, w := range b.words[:n/wordBits] {
+		total += bits.OnesCount64(w)
+	}
+	if rest := n % wordBits; rest != 0 {
+		total += bits.OnesCount64(b.words[n/wordBits] & (1<<uint(rest) - 1))
+	}
+	return total
+}
+
 // Any reports whether at least one bit is set.
 func (b *Bitmap) Any() bool {
 	for _, w := range b.words {
@@ -233,6 +247,36 @@ func Ones(words []uint64, lo, hi int) iter.Seq[int] {
 			}
 		}
 	}
+}
+
+// Rows is a fixed number of equal-sized bitmaps carved from one word slice,
+// one allocation however many rows there are. Recovery folds Logarithmic
+// Gecko's runs into one row per block with it.
+type Rows struct {
+	n, bits int
+	wpr     int // words per row
+	words   []uint64
+}
+
+// NewRows returns n rows of the given number of bits, all cleared.
+func NewRows(n, bits int) *Rows {
+	if n < 0 || bits < 0 {
+		panic(fmt.Sprintf("bitmap: %d rows of %d bits", n, bits))
+	}
+	wpr := (bits + wordBits - 1) / wordBits
+	return &Rows{n: n, bits: bits, wpr: wpr, words: make([]uint64, n*wpr)}
+}
+
+// Len returns the number of rows.
+func (r *Rows) Len() int { return r.n }
+
+// Row returns row i as a bitmap that shares the rows' storage: setting or
+// OR-ing its bits changes the row.
+func (r *Rows) Row(i int) Bitmap {
+	if i < 0 || i >= r.n {
+		panic(fmt.Sprintf("bitmap: row %d out of range [0,%d)", i, r.n))
+	}
+	return Bitmap{bits: r.bits, words: r.words[i*r.wpr : (i+1)*r.wpr : (i+1)*r.wpr]}
 }
 
 // ForEachSet calls fn for every set bit in ascending order. It stops early if

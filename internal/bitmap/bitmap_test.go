@@ -51,6 +51,56 @@ func TestSetGetClear(t *testing.T) {
 	}
 }
 
+func TestPopCountBelowMatchesBitLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, size := range []int{0, 1, 63, 64, 65, 130, 256} {
+		b := New(size)
+		for i := 0; i < size; i++ {
+			if rng.Intn(3) == 0 {
+				b.Set(i)
+			}
+		}
+		want := 0
+		for n := -1; n <= size+1; n++ {
+			if n > 0 && n <= size && b.Get(n-1) {
+				want++
+			}
+			if got := b.PopCountBelow(n); got != want {
+				t.Fatalf("size %d: PopCountBelow(%d) = %d, want %d", size, n, got, want)
+			}
+		}
+	}
+}
+
+func TestRowsAreDisjointViews(t *testing.T) {
+	for _, bits := range []int{1, 63, 64, 65, 130} {
+		r := NewRows(5, bits)
+		if r.Len() != 5 {
+			t.Fatalf("NewRows(5, %d).Len() = %d", bits, r.Len())
+		}
+		for i := range r.Len() {
+			row := r.Row(i)
+			row.Set(i % bits)
+			row.Set(bits - 1)
+		}
+		for i := range r.Len() {
+			row := r.Row(i)
+			want := New(bits)
+			want.Set(i % bits)
+			want.Set(bits - 1)
+			if row.Len() != bits || !row.Equal(want) {
+				t.Fatalf("%d bits: row %d = %v, want %v", bits, i, row.SetBits(), want.SetBits())
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Row past the last row did not panic")
+		}
+	}()
+	NewRows(2, 8).Row(2)
+}
+
 func TestSetIsIdempotent(t *testing.T) {
 	b := New(10)
 	b.Set(3)

@@ -499,7 +499,7 @@ func (f *FTL) rebuildBVC() error {
 	// For GeckoFTL, reconstruct every block's validity bitmap with a single
 	// scan of Logarithmic Gecko's pages (GeckoRec step 5) instead of one GC
 	// query per block.
-	var geckoScan map[flash.BlockID]*bitmap.Bitmap
+	var geckoScan *bitmap.Rows
 	if f.lg != nil {
 		scan, err := f.lg.ScanValidity()
 		if err != nil {
@@ -515,26 +515,18 @@ func (f *FTL) rebuildBVC() error {
 		block := flash.BlockID(i)
 		switch info.group {
 		case GroupUser:
-			var bmInvalid *bitmap.Bitmap
+			var invalid int
 			if geckoScan != nil {
-				bmInvalid = geckoScan[block]
-				if bmInvalid == nil {
-					bmInvalid = bitmap.New(f.cfg.PagesPerBlock)
-				}
+				row := geckoScan.Row(i)
+				invalid = row.PopCountBelow(info.writePointer)
 			} else {
 				queried, err := f.validity.Query(block)
 				if err != nil {
 					return err
 				}
-				bmInvalid = queried
+				invalid = queried.PopCountBelow(info.writePointer)
 			}
-			count := 0
-			for offset := 0; offset < info.writePointer; offset++ {
-				if !bmInvalid.Get(offset) {
-					count++
-				}
-			}
-			info.valid = count
+			info.valid = info.writePointer - invalid
 		case GroupTranslation:
 			info.valid = tpLive[block]
 		case GroupMeta:
@@ -560,7 +552,7 @@ func (f *FTL) rebuildBVC() error {
 // same invalidation a second time and underflow the rebuilt BVC. Recovery is
 // the one moment the FTL holds the complete validity picture (the bitmaps
 // rebuildBVC just scanned) in RAM, so the reconciliation costs no IO.
-func (f *FTL) reconcileRecoveredUIP(geckoScan map[flash.BlockID]*bitmap.Bitmap) {
+func (f *FTL) reconcileRecoveredUIP(geckoScan *bitmap.Rows) {
 	if geckoScan == nil {
 		return
 	}
@@ -575,8 +567,8 @@ func (f *FTL) reconcileRecoveredUIP(geckoScan map[flash.BlockID]*bitmap.Bitmap) 
 			// already handles it.
 			return true
 		}
-		block := flash.BlockOf(flashPPN, f.cfg.PagesPerBlock)
-		if bm := geckoScan[block]; bm != nil && bm.Get(flash.OffsetOf(flashPPN, f.cfg.PagesPerBlock)) {
+		row := geckoScan.Row(int(flash.BlockOf(flashPPN, f.cfg.PagesPerBlock)))
+		if row.Get(flash.OffsetOf(flashPPN, f.cfg.PagesPerBlock)) {
 			stale = append(stale, e.Logical)
 		}
 		return true

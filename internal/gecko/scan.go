@@ -1,66 +1,62 @@
 package gecko
 
-import (
-	"geckoftl/internal/bitmap"
-	"geckoftl/internal/flash"
-)
+import "geckoftl/internal/bitmap"
 
 // ScanValidity reads every live run page once (newest run to oldest) and
-// returns the reconstructed page-validity bitmap of every block that has at
-// least one invalid page. A set bit means the page is invalid.
+// returns the reconstructed page-validity bitmap of every block: row b of the
+// result, for each of the Config.Blocks blocks, holds one bit per page of
+// block b, set where the page is invalid. It equals what Query(b) returns, so
+// a block with no entries, or whose entries all predate its newest erase,
+// has an empty row.
 //
 // This is the bulk counterpart of Query used by GeckoRec step 5 (Appendix C):
 // rebuilding the Blocks Validity Counter needs the validity of every block,
 // and scanning the O(K*B/P) Gecko pages once is far cheaper than issuing K
 // separate GC queries. The IO charged is one page read per live run page.
-func (g *Gecko) ScanValidity() (map[flash.BlockID]*bitmap.Bitmap, error) {
-	result := make(map[flash.BlockID]*bitmap.Bitmap)
-	// skip holds blocks whose erase entry has been seen in a newer source;
-	// entries for them in older sources are obsolete.
-	skip := make(map[flash.BlockID]bool)
+// The rows come from one array and the erase bookkeeping from another, so
+// the call allocates the same few objects whatever the number of blocks.
+func (g *Gecko) ScanValidity() (*bitmap.Rows, error) {
+	rows := bitmap.NewRows(g.cfg.Blocks, g.cfg.PagesPerBlock)
+	// A block's bit in skip is set once a source newer than the one being
+	// read holds an erase entry for it: its entries in older sources are
+	// obsolete. Entries within the same source as an erase entry postdate the
+	// erase, so erased collects the current source's erase entries and joins
+	// skip only when the next, older, source begins.
+	n := (g.cfg.Blocks + 63) / 64
+	marks := make([]uint64, 2*n)
+	skip, erased := marks[:n], marks[n:]
 
-	fold := func(s *slab, i int) (erased bool) {
+	fold := func(s *slab, i int) {
 		e := &s.ents[i]
-		if skip[e.block] {
-			return false
+		w, bit := int(e.block)/64, uint64(1)<<uint(e.block%64)
+		switch {
+		case skip[w]&bit != 0:
+		case e.erase && e.subKey == WholeBlock:
+			erased[w] |= bit
+		default:
+			row := rows.Row(int(e.block))
+			g.cfg.fold(&row, e.subKey, s.bits(i))
 		}
-		if e.erase && e.subKey == WholeBlock {
-			return true
-		}
-		bm, ok := result[e.block]
-		if !ok {
-			bm = bitmap.New(g.cfg.PagesPerBlock)
-			result[e.block] = bm
-		}
-		g.cfg.fold(bm, e.subKey, s.bits(i))
-		return false
 	}
 
-	// The buffer is the newest source. Entries within the same source as an
-	// erase entry postdate the erase, so the block is only skipped for older
-	// sources.
-	var erased []flash.BlockID
+	// The buffer is the newest source.
 	for i := range g.buf.ents {
-		if fold(&g.buf.slab, i) {
-			erased = append(erased, g.buf.ents[i].block)
-		}
+		fold(&g.buf.slab, i)
 	}
 	for r := range g.runsNewestFirst {
-		for _, block := range erased {
-			skip[block] = true
+		for w := range skip {
+			skip[w] |= erased[w]
+			erased[w] = 0
 		}
-		erased = erased[:0]
 		for pi := range r.pages {
 			page := &r.pages[pi]
 			if err := g.store.Read(page.ppn); err != nil {
 				return nil, err
 			}
 			for i := range page.ents {
-				if fold(&page.slab, i) {
-					erased = append(erased, page.ents[i].block)
-				}
+				fold(&page.slab, i)
 			}
 		}
 	}
-	return result, nil
+	return rows, nil
 }

@@ -1,6 +1,8 @@
 package gecko
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"geckoftl/internal/flash"
@@ -15,16 +17,12 @@ func TestScanValidityMatchesPerBlockQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if scan.Len() != 128 {
+		t.Fatalf("scan has %d rows, want one per block (128)", scan.Len())
+	}
 	for b := 0; b < 128; b++ {
 		want := m.query(flash.BlockID(b))
-		got, ok := scan[flash.BlockID(b)]
-		if !ok {
-			if want.Any() {
-				t.Fatalf("block %d missing from scan, model has %v", b, want.SetBits())
-			}
-			continue
-		}
-		if !got.Equal(want) {
+		if got := scan.Row(b); !got.Equal(want) {
 			t.Fatalf("block %d: scan=%v model=%v", b, got.SetBits(), want.SetBits())
 		}
 	}
@@ -57,9 +55,8 @@ func TestScanValidityIncludesBufferedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := scan[3]
-	if got == nil || got.PopCount() != 2 || !got.Get(5) || !got.Get(9) {
-		t.Fatalf("scan of buffered-only state = %v", got)
+	if got := scan.Row(3); got.PopCount() != 2 || !got.Get(5) || !got.Get(9) {
+		t.Fatalf("scan of buffered-only state = %v", got.SetBits())
 	}
 }
 
@@ -80,8 +77,121 @@ func TestScanValidityHonorsEraseFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := scan[7]
-	if got == nil || !got.Equal(m.query(7)) {
-		t.Fatalf("block 7 after erase: scan=%v model=%v", got, m.query(7).SetBits())
+	if got := scan.Row(7); !got.Equal(m.query(7)) {
+		t.Fatalf("block 7 after erase: scan=%v model=%v", got.SetBits(), m.query(7).SetBits())
+	}
+}
+
+// checkScanAgainstQueries requires ScanValidity's row of every block to equal
+// a GC query of that block, and the query to equal the model.
+func checkScanAgainstQueries(t *testing.T, h *testHarness, m *model) {
+	t.Helper()
+	scan, err := h.g.ScanValidity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scan.Len() != h.cfg.Blocks {
+		t.Fatalf("scan has %d rows for %d blocks", scan.Len(), h.cfg.Blocks)
+	}
+	for b := range h.cfg.Blocks {
+		block := flash.BlockID(b)
+		want, err := h.g.Query(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := scan.Row(b); !got.Equal(want) {
+			t.Fatalf("block %d: scan=%v query=%v", b, got.SetBits(), want.SetBits())
+		}
+		if model := m.query(block); !want.Equal(model) {
+			t.Fatalf("block %d: query=%v model=%v", b, want.SetBits(), model.SetBits())
+		}
+	}
+}
+
+// TestScanValidityMatchesQueryOracle drives random invalidation and erase
+// streams through both merge policies and several partition factors — 64
+// pages in one chunk, in chunks folded at offsets, and in chunks of 22 whose
+// last is clamped — and compares the bulk scan with a per-block query on
+// every block after each round. The last blocks never receive an entry. At
+// the end, blocks whose entries all sit in runs are erased with nothing after
+// the erase: the scan must skip their older runs, first with the erase entries
+// in the buffer and then in a run of their own.
+func TestScanValidityMatchesQueryOracle(t *testing.T) {
+	for _, tc := range []struct {
+		partition int
+		multiWay  bool
+	}{{1, false}, {2, false}, {3, false}, {4, false}, {1, true}, {2, true}, {3, true}, {4, true}} {
+		t.Run(fmt.Sprintf("S=%d/multiway=%t", tc.partition, tc.multiWay), func(t *testing.T) {
+			const blocks, untouched, ppb = 96, 8, 64
+			h := newHarness(t, blocks, ppb, 256, 32, func(c *Config) {
+				c.PartitionFactor = tc.partition
+				c.MultiWayMerge = tc.multiWay
+			})
+			m := newModel(ppb)
+			seed := int64(10 * tc.partition)
+			if tc.multiWay {
+				seed++
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for round := 0; round < 6; round++ {
+				for i := 0; i < 3000; i++ {
+					b := flash.BlockID(rng.Intn(blocks - untouched))
+					if rng.Intn(12) == 0 {
+						if err := h.g.RecordErase(b); err != nil {
+							t.Fatal(err)
+						}
+						m.erase(b)
+						continue
+					}
+					a := flash.Addr{Block: b, Offset: rng.Intn(ppb)}
+					if err := h.g.Update(a); err != nil {
+						t.Fatal(err)
+					}
+					m.update(a)
+				}
+				checkScanAgainstQueries(t, h, m)
+			}
+
+			if err := h.g.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			erased := 0
+			for b := 0; b < blocks-untouched && erased < 6; b++ {
+				if !m.query(flash.BlockID(b)).Any() {
+					continue
+				}
+				if err := h.g.RecordErase(flash.BlockID(b)); err != nil {
+					t.Fatal(err)
+				}
+				m.erase(flash.BlockID(b))
+				erased++
+			}
+			if erased < 6 {
+				t.Fatalf("only %d blocks with entries to erase", erased)
+			}
+			checkScanAgainstQueries(t, h, m)
+			if err := h.g.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			checkScanAgainstQueries(t, h, m)
+		})
+	}
+}
+
+// TestScanValidityAllocationsDoNotGrowWithBlocks pins the dense result: a
+// scan allocates the same objects at 64 blocks as at 1024.
+func TestScanValidityAllocationsDoNotGrowWithBlocks(t *testing.T) {
+	allocs := func(blocks int) float64 {
+		h := newHarness(t, blocks, 64, 4096, 64, nil)
+		populate(t, h, nil, 40*blocks, 54)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := h.g.ScanValidity(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(1024)
+	if small != large || large > 4 {
+		t.Errorf("ScanValidity allocates %.0f objects at 64 blocks and %.0f at 1024, want the same few", small, large)
 	}
 }
