@@ -91,10 +91,11 @@ var seeded = []struct {
 		at:  "e.powerMu.Lock()\n\t\ttotal += sh.ftl.RAMBytes()",
 	},
 	{
-		// Recovery synchronizes dirty translation pages in map order.
-		rule: "maporder", file: "internal/ftl/recovery.go",
-		old: "\tslices.Sort(tps)\n",
-		at:  "tps = append(tps, tp)",
+		// Gecko's directory recovery keeps its candidate runs in map order,
+		// so createSeq ties resolve differently from one recovery to the next.
+		rule: "maporder", file: "internal/gecko/recover.go",
+		old: "\tslices.SortFunc(candidates, func(a, b candidate) int { return cmp.Compare(a.id, b.id) })\n",
+		at:  "candidates = append(candidates, candidate{id: id, createSeq: metas[0].writeSeq, pages: metas})",
 	},
 }
 

@@ -579,19 +579,25 @@ func (s *Stats) add(other Stats) {
 // after quiescing a hammered engine; it issues spare-area reads accounted
 // under flash.PurposeRecovery.
 func (f *FTL) CheckConsistency() error {
-	owners := make(map[flash.PPN]flash.LPN)
+	// owned has a bit per physical page of the shard, set once a logical page
+	// maps to it. A page out of range fails the spare read below instead.
+	pages := flash.PPN(f.cfg.Blocks) * flash.PPN(f.cfg.PagesPerBlock)
+	owned := make([]uint64, (pages+63)/64)
 	for lpn := flash.LPN(0); int64(lpn) < f.logicalPages; lpn++ {
-		ppn := f.table.FlashEntry(lpn)
-		if e, ok := f.cache.Peek(lpn); ok {
-			ppn = e.Physical
-		}
+		ppn := f.mappedPPN(lpn)
 		if ppn == flash.InvalidPPN {
 			continue
 		}
-		if prev, dup := owners[ppn]; dup {
-			return fmt.Errorf("ftl: logical pages %d and %d both map to physical page %d", prev, lpn, ppn)
+		if ppn >= 0 && ppn < pages {
+			if owned[ppn/64]&(1<<uint(ppn%64)) != 0 {
+				prev := flash.LPN(0)
+				for f.mappedPPN(prev) != ppn {
+					prev++
+				}
+				return fmt.Errorf("ftl: logical pages %d and %d both map to physical page %d", prev, lpn, ppn)
+			}
+			owned[ppn/64] |= 1 << uint(ppn%64)
 		}
-		owners[ppn] = lpn
 		spare, written, err := f.dev.ReadSpare(ppn, flash.PurposeRecovery)
 		if err != nil {
 			return fmt.Errorf("ftl: auditing logical page %d: %w", lpn, err)
@@ -604,4 +610,13 @@ func (f *FTL) CheckConsistency() error {
 		}
 	}
 	return nil
+}
+
+// mappedPPN returns where lpn's newest mapping points: its cached entry, or
+// else the translation table.
+func (f *FTL) mappedPPN(lpn flash.LPN) flash.PPN {
+	if e, ok := f.cache.Peek(lpn); ok {
+		return e.Physical
+	}
+	return f.table.FlashEntry(lpn)
 }

@@ -314,11 +314,15 @@ func (f *FTL) recoverBlockManager() error {
 // write sequence whose effect the durable mapping content is known to
 // reflect. The dirty-entry scan uses it to date the durable mapping state —
 // the page's own WriteSeq will not do, because a garbage-collection copy
-// refreshes it without refreshing the content.
-func (f *FTL) recoverGMD() (map[int]uint64, error) {
+// refreshes it without refreshing the content. The result is indexed by
+// translation page; a page with no recovered version reads zero.
+func (f *FTL) recoverGMD() ([]uint64, error) {
 	f.table.CrashRAM()
-	newest := make(map[int]uint64)
-	contentSeq := make(map[int]uint64)
+	// newest holds the WriteSeq of each page's newest version so far: zero
+	// until one is found, since written pages' WriteSeqs start at 1.
+	pages := f.table.Pages()
+	seqs := make([]uint64, 2*pages)
+	newest, contentSeq := seqs[:pages], seqs[pages:]
 	for _, block := range f.bm.BlocksInGroup(GroupTranslation) {
 		written := f.bm.WritePointer(block)
 		for offset := 0; offset < written; offset++ {
@@ -332,10 +336,10 @@ func (f *FTL) recoverGMD() (map[int]uint64, error) {
 			}
 			f.bm.NoteWriteSeq(spare.WriteSeq)
 			tp := int(spare.Tag)
-			if tp < 0 || tp >= f.table.Pages() {
+			if tp < 0 || tp >= pages {
 				continue
 			}
-			if seq, seen := newest[tp]; !seen || spare.WriteSeq > seq {
+			if spare.WriteSeq > newest[tp] {
 				newest[tp] = spare.WriteSeq
 				contentSeq[tp] = spare.Aux
 				f.table.SetGMDLocation(tp, ppn)
@@ -420,7 +424,6 @@ func (f *FTL) recoverGeckoBuffer() error {
 // paper identifies.
 func (f *FTL) rebuildRAMPVB() error {
 	// Read every live translation page.
-	valid := make(map[flash.PPN]bool, f.logicalPages)
 	for tp := 0; tp < f.table.Pages(); tp++ {
 		loc := f.table.GMDLocation(tp)
 		if loc == flash.InvalidPPN {
@@ -430,9 +433,11 @@ func (f *FTL) rebuildRAMPVB() error {
 			return err
 		}
 	}
+	// valid has a bit per physical page of the shard.
+	valid := make([]uint64, (f.cfg.Blocks*f.cfg.PagesPerBlock+63)/64)
 	for lpn := flash.LPN(0); int64(lpn) < f.logicalPages; lpn++ {
 		if ppn := f.table.FlashEntry(lpn); ppn != flash.InvalidPPN {
-			valid[ppn] = true
+			valid[ppn/64] |= 1 << uint(ppn%64)
 		}
 	}
 	// Every written page of a user block that is not referenced by the
@@ -441,7 +446,7 @@ func (f *FTL) rebuildRAMPVB() error {
 		written := f.bm.WritePointer(block)
 		for offset := 0; offset < written; offset++ {
 			ppn := flash.PPNOf(block, offset, f.cfg.PagesPerBlock)
-			if !valid[ppn] {
+			if valid[ppn/64]&(1<<uint(ppn%64)) == 0 {
 				if err := f.validity.Update(flash.Decompose(ppn, f.cfg.PagesPerBlock)); err != nil {
 					return err
 				}
@@ -483,17 +488,18 @@ type livePageLister interface {
 // For GeckoFTL this is a scan of Logarithmic Gecko's runs; the flash reads
 // involved are those of the GC queries issued per block below.
 func (f *FTL) rebuildBVC() error {
-	metaLive := make(map[flash.BlockID]int)
+	// live counts, per block, the live pages of the metadata structures and
+	// the valid translation pages, those the recovered GMD points to; the two
+	// sit in blocks of different groups.
+	live := make([]int32, f.cfg.Blocks)
 	if lister, ok := f.validity.(livePageLister); ok {
 		for _, ppn := range lister.LivePages() {
-			metaLive[flash.BlockOf(ppn, f.cfg.PagesPerBlock)]++
+			live[flash.BlockOf(ppn, f.cfg.PagesPerBlock)]++
 		}
 	}
-	// Valid translation pages are those the recovered GMD points to.
-	tpLive := make(map[flash.BlockID]int)
 	for tp := 0; tp < f.table.Pages(); tp++ {
 		if loc := f.table.GMDLocation(tp); loc != flash.InvalidPPN {
-			tpLive[flash.BlockOf(loc, f.cfg.PagesPerBlock)]++
+			live[flash.BlockOf(loc, f.cfg.PagesPerBlock)]++
 		}
 	}
 	// For GeckoFTL, reconstruct every block's validity bitmap with a single
@@ -512,7 +518,6 @@ func (f *FTL) rebuildBVC() error {
 		if !info.allocated {
 			continue
 		}
-		block := flash.BlockID(i)
 		switch info.group {
 		case GroupUser:
 			var invalid int
@@ -520,19 +525,17 @@ func (f *FTL) rebuildBVC() error {
 				row := geckoScan.Row(i)
 				invalid = row.PopCountBelow(info.writePointer)
 			} else {
-				queried, err := f.validity.Query(block)
+				queried, err := f.validity.Query(flash.BlockID(i))
 				if err != nil {
 					return err
 				}
 				invalid = queried.PopCountBelow(info.writePointer)
 			}
 			info.valid = info.writePointer - invalid
-		case GroupTranslation:
-			info.valid = tpLive[block]
-		case GroupMeta:
+		case GroupTranslation, GroupMeta:
 			// Live metadata pages are known to their owning structure, which
 			// rebuilt its directories above.
-			info.valid = metaLive[block]
+			info.valid = int(live[i])
 		}
 	}
 	f.bm.reindexFullBlocks()
@@ -597,12 +600,15 @@ func (f *FTL) reconcileRecoveredUIP(geckoScan *bitmap.Rows) {
 // the candidate, the candidate is the current version; it is recovered as
 // uncertain and Appendix C.3.1's first synchronization aborts it at no
 // cost.)
-func (f *FTL) recoverDirtyEntries(tpContentSeq map[int]uint64) (int, error) {
+//
+// The scan starts from the empty cache a crash leaves and recreates at most
+// its capacity of entries, so nothing is evicted: the cache itself says which
+// logical pages the scan has already recovered.
+func (f *FTL) recoverDirtyEntries(tpContentSeq []uint64) (int, error) {
 	capacity := f.cache.Capacity()
 	maxSpareReads := 2 * capacity
 	spareReads := 0
 	recovered := 0
-	seen := make(map[flash.LPN]bool, capacity)
 
 	for _, block := range f.bm.userBlocksByRecency() {
 		written := f.bm.WritePointer(block)
@@ -624,16 +630,15 @@ func (f *FTL) recoverDirtyEntries(tpContentSeq map[int]uint64) (int, error) {
 				continue
 			}
 			lpn := spare.Logical
-			if seen[lpn] {
+			if f.cache.Contains(lpn) {
 				continue
 			}
-			if seq, ok := tpContentSeq[f.table.pageOf(lpn)]; ok && seq >= spare.WriteSeq && f.table.FlashEntry(lpn) != ppn {
+			if tpContentSeq[f.table.pageOf(lpn)] >= spare.WriteSeq && f.table.FlashEntry(lpn) != ppn {
 				// Durably invalidated (see above); a newer version of lpn, if
 				// any, may still appear later in the scan, so lpn is not
-				// marked seen.
+				// recovered yet.
 				continue
 			}
-			seen[lpn] = true
 			recovered++
 			f.dirtyCount++
 			f.cache.Put(mapcache.Entry{
@@ -654,23 +659,21 @@ func (f *FTL) recoverDirtyEntries(tpContentSeq map[int]uint64) (int, error) {
 // size.
 func (f *FTL) synchronizeRecoveredEntries() (int, error) {
 	dirtyBefore := f.dirtyCount
-	byTP := make(map[int]mapcache.Entry)
+	// seeds holds, by translation page, the first dirty entry met walking the
+	// cache from most recently used; found marks the pages that have one, and its ascending walk is
+	// the order they are synchronized in.
+	seeds := make([]mapcache.Entry, f.table.Pages())
+	found := make([]uint64, (len(seeds)+63)/64)
 	f.cache.ForEach(func(e mapcache.Entry) bool {
-		if e.Dirty {
-			tp := f.cache.TranslationPageOf(e.Logical)
-			if _, ok := byTP[tp]; !ok {
-				byTP[tp] = e
-			}
+		tp := f.cache.TranslationPageOf(e.Logical)
+		if e.Dirty && found[tp/64]&(1<<uint(tp%64)) == 0 {
+			seeds[tp] = e
+			found[tp/64] |= 1 << uint(tp%64)
 		}
 		return true
 	})
-	tps := make([]int, 0, len(byTP))
-	for tp := range byTP {
-		tps = append(tps, tp)
-	}
-	slices.Sort(tps)
-	for _, tp := range tps {
-		if err := f.synchronize(byTP[tp]); err != nil {
+	for tp := range bitmap.Ones(found, 0, len(seeds)) {
+		if err := f.synchronize(seeds[tp]); err != nil {
 			return 0, err
 		}
 	}

@@ -50,8 +50,5 @@ func (f *FTL) Mapped(lpn flash.LPN) (bool, error) {
 	if lpn < 0 || int64(lpn) >= f.logicalPages {
 		return false, fmt.Errorf("ftl: logical page %d out of range [0,%d): %w", lpn, f.logicalPages, flash.ErrOutOfRange)
 	}
-	if e, ok := f.cache.Peek(lpn); ok {
-		return e.Physical != flash.InvalidPPN, nil
-	}
-	return f.table.FlashEntry(lpn) != flash.InvalidPPN, nil
+	return f.mappedPPN(lpn) != flash.InvalidPPN, nil
 }
