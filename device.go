@@ -501,7 +501,7 @@ func (d *Device) Restart(ctx context.Context) (*RestartReport, error) {
 	file, err := d.eng.ExportCheckpoint()
 	switch {
 	case err == nil:
-		bytes = int64(len(checkpoint.Encode(file)))
+		bytes = int64(checkpoint.Size(file))
 	case errors.Is(err, ftl.ErrCheckpointUnsupported):
 		file, fallback = nil, checkpointErr(err)
 	default:

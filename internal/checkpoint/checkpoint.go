@@ -49,13 +49,18 @@ type File struct {
 	Sections []Section
 }
 
-// Encode serializes a checkpoint into the on-disk byte format.
-func Encode(f *File) []byte {
+// Size returns the length of Encode(f) without encoding it.
+func Size(f *File) int {
 	size := headerSize
 	for _, s := range f.Sections {
 		size += sectionOverhead + len(s.Payload)
 	}
-	buf := make([]byte, 0, size)
+	return size
+}
+
+// Encode serializes a checkpoint into the on-disk byte format.
+func Encode(f *File) []byte {
+	buf := make([]byte, 0, Size(f))
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint32(buf, f.Version)
 	for _, s := range f.Sections {
@@ -70,8 +75,8 @@ func Encode(f *File) []byte {
 }
 
 // Decode parses and validates the on-disk byte format. Payload slices alias
-// the input — Decode allocates only the section table, and never more of it
-// than the input length can justify, so hostile inputs cannot force
+// the input — Decode allocates only the section table, sized by a framing
+// pass to the sections the input holds, so hostile inputs cannot force
 // unbounded allocation. Any malformation returns an error wrapping
 // ErrInvalid and a nil File.
 func Decode(data []byte) (*File, error) {
@@ -88,7 +93,7 @@ func Decode(data []byte) (*File, error) {
 	body := data[headerSize:]
 	f := &File{
 		Version:  version,
-		Sections: make([]Section, 0, len(body)/sectionOverhead),
+		Sections: make([]Section, 0, countSections(body)),
 	}
 	for off := 0; off < len(body); {
 		rest := body[off:]
@@ -109,6 +114,22 @@ func Decode(data []byte) (*File, error) {
 		off += sectionOverhead + int(n)
 	}
 	return f, nil
+}
+
+// countSections returns how many sections body frames before its end or its
+// first framing damage, without verifying checksums: Decode sizes its section
+// table with it, and reports the damage itself. The count is at most
+// len(body)/sectionOverhead.
+func countSections(body []byte) int {
+	n := 0
+	for off := 0; len(body)-off >= sectionOverhead; n++ {
+		size := binary.LittleEndian.Uint32(body[off+4:])
+		if uint64(size) > uint64(len(body)-off-sectionOverhead) {
+			break
+		}
+		off += sectionOverhead + int(size)
+	}
+	return n
 }
 
 // Boundaries returns the byte offsets at which a valid checkpoint can be

@@ -46,6 +46,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !bytes.Equal(Encode(got), data) {
 		t.Error("re-encode of decoded file differs from input")
 	}
+	// Size is the encoded length, and the section table has room for the
+	// sections and no more.
+	if Size(f) != len(data) {
+		t.Errorf("Size = %d, encoded %d bytes", Size(f), len(data))
+	}
+	if cap(got.Sections) != len(f.Sections) {
+		t.Errorf("section table of %d for %d sections", cap(got.Sections), len(f.Sections))
+	}
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {

@@ -11,6 +11,14 @@ type Writer struct {
 	buf []byte
 }
 
+// Grow makes room for exactly n more bytes, so that a payload whose size is
+// known up front is written into one buffer of that size.
+func (w *Writer) Grow(n int) {
+	if n > cap(w.buf)-len(w.buf) {
+		w.buf = append(make([]byte, 0, len(w.buf)+n), w.buf...)
+	}
+}
+
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 

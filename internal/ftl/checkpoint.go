@@ -34,7 +34,8 @@ var shardKinds = [...]uint32{sectionShardBlocks, sectionShardGMD, sectionShardCa
 func shardSectionID(kind uint32, shard int) uint32 { return kind | uint32(shard)<<8 }
 
 // Minimum encoded bytes per record of each repeated sequence; Reader.Count
-// uses them to bound slice pre-allocation by the input size.
+// uses them to bound slice pre-allocation by the input size, and the export
+// to size each section's payload before writing it.
 const (
 	blockRecordBytes   = 30 // flags + group + writePointer + valid + firstWriteSeq + lastProgram + eraseCount
 	gmdRecordBytes     = 8  // translation-page location
@@ -116,7 +117,10 @@ func (e *Engine) ExportCheckpoint() (*checkpoint.File, error) {
 		defer sh.mu.Unlock()
 	}
 
-	file := &checkpoint.File{Version: checkpoint.Version}
+	file := &checkpoint.File{
+		Version:  checkpoint.Version,
+		Sections: make([]checkpoint.Section, 0, 1+len(e.shards)*len(shardKinds)),
+	}
 	var w checkpoint.Writer
 	w.U64(e.checkpointFingerprint())
 	w.U32(uint32(len(e.shards)))
@@ -125,17 +129,17 @@ func (e *Engine) ExportCheckpoint() (*checkpoint.File, error) {
 	file.Sections = append(file.Sections, checkpoint.Section{ID: sectionEngine, Payload: w.Bytes()})
 
 	for i, sh := range e.shards {
-		file.Sections = append(file.Sections, sh.ftl.exportShardSections(i)...)
+		file.Sections = sh.ftl.appendShardSections(file.Sections, i)
 	}
 	return file, nil
 }
 
-// exportShardSections encodes one shard's RAM state into its per-shard
-// sections. Callers hold the shard lock.
-func (f *FTL) exportShardSections(shard int) []checkpoint.Section {
-	sections := make([]checkpoint.Section, 0, len(shardKinds))
-
+// appendShardSections encodes one shard's RAM state into its per-shard
+// sections and appends them to sections. Each payload is sized before it is
+// written. Callers hold the shard lock.
+func (f *FTL) appendShardSections(sections []checkpoint.Section, shard int) []checkpoint.Section {
 	var blocks checkpoint.Writer
+	blocks.Grow(4 + len(f.bm.blocks)*blockRecordBytes + 4 + 4*len(f.bm.free) + 1 + 8*len(f.bm.active) + 8)
 	blocks.U32(uint32(len(f.bm.blocks)))
 	for i := range f.bm.blocks {
 		b := &f.bm.blocks[i]
@@ -166,6 +170,7 @@ func (f *FTL) exportShardSections(shard int) []checkpoint.Section {
 	sections = append(sections, checkpoint.Section{ID: shardSectionID(sectionShardBlocks, shard), Payload: blocks.Bytes()})
 
 	var gmd checkpoint.Writer
+	gmd.Grow(4 + f.table.Pages()*gmdRecordBytes)
 	gmd.U32(uint32(f.table.Pages()))
 	for tp := 0; tp < f.table.Pages(); tp++ {
 		gmd.I64(int64(f.table.GMDLocation(tp)))
@@ -174,6 +179,7 @@ func (f *FTL) exportShardSections(shard int) []checkpoint.Section {
 
 	var cache checkpoint.Writer
 	entries := f.cache.Entries() // most recently used first
+	cache.Grow(4 + len(entries)*cacheRecordBytes)
 	cache.U32(uint32(len(entries)))
 	for i := len(entries) - 1; i >= 0; i-- { // store LRU-first
 		e := entries[i]
@@ -198,6 +204,11 @@ func (f *FTL) exportShardSections(shard int) []checkpoint.Section {
 
 	var lg checkpoint.Writer
 	runs := f.lg.ExportDirectories()
+	size := 4
+	for _, r := range runs {
+		size += runHeaderBytes + len(r.Pages)*runPageRecordBytes
+	}
+	lg.Grow(size)
 	lg.U32(uint32(len(runs)))
 	for _, r := range runs {
 		lg.U64(r.ID)
@@ -213,6 +224,11 @@ func (f *FTL) exportShardSections(shard int) []checkpoint.Section {
 	sections = append(sections, checkpoint.Section{ID: shardSectionID(sectionShardGecko, shard), Payload: lg.Bytes()})
 
 	var heat checkpoint.Writer
+	size = 1
+	if f.heat.enabled {
+		size += 8 + 4 + len(f.heat.heat)*heatRecordBytes
+	}
+	heat.Grow(size)
 	heat.Bool(f.heat.enabled)
 	if f.heat.enabled {
 		heat.I64(f.heat.clock)

@@ -60,6 +60,34 @@ func sameMapped(t *testing.T, want, got []bool, context string) {
 	}
 }
 
+// TestExportSizesEachPayload pins the record-size constants to what the
+// export writes: every section's payload is sized up front, to the byte, with
+// the heat classifier off and on.
+func TestExportSizesEachPayload(t *testing.T) {
+	for _, heat := range []bool{false, true} {
+		dev := engineTestDevice(t, 128, 2)
+		opts := GeckoFTLOptions(256)
+		opts.HotColdSeparation = heat
+		e, err := NewEngine(dev, opts, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lpn := flash.LPN(0); lpn < flash.LPN(e.LogicalPages()); lpn += 3 {
+			if err := e.Write(lpn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range mustExport(t, e).Sections[1:] {
+			if len(s.Payload) != cap(s.Payload) {
+				t.Errorf("heat %t: section %#x holds %d bytes in a buffer of %d", heat, s.ID, len(s.Payload), cap(s.Payload))
+			}
+		}
+	}
+}
+
 // TestEngineCheckpointRoundTrip is the core warm-restart property: export,
 // power-fail, restore, and the engine serves the identical logical state
 // with a consistent translation map, then keeps working.
