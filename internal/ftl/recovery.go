@@ -660,8 +660,8 @@ func (f *FTL) recoverDirtyEntries(tpContentSeq []uint64) (int, error) {
 func (f *FTL) synchronizeRecoveredEntries() (int, error) {
 	dirtyBefore := f.dirtyCount
 	// seeds holds, by translation page, the first dirty entry met walking the
-	// cache from most recently used; found marks the pages that have one, and its ascending walk is
-	// the order they are synchronized in.
+	// cache from most recently used; found marks the pages that have one, and
+	// its ascending walk is the order they are synchronized in.
 	seeds := make([]mapcache.Entry, f.table.Pages())
 	found := make([]uint64, (len(seeds)+63)/64)
 	f.cache.ForEach(func(e mapcache.Entry) bool {
