@@ -31,6 +31,14 @@ func steadyDevice(tb testing.TB, ftlName string, channels int) (*geckoftl.Device
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { dev.Close(context.Background()) })
+	return dev, fillAndOverwrite(tb, dev)
+}
+
+// fillAndOverwrite writes every logical page of dev once in order, then as
+// many uniformly drawn pages again, and returns the seeded source it drew
+// them from.
+func fillAndOverwrite(tb testing.TB, dev *geckoftl.Device) *rand.Rand {
+	tb.Helper()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1))
 	pages := dev.LogicalPages()
@@ -43,7 +51,7 @@ func steadyDevice(tb testing.TB, ftlName string, channels int) (*geckoftl.Device
 			tb.Fatal(err)
 		}
 	}
-	return dev, rng
+	return rng
 }
 
 // TestHostAllocBudget pins the host-side allocation cost of the public paths
@@ -225,6 +233,57 @@ func TestHostAllocBudget(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestHostBytesPerPage pins what a device holds on the host for each
+// physical page it simulates: the live heap of a device filled and
+// overwritten once, at 4096 blocks less at 1024 (64 pages each, one channel,
+// 1024 cache entries in both), over the pages added. The cache and the
+// FTL's fixed structures cancel out; what is left grows with the device —
+// the flash image (17 bytes a page: logical page, write sequence and block
+// type; metadata pages' tags in per-block rows), the dense per-LPN and
+// per-block indexes, and the validity store, which is where the FTLs differ:
+// Logarithmic Gecko's runs for GeckoFTL, a page-validity log beside a RAM
+// bitmap for IB-FTL. Readings when this was written: 38.5, 30.1, 31.3, 32.0
+// and 79.0 bytes in the order below; a per-block []SpareArea of 48 bytes a
+// page put every one of them about 30 bytes higher.
+func TestHostBytesPerPage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the program's behalf")
+	}
+	liveHeap := func(ftlName string, blocks int) uint64 {
+		dev, err := geckoftl.Open(
+			geckoftl.WithGeometry(blocks, 64, 4096),
+			geckoftl.WithChannels(1, 1),
+			geckoftl.WithFTL(ftlName),
+			geckoftl.WithCacheEntries(1024),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dev.Close(context.Background())
+		fillAndOverwrite(t, dev)
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(dev)
+		return ms.HeapAlloc
+	}
+	for _, tc := range []struct {
+		ftl    string
+		budget float64
+	}{{"geckoftl", 44}, {"dftl", 36}, {"lazyftl", 36}, {"uftl", 36}, {"ibftl", 88}} {
+		t.Run(tc.ftl, func(t *testing.T) {
+			small := liveHeap(tc.ftl, 1024)
+			large := liveHeap(tc.ftl, 4096)
+			perPage := (float64(large) - float64(small)) / float64((4096-1024)*64)
+			t.Logf("%s: %.1f MB at 1024 blocks, %.1f MB at 4096: %.1f bytes per physical page",
+				tc.ftl, float64(small)/(1<<20), float64(large)/(1<<20), perPage)
+			if perPage > tc.budget {
+				t.Errorf("%s: %.1f host bytes per simulated page, budget %.0f", tc.ftl, perPage, tc.budget)
+			}
+		})
+	}
 }
 
 // TestRecoveryAllocBudget pins how GeckoRec's host allocations grow with the
