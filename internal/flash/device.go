@@ -17,8 +17,11 @@ type blockState struct {
 	eraseCount int
 	// eraseSeq is the global erase counter value at the block's last erase.
 	eraseSeq uint64
-	// spares holds the spare area contents of programmed pages.
-	spares []SpareArea
+	// tags holds the Tag and Aux spare fields of the block's pages. Only
+	// metadata pages set them, so it stays nil until the first page of the
+	// block's current cycle that does; an erase clears it and hands it to
+	// its die's free list.
+	tags []tagAux
 	// readCount counts full-page reads since the last erase: the
 	// read-disturb accumulation. It is physical charge state, so it survives
 	// power failures and is reset only by an erase.
@@ -33,6 +36,17 @@ type blockState struct {
 	// erases forever.
 	retired bool
 }
+
+// pageRecord is what the device keeps of a page's spare area for every page:
+// the logical page and the write sequence number. WriteSeq starts at 1, so a
+// zero record is a page not programmed since its block's last erase.
+type pageRecord struct {
+	logical  LPN
+	writeSeq uint64
+}
+
+// tagAux is one page's Tag and Aux spare fields.
+type tagAux struct{ tag, aux uint64 }
 
 // dieState is the per-die latch and accounting. Locking the mutex models the
 // die's ready/busy line: two operations on the same die serialize, while
@@ -50,6 +64,9 @@ type dieState struct {
 	// latency instrumentation derives per-operation service times — queueing
 	// behind the die included — from this clock.
 	busyUntil time.Duration
+	// freeTags holds the cleared tag rows of the die's erased blocks, for
+	// the next of its blocks that programs a metadata page.
+	freeTags [][]tagAux
 }
 
 // Device is a simulated NAND flash device organized as Config.Channels
@@ -65,9 +82,15 @@ type dieState struct {
 // cost), ParallelSimulatedTime takes the busiest die (the wall-clock of a
 // perfectly overlapped controller).
 type Device struct {
-	cfg      Config
-	dies     []dieState
-	blocks   []blockState
+	cfg    Config
+	dies   []dieState
+	blocks []blockState
+	// pages and types are the flash image: the spare areas of all pages,
+	// indexed by device PPN (block*PagesPerBlock + offset), without the
+	// fields a page shares with its block (see readSpare). A page's entries
+	// are guarded by the lock of its block's die.
+	pages    []pageRecord
+	types    []BlockType
 	writeSeq atomic.Uint64
 	eraseSeq atomic.Uint64
 	powered  atomic.Bool
@@ -93,9 +116,8 @@ func NewDevice(cfg Config) (*Device, error) {
 		cfg:    cfg,
 		dies:   make([]dieState, cfg.Dies()),
 		blocks: make([]blockState, cfg.Blocks),
-	}
-	for i := range d.blocks {
-		d.blocks[i].spares = make([]SpareArea, cfg.PagesPerBlock)
+		pages:  make([]pageRecord, cfg.PhysicalPages()),
+		types:  make([]BlockType, cfg.PhysicalPages()),
 	}
 	d.powered.Store(true)
 	return d, nil
@@ -223,15 +245,34 @@ func (d *Device) writePage(ppn PPN, spare SpareArea, p Purpose, floor time.Durat
 		return 0, fmt.Errorf("%w: %v", ErrProgramFailed, addr)
 	}
 	seq := d.writeSeq.Add(1)
-	spare.WriteSeq = seq
-	spare.EraseCount = uint32(blk.eraseCount)
-	spare.EraseSeq = blk.eraseSeq
-	blk.spares[addr.Offset] = spare
+	d.pages[ppn] = pageRecord{logical: spare.Logical, writeSeq: seq}
+	d.types[ppn] = spare.BlockType
+	if spare.Tag != 0 || spare.Aux != 0 {
+		// A row comes cleared and a page is programmed at most once a
+		// cycle, so a page that sets neither field already reads zero.
+		if blk.tags == nil {
+			blk.tags = d.tagRow(die)
+		}
+		blk.tags[addr.Offset] = tagAux{tag: spare.Tag, aux: spare.Aux}
+	}
 	if addr.Offset >= blk.writePointer {
 		blk.writePointer = addr.Offset + 1
 	}
 	d.record(die, OpPageWrite, p, d.cfg.Latency.PageWrite, floor)
 	return seq, nil
+}
+
+// tagRow returns a cleared tag row for a block of the given die, which must
+// be locked: one an erase returned to the die's free list, or a new one.
+func (d *Device) tagRow(die *dieState) []tagAux {
+	n := len(die.freeTags)
+	if n == 0 {
+		return make([]tagAux, d.cfg.PagesPerBlock)
+	}
+	row := die.freeTags[n-1]
+	die.freeTags[n-1] = nil
+	die.freeTags = die.freeTags[:n-1]
+	return row
 }
 
 // ReadPage reads the page at ppn. The simulator stores no payload, so the
@@ -297,7 +338,27 @@ func (d *Device) readSpare(ppn PPN, p Purpose, floor time.Duration) (SpareArea, 
 		// scans skip them instead of trusting garbage.
 		return SpareArea{}, false, nil
 	}
-	return blk.spares[addr.Offset], true, nil
+	rec := d.pages[ppn]
+	if rec.writeSeq == 0 {
+		// Below the write pointer but never programmed: a page a gapped
+		// program skipped (StrictSequentialWrites off). Its spare is empty.
+		return SpareArea{}, true, nil
+	}
+	// Only an erase changes the block's erase count and sequence, and an
+	// erase empties every page, so their current values are the ones the
+	// page was programmed under.
+	spare := SpareArea{
+		Logical:    rec.logical,
+		WriteSeq:   rec.writeSeq,
+		BlockType:  d.types[ppn],
+		EraseCount: uint32(blk.eraseCount),
+		EraseSeq:   blk.eraseSeq,
+	}
+	if blk.tags != nil {
+		t := blk.tags[addr.Offset]
+		spare.Tag, spare.Aux = t.tag, t.aux
+	}
+	return spare, true, nil
 }
 
 // NoteTrim records a host trim (discard) of the page at ppn: the page's
@@ -356,14 +417,20 @@ func (d *Device) eraseBlock(block BlockID, p Purpose, floor time.Duration) error
 		d.record(die, OpErase, p, d.cfg.Latency.Erase, floor)
 		return fmt.Errorf("%w: block %d", ErrEraseFailed, block)
 	}
+	// Only pages below the write pointer can hold anything.
+	first := PPNOf(block, 0, d.cfg.PagesPerBlock)
+	clear(d.pages[first : first+PPN(blk.writePointer)])
+	clear(d.types[first : first+PPN(blk.writePointer)])
+	if blk.tags != nil {
+		clear(blk.tags[:blk.writePointer])
+		die.freeTags = append(die.freeTags, blk.tags)
+		blk.tags = nil
+	}
 	blk.eraseCount++
 	blk.eraseSeq = d.eraseSeq.Add(1)
 	blk.writePointer = 0
 	blk.readCount = 0
 	blk.bad = nil
-	for i := range blk.spares {
-		blk.spares[i] = SpareArea{}
-	}
 	d.record(die, OpErase, p, d.cfg.Latency.Erase, floor)
 	return nil
 }
