@@ -1,10 +1,5 @@
 package flash
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
 // BlockType records what kind of data a block holds. The FTL writes the type
 // into the spare area of the first page it programs in a block so that the
 // recovery procedure can classify blocks with one spare-area read per block
@@ -46,70 +41,42 @@ func (t BlockType) String() string {
 // The fields mirror what the paper stores there: the logical address written
 // on the page, a monotonically increasing write timestamp, the block type (on
 // the first page of a block), and wear-leveling statistics (Appendix D).
+// Together they take 45 bytes, which fits the out-of-band area of real NAND
+// (64-224 bytes per page) with room for ECC.
+//
+// A SpareArea is what WritePage takes and ReadSpare returns, not how the
+// simulator stores it: the device keeps 17 bytes a page (Logical, WriteSeq
+// and BlockType) and takes the rest from the page's block, as each field
+// below says.
 type SpareArea struct {
 	// Logical is the logical page stored on this physical page, or
 	// InvalidLPN for metadata pages.
 	Logical LPN
 	// WriteSeq is the device-wide sequence number of the page program.
-	// It acts as the "timestamp of when the page was last written".
+	// It acts as the "timestamp of when the page was last written". The
+	// device assigns it, starting at 1, and ignores the caller's value.
 	WriteSeq uint64
 	// BlockType is meaningful only on the first page programmed in a
 	// block; it records the block group the block was allocated to.
 	BlockType BlockType
 	// EraseCount is the number of times this page's block had been erased
-	// when the page was written (wear-leveling statistic, Appendix D).
+	// when the page was written (wear-leveling statistic, Appendix D). The
+	// device stamps it and ignores the caller's value; it is not stored per
+	// page, because only an erase changes it and an erase empties the block,
+	// so the block's current count is every programmed page's stamp.
 	EraseCount uint32
 	// EraseSeq is the global erase counter value when this page's block
-	// was last erased (the block's erase-timestamp, Appendix D).
+	// was last erased (the block's erase-timestamp, Appendix D). Stamped by
+	// the device and taken from the block, as EraseCount is.
 	EraseSeq uint64
 	// Tag is free-form metadata for FTL-specific bookkeeping: run IDs for
 	// Logarithmic Gecko pages, translation-page indexes for translation
-	// pages, log sequence numbers for the page validity log.
+	// pages, log sequence numbers for the page validity log. Only metadata
+	// pages (translation, Gecko, PVB/PVL and metastore pages) set Tag or
+	// Aux, so the device keeps the two in a per-block row that exists only
+	// while the block holds such a page.
 	Tag uint64
 	// Aux is a second free-form metadata slot (e.g. run level, or the
 	// content-sequence stamp of the public device API).
 	Aux uint64
-}
-
-// SpareEncodedSize is the byte length of a marshalled SpareArea: the fixed
-// little-endian layout below, sized to fit real NAND out-of-band areas
-// (64-224 bytes per page) with room for ECC.
-const SpareEncodedSize = 8 + 8 + 1 + 4 + 8 + 8 + 8
-
-// MarshalBinary encodes the spare area into its fixed 45-byte on-flash
-// layout: Logical, WriteSeq, BlockType, EraseCount, EraseSeq, Tag, Aux, all
-// little-endian. It never fails; the error return satisfies
-// encoding.BinaryMarshaler.
-func (s SpareArea) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, SpareEncodedSize)
-	binary.LittleEndian.PutUint64(buf[0:], uint64(s.Logical))
-	binary.LittleEndian.PutUint64(buf[8:], s.WriteSeq)
-	buf[16] = byte(s.BlockType)
-	binary.LittleEndian.PutUint32(buf[17:], s.EraseCount)
-	binary.LittleEndian.PutUint64(buf[21:], s.EraseSeq)
-	binary.LittleEndian.PutUint64(buf[29:], s.Tag)
-	binary.LittleEndian.PutUint64(buf[37:], s.Aux)
-	return buf, nil
-}
-
-// UnmarshalBinary decodes the fixed layout written by MarshalBinary. It
-// rejects data of the wrong length and undefined block types, so a corrupted
-// spare area fails loudly instead of classifying a block as garbage.
-func (s *SpareArea) UnmarshalBinary(data []byte) error {
-	if len(data) != SpareEncodedSize {
-		return fmt.Errorf("flash: spare area is %d bytes, want %d", len(data), SpareEncodedSize)
-	}
-	if t := BlockType(data[16]); int(t) >= len(blockTypeNames) {
-		return fmt.Errorf("flash: spare area names undefined block type %d", data[16])
-	}
-	*s = SpareArea{
-		Logical:    LPN(binary.LittleEndian.Uint64(data[0:])),
-		WriteSeq:   binary.LittleEndian.Uint64(data[8:]),
-		BlockType:  BlockType(data[16]),
-		EraseCount: binary.LittleEndian.Uint32(data[17:]),
-		EraseSeq:   binary.LittleEndian.Uint64(data[21:]),
-		Tag:        binary.LittleEndian.Uint64(data[29:]),
-		Aux:        binary.LittleEndian.Uint64(data[37:]),
-	}
-	return nil
 }

@@ -34,24 +34,17 @@ type randScript struct{ rng *rand.Rand }
 func (s randScript) pick(n int) int { return s.rng.Intn(n) }
 func (s randScript) spent() bool    { return false }
 
-// byteScript reads its choices from a byte string: one byte for a choice of
-// up to 256, four bytes for a larger one, zeros once the bytes run out.
+// byteScript reads its choices from a byte string, one byte each (no choice
+// is among more than 256), and reads zeros once the bytes run out.
 type byteScript struct{ data []byte }
 
 func (s *byteScript) pick(n int) int {
-	width := 1
-	if n > 256 {
-		width = 4
+	if len(s.data) == 0 {
+		return 0
 	}
-	var v uint32
-	for range width {
-		v <<= 8
-		if len(s.data) > 0 {
-			v |= uint32(s.data[0])
-			s.data = s.data[1:]
-		}
-	}
-	return int(v % uint32(n))
+	v := int(s.data[0]) % n
+	s.data = s.data[1:]
+	return v
 }
 
 func (s *byteScript) spent() bool { return len(s.data) == 0 }
@@ -231,6 +224,18 @@ func runSpareStore(t testing.TB, c spareStoreCase, s spareScript, steps int) {
 	ref := newSpareRef(c, cfg)
 	ppb := cfg.PagesPerBlock
 	powered := func(p *spareStorePlane) bool { return p.up && planes[0].up }
+	logical := func() LPN {
+		switch s.pick(3) {
+		case 0:
+			return InvalidLPN
+		case 1:
+			return LPN(s.pick(256))
+		default:
+			return 1<<40 + LPN(s.pick(256))
+		}
+	}
+	// word is a Tag or Aux value: zero half the time, so that blocks mix
+	// pages that set them with pages that do not.
 	word := func() uint64 {
 		switch s.pick(4) {
 		case 0, 1:
@@ -238,7 +243,7 @@ func runSpareStore(t testing.TB, c spareStoreCase, s spareScript, steps int) {
 		case 2:
 			return uint64(1 + s.pick(16))
 		default:
-			return ^uint64(s.pick(1 << 16))
+			return ^uint64(s.pick(256))
 		}
 	}
 	checkSpare := func(step int, p *spareStorePlane, b BlockID, off int) {
@@ -291,15 +296,16 @@ func runSpareStore(t testing.TB, c spareStoreCase, s spareScript, steps int) {
 				off += s.pick(3)
 			}
 			off = min(off, ppb-1)
+			// The fields are drawn in order; the device must overwrite the
+			// three it stamps, whatever the caller put there.
 			spare := SpareArea{
-				Logical:    []LPN{InvalidLPN, LPN(s.pick(1000)), 1<<40 + LPN(s.pick(1000))}[s.pick(3)],
-				BlockType:  []BlockType{BlockFree, BlockUser, BlockTranslation, BlockGecko, 200}[s.pick(5)],
-				Tag:        word(),
-				Aux:        word(),
-				WriteSeq:   uint64(s.pick(3)),
-				EraseCount: uint32(s.pick(3)),
-				EraseSeq:   uint64(s.pick(3)),
+				Logical:   logical(),
+				BlockType: []BlockType{BlockFree, BlockUser, BlockTranslation, BlockGecko, 200}[s.pick(5)],
+				Tag:       word(),
+				Aux:       word(),
 			}
+			junk := s.pick(3)
+			spare.WriteSeq, spare.EraseCount, spare.EraseSeq = uint64(junk), uint32(junk), uint64(junk)
 			wantSeq, wantErr := uint64(0), error(ErrPowerFailed)
 			if powered(p) {
 				wantSeq, wantErr = ref.program(p.base+b, off, spare)
@@ -364,4 +370,25 @@ func TestSpareStoreMatchesReference(t *testing.T) {
 			})
 		}
 	}
+}
+
+// FuzzSpareStore is the same oracle with the case and every operation read
+// from the fuzz input, one byte a choice: the first byte holds the case flags
+// (bit 0 gapped programs, bit 1 partitions, bit 2 an erase budget, bit 3
+// scripted faults), the bytes the flags ask for follow, then the operations.
+// The seed corpus in testdata/fuzz/FuzzSpareStore writes user, translation,
+// Gecko and undefined-type pages, mixes pages with and without Tag and Aux on
+// one block, and crosses erases, faults, retirement and a power cut; CI runs
+// it with a short -fuzztime smoke.
+func FuzzSpareStore(f *testing.F) {
+	for i, flags := range []byte{0, 1, 2, 4, 8, 10, 15} {
+		data := make([]byte, 512)
+		rand.New(rand.NewSource(int64(i + 1))).Read(data)
+		data[0] = flags
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := &byteScript{data: data}
+		runSpareStore(t, spareStoreCaseOf(s.pick(16), s), s, len(data))
+	})
 }
