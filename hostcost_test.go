@@ -244,9 +244,9 @@ func TestHostAllocBudget(t *testing.T) {
 // type; metadata pages' tags in per-block rows), the dense per-LPN and
 // per-block indexes, and the validity store, which is where the FTLs differ:
 // Logarithmic Gecko's runs for GeckoFTL, a page-validity log beside a RAM
-// bitmap for IB-FTL. Readings when this was written: 38.5, 30.1, 31.3, 32.0
-// and 79.0 bytes in the order below; a per-block []SpareArea of 48 bytes a
-// page put every one of them about 30 bytes higher.
+// bitmap for IB-FTL. Readings when this was written: 38.3 to 38.5, 29.7,
+// 31.1, 31.8 and 79.0 bytes in the order below; a per-block []SpareArea of
+// 48 bytes a page put every one of them about 30 bytes higher.
 func TestHostBytesPerPage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the program's behalf")
