@@ -45,8 +45,6 @@ type translationTable struct {
 	// Like flashMapping they model flash content, not integrated RAM.
 	undo    []undoRecord
 	touched []uint64
-	syncOps int64
-	aborted int64
 }
 
 // prevVersion is the location of a translation page as it was before the
@@ -98,13 +96,6 @@ func (t *translationTable) EntriesPerPage() int { return t.entriesPerTP }
 
 // Pages returns the number of translation pages.
 func (t *translationTable) Pages() int { return t.pages }
-
-// SyncOps returns the number of synchronization operations performed.
-func (t *translationTable) SyncOps() int64 { return t.syncOps }
-
-// AbortedSyncOps returns the number of synchronization operations aborted
-// because every participating entry turned out to be clean (Appendix C.3.1).
-func (t *translationTable) AbortedSyncOps() int64 { return t.aborted }
 
 // pageOf returns the translation page index covering a logical page.
 func (t *translationTable) pageOf(lpn flash.LPN) int {
@@ -159,10 +150,8 @@ func (t *translationTable) Synchronize(tp int, updates []dirtyUpdate) error {
 		}
 	}
 	if len(updates) == 0 {
-		t.aborted++
 		return nil
 	}
-	t.syncOps++
 
 	// Preserve the previous version of this translation page so that the
 	// recovery procedure can rebuild Logarithmic Gecko's buffer by diffing

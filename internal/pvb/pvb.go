@@ -8,22 +8,6 @@ import (
 	"geckoftl/internal/metastore"
 )
 
-// Store is the common interface of page-validity metadata stores: the
-// RAM-resident PVB, the flash-resident PVB, the IB-FTL page validity log and
-// Logarithmic Gecko (through an adapter in the ftl package) all satisfy it.
-type Store interface {
-	// Update reports that the physical page at addr has become invalid.
-	Update(addr flash.Addr) error
-	// RecordErase reports that a block has been erased, so all of its pages
-	// are valid (free) again.
-	RecordErase(block flash.BlockID) error
-	// Query returns a bitmap with one bit per page of the block; a set bit
-	// means the page is invalid.
-	Query(block flash.BlockID) (*bitmap.Bitmap, error)
-	// RAMBytes returns the integrated-RAM footprint of the store.
-	RAMBytes() int64
-}
-
 // RAMPVB is the Page Validity Bitmap kept entirely in integrated RAM.
 type RAMPVB struct {
 	blocks        int
@@ -90,15 +74,6 @@ func (p *RAMPVB) CrashRAM() {
 	for i := range p.bits {
 		p.bits[i].Reset()
 	}
-}
-
-// InvalidCount returns the number of invalid pages in a block; BVC
-// maintenance and tests use it.
-func (p *RAMPVB) InvalidCount(block flash.BlockID) (int, error) {
-	if err := p.checkBlock(block); err != nil {
-		return 0, err
-	}
-	return p.bits[block].PopCount(), nil
 }
 
 // FlashPVB stores the Page Validity Bitmap in flash. Each PVB page covers a
@@ -240,13 +215,4 @@ func (p *FlashPVB) Query(block flash.BlockID) (*bitmap.Bitmap, error) {
 // RAM-resident PVB.
 func (p *FlashPVB) RAMBytes() int64 {
 	return int64(len(p.location)) * 8
-}
-
-// InvalidCount returns the number of invalid pages in a block without
-// charging IO (the FTL maintains this in its RAM-resident BVC).
-func (p *FlashPVB) InvalidCount(block flash.BlockID) (int, error) {
-	if err := p.checkBlock(block); err != nil {
-		return 0, err
-	}
-	return p.shadow[block].PopCount(), nil
 }

@@ -334,6 +334,3 @@ func (l *Log) RAMBytes() int64 {
 	directory := int64(len(l.pageOf)) * 8
 	return heads + directory + int64(l.cfg.PageSize)
 }
-
-// MaxEntriesBound returns the configured log bound.
-func (l *Log) MaxEntriesBound() int { return l.max }

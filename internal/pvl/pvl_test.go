@@ -60,7 +60,7 @@ func TestDefaultBoundIsTwiceOverProvisionedSpace(t *testing.T) {
 	_, l := newHarness(t, 100, 10, 512, 16, 0)
 	physical := 100 * 10
 	d := physical - int(0.7*float64(physical))
-	if got := l.MaxEntriesBound(); got != 2*d {
+	if got := l.max; got != 2*d {
 		t.Errorf("default bound = %d, want %d", got, 2*d)
 	}
 }
@@ -165,8 +165,8 @@ func TestCleaningBoundsLogSize(t *testing.T) {
 	}
 	// The cleaning keeps the live entry count near the bound; reinsertion
 	// and undiscardable pages can exceed it only by a modest factor.
-	if got := l.Entries(); got > 2*l.MaxEntriesBound() {
-		t.Errorf("log holds %d entries, bound %d", got, l.MaxEntriesBound())
+	if got := l.Entries(); got > 2*l.max {
+		t.Errorf("log holds %d entries, bound %d", got, l.max)
 	}
 	if l.Stats().Cleanings == 0 {
 		t.Error("expected cleanings to have run")
