@@ -45,11 +45,21 @@ const (
 	heatRecordBytes    = 12 // float32 heat + last-touch clock
 )
 
-// ErrCheckpointUnsupported reports that this engine configuration cannot be
+// ErrCheckpointUnsupported reports that this engine's FTL cannot be
 // checkpointed. Warm restart is a GeckoFTL feature: battery-backed FTLs
-// flush at failure time and the comparison schemes keep validity state this
+// flush at failure time and the other validity stores keep state this
 // format does not cover, so they always start cold.
-var ErrCheckpointUnsupported = errors.New("ftl: checkpointing requires the GeckoFTL scheme without battery")
+var ErrCheckpointUnsupported = errors.New("ftl: checkpointing requires GeckoFTL")
+
+// checkpointFiles reports whether an engine of this FTL can save its RAM
+// state to a host checkpoint file and restore it: only a battery-less FTL on
+// Logarithmic Gecko (GeckoFTL), whose run directories the file carries. The
+// engine exports, verifies and imports shards only when it holds, so those
+// steps assert the store is a *gecko.Gecko.
+func (f *FTL) checkpointFiles() bool {
+	_, ok := f.validity.(*gecko.Gecko)
+	return ok && !f.facts.battery
+}
 
 // shardCheckpoint is the decoded RAM state of one shard.
 type shardCheckpoint struct {
@@ -109,7 +119,7 @@ func (e *Engine) ExportCheckpoint() (*checkpoint.File, error) {
 	if e.failed {
 		return nil, fmt.Errorf("ftl: checkpoint export on a power-failed engine: %w", flash.ErrPowerFailed)
 	}
-	if !e.facts.checkpointFiles() {
+	if !e.shards[0].ftl.checkpointFiles() {
 		return nil, ErrCheckpointUnsupported
 	}
 	for _, sh := range e.shards {
@@ -203,7 +213,7 @@ func (f *FTL) appendShardSections(sections []checkpoint.Section, shard int) []ch
 	sections = append(sections, checkpoint.Section{ID: shardSectionID(sectionShardCache, shard), Payload: cache.Bytes()})
 
 	var lg checkpoint.Writer
-	runs := f.lg.ExportDirectories()
+	runs := f.validity.(*gecko.Gecko).ExportDirectories()
 	size := 4
 	for _, r := range runs {
 		size += runHeaderBytes + len(r.Pages)*runPageRecordBytes
@@ -497,7 +507,7 @@ func (f *FTL) verifyShardCheckpoint(sc *shardCheckpoint) error {
 		}
 	}
 
-	if err := f.lg.ValidateDirectories(sc.runs); err != nil {
+	if err := f.validity.(*gecko.Gecko).ValidateDirectories(sc.runs); err != nil {
 		return fmt.Errorf("%w: %w", checkpoint.ErrInvalid, err)
 	}
 
@@ -539,7 +549,7 @@ func (f *FTL) importShardCheckpoint(sc *shardCheckpoint) error {
 		f.table.SetGMDLocation(tp, ppn)
 	}
 
-	if err := f.lg.ImportDirectories(sc.runs); err != nil {
+	if err := f.validity.(*gecko.Gecko).ImportDirectories(sc.runs); err != nil {
 		f.crash()
 		return fmt.Errorf("%w: %w", checkpoint.ErrInvalid, err)
 	}
@@ -572,7 +582,7 @@ func (e *Engine) ValidateCheckpoint(file *checkpoint.File) error {
 	if e.failed {
 		return fmt.Errorf("ftl: checkpoint validation on a power-failed engine: %w", flash.ErrPowerFailed)
 	}
-	if !e.facts.checkpointFiles() {
+	if !e.shards[0].ftl.checkpointFiles() {
 		return ErrCheckpointUnsupported
 	}
 	ec, err := decodeCheckpoint(file)
@@ -607,7 +617,7 @@ func (e *Engine) RestoreCheckpoint(file *checkpoint.File) error {
 	if !e.failed {
 		return fmt.Errorf("ftl: checkpoint restore without a preceding PowerFail")
 	}
-	if !e.facts.checkpointFiles() {
+	if !e.shards[0].ftl.checkpointFiles() {
 		return ErrCheckpointUnsupported
 	}
 	ec, err := decodeCheckpoint(file)

@@ -10,18 +10,38 @@ import (
 	"geckoftl/internal/flash"
 	"geckoftl/internal/gecko"
 	"geckoftl/internal/mapcache"
+	"geckoftl/internal/model"
 	"geckoftl/internal/pvb"
 	"geckoftl/internal/pvl"
 )
 
-// validityStore is the page-validity metadata abstraction every FTL variant
-// plugs into the engine: Logarithmic Gecko, the RAM- or flash-resident PVB,
-// or the IB-FTL page validity log.
+// validityStore is an FTL's page-validity store, the one New builds for it:
+// Logarithmic Gecko, the RAM- or flash-resident PVB, or the IB-FTL page
+// validity log. Every store implements all of it.
 type validityStore interface {
+	// Update reports the page at addr invalid.
 	Update(addr flash.Addr) error
+	// RecordErase reports the block erased: its pages are no longer invalid.
 	RecordErase(block flash.BlockID) error
+	// Query returns the block's invalid pages, one bit per page.
 	Query(block flash.BlockID) (*bitmap.Bitmap, error)
+	// RAMBytes is the store's integrated-RAM footprint.
 	RAMBytes() int64
+	// CrashRAM drops what the store keeps in integrated RAM, as a power
+	// failure would.
+	CrashRAM()
+}
+
+// flashStore is implemented by the stores whose pages live in flash:
+// Logarithmic Gecko, the flash-resident PVB and the page validity log.
+// Recovery counts their live pages into the BVC, and a greedy
+// garbage-collector that picks one of their blocks relocates the live pages
+// (GeckoFTL's metadata-aware policy never does; the latency sweep's greedy
+// GeckoFTL rows do).
+type flashStore interface {
+	LivePages() []flash.PPN
+	IsLive(ppn flash.PPN) bool
+	Relocate(old, new flash.PPN) bool
 }
 
 // Stats counts the FTL's logical activity. IO counts live in the device
@@ -95,12 +115,11 @@ type FTL struct {
 	table *translationTable
 	cache *mapcache.Cache
 
+	// validity is the page-validity store. The calls only Logarithmic Gecko
+	// has (buffer flushes, directory recovery and checkpoints) assert
+	// validity.(*gecko.Gecko) where they are made.
 	validity validityStore
-	// lg is GeckoFTL's Logarithmic Gecko instance (nil for the other four),
-	// for the operations that go beyond the validityStore interface (flush
-	// coordination and recovery).
-	lg   *gecko.Gecko
-	wear *wearLeveler
+	wear     *wearLeveler
 	// heat routes user writes to the hot or cold frontier when
 	// Options.HotColdSeparation is on.
 	heat *heatClassifier
@@ -139,7 +158,31 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 	facts := kindFacts[opts.FTL]
 	bm := newBlockManager(dev, opts.GCFreeBlockReserve, opts.HotColdSeparation, opts.WearAwareAllocation)
 	logicalPages := int64(cfg.LogicalPages())
-	table := newTranslationTable(bm, logicalPages, cfg.PageSize, facts.store == storeGecko)
+
+	var validity validityStore
+	var err error
+	store := &groupStore{bm: bm}
+	switch opts.FTL {
+	case model.GeckoFTL:
+		gcfg := gecko.DefaultConfig(cfg.Blocks, cfg.PagesPerBlock, cfg.PageSize)
+		gcfg.SizeRatio = opts.GeckoSizeRatio
+		if opts.GeckoPartitionFactor > 0 {
+			gcfg.PartitionFactor = opts.GeckoPartitionFactor
+		}
+		gcfg.MultiWayMerge = opts.GeckoMultiWayMerge
+		validity, err = gecko.New(gcfg, store)
+	case model.DFTL, model.LazyFTL:
+		validity, err = pvb.NewRAMPVB(cfg.Blocks, cfg.PagesPerBlock)
+	case model.MuFTL:
+		validity, err = pvb.NewFlashPVB(cfg.Blocks, cfg.PagesPerBlock, cfg.PageSize, store)
+	case model.IBFTL:
+		validity, err = pvl.New(pvl.Config{Blocks: cfg.Blocks, PagesPerBlock: cfg.PagesPerBlock, PageSize: cfg.PageSize}, store)
+	}
+	if err != nil {
+		return nil, err
+	}
+	_, keepPrevious := validity.(*gecko.Gecko)
+	table := newTranslationTable(bm, logicalPages, cfg.PageSize, keepPrevious)
 	cache := mapcache.New(opts.CacheEntries, table.EntriesPerPage())
 	cache.Reserve(int(logicalPages))
 
@@ -151,6 +194,7 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 		bm:           bm,
 		table:        table,
 		cache:        cache,
+		validity:     validity,
 		wear:         newWearLeveler(opts.WearLeveling, opts.WearThreshold),
 		heat:         newHeatClassifier(opts.HotColdSeparation, logicalPages),
 		logicalPages: logicalPages,
@@ -158,45 +202,6 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 	}
 	if facts.dirtyBound {
 		f.dirtyLimit = max(1, int(dirtyBoundFraction*float64(opts.CacheEntries)))
-	}
-
-	store := &groupStore{bm: bm}
-	switch facts.store {
-	case storeGecko:
-		gcfg := gecko.DefaultConfig(cfg.Blocks, cfg.PagesPerBlock, cfg.PageSize)
-		gcfg.SizeRatio = opts.GeckoSizeRatio
-		if opts.GeckoPartitionFactor > 0 {
-			gcfg.PartitionFactor = opts.GeckoPartitionFactor
-		}
-		gcfg.MultiWayMerge = opts.GeckoMultiWayMerge
-		lg, err := gecko.New(gcfg, store)
-		if err != nil {
-			return nil, err
-		}
-		f.lg = lg
-		f.validity = lg
-	case storeRAMPVB:
-		p, err := pvb.NewRAMPVB(cfg.Blocks, cfg.PagesPerBlock)
-		if err != nil {
-			return nil, err
-		}
-		f.validity = p
-	case storeFlashPVB:
-		p, err := pvb.NewFlashPVB(cfg.Blocks, cfg.PagesPerBlock, cfg.PageSize, store)
-		if err != nil {
-			return nil, err
-		}
-		f.validity = p
-	case storePVL:
-		l, err := pvl.New(pvl.Config{
-			Blocks:        cfg.Blocks,
-			PagesPerBlock: cfg.PagesPerBlock,
-			PageSize:      cfg.PageSize,
-		}, store)
-		if err != nil {
-			return nil, err
-		}
-		f.validity = l
 	}
 	return f, nil
 }
@@ -303,6 +308,7 @@ func (f *FTL) remap(lpn flash.LPN, trim bool) error {
 	// 4.1), and Trimmed attributes its eventual report to the trim.
 	entry := mapcache.Entry{Logical: lpn, Physical: flash.InvalidPPN, Dirty: true}
 	prev := flash.InvalidPPN
+	_, lazy := f.validity.(*gecko.Gecko)
 	var err error
 	switch {
 	case isCached:
@@ -310,7 +316,7 @@ func (f *FTL) remap(lpn flash.LPN, trim bool) error {
 		entry.UIP = cached.UIP
 		entry.Uncertain = cached.Uncertain
 		entry.Trimmed = cached.Trimmed
-	case f.lg != nil:
+	case lazy:
 		entry.UIP = true
 		entry.Trimmed = trim
 	default:
@@ -473,9 +479,12 @@ func (f *FTL) reportInvalid(ppn flash.PPN) error {
 	if err := f.bm.InvalidatePage(ppn); err != nil {
 		return err
 	}
-	if f.lg != nil && f.lg.BufferLen() == 0 {
+	if g, ok := f.validity.(*gecko.Gecko); ok && g.BufferLen() == 0 {
 		// The Gecko buffer just flushed: the protected previous versions of
-		// translation pages are no longer needed for buffer recovery.
+		// translation pages are no longer needed for buffer recovery. Only
+		// this report checks: synchronize's update of an old translation
+		// page can flush the buffer too, and recovery's replay clears once at
+		// its end; checking after either would move recorded results.
 		f.table.ClearProtected(true)
 	}
 	return nil
@@ -744,22 +753,11 @@ func (f *FTL) eraseDeadMetadataBlock(block flash.BlockID) error {
 	return nil
 }
 
-// metaRelocator is implemented by the flash-resident page-validity stores,
-// whose pages a greedy garbage-collector may move: the flash-resident PVB, the
-// page validity log and Logarithmic Gecko (gecko/livepages.go). GeckoFTL's
-// own metadata-aware policy never collects a metadata block, but under the
-// greedy policy (the latency sweep's greedy GeckoFTL rows) its Gecko pages
-// are relocated through it.
-type metaRelocator interface {
-	IsLive(ppn flash.PPN) bool
-	Relocate(old, new flash.PPN) bool
-}
-
 // migrateMetaPage relocates the metadata page at the given offset of a victim
 // if its owning structure reports it live, reporting whether any IO was
 // issued.
 func (f *FTL) migrateMetaPage(victim flash.BlockID, offset int) (bool, error) {
-	relocator, _ := f.validity.(metaRelocator)
+	relocator, _ := f.validity.(flashStore)
 	ppn := flash.PPNOf(victim, offset, f.cfg.PagesPerBlock)
 	if relocator == nil || !relocator.IsLive(ppn) {
 		return false, nil
@@ -906,8 +904,10 @@ func (f *FTL) Flush() error {
 			return err
 		}
 	}
-	if f.lg != nil {
-		if err := f.lg.Flush(); err != nil {
+	// Only Logarithmic Gecko's buffer: IB-FTL's log keeps its partial page in
+	// RAM, and flushing it here would add page writes to every IB-FTL run.
+	if g, ok := f.validity.(*gecko.Gecko); ok {
+		if err := g.Flush(); err != nil {
 			return err
 		}
 		f.table.ClearProtected(false)

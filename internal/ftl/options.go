@@ -79,9 +79,9 @@ const DefaultGCPagesPerWrite = 4
 // its four siblings) fills it in for one of the paper's five FTLs; tests and
 // experiments tweak the shared settings below.
 type Options struct {
-	// FTL names which of the paper's five FTLs this is. Its row of
-	// kindFacts fixes what that FTL is: validity store, battery, dirty bound
-	// and runtime checkpoints.
+	// FTL names which of the paper's five FTLs this is. New builds its
+	// validity store, and its row of kindFacts fixes the rest of what that
+	// FTL is: battery, dirty bound and runtime checkpoints.
 	FTL model.FTLKind
 	// CacheEntries is C, the capacity of the LRU mapping cache.
 	CacheEntries int
@@ -182,33 +182,16 @@ func (o *Options) validate(cfg flash.Config) error {
 // devices use proportionally smaller caches.
 const DefaultCacheEntries = 1 << 19
 
-// store names a page-validity store, the first of the two axes along which
-// the paper's five FTLs differ (Section 5.3).
-type store int
-
-const (
-	// storeGecko is Logarithmic Gecko in flash.
-	storeGecko store = iota
-	// storeRAMPVB is the Page Validity Bitmap in integrated RAM.
-	storeRAMPVB
-	// storeFlashPVB is the Page Validity Bitmap in flash.
-	storeFlashPVB
-	// storePVL logs invalidated page addresses in flash with per-block
-	// chains.
-	storePVL
-)
-
 // dirtyBoundFraction is the fraction of the cache LazyFTL and IB-FTL let
 // dirty mapping entries fill before they force a synchronization.
 const dirtyBoundFraction = 0.1
 
-// facts is what one of the paper's five FTLs is: its validity store, its
-// recovery model (the second axis), its own victim policy and the names a
-// command line may use for it besides model.FTLKind.String. New copies its
-// FTL's row once; besides New, only OptionsFor and OptionsByName read the
-// table.
+// facts is what one of the paper's five FTLs is besides its validity store,
+// which New builds: its recovery model (the second axis of Section 5.3), its
+// own victim policy and the names a command line may use for it besides
+// model.FTLKind.String. New copies its FTL's row once; besides New, only
+// OptionsFor and OptionsByName read the table.
 type facts struct {
-	store store
 	// battery: dirty mapping entries are synchronized on battery power at a
 	// power failure instead of being recovered.
 	battery bool
@@ -224,17 +207,12 @@ type facts struct {
 // kindFacts holds one row per model.FTLKind. The empty name selects
 // GeckoFTL.
 var kindFacts = [...]facts{
-	model.GeckoFTL: {store: storeGecko, checkpoints: true, victims: VictimMetadataAware, aliases: []string{"geckoftl", "gecko", ""}},
-	model.DFTL:     {store: storeRAMPVB, battery: true, victims: VictimGreedy, aliases: []string{"dftl"}},
-	model.LazyFTL:  {store: storeRAMPVB, dirtyBound: true, victims: VictimGreedy, aliases: []string{"lazyftl", "lazy"}},
-	model.MuFTL:    {store: storeFlashPVB, battery: true, victims: VictimGreedy, aliases: []string{"muftl", "mu", "uftl", "mu-ftl"}},
-	model.IBFTL:    {store: storePVL, dirtyBound: true, victims: VictimGreedy, aliases: []string{"ibftl", "ib", "ib-ftl"}},
+	model.GeckoFTL: {checkpoints: true, victims: VictimMetadataAware, aliases: []string{"geckoftl", "gecko", ""}},
+	model.DFTL:     {battery: true, victims: VictimGreedy, aliases: []string{"dftl"}},
+	model.LazyFTL:  {dirtyBound: true, victims: VictimGreedy, aliases: []string{"lazyftl", "lazy"}},
+	model.MuFTL:    {battery: true, victims: VictimGreedy, aliases: []string{"muftl", "mu", "uftl", "mu-ftl"}},
+	model.IBFTL:    {dirtyBound: true, victims: VictimGreedy, aliases: []string{"ibftl", "ib", "ib-ftl"}},
 }
-
-// checkpointFiles reports whether an engine of this FTL can save its RAM
-// state to a host checkpoint file and restore it: only battery-less
-// Logarithmic Gecko (GeckoFTL), whose run directories the file carries.
-func (k facts) checkpointFiles() bool { return k.store == storeGecko && !k.battery }
 
 // OptionsFor returns the configuration of the given FTL, one of
 // model.Kinds(), with the given mapping-cache capacity and the FTL's own

@@ -8,7 +8,10 @@ import (
 
 	"geckoftl/internal/bitmap"
 	"geckoftl/internal/flash"
+	"geckoftl/internal/gecko"
 	"geckoftl/internal/mapcache"
+	"geckoftl/internal/pvb"
+	"geckoftl/internal/pvl"
 )
 
 // RecoveryReport summarizes a recovery run: what was rebuilt and how much IO
@@ -68,9 +71,7 @@ func (f *FTL) crash() {
 	f.table.CrashRAM()
 	f.bm.CrashRAM()
 	f.heat.CrashRAM()
-	if crasher, ok := f.validity.(interface{ CrashRAM() }); ok {
-		crasher.CrashRAM()
-	}
+	f.validity.CrashRAM()
 }
 
 // Recover restores the FTL after a power failure, implementing GeckoRec
@@ -107,20 +108,17 @@ func (f *FTL) Recover() (*RecoveryReport, error) {
 		return nil, err
 	}
 
-	// Steps 3 & 4: recover the flash-resident page-validity structures.
-	switch f.facts.store {
-	case storeGecko:
-		if err := f.lg.RecoverDirectories(); err != nil {
+	// Steps 3 & 4: recover the flash-resident page-validity structures. The
+	// flash-resident PVB needs nothing more (see pvb.FlashPVB.CrashRAM).
+	switch store := f.validity.(type) {
+	case *gecko.Gecko:
+		if err := store.RecoverDirectories(); err != nil {
 			return nil, err
 		}
-		if err := f.recoverGeckoBuffer(); err != nil {
+		if err := f.recoverGeckoBuffer(store); err != nil {
 			return nil, err
 		}
-	case storeFlashPVB:
-		// The flash-resident PVB persists across failures; only its small
-		// RAM directory needs to be rebuilt, which the spare scan of step 1
-		// already paid for. Nothing further to do.
-	case storePVL:
+	case *pvl.Log:
 		// IB-FTL must rebuild its RAM-resident chain heads by scanning the
 		// whole log, whose size is proportional to device capacity.
 		if err := f.rebuildPVLHeads(); err != nil {
@@ -138,7 +136,7 @@ func (f *FTL) Recover() (*RecoveryReport, error) {
 		}
 		report.RecoveredMappingEntries = recovered
 
-		if f.facts.store == storeGecko {
+		if _, ok := f.validity.(*gecko.Gecko); ok {
 			// Step 7 (GeckoFTL): defer synchronization; the dirty and UIP
 			// flags of the recreated entries are assumed true and corrected
 			// lazily after normal operation resumes (Appendix C.3).
@@ -160,8 +158,8 @@ func (f *FTL) Recover() (*RecoveryReport, error) {
 	// translation table: every mapped physical page is valid, every other
 	// written page is invalid. This runs after the recovered dirty entries
 	// have been synchronized so that the table reflects the newest versions.
-	if f.facts.store == storeRAMPVB {
-		if err := f.rebuildRAMPVB(); err != nil {
+	if p, ok := f.validity.(*pvb.RAMPVB); ok {
+		if err := f.rebuildRAMPVB(p); err != nil {
 			return nil, err
 		}
 	}
@@ -352,18 +350,18 @@ func (f *FTL) recoverGMD() ([]uint64, error) {
 // recoverGeckoBuffer rebuilds the content of Logarithmic Gecko's buffer that
 // was lost at power failure (Appendix C.2): the addresses of blocks erased
 // and pages invalidated since the last time the buffer was flushed.
-func (f *FTL) recoverGeckoBuffer() error {
+func (f *FTL) recoverGeckoBuffer(g *gecko.Gecko) error {
 	// C.2.1: blocks erased since the last buffer flush are the free blocks
 	// and the blocks whose first page was written after the newest run was
 	// created. The block scan of step 1 already identified them.
-	newestRunSeq, err := f.lg.NewestRunWriteSeq()
+	newestRunSeq, err := g.NewestRunWriteSeq()
 	if err != nil {
 		return err
 	}
 	for i := range f.bm.blocks {
 		info := &f.bm.blocks[i]
 		if !info.allocated || (newestRunSeq > 0 && info.firstWriteSeq > newestRunSeq) {
-			if err := f.lg.RecordErase(flash.BlockID(i)); err != nil {
+			if err := g.RecordErase(flash.BlockID(i)); err != nil {
 				return err
 			}
 		}
@@ -407,7 +405,7 @@ func (f *FTL) recoverGeckoBuffer() error {
 				return err
 			}
 			if written && spare.Logical == lpn {
-				if err := f.lg.Update(flash.Decompose(oldPPN, f.cfg.PagesPerBlock)); err != nil {
+				if err := g.Update(flash.Decompose(oldPPN, f.cfg.PagesPerBlock)); err != nil {
 					return err
 				}
 			}
@@ -422,7 +420,7 @@ func (f *FTL) recoverGeckoBuffer() error {
 // is valid; every other written user page is invalid. The scan costs one page
 // read per translation page, which is the LazyFTL recovery bottleneck the
 // paper identifies.
-func (f *FTL) rebuildRAMPVB() error {
+func (f *FTL) rebuildRAMPVB(p *pvb.RAMPVB) error {
 	// Read every live translation page.
 	for tp := 0; tp < f.table.Pages(); tp++ {
 		loc := f.table.GMDLocation(tp)
@@ -447,7 +445,7 @@ func (f *FTL) rebuildRAMPVB() error {
 		for offset := 0; offset < written; offset++ {
 			ppn := flash.PPNOf(block, offset, f.cfg.PagesPerBlock)
 			if valid[ppn/64]&(1<<uint(ppn%64)) == 0 {
-				if err := f.validity.Update(flash.Decompose(ppn, f.cfg.PagesPerBlock)); err != nil {
+				if err := p.Update(flash.Decompose(ppn, f.cfg.PagesPerBlock)); err != nil {
 					return err
 				}
 			}
@@ -457,13 +455,9 @@ func (f *FTL) rebuildRAMPVB() error {
 }
 
 // rebuildPVLHeads rebuilds IB-FTL's RAM-resident chain heads by scanning the
-// entire page validity log, one page read per log page.
+// entire page validity log, one page read per log page. It only charges the
+// scan: the simulator keeps the heads (see pvl.Log.CrashRAM).
 func (f *FTL) rebuildPVLHeads() error {
-	// The log's RAM state (chain heads, erase timestamps) is not actually
-	// dropped by the simulator at PowerFail because the pvl package keeps
-	// them embedded with the flash image; the cost of the scan that a real
-	// IB-FTL would need is charged here so that recovery-time comparisons
-	// remain fair.
 	for _, block := range f.bm.BlocksInGroup(GroupMeta) {
 		written := f.bm.WritePointer(block)
 		for offset := 0; offset < written; offset++ {
@@ -476,23 +470,17 @@ func (f *FTL) rebuildPVLHeads() error {
 	return nil
 }
 
-// livePageLister is implemented by the flash-resident page-validity
-// structures; recovery uses it to rebuild the BVC entries of metadata blocks.
-type livePageLister interface {
-	LivePages() []flash.PPN
-}
-
 // rebuildBVC recreates the Blocks Validity Counter (GeckoRec step 5): for
 // every block, the number of valid pages is the number of written pages
 // minus the number of invalid ones according to the page-validity store.
-// For GeckoFTL this is a scan of Logarithmic Gecko's runs; the flash reads
-// involved are those of the GC queries issued per block below.
+// Logarithmic Gecko answers for every block with one scan of its runs; the
+// other stores answer one GC query per block.
 func (f *FTL) rebuildBVC() error {
 	// live counts, per block, the live pages of the metadata structures and
 	// the valid translation pages, those the recovered GMD points to; the two
 	// sit in blocks of different groups.
 	live := make([]int32, f.cfg.Blocks)
-	if lister, ok := f.validity.(livePageLister); ok {
+	if lister, ok := f.validity.(flashStore); ok {
 		for _, ppn := range lister.LivePages() {
 			live[flash.BlockOf(ppn, f.cfg.PagesPerBlock)]++
 		}
@@ -502,16 +490,13 @@ func (f *FTL) rebuildBVC() error {
 			live[flash.BlockOf(loc, f.cfg.PagesPerBlock)]++
 		}
 	}
-	// For GeckoFTL, reconstruct every block's validity bitmap with a single
-	// scan of Logarithmic Gecko's pages (GeckoRec step 5) instead of one GC
-	// query per block.
+	g, isGecko := f.validity.(*gecko.Gecko)
 	var geckoScan *bitmap.Rows
-	if f.lg != nil {
-		scan, err := f.lg.ScanValidity()
-		if err != nil {
+	if isGecko {
+		var err error
+		if geckoScan, err = g.ScanValidity(); err != nil {
 			return err
 		}
-		geckoScan = scan
 	}
 	for i := range f.bm.blocks {
 		info := &f.bm.blocks[i]
@@ -521,7 +506,7 @@ func (f *FTL) rebuildBVC() error {
 		switch info.group {
 		case GroupUser:
 			var invalid int
-			if geckoScan != nil {
+			if isGecko {
 				row := geckoScan.Row(i)
 				invalid = row.PopCountBelow(info.writePointer)
 			} else {
@@ -539,7 +524,9 @@ func (f *FTL) rebuildBVC() error {
 		}
 	}
 	f.bm.reindexFullBlocks()
-	f.reconcileRecoveredUIP(geckoScan)
+	if isGecko {
+		f.reconcileRecoveredUIP(geckoScan)
+	}
 	return nil
 }
 
@@ -556,9 +543,6 @@ func (f *FTL) rebuildBVC() error {
 // the one moment the FTL holds the complete validity picture (the bitmaps
 // rebuildBVC just scanned) in RAM, so the reconciliation costs no IO.
 func (f *FTL) reconcileRecoveredUIP(geckoScan *bitmap.Rows) {
-	if geckoScan == nil {
-		return
-	}
 	var stale []flash.LPN
 	f.cache.ForEach(func(e mapcache.Entry) bool {
 		if !e.UIP || !e.Uncertain {

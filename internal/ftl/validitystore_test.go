@@ -35,10 +35,9 @@ func TestValidityStoreContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			store := f.validity
-			lister, lists := store.(livePageLister)
-			relocator, relocates := store.(metaRelocator)
-			if lists != tc.inFlash || relocates != tc.inFlash {
-				t.Fatalf("%T: lists live pages %t, relocates %t, want both %t", store, lists, relocates, tc.inFlash)
+			resident, ok := store.(flashStore)
+			if ok != tc.inFlash {
+				t.Fatalf("%T: implements flashStore %t, want %t", store, ok, tc.inFlash)
 			}
 
 			want := make([]*bitmap.Bitmap, blocks)
@@ -65,10 +64,10 @@ func TestValidityStoreContract(t *testing.T) {
 			// device and returns the live pages in ascending order.
 			livePages := func(when string) []flash.PPN {
 				t.Helper()
-				listed := slices.Sorted(slices.Values(lister.LivePages()))
+				listed := slices.Sorted(slices.Values(resident.LivePages()))
 				var live []flash.PPN
 				for ppn := flash.PPN(0); ppn < flash.PPN(blocks*pagesPerBlock); ppn++ {
-					if relocator.IsLive(ppn) {
+					if resident.IsLive(ppn) {
 						live = append(live, ppn)
 					}
 				}
@@ -112,7 +111,7 @@ func TestValidityStoreContract(t *testing.T) {
 				if err != nil || !moved {
 					t.Fatalf("relocating live page %d: moved %t, err %v", old, moved, err)
 				}
-				if relocator.IsLive(old) {
+				if resident.IsLive(old) {
 					t.Fatalf("page %d still live after its relocation", old)
 				}
 				if got := livePages("after relocation"); len(got) != len(live) {

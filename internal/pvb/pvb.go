@@ -216,3 +216,9 @@ func (p *FlashPVB) Query(block flash.BlockID) (*bitmap.Bitmap, error) {
 func (p *FlashPVB) RAMBytes() int64 {
 	return int64(len(p.location)) * 8
 }
+
+// CrashRAM does nothing. The bitmap is in flash and survives a power failure;
+// only its small RAM directory would need rebuilding, which the FTL's
+// recovery pays for with the spare-area scan of every block it makes anyway,
+// so the simulator keeps the directory with the flash image.
+func (p *FlashPVB) CrashRAM() {}

@@ -334,3 +334,9 @@ func (l *Log) RAMBytes() int64 {
 	directory := int64(len(l.pageOf)) * 8
 	return heads + directory + int64(l.cfg.PageSize)
 }
+
+// CrashRAM does nothing. A real IB-FTL loses its chain heads and erase
+// timestamps and rebuilds them by scanning the whole log; the simulator keeps
+// them with the flash image, and the FTL's recovery charges the page reads of
+// that scan, so recovery-time comparisons remain fair.
+func (l *Log) CrashRAM() {}
