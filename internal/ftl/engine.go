@@ -27,10 +27,8 @@ import (
 // parallelism: with S shards on S channels, the busiest die sees roughly 1/S
 // of the IO.
 type Engine struct {
-	dev  *flash.Device
-	opts Options
-	// facts is the shards' row of kindFacts.
-	facts         facts
+	dev           *flash.Device
+	opts          Options
 	shards        []*engineShard
 	perShardPages int64
 	logicalPages  int64
@@ -133,7 +131,6 @@ func NewEngine(dev *flash.Device, opts Options, shards int) (*Engine, error) {
 			stallLat: stats.NewHistogram(),
 		})
 	}
-	e.facts = e.shards[0].ftl.facts
 	e.perShardPages = e.shards[0].ftl.LogicalPages()
 	e.logicalPages = e.perShardPages * int64(shards)
 	e.batches.New = func() any {

@@ -72,7 +72,7 @@ func (e *Engine) PowerFail() error {
 	if e.failed {
 		return fmt.Errorf("ftl: engine PowerFail called while already power-failed")
 	}
-	if !e.facts.battery {
+	if !e.shards[0].ftl.facts.battery {
 		// Abrupt: in-flight shard operations start failing with
 		// flash.ErrPowerFailed immediately, before we can take their locks.
 		e.dev.PowerFail()
