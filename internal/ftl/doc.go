@@ -9,9 +9,10 @@
 // metadata blocks, and a garbage collector driven by a Blocks Validity
 // Counter -- and differ along two axes (Section 5.3): how they store
 // page-validity metadata and how they survive a power failure. Options.FTL
-// names one of them (a model.FTLKind), and its row in kindFacts says what it
-// is; New copies the row once, and OptionsFor (or GeckoFTLOptions and its
-// four siblings) adds the FTL's own victim policy:
+// names one of them (a model.FTLKind). New builds its validity store and
+// copies its row of kindFacts, which says the rest of what it is, and
+// OptionsFor (or GeckoFTLOptions and its four siblings) adds the FTL's own
+// victim policy:
 //
 //	FTL       validity store     battery  dirty bound  runtime checkpoints  victim policy   names
 //	DFTL      PVB in RAM         yes      none         no                   greedy          dftl
@@ -22,6 +23,20 @@
 //
 // Cache size, garbage collection, wear and the Logarithmic Gecko shape are
 // Options fields any of the five may set.
+//
+// # The validity store
+//
+// The store New builds is the only record of which one an FTL has: no label
+// says it again. Every store implements all of validityStore (report a page
+// invalid, record an erase, answer a GC query, RAM bytes, drop RAM at a
+// crash); the flash-resident PVB and the page validity log keep their RAM
+// state with the flash image, so their CrashRAM does nothing and recovery
+// charges the scan that would rebuild it. The three stores whose pages live
+// in flash also implement flashStore (list, test and relocate live pages),
+// which recovery and greedy garbage collection assert. Calls only
+// Logarithmic Gecko has — buffer flushes, directory recovery, the validity
+// scan and checkpoints — assert f.validity.(*gecko.Gecko) where they are
+// made. TestValidityStoreContract pins the contract once per store.
 //
 // # Mapping to the paper
 //
