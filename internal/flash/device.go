@@ -205,12 +205,13 @@ func (d *Device) checkPage(block BlockID, offset int) error {
 // The returned sequence number is the device-wide write timestamp recorded in
 // the spare area.
 func (d *Device) WritePage(ppn PPN, spare SpareArea, p Purpose) (uint64, error) {
-	return d.writePage(ppn, spare, p, 0)
+	return d.writePage(ppn, spare, p, 0, &d.powered)
 }
 
 // writePage is WritePage with a caller-supplied start floor on the virtual
-// timeline (see record); partitions pass their own arrival clock.
-func (d *Device) writePage(ppn PPN, spare SpareArea, p Purpose, floor time.Duration) (uint64, error) {
+// timeline (see record) and power domain, the one a scheduled cut drops;
+// partitions pass their own arrival clock and domain.
+func (d *Device) writePage(ppn PPN, spare SpareArea, p Purpose, floor time.Duration, rail *atomic.Bool) (uint64, error) {
 	addr := Decompose(ppn, d.cfg.PagesPerBlock)
 	if err := d.checkPage(addr.Block, addr.Offset); err != nil {
 		return 0, err
@@ -230,19 +231,31 @@ func (d *Device) writePage(ppn PPN, spare SpareArea, p Purpose, floor time.Durat
 	if d.cfg.StrictSequentialWrites && addr.Offset != blk.writePointer {
 		return 0, fmt.Errorf("%w: %v (write pointer at %d)", ErrNonSequentialWrite, addr, blk.writePointer)
 	}
-	if d.faults != nil && d.faults.fails(OpPageWrite, d.opSeq[OpPageWrite].Add(1), addr.Block, addr.Offset, blk.eraseCount) {
-		// The program pulse ran and failed: the page is consumed — marked
-		// bad, the write pointer moves past it — and the full program time
-		// was spent. The FTL retries on the block's next free page.
-		if blk.bad == nil {
-			blk.bad = make([]bool, d.cfg.PagesPerBlock)
+	cut := NoCut
+	if d.faults != nil {
+		n := d.opSeq[OpPageWrite].Add(1)
+		if cut = d.faults.cut(OpPageWrite, n); cut == CutBefore {
+			rail.Store(false)
+			return 0, fmt.Errorf("%w: scheduled cut before programming %v", ErrPowerFailed, addr)
 		}
-		blk.bad[addr.Offset] = true
-		if addr.Offset >= blk.writePointer {
-			blk.writePointer = addr.Offset + 1
+		if d.faults.fails(OpPageWrite, n, addr.Block, addr.Offset, blk.eraseCount) {
+			// The program pulse ran and failed: the page is consumed —
+			// marked bad, the write pointer moves past it — and the full
+			// program time was spent. The FTL retries on the block's next
+			// free page.
+			if blk.bad == nil {
+				blk.bad = make([]bool, d.cfg.PagesPerBlock)
+			}
+			blk.bad[addr.Offset] = true
+			if addr.Offset >= blk.writePointer {
+				blk.writePointer = addr.Offset + 1
+			}
+			d.record(die, OpPageWrite, p, d.cfg.Latency.PageWrite, floor)
+			if cut == CutAfter {
+				rail.Store(false)
+			}
+			return 0, fmt.Errorf("%w: %v", ErrProgramFailed, addr)
 		}
-		d.record(die, OpPageWrite, p, d.cfg.Latency.PageWrite, floor)
-		return 0, fmt.Errorf("%w: %v", ErrProgramFailed, addr)
 	}
 	seq := d.writeSeq.Add(1)
 	d.pages[ppn] = pageRecord{logical: spare.Logical, writeSeq: seq}
@@ -259,6 +272,9 @@ func (d *Device) writePage(ppn PPN, spare SpareArea, p Purpose, floor time.Durat
 		blk.writePointer = addr.Offset + 1
 	}
 	d.record(die, OpPageWrite, p, d.cfg.Latency.PageWrite, floor)
+	if cut == CutAfter {
+		rail.Store(false)
+	}
 	return seq, nil
 }
 
@@ -388,11 +404,12 @@ func (d *Device) noteTrim(ppn PPN, p Purpose, floor time.Duration) error {
 
 // EraseBlock erases a block, freeing all of its pages.
 func (d *Device) EraseBlock(block BlockID, p Purpose) error {
-	return d.eraseBlock(block, p, 0)
+	return d.eraseBlock(block, p, 0, &d.powered)
 }
 
-// eraseBlock is EraseBlock with a caller-supplied start floor.
-func (d *Device) eraseBlock(block BlockID, p Purpose, floor time.Duration) error {
+// eraseBlock is EraseBlock with a caller-supplied start floor and power
+// domain, as writePage.
+func (d *Device) eraseBlock(block BlockID, p Purpose, floor time.Duration, rail *atomic.Bool) error {
 	if err := d.check(block); err != nil {
 		return err
 	}
@@ -410,12 +427,23 @@ func (d *Device) eraseBlock(block BlockID, p Purpose, floor time.Duration) error
 	if blk.retired {
 		return fmt.Errorf("%w: block %d retired", ErrEraseFailed, block)
 	}
-	if d.faults != nil && d.faults.fails(OpErase, d.opSeq[OpErase].Add(1), block, 0, blk.eraseCount) {
-		// The erase pulse ran, failed, and cost full erase time. The block
-		// becomes a grown bad block; its contents are untouched.
-		blk.retired = true
-		d.record(die, OpErase, p, d.cfg.Latency.Erase, floor)
-		return fmt.Errorf("%w: block %d", ErrEraseFailed, block)
+	cut := NoCut
+	if d.faults != nil {
+		n := d.opSeq[OpErase].Add(1)
+		if cut = d.faults.cut(OpErase, n); cut == CutBefore {
+			rail.Store(false)
+			return fmt.Errorf("%w: scheduled cut before erasing block %d", ErrPowerFailed, block)
+		}
+		if d.faults.fails(OpErase, n, block, 0, blk.eraseCount) {
+			// The erase pulse ran, failed, and cost full erase time. The
+			// block becomes a grown bad block; its contents are untouched.
+			blk.retired = true
+			d.record(die, OpErase, p, d.cfg.Latency.Erase, floor)
+			if cut == CutAfter {
+				rail.Store(false)
+			}
+			return fmt.Errorf("%w: block %d", ErrEraseFailed, block)
+		}
 	}
 	// Only pages below the write pointer can hold anything.
 	first := PPNOf(block, 0, d.cfg.PagesPerBlock)
@@ -432,6 +460,9 @@ func (d *Device) eraseBlock(block BlockID, p Purpose, floor time.Duration) error
 	blk.readCount = 0
 	blk.bad = nil
 	d.record(die, OpErase, p, d.cfg.Latency.Erase, floor)
+	if cut == CutAfter {
+		rail.Store(false)
+	}
 	return nil
 }
 

@@ -3,18 +3,41 @@ package flash
 import "fmt"
 
 // FaultEvent is one entry of a scripted fault schedule: the AtCount'th
-// attempt (1-based, device-wide) of the given operation kind fails. Scripted
-// faults let tests place a failure at an exact point of a workload,
-// independent of which block the operation happens to land on.
+// attempt (1-based, device-wide) of the given operation kind fails, or the
+// power is cut around it. Scripted faults let tests place a failure at an
+// exact point of a workload, independent of which block the operation happens
+// to land on; a scheduled cut makes a crash a point of the workload that
+// replays exactly, where a timer racing the workload does not.
 type FaultEvent struct {
 	// Op is the operation kind the event targets: OpPageWrite (a failed
 	// program), OpErase (a failed erase that retires the block) or OpPageRead
-	// (an uncorrectable read, surfaced as ErrReadDecayed).
+	// (an uncorrectable read, surfaced as ErrReadDecayed). A cut targets a
+	// program or an erase.
 	Op Op
 	// AtCount selects the AtCount'th attempt of Op since the plan was
 	// installed, counting 1, 2, 3, ...
 	AtCount uint64
+	// Cut, unless NoCut, makes the event a power cut instead of a failure: it
+	// drops the power domain the attempt was issued through — the partition's
+	// own for an attempt made through a Partition, the device's shared rail
+	// otherwise — before the attempt or right after it.
+	Cut PowerCut
 }
+
+// PowerCut places a scheduled power cut relative to the attempt it is keyed
+// on.
+type PowerCut uint8
+
+const (
+	// NoCut makes the event a failed operation.
+	NoCut PowerCut = iota
+	// CutBefore drops the power before the attempt, which then has no effect
+	// on the flash and fails with ErrPowerFailed.
+	CutBefore
+	// CutAfter drops the power once the attempt is over, whatever its
+	// outcome; the attempt itself returns as it would have.
+	CutAfter
+)
 
 // FaultPlan describes the faults a Device injects: per-operation
 // probabilistic failure rates, a read-disturb decay limit, and scripted
@@ -61,11 +84,15 @@ func (p FaultPlan) Validate() error {
 		return fmt.Errorf("flash: read disturb limit %d must be >= 0", p.ReadDisturbLimit)
 	}
 	for _, ev := range p.Schedule {
-		if ev.Op != OpPageWrite && ev.Op != OpErase && ev.Op != OpPageRead {
+		switch {
+		case ev.Op != OpPageWrite && ev.Op != OpErase && ev.Op != OpPageRead:
 			return fmt.Errorf("flash: scheduled fault on %v (want page-write, erase or page-read)", ev.Op)
-		}
-		if ev.AtCount == 0 {
+		case ev.AtCount == 0:
 			return fmt.Errorf("flash: scheduled fault at count 0 (counts are 1-based)")
+		case ev.Cut > CutAfter:
+			return fmt.Errorf("flash: scheduled power cut of unknown placement %d", ev.Cut)
+		case ev.Cut != NoCut && ev.Op == OpPageRead:
+			return fmt.Errorf("flash: scheduled power cut on %v (want page-write or erase)", ev.Op)
 		}
 	}
 	return nil
@@ -74,11 +101,22 @@ func (p FaultPlan) Validate() error {
 // scheduled reports whether the n'th attempt of op is scripted to fail.
 func (p *FaultPlan) scheduled(op Op, n uint64) bool {
 	for _, ev := range p.Schedule {
-		if ev.Op == op && ev.AtCount == n {
+		if ev.Op == op && ev.AtCount == n && ev.Cut == NoCut {
 			return true
 		}
 	}
 	return false
+}
+
+// cut returns where a power cut is scheduled around the n'th attempt of op:
+// NoCut when none is.
+func (p *FaultPlan) cut(op Op, n uint64) PowerCut {
+	for _, ev := range p.Schedule {
+		if ev.Op == op && ev.AtCount == n && ev.Cut != NoCut {
+			return ev.Cut
+		}
+	}
+	return NoCut
 }
 
 // fails decides the n'th attempt of op against a page of the given block:

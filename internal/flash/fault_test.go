@@ -20,6 +20,9 @@ func TestFaultPlanValidate(t *testing.T) {
 		{"negative disturb limit", FaultPlan{ReadDisturbLimit: -1}, false},
 		{"schedule on spare read", FaultPlan{Schedule: []FaultEvent{{Op: OpSpareRead, AtCount: 1}}}, false},
 		{"schedule at count zero", FaultPlan{Schedule: []FaultEvent{{Op: OpErase, AtCount: 0}}}, false},
+		{"cuts", FaultPlan{Schedule: []FaultEvent{{Op: OpPageWrite, AtCount: 2, Cut: CutBefore}, {Op: OpErase, AtCount: 1, Cut: CutAfter}}}, true},
+		{"cut on page read", FaultPlan{Schedule: []FaultEvent{{Op: OpPageRead, AtCount: 1, Cut: CutAfter}}}, false},
+		{"cut of unknown placement", FaultPlan{Schedule: []FaultEvent{{Op: OpErase, AtCount: 1, Cut: CutAfter + 1}}}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -17,7 +17,8 @@ import (
 // cuts of the device and of each partition are mixed at random; every
 // WritePage, EraseBlock, ReadPage and ReadSpare must answer exactly as the
 // reference does, and so must the per-block bookkeeping (write pointer, erase
-// count, bad block).
+// count, bad block). Scheduled power cuts before or after a program or an
+// erase must drop the power domain the attempt came through, and only it.
 
 // spareScript is where a run draws its choices from: a seeded generator, or
 // the bytes of a fuzz input.
@@ -51,13 +52,15 @@ func (s *byteScript) spent() bool { return len(s.data) == 0 }
 
 // spareStoreCase is one configuration of the oracle: strict or gapped
 // programs, the device alone or carved into partitions, an erase budget, and
-// the scripted faults (1-based attempt counts, as FaultEvent.AtCount).
+// the scripted faults (1-based attempt counts, as FaultEvent.AtCount) and
+// power cuts.
 type spareStoreCase struct {
 	strict       bool
 	partitions   bool
 	maxErase     int
 	failPrograms []uint64
 	failErases   []uint64
+	cuts         []FaultEvent
 }
 
 // spareStoreCaseOf decodes a case from four flag bits; the erase budget and
@@ -78,13 +81,19 @@ func spareStoreCaseOf(flags int, s spareScript) spareStoreCase {
 			n += 1 + uint64(s.pick(8))
 			c.failErases = append(c.failErases, n)
 		}
+		// A cut may fall on a faulted attempt: before it, the pulse never
+		// runs; after it, the failure stands.
+		c.cuts = []FaultEvent{
+			{Op: OpPageWrite, AtCount: 1 + uint64(s.pick(120)), Cut: CutBefore + PowerCut(s.pick(2))},
+			{Op: OpErase, AtCount: 1 + uint64(s.pick(24)), Cut: CutBefore + PowerCut(s.pick(2))},
+		}
 	}
 	return c
 }
 
 func (c spareStoreCase) String() string {
-	return fmt.Sprintf("strict=%v partitions=%v maxErase=%d programFaults=%v eraseFaults=%v",
-		c.strict, c.partitions, c.maxErase, c.failPrograms, c.failErases)
+	return fmt.Sprintf("strict=%v partitions=%v maxErase=%d programFaults=%v eraseFaults=%v cuts=%v",
+		c.strict, c.partitions, c.maxErase, c.failPrograms, c.failErases, c.cuts)
 }
 
 // refBlock is the reference's view of one block.
@@ -117,43 +126,68 @@ func newSpareRef(c spareStoreCase, cfg Config) *spareRef {
 	return r
 }
 
-func (r *spareRef) program(block BlockID, off int, spare SpareArea) (uint64, error) {
+// cutAt returns the cut scheduled around the n'th attempt of op.
+func (r *spareRef) cutAt(op Op, n uint64) PowerCut {
+	for _, ev := range r.c.cuts {
+		if ev.Op == op && ev.AtCount == n {
+			return ev.Cut
+		}
+	}
+	return NoCut
+}
+
+// program answers as the device does, and reports in cut whether the attempt
+// dropped the power domain it came through.
+func (r *spareRef) program(block BlockID, off int, spare SpareArea) (seq uint64, cut bool, err error) {
 	blk := &r.blocks[block]
 	switch {
 	case blk.retired:
-		return 0, ErrProgramFailed
+		return 0, false, ErrProgramFailed
 	case off < blk.wp:
-		return 0, ErrPageNotFree
+		return 0, false, ErrPageNotFree
 	case r.c.strict && off != blk.wp:
-		return 0, ErrNonSequentialWrite
+		return 0, false, ErrNonSequentialWrite
 	}
 	r.programs++
+	switch r.cutAt(OpPageWrite, r.programs) {
+	case CutBefore:
+		return 0, true, ErrPowerFailed
+	case CutAfter:
+		cut = true
+	}
 	blk.wp = off + 1
 	if slices.Contains(r.c.failPrograms, r.programs) {
 		blk.bad[off] = true
-		return 0, ErrProgramFailed
+		return 0, cut, ErrProgramFailed
 	}
 	r.writeSeq++
 	spare.WriteSeq = r.writeSeq
 	spare.EraseCount = uint32(blk.eraseCount)
 	spare.EraseSeq = blk.eraseSeq
 	blk.spares[off] = spare
-	return r.writeSeq, nil
+	return r.writeSeq, cut, nil
 }
 
-func (r *spareRef) erase(block BlockID) error {
+// erase answers as the device does, and reports cuts as program does.
+func (r *spareRef) erase(block BlockID) (cut bool, err error) {
 	blk := &r.blocks[block]
 	if r.c.maxErase > 0 && blk.eraseCount >= r.c.maxErase {
 		blk.retired = true
-		return ErrWornOut
+		return false, ErrWornOut
 	}
 	if blk.retired {
-		return ErrEraseFailed
+		return false, ErrEraseFailed
 	}
 	r.erases++
+	switch r.cutAt(OpErase, r.erases) {
+	case CutBefore:
+		return true, ErrPowerFailed
+	case CutAfter:
+		cut = true
+	}
 	if slices.Contains(r.c.failErases, r.erases) {
 		blk.retired = true
-		return ErrEraseFailed
+		return cut, ErrEraseFailed
 	}
 	blk.eraseCount++
 	r.eraseSeq++
@@ -161,7 +195,7 @@ func (r *spareRef) erase(block BlockID) error {
 	blk.wp = 0
 	clear(blk.spares)
 	clear(blk.bad)
-	return nil
+	return cut, nil
 }
 
 func (r *spareRef) readSpare(block BlockID, off int) (SpareArea, bool) {
@@ -207,6 +241,7 @@ func runSpareStore(t testing.TB, c spareStoreCase, s spareScript, steps int) {
 	for _, n := range c.failErases {
 		plan.Schedule = append(plan.Schedule, FaultEvent{Op: OpErase, AtCount: n})
 	}
+	plan.Schedule = append(plan.Schedule, c.cuts...)
 	if err := dev.SetFaultPlan(plan); err != nil {
 		t.Fatal(err)
 	}
@@ -306,23 +341,29 @@ func runSpareStore(t testing.TB, c spareStoreCase, s spareScript, steps int) {
 			}
 			junk := s.pick(3)
 			spare.WriteSeq, spare.EraseCount, spare.EraseSeq = uint64(junk), uint32(junk), uint64(junk)
-			wantSeq, wantErr := uint64(0), error(ErrPowerFailed)
+			wantSeq, cut, wantErr := uint64(0), false, error(ErrPowerFailed)
 			if powered(p) {
-				wantSeq, wantErr = ref.program(p.base+b, off, spare)
+				wantSeq, cut, wantErr = ref.program(p.base+b, off, spare)
 			}
 			seq, err := p.WritePage(PPNOf(b, off, ppb), spare, PurposeUserWrite)
 			if seq != wantSeq || !sameErr(err, wantErr) {
 				t.Fatalf("step %d, %s: WritePage(%d:%d, %+v) = (%d, %v), want (%d, %v)",
 					step, c, p.base+b, off, spare, seq, err, wantSeq, wantErr)
 			}
+			if cut {
+				p.up = false
+			}
 			checkSpare(step, p, b, off)
 		case op < 62:
-			wantErr := error(ErrPowerFailed)
+			cut, wantErr := false, error(ErrPowerFailed)
 			if powered(p) {
-				wantErr = ref.erase(p.base + b)
+				cut, wantErr = ref.erase(p.base + b)
 			}
 			if err := p.EraseBlock(b, PurposeGCErase); !sameErr(err, wantErr) {
 				t.Fatalf("step %d, %s: EraseBlock(%d) = %v, want %v", step, c, p.base+b, err, wantErr)
+			}
+			if cut {
+				p.up = false
 			}
 		case op < 74:
 			checkSpare(step, p, b, s.pick(ppb))
@@ -359,7 +400,7 @@ func runSpareStore(t testing.TB, c spareStoreCase, s spareScript, steps int) {
 
 // TestSpareStoreMatchesReference runs every combination of the case flags
 // (strict or gapped programs, device or partitions, an erase budget or none,
-// scripted faults or none) on two seeds.
+// scripted faults and cuts or none) on two seeds.
 func TestSpareStoreMatchesReference(t *testing.T) {
 	for flags := range 16 {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -375,7 +416,8 @@ func TestSpareStoreMatchesReference(t *testing.T) {
 // FuzzSpareStore is the same oracle with the case and every operation read
 // from the fuzz input, one byte a choice: the first byte holds the case flags
 // (bit 0 gapped programs, bit 1 partitions, bit 2 an erase budget, bit 3
-// scripted faults), the bytes the flags ask for follow, then the operations.
+// scripted faults and cuts), the bytes the flags ask for follow, then the
+// operations.
 // The seed corpus in testdata/fuzz/FuzzSpareStore writes user, translation,
 // Gecko and undefined-type pages, mixes pages with and without Tag and Aux on
 // one block, and crosses erases, faults, retirement and a power cut; CI runs

@@ -226,7 +226,7 @@ func (p *Partition) WritePage(ppn PPN, spare SpareArea, pu Purpose) (uint64, err
 	if err := p.checkPPN(ppn); err != nil {
 		return 0, err
 	}
-	return p.dev.writePage(ppn+p.ppnOffset(), spare, pu, p.floor())
+	return p.dev.writePage(ppn+p.ppnOffset(), spare, pu, p.floor(), &p.powered)
 }
 
 // ReadPage reads the partition-relative page ppn.
@@ -258,7 +258,7 @@ func (p *Partition) EraseBlock(block BlockID, pu Purpose) error {
 	if err := p.checkBlock(block); err != nil {
 		return err
 	}
-	return p.dev.eraseBlock(block+p.base, pu, p.floor())
+	return p.dev.eraseBlock(block+p.base, pu, p.floor(), &p.powered)
 }
 
 // WritePointer returns the write pointer of the partition-relative block.
