@@ -195,6 +195,15 @@ func (b *Bitmap) Slice(offset, length int) *Bitmap {
 	return out
 }
 
+// CopyFrom overwrites b with other's bits, a word at a time. It panics if the
+// sizes differ.
+func (b *Bitmap) CopyFrom(other *Bitmap) {
+	if b.bits != other.bits {
+		panic(fmt.Sprintf("bitmap: copy of mismatched sizes %d and %d", b.bits, other.bits))
+	}
+	copy(b.words, other.words)
+}
+
 // Clone returns a deep copy.
 func (b *Bitmap) Clone() *Bitmap {
 	out := New(b.bits)

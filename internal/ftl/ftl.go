@@ -23,8 +23,10 @@ type validityStore interface {
 	Update(addr flash.Addr) error
 	// RecordErase reports the block erased: its pages are no longer invalid.
 	RecordErase(block flash.BlockID) error
-	// Query returns the block's invalid pages, one bit per page.
-	Query(block flash.BlockID) (*bitmap.Bitmap, error)
+	// QueryInto overwrites dst, one bit per page of a block, with the
+	// block's invalid pages. The caller owns dst; the store keeps no
+	// reference to it.
+	QueryInto(block flash.BlockID, dst *bitmap.Bitmap) error
 	// RAMBytes is the store's integrated-RAM footprint.
 	RAMBytes() int64
 	// CrashRAM drops what the store keeps in integrated RAM, as a power
@@ -133,9 +135,10 @@ type FTL struct {
 	stats        Stats
 
 	// gc is the incremental garbage-collection scheduler's RAM state (the
-	// victim currently being drained); see gc.go. A power failure drops it
-	// like every other RAM structure.
-	gc gcState
+	// victim currently being drained), and collect the state a whole-victim
+	// collection drains on; see gc.go. A power failure drops both like every
+	// other RAM structure, all but their bitmaps.
+	gc, collect gcState
 	// opGCTime and opGCSteps account the garbage-collection work (migrations
 	// and erases, by the device latency model) charged to the current or most
 	// recent Write: the write's GC stall. The engine's latency
@@ -199,6 +202,7 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 		heat:         newHeatClassifier(opts.HotColdSeparation, logicalPages),
 		logicalPages: logicalPages,
 		gc:           gcState{victim: flash.InvalidBlock},
+		collect:      gcState{victim: flash.InvalidBlock},
 	}
 	if facts.dirtyBound {
 		f.dirtyLimit = max(1, int(dirtyBoundFraction*float64(opts.CacheEntries)))

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"geckoftl/internal/bitmap"
 	"geckoftl/internal/flash"
 	"geckoftl/internal/mapcache"
 	"geckoftl/internal/model"
@@ -37,6 +38,17 @@ func runWorkload(t *testing.T, f *FTL, gen workload.Generator, ops int) {
 			t.Fatalf("%s op %d (%v %d): %v", f.Name(), i, op.Kind, op.Page, err)
 		}
 	}
+}
+
+// queryValidity returns the block's invalid pages as f's page-validity store
+// answers them.
+func queryValidity(t *testing.T, f *FTL, block flash.BlockID) *bitmap.Bitmap {
+	t.Helper()
+	invalid := bitmap.New(f.cfg.PagesPerBlock)
+	if err := f.validity.QueryInto(block, invalid); err != nil {
+		t.Fatal(err)
+	}
+	return invalid
 }
 
 // checkConsistency verifies the FTL's end-state invariants after a Flush:
@@ -80,10 +92,7 @@ func checkConsistency(t *testing.T, f *FTL, strictStale bool) {
 	}
 
 	for _, block := range f.bm.BlocksInGroup(GroupUser) {
-		invalid, err := f.validity.Query(block)
-		if err != nil {
-			t.Fatal(err)
-		}
+		invalid := queryValidity(t, f, block)
 		written := f.bm.WritePointer(block)
 		for offset := 0; offset < written; offset++ {
 			ppn := flash.PPNOf(block, offset, f.cfg.PagesPerBlock)
@@ -261,10 +270,7 @@ func TestUIPLazyIdentification(t *testing.T) {
 		t.Errorf("entry after write miss = %+v, want dirty+UIP", entry)
 	}
 	// The old physical page is not yet known to the validity store.
-	invalid, err := f.validity.Query(flash.BlockOf(oldPPN, f.cfg.PagesPerBlock))
-	if err != nil {
-		t.Fatal(err)
-	}
+	invalid := queryValidity(t, f, flash.BlockOf(oldPPN, f.cfg.PagesPerBlock))
 	if invalid.Get(flash.OffsetOf(oldPPN, f.cfg.PagesPerBlock)) {
 		t.Error("before-image reported before synchronization")
 	}
@@ -272,10 +278,7 @@ func TestUIPLazyIdentification(t *testing.T) {
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	invalid, err = f.validity.Query(flash.BlockOf(oldPPN, f.cfg.PagesPerBlock))
-	if err != nil {
-		t.Fatal(err)
-	}
+	invalid = queryValidity(t, f, flash.BlockOf(oldPPN, f.cfg.PagesPerBlock))
 	if !invalid.Get(flash.OffsetOf(oldPPN, f.cfg.PagesPerBlock)) {
 		t.Error("before-image not reported invalid after synchronization")
 	}

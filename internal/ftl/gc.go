@@ -30,10 +30,12 @@ const (
 // gcState is one victim drain's RAM state: the victim being drained, the
 // snapshot of its invalid pages taken at selection, and the drain position.
 // The incremental scheduler keeps one in FTL.gc across writes; a whole-victim
-// collection (collectBlock) runs one to completion on its stack. Like all RAM
-// state it does not survive a power failure; an abandoned half-drained victim
-// is safe because every migration decision is re-checked against the mapping
-// cache and translation table (see migrateValidPage).
+// collection (collectBlock) runs one to completion in FTL.collect. Each owns
+// its snapshot bitmap: the first victim allocates it, and every later one has
+// the page-validity store answer into it, so a victim costs no allocation.
+// Like all RAM state a drain does not survive a power failure; an abandoned
+// half-drained victim is safe because every migration decision is re-checked
+// against the mapping cache and translation table (see migrateValidPage).
 type gcState struct {
 	// victim is the block being drained, InvalidBlock when idle.
 	victim flash.BlockID
@@ -50,10 +52,13 @@ type gcState struct {
 // active reports whether a victim drain is in progress.
 func (g *gcState) active() bool { return g.victim != flash.InvalidBlock }
 
-// crashGC drops the incremental collector's RAM state, as a power failure
-// would.
+// idle retires the drain, keeping the bitmap for the next victim.
+func (g *gcState) idle() { *g = gcState{victim: flash.InvalidBlock, invalid: g.invalid} }
+
+// crashGC drops the collectors' RAM state, as a power failure would.
 func (f *FTL) crashGC() {
-	f.gc = gcState{victim: flash.InvalidBlock}
+	f.gc.idle()
+	f.collect.idle()
 	f.opGCTime, f.opGCSteps = 0, 0
 }
 
@@ -93,7 +98,7 @@ func (f *FTL) garbageCollectIncremental() error {
 		// inline loop will re-pick with a fresh validity query) and reclaim
 		// inline until the pool is healthy again. This write's stall is
 		// unbounded; GCFallbacks records that the budget was broken.
-		f.gc = gcState{victim: flash.InvalidBlock}
+		f.gc.idle()
 		f.stats.GCFallbacks++
 		return f.garbageCollectIfNeeded()
 	}
@@ -141,15 +146,18 @@ func (f *FTL) gcStep() (bool, error) {
 
 // collectBlock garbage-collects one victim block to completion: the inline
 // collector, wear recycling and read-disturb scrubbing reclaim whole victims.
-// It drains on a state of its own, because the latter two may run while the
-// incremental scheduler holds another victim in f.gc.
+// It drains on f.collect, not f.gc, because the latter two may run while the
+// incremental scheduler holds another victim in f.gc. One f.collect is
+// enough: collectBlock never nests. Its callers run only at the top of Write
+// and Trim or at the end of Write and Read, and a drain (migrations,
+// synchronizations, the validity store's flushes) calls none of them.
 func (f *FTL) collectBlock(victim flash.BlockID) error {
-	var g gcState
-	if err := f.beginVictim(&g, victim); err != nil {
+	g := &f.collect
+	if err := f.beginVictim(g, victim); err != nil {
 		return err
 	}
 	for g.active() {
-		if err := f.drainStep(&g); err != nil {
+		if err := f.drainStep(g); err != nil {
 			return err
 		}
 	}
@@ -158,9 +166,9 @@ func (f *FTL) collectBlock(victim flash.BlockID) error {
 
 // beginVictim starts a victim's drain in g: the victim is counted and
 // reported to the observer, and the page-validity store is queried for its
-// invalid pages. Metadata blocks (reachable only under the greedy policy) are
-// drained through the liveness information of their owning structure instead
-// of the page-validity store.
+// invalid pages, into g's bitmap. Metadata blocks (reachable only under the
+// greedy policy) are drained through the liveness information of their owning
+// structure instead of the page-validity store.
 func (f *FTL) beginVictim(g *gcState, victim flash.BlockID) error {
 	group, allocated := f.bm.GroupOf(victim)
 	if !allocated {
@@ -168,15 +176,14 @@ func (f *FTL) beginVictim(g *gcState, victim flash.BlockID) error {
 	}
 	f.stats.GCOperations++
 	f.noteVictim(victim)
-	*g = gcState{victim: victim, group: group, written: f.bm.WritePointer(victim)}
-	if group != GroupMeta {
-		invalid, err := f.validity.Query(victim)
-		if err != nil {
-			return err
-		}
-		g.invalid = invalid
+	*g = gcState{victim: victim, group: group, written: f.bm.WritePointer(victim), invalid: g.invalid}
+	if group == GroupMeta {
+		return nil
 	}
-	return nil
+	if g.invalid == nil {
+		g.invalid = bitmap.New(f.cfg.PagesPerBlock)
+	}
+	return f.validity.QueryInto(victim, g.invalid)
 }
 
 // drainStep advances g's drain to the next page that needs IO and relocates
@@ -219,7 +226,7 @@ func (f *FTL) drainStep(g *gcState) error {
 // is left allocated for a future pick after the Gecko buffer flushes.
 func (f *FTL) finishVictim(g *gcState) error {
 	victim := g.victim
-	*g = gcState{victim: flash.InvalidBlock}
+	g.idle()
 	if f.table.ProtectedBlocks()[victim] {
 		return nil
 	}

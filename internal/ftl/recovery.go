@@ -492,11 +492,14 @@ func (f *FTL) rebuildBVC() error {
 	}
 	g, isGecko := f.validity.(*gecko.Gecko)
 	var geckoScan *bitmap.Rows
+	var queried *bitmap.Bitmap // the other stores answer each block into it
 	if isGecko {
 		var err error
 		if geckoScan, err = g.ScanValidity(); err != nil {
 			return err
 		}
+	} else {
+		queried = bitmap.New(f.cfg.PagesPerBlock)
 	}
 	for i := range f.bm.blocks {
 		info := &f.bm.blocks[i]
@@ -510,8 +513,7 @@ func (f *FTL) rebuildBVC() error {
 				row := geckoScan.Row(i)
 				invalid = row.PopCountBelow(info.writePointer)
 			} else {
-				queried, err := f.validity.Query(flash.BlockID(i))
-				if err != nil {
+				if err := f.validity.QueryInto(flash.BlockID(i), queried); err != nil {
 					return err
 				}
 				invalid = queried.PopCountBelow(info.writePointer)

@@ -11,13 +11,16 @@ import (
 )
 
 // TestValidityStoreContract pins, once per store rather than once per FTL,
-// what every page-validity store promises: Query(b) answers exactly the
-// offsets updated since b's last RecordErase. The four stores are built as
-// New builds them and driven by one seeded stream of updates, erases and
-// queries, checked against a naive per-block model. The three stores whose
-// pages live in flash must also list as live exactly the pages IsLive
-// accepts, and relocating a live page, as a greedy garbage collector does,
-// must change no answer.
+// what every page-validity store promises: QueryInto(b, dst) overwrites dst
+// with exactly the offsets updated since b's last RecordErase, and allocates
+// nothing; the exported Query answers the same in a new bitmap. The four
+// stores are built as New builds them and driven by one seeded stream of
+// updates, erases and queries, checked against a naive per-block model. Every
+// QueryInto starts from a bitmap with all bits set, so a store that ORs into
+// dst instead of overwriting it fails. The three stores whose pages live in
+// flash must also list as live exactly the pages IsLive accepts, and
+// relocating a live page, as a greedy garbage collector does, must change no
+// answer.
 func TestValidityStoreContract(t *testing.T) {
 	const blocks, pagesPerBlock, steps = 256, 16, 1500
 	for _, tc := range []struct {
@@ -39,19 +42,33 @@ func TestValidityStoreContract(t *testing.T) {
 			if ok != tc.inFlash {
 				t.Fatalf("%T: implements flashStore %t, want %t", store, ok, tc.inFlash)
 			}
+			exported, ok := store.(interface {
+				Query(block flash.BlockID) (*bitmap.Bitmap, error)
+			})
+			if !ok {
+				t.Fatalf("%T has no exported Query", store)
+			}
 
 			want := make([]*bitmap.Bitmap, blocks)
 			for i := range want {
 				want[i] = bitmap.New(pagesPerBlock)
 			}
+			dst := bitmap.New(pagesPerBlock)
 			query := func(when string, b flash.BlockID) {
 				t.Helper()
-				got, err := store.Query(b)
+				got, err := exported.Query(b)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !got.Equal(want[b]) {
 					t.Fatalf("%s: Query(%d) = %v, want %v", when, b, got.SetBits(), want[b].SetBits())
+				}
+				dst.SetAll()
+				if err := store.QueryInto(b, dst); err != nil {
+					t.Fatal(err)
+				}
+				if !dst.Equal(want[b]) {
+					t.Fatalf("%s: QueryInto(%d) over all bits set = %v, want %v", when, b, dst.SetBits(), want[b].SetBits())
 				}
 			}
 			queryAll := func(when string) {
@@ -118,6 +135,16 @@ func TestValidityStoreContract(t *testing.T) {
 					t.Fatalf("relocation changed the live page count %d -> %d", len(live), len(got))
 				}
 				queryAll("after relocation")
+			}
+
+			next := 0
+			if allocs := testing.AllocsPerRun(blocks, func() {
+				if err := store.QueryInto(flash.BlockID(next), dst); err != nil {
+					t.Fatal(err)
+				}
+				next = (next + 1) % blocks
+			}); allocs != 0 {
+				t.Errorf("%.2f allocations per QueryInto, want 0", allocs)
 			}
 		})
 	}

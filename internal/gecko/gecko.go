@@ -150,30 +150,39 @@ func (g *Gecko) RecordErase(block flash.BlockID) error {
 	return g.maybeFlush()
 }
 
-// Query answers a GC query: it returns a bitmap with one bit per page of the
-// block, where a set bit means the page is invalid. It traverses the buffer
-// and then the runs from most recently created to least recently created,
-// reading at most one page per run (two when a block's partitioned
+// Query answers a GC query in a new bitmap; see QueryInto.
+func (g *Gecko) Query(block flash.BlockID) (*bitmap.Bitmap, error) {
+	result := bitmap.New(g.cfg.PagesPerBlock)
+	if err := g.QueryInto(block, result); err != nil {
+		return nil, err
+	}
+	return result, nil
+}
+
+// QueryInto answers a GC query (Algorithm 4): it overwrites dst, one bit per
+// page of the block, with a set bit where the page is invalid. It traverses
+// the buffer and then the runs from most recently created to least recently
+// created, reading at most one page per run (two when a block's partitioned
 // sub-entries straddle a page boundary), and stops early when it encounters
 // an erase entry for the block.
-func (g *Gecko) Query(block flash.BlockID) (*bitmap.Bitmap, error) {
+func (g *Gecko) QueryInto(block flash.BlockID, dst *bitmap.Bitmap) error {
 	if block < 0 || int(block) >= g.cfg.Blocks {
-		return nil, fmt.Errorf("gecko: block %d out of range [0,%d)", block, g.cfg.Blocks)
+		return fmt.Errorf("gecko: block %d out of range [0,%d)", block, g.cfg.Blocks)
 	}
 	g.stats.Queries++
-	result := bitmap.New(g.cfg.PagesPerBlock)
-	if g.buf.query(block, result) {
-		return result, nil
+	dst.Reset()
+	if g.buf.query(block, dst) {
+		return nil
 	}
 	for r := range g.runsNewestFirst {
 		erased := false
 		for pi, hi := r.pagesFor(block); pi < hi; pi++ {
 			page := &r.pages[pi]
 			if err := g.store.Read(page.ppn); err != nil {
-				return nil, fmt.Errorf("gecko: reading run %d page %d: %w", r.id, pi, err)
+				return fmt.Errorf("gecko: reading run %d page %d: %w", r.id, pi, err)
 			}
 			g.stats.QueryPageReads++
-			if page.query(g.cfg, block, result) {
+			if page.query(g.cfg, block, dst) {
 				erased = true
 			}
 		}
@@ -181,7 +190,7 @@ func (g *Gecko) Query(block flash.BlockID) (*bitmap.Bitmap, error) {
 			break
 		}
 	}
-	return result, nil
+	return nil
 }
 
 // runsNewestFirst yields the live runs from most to least recently created.

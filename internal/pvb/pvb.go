@@ -55,12 +55,23 @@ func (p *RAMPVB) RecordErase(block flash.BlockID) error {
 	return nil
 }
 
-// Query returns a copy of the block's validity bitmap; no flash IO.
+// Query returns a copy of the block's validity bitmap; see QueryInto.
 func (p *RAMPVB) Query(block flash.BlockID) (*bitmap.Bitmap, error) {
-	if err := p.checkBlock(block); err != nil {
+	dst := bitmap.New(p.pagesPerBlock)
+	if err := p.QueryInto(block, dst); err != nil {
 		return nil, err
 	}
-	return p.bits[block].Clone(), nil
+	return dst, nil
+}
+
+// QueryInto overwrites dst, one bit per page of a block, with the block's
+// validity bitmap; no flash IO.
+func (p *RAMPVB) QueryInto(block flash.BlockID, dst *bitmap.Bitmap) error {
+	if err := p.checkBlock(block); err != nil {
+		return err
+	}
+	dst.CopyFrom(p.bits[block])
+	return nil
 }
 
 // RAMBytes returns B*K/8: one bit per physical page.
@@ -196,18 +207,29 @@ func (p *FlashPVB) RecordErase(block flash.BlockID) error {
 	return p.rewrite(p.pvbPageOf(block))
 }
 
-// Query reads the covering PVB page and returns the block's bitmap.
+// Query returns the block's bitmap in a new bitmap; see QueryInto.
 func (p *FlashPVB) Query(block flash.BlockID) (*bitmap.Bitmap, error) {
-	if err := p.checkBlock(block); err != nil {
+	dst := bitmap.New(p.pagesPerBlock)
+	if err := p.QueryInto(block, dst); err != nil {
 		return nil, err
+	}
+	return dst, nil
+}
+
+// QueryInto reads the covering PVB page and overwrites dst, one bit per page
+// of a block, with the block's bitmap.
+func (p *FlashPVB) QueryInto(block flash.BlockID, dst *bitmap.Bitmap) error {
+	if err := p.checkBlock(block); err != nil {
+		return err
 	}
 	p.stats.Queries++
 	if cur := p.location[p.pvbPageOf(block)]; cur != flash.InvalidPPN {
 		if err := p.store.Read(cur); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return p.shadow[block].Clone(), nil
+	dst.CopyFrom(p.shadow[block])
+	return nil
 }
 
 // RAMBytes returns the integrated-RAM footprint: an 8-byte location per PVB

@@ -295,35 +295,49 @@ func (l *Log) clean() error {
 	return nil
 }
 
-// Query answers a GC query by walking the block's chain from its RAM-resident
-// head, reading each distinct flash-resident log page the chain visits, and
-// OR-ing the invalidations newer than the block's last erase.
+// Query answers a GC query in a new bitmap; see QueryInto.
 func (l *Log) Query(block flash.BlockID) (*bitmap.Bitmap, error) {
-	if err := l.checkBlock(block); err != nil {
+	dst := bitmap.New(l.cfg.PagesPerBlock)
+	if err := l.QueryInto(block, dst); err != nil {
 		return nil, err
 	}
+	return dst, nil
+}
+
+// QueryInto answers a GC query by walking the block's chain from its
+// RAM-resident head, reading each distinct flash-resident log page the chain
+// visits, and overwriting dst, one bit per page of a block, with the
+// invalidations newer than the block's last erase.
+func (l *Log) QueryInto(block flash.BlockID, dst *bitmap.Bitmap) error {
+	if err := l.checkBlock(block); err != nil {
+		return err
+	}
 	l.stats.Queries++
-	result := bitmap.New(l.cfg.PagesPerBlock)
+	dst.Reset()
 	per := int64(l.cfg.EntriesPerPage())
-	visited := make(map[int64]bool)
+	// A chain's slots descend — every entry is appended at the tail and
+	// linked to its block's head, an older slot — so the log pages it visits
+	// descend too, and the page last read is the only one to skip.
+	read := int64(-1)
 	for slot := l.head[block]; slot >= 0; {
 		e, ok := l.slots[slot]
 		if !ok {
 			break
 		}
-		pageIdx := slot / per
-		if ppn, inFlash := l.pageOf[pageIdx]; inFlash && !visited[pageIdx] {
-			if err := l.store.Read(ppn); err != nil {
-				return nil, err
+		if pageIdx := slot / per; pageIdx != read {
+			if ppn, inFlash := l.pageOf[pageIdx]; inFlash {
+				if err := l.store.Read(ppn); err != nil {
+					return err
+				}
 			}
-			visited[pageIdx] = true
+			read = pageIdx
 		}
 		if e.seq > l.eraseSeq[block] {
-			result.Set(e.offset)
+			dst.Set(e.offset)
 		}
 		slot = e.prev
 	}
-	return result, nil
+	return nil
 }
 
 // RAMBytes returns the integrated-RAM footprint: an 8-byte chain head and an
