@@ -49,10 +49,13 @@ type Gecko struct {
 	// consulted when recovery rebuilds the run directories.
 	pageContent map[flash.PPN]slab
 
-	// free recycles the slabs of superseded runs, and cursors is
-	// mergeEntryStreams' reused scratch.
+	// free recycles the slabs of superseded runs and spare their run
+	// structs and directories; cursors is mergeEntryStreams' reused scratch,
+	// and inputs takeMergeInputs'.
 	free    slabList
+	spare   []*run
 	cursors []cursor
+	inputs  []*run
 
 	nextRunID uint64
 	seq       uint64 // logical creation sequence for runs
@@ -249,16 +252,15 @@ func (g *Gecko) flushBuffer() error {
 // not, until their blocks are erased. Only then, with their pages out of the
 // flash image, do the superseded runs' slabs go to the free list: recovery
 // relinks runs from the image, so a slab it still reaches is never reused.
+// The superseded runs themselves, their structs and directories, go to
+// g.spare for the runs to come: neither the image nor an export refers to
+// them, and writeRun reads them for the last time here.
 func (g *Gecko) writeRun(entries slab, supersedes []*run) (*run, error) {
-	pages := splitIntoPages(entries, g.cfg.EntriesPerPage())
+	r := g.newRun(entries)
 	g.seq++
-	r := &run{
-		id:        g.nextRunID,
-		createSeq: g.seq,
-		level:     g.cfg.LevelOfRunPages(len(pages)),
-		pages:     pages,
-		slab:      entries,
-	}
+	r.id, r.createSeq, r.slab = g.nextRunID, g.seq, entries
+	r.pages = splitIntoPages(r.pages, entries, g.cfg.EntriesPerPage())
+	r.level = g.cfg.LevelOfRunPages(len(r.pages))
 	g.nextRunID++
 	for i := range r.pages {
 		p := &r.pages[i]
@@ -276,11 +278,39 @@ func (g *Gecko) writeRun(entries slab, supersedes []*run) (*run, error) {
 			delete(g.pageContent, old.pages[i].ppn)
 		}
 		g.free.put(old.slab)
+		// A spare run keeps no slab alive: not its own, nor its pages'.
+		clear(old.pages)
+		*old = run{pages: old.pages[:0]}
+		g.spare = append(g.spare, old)
 	}
 	for i := range r.pages {
 		g.pageContent[r.pages[i].ppn] = r.pages[i].slab
 	}
 	return r, nil
+}
+
+// newRun returns an empty run whose directory has room for every page a run
+// written from the slab can have: of the spare runs, the one whose room is
+// the least that will do, or a new run with just that room. Directories are
+// sized by the slab's capacity, which comes in classes, so a spare one fits
+// the next run of its class.
+func (g *Gecko) newRun(entries slab) *run {
+	v := g.cfg.EntriesPerPage()
+	room := (cap(entries.ents) + v - 1) / v
+	best := -1
+	for i, r := range g.spare {
+		if c := cap(r.pages); c >= room && (best < 0 || c < cap(g.spare[best].pages)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return &run{pages: make([]runPage, 0, room)}
+	}
+	r := g.spare[best]
+	last := len(g.spare) - 1
+	g.spare[best], g.spare[last] = g.spare[last], nil
+	g.spare = g.spare[:last]
+	return r
 }
 
 // placeRun inserts a run into the level its size dictates (but never below
@@ -313,18 +343,17 @@ func (g *Gecko) mergeIfNeeded() error {
 			return nil
 		}
 		inputs := g.takeMergeInputs(level)
+		// A merge output never drops below the largest level it consumed.
+		// Read it first: the merge hands the inputs on for reuse.
+		floor := 0
+		for _, in := range inputs {
+			floor = max(floor, in.level)
+		}
 		merged, err := g.mergeRuns(inputs)
 		if err != nil {
 			return err
 		}
 		if merged != nil {
-			// A merge output never drops below the largest level it consumed.
-			floor := 0
-			for _, in := range inputs {
-				if in.level > floor {
-					floor = in.level
-				}
-			}
 			merged.level = floor
 			g.placeRun(merged)
 		}
@@ -334,17 +363,19 @@ func (g *Gecko) mergeIfNeeded() error {
 // takeMergeInputs removes and returns the runs that will participate in the
 // next merge, starting from the given level. The two-way policy takes just
 // the runs of that level; the multi-way policy (Appendix A) also pulls in the
-// single run of each higher level that the result would cascade into.
+// single run of each higher level that the result would cascade into. The
+// result is reused scratch, valid until the next call; the levels keep their
+// slices, for placeRun to append to.
 func (g *Gecko) takeMergeInputs(level int) []*run {
-	inputs := g.levels[level]
-	g.levels[level] = nil
+	g.inputs = append(g.inputs[:0], g.levels[level]...)
+	g.emptyLevel(level)
 	if !g.cfg.MultiWayMerge {
-		return inputs
+		return g.inputs
 	}
 	// Foresee the cascade: if the merged run would be promoted into a level
 	// that already holds a run, include that run in the same merge.
 	pages := 0
-	for _, r := range inputs {
+	for _, r := range g.inputs {
 		pages += len(r.pages)
 	}
 	for next := level + 1; next < len(g.levels); next++ {
@@ -354,13 +385,19 @@ func (g *Gecko) takeMergeInputs(level int) []*run {
 		if g.cfg.LevelOfRunPages(pages) < next {
 			break
 		}
-		inputs = append(inputs, g.levels[next]...)
+		g.inputs = append(g.inputs, g.levels[next]...)
 		for _, r := range g.levels[next] {
 			pages += len(r.pages)
 		}
-		g.levels[next] = nil
+		g.emptyLevel(next)
 	}
-	return inputs
+	return g.inputs
+}
+
+// emptyLevel removes every run from a level, keeping its slice.
+func (g *Gecko) emptyLevel(level int) {
+	clear(g.levels[level])
+	g.levels[level] = g.levels[level][:0]
 }
 
 // mergeRuns merges the given runs (any number >= 1) into a single new run.

@@ -547,3 +547,41 @@ func TestQuickModelEquivalence(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMergeOutputStaysOnItsInputsLevel pins mergeIfNeeded's floor: when erase
+// entries leave a merge fewer pages than its inputs' level admits, the output
+// still goes to the largest level the merge consumed, so that no newer run
+// sits on a larger level than an older one. The floor is read before the
+// merge, which hands its inputs on for reuse.
+func TestMergeOutputStaysOnItsInputsLevel(t *testing.T) {
+	h := newHarness(t, 64, 16, 512, 8, nil)
+	// Two one-page runs, each lifted onto level 1 as if a larger merge had
+	// shrunk to it.
+	for b := flash.BlockID(0); b < 2; b++ {
+		if err := h.g.Update(flash.Addr{Block: b, Offset: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.g.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r := h.g.levels[0][0]
+		h.g.emptyLevel(0)
+		r.level = 1
+		h.g.levels[1] = append(h.g.levels[1], r)
+	}
+	if err := h.g.mergeIfNeeded(); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.g.levels[0]) != 0 || len(h.g.levels[1]) != 1 || h.g.levels[1][0].level != 1 {
+		t.Fatalf("after the merge, level 0 holds %v and level 1 %v; want the one output on level 1", h.g.levels[0], h.g.levels[1])
+	}
+	for b := flash.BlockID(0); b < 2; b++ {
+		got, err := h.g.Query(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.SetBits()[0] != 1 || got.PopCount() != 1 {
+			t.Fatalf("block %d answers %v, want [1]", b, got.SetBits())
+		}
+	}
+}

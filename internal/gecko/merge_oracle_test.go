@@ -162,7 +162,7 @@ func randomRunPair(rng *rand.Rand, cfg Config, blocks, v int, seq uint64) (*orac
 	for start := 0; start < len(old); start += v {
 		or.pages = append(or.pages, old[start:min(start+v, len(old))])
 	}
-	return or, &run{createSeq: seq, pages: splitIntoPages(s, v)}
+	return or, &run{createSeq: seq, pages: splitIntoPages(nil, s, v)}
 }
 
 // TestMergeMatchesPointerEntryMerge runs the streaming slab merge and the

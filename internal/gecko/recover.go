@@ -10,13 +10,14 @@ import (
 )
 
 // CrashRAM simulates the loss of integrated RAM at power failure: the buffer
-// contents and the run directories disappear, and the free list with them.
+// contents and the run directories disappear, and the free lists with them.
 // The flash-resident runs (their pages and spare areas) survive on the
 // device; RecoverDirectories rebuilds the RAM state from them.
 func (g *Gecko) CrashRAM() {
 	g.buf.clear()
 	g.levels = make([][]*run, g.cfg.Levels()+1)
 	g.free.slabs = nil
+	g.spare = nil
 }
 
 // NewestRunWriteSeq returns the device write-sequence number of the first

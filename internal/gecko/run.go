@@ -100,10 +100,11 @@ func decodeRunPageSpare(spare flash.SpareArea, ppn flash.PPN) runPageMeta {
 }
 
 // splitIntoPages partitions sorted entries into consecutive groups of at most
-// V entries, computing each group's key range.
-func splitIntoPages(s slab, v int) []runPage {
+// V entries, computing each group's key range, into pages, whose length it
+// resets.
+func splitIntoPages(pages []runPage, s slab, v int) []runPage {
 	n := len(s.ents)
-	pages := make([]runPage, 0, (n+v-1)/v)
+	pages = pages[:0]
 	for start := 0; start < n; start += v {
 		end := min(start+v, n)
 		pages = append(pages, runPage{
