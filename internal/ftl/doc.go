@@ -31,12 +31,16 @@
 // invalid, record an erase, answer a GC query, RAM bytes, drop RAM at a
 // crash); the flash-resident PVB and the page validity log keep their RAM
 // state with the flash image, so their CrashRAM does nothing and recovery
-// charges the scan that would rebuild it. The three stores whose pages live
-// in flash also implement flashStore (list, test and relocate live pages),
-// which recovery and greedy garbage collection assert. Calls only
-// Logarithmic Gecko has — buffer flushes, directory recovery, the validity
-// scan and checkpoints — assert f.validity.(*gecko.Gecko) where they are
-// made. TestValidityStoreContract pins the contract once per store.
+// charges the scan that would rebuild it. A GC query is QueryInto: the store
+// overwrites every bit of a bitmap the caller owns, the garbage collector's
+// per drain (gcState) or recovery's one for all blocks, so answering a victim
+// allocates nothing; each store's exported Query is the same answer in a new
+// bitmap. The three stores whose pages live in flash also implement
+// flashStore (list, test and relocate live pages), which recovery and greedy
+// garbage collection assert. Calls only Logarithmic Gecko has — buffer
+// flushes, directory recovery, the validity scan and checkpoints — assert
+// f.validity.(*gecko.Gecko) where they are made. TestValidityStoreContract
+// pins the contract once per store.
 //
 // # Mapping to the paper
 //
