@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -203,6 +204,94 @@ func TestEngineBatchHammer(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestConcurrentBatchesKeepTheirContext runs batches from several goroutines
+// on one engine, each goroutine alternating a cancelled context with a live
+// one. A batch's context, kind and arrival ride on the pooled state its
+// fan-out borrows, so two batches in flight must never see each other's: every
+// live call returns nil having done all its pages, and every cancelled call
+// returns context.Canceled having done none. Cancelled calls write pages no
+// live call touches, so one that ran a page leaves it mapped. Run with -race.
+func TestConcurrentBatchesKeepTheirContext(t *testing.T) {
+	dev := engineTestDevice(t, 128, 4)
+	e, err := NewEngine(dev, GeckoFTLOptions(128), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	live := context.Background()
+	half := e.LogicalPages() / 2 // live calls use [0, half), cancelled ones the rest
+
+	const (
+		goroutines = 4
+		rounds     = 200
+		batchSize  = 32
+	)
+	var wg sync.WaitGroup
+	var writes, reads [goroutines]int64
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g + 1)))
+			lpns := make([]flash.LPN, batchSize)
+			for r := 0; r < rounds; r++ {
+				base := int64(0)
+				if r%2 == 0 {
+					base = half
+				}
+				for i := range lpns {
+					lpns[i] = flash.LPN(base + rng.Int63n(half))
+				}
+				switch r % 4 {
+				case 0, 2:
+					if err := e.WriteBatch(cancelled, lpns); !errors.Is(err, context.Canceled) {
+						t.Errorf("goroutine %d round %d: cancelled WriteBatch returned %v, want context.Canceled", g, r, err)
+						return
+					}
+				case 1:
+					if err := e.WriteBatch(live, lpns); err != nil {
+						t.Errorf("goroutine %d round %d: live WriteBatch: %v", g, r, err)
+						return
+					}
+					writes[g] += batchSize
+				case 3:
+					if err := e.ReadBatch(live, lpns); err != nil {
+						t.Errorf("goroutine %d round %d: live ReadBatch: %v", g, r, err)
+						return
+					}
+					reads[g] += batchSize
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	var wantWrites, wantReads int64
+	for g := range writes {
+		wantWrites += writes[g]
+		wantReads += reads[g]
+	}
+	if st := e.Stats(); st.LogicalWrites != wantWrites || st.LogicalReads != wantReads {
+		t.Errorf("engine did %d writes and %d reads, live calls asked for %d and %d", st.LogicalWrites, st.LogicalReads, wantWrites, wantReads)
+	}
+	for lpn := flash.LPN(half); int64(lpn) < 2*half; lpn++ {
+		mapped, err := e.Mapped(lpn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mapped {
+			t.Fatalf("page %d, written only by cancelled batches, is mapped", lpn)
+		}
+	}
+	if err := e.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }
 
