@@ -288,9 +288,15 @@ func (d *Device) Trim(ctx context.Context, start LPN, count int) error {
 	if count < 0 || start < 0 || int64(start)+int64(count) > d.eng.LogicalPages() {
 		return fmt.Errorf("%w: trim range [%d,%d) of %d logical pages", ErrOutOfRange, start, int64(start)+int64(count), d.eng.LogicalPages())
 	}
-	lpns := make([]LPN, count)
-	for i := range lpns {
-		lpns[i] = start + LPN(i)
+	// A short range's page list stays on the stack; the fan-out keeps none
+	// of it.
+	var short [16]LPN
+	lpns := short[:0]
+	if count > len(short) {
+		lpns = make([]LPN, 0, count)
+	}
+	for i := 0; i < count; i++ {
+		lpns = append(lpns, start+LPN(i))
 	}
 	return wrapErr(d.eng.TrimBatch(ctx, lpns))
 }

@@ -134,7 +134,11 @@ func NewEngine(dev *flash.Device, opts Options, shards int) (*Engine, error) {
 	e.perShardPages = e.shards[0].ftl.LogicalPages()
 	e.logicalPages = e.perShardPages * int64(shards)
 	e.batches.New = func() any {
-		return &batch{starts: make([]int, shards+1), errs: make([]error, shards)}
+		b := &batch{starts: make([]int, shards+1), errs: make([]error, shards), run: make([]func(), shards)}
+		for s := range b.run {
+			b.run[s] = func() { e.runBucket(b.ctx, b, b.kind, s, b.arrival) }
+		}
+		return b
 	}
 	return e, nil
 }
@@ -315,9 +319,9 @@ func (e *Engine) Mapped(lpn flash.LPN) (bool, error) {
 }
 
 // batch is the carrying state of one fanOut call: the batch's pages grouped by
-// shard, each shard's first error, and the join of the goroutines that run
-// the buckets. Engines recycle them (Engine.batches), so a batch in steady
-// state allocates none of this.
+// shard, the call's context, kind and arrival, each shard's first error, and
+// the join of the goroutines that run the buckets. Engines recycle them
+// (Engine.batches), so a batch in steady state allocates none of this.
 type batch struct {
 	// locals holds the batch's shard-local LPNs grouped by shard, slice order
 	// preserved within a shard: shard s's bucket is
@@ -326,6 +330,16 @@ type batch struct {
 	starts []int
 	errs   []error
 	wg     sync.WaitGroup
+
+	// ctx, kind and arrival are the arguments of the fanOut call that holds
+	// the batch; run[s] drains shard s's bucket with them. The runners are
+	// bound once, when the pool makes the batch: a go statement that passes
+	// arguments heap-allocates a closure to carry them, and one that calls an
+	// argument-less func value does not.
+	ctx     context.Context
+	kind    flash.HostOp
+	arrival time.Duration
+	run     []func()
 }
 
 // bucket groups lpns by shard into b, a counting sort: one pass counts each
@@ -364,8 +378,10 @@ func (e *Engine) bucket(b *batch, lpns []flash.LPN) error {
 // fanOut buckets a batch of one kind by shard and drains every non-empty
 // bucket through runBucket, in parallel: the calling goroutine runs the first
 // of them itself and a goroutine runs each of the others, so a batch that
-// touches one shard starts none. A shard that fails stops early; the joined
-// errors of all failed shards are returned.
+// touches one shard starts none. The goroutines start the batch's bound
+// runners, which read the call's arguments off the batch, so a fan-out
+// allocates nothing. A shard that fails stops early; the joined errors of all
+// failed shards are returned.
 //
 // The batch's arrival instant is taken once, before the fan-out, so every
 // operation's recorded latency is measured against the same virtual "now":
@@ -379,11 +395,12 @@ func (e *Engine) bucket(b *batch, lpns []flash.LPN) error {
 // overlapping arrivals at a real device would.
 func (e *Engine) fanOut(ctx context.Context, kind flash.HostOp, lpns []flash.LPN) error {
 	b := e.batches.Get().(*batch)
-	defer e.batches.Put(b)
 	if err := e.bucket(b, lpns); err != nil {
+		e.batches.Put(b)
 		return err
 	}
 	arrival := e.dev.SyncArrival()
+	b.ctx, b.kind, b.arrival = ctx, kind, arrival
 	own := -1
 	for s := range e.shards {
 		if b.starts[s] == b.starts[s+1] {
@@ -394,14 +411,17 @@ func (e *Engine) fanOut(ctx context.Context, kind flash.HostOp, lpns []flash.LPN
 			own = s
 			continue
 		}
-		go e.runBucket(ctx, b, kind, s, arrival)
+		go b.run[s]()
 	}
 	if own >= 0 {
 		e.runBucket(ctx, b, kind, own, arrival)
 	}
 	b.wg.Wait()
 	// Join copies the non-nil errors, so b may be recycled under the result.
-	return errors.Join(b.errs...)
+	err := errors.Join(b.errs...)
+	b.ctx = nil // a pooled batch must not keep the caller's context alive
+	e.batches.Put(b)
+	return err
 }
 
 // runBucket drains shard s's bucket of b sequentially, holding the shard's
