@@ -291,12 +291,12 @@ func (d *Device) Trim(ctx context.Context, start LPN, count int) error {
 	// A short range's page list stays on the stack; the fan-out keeps none
 	// of it.
 	var short [16]LPN
-	lpns := short[:0]
+	lpns := short[:min(count, len(short))]
 	if count > len(short) {
-		lpns = make([]LPN, 0, count)
+		lpns = make([]LPN, count)
 	}
-	for i := 0; i < count; i++ {
-		lpns = append(lpns, start+LPN(i))
+	for i := range lpns {
+		lpns[i] = start + LPN(i)
 	}
 	return wrapErr(d.eng.TrimBatch(ctx, lpns))
 }

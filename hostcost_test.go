@@ -208,9 +208,9 @@ func TestHostAllocBudget(t *testing.T) {
 	// batch spread over S shards starts S-1 goroutines (the caller drives one
 	// bucket itself), each through a runner its pooled batch bound once, and
 	// recycles everything else, so a batch allocates nothing however many
-	// shards it spans. The writes are of cached pages; a Gecko flush or merge
-	// among them allocates at most once in the 51200 (see above), which
-	// AllocsPerRun's per-run average rounds away.
+	// shards it spans. The writes are of cached pages; the rare object a
+	// Gecko merge makes among them (see above) is fewer than one per run,
+	// which AllocsPerRun's integer average drops.
 	t.Run("batches", func(t *testing.T) {
 		dev, _ := steadyDevice(t, "geckoftl", 8)
 		const shards = 8
