@@ -65,7 +65,7 @@ func fillAndOverwrite(tb testing.TB, dev *geckoftl.Device) *rand.Rand {
 // places a run there.
 // Reads and trims of a cached page, and recording a latency, allocate
 // nothing beneath the plumbing that carries them, and an asynchronous write
-// costs its ticket and no more.
+// costs its share of a ticket slab and no more.
 func TestHostAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the program's behalf")
@@ -163,10 +163,12 @@ func TestHostAllocBudget(t *testing.T) {
 	})
 
 	// Asynchronous writes, 64 tickets in flight at a time as perfbench's
-	// async-write-8ch submits them. The ticket handed back is the one object
-	// a submission costs: it is the queue's entry and the future, and under a
-	// ctx that cannot be cancelled waiting on it makes no channel. The rest
-	// of the measured 1.09 is the FTL's amortized flushes and merges.
+	// async-write-8ch submits them. The ticket handed back is the queue's
+	// entry and the future, carved from a per-shard slab of 64 that is one
+	// allocation, and under a ctx that cannot be cancelled waiting on it makes
+	// no channel: a submission costs 1/64 of an object, the FTL's amortized
+	// flushes and merges a little more. A ticket allocated on its own costs
+	// one object per submission and fails the budget twenty times over.
 	t.Run("submit-wait", func(t *testing.T) {
 		dev, rng := steadyDevice(t, "geckoftl", 8)
 		pages := dev.LogicalPages()
@@ -199,8 +201,8 @@ func TestHostAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		perOp := float64(after.Mallocs-before.Mallocs) / float64(len(lpns)-depth)
 		t.Logf("%.3f allocs and %.0f bytes per SubmitWrite+Wait", perOp, float64(after.TotalAlloc-before.TotalAlloc)/float64(len(lpns)-depth))
-		if perOp > 2 {
-			t.Errorf("%.2f allocs per SubmitWrite+Wait, budget 2", perOp)
+		if perOp > 0.05 {
+			t.Errorf("%.3f allocs per SubmitWrite+Wait, budget 0.05", perOp)
 		}
 	})
 

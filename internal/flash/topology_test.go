@@ -297,3 +297,60 @@ func TestPartitionScopedAccounting(t *testing.T) {
 		t.Errorf("partition a's reset clobbered partition b (count %d, want 1)", got)
 	}
 }
+
+// TestBusyUntilReadsWithoutTheLatch races a reader of Partition.BusyUntil
+// against one goroutine programming and erasing every block of the
+// partition's one die. The reader takes no die latch: the die's busy-until
+// clock is an atomic the writer stores under the latch. Run under -race, a
+// plain load of it is reported here. Every reading is a completion instant
+// the die did reach, so the readings never decrease, and once the writer is
+// done the partition's clock is exactly the die's: its IO back to back from
+// zero.
+func TestBusyUntilReadsWithoutTheLatch(t *testing.T) {
+	cfg := topoConfig(64, 2, 1)
+	dev := MustNewDevice(cfg)
+	p, err := dev.Partition(0, 32) // all of die 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 4
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for c := 0; c < cycles; c++ {
+			for b := BlockID(0); b < 32; b++ {
+				for o := 0; o < cfg.PagesPerBlock; o++ {
+					if _, err := p.WritePage(PPNOf(b, o, cfg.PagesPerBlock), SpareArea{Logical: LPN(o)}, PurposeUserWrite); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := p.EraseBlock(b, PurposeGCErase); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	var last time.Duration
+	readings := 0
+	for running := true; running; readings++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		now := p.BusyUntil()
+		if now < last {
+			t.Fatalf("reading %d: BusyUntil went back from %v to %v", readings, last, now)
+		}
+		last = now
+	}
+	want := time.Duration(cycles*32) * (time.Duration(cfg.PagesPerBlock)*cfg.Latency.PageWrite + cfg.Latency.Erase)
+	if die := dev.busyUntilOverDies(0, 1); die != want {
+		t.Errorf("die 0 busy until %v, want %v", die, want)
+	}
+	if last != want {
+		t.Errorf("last of %d readings %v, want the die's final busy-until %v", readings, last, want)
+	}
+}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"geckoftl/internal/flash"
 )
@@ -718,5 +720,166 @@ func BenchmarkSubmitWait(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// lpnError is the outcome the slab tests' executor gives every operation: the
+// page it executed, so a ticket that carries another submission's outcome is
+// caught.
+type lpnError flash.LPN
+
+func (e lpnError) Error() string { return "executed page " + strconv.Itoa(int(e)) }
+
+// TestSlabTicketsUnderContention: producers submitting concurrently, half to
+// one shard and half across all of them, while another goroutine fences the
+// queues with Drain, carve their tickets from the shards' slabs. Every ticket
+// must be its own pointer and carry its own outcome, the executor must see
+// every submitted page exactly once, and the books must balance. A slot handed
+// out twice puts two submissions on one ticket: a repeated pointer, a page
+// executed twice and another never, and, under -race, a racing write.
+func TestSlabTicketsUnderContention(t *testing.T) {
+	const shards, producers, perProducer = 4, 8, 300
+	const pages = producers * perProducer * shards
+	var seen [pages]atomic.Int32
+	q, err := New(Config{
+		Shards: shards, Depth: 16, Policy: AdmitWait,
+		ShardOf: func(lpn flash.LPN) (int, error) { return int(lpn) % shards, nil },
+		Exec: func(_ int, req Request) error {
+			seen[req.LPN].Add(1)
+			return lpnError(req.LPN)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(q.Close)
+
+	stop := make(chan struct{})
+	fenced := make(chan struct{})
+	go func() {
+		defer close(fenced)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if err := q.Drain(context.Background()); err != nil {
+					t.Errorf("Drain: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	tickets := make([][]*Ticket, producers)
+	lpns := make([][]flash.LPN, producers)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				lpn := flash.LPN((p*perProducer + i) * shards) // shard 0
+				if p%2 == 1 {
+					lpn += flash.LPN(i % shards)
+				}
+				tk, err := q.Submit(context.Background(), Request{Kind: OpWrite, LPN: lpn})
+				if err != nil {
+					t.Errorf("producer %d: %v", p, err)
+					return
+				}
+				tickets[p] = append(tickets[p], tk)
+				lpns[p] = append(lpns[p], lpn)
+			}
+		}(p)
+	}
+	wg.Wait()
+	close(stop)
+	<-fenced
+
+	distinct := make(map[*Ticket]flash.LPN, producers*perProducer)
+	for p := range tickets {
+		for i, tk := range tickets[p] {
+			lpn := lpns[p][i]
+			if other, ok := distinct[tk]; ok {
+				t.Fatalf("pages %d and %d were handed the same ticket %p", other, lpn, tk)
+			}
+			distinct[tk] = lpn
+			if err := tk.Wait(nil); err != lpnError(lpn) {
+				t.Errorf("ticket of page %d completed with %v", lpn, err)
+			}
+		}
+	}
+	for _, lpn := range distinct {
+		if n := seen[lpn].Load(); n != 1 {
+			t.Errorf("page %d executed %d times, want once", lpn, n)
+		}
+	}
+	executed := 0
+	for lpn := range seen {
+		executed += int(seen[lpn].Load())
+	}
+	if executed != producers*perProducer {
+		t.Errorf("executed %d operations, submitted %d", executed, producers*perProducer)
+	}
+	st := q.Stats()
+	if st.Submitted != producers*perProducer || st.Completed != st.Submitted || st.InFlight != 0 {
+		t.Errorf("stats %+v; want %d submitted, all completed", st, producers*perProducer)
+	}
+	checkBooks(t, st)
+}
+
+// TestHeldTicketPinsItsSlab keeps one ticket of a full slab, drops the other
+// tickets and collects: the held ticket keeps its slab, so its outcome, its
+// completion instant and Wait stay right, and finishing it let go of the
+// submitter's ctx, which a held ticket must not keep alive.
+func TestHeldTicketPinsItsSlab(t *testing.T) {
+	const slab, kept = 64, 17
+	boom := errors.New("media failure")
+	q, err := New(Config{
+		Shards: 1, Depth: slab, Policy: AdmitWait,
+		ShardOf: func(flash.LPN) (int, error) { return 0, nil },
+		Exec: func(_ int, req Request) error {
+			if req.LPN == kept {
+				return boom
+			}
+			return nil
+		},
+		Clock: func(int) time.Duration { return 7 * time.Millisecond },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(q.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tickets := make([]*Ticket, slab)
+	for i := range tickets {
+		if tickets[i], err = q.Submit(ctx, Request{Kind: OpWrite, LPN: flash.LPN(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, tk := range tickets {
+		if off := uintptr(unsafe.Pointer(tk)) - uintptr(unsafe.Pointer(tickets[0])); off != uintptr(i)*unsafe.Sizeof(Ticket{}) {
+			t.Fatalf("ticket %d lies %d bytes past ticket 0: not carved from one slab", i, off)
+		}
+	}
+	if err := q.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	tk := tickets[kept]
+	clear(tickets)
+	runtime.GC()
+	runtime.GC()
+	if err := tk.Wait(nil); err != boom {
+		t.Errorf("Wait = %v, want %v", err, boom)
+	}
+	if err := tk.Err(); err != boom {
+		t.Errorf("Err = %v, want %v", err, boom)
+	}
+	if got := tk.CompletedAt(); got != 7*time.Millisecond {
+		t.Errorf("CompletedAt = %v, want 7ms", got)
+	}
+	if tk.ctx != nil {
+		t.Error("a completed ticket still holds its submission's ctx")
 	}
 }
