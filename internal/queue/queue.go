@@ -126,12 +126,16 @@ type Config struct {
 // Ticket is one submission, start to finish: the entry the shard's worker
 // dequeues (it carries the submission's ctx and Request) and the future handed
 // back to the submitter, which completes when the operation has executed (or
-// been shed or cancelled), carrying the outcome. One heap object per
-// submission; completing it makes no channel unless somebody asked for Done.
-// All methods are safe for concurrent use. A Ticket must not be copied.
+// been shed or cancelled), carrying the outcome. Tickets are carved from
+// per-shard slabs of 64, one heap object per slab, not per submission;
+// completing a ticket makes no channel unless somebody asked for Done. A held
+// ticket keeps its whole slab alive (at most 8 KiB) but not the submission's
+// ctx, which finish lets go of. All methods are safe for concurrent use. A
+// Ticket must not be copied.
 type Ticket struct {
-	// ctx and req are set by Submit before the hand-off to the worker and
-	// never written again.
+	// ctx and req are set by Submit before the hand-off to the worker; finish
+	// clears ctx before it publishes completion, and nothing else writes
+	// either.
 	ctx context.Context
 	req Request
 
@@ -155,6 +159,7 @@ type Ticket struct {
 // finish records the outcome and completes the ticket; the shard worker calls
 // it exactly once per ticket.
 func (t *Ticket) finish(arrival, completedAt time.Duration, err error) {
+	t.ctx = nil
 	t.arrival = arrival
 	t.completedAt = completedAt
 	t.err = err
@@ -225,6 +230,21 @@ func (t *Ticket) Arrival() time.Duration { return t.arrival }
 // ticket has completed.
 func (t *Ticket) CompletedAt() time.Duration { return t.completedAt }
 
+// slabTickets is the number of tickets one slab holds. 64 tickets of 120
+// bytes and the index fill 7688 bytes, which with the 8-byte header Go puts on
+// a pointerful object over 512 bytes fits the 8192-byte size class: 128 bytes
+// a ticket, as when each was its own object. A ticket padded to 128 bytes
+// would push the slab into the 9472-byte class.
+const slabTickets = 64
+
+// ticketSlab is the one allocation slabTickets submissions share. next is the
+// index of the first slot not yet handed out; it only grows, and runs past
+// slabTickets once the slab is used up.
+type ticketSlab struct {
+	next    atomic.Int64
+	tickets [slabTickets]Ticket
+}
+
 // shardQueue is one shard's submission queue and its counters.
 type shardQueue struct {
 	// mu guards ch against Close: submitters send under RLock, Close closes
@@ -232,6 +252,9 @@ type shardQueue struct {
 	mu     sync.RWMutex
 	ch     chan *Ticket
 	closed bool
+
+	// slab is where the shard's next ticket is carved from.
+	slab atomic.Pointer[ticketSlab]
 
 	// Every submission counted in submitted ends in exactly one of
 	// completed, shed and cancelled; the difference is what is in flight.
@@ -316,6 +339,30 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
+// newTicket carves a ticket for ctx and req from the shard's current slab,
+// swapping in a fresh slab when that one is used up. Each slot is handed out
+// once: the atomic index gives it to one caller, and a slab is only ever
+// replaced by a fresh one, so concurrent submitters never share a ticket.
+func (sq *shardQueue) newTicket(ctx context.Context, req Request) *Ticket {
+	var tk *Ticket
+	for tk == nil {
+		sl := sq.slab.Load()
+		if sl != nil {
+			if i := sl.next.Add(1) - 1; i < slabTickets {
+				tk = &sl.tickets[i]
+				break
+			}
+		}
+		fresh := new(ticketSlab)
+		fresh.next.Store(1)
+		if sq.slab.CompareAndSwap(sl, fresh) {
+			tk = &fresh.tickets[0]
+		}
+	}
+	tk.ctx, tk.req = ctx, req
+	return tk
+}
+
 // Submit enqueues one operation and returns its Ticket. Under AdmitShed a
 // full transport queue fails fast with ErrFull (and no Ticket); under
 // AdmitWait the send blocks until there is room, honouring ctx. The deeper
@@ -332,13 +379,15 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Ticket, error) {
 		return nil, err
 	}
 	sq := e.shards[s]
-	tk := &Ticket{ctx: ctx, req: req}
+	tk := sq.newTicket(ctx, req)
 	// Counted before the send, so that the worker's terminal count can never
 	// run ahead of it.
 	sq.submitted.Add(1)
-	switch err = e.send(sq, tk); err {
-	case nil:
+	if err = e.send(sq, tk); err == nil {
 		return tk, nil
+	}
+	tk.ctx = nil // never sent, so nothing else holds the slot: let ctx go
+	switch err {
 	case ErrClosed:
 		sq.submitted.Add(-1) // lost the race with Close: never on the books
 	case ErrFull:
@@ -455,7 +504,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 	}
 	tickets := make([]*Ticket, 0, len(e.shards))
 	for _, sq := range e.shards {
-		fence := &Ticket{ctx: ctx, req: Request{Kind: opBarrier}}
+		fence := sq.newTicket(ctx, Request{Kind: opBarrier})
 		if err := e.send(sq, fence); err != nil {
 			return err
 		}

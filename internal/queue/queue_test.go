@@ -738,7 +738,7 @@ func (e lpnError) Error() string { return "executed page " + strconv.Itoa(int(e)
 // out twice puts two submissions on one ticket: a repeated pointer, a page
 // executed twice and another never, and, under -race, a racing write.
 func TestSlabTicketsUnderContention(t *testing.T) {
-	const shards, producers, perProducer = 4, 8, 300
+	const shards, producers, perProducer = 4, 8, 1000
 	const pages = producers * perProducer * shards
 	var seen [pages]atomic.Int32
 	q, err := New(Config{
@@ -881,5 +881,34 @@ func TestHeldTicketPinsItsSlab(t *testing.T) {
 	}
 	if tk.ctx != nil {
 		t.Error("a completed ticket still holds its submission's ctx")
+	}
+}
+
+// slabSink keeps TestTicketSlabFitsItsSizeClass's slabs on the heap.
+var slabSink []*ticketSlab
+
+// TestTicketSlabFitsItsSizeClass: a slab is one allocation that fills the
+// 8192-byte size class, so a ticket costs 128 bytes, as it did as an object of
+// its own. Go puts an 8-byte header on a pointerful object over 512 bytes; a
+// slab that grows by as little as a padded ticket lands in the 9472-byte
+// class, 148 bytes a ticket.
+func TestTicketSlabFitsItsSizeClass(t *testing.T) {
+	const class, header = 8192, 8
+	if size := unsafe.Sizeof(ticketSlab{}); size+header > class {
+		t.Fatalf("a slab of %d tickets is %d bytes, %d with its header: past the %d-byte size class", slabTickets, size, size+header, class)
+	}
+	const slabs = 256
+	slabSink = make([]*ticketSlab, slabs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range slabSink {
+		slabSink[i] = new(ticketSlab)
+	}
+	runtime.ReadMemStats(&after)
+	slabSink = nil
+	perTicket := float64(after.TotalAlloc-before.TotalAlloc) / (slabs * slabTickets)
+	t.Logf("%.2f bytes a ticket", perTicket)
+	if perTicket > 128.5 {
+		t.Errorf("%.2f heap bytes a ticket, want 128", perTicket)
 	}
 }
