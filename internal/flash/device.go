@@ -57,13 +57,16 @@ type dieState struct {
 	// them on demand. The counters' elapsed time is the die's busy time.
 	counters Counters
 	// busyUntil is the instant, on the device-wide virtual timeline, at which
-	// the die's most recently issued operation completes. Unlike the
-	// counters' elapsed time it respects idle gaps: an operation issued after
-	// the arrival clock (see Device.SyncArrival) has moved past the die's
-	// last completion starts at the arrival instant, not back-to-back. The
-	// latency instrumentation derives per-operation service times — queueing
-	// behind the die included — from this clock.
-	busyUntil time.Duration
+	// the die's most recently issued operation completes, in nanoseconds.
+	// Unlike the counters' elapsed time it respects idle gaps: an operation
+	// issued after the arrival clock (see Device.SyncArrival) has moved past
+	// the die's last completion starts at the arrival instant, not
+	// back-to-back. The latency instrumentation derives per-operation service
+	// times — queueing behind the die included — from this clock. record
+	// reads and writes it under mu; it only grows, so readers
+	// (busyUntilOverDies) load it without the latch and see an instant the
+	// die has reached, at worst one operation behind a racing writer.
+	busyUntil atomic.Int64
 	// freeTags holds the cleared tag rows of the die's erased blocks, for
 	// the next of its blocks that programs a metadata page.
 	freeTags [][]tagAux
@@ -168,14 +171,14 @@ func (d *Device) die(block BlockID) *dieState {
 // partition's clock, which would under-report its latency.
 func (d *Device) record(die *dieState, op Op, p Purpose, cost, floor time.Duration) {
 	die.counters.Record(op, p, cost)
-	start := die.busyUntil
+	start := time.Duration(die.busyUntil.Load())
 	if a := time.Duration(d.arrival.Load()); a > start {
 		start = a
 	}
 	if floor > start {
 		start = floor
 	}
-	die.busyUntil = start + cost
+	die.busyUntil.Store(int64(start + cost))
 }
 
 // check validates power state and block range.
@@ -639,16 +642,16 @@ func (d *Device) BusyUntil() time.Duration {
 }
 
 // busyUntilOverDies returns the latest busy-until instant of dies [lo, hi),
-// floored at the arrival clock.
+// floored at the arrival clock. It takes no die latch: every clock it reads
+// only grows, so a reading that races an operation in flight is a lower
+// bound, the instant before that operation's completion was recorded, and
+// successive readings never decrease.
 func (d *Device) busyUntilOverDies(lo, hi int) time.Duration {
 	max := time.Duration(d.arrival.Load())
 	for i := lo; i < hi; i++ {
-		die := &d.dies[i]
-		die.mu.Lock()
-		if die.busyUntil > max {
-			max = die.busyUntil
+		if t := time.Duration(d.dies[i].busyUntil.Load()); t > max {
+			max = t
 		}
-		die.mu.Unlock()
 	}
 	return max
 }

@@ -300,12 +300,12 @@ func TestPartitionScopedAccounting(t *testing.T) {
 
 // TestBusyUntilReadsWithoutTheLatch races a reader of Partition.BusyUntil
 // against one goroutine programming and erasing every block of the
-// partition's one die. The reader takes no die latch: the die's busy-until
-// clock is an atomic the writer stores under the latch. Run under -race, a
-// plain load of it is reported here. Every reading is a completion instant
-// the die did reach, so the readings never decrease, and once the writer is
-// done the partition's clock is exactly the die's: its IO back to back from
-// zero.
+// partition's one die. The reader takes no die latch and does not synchronize
+// with the writer until it has seen the die's final clock: the clock is an
+// atomic the writer stores under the latch, and under -race a plain load of it
+// is reported here. Every reading is a completion instant the die did reach,
+// so the readings never decrease, and the last one is the die's final
+// busy-until: its IO back to back from zero.
 func TestBusyUntilReadsWithoutTheLatch(t *testing.T) {
 	cfg := topoConfig(64, 2, 1)
 	dev := MustNewDevice(cfg)
@@ -314,6 +314,7 @@ func TestBusyUntilReadsWithoutTheLatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	const cycles = 4
+	want := time.Duration(cycles*32) * (time.Duration(cfg.PagesPerBlock)*cfg.Latency.PageWrite + cfg.Latency.Erase)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -334,23 +335,23 @@ func TestBusyUntilReadsWithoutTheLatch(t *testing.T) {
 	}()
 	var last time.Duration
 	readings := 0
-	for running := true; running; readings++ {
-		select {
-		case <-done:
-			running = false
-		default:
-		}
+	for last != want {
 		now := p.BusyUntil()
+		readings++
 		if now < last {
 			t.Fatalf("reading %d: BusyUntil went back from %v to %v", readings, last, now)
 		}
 		last = now
+		select {
+		case <-done: // the next reading is the final one
+			if now := p.BusyUntil(); now != want {
+				t.Fatalf("the writer is done and BusyUntil reads %v, want %v", now, want)
+			}
+		default:
+		}
 	}
-	want := time.Duration(cycles*32) * (time.Duration(cfg.PagesPerBlock)*cfg.Latency.PageWrite + cfg.Latency.Erase)
-	if die := dev.busyUntilOverDies(0, 1); die != want {
-		t.Errorf("die 0 busy until %v, want %v", die, want)
-	}
-	if last != want {
-		t.Errorf("last of %d readings %v, want the die's final busy-until %v", readings, last, want)
+	<-done
+	if die := dev.busyUntilOverDies(0, 1); die != last {
+		t.Errorf("last of %d readings %v, but die 0 is busy until %v", readings, last, die)
 	}
 }

@@ -196,10 +196,12 @@ func (e *Engine) ShardOf(lpn flash.LPN) (int, error) {
 }
 
 // ShardClock returns shard s's current virtual completion instant: the
-// busy-until of the shard's own plane. It reads the die clocks without taking
-// the shard lock, so concurrent operations on other shards never contend; a
-// reading that races an in-flight operation on the same shard is merely a
-// lower bound, which is all the queue's admission control needs.
+// busy-until of the shard's own plane. It takes neither the shard lock nor the
+// die latches — the die clocks are atomics that only grow — so a submitter
+// stamping an arrival never waits on the shard's worker and concurrent
+// operations on other shards never contend; a reading that races an in-flight
+// operation on the same shard is merely a lower bound, which is all the
+// queue's admission control needs.
 func (e *Engine) ShardClock(s int) time.Duration {
 	return e.shards[s].ftl.Device().BusyUntil()
 }
