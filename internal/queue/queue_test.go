@@ -773,10 +773,12 @@ func TestSlabTicketsUnderContention(t *testing.T) {
 	tickets := make([][]*Ticket, producers)
 	lpns := make([][]flash.LPN, producers)
 	var wg sync.WaitGroup
+	start := make(chan struct{}) // all producers at once, for the most overlap
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
+			<-start
 			for i := 0; i < perProducer; i++ {
 				lpn := flash.LPN((p*perProducer + i) * shards) // shard 0
 				if p%2 == 1 {
@@ -792,6 +794,7 @@ func TestSlabTicketsUnderContention(t *testing.T) {
 			}
 		}(p)
 	}
+	close(start)
 	wg.Wait()
 	close(stop)
 	<-fenced
