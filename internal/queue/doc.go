@@ -8,11 +8,14 @@
 // advances independently, so measured throughput is bounded by the topology,
 // not by caller concurrency.
 //
-// A submission costs one heap object. The Ticket carries the submission's ctx
-// and Request onto the shard's channel, the worker writes the outcome into it
-// and publishes a completed flag, and the submitter polls (Err) or blocks
-// (Wait) on that same object. Wait under a ctx that cannot be cancelled — nil
-// or one whose Done channel is nil, such as context.Background — blocks on a
+// A submission costs a 64th of a heap object: Submit carves its Ticket from
+// the shard's current slab of 64 with an atomic index and swaps in a fresh
+// slab by CAS when that one is used up. The Ticket carries the submission's
+// ctx and Request onto the shard's channel, the worker writes the outcome into
+// it, lets go of the ctx and publishes a completed flag, and the submitter
+// polls (Err) or blocks (Wait) on that same object; holding it keeps its slab
+// alive. Wait under a ctx that cannot be cancelled — nil or one whose Done
+// channel is nil, such as context.Background — blocks on a
 // WaitGroup embedded in the ticket; only a cancellable ctx, or a caller of
 // Done, needs a channel, and the ticket makes it then, once, under its own
 // lock. Every accepted submission ends in exactly one of Stats' Completed,
