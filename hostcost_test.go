@@ -258,9 +258,11 @@ func TestHostAllocBudget(t *testing.T) {
 // type; metadata pages' tags in per-block rows), the dense per-LPN and
 // per-block indexes, and the validity store, which is where the FTLs differ:
 // Logarithmic Gecko's runs for GeckoFTL, a page-validity log beside a RAM
-// bitmap for IB-FTL. Readings when this was written: 38.3 to 38.5, 29.7,
-// 31.1, 31.8 and 79.0 bytes in the order below; a per-block []SpareArea of
-// 48 bytes a page put every one of them about 30 bytes higher.
+// bitmap for IB-FTL. Each budget is the reading when this was written times
+// 1.10: 31.1, 26.9, 28.3, 29.0 and 42.3 bytes in the order below. Images
+// wider than the pages they model — a 24-byte Gecko entry, an 8-byte
+// translation entry, the log in a map — read 38.6, 29.7, 31.1, 31.8 and 79.0,
+// over the GeckoFTL, DFTL and IB-FTL budgets.
 func TestHostBytesPerPage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the program's behalf")
@@ -286,7 +288,7 @@ func TestHostBytesPerPage(t *testing.T) {
 	for _, tc := range []struct {
 		ftl    string
 		budget float64
-	}{{"geckoftl", 44}, {"dftl", 36}, {"lazyftl", 36}, {"uftl", 36}, {"ibftl", 88}} {
+	}{{"geckoftl", 34.3}, {"dftl", 29.6}, {"lazyftl", 31.2}, {"uftl", 31.9}, {"ibftl", 46.6}} {
 		t.Run(tc.ftl, func(t *testing.T) {
 			small := liveHeap(tc.ftl, 1024)
 			large := liveHeap(tc.ftl, 4096)
@@ -294,7 +296,7 @@ func TestHostBytesPerPage(t *testing.T) {
 			t.Logf("%s: %.1f MB at 1024 blocks, %.1f MB at 4096: %.1f bytes per physical page",
 				tc.ftl, float64(small)/(1<<20), float64(large)/(1<<20), perPage)
 			if perPage > tc.budget {
-				t.Errorf("%s: %.1f host bytes per simulated page, budget %.0f", tc.ftl, perPage, tc.budget)
+				t.Errorf("%s: %.1f host bytes per simulated page, budget %.1f", tc.ftl, perPage, tc.budget)
 			}
 		})
 	}

@@ -26,13 +26,14 @@ const (
 
 // scheduledCrash replays one crash point on one shard of the tiny geometry:
 // the seed's stream fills every logical page and overwrites as many again,
-// then the scheduled cut is armed and the stream goes on, one trim in ten
-// among uniform writes, until the power fails. PowerFail and Recover follow,
-// and then CheckConsistency. It reports whether the cut fell inside the
-// stream, and the error recovery or the audit ended with. A device-wide
-// attempt count is a shard's own when the shard is the only one issuing IO,
-// so a (seed, event) pair replays the same crash every time.
-func scheduledCrash(seed int64, ev flash.FaultEvent) (cut bool, err error) {
+// then the scheduled cut is armed and the stream goes on with uniform writes,
+// one in ten of them a trim instead when trims is set, until the power fails.
+// PowerFail and Recover follow, and then CheckConsistency. It reports whether
+// the cut fell inside the stream, and the error recovery or the audit ended
+// with. A device-wide attempt count is a shard's own when the shard is the
+// only one issuing IO, so a (seed, event) pair replays the same crash every
+// time.
+func scheduledCrash(seed int64, ev flash.FaultEvent, trims bool) (cut bool, err error) {
 	cfg := flash.ScaledConfig(tinyBlocks)
 	cfg.PagesPerBlock = tinyPagesPerBlock
 	cfg.Channels = tinyChannels
@@ -64,7 +65,7 @@ func scheduledCrash(seed int64, ev flash.FaultEvent) (cut bool, err error) {
 	}
 	for range crashStreamOps {
 		lpn := flash.LPN(rng.Int63n(pages))
-		if rng.Intn(10) == 0 {
+		if trims && rng.Intn(10) == 0 {
 			err = f.Trim(lpn)
 		} else {
 			err = f.Write(lpn)
@@ -111,18 +112,24 @@ func durabilityMessage(err error) string {
 	return err.Error()
 }
 
-// knownDurabilityBugs are the smallest crash points, by seed and then by
-// attempt count, at which each failure shows on the tiny geometry, as
-// TestKnownDurabilityBugsSweep found them. The change that fixes a bug
-// moves its row to a table of crashes that must recover consistently.
+// knownDurabilityBugs are crash points at which each failure shows on the
+// tiny geometry. The first three, with trims, are the smallest by seed and
+// then by attempt count, as TestKnownDurabilityBugsSweep finds them. The last
+// is the earliest cut of the write-only stream that fails on seeds 1–4, the
+// shortest reproducer of a failure without trims; the sweep, which ranks
+// seeds first, prints seed 1's program 922 for its message. The change that
+// fixes a bug moves its row to a table of crashes that must recover
+// consistently.
 var knownDurabilityBugs = []struct {
 	seed    int64
 	ev      flash.FaultEvent
+	trims   bool
 	message string
 }{
-	{1, flash.FaultEvent{Op: flash.OpErase, AtCount: 9, Cut: flash.CutBefore}, "but the map says"},
-	{1, flash.FaultEvent{Op: flash.OpErase, AtCount: 15, Cut: flash.CutBefore}, "both map to physical page"},
-	{1, flash.FaultEvent{Op: flash.OpErase, AtCount: 8, Cut: flash.CutAfter}, "maps to unprogrammed physical page"},
+	{1, flash.FaultEvent{Op: flash.OpErase, AtCount: 9, Cut: flash.CutBefore}, true, "but the map says"},
+	{1, flash.FaultEvent{Op: flash.OpErase, AtCount: 15, Cut: flash.CutBefore}, true, "both map to physical page"},
+	{1, flash.FaultEvent{Op: flash.OpErase, AtCount: 8, Cut: flash.CutAfter}, true, "maps to unprogrammed physical page"},
+	{4, flash.FaultEvent{Op: flash.OpPageWrite, AtCount: 18, Cut: flash.CutAfter}, false, "but the map says"},
 }
 
 // TestKnownDurabilityBugs pins the open durability bugs as scheduled crashes:
@@ -131,8 +138,12 @@ var knownDurabilityBugs = []struct {
 // change with it.
 func TestKnownDurabilityBugs(t *testing.T) {
 	for _, row := range knownDurabilityBugs {
-		t.Run(fmt.Sprintf("seed %d %v %d %s", row.seed, row.ev.Op, row.ev.AtCount, cutName(row.ev.Cut)), func(t *testing.T) {
-			cut, err := scheduledCrash(row.seed, row.ev)
+		name := fmt.Sprintf("seed %d %v %d %s", row.seed, row.ev.Op, row.ev.AtCount, cutName(row.ev.Cut))
+		if !row.trims {
+			name += " " + streamName(false)
+		}
+		t.Run(name, func(t *testing.T) {
+			cut, err := scheduledCrash(row.seed, row.ev, row.trims)
 			switch {
 			case !cut:
 				t.Fatalf("the power never failed: the stream no longer reaches attempt %d", row.ev.AtCount)
@@ -146,10 +157,10 @@ func TestKnownDurabilityBugs(t *testing.T) {
 }
 
 // TestKnownDurabilityBugsSweep regenerates knownDurabilityBugs: it replays
-// every crash point of a bounded sweep — seeds, cuts before and after, and
-// each program and erase count up to a bound — and prints, for every failure
-// message, the smallest (seed, count) that shows it. It runs only with
-// -durability.sweep.
+// every crash point of a bounded sweep — both streams, seeds, cuts before and
+// after, and each program and erase count up to a bound — and prints, for
+// every stream and failure message, the smallest (seed, count) that shows it.
+// It runs only with -durability.sweep.
 func TestKnownDurabilityBugsSweep(t *testing.T) {
 	if !*sweepDurability {
 		t.Skip("run with -durability.sweep")
@@ -158,45 +169,58 @@ func TestKnownDurabilityBugsSweep(t *testing.T) {
 		seed int64
 		ev   flash.FaultEvent
 	}
-	first := map[string]point{}
-	var order []string
-	for seed := int64(1); seed <= 4; seed++ {
-		for _, bound := range []struct {
-			op flash.Op
-			k  uint64
-		}{{flash.OpErase, 200}, {flash.OpPageWrite, 6000}} {
-			for _, placement := range []flash.PowerCut{flash.CutBefore, flash.CutAfter} {
-				for k := uint64(1); k <= bound.k; k++ {
-					ev := flash.FaultEvent{Op: bound.op, AtCount: k, Cut: placement}
-					cut, err := scheduledCrash(seed, ev)
-					if !cut {
-						if err != nil {
-							t.Fatalf("seed %d %+v: %v", seed, ev, err)
+	type finding struct {
+		trims   bool
+		message string
+	}
+	first := map[finding]point{}
+	var order []finding
+	for _, trims := range []bool{true, false} {
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, bound := range []struct {
+				op flash.Op
+				k  uint64
+			}{{flash.OpErase, 200}, {flash.OpPageWrite, 6000}} {
+				for _, placement := range []flash.PowerCut{flash.CutBefore, flash.CutAfter} {
+					for k := uint64(1); k <= bound.k; k++ {
+						ev := flash.FaultEvent{Op: bound.op, AtCount: k, Cut: placement}
+						cut, err := scheduledCrash(seed, ev, trims)
+						if !cut {
+							if err != nil {
+								t.Fatalf("seed %d %+v: %v", seed, ev, err)
+							}
+							break
 						}
-						break
-					}
-					if err == nil {
-						continue
-					}
-					m := durabilityMessage(err)
-					// Counts of one operation compare; the sweep's order
-					// ranks seeds, then erases before programs.
-					if p, ok := first[m]; !ok || seed == p.seed && ev.Op == p.ev.Op && k < p.ev.AtCount {
-						if !ok {
-							order = append(order, m)
+						if err == nil {
+							continue
 						}
-						first[m] = point{seed, ev}
-						t.Logf("seed %d %v %d %s: %v", seed, bound.op, k, cutName(placement), err)
+						f := finding{trims, durabilityMessage(err)}
+						// Counts of one operation compare; the sweep's order
+						// ranks seeds, then erases before programs.
+						if p, ok := first[f]; !ok || seed == p.seed && ev.Op == p.ev.Op && k < p.ev.AtCount {
+							if !ok {
+								order = append(order, f)
+							}
+							first[f] = point{seed, ev}
+							t.Logf("%s: seed %d %v %d %s: %v", streamName(trims), seed, bound.op, k, cutName(placement), err)
+						}
 					}
 				}
 			}
 		}
 	}
-	for _, m := range order {
-		p := first[m]
-		fmt.Printf("\t{%d, flash.FaultEvent{Op: flash.%s, AtCount: %d, Cut: flash.%s}, %q},\n",
-			p.seed, opName(p.ev.Op), p.ev.AtCount, cutName(p.ev.Cut), m)
+	for _, f := range order {
+		p := first[f]
+		fmt.Printf("\t{%d, flash.FaultEvent{Op: flash.%s, AtCount: %d, Cut: flash.%s}, %t, %q},\n",
+			p.seed, opName(p.ev.Op), p.ev.AtCount, cutName(p.ev.Cut), f.trims, f.message)
 	}
+}
+
+func streamName(trims bool) string {
+	if trims {
+		return "writes and trims"
+	}
+	return "writes only"
 }
 
 func opName(op flash.Op) string {

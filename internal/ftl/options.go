@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -140,6 +141,9 @@ func (o *Options) validate(cfg flash.Config) error {
 	}
 	if o.CacheEntries <= 0 {
 		return fmt.Errorf("ftl: cache capacity %d must be positive", o.CacheEntries)
+	}
+	if pages := int64(cfg.Blocks) * int64(cfg.PagesPerBlock); pages > math.MaxInt32 {
+		return fmt.Errorf("ftl: %d physical pages, but a translation entry holds addresses below 2^31", pages)
 	}
 	if o.GCFreeBlockReserve == 0 {
 		o.GCFreeBlockReserve = 4

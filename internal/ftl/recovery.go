@@ -395,8 +395,8 @@ func (f *FTL) recoverGeckoBuffer(g *gecko.Gecko) error {
 		// The undo log is the two versions' difference, in logical-page
 		// order; this page's part of it comes next.
 		end := start + flash.LPN(f.table.EntriesPerPage())
-		for ; len(undo) > 0 && undo[0].lpn < end; undo = undo[1:] {
-			lpn, oldPPN := undo[0].lpn, undo[0].old
+		for ; len(undo) > 0 && undo[0].logical() < end; undo = undo[1:] {
+			lpn, oldPPN := undo[0].logical(), undo[0].previous()
 			if oldPPN == f.table.FlashEntry(lpn) {
 				continue
 			}

@@ -22,16 +22,18 @@ const mappingEntryBytes = 4
 // records where the newest version of each translation page lives. The table
 // also keeps, per logical page, the mapping value as stored in flash (the
 // simulator does not store payloads in the device, so this mirror is the
-// translation pages' content); cached, possibly newer values live in the
-// FTL's LRU cache and reach the table only through synchronization
-// operations.
+// translation pages' content) at the width a translation page stores it,
+// mappingEntryBytes: a physical page, or -1 for unmapped, in an int32, which
+// New makes sure can count the shard's physical pages. Cached, possibly newer
+// values live in the FTL's LRU cache and reach the table only through
+// synchronization operations.
 type translationTable struct {
 	bm            *blockManager
 	logicalPages  int64
 	entriesPerTP  int
 	pages         int
 	gmd           []flash.PPN // current location of each translation page
-	flashMapping  []flash.PPN // flash-resident mapping value per logical page
+	flashMapping  []int32     // flash-resident mapping value per logical page
 	prevVersions  map[int]prevVersion
 	protectBlocks map[flash.BlockID]bool
 	// keepPrevious is set when the FTL has a Logarithmic Gecko buffer to
@@ -56,11 +58,17 @@ type prevVersion struct {
 }
 
 // undoRecord says that the previous version of lpn's translation page maps
-// lpn to old, and the current one to something else or to nothing.
+// lpn to old, and the current one to something else or to nothing. Both are
+// held at flashMapping's width.
 type undoRecord struct {
-	lpn flash.LPN
-	old flash.PPN
+	lpn, old int32
 }
+
+// logical returns the record's logical page.
+func (r undoRecord) logical() flash.LPN { return flash.LPN(r.lpn) }
+
+// previous returns the physical page the previous version maps it to.
+func (r undoRecord) previous() flash.PPN { return flash.PPN(r.old) }
 
 // newTranslationTable creates the table for the given number of logical
 // pages. Every mapping starts out unmapped (InvalidPPN) and no translation
@@ -74,7 +82,7 @@ func newTranslationTable(bm *blockManager, logicalPages int64, pageSize int, kee
 		entriesPerTP:  entriesPerTP,
 		pages:         pages,
 		gmd:           make([]flash.PPN, pages),
-		flashMapping:  make([]flash.PPN, logicalPages),
+		flashMapping:  make([]int32, logicalPages),
 		prevVersions:  make(map[int]prevVersion),
 		protectBlocks: make(map[flash.BlockID]bool),
 		keepPrevious:  keepPrevious,
@@ -86,7 +94,7 @@ func newTranslationTable(bm *blockManager, logicalPages int64, pageSize int, kee
 		t.gmd[i] = flash.InvalidPPN
 	}
 	for i := range t.flashMapping {
-		t.flashMapping[i] = flash.InvalidPPN
+		t.flashMapping[i] = int32(flash.InvalidPPN)
 	}
 	return t
 }
@@ -104,7 +112,7 @@ func (t *translationTable) pageOf(lpn flash.LPN) int {
 
 // FlashEntry returns the mapping for lpn as currently recorded in flash.
 func (t *translationTable) FlashEntry(lpn flash.LPN) flash.PPN {
-	return t.flashMapping[lpn]
+	return flash.PPN(t.flashMapping[lpn])
 }
 
 // ReadEntry performs the flash read of the translation page covering lpn (a
@@ -117,7 +125,7 @@ func (t *translationTable) ReadEntry(lpn flash.LPN, p flash.Purpose) (flash.PPN,
 			return flash.InvalidPPN, err
 		}
 	}
-	return t.flashMapping[lpn], nil
+	return flash.PPN(t.flashMapping[lpn]), nil
 }
 
 // dirtyUpdate is one cached mapping entry participating in a synchronization
@@ -174,7 +182,7 @@ func (t *translationTable) Synchronize(tp int, updates []dirtyUpdate) error {
 		t.logOverwritten(updates)
 	}
 	for _, u := range updates {
-		t.flashMapping[u.Logical] = u.Physical
+		t.flashMapping[u.Logical] = int32(u.Physical)
 	}
 
 	// Aux carries the content sequence: the newest write sequence the
@@ -209,8 +217,8 @@ func (t *translationTable) logOverwritten(updates []dirtyUpdate) {
 			continue
 		}
 		*word |= bit
-		if before := t.flashMapping[u.Logical]; before != flash.InvalidPPN {
-			t.undo = append(t.undo, undoRecord{lpn: u.Logical, old: before})
+		if before := t.flashMapping[u.Logical]; before != int32(flash.InvalidPPN) {
+			t.undo = append(t.undo, undoRecord{lpn: int32(u.Logical), old: before})
 		}
 	}
 }

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"testing"
+	"unsafe"
 
 	"geckoftl/internal/flash"
 )
@@ -236,5 +237,30 @@ func TestOnlyGeckoKeepsPreviousVersions(t *testing.T) {
 	}
 	if geckoKept == 0 {
 		t.Error("GeckoFTL never held a previous translation-page version")
+	}
+}
+
+// TestTranslationEntryWidth pins the host image of a translation page's
+// content at the width the page stores a mapping entry in.
+func TestTranslationEntryWidth(t *testing.T) {
+	var table translationTable
+	if got := unsafe.Sizeof(table.flashMapping[0]); got != mappingEntryBytes {
+		t.Errorf("a mapping entry takes %d bytes, want %d", got, mappingEntryBytes)
+	}
+}
+
+// TestNewRefusesShardsBeyondTheEntryWidth holds New to what a 4-byte mapping
+// entry can address: a shard of 2^31 physical pages is refused, one block
+// fewer is not.
+func TestNewRefusesShardsBeyondTheEntryWidth(t *testing.T) {
+	cfg := flash.DefaultConfig()
+	cfg.Blocks, cfg.PagesPerBlock = 1<<25, 64
+	o := GeckoFTLOptions(1024)
+	if err := o.validate(cfg); err == nil {
+		t.Errorf("a shard of %d physical pages accepted", cfg.Blocks*cfg.PagesPerBlock)
+	}
+	cfg.Blocks--
+	if err := o.validate(cfg); err != nil {
+		t.Errorf("a shard of %d physical pages refused: %v", cfg.Blocks*cfg.PagesPerBlock, err)
 	}
 }

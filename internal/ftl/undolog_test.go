@@ -15,7 +15,7 @@ import (
 // reference.
 type denseVersions struct {
 	table   *translationTable
-	content map[int][]flash.PPN
+	content map[int][]int32
 }
 
 // beforeSynchronize must precede every Synchronize of tp.
@@ -35,10 +35,10 @@ func (d *denseVersions) diff(tp int) []undoRecord {
 	var out []undoRecord
 	for i, old := range d.content[tp] {
 		lpn := flash.LPN(int64(tp)*int64(d.table.entriesPerTP) + int64(i))
-		if old == d.table.FlashEntry(lpn) || old == flash.InvalidPPN {
+		if flash.PPN(old) == d.table.FlashEntry(lpn) || flash.PPN(old) == flash.InvalidPPN {
 			continue
 		}
-		out = append(out, undoRecord{lpn: lpn, old: old})
+		out = append(out, undoRecord{lpn: int32(lpn), old: old})
 	}
 	return out
 }
@@ -48,8 +48,8 @@ func (d *denseVersions) diff(tp int) []undoRecord {
 func replayed(table *translationTable) map[int][]undoRecord {
 	out := map[int][]undoRecord{}
 	for _, r := range table.UndoLog() {
-		if r.old != table.FlashEntry(r.lpn) {
-			out[table.pageOf(r.lpn)] = append(out[table.pageOf(r.lpn)], r)
+		if r.previous() != table.FlashEntry(r.logical()) {
+			out[table.pageOf(r.logical())] = append(out[table.pageOf(r.logical())], r)
 		}
 	}
 	return out
@@ -87,7 +87,7 @@ func newUndoTable(t *testing.T) (*translationTable, *denseVersions) {
 	if table.entriesPerTP%64 == 0 || table.logicalPages%int64(table.entriesPerTP) == 0 || table.Pages() < 4 {
 		t.Fatalf("test setup: %d logical pages in translation pages of %d", table.logicalPages, table.entriesPerTP)
 	}
-	return table, &denseVersions{table: table, content: map[int][]flash.PPN{}}
+	return table, &denseVersions{table: table, content: map[int][]int32{}}
 }
 
 // TestUndoLogNamedSequences walks the sequences the first-touch rule exists
@@ -129,7 +129,7 @@ func TestUndoLogNamedSequences(t *testing.T) {
 			requireSameDiff(t, name, table, dense)
 			var got []flash.PPN
 			for _, r := range replayed(table)[1] {
-				got = append(got, r.old)
+				got = append(got, r.previous())
 			}
 			if !slices.Equal(got, tc.want) {
 				t.Errorf("%s: replays old values %v, want %v", name, got, tc.want)

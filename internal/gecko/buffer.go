@@ -47,7 +47,7 @@ func newBuffer(cfg Config) *buffer {
 // pos is the key's place in index and present: a block's S+1 keys are
 // adjacent, WholeBlock (-1) first, which is where it sorts.
 func (b *buffer) pos(k key) int {
-	return int(k.block)*(b.cfg.PartitionFactor+1) + k.subKey + 1
+	return int(k.block)*(b.cfg.PartitionFactor+1) + int(k.subKey) + 1
 }
 
 // find returns the slot of the entry with the given key.
@@ -84,7 +84,7 @@ func (b *buffer) full() bool {
 
 // insert adds a new entry with no bits set in the next slot.
 func (b *buffer) insert(e entry) int {
-	b.setSlot(e.key, len(b.ents))
+	b.setSlot(e.key(), len(b.ents))
 	b.ents = append(b.ents, e)
 	for range b.wpe {
 		b.words = append(b.words, 0)
@@ -95,11 +95,11 @@ func (b *buffer) insert(e entry) int {
 // remove frees slot i by moving the last entry into it.
 func (b *buffer) remove(i int) {
 	last := len(b.ents) - 1
-	b.forget(b.ents[i].key)
+	b.forget(b.ents[i].key())
 	if i != last {
 		b.ents[i] = b.ents[last]
 		copy(b.bits(i), b.bits(last))
-		b.setSlot(b.ents[i].key, i)
+		b.setSlot(b.ents[i].key(), i)
 	}
 	b.ents = b.ents[:last]
 	b.words = b.words[:last*b.wpe]
@@ -112,12 +112,12 @@ func (b *buffer) recordInvalid(block flash.BlockID, pageOffset int) {
 	chunkOffset := pageOffset
 	if b.cfg.PartitionFactor > 1 {
 		bits := b.cfg.BitsPerEntry()
-		k.subKey = pageOffset / bits
+		k.subKey = int16(pageOffset / bits)
 		chunkOffset = pageOffset % bits
 	}
 	i, ok := b.find(k)
 	if !ok {
-		i = b.insert(entry{key: k})
+		i = b.insert(entry{block: k.block, subKey: k.subKey})
 	}
 	b.bits(i)[chunkOffset/64] |= 1 << uint(chunkOffset%64)
 }
@@ -128,13 +128,13 @@ func (b *buffer) recordInvalid(block flash.BlockID, pageOffset int) {
 // are ignored by subsequent GC queries and discarded by merges.
 func (b *buffer) recordErase(block flash.BlockID) {
 	b.inserts++
-	for sub := 0; sub < b.cfg.PartitionFactor; sub++ {
+	for sub := int16(0); int(sub) < b.cfg.PartitionFactor; sub++ {
 		if i, ok := b.find(key{block, sub}); ok {
 			b.remove(i)
 		}
 	}
 	if k := (key{block, WholeBlock}); !b.has(k) {
-		b.insert(entry{key: k, erase: true})
+		b.insert(entry{block: block, subKey: WholeBlock, erase: true})
 	}
 }
 
@@ -147,7 +147,7 @@ func (b *buffer) has(k key) bool {
 // the buffer holds an erase entry for it (in which case the GC query stops at
 // the buffer).
 func (b *buffer) query(block flash.BlockID, result *bitmap.Bitmap) (erased bool) {
-	for sub := 0; sub < b.cfg.PartitionFactor; sub++ {
+	for sub := int16(0); int(sub) < b.cfg.PartitionFactor; sub++ {
 		if i, ok := b.find(key{block, sub}); ok {
 			b.cfg.fold(result, sub, b.bits(i))
 		}
@@ -180,7 +180,7 @@ func (b *buffer) drain(out slab) slab {
 func (b *buffer) clear() {
 	// Only the occupied positions: the index spans every key of the device.
 	for i := range b.ents {
-		b.forget(b.ents[i].key)
+		b.forget(b.ents[i].key())
 	}
 	b.ents = b.ents[:0]
 	b.words = b.words[:0]

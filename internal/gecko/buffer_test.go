@@ -23,7 +23,7 @@ func sortedDrain(b *buffer) slab {
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortFunc(order, func(x, y int) int { return b.ents[x].compare(b.ents[y].key) })
+	slices.SortFunc(order, func(x, y int) int { return b.ents[x].key().compare(b.ents[y].key()) })
 	out := newSlab(len(b.ents), b.wpe)
 	for _, i := range order {
 		out.push(b.ents[i], b.bits(i))
@@ -82,14 +82,14 @@ func TestBufferDrainIsKeyOrdered(t *testing.T) {
 			if !slices.Equal(got.ents, want.ents) || !slices.Equal(got.words, want.words) {
 				t.Fatalf("S=%d round %d: drained\n%v %x\nsorted reference\n%v %x", partition, round, got.ents, got.words, want.ents, want.words)
 			}
-			if !slices.IsSortedFunc(got.ents, func(x, y entry) int { return x.compare(y.key) }) {
+			if !slices.IsSortedFunc(got.ents, func(x, y entry) int { return x.key().compare(y.key()) }) {
 				t.Fatalf("S=%d round %d: drained run is not in key order: %v", partition, round, got.ents)
 			}
 			if b.len() != 0 || b.inserts != 0 {
 				t.Fatalf("S=%d round %d: buffer holds %d entries, %d inserts after drain", partition, round, b.len(), b.inserts)
 			}
 			for block := flash.BlockID(0); block < blocks; block++ {
-				if b.has(key{block, WholeBlock}) || b.has(key{block, 0}) || b.has(key{block, partition - 1}) {
+				if b.has(key{block, WholeBlock}) || b.has(key{block, 0}) || b.has(key{block, int16(partition - 1)}) {
 					t.Fatalf("S=%d round %d: drained buffer still indexes block %d", partition, round, block)
 				}
 			}

@@ -19,6 +19,14 @@ const DefaultKeyBytes = 4
 // chunk: a sub-key (2 bytes) and a flags byte holding the erase flag.
 const entryHeaderBytes = 3
 
+// A run page's spare area keeps its key range as packed keys (packKey): the
+// block in 24 bits and the sub-key plus one in 8, so that WholeBlock packs to
+// zero. Validate refuses a configuration whose keys those bits cannot hold.
+const (
+	maxBlocks          = 1 << 24
+	maxPartitionFactor = 1<<8 - 1
+)
+
 // Config describes a Logarithmic Gecko instance.
 type Config struct {
 	// Blocks is K, the number of flash blocks indexed.
@@ -69,6 +77,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Blocks <= 0:
 		return fmt.Errorf("gecko: blocks %d must be positive", c.Blocks)
+	case c.Blocks >= maxBlocks:
+		return fmt.Errorf("gecko: %d blocks, but a run page's spare area holds block IDs below %d", c.Blocks, maxBlocks)
 	case c.PagesPerBlock <= 0:
 		return fmt.Errorf("gecko: pages per block %d must be positive", c.PagesPerBlock)
 	case c.PageSize <= 0:
@@ -79,6 +89,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gecko: key bytes %d must be positive", c.KeyBytes)
 	case c.PartitionFactor < 1 || c.PartitionFactor > c.PagesPerBlock:
 		return fmt.Errorf("gecko: partition factor %d out of range [1,%d]", c.PartitionFactor, c.PagesPerBlock)
+	case c.PartitionFactor > maxPartitionFactor:
+		return fmt.Errorf("gecko: partition factor %d, but a run page's spare area holds sub-keys below %d", c.PartitionFactor, maxPartitionFactor)
 	case c.BufferLimit < 0:
 		return fmt.Errorf("gecko: buffer limit %d must be >= 0", c.BufferLimit)
 	case c.EntriesPerPage() < 1:
@@ -114,7 +126,7 @@ func (c Config) wordsPerEntry() int { return (c.BitsPerEntry() + 63) / 64 }
 
 // fold ORs the validity bits of one chunk entry into a full-block bitmap.
 // Erase entries carry no bits.
-func (c Config) fold(result *bitmap.Bitmap, subKey int, words []uint64) {
+func (c Config) fold(result *bitmap.Bitmap, subKey int16, words []uint64) {
 	if subKey == WholeBlock {
 		return
 	}
@@ -123,7 +135,7 @@ func (c Config) fold(result *bitmap.Bitmap, subKey int, words []uint64) {
 	width := c.BitsPerEntry()
 	offset := 0
 	if c.PartitionFactor > 1 {
-		offset = subKey * width
+		offset = int(subKey) * width
 	}
 	if width = min(width, result.Len()-offset); width > 0 {
 		result.OrWords(offset, words, width)

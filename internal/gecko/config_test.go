@@ -3,6 +3,9 @@ package gecko
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"geckoftl/internal/flash"
 )
 
 func TestDefaultConfig(t *testing.T) {
@@ -47,6 +50,42 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 				t.Error("invalid config accepted")
 			}
 		})
+	}
+}
+
+// TestSpareKeysCoverEveryAcceptedKey holds Validate to what a run page's
+// spare area can encode: the largest key of the largest accepted
+// configuration survives the spare round trip, and one more block or one more
+// sub-key is refused rather than wrapped.
+func TestSpareKeysCoverEveryAcceptedKey(t *testing.T) {
+	largest := DefaultConfig(maxBlocks-1, 256, 4096)
+	largest.PartitionFactor = maxPartitionFactor
+	if err := largest.Validate(); err != nil {
+		t.Fatalf("largest encodable config refused: %v", err)
+	}
+	lo := key{0, WholeBlock}
+	hi := key{flash.BlockID(largest.Blocks - 1), int16(largest.PartitionFactor - 1)}
+	got := decodeRunPageSpare(encodeRunPageSpare(7, 1, 2, lo, hi), 0)
+	if got.minKey != lo || got.maxKey != hi {
+		t.Errorf("spare keys %v..%v came back as %v..%v", lo, hi, got.minKey, got.maxKey)
+	}
+	for name, mutate := range map[string]func(*Config){
+		"one block too many":   func(c *Config) { c.Blocks++ },
+		"one sub-key too many": func(c *Config) { c.PartitionFactor++ },
+	} {
+		cfg := largest
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: %v accepted", name, cfg)
+		}
+	}
+}
+
+// TestEntryWidth pins the host image of a Gecko entry at the paper's widths:
+// a 4-byte block, a 2-byte sub-key and the erase flag.
+func TestEntryWidth(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 8 {
+		t.Errorf("a Gecko entry takes %d bytes, want 8", got)
 	}
 }
 

@@ -27,7 +27,8 @@
 // # Storage layout
 //
 // Entries are stored by value in slabs: the fixed parts (block, sub-key,
-// erase flag) in one slice and the validity bits of entry i as bare words
+// erase flag) in one slice, 8 bytes an entry at the paper's 4-byte key and
+// 2-byte sub-key, and the validity bits of entry i as bare words
 // [i*w, (i+1)*w) of another, w = ceil(BitsPerEntry/64). The buffer is one
 // slab of V slots allocated once and reused across flushes, found by key
 // through a direct-addressed array over the dense key space (K blocks times

@@ -12,19 +12,28 @@ const WholeBlock = -1
 // ID key, the sub-key identifying which chunk of the block's bitmap the
 // entry carries under entry-partitioning (Section 3.3; WholeBlock for erase
 // entries), and the erase flag. The validity bits — one per page of the
-// chunk, set meaning invalid — live beside it in the owning slab.
+// chunk, set meaning invalid — live beside it in the owning slab. It is held
+// at the paper's widths: a 4-byte block, a 2-byte sub-key and the flag, 8
+// bytes with padding, which is what a slab spends per entry besides the bits.
+// The fields are key's, spelt out: embedding key would pad it to 12.
 type entry struct {
-	key
+	block  flash.BlockID
+	subKey int16
 	// erase records that the block was erased after every older entry for
 	// the block was created; GC queries stop when they meet it and merges
 	// discard older colliding entries (Algorithms 2 and 3).
 	erase bool
 }
 
-// key is the composite sort key of an entry within a run.
+// key returns the entry's sort key.
+func (e entry) key() key { return key{e.block, e.subKey} }
+
+// key is the composite sort key of an entry within a run. Config.Validate
+// keeps the sub-key below the partition factor's bound of 255, which an
+// int16 holds with WholeBlock.
 type key struct {
 	block  flash.BlockID
-	subKey int
+	subKey int16
 }
 
 // less orders keys by block, then sub-key; WholeBlock (-1) naturally sorts
@@ -43,9 +52,9 @@ func (a key) packed() uint64 {
 }
 
 // slab stores entries by value: the fixed parts in ents and entry i's
-// validity bits in words[i*wpe:(i+1)*wpe]. The buffer is one slab of V
-// slots; every run is one slab, of which each of its pages is a sub-slab.
-// Erase entries keep their words zero.
+// validity bits in words[i*wpe:(i+1)*wpe], 8 bytes of entry and 8*wpe of
+// words a slot. The buffer is one slab of V slots; every run is one slab, of
+// which each of its pages is a sub-slab. Erase entries keep their words zero.
 type slab struct {
 	ents  []entry
 	words []uint64

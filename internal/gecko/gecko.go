@@ -462,7 +462,7 @@ func (c *cursor) settle() {
 		}
 		c.ents, c.words, c.pos, c.pages = c.pages[0].ents, c.pages[0].words, 0, c.pages[1:]
 	}
-	c.key = c.ents[c.pos].packed()
+	c.key = c.ents[c.pos].key().packed()
 }
 
 // mergeEntryStreams performs the k-way sort-merge of the input runs' entries,

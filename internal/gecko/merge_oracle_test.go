@@ -17,7 +17,7 @@ import (
 
 type oracleEntry struct {
 	Block     flash.BlockID
-	SubKey    int
+	SubKey    int16
 	Bits      *bitmap.Bitmap
 	EraseFlag bool
 }
@@ -141,9 +141,9 @@ func randomRunPair(rng *rand.Rand, cfg Config, blocks, v int, seq uint64) (*orac
 	for b := 0; b < blocks; b++ {
 		if rng.Intn(5) == 0 {
 			old = append(old, oracleEntry{Block: flash.BlockID(b), SubKey: WholeBlock, EraseFlag: true})
-			s.push(entry{key: key{flash.BlockID(b), WholeBlock}, erase: true}, make([]uint64, wpe))
+			s.push(entry{block: flash.BlockID(b), subKey: WholeBlock, erase: true}, make([]uint64, wpe))
 		}
-		for sub := 0; sub < cfg.PartitionFactor; sub++ {
+		for sub := int16(0); int(sub) < cfg.PartitionFactor; sub++ {
 			if rng.Intn(4) >= density {
 				continue
 			}
@@ -155,7 +155,7 @@ func randomRunPair(rng *rand.Rand, cfg Config, blocks, v int, seq uint64) (*orac
 			// is defined for it, so both merges must agree there too.
 			flagged := rng.Intn(16) == 0
 			old = append(old, oracleEntry{Block: flash.BlockID(b), SubKey: sub, Bits: bm, EraseFlag: flagged})
-			s.push(entry{key: key{flash.BlockID(b), sub}, erase: flagged}, bm.Words())
+			s.push(entry{block: flash.BlockID(b), subKey: sub, erase: flagged}, bm.Words())
 		}
 	}
 	or := &oracleRun{createSeq: seq}
@@ -224,7 +224,7 @@ func TestMergeMatchesPointerEntryMerge(t *testing.T) {
 				// What the next merge gets back from the free list.
 				ents, words := got.ents[:cap(got.ents)], got.words[:cap(got.words)]
 				for i := range ents {
-					ents[i] = entry{key: key{flash.BlockID(i), i % 3}, erase: i%2 == 0}
+					ents[i] = entry{block: flash.BlockID(i), subKey: int16(i % 3), erase: i%2 == 0}
 				}
 				for i := range words {
 					words[i] = ^uint64(0)

@@ -2,6 +2,7 @@ package gecko
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"geckoftl/internal/bitmap"
@@ -53,7 +54,7 @@ func packKey(k key) uint32 {
 
 // unpackKey reverses packKey.
 func unpackKey(v uint32) key {
-	return key{block: flash.BlockID(v >> 8), subKey: int(v&0xff) - 1}
+	return key{block: flash.BlockID(v >> 8), subKey: int16(v&0xff) - 1}
 }
 
 // runPageMeta is the decoded form of a run page's spare area.
@@ -108,8 +109,8 @@ func splitIntoPages(pages []runPage, s slab, v int) []runPage {
 	for start := 0; start < n; start += v {
 		end := min(start+v, n)
 		pages = append(pages, runPage{
-			minKey: s.ents[start].key,
-			maxKey: s.ents[end-1].key,
+			minKey: s.ents[start].key(),
+			maxKey: s.ents[end-1].key(),
 			slab:   s.slice(start, end),
 		})
 	}
@@ -122,7 +123,7 @@ func splitIntoPages(pages []runPage, s slab, v int) []runPage {
 // in which case the query must read both pages.
 func (r *run) pagesFor(block flash.BlockID) (lo, hi int) {
 	first := key{block, WholeBlock}
-	last := key{block, int(^uint(0) >> 1)}
+	last := key{block, math.MaxInt16}
 	for lo < len(r.pages) && r.pages[lo].maxKey.less(first) {
 		lo++
 	}

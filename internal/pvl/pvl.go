@@ -11,9 +11,10 @@ import (
 // logEntry is one record of the page validity log: "page Offset of block
 // Block became invalid at sequence Seq". Prev points to the log slot of the
 // previous entry for the same block, or -1 when this entry starts the chain.
+// It is held at EntryBytes' widths, 24 bytes with padding.
 type logEntry struct {
 	block  flash.BlockID
-	offset int
+	offset uint16
 	seq    uint64
 	prev   int64
 }
@@ -37,6 +38,9 @@ type Config struct {
 // 2-byte page offset, an 8-byte timestamp and an 8-byte previous-pointer.
 const EntryBytes = 22
 
+// maxPagesPerBlock bounds the page offsets a 2-byte field holds.
+const maxPagesPerBlock = 1 << 16
+
 // EntriesPerPage returns how many log entries fit into one flash page.
 func (c Config) EntriesPerPage() int { return c.PageSize / EntryBytes }
 
@@ -47,6 +51,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pvl: blocks %d must be positive", c.Blocks)
 	case c.PagesPerBlock <= 0:
 		return fmt.Errorf("pvl: pages per block %d must be positive", c.PagesPerBlock)
+	case c.PagesPerBlock > maxPagesPerBlock:
+		return fmt.Errorf("pvl: %d pages per block, but a log entry holds page offsets below %d", c.PagesPerBlock, maxPagesPerBlock)
 	case c.PageSize <= 0:
 		return fmt.Errorf("pvl: page size %d must be positive", c.PageSize)
 	case c.EntriesPerPage() < 1:
@@ -82,13 +88,16 @@ type Log struct {
 	store metastore.Storage
 	max   int
 
-	// buffer accumulates log entries before they are flushed as a log page.
-	buffer []logEntry
+	// buffered counts the newest entries, not yet flushed as a log page.
+	buffered int
 
-	// slots is the flash-resident log content indexed by a monotonically
-	// increasing slot number (entry position in the log). Slots are grouped
-	// into log pages of EntriesPerPage entries.
-	slots     map[int64]logEntry
+	// ring is the log content, flash-resident and buffered, indexed by a
+	// monotonically increasing slot number (entry position in the log):
+	// the live slots are [firstSlot, nextSlot), and slot s is at
+	// s % len(ring). Slots are grouped into log pages of EntriesPerPage
+	// entries. New sizes it for the bound and the pages cleaning works on;
+	// it doubles only when cleaning cannot discard anything.
+	ring      []logEntry
 	firstSlot int64 // oldest live slot
 	nextSlot  int64 // next slot to be assigned
 
@@ -124,7 +133,7 @@ func New(cfg Config, store metastore.Storage) (*Log, error) {
 		cfg:      cfg,
 		store:    store,
 		max:      max,
-		slots:    make(map[int64]logEntry),
+		ring:     make([]logEntry, max+2*cfg.EntriesPerPage()),
 		pageOf:   make(map[int64]flash.PPN),
 		head:     make([]int64, cfg.Blocks),
 		eraseSeq: make([]uint64, cfg.Blocks),
@@ -142,7 +151,10 @@ func (l *Log) Config() Config { return l.cfg }
 func (l *Log) Stats() Stats { return l.stats }
 
 // Entries returns the number of live flash-resident log entries.
-func (l *Log) Entries() int { return len(l.slots) }
+func (l *Log) Entries() int { return int(l.nextSlot - l.firstSlot) }
+
+// entry returns the live slot's entry.
+func (l *Log) entry(slot int64) *logEntry { return &l.ring[slot%int64(len(l.ring))] }
 
 func (l *Log) checkBlock(block flash.BlockID) error {
 	if block < 0 || int(block) >= l.cfg.Blocks {
@@ -163,17 +175,29 @@ func (l *Log) Update(addr flash.Addr) error {
 	}
 	l.stats.Updates++
 	l.seq++
-	l.appendEntry(logEntry{block: addr.Block, offset: addr.Offset, seq: l.seq, prev: l.head[addr.Block]})
+	l.appendEntry(logEntry{block: addr.Block, offset: uint16(addr.Offset), seq: l.seq, prev: l.head[addr.Block]})
 	return l.maybeFlush()
 }
 
 // appendEntry assigns the next slot to the entry and updates the chain head.
 func (l *Log) appendEntry(e logEntry) {
+	if l.Entries() == len(l.ring) {
+		l.grow()
+	}
 	slot := l.nextSlot
 	l.nextSlot++
-	l.buffer = append(l.buffer, e)
-	l.slots[slot] = e
+	l.buffered++
+	*l.entry(slot) = e
 	l.head[e.block] = slot
+}
+
+// grow doubles the ring, keeping every live slot.
+func (l *Log) grow() {
+	old := l.ring
+	l.ring = make([]logEntry, 2*len(old))
+	for slot := l.firstSlot; slot < l.nextSlot; slot++ {
+		*l.entry(slot) = old[slot%int64(len(old))]
+	}
 }
 
 // RecordErase notes that a block was erased. The log itself is not touched
@@ -194,8 +218,7 @@ func (l *Log) RecordErase(block flash.BlockID) error {
 // maybeFlush writes the buffered entries to flash when a full page's worth
 // has accumulated, then cleans the log if it grew beyond its bound.
 func (l *Log) maybeFlush() error {
-	per := l.cfg.EntriesPerPage()
-	if len(l.buffer) < per {
+	if l.buffered < l.cfg.EntriesPerPage() {
 		return nil
 	}
 	return l.flush()
@@ -214,7 +237,7 @@ func (l *Log) flush() error {
 // the cleaning pass (the cleaning pass itself uses it when reinsertions fill
 // the buffer again).
 func (l *Log) writeBuffer() error {
-	if len(l.buffer) == 0 {
+	if l.buffered == 0 {
 		return nil
 	}
 	l.stats.Flushes++
@@ -224,7 +247,7 @@ func (l *Log) writeBuffer() error {
 		return err
 	}
 	l.pageOf[pageIdx] = ppn
-	l.buffer = l.buffer[:0]
+	l.buffered = 0
 	return nil
 }
 
@@ -240,7 +263,7 @@ func (l *Log) Flush() error { return l.flush() }
 // so that at least half of each reclaimed page is discardable on average).
 func (l *Log) clean() error {
 	per := int64(l.cfg.EntriesPerPage())
-	for len(l.slots) > l.max {
+	for l.Entries() > l.max {
 		oldPage := l.firstSlot / per
 		ppn, ok := l.pageOf[oldPage]
 		if !ok {
@@ -252,15 +275,12 @@ func (l *Log) clean() error {
 		if err := l.store.Read(ppn); err != nil {
 			return err
 		}
-		end := (oldPage + 1) * per
+		// A page Flush wrote part-full ends at the newest slot.
+		end := min((oldPage+1)*per, l.nextSlot)
 		var reinsert []logEntry
 		discardedThisPass := int64(0)
 		for slot := l.firstSlot; slot < end; slot++ {
-			e, ok := l.slots[slot]
-			if !ok {
-				continue
-			}
-			delete(l.slots, slot)
+			e := *l.entry(slot)
 			if e.seq > l.eraseSeq[e.block] {
 				reinsert = append(reinsert, e)
 			} else {
@@ -282,7 +302,7 @@ func (l *Log) clean() error {
 			l.stats.Reinserted++
 			e.prev = l.head[e.block]
 			l.appendEntry(e)
-			if len(l.buffer) >= l.cfg.EntriesPerPage() {
+			if l.buffered >= l.cfg.EntriesPerPage() {
 				if err := l.writeBuffer(); err != nil {
 					return err
 				}
@@ -318,12 +338,11 @@ func (l *Log) QueryInto(block flash.BlockID, dst *bitmap.Bitmap) error {
 	// A chain's slots descend — every entry is appended at the tail and
 	// linked to its block's head, an older slot — so the log pages it visits
 	// descend too, and the page last read is the only one to skip.
+	// Cleaning drops the slots below firstSlot, and a chain's end, -1, is
+	// below every slot.
 	read := int64(-1)
-	for slot := l.head[block]; slot >= 0; {
-		e, ok := l.slots[slot]
-		if !ok {
-			break
-		}
+	for slot := l.head[block]; slot >= l.firstSlot; {
+		e := l.entry(slot)
 		if pageIdx := slot / per; pageIdx != read {
 			if ppn, inFlash := l.pageOf[pageIdx]; inFlash {
 				if err := l.store.Read(ppn); err != nil {
@@ -333,7 +352,7 @@ func (l *Log) QueryInto(block flash.BlockID, dst *bitmap.Bitmap) error {
 			read = pageIdx
 		}
 		if e.seq > l.eraseSeq[block] {
-			dst.Set(e.offset)
+			dst.Set(int(e.offset))
 		}
 		slot = e.prev
 	}

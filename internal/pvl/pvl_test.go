@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"geckoftl/internal/bitmap"
 	"geckoftl/internal/flash"
@@ -45,6 +46,7 @@ func TestConfigValidation(t *testing.T) {
 		{Blocks: 16, PagesPerBlock: 8, PageSize: 0},
 		{Blocks: 16, PagesPerBlock: 8, PageSize: 4},
 		{Blocks: 16, PagesPerBlock: 8, PageSize: 512, MaxEntries: -1},
+		{Blocks: 16, PagesPerBlock: maxPagesPerBlock + 1, PageSize: 512},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -210,6 +212,51 @@ func TestCleaningPreservesAnswers(t *testing.T) {
 		}
 		if !got.Equal(query(flash.BlockID(b))) {
 			t.Fatalf("block %d: log=%v reference=%v", b, got.SetBits(), query(flash.BlockID(b)).SetBits())
+		}
+	}
+}
+
+// TestLogEntryWidth pins the host image of a log entry: EntryBytes' fields
+// at their widths, padded to 24 bytes.
+func TestLogEntryWidth(t *testing.T) {
+	if got := unsafe.Sizeof(logEntry{}); got != 24 {
+		t.Errorf("a log entry takes %d bytes, want 24", got)
+	}
+}
+
+// TestUndiscardableLogGrows drives the log past its ring with a bound of one
+// page and no erases, so that no cleaning pass can discard anything: the log
+// degrades to a larger one, and every entry and answer survives the ring's
+// doubling.
+func TestUndiscardableLogGrows(t *testing.T) {
+	_, l := newHarness(t, 16, 8, 256, 64, 11)
+	ring := len(l.ring)
+	ref := make([]*bitmap.Bitmap, 16)
+	for i := range ref {
+		ref[i] = bitmap.New(8)
+	}
+	rng := rand.New(rand.NewSource(3))
+	const updates = 200
+	for range updates {
+		a := flash.Addr{Block: flash.BlockID(rng.Intn(16)), Offset: rng.Intn(8)}
+		if err := l.Update(a); err != nil {
+			t.Fatal(err)
+		}
+		ref[a.Block].Set(a.Offset)
+	}
+	if l.Stats().Cleanings == 0 || l.Stats().Discarded != 0 {
+		t.Fatalf("%d cleanings discarded %d entries; want some cleanings and no discards", l.Stats().Cleanings, l.Stats().Discarded)
+	}
+	if l.Entries() != updates || len(l.ring) < updates || ring >= updates {
+		t.Fatalf("%d entries in a ring of %d, grown from %d; want %d entries", l.Entries(), len(l.ring), ring, updates)
+	}
+	for b := range ref {
+		got, err := l.Query(flash.BlockID(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(ref[b]) {
+			t.Errorf("block %d: log=%v reference=%v", b, got.SetBits(), ref[b].SetBits())
 		}
 	}
 }
