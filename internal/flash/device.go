@@ -2,6 +2,7 @@ package flash
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,13 +38,16 @@ type blockState struct {
 	retired bool
 }
 
-// pageRecord is what the device keeps of a page's spare area for every page:
-// the logical page and the write sequence number. WriteSeq starts at 1, so a
-// zero record is a page not programmed since its block's last erase.
-type pageRecord struct {
-	logical  LPN
-	writeSeq uint64
-}
+// The widths of the flash image (Device.logical and Device.stamp, 12 bytes a
+// page); WritePage refuses what they cannot hold.
+const (
+	// maxSpareLogical is the largest Logical the image's 4-byte field holds.
+	maxSpareLogical = LPN(math.MaxInt32)
+	// stampTypeBits is how many low bits of a stamp hold the block type.
+	stampTypeBits = 8
+	// maxWriteSeq is the largest write sequence a stamp holds: 2⁵⁶−1.
+	maxWriteSeq = 1<<(64-stampTypeBits) - 1
+)
 
 // tagAux is one page's Tag and Aux spare fields.
 type tagAux struct{ tag, aux uint64 }
@@ -88,12 +92,15 @@ type Device struct {
 	cfg    Config
 	dies   []dieState
 	blocks []blockState
-	// pages and types are the flash image: the spare areas of all pages,
+	// logical and stamp are the flash image: the spare areas of all pages,
 	// indexed by device PPN (block*PagesPerBlock + offset), without the
-	// fields a page shares with its block (see readSpare). A page's entries
-	// are guarded by the lock of its block's die.
-	pages    []pageRecord
-	types    []BlockType
+	// fields a page shares with its block (see readSpare). logical holds a
+	// page's Logical; stamp holds WriteSeq<<stampTypeBits | BlockType.
+	// WriteSeq starts at 1, so a zero stamp is a page not programmed since
+	// its block's last erase. A page's entries are guarded by the lock of
+	// its block's die.
+	logical  []int32
+	stamp    []uint64
 	writeSeq atomic.Uint64
 	eraseSeq atomic.Uint64
 	powered  atomic.Bool
@@ -116,11 +123,11 @@ func NewDevice(cfg Config) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		cfg:    cfg,
-		dies:   make([]dieState, cfg.Dies()),
-		blocks: make([]blockState, cfg.Blocks),
-		pages:  make([]pageRecord, cfg.PhysicalPages()),
-		types:  make([]BlockType, cfg.PhysicalPages()),
+		cfg:     cfg,
+		dies:    make([]dieState, cfg.Dies()),
+		blocks:  make([]blockState, cfg.Blocks),
+		logical: make([]int32, cfg.PhysicalPages()),
+		stamp:   make([]uint64, cfg.PhysicalPages()),
 	}
 	d.powered.Store(true)
 	return d, nil
@@ -206,7 +213,10 @@ func (d *Device) checkPage(block BlockID, offset int) error {
 // enforces the NAND constraints: the page must be free and, when strict
 // sequential writes are enabled, must be the block's next free page.
 // The returned sequence number is the device-wide write timestamp recorded in
-// the spare area.
+// the spare area. A Logical outside [InvalidLPN, 2³¹−1], or a program once
+// the write sequence has reached 2⁵⁶−1, is refused with ErrOutOfRange, as a
+// bad address is: before the die is latched, at no device time and without
+// counting a fault-plan attempt.
 func (d *Device) WritePage(ppn PPN, spare SpareArea, p Purpose) (uint64, error) {
 	return d.writePage(ppn, spare, p, 0, &d.powered)
 }
@@ -218,6 +228,16 @@ func (d *Device) writePage(ppn PPN, spare SpareArea, p Purpose, floor time.Durat
 	addr := Decompose(ppn, d.cfg.PagesPerBlock)
 	if err := d.checkPage(addr.Block, addr.Offset); err != nil {
 		return 0, err
+	}
+	if spare.Logical < InvalidLPN || spare.Logical > maxSpareLogical {
+		return 0, fmt.Errorf("%w: logical page %d outside the spare image's [%d, %d]",
+			ErrOutOfRange, spare.Logical, InvalidLPN, maxSpareLogical)
+	}
+	// Read before the latch, as the address is checked: programs racing on
+	// other dies at the very bound could each pass, which the 2⁵⁶ programs
+	// it takes to get there put out of reach.
+	if d.writeSeq.Load() >= maxWriteSeq {
+		return 0, fmt.Errorf("%w: write sequence exhausted at %d", ErrOutOfRange, uint64(maxWriteSeq))
 	}
 	die := d.die(addr.Block)
 	die.mu.Lock()
@@ -261,8 +281,8 @@ func (d *Device) writePage(ppn PPN, spare SpareArea, p Purpose, floor time.Durat
 		}
 	}
 	seq := d.writeSeq.Add(1)
-	d.pages[ppn] = pageRecord{logical: spare.Logical, writeSeq: seq}
-	d.types[ppn] = spare.BlockType
+	d.logical[ppn] = int32(spare.Logical)
+	d.stamp[ppn] = seq<<stampTypeBits | uint64(spare.BlockType)
 	if spare.Tag != 0 || spare.Aux != 0 {
 		// A row comes cleared and a page is programmed at most once a
 		// cycle, so a page that sets neither field already reads zero.
@@ -357,8 +377,8 @@ func (d *Device) readSpare(ppn PPN, p Purpose, floor time.Duration) (SpareArea, 
 		// scans skip them instead of trusting garbage.
 		return SpareArea{}, false, nil
 	}
-	rec := d.pages[ppn]
-	if rec.writeSeq == 0 {
+	stamp := d.stamp[ppn]
+	if stamp == 0 {
 		// Below the write pointer but never programmed: a page a gapped
 		// program skipped (StrictSequentialWrites off). Its spare is empty.
 		return SpareArea{}, true, nil
@@ -367,9 +387,9 @@ func (d *Device) readSpare(ppn PPN, p Purpose, floor time.Duration) (SpareArea, 
 	// erase empties every page, so their current values are the ones the
 	// page was programmed under.
 	spare := SpareArea{
-		Logical:    rec.logical,
-		WriteSeq:   rec.writeSeq,
-		BlockType:  d.types[ppn],
+		Logical:    LPN(d.logical[ppn]),
+		WriteSeq:   stamp >> stampTypeBits,
+		BlockType:  BlockType(stamp),
 		EraseCount: uint32(blk.eraseCount),
 		EraseSeq:   blk.eraseSeq,
 	}
@@ -450,8 +470,8 @@ func (d *Device) eraseBlock(block BlockID, p Purpose, floor time.Duration, rail 
 	}
 	// Only pages below the write pointer can hold anything.
 	first := PPNOf(block, 0, d.cfg.PagesPerBlock)
-	clear(d.pages[first : first+PPN(blk.writePointer)])
-	clear(d.types[first : first+PPN(blk.writePointer)])
+	clear(d.logical[first : first+PPN(blk.writePointer)])
+	clear(d.stamp[first : first+PPN(blk.writePointer)])
 	if blk.tags != nil {
 		clear(blk.tags[:blk.writePointer])
 		die.freeTags = append(die.freeTags, blk.tags)

@@ -45,16 +45,19 @@ func (t BlockType) String() string {
 // (64-224 bytes per page) with room for ECC.
 //
 // A SpareArea is what WritePage takes and ReadSpare returns, not how the
-// simulator stores it: the device keeps 17 bytes a page (Logical, WriteSeq
-// and BlockType) and takes the rest from the page's block, as each field
-// below says.
+// simulator stores it: the device keeps 12 bytes a page (Logical in 4,
+// WriteSeq and BlockType packed in 8) and takes the rest from the page's
+// block, as each field below says.
 type SpareArea struct {
 	// Logical is the logical page stored on this physical page, or
-	// InvalidLPN for metadata pages.
+	// InvalidLPN for metadata pages. The device holds it in 4 bytes and
+	// refuses a program whose Logical lies outside [InvalidLPN, 2³¹−1].
 	Logical LPN
 	// WriteSeq is the device-wide sequence number of the page program.
 	// It acts as the "timestamp of when the page was last written". The
-	// device assigns it, starting at 1, and ignores the caller's value.
+	// device assigns it, starting at 1, and ignores the caller's value; it
+	// holds it in 56 bits beside BlockType and refuses programs once the
+	// sequence has reached 2⁵⁶−1.
 	WriteSeq uint64
 	// BlockType is meaningful only on the first page programmed in a
 	// block; it records the block group the block was allocated to.

@@ -3,9 +3,11 @@ package flash
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // The spare-store oracle drives a Device, directly and through partitions,
@@ -18,7 +20,10 @@ import (
 // WritePage, EraseBlock, ReadPage and ReadSpare must answer exactly as the
 // reference does, and so must the per-block bookkeeping (write pointer, erase
 // count, bad block). Scheduled power cuts before or after a program or an
-// erase must drop the power domain the attempt came through, and only it.
+// erase must drop the power domain the attempt came through, and only it. The
+// device stores a page's Logical in 4 bytes, so a program whose Logical lies
+// outside [InvalidLPN, 2³¹−1] must be refused with ErrOutOfRange before it
+// counts as an attempt, and the largest value must round-trip.
 
 // spareScript is where a run draws its choices from: a seeded generator, or
 // the bytes of a fuzz input.
@@ -141,6 +146,8 @@ func (r *spareRef) cutAt(op Op, n uint64) PowerCut {
 func (r *spareRef) program(block BlockID, off int, spare SpareArea) (seq uint64, cut bool, err error) {
 	blk := &r.blocks[block]
 	switch {
+	case spare.Logical < InvalidLPN || spare.Logical > math.MaxInt32, r.writeSeq >= 1<<56-1:
+		return 0, false, ErrOutOfRange
 	case blk.retired:
 		return 0, false, ErrProgramFailed
 	case off < blk.wp:
@@ -259,14 +266,21 @@ func runSpareStore(t testing.TB, c spareStoreCase, s spareScript, steps int) {
 	ref := newSpareRef(c, cfg)
 	ppb := cfg.PagesPerBlock
 	powered := func(p *spareStorePlane) bool { return p.up && planes[0].up }
+	// logical is a program's Logical: two times in three InvalidLPN, a small
+	// page or the largest the device holds; otherwise one outside
+	// [InvalidLPN, 2³¹−1], above or below, which the device must refuse.
 	logical := func() LPN {
-		switch s.pick(3) {
+		switch s.pick(6) {
 		case 0:
 			return InvalidLPN
-		case 1:
+		case 1, 4:
 			return LPN(s.pick(256))
-		default:
+		case 2:
 			return 1<<40 + LPN(s.pick(256))
+		case 3:
+			return math.MaxInt32
+		default:
+			return InvalidLPN - 1 - LPN(s.pick(256))
 		}
 	}
 	// word is a Tag or Aux value: zero half the time, so that blocks mix
@@ -433,4 +447,46 @@ func FuzzSpareStore(f *testing.F) {
 		s := &byteScript{data: data}
 		runSpareStore(t, spareStoreCaseOf(s.pick(16), s), s, len(data))
 	})
+}
+
+// TestSpareImageWidth pins what the device keeps of a page's spare area on
+// every page: a 4-byte logical page and an 8-byte write stamp.
+func TestSpareImageWidth(t *testing.T) {
+	var d Device
+	if got := unsafe.Sizeof(d.logical[0]) + unsafe.Sizeof(d.stamp[0]); got != 12 {
+		t.Errorf("the flash image takes %d bytes a page, want 12", got)
+	}
+}
+
+// TestWriteSeqLimit drives the write sequence to the largest value a stamp
+// holds beside its block type: that program round-trips both, and the next
+// one is refused before it counts as an attempt or costs device time.
+func TestWriteSeqLimit(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.PagesPerBlock = 4
+	d := MustNewDevice(cfg)
+	if err := d.SetFaultPlan(FaultPlan{Schedule: []FaultEvent{{Op: OpPageWrite, AtCount: 2, Cut: CutBefore}}}); err != nil {
+		t.Fatal(err)
+	}
+	d.writeSeq.Store(1<<56 - 2)
+	want := SpareArea{Logical: math.MaxInt32, WriteSeq: 1<<56 - 1, BlockType: 200}
+	seq, err := d.WritePage(0, want, PurposeUserWrite)
+	if err != nil || seq != want.WriteSeq {
+		t.Fatalf("WritePage at sequence 2⁵⁶−2 = (%d, %v), want (%d, nil)", seq, err, want.WriteSeq)
+	}
+	got, ok, err := d.ReadSpare(0, PurposeRecovery)
+	if err != nil || !ok || got != want {
+		t.Fatalf("ReadSpare = (%+v, %v, %v), want (%+v, true, nil)", got, ok, err, want)
+	}
+	before := d.SimulatedTime()
+	if seq, err := d.WritePage(1, SpareArea{Logical: 1, BlockType: BlockUser}, PurposeUserWrite); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("WritePage past sequence 2⁵⁶−1 = (%d, %v), want ErrOutOfRange", seq, err)
+	}
+	if d.SimulatedTime() != before || d.opSeq[OpPageWrite].Load() != 1 || !d.Powered() {
+		t.Errorf("the refused program cost %v, counted %d attempts and left power %v; want 0, 1 and on",
+			d.SimulatedTime()-before, d.opSeq[OpPageWrite].Load(), d.Powered())
+	}
+	if wp, _ := d.WritePointer(0); wp != 1 {
+		t.Errorf("write pointer %d after the refusal, want 1", wp)
+	}
 }

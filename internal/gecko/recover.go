@@ -74,7 +74,14 @@ func (g *Gecko) RecoverDirectories() error {
 				continue
 			}
 			meta := decodeRunPageSpare(spare, ppn)
-			pagesByRun[meta.runID] = append(pagesByRun[meta.runID], meta)
+			metas, seen := pagesByRun[meta.runID]
+			if !seen {
+				// Sized once, to the page count recorded on the first of
+				// the run's pages the scan meets: a complete run never
+				// grows it.
+				metas = make([]runPageMeta, 0, meta.totalPages)
+			}
+			pagesByRun[meta.runID] = append(metas, meta)
 		}
 	}
 
@@ -149,7 +156,7 @@ func (g *Gecko) RecoverDirectories() error {
 	// state (locations, key ranges, levels) is actually lost and re-derived.
 	g.levels = make([][]*run, g.cfg.Levels()+1)
 	for i, c := range live {
-		r := &run{id: c.id, createSeq: c.createSeq, level: liveLevels[i]}
+		r := &run{id: c.id, createSeq: c.createSeq, level: liveLevels[i], pages: make([]runPage, 0, len(c.pages))}
 		for _, m := range c.pages {
 			page, ok := g.pageContent[m.ppn]
 			if !ok {
