@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -432,5 +433,52 @@ func BenchmarkDeviceWrite(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkCrashPoint times one crash point of perfbench's crash-recover-4ch
+// on its geometry: 4096 blocks x 64 pages x 4 KiB on 4 channels, 1024 cached
+// mapping entries a shard, a checkpoint file. Each iteration writes 5000
+// uniformly drawn pages, untimed, and then times either PowerFail+Recover (a
+// cold GeckoRec, "recover") or Restart (flush, checkpoint, warm restore,
+// "restart"): ns/op is host time per crash point.
+func BenchmarkCrashPoint(b *testing.B) {
+	ctx := context.Background()
+	for _, mode := range []string{"recover", "restart"} {
+		b.Run(mode, func(b *testing.B) {
+			dev, err := geckoftl.Open(
+				geckoftl.WithGeometry(4096, 64, 4096),
+				geckoftl.WithChannels(4, 1),
+				geckoftl.WithCacheEntries(1024),
+				geckoftl.WithCheckpointPath(filepath.Join(b.TempDir(), "checkpoint")),
+			)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { dev.Close(ctx) })
+			rng := fillAndOverwrite(b, dev)
+			pages := dev.LogicalPages()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for range 5000 {
+					if err := dev.Write(ctx, geckoftl.LPN(rng.Int63n(pages))); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				if mode == "recover" {
+					if err := dev.PowerFail(); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := dev.Recover(ctx); err != nil {
+						b.Fatal(err)
+					}
+				} else if rep, err := dev.Restart(ctx); err != nil || !rep.Warm {
+					b.Fatalf("restart: warm %v, error %v", rep != nil && rep.Warm, err)
+				}
+			}
+		})
 	}
 }

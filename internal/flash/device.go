@@ -36,6 +36,10 @@ type blockState struct {
 	// that survives power failures; retired blocks refuse programs and
 	// erases forever.
 	retired bool
+	// die is the index of the die the block resides on, Config.DieOfBlock
+	// computed once by NewDevice so that no operation divides for it. It
+	// sits in retired's padding: the struct stays 88 bytes.
+	die int32
 }
 
 // The widths of the flash image (Device.logical and Device.stamp, 12 bytes a
@@ -129,6 +133,9 @@ func NewDevice(cfg Config) (*Device, error) {
 		logical: make([]int32, cfg.PhysicalPages()),
 		stamp:   make([]uint64, cfg.PhysicalPages()),
 	}
+	for b := range d.blocks {
+		d.blocks[b].die = int32(cfg.DieOfBlock(BlockID(b)))
+	}
 	d.powered.Store(true)
 	return d, nil
 }
@@ -166,7 +173,7 @@ func (d *Device) SetFaultPlan(plan FaultPlan) error {
 
 // die returns the die state that latches the given block.
 func (d *Device) die(block BlockID) *dieState {
-	return &d.dies[d.cfg.DieOfBlock(block)]
+	return &d.dies[d.blocks[block].die]
 }
 
 // record charges one operation to a die (which must be locked by the caller)

@@ -26,7 +26,10 @@
 // multiple channels, each with several dies, and independent dies execute
 // page and erase operations in parallel. Config carries this topology as
 // Channels x DiesPerChannel; blocks are assigned to dies in contiguous
-// ranges (Config.DieOfBlock). The Device latches each die independently —
+// ranges (Config.DieOfBlock). NewDevice stores each block's die index beside
+// the block's state, so an operation finds the die it latches without
+// dividing; DieOfBlock itself serves partitioning and construction. The
+// Device latches each die independently —
 // operations on different dies proceed concurrently under separate locks,
 // while operations on the same die serialize, exactly as a real die's
 // ready/busy line would force them to. Per-die IO counters make two clocks

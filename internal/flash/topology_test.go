@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func topoConfig(blocks, channels, dies int) Config {
@@ -48,6 +49,37 @@ func TestDieLayoutContiguous(t *testing.T) {
 	lo, hi := cfg.ChannelBlockRange(0)
 	if lo != 0 || cfg.ChannelOfBlock(hi-1) != 0 || cfg.ChannelOfBlock(hi) != 1 {
 		t.Fatalf("channel 0 range [%d,%d) inconsistent with ChannelOfBlock", lo, hi)
+	}
+}
+
+// TestDieIndexMatchesConfig requires the die index NewDevice stores with
+// each block to be Config.DieOfBlock's for every block of several
+// geometries, block counts that the die count does not divide among them,
+// and the die an operation latches to be that die.
+func TestDieIndexMatchesConfig(t *testing.T) {
+	for _, g := range []struct{ blocks, channels, dies int }{
+		{64, 0, 0}, {64, 1, 1}, {100, 4, 2}, {37, 3, 2}, {1000, 7, 1}, {4096, 8, 1}, {4097, 4, 4}, {9, 9, 1},
+	} {
+		cfg := topoConfig(g.blocks, g.channels, g.dies)
+		d := MustNewDevice(cfg)
+		for b := range BlockID(cfg.Blocks) {
+			want := cfg.DieOfBlock(b)
+			if got := int(d.blocks[b].die); got != want {
+				t.Fatalf("%d blocks on %dx%d dies: block %d stored on die %d, DieOfBlock says %d",
+					g.blocks, g.channels, g.dies, b, got, want)
+			}
+			if d.die(b) != &d.dies[want] {
+				t.Fatalf("%d blocks on %dx%d dies: block %d latches the wrong die", g.blocks, g.channels, g.dies, b)
+			}
+		}
+	}
+}
+
+// TestBlockStateWidth pins the per-block state at 88 bytes: the die index
+// lives in the padding after retired.
+func TestBlockStateWidth(t *testing.T) {
+	if got := unsafe.Sizeof(blockState{}); got != 88 {
+		t.Errorf("blockState takes %d bytes, want 88", got)
 	}
 }
 

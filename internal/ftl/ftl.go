@@ -1,9 +1,8 @@
 package ftl
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"iter"
 	"time"
 
 	"geckoftl/internal/bitmap"
@@ -146,6 +145,11 @@ type FTL struct {
 	opGCTime  time.Duration
 	opGCSteps int
 
+	// ckptFirst is maybeCheckpoint's scratch for checkpointSeeds, one mark
+	// per translation page, allocated only for FTLs that take runtime
+	// checkpoints. It is all zero between checkpoints.
+	ckptFirst []int32
+
 	// Scratch of synchronize, which is never re-entered, reused across calls.
 	syncAll       []mapcache.Entry
 	syncUpdates   []dirtyUpdate
@@ -203,6 +207,9 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 		logicalPages: logicalPages,
 		gc:           gcState{victim: flash.InvalidBlock},
 		collect:      gcState{victim: flash.InvalidBlock},
+	}
+	if facts.checkpoints {
+		f.ckptFirst = make([]int32, table.Pages())
 	}
 	if facts.dirtyBound {
 		f.dirtyLimit = max(1, int(dirtyBoundFraction*float64(opts.CacheEntries)))
@@ -621,24 +628,17 @@ func (f *FTL) clearFlags(lpn flash.LPN) {
 // maybeCheckpoint takes a runtime checkpoint when due (Section 4.3):
 // every C cache operations, dirty entries that have lingered since the
 // previous checkpoint are synchronized so that the recovery backwards scan
-// never has to look further back than 2*C page writes.
+// never has to look further back than 2*C page writes. Each of their
+// translation pages is synchronized once, in ascending page order, seeded
+// with the page's first lingering entry in queue order.
 func (f *FTL) maybeCheckpoint() error {
 	if !f.facts.checkpoints || !f.cache.CheckpointDue() {
 		return nil
 	}
 	f.stats.Checkpoints++
-	// Group the lingering dirty entries by translation page, in ascending
-	// page order (the stable sort keeps each group in queue order), and
-	// synchronize each group once, seeded with its first entry.
-	stale := f.cache.Checkpoint()
-	tpOf := f.cache.TranslationPageOf
-	slices.SortStableFunc(stale, func(a, b mapcache.Entry) int { return cmp.Compare(tpOf(a.Logical), tpOf(b.Logical)) })
-	for i, e := range stale {
-		if i > 0 && tpOf(e.Logical) == tpOf(stale[i-1].Logical) {
-			continue
-		}
+	for e := range checkpointSeeds(f.cache.Checkpoint(), f.ckptFirst, f.cache) {
 		// Re-check dirtiness: an earlier synchronization in this loop may
-		// have cleaned entries sharing the translation page.
+		// have cleaned the entry.
 		if cur, ok := f.cache.Peek(e.Logical); !ok || !cur.Dirty {
 			continue
 		}
@@ -649,6 +649,33 @@ func (f *FTL) maybeCheckpoint() error {
 	return nil
 }
 
+// checkpointSeeds yields, in ascending translation-page order, the first
+// entry of stale on each translation page it touches. It groups them without
+// a sort: one pass records in first, per page, one more than the position of
+// the page's first entry, and the walk over first in page order reads them
+// back. first holds one mark per translation page of cache; it must be all
+// zero when the walk starts, and it is all zero again when the walk ends,
+// whether it ran out or the caller stopped it.
+func checkpointSeeds(stale []mapcache.Entry, first []int32, cache *mapcache.Cache) iter.Seq[mapcache.Entry] {
+	return func(yield func(mapcache.Entry) bool) {
+		for i, e := range stale {
+			if tp := cache.TranslationPageOf(e.Logical); first[tp] == 0 {
+				first[tp] = int32(i + 1)
+			}
+		}
+		for tp, at := range first {
+			if at == 0 {
+				continue
+			}
+			first[tp] = 0
+			if !yield(stale[at-1]) {
+				clear(first[tp:])
+				return
+			}
+		}
+	}
+}
+
 // enforceDirtyBound restricts the number of dirty cached entries for FTLs
 // that bound it (LazyFTL, IB-FTL): while over the bound, the least recently
 // used dirty entry's translation page is synchronized.
@@ -657,7 +684,7 @@ func (f *FTL) enforceDirtyBound() error {
 		return nil
 	}
 	for f.dirtyCount > f.dirtyLimit {
-		victim, ok := f.oldestDirty()
+		victim, ok := f.cache.OldestDirty()
 		if !ok {
 			return nil
 		}
@@ -667,20 +694,6 @@ func (f *FTL) enforceDirtyBound() error {
 		}
 	}
 	return nil
-}
-
-// oldestDirty finds the least-recently-used dirty entry.
-func (f *FTL) oldestDirty() (mapcache.Entry, bool) {
-	var found mapcache.Entry
-	ok := false
-	f.cache.ForEach(func(e mapcache.Entry) bool {
-		if e.Dirty {
-			found = e
-			ok = true
-		}
-		return true
-	})
-	return found, ok
 }
 
 // garbageCollectIfNeeded reclaims blocks until the free pool is above the
@@ -900,7 +913,7 @@ func (f *FTL) migrateMetadataPage(ppn flash.PPN, spare flash.SpareArea, group Gr
 // examples and tests that want a clean shutdown rather than a crash.
 func (f *FTL) Flush() error {
 	for {
-		victim, ok := f.oldestDirty()
+		victim, ok := f.cache.OldestDirty()
 		if !ok {
 			break
 		}

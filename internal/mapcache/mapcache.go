@@ -73,6 +73,11 @@ type EvictionStats struct {
 // is the range query of a synchronization operation, already in the order
 // it is written back. Both arrays are the simulator's bookkeeping, like the
 // slab: RAMBytes, the paper's model of the cache, does not count them.
+//
+// The queue is doubly linked, so the questions asked of its old end walk
+// from there: eviction, LeastRecentlyUsed, Checkpoint's backward scan and
+// OldestDirty, the victim of a flush or a dirty bound, which stops at the
+// first dirty entry instead of visiting all C.
 type Cache struct {
 	capacity int
 
@@ -399,6 +404,18 @@ func (c *Cache) Entries() []Entry {
 func (c *Cache) LeastRecentlyUsed() (Entry, bool) {
 	for i := c.nodes[sentinel].prev; i != sentinel; i = c.nodes[i].prev {
 		if n := &c.nodes[i]; !n.checkpoint {
+			return n.entry, true
+		}
+	}
+	return Entry{}, false
+}
+
+// OldestDirty returns the least recently used dirty entry, if any. It walks
+// from the LRU end and stops at the first dirty one, so it visits only the
+// clean entries and checkpoint symbols queued behind it.
+func (c *Cache) OldestDirty() (Entry, bool) {
+	for i := c.nodes[sentinel].prev; i != sentinel; i = c.nodes[i].prev {
+		if n := &c.nodes[i]; !n.checkpoint && n.entry.Dirty {
 			return n.entry, true
 		}
 	}

@@ -188,6 +188,20 @@ func (c *listCache) LeastRecentlyUsed() (Entry, bool) {
 	return Entry{}, false
 }
 
+// OldestDirty walks the whole queue from the most recently used end and
+// keeps the last dirty entry it sees, as the FTL found its flush victim
+// before the slab cache had OldestDirty.
+func (c *listCache) OldestDirty() (Entry, bool) {
+	var found Entry
+	ok := false
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		if node := el.Value.(*element); !node.checkpoint && node.entry.Dirty {
+			found, ok = node.entry, true
+		}
+	}
+	return found, ok
+}
+
 func (c *listCache) Checkpoint() []Entry {
 	c.stats.Checkpoints++
 	c.opsSinceCheckpoint = 0
@@ -281,6 +295,11 @@ func TestSlabCacheMatchesListCache(t *testing.T) {
 			we, wok := want.LeastRecentlyUsed()
 			if ge != we || gok != wok {
 				t.Fatalf("%s: LeastRecentlyUsed() = %v,%v, list cache %v,%v", where, ge, gok, we, wok)
+			}
+			ge, gok = got.OldestDirty()
+			we, wok = want.OldestDirty()
+			if ge != we || gok != wok {
+				t.Fatalf("%s: OldestDirty() = %v,%v, list cache %v,%v", where, ge, gok, we, wok)
 			}
 			for tp := 0; tp <= (pages-1)/perTP+1; tp++ {
 				if g, w := got.EntriesOnTranslationPage(tp), want.EntriesOnTranslationPage(tp); !slices.Equal(g, w) {
