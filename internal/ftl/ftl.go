@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
 	"time"
@@ -163,10 +164,14 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 		return nil, err
 	}
 	facts := kindFacts[opts.FTL]
-	bm := newBlockManager(dev, opts.GCFreeBlockReserve, opts.HotColdSeparation, opts.WearAwareAllocation)
+	bm := newBlockManager(dev, 0, opts.HotColdSeparation, opts.WearAwareAllocation) // reserve set below
 	logicalPages := int64(cfg.LogicalPages())
 
+	// burst is the most pages the store programs in one operation: a Gecko
+	// merge cascade writes at most two largest runs, an IB-FTL cleaning pass
+	// what it reinserts.
 	var validity validityStore
+	var burst int
 	var err error
 	store := &groupStore{bm: bm}
 	switch opts.FTL {
@@ -178,12 +183,16 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 		}
 		gcfg.MultiWayMerge = opts.GeckoMultiWayMerge
 		validity, err = gecko.New(gcfg, store)
+		burst = 2 * gcfg.LargestRunPages()
 	case model.DFTL, model.LazyFTL:
 		validity, err = pvb.NewRAMPVB(cfg.Blocks, cfg.PagesPerBlock)
 	case model.MuFTL:
 		validity, err = pvb.NewFlashPVB(cfg.Blocks, cfg.PagesPerBlock, cfg.PageSize, store)
 	case model.IBFTL:
-		validity, err = pvl.New(pvl.Config{Blocks: cfg.Blocks, PagesPerBlock: cfg.PagesPerBlock, PageSize: cfg.PageSize}, store)
+		var log *pvl.Log
+		if log, err = pvl.New(pvl.Config{Blocks: cfg.Blocks, PagesPerBlock: cfg.PagesPerBlock, PageSize: cfg.PageSize}, store); err == nil {
+			validity, burst = log, log.CleaningPages()
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -213,6 +222,16 @@ func New(dev flash.Plane, opts Options) (*FTL, error) {
 	}
 	if facts.dirtyBound {
 		f.dirtyLimit = max(1, int(dirtyBoundFraction*float64(opts.CacheEntries)))
+	}
+	// The GC reserve holds what one operation can program before the next
+	// GC check: a sync of every dirty entry the cache may hold, and a burst.
+	sync := min(cmp.Or(f.dirtyLimit, opts.CacheEntries), table.Pages())
+	if opts.FTL == model.MuFTL {
+		// A PVB page per update: each synced page's predecessor, the user page.
+		burst = sync + 1
+	}
+	if bm.gcReserve = max(4, (burst+sync+cfg.PagesPerBlock-1)/cfg.PagesPerBlock); bm.gcReserve >= cfg.Blocks/2 {
+		return nil, fmt.Errorf("ftl: GC reserve of %d blocks too large for %d blocks", bm.gcReserve, cfg.Blocks)
 	}
 	return f, nil
 }

@@ -112,12 +112,6 @@ func TestNewValidatesOptions(t *testing.T) {
 	if _, err := New(dev, Options{CacheEntries: 0}); err == nil {
 		t.Error("zero cache capacity accepted")
 	}
-	if _, err := New(dev, Options{CacheEntries: 64, GCFreeBlockReserve: 1}); err == nil {
-		t.Error("tiny GC reserve accepted")
-	}
-	if _, err := New(dev, Options{CacheEntries: 64, GCFreeBlockReserve: 31}); err == nil {
-		t.Error("oversized GC reserve accepted")
-	}
 	if _, err := New(dev, Options{CacheEntries: 64, GeckoSizeRatio: 1}); err == nil {
 		t.Error("gecko size ratio 1 accepted")
 	}
@@ -132,9 +126,6 @@ func TestNewValidatesOptions(t *testing.T) {
 	}
 	if f.Name() != model.GeckoFTL.String() {
 		t.Errorf("default name = %q", f.Name())
-	}
-	if f.Options().GCFreeBlockReserve != 4 {
-		t.Errorf("default GC reserve = %d, want 4", f.Options().GCFreeBlockReserve)
 	}
 }
 

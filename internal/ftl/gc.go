@@ -103,7 +103,7 @@ func (f *FTL) garbageCollectIncremental() error {
 		return f.garbageCollectIfNeeded()
 	}
 	for steps := f.opts.GCPagesPerWrite; steps > 0; steps-- {
-		if !f.gc.active() && f.bm.FreeBlocks() > f.opts.GCFreeBlockReserve+incrementalGCLead {
+		if !f.gc.active() && f.bm.FreeBlocks() > f.bm.gcReserve+incrementalGCLead {
 			return nil
 		}
 		did, err := f.gcStep()

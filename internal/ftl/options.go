@@ -97,9 +97,6 @@ type Options struct {
 	// application write under GCIncremental. Zero selects
 	// DefaultGCPagesPerWrite; the field is ignored under GCInline.
 	GCPagesPerWrite int
-	// GCFreeBlockReserve is the number of free blocks below which
-	// garbage-collection runs. Zero selects a default of 4.
-	GCFreeBlockReserve int
 	// GeckoSizeRatio overrides Logarithmic Gecko's size ratio T (default 2).
 	GeckoSizeRatio int
 	// GeckoPartitionFactor overrides the entry-partitioning factor S
@@ -144,15 +141,6 @@ func (o *Options) validate(cfg flash.Config) error {
 	}
 	if pages := int64(cfg.Blocks) * int64(cfg.PagesPerBlock); pages > math.MaxInt32 {
 		return fmt.Errorf("ftl: %d physical pages, but a translation entry holds addresses below 2^31", pages)
-	}
-	if o.GCFreeBlockReserve == 0 {
-		o.GCFreeBlockReserve = 4
-	}
-	if o.GCFreeBlockReserve < 2 {
-		return fmt.Errorf("ftl: GC reserve %d must be at least 2", o.GCFreeBlockReserve)
-	}
-	if o.GCFreeBlockReserve >= cfg.Blocks/2 {
-		return fmt.Errorf("ftl: GC reserve %d too large for %d blocks", o.GCFreeBlockReserve, cfg.Blocks)
 	}
 	if o.GCMode != GCInline && o.GCMode != GCIncremental {
 		return fmt.Errorf("ftl: unknown GC mode %v", o.GCMode)

@@ -167,10 +167,10 @@ func (c Config) MaxEntries() int64 {
 func (c Config) distinctKeys() int { return c.Blocks * (c.PartitionFactor + 1) }
 
 // LargestRunPages returns the number of flash pages in the largest possible
-// run, which contains one entry for every (block, sub-key) pair.
+// run, which holds one entry for every key, erase keys included.
 func (c Config) LargestRunPages() int {
-	v := int64(c.EntriesPerPage())
-	return int((c.MaxEntries() + v - 1) / v)
+	v := c.EntriesPerPage()
+	return (c.distinctKeys() + v - 1) / v
 }
 
 // Levels returns L, the number of levels: ceil(log_T(K*S/V)), at least 1.

@@ -176,7 +176,9 @@ func TestLevelOfRunPages(t *testing.T) {
 
 func TestLargestRunPages(t *testing.T) {
 	cfg := DefaultConfig(1<<12, 128, 4096)
-	want := (int(cfg.MaxEntries()) + cfg.EntriesPerPage() - 1) / cfg.EntriesPerPage()
+	// Every block's S sub-keys and its erase key.
+	keys := cfg.Blocks * (cfg.PartitionFactor + 1)
+	want := (keys + cfg.EntriesPerPage() - 1) / cfg.EntriesPerPage()
 	if got := cfg.LargestRunPages(); got != want {
 		t.Errorf("LargestRunPages = %d, want %d", got, want)
 	}

@@ -396,12 +396,51 @@ func TestSpaceAmplificationStaysBounded(t *testing.T) {
 	for i := 0; i < 30000; i++ {
 		h.g.Update(flash.Addr{Block: flash.BlockID(rng.Intn(256)), Offset: rng.Intn(16)})
 	}
-	// Live flash pages must stay within ~2x the fully-merged size plus the
-	// current unmerged tail (one page per level as slack).
-	largest := h.cfg.LargestRunPages()
-	bound := 2*largest + h.cfg.Levels()
+	// Live flash pages must stay within ~2x the fully-merged size of one
+	// entry per (block, sub-key) plus the current unmerged tail (one page
+	// per level as slack).
+	v := int64(h.cfg.EntriesPerPage())
+	merged := int((h.cfg.MaxEntries() + v - 1) / v)
+	bound := 2*merged + h.cfg.Levels()
 	if got := h.g.FlashPages(); got > bound {
 		t.Errorf("gecko occupies %d pages, bound %d", got, bound)
+	}
+}
+
+// A run that holds an erase entry and a chunk entry for every key of every
+// block is as large as a run gets: merging it must write LargestRunPages.
+func TestLargestRunHoldsEveryKey(t *testing.T) {
+	h := newHarness(t, 256, 64, 256, 64, nil)
+	if h.cfg.PartitionFactor < 2 {
+		t.Fatalf("partition factor %d: want sub-keys to partition", h.cfg.PartitionFactor)
+	}
+	for b := range flash.BlockID(256) {
+		if err := h.g.RecordErase(b); err != nil {
+			t.Fatal(err)
+		}
+		for sub := range h.cfg.PartitionFactor {
+			if err := h.g.Update(flash.Addr{Block: b, Offset: sub * h.cfg.BitsPerEntry()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := h.g.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var inputs []*run
+	for level := range h.g.levels {
+		inputs = append(inputs, h.g.levels[level]...)
+		h.g.emptyLevel(level)
+	}
+	merged, err := h.g.mergeRuns(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := merged.entryCount(), h.cfg.distinctKeys(); got != want {
+		t.Fatalf("merged run holds %d entries, want one per key, %d", got, want)
+	}
+	if got, want := len(merged.pages), h.cfg.LargestRunPages(); got != want {
+		t.Errorf("merged run has %d pages, LargestRunPages says %d", got, want)
 	}
 }
 

@@ -150,6 +150,12 @@ func (l *Log) Config() Config { return l.cfg }
 // Stats returns the operation counters.
 func (l *Log) Stats() Stats { return l.stats }
 
+// CleaningPages bounds the log pages one cleaning pass programs: it
+// reinserts only live entries, at most D, half the log bound (Appendix E).
+func (l *Log) CleaningPages() int {
+	return (l.max/2 + l.cfg.EntriesPerPage() - 1) / l.cfg.EntriesPerPage()
+}
+
 // Entries returns the number of live flash-resident log entries.
 func (l *Log) Entries() int { return int(l.nextSlot - l.firstSlot) }
 

@@ -122,18 +122,6 @@ func newEngineRun(s runSpec) (*engineRun, error) {
 	return &engineRun{dev: dev, eng: eng, gen: gen, cfg: cfg, scale: scale, batch: s.batchPerDie * cfg.Dies()}, nil
 }
 
-// reserveForMerges scales the garbage-collection reserve with the shard
-// size. Logarithmic Gecko's merge runs grow with the shard's capacity, and a
-// single merge must fit inside the reserve, or the large single-shard points
-// of the capacity sweeps exhaust the free pool mid-merge.
-func reserveForMerges(shardBlocks int) func(*ftl.Options) {
-	return func(o *ftl.Options) {
-		if reserve := 4 + shardBlocks/128; reserve > o.GCFreeBlockReserve {
-			o.GCFreeBlockReserve = reserve
-		}
-	}
-}
-
 // pump dispatches batches until the target number of logical writes has been
 // served. Interleaved trims ride along without counting; reads are dropped,
 // matching the paper's write-only accounting.

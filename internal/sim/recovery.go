@@ -107,10 +107,7 @@ func RecoverySweep(p Params) ([]RecoveryPoint, error) {
 // recoveryPoint fills one sharded engine to steady state, crashes it,
 // recovers it and audits the result.
 func recoveryPoint(dimension string, scale ExperimentScale, kind model.FTLKind, channels int) (RecoveryPoint, error) {
-	run, err := newEngineRun(runSpec{
-		scale: scale, channels: channels, kind: kind, batchPerDie: deepBatchPerDie,
-		tune: reserveForMerges(scale.Device.Blocks / channels),
-	})
+	run, err := newEngineRun(runSpec{scale: scale, channels: channels, kind: kind, batchPerDie: deepBatchPerDie})
 	if err != nil {
 		return RecoveryPoint{}, err
 	}

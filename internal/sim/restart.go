@@ -68,10 +68,7 @@ func RestartSweep(scale ExperimentScale) ([]RestartPoint, error) {
 // restartPoint fills one engine, shuts it down cleanly, restarts it warm
 // from its checkpoint, then crashes and recovers the same state cold.
 func restartPoint(scale ExperimentScale) (RestartPoint, error) {
-	run, err := newEngineRun(runSpec{
-		scale: scale, channels: restartChannels, batchPerDie: deepBatchPerDie,
-		tune: reserveForMerges(scale.Device.Blocks / restartChannels),
-	})
+	run, err := newEngineRun(runSpec{scale: scale, channels: restartChannels, batchPerDie: deepBatchPerDie})
 	if err != nil {
 		return RestartPoint{}, err
 	}
