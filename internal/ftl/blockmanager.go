@@ -385,7 +385,7 @@ func (h freeHeap) Pop() any {
 // sat out rejoin the write path before churned ones wear further.
 func (bm *blockManager) takeFreeBlock(g Group) (flash.BlockID, error) {
 	if len(bm.free) == 0 {
-		return flash.InvalidBlock, fmt.Errorf("ftl: no free blocks left for group %v", g)
+		return flash.InvalidBlock, fmt.Errorf("%w: no free blocks left for group %v", ErrNoSpace, g)
 	}
 	var id flash.BlockID
 	if bm.wearAware {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -109,11 +108,7 @@ type faultCampaign struct {
 
 // deviceDead reports errors that mean the device ran out of usable space —
 // the legitimate end of life under heavy fault injection, not a bug.
-func deviceDead(err error) bool {
-	return err != nil && (strings.Contains(err.Error(), "no free blocks") ||
-		strings.Contains(err.Error(), "garbage collection stalled") ||
-		strings.Contains(err.Error(), "found no victim"))
-}
+func deviceDead(err error) bool { return errors.Is(err, ErrNoSpace) }
 
 // runCampaign replays a campaign for at most maxOps operations, auditing
 // every auditEvery operations and at the end. It returns the final statistics

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"iter"
 	"time"
@@ -14,6 +15,11 @@ import (
 	"geckoftl/internal/pvb"
 	"geckoftl/internal/pvl"
 )
+
+// ErrNoSpace classifies the errors that mean the FTL can no longer make
+// space: no free block is left, or garbage collection finds no victim or
+// stops converging. It is the end of a device's life, not a bug.
+var ErrNoSpace = errors.New("ftl: out of space")
 
 // validityStore is an FTL's page-validity store, the one New builds for it:
 // Logarithmic Gecko, the RAM- or flash-resident PVB, or the IB-FTL page
@@ -730,8 +736,8 @@ func (f *FTL) garbageCollectIfNeeded() error {
 		// iterations; 4K reclaims without reaching the reserve means churn
 		// that will never converge, so fail instead of spinning forever.
 		if iterations++; iterations > 4*f.cfg.Blocks {
-			return fmt.Errorf("ftl: garbage collection stalled after %d reclaims with %d free blocks (device or shard too small for its live data and metadata)",
-				iterations-1, f.bm.FreeBlocks())
+			return fmt.Errorf("%w: garbage collection stalled after %d reclaims with %d free blocks (device or shard too small for its live data and metadata)",
+				ErrNoSpace, iterations-1, f.bm.FreeBlocks())
 		}
 		if !f.opts.VictimPolicy.MigratesMetadata() {
 			reclaimed, err := f.reclaimFullyInvalidMetadata()
@@ -744,7 +750,7 @@ func (f *FTL) garbageCollectIfNeeded() error {
 		}
 		victim, ok := f.bm.PickVictim(f.opts.VictimPolicy, f.table.ProtectedBlocks())
 		if !ok {
-			return fmt.Errorf("ftl: garbage-collection found no victim with %d free blocks", f.bm.FreeBlocks())
+			return fmt.Errorf("%w: garbage-collection found no victim with %d free blocks", ErrNoSpace, f.bm.FreeBlocks())
 		}
 		if err := f.collectBlock(victim); err != nil {
 			return err

@@ -48,9 +48,6 @@ type ChannelPoint struct {
 // in steady-state garbage collection. It reads p.Channels (empty means
 // 1,2,4,8), p.Dies (the dies per channel) and p.Workload (empty means uniform).
 func ChannelSweep(p Params) ([]ChannelPoint, error) {
-	if p.Scale.MeasureWrites <= 0 {
-		return nil, fmt.Errorf("sim: measure writes %d must be positive", p.Scale.MeasureWrites)
-	}
 	channels := p.Channels
 	if len(channels) == 0 {
 		channels = []int{1, 2, 4, 8}
@@ -73,16 +70,7 @@ func ChannelSweep(p Params) ([]ChannelPoint, error) {
 }
 
 func channelPoint(scale ExperimentScale, channels int, wl string) (ChannelPoint, error) {
-	run, err := newEngineRun(runSpec{scale: scale, channels: channels, workload: wl, batchPerDie: deepBatchPerDie})
-	if err != nil {
-		return ChannelPoint{}, err
-	}
-	if _, err := run.warm(); err != nil {
-		return ChannelPoint{}, err
-	}
-	dev, eng, cfg := run.dev, run.eng, run.cfg
-	diesBefore := dev.DieTimes()
-	w, err := run.measure(scale.MeasureWrites)
+	run, w, err := measure(runSpec{scale: scale, channels: channels, workload: wl, batchPerDie: deepBatchPerDie})
 	if err != nil {
 		return ChannelPoint{}, err
 	}
@@ -95,12 +83,11 @@ func channelPoint(scale ExperimentScale, channels int, wl string) (ChannelPoint,
 	// over all dies. Dies are attributed to the shard owning their first
 	// block (exact whenever the block count divides evenly, as the grown
 	// sweep geometries do).
-	diesAfter := dev.DieTimes()
+	eng, cfg := run.eng, run.cfg
 	blocksPerShard := cfg.Blocks / eng.Shards()
 	shardBusy := make([]time.Duration, eng.Shards())
 	var maxDie, sum time.Duration
-	for d := range diesAfter {
-		busy := diesAfter[d] - diesBefore[d]
+	for d, busy := range w.dies {
 		sum += busy
 		if busy > maxDie {
 			maxDie = busy
@@ -133,7 +120,7 @@ func channelPoint(scale ExperimentScale, channels int, wl string) (ChannelPoint,
 	params := model.ParallelParams{Channels: channels, DiesPerChannel: scale.Device.DiesPerChannel}
 	p.ModelThroughput = params.WriteThroughput(cfg.Latency, p.WA)
 	if sum > 0 {
-		p.LoadImbalance = float64(maxDie) * float64(len(diesAfter)) / float64(sum)
+		p.LoadImbalance = float64(maxDie) * float64(len(w.dies)) / float64(sum)
 	}
 	return p, nil
 }

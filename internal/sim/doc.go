@@ -15,19 +15,27 @@
 // it; adding an experiment is adding its row type, its run function and one
 // entry.
 //
-// Every FTL-level experiment shares one engine-run harness (harness.go):
-// newEngineRun is the only place a device, a sharded ftl.Engine and a seeded
-// workload are assembled (growing geometry and cache until every shard is
-// workable), pump drives batches of writes with optional interleaved trims,
-// warm brings the stack to steady-state garbage collection, and measure
-// returns a window's counter and stat deltas with its write-amplification
-// breakdown. The paper's own FTL comparisons (Figure 13 bottom, Figure 14,
-// the recovery simulation) and the root package's ablation benchmarks run it
-// at one channel with one operation per batch — MeasureFTL — where a
-// one-shard engine issues exactly the IO of a bare ftl.FTL (pinned by
-// internal/ftl's TestOneShardEngineMatchesBareFTL). Only the
-// isolated-structure rig of Figures 9-12 (RunIsolated) drives Logarithmic
-// Gecko and the PVB without an FTL around them. The sweeps beyond the paper:
+// Every FTL-level experiment shares one engine-run harness (harness.go), and
+// each job in it is done in one place. newEngineRun is the only place a
+// device, a sharded ftl.Engine and a seeded workload are assembled (growing
+// geometry and cache until every shard is workable; endurance's erase budget
+// and fault plan are fields of its spec). pump drives batches of writes with
+// optional interleaved trims. warm brings the stack to steady-state garbage
+// collection with two uniform overwrites, which map about 86.5 % of the
+// logical pages, so write-amplification is still rising after it (ROADMAP
+// item 18). open warms a run and anchors its measured window, the only check
+// of MeasureWrites; close turns its anchors into the window's counter, stat,
+// simulated-time and die-time deltas, and measure is open, pump and close. Every measured
+// point goes through them, the queue sweep's rows included. crash is the one
+// power-fail, recover and audit step of the recovery simulation, the
+// recovery sweep and the restart sweep's cold half. The paper's own FTL
+// comparisons (Figure 13 bottom, Figure 14, the recovery simulation) and the
+// root package's ablation benchmarks run the harness at one channel with one
+// operation per batch — MeasureFTL — where a one-shard engine issues exactly
+// the IO of a bare ftl.FTL (pinned by internal/ftl's
+// TestOneShardEngineMatchesBareFTL). Only the isolated-structure rig of
+// Figures 9-12 (RunIsolated) drives Logarithmic Gecko and the PVB without an
+// FTL around them. The sweeps beyond the paper:
 //
 //   - ChannelSweep measures how the sharded engine's write throughput scales
 //     with the channel count.

@@ -1,8 +1,8 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 
 	"geckoftl/internal/flash"
 	"geckoftl/internal/ftl"
@@ -58,11 +58,7 @@ var enduranceFaultRates = []float64{0, 0.02, 0.08}
 
 // capacityExhausted reports the errors that mean the device died of lost
 // capacity — the expected end of an endurance run.
-func capacityExhausted(err error) bool {
-	return err != nil && (strings.Contains(err.Error(), "no free blocks") ||
-		strings.Contains(err.Error(), "garbage collection stalled") ||
-		strings.Contains(err.Error(), "found no victim"))
-}
+func capacityExhausted(err error) bool { return errors.Is(err, ftl.ErrNoSpace) }
 
 // EnduranceSweep measures device lifetime — host writes served until capacity
 // exhaustion — across {fault rate} x {allocation policy} on a device with a
@@ -89,34 +85,21 @@ func EnduranceSweep(scale ExperimentScale) ([]EndurancePoint, error) {
 
 // endurancePoint drives one device to death.
 func endurancePoint(scale ExperimentScale, rate float64, wearAware bool) (EndurancePoint, error) {
-	cfg := scale.Device.Config()
-	cfg.MaxEraseCount = enduranceMaxErase
-	dev, err := flash.NewDevice(cfg)
+	run, err := newEngineRun(runSpec{
+		scale: scale, channels: 1, workload: enduranceWorkload,
+		maxErase: enduranceMaxErase,
+		faults:   flash.FaultPlan{Seed: scale.Seed, ProgramFailRate: rate, EraseFailRate: rate / 2},
+		tune: func(o *ftl.Options) {
+			o.WearAwareAllocation = wearAware
+			o.WearLeveling = wearAware
+		},
+	})
 	if err != nil {
-		return EndurancePoint{}, err
-	}
-	if err := dev.SetFaultPlan(flash.FaultPlan{
-		Seed:            scale.Seed,
-		ProgramFailRate: rate,
-		EraseFailRate:   rate / 2,
-	}); err != nil {
 		return EndurancePoint{}, err
 	}
 	// Runaway guard: the device cannot program more pages than its total
 	// erase budget allows; 3x that in host writes is unreachable.
-	cap := 3 * int64(cfg.Blocks) * int64(cfg.PagesPerBlock) * enduranceMaxErase
-
-	ftlOpts := ftl.GeckoFTLOptions(scale.CacheEntries)
-	ftlOpts.WearAwareAllocation = wearAware
-	ftlOpts.WearLeveling = wearAware
-	f, err := ftl.New(dev, ftlOpts)
-	if err != nil {
-		return EndurancePoint{}, err
-	}
-	gen, err := workload.ByName(enduranceWorkload, f.LogicalPages(), scale.Seed)
-	if err != nil {
-		return EndurancePoint{}, err
-	}
+	cap := 3 * int64(run.cfg.Blocks) * int64(run.cfg.PagesPerBlock) * enduranceMaxErase
 
 	policy := "baseline"
 	if wearAware {
@@ -130,11 +113,11 @@ func endurancePoint(scale ExperimentScale, rate float64, wearAware bool) (Endura
 		MaxEraseCount: enduranceMaxErase,
 	}
 	for p.Lifetime < cap {
-		op := gen.Next()
+		op := run.gen.Next()
 		if op.Kind != workload.OpWrite {
 			continue
 		}
-		if err := f.Write(op.Page); err != nil {
+		if err := run.eng.Write(op.Page); err != nil {
 			if capacityExhausted(err) {
 				break
 			}
@@ -143,10 +126,10 @@ func endurancePoint(scale ExperimentScale, rate float64, wearAware bool) (Endura
 		p.Lifetime++
 	}
 	p.Capped = p.Lifetime >= cap
-	st := f.Stats()
+	st := run.eng.Stats()
 	p.BadBlocks = st.BadBlocks
 	p.ProgramRetries = st.ProgramRetries
-	minErase, maxE, _ := dev.BlocksEndurance()
+	minErase, maxE, _ := run.dev.BlocksEndurance()
 	p.EraseSpread = maxE - minErase
 	return p, nil
 }

@@ -386,7 +386,8 @@ type RecoveryResult struct {
 	UsedBattery             bool
 }
 
-// RecoverySimulation crashes each FTL mid-workload and measures its recovery.
+// RecoverySimulation warms each FTL on one plane as the sweeps do, crashes it
+// and measures its recovery.
 func RecoverySimulation(scale ExperimentScale) ([]RecoveryResult, error) {
 	var out []RecoveryResult
 	for _, kind := range model.Kinds() {
@@ -394,13 +395,10 @@ func RecoverySimulation(scale ExperimentScale) ([]RecoveryResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := run.pump(scale.MeasureWrites); err != nil {
+		if _, err := run.warm(); err != nil {
 			return nil, fmt.Errorf("sim: recovery workload (%s): %w", kind, err)
 		}
-		if err := run.eng.PowerFail(); err != nil {
-			return nil, err
-		}
-		report, err := run.eng.Recover()
+		report, err := run.crash()
 		if err != nil {
 			return nil, fmt.Errorf("sim: recovery (%s): %w", kind, err)
 		}

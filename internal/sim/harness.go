@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"geckoftl/internal/flash"
 	"geckoftl/internal/ftl"
@@ -79,10 +80,14 @@ type runSpec struct {
 	// batchPerDie is the number of operations dispatched per engine batch
 	// for every die of the device: the queue depth the host keeps.
 	batchPerDie int
+	// maxErase, when positive, is every block's erase budget, and faults is
+	// the fault plan installed before the FTL formats the device.
+	maxErase int
+	faults   flash.FaultPlan
 }
 
-// engineRun is the one stack every engine sweep measures: a simulated
-// device, the sharded engine over it and the seeded host workload.
+// engineRun is the one stack every FTL-level experiment measures: a
+// simulated device, the sharded engine over it and the seeded host workload.
 type engineRun struct {
 	dev   *flash.Device
 	eng   *ftl.Engine
@@ -97,8 +102,13 @@ func newEngineRun(s runSpec) (*engineRun, error) {
 	scale := s.scale.workable(s.channels)
 	spec := scale.Device
 	spec.Channels = s.channels
-	dev, err := spec.NewDevice()
+	cfg := spec.Config()
+	cfg.MaxEraseCount = s.maxErase
+	dev, err := flash.NewDevice(cfg)
 	if err != nil {
+		return nil, err
+	}
+	if err := dev.SetFaultPlan(s.faults); err != nil {
 		return nil, err
 	}
 	opts := ftl.OptionsFor(s.kind, scale.CacheEntries/s.channels)
@@ -118,7 +128,7 @@ func newEngineRun(s runSpec) (*engineRun, error) {
 			return nil, err
 		}
 	}
-	cfg := dev.Config()
+	cfg = dev.Config()
 	return &engineRun{dev: dev, eng: eng, gen: gen, cfg: cfg, scale: scale, batch: s.batchPerDie * cfg.Dies()}, nil
 }
 
@@ -147,8 +157,10 @@ func (r *engineRun) pump(target int64) error {
 }
 
 // warm overwrites the logical space twice, so that whatever follows runs in
-// (or crashes out of) steady-state garbage collection. It returns the number
-// of writes it targeted.
+// (or crashes out of) steady-state garbage collection. Two uniform passes
+// map only 1-e^-2, about 86.5 %, of the logical pages, so write
+// amplification is still climbing when it returns (ROADMAP item 18). It
+// returns the number of writes it targeted.
 func (r *engineRun) warm() (int64, error) {
 	pre := 2 * r.eng.LogicalPages()
 	if err := r.pump(pre); err != nil {
@@ -157,8 +169,11 @@ func (r *engineRun) warm() (int64, error) {
 	return pre, nil
 }
 
-// window is what one measured stretch of an engine run did.
+// window is what one measured stretch of an engine run did. open anchors it
+// and close turns every anchor into the stretch's delta.
 type window struct {
+	// run is the engine run measured.
+	run *engineRun
 	// writes is the number of logical writes served.
 	writes int64
 	// io is the device IO issued, by operation and purpose.
@@ -167,32 +182,85 @@ type window struct {
 	before, after ftl.Stats
 	// latency holds the service-time distributions of the stretch.
 	latency ftl.EngineStats
-	// delta is the device's write/read cost ratio.
-	delta float64
+	// elapsed is the device's simulated time and dies each die's busy time.
+	elapsed time.Duration
+	dies    []time.Duration
 }
 
-// measure serves target further logical writes and reports what they cost.
-func (r *engineRun) measure(target int64) (window, error) {
-	r.eng.ResetLatencyStats()
-	w := window{before: r.eng.Stats(), delta: r.cfg.Latency.WriteReadRatio()}
-	ioBefore := r.dev.Counters()
-	if err := r.pump(target); err != nil {
-		return w, fmt.Errorf("measurement: %w", err)
+// open warms the run and anchors a window at the end of the warm-up. It
+// makes the one check of the scale's measured window size.
+func (r *engineRun) open() (*window, error) {
+	if r.scale.MeasureWrites <= 0 {
+		return nil, fmt.Errorf("measure writes %d must be positive", r.scale.MeasureWrites)
 	}
-	w.io = r.dev.Counters().Sub(ioBefore)
+	if _, err := r.warm(); err != nil {
+		return nil, err
+	}
+	r.eng.ResetLatencyStats()
+	return &window{
+		run:     r,
+		before:  r.eng.Stats(),
+		io:      r.dev.Counters(),
+		elapsed: r.dev.SimulatedTime(),
+		dies:    r.dev.DieTimes(),
+	}, nil
+}
+
+// close ends the window.
+func (w *window) close() {
+	r := w.run
 	w.after = r.eng.Stats()
-	w.latency = r.eng.LatencyStats()
 	w.writes = w.after.LogicalWrites - w.before.LogicalWrites
-	return w, nil
+	w.io = r.dev.Counters().Sub(w.io)
+	w.elapsed = r.dev.SimulatedTime() - w.elapsed
+	for d, busy := range r.dev.DieTimes() {
+		w.dies[d] = busy - w.dies[d]
+	}
+	w.latency = r.eng.LatencyStats()
+}
+
+// measure builds the run a spec describes, warms it, serves the scale's
+// MeasureWrites further logical writes and reports what they cost.
+func measure(s runSpec) (*engineRun, *window, error) {
+	run, err := newEngineRun(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	w, err := run.open()
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := run.pump(run.scale.MeasureWrites); err != nil {
+		return nil, nil, fmt.Errorf("measurement: %w", err)
+	}
+	w.close()
+	return run, w, nil
 }
 
 // wa is the write-amplification of the window.
-func (w window) wa() float64 { return w.io.WriteAmplification(w.writes, w.delta) }
+func (w *window) wa() float64 {
+	return w.io.WriteAmplification(w.writes, w.run.cfg.Latency.WriteReadRatio())
+}
 
 // breakdown splits the window's write-amplification by purpose as in
 // Figure 13 bottom.
-func (w window) breakdown() (user, translation, validity float64) {
-	return w.io.WABreakdown(w.writes, w.delta)
+func (w *window) breakdown() (user, translation, validity float64) {
+	return w.io.WABreakdown(w.writes, w.run.cfg.Latency.WriteReadRatio())
+}
+
+// crash power-fails the run, recovers it and audits the recovered state.
+func (r *engineRun) crash() (*ftl.EngineRecoveryReport, error) {
+	if err := r.eng.PowerFail(); err != nil {
+		return nil, err
+	}
+	report, err := r.eng.Recover()
+	if err != nil {
+		return nil, fmt.Errorf("recovery: %w", err)
+	}
+	if err := r.eng.CheckConsistency(); err != nil {
+		return nil, fmt.Errorf("post-recovery audit: %w", err)
+	}
+	return report, nil
 }
 
 // modelParams describes the run's geometry, latencies and engine-wide cache

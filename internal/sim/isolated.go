@@ -145,22 +145,7 @@ func RunIsolated(opts IsolatedOptions) (IsolatedResult, error) {
 	logicalPages := int64(opts.OverProvision * float64(opts.UserBlocks*opts.PagesPerBlock))
 	gen := workload.MustNewUniform(logicalPages, opts.Seed+1)
 
-	driver := &isolatedDriver{
-		scheme:        scheme,
-		blocks:        opts.UserBlocks,
-		pagesPerBlock: opts.PagesPerBlock,
-		mapping:       make([]flash.PPN, logicalPages),
-		ownerOf:       make([]flash.LPN, opts.UserBlocks*opts.PagesPerBlock),
-		valid:         make([]int, opts.UserBlocks),
-		writePtr:      make([]int, opts.UserBlocks),
-	}
-	for i := range driver.mapping {
-		driver.mapping[i] = flash.InvalidPPN
-	}
-	for i := range driver.ownerOf {
-		driver.ownerOf[i] = flash.InvalidLPN
-	}
-
+	driver := newIsolatedDriver(scheme, opts.UserBlocks, opts.PagesPerBlock, logicalPages)
 	for i := int64(0); i < 2*logicalPages; i++ {
 		if err := driver.write(gen.Next().Page); err != nil {
 			return IsolatedResult{}, fmt.Errorf("sim: isolated warm-up: %w", err)
@@ -202,19 +187,30 @@ type isolatedDriver struct {
 	writePtr []int       // next free offset per block
 
 	active int
+	free   int // completely unwritten blocks other than the active one
 	gcOps  int64
 }
 
-// freeBlockCount returns the number of completely unwritten blocks other than
-// the active one.
-func (d *isolatedDriver) freeBlockCount() int {
-	n := 0
-	for i := 0; i < d.blocks; i++ {
-		if i != d.active && d.writePtr[i] == 0 {
-			n++
-		}
+// newIsolatedDriver starts a driver on an empty device of blocks user blocks
+// serving logicalPages logical pages, writing into block 0.
+func newIsolatedDriver(scheme validityScheme, blocks, pagesPerBlock int, logicalPages int64) *isolatedDriver {
+	d := &isolatedDriver{
+		scheme:        scheme,
+		blocks:        blocks,
+		pagesPerBlock: pagesPerBlock,
+		mapping:       make([]flash.PPN, logicalPages),
+		ownerOf:       make([]flash.LPN, blocks*pagesPerBlock),
+		valid:         make([]int, blocks),
+		writePtr:      make([]int, blocks),
+		free:          blocks - 1,
 	}
-	return n
+	for i := range d.mapping {
+		d.mapping[i] = flash.InvalidPPN
+	}
+	for i := range d.ownerOf {
+		d.ownerOf[i] = flash.InvalidLPN
+	}
+	return d
 }
 
 // write updates one logical page: allocate the next free user page,
@@ -257,6 +253,7 @@ func (d *isolatedDriver) allocate() (flash.PPN, error) {
 			return flash.InvalidPPN, fmt.Errorf("sim: isolated driver out of free blocks")
 		}
 		d.active = next
+		d.free--
 	}
 	offset := d.writePtr[d.active]
 	d.writePtr[d.active]++
@@ -270,7 +267,7 @@ func (d *isolatedDriver) allocate() (flash.PPN, error) {
 // (their IO is deliberately not charged, per the apples-to-apples comparison
 // of Section 5.1).
 func (d *isolatedDriver) gcIfNeeded() error {
-	for d.freeBlockCount() <= 2 {
+	for d.free <= 2 {
 		victim := -1
 		for i := 0; i < d.blocks; i++ {
 			if i == d.active || d.writePtr[i] < d.pagesPerBlock {
@@ -306,6 +303,7 @@ func (d *isolatedDriver) gcIfNeeded() error {
 		// Erase the victim.
 		d.writePtr[victim] = 0
 		d.valid[victim] = 0
+		d.free++
 		if err := d.scheme.RecordErase(flash.BlockID(victim)); err != nil {
 			return err
 		}

@@ -60,9 +60,6 @@ type LatencyPoint struct {
 // (empty means inline and incremental) and p.GCPagesPerWrite, the incremental
 // step budget (0 selects ftl.DefaultGCPagesPerWrite).
 func LatencySweep(p Params) ([]LatencyPoint, error) {
-	if p.Scale.MeasureWrites <= 0 {
-		return nil, fmt.Errorf("sim: measure writes %d must be positive", p.Scale.MeasureWrites)
-	}
 	policies := p.Policies
 	if len(policies) == 0 {
 		policies = []ftl.VictimPolicy{ftl.VictimMetadataAware, ftl.VictimGreedy}
@@ -88,7 +85,7 @@ func LatencySweep(p Params) ([]LatencyPoint, error) {
 
 // latencyPoint measures one configuration.
 func latencyPoint(params Params, wl string, policy ftl.VictimPolicy, mode ftl.GCMode) (LatencyPoint, error) {
-	run, err := newEngineRun(runSpec{
+	run, w, err := measure(runSpec{
 		scale: params.Scale, channels: sweepChannels, workload: wl, batchPerDie: shallowBatchPerDie,
 		tune: func(o *ftl.Options) {
 			o.VictimPolicy = policy
@@ -96,13 +93,6 @@ func latencyPoint(params Params, wl string, policy ftl.VictimPolicy, mode ftl.GC
 			o.GCPagesPerWrite = params.GCPagesPerWrite
 		},
 	})
-	if err != nil {
-		return LatencyPoint{}, err
-	}
-	if _, err := run.warm(); err != nil {
-		return LatencyPoint{}, err
-	}
-	w, err := run.measure(params.Scale.MeasureWrites)
 	if err != nil {
 		return LatencyPoint{}, err
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"geckoftl/internal/flash"
 	"geckoftl/internal/ftl"
 	"geckoftl/internal/model"
 	"geckoftl/internal/queue"
@@ -96,9 +95,6 @@ var queueKneeMultiples = []float64{0.25, 0.5, 1.0, 2.0}
 // unbounded contrast rows run regardless).
 func QueueSweep(p Params) ([]QueuePoint, error) {
 	scale := p.Scale
-	if scale.MeasureWrites <= 0 {
-		return nil, fmt.Errorf("sim: measure writes %d must be positive", scale.MeasureWrites)
-	}
 	depth := p.Depth
 	if depth <= 0 {
 		depth = 8
@@ -171,18 +167,16 @@ func QueueSweep(p Params) ([]QueuePoint, error) {
 }
 
 // queueBench is the warmed engine run every row starts from, with its
-// measurement window anchored.
+// measurement window open.
 type queueBench struct {
 	*engineRun
-	t0   time.Duration
-	base flash.Counters
-	ops  ftl.Stats
+	w  *window
+	t0 time.Duration
 }
 
-// newQueueBench builds a fresh engine run, warms it with two full overwrites
-// through the batched path, and anchors the measurement window: stats reset,
-// counters snapshotted, and the device-wide arrival clock ratcheted so every
-// shard's clock starts at the same virtual instant t0.
+// newQueueBench builds a fresh engine run, warms it and opens its window,
+// then ratchets the device-wide arrival clock so every shard's clock starts
+// at the same virtual instant t0.
 func newQueueBench(scale ExperimentScale, wl string) (*queueBench, error) {
 	run, err := newEngineRun(runSpec{
 		scale: scale, channels: queueChannels, workload: wl, batchPerDie: shallowBatchPerDie,
@@ -195,25 +189,20 @@ func newQueueBench(scale ExperimentScale, wl string) (*queueBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := run.warm(); err != nil {
+	w, err := run.open()
+	if err != nil {
 		return nil, err
 	}
-	run.eng.ResetLatencyStats()
-	return &queueBench{
-		engineRun: run,
-		t0:        run.dev.SyncArrival(),
-		base:      run.dev.Counters(),
-		ops:       run.eng.Stats(),
-	}, nil
+	return &queueBench{engineRun: run, w: w, t0: run.dev.SyncArrival()}, nil
 }
 
-// point assembles the common fields of a finished row. end is the last
-// completion instant on the virtual timeline; offered is 0 for closed rows.
+// point closes the window and assembles the common fields of a finished
+// row. end is the last completion instant on the virtual timeline; offered
+// is 0 for closed rows.
 func (b *queueBench) point(mode, wlName, policy string, depth int, end time.Duration, completed int64, offered float64) QueuePoint {
-	window := end - b.t0
-	after := b.eng.Stats()
-	writes := after.LogicalWrites - b.ops.LogicalWrites
-	wa := b.dev.Counters().Sub(b.base).WriteAmplification(writes, b.cfg.Latency.WriteReadRatio())
+	b.w.close()
+	span := end - b.t0
+	wa := b.w.wa()
 	qp := model.QueueingParams{
 		Parallel: model.ParallelParams{
 			Channels:       b.cfg.NumChannels(),
@@ -234,8 +223,8 @@ func (b *queueBench) point(mode, wlName, policy string, depth int, end time.Dura
 		ModelKnee:  qp.SaturationKnee(b.cfg.Latency, wa),
 		DelayBound: qp.DelayBound(b.cfg.Latency, wa),
 	}
-	if window > 0 {
-		p.Throughput = float64(completed) / window.Seconds()
+	if span > 0 {
+		p.Throughput = float64(completed) / span.Seconds()
 	}
 	p.ModelDelivered = p.ModelKnee
 	if offered > 0 && offered < p.ModelKnee {
@@ -270,7 +259,7 @@ func queueSyncPoint(scale ExperimentScale, wl string) (QueuePoint, error) {
 	}
 	p := b.point("closed", wl, "sync", 0, pc, n, 0)
 	p.Ops = n
-	p.Latency = b.eng.LatencyStats().Writes
+	p.Latency = b.w.latency.Writes
 	return p, nil
 }
 

@@ -117,17 +117,11 @@ func recoveryPoint(dimension string, scale ExperimentScale, kind model.FTLKind, 
 	if err != nil {
 		return RecoveryPoint{}, err
 	}
-	eng := run.eng
-	if err := eng.PowerFail(); err != nil {
-		return RecoveryPoint{}, err
-	}
-	report, err := eng.Recover()
+	report, err := run.crash()
 	if err != nil {
 		return RecoveryPoint{}, err
 	}
-	if err := eng.CheckConsistency(); err != nil {
-		return RecoveryPoint{}, fmt.Errorf("post-recovery audit: %w", err)
-	}
+	eng := run.eng
 	est := model.EngineRecovery(kind, run.modelParams(), eng.Shards())
 
 	return RecoveryPoint{

@@ -101,15 +101,9 @@ func restartPoint(scale ExperimentScale) (RestartPoint, error) {
 	}
 
 	// Cold restart of the identical state: crash again and run GeckoRec.
-	if err := eng.PowerFail(); err != nil {
-		return RestartPoint{}, err
-	}
-	report, err := eng.Recover()
+	report, err := run.crash()
 	if err != nil {
-		return RestartPoint{}, fmt.Errorf("cold recovery: %w", err)
-	}
-	if err := eng.CheckConsistency(); err != nil {
-		return RestartPoint{}, fmt.Errorf("post-cold-recovery audit: %w", err)
+		return RestartPoint{}, fmt.Errorf("cold restart: %w", err)
 	}
 
 	warm := model.WarmRestart(int64(len(encoded)))

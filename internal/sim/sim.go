@@ -43,11 +43,6 @@ func (s DeviceSpec) Config() flash.Config {
 	return cfg
 }
 
-// NewDevice builds the device.
-func (s DeviceSpec) NewDevice() (*flash.Device, error) {
-	return flash.NewDevice(s.Config())
-}
-
 // Result is the outcome of running one FTL configuration under a workload.
 type Result struct {
 	// Name identifies the FTL (and variant) measured.
@@ -80,15 +75,7 @@ type Result struct {
 // equivalence), so the FTL-level figures and the ablation benchmarks need no
 // stack of their own. tune, when set, adjusts the FTL's configuration.
 func MeasureFTL(scale ExperimentScale, kind model.FTLKind, tune func(*ftl.Options)) (Result, error) {
-	run, err := newEngineRun(runSpec{scale: scale, channels: 1, kind: kind, tune: tune, batchPerDie: 1})
-	if err != nil {
-		return Result{}, err
-	}
-	if _, err := run.warm(); err != nil {
-		return Result{}, err
-	}
-	timeBefore := run.dev.SimulatedTime()
-	w, err := run.measure(scale.MeasureWrites)
+	run, w, err := measure(runSpec{scale: scale, channels: 1, kind: kind, tune: tune, batchPerDie: 1})
 	if err != nil {
 		return Result{}, err
 	}
@@ -98,7 +85,7 @@ func MeasureFTL(scale ExperimentScale, kind model.FTLKind, tune func(*ftl.Option
 		WA:            w.wa(),
 		RAMBytes:      run.eng.RAMBytes(),
 		GCOperations:  w.after.GCOperations - w.before.GCOperations,
-		SimulatedTime: run.dev.SimulatedTime() - timeBefore,
+		SimulatedTime: w.elapsed,
 	}
 	result.UserWA, result.TranslationWA, result.ValidityWA = w.breakdown()
 	return result, nil

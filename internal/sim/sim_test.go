@@ -1,6 +1,12 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"geckoftl/internal/bitmap"
+	"geckoftl/internal/flash"
+	"geckoftl/internal/workload"
+)
 
 func TestRunIsolatedValidation(t *testing.T) {
 	if _, err := RunIsolated(IsolatedOptions{}); err == nil {
@@ -40,6 +46,42 @@ func TestIsolatedGeckoBeatsFlashPVB(t *testing.T) {
 	}
 	if gecko.RAMBytes <= 0 || pvb.RAMBytes <= 0 {
 		t.Error("missing RAM accounting")
+	}
+}
+
+// noScheme is a page-validity structure that records nothing: the isolated
+// driver's block bookkeeping does not depend on the structure it feeds.
+type noScheme struct{}
+
+func (noScheme) Update(flash.Addr) error                     { return nil }
+func (noScheme) RecordErase(flash.BlockID) error             { return nil }
+func (noScheme) Query(flash.BlockID) (*bitmap.Bitmap, error) { return nil, nil }
+func (noScheme) RAMBytes() int64                             { return 0 }
+
+// TestIsolatedDriverCountsFreeBlocks runs the isolated driver through a
+// quick-scale warm-up and window and requires its free-block counter to
+// equal a recount of the unwritten blocks other than the active one.
+func TestIsolatedDriverCountsFreeBlocks(t *testing.T) {
+	opts := QuickScale().isolated(FlashPVBScheme())
+	logicalPages := int64(opts.OverProvision * float64(opts.UserBlocks*opts.PagesPerBlock))
+	d := newIsolatedDriver(noScheme{}, opts.UserBlocks, opts.PagesPerBlock, logicalPages)
+	gen := workload.MustNewUniform(logicalPages, opts.Seed+1)
+	for i := int64(0); i < 2*logicalPages+opts.MeasureWrites; i++ {
+		if err := d.write(gen.Next().Page); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	recount := 0
+	for b := 0; b < d.blocks; b++ {
+		if b != d.active && d.writePtr[b] == 0 {
+			recount++
+		}
+	}
+	if d.gcOps == 0 {
+		t.Fatal("the run never collected a block")
+	}
+	if d.free != recount {
+		t.Errorf("free-block counter %d, recount %d", d.free, recount)
 	}
 }
 
@@ -269,7 +311,7 @@ func TestScales(t *testing.T) {
 	if err := FullScale().Device.Config().Validate(); err != nil {
 		t.Errorf("full-scale device invalid: %v", err)
 	}
-	if _, err := DefaultDeviceSpec().NewDevice(); err != nil {
+	if _, err := flash.NewDevice(DefaultDeviceSpec().Config()); err != nil {
 		t.Errorf("default device spec invalid: %v", err)
 	}
 }

@@ -45,9 +45,6 @@ type TrimPoint struct {
 // point is measured in its steady state. It reads p.Workload (empty means
 // uniform) and p.TrimFractions (empty means 0, 0.1, 0.2, 0.3).
 func TrimSweep(p Params) ([]TrimPoint, error) {
-	if p.Scale.MeasureWrites <= 0 {
-		return nil, fmt.Errorf("sim: measure writes %d must be positive", p.Scale.MeasureWrites)
-	}
 	wl := p.Workload
 	if wl == "" {
 		wl = "uniform"
@@ -74,16 +71,9 @@ func TrimSweep(p Params) ([]TrimPoint, error) {
 
 // trimPoint measures one trim fraction.
 func trimPoint(scale ExperimentScale, wl string, fraction float64) (TrimPoint, error) {
-	run, err := newEngineRun(runSpec{
+	_, w, err := measure(runSpec{
 		scale: scale, channels: sweepChannels, workload: wl, trims: fraction, batchPerDie: shallowBatchPerDie,
 	})
-	if err != nil {
-		return TrimPoint{}, err
-	}
-	if _, err := run.warm(); err != nil {
-		return TrimPoint{}, err
-	}
-	w, err := run.measure(scale.MeasureWrites)
 	if err != nil {
 		return TrimPoint{}, err
 	}

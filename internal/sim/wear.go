@@ -104,9 +104,6 @@ func twoClassApprox(wl string, overProvision float64) (model.SeparationParams, b
 // must not widen the erase-count spread of the configuration it extends. It
 // reads p.Policies (empty means metadata-aware and cost-benefit).
 func WearSweep(p Params) ([]WearPoint, error) {
-	if p.Scale.MeasureWrites <= 0 {
-		return nil, fmt.Errorf("sim: measure writes %d must be positive", p.Scale.MeasureWrites)
-	}
 	policies := p.Policies
 	if len(policies) == 0 {
 		policies = []ftl.VictimPolicy{ftl.VictimMetadataAware, ftl.VictimCostBenefit}
@@ -128,7 +125,7 @@ func WearSweep(p Params) ([]WearPoint, error) {
 
 // wearPoint measures one configuration.
 func wearPoint(scale ExperimentScale, wl string, policy ftl.VictimPolicy, wc wearConfig) (WearPoint, error) {
-	run, err := newEngineRun(runSpec{
+	run, w, err := measure(runSpec{
 		scale: scale, channels: sweepChannels, workload: wl, batchPerDie: shallowBatchPerDie,
 		tune: func(o *ftl.Options) {
 			o.VictimPolicy = policy
@@ -136,13 +133,6 @@ func wearPoint(scale ExperimentScale, wl string, policy ftl.VictimPolicy, wc wea
 			o.WearAwareAllocation = wc.wearAware
 		},
 	})
-	if err != nil {
-		return WearPoint{}, err
-	}
-	if _, err := run.warm(); err != nil {
-		return WearPoint{}, err
-	}
-	w, err := run.measure(scale.MeasureWrites)
 	if err != nil {
 		return WearPoint{}, err
 	}
