@@ -83,7 +83,7 @@ type Config struct {
 	Channels int
 	// DiesPerChannel is the number of dies ganged on each channel. Zero
 	// means one. Operations on distinct dies proceed in parallel;
-	// operations on the same die serialize (per-die busy latching).
+	// operations on the same die serialize (one latch per die).
 	DiesPerChannel int
 }
 

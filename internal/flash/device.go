@@ -9,7 +9,7 @@ import (
 )
 
 // blockState is the simulator's per-block bookkeeping. It is guarded by the
-// lock of the die the block resides on.
+// latch of the die the block resides on.
 type blockState struct {
 	// writePointer is the offset of the next free page; pages below it
 	// have been programmed since the last erase.
@@ -56,11 +56,16 @@ const (
 // tagAux is one page's Tag and Aux spare fields.
 type tagAux struct{ tag, aux uint64 }
 
-// dieState is the per-die latch and accounting. Locking the mutex models the
+// dieState is the per-die latch and accounting. Holding the latch models the
 // die's ready/busy line: two operations on the same die serialize, while
 // operations on different dies proceed in parallel.
 type dieState struct {
-	mu sync.Mutex
+	// latch serializes the die's operations and guards its state and its
+	// blocks' (blockState, the flash image): own until a Partition takes the
+	// die, then the latch of that partition, which every partition sharing
+	// the die shares (see Device.Partition).
+	latch *sync.Mutex
+	own   sync.Mutex
 	// counters accounts the IO executed by this die; the device aggregates
 	// them on demand. The counters' elapsed time is the die's busy time.
 	counters Counters
@@ -71,7 +76,7 @@ type dieState struct {
 	// the die's last completion starts at the arrival instant, not
 	// back-to-back. The latency instrumentation derives per-operation service
 	// times — queueing behind the die included — from this clock. record
-	// reads and writes it under mu; it only grows, so readers
+	// reads and writes it under the latch; it only grows, so readers
 	// (busyUntilOverDies) load it without the latch and see an instant the
 	// die has reached, at worst one operation behind a racing writer.
 	busyUntil atomic.Int64
@@ -82,9 +87,12 @@ type dieState struct {
 
 // Device is a simulated NAND flash device organized as Config.Channels
 // channels of Config.DiesPerChannel dies each. All methods are safe for
-// concurrent use: per-die locks latch each die independently, so callers
-// (such as the sharded ftl.Engine) can dispatch page reads, writes and
-// erases to independent dies in parallel.
+// concurrent use: each takes the latch of the die it touches, so callers can
+// dispatch page reads, writes and erases to independent dies in parallel. A
+// die a Partition owns is latched by the partition's latch (Partition.Latch):
+// the sharded ftl.Engine holds it for a whole host operation and issues that
+// operation's flash IO through the partition, which takes no lock of its
+// own, and a Device call on the die waits for the operation to end.
 //
 // The device accounts every operation under the caller-supplied Purpose; the
 // experiment harness uses these counters to reproduce the per-component
@@ -101,7 +109,7 @@ type Device struct {
 	// fields a page shares with its block (see readSpare). logical holds a
 	// page's Logical; stamp holds WriteSeq<<stampTypeBits | BlockType.
 	// WriteSeq starts at 1, so a zero stamp is a page not programmed since
-	// its block's last erase. A page's entries are guarded by the lock of
+	// its block's last erase. A page's entries are guarded by the latch of
 	// its block's die.
 	logical  []int32
 	stamp    []uint64
@@ -132,6 +140,9 @@ func NewDevice(cfg Config) (*Device, error) {
 		blocks:  make([]blockState, cfg.Blocks),
 		logical: make([]int32, cfg.PhysicalPages()),
 		stamp:   make([]uint64, cfg.PhysicalPages()),
+	}
+	for i := range d.dies {
+		d.dies[i].latch = &d.dies[i].own
 	}
 	for b := range d.blocks {
 		d.blocks[b].die = int32(cfg.DieOfBlock(BlockID(b)))
@@ -171,12 +182,17 @@ func (d *Device) SetFaultPlan(plan FaultPlan) error {
 	return nil
 }
 
-// die returns the die state that latches the given block.
+// die returns the state of the die the given block resides on.
 func (d *Device) die(block BlockID) *dieState {
 	return &d.dies[d.blocks[block].die]
 }
 
-// record charges one operation to a die (which must be locked by the caller)
+// latch returns the latch of the die the given block resides on.
+func (d *Device) latch(block BlockID) *sync.Mutex {
+	return d.die(block).latch
+}
+
+// record charges one operation to a die (whose latch the caller holds)
 // and advances the die's busy-until clock: the operation starts when the die
 // is free, the device-wide arrival clock has been reached, and the caller's
 // extra floor (a partition's own arrival clock) has passed; it completes one
@@ -222,33 +238,36 @@ func (d *Device) checkPage(block BlockID, offset int) error {
 // The returned sequence number is the device-wide write timestamp recorded in
 // the spare area. A Logical outside [InvalidLPN, 2³¹−1], or a program once
 // the write sequence has reached 2⁵⁶−1, is refused with ErrOutOfRange, as a
-// bad address is: before the die is latched, at no device time and without
-// counting a fault-plan attempt.
+// bad address is: before the block is looked at, at no device time and
+// without counting a fault-plan attempt.
 func (d *Device) WritePage(ppn PPN, spare SpareArea, p Purpose) (uint64, error) {
-	return d.writePage(ppn, spare, p, 0, &d.powered)
-}
-
-// writePage is WritePage with a caller-supplied start floor on the virtual
-// timeline (see record) and power domain, the one a scheduled cut drops;
-// partitions pass their own arrival clock and domain.
-func (d *Device) writePage(ppn PPN, spare SpareArea, p Purpose, floor time.Duration, rail *atomic.Bool) (uint64, error) {
 	addr := Decompose(ppn, d.cfg.PagesPerBlock)
 	if err := d.checkPage(addr.Block, addr.Offset); err != nil {
 		return 0, err
 	}
+	latch := d.latch(addr.Block)
+	latch.Lock()
+	defer latch.Unlock()
+	return d.writePage(ppn, addr, spare, p, 0, &d.powered)
+}
+
+// writePage is the body of WritePage and Partition.WritePage: it programs the
+// checked device address addr (ppn decomposed) with the die's latch held, or
+// with no other user of the die. floor is a start floor on the virtual
+// timeline (see record) and rail the power domain a scheduled cut drops;
+// partitions pass their own arrival clock and domain.
+func (d *Device) writePage(ppn PPN, addr Addr, spare SpareArea, p Purpose, floor time.Duration, rail *atomic.Bool) (uint64, error) {
 	if spare.Logical < InvalidLPN || spare.Logical > maxSpareLogical {
 		return 0, fmt.Errorf("%w: logical page %d outside the spare image's [%d, %d]",
 			ErrOutOfRange, spare.Logical, InvalidLPN, maxSpareLogical)
 	}
-	// Read before the latch, as the address is checked: programs racing on
-	// other dies at the very bound could each pass, which the 2⁵⁶ programs
-	// it takes to get there put out of reach.
+	// The sequence is device-wide, so programs racing on other dies at the
+	// very bound could each pass, which the 2⁵⁶ programs it takes to get
+	// there put out of reach.
 	if d.writeSeq.Load() >= maxWriteSeq {
 		return 0, fmt.Errorf("%w: write sequence exhausted at %d", ErrOutOfRange, uint64(maxWriteSeq))
 	}
 	die := d.die(addr.Block)
-	die.mu.Lock()
-	defer die.mu.Unlock()
 	blk := &d.blocks[addr.Block]
 	if blk.retired {
 		// The controller consults its bad-block table before issuing the
@@ -308,8 +327,9 @@ func (d *Device) writePage(ppn PPN, spare SpareArea, p Purpose, floor time.Durat
 	return seq, nil
 }
 
-// tagRow returns a cleared tag row for a block of the given die, which must
-// be locked: one an erase returned to the die's free list, or a new one.
+// tagRow returns a cleared tag row for a block of the given die, whose latch
+// the caller holds: one an erase returned to the die's free list, or a new
+// one.
 func (d *Device) tagRow(die *dieState) []tagAux {
 	n := len(die.freeTags)
 	if n == 0 {
@@ -324,18 +344,19 @@ func (d *Device) tagRow(die *dieState) []tagAux {
 // ReadPage reads the page at ppn. The simulator stores no payload, so the
 // call only validates that the page has been programmed and accounts the IO.
 func (d *Device) ReadPage(ppn PPN, p Purpose) error {
-	return d.readPage(ppn, p, 0)
-}
-
-// readPage is ReadPage with a caller-supplied start floor.
-func (d *Device) readPage(ppn PPN, p Purpose, floor time.Duration) error {
 	addr := Decompose(ppn, d.cfg.PagesPerBlock)
 	if err := d.checkPage(addr.Block, addr.Offset); err != nil {
 		return err
 	}
+	latch := d.latch(addr.Block)
+	latch.Lock()
+	defer latch.Unlock()
+	return d.readPage(addr, p, 0)
+}
+
+// readPage is the body of ReadPage, as writePage is of WritePage.
+func (d *Device) readPage(addr Addr, p Purpose, floor time.Duration) error {
 	die := d.die(addr.Block)
-	die.mu.Lock()
-	defer die.mu.Unlock()
 	blk := &d.blocks[addr.Block]
 	if addr.Offset >= blk.writePointer {
 		return fmt.Errorf("%w: %v", ErrPageNotWritten, addr)
@@ -362,18 +383,19 @@ func (d *Device) readPage(ppn PPN, p Purpose, floor time.Duration) error {
 // succeeds on unprogrammed pages and reports whether the page was programmed,
 // because recovery scans probe spare areas of possibly-free pages.
 func (d *Device) ReadSpare(ppn PPN, p Purpose) (SpareArea, bool, error) {
-	return d.readSpare(ppn, p, 0)
-}
-
-// readSpare is ReadSpare with a caller-supplied start floor.
-func (d *Device) readSpare(ppn PPN, p Purpose, floor time.Duration) (SpareArea, bool, error) {
 	addr := Decompose(ppn, d.cfg.PagesPerBlock)
 	if err := d.checkPage(addr.Block, addr.Offset); err != nil {
 		return SpareArea{}, false, err
 	}
+	latch := d.latch(addr.Block)
+	latch.Lock()
+	defer latch.Unlock()
+	return d.readSpare(ppn, addr, p, 0)
+}
+
+// readSpare is the body of ReadSpare, as writePage is of WritePage.
+func (d *Device) readSpare(ppn PPN, addr Addr, p Purpose, floor time.Duration) (SpareArea, bool, error) {
 	die := d.die(addr.Block)
-	die.mu.Lock()
-	defer die.mu.Unlock()
 	blk := &d.blocks[addr.Block]
 	d.record(die, OpSpareRead, p, d.cfg.Latency.SpareRead, floor)
 	if addr.Offset >= blk.writePointer {
@@ -414,38 +436,38 @@ func (d *Device) readSpare(ppn PPN, p Purpose, floor time.Duration) (SpareArea, 
 // host supplied next to the IO the FTL spent on it (Counters, OpTrim). The
 // page itself is untouched — only an erase of its block reclaims it.
 func (d *Device) NoteTrim(ppn PPN, p Purpose) error {
-	return d.noteTrim(ppn, p, 0)
-}
-
-// noteTrim is NoteTrim with a caller-supplied start floor. The record costs
-// nothing, but record still raises the die's busy-until to the floor (and to
-// the arrival clock), and Device.SyncArrival reads that.
-func (d *Device) noteTrim(ppn PPN, p Purpose, floor time.Duration) error {
 	addr := Decompose(ppn, d.cfg.PagesPerBlock)
 	if err := d.checkPage(addr.Block, addr.Offset); err != nil {
 		return err
 	}
-	die := d.die(addr.Block)
-	die.mu.Lock()
-	defer die.mu.Unlock()
-	d.record(die, OpTrim, p, 0, floor)
+	latch := d.latch(addr.Block)
+	latch.Lock()
+	defer latch.Unlock()
+	d.noteTrim(addr.Block, p, 0)
 	return nil
+}
+
+// noteTrim is the body of NoteTrim, as writePage is of WritePage. The record
+// costs nothing, but record still raises the die's busy-until to the floor
+// (and to the arrival clock), and Device.SyncArrival reads that.
+func (d *Device) noteTrim(block BlockID, p Purpose, floor time.Duration) {
+	d.record(d.die(block), OpTrim, p, 0, floor)
 }
 
 // EraseBlock erases a block, freeing all of its pages.
 func (d *Device) EraseBlock(block BlockID, p Purpose) error {
-	return d.eraseBlock(block, p, 0, &d.powered)
-}
-
-// eraseBlock is EraseBlock with a caller-supplied start floor and power
-// domain, as writePage.
-func (d *Device) eraseBlock(block BlockID, p Purpose, floor time.Duration, rail *atomic.Bool) error {
 	if err := d.check(block); err != nil {
 		return err
 	}
+	latch := d.latch(block)
+	latch.Lock()
+	defer latch.Unlock()
+	return d.eraseBlock(block, p, 0, &d.powered)
+}
+
+// eraseBlock is the body of EraseBlock, as writePage is of WritePage.
+func (d *Device) eraseBlock(block BlockID, p Purpose, floor time.Duration, rail *atomic.Bool) error {
 	die := d.die(block)
-	die.mu.Lock()
-	defer die.mu.Unlock()
 	blk := &d.blocks[block]
 	if d.cfg.MaxEraseCount > 0 && blk.eraseCount >= d.cfg.MaxEraseCount {
 		// The budget check is controller bookkeeping (no pulse is issued),
@@ -503,9 +525,9 @@ func (d *Device) WritePointer(block BlockID) (int, error) {
 	if err := d.check(block); err != nil {
 		return 0, err
 	}
-	die := d.die(block)
-	die.mu.Lock()
-	defer die.mu.Unlock()
+	latch := d.latch(block)
+	latch.Lock()
+	defer latch.Unlock()
 	return d.blocks[block].writePointer, nil
 }
 
@@ -514,9 +536,9 @@ func (d *Device) EraseCount(block BlockID) (int, error) {
 	if err := d.check(block); err != nil {
 		return 0, err
 	}
-	die := d.die(block)
-	die.mu.Lock()
-	defer die.mu.Unlock()
+	latch := d.latch(block)
+	latch.Lock()
+	defer latch.Unlock()
 	return d.blocks[block].eraseCount, nil
 }
 
@@ -527,9 +549,9 @@ func (d *Device) ReadCount(block BlockID) (int, error) {
 	if err := d.check(block); err != nil {
 		return 0, err
 	}
-	die := d.die(block)
-	die.mu.Lock()
-	defer die.mu.Unlock()
+	latch := d.latch(block)
+	latch.Lock()
+	defer latch.Unlock()
 	return d.blocks[block].readCount, nil
 }
 
@@ -541,9 +563,9 @@ func (d *Device) BadBlock(block BlockID) (bool, error) {
 	if err := d.check(block); err != nil {
 		return false, err
 	}
-	die := d.die(block)
-	die.mu.Lock()
-	defer die.mu.Unlock()
+	latch := d.latch(block)
+	latch.Lock()
+	defer latch.Unlock()
 	return d.blocks[block].retired, nil
 }
 
@@ -557,18 +579,24 @@ func (d *Device) GlobalWriteSeq() uint64 { return d.writeSeq.Load() }
 // With concurrent callers in flight the snapshot is per-die consistent but
 // not a single global instant; quiesce the device for an exact total.
 func (d *Device) Counters() Counters {
-	return d.countersOverDies(0, len(d.dies))
+	return d.countersOverDies(0, len(d.dies), true)
 }
 
-// countersOverDies aggregates the counters of dies [lo, hi). Partitions use
-// it to report only their own dies' IO.
-func (d *Device) countersOverDies(lo, hi int) Counters {
+// countersOverDies aggregates the counters of dies [lo, hi), taking each
+// die's latch when lock is set; a partition, whose caller holds its latch,
+// clears it to report only its own dies' IO. It and the other aggregates
+// below take one die at a time, so one of them never holds two latches.
+func (d *Device) countersOverDies(lo, hi int, lock bool) Counters {
 	var total Counters
 	for i := lo; i < hi; i++ {
 		die := &d.dies[i]
-		die.mu.Lock()
+		if lock {
+			die.latch.Lock()
+		}
 		total.Add(die.counters)
-		die.mu.Unlock()
+		if lock {
+			die.latch.Unlock()
+		}
 	}
 	return total
 }
@@ -576,16 +604,21 @@ func (d *Device) countersOverDies(lo, hi int) Counters {
 // ResetCounters zeroes the IO counters of every die, typically after a
 // warm-up phase so that steady-state write-amplification can be measured.
 func (d *Device) ResetCounters() {
-	d.resetCountersOverDies(0, len(d.dies))
+	d.resetCountersOverDies(0, len(d.dies), true)
 }
 
-// resetCountersOverDies zeroes the counters of dies [lo, hi).
-func (d *Device) resetCountersOverDies(lo, hi int) {
+// resetCountersOverDies zeroes the counters of dies [lo, hi), taking each
+// die's latch when lock is set.
+func (d *Device) resetCountersOverDies(lo, hi int, lock bool) {
 	for i := lo; i < hi; i++ {
 		die := &d.dies[i]
-		die.mu.Lock()
+		if lock {
+			die.latch.Lock()
+		}
 		die.counters.Reset()
-		die.mu.Unlock()
+		if lock {
+			die.latch.Unlock()
+		}
 	}
 }
 
@@ -609,17 +642,22 @@ func (d *Device) Powered() bool { return d.powered.Load() }
 // latency model: the sum of every die's busy time, i.e. the cost of
 // executing all IO on a single serialized plane.
 func (d *Device) SimulatedTime() time.Duration {
-	return d.timeOverDies(0, len(d.dies))
+	return d.timeOverDies(0, len(d.dies), true)
 }
 
-// timeOverDies sums the busy time of dies [lo, hi).
-func (d *Device) timeOverDies(lo, hi int) time.Duration {
+// timeOverDies sums the busy time of dies [lo, hi), taking each die's latch
+// when lock is set.
+func (d *Device) timeOverDies(lo, hi int, lock bool) time.Duration {
 	var total time.Duration
 	for i := lo; i < hi; i++ {
 		die := &d.dies[i]
-		die.mu.Lock()
+		if lock {
+			die.latch.Lock()
+		}
 		total += die.counters.Elapsed()
-		die.mu.Unlock()
+		if lock {
+			die.latch.Unlock()
+		}
 	}
 	return total
 }
@@ -690,11 +728,11 @@ func (d *Device) ParallelSimulatedTime() time.Duration {
 	var max time.Duration
 	for i := range d.dies {
 		die := &d.dies[i]
-		die.mu.Lock()
+		die.latch.Lock()
 		if t := die.counters.Elapsed(); t > max {
 			max = t
 		}
-		die.mu.Unlock()
+		die.latch.Unlock()
 	}
 	return max
 }
@@ -705,9 +743,9 @@ func (d *Device) DieTimes() []time.Duration {
 	out := make([]time.Duration, len(d.dies))
 	for i := range d.dies {
 		die := &d.dies[i]
-		die.mu.Lock()
+		die.latch.Lock()
 		out[i] = die.counters.Elapsed()
-		die.mu.Unlock()
+		die.latch.Unlock()
 	}
 	return out
 }
@@ -715,12 +753,12 @@ func (d *Device) DieTimes() []time.Duration {
 // BlocksEndurance returns min, max and mean erase counts across all blocks.
 // The wear-leveling tests use it to bound erase-count discrepancies.
 func (d *Device) BlocksEndurance() (min, max int, mean float64) {
-	return d.enduranceRange(0, d.cfg.Blocks)
+	return d.enduranceRange(0, d.cfg.Blocks, true)
 }
 
 // enduranceRange computes erase-count statistics over the block range
-// [base, base+n), locking each die once.
-func (d *Device) enduranceRange(base BlockID, n int) (min, max int, mean float64) {
+// [base, base+n), taking each die's latch once when lock is set.
+func (d *Device) enduranceRange(base BlockID, n int, lock bool) (min, max int, mean float64) {
 	if n <= 0 {
 		return 0, 0, 0
 	}
@@ -736,7 +774,9 @@ func (d *Device) enduranceRange(base BlockID, n int) (min, max int, mean float64
 			hi = limit
 		}
 		die := &d.dies[dieID]
-		die.mu.Lock()
+		if lock {
+			die.latch.Lock()
+		}
 		for b := lo; b < hi; b++ {
 			ec := d.blocks[b].eraseCount
 			if first || ec < min {
@@ -748,7 +788,9 @@ func (d *Device) enduranceRange(base BlockID, n int) (min, max int, mean float64
 			first = false
 			total += int64(ec)
 		}
-		die.mu.Unlock()
+		if lock {
+			die.latch.Unlock()
+		}
 	}
 	return min, max, float64(total) / float64(n)
 }

@@ -28,11 +28,11 @@
 // Channels x DiesPerChannel; blocks are assigned to dies in contiguous
 // ranges (Config.DieOfBlock). NewDevice stores each block's die index beside
 // the block's state, so an operation finds the die it latches without
-// dividing; DieOfBlock itself serves partitioning and construction. The
-// Device latches each die independently —
-// operations on different dies proceed concurrently under separate locks,
-// while operations on the same die serialize, exactly as a real die's
-// ready/busy line would force them to. Per-die IO counters make two clocks
+// dividing; DieOfBlock itself serves partitioning and construction. Each
+// die is serialized by exactly one latch — operations on different dies
+// proceed concurrently under separate latches, while operations on the same
+// die serialize, exactly as a real die's ready/busy line would force them
+// to. Per-die IO counters make two clocks
 // available: SimulatedTime, the sum of all die-busy time (the single-plane
 // serial cost used by the paper's write-amplification experiments), and
 // ParallelSimulatedTime, the busiest die's time, which is the wall-clock a
@@ -41,5 +41,10 @@
 // A Partition is a view of a contiguous block range of a Device, exposed
 // through the same Plane interface the FTLs program against. The ftl.Engine
 // gives each of its shards one partition aligned to a channel's die range, so
-// that shards never contend on a die.
+// that shards never contend on a die. A partition owns the latch of the dies
+// it touches (Partition.Latch; partitions sharing a die share it): Device
+// calls on those dies take it, and the partition's own methods take no lock,
+// because their caller holds it — an engine shard, for a whole host
+// operation — or is the partition's only user. A host operation on a shard
+// therefore acquires one mutex, not one per flash operation.
 package flash

@@ -47,4 +47,7 @@ var (
 	// ErrPowerFailed is returned for any operation issued while the
 	// device is in the powered-off state.
 	ErrPowerFailed = errors.New("flash: device is powered off")
+	// ErrLatchConflict is returned by Device.Partition for a block range
+	// whose dies two different partitions' latches already serialize.
+	ErrLatchConflict = errors.New("flash: partition spans dies of two latches")
 )

@@ -2,6 +2,7 @@ package flash
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -128,9 +129,17 @@ var (
 
 // Partition is a view over a contiguous block range of a Device. Block IDs
 // and physical page numbers are partition-relative: block 0 of the partition
-// is block base of the device. IO issued through a partition is executed,
-// latched and accounted by the parent device, so partitions on different dies
-// run in parallel while partitions sharing a die serialize.
+// is block base of the device. IO issued through a partition is executed and
+// accounted by the parent device.
+//
+// A partition owns the latch of the dies its blocks touch (Latch): Device
+// calls on those dies take it, and partitions that share a die share it.
+// The partition's own methods take no lock. Their caller holds the latch,
+// as an ftl.Engine shard does for a whole host operation, or is the
+// partition's only user. Partitions on different dies therefore run in
+// parallel, while partitions sharing a die serialize. BusyUntil,
+// SyncArrival, AdvanceArrival and the power-domain methods read and write
+// atomics only, and are safe without the latch.
 //
 // Each partition is its own power domain: Partition.PowerFail cuts only the
 // partition, and Partition.PowerOn restores only the partition, so shards of
@@ -144,7 +153,9 @@ type Partition struct {
 	// loDie and hiDie bound the dies the partition's blocks touch; counters
 	// and simulated time are scoped to this half-open range.
 	loDie, hiDie int
-	powered      atomic.Bool
+	// latch serializes the partition's dies; see Latch.
+	latch   *sync.Mutex
+	powered atomic.Bool
 	// arrival is the partition's own arrival clock in nanoseconds: IO issued
 	// through the partition starts no earlier than it (on top of the
 	// device-wide arrival clock). SyncArrival ratchets it to the partition's
@@ -160,9 +171,35 @@ type Partition struct {
 // reserved: nothing stops other partitions or direct device access from
 // overlapping it; callers that shard a device are responsible for using
 // disjoint ranges.
+//
+// The partition takes the latch of the dies its range touches. A die some
+// partition already owns brings that partition's latch, so partitions that
+// share a die share one latch; a range touching dies that two different
+// latches own is refused with ErrLatchConflict, since merging them would
+// leave their partitions holding a latch that no longer guards their dies.
+// Carve partitions before issuing IO: the call is not synchronized with
+// operations in flight or with another Partition call.
 func (d *Device) Partition(base BlockID, blocks int) (*Partition, error) {
 	if base < 0 || blocks <= 0 || int(base)+blocks > d.cfg.Blocks {
 		return nil, fmt.Errorf("%w: partition [%d,%d) of %d blocks", ErrOutOfRange, base, int(base)+blocks, d.cfg.Blocks)
+	}
+	lo, hi := d.cfg.DieOfBlock(base), d.cfg.DieOfBlock(base+BlockID(blocks)-1)+1
+	var latch *sync.Mutex
+	for i := lo; i < hi; i++ {
+		die := &d.dies[i]
+		if die.latch == &die.own {
+			continue
+		}
+		if latch != nil && die.latch != latch {
+			return nil, fmt.Errorf("%w: partition [%d,%d) spans dies %d-%d", ErrLatchConflict, base, int(base)+blocks, lo, hi-1)
+		}
+		latch = die.latch
+	}
+	if latch == nil {
+		latch = new(sync.Mutex)
+	}
+	for i := lo; i < hi; i++ {
+		d.dies[i].latch = latch
 	}
 	cfg := d.cfg
 	cfg.Blocks = blocks
@@ -174,8 +211,9 @@ func (d *Device) Partition(base BlockID, blocks int) (*Partition, error) {
 		dev:   d,
 		base:  base,
 		cfg:   cfg,
-		loDie: d.cfg.DieOfBlock(base),
-		hiDie: d.cfg.DieOfBlock(base+BlockID(blocks)-1) + 1,
+		loDie: lo,
+		hiDie: hi,
+		latch: latch,
 	}
 	p.powered.Store(true)
 	return p, nil
@@ -190,10 +228,15 @@ func (p *Partition) Base() BlockID { return p.base }
 // Device returns the parent device.
 func (p *Partition) Device() *Device { return p.dev }
 
+// Latch returns the mutex that serializes the partition's dies: hold it
+// around the partition's methods when other goroutines use the partition,
+// a partition sharing its dies, or the Device. It is the same mutex for
+// every partition that shares a die with this one.
+func (p *Partition) Latch() *sync.Mutex { return p.latch }
+
 // checkBlock bounds-checks a partition-relative block ID before translation,
 // so a buggy caller cannot reach a neighboring partition's blocks, and
-// enforces the partition's power domain (the parent device enforces the
-// shared rail itself).
+// enforces the partition's power domain and the device's shared rail.
 func (p *Partition) checkBlock(block BlockID) error {
 	if !p.powered.Load() {
 		return ErrPowerFailed
@@ -201,19 +244,28 @@ func (p *Partition) checkBlock(block BlockID) error {
 	if block < 0 || int(block) >= p.cfg.Blocks {
 		return fmt.Errorf("%w: block %d of partition with %d blocks", ErrOutOfRange, block, p.cfg.Blocks)
 	}
+	if !p.dev.powered.Load() {
+		return ErrPowerFailed
+	}
 	return nil
 }
 
 // checkPPN bounds-checks a partition-relative page number before translation
-// and enforces the partition's power domain.
-func (p *Partition) checkPPN(ppn PPN) error {
+// and enforces the partition's power domain and the device's shared rail. It
+// returns the page's device address.
+func (p *Partition) checkPPN(ppn PPN) (Addr, error) {
 	if !p.powered.Load() {
-		return ErrPowerFailed
+		return Addr{}, ErrPowerFailed
 	}
 	if ppn < 0 || int64(ppn) >= int64(p.cfg.Blocks)*int64(p.cfg.PagesPerBlock) {
-		return fmt.Errorf("%w: page %d of partition with %d pages", ErrOutOfRange, ppn, int64(p.cfg.Blocks)*int64(p.cfg.PagesPerBlock))
+		return Addr{}, fmt.Errorf("%w: page %d of partition with %d pages", ErrOutOfRange, ppn, int64(p.cfg.Blocks)*int64(p.cfg.PagesPerBlock))
 	}
-	return nil
+	if !p.dev.powered.Load() {
+		return Addr{}, ErrPowerFailed
+	}
+	addr := Decompose(ppn, p.cfg.PagesPerBlock)
+	addr.Block += p.base
+	return addr, nil
 }
 
 // ppnOffset is the device page number of the partition's page 0.
@@ -223,34 +275,39 @@ func (p *Partition) ppnOffset() PPN {
 
 // WritePage programs the partition-relative page ppn on the parent device.
 func (p *Partition) WritePage(ppn PPN, spare SpareArea, pu Purpose) (uint64, error) {
-	if err := p.checkPPN(ppn); err != nil {
+	addr, err := p.checkPPN(ppn)
+	if err != nil {
 		return 0, err
 	}
-	return p.dev.writePage(ppn+p.ppnOffset(), spare, pu, p.floor(), &p.powered)
+	return p.dev.writePage(ppn+p.ppnOffset(), addr, spare, pu, p.floor(), &p.powered)
 }
 
 // ReadPage reads the partition-relative page ppn.
 func (p *Partition) ReadPage(ppn PPN, pu Purpose) error {
-	if err := p.checkPPN(ppn); err != nil {
+	addr, err := p.checkPPN(ppn)
+	if err != nil {
 		return err
 	}
-	return p.dev.readPage(ppn+p.ppnOffset(), pu, p.floor())
+	return p.dev.readPage(addr, pu, p.floor())
 }
 
 // ReadSpare reads the spare area of the partition-relative page ppn.
 func (p *Partition) ReadSpare(ppn PPN, pu Purpose) (SpareArea, bool, error) {
-	if err := p.checkPPN(ppn); err != nil {
+	addr, err := p.checkPPN(ppn)
+	if err != nil {
 		return SpareArea{}, false, err
 	}
-	return p.dev.readSpare(ppn+p.ppnOffset(), pu, p.floor())
+	return p.dev.readSpare(ppn+p.ppnOffset(), addr, pu, p.floor())
 }
 
 // NoteTrim records a host trim of the partition-relative page ppn.
 func (p *Partition) NoteTrim(ppn PPN, pu Purpose) error {
-	if err := p.checkPPN(ppn); err != nil {
+	addr, err := p.checkPPN(ppn)
+	if err != nil {
 		return err
 	}
-	return p.dev.noteTrim(ppn+p.ppnOffset(), pu, p.floor())
+	p.dev.noteTrim(addr.Block, pu, p.floor())
+	return nil
 }
 
 // EraseBlock erases the partition-relative block.
@@ -266,7 +323,7 @@ func (p *Partition) WritePointer(block BlockID) (int, error) {
 	if err := p.checkBlock(block); err != nil {
 		return 0, err
 	}
-	return p.dev.WritePointer(block + p.base)
+	return p.dev.blocks[block+p.base].writePointer, nil
 }
 
 // EraseCount returns the erase count of the partition-relative block.
@@ -274,7 +331,7 @@ func (p *Partition) EraseCount(block BlockID) (int, error) {
 	if err := p.checkBlock(block); err != nil {
 		return 0, err
 	}
-	return p.dev.EraseCount(block + p.base)
+	return p.dev.blocks[block+p.base].eraseCount, nil
 }
 
 // ReadCount returns the read-disturb count of the partition-relative block.
@@ -282,7 +339,7 @@ func (p *Partition) ReadCount(block BlockID) (int, error) {
 	if err := p.checkBlock(block); err != nil {
 		return 0, err
 	}
-	return p.dev.ReadCount(block + p.base)
+	return p.dev.blocks[block+p.base].readCount, nil
 }
 
 // BadBlock reports whether the partition-relative block has been retired.
@@ -290,28 +347,30 @@ func (p *Partition) BadBlock(block BlockID) (bool, error) {
 	if err := p.checkBlock(block); err != nil {
 		return false, err
 	}
-	return p.dev.BadBlock(block + p.base)
+	return p.dev.blocks[block+p.base].retired, nil
 }
 
 // BlocksEndurance returns min, max and mean erase counts over the
 // partition's blocks only.
 func (p *Partition) BlocksEndurance() (min, max int, mean float64) {
-	return p.dev.enduranceRange(p.base, p.cfg.Blocks)
+	return p.dev.enduranceRange(p.base, p.cfg.Blocks, false)
 }
 
 // Counters returns the IO counters of the dies the partition's blocks touch.
 // For a die-aligned partition (as the sharded ftl.Engine creates) this is
 // exactly the partition's own IO; a partition sharing a die with a neighbor
 // also sees the neighbor's IO on that die.
-func (p *Partition) Counters() Counters { return p.dev.countersOverDies(p.loDie, p.hiDie) }
+func (p *Partition) Counters() Counters { return p.dev.countersOverDies(p.loDie, p.hiDie, false) }
 
 // SimulatedTime returns the summed busy time of the partition's dies: the
 // critical path of a shard that drives its dies synchronously. Concurrent
 // shards on other dies do not contribute.
-func (p *Partition) SimulatedTime() time.Duration { return p.dev.timeOverDies(p.loDie, p.hiDie) }
+func (p *Partition) SimulatedTime() time.Duration {
+	return p.dev.timeOverDies(p.loDie, p.hiDie, false)
+}
 
 // ResetCounters resets the counters of the partition's dies only.
-func (p *Partition) ResetCounters() { p.dev.resetCountersOverDies(p.loDie, p.hiDie) }
+func (p *Partition) ResetCounters() { p.dev.resetCountersOverDies(p.loDie, p.hiDie, false) }
 
 // floor returns the partition's arrival clock, the earliest instant IO
 // issued through the partition may start.

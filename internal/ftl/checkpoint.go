@@ -122,7 +122,12 @@ func (e *Engine) ExportCheckpoint() (*checkpoint.File, error) {
 	if !e.shards[0].ftl.checkpointFiles() {
 		return nil, ErrCheckpointUnsupported
 	}
-	for _, sh := range e.shards {
+	for i, sh := range e.shards {
+		// Shards that share a die share its latch, and only adjacent shards
+		// share dies: lock each latch once.
+		if i > 0 && sh.mu == e.shards[i-1].mu {
+			continue
+		}
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 	}

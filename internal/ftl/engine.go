@@ -19,7 +19,15 @@ import (
 // pages are striped across shards (shard = lpn mod shards), so each shard
 // owns its own translation map, block manager, garbage collector and
 // page-validity store — there is no shared mutable FTL state between shards,
-// only the device underneath, which latches per die.
+// only the device underneath.
+//
+// A host operation on a shard takes one mutex: the latch of the shard's
+// partition (flash.Partition.Latch), held for the whole operation. The same
+// latch serializes the partition's dies, so the flash IO the operation
+// issues through the partition takes no lock of its own, and a
+// flash.Device call on those dies (a Snapshot's counters) waits for the
+// operation to end. Shards that share a die (a block count the dies do not
+// divide) share one latch and serialize.
 //
 // Single-page Read/Write and the batched ReadBatch/WriteBatch are safe for
 // concurrent use from any number of goroutines. Batches fan out across
@@ -46,7 +54,10 @@ type Engine struct {
 // FTL itself (like the paper's algorithms) is single-threaded; the shard
 // lock is the concurrency boundary.
 type engineShard struct {
-	mu  sync.Mutex
+	// mu is the latch of the shard's partition, not a mutex of the shard's
+	// own: holding it serializes the FTL and the partition's dies at once.
+	// Adjacent shards that share a die share it.
+	mu  *sync.Mutex
 	ftl *FTL
 
 	// Per-shard latency histograms, guarded by mu like the FTL itself.
@@ -97,8 +108,9 @@ func (sh *engineShard) observe(arrival time.Duration, kind flash.HostOp) {
 // geometry allows it; trailing remainder blocks are left unused so that
 // every shard exposes the same number of logical pages (required for LPN
 // striping). Die alignment matters beyond load balance: shards sharing a die
-// would serialize on its latch and pollute each other's die-scoped IO
-// accounting (see flash.Partition), notably the per-shard recovery timings.
+// share its latch, so they serialize, and they pollute each other's
+// die-scoped IO accounting (see flash.Partition), notably the per-shard
+// recovery timings.
 func NewEngine(dev *flash.Device, opts Options, shards int) (*Engine, error) {
 	cfg := dev.Config()
 	if shards <= 0 {
@@ -124,6 +136,7 @@ func NewEngine(dev *flash.Device, opts Options, shards int) (*Engine, error) {
 			return nil, fmt.Errorf("ftl: shard %d: %w", i, err)
 		}
 		e.shards = append(e.shards, &engineShard{
+			mu:       part.Latch(),
 			ftl:      f,
 			readLat:  stats.NewHistogram(),
 			writeLat: stats.NewHistogram(),
