@@ -3,6 +3,7 @@ package ftl
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -90,9 +91,19 @@ func TestExportSizesEachPayload(t *testing.T) {
 
 // TestEngineCheckpointRoundTrip is the core warm-restart property: export,
 // power-fail, restore, and the engine serves the identical logical state
-// with a consistent translation map, then keeps working.
+// with a consistent translation map, then keeps working. On 250 blocks over
+// 3 channels the shards split dies and share one latch, which the export
+// must lock once.
 func TestEngineCheckpointRoundTrip(t *testing.T) {
-	e := checkpointTestEngine(t, 128, 2)
+	for _, g := range []struct{ blocks, channels int }{{128, 2}, {250, 3}} {
+		t.Run(fmt.Sprintf("%d blocks on %d channels", g.blocks, g.channels), func(t *testing.T) {
+			checkpointRoundTrip(t, g.blocks, g.channels)
+		})
+	}
+}
+
+func checkpointRoundTrip(t *testing.T, blocks, channels int) {
+	e := checkpointTestEngine(t, blocks, channels)
 	before := mappedSet(t, e)
 	file, err := e.ExportCheckpoint()
 	if err != nil {
