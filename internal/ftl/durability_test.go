@@ -112,24 +112,45 @@ func durabilityMessage(err error) string {
 	return err.Error()
 }
 
-// knownDurabilityBugs are crash points at which each failure shows on the
-// tiny geometry. The first three, with trims, are the smallest by seed and
-// then by attempt count, as TestKnownDurabilityBugsSweep finds them. The last
-// is the earliest cut of the write-only stream that fails on seeds 1–4, the
-// shortest reproducer of a failure without trims; the sweep, which ranks
-// seeds first, prints seed 1's program 922 for its message. The change that
-// fixes a bug moves its row to a table of crashes that must recover
-// consistently.
-var knownDurabilityBugs = []struct {
+// durabilityRow is one crash point on the tiny geometry and the message its
+// failure carries, or carried until the bug was fixed.
+type durabilityRow struct {
 	seed    int64
 	ev      flash.FaultEvent
 	trims   bool
 	message string
-}{
+}
+
+// name is the row's subtest name.
+func (row durabilityRow) name() string {
+	name := fmt.Sprintf("seed %d %v %d %s", row.seed, row.ev.Op, row.ev.AtCount, cutName(row.ev.Cut))
+	if !row.trims {
+		name += " " + streamName(false)
+	}
+	return name
+}
+
+// knownDurabilityBugs are crash points at which each open failure shows on
+// the tiny geometry. The row is the earliest cut of the write-only stream
+// that fails on seeds 1–4, the shortest reproducer of a failure without
+// trims; the sweep, which ranks seeds first, prints seed 1's program 922 for
+// its message. The change that fixes a bug moves its row to
+// fixedDurabilityBugs.
+var knownDurabilityBugs = []durabilityRow{
+	{4, flash.FaultEvent{Op: flash.OpPageWrite, AtCount: 18, Cut: flash.CutAfter}, false, "but the map says"},
+}
+
+// fixedDurabilityBugs are crash points that failed, with their message, until
+// the bug was fixed, and must now recover consistently. The three trim rows
+// were the smallest failures of the trim stream by seed and then by attempt
+// count, as TestKnownDurabilityBugsSweep found them: GeckoFTL reported a
+// trim's cached before-image at once, or skipped it in the garbage
+// collector, so the erase could take the page recovery maps to while the
+// trim was only in RAM (deferTrimReport and migrateValidPage fix both).
+var fixedDurabilityBugs = []durabilityRow{
 	{1, flash.FaultEvent{Op: flash.OpErase, AtCount: 9, Cut: flash.CutBefore}, true, "but the map says"},
 	{1, flash.FaultEvent{Op: flash.OpErase, AtCount: 15, Cut: flash.CutBefore}, true, "both map to physical page"},
 	{1, flash.FaultEvent{Op: flash.OpErase, AtCount: 8, Cut: flash.CutAfter}, true, "maps to unprogrammed physical page"},
-	{4, flash.FaultEvent{Op: flash.OpPageWrite, AtCount: 18, Cut: flash.CutAfter}, false, "but the map says"},
 }
 
 // TestKnownDurabilityBugs pins the open durability bugs as scheduled crashes:
@@ -138,11 +159,7 @@ var knownDurabilityBugs = []struct {
 // change with it.
 func TestKnownDurabilityBugs(t *testing.T) {
 	for _, row := range knownDurabilityBugs {
-		name := fmt.Sprintf("seed %d %v %d %s", row.seed, row.ev.Op, row.ev.AtCount, cutName(row.ev.Cut))
-		if !row.trims {
-			name += " " + streamName(false)
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(row.name(), func(t *testing.T) {
 			cut, err := scheduledCrash(row.seed, row.ev, row.trims)
 			switch {
 			case !cut:
@@ -151,6 +168,22 @@ func TestKnownDurabilityBugs(t *testing.T) {
 				t.Fatalf("recovered consistently; it failed with %q", row.message)
 			case durabilityMessage(err) != row.message:
 				t.Fatalf("failed with %v, want %q", err, row.message)
+			}
+		})
+	}
+}
+
+// TestFixedDurabilityBugs replays the crash points of fixed bugs: each must
+// still cut inside the stream and now recover consistently.
+func TestFixedDurabilityBugs(t *testing.T) {
+	for _, row := range fixedDurabilityBugs {
+		t.Run(row.name(), func(t *testing.T) {
+			cut, err := scheduledCrash(row.seed, row.ev, row.trims)
+			switch {
+			case !cut:
+				t.Fatalf("the power never failed: the stream no longer reaches attempt %d", row.ev.AtCount)
+			case err != nil:
+				t.Fatalf("failed with %v; the fix for %q regressed", err, row.message)
 			}
 		})
 	}

@@ -297,7 +297,8 @@ func (f *FTL) Write(lpn flash.LPN) error { return f.remap(lpn, false) }
 // mapping entry somewhere new — a freshly programmed page, or nowhere — and
 // report the before-image invalid, at once when the cache knows it and lazily
 // (GeckoFTL, Section 4.1) or by an eager translation-page read (the
-// comparison FTLs) when it does not.
+// comparison FTLs) when it does not. GeckoFTL reports no trim's before-image
+// at once: see deferTrimReport.
 func (f *FTL) remap(lpn flash.LPN, trim bool) error {
 	if lpn < 0 || int64(lpn) >= f.logicalPages {
 		return fmt.Errorf("ftl: logical page %d out of range [0,%d): %w", lpn, f.logicalPages, flash.ErrOutOfRange)
@@ -381,15 +382,18 @@ func (f *FTL) remap(lpn flash.LPN, trim bool) error {
 	// A known before-image is reported invalid immediately (Section 4.1,
 	// "Application Writes"); a trim's also counts toward the trim statistics.
 	if prev != flash.InvalidPPN && prev != entry.Physical {
-		if trim {
+		switch {
+		case trim && lazy:
+			err = f.deferTrimReport(prev, &entry)
+		case trim:
 			err = f.reportTrimmed(prev)
-		} else {
+		default:
 			err = f.reportInvalid(prev)
 		}
 		if err != nil {
 			return err
 		}
-		if isCached {
+		if isCached && !(trim && lazy) {
 			f.dropIdentifiedUIP(cached, &entry)
 		}
 	}
@@ -496,8 +500,9 @@ func (f *FTL) maybeScrub(ppn flash.PPN) error {
 // spare check cannot object — the page keeps naming this LPN until its
 // block is erased). During normal operation a UIP entry always has
 // Physical != FlashEntry (the table lags the cache until the entry syncs,
-// which clears UIP), so this never fires there. The write and trim overwrite
-// paths both call it right after reporting cached.Physical.
+// which clears UIP), so this never fires there. The write path, and the
+// comparison FTLs' trims, call it right after reporting cached.Physical;
+// GeckoFTL's trim reports nothing at once (deferTrimReport).
 func (f *FTL) dropIdentifiedUIP(cached mapcache.Entry, entry *mapcache.Entry) {
 	if cached.UIP && cached.Physical == f.table.FlashEntry(cached.Logical) {
 		entry.UIP = false
@@ -858,6 +863,14 @@ func (f *FTL) migrateValidPage(ppn flash.PPN, group Group) (bool, error) {
 	// would wrongly invalidate whatever page is written at that address after
 	// the block is reused.
 	if cached, ok := f.cache.Peek(lpn); ok && cached.Physical != ppn {
+		if _, lazy := f.validity.(*gecko.Gecko); lazy && cached.Dirty && cached.Physical == flash.InvalidPPN {
+			// A trim that is not durable yet (see deferTrimReport): this
+			// page may be what recovery maps the logical page to, so it
+			// must not vanish with the victim's erase before the trim is on
+			// flash. Synchronizing the trim's translation page makes it
+			// durable and identifies the flash-resident before-image.
+			return false, f.synchronize(cached)
+		}
 		if cached.UIP {
 			if cached.Trimmed {
 				// The before-image a trim left unidentified is identified

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"geckoftl/internal/flash"
+	"geckoftl/internal/mapcache"
 )
 
 // Trim serves a host trim (discard) of a logical page: the page's contents
@@ -24,7 +25,9 @@ import (
 // Like a write, a trim is durable only once the mapping entry it dirties has
 // been synchronized (Flush forces this): a trim followed immediately by a
 // power failure may come back mapped after recovery, which matches the
-// contract of a real device's non-flushed TRIM.
+// contract of a real device's non-flushed TRIM. Until then a GeckoFTL trim
+// leaves its before-image valid (deferTrimReport), so that what recovery
+// maps the page to is still on flash.
 func (f *FTL) Trim(lpn flash.LPN) error { return f.remap(lpn, true) }
 
 // reportTrimmed reports a page invalidated by a host trim: the regular
@@ -34,11 +37,35 @@ func (f *FTL) reportTrimmed(ppn flash.PPN) error {
 	if err := f.reportInvalid(ppn); err != nil {
 		return err
 	}
+	return f.countTrimmed(ppn)
+}
+
+// countTrimmed records ppn in the device's invalidation counter and the trim
+// statistics.
+func (f *FTL) countTrimmed(ppn flash.PPN) error {
 	if err := f.dev.NoteTrim(ppn, flash.PurposeTrim); err != nil {
 		return err
 	}
 	f.stats.TrimmedPages++
 	return nil
+}
+
+// deferTrimReport is GeckoFTL's trim of a cached before-image prev, into the
+// trim's new entry. Reporting prev at once would let the garbage collector
+// erase it while the trim exists only in RAM; a power failure then recovers
+// the durable translation entry, or the newest page the recovery scan finds,
+// and either may be prev, or a page older than prev that is already gone.
+// So prev stays valid until the trim is durable. If prev is the
+// flash-resident entry, the UIP flag has the synchronization that makes the
+// trim durable report it; a newer prev is left for the garbage collector to
+// identify, which synchronizes the trim before it skips the page
+// (migrateValidPage). Either way prev counts as trimmed here, once, as an
+// eager report would have counted it.
+func (f *FTL) deferTrimReport(prev flash.PPN, entry *mapcache.Entry) error {
+	if prev == f.table.FlashEntry(entry.Logical) {
+		entry.UIP = true
+	}
+	return f.countTrimmed(prev)
 }
 
 // Mapped reports whether a logical page currently maps to flash-resident

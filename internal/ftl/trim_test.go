@@ -233,3 +233,71 @@ func TestEngineTrimBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTrimmedBeforeImageOutlivesGC pins the durability of an unsynchronized
+// GeckoFTL trim of a cached before-image P: the trim exists only in RAM, so
+// the durable translation entry still names P, and the garbage collector
+// must not erase P before the trim is on flash. The test empties P's block
+// of every other valid page, trims P's logical page, then writes elsewhere
+// until the block is erased, and crashes. Reported at the trim, P would be
+// the last invalid page of an empty block and go with its erase; recovery
+// would then map the page to an erased page. Left valid, P keeps the block
+// from being an empty victim, and the trim is synchronized before the erase
+// (by a runtime checkpoint here, or by migrateValidPage, which
+// TestFixedDurabilityBugs pins), so the page recovers unmapped.
+func TestTrimmedBeforeImageOutlivesGC(t *testing.T) {
+	f := testFTL(t, model.GeckoFTL, 64, 4096) // the cache holds every page: no eviction syncs
+	pages := f.LogicalPages()
+	for lpn := flash.LPN(0); int64(lpn) < pages; lpn++ {
+		if err := f.Write(lpn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const x = flash.LPN(100)
+	ppb := f.cfg.PagesPerBlock
+	block := flash.BlockOf(f.mappedPPN(x), ppb)
+	for lpn := flash.LPN(0); int64(lpn) < pages; lpn++ {
+		if lpn != x && flash.BlockOf(f.mappedPPN(lpn), ppb) == block {
+			if err := f.Write(lpn); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := f.Trim(x); err != nil {
+		t.Fatal(err)
+	}
+	erases, err := f.dev.EraseCount(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Overwrite pages far from x's translation page, so that nothing but the
+	// collector synchronizes the trim.
+	for i := 0; ; i++ {
+		if i == 20*int(pages) {
+			t.Fatalf("block %d was never collected", block)
+		}
+		if err := f.Write(flash.LPN(int64(pages)/2 + int64(i)%(int64(pages)/2))); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := f.dev.EraseCount(block); err != nil {
+			t.Fatal(err)
+		} else if n > erases {
+			break
+		}
+	}
+	if err := f.PowerFail(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if mapped, err := f.Mapped(x); err != nil || mapped {
+		t.Fatalf("trimmed page %d mapped=%v err=%v after recovery; its trim was synchronized before the erase", x, mapped, err)
+	}
+}
