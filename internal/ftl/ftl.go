@@ -380,7 +380,8 @@ func (f *FTL) remap(lpn flash.LPN, trim bool) error {
 	}
 
 	// A known before-image is reported invalid immediately (Section 4.1,
-	// "Application Writes"); a trim's also counts toward the trim statistics.
+	// "Application Writes"); a trim's also counts toward the trim statistics,
+	// and a GeckoFTL trim's is counted but reported once the trim is durable.
 	if prev != flash.InvalidPPN && prev != entry.Physical {
 		switch {
 		case trim && lazy:
