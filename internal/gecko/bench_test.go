@@ -39,26 +39,44 @@ func BenchmarkGeckoUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkGeckoMerge times the sort-merge of two 8-page runs over the same
-// key space (the two-way merge of Section 3.2), without the flash IO around
-// it. The output goes where production's does (steadyMerge).
+// BenchmarkGeckoMerge times the sort-merge of runs over one key space,
+// without the flash IO around it: two runs, the two-way merge of Section 3.2,
+// on 2048 blocks and on the perfbench device's 4096 (recommended S, one word
+// an entry), and three and five, the multi-way merge of Appendix A. The
+// output goes where production's does (steadyMerge). entries/merge counts the
+// output, ns/entry divides the time by the entries read.
 func BenchmarkGeckoMerge(b *testing.B) {
-	cfg := DefaultConfig(2048, 64, 4096)
-	rng := rand.New(rand.NewSource(1))
-	var inputs []*run
-	for seq := uint64(1); seq <= 2; seq++ {
-		_, r := randomRunPair(rng, cfg, cfg.Blocks, cfg.EntriesPerPage(), seq)
-		inputs = append(inputs, r)
+	for _, bc := range []struct {
+		name         string
+		blocks, ways int
+	}{
+		{"2way/2048", 2048, 2},
+		{"2way/perfbench", 4096, 2},
+		{"3way", 2048, 3},
+		{"5way", 2048, 5},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := DefaultConfig(bc.blocks, 64, 4096)
+			rng := rand.New(rand.NewSource(1))
+			var inputs []*run
+			in := 0
+			for seq := uint64(1); seq <= uint64(bc.ways); seq++ {
+				_, r := randomRunPair(rng, cfg, cfg.Blocks, cfg.EntriesPerPage(), seq)
+				inputs = append(inputs, r)
+				in += r.entryCount()
+			}
+			merge := steadyMerge(cfg)
+			merge(inputs) // the first merge finds the free list empty
+			b.ReportAllocs()
+			b.ResetTimer()
+			entries := 0
+			for i := 0; i < b.N; i++ {
+				entries = len(merge(inputs).ents)
+			}
+			b.ReportMetric(float64(entries), "entries/merge")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(in), "ns/entry")
+		})
 	}
-	merge := steadyMerge(cfg)
-	merge(inputs) // the first merge finds the free list empty
-	b.ReportAllocs()
-	b.ResetTimer()
-	entries := 0
-	for i := 0; i < b.N; i++ {
-		entries = len(merge(inputs).ents)
-	}
-	b.ReportMetric(float64(entries), "entries/merge")
 }
 
 // BenchmarkBufferDrain times one flush's worth of buffer work on the

@@ -19,13 +19,12 @@ import (
 // (Gecko.RAMBytes) is its one flash page.
 type buffer struct {
 	cfg Config
+	sz  sizes
 	slab
 	// index[pos(k)] is one more than the slot of the entry with key k, zero
 	// when the buffer holds none.
 	index   []int32
 	present []uint64
-	// order is sorted's reused result.
-	order []int
 	// inserts counts insertions (including ones absorbed by an existing
 	// entry) since the last flush; it implements the optional BufferLimit
 	// bound of Appendix C.2.
@@ -33,14 +32,14 @@ type buffer struct {
 }
 
 func newBuffer(cfg Config) *buffer {
-	v := cfg.EntriesPerPage()
-	positions := cfg.Blocks * (cfg.PartitionFactor + 1)
+	sz := cfg.sizes()
+	positions := cfg.distinctKeys()
 	return &buffer{
 		cfg:     cfg,
-		slab:    newSlab(v, cfg.wordsPerEntry()),
+		sz:      sz,
+		slab:    newSlab(sz.perPage, sz.wpe),
 		index:   make([]int32, positions),
 		present: make([]uint64, (positions+63)/64),
-		order:   make([]int, 0, v),
 	}
 }
 
@@ -76,7 +75,7 @@ func (b *buffer) len() int { return len(b.ents) }
 // full reports whether the buffer must be flushed: either V distinct entries
 // exist (one flash page worth) or the configured absorption limit is hit.
 func (b *buffer) full() bool {
-	if len(b.ents) >= b.cfg.EntriesPerPage() {
+	if len(b.ents) >= b.sz.perPage {
 		return true
 	}
 	return b.cfg.BufferLimit > 0 && b.inserts >= b.cfg.BufferLimit
@@ -108,13 +107,7 @@ func (b *buffer) remove(i int) {
 // recordInvalid implements Algorithm 1: mark one page of a block invalid.
 func (b *buffer) recordInvalid(block flash.BlockID, pageOffset int) {
 	b.inserts++
-	k := key{block, 0}
-	chunkOffset := pageOffset
-	if b.cfg.PartitionFactor > 1 {
-		bits := b.cfg.BitsPerEntry()
-		k.subKey = int16(pageOffset / bits)
-		chunkOffset = pageOffset % bits
-	}
+	k, chunkOffset := key{block, int16(pageOffset / b.sz.bits)}, pageOffset%b.sz.bits
 	i, ok := b.find(k)
 	if !ok {
 		i = b.insert(entry{block: k.block, subKey: k.subKey})
@@ -149,30 +142,23 @@ func (b *buffer) has(k key) bool {
 func (b *buffer) query(block flash.BlockID, result *bitmap.Bitmap) (erased bool) {
 	for sub := int16(0); int(sub) < b.cfg.PartitionFactor; sub++ {
 		if i, ok := b.find(key{block, sub}); ok {
-			b.cfg.fold(result, sub, b.bits(i))
+			b.sz.fold(result, sub, b.bits(i))
 		}
 	}
 	return b.has(key{block, WholeBlock})
 }
 
-// sorted returns the occupied slots in key order. The slice is reused: it is
-// valid until the next call.
-func (b *buffer) sorted() []int {
-	b.order = b.order[:0]
-	for p := range bitmap.Ones(b.present, 0, len(b.index)) {
-		b.order = append(b.order, int(b.index[p])-1)
-	}
-	return b.order
-}
-
 // drain empties the buffer into out, an empty slab with room for its
-// entries, sorted by key, resetting the absorption counter. The result is the
-// content of a new level-0 run.
+// entries, in key order: one walk over present pushes each slot and zeroes its
+// index. It resets the absorption counter; out is a new level-0 run.
 func (b *buffer) drain(out slab) slab {
-	for _, i := range b.sorted() {
+	for p := range bitmap.Ones(b.present, 0, len(b.index)) {
+		i := int(b.index[p]) - 1
 		out.push(b.ents[i], b.bits(i))
+		b.index[p] = 0
 	}
-	b.clear()
+	clear(b.present)
+	b.ents, b.words, b.inserts = b.ents[:0], b.words[:0], 0
 	return out
 }
 
@@ -182,7 +168,5 @@ func (b *buffer) clear() {
 	for i := range b.ents {
 		b.forget(b.ents[i].key())
 	}
-	b.ents = b.ents[:0]
-	b.words = b.words[:0]
-	b.inserts = 0
+	b.ents, b.words, b.inserts = b.ents[:0], b.words[:0], 0
 }

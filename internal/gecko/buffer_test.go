@@ -9,11 +9,14 @@ import (
 	"geckoftl/internal/flash"
 )
 
-// compare is key.less as a three-way comparison: the order the buffer used
-// to sort itself into.
+// compare orders keys by block, then sub-key, as a three-way comparison: the
+// order the buffer used to sort itself into.
 func (a key) compare(b key) int {
 	return cmp.Or(cmp.Compare(a.block, b.block), cmp.Compare(a.subKey, b.subKey))
 }
+
+// less is compare as a predicate, for the oracle merge.
+func (a key) less(b key) bool { return a.compare(b) < 0 }
 
 // sortedDrain is the drain this package had while the buffer found its
 // flush order by sorting: the occupied slots ordered with key.compare, pushed
@@ -92,6 +95,45 @@ func TestBufferDrainIsKeyOrdered(t *testing.T) {
 				if b.has(key{block, WholeBlock}) || b.has(key{block, 0}) || b.has(key{block, int16(partition - 1)}) {
 					t.Fatalf("S=%d round %d: drained buffer still indexes block %d", partition, round, block)
 				}
+			}
+		}
+	}
+}
+
+// TestBufferDrainSorted drives random invalid-page and erase reports at
+// S = 1, 2 and 4 and requires each drain to equal the buffered entries sorted
+// by key, and to leave the buffer empty: no entry, no word, no absorbed
+// insert, and its whole index and presence bitset zero.
+func TestBufferDrainSorted(t *testing.T) {
+	const blocks, pagesPerBlock = 200, 64
+	for _, partition := range []int{1, 2, 4} {
+		cfg := DefaultConfig(blocks, pagesPerBlock, 4096)
+		cfg.PartitionFactor = partition
+		b := newBuffer(cfg)
+		drain := steadyDrain(b)
+		rng := rand.New(rand.NewSource(int64(partition)))
+		for round := 0; round < 30; round++ {
+			for !b.full() {
+				block := flash.BlockID(rng.Intn(blocks))
+				if rng.Intn(8) == 0 {
+					b.recordErase(block)
+				} else {
+					b.recordInvalid(block, rng.Intn(pagesPerBlock))
+				}
+			}
+			want := sortedDrain(b)
+			got := drain()
+			if !slices.Equal(got.ents, want.ents) || !slices.Equal(got.words, want.words) {
+				t.Fatalf("S=%d round %d: drained\n%v %x\nsorted reference\n%v %x", partition, round, got.ents, got.words, want.ents, want.words)
+			}
+			if b.len() != 0 || len(b.words) != 0 || b.inserts != 0 {
+				t.Fatalf("S=%d round %d: buffer holds %d entries, %d words, %d inserts after drain", partition, round, b.len(), len(b.words), b.inserts)
+			}
+			if i := slices.IndexFunc(b.index, func(v int32) bool { return v != 0 }); i >= 0 {
+				t.Fatalf("S=%d round %d: index[%d] = %d after drain", partition, round, i, b.index[i])
+			}
+			if i := slices.IndexFunc(b.present, func(w uint64) bool { return w != 0 }); i >= 0 {
+				t.Fatalf("S=%d round %d: present[%d] = %#x after drain", partition, round, i, b.present[i])
 			}
 		}
 	}

@@ -124,20 +124,26 @@ func (c Config) BitsPerEntry() int {
 // its BitsPerEntry validity bits.
 func (c Config) wordsPerEntry() int { return (c.BitsPerEntry() + 63) / 64 }
 
+// sizes are what a Gecko derives from its Config, once, at New and newBuffer.
+type sizes struct {
+	perPage int // V: entries in a flash page and in the buffer
+	bits    int // BitsPerEntry
+	wpe     int // wordsPerEntry
+}
+
+func (c Config) sizes() sizes {
+	return sizes{perPage: c.EntriesPerPage(), bits: c.BitsPerEntry(), wpe: c.wordsPerEntry()}
+}
+
 // fold ORs the validity bits of one chunk entry into a full-block bitmap.
 // Erase entries carry no bits.
-func (c Config) fold(result *bitmap.Bitmap, subKey int16, words []uint64) {
+func (z sizes) fold(result *bitmap.Bitmap, subKey int16, words []uint64) {
 	if subKey == WholeBlock {
 		return
 	}
-	// The last chunk of a block may extend past B when S does not divide B;
-	// clamp it.
-	width := c.BitsPerEntry()
-	offset := 0
-	if c.PartitionFactor > 1 {
-		offset = int(subKey) * width
-	}
-	if width = min(width, result.Len()-offset); width > 0 {
+	// The last chunk may pass B when S does not divide B: clamp it.
+	offset := int(subKey) * z.bits
+	if width := min(z.bits, result.Len()-offset); width > 0 {
 		result.OrWords(offset, words, width)
 	}
 }

@@ -19,8 +19,8 @@
 //   - Entry partitioning (Config.PartitionFactor, Section 3.3) splits each
 //     block's validity bitmap into S sub-entries so that write-amplification
 //     becomes independent of the block size B (Figure 10).
-//   - The merge machinery implements the two-way leveling merge of
-//     Section 3.2 and the multi-way variant of Appendix A.
+//   - One two-way merge body implements the leveling merge of Section 3.2;
+//     the multi-way variant of Appendix A is a newest-first fold of it.
 //   - Gecko.RecoverDirectories rebuilds the RAM-resident run directories and the
 //     buffer's protected state after power failure (Appendix C.2).
 //
@@ -33,17 +33,18 @@
 // slab of V slots allocated once and reused across flushes, found by key
 // through a direct-addressed array over the dense key space (K blocks times
 // S sub-keys and the whole-block key) and read back in key order at a flush
-// from a presence bitset — host bookkeeping, outside RAMBytes. Every run is one
-// slab, filled by the flush or merge that writes it and immutable while the
-// run lives; its pages, and the flash image recovery relinks them from, are
-// sub-slabs of it. When a newer run supersedes it and its pages have left
-// the flash image, the slab goes to a free list (slabList) that the next
-// flush or merge takes its output from, so that in steady state neither
-// allocates; a run rebuilt from the flash image owns no slab and is not
-// recycled. A merge streams the input pages through cursors into the output
-// run's slab and a GC query ORs words into its result, so neither copies an
-// entry it only reads. The buffer's sorted slots are returned from reused
-// storage, valid until the next call.
+// from a presence bitset — host bookkeeping, outside RAMBytes — in one walk
+// that zeroes the index as it goes. Every run is one slab, filled by the flush
+// or merge that writes it and immutable while the run lives; its pages, and
+// the flash image recovery relinks them from, are sub-slabs of it. When a
+// newer run supersedes it and its pages have left the flash image, the slab
+// goes to a free list (slabList) that the next flush or merge takes its
+// output from, so that in steady state neither allocates; a run rebuilt from
+// the flash image owns no slab and is not recycled. A merge reads a newer and
+// an older run page by page into the output run's slab (mergeTwo); more
+// inputs fold into it newest first through one scratch slab from the free
+// list. Neither it nor a GC query, which ORs words into its result, copies an
+// entry it only reads.
 //
 // Within an FTL, one Gecko instance serves as the validity store of a single
 // flash plane or engine shard; its state is guarded by the owning shard's

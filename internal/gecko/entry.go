@@ -36,17 +36,9 @@ type key struct {
 	subKey int16
 }
 
-// less orders keys by block, then sub-key; WholeBlock (-1) naturally sorts
-// before every real sub-key, so an erase entry precedes the block's chunks.
-func (a key) less(b key) bool {
-	if a.block != b.block {
-		return a.block < b.block
-	}
-	return a.subKey < b.subKey
-}
-
-// packed returns the key as one integer that orders as less does: the block
-// above the sub-key plus one, so that WholeBlock packs to zero.
+// packed returns the key as one integer in key order, by block, then
+// sub-key: the block above the sub-key plus one, so that WholeBlock packs to
+// zero and an erase entry precedes the block's chunks.
 func (a key) packed() uint64 {
 	return uint64(uint32(a.block))<<32 | uint64(uint32(a.subKey+1))
 }
@@ -73,10 +65,12 @@ func (s *slab) slice(lo, hi int) slab {
 	return slab{ents: s.ents[lo:hi:hi], words: s.words[lo*s.wpe : hi*s.wpe : hi*s.wpe], wpe: s.wpe}
 }
 
-// push appends an entry and its bits and returns its index.
+// push appends an entry and its bits, word by word, and returns its index.
 func (s *slab) push(e entry, bits []uint64) int {
 	s.ents = append(s.ents, e)
-	s.words = append(s.words, bits...)
+	for _, w := range bits {
+		s.words = append(s.words, w)
+	}
 	return len(s.ents) - 1
 }
 

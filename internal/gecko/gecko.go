@@ -38,6 +38,7 @@ type Stats struct {
 // Gecko is not safe for concurrent use; the FTL serializes access to it.
 type Gecko struct {
 	cfg   Config
+	sz    sizes
 	store metastore.Storage
 
 	buf    *buffer
@@ -50,12 +51,12 @@ type Gecko struct {
 	pageContent map[flash.PPN]slab
 
 	// free recycles the slabs of superseded runs and spare their run
-	// structs and directories; cursors is mergeEntryStreams' reused scratch,
+	// structs and directories; byAge is mergeEntryStreams' reused scratch,
 	// and inputs takeMergeInputs'.
-	free    slabList
-	spare   []*run
-	cursors []cursor
-	inputs  []*run
+	free   slabList
+	spare  []*run
+	byAge  []*run
+	inputs []*run
 
 	nextRunID uint64
 	seq       uint64 // logical creation sequence for runs
@@ -72,6 +73,7 @@ func New(cfg Config, store metastore.Storage) (*Gecko, error) {
 	}
 	return &Gecko{
 		cfg:         cfg,
+		sz:          cfg.sizes(),
 		store:       store,
 		buf:         newBuffer(cfg),
 		levels:      make([][]*run, cfg.Levels()+1),
@@ -185,7 +187,7 @@ func (g *Gecko) QueryInto(block flash.BlockID, dst *bitmap.Bitmap) error {
 				return fmt.Errorf("gecko: reading run %d page %d: %w", r.id, pi, err)
 			}
 			g.stats.QueryPageReads++
-			if page.query(g.cfg, block, dst) {
+			if page.query(g.sz, block, dst) {
 				erased = true
 			}
 		}
@@ -231,7 +233,7 @@ func (g *Gecko) maybeFlush() error {
 // flushBuffer writes the buffer as a new run into level 0 and triggers
 // merging.
 func (g *Gecko) flushBuffer() error {
-	entries := g.buf.drain(g.free.take(g.buf.len(), g.cfg.wordsPerEntry()))
+	entries := g.buf.drain(g.free.take(g.buf.len(), g.sz.wpe))
 	if len(entries.ents) == 0 {
 		return nil
 	}
@@ -259,7 +261,7 @@ func (g *Gecko) writeRun(entries slab, supersedes []*run) (*run, error) {
 	r := g.newRun(entries)
 	g.seq++
 	r.id, r.createSeq, r.slab = g.nextRunID, g.seq, entries
-	r.pages = splitIntoPages(r.pages, entries, g.cfg.EntriesPerPage())
+	r.pages = splitIntoPages(r.pages, entries, g.sz.perPage)
 	r.level = g.cfg.LevelOfRunPages(len(r.pages))
 	g.nextRunID++
 	for i := range r.pages {
@@ -295,7 +297,7 @@ func (g *Gecko) writeRun(entries slab, supersedes []*run) (*run, error) {
 // sized by the slab's capacity, which comes in classes, so a spare one fits
 // the next run of its class.
 func (g *Gecko) newRun(entries slab) *run {
-	v := g.cfg.EntriesPerPage()
+	v := g.sz.perPage
 	room := (cap(entries.ents) + v - 1) / v
 	best := -1
 	for i, r := range g.spare {
@@ -400,7 +402,7 @@ func (g *Gecko) emptyLevel(level int) {
 	g.levels[level] = g.levels[level][:0]
 }
 
-// mergeRuns merges the given runs (any number >= 1) into a single new run.
+// mergeRuns merges the given runs (none, or two or more) into a single new run.
 // Every input page is read, the entries are sort-merged with the collision
 // rules of Algorithm 3 (generalized to whole-block erase entries), the result
 // is written as a new run, and the input pages are invalidated.
@@ -439,101 +441,116 @@ func (g *Gecko) mergeRuns(inputs []*run) (*run, error) {
 	return g.writeRun(merged, inputs)
 }
 
-// cursor walks one input run's entries in key order, page by page.
-type cursor struct {
-	ents  []entry   // the page being read
-	words []uint64  // its entries' bits
-	pos   int       // next entry of ents
-	key   uint64    // ents[pos]'s packed key, exhausted after the last page
-	pages []runPage // the pages after the one being read
-	seq   uint64    // the run's createSeq
+// stream is sorted entries read one sub-slab at a time: ents, then pages.
+type stream struct {
+	ents  []entry
+	words []uint64
+	pages []runPage
 }
 
-// exhausted is the key of a cursor past its run's last entry. No entry packs
-// to it: block IDs are not negative.
+// exhausted is the key past a stream's end; no entry, its block >= 0, has it.
 const exhausted uint64 = math.MaxUint64
 
-// settle steps over exhausted pages and loads the key of the next entry.
-func (c *cursor) settle() {
-	for c.pos >= len(c.ents) {
-		if len(c.pages) == 0 {
-			c.key = exhausted
-			return
+// at steps over exhausted pages from entry pos of ents and returns what
+// mergeTwo keeps in locals: the entries, the position in them and its key.
+func (s *stream) at(pos int) ([]entry, int, uint64) {
+	for pos == len(s.ents) {
+		if len(s.pages) == 0 {
+			return s.ents, pos, exhausted
 		}
-		c.ents, c.words, c.pos, c.pages = c.pages[0].ents, c.pages[0].words, 0, c.pages[1:]
+		s.ents, s.words, pos, s.pages = s.pages[0].ents, s.pages[0].words, 0, s.pages[1:]
 	}
-	c.key = c.ents[c.pos].key().packed()
+	return s.ents, pos, s.ents[pos].key().packed()
 }
 
-// mergeEntryStreams performs the k-way sort-merge of the input runs' entries,
-// streaming from the inputs' pages straight into the slab of the output run,
-// which comes from the free list; the inputs are only read. Inputs need not
-// be ordered by recency; recency is taken from each run's createSeq. For
-// every block, the newest erase entry (if any) discards all entries from
-// strictly older runs; colliding chunk entries from surviving runs are
-// OR-merged (Algorithm 3).
+// mergeEntryStreams merges the inputs, in any order (recency is createSeq),
+// into an output slab from the free list; the inputs are only read. Two, the
+// leveled merge of Section 3.2, are one mergeTwo; more (Appendix A) fold
+// newest first, the result so far, in out or one scratch slab, being the
+// newer stream of each step.
 func (g *Gecko) mergeEntryStreams(inputs []*run) slab {
-	// Cursors are ordered newest run first, so a cursor's index is its
-	// recency rank and "first occurrence wins" rules are a forward scan.
+	byAge := append(g.byAge[:0], inputs...)
+	slices.SortFunc(byAge, func(a, b *run) int { return cmp.Compare(b.createSeq, a.createSeq) })
 	total := 0
-	cursors := g.cursors[:0]
-	for _, r := range inputs {
+	for _, r := range byAge {
 		total += r.entryCount()
-		cursors = append(cursors, cursor{pages: r.pages, seq: r.createSeq})
-		cursors[len(cursors)-1].settle()
 	}
-	slices.SortFunc(cursors, func(a, b cursor) int { return cmp.Compare(b.seq, a.seq) })
-	g.cursors = cursors
-	// The output holds every key once at most.
-	wpe := g.cfg.wordsPerEntry()
-	out := g.free.take(min(total, g.cfg.distinctKeys()), wpe)
+	// Every step's output holds every key once at most.
+	n := min(total, g.cfg.distinctKeys())
+	out := g.free.take(n, g.sz.wpe)
+	mergeTwo(&out, stream{pages: byAge[0].pages}, stream{pages: byAge[1].pages})
+	if len(byAge) > 2 {
+		scratch := g.free.take(n, g.sz.wpe)
+		for _, r := range byAge[2:] {
+			mergeTwo(&scratch, stream{ents: out.ents, words: out.words}, stream{pages: r.pages})
+			out, scratch = scratch, out
+		}
+		g.free.put(scratch)
+	}
+	clear(byAge) // do not keep the inputs alive past this call
+	g.byAge = byAge
+	return out
+}
 
-	// cut is the rank of the newest run holding an erase entry for cutBlock;
-	// entries from runs older than the cut are dropped. Because WholeBlock
-	// sorts before all real sub-keys, the erase entry for a block is always
-	// processed before the block's chunk entries. len(cursors) means no cut.
-	cutBlock, cut := flash.InvalidBlock, 0
+// mergeTwo writes into out, which has room, the merge of a newer and an older
+// stream by Algorithm 3's rules: a newer erase entry, which precedes its
+// block's chunks, drops the block's older entries, and colliding chunks OR
+// their bits and keep the older erase flag, unless the newer is flagged.
+func mergeTwo(out *slab, newer, older stream) {
+	wpe := out.wpe
+	ents, words, n := out.ents[:cap(out.ents)], out.words[:cap(out.words)], 0
+	ne, ni, nk := newer.at(0)
+	oe, oi, ok := older.at(0)
+	cut := flash.InvalidBlock // the block the newer stream last erased
 	for {
-		k := exhausted
-		for i := range cursors {
-			k = min(k, cursors[i].key)
-		}
-		if k == exhausted {
-			clear(cursors) // do not keep the inputs alive past this call
-			return out
-		}
-		if block := flash.BlockID(k >> 32); block != cutBlock {
-			cutBlock, cut = block, len(cursors)
-		}
-
-		// Fold every entry with that key, newest run first (Algorithm 3): a
-		// newer erase flag discards the older entry; otherwise the bitmaps
-		// are merged with OR and the older entry's erase flag is preserved.
-		res := -1
-		for rank := range cursors {
-			c := &cursors[rank]
-			if c.key != k {
+		if ok < nk {
+			if e := oe[oi]; e.block != cut {
+				ents[n] = e
+				copyWords(words, n, older.words, oi, wpe)
+				n++
+			}
+		} else if nk == exhausted {
+			out.ents, out.words = ents[:n], words[:n*wpe]
+			return
+		} else {
+			e := ne[ni]
+			if e.erase && e.subKey == WholeBlock {
+				cut = e.block
+			}
+			copyWords(words, n, newer.words, ni, wpe)
+			collides := nk == ok
+			if collides && !e.erase && e.block != cut {
+				for w := range wpe {
+					words[n*wpe+w] |= older.words[oi*wpe+w]
+				}
+				e.erase = oe[oi].erase
+			}
+			ents[n] = e
+			n++
+			if ni++; ni < len(ne) {
+				nk = ne[ni].key().packed()
+			} else {
+				ne, ni, nk = newer.at(ni)
+			}
+			if !collides {
 				continue
 			}
-			e, bits := c.ents[c.pos], c.words[c.pos*wpe:(c.pos+1)*wpe]
-			c.pos++
-			c.settle()
-			if rank > cut {
-				continue // predates the newest erase of this block
-			}
-			if e.erase && e.subKey == WholeBlock && rank < cut {
-				cut = rank
-			}
-			switch {
-			case res < 0:
-				res = out.push(e, bits)
-			case !out.ents[res].erase:
-				dst := out.bits(res)
-				for w := range dst {
-					dst[w] |= bits[w]
-				}
-				out.ents[res].erase = e.erase
-			}
 		}
+		if oi++; oi < len(oe) {
+			ok = oe[oi].key().packed()
+		} else {
+			oe, oi, ok = older.at(oi)
+		}
+	}
+}
+
+// copyWords copies entry i's words in src to entry n's in dst, one at a time.
+func copyWords(dst []uint64, n int, src []uint64, i, wpe int) {
+	if wpe == 1 {
+		dst[n] = src[i]
+		return
+	}
+	for w := range wpe {
+		dst[n*wpe+w] = src[i*wpe+w]
 	}
 }

@@ -233,3 +233,93 @@ func TestMergeMatchesPointerEntryMerge(t *testing.T) {
 		}
 	}
 }
+
+// checkAgainstOracle requires the slab merge of news to equal the oracle's
+// merge of olds, entry for entry and bit for bit.
+func checkAgainstOracle(t *testing.T, name string, cfg Config, got slab, olds []*oracleRun) {
+	t.Helper()
+	want := oracleMergeEntryStreams(olds)
+	if len(got.ents) != len(want) {
+		t.Fatalf("%s: merged %d entries, oracle %d", name, len(got.ents), len(want))
+	}
+	for i, w := range want {
+		g := got.ents[i]
+		if g.block != w.Block || g.subKey != w.SubKey || g.erase != w.EraseFlag {
+			t.Fatalf("%s entry %d: got %+v, oracle %+v", name, i, g, w)
+		}
+		wantBits := bitmap.New(cfg.BitsPerEntry())
+		if w.Bits != nil {
+			wantBits = w.Bits
+		}
+		if !bitmap.FromWords(cfg.BitsPerEntry(), got.bits(i)).Equal(wantBits) {
+			t.Fatalf("%s entry %d (%+v): bits differ from the oracle's", name, i, g)
+		}
+	}
+}
+
+// TestMergeMatchesOracleOnPerfbenchKeys runs the merge on the perfbench
+// device's key space — 4096 blocks of 64 pages, the recommended S = 2, one
+// word an entry, full-size pages — two-way, the merge every flush of that
+// device makes, and three-way, one step of the fold beyond it.
+func TestMergeMatchesOracleOnPerfbenchKeys(t *testing.T) {
+	cfg := DefaultConfig(4096, 64, 4096)
+	if cfg.PartitionFactor != 2 || cfg.wordsPerEntry() != 1 {
+		t.Fatalf("%v: want S = 2 and one word an entry", cfg)
+	}
+	merge := steadyMerge(cfg)
+	for _, ways := range []int{2, 3} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed*10 + int64(ways)))
+			var olds []*oracleRun
+			var news []*run
+			for _, seq := range rng.Perm(ways) {
+				o, n := randomRunPair(rng, cfg, cfg.Blocks, cfg.EntriesPerPage(), uint64(seq+1))
+				olds, news = append(olds, o), append(news, n)
+			}
+			checkAgainstOracle(t, fmt.Sprintf("ways=%d seed=%d", ways, seed), cfg, merge(news), olds)
+		}
+	}
+}
+
+// TestMergeMiddleRunErase is the three-way case a wrong fold gets wrong: only
+// the middle run erases block 5. The newest run's chunk of the block
+// survives, OR-merged with the middle run's, which postdates the erase; the
+// oldest run's chunks of the block are dropped, and its chunk of block 6,
+// which nothing erased, is kept.
+func TestMergeMiddleRunErase(t *testing.T) {
+	cfg := Config{Blocks: 8, PagesPerBlock: 64, PageSize: 4096, SizeRatio: 2, KeyBytes: 4, PartitionFactor: 2}
+	type ent struct {
+		block  flash.BlockID
+		subKey int16
+		erase  bool
+		bits   uint64
+	}
+	build := func(seq uint64, ents ...ent) *run {
+		s := newSlab(0, cfg.wordsPerEntry())
+		for _, e := range ents {
+			s.push(entry{block: e.block, subKey: e.subKey, erase: e.erase}, []uint64{e.bits})
+		}
+		return &run{createSeq: seq, pages: splitIntoPages(nil, s, 2)}
+	}
+	newest := build(3, ent{5, 0, false, 1 << 1})
+	middle := build(2, ent{5, WholeBlock, true, 0}, ent{5, 0, false, 1 << 2}, ent{5, 1, false, 1 << 3})
+	oldest := build(1, ent{4, 1, false, 1 << 9}, ent{5, 0, false, 1 << 4}, ent{5, 1, false, 1 << 5}, ent{6, 0, false, 1 << 6})
+	want := []ent{
+		{4, 1, false, 1 << 9},
+		{5, WholeBlock, true, 0},
+		{5, 0, false, 1<<1 | 1<<2},
+		{5, 1, false, 1 << 3},
+		{6, 0, false, 1 << 6},
+	}
+	for _, order := range [][]*run{{newest, middle, oldest}, {oldest, newest, middle}, {middle, oldest, newest}} {
+		got := steadyMerge(cfg)(order)
+		if len(got.ents) != len(want) {
+			t.Fatalf("merged %v %x, want %v", got.ents, got.words, want)
+		}
+		for i, w := range want {
+			if e := got.ents[i]; e != (entry{block: w.block, subKey: w.subKey, erase: w.erase}) || got.words[i] != w.bits {
+				t.Fatalf("entry %d: got %+v %#x, want %+v", i, e, got.words[i], w)
+			}
+		}
+	}
+}

@@ -11,10 +11,11 @@ import (
 )
 
 // steadyMerge returns mergeEntryStreams as production runs it from the second
-// merge on: the output comes from a free list that holds the previous
-// output's slab, dirty, as writeRun leaves a superseded run's.
+// merge on: the output, and a fold's scratch slab, come from a free list that
+// holds the previous output's slab, dirty, as writeRun leaves a superseded
+// run's.
 func steadyMerge(cfg Config) func(inputs []*run) slab {
-	g := &Gecko{cfg: cfg, free: newSlabList(cfg)}
+	g := &Gecko{cfg: cfg, sz: cfg.sizes(), free: newSlabList(cfg)}
 	var last slab
 	return func(inputs []*run) slab {
 		g.free.put(last)
@@ -23,7 +24,8 @@ func steadyMerge(cfg Config) func(inputs []*run) slab {
 	}
 }
 
-// steadyDrain is steadyMerge's counterpart for the buffer's drain.
+// steadyDrain is steadyMerge's counterpart for the buffer's one-pass drain:
+// its output comes from a free list holding the previous drain's slab.
 func steadyDrain(b *buffer) func() slab {
 	free := newSlabList(b.cfg)
 	var last slab

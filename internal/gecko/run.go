@@ -2,7 +2,6 @@ package gecko
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"geckoftl/internal/bitmap"
@@ -122,13 +121,12 @@ func splitIntoPages(pages []runPage, s slab, v int) []runPage {
 // with entry-partitioning a block's sub-entries can straddle a page boundary,
 // in which case the query must read both pages.
 func (r *run) pagesFor(block flash.BlockID) (lo, hi int) {
-	first := key{block, WholeBlock}
-	last := key{block, math.MaxInt16}
-	for lo < len(r.pages) && r.pages[lo].maxKey.less(first) {
+	first, next := key{block, WholeBlock}.packed(), key{block + 1, WholeBlock}.packed()
+	for lo < len(r.pages) && r.pages[lo].maxKey.packed() < first {
 		lo++
 	}
 	hi = lo
-	for hi < len(r.pages) && !last.less(r.pages[hi].minKey) {
+	for hi < len(r.pages) && r.pages[hi].minKey.packed() < next {
 		hi++
 	}
 	return lo, hi
@@ -136,11 +134,11 @@ func (r *run) pagesFor(block flash.BlockID) (lo, hi int) {
 
 // query folds the chunks a single run page holds for the block into result,
 // and reports whether one of the block's entries carries the erase flag.
-func (p *runPage) query(cfg Config, block flash.BlockID, result *bitmap.Bitmap) (erased bool) {
+func (p *runPage) query(z sizes, block flash.BlockID, result *bitmap.Bitmap) (erased bool) {
 	i := sort.Search(len(p.ents), func(i int) bool { return p.ents[i].block >= block })
 	for ; i < len(p.ents) && p.ents[i].block == block; i++ {
 		erased = erased || p.ents[i].erase
-		cfg.fold(result, p.ents[i].subKey, p.bits(i))
+		z.fold(result, p.ents[i].subKey, p.bits(i))
 	}
 	return erased
 }

@@ -35,7 +35,7 @@ func (g *Gecko) ScanValidity() (*bitmap.Rows, error) {
 			erased[w] |= bit
 		default:
 			row := rows.Row(int(e.block))
-			g.cfg.fold(&row, e.subKey, s.bits(i))
+			g.sz.fold(&row, e.subKey, s.bits(i))
 		}
 	}
 
