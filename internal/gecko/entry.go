@@ -65,13 +65,12 @@ func (s *slab) slice(lo, hi int) slab {
 	return slab{ents: s.ents[lo:hi:hi], words: s.words[lo*s.wpe : hi*s.wpe : hi*s.wpe], wpe: s.wpe}
 }
 
-// push appends an entry and its bits, word by word, and returns its index.
-func (s *slab) push(e entry, bits []uint64) int {
+// push appends an entry and its bits, word by word.
+func (s *slab) push(e entry, bits []uint64) {
 	s.ents = append(s.ents, e)
 	for _, w := range bits {
 		s.words = append(s.words, w)
 	}
-	return len(s.ents) - 1
 }
 
 // slabList is the free list of run slabs: writeRun puts the slabs of the runs

@@ -448,7 +448,7 @@ type stream struct {
 	pages []runPage
 }
 
-// exhausted is the key past a stream's end; no entry, its block >= 0, has it.
+// exhausted is the key past a stream's end. No entry packs to it: no block < 0.
 const exhausted uint64 = math.MaxUint64
 
 // at steps over exhausted pages from entry pos of ents and returns what
@@ -465,9 +465,9 @@ func (s *stream) at(pos int) ([]entry, int, uint64) {
 
 // mergeEntryStreams merges the inputs, in any order (recency is createSeq),
 // into an output slab from the free list; the inputs are only read. Two, the
-// leveled merge of Section 3.2, are one mergeTwo; more (Appendix A) fold
-// newest first, the result so far, in out or one scratch slab, being the
-// newer stream of each step.
+// leveled merge of Section 3.2, are one mergeTwo. More (Appendix A) fold
+// newest first: each step merges the result so far, in out or one scratch
+// slab, as the newer stream with the next older run.
 func (g *Gecko) mergeEntryStreams(inputs []*run) slab {
 	byAge := append(g.byAge[:0], inputs...)
 	slices.SortFunc(byAge, func(a, b *run) int { return cmp.Compare(b.createSeq, a.createSeq) })
