@@ -429,31 +429,6 @@ func (d *Device) readSpare(ppn PPN, addr Addr, p Purpose, floor time.Duration) (
 	return spare, true, nil
 }
 
-// NoteTrim records a host trim (discard) of the page at ppn: the page's
-// contents are no longer needed by the host and the FTL has marked them
-// invalid. NAND has no trim primitive, so the record costs no device time; it
-// exists so the invalidation counters can report how much invalid space the
-// host supplied next to the IO the FTL spent on it (Counters, OpTrim). The
-// page itself is untouched — only an erase of its block reclaims it.
-func (d *Device) NoteTrim(ppn PPN, p Purpose) error {
-	addr := Decompose(ppn, d.cfg.PagesPerBlock)
-	if err := d.checkPage(addr.Block, addr.Offset); err != nil {
-		return err
-	}
-	latch := d.latch(addr.Block)
-	latch.Lock()
-	defer latch.Unlock()
-	d.noteTrim(addr.Block, p, 0)
-	return nil
-}
-
-// noteTrim is the body of NoteTrim, as writePage is of WritePage. The record
-// costs nothing, but record still raises the die's busy-until to the floor
-// (and to the arrival clock), and Device.SyncArrival reads that.
-func (d *Device) noteTrim(block BlockID, p Purpose, floor time.Duration) {
-	d.record(d.die(block), OpTrim, p, 0, floor)
-}
-
 // EraseBlock erases a block, freeing all of its pages.
 func (d *Device) EraseBlock(block BlockID, p Purpose) error {
 	if err := d.check(block); err != nil {
@@ -471,8 +446,9 @@ func (d *Device) eraseBlock(block BlockID, p Purpose, floor time.Duration, rail 
 	blk := &d.blocks[block]
 	if d.cfg.MaxEraseCount > 0 && blk.eraseCount >= d.cfg.MaxEraseCount {
 		// The budget check is controller bookkeeping (no pulse is issued),
-		// but the attempt still retires the block: from here on BadBlock
-		// reports it and no further program or erase will be accepted.
+		// but the attempt still retires the block: from here on
+		// Partition.BadBlock reports it and no further program or erase will
+		// be accepted.
 		blk.retired = true
 		return fmt.Errorf("%w: block %d erased %d times", ErrWornOut, block, blk.eraseCount)
 	}
@@ -517,60 +493,6 @@ func (d *Device) eraseBlock(block BlockID, p Purpose, floor time.Duration, rail 
 	}
 	return nil
 }
-
-// WritePointer returns the next free page offset of a block (equal to
-// PagesPerBlock when the block is full). It models the FTL's own in-RAM
-// knowledge of its active blocks and is not an IO.
-func (d *Device) WritePointer(block BlockID) (int, error) {
-	if err := d.check(block); err != nil {
-		return 0, err
-	}
-	latch := d.latch(block)
-	latch.Lock()
-	defer latch.Unlock()
-	return d.blocks[block].writePointer, nil
-}
-
-// EraseCount returns the number of erases a block has endured. Not an IO.
-func (d *Device) EraseCount(block BlockID) (int, error) {
-	if err := d.check(block); err != nil {
-		return 0, err
-	}
-	latch := d.latch(block)
-	latch.Lock()
-	defer latch.Unlock()
-	return d.blocks[block].eraseCount, nil
-}
-
-// ReadCount returns the number of full-page reads a block has absorbed since
-// its last erase: the read-disturb accumulation the FTL's scrubber watches.
-// It models the controller's per-block read counter and is not an IO.
-func (d *Device) ReadCount(block BlockID) (int, error) {
-	if err := d.check(block); err != nil {
-		return 0, err
-	}
-	latch := d.latch(block)
-	latch.Lock()
-	defer latch.Unlock()
-	return d.blocks[block].readCount, nil
-}
-
-// BadBlock reports whether a block has been retired (a failed erase, or an
-// erase attempted past the block's budget). It models the controller's
-// bad-block table — device truth that survives power failures — and is not
-// an IO.
-func (d *Device) BadBlock(block BlockID) (bool, error) {
-	if err := d.check(block); err != nil {
-		return false, err
-	}
-	latch := d.latch(block)
-	latch.Lock()
-	defer latch.Unlock()
-	return d.blocks[block].retired, nil
-}
-
-// GlobalEraseSeq returns the device-wide erase counter. Not an IO.
-func (d *Device) GlobalEraseSeq() uint64 { return d.eraseSeq.Load() }
 
 // GlobalWriteSeq returns the device-wide write sequence number. Not an IO.
 func (d *Device) GlobalWriteSeq() uint64 { return d.writeSeq.Load() }
@@ -635,9 +557,6 @@ func (d *Device) PowerFail() { d.powered.Store(false) }
 // PowerOn.
 func (d *Device) PowerOn() { d.powered.Store(true) }
 
-// Powered reports whether the device currently has power.
-func (d *Device) Powered() bool { return d.powered.Load() }
-
 // SimulatedTime returns the total device time consumed so far under the
 // latency model: the sum of every die's busy time, i.e. the cost of
 // executing all IO on a single serialized plane.
@@ -679,21 +598,6 @@ func (d *Device) SyncArrival() time.Duration {
 		}
 		if d.arrival.CompareAndSwap(cur, int64(now)) {
 			return now
-		}
-	}
-}
-
-// AdvanceArrival ratchets the device-wide arrival clock forward to at least
-// t (never backward). Open-loop drivers stamp a generated arrival instant
-// with it before issuing IO; see Partition.AdvanceArrival.
-func (d *Device) AdvanceArrival(t time.Duration) {
-	for {
-		cur := d.arrival.Load()
-		if int64(t) <= cur {
-			return
-		}
-		if d.arrival.CompareAndSwap(cur, int64(t)) {
-			return
 		}
 	}
 }

@@ -11,6 +11,19 @@ func testConfig(blocks int) Config {
 	return cfg
 }
 
+// whole returns a partition spanning all of d, the view an FTL runs on. The
+// per-block facts (write pointer, erase and read counts, the bad-block table)
+// and a plane's power are read through it: the Device does not expose them.
+// Carve it before issuing IO.
+func whole(t testing.TB, d *Device) *Partition {
+	t.Helper()
+	p, err := d.Partition(0, d.cfg.Blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := testConfig(16)
 	if err := good.Validate(); err != nil {
@@ -129,6 +142,7 @@ func TestRewriteWithoutEraseFails(t *testing.T) {
 
 func TestStrictSequentialWrites(t *testing.T) {
 	d := MustNewDevice(testConfig(4))
+	w := whole(t, d)
 	cfg := d.Config()
 	// Skipping offset 0 must fail.
 	if _, err := d.WritePage(PPNOf(1, 5, cfg.PagesPerBlock), SpareArea{}, PurposeUserWrite); !errors.Is(err, ErrNonSequentialWrite) {
@@ -140,7 +154,7 @@ func TestStrictSequentialWrites(t *testing.T) {
 			t.Fatalf("sequential write %d: %v", off, err)
 		}
 	}
-	wp, err := d.WritePointer(1)
+	wp, err := w.WritePointer(1)
 	if err != nil || wp != 3 {
 		t.Errorf("WritePointer = %d, %v; want 3, nil", wp, err)
 	}
@@ -161,6 +175,7 @@ func TestNonStrictAllowsGaps(t *testing.T) {
 
 func TestEraseFreesPages(t *testing.T) {
 	d := MustNewDevice(testConfig(4))
+	w := whole(t, d)
 	cfg := d.Config()
 	for off := 0; off < cfg.PagesPerBlock; off++ {
 		if _, err := d.WritePage(PPNOf(2, off, cfg.PagesPerBlock), SpareArea{Logical: LPN(off)}, PurposeUserWrite); err != nil {
@@ -170,19 +185,19 @@ func TestEraseFreesPages(t *testing.T) {
 	if err := d.EraseBlock(2, PurposeGCErase); err != nil {
 		t.Fatalf("EraseBlock: %v", err)
 	}
-	wp, _ := d.WritePointer(2)
+	wp, _ := w.WritePointer(2)
 	if wp != 0 {
 		t.Errorf("write pointer after erase = %d, want 0", wp)
 	}
 	if err := d.ReadPage(PPNOf(2, 0, cfg.PagesPerBlock), PurposeUserRead); !errors.Is(err, ErrPageNotWritten) {
 		t.Errorf("read after erase err = %v, want ErrPageNotWritten", err)
 	}
-	ec, _ := d.EraseCount(2)
+	ec, _ := w.EraseCount(2)
 	if ec != 1 {
 		t.Errorf("erase count = %d, want 1", ec)
 	}
-	if d.GlobalEraseSeq() != 1 {
-		t.Errorf("global erase seq = %d, want 1", d.GlobalEraseSeq())
+	if seq := d.eraseSeq.Load(); seq != 1 {
+		t.Errorf("global erase seq = %d, want 1", seq)
 	}
 	// The block is writable again.
 	if _, err := d.WritePage(PPNOf(2, 0, cfg.PagesPerBlock), SpareArea{}, PurposeUserWrite); err != nil {
@@ -243,11 +258,12 @@ func TestOutOfRangeAddresses(t *testing.T) {
 
 func TestPowerFailBlocksOperations(t *testing.T) {
 	d := MustNewDevice(testConfig(4))
+	w := whole(t, d)
 	if _, err := d.WritePage(0, SpareArea{Logical: 7}, PurposeUserWrite); err != nil {
 		t.Fatal(err)
 	}
 	d.PowerFail()
-	if d.Powered() {
+	if w.Powered() {
 		t.Error("device reports powered after PowerFail")
 	}
 	if _, err := d.WritePage(1, SpareArea{}, PurposeUserWrite); !errors.Is(err, ErrPowerFailed) {
@@ -257,7 +273,7 @@ func TestPowerFailBlocksOperations(t *testing.T) {
 		t.Errorf("read while off err = %v, want ErrPowerFailed", err)
 	}
 	d.PowerOn()
-	if !d.Powered() {
+	if !w.Powered() {
 		t.Error("device reports unpowered after PowerOn")
 	}
 	// Flash contents must survive the power cycle.

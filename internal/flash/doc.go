@@ -38,10 +38,16 @@
 // ParallelSimulatedTime, the busiest die's time, which is the wall-clock a
 // parallelism-aware host controller observes when it keeps every die fed.
 //
-// A Partition is a view of a contiguous block range of a Device, exposed
-// through the same Plane interface the FTLs program against. The ftl.Engine
+// A Partition is a view of a contiguous block range of a Device, and it is
+// the only view an FTL programs against: ftl.New takes one. The ftl.Engine
 // gives each of its shards one partition aligned to a channel's die range, so
-// that shards never contend on a die. A partition owns the latch of the dies
+// that shards never contend on a die, and a lone FTL runs on a partition that
+// spans the whole device. Besides page IO, a partition answers the
+// controller's per-block bookkeeping (write pointer, erase and read counts,
+// the bad-block table), records host trims, and keeps its own arrival clock
+// and power domain. The Device keeps the page IO, the device-wide counters
+// and clocks, the shared power rail and the fault plan, for callers that
+// drive flash without an FTL. A partition owns the latch of the dies
 // it touches (Partition.Latch; partitions sharing a die share it): Device
 // calls on those dies take it, and the partition's own methods take no lock,
 // because their caller holds it — an engine shard, for a whole host

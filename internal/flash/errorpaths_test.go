@@ -102,8 +102,12 @@ func TestDeviceErrorPaths(t *testing.T) {
 		{
 			name: "trim note while powered off",
 			op: func(d *Device, cfg Config) error {
+				p, err := d.Partition(0, cfg.Blocks)
+				if err != nil {
+					return err
+				}
 				d.PowerFail()
-				return d.NoteTrim(PPNOf(0, 0, cfg.PagesPerBlock), PurposeTrim)
+				return p.NoteTrim(PPNOf(0, 0, cfg.PagesPerBlock), PurposeTrim)
 			},
 			want: ErrPowerFailed,
 		},

@@ -24,9 +24,10 @@ var (
 	// whose program pulse failed, which hold nothing readable.
 	ErrPageNotWritten = errors.New("flash: page not programmed")
 	// ErrWornOut is returned when erasing a block beyond its maximum
-	// erase count. The device retires the block on the attempt (BadBlock
-	// reports it from then on); the block's last successful erase still
-	// stands, so a free worn-out block remains writable for one final cycle.
+	// erase count. The device retires the block on the attempt
+	// (Partition.BadBlock reports it from then on); the block's last
+	// successful erase still stands, so a free worn-out block remains
+	// writable for one final cycle.
 	ErrWornOut = errors.New("flash: block worn out")
 	// ErrProgramFailed is returned when a page program pulse fails (an
 	// injected fault, or a program aimed at a retired block). The failed
@@ -35,8 +36,8 @@ var (
 	ErrProgramFailed = errors.New("flash: page program failed")
 	// ErrEraseFailed is returned when a block erase pulse fails (an injected
 	// fault). The block is retired permanently — a grown bad block recorded
-	// in the device's bad-block table (BadBlock) — and its contents are
-	// untouched.
+	// in the device's bad-block table (Partition.BadBlock) — and its
+	// contents are untouched.
 	ErrEraseFailed = errors.New("flash: block erase failed")
 	// ErrReadDecayed is returned when a full-page read finds the payload
 	// decayed by read disturb: the block absorbed more page reads since its

@@ -59,8 +59,8 @@ type FaultPlan struct {
 	ProgramFailRate float64
 	// EraseFailRate is the probability that a block erase fails with
 	// ErrEraseFailed. A failed erase retires the block permanently: the
-	// device records it in its bad-block table (BadBlock), and every later
-	// program or erase of the block fails.
+	// device records it in its bad-block table (Partition.BadBlock), and
+	// every later program or erase of the block fails.
 	EraseFailRate float64
 	// ReadDisturbLimit is the number of full-page reads a block tolerates
 	// between erases before its payload decays: reads beyond the limit

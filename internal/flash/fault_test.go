@@ -44,6 +44,7 @@ func TestFaultPlanValidate(t *testing.T) {
 func TestScheduledProgramFaultConsumesPage(t *testing.T) {
 	cfg := testConfig(4)
 	d := MustNewDevice(cfg)
+	w := whole(t, d)
 	ppb := cfg.PagesPerBlock
 	if err := d.SetFaultPlan(FaultPlan{Schedule: []FaultEvent{{Op: OpPageWrite, AtCount: 2}}}); err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func TestScheduledProgramFaultConsumesPage(t *testing.T) {
 		t.Fatalf("second program err = %v, want ErrProgramFailed", err)
 	}
 	// The failed page is consumed: the write pointer moved past it.
-	if wp, _ := d.WritePointer(0); wp != 2 {
+	if wp, _ := w.WritePointer(0); wp != 2 {
 		t.Errorf("write pointer = %d after failed program, want 2", wp)
 	}
 	// It holds nothing readable, and its spare reports unprogrammed (not an
@@ -67,7 +68,7 @@ func TestScheduledProgramFaultConsumesPage(t *testing.T) {
 		t.Errorf("spare of failed page = (ok=%v, err=%v), want unprogrammed, nil", ok, err)
 	}
 	// The block is not bad — only the page is — and the next program lands.
-	if bad, _ := d.BadBlock(0); bad {
+	if bad, _ := w.BadBlock(0); bad {
 		t.Error("block reported bad after a single failed program")
 	}
 	if _, err := d.WritePage(PPNOf(0, 2, ppb), SpareArea{Logical: 8}, PurposeUserWrite); err != nil {
@@ -91,6 +92,7 @@ func TestScheduledProgramFaultConsumesPage(t *testing.T) {
 func TestScheduledEraseFaultRetiresBlock(t *testing.T) {
 	cfg := testConfig(4)
 	d := MustNewDevice(cfg)
+	w := whole(t, d)
 	ppb := cfg.PagesPerBlock
 	if err := d.SetFaultPlan(FaultPlan{Schedule: []FaultEvent{{Op: OpErase, AtCount: 1}}}); err != nil {
 		t.Fatal(err)
@@ -101,7 +103,7 @@ func TestScheduledEraseFaultRetiresBlock(t *testing.T) {
 	if err := d.EraseBlock(1, PurposeGCErase); !errors.Is(err, ErrEraseFailed) {
 		t.Fatalf("erase err = %v, want ErrEraseFailed", err)
 	}
-	if bad, _ := d.BadBlock(1); !bad {
+	if bad, _ := w.BadBlock(1); !bad {
 		t.Fatal("failed erase did not retire the block")
 	}
 	// Retirement is permanent: programs and erases keep failing, and no
@@ -112,16 +114,16 @@ func TestScheduledEraseFaultRetiresBlock(t *testing.T) {
 	if err := d.EraseBlock(1, PurposeGCErase); !errors.Is(err, ErrEraseFailed) {
 		t.Errorf("second erase err = %v, want ErrEraseFailed", err)
 	}
-	if ec, _ := d.EraseCount(1); ec != 0 {
+	if ec, _ := w.EraseCount(1); ec != 0 {
 		t.Errorf("erase count = %d after failed erases, want 0", ec)
 	}
-	if wp, _ := d.WritePointer(1); wp != 1 {
+	if wp, _ := w.WritePointer(1); wp != 1 {
 		t.Errorf("write pointer = %d, want contents untouched at 1", wp)
 	}
 	// The bad-block table is device truth: it survives a power failure.
 	d.PowerFail()
 	d.PowerOn()
-	if bad, _ := d.BadBlock(1); !bad {
+	if bad, _ := w.BadBlock(1); !bad {
 		t.Error("bad-block table lost across power failure")
 	}
 	// Other blocks are unaffected (the schedule's one event is spent).
@@ -134,6 +136,7 @@ func TestWornOutEraseRetires(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.MaxEraseCount = 1
 	d := MustNewDevice(cfg)
+	w := whole(t, d)
 	ppb := cfg.PagesPerBlock
 	if err := d.EraseBlock(0, PurposeGCErase); err != nil {
 		t.Fatal(err)
@@ -143,13 +146,13 @@ func TestWornOutEraseRetires(t *testing.T) {
 	if _, err := d.WritePage(PPNOf(0, 0, ppb), SpareArea{Logical: 1}, PurposeUserWrite); err != nil {
 		t.Fatalf("program in final cycle: %v", err)
 	}
-	if bad, _ := d.BadBlock(0); bad {
+	if bad, _ := w.BadBlock(0); bad {
 		t.Fatal("block retired before any erase attempt past the budget")
 	}
 	if err := d.EraseBlock(0, PurposeGCErase); !errors.Is(err, ErrWornOut) {
 		t.Fatalf("erase past budget err = %v, want ErrWornOut", err)
 	}
-	if bad, _ := d.BadBlock(0); !bad {
+	if bad, _ := w.BadBlock(0); !bad {
 		t.Error("worn-out erase attempt did not retire the block")
 	}
 	if _, err := d.WritePage(PPNOf(0, 1, ppb), SpareArea{}, PurposeUserWrite); !errors.Is(err, ErrProgramFailed) {
@@ -160,6 +163,7 @@ func TestWornOutEraseRetires(t *testing.T) {
 func TestReadDisturbDecay(t *testing.T) {
 	cfg := testConfig(4)
 	d := MustNewDevice(cfg)
+	w := whole(t, d)
 	ppb := cfg.PagesPerBlock
 	if err := d.SetFaultPlan(FaultPlan{ReadDisturbLimit: 2}); err != nil {
 		t.Fatal(err)
@@ -179,7 +183,7 @@ func TestReadDisturbDecay(t *testing.T) {
 			t.Fatalf("spare read %d = (ok=%v, err=%v)", i, ok, err)
 		}
 	}
-	if rc, _ := d.ReadCount(0); rc != 2 {
+	if rc, _ := w.ReadCount(0); rc != 2 {
 		t.Errorf("read count = %d after 2 page reads and 8 spare reads, want 2", rc)
 	}
 	if err := d.ReadPage(ppn, PurposeUserRead); !errors.Is(err, ErrReadDecayed) {
@@ -194,7 +198,7 @@ func TestReadDisturbDecay(t *testing.T) {
 	if err := d.EraseBlock(0, PurposeGCErase); err != nil {
 		t.Fatal(err)
 	}
-	if rc, _ := d.ReadCount(0); rc != 0 {
+	if rc, _ := w.ReadCount(0); rc != 0 {
 		t.Errorf("read count = %d after erase, want 0", rc)
 	}
 	if _, err := d.WritePage(ppn, SpareArea{Logical: 5}, PurposeUserWrite); err != nil {

@@ -108,7 +108,7 @@ func TestPartitionRefusesTwoLatches(t *testing.T) {
 }
 
 // TestDeviceCallWaitsForPartitionLatch: while a partition's latch is held, a
-// Device call on one of its dies — an op, a block fact or an aggregate —
+// Device call on one of its dies — an op or an aggregate —
 // does not complete, and completes once the latch is released; a Device call
 // on a die the partition does not own does not wait.
 func TestDeviceCallWaitsForPartitionLatch(t *testing.T) {
@@ -121,7 +121,10 @@ func TestDeviceCallWaitsForPartitionLatch(t *testing.T) {
 			_, err := d.WritePage(0, SpareArea{Logical: 1}, PurposeUserWrite)
 			return err
 		}},
-		{"EraseCount", func(d *Device) error { _, err := d.EraseCount(5); return err }},
+		{"ReadSpare", func(d *Device) error {
+			_, _, err := d.ReadSpare(PPNOf(5, 0, cfg.PagesPerBlock), PurposeRecovery)
+			return err
+		}},
 		{"Counters", func(d *Device) error { d.Counters(); return nil }},
 		{"BlocksEndurance", func(d *Device) error { d.BlocksEndurance(); return nil }},
 		{"DieTimes", func(d *Device) error { d.DieTimes(); return nil }},
@@ -231,11 +234,19 @@ func latched(p *Partition, f func() error) error {
 // Device, which takes the die's latch per op. The difference is what one
 // uncontended mutex costs a flash op.
 func BenchmarkPartitionOps(b *testing.B) {
+	// pageIO is what the benchmark calls, which the Device and a Partition
+	// both have.
+	type pageIO interface {
+		WritePage(ppn PPN, spare SpareArea, p Purpose) (uint64, error)
+		ReadPage(ppn PPN, p Purpose) error
+		ReadSpare(ppn PPN, p Purpose) (SpareArea, bool, error)
+		EraseBlock(block BlockID, p Purpose) error
+	}
 	cfg := topoConfig(256, 1, 1)
 	cfg.PagesPerBlock = 64
 	pages := cfg.PhysicalPages()
 	for _, via := range []string{"device", "partition"} {
-		plane := func() Plane {
+		plane := func() pageIO {
 			dev := MustNewDevice(cfg)
 			if via == "device" {
 				return dev
@@ -266,7 +277,7 @@ func BenchmarkPartitionOps(b *testing.B) {
 				}
 			}
 		})
-		full := func() Plane {
+		full := func() pageIO {
 			pl := plane()
 			for ppn := PPN(0); ppn < PPN(pages); ppn++ {
 				if _, err := pl.WritePage(ppn, spare, PurposeUserWrite); err != nil {

@@ -216,11 +216,22 @@ func (r *spareRef) readSpare(block BlockID, off int) (SpareArea, bool) {
 // spareStorePlane is a plane under test: the device or one of its
 // partitions, with the block range it covers and its own power domain.
 type spareStorePlane struct {
-	Plane
+	spareStoreIO
 	base   BlockID
 	blocks int
 	// up is the plane's own domain; the device's rail is plane 0's.
 	up bool
+}
+
+// spareStoreIO is what the test calls on a plane, which the Device and a
+// Partition both have.
+type spareStoreIO interface {
+	WritePage(ppn PPN, spare SpareArea, p Purpose) (uint64, error)
+	ReadPage(ppn PPN, p Purpose) error
+	ReadSpare(ppn PPN, p Purpose) (SpareArea, bool, error)
+	EraseBlock(block BlockID, p Purpose) error
+	PowerFail()
+	PowerOn()
 }
 
 // sameErr reports whether got is want (nil for nil).
@@ -241,6 +252,9 @@ func runSpareStore(t testing.TB, c spareStoreCase, s spareScript, steps int) {
 	cfg.StrictSequentialWrites = c.strict
 	cfg.MaxEraseCount = c.maxErase
 	dev := MustNewDevice(cfg)
+	// facts answers the per-block facts the sweep compares. It is carved
+	// first, so the partitions below join its latch.
+	facts := whole(t, dev)
 	var plan FaultPlan
 	for _, n := range c.failPrograms {
 		plan.Schedule = append(plan.Schedule, FaultEvent{Op: OpPageWrite, AtCount: n})
@@ -252,7 +266,7 @@ func runSpareStore(t testing.TB, c spareStoreCase, s spareScript, steps int) {
 	if err := dev.SetFaultPlan(plan); err != nil {
 		t.Fatal(err)
 	}
-	planes := []*spareStorePlane{{Plane: dev, blocks: cfg.Blocks, up: true}}
+	planes := []*spareStorePlane{{spareStoreIO: dev, blocks: cfg.Blocks, up: true}}
 	if c.partitions {
 		// One partition inside die 0, one straddling both dies.
 		for _, r := range [][2]int{{0, 3}, {3, 5}} {
@@ -260,7 +274,7 @@ func runSpareStore(t testing.TB, c spareStoreCase, s spareScript, steps int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			planes = append(planes, &spareStorePlane{Plane: p, base: BlockID(r[0]), blocks: r[1], up: true})
+			planes = append(planes, &spareStorePlane{spareStoreIO: p, base: BlockID(r[0]), blocks: r[1], up: true})
 		}
 	}
 	ref := newSpareRef(c, cfg)
@@ -321,9 +335,9 @@ func runSpareStore(t testing.TB, c spareStoreCase, s spareScript, steps int) {
 				continue
 			}
 			blk := &ref.blocks[b]
-			wp, _ := dev.WritePointer(b)
-			ec, _ := dev.EraseCount(b)
-			bad, _ := dev.BadBlock(b)
+			wp, _ := facts.WritePointer(b)
+			ec, _ := facts.EraseCount(b)
+			bad, _ := facts.BadBlock(b)
 			if wp != blk.wp || ec != blk.eraseCount || bad != blk.retired {
 				t.Fatalf("step %d, %s: block %d has write pointer %d, erase count %d, bad %v; want %d, %d, %v",
 					step, c, b, wp, ec, bad, blk.wp, blk.eraseCount, blk.retired)
@@ -465,6 +479,7 @@ func TestWriteSeqLimit(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.PagesPerBlock = 4
 	d := MustNewDevice(cfg)
+	w := whole(t, d)
 	if err := d.SetFaultPlan(FaultPlan{Schedule: []FaultEvent{{Op: OpPageWrite, AtCount: 2, Cut: CutBefore}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -482,11 +497,11 @@ func TestWriteSeqLimit(t *testing.T) {
 	if seq, err := d.WritePage(1, SpareArea{Logical: 1, BlockType: BlockUser}, PurposeUserWrite); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("WritePage past sequence 2⁵⁶−1 = (%d, %v), want ErrOutOfRange", seq, err)
 	}
-	if d.SimulatedTime() != before || d.opSeq[OpPageWrite].Load() != 1 || !d.Powered() {
+	if d.SimulatedTime() != before || d.opSeq[OpPageWrite].Load() != 1 || !w.Powered() {
 		t.Errorf("the refused program cost %v, counted %d attempts and left power %v; want 0, 1 and on",
-			d.SimulatedTime()-before, d.opSeq[OpPageWrite].Load(), d.Powered())
+			d.SimulatedTime()-before, d.opSeq[OpPageWrite].Load(), w.Powered())
 	}
-	if wp, _ := d.WritePointer(0); wp != 1 {
+	if wp, _ := w.WritePointer(0); wp != 1 {
 		t.Errorf("write pointer %d after the refusal, want 1", wp)
 	}
 }

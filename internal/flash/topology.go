@@ -61,72 +61,6 @@ func (c Config) ChannelBlockRange(channel int) (lo, hi BlockID) {
 	return lo, hi
 }
 
-// Plane is the device interface the FTLs program against. Both the whole
-// *Device and a *Partition (a contiguous block range of a device) implement
-// it, which is how the sharded ftl.Engine runs an unmodified FTL per channel.
-type Plane interface {
-	// Config describes the plane's geometry: for a partition, Blocks is the
-	// partition's block count and addresses are partition-relative.
-	Config() Config
-	WritePage(ppn PPN, spare SpareArea, p Purpose) (uint64, error)
-	ReadPage(ppn PPN, p Purpose) error
-	ReadSpare(ppn PPN, p Purpose) (SpareArea, bool, error)
-	EraseBlock(block BlockID, p Purpose) error
-	// NoteTrim records a host trim of the page at ppn in the invalidation
-	// counters (OpTrim). It is a zero-latency accounting event, not an IO.
-	NoteTrim(ppn PPN, p Purpose) error
-	WritePointer(block BlockID) (int, error)
-	EraseCount(block BlockID) (int, error)
-	// ReadCount returns the full-page reads a block has absorbed since its
-	// last erase (the read-disturb accumulation the scrubber watches), and
-	// BadBlock whether the block has been retired as a grown bad block.
-	// Both model controller bookkeeping (read counters, the bad-block
-	// table), like WritePointer and EraseCount, and are not IO.
-	ReadCount(block BlockID) (int, error)
-	BadBlock(block BlockID) (bool, error)
-	BlocksEndurance() (min, max int, mean float64)
-	// Counters, SimulatedTime and ResetCounters report and reset the IO
-	// accounting of the underlying device. For a partition they are scoped
-	// to the dies its block range touches, so concurrent shards account (and
-	// time) their IO independently; the scoping is exact when partitions are
-	// die-aligned (the sharded ftl.Engine rounds its shards to die
-	// boundaries whenever the geometry allows), and approximate — neighbors
-	// on a shared die bleed into each other's numbers — otherwise.
-	Counters() Counters
-	SimulatedTime() time.Duration
-	ResetCounters()
-	// BusyUntil returns the virtual-timeline instant at which the plane's
-	// most recently issued operation completes (scoped to the partition's
-	// dies for a *Partition, floored at the plane's arrival clock). The
-	// latency instrumentation subtracts a round's arrival instant
-	// (SyncArrival) from it to obtain per-operation service times that
-	// include queueing behind the die.
-	BusyUntil() time.Duration
-	// SyncArrival advances the plane's arrival clock to BusyUntil and
-	// returns it: subsequent operations on the plane start no earlier than
-	// this instant. For a *Device the clock is device-wide; for a
-	// *Partition it is the partition's own, so concurrent shards' arrival
-	// stamps never interfere with (or lock) each other's dies.
-	SyncArrival() time.Duration
-	// AdvanceArrival ratchets the plane's arrival clock forward to at least
-	// t (never backward): subsequent operations start no earlier than t.
-	// Open-loop drivers use it to stamp an operation's generated arrival
-	// instant before issuing it, so an op that reaches an idle plane still
-	// starts at its arrival time rather than at the plane's last completion.
-	AdvanceArrival(t time.Duration)
-	// PowerFail, PowerOn and Powered operate on the plane's own power
-	// domain: the whole device for a *Device, the partition's domain for a
-	// *Partition. Partitions of one device fail and recover independently.
-	PowerFail()
-	PowerOn()
-	Powered() bool
-}
-
-var (
-	_ Plane = (*Device)(nil)
-	_ Plane = (*Partition)(nil)
-)
-
 // Partition is a view over a contiguous block range of a Device. Block IDs
 // and physical page numbers are partition-relative: block 0 of the partition
 // is block base of the device. IO issued through a partition is executed and
@@ -300,13 +234,20 @@ func (p *Partition) ReadSpare(ppn PPN, pu Purpose) (SpareArea, bool, error) {
 	return p.dev.readSpare(ppn+p.ppnOffset(), addr, pu, p.floor())
 }
 
-// NoteTrim records a host trim of the partition-relative page ppn.
+// NoteTrim records a host trim (discard) of the partition-relative page ppn:
+// the host no longer needs the page's contents and the FTL has marked them
+// invalid. NAND has no trim primitive, so the record costs no device time; it
+// exists so the invalidation counters can report how much invalid space the
+// host supplied next to the IO the FTL spent on it (Counters, OpTrim). The
+// page itself is untouched — only an erase of its block reclaims it. The
+// record still raises the die's busy-until to the partition's arrival clock,
+// which SyncArrival reads.
 func (p *Partition) NoteTrim(ppn PPN, pu Purpose) error {
 	addr, err := p.checkPPN(ppn)
 	if err != nil {
 		return err
 	}
-	p.dev.noteTrim(addr.Block, pu, p.floor())
+	p.dev.record(p.dev.die(addr.Block), OpTrim, pu, 0, p.floor())
 	return nil
 }
 
@@ -318,7 +259,9 @@ func (p *Partition) EraseBlock(block BlockID, pu Purpose) error {
 	return p.dev.eraseBlock(block+p.base, pu, p.floor(), &p.powered)
 }
 
-// WritePointer returns the write pointer of the partition-relative block.
+// WritePointer returns the next free page offset of the partition-relative
+// block (PagesPerBlock when the block is full). It models the FTL's own
+// in-RAM knowledge of its active blocks and is not an IO.
 func (p *Partition) WritePointer(block BlockID) (int, error) {
 	if err := p.checkBlock(block); err != nil {
 		return 0, err
@@ -326,7 +269,8 @@ func (p *Partition) WritePointer(block BlockID) (int, error) {
 	return p.dev.blocks[block+p.base].writePointer, nil
 }
 
-// EraseCount returns the erase count of the partition-relative block.
+// EraseCount returns the number of erases the partition-relative block has
+// endured. Not an IO.
 func (p *Partition) EraseCount(block BlockID) (int, error) {
 	if err := p.checkBlock(block); err != nil {
 		return 0, err
@@ -334,7 +278,10 @@ func (p *Partition) EraseCount(block BlockID) (int, error) {
 	return p.dev.blocks[block+p.base].eraseCount, nil
 }
 
-// ReadCount returns the read-disturb count of the partition-relative block.
+// ReadCount returns the full-page reads the partition-relative block has
+// absorbed since its last erase: the read-disturb accumulation the FTL's
+// scrubber watches. It models the controller's per-block read counter and is
+// not an IO.
 func (p *Partition) ReadCount(block BlockID) (int, error) {
 	if err := p.checkBlock(block); err != nil {
 		return 0, err
@@ -342,7 +289,10 @@ func (p *Partition) ReadCount(block BlockID) (int, error) {
 	return p.dev.blocks[block+p.base].readCount, nil
 }
 
-// BadBlock reports whether the partition-relative block has been retired.
+// BadBlock reports whether the partition-relative block has been retired (a
+// failed erase, or an erase attempted past the block's budget). It models the
+// controller's bad-block table — device truth that survives power failures —
+// and is not an IO.
 func (p *Partition) BadBlock(block BlockID) (bool, error) {
 	if err := p.checkBlock(block); err != nil {
 		return false, err
@@ -433,4 +383,4 @@ func (p *Partition) PowerOn() { p.powered.Store(true) }
 
 // Powered reports whether the partition has power: its own domain must be up
 // and the parent device's shared rail must be up.
-func (p *Partition) Powered() bool { return p.powered.Load() && p.dev.Powered() }
+func (p *Partition) Powered() bool { return p.powered.Load() && p.dev.powered.Load() }

@@ -204,7 +204,7 @@ func TestPartitionTranslation(t *testing.T) {
 	if err := part.EraseBlock(0, PurposeGCErase); err != nil {
 		t.Fatal(err)
 	}
-	if wp, err := dev.WritePointer(32); err != nil || wp != 0 {
+	if wp, err := whole(t, dev).WritePointer(32); err != nil || wp != 0 {
 		t.Fatalf("device write pointer = %d err=%v, want 0", wp, err)
 	}
 	// Endurance is restricted to the partition's range.
@@ -233,7 +233,7 @@ func TestPartitionPowerDomainsIndependent(t *testing.T) {
 	if a.Powered() {
 		t.Fatal("partition a reports powered after its PowerFail")
 	}
-	if !b.Powered() || !dev.Powered() {
+	if !b.Powered() || !dev.powered.Load() {
 		t.Fatal("failing partition a took down partition b or the device")
 	}
 	if _, err := a.WritePage(0, SpareArea{}, PurposeUserWrite); !errors.Is(err, ErrPowerFailed) {

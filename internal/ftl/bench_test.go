@@ -32,8 +32,9 @@ func BenchmarkPickVictim(b *testing.B) {
 	}
 }
 
-// steadyStateFTL builds an FTL over a plane of the given number of 64-page
-// blocks, written through once and overwritten uniformly once more.
+// steadyStateFTL builds an FTL over a whole-device partition of the given
+// number of 64-page blocks, written through once and overwritten uniformly
+// once more.
 func steadyStateFTL(b *testing.B, blocks int, options func(int) Options) *FTL {
 	f, err := New(newTestDevice(b, blocks, 64, 4096), options(1024))
 	if err != nil {
@@ -54,7 +55,7 @@ func steadyStateFTL(b *testing.B, blocks int, options func(int) Options) *FTL {
 }
 
 // benchmarkFTLWrite times one steady-state FTL.Write below the engine: a
-// 1024-block plane written through once and overwritten uniformly once more
+// 1024-block partition written through once and overwritten uniformly once more
 // before the timer starts.
 func benchmarkFTLWrite(b *testing.B, options func(int) Options) {
 	f := steadyStateFTL(b, 1024, options)

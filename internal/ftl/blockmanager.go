@@ -191,7 +191,7 @@ func (x *fullBlocks) clear() {
 // keeps the Blocks Validity Counter and per-block wear state, and hands out
 // garbage-collection victims.
 type blockManager struct {
-	dev    flash.Plane
+	dev    *flash.Partition
 	cfg    flash.Config
 	blocks []blockInfo
 	free   []flash.BlockID
@@ -244,7 +244,7 @@ type blockManager struct {
 }
 
 // newBlockManager creates a block manager with every block free.
-func newBlockManager(dev flash.Plane, gcReserve int, hotCold, wearAware bool) *blockManager {
+func newBlockManager(dev *flash.Partition, gcReserve int, hotCold, wearAware bool) *blockManager {
 	cfg := dev.Config()
 	bm := &blockManager{
 		dev:       dev,

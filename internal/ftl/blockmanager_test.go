@@ -6,7 +6,21 @@ import (
 	"geckoftl/internal/flash"
 )
 
-func newTestDevice(t testing.TB, blocks, pagesPerBlock, pageSize int) *flash.Device {
+// wholeDevice returns a partition spanning all of dev. Every FTL runs on a
+// partition, an Engine shard's or this one, so a test's lone FTL or block
+// manager is built on it.
+func wholeDevice(t testing.TB, dev *flash.Device) *flash.Partition {
+	t.Helper()
+	part, err := dev.Partition(0, dev.Config().Blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return part
+}
+
+// newTestDevice returns a whole-device partition of a new device of the
+// given geometry.
+func newTestDevice(t testing.TB, blocks, pagesPerBlock, pageSize int) *flash.Partition {
 	t.Helper()
 	cfg := flash.ScaledConfig(blocks)
 	cfg.PagesPerBlock = pagesPerBlock
@@ -15,7 +29,7 @@ func newTestDevice(t testing.TB, blocks, pagesPerBlock, pageSize int) *flash.Dev
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dev
+	return wholeDevice(t, dev)
 }
 
 func TestGroupNamesAndTypes(t *testing.T) {

@@ -20,7 +20,7 @@ func deterministicRun(t *testing.T, opts Options) ([]flash.BlockID, Stats, int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(dev, opts)
+	f, err := New(wholeDevice(t, dev), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPickVictimTieBreaksByLowestBlockID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bm := newBlockManager(dev, 2, false, false)
+	bm := newBlockManager(wholeDevice(t, dev), 2, false, false)
 	// Fill three user blocks; invalidate every page of the second and third
 	// so they tie perfectly (same valid count, same score); then open a
 	// fresh active block so none of the candidates is a frontier.

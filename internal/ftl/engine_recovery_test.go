@@ -290,7 +290,7 @@ func TestEngineShardsDieAligned(t *testing.T) {
 	}
 	owner := map[int]int{} // die -> shard
 	for i := 0; i < e.Shards(); i++ {
-		part := e.Shard(i).Device().(*flash.Partition)
+		part := e.Shard(i).Device()
 		lo := cfg.DieOfBlock(part.Base())
 		hi := cfg.DieOfBlock(part.Base() + flash.BlockID(part.Config().Blocks) - 1)
 		for die := lo; die <= hi; die++ {

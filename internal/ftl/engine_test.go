@@ -90,7 +90,7 @@ func TestEngineSingleShardMatchesFTL(t *testing.T) {
 	run(e.Write, e.LogicalPages())
 
 	ftlDev := engineTestDevice(t, 128, 1)
-	f, err := New(ftlDev, GeckoFTLOptions(128))
+	f, err := New(wholeDevice(t, ftlDev), GeckoFTLOptions(128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestOneShardEngineMatchesBareFTL(t *testing.T) {
 	for _, opts := range []Options{GeckoFTLOptions(96), DFTLOptions(96), LazyFTLOptions(96), MuFTLOptions(96), IBFTLOptions(96)} {
 		t.Run(opts.FTL.String(), func(t *testing.T) {
 			bareDev, engDev := engineTestDevice(t, 128, 1), engineTestDevice(t, 128, 1)
-			bare, err := New(bareDev, opts)
+			bare, err := New(wholeDevice(t, bareDev), opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,9 +11,10 @@ import (
 	"geckoftl/internal/flash"
 )
 
-// hammerDevice builds a single-channel device for fault campaigns.
+// hammerDevice builds a single-channel device for fault campaigns and
+// returns a partition spanning it.
 // maxErase > 0 bounds every block's erase budget.
-func hammerDevice(t *testing.T, blocks, maxErase int, plan flash.FaultPlan) *flash.Device {
+func hammerDevice(t *testing.T, blocks, maxErase int, plan flash.FaultPlan) *flash.Partition {
 	t.Helper()
 	cfg := flash.ScaledConfig(blocks)
 	cfg.PagesPerBlock = 16
@@ -26,7 +27,7 @@ func hammerDevice(t *testing.T, blocks, maxErase int, plan flash.FaultPlan) *fla
 	if err := dev.SetFaultPlan(plan); err != nil {
 		t.Fatal(err)
 	}
-	return dev
+	return wholeDevice(t, dev)
 }
 
 // auditFaultInvariants checks every consistency and wear invariant the FTL

@@ -117,7 +117,7 @@ type FTL struct {
 	facts      facts
 	dirtyLimit int
 
-	dev   flash.Plane
+	dev   *flash.Partition
 	cfg   flash.Config
 	bm    *blockManager
 	table *translationTable
@@ -163,8 +163,12 @@ type FTL struct {
 	syncUncertain []flash.LPN
 }
 
-// New creates an FTL over the device with the given options.
-func New(dev flash.Plane, opts Options) (*FTL, error) {
+// New creates an FTL over a partition of a device with the given options.
+// An Engine gives each shard one partition; a lone FTL runs on a partition
+// spanning the whole device (Device.Partition(0, blocks)). The partition's
+// methods take no lock, so the caller holds Partition.Latch around the FTL's
+// calls or is the partition's only user.
+func New(dev *flash.Partition, opts Options) (*FTL, error) {
 	cfg := dev.Config()
 	if err := opts.validate(cfg); err != nil {
 		return nil, err
@@ -248,9 +252,8 @@ func (f *FTL) Name() string { return f.opts.FTL.String() }
 // Options returns the FTL's configuration.
 func (f *FTL) Options() Options { return f.opts }
 
-// Device returns the flash plane the FTL programs against: the whole device,
-// or one partition of it when the FTL is a shard of an Engine.
-func (f *FTL) Device() flash.Plane { return f.dev }
+// Device returns the partition the FTL programs against.
+func (f *FTL) Device() *flash.Partition { return f.dev }
 
 // Stats returns the FTL's logical operation counters. The fault-tolerance
 // fields live in the block manager (which owns retirement and retry) and are

@@ -9,7 +9,7 @@ import (
 )
 
 // newIncrementalGecko builds a GeckoFTL with the incremental GC scheduler.
-func newIncrementalGecko(t *testing.T, dev flash.Plane, cacheEntries, pagesPerWrite int) *FTL {
+func newIncrementalGecko(t *testing.T, dev *flash.Partition, cacheEntries, pagesPerWrite int) *FTL {
 	t.Helper()
 	opts := GeckoFTLOptions(cacheEntries)
 	opts.GCMode = GCIncremental

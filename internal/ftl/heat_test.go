@@ -61,7 +61,7 @@ func TestHotColdFrontiersFillDistinctBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bm := newBlockManager(dev, 2, true, false)
+	bm := newBlockManager(wholeDevice(t, dev), 2, true, false)
 	hot, err := bm.AllocateUserPage(TempHot, flash.SpareArea{Logical: 1}, flash.PurposeUserWrite)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestHotColdFrontiersFillDistinctBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bmOff := newBlockManager(dev2, 2, false, false)
+	bmOff := newBlockManager(wholeDevice(t, dev2), 2, false, false)
 	h2, err := bmOff.AllocateUserPage(TempHot, flash.SpareArea{Logical: 3}, flash.PurposeUserWrite)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestWearAwareTakesColdestFreeBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bm := newBlockManager(dev, 2, false, true)
+	bm := newBlockManager(wholeDevice(t, dev), 2, false, true)
 	// Cycle a few blocks through allocate/erase to wear them, then free
 	// everything and check the allocator prefers the unworn ones.
 	worn := map[flash.BlockID]bool{}
@@ -148,7 +148,7 @@ func TestCostBenefitPrefersOldInvalidBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bm := newBlockManager(dev, 2, false, false)
+	bm := newBlockManager(wholeDevice(t, dev), 2, false, false)
 	fill := func() flash.BlockID {
 		var block flash.BlockID
 		for p := 0; p < cfg.PagesPerBlock; p++ {

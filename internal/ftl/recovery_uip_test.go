@@ -31,7 +31,7 @@ func TestNoDoubleInvalidationAfterRecovery(t *testing.T) {
 		}
 		opts := GeckoFTLOptions(256)
 		opts.HotColdSeparation = hotCold
-		f, err := New(dev, opts)
+		f, err := New(wholeDevice(t, dev), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -115,13 +115,13 @@ func failedCheckpointRun(t *testing.T) *FTL {
 	// One more cache operation makes the checkpoint due without programming
 	// anything: refresh the most recently used entry.
 	f.cache.Put(f.cache.Entries()[0])
-	if err := dev.SetFaultPlan(flash.FaultPlan{Schedule: []flash.FaultEvent{{Op: flash.OpPageWrite, AtCount: 1, Cut: flash.CutBefore}}}); err != nil {
+	if err := dev.Device().SetFaultPlan(flash.FaultPlan{Schedule: []flash.FaultEvent{{Op: flash.OpPageWrite, AtCount: 1, Cut: flash.CutBefore}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.maybeCheckpoint(); !errors.Is(err, flash.ErrPowerFailed) {
 		t.Fatalf("checkpoint under a cut returned %v, want %v", err, flash.ErrPowerFailed)
 	}
-	if err := dev.SetFaultPlan(flash.FaultPlan{}); err != nil {
+	if err := dev.Device().SetFaultPlan(flash.FaultPlan{}); err != nil {
 		t.Fatal(err)
 	}
 	return f

@@ -7,7 +7,7 @@ import (
 	"geckoftl/internal/flash"
 )
 
-func newTestTable(t *testing.T) (*blockManager, *translationTable, *flash.Device) {
+func newTestTable(t *testing.T) (*blockManager, *translationTable, *flash.Partition) {
 	t.Helper()
 	dev := newTestDevice(t, 16, 8, 512)
 	bm := newBlockManager(dev, 2, false, false)

@@ -256,7 +256,7 @@ func TestFullBlockIndexFollowsBlockState(t *testing.T) {
 		plan.Schedule = append(plan.Schedule, flash.FaultEvent{Op: flash.OpPageWrite, AtCount: at})
 	}
 	plan.Schedule = append(plan.Schedule, flash.FaultEvent{Op: flash.OpErase, AtCount: 2})
-	if err := dev.SetFaultPlan(plan); err != nil {
+	if err := dev.Device().SetFaultPlan(plan); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))

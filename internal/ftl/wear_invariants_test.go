@@ -131,7 +131,7 @@ func TestEraseCountsRebasedAfterRecovery(t *testing.T) {
 	}
 	opts := GeckoFTLOptions(256)
 	opts.WearAwareAllocation = true
-	f, err := New(dev, opts)
+	f, err := New(wholeDevice(t, dev), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

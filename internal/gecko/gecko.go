@@ -72,12 +72,20 @@ func New(cfg Config, store metastore.Storage) (*Gecko, error) {
 		return nil, fmt.Errorf("gecko: nil store")
 	}
 	return &Gecko{
-		cfg:         cfg,
-		sz:          cfg.sizes(),
-		store:       store,
-		buf:         newBuffer(cfg),
-		levels:      make([][]*run, cfg.Levels()+1),
-		pageContent: make(map[flash.PPN]slab),
+		cfg:    cfg,
+		sz:     cfg.sizes(),
+		store:  store,
+		buf:    newBuffer(cfg),
+		levels: make([][]*run, cfg.Levels()+1),
+		// Live runs hold at most about 2×LargestRunPages pages (Appendix
+		// B), and every flush and merge deletes the pages it supersedes and
+		// inserts its output's. A delete from a full 8-slot group leaves a
+		// tombstone, and tombstones make the map grow; in a map sized to
+		// the bound, whether that happens in a given stretch of writes
+		// depends on its random hash seed. At four times the bound the
+		// table stays about a quarter full, groups almost never fill, and
+		// the map does not grow after New.
+		pageContent: make(map[flash.PPN]slab, 8*cfg.LargestRunPages()),
 		free:        newSlabList(cfg),
 		nextRunID:   1,
 	}, nil
