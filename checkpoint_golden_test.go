@@ -16,19 +16,20 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden checkpoint files")
 
-// goldenCheckpointBytes produces the canonical deterministic checkpoint: a
-// fixed single-channel device under a fixed seeded workload, cleanly
-// closed. Single-channel matters: with multiple shards the device-global
-// write sequence is assigned in goroutine-interleaving order, so only a
-// one-shard device checkpoints to reproducible bytes across runs and hosts.
-func goldenCheckpointBytes(t *testing.T) []byte {
+// goldenCheckpointBytes produces a canonical deterministic checkpoint: a
+// fixed device, shaped further by extra (a channel count, one shard a
+// channel), under a fixed seeded workload, cleanly closed. Every shard
+// stamps its pages from its own partition's write sequence, so the bytes
+// depend only on the seed, not on how the Go scheduler interleaves the
+// shards of a batch.
+func goldenCheckpointBytes(t *testing.T, extra ...geckoftl.Option) []byte {
 	t.Helper()
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "dev.ckpt")
-	dev := open(t,
+	dev := open(t, append([]geckoftl.Option{
 		geckoftl.WithCacheEntries(512),
 		geckoftl.WithCheckpointPath(path),
-	)
+	}, extra...)...)
 	fillRandom(t, dev, 20160626) // SIGMOD '16 program week
 	if err := dev.Close(ctx); err != nil {
 		t.Fatal(err)
@@ -41,33 +42,47 @@ func goldenCheckpointBytes(t *testing.T) []byte {
 }
 
 // TestCheckpointGoldenV1 pins the version-1 on-disk format byte for byte
-// against a committed golden file. A mismatch means the encoding changed: if
-// intentional, bump checkpoint.Version so old files fall back cleanly, and
-// regenerate with `go test -run TestCheckpointGoldenV1 -update ./...`.
+// against committed golden files, for a one-shard and a four-shard device.
+// A mismatch means the encoding changed or a shard's state came to depend on
+// its siblings' timing: if the encoding change is intentional, bump
+// checkpoint.Version so old files fall back cleanly, and regenerate with
+// `go test -run TestCheckpointGoldenV1 -update .`. CI runs it at several
+// GOMAXPROCS values, which is where a scheduling dependence shows.
 func TestCheckpointGoldenV1(t *testing.T) {
-	data := goldenCheckpointBytes(t)
-	golden := filepath.Join("testdata", "checkpoint_v1.golden")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(data, want) {
-		t.Fatalf("checkpoint bytes diverge from the committed v1 golden (%d bytes now, %d committed): format or determinism regression", len(data), len(want))
-	}
-	f, err := checkpoint.Decode(want)
-	if err != nil {
-		t.Fatalf("committed golden no longer decodes: %v", err)
-	}
-	if f.Version != 1 {
-		t.Fatalf("golden decodes as version %d, want 1", f.Version)
+	for _, tc := range []struct {
+		name   string
+		golden string
+		extra  []geckoftl.Option
+	}{
+		{"1ch", "checkpoint_v1.golden", nil},
+		{"4ch", "checkpoint_v1_4ch.golden", []geckoftl.Option{geckoftl.WithChannels(4, 1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := goldenCheckpointBytes(t, tc.extra...)
+			golden := filepath.Join("testdata", tc.golden)
+			if *updateGolden {
+				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("reading golden (regenerate with -update): %v", err)
+			}
+			if !bytes.Equal(data, want) {
+				t.Fatalf("checkpoint bytes diverge from the committed v1 golden (%d bytes now, %d committed): format or determinism regression", len(data), len(want))
+			}
+			f, err := checkpoint.Decode(want)
+			if err != nil {
+				t.Fatalf("committed golden no longer decodes: %v", err)
+			}
+			if f.Version != 1 {
+				t.Fatalf("golden decodes as version %d, want 1", f.Version)
+			}
+		})
 	}
 }
 

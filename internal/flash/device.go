@@ -16,8 +16,6 @@ type blockState struct {
 	writePointer int
 	// eraseCount is the number of erases the block has endured.
 	eraseCount int
-	// eraseSeq is the global erase counter value at the block's last erase.
-	eraseSeq uint64
 	// tags holds the Tag and Aux spare fields of the block's pages. Only
 	// metadata pages set them, so it stays nil until the first page of the
 	// block's current cycle that does; an erase clears it and hands it to
@@ -38,7 +36,7 @@ type blockState struct {
 	retired bool
 	// die is the index of the die the block resides on, Config.DieOfBlock
 	// computed once by NewDevice so that no operation divides for it. It
-	// sits in retired's padding: the struct stays 88 bytes.
+	// sits in retired's padding: the struct stays 80 bytes.
 	die int32
 }
 
@@ -72,13 +70,14 @@ type dieState struct {
 	// busyUntil is the instant, on the device-wide virtual timeline, at which
 	// the die's most recently issued operation completes, in nanoseconds.
 	// Unlike the counters' elapsed time it respects idle gaps: an operation
-	// issued after the arrival clock (see Device.SyncArrival) has moved past
-	// the die's last completion starts at the arrival instant, not
-	// back-to-back. The latency instrumentation derives per-operation service
-	// times — queueing behind the die included — from this clock. record
-	// reads and writes it under the latch; it only grows, so readers
-	// (busyUntilOverDies) load it without the latch and see an instant the
-	// die has reached, at worst one operation behind a racing writer.
+	// issued through a partition whose arrival clock (see
+	// Partition.SyncArrival) has moved past the die's last completion starts
+	// at the arrival instant, not back-to-back. The latency instrumentation
+	// derives per-operation service times — queueing behind the die
+	// included — from this clock. record reads and writes it under the
+	// latch; it only grows, so readers (busyUntilOverDies) load it without
+	// the latch and see an instant the die has reached, at worst one
+	// operation behind a racing writer.
 	busyUntil atomic.Int64
 	// freeTags holds the cleared tag rows of the die's erased blocks, for
 	// the next of its blocks that programs a metadata page.
@@ -111,17 +110,12 @@ type Device struct {
 	// WriteSeq starts at 1, so a zero stamp is a page not programmed since
 	// its block's last erase. A page's entries are guarded by the latch of
 	// its block's die.
-	logical  []int32
-	stamp    []uint64
+	logical []int32
+	stamp   []uint64
+	// writeSeq stamps the pages programmed through the Device's own
+	// methods; a Partition stamps its pages from its own sequence.
 	writeSeq atomic.Uint64
-	eraseSeq atomic.Uint64
 	powered  atomic.Bool
-	// arrival is the device-wide arrival clock in nanoseconds: no operation
-	// starts before it. Callers that dispatch work in rounds (the sharded
-	// ftl.Engine's batches) ratchet it forward with SyncArrival so that
-	// per-operation latencies measure queueing within the current round
-	// rather than against dies idle since an earlier one.
-	arrival atomic.Int64
 	// faults, when non-nil, is the installed fault plan (SetFaultPlan).
 	faults *FaultPlan
 	// opSeq counts attempts per operation kind device-wide; scripted fault
@@ -194,17 +188,14 @@ func (d *Device) latch(block BlockID) *sync.Mutex {
 
 // record charges one operation to a die (whose latch the caller holds)
 // and advances the die's busy-until clock: the operation starts when the die
-// is free, the device-wide arrival clock has been reached, and the caller's
-// extra floor (a partition's own arrival clock) has passed; it completes one
-// latency later. The floor is what keeps an operation issued to an idle die
-// of a multi-die partition from starting "in the past" relative to the
-// partition's clock, which would under-report its latency.
+// is free and the caller's floor (a partition's arrival clock, zero for the
+// Device's own IO) has passed; it completes one latency later. The floor is
+// what keeps an operation issued to an idle die of a multi-die partition from
+// starting "in the past" relative to the partition's clock, which would
+// under-report its latency.
 func (d *Device) record(die *dieState, op Op, p Purpose, cost, floor time.Duration) {
 	die.counters.Record(op, p, cost)
 	start := time.Duration(die.busyUntil.Load())
-	if a := time.Duration(d.arrival.Load()); a > start {
-		start = a
-	}
 	if floor > start {
 		start = floor
 	}
@@ -235,11 +226,12 @@ func (d *Device) checkPage(block BlockID, offset int) error {
 // WritePage programs the page at ppn together with its spare area. It
 // enforces the NAND constraints: the page must be free and, when strict
 // sequential writes are enabled, must be the block's next free page.
-// The returned sequence number is the device-wide write timestamp recorded in
-// the spare area. A Logical outside [InvalidLPN, 2³¹−1], or a program once
-// the write sequence has reached 2⁵⁶−1, is refused with ErrOutOfRange, as a
-// bad address is: before the block is looked at, at no device time and
-// without counting a fault-plan attempt.
+// The returned sequence number is the write timestamp recorded in the spare
+// area, drawn from the Device's own sequence (a Partition stamps from its
+// own; see Partition.WritePage). A Logical outside [InvalidLPN, 2³¹−1], or a
+// program once the write sequence has reached 2⁵⁶−1, is refused with
+// ErrOutOfRange, as a bad address is: before the block is looked at, at no
+// device time and without counting a fault-plan attempt.
 func (d *Device) WritePage(ppn PPN, spare SpareArea, p Purpose) (uint64, error) {
 	addr := Decompose(ppn, d.cfg.PagesPerBlock)
 	if err := d.checkPage(addr.Block, addr.Offset); err != nil {
@@ -248,23 +240,24 @@ func (d *Device) WritePage(ppn PPN, spare SpareArea, p Purpose) (uint64, error) 
 	latch := d.latch(addr.Block)
 	latch.Lock()
 	defer latch.Unlock()
-	return d.writePage(ppn, addr, spare, p, 0, &d.powered)
+	return d.writePage(ppn, addr, spare, p, 0, &d.powered, &d.writeSeq)
 }
 
 // writePage is the body of WritePage and Partition.WritePage: it programs the
 // checked device address addr (ppn decomposed) with the die's latch held, or
 // with no other user of the die. floor is a start floor on the virtual
-// timeline (see record) and rail the power domain a scheduled cut drops;
-// partitions pass their own arrival clock and domain.
-func (d *Device) writePage(ppn PPN, addr Addr, spare SpareArea, p Purpose, floor time.Duration, rail *atomic.Bool) (uint64, error) {
+// timeline (see record), rail the power domain a scheduled cut drops and
+// writeSeq the sequence the page's stamp is drawn from; partitions pass their
+// own arrival clock, domain and sequence.
+func (d *Device) writePage(ppn PPN, addr Addr, spare SpareArea, p Purpose, floor time.Duration, rail *atomic.Bool, writeSeq *atomic.Uint64) (uint64, error) {
 	if spare.Logical < InvalidLPN || spare.Logical > maxSpareLogical {
 		return 0, fmt.Errorf("%w: logical page %d outside the spare image's [%d, %d]",
 			ErrOutOfRange, spare.Logical, InvalidLPN, maxSpareLogical)
 	}
-	// The sequence is device-wide, so programs racing on other dies at the
-	// very bound could each pass, which the 2⁵⁶ programs it takes to get
-	// there put out of reach.
-	if d.writeSeq.Load() >= maxWriteSeq {
+	// The Device's own sequence is shared by its dies, so programs racing on
+	// other dies at the very bound could each pass, which the 2⁵⁶ programs it
+	// takes to get there put out of reach.
+	if writeSeq.Load() >= maxWriteSeq {
 		return 0, fmt.Errorf("%w: write sequence exhausted at %d", ErrOutOfRange, uint64(maxWriteSeq))
 	}
 	die := d.die(addr.Block)
@@ -306,7 +299,7 @@ func (d *Device) writePage(ppn PPN, addr Addr, spare SpareArea, p Purpose, floor
 			return 0, fmt.Errorf("%w: %v", ErrProgramFailed, addr)
 		}
 	}
-	seq := d.writeSeq.Add(1)
+	seq := writeSeq.Add(1)
 	d.logical[ppn] = int32(spare.Logical)
 	d.stamp[ppn] = seq<<stampTypeBits | uint64(spare.BlockType)
 	if spare.Tag != 0 || spare.Aux != 0 {
@@ -412,15 +405,14 @@ func (d *Device) readSpare(ppn PPN, addr Addr, p Purpose, floor time.Duration) (
 		// program skipped (StrictSequentialWrites off). Its spare is empty.
 		return SpareArea{}, true, nil
 	}
-	// Only an erase changes the block's erase count and sequence, and an
-	// erase empties every page, so their current values are the ones the
-	// page was programmed under.
+	// Only an erase changes the block's erase count, and an erase empties
+	// every page, so its current value is the one the page was programmed
+	// under.
 	spare := SpareArea{
 		Logical:    LPN(d.logical[ppn]),
 		WriteSeq:   stamp >> stampTypeBits,
 		BlockType:  BlockType(stamp),
 		EraseCount: uint32(blk.eraseCount),
-		EraseSeq:   blk.eraseSeq,
 	}
 	if blk.tags != nil {
 		t := blk.tags[addr.Offset]
@@ -483,7 +475,6 @@ func (d *Device) eraseBlock(block BlockID, p Purpose, floor time.Duration, rail 
 		blk.tags = nil
 	}
 	blk.eraseCount++
-	blk.eraseSeq = d.eraseSeq.Add(1)
 	blk.writePointer = 0
 	blk.readCount = 0
 	blk.bad = nil
@@ -494,8 +485,10 @@ func (d *Device) eraseBlock(block BlockID, p Purpose, floor time.Duration, rail 
 	return nil
 }
 
-// GlobalWriteSeq returns the device-wide write sequence number. Not an IO.
-func (d *Device) GlobalWriteSeq() uint64 { return d.writeSeq.Load() }
+// WriteSeq returns the write sequence of the pages programmed through the
+// Device's own methods; a partition's programs advance the partition's
+// (Partition.WriteSeq). Not an IO.
+func (d *Device) WriteSeq() uint64 { return d.writeSeq.Load() }
 
 // Counters returns a snapshot of the IO counters aggregated over all dies.
 // With concurrent callers in flight the snapshot is per-die consistent but
@@ -581,42 +574,19 @@ func (d *Device) timeOverDies(lo, hi int, lock bool) time.Duration {
 	return total
 }
 
-// SyncArrival advances the device-wide arrival clock to the completion
-// instant of all work issued so far (the latest die busy-until) and returns
-// it. Callers that dispatch operations in rounds — the sharded ftl.Engine
-// calls it once per batch, and once per single-page operation — use the
-// returned instant as the round's arrival time: a subsequent operation's
-// latency is its completion minus this arrival, which charges queueing
-// behind earlier operations of the same round on the same die, but not idle
-// time from before the round. The clock only moves forward.
-func (d *Device) SyncArrival() time.Duration {
-	now := d.BusyUntil()
-	for {
-		cur := d.arrival.Load()
-		if int64(now) <= cur {
-			return time.Duration(cur)
-		}
-		if d.arrival.CompareAndSwap(cur, int64(now)) {
-			return now
-		}
-	}
-}
-
 // BusyUntil returns the instant on the virtual timeline at which the last
-// operation issued to any die completes, floored at the arrival clock (so an
-// idle device reports the current virtual now rather than a stale
-// completion).
+// operation issued to any die completes: the latest die completion.
 func (d *Device) BusyUntil() time.Duration {
 	return d.busyUntilOverDies(0, len(d.dies))
 }
 
-// busyUntilOverDies returns the latest busy-until instant of dies [lo, hi),
-// floored at the arrival clock. It takes no die latch: every clock it reads
-// only grows, so a reading that races an operation in flight is a lower
-// bound, the instant before that operation's completion was recorded, and
-// successive readings never decrease.
+// busyUntilOverDies returns the latest busy-until instant of dies [lo, hi).
+// It takes no die latch: every clock it reads only grows, so a reading that
+// races an operation in flight is a lower bound, the instant before that
+// operation's completion was recorded, and successive readings never
+// decrease.
 func (d *Device) busyUntilOverDies(lo, hi int) time.Duration {
-	max := time.Duration(d.arrival.Load())
+	var max time.Duration
 	for i := lo; i < hi; i++ {
 		if t := time.Duration(d.dies[i].busyUntil.Load()); t > max {
 			max = t

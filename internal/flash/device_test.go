@@ -196,9 +196,6 @@ func TestEraseFreesPages(t *testing.T) {
 	if ec != 1 {
 		t.Errorf("erase count = %d, want 1", ec)
 	}
-	if seq := d.eraseSeq.Load(); seq != 1 {
-		t.Errorf("global erase seq = %d, want 1", seq)
-	}
 	// The block is writable again.
 	if _, err := d.WritePage(PPNOf(2, 0, cfg.PagesPerBlock), SpareArea{}, PurposeUserWrite); err != nil {
 		t.Errorf("write after erase: %v", err)
@@ -220,9 +217,6 @@ func TestSpareCarriesEraseProvenance(t *testing.T) {
 	}
 	if spare.EraseCount != 1 {
 		t.Errorf("spare erase count = %d, want 1", spare.EraseCount)
-	}
-	if spare.EraseSeq != 1 {
-		t.Errorf("spare erase seq = %d, want 1", spare.EraseSeq)
 	}
 }
 

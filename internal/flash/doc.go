@@ -44,10 +44,12 @@
 // that shards never contend on a die, and a lone FTL runs on a partition that
 // spans the whole device. Besides page IO, a partition answers the
 // controller's per-block bookkeeping (write pointer, erase and read counts,
-// the bad-block table), records host trims, and keeps its own arrival clock
-// and power domain. The Device keeps the page IO, the device-wide counters
-// and clocks, the shared power rail and the fault plan, for callers that
-// drive flash without an FTL. A partition owns the latch of the dies
+// the bad-block table), records host trims, and keeps its own power domain
+// and clocks: the write sequence that stamps its pages and the arrival clock
+// its IO starts from, so a shard's stamps and latencies follow from its own
+// operations alone. The Device keeps its own page IO and sequence, the
+// counters, the shared power rail and the fault plan, for callers that drive
+// flash without an FTL. A partition owns the latch of the dies
 // it touches (Partition.Latch; partitions sharing a die share it): Device
 // calls on those dies take it, and the partition's own methods take no lock,
 // because their caller holds it — an engine shard, for a whole host

@@ -40,9 +40,9 @@ func (t BlockType) String() string {
 //
 // The fields mirror what the paper stores there: the logical address written
 // on the page, a monotonically increasing write timestamp, the block type (on
-// the first page of a block), and wear-leveling statistics (Appendix D).
-// Together they take 45 bytes, which fits the out-of-band area of real NAND
-// (64-224 bytes per page) with room for ECC.
+// the first page of a block), and the block's erase count for wear leveling
+// (Appendix D). Together they take 37 bytes, which fits the out-of-band area
+// of real NAND (64-224 bytes per page) with room for ECC.
 //
 // A SpareArea is what WritePage takes and ReadSpare returns, not how the
 // simulator stores it: the device keeps 12 bytes a page (Logical in 4,
@@ -53,11 +53,11 @@ type SpareArea struct {
 	// InvalidLPN for metadata pages. The device holds it in 4 bytes and
 	// refuses a program whose Logical lies outside [InvalidLPN, 2³¹−1].
 	Logical LPN
-	// WriteSeq is the device-wide sequence number of the page program.
-	// It acts as the "timestamp of when the page was last written". The
-	// device assigns it, starting at 1, and ignores the caller's value; it
-	// holds it in 56 bits beside BlockType and refuses programs once the
-	// sequence has reached 2⁵⁶−1.
+	// WriteSeq is the sequence number of the page program within the
+	// partition it went through (or the Device, for the Device's own IO):
+	// the "timestamp of when the page was last written". The device assigns
+	// it, starting at 1, and ignores the caller's value; it holds it in 56
+	// bits beside BlockType and refuses programs once it has reached 2⁵⁶−1.
 	WriteSeq uint64
 	// BlockType is meaningful only on the first page programmed in a
 	// block; it records the block group the block was allocated to.
@@ -68,10 +68,6 @@ type SpareArea struct {
 	// page, because only an erase changes it and an erase empties the block,
 	// so the block's current count is every programmed page's stamp.
 	EraseCount uint32
-	// EraseSeq is the global erase counter value when this page's block
-	// was last erased (the block's erase-timestamp, Appendix D). Stamped by
-	// the device and taken from the block, as EraseCount is.
-	EraseSeq uint64
 	// Tag is free-form metadata for FTL-specific bookkeeping: run IDs for
 	// Logarithmic Gecko pages, translation-page indexes for translation
 	// pages, log sequence numbers for the page validity log. Only metadata

@@ -12,9 +12,10 @@ import (
 
 // The spare-store oracle drives a Device, directly and through partitions,
 // side by side with a reference that keeps a []SpareArea per block and stamps
-// it at program time: the caller's fields, the write sequence number, and the
-// block's erase count and erase sequence as they stood when the page was
-// programmed. Programs (in order, gapped, below the write pointer), erases,
+// it at program time: the caller's fields, the write sequence number of the
+// plane the program came through (each partition has its own, and the
+// Device's own IO another), and the block's erase count as it stood when the
+// page was programmed. Programs (in order, gapped, below the write pointer), erases,
 // page reads, scripted program and erase faults, worn-out retirement and power
 // cuts of the device and of each partition are mixed at random; every
 // WritePage, EraseBlock, ReadPage and ReadSpare must answer exactly as the
@@ -107,17 +108,14 @@ type refBlock struct {
 	bad        []bool
 	wp         int
 	eraseCount int
-	eraseSeq   uint64
 	retired    bool
 }
 
 // spareRef is the reference device.
 type spareRef struct {
-	c        spareStoreCase
-	ppb      int
-	blocks   []refBlock
-	writeSeq uint64
-	eraseSeq uint64
+	c      spareStoreCase
+	ppb    int
+	blocks []refBlock
 	// programs and erases count the attempts the fault plan numbers.
 	programs, erases uint64
 }
@@ -141,12 +139,13 @@ func (r *spareRef) cutAt(op Op, n uint64) PowerCut {
 	return NoCut
 }
 
-// program answers as the device does, and reports in cut whether the attempt
-// dropped the power domain it came through.
-func (r *spareRef) program(block BlockID, off int, spare SpareArea) (seq uint64, cut bool, err error) {
+// program answers as the device does for a program through a plane whose
+// write sequence is writeSeq, and reports in cut whether the attempt dropped
+// the power domain it came through.
+func (r *spareRef) program(writeSeq *uint64, block BlockID, off int, spare SpareArea) (seq uint64, cut bool, err error) {
 	blk := &r.blocks[block]
 	switch {
-	case spare.Logical < InvalidLPN || spare.Logical > math.MaxInt32, r.writeSeq >= 1<<56-1:
+	case spare.Logical < InvalidLPN || spare.Logical > math.MaxInt32, *writeSeq >= 1<<56-1:
 		return 0, false, ErrOutOfRange
 	case blk.retired:
 		return 0, false, ErrProgramFailed
@@ -167,12 +166,11 @@ func (r *spareRef) program(block BlockID, off int, spare SpareArea) (seq uint64,
 		blk.bad[off] = true
 		return 0, cut, ErrProgramFailed
 	}
-	r.writeSeq++
-	spare.WriteSeq = r.writeSeq
+	*writeSeq++
+	spare.WriteSeq = *writeSeq
 	spare.EraseCount = uint32(blk.eraseCount)
-	spare.EraseSeq = blk.eraseSeq
 	blk.spares[off] = spare
-	return r.writeSeq, cut, nil
+	return *writeSeq, cut, nil
 }
 
 // erase answers as the device does, and reports cuts as program does.
@@ -197,8 +195,6 @@ func (r *spareRef) erase(block BlockID) (cut bool, err error) {
 		return cut, ErrEraseFailed
 	}
 	blk.eraseCount++
-	r.eraseSeq++
-	blk.eraseSeq = r.eraseSeq
 	blk.wp = 0
 	clear(blk.spares)
 	clear(blk.bad)
@@ -214,13 +210,16 @@ func (r *spareRef) readSpare(block BlockID, off int) (SpareArea, bool) {
 }
 
 // spareStorePlane is a plane under test: the device or one of its
-// partitions, with the block range it covers and its own power domain.
+// partitions, with the block range it covers, its own power domain and its
+// own write sequence.
 type spareStorePlane struct {
 	spareStoreIO
 	base   BlockID
 	blocks int
 	// up is the plane's own domain; the device's rail is plane 0's.
 	up bool
+	// writeSeq is the reference's copy of the plane's write sequence.
+	writeSeq uint64
 }
 
 // spareStoreIO is what the test calls on a plane, which the Device and a
@@ -230,6 +229,7 @@ type spareStoreIO interface {
 	ReadPage(ppn PPN, p Purpose) error
 	ReadSpare(ppn PPN, p Purpose) (SpareArea, bool, error)
 	EraseBlock(block BlockID, p Purpose) error
+	WriteSeq() uint64
 	PowerFail()
 	PowerOn()
 }
@@ -360,7 +360,7 @@ func runSpareStore(t testing.TB, c spareStoreCase, s spareScript, steps int) {
 			}
 			off = min(off, ppb-1)
 			// The fields are drawn in order; the device must overwrite the
-			// three it stamps, whatever the caller put there.
+			// two it stamps, whatever the caller put there.
 			spare := SpareArea{
 				Logical:   logical(),
 				BlockType: []BlockType{BlockFree, BlockUser, BlockTranslation, BlockGecko, 200}[s.pick(5)],
@@ -368,15 +368,15 @@ func runSpareStore(t testing.TB, c spareStoreCase, s spareScript, steps int) {
 				Aux:       word(),
 			}
 			junk := s.pick(3)
-			spare.WriteSeq, spare.EraseCount, spare.EraseSeq = uint64(junk), uint32(junk), uint64(junk)
+			spare.WriteSeq, spare.EraseCount = uint64(junk), uint32(junk)
 			wantSeq, cut, wantErr := uint64(0), false, error(ErrPowerFailed)
 			if powered(p) {
-				wantSeq, cut, wantErr = ref.program(p.base+b, off, spare)
+				wantSeq, cut, wantErr = ref.program(&p.writeSeq, p.base+b, off, spare)
 			}
 			seq, err := p.WritePage(PPNOf(b, off, ppb), spare, PurposeUserWrite)
-			if seq != wantSeq || !sameErr(err, wantErr) {
-				t.Fatalf("step %d, %s: WritePage(%d:%d, %+v) = (%d, %v), want (%d, %v)",
-					step, c, p.base+b, off, spare, seq, err, wantSeq, wantErr)
+			if seq != wantSeq || !sameErr(err, wantErr) || p.WriteSeq() != p.writeSeq {
+				t.Fatalf("step %d, %s: WritePage(%d:%d, %+v) = (%d, %v) leaving the plane's sequence at %d, want (%d, %v) and %d",
+					step, c, p.base+b, off, spare, seq, err, p.WriteSeq(), wantSeq, wantErr, p.writeSeq)
 			}
 			if cut {
 				p.up = false

@@ -71,7 +71,7 @@ func (c Config) ChannelBlockRange(channel int) (lo, hi BlockID) {
 // The partition's own methods take no lock. Their caller holds the latch,
 // as an ftl.Engine shard does for a whole host operation, or is the
 // partition's only user. Partitions on different dies therefore run in
-// parallel, while partitions sharing a die serialize. BusyUntil,
+// parallel, while partitions sharing a die serialize. WriteSeq, BusyUntil,
 // SyncArrival, AdvanceArrival and the power-domain methods read and write
 // atomics only, and are safe without the latch.
 //
@@ -90,12 +90,15 @@ type Partition struct {
 	// latch serializes the partition's dies; see Latch.
 	latch   *sync.Mutex
 	powered atomic.Bool
-	// arrival is the partition's own arrival clock in nanoseconds: IO issued
-	// through the partition starts no earlier than it (on top of the
-	// device-wide arrival clock). SyncArrival ratchets it to the partition's
-	// completion instant, which keeps an operation that lands on an idle die
-	// of a multi-die partition from starting before the partition's previous
-	// operation completed — and its measured latency honest.
+	// writeSeq is the sequence the partition's page programs are stamped
+	// from (SpareArea.WriteSeq), starting at 1.
+	writeSeq atomic.Uint64
+	// arrival is the partition's arrival clock in nanoseconds: IO issued
+	// through the partition starts no earlier than it. SyncArrival ratchets
+	// it to the partition's completion instant, which keeps an operation
+	// that lands on an idle die of a multi-die partition from starting
+	// before the partition's previous operation completed — and its measured
+	// latency honest.
 	arrival atomic.Int64
 }
 
@@ -207,14 +210,19 @@ func (p *Partition) ppnOffset() PPN {
 	return PPN(int64(p.base) * int64(p.cfg.PagesPerBlock))
 }
 
-// WritePage programs the partition-relative page ppn on the parent device.
+// WritePage programs the partition-relative page ppn on the parent device
+// and stamps it from the partition's write sequence (see WriteSeq).
 func (p *Partition) WritePage(ppn PPN, spare SpareArea, pu Purpose) (uint64, error) {
 	addr, err := p.checkPPN(ppn)
 	if err != nil {
 		return 0, err
 	}
-	return p.dev.writePage(ppn+p.ppnOffset(), addr, spare, pu, p.floor(), &p.powered)
+	return p.dev.writePage(ppn+p.ppnOffset(), addr, spare, pu, p.floor(), &p.powered, &p.writeSeq)
 }
+
+// WriteSeq returns the partition's write sequence: the stamp of the newest
+// page programmed through it, or zero before the first. Not an IO.
+func (p *Partition) WriteSeq() uint64 { return p.writeSeq.Load() }
 
 // ReadPage reads the partition-relative page ppn.
 func (p *Partition) ReadPage(ppn PPN, pu Purpose) error {
@@ -327,9 +335,9 @@ func (p *Partition) ResetCounters() { p.dev.resetCountersOverDies(p.loDie, p.hiD
 func (p *Partition) floor() time.Duration { return time.Duration(p.arrival.Load()) }
 
 // BusyUntil returns the completion instant of the last operation issued to
-// the partition's dies, floored at the device-wide and partition arrival
-// clocks. For a die-aligned partition driven serially (an engine shard)
-// this is exactly the completion time of the shard's most recent operation.
+// the partition's dies, floored at the partition's arrival clock. For a
+// die-aligned partition driven serially (an engine shard) this is exactly
+// the completion time of the shard's most recent operation.
 func (p *Partition) BusyUntil() time.Duration {
 	max := p.dev.busyUntilOverDies(p.loDie, p.hiDie)
 	if f := p.floor(); f > max {
@@ -338,9 +346,9 @@ func (p *Partition) BusyUntil() time.Duration {
 	return max
 }
 
-// SyncArrival advances the partition's own arrival clock to its completion
-// instant and returns it. Unlike Device.SyncArrival it touches only the
-// partition's dies, so concurrent shards never contend here.
+// SyncArrival advances the partition's arrival clock to its completion
+// instant and returns it. It reads only the partition's dies, so concurrent
+// shards never contend here.
 func (p *Partition) SyncArrival() time.Duration {
 	now := p.BusyUntil()
 	for {

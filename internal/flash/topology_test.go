@@ -75,11 +75,11 @@ func TestDieIndexMatchesConfig(t *testing.T) {
 	}
 }
 
-// TestBlockStateWidth pins the per-block state at 88 bytes: the die index
+// TestBlockStateWidth pins the per-block state at 80 bytes: the die index
 // lives in the padding after retired.
 func TestBlockStateWidth(t *testing.T) {
-	if got := unsafe.Sizeof(blockState{}); got != 88 {
-		t.Errorf("blockState takes %d bytes, want 88", got)
+	if got := unsafe.Sizeof(blockState{}); got != 80 {
+		t.Errorf("blockState takes %d bytes, want 80", got)
 	}
 }
 
@@ -158,8 +158,8 @@ func TestDeviceConcurrentDies(t *testing.T) {
 	if got := c.Count(OpErase, PurposeGCErase); got != int64(cfg.Blocks) {
 		t.Fatalf("counted %d erases, want %d", got, cfg.Blocks)
 	}
-	if got := dev.GlobalWriteSeq(); got != uint64(wantWrites) {
-		t.Fatalf("global write seq %d, want %d", got, wantWrites)
+	if got := dev.WriteSeq(); got != uint64(wantWrites) {
+		t.Fatalf("device write seq %d, want %d", got, wantWrites)
 	}
 	serial := dev.SimulatedTime()
 	parallel := dev.ParallelSimulatedTime()

@@ -116,14 +116,14 @@ type blockInfo struct {
 	// valid is the Blocks Validity Counter entry: the number of pages in
 	// the block holding live data.
 	valid int
-	// firstWriteSeq is the device write sequence of the block's first page
-	// since its last erase; recovery uses it to order blocks by age.
+	// firstWriteSeq is the write sequence of the block's first page since
+	// its last erase; recovery uses it to order blocks by age.
 	firstWriteSeq uint64
-	// lastProgram is the manager's program clock (see programs) at the
-	// block's most recent page; the cost-benefit victim policy uses it as
-	// the block's age anchor. Recovery approximates it with firstWriteSeq
-	// (the spare scan reads only first pages), which only makes recovered
-	// blocks look older, i.e. better victims.
+	// lastProgram is the write sequence of the block's most recent page;
+	// the cost-benefit victim policy uses it as the block's age anchor.
+	// Recovery approximates it with firstWriteSeq (the spare scan reads only
+	// first pages), which only makes recovered blocks look older, i.e.
+	// better victims.
 	lastProgram uint64
 	// eraseCount mirrors the device's per-block erase counter in RAM so
 	// that wear-aware allocation never costs IO on the write path. It is
@@ -207,22 +207,16 @@ type blockManager struct {
 	// must run before further allocations.
 	gcReserve int
 
-	// lastSeq is the device write sequence of the most recent page this
-	// manager programmed (bumped opportunistically during recovery scans).
-	// Synchronization operations stamp it into translation-page spares as
-	// the content sequence: the instant up to which the page's mapping
-	// content is known current. Unlike the page's own WriteSeq it survives
-	// garbage-collection copies, which refresh WriteSeq but not content.
+	// lastSeq is the write sequence of the most recent page this manager
+	// programmed (bumped opportunistically during recovery scans). The
+	// sequence is the partition's own, so it advances by one per page the
+	// shard programs, and it is the cost-benefit policy's age clock: a
+	// block's age is lastSeq − lastProgram. Synchronization operations stamp
+	// it into translation-page spares as the content sequence: the instant
+	// up to which the page's mapping content is known current. Unlike the
+	// page's own WriteSeq it survives garbage-collection copies, which
+	// refresh WriteSeq but not content.
 	lastSeq uint64
-	// programs is the cost-benefit policy's age clock: it advances by one
-	// per page this manager programs, so a block's age counts only its own
-	// shard's programs. Device sequences are shared by every shard of an
-	// engine, and how sibling shards interleave is the Go scheduler's
-	// choice, not the seed's. Recovery and checkpoint restore lift the clock
-	// to the recorded device sequences they rebuild lastProgram from, so it
-	// never trails a block's anchor; with one shard the two clocks advance
-	// together.
-	programs uint64
 
 	erases int64
 	// frees counts blocks returned to the free pool; the wear-conservation
@@ -463,8 +457,7 @@ func (bm *blockManager) allocateOnFrontier(g Group, frontier int, spare flash.Sp
 		if info.firstWriteSeq == 0 {
 			info.firstWriteSeq = seq
 		}
-		bm.programs++
-		info.lastProgram = bm.programs
+		info.lastProgram = seq
 		info.writePointer++
 		info.valid++
 		if bm.isFull(info) {
@@ -474,20 +467,16 @@ func (bm *blockManager) allocateOnFrontier(g Group, frontier int, spare flash.Sp
 	}
 }
 
-// LastWriteSeq returns the newest device write sequence the manager has
-// observed (see lastSeq).
+// LastWriteSeq returns the newest write sequence the manager has observed
+// (see lastSeq).
 func (bm *blockManager) LastWriteSeq() uint64 { return bm.lastSeq }
 
 // NoteWriteSeq ratchets lastSeq forward; recovery calls it with the sequence
 // numbers of the spares it scans so post-recovery synchronizations stamp
-// content sequences no older than the flash they recovered from. The age
-// clock follows, staying ahead of every anchor recovery rebuilds.
+// content sequences no older than the flash they recovered from.
 func (bm *blockManager) NoteWriteSeq(seq uint64) {
 	if seq > bm.lastSeq {
 		bm.lastSeq = seq
-	}
-	if seq > bm.programs {
-		bm.programs = seq
 	}
 }
 
@@ -654,7 +643,7 @@ func (bm *blockManager) firstEligible(g Group, valid int, excluded map[flash.Blo
 }
 
 // pickByScore is PickVictim under VictimCostBenefit. Scores move with the
-// program clock, so no static order exists to index: every full user block
+// write sequence, so no static order exists to index: every full user block
 // is scored.
 func (bm *blockManager) pickByScore(excluded map[flash.BlockID]bool) (flash.BlockID, bool) {
 	best := flash.InvalidBlock
@@ -675,17 +664,17 @@ func (bm *blockManager) pickByScore(excluded map[flash.BlockID]bool) (flash.Bloc
 	return best, best != flash.InvalidBlock
 }
 
-// costBenefitScore is the block's age (pages this manager programmed since
-// the block's last program) times its invalid fraction. Age uses lastProgram
-// so a block still absorbing GC migrations does not look old, and the score
-// of a fully valid block is zero regardless of age.
+// costBenefitScore is the block's age (pages the shard programmed since the
+// block's last program) times its invalid fraction. Age uses lastProgram so
+// a block still absorbing GC migrations does not look old, and the score of
+// a fully valid block is zero regardless of age.
 func (bm *blockManager) costBenefitScore(info *blockInfo) float64 {
 	written := info.writePointer
 	if written <= 0 {
 		return 0
 	}
 	invalidFrac := float64(written-info.valid) / float64(written)
-	age := float64(bm.programs - info.lastProgram)
+	age := float64(bm.lastSeq - info.lastProgram)
 	return age * invalidFrac
 }
 
@@ -744,9 +733,8 @@ func (bm *blockManager) CrashRAM() {
 		bm.active[fr] = flash.InvalidBlock
 	}
 	// The write-sequence high-water mark is RAM too; recovery re-learns it
-	// from the spares it scans (NoteWriteSeq), and the age clock with it.
+	// from the spares it scans (NoteWriteSeq).
 	bm.lastSeq = 0
-	bm.programs = 0
 }
 
 // userBlocksByRecency returns the allocated user blocks ordered from most

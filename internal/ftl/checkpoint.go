@@ -84,11 +84,11 @@ type shardCheckpoint struct {
 
 // engineCheckpoint is the decoded engine-wide state.
 type engineCheckpoint struct {
-	fingerprint    uint64
-	shards         int
-	globalWriteSeq uint64
-	logicalPages   int64
-	perShard       []*shardCheckpoint
+	fingerprint  uint64
+	shards       int
+	writeSeq     uint64
+	logicalPages int64
+	perShard     []*shardCheckpoint
 }
 
 // checkpointFingerprint hashes the configuration facets that determine the
@@ -139,7 +139,7 @@ func (e *Engine) ExportCheckpoint() (*checkpoint.File, error) {
 	var w checkpoint.Writer
 	w.U64(e.checkpointFingerprint())
 	w.U32(uint32(len(e.shards)))
-	w.U64(e.dev.GlobalWriteSeq())
+	w.U64(e.writeSeq())
 	w.I64(e.logicalPages)
 	file.Sections = append(file.Sections, checkpoint.Section{ID: sectionEngine, Payload: w.Bytes()})
 
@@ -267,10 +267,10 @@ func decodeCheckpoint(file *checkpoint.File) (*engineCheckpoint, error) {
 	}
 	r := checkpoint.NewReader(file.Sections[0].Payload)
 	ec := &engineCheckpoint{
-		fingerprint:    r.U64(),
-		shards:         int(r.U32()),
-		globalWriteSeq: r.U64(),
-		logicalPages:   r.I64(),
+		fingerprint:  r.U64(),
+		shards:       int(r.U32()),
+		writeSeq:     r.U64(),
+		logicalPages: r.I64(),
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("engine section: %w", err)
@@ -387,8 +387,8 @@ func (sc *shardCheckpoint) decodeSection(kind uint32, payload []byte) error {
 
 // verifyEngineCheckpoint checks the engine-level facts of a decoded
 // checkpoint against this engine and, crucially, against device truth: the
-// global write sequence must match exactly, or the checkpoint describes a
-// different moment of the flash than the one in front of us.
+// sum of the shards' write sequences must match exactly, or the checkpoint
+// describes a different moment of the flash than the one in front of us.
 func (e *Engine) verifyEngineCheckpoint(ec *engineCheckpoint) error {
 	if got, want := ec.fingerprint, e.checkpointFingerprint(); got != want {
 		return fmt.Errorf("%w: configuration fingerprint %#x, this engine is %#x", checkpoint.ErrInvalid, got, want)
@@ -399,7 +399,7 @@ func (e *Engine) verifyEngineCheckpoint(ec *engineCheckpoint) error {
 	if ec.logicalPages != e.logicalPages {
 		return fmt.Errorf("%w: %d logical pages, this engine has %d", checkpoint.ErrInvalid, ec.logicalPages, e.logicalPages)
 	}
-	if got, want := ec.globalWriteSeq, e.dev.GlobalWriteSeq(); got != want {
+	if got, want := ec.writeSeq, e.writeSeq(); got != want {
 		return fmt.Errorf("%w: stale checkpoint (content sequence %d, device is at %d)", checkpoint.ErrInvalid, got, want)
 	}
 	return nil
@@ -544,9 +544,6 @@ func (f *FTL) importShardCheckpoint(sc *shardCheckpoint) error {
 	f.bm.free = sc.free
 	f.bm.active = sc.active
 	f.bm.lastSeq = sc.lastSeq
-	// The age clock is not in the file; the device sequence is at or past
-	// every restored anchor (see blockManager.programs).
-	f.bm.programs = sc.lastSeq
 	f.bm.restoreFreeOrder()
 	f.bm.reindexFullBlocks()
 
@@ -578,7 +575,7 @@ func (f *FTL) importShardCheckpoint(sc *shardCheckpoint) error {
 
 // ValidateCheckpoint checks a decoded checkpoint against a live engine
 // without mutating anything: configuration fingerprint, shard layout,
-// staleness versus the device's global write sequence, and every shard's
+// staleness versus the shards' write sequences, and every shard's
 // state against its partition's device truth. A nil return means
 // RestoreCheckpoint would accept the file in the engine's current state.
 func (e *Engine) ValidateCheckpoint(file *checkpoint.File) error {
@@ -612,7 +609,7 @@ func (e *Engine) ValidateCheckpoint(file *checkpoint.File) error {
 // state from a checkpoint instead of running GeckoRec, at zero flash IO.
 // The engine must be power-failed (as after PowerFail or a clean shutdown's
 // simulated reboot). The checkpoint is validated — structure, configuration
-// fingerprint, staleness against the device's global write sequence, and
+// fingerprint, staleness against the shards' write sequences, and
 // per-shard device truth — before any state is kept; on any failure every
 // shard is returned to the crashed state and the error is reported so the
 // caller can fall back to Engine.Recover. Partial state never survives.

@@ -276,7 +276,7 @@ func mustExport(t *testing.T, e *Engine) *checkpoint.File {
 // TestEngineCheckpointStaleSequenceRejected pins the device-truth check: a
 // checkpoint from an earlier point in the device's life — even a perfectly
 // well-formed one — must be rejected once further writes have moved the
-// global write sequence, and the rejection must be detectable read-only.
+// shards' write sequences, and the rejection must be detectable read-only.
 func TestEngineCheckpointStaleSequenceRejected(t *testing.T) {
 	e := checkpointTestEngine(t, 128, 2)
 	stale := mustExport(t, e)

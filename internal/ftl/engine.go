@@ -228,13 +228,35 @@ func (e *Engine) ShardAdvanceArrival(s int, t time.Duration) {
 	e.shards[s].ftl.Device().AdvanceArrival(t)
 }
 
+// SyncArrival advances every shard's arrival clock to the device's latest
+// die completion and returns it: fanOut's arrival instant for a batch, so an
+// operation's latency charges queueing behind its round on its die but not
+// idle time from before the round. It takes no lock.
+func (e *Engine) SyncArrival() time.Duration {
+	now := e.dev.BusyUntil()
+	for _, sh := range e.shards {
+		sh.ftl.Device().AdvanceArrival(now)
+	}
+	return now
+}
+
+// writeSeq returns the sum of the shards' write sequences, which grows with
+// every page any shard programs: a checkpoint's staleness mark.
+func (e *Engine) writeSeq() uint64 {
+	var sum uint64
+	for _, sh := range e.shards {
+		sum += sh.ftl.Device().WriteSeq()
+	}
+	return sum
+}
+
 // Do serves one host operation of the given kind: the single-op body behind
 // Write, Read and Trim, and what the submission queue's workers execute. Safe
 // for concurrent use.
 //
 // A single-page operation's arrival instant is stamped on the shard's own
-// plane (Partition.SyncArrival, not the device-wide ratchet): its recorded
-// latency is the operation's service time plus any queueing behind
+// plane (Partition.SyncArrival, not the engine-wide SyncArrival): its
+// recorded latency is the operation's service time plus any queueing behind
 // operations already holding the shard — IO cannot start before the stamp
 // even on an idle die of a multi-die shard — without charging it work from
 // other shards' dies and without touching their die locks.
@@ -406,7 +428,7 @@ func (e *Engine) bucket(b *batch, lpns []flash.LPN) error {
 // the sweeps drive the engine), each shard's dies are touched only by that
 // shard and the recorded latencies are deterministic regardless of
 // goroutine scheduling; overlapping batches from concurrent callers ratchet
-// the shared arrival clock and so charge each other's queueing, as
+// every shard's arrival clock and so charge each other's queueing, as
 // overlapping arrivals at a real device would.
 func (e *Engine) fanOut(ctx context.Context, kind flash.HostOp, lpns []flash.LPN) error {
 	b := e.batches.Get().(*batch)
@@ -414,7 +436,7 @@ func (e *Engine) fanOut(ctx context.Context, kind flash.HostOp, lpns []flash.LPN
 		e.batches.Put(b)
 		return err
 	}
-	arrival := e.dev.SyncArrival()
+	arrival := e.SyncArrival()
 	b.ctx, b.kind, b.arrival = ctx, kind, arrival
 	own := -1
 	for s := range e.shards {

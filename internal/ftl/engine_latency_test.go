@@ -160,3 +160,28 @@ func TestEngineLatencyDeterministic(t *testing.T) {
 		t.Fatalf("latency distributions not deterministic:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestEngineSyncArrival pins the batch arrival instant: the device's latest
+// die completion, which every shard's arrival clock is advanced to, so a
+// shard idle since an earlier batch does not start the next one in the past.
+func TestEngineSyncArrival(t *testing.T) {
+	eng := newLatencyTestEngine(t, GeckoFTLOptions(64))
+	// Writes to shard 0 alone leave the other shards' dies idle at zero.
+	for lpn := flash.LPN(0); lpn < 64; lpn += flash.LPN(eng.Shards()) {
+		if err := eng.Write(lpn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	busy := eng.Device().BusyUntil()
+	if busy <= 0 || eng.ShardClock(1) != 0 {
+		t.Fatalf("before the sync: device busy until %v, shard 1 at %v; want shard 0's work and an idle shard 1", busy, eng.ShardClock(1))
+	}
+	if got := eng.SyncArrival(); got != busy {
+		t.Fatalf("SyncArrival = %v, want the latest die completion %v", got, busy)
+	}
+	for s := range eng.Shards() {
+		if got := eng.ShardClock(s); got != busy {
+			t.Errorf("shard %d clock %v after the sync, want %v", s, got, busy)
+		}
+	}
+}

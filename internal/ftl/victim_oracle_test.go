@@ -134,7 +134,7 @@ func TestVictimScansMatchNaive(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		bm := newBlockManager(newTestDevice(t, blocks, pagesPerBlock, 512), 2, seed%2 == 0, false)
-		bm.programs = 1000
+		bm.lastSeq = 1000
 		for i := range bm.blocks {
 			info := &bm.blocks[i]
 			info.allocated = rng.Intn(8) != 0

@@ -5,12 +5,12 @@ import (
 )
 
 // wearLeveler implements the Appendix D wear-leveling scheme. It keeps only a
-// few global statistics in integrated RAM (the per-block erase counts and
-// erase timestamps live in spare areas, stamped by the device on every
-// program) and discovers wear-leveling victims through a gradual scan: for
-// every application write it reads the spare area of one more block, so a
-// full device scan completes every K writes at a cost three orders of
-// magnitude below the writes themselves.
+// few global statistics in integrated RAM (the per-block erase counts live in
+// spare areas, stamped by the device on every program) and discovers
+// wear-leveling victims through a gradual scan: for every application write
+// it reads the spare area of one more block, so a full device scan completes
+// every K writes at a cost three orders of magnitude below the writes
+// themselves.
 type wearLeveler struct {
 	enabled   bool
 	threshold int

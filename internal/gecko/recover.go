@@ -20,7 +20,7 @@ func (g *Gecko) CrashRAM() {
 	g.spare = nil
 }
 
-// NewestRunWriteSeq returns the device write-sequence number of the first
+// NewestRunWriteSeq returns the write-sequence number of the first
 // page of the most recently created run, or zero when no runs exist. The
 // FTL's recovery uses it to find blocks erased since the last buffer flush.
 func (g *Gecko) NewestRunWriteSeq() (uint64, error) {

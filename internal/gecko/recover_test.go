@@ -172,8 +172,8 @@ func TestNewestRunWriteSeq(t *testing.T) {
 	if seq == 0 {
 		t.Error("NewestRunWriteSeq = 0 after flushes")
 	}
-	if seq > h.dev.GlobalWriteSeq() {
-		t.Errorf("NewestRunWriteSeq %d exceeds device write seq %d", seq, h.dev.GlobalWriteSeq())
+	if seq > h.dev.WriteSeq() {
+		t.Errorf("NewestRunWriteSeq %d exceeds device write seq %d", seq, h.dev.WriteSeq())
 	}
 }
 

@@ -73,7 +73,7 @@ func EnduranceSweep(scale ExperimentScale) ([]EndurancePoint, error) {
 	var points []EndurancePoint
 	for _, wearAware := range []bool{false, true} {
 		for _, rate := range enduranceFaultRates {
-			p, err := endurancePoint(scale, rate, wearAware)
+			p, err := endurancePoint(scale, rate, wearAware, ftl.VictimMetadataAware)
 			if err != nil {
 				return nil, fmt.Errorf("sim: endurance (fault=%.2f, wearAware=%v): %w", rate, wearAware, err)
 			}
@@ -83,8 +83,9 @@ func EnduranceSweep(scale ExperimentScale) ([]EndurancePoint, error) {
 	return points, nil
 }
 
-// endurancePoint drives one device to death.
-func endurancePoint(scale ExperimentScale, rate float64, wearAware bool) (EndurancePoint, error) {
+// endurancePoint drives one device, collecting with the given victim policy,
+// to death.
+func endurancePoint(scale ExperimentScale, rate float64, wearAware bool, victims ftl.VictimPolicy) (EndurancePoint, error) {
 	run, err := newEngineRun(runSpec{
 		scale: scale, channels: 1, workload: enduranceWorkload,
 		maxErase: enduranceMaxErase,
@@ -92,6 +93,7 @@ func endurancePoint(scale ExperimentScale, rate float64, wearAware bool) (Endura
 		tune: func(o *ftl.Options) {
 			o.WearAwareAllocation = wearAware
 			o.WearLeveling = wearAware
+			o.VictimPolicy = victims
 		},
 	})
 	if err != nil {

@@ -175,8 +175,9 @@ type queueBench struct {
 }
 
 // newQueueBench builds a fresh engine run, warms it and opens its window,
-// then ratchets the device-wide arrival clock so every shard's clock starts
-// at the same virtual instant t0.
+// then advances every shard's arrival clock to the device's latest die
+// completion (Engine.SyncArrival), so every shard's clock starts at the same
+// virtual instant t0.
 func newQueueBench(scale ExperimentScale, wl string) (*queueBench, error) {
 	run, err := newEngineRun(runSpec{
 		scale: scale, channels: queueChannels, workload: wl, batchPerDie: shallowBatchPerDie,
@@ -193,7 +194,7 @@ func newQueueBench(scale ExperimentScale, wl string) (*queueBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &queueBench{engineRun: run, w: w, t0: run.dev.SyncArrival()}, nil
+	return &queueBench{engineRun: run, w: w, t0: run.eng.SyncArrival()}, nil
 }
 
 // point closes the window and assembles the common fields of a finished
