@@ -18,11 +18,19 @@
 // no per-experiment code: it maps flags to the registry's parameters, runs
 // the selected entries, and prints their typed rows — as one generic table,
 // or with -json as one object per line of the form
-// {"experiment": name, "rows": [...], "go_version": ..., "gomaxprocs": ...,
-// "revision": ...}. The rows are a pure function of the flags
-// (testdata/bench records them at -quick); the other fields say what
+// {"experiment": name, "rows": [...], "claims": [...], "go_version": ...,
+// "gomaxprocs": ..., "revision": ...}. The rows are a pure function of the
+// flags (testdata/bench records them at -quick); the other fields say what
 // produced them. Host-side cost per operation is perfbench's job
 // (internal/perfbench), not this tool's.
+//
+// Each entry's claims are checked on the rows just produced: the verdicts
+// follow each table and fill each JSON line's claims field. geckobench exits
+// 1, after printing everything, if a claim fails that must hold at the run's
+// scale: quick (-quick), full (the default) or other (-blocks, -writes). A
+// claim known to fail at a scale names the ROADMAP item that owns it there.
+// The claims of an experiment whose own flags (-sweep, -policy, ...) are set
+// are not evaluated: they describe its default run.
 package main
 
 import (
@@ -208,29 +216,51 @@ func experimentNames() []string {
 	return append(names, "all")
 }
 
-// run executes the selected experiments and writes their rows.
+// run executes the selected experiments, writes their rows and verdicts, and
+// fails if a claim that must hold at the run's scale does not.
 func run(w io.Writer, opts options) error {
 	enc := json.NewEncoder(w)
+	var failed []string
 	for _, e := range opts.selected {
 		rows, err := e.Run(opts.params)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}
+		set := setFlags(opts.flags, e.Flags)
+		var verdicts []geckoftl.ClaimVerdict
+		if set == "" {
+			verdicts = e.Verdicts(rows, opts.params.Scale)
+		}
+		for _, v := range verdicts {
+			if v.Failed() {
+				failed = append(failed, v.Claim)
+			}
+		}
 		if opts.json {
 			if err := enc.Encode(struct {
-				Experiment string `json:"experiment"`
-				Rows       any    `json:"rows"`
-				GoVersion  string `json:"go_version"`
-				GOMAXPROCS int    `json:"gomaxprocs"`
-				Revision   string `json:"revision,omitempty"`
-			}{e.Name, rows, runtime.Version(), runtime.GOMAXPROCS(0), vcsRevision()}); err != nil {
+				Experiment string                  `json:"experiment"`
+				Rows       any                     `json:"rows"`
+				Claims     []geckoftl.ClaimVerdict `json:"claims,omitempty"`
+				GoVersion  string                  `json:"go_version"`
+				GOMAXPROCS int                     `json:"gomaxprocs"`
+				Revision   string                  `json:"revision,omitempty"`
+			}{e.Name, rows, verdicts, runtime.Version(), runtime.GOMAXPROCS(0), vcsRevision()}); err != nil {
 				return fmt.Errorf("%s: %w", e.Name, err)
 			}
 			continue
 		}
-		fmt.Fprintln(w, e.Title+setFlags(opts.flags, e.Flags))
+		fmt.Fprintln(w, e.Title+set)
 		renderTable(w, rows)
+		if set != "" {
+			fmt.Fprintf(w, "claims not evaluated: they describe the default run, and this one sets%s\n", set)
+		}
+		for _, v := range verdicts {
+			fmt.Fprintf(w, "  %-36s %s\n", v.Claim, v)
+		}
 		fmt.Fprintln(w)
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("claims that must hold at this scale fail: %s", strings.Join(failed, ", "))
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -110,7 +111,8 @@ func jsonLeaves(prefix string, v any, out *[]string) {
 // TestRegistry is the registry's self-check: every registered experiment has
 // a recorded golden and every golden a registered experiment; every name and
 // group is selectable by -experiment and listed exactly once in the usage
-// error, which ends with "all", and README.md carries that list; every flag
+// error, which ends with "all", and README.md carries that list and a claims
+// table row with each claim's id, source and statement; every flag
 // an entry says it reads exists; the default command line is the default
 // parameters the goldens were recorded with; and text mode renders each
 // golden's rows with one column for every field of their JSON encoding, so
@@ -148,7 +150,8 @@ func TestRegistry(t *testing.T) {
 	if len(selectExperiments("bogus")) != 0 {
 		t.Error("selector bogus matched an experiment")
 	}
-	if readme, err := os.ReadFile(filepath.Join("..", "..", "README.md")); err != nil {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
 		t.Error(err)
 	} else if list := strings.Join(names, ", "); !strings.Contains(string(readme), list) {
 		t.Errorf("README.md does not list the experiments in registry order: %s", list)
@@ -164,6 +167,11 @@ func TestRegistry(t *testing.T) {
 			}
 			if listed[selector] != 1 {
 				t.Errorf("%s: selector %q listed %d times in %v", e.Name, selector, listed[selector], names)
+			}
+		}
+		for _, c := range e.Claims {
+			if row := "| `" + c.ID + "` | " + c.Source + " | " + c.Statement + " |"; !strings.Contains(string(readme), row) {
+				t.Errorf("%s: README.md's claims table has no row %s", e.Name, row)
 			}
 		}
 		for _, name := range e.Flags {
@@ -208,5 +216,28 @@ func TestRegistry(t *testing.T) {
 	}
 	for file := range unclaimed {
 		t.Errorf("golden %s belongs to no registered experiment", file)
+	}
+}
+
+// TestFailingClaimFailsRun requires run to print a failing claim's verdict
+// and return an error when the claim must hold at the run's scale, and only
+// then.
+func TestFailingClaimFailsRun(t *testing.T) {
+	opts, err := parseArgs([]string{"-quick", "-experiment", "table1"}, flag.ContinueOnError)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &opts.selected[0]
+	e.Claims[0].Check = func(any) error { return errors.New("mutated") }
+	var out bytes.Buffer
+	if err := run(&out, opts); err == nil || !strings.Contains(err.Error(), e.Claims[0].ID) {
+		t.Errorf("run with a failing must-hold claim returned %v", err)
+	}
+	if !strings.Contains(out.String(), "FAILS: mutated") {
+		t.Errorf("the failing verdict is not printed:\n%s", out.String())
+	}
+	e.Claims[0].MustHold = 0
+	if err := run(&out, opts); err != nil {
+		t.Errorf("run with an expected failure returned %v", err)
 	}
 }

@@ -22,12 +22,16 @@ func QuickScale() ExperimentScale { return sim.QuickScale() }
 func FullScale() ExperimentScale { return sim.FullScale() }
 
 // Experiment is one entry of the experiment registry: its name and group
-// selectors, the title of its table, the geckobench flags it reads, and the
-// function that produces its typed rows. ExperimentParams carries the scale
-// and those flags' values; its zero value selects every default.
+// selectors, the title of its table, the geckobench flags it reads, the
+// function that produces its typed rows, and the claims the evaluation makes
+// of those rows. ExperimentParams carries the scale and those flags' values;
+// its zero value selects every default. Experiment.Verdicts evaluates the
+// claims on a run's rows, one ClaimVerdict each.
 type (
 	Experiment       = sim.Experiment
 	ExperimentParams = sim.Params
+	Claim            = sim.Claim
+	ClaimVerdict     = sim.Verdict
 )
 
 // Experiments returns every table and figure of the paper's evaluation plus

@@ -2,49 +2,6 @@ package sim
 
 import "testing"
 
-func TestChannelSweep(t *testing.T) {
-	scale := QuickScale()
-	scale.MeasureWrites = 2000
-	points, err := ChannelSweep(Params{Scale: scale, Channels: []int{1, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("got %d points, want 2", len(points))
-	}
-	one, four := points[0], points[1]
-	if one.Channels != 1 || four.Channels != 4 {
-		t.Fatalf("unexpected channel counts %d, %d", one.Channels, four.Channels)
-	}
-	if one.Speedup != 1 {
-		t.Errorf("1-channel speedup = %f, want 1", one.Speedup)
-	}
-	// On one channel the wall-clock is the serial time; on four, well below.
-	if one.WallTime != one.SerialTime {
-		t.Errorf("1-channel wall %v != serial %v", one.WallTime, one.SerialTime)
-	}
-	if four.WallTime >= four.SerialTime/2 {
-		t.Errorf("4-channel wall %v not under half of serial %v", four.WallTime, four.SerialTime)
-	}
-	if four.Speedup < 2 {
-		t.Errorf("4-channel speedup %.2fx, want >= 2x", four.Speedup)
-	}
-	for _, p := range points {
-		if p.Writes < scale.MeasureWrites {
-			t.Errorf("%d channels measured %d writes, want >= %d", p.Channels, p.Writes, scale.MeasureWrites)
-		}
-		if p.WA < 1 {
-			t.Errorf("%d channels WA %.3f, want >= 1", p.Channels, p.WA)
-		}
-		if p.Throughput <= 0 || p.ModelThroughput <= 0 {
-			t.Errorf("%d channels throughput %.1f / model %.1f, want positive", p.Channels, p.Throughput, p.ModelThroughput)
-		}
-		if p.LoadImbalance < 1 {
-			t.Errorf("%d channels load imbalance %.3f, want >= 1", p.Channels, p.LoadImbalance)
-		}
-	}
-}
-
 func TestChannelSweepWorkloads(t *testing.T) {
 	scale := QuickScale()
 	scale.MeasureWrites = 500

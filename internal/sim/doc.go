@@ -15,6 +15,11 @@
 // it; adding an experiment is adding its row type, its run function and one
 // entry.
 //
+// The evaluation's claims are one table (claims.go): an id, a source, a
+// predicate over an entry's typed rows and the scales at which it must hold.
+// They are checked on rows already produced, never by running again: the
+// quick goldens in tests, and geckobench's own rows at any scale.
+//
 // Every FTL-level experiment shares one engine-run harness (harness.go), and
 // each job in it is done in one place. newEngineRun is the only place a
 // device, a sharded ftl.Engine and a seeded workload are assembled (growing

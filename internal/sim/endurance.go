@@ -27,9 +27,7 @@ type EndurancePoint struct {
 	// MaxEraseCount is the per-block erase budget.
 	MaxEraseCount int
 	// Lifetime is the number of host writes served before the device died of
-	// capacity exhaustion. The sweep's acceptance bars: strictly decreasing
-	// in FaultRate at fixed policy, strictly larger for wear-aware at fixed
-	// rate.
+	// capacity exhaustion (claims endurance.faults-shorten, .wear-outlives).
 	Lifetime int64
 	// BadBlocks and ProgramRetries describe the fault damage at death.
 	BadBlocks, ProgramRetries int64

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -89,6 +90,10 @@ type Experiment struct {
 	// NewRows returns a pointer to an empty value of Run's row type, for
 	// decoding recorded rows back into it.
 	NewRows func() any
+	// Claims are what the evaluation claims of the rows Run returns with
+	// default parameters: the entries of the claims table (claims.go) under
+	// its name. Verdicts checks them.
+	Claims []Claim
 }
 
 // experiment builds a registry entry from a typed run function.
@@ -97,6 +102,7 @@ func experiment[R any](name, group, title string, flags []string, run func(Param
 		Name: name, Group: group, Title: title, Flags: flags,
 		Run:     func(p Params) (any, error) { return run(p) },
 		NewRows: func() any { return new(R) },
+		Claims:  slices.DeleteFunc(slices.Clone(claims), func(c Claim) bool { return !strings.HasPrefix(c.ID, name+".") }),
 	}
 }
 
@@ -112,8 +118,9 @@ func scaled[R any](rows func(ExperimentScale) (R, error)) func(Params) (R, error
 
 // Experiments returns the registry, in the order "all" runs it: the paper's
 // tables and figures, then the sweeps that go beyond the paper. Adding an
-// experiment is adding its row type, its run function and one entry here,
-// plus the golden `go test -run TestExperimentGoldens -update .` records.
+// experiment is adding its row type, its run function, one entry here and
+// its claims, plus the golden `go test -run TestExperimentGoldens -update .`
+// records.
 func Experiments() []Experiment {
 	return []Experiment{
 		experiment("fig1", "", "Figure 1: LazyFTL integrated RAM and recovery time vs device capacity (analytical, full scale)",

@@ -24,8 +24,7 @@ type LatencyPoint struct {
 	// Writes is the number of logical writes in the measured window.
 	Writes int64
 	// WA is the measured write-amplification of the window; incremental
-	// scheduling must not buy latency with extra IO, so the sweep's
-	// acceptance bar keeps it within 5% of the inline mode.
+	// scheduling must not buy latency with extra IO (claim latency.wa-cost).
 	WA float64
 	// Write is the per-write service-time distribution (queueing behind the
 	// die included, see ftl.EngineStats).

@@ -24,8 +24,7 @@ type TrimPoint struct {
 	// of the window's trims (identified eagerly or by GeckoFTL's lazy path).
 	TrimmedPages int64
 	// WA is the measured write-amplification of the window, per logical
-	// write. The trim sweep's acceptance bar: strictly decreasing in
-	// TrimFraction at a fixed workload.
+	// write (claim trim.wa-falls).
 	WA float64
 	// UserWA, TranslationWA and ValidityWA break WA down by purpose.
 	UserWA, TranslationWA, ValidityWA float64

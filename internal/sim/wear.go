@@ -29,9 +29,8 @@ type WearPoint struct {
 	// HotWrites the subset the heat classifier routed to the hot frontier
 	// (zero on single-frontier points).
 	Writes, HotWrites int64
-	// WA is the measured write-amplification of the window. The sweep's
-	// acceptance bar: on skewed workloads, hotcold frontiers strictly below
-	// the single-frontier baseline at the same policy.
+	// WA is the measured write-amplification of the window (claim
+	// wear.separation-wins).
 	WA float64
 	// UserWA, TranslationWA and ValidityWA break WA down by purpose.
 	UserWA, TranslationWA, ValidityWA float64
