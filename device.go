@@ -128,7 +128,7 @@ func Open(opts ...Option) (*Device, error) {
 // is recorded in CheckpointLoad and the device proceeds cold, never
 // half-loaded. Only an internal failure of the fallback itself is an error.
 func (d *Device) loadCheckpointAtOpen() error {
-	file, bytes, err := checkpoint.ReadFile(d.checkpointPath)
+	file, bytes, err := checkpoint.ReadFile(d.checkpointPath, nil)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil
@@ -197,7 +197,7 @@ func (d *Device) writeCheckpoint() error {
 	if d.checkpointPath == "" {
 		return nil
 	}
-	file, err := d.eng.ExportCheckpoint()
+	data, err := d.eng.EncodeCheckpoint()
 	switch {
 	case err == nil:
 	case errors.Is(err, ftl.ErrCheckpointUnsupported), errors.Is(err, flash.ErrPowerFailed):
@@ -205,12 +205,11 @@ func (d *Device) writeCheckpoint() error {
 	default:
 		return wrapErr(err)
 	}
-	n, err := checkpoint.WriteFile(d.checkpointPath, file)
-	if err != nil {
+	if err := checkpoint.WriteFile(d.checkpointPath, data); err != nil {
 		return err
 	}
 	d.ckptMu.Lock()
-	d.ckptBytes = n
+	d.ckptBytes = int64(len(data))
 	d.ckptMu.Unlock()
 	return nil
 }
@@ -489,9 +488,12 @@ type RestartReport struct {
 // the checkpoint cannot be taken (ErrCheckpointUnsupported configurations),
 // written, or loaded, Restart falls back to GeckoRec cold recovery and
 // reports why in RestartReport.Fallback; a bad checkpoint is never an
-// error. Like Recover, a completed Restart starts a fresh measurement
-// window. Restarting a power-failed device fails with ErrPowerFailed — use
-// Recover for crashes; Restart models the orderly reboot.
+// error. The checkpoint is encoded once into one buffer, the file written
+// from it and reloaded into it, and each shard decodes it into its own RAM:
+// nothing of it outlives Restart. Like Recover, a completed Restart starts a
+// fresh measurement window. Restarting a power-failed device fails with
+// ErrPowerFailed — use Recover for crashes; Restart models the orderly
+// reboot.
 func (d *Device) Restart(ctx context.Context) (*RestartReport, error) {
 	if err := d.guard(ctx); err != nil {
 		return nil, err
@@ -504,29 +506,29 @@ func (d *Device) Restart(ctx context.Context) (*RestartReport, error) {
 		bytes    int64
 		fallback error
 	)
-	file, err := d.eng.ExportCheckpoint()
-	switch {
-	case err == nil:
-		bytes = int64(checkpoint.Size(file))
+	switch data, err := d.eng.EncodeCheckpoint(); {
 	case errors.Is(err, ftl.ErrCheckpointUnsupported):
-		file, fallback = nil, checkpointErr(err)
-	default:
+		fallback = checkpointErr(err)
+	case err != nil:
 		return nil, wrapErr(err)
-	}
-	if file != nil && d.checkpointPath != "" {
-		// Persist the shutdown checkpoint and reload it through the real
-		// file path, so the restart exercises the same bytes a later Open
-		// would see.
-		if _, err := checkpoint.WriteFile(d.checkpointPath, file); err != nil {
-			return nil, err
-		}
-		d.ckptMu.Lock()
-		d.ckptBytes = bytes
-		d.ckptMu.Unlock()
-		if f, n, err := checkpoint.ReadFile(d.checkpointPath); err != nil {
-			file, fallback = nil, checkpointErr(err)
+	default:
+		bytes = int64(len(data))
+		if d.checkpointPath != "" {
+			// Persist the shutdown checkpoint and reload it through the real
+			// file path, into the same buffer, so the restart exercises the
+			// same bytes a later Open would see.
+			if err := checkpoint.WriteFile(d.checkpointPath, data); err != nil {
+				return nil, err
+			}
+			d.ckptMu.Lock()
+			d.ckptBytes = bytes
+			d.ckptMu.Unlock()
+			file, _, err = checkpoint.ReadFile(d.checkpointPath, data)
 		} else {
-			file, bytes = f, n
+			file, err = checkpoint.Decode(data)
+		}
+		if err != nil {
+			fallback = checkpointErr(err)
 		}
 	}
 	// The reboot: the rail drops and every RAM structure is lost.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -51,27 +52,27 @@ type File struct {
 
 // Size returns the length of Encode(f) without encoding it.
 func Size(f *File) int {
-	size := headerSize
+	payload := 0
 	for _, s := range f.Sections {
-		size += sectionOverhead + len(s.Payload)
+		payload += len(s.Payload)
 	}
-	return size
+	return FileSize(len(f.Sections), payload)
 }
 
-// Encode serializes a checkpoint into the on-disk byte format.
+// FileSize returns the encoded length of a file of n sections whose
+// payloads total payload bytes.
+func FileSize(n, payload int) int { return headerSize + n*sectionOverhead + payload }
+
+// Encode serializes a checkpoint into the on-disk byte format, framing each
+// section with the same Writer the FTL's export writes through.
 func Encode(f *File) []byte {
-	buf := make([]byte, 0, Size(f))
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, f.Version)
+	w := NewWriter(Size(f), f.Version)
 	for _, s := range f.Sections {
-		start := len(buf)
-		buf = binary.LittleEndian.AppendUint32(buf, s.ID)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Payload)))
-		buf = append(buf, s.Payload...)
-		sum := crc32.Checksum(buf[start:], castagnoli)
-		buf = binary.LittleEndian.AppendUint32(buf, sum)
+		w.Begin(s.ID)
+		w.Raw(s.Payload)
+		w.End()
 	}
-	return buf
+	return w.Bytes()
 }
 
 // Decode parses and validates the on-disk byte format. Payload slices alias
@@ -151,51 +152,64 @@ func Boundaries(data []byte) ([]int, error) {
 	return bounds, nil
 }
 
-// WriteFile atomically replaces path with the encoded checkpoint: the bytes
-// are written to a temporary file in the same directory, synced, and
+// WriteFile atomically replaces path with data, an encoded checkpoint: the
+// bytes are written to a temporary file in the same directory, synced, and
 // renamed over the destination. A crash mid-write therefore leaves the
-// previous checkpoint (or no file) in place, never a torn one. It returns
-// the encoded size in bytes.
-func WriteFile(path string, f *File) (int64, error) {
-	data := Encode(f)
+// previous checkpoint (or no file) in place, never a torn one.
+func WriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".checkpoint-*")
 	if err != nil {
-		return 0, fmt.Errorf("checkpoint: creating temp file: %w", err)
+		return fmt.Errorf("checkpoint: creating temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name())
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return 0, fmt.Errorf("checkpoint: writing %s: %w", tmp.Name(), err)
+		return fmt.Errorf("checkpoint: writing %s: %w", tmp.Name(), err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return 0, fmt.Errorf("checkpoint: syncing %s: %w", tmp.Name(), err)
+		return fmt.Errorf("checkpoint: syncing %s: %w", tmp.Name(), err)
 	}
 	if err := tmp.Chmod(0o644); err != nil {
 		tmp.Close()
-		return 0, fmt.Errorf("checkpoint: chmod %s: %w", tmp.Name(), err)
+		return fmt.Errorf("checkpoint: chmod %s: %w", tmp.Name(), err)
 	}
 	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("checkpoint: closing %s: %w", tmp.Name(), err)
+		return fmt.Errorf("checkpoint: closing %s: %w", tmp.Name(), err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return 0, fmt.Errorf("checkpoint: renaming into place: %w", err)
+		return fmt.Errorf("checkpoint: renaming into place: %w", err)
 	}
-	return int64(len(data)), nil
+	return nil
 }
 
-// ReadFile reads and decodes a checkpoint file. Read errors (including a
+// ReadFile reads a checkpoint file into buf, which it replaces only when the
+// file does not fit in buf's capacity, and decodes it: the sections alias
+// the bytes read. It returns the file's size. Read errors (including a
 // missing file, which callers should treat as an ordinary cold start) come
 // back as the underlying OS error; content errors wrap ErrInvalid.
-func ReadFile(path string) (*File, int64, error) {
-	data, err := os.ReadFile(path)
+func ReadFile(path string, buf []byte) (*File, int64, error) {
+	fh, err := os.Open(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("checkpoint: reading %s: %w", path, err)
 	}
-	f, err := Decode(data)
+	defer fh.Close()
+	st, err := fh.Stat()
+	if err == nil {
+		if n := int(st.Size()); cap(buf) >= n {
+			buf = buf[:n]
+		} else {
+			buf = make([]byte, n)
+		}
+		_, err = io.ReadFull(fh, buf)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("checkpoint: reading %s: %w", path, err)
+	}
+	f, err := Decode(buf)
 	if err != nil {
 		return nil, 0, err
 	}
-	return f, int64(len(data)), nil
+	return f, int64(len(buf)), nil
 }

@@ -152,22 +152,24 @@ func TestBoundaries(t *testing.T) {
 func TestWriteFileReadFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dev.ckpt")
 	f := sample()
-	n, err := WriteFile(path, f)
-	if err != nil {
+	data := Encode(f)
+	if err := WriteFile(path, data); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	if want := int64(len(Encode(f))); n != want {
-		t.Fatalf("WriteFile reported %d bytes, want %d", n, want)
-	}
-	got, size, err := ReadFile(path)
+	// The reload fills the caller's buffer when the file fits in it.
+	buf := make([]byte, 0, len(data))
+	got, size, err := ReadFile(path, buf)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	if size != n {
-		t.Fatalf("ReadFile size %d, want %d", size, n)
+	if size != int64(len(data)) {
+		t.Fatalf("ReadFile size %d, want %d", size, len(data))
 	}
-	if !bytes.Equal(Encode(got), Encode(f)) {
+	if !bytes.Equal(Encode(got), data) {
 		t.Error("round-tripped file differs")
+	}
+	if p := got.Sections[0].Payload; &p[0] != &buf[:cap(buf)][headerSize+8] {
+		t.Error("ReadFile did not read into the buffer it was given")
 	}
 	// No temp files left behind.
 	entries, err := os.ReadDir(filepath.Dir(path))
@@ -178,10 +180,11 @@ func TestWriteFileReadFileRoundTrip(t *testing.T) {
 		t.Errorf("directory holds %d entries after WriteFile, want 1", len(entries))
 	}
 	// Atomic replace: a second write overwrites in place.
-	if _, err := WriteFile(path, &File{Version: Version}); err != nil {
+	if err := WriteFile(path, Encode(&File{Version: Version})); err != nil {
 		t.Fatalf("overwrite: %v", err)
 	}
-	got, _, err = ReadFile(path)
+	// A buffer too small for the file is replaced, not overrun.
+	got, _, err = ReadFile(path, make([]byte, 0, 1))
 	if err != nil {
 		t.Fatalf("ReadFile after overwrite: %v", err)
 	}
@@ -191,7 +194,7 @@ func TestWriteFileReadFileRoundTrip(t *testing.T) {
 }
 
 func TestReadFileMissing(t *testing.T) {
-	_, _, err := ReadFile(filepath.Join(t.TempDir(), "absent.ckpt"))
+	_, _, err := ReadFile(filepath.Join(t.TempDir(), "absent.ckpt"), nil)
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("err = %v, want os.ErrNotExist", err)
 	}
@@ -205,7 +208,7 @@ func TestReadFileCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadFile(path); !errors.Is(err, ErrInvalid) {
+	if _, _, err := ReadFile(path, nil); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("err = %v, want ErrInvalid", err)
 	}
 }

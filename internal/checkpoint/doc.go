@@ -27,5 +27,11 @@
 // are produced and consumed by internal/ftl, which encodes per-shard FTL
 // state (block manager, GMD, mapping cache, Logarithmic Gecko run
 // directory, heat classifier) with the Writer/Reader helpers and validates
-// the decoded state against device truth before importing any of it.
+// the decoded state against device truth before keeping any of it.
+//
+// A warm restart copies each checkpoint byte once: the export frames every
+// section through one Writer into one buffer of the file's exact Size,
+// WriteFile writes that buffer, ReadFile reads the file back into it, and
+// each shard decodes its sections, which alias the buffer, straight into the
+// RAM it already owns. Encode frames through the same Writer.
 package checkpoint

@@ -3,21 +3,44 @@ package checkpoint
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 )
 
-// Writer builds a section payload. All integers are little-endian, matching
-// the container framing. The zero value is ready to use.
+// Writer frames a checkpoint file into one buffer: the header, then for
+// each section its id and length, its payload and its CRC. Both Encode and
+// the FTL's export write through it, so a file whose Size is known up front
+// is written into one buffer of that size and never copied. All integers are
+// little-endian. The zero value writes bare payload bytes, without framing.
 type Writer struct {
 	buf []byte
+	// start is the offset of the open section's id word.
+	start int
 }
 
-// Grow makes room for exactly n more bytes, so that a payload whose size is
-// known up front is written into one buffer of that size.
-func (w *Writer) Grow(n int) {
-	if n > cap(w.buf)-len(w.buf) {
-		w.buf = append(make([]byte, 0, len(w.buf)+n), w.buf...)
-	}
+// NewWriter returns a Writer whose buffer holds exactly size bytes, the
+// size of the file to come, with the header for version already written.
+func NewWriter(size int, version uint32) *Writer {
+	w := &Writer{buf: append(make([]byte, 0, size), magic...)}
+	w.U32(version)
+	return w
 }
+
+// Begin opens a section: its id, and a length word that End fills in.
+func (w *Writer) Begin(id uint32) {
+	w.start = len(w.buf)
+	w.U32(id)
+	w.U32(0)
+}
+
+// End closes the open section: it writes the payload's length into the
+// section's framing and appends the CRC-32C of id, length and payload.
+func (w *Writer) End() {
+	binary.LittleEndian.PutUint32(w.buf[w.start+4:], uint32(len(w.buf)-w.start-8))
+	w.U32(crc32.Checksum(w.buf[w.start:], castagnoli))
+}
+
+// Raw appends p as it is.
+func (w *Writer) Raw(p []byte) { w.buf = append(w.buf, p...) }
 
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -41,7 +64,7 @@ func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf,
 // like -1 round-trip exactly.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
-// Bytes returns the accumulated payload.
+// Bytes returns what has been written.
 func (w *Writer) Bytes() []byte { return w.buf }
 
 // Reader consumes a section payload written by Writer. It is overrun-safe:

@@ -33,10 +33,11 @@ var shardKinds = [...]uint32{sectionShardBlocks, sectionShardGMD, sectionShardCa
 // index.
 func shardSectionID(kind uint32, shard int) uint32 { return kind | uint32(shard)<<8 }
 
-// Minimum encoded bytes per record of each repeated sequence; Reader.Count
-// uses them to bound slice pre-allocation by the input size, and the export
-// to size each section's payload before writing it.
+// Encoded bytes of the engine section's payload and of each record of a
+// repeated sequence: the export sizes the whole file with them before it
+// writes a byte, and Reader.Count bounds slice pre-allocation by them.
 const (
+	engineRecordBytes  = 28 // fingerprint + shard count + write sequence + logical pages
 	blockRecordBytes   = 30 // flags + group + writePointer + valid + firstWriteSeq + lastProgram + eraseCount
 	gmdRecordBytes     = 8  // translation-page location
 	cacheRecordBytes   = 17 // lpn + ppn + flags
@@ -61,7 +62,11 @@ func (f *FTL) checkpointFiles() bool {
 	return ok && !f.facts.battery
 }
 
-// shardCheckpoint is the decoded RAM state of one shard.
+// shardCheckpoint is one shard's decoded RAM state and the destination its
+// sections decode into. A restore points the slices at the shard's own
+// storage and the cache at its own cache, so the decode fills the shard in
+// place; a validation leaves them nil, so the decode allocates fresh slices,
+// checks the cache entries and drops them, and the live shard is untouched.
 type shardCheckpoint struct {
 	blocks  []blockInfo
 	free    []flash.BlockID
@@ -70,9 +75,11 @@ type shardCheckpoint struct {
 
 	gmd []flash.PPN
 
-	// cacheLRUFirst holds the mapping-cache entries ordered least recently
-	// used first, so re-inserting them in order reproduces the LRU order.
-	cacheLRUFirst []mapcache.Entry
+	// cache receives the mapping-cache entries least recently used first,
+	// so re-inserting them in order reproduces the LRU order; dirty counts
+	// the dirty ones.
+	cache *mapcache.Cache
+	dirty int
 
 	runs []gecko.RunExport
 
@@ -88,7 +95,15 @@ type engineCheckpoint struct {
 	shards       int
 	writeSeq     uint64
 	logicalPages int64
-	perShard     []*shardCheckpoint
+}
+
+// fill returns s resliced to n elements when its capacity holds them, and
+// a new slice otherwise.
+func fill[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // checkpointFingerprint hashes the configuration facets that determine the
@@ -108,12 +123,25 @@ func (e *Engine) checkpointFingerprint() uint64 {
 }
 
 // ExportCheckpoint snapshots the engine's complete RAM metadata as a
-// checkpoint file. The caller should Flush first so the snapshot describes
-// durable state; every shard lock is held for the duration, so the snapshot
-// is a consistent cut even with concurrent callers. Only battery-less
-// GeckoFTL engines support checkpointing (ErrCheckpointUnsupported
-// otherwise), and a power-failed engine cannot be exported.
+// checkpoint file: EncodeCheckpoint's bytes, whose sections the file's
+// payloads alias.
 func (e *Engine) ExportCheckpoint() (*checkpoint.File, error) {
+	data, err := e.EncodeCheckpoint()
+	if err != nil {
+		return nil, err
+	}
+	return checkpoint.Decode(data)
+}
+
+// EncodeCheckpoint snapshots the engine's complete RAM metadata as an
+// encoded checkpoint file: every shard writes its sections straight into one
+// buffer, sized to the byte before the first is written. The caller should
+// Flush first so the snapshot describes durable state; every shard lock is
+// held for the duration, so the snapshot is a consistent cut even with
+// concurrent callers. Only battery-less GeckoFTL engines support
+// checkpointing (ErrCheckpointUnsupported otherwise), and a power-failed
+// engine cannot be exported.
+func (e *Engine) EncodeCheckpoint() ([]byte, error) {
 	e.powerMu.Lock()
 	defer e.powerMu.Unlock()
 	if e.failed {
@@ -132,30 +160,43 @@ func (e *Engine) ExportCheckpoint() (*checkpoint.File, error) {
 		defer sh.mu.Unlock()
 	}
 
-	file := &checkpoint.File{
-		Version:  checkpoint.Version,
-		Sections: make([]checkpoint.Section, 0, 1+len(e.shards)*len(shardKinds)),
+	payload := engineRecordBytes
+	for _, sh := range e.shards {
+		payload += sh.ftl.checkpointPayloadBytes()
 	}
-	var w checkpoint.Writer
+	w := checkpoint.NewWriter(checkpoint.FileSize(1+len(e.shards)*len(shardKinds), payload), checkpoint.Version)
+	w.Begin(sectionEngine)
 	w.U64(e.checkpointFingerprint())
 	w.U32(uint32(len(e.shards)))
 	w.U64(e.writeSeq())
 	w.I64(e.logicalPages)
-	file.Sections = append(file.Sections, checkpoint.Section{ID: sectionEngine, Payload: w.Bytes()})
-
+	w.End()
 	for i, sh := range e.shards {
-		file.Sections = sh.ftl.appendShardSections(file.Sections, i)
+		sh.ftl.writeShardSections(w, i)
 	}
-	return file, nil
+	return w.Bytes(), nil
 }
 
-// appendShardSections encodes one shard's RAM state into its per-shard
-// sections and appends them to sections. Each payload is sized before it is
-// written. Callers hold the shard lock.
-func (f *FTL) appendShardSections(sections []checkpoint.Section, shard int) []checkpoint.Section {
-	var blocks checkpoint.Writer
-	blocks.Grow(4 + len(f.bm.blocks)*blockRecordBytes + 4 + 4*len(f.bm.free) + 1 + 8*len(f.bm.active) + 8)
-	blocks.U32(uint32(len(f.bm.blocks)))
+// checkpointPayloadBytes returns the summed payload size of the shard's
+// sections as writeShardSections writes them.
+func (f *FTL) checkpointPayloadBytes() int {
+	lg := f.validity.(*gecko.Gecko)
+	n := 4 + len(f.bm.blocks)*blockRecordBytes + 4 + 4*len(f.bm.free) + 1 + 8*len(f.bm.active) + 8
+	n += 4 + f.table.Pages()*gmdRecordBytes
+	n += 4 + f.cache.Len()*cacheRecordBytes
+	n += 4 + lg.RunCount()*runHeaderBytes + lg.FlashPages()*runPageRecordBytes
+	n++ // heat classifier flag
+	if f.heat.enabled {
+		n += 8 + 4 + len(f.heat.heat)*heatRecordBytes
+	}
+	return n
+}
+
+// writeShardSections writes one shard's RAM state as its per-shard
+// sections. Callers hold the shard lock.
+func (f *FTL) writeShardSections(w *checkpoint.Writer, shard int) {
+	w.Begin(shardSectionID(sectionShardBlocks, shard))
+	w.U32(uint32(len(f.bm.blocks)))
 	for i := range f.bm.blocks {
 		b := &f.bm.blocks[i]
 		var flags uint8
@@ -165,41 +206,37 @@ func (f *FTL) appendShardSections(sections []checkpoint.Section, shard int) []ch
 		if b.retired {
 			flags |= 2
 		}
-		blocks.U8(flags)
-		blocks.U8(uint8(b.group))
-		blocks.U32(uint32(b.writePointer))
-		blocks.U32(uint32(b.valid))
-		blocks.U64(b.firstWriteSeq)
-		blocks.U64(b.lastProgram)
-		blocks.U32(uint32(b.eraseCount))
+		w.U8(flags)
+		w.U8(uint8(b.group))
+		w.U32(uint32(b.writePointer))
+		w.U32(uint32(b.valid))
+		w.U64(b.firstWriteSeq)
+		w.U64(b.lastProgram)
+		w.U32(uint32(b.eraseCount))
 	}
-	blocks.U32(uint32(len(f.bm.free)))
+	w.U32(uint32(len(f.bm.free)))
 	for _, id := range f.bm.free {
-		blocks.U32(uint32(id))
+		w.U32(uint32(id))
 	}
-	blocks.U8(uint8(len(f.bm.active)))
+	w.U8(uint8(len(f.bm.active)))
 	for _, id := range f.bm.active {
-		blocks.I64(int64(id))
+		w.I64(int64(id))
 	}
-	blocks.U64(f.bm.lastSeq)
-	sections = append(sections, checkpoint.Section{ID: shardSectionID(sectionShardBlocks, shard), Payload: blocks.Bytes()})
+	w.U64(f.bm.lastSeq)
+	w.End()
 
-	var gmd checkpoint.Writer
-	gmd.Grow(4 + f.table.Pages()*gmdRecordBytes)
-	gmd.U32(uint32(f.table.Pages()))
+	w.Begin(shardSectionID(sectionShardGMD, shard))
+	w.U32(uint32(f.table.Pages()))
 	for tp := 0; tp < f.table.Pages(); tp++ {
-		gmd.I64(int64(f.table.GMDLocation(tp)))
+		w.I64(int64(f.table.GMDLocation(tp)))
 	}
-	sections = append(sections, checkpoint.Section{ID: shardSectionID(sectionShardGMD, shard), Payload: gmd.Bytes()})
+	w.End()
 
-	var cache checkpoint.Writer
-	entries := f.cache.Entries() // most recently used first
-	cache.Grow(4 + len(entries)*cacheRecordBytes)
-	cache.U32(uint32(len(entries)))
-	for i := len(entries) - 1; i >= 0; i-- { // store LRU-first
-		e := entries[i]
-		cache.I64(int64(e.Logical))
-		cache.I64(int64(e.Physical))
+	w.Begin(shardSectionID(sectionShardCache, shard))
+	w.U32(uint32(f.cache.Len()))
+	f.cache.ForEachOldest(func(e mapcache.Entry) {
+		w.I64(int64(e.Logical))
+		w.I64(int64(e.Physical))
 		var flags uint8
 		if e.Dirty {
 			flags |= 1
@@ -213,97 +250,89 @@ func (f *FTL) appendShardSections(sections []checkpoint.Section, shard int) []ch
 		if e.Trimmed {
 			flags |= 8
 		}
-		cache.U8(flags)
-	}
-	sections = append(sections, checkpoint.Section{ID: shardSectionID(sectionShardCache, shard), Payload: cache.Bytes()})
+		w.U8(flags)
+	})
+	w.End()
 
-	var lg checkpoint.Writer
+	w.Begin(shardSectionID(sectionShardGecko, shard))
 	runs := f.validity.(*gecko.Gecko).ExportDirectories()
-	size := 4
+	w.U32(uint32(len(runs)))
 	for _, r := range runs {
-		size += runHeaderBytes + len(r.Pages)*runPageRecordBytes
-	}
-	lg.Grow(size)
-	lg.U32(uint32(len(runs)))
-	for _, r := range runs {
-		lg.U64(r.ID)
-		lg.U64(r.CreateSeq)
-		lg.U32(uint32(r.Level))
-		lg.U32(uint32(len(r.Pages)))
+		w.U64(r.ID)
+		w.U64(r.CreateSeq)
+		w.U32(uint32(r.Level))
+		w.U32(uint32(len(r.Pages)))
 		for _, p := range r.Pages {
-			lg.I64(p.PPN)
-			lg.U32(p.MinKey)
-			lg.U32(p.MaxKey)
+			w.I64(p.PPN)
+			w.U32(p.MinKey)
+			w.U32(p.MaxKey)
 		}
 	}
-	sections = append(sections, checkpoint.Section{ID: shardSectionID(sectionShardGecko, shard), Payload: lg.Bytes()})
+	w.End()
 
-	var heat checkpoint.Writer
-	size = 1
+	w.Begin(shardSectionID(sectionShardHeat, shard))
+	w.Bool(f.heat.enabled)
 	if f.heat.enabled {
-		size += 8 + 4 + len(f.heat.heat)*heatRecordBytes
-	}
-	heat.Grow(size)
-	heat.Bool(f.heat.enabled)
-	if f.heat.enabled {
-		heat.I64(f.heat.clock)
-		heat.U32(uint32(len(f.heat.heat)))
+		w.I64(f.heat.clock)
+		w.U32(uint32(len(f.heat.heat)))
 		for i := range f.heat.heat {
-			heat.U32(math.Float32bits(f.heat.heat[i]))
-			heat.I64(f.heat.last[i])
+			w.U32(math.Float32bits(f.heat.heat[i]))
+			w.I64(f.heat.last[i])
 		}
 	}
-	sections = append(sections, checkpoint.Section{ID: shardSectionID(sectionShardHeat, shard), Payload: heat.Bytes()})
-
-	return sections
+	w.End()
 }
 
-// decodeCheckpoint parses a checkpoint file's sections into engine state,
-// enforcing the fixed section order. Structural damage (wrong counts, bad
-// framing, short payloads) wraps checkpoint.ErrInvalid.
-func decodeCheckpoint(file *checkpoint.File) (*engineCheckpoint, error) {
+// decodeEngineSection checks a checkpoint's section layout — the engine
+// section first, then one section of each kind for every shard it names —
+// and decodes the engine-wide state. Damage wraps checkpoint.ErrInvalid.
+func decodeEngineSection(file *checkpoint.File) (engineCheckpoint, error) {
 	if len(file.Sections) == 0 || file.Sections[0].ID != sectionEngine {
-		return nil, fmt.Errorf("%w: first section is not the engine header", checkpoint.ErrInvalid)
+		return engineCheckpoint{}, fmt.Errorf("%w: first section is not the engine header", checkpoint.ErrInvalid)
 	}
 	r := checkpoint.NewReader(file.Sections[0].Payload)
-	ec := &engineCheckpoint{
+	ec := engineCheckpoint{
 		fingerprint:  r.U64(),
 		shards:       int(r.U32()),
 		writeSeq:     r.U64(),
 		logicalPages: r.I64(),
 	}
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("engine section: %w", err)
+		return engineCheckpoint{}, fmt.Errorf("engine section: %w", err)
 	}
 	if ec.shards < 1 || ec.shards > 1<<16 {
-		return nil, fmt.Errorf("%w: implausible shard count %d", checkpoint.ErrInvalid, ec.shards)
+		return engineCheckpoint{}, fmt.Errorf("%w: implausible shard count %d", checkpoint.ErrInvalid, ec.shards)
 	}
 	if want := 1 + ec.shards*len(shardKinds); len(file.Sections) != want {
-		return nil, fmt.Errorf("%w: %d sections for %d shards, want %d", checkpoint.ErrInvalid, len(file.Sections), ec.shards, want)
-	}
-	for shard := 0; shard < ec.shards; shard++ {
-		sc := &shardCheckpoint{}
-		for k, kind := range shardKinds {
-			s := file.Sections[1+shard*len(shardKinds)+k]
-			if s.ID != shardSectionID(kind, shard) {
-				return nil, fmt.Errorf("%w: section %#x out of order (want kind %#x of shard %d)", checkpoint.ErrInvalid, s.ID, kind, shard)
-			}
-			if err := sc.decodeSection(kind, s.Payload); err != nil {
-				return nil, fmt.Errorf("shard %d section %#x: %w", shard, kind, err)
-			}
-		}
-		ec.perShard = append(ec.perShard, sc)
+		return engineCheckpoint{}, fmt.Errorf("%w: %d sections for %d shards, want %d", checkpoint.ErrInvalid, len(file.Sections), ec.shards, want)
 	}
 	return ec, nil
 }
 
-// decodeSection parses one per-shard section payload.
-func (sc *shardCheckpoint) decodeSection(kind uint32, payload []byte) error {
+// decodeShard decodes the shard's sections of a checkpoint, in their fixed
+// order, into sc and checks the result against the shard's configuration
+// and its partition's device truth. The partition must be powered; callers
+// hold the shard lock.
+func (f *FTL) decodeShard(file *checkpoint.File, shard int, sc *shardCheckpoint) error {
+	for k, kind := range shardKinds {
+		s := file.Sections[1+shard*len(shardKinds)+k]
+		if s.ID != shardSectionID(kind, shard) {
+			return fmt.Errorf("%w: section %#x out of order (want kind %#x of shard %d)", checkpoint.ErrInvalid, s.ID, kind, shard)
+		}
+		if err := f.decodeSection(kind, s.Payload, sc); err != nil {
+			return fmt.Errorf("section %#x: %w", kind, err)
+		}
+	}
+	return f.verifyShardCheckpoint(sc)
+}
+
+// decodeSection parses one per-shard section payload into sc. A cache entry
+// is range-checked before it reaches sc.cache.
+func (f *FTL) decodeSection(kind uint32, payload []byte, sc *shardCheckpoint) error {
 	r := checkpoint.NewReader(payload)
 	switch kind {
 	case sectionShardBlocks:
-		n := r.Count(blockRecordBytes)
-		sc.blocks = make([]blockInfo, n)
+		sc.blocks = fill(sc.blocks, r.Count(blockRecordBytes))
 		for i := range sc.blocks {
 			b := &sc.blocks[i]
 			flags := r.U8()
@@ -319,8 +348,7 @@ func (sc *shardCheckpoint) decodeSection(kind uint32, payload []byte) error {
 			b.lastProgram = r.U64()
 			b.eraseCount = int(r.U32())
 		}
-		nFree := r.Count(4)
-		sc.free = make([]flash.BlockID, nFree)
+		sc.free = fill(sc.free, r.Count(4))
 		for i := range sc.free {
 			sc.free[i] = flash.BlockID(r.U32())
 		}
@@ -332,18 +360,18 @@ func (sc *shardCheckpoint) decodeSection(kind uint32, payload []byte) error {
 		}
 		sc.lastSeq = r.U64()
 	case sectionShardGMD:
-		n := r.Count(gmdRecordBytes)
-		sc.gmd = make([]flash.PPN, n)
+		sc.gmd = fill(sc.gmd, r.Count(gmdRecordBytes))
 		for i := range sc.gmd {
 			sc.gmd[i] = flash.PPN(r.I64())
 		}
 	case sectionShardCache:
 		n := r.Count(cacheRecordBytes)
-		sc.cacheLRUFirst = make([]mapcache.Entry, n)
-		for i := range sc.cacheLRUFirst {
-			e := &sc.cacheLRUFirst[i]
-			e.Logical = flash.LPN(r.I64())
-			e.Physical = flash.PPN(r.I64())
+		if n > f.cache.Capacity() {
+			return fmt.Errorf("%w: %d cached entries over the %d-entry budget", checkpoint.ErrInvalid, n, f.cache.Capacity())
+		}
+		shardPages := flash.PPN(int64(f.cfg.Blocks) * int64(f.cfg.PagesPerBlock))
+		for range n {
+			e := mapcache.Entry{Logical: flash.LPN(r.I64()), Physical: flash.PPN(r.I64())}
 			flags := r.U8()
 			if flags&^uint8(15) != 0 {
 				return fmt.Errorf("%w: unknown cache-entry flags %#x", checkpoint.ErrInvalid, flags)
@@ -352,17 +380,27 @@ func (sc *shardCheckpoint) decodeSection(kind uint32, payload []byte) error {
 			e.UIP = flags&2 != 0
 			e.Uncertain = flags&4 != 0
 			e.Trimmed = flags&8 != 0
+			if e.Logical < 0 || int64(e.Logical) >= f.logicalPages {
+				return fmt.Errorf("%w: cached mapping for logical page %d of %d", checkpoint.ErrInvalid, e.Logical, f.logicalPages)
+			}
+			if e.Physical != flash.InvalidPPN && (e.Physical < 0 || e.Physical >= shardPages) {
+				return fmt.Errorf("%w: cached mapping %d -> %d out of range", checkpoint.ErrInvalid, e.Logical, e.Physical)
+			}
+			if e.Dirty {
+				sc.dirty++
+			}
+			if sc.cache != nil {
+				sc.cache.Put(e)
+			}
 		}
 	case sectionShardGecko:
-		n := r.Count(runHeaderBytes)
-		sc.runs = make([]gecko.RunExport, n)
+		sc.runs = make([]gecko.RunExport, r.Count(runHeaderBytes))
 		for i := range sc.runs {
 			run := &sc.runs[i]
 			run.ID = r.U64()
 			run.CreateSeq = r.U64()
 			run.Level = int(r.U32())
-			pages := r.Count(runPageRecordBytes)
-			run.Pages = make([]gecko.RunPageExport, pages)
+			run.Pages = make([]gecko.RunPageExport, r.Count(runPageRecordBytes))
 			for j := range run.Pages {
 				run.Pages[j] = gecko.RunPageExport{PPN: r.I64(), MinKey: r.U32(), MaxKey: r.U32()}
 			}
@@ -372,15 +410,12 @@ func (sc *shardCheckpoint) decodeSection(kind uint32, payload []byte) error {
 		if sc.heatEnabled {
 			sc.heatClock = r.I64()
 			n := r.Count(heatRecordBytes)
-			sc.heat = make([]float32, n)
-			sc.heatLast = make([]int64, n)
+			sc.heat, sc.heatLast = fill(sc.heat, n), fill(sc.heatLast, n)
 			for i := range sc.heat {
 				sc.heat[i] = math.Float32frombits(r.U32())
 				sc.heatLast[i] = r.I64()
 			}
 		}
-	default:
-		return fmt.Errorf("%w: unknown section kind %#x", checkpoint.ErrInvalid, kind)
 	}
 	return r.Done()
 }
@@ -389,7 +424,7 @@ func (sc *shardCheckpoint) decodeSection(kind uint32, payload []byte) error {
 // checkpoint against this engine and, crucially, against device truth: the
 // sum of the shards' write sequences must match exactly, or the checkpoint
 // describes a different moment of the flash than the one in front of us.
-func (e *Engine) verifyEngineCheckpoint(ec *engineCheckpoint) error {
+func (e *Engine) verifyEngineCheckpoint(ec engineCheckpoint) error {
 	if got, want := ec.fingerprint, e.checkpointFingerprint(); got != want {
 		return fmt.Errorf("%w: configuration fingerprint %#x, this engine is %#x", checkpoint.ErrInvalid, got, want)
 	}
@@ -500,18 +535,6 @@ func (f *FTL) verifyShardCheckpoint(sc *shardCheckpoint) error {
 		}
 	}
 
-	if len(sc.cacheLRUFirst) > f.cache.Capacity() {
-		return fmt.Errorf("%w: %d cached entries over the %d-entry budget", checkpoint.ErrInvalid, len(sc.cacheLRUFirst), f.cache.Capacity())
-	}
-	for _, e := range sc.cacheLRUFirst {
-		if e.Logical < 0 || int64(e.Logical) >= f.logicalPages {
-			return fmt.Errorf("%w: cached mapping for logical page %d of %d", checkpoint.ErrInvalid, e.Logical, f.logicalPages)
-		}
-		if e.Physical != flash.InvalidPPN && (e.Physical < 0 || e.Physical >= shardPages) {
-			return fmt.Errorf("%w: cached mapping %d -> %d out of range", checkpoint.ErrInvalid, e.Logical, e.Physical)
-		}
-	}
-
 	if err := f.validity.(*gecko.Gecko).ValidateDirectories(sc.runs); err != nil {
 		return fmt.Errorf("%w: %w", checkpoint.ErrInvalid, err)
 	}
@@ -525,50 +548,38 @@ func (f *FTL) verifyShardCheckpoint(sc *shardCheckpoint) error {
 	return nil
 }
 
-// importShardCheckpoint rebuilds one crashed shard's RAM state from a
-// decoded checkpoint instead of running GeckoRec: zero flash IO. The shard
-// must be power-failed (RAM already dropped); on any error the shard is
-// returned to the crashed state — partial imports never survive — and the
-// caller falls back to ordinary recovery.
-func (f *FTL) importShardCheckpoint(sc *shardCheckpoint) error {
+// importShardCheckpoint rebuilds one crashed shard's RAM state from its
+// sections of a checkpoint instead of running GeckoRec: zero flash IO. The
+// sections decode into the storage the shard already owns. The shard must
+// be power-failed (RAM already dropped); on any error the shard is returned
+// to the crashed state — partial imports never survive — and the caller
+// falls back to ordinary recovery.
+func (f *FTL) importShardCheckpoint(file *checkpoint.File, shard int) error {
 	if f.dev.Powered() {
 		return fmt.Errorf("ftl: checkpoint import without a preceding PowerFail")
 	}
 	f.dev.PowerOn()
-	if err := f.verifyShardCheckpoint(sc); err != nil {
+	f.cache.Clear()
+	sc := shardCheckpoint{
+		blocks: f.bm.blocks, free: f.bm.free, gmd: f.table.gmd, cache: f.cache,
+		heat: f.heat.heat, heatLast: f.heat.last,
+	}
+	if err := f.decodeShard(file, shard, &sc); err != nil {
 		f.crash()
 		return err
 	}
-
-	f.bm.blocks = sc.blocks
-	f.bm.free = sc.free
-	f.bm.active = sc.active
-	f.bm.lastSeq = sc.lastSeq
-	f.bm.restoreFreeOrder()
-	f.bm.reindexFullBlocks()
-
-	for tp, ppn := range sc.gmd {
-		f.table.SetGMDLocation(tp, ppn)
-	}
-
 	if err := f.validity.(*gecko.Gecko).ImportDirectories(sc.runs); err != nil {
 		f.crash()
 		return fmt.Errorf("%w: %w", checkpoint.ErrInvalid, err)
 	}
-
-	f.cache.Clear()
-	f.dirtyCount = 0
-	for _, e := range sc.cacheLRUFirst {
-		f.cache.Put(e)
-		if e.Dirty {
-			f.dirtyCount++
-		}
-	}
-
+	// Verified, so the block table, GMD and heat state filled the shard's
+	// own arrays at their full lengths; the free list takes its new one.
+	f.bm.free, f.bm.active, f.bm.lastSeq = sc.free, sc.active, sc.lastSeq
+	f.bm.restoreFreeOrder()
+	f.bm.reindexFullBlocks()
+	f.dirtyCount = sc.dirty
 	if f.heat.enabled {
 		f.heat.clock = sc.heatClock
-		copy(f.heat.heat, sc.heat)
-		copy(f.heat.last, sc.heatLast)
 	}
 	return nil
 }
@@ -576,8 +587,9 @@ func (f *FTL) importShardCheckpoint(sc *shardCheckpoint) error {
 // ValidateCheckpoint checks a decoded checkpoint against a live engine
 // without mutating anything: configuration fingerprint, shard layout,
 // staleness versus the shards' write sequences, and every shard's
-// state against its partition's device truth. A nil return means
-// RestoreCheckpoint would accept the file in the engine's current state.
+// state against its partition's device truth. Each shard's sections decode
+// into fresh memory. A nil return means RestoreCheckpoint would accept the
+// file in the engine's current state.
 func (e *Engine) ValidateCheckpoint(file *checkpoint.File) error {
 	e.powerMu.Lock()
 	defer e.powerMu.Unlock()
@@ -587,7 +599,7 @@ func (e *Engine) ValidateCheckpoint(file *checkpoint.File) error {
 	if !e.shards[0].ftl.checkpointFiles() {
 		return ErrCheckpointUnsupported
 	}
-	ec, err := decodeCheckpoint(file)
+	ec, err := decodeEngineSection(file)
 	if err != nil {
 		return err
 	}
@@ -596,7 +608,7 @@ func (e *Engine) ValidateCheckpoint(file *checkpoint.File) error {
 	}
 	for i, sh := range e.shards {
 		sh.mu.Lock()
-		err := sh.ftl.verifyShardCheckpoint(ec.perShard[i])
+		err := sh.ftl.decodeShard(file, i, &shardCheckpoint{})
 		sh.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
@@ -610,9 +622,10 @@ func (e *Engine) ValidateCheckpoint(file *checkpoint.File) error {
 // The engine must be power-failed (as after PowerFail or a clean shutdown's
 // simulated reboot). The checkpoint is validated — structure, configuration
 // fingerprint, staleness against the shards' write sequences, and
-// per-shard device truth — before any state is kept; on any failure every
-// shard is returned to the crashed state and the error is reported so the
-// caller can fall back to Engine.Recover. Partial state never survives.
+// per-shard device truth — as each shard decodes into its own RAM; on any
+// failure every shard is returned to the crashed state and the error is
+// reported so the caller can fall back to Engine.Recover. Partial state
+// never survives.
 func (e *Engine) RestoreCheckpoint(file *checkpoint.File) error {
 	e.powerMu.Lock()
 	defer e.powerMu.Unlock()
@@ -622,7 +635,7 @@ func (e *Engine) RestoreCheckpoint(file *checkpoint.File) error {
 	if !e.shards[0].ftl.checkpointFiles() {
 		return ErrCheckpointUnsupported
 	}
-	ec, err := decodeCheckpoint(file)
+	ec, err := decodeEngineSection(file)
 	if err != nil {
 		return err
 	}
@@ -632,7 +645,7 @@ func (e *Engine) RestoreCheckpoint(file *checkpoint.File) error {
 	e.dev.PowerOn()
 	for i, sh := range e.shards {
 		sh.mu.Lock()
-		err := sh.ftl.importShardCheckpoint(ec.perShard[i])
+		err := sh.ftl.importShardCheckpoint(file, i)
 		sh.mu.Unlock()
 		if err != nil {
 			// Roll every shard back to the crashed state: shards imported so

@@ -2,9 +2,11 @@ package ftl
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"geckoftl/internal/checkpoint"
@@ -62,8 +64,8 @@ func sameMapped(t *testing.T, want, got []bool, context string) {
 }
 
 // TestExportSizesEachPayload pins the record-size constants to what the
-// export writes: every section's payload is sized up front, to the byte, with
-// the heat classifier off and on.
+// export writes: the one buffer every section is framed into is sized up
+// front, to the byte, with the heat classifier off and on.
 func TestExportSizesEachPayload(t *testing.T) {
 	for _, heat := range []bool{false, true} {
 		dev := engineTestDevice(t, 128, 2)
@@ -81,10 +83,12 @@ func TestExportSizesEachPayload(t *testing.T) {
 		if err := e.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range mustExport(t, e).Sections[1:] {
-			if len(s.Payload) != cap(s.Payload) {
-				t.Errorf("heat %t: section %#x holds %d bytes in a buffer of %d", heat, s.ID, len(s.Payload), cap(s.Payload))
-			}
+		data, err := e.EncodeCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) != cap(data) {
+			t.Errorf("heat %t: checkpoint of %d bytes in a buffer of %d", heat, len(data), cap(data))
 		}
 	}
 }
@@ -271,6 +275,56 @@ func mustExport(t *testing.T, e *Engine) *checkpoint.File {
 		t.Fatal(err)
 	}
 	return file
+}
+
+// TestEngineRestoreRollsBackPartialDecode pins the rollback of a restore
+// that fails part-way. The checkpoint is re-framed, every checksum valid,
+// with one block of the last shard an erase off its device count, so the
+// other shards decode into their own RAM before the last one's check
+// against the device fails. The restore must fail as an invalid checkpoint,
+// and the recovery after it must start from a clean crash: a consistent map
+// holding the same pages as a plain PowerFail and Recover of the same state.
+func TestEngineRestoreRollsBackPartialDecode(t *testing.T) {
+	const blocks, channels = 256, 4
+	ref := checkpointTestEngine(t, blocks, channels)
+	if err := ref.PowerFail(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	want := mappedSet(t, ref)
+
+	e := checkpointTestEngine(t, blocks, channels)
+	file := mustExport(t, e)
+	damaged := &checkpoint.File{Version: file.Version}
+	for _, s := range file.Sections {
+		if s.ID == shardSectionID(sectionShardBlocks, channels-1) {
+			s.Payload = append([]byte(nil), s.Payload...)
+			erases := s.Payload[4+26:] // block 0's erase count
+			binary.LittleEndian.PutUint32(erases, binary.LittleEndian.Uint32(erases)+1)
+		}
+		damaged.Sections = append(damaged.Sections, s)
+	}
+	reframed, err := checkpoint.Decode(checkpoint.Encode(damaged))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := e.PowerFail(); err != nil {
+		t.Fatal(err)
+	}
+	err = e.RestoreCheckpoint(reframed)
+	if !errors.Is(err, checkpoint.ErrInvalid) || !strings.Contains(err.Error(), fmt.Sprintf("shard %d:", channels-1)) {
+		t.Fatalf("restore of a checkpoint damaged in the last shard: %v, want ErrInvalid from shard %d", err, channels-1)
+	}
+	if _, err := e.Recover(); err != nil {
+		t.Fatalf("GeckoRec after the failed restore: %v", err)
+	}
+	if err := e.CheckConsistency(); err != nil {
+		t.Fatalf("engine inconsistent after the failed restore: %v", err)
+	}
+	sameMapped(t, want, mappedSet(t, e), "recovery after a failed restore")
 }
 
 // TestEngineCheckpointStaleSequenceRejected pins the device-truth check: a

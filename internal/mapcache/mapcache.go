@@ -390,6 +390,17 @@ func (c *Cache) ForEach(fn func(Entry) bool) {
 	}
 }
 
+// ForEachOldest calls fn on every cached entry in least-recently-used-first
+// order, walking the queue in place: Put-ting them into an empty cache in
+// that order reproduces this one.
+func (c *Cache) ForEachOldest(fn func(Entry)) {
+	for i := c.nodes[sentinel].prev; i != sentinel; i = c.nodes[i].prev {
+		if n := &c.nodes[i]; !n.checkpoint {
+			fn(n.entry)
+		}
+	}
+}
+
 // Entries returns all cached entries in most-recently-used-first order.
 func (c *Cache) Entries() []Entry {
 	out := make([]Entry, 0, c.count)

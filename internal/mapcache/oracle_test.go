@@ -285,6 +285,11 @@ func TestSlabCacheMatchesListCache(t *testing.T) {
 			if !slices.Equal(got.Entries(), want.Entries()) {
 				t.Fatalf("%s: Entries() = %v, list cache %v", where, got.Entries(), want.Entries())
 			}
+			var oldest []Entry
+			got.ForEachOldest(func(e Entry) { oldest = append(oldest, e) })
+			if slices.Reverse(oldest); !slices.Equal(oldest, want.Entries()) {
+				t.Fatalf("%s: ForEachOldest reversed = %v, list cache %v", where, oldest, want.Entries())
+			}
 			if got.Stats() != want.Stats() || got.Len() != want.Len() || got.DirtyCount() != want.DirtyCount() ||
 				got.OpsSinceCheckpoint() != want.OpsSinceCheckpoint() {
 				t.Fatalf("%s: stats %+v len %d dirty %d ops %d, list cache %+v %d %d %d", where,

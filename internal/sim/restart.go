@@ -87,7 +87,7 @@ func restartPoint(scale ExperimentScale) (RestartPoint, error) {
 	if err != nil {
 		return RestartPoint{}, fmt.Errorf("checkpoint export: %w", err)
 	}
-	encoded := checkpoint.Encode(file)
+	size := int64(checkpoint.Size(file))
 
 	// Warm restart: reboot (drop all RAM state) and import the checkpoint.
 	if err := eng.PowerFail(); err != nil {
@@ -106,7 +106,7 @@ func restartPoint(scale ExperimentScale) (RestartPoint, error) {
 		return RestartPoint{}, fmt.Errorf("cold restart: %w", err)
 	}
 
-	warm := model.WarmRestart(int64(len(encoded)))
+	warm := model.WarmRestart(size)
 	mp := run.modelParams()
 	cold := model.EngineRecovery(model.GeckoFTL, mp, eng.Shards())
 
@@ -120,7 +120,7 @@ func restartPoint(scale ExperimentScale) (RestartPoint, error) {
 		Blocks:          run.cfg.Blocks,
 		CacheEntries:    run.scale.CacheEntries,
 		PreWrites:       pre,
-		CheckpointBytes: int64(len(encoded)),
+		CheckpointBytes: size,
 		WarmWallClock:   warm.WallClock,
 		ColdWallClock:   report.WallClock,
 		ColdSerial:      report.SerialTime,
