@@ -271,3 +271,37 @@ func TestTicketWaitOutcomeBeatsCancelledContext(t *testing.T) {
 		t.Error("nothing was shed: no outcome exercised the error mapping")
 	}
 }
+
+// TestResetStatsRestartsQueueLatency requires ResetStats to start the
+// submission queue's latency distribution over, as it does the synchronous
+// ones, while the queue's counters keep counting from Open.
+func TestResetStatsRestartsQueueLatency(t *testing.T) {
+	d, err := Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close(context.Background())
+	ctx := context.Background()
+	const n = 100
+	for i := range n {
+		tk, err := d.SubmitWrite(ctx, LPN(i%int(d.LogicalPages())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tk.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if q := d.Snapshot().Queue; q.Latency.Count != n {
+		t.Fatalf("before ResetStats: %d queue latencies, want %d", q.Latency.Count, n)
+	}
+	d.ResetStats()
+	snap := d.Snapshot()
+	if snap.WriteLatency.Count != 0 || snap.Queue.Latency.Count != 0 {
+		t.Errorf("after ResetStats: %d write and %d queue latencies, want none",
+			snap.WriteLatency.Count, snap.Queue.Latency.Count)
+	}
+	if snap.Queue.Submitted != n || snap.Queue.Completed != n {
+		t.Errorf("ResetStats cleared the queue's counters: %+v", snap.Queue)
+	}
+}

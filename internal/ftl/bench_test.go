@@ -19,12 +19,11 @@ import (
 // (metadata-aware) and 13.1 µs (cost-benefit).
 func BenchmarkPickVictim(b *testing.B) {
 	f := steadyStateFTL(b, 4096, GeckoFTLOptions)
-	excluded := f.table.ProtectedBlocks()
 	for _, policy := range []VictimPolicy{VictimGreedy, VictimMetadataAware, VictimCostBenefit} {
 		b.Run(policy.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, ok := f.bm.PickVictim(policy, excluded); !ok {
+				if _, ok := f.bm.PickVictim(policy); !ok {
 					b.Fatal("no victim")
 				}
 			}

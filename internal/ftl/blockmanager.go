@@ -235,6 +235,11 @@ type blockManager struct {
 	full fullBlocks
 	// deadBuf is FullyInvalidBlocks' reused result.
 	deadBuf []flash.BlockID
+	// protected marks the blocks holding a previous translation-page version
+	// that buffer recovery reads (Appendix C.2.2); garbage collection skips
+	// them until ClearProtection. It models flash the FTL deliberately leaves
+	// unerased, so CrashRAM keeps it.
+	protected *bitmap.Bitmap
 }
 
 // newBlockManager creates a block manager with every block free.
@@ -245,6 +250,7 @@ func newBlockManager(dev *flash.Partition, gcReserve int, hotCold, wearAware boo
 		cfg:       cfg,
 		blocks:    make([]blockInfo, cfg.Blocks),
 		full:      newFullBlocks(cfg.Blocks, cfg.PagesPerBlock),
+		protected: bitmap.New(cfg.Blocks),
 		hotCold:   hotCold,
 		wearAware: wearAware,
 		gcReserve: gcReserve,
@@ -590,11 +596,10 @@ func (p VictimPolicy) String() string {
 func (p VictimPolicy) MigratesMetadata() bool { return p == VictimGreedy }
 
 // PickVictim returns the next garbage-collection victim under the policy, or
-// false when no block is eligible. Only full, non-active, allocated blocks
-// are eligible: partially written active blocks still absorb writes. Blocks
-// in the excluded set (e.g. those protected because they hold previous
-// translation-page versions needed for buffer recovery, Appendix C.2.2) are
-// skipped.
+// false when no block is eligible. Only full, allocated blocks that no
+// frontier writes to and that are not protected (Protect) are eligible:
+// partially written active blocks still absorb writes, and a protected
+// block holds a previous translation-page version buffer recovery needs.
 //
 // Selection is deterministic: equally good candidates resolve to the lowest
 // block ID, whether they are found as the first set bit of a bucket of the
@@ -603,9 +608,9 @@ func (p VictimPolicy) MigratesMetadata() bool { return p == VictimGreedy }
 // under VictimCostBenefit, whose floating-point scores tie easily
 // (all-invalid blocks of the same age); a tie broken by anything but the ID
 // would make identically-seeded simulations diverge.
-func (bm *blockManager) PickVictim(policy VictimPolicy, excluded map[flash.BlockID]bool) (flash.BlockID, bool) {
+func (bm *blockManager) PickVictim(policy VictimPolicy) (flash.BlockID, bool) {
 	if policy == VictimCostBenefit {
-		return bm.pickByScore(excluded)
+		return bm.pickByScore()
 	}
 	// Fewest valid pages first; within a count, the lowest eligible ID of
 	// the groups the policy may migrate.
@@ -616,7 +621,7 @@ func (bm *blockManager) PickVictim(policy VictimPolicy, excluded map[flash.Block
 	for valid := 0; valid < bm.full.valids; valid++ {
 		best := flash.InvalidBlock
 		for g := Group(0); g < groups; g++ {
-			if id := bm.firstEligible(g, valid, excluded); id != flash.InvalidBlock && (best == flash.InvalidBlock || id < best) {
+			if id := bm.firstEligible(g, valid); id != flash.InvalidBlock && (best == flash.InvalidBlock || id < best) {
 				best = id
 			}
 		}
@@ -628,14 +633,14 @@ func (bm *blockManager) PickVictim(policy VictimPolicy, excluded map[flash.Block
 }
 
 // firstEligible returns the lowest full block of the group with the given
-// valid count that is neither an active frontier nor excluded.
-func (bm *blockManager) firstEligible(g Group, valid int, excluded map[flash.BlockID]bool) flash.BlockID {
+// valid count that is neither an active frontier nor protected.
+func (bm *blockManager) firstEligible(g Group, valid int) flash.BlockID {
 	bits, n := bm.full.bucket(g, valid)
 	if *n == 0 {
 		return flash.InvalidBlock
 	}
 	for i := range bitmap.Ones(bits, 0, len(bm.blocks)) {
-		if id := flash.BlockID(i); !bm.isActive(id) && !excluded[id] {
+		if id := flash.BlockID(i); !bm.held(id) {
 			return id
 		}
 	}
@@ -645,7 +650,7 @@ func (bm *blockManager) firstEligible(g Group, valid int, excluded map[flash.Blo
 // pickByScore is PickVictim under VictimCostBenefit. Scores move with the
 // write sequence, so no static order exists to index: every full user block
 // is scored.
-func (bm *blockManager) pickByScore(excluded map[flash.BlockID]bool) (flash.BlockID, bool) {
+func (bm *blockManager) pickByScore() (flash.BlockID, bool) {
 	best := flash.InvalidBlock
 	bestScore := -1.0
 	for i := range bm.blocks {
@@ -653,11 +658,10 @@ func (bm *blockManager) pickByScore(excluded map[flash.BlockID]bool) (flash.Bloc
 		if !bm.isFull(info) || info.group != GroupUser {
 			continue
 		}
-		// The exclusions are tested last, and only for a block that would
-		// become the best candidate: nearly every block loses on its score,
-		// and the map probe is the expensive test.
+		// Eligibility is tested last, and only for a block that would
+		// become the best candidate: nearly every block loses on its score.
 		score := bm.costBenefitScore(info)
-		if id := flash.BlockID(i); (best == flash.InvalidBlock || score > bestScore) && !bm.isActive(id) && !excluded[id] {
+		if id := flash.BlockID(i); (best == flash.InvalidBlock || score > bestScore) && !bm.held(id) {
 			best, bestScore = id, score
 		}
 	}
@@ -678,11 +682,11 @@ func (bm *blockManager) costBenefitScore(info *blockInfo) float64 {
 	return age * invalidFrac
 }
 
-// FullyInvalidBlocks returns allocated, full, non-active blocks of the given
-// group with zero valid pages, in block-ID order. Under the non-greedy
-// policies these are the only metadata blocks the FTL erases. The result is
-// a snapshot in a reused slice: erasing the blocks while ranging over it is
-// fine, and it is valid until the next call.
+// FullyInvalidBlocks returns allocated, full, non-active, unprotected blocks
+// of the given group with zero valid pages, in block-ID order. Under the
+// non-greedy policies these are the only metadata blocks the FTL erases. The
+// result is a snapshot in a reused slice: erasing the blocks while ranging
+// over it is fine, and it is valid until the next call.
 func (bm *blockManager) FullyInvalidBlocks(g Group) []flash.BlockID {
 	bits, n := bm.full.bucket(g, 0)
 	if *n == 0 {
@@ -690,12 +694,25 @@ func (bm *blockManager) FullyInvalidBlocks(g Group) []flash.BlockID {
 	}
 	out := bm.deadBuf[:0]
 	for i := range bitmap.Ones(bits, 0, len(bm.blocks)) {
-		if id := flash.BlockID(i); !bm.isActive(id) {
+		if id := flash.BlockID(i); !bm.held(id) {
 			out = append(out, id)
 		}
 	}
 	bm.deadBuf = out
 	return out
+}
+
+// Reclaimable reports whether garbage collection may reclaim the block now:
+// it is allocated and full, and neither active nor protected — the blocks
+// PickVictim and FullyInvalidBlocks choose from.
+func (bm *blockManager) Reclaimable(block flash.BlockID) bool {
+	return bm.isFull(&bm.blocks[block]) && !bm.held(block)
+}
+
+// held reports whether a block is kept from garbage collection whatever its
+// contents: a frontier still writes to it, or it is protected.
+func (bm *blockManager) held(block flash.BlockID) bool {
+	return bm.isActive(block) || bm.Protected(block)
 }
 
 func (bm *blockManager) isActive(block flash.BlockID) bool {
@@ -706,6 +723,15 @@ func (bm *blockManager) isActive(block flash.BlockID) bool {
 	}
 	return false
 }
+
+// Protect keeps a block from garbage collection until ClearProtection.
+func (bm *blockManager) Protect(block flash.BlockID) { bm.protected.Set(int(block)) }
+
+// Protected reports whether a block is protected.
+func (bm *blockManager) Protected(block flash.BlockID) bool { return bm.protected.Get(int(block)) }
+
+// ClearProtection releases every protected block.
+func (bm *blockManager) ClearProtection() { bm.protected.Reset() }
 
 // RAMBytes returns the integrated-RAM footprint of the block manager's
 // per-block state as charged by the paper's models: 2 bytes per block for the
@@ -722,7 +748,7 @@ func (bm *blockManager) RAMBytes() int64 {
 }
 
 // CrashRAM drops all RAM state, as a power failure would. The device contents
-// are untouched.
+// are untouched, and so is the protection, which models flash content.
 func (bm *blockManager) CrashRAM() {
 	for i := range bm.blocks {
 		bm.blocks[i] = blockInfo{}

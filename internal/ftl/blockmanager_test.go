@@ -184,18 +184,27 @@ func TestVictimPolicies(t *testing.T) {
 
 	// Greedy picks the emptiest block regardless of group: the translation
 	// block with 0 valid pages.
-	victim, ok := bm.PickVictim(VictimGreedy, nil)
+	victim, ok := bm.PickVictim(VictimGreedy)
 	if !ok || victim != transBlock {
 		t.Errorf("greedy victim = %d, %v; want translation block %d", victim, ok, transBlock)
 	}
 	// Metadata-aware only ever picks user blocks.
-	victim, ok = bm.PickVictim(VictimMetadataAware, nil)
+	victim, ok = bm.PickVictim(VictimMetadataAware)
 	if !ok || victim != userBlock {
 		t.Errorf("metadata-aware victim = %d, %v; want user block %d", victim, ok, userBlock)
 	}
-	// Exclusions are honored.
-	if _, ok := bm.PickVictim(VictimMetadataAware, map[flash.BlockID]bool{userBlock: true}); ok {
-		t.Error("excluded block still picked")
+	// Protection is honored, survives a crash, and ClearProtection ends it.
+	bm.Protect(userBlock)
+	if _, ok := bm.PickVictim(VictimMetadataAware); ok {
+		t.Error("protected block still picked")
+	}
+	bm.CrashRAM()
+	if !bm.Protected(userBlock) {
+		t.Error("CrashRAM dropped the protection")
+	}
+	bm.ClearProtection()
+	if bm.Protected(userBlock) {
+		t.Error("ClearProtection left the block protected")
 	}
 }
 

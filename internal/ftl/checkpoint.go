@@ -568,12 +568,10 @@ func (f *FTL) importShardCheckpoint(file *checkpoint.File, shard int) error {
 		f.crash()
 		return err
 	}
-	if err := f.validity.(*gecko.Gecko).ImportDirectories(sc.runs); err != nil {
-		f.crash()
-		return fmt.Errorf("%w: %w", checkpoint.ErrInvalid, err)
-	}
-	// Verified, so the block table, GMD and heat state filled the shard's
-	// own arrays at their full lengths; the free list takes its new one.
+	// Verified, so the run directories are importable and the block table,
+	// GMD and heat state filled the shard's own arrays at their full
+	// lengths; the free list takes its new one.
+	f.validity.(*gecko.Gecko).ImportDirectories(sc.runs)
 	f.bm.free, f.bm.active, f.bm.lastSeq = sc.free, sc.active, sc.lastSeq
 	f.bm.restoreFreeOrder()
 	f.bm.reindexFullBlocks()

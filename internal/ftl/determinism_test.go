@@ -138,7 +138,7 @@ func TestPickVictimTieBreaksByLowestBlockID(t *testing.T) {
 		want = blocks[2]
 	}
 	for _, policy := range []VictimPolicy{VictimGreedy, VictimMetadataAware, VictimCostBenefit} {
-		got, ok := bm.PickVictim(policy, nil)
+		got, ok := bm.PickVictim(policy)
 		if !ok {
 			t.Fatalf("%v: no victim found", policy)
 		}

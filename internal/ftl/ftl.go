@@ -470,25 +470,11 @@ func (f *FTL) maybeScrub(ppn flash.PPN) error {
 	if reads < f.opts.ScrubReadThreshold {
 		return nil
 	}
-	// The same re-validation as wear recycling (wearLevelIfNeeded): only a
-	// full, allocated, non-active user block that is neither protected nor
-	// the incremental collector's in-flight victim may be collected out of
-	// band. Active frontiers shed their read count when they fill, go
-	// static, and a later read trips the threshold again.
-	info := &f.bm.blocks[block]
-	if !info.allocated || info.group != GroupUser ||
-		info.writePointer < f.cfg.PagesPerBlock || f.bm.isActive(block) ||
-		f.table.ProtectedBlocks()[block] || block == f.gc.victim {
-		return nil
-	}
-	// Like a wear recycle, a scrub is this subsystem's own cost, not
-	// garbage-collection scheduling: exclude its charges from the per-write
-	// GC-stall metric (the read's overall latency still includes them).
-	gcTimeBefore := f.opGCTime
-	if err := f.collectBlock(block); err != nil {
+	// An active frontier is turned down; once it fills and goes static, a
+	// later read trips the threshold again.
+	if ok, err := f.collectOutOfBand(block); !ok || err != nil {
 		return err
 	}
-	f.opGCTime = gcTimeBefore
 	f.stats.ScrubOperations++
 	return nil
 }
@@ -749,7 +735,7 @@ func (f *FTL) garbageCollectIfNeeded() error {
 				ErrNoSpace, iterations-1, f.bm.FreeBlocks())
 		}
 		if !f.opts.VictimPolicy.MigratesMetadata() {
-			reclaimed, err := f.reclaimFullyInvalidMetadata()
+			reclaimed, err := f.eraseDeadMetadata(f.cfg.Blocks)
 			if err != nil {
 				return err
 			}
@@ -757,7 +743,7 @@ func (f *FTL) garbageCollectIfNeeded() error {
 				return nil
 			}
 		}
-		victim, ok := f.bm.PickVictim(f.opts.VictimPolicy, f.table.ProtectedBlocks())
+		victim, ok := f.bm.PickVictim(f.opts.VictimPolicy)
 		if !ok {
 			return fmt.Errorf("%w: garbage-collection found no victim with %d free blocks", ErrNoSpace, f.bm.FreeBlocks())
 		}
@@ -765,42 +751,6 @@ func (f *FTL) garbageCollectIfNeeded() error {
 			return err
 		}
 	}
-	return nil
-}
-
-// reclaimFullyInvalidMetadata erases translation and metadata blocks whose
-// pages are all invalid (the Section 4.2 policy: hot metadata blocks are
-// never migrated, the FTL waits for them to die of natural causes).
-func (f *FTL) reclaimFullyInvalidMetadata() (bool, error) {
-	reclaimed := false
-	protected := f.table.ProtectedBlocks()
-	for _, g := range []Group{GroupTranslation, GroupMeta} {
-		for _, block := range f.bm.FullyInvalidBlocks(g) {
-			if protected[block] {
-				continue
-			}
-			if err := f.eraseDeadMetadataBlock(block); err != nil {
-				return reclaimed, err
-			}
-			reclaimed = true
-		}
-	}
-	return reclaimed, nil
-}
-
-// eraseDeadMetadataBlock erases one fully-invalid translation or metadata
-// block and does the shared bookkeeping. Both the inline reclaim above and
-// the incremental scheduler's bounded variant (gc.go) go through it, so the
-// two GC modes account these erases identically.
-func (f *FTL) eraseDeadMetadataBlock(block flash.BlockID) error {
-	if err := f.bm.Erase(block, flash.PurposeGCErase); err != nil {
-		return err
-	}
-	f.chargeGC(f.cfg.Latency.Erase)
-	if err := f.validity.RecordErase(block); err != nil {
-		return err
-	}
-	f.stats.MetadataBlockErases++
 	return nil
 }
 

@@ -128,11 +128,11 @@ func (f *FTL) gcStep() (bool, error) {
 	// there is under the non-greedy policies (Section 4.2): erase one per
 	// step before migrating anything.
 	if !f.opts.VictimPolicy.MigratesMetadata() {
-		if did, err := f.eraseOneFullyInvalidMetadata(); did || err != nil {
+		if did, err := f.eraseDeadMetadata(1); did || err != nil {
 			return did, err
 		}
 	}
-	victim, ok := f.bm.PickVictim(f.opts.VictimPolicy, f.table.ProtectedBlocks())
+	victim, ok := f.bm.PickVictim(f.opts.VictimPolicy)
 	if !ok {
 		// Nothing eligible right now (all candidates active or protected);
 		// try again on a later write. If the pool keeps shrinking the floor
@@ -162,6 +162,26 @@ func (f *FTL) collectBlock(victim flash.BlockID) error {
 		}
 	}
 	return nil
+}
+
+// collectOutOfBand reclaims a user block that wear leveling or read-disturb
+// scrubbing chose, and reports whether it did. The choice may be stale: the
+// block may since have been collected, reallocated, become active or
+// protected, or become the incremental collector's in-flight victim, which
+// collecting it here would erase under the drain's feet. Its charges are
+// kept out of the GC-stall metric: they are the subsystem's own cost, and one
+// recycle would otherwise break the incremental scheduler's hard bound. The
+// operation's recorded latency still includes them.
+func (f *FTL) collectOutOfBand(block flash.BlockID) (bool, error) {
+	if g, _ := f.bm.GroupOf(block); g != GroupUser || !f.bm.Reclaimable(block) || block == f.gc.victim {
+		return false, nil
+	}
+	stall := f.opGCTime
+	if err := f.collectBlock(block); err != nil {
+		return false, err
+	}
+	f.opGCTime = stall
+	return true, nil
 }
 
 // beginVictim starts a victim's drain in g: the victim is counted and
@@ -227,7 +247,7 @@ func (f *FTL) drainStep(g *gcState) error {
 func (f *FTL) finishVictim(g *gcState) error {
 	victim := g.victim
 	g.idle()
-	if f.table.ProtectedBlocks()[victim] {
+	if f.bm.Protected(victim) {
 		return nil
 	}
 	if err := f.bm.Erase(victim, flash.PurposeGCErase); err != nil {
@@ -237,18 +257,29 @@ func (f *FTL) finishVictim(g *gcState) error {
 	return f.validity.RecordErase(victim)
 }
 
-// eraseOneFullyInvalidMetadata erases at most one fully-invalid translation
-// or metadata block (the bounded-step counterpart of
-// reclaimFullyInvalidMetadata) and reports whether it did.
-func (f *FTL) eraseOneFullyInvalidMetadata() (bool, error) {
-	protected := f.table.ProtectedBlocks()
+// eraseDeadMetadata erases up to limit fully-invalid translation and
+// metadata blocks, translation first, and reports whether it erased any: how
+// the non-greedy policies reclaim metadata, which they never migrate but let
+// die of natural causes (Section 4.2). Inline collection passes every block,
+// incremental one a step. Each group is listed once and erased from that
+// list; relisting after each erase would also reclaim blocks an erase's own
+// RecordErase just killed, which moves µ-FTL's Figure 14 row.
+func (f *FTL) eraseDeadMetadata(limit int) (bool, error) {
+	erased := 0
 	for _, g := range []Group{GroupTranslation, GroupMeta} {
 		for _, block := range f.bm.FullyInvalidBlocks(g) {
-			if protected[block] {
-				continue
+			if err := f.bm.Erase(block, flash.PurposeGCErase); err != nil {
+				return erased > 0, err
 			}
-			return true, f.eraseDeadMetadataBlock(block)
+			f.chargeGC(f.cfg.Latency.Erase)
+			if err := f.validity.RecordErase(block); err != nil {
+				return true, err
+			}
+			f.stats.MetadataBlockErases++
+			if erased++; erased == limit {
+				return true, nil
+			}
 		}
 	}
-	return false, nil
+	return erased > 0, nil
 }

@@ -77,7 +77,7 @@ func TestHotColdFrontiersFillDistinctBlocks(t *testing.T) {
 	if bm.isActive(flash.BlockOf(hot, cfg.PagesPerBlock)) != true {
 		t.Error("hot frontier block not active")
 	}
-	if _, ok := bm.PickVictim(VictimGreedy, nil); ok {
+	if _, ok := bm.PickVictim(VictimGreedy); ok {
 		t.Error("active frontier blocks offered as victims")
 	}
 
@@ -174,7 +174,7 @@ func TestCostBenefitPrefersOldInvalidBlocks(t *testing.T) {
 			}
 		}
 	}
-	got, ok := bm.PickVictim(VictimCostBenefit, nil)
+	got, ok := bm.PickVictim(VictimCostBenefit)
 	if !ok || got != old {
 		t.Fatalf("cost-benefit picked block %v (ok=%v), want older block %v", got, ok, old)
 	}
@@ -184,7 +184,7 @@ func TestCostBenefitPrefersOldInvalidBlocks(t *testing.T) {
 	if err := bm.InvalidatePage(flash.PPNOf(young, cfg.PagesPerBlock/2, cfg.PagesPerBlock)); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := bm.PickVictim(VictimGreedy, nil); got != young {
+	if got, _ := bm.PickVictim(VictimGreedy); got != young {
 		t.Fatalf("greedy picked %v, want emptier block %v", got, young)
 	}
 }

@@ -28,14 +28,15 @@ const mappingEntryBytes = 4
 // values live in the FTL's LRU cache and reach the table only through
 // synchronization operations.
 type translationTable struct {
-	bm            *blockManager
-	logicalPages  int64
-	entriesPerTP  int
-	pages         int
-	gmd           []flash.PPN // current location of each translation page
-	flashMapping  []int32     // flash-resident mapping value per logical page
-	prevVersions  map[int]prevVersion
-	protectBlocks map[flash.BlockID]bool
+	bm           *blockManager
+	logicalPages int64
+	entriesPerTP int
+	pages        int
+	gmd          []flash.PPN // current location of each translation page
+	flashMapping []int32     // flash-resident mapping value per logical page
+	// prevVersions holds the previous versions; the block manager protects
+	// the blocks they are on (blockManager.Protect).
+	prevVersions map[int]prevVersion
 	// keepPrevious is set when the FTL has a Logarithmic Gecko buffer to
 	// recover: only that recovery reads previous versions, and only Gecko's
 	// flushes drop them, so any other FTL would hold them forever.
@@ -77,15 +78,14 @@ func newTranslationTable(bm *blockManager, logicalPages int64, pageSize int, kee
 	entriesPerTP := pageSize / mappingEntryBytes
 	pages := int((logicalPages + int64(entriesPerTP) - 1) / int64(entriesPerTP))
 	t := &translationTable{
-		bm:            bm,
-		logicalPages:  logicalPages,
-		entriesPerTP:  entriesPerTP,
-		pages:         pages,
-		gmd:           make([]flash.PPN, pages),
-		flashMapping:  make([]int32, logicalPages),
-		prevVersions:  make(map[int]prevVersion),
-		protectBlocks: make(map[flash.BlockID]bool),
-		keepPrevious:  keepPrevious,
+		bm:           bm,
+		logicalPages: logicalPages,
+		entriesPerTP: entriesPerTP,
+		pages:        pages,
+		gmd:          make([]flash.PPN, pages),
+		flashMapping: make([]int32, logicalPages),
+		prevVersions: make(map[int]prevVersion),
+		keepPrevious: keepPrevious,
 	}
 	if keepPrevious {
 		t.touched = make([]uint64, (logicalPages+63)/64)
@@ -163,13 +163,13 @@ func (t *translationTable) Synchronize(tp int, updates []dirtyUpdate) error {
 
 	// Preserve the previous version of this translation page so that the
 	// recovery procedure can rebuild Logarithmic Gecko's buffer by diffing
-	// translation-page versions (Appendix C.2.2): protect the page it is on
+	// translation-page versions (Appendix C.2.2): protect the block it is on
 	// and, below, log what each update overwrites. Both are dropped when the
 	// Gecko buffer flushes (ClearProtected).
 	if _, ok := t.prevVersions[tp]; !ok && t.keepPrevious {
 		t.prevVersions[tp] = prevVersion{location: old}
 		if old != flash.InvalidPPN {
-			t.protectBlocks[flash.BlockOf(old, t.bm.cfg.PagesPerBlock)] = true
+			t.bm.Protect(flash.BlockOf(old, t.bm.cfg.PagesPerBlock))
 		}
 	}
 
@@ -254,15 +254,12 @@ func (t *translationTable) UpdatedSinceProtection() []int {
 	return out
 }
 
-// ProtectedBlocks returns the blocks that must not be erased because they
-// hold previous translation-page versions needed for buffer recovery.
-func (t *translationTable) ProtectedBlocks() map[flash.BlockID]bool { return t.protectBlocks }
-
-// ClearProtected drops the protected previous versions; the FTL calls it
-// whenever Logarithmic Gecko's buffer is flushed. With recycle the undo log's
-// storage is kept for the next protections — the steady state, where the
-// next flush is a few hundred writes away; without, it is released, so that
-// a device left idle after a shutdown flush or a recovery holds none.
+// ClearProtected drops the protected previous versions and releases their
+// blocks; the FTL calls it whenever Logarithmic Gecko's buffer is flushed.
+// With recycle the undo log's storage is kept for the next protections — the
+// steady state, where the next flush is a few hundred writes away; without,
+// it is released, so that a device left idle after a shutdown flush or a
+// recovery holds none.
 func (t *translationTable) ClearProtected(recycle bool) {
 	// Whole words: a neighbour sharing one is protected too or has no bit set.
 	for tp := range t.prevVersions {
@@ -276,7 +273,7 @@ func (t *translationTable) ClearProtected(recycle bool) {
 		t.undo = nil
 	}
 	clear(t.prevVersions)
-	clear(t.protectBlocks)
+	t.bm.ClearProtection()
 }
 
 // GMDLocation returns the current flash location of a translation page.
@@ -291,8 +288,8 @@ func (t *translationTable) RAMBytes() int64 { return int64(t.pages) * 4 }
 
 // CrashRAM models the loss of the GMD at power failure. The flash-resident
 // mapping content survives (it is flash), as do the protected previous
-// versions and their undo log (they are flash pages that were deliberately
-// not erased).
+// versions, their undo log and their blocks' protection (they are flash
+// pages that were deliberately not erased).
 func (t *translationTable) CrashRAM() {
 	for i := range t.gmd {
 		t.gmd[i] = flash.InvalidPPN

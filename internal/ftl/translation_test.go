@@ -150,11 +150,12 @@ func TestTranslationTableProtectsPreviousVersions(t *testing.T) {
 	if prev.location != firstLoc {
 		t.Errorf("previous location = %d, want %d", prev.location, firstLoc)
 	}
-	if !table.ProtectedBlocks()[flash.BlockOf(firstLoc, dev.Config().PagesPerBlock)] {
+	prevBlock := flash.BlockOf(firstLoc, dev.Config().PagesPerBlock)
+	if !table.bm.Protected(prevBlock) {
 		t.Error("block of the previous version not protected")
 	}
 	table.ClearProtected(false)
-	if len(table.UpdatedSinceProtection()) != 0 || len(table.ProtectedBlocks()) != 0 || len(table.UndoLog()) != 0 {
+	if len(table.UpdatedSinceProtection()) != 0 || table.bm.Protected(prevBlock) || len(table.UndoLog()) != 0 {
 		t.Error("ClearProtected left state behind")
 	}
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // naivePickVictim is PickVictim as a pass over the whole block table, every
-// full block tested against the active frontiers and the excluded set first:
+// full block tested against the active frontiers and the protected set first:
 // what the manager did before it indexed its full blocks. It is the oracle
 // for the index (and, under cost-benefit, for the lazy scored pass).
-func naivePickVictim(bm *blockManager, policy VictimPolicy, excluded map[flash.BlockID]bool) (flash.BlockID, bool) {
+func naivePickVictim(bm *blockManager, policy VictimPolicy, protected map[flash.BlockID]bool) (flash.BlockID, bool) {
 	best := flash.InvalidBlock
 	bestValid := -1
 	bestScore := -1.0
@@ -24,7 +24,7 @@ func naivePickVictim(bm *blockManager, policy VictimPolicy, excluded map[flash.B
 			continue
 		}
 		id := flash.BlockID(i)
-		if bm.isActive(id) || excluded[id] {
+		if bm.isActive(id) || protected[id] {
 			continue
 		}
 		if !policy.MigratesMetadata() && info.group != GroupUser {
@@ -49,12 +49,12 @@ func naivePickVictim(bm *blockManager, policy VictimPolicy, excluded map[flash.B
 
 // naiveFullyInvalidBlocks is FullyInvalidBlocks without the index: an
 // unconditional scan of every block.
-func naiveFullyInvalidBlocks(bm *blockManager, g Group) []flash.BlockID {
+func naiveFullyInvalidBlocks(bm *blockManager, g Group, protected map[flash.BlockID]bool) []flash.BlockID {
 	var out []flash.BlockID
 	for i := range bm.blocks {
 		info := &bm.blocks[i]
-		if info.allocated && info.group == g && info.valid == 0 &&
-			info.writePointer >= bm.cfg.PagesPerBlock && !bm.isActive(flash.BlockID(i)) {
+		if info.allocated && info.group == g && info.valid == 0 && info.writePointer >= bm.cfg.PagesPerBlock &&
+			!bm.isActive(flash.BlockID(i)) && !protected[flash.BlockID(i)] {
 			out = append(out, flash.BlockID(i))
 		}
 	}
@@ -101,21 +101,28 @@ func (bm *blockManager) checkIndex() error {
 }
 
 // checkVictims compares, on the manager's current state, PickVictim under
-// every policy and FullyInvalidBlocks for every group with the naive scans.
-func checkVictims(bm *blockManager, exclusions []map[flash.BlockID]bool) error {
-	for _, policy := range []VictimPolicy{VictimGreedy, VictimMetadataAware, VictimCostBenefit} {
-		for _, excluded := range exclusions {
-			want, wantOK := naivePickVictim(bm, policy, excluded)
-			got, gotOK := bm.PickVictim(policy, excluded)
+// every policy and FullyInvalidBlocks for every group with the naive scans,
+// with each of the protection sets protected through the manager in turn.
+// It leaves no block protected.
+func checkVictims(bm *blockManager, protections []map[flash.BlockID]bool) error {
+	defer bm.ClearProtection()
+	for _, protected := range protections {
+		bm.ClearProtection()
+		for id := range protected {
+			bm.Protect(id)
+		}
+		for _, policy := range []VictimPolicy{VictimGreedy, VictimMetadataAware, VictimCostBenefit} {
+			want, wantOK := naivePickVictim(bm, policy, protected)
+			got, gotOK := bm.PickVictim(policy)
 			if got != want || gotOK != wantOK {
-				return fmt.Errorf("%v excluding %d blocks: PickVictim = %d,%v, naive scan = %d,%v",
-					policy, len(excluded), got, gotOK, want, wantOK)
+				return fmt.Errorf("%v with %d blocks protected: PickVictim = %d,%v, naive scan = %d,%v",
+					policy, len(protected), got, gotOK, want, wantOK)
 			}
 		}
-	}
-	for g := Group(0); g < numGroups; g++ {
-		if got, want := bm.FullyInvalidBlocks(g), naiveFullyInvalidBlocks(bm, g); !slices.Equal(got, want) {
-			return fmt.Errorf("FullyInvalidBlocks(%v) = %v, naive scan = %v", g, got, want)
+		for g := Group(0); g < numGroups; g++ {
+			if got, want := bm.FullyInvalidBlocks(g), naiveFullyInvalidBlocks(bm, g, protected); !slices.Equal(got, want) {
+				return fmt.Errorf("FullyInvalidBlocks(%v) with %d blocks protected = %v, naive scan = %v", g, len(protected), got, want)
+			}
 		}
 	}
 	return nil
@@ -124,7 +131,7 @@ func checkVictims(bm *blockManager, exclusions []map[flash.BlockID]bool) error {
 // TestVictimScansMatchNaive compares the indexed victim choice and the
 // indexed dead-block list with their naive forms over random block tables:
 // few distinct valid counts and ages so scores tie, full and partial blocks
-// of every group, active frontiers that are full, and exclusion sets that
+// of every group, active frontiers that are full, and protection sets that
 // cover the best candidates. Each table is then changed through the
 // manager's own methods — programs that fill the frontiers, invalidations,
 // erases — and compared again, with the index audited at every stage.
@@ -160,13 +167,14 @@ func TestVictimScansMatchNaive(t *testing.T) {
 		}
 		bm.reindexFullBlocks()
 
-		exclusions := []map[flash.BlockID]bool{nil, {}}
+		protections := []map[flash.BlockID]bool{nil}
 		some := map[flash.BlockID]bool{}
 		for range 10 {
 			some[flash.BlockID(rng.Intn(blocks))] = true
 		}
-		exclusions = append(exclusions, some)
-		// Exclude what each policy would pick, and then the runners-up too.
+		protections = append(protections, some)
+		// Protect what each policy would pick, and then the runners-up too;
+		// then every other dead block of each group.
 		best := map[flash.BlockID]bool{}
 		for range 2 {
 			for _, policy := range policies {
@@ -174,14 +182,23 @@ func TestVictimScansMatchNaive(t *testing.T) {
 					best[id] = true
 				}
 			}
-			exclusions = append(exclusions, maps.Clone(best))
+			protections = append(protections, maps.Clone(best))
 		}
+		dead := map[flash.BlockID]bool{}
+		for g := Group(0); g < numGroups; g++ {
+			for i, id := range naiveFullyInvalidBlocks(bm, g, nil) {
+				if i%2 == 0 {
+					dead[id] = true
+				}
+			}
+		}
+		protections = append(protections, dead)
 		check := func(stage string) {
 			t.Helper()
 			if err := bm.checkIndex(); err != nil {
 				t.Fatalf("seed %d, %s: %v", seed, stage, err)
 			}
-			if err := checkVictims(bm, exclusions); err != nil {
+			if err := checkVictims(bm, protections); err != nil {
 				t.Fatalf("seed %d, %s: %v", seed, stage, err)
 			}
 		}
@@ -241,7 +258,7 @@ func TestVictimScansMatchNaive(t *testing.T) {
 // and Erase while the device fails programs and erases (by rate, and at
 // scripted counts). After every step the index is audited and every policy's
 // victim and every group's dead-block list is compared with the naive scans,
-// under a random exclusion set. It ends with a crash and a reindex.
+// under a random protection set. It ends with a crash and a reindex.
 func TestFullBlockIndexFollowsBlockState(t *testing.T) {
 	const blocks, pagesPerBlock = 48, 4
 	steps := 50000
@@ -267,11 +284,11 @@ func TestFullBlockIndexFollowsBlockState(t *testing.T) {
 		if err := bm.checkIndex(); err != nil {
 			t.Fatalf("step %d after %s: %v", step, what, err)
 		}
-		excluded := map[flash.BlockID]bool{}
+		protected := map[flash.BlockID]bool{}
 		for range rng.Intn(6) {
-			excluded[flash.BlockID(rng.Intn(blocks))] = true
+			protected[flash.BlockID(rng.Intn(blocks))] = true
 		}
-		if err := checkVictims(bm, []map[flash.BlockID]bool{excluded}); err != nil {
+		if err := checkVictims(bm, []map[flash.BlockID]bool{protected}); err != nil {
 			t.Fatalf("step %d after %s: %v", step, what, err)
 		}
 	}

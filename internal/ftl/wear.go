@@ -101,9 +101,9 @@ func (f *FTL) wearStep() (flash.BlockID, error) {
 	if eraseCount > w.maxErase {
 		w.maxErase = eraseCount
 	}
-	// Only full, allocated, non-active user blocks can be recycled.
-	info := &f.bm.blocks[block]
-	if info.allocated && info.group == GroupUser && info.writePointer >= f.cfg.PagesPerBlock && !f.bm.isActive(block) {
+	// Only user blocks garbage collection may reclaim can be recycled (the
+	// protection never holds one: it is for translation blocks).
+	if g, _ := f.bm.GroupOf(block); g == GroupUser && f.bm.Reclaimable(block) {
 		if w.candidate == flash.InvalidBlock || eraseCount < w.candidateErase {
 			w.candidate = block
 			w.candidateErase = eraseCount
@@ -132,29 +132,9 @@ func (f *FTL) wearLevelIfNeeded() error {
 	if err != nil || victim == flash.InvalidBlock {
 		return err
 	}
-	// The candidate was observed earlier in the scan window; re-validate it
-	// at collection time. It may have been garbage-collected, reallocated to
-	// another group, become the active block, become protected, or become
-	// the incremental garbage collector's in-flight victim since — collecting
-	// that one here would erase it under the drain's feet and the drain would
-	// erase whatever block reuses the ID a second time.
-	info := &f.bm.blocks[victim]
-	if !info.allocated || info.group != GroupUser ||
-		info.writePointer < f.cfg.PagesPerBlock || f.bm.isActive(victim) ||
-		f.table.ProtectedBlocks()[victim] || victim == f.gc.victim {
-		return nil
-	}
-	// Recycling uses the ordinary collection path, whose chargeGC calls feed
-	// the per-write GC-stall metric. A wear recycle is this subsystem's own
-	// (whole-block, per-K-writes) cost, not garbage-collection scheduling, so
-	// its charges are excluded from the stall — otherwise one recycle would
-	// break the incremental scheduler's documented hard bound. The recycle
-	// still shows up in the write's overall recorded latency.
-	gcTimeBefore := f.opGCTime
-	if err := f.collectBlock(victim); err != nil {
+	if ok, err := f.collectOutOfBand(victim); !ok || err != nil {
 		return err
 	}
-	f.opGCTime = gcTimeBefore
 	f.wear.migrations++
 	return nil
 }

@@ -85,15 +85,12 @@ func (g *Gecko) ValidateDirectories(runs []RunExport) error {
 // ImportDirectories replaces the RAM run directories with an exported set,
 // relinking page content from the surviving flash image and ratcheting the
 // run-ID and creation-sequence counters, exactly as RecoverDirectories
-// does — but without the spare-area scan. The set is validated first; on
-// error nothing has been mutated.
-func (g *Gecko) ImportDirectories(runs []RunExport) error {
-	if err := g.ValidateDirectories(runs); err != nil {
-		return err
-	}
+// does — but without the spare-area scan. The set must be one
+// ValidateDirectories accepted on this instance: it is not checked again.
+func (g *Gecko) ImportDirectories(runs []RunExport) {
 	g.levels = make([][]*run, g.cfg.Levels()+1)
 	for _, re := range runs {
-		r := &run{id: re.ID, createSeq: re.CreateSeq, level: re.Level}
+		r := &run{id: re.ID, createSeq: re.CreateSeq, level: re.Level, pages: make([]runPage, 0, len(re.Pages))}
 		for _, p := range re.Pages {
 			ppn := flash.PPN(p.PPN)
 			r.pages = append(r.pages, runPage{
@@ -103,13 +100,6 @@ func (g *Gecko) ImportDirectories(runs []RunExport) error {
 				slab:   g.pageContent[ppn],
 			})
 		}
-		if re.CreateSeq > g.seq {
-			g.seq = re.CreateSeq
-		}
-		if re.ID >= g.nextRunID {
-			g.nextRunID = re.ID + 1
-		}
-		g.placeRun(r)
+		g.adoptRun(r)
 	}
-	return nil
 }

@@ -169,14 +169,16 @@ func (g *Gecko) RecoverDirectories() error {
 				slab:   page,
 			})
 		}
-		// Keep logical sequencing consistent for future runs and merges.
-		if c.createSeq > g.seq {
-			g.seq = c.createSeq
-		}
-		if c.id >= g.nextRunID {
-			g.nextRunID = c.id + 1
-		}
-		g.placeRun(r)
+		g.adoptRun(r)
 	}
 	return nil
+}
+
+// adoptRun places a run rebuilt from flash or from a checkpoint and ratchets
+// the run-ID and creation-sequence counters past it, keeping logical
+// sequencing consistent for future runs and merges.
+func (g *Gecko) adoptRun(r *run) {
+	g.seq = max(g.seq, r.createSeq)
+	g.nextRunID = max(g.nextRunID, r.id+1)
+	g.placeRun(r)
 }

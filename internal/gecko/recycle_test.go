@@ -321,9 +321,11 @@ func slabOwnershipWalk(t *testing.T, seed int64) {
 			}
 		case n < 22:
 			op = "export and import"
-			if err := g.ImportDirectories(g.ExportDirectories()); err != nil {
+			runs := g.ExportDirectories()
+			if err := g.ValidateDirectories(runs); err != nil {
 				t.Fatal(err)
 			}
+			g.ImportDirectories(runs)
 		case n < 28 && relocate:
 			op = "relocate"
 			pages := g.LivePages()

@@ -41,10 +41,11 @@ type GCStats struct {
 }
 
 // QueueStats describe the asynchronous submission path (Device.SubmitWrite
-// and friends) since Open: the queue configuration (WithQueueDepth,
-// WithAdmissionPolicy), the fates of submitted operations — shed ones failed
-// their Tickets with ErrQueueFull — and the submission-to-completion latency
-// distribution on the virtual timeline.
+// and friends): the queue configuration (WithQueueDepth,
+// WithAdmissionPolicy), the fates of submitted operations since Open — shed
+// ones failed their Tickets with ErrQueueFull — and the
+// submission-to-completion latency distribution on the virtual timeline
+// since Open or the last ResetStats.
 type QueueStats = queue.Stats
 
 // Snapshot is a stable, self-consistent view of the device's statistics:
@@ -171,13 +172,17 @@ func (d *Device) Snapshot() Snapshot {
 }
 
 // ResetStats starts a fresh measurement window: write-amplification and the
-// latency distributions are measured from this point on, typically after a
-// warm-up phase so steady-state behaviour is reported. Cumulative operation
-// counts (Snapshot.Ops, Snapshot.GC counters) are not reset.
+// latency distributions, the submission queue's included, are measured from
+// this point on, typically after a warm-up phase so steady-state behaviour is
+// reported. Cumulative operation counts (Snapshot.Ops, Snapshot.GC counters,
+// the queue's counters) are not reset.
 func (d *Device) ResetStats() {
 	d.baseMu.Lock()
 	d.baseCounters = d.dev.Counters()
 	d.baseStats = d.eng.Stats()
 	d.baseMu.Unlock()
 	d.eng.ResetLatencyStats()
+	if q := d.q.Load(); q != nil {
+		q.ResetLatency()
+	}
 }
