@@ -76,10 +76,8 @@ type shardCheckpoint struct {
 	gmd []flash.PPN
 
 	// cache receives the mapping-cache entries least recently used first,
-	// so re-inserting them in order reproduces the LRU order; dirty counts
-	// the dirty ones.
+	// so re-inserting them in order reproduces the LRU order.
 	cache *mapcache.Cache
-	dirty int
 
 	runs []gecko.RunExport
 
@@ -386,9 +384,6 @@ func (f *FTL) decodeSection(kind uint32, payload []byte, sc *shardCheckpoint) er
 			if e.Physical != flash.InvalidPPN && (e.Physical < 0 || e.Physical >= shardPages) {
 				return fmt.Errorf("%w: cached mapping %d -> %d out of range", checkpoint.ErrInvalid, e.Logical, e.Physical)
 			}
-			if e.Dirty {
-				sc.dirty++
-			}
 			if sc.cache != nil {
 				sc.cache.Put(e)
 			}
@@ -575,7 +570,6 @@ func (f *FTL) importShardCheckpoint(file *checkpoint.File, shard int) error {
 	f.bm.free, f.bm.active, f.bm.lastSeq = sc.free, sc.active, sc.lastSeq
 	f.bm.restoreFreeOrder()
 	f.bm.reindexFullBlocks()
-	f.dirtyCount = sc.dirty
 	if f.heat.enabled {
 		f.heat.clock = sc.heatClock
 	}

@@ -93,6 +93,24 @@ func TestExportSizesEachPayload(t *testing.T) {
 	}
 }
 
+// TestModelCheckpointSizeMatchesRecords ties the analytic model's copy of the
+// record sizes to the encoders': model.CheckpointSize must count one block,
+// GMD and cache record each for every block, translation page and cache
+// entry, at the widths the export writes them.
+func TestModelCheckpointSizeMatchesRecords(t *testing.T) {
+	small := model.Default()
+	small.Blocks, small.PagesPerBlock, small.PageSize, small.CacheEntries = 1024, 64, 2048, 300
+	wide := model.Default()
+	wide.PageSize, wide.OverProvision, wide.CacheEntries = 16384, 0.9, 1<<22
+	for _, p := range []model.Parameters{model.Default(), small, wide} {
+		want := p.Blocks*blockRecordBytes + p.TranslationPages()*gmdRecordBytes + p.CacheEntries*cacheRecordBytes
+		if got := model.CheckpointSize(p); got != want {
+			t.Errorf("%d blocks of %d %d-byte pages, C=%d: model.CheckpointSize = %d, the encoders' records %d",
+				p.Blocks, p.PagesPerBlock, p.PageSize, p.CacheEntries, got, want)
+		}
+	}
+}
+
 // TestEngineCheckpointRoundTrip is the core warm-restart property: export,
 // power-fail, restore, and the engine serves the identical logical state
 // with a consistent translation map, then keeps working. On 250 blocks over

@@ -137,7 +137,6 @@ type FTL struct {
 	onVictim func(flash.BlockID)
 
 	logicalPages int64
-	dirtyCount   int
 	stats        Stats
 
 	// gc is the incremental garbage-collection scheduler's RAM state (the
@@ -152,9 +151,10 @@ type FTL struct {
 	opGCTime  time.Duration
 	opGCSteps int
 
-	// ckptFirst is maybeCheckpoint's scratch for checkpointSeeds, one mark
-	// per translation page, allocated only for FTLs that take runtime
-	// checkpoints. It is all zero between checkpoints.
+	// ckptFirst is synchronizePages' scratch for checkpointSeeds, one mark
+	// per translation page, allocated only for the FTLs without a battery:
+	// GeckoFTL's runtime checkpoints and LazyFTL's and IB-FTL's
+	// synchronization after recovery use it. It is all zero between calls.
 	ckptFirst []int32
 
 	// Scratch of synchronize, which is never re-entered, reused across calls.
@@ -227,7 +227,7 @@ func New(dev *flash.Partition, opts Options) (*FTL, error) {
 		gc:           gcState{victim: flash.InvalidBlock},
 		collect:      gcState{victim: flash.InvalidBlock},
 	}
-	if facts.checkpoints {
+	if !facts.battery {
 		f.ckptFirst = make([]int32, table.Pages())
 	}
 	if facts.dirtyBound {
@@ -267,9 +267,6 @@ func (f *FTL) Stats() Stats {
 
 // LogicalPages returns the number of logical pages exposed to applications.
 func (f *FTL) LogicalPages() int64 { return f.logicalPages }
-
-// DirtyEntries returns the number of dirty mapping entries currently cached.
-func (f *FTL) DirtyEntries() int { return f.dirtyCount }
 
 // RAMBytes returns the integrated-RAM footprint of the FTL's data
 // structures: the LRU cache (8 bytes per entry as in Section 5), the GMD, the
@@ -401,10 +398,6 @@ func (f *FTL) remap(lpn flash.LPN, trim bool) error {
 			f.dropIdentifiedUIP(cached, &entry)
 		}
 	}
-	if !isCached || !cached.Dirty {
-		f.dirtyCount++
-	}
-
 	if err := f.putCacheEntry(entry); err != nil {
 		return err
 	}
@@ -528,9 +521,6 @@ func (f *FTL) putCacheEntry(e mapcache.Entry) error {
 	if !evicted.Valid || !evicted.Entry.Dirty {
 		return nil
 	}
-	// The evicted entry leaves the cache, so it no longer counts against the
-	// dirty bound; the synchronization below writes it back.
-	f.dirtyCount--
 	return f.synchronize(evicted.Entry)
 }
 
@@ -631,13 +621,9 @@ func (f *FTL) synchronize(seed mapcache.Entry) error {
 	return nil
 }
 
-// clearFlags marks a cached entry clean (dirty, UIP and uncertainty cleared)
-// and maintains the dirty counter.
+// clearFlags marks a cached entry clean (dirty, UIP and uncertainty cleared).
 func (f *FTL) clearFlags(lpn flash.LPN) {
 	f.cache.Update(lpn, func(en *mapcache.Entry) {
-		if en.Dirty {
-			f.dirtyCount--
-		}
 		en.Dirty = false
 		en.UIP = false
 		en.Uncertain = false
@@ -648,20 +634,24 @@ func (f *FTL) clearFlags(lpn flash.LPN) {
 // maybeCheckpoint takes a runtime checkpoint when due (Section 4.3):
 // every C cache operations, dirty entries that have lingered since the
 // previous checkpoint are synchronized so that the recovery backwards scan
-// never has to look further back than 2*C page writes. Each of their
-// translation pages is synchronized once, in ascending page order, seeded
-// with the page's first lingering entry in queue order.
+// never has to look further back than 2*C page writes.
 func (f *FTL) maybeCheckpoint() error {
 	if !f.facts.checkpoints || !f.cache.CheckpointDue() {
 		return nil
 	}
 	f.stats.Checkpoints++
-	for e := range checkpointSeeds(f.cache.Checkpoint(), f.ckptFirst, f.cache) {
-		// Re-check dirtiness: an earlier synchronization in this loop may
-		// have cleaned the entry.
-		if cur, ok := f.cache.Peek(e.Logical); !ok || !cur.Dirty {
-			continue
-		}
+	return f.synchronizePages(f.cache.Checkpoint())
+}
+
+// synchronizePages synchronizes each translation page that holds one of the
+// cached dirty entries given, once and in ascending page order: a runtime
+// checkpoint's lingering entries, or every entry recovery recreated. Which
+// entry of a page seeds its synchronization does not matter, since
+// synchronize writes back all of the page's dirty cached entries; and each
+// synchronization cleans only its own page, so every later seed is still
+// dirty when its turn comes.
+func (f *FTL) synchronizePages(dirty []mapcache.Entry) error {
+	for e := range checkpointSeeds(dirty, f.ckptFirst, f.cache) {
 		if err := f.synchronize(e); err != nil {
 			return err
 		}
@@ -670,15 +660,15 @@ func (f *FTL) maybeCheckpoint() error {
 }
 
 // checkpointSeeds yields, in ascending translation-page order, the first
-// entry of stale on each translation page it touches. It groups them without
-// a sort: one pass records in first, per page, one more than the position of
+// of entries on each translation page they touch. It groups them without a
+// sort: one pass records in first, per page, one more than the position of
 // the page's first entry, and the walk over first in page order reads them
 // back. first holds one mark per translation page of cache; it must be all
 // zero when the walk starts, and it is all zero again when the walk ends,
 // whether it ran out or the caller stopped it.
-func checkpointSeeds(stale []mapcache.Entry, first []int32, cache *mapcache.Cache) iter.Seq[mapcache.Entry] {
+func checkpointSeeds(entries []mapcache.Entry, first []int32, cache *mapcache.Cache) iter.Seq[mapcache.Entry] {
 	return func(yield func(mapcache.Entry) bool) {
-		for i, e := range stale {
+		for i, e := range entries {
 			if tp := cache.TranslationPageOf(e.Logical); first[tp] == 0 {
 				first[tp] = int32(i + 1)
 			}
@@ -688,7 +678,7 @@ func checkpointSeeds(stale []mapcache.Entry, first []int32, cache *mapcache.Cach
 				continue
 			}
 			first[tp] = 0
-			if !yield(stale[at-1]) {
+			if !yield(entries[at-1]) {
 				clear(first[tp:])
 				return
 			}
@@ -703,7 +693,7 @@ func (f *FTL) enforceDirtyBound() error {
 	if f.dirtyLimit == 0 {
 		return nil
 	}
-	for f.dirtyCount > f.dirtyLimit {
+	for f.cache.DirtyCount() > f.dirtyLimit {
 		victim, ok := f.cache.OldestDirty()
 		if !ok {
 			return nil
@@ -866,11 +856,6 @@ func (f *FTL) migrateValidPage(ppn flash.PPN, group Group) (bool, error) {
 		entry.UIP = cached.UIP
 		entry.Uncertain = cached.Uncertain
 		entry.Trimmed = cached.Trimmed
-		if !cached.Dirty {
-			f.dirtyCount++
-		}
-	} else {
-		f.dirtyCount++
 	}
 	if err := f.putCacheEntry(entry); err != nil {
 		return false, err

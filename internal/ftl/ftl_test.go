@@ -355,8 +355,8 @@ func TestDirtyBoundEnforced(t *testing.T) {
 		if err := f.Write(gen.Next().Page); err != nil {
 			t.Fatal(err)
 		}
-		if f.DirtyEntries() > limit {
-			t.Fatalf("dirty entries %d exceed bound %d after write %d", f.DirtyEntries(), limit, i)
+		if f.cache.DirtyCount() > limit {
+			t.Fatalf("dirty entries %d exceed bound %d after write %d", f.cache.DirtyCount(), limit, i)
 		}
 	}
 	if f.Stats().ForcedSyncs == 0 {
@@ -494,11 +494,11 @@ func TestFlushLeavesNothingDirty(t *testing.T) {
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if f.DirtyEntries() != 0 {
-		t.Errorf("dirty entries after flush = %d", f.DirtyEntries())
-	}
 	if f.cache.DirtyCount() != 0 {
-		t.Errorf("cache reports %d dirty entries after flush", f.cache.DirtyCount())
+		t.Errorf("dirty entries after flush = %d", f.cache.DirtyCount())
+	}
+	if e, ok := f.cache.OldestDirty(); ok {
+		t.Errorf("cache reports %+v as its oldest dirty entry after flush", e)
 	}
 }
 

@@ -66,7 +66,6 @@ func (f *FTL) PowerFail() error {
 func (f *FTL) crash() {
 	f.dev.PowerFail()
 	f.cache.Clear()
-	f.dirtyCount = 0
 	f.crashGC()
 	f.table.CrashRAM()
 	f.bm.CrashRAM()
@@ -140,7 +139,7 @@ func (f *FTL) Recover() (*RecoveryReport, error) {
 			// Step 7 (GeckoFTL): defer synchronization; the dirty and UIP
 			// flags of the recreated entries are assumed true and corrected
 			// lazily after normal operation resumes (Appendix C.3).
-			report.RecoveredDirty = f.dirtyCount
+			report.RecoveredDirty = f.cache.DirtyCount()
 		} else {
 			// LazyFTL and IB-FTL synchronize the recovered entries with the
 			// translation table before resuming, which is the recovery-time
@@ -626,7 +625,6 @@ func (f *FTL) recoverDirtyEntries(tpContentSeq []uint64) (int, error) {
 				continue
 			}
 			recovered++
-			f.dirtyCount++
 			f.cache.Put(mapcache.Entry{
 				Logical:   lpn,
 				Physical:  ppn,
@@ -644,24 +642,9 @@ func (f *FTL) recoverDirtyEntries(tpContentSeq []uint64) (int, error) {
 // IB-FTL do this; it is what makes their recovery time grow with the cache
 // size.
 func (f *FTL) synchronizeRecoveredEntries() (int, error) {
-	dirtyBefore := f.dirtyCount
-	// seeds holds, by translation page, the first dirty entry met walking the
-	// cache from most recently used; found marks the pages that have one, and
-	// its ascending walk is the order they are synchronized in.
-	seeds := make([]mapcache.Entry, f.table.Pages())
-	found := make([]uint64, (len(seeds)+63)/64)
-	f.cache.ForEach(func(e mapcache.Entry) bool {
-		tp := f.cache.TranslationPageOf(e.Logical)
-		if e.Dirty && found[tp/64]&(1<<uint(tp%64)) == 0 {
-			seeds[tp] = e
-			found[tp/64] |= 1 << uint(tp%64)
-		}
-		return true
-	})
-	for tp := range bitmap.Ones(found, 0, len(seeds)) {
-		if err := f.synchronize(seeds[tp]); err != nil {
-			return 0, err
-		}
+	dirtyBefore := f.cache.DirtyCount()
+	if err := f.synchronizePages(f.cache.DirtyEntries()); err != nil {
+		return 0, err
 	}
-	return dirtyBefore - f.dirtyCount, nil
+	return dirtyBefore - f.cache.DirtyCount(), nil
 }

@@ -43,7 +43,7 @@ func TestPowerFailDropsRAMState(t *testing.T) {
 	if f.cache.Len() != 0 {
 		t.Error("cache survived power failure")
 	}
-	if f.DirtyEntries() != 0 {
+	if f.cache.DirtyCount() != 0 {
 		t.Error("dirty counter survived power failure")
 	}
 	if f.dev.Powered() {

@@ -13,8 +13,11 @@
 // efficient range queries for mapping entries on a particular translation
 // page". This implementation keeps every entry in one slab of nodes allocated
 // at construction — C entries, the queue's sentinel and the one checkpoint
-// symbol that can be queued at a time (a flagged node) — linked by slab
-// index into the LRU queue. Logical page numbers are dense, so an entry is
+// symbol that can be queued at a time (a node whose Logical is a reserved
+// negative page) — linked by slab index into the LRU queue. The dirty
+// entries are linked a second time, in the same order, into a dirty chain,
+// and counted, so the dirty count and the least recently used dirty entry
+// are read without a walk. Logical page numbers are dense, so an entry is
 // found by direct address (one int32 per logical page holds its slab index)
 // and a presence bitset, one bit per logical page, answers the range query:
 // a translation page is a contiguous run of logical pages, and the ascending
@@ -23,7 +26,7 @@
 // operation allocates. The two arrays are host bookkeeping of the simulator;
 // the RAM the paper charges for the cache (RAMBytes) is C entries.
 //
-// EntriesOnTranslationPage, DirtyEntriesOnTranslationPage and Checkpoint
-// fill buffers the cache reuses: a returned slice is valid until the next
-// call of the same method (the first two share one buffer).
+// DirtyEntriesOnTranslationPage, DirtyEntries and Checkpoint fill buffers
+// the cache reuses: a returned slice is valid until the next call of the
+// same method (the last two share one buffer).
 package mapcache

@@ -85,7 +85,7 @@ func TestClearForgetsEveryEntry(t *testing.T) {
 		if _, ok := c.Lookup(lpn); ok {
 			t.Fatalf("Lookup(%d) hit after Clear", lpn)
 		}
-		if got := c.EntriesOnTranslationPage(c.TranslationPageOf(lpn)); len(got) != 0 {
+		if got := c.entriesOnPage(c.TranslationPageOf(lpn)); len(got) != 0 {
 			t.Fatalf("translation page of %d holds %v after Clear", lpn, got)
 		}
 	}
@@ -131,7 +131,7 @@ func TestEntriesOnTranslationPageAscendingAndComplete(t *testing.T) {
 		}
 		for tp := 0; tp < pages; tp++ {
 			var got, gotDirty, wantDirty []flash.LPN
-			for _, e := range c.EntriesOnTranslationPage(tp) {
+			for _, e := range c.entriesOnPage(tp) {
 				if e.Physical != flash.PPN(e.Logical)+1 {
 					t.Fatalf("perTP %d page %d: entry %+v is not what was put", perTP, tp, e)
 				}
@@ -153,7 +153,7 @@ func TestEntriesOnTranslationPageAscendingAndComplete(t *testing.T) {
 			}
 		}
 		for _, tp := range []int{-1, pages, pages + 1, 1 << 40} {
-			if got := c.EntriesOnTranslationPage(tp); len(got) != 0 {
+			if got := c.entriesOnPage(tp); len(got) != 0 {
 				t.Fatalf("perTP %d: page %d beyond every entry holds %v", perTP, tp, got)
 			}
 		}

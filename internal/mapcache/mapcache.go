@@ -33,20 +33,28 @@ type Entry struct {
 }
 
 // node is one slot of the cache's slab: a real mapping entry or a checkpoint
-// symbol (Section 4.3), linked by slab index into the LRU queue. Free slots
-// are chained through next.
+// symbol (Section 4.3), linked by slab index into the LRU queue and, when the
+// entry is dirty, into the dirty chain. Free slots are chained through next.
 type node struct {
-	entry      Entry
-	prev, next int32 // LRU queue: prev is toward most recently used
-	checkpoint bool
+	entry        Entry
+	prev, next   int32 // LRU queue: prev is toward most recently used
+	dprev, dnext int32 // dirty chain, in queue order: dprev is toward most recently used
 }
 
-// The LRU queue is circular through the sentinel slot: its next is the most
-// recently used node, its prev the least recently used one.
+// symbol reports whether the node is a checkpoint symbol rather than an entry.
+func (n *node) symbol() bool { return n.entry.Logical == checkpointSymbol }
+
+// The LRU queue and the dirty chain are circular through the sentinel slot:
+// its next and dnext are the most recently used node and dirty entry, its
+// prev and dprev the least recently used ones.
 const (
 	sentinel int32 = 0
 	none     int32 = -1
 )
+
+// checkpointSymbol is the Logical of a checkpoint symbol's node: a negative
+// page, which Put refuses for an entry.
+const checkpointSymbol flash.LPN = -2
 
 // EvictionStats counts cache-management events; the FTL uses them to decide
 // when synchronization operations and checkpoints were triggered.
@@ -74,10 +82,10 @@ type EvictionStats struct {
 // it is written back. Both arrays are the simulator's bookkeeping, like the
 // slab: RAMBytes, the paper's model of the cache, does not count them.
 //
-// The queue is doubly linked, so the questions asked of its old end walk
-// from there: eviction, LeastRecentlyUsed, Checkpoint's backward scan and
-// OldestDirty, the victim of a flush or a dirty bound, which stops at the
-// first dirty entry instead of visiting all C.
+// The queue is doubly linked, so eviction and Checkpoint's backward scan walk
+// from its old end. The dirty entries are chained a second time through the
+// slab, in queue order, and counted: DirtyCount, and OldestDirty, the victim
+// of a flush or a dirty bound, read them without a walk.
 type Cache struct {
 	capacity int
 
@@ -94,11 +102,13 @@ type Cache struct {
 	slot    []int32
 	present []uint64
 	count   int
+	// dirty is the number of entries on the dirty chain.
+	dirty int
 
 	entriesPerTP int
 
-	// tpBuf and staleBuf are the reused results of EntriesOnTranslationPage
-	// and Checkpoint.
+	// tpBuf and staleBuf are the reused results of
+	// DirtyEntriesOnTranslationPage and of Checkpoint and DirtyEntries.
 	tpBuf, staleBuf []Entry
 
 	// opsSinceCheckpoint counts inserts/updates since the last checkpoint;
@@ -154,38 +164,65 @@ func (c *Cache) find(lpn flash.LPN) int32 {
 	return c.slot[lpn]
 }
 
-// reset empties the LRU queue and chains every slot into the free list.
+// reset empties the LRU queue and the dirty chain and chains every slot into
+// the free list.
 func (c *Cache) reset() {
-	c.nodes[sentinel] = node{prev: sentinel, next: sentinel}
+	c.nodes[sentinel] = node{prev: sentinel, next: sentinel, dprev: sentinel, dnext: sentinel}
 	for i := 1; i < len(c.nodes); i++ {
 		c.nodes[i] = node{next: int32(i + 1)}
 	}
 	c.nodes[len(c.nodes)-1].next = none
 	c.free = 1
+	c.dirty = 0
 }
 
 // pushFront takes a free slot, fills it and queues it as most recently used.
-func (c *Cache) pushFront(n node) int32 {
+func (c *Cache) pushFront(e Entry) int32 {
 	i := c.free
 	c.free = c.nodes[i].next
-	c.nodes[i] = n
+	c.nodes[i] = node{entry: e}
 	c.link(i)
 	return i
 }
 
-// link queues slot i as most recently used.
+// link queues slot i as most recently used, and a dirty entry also as the
+// most recently used dirty one.
 func (c *Cache) link(i int32) {
 	first := c.nodes[sentinel].next
 	c.nodes[i].prev, c.nodes[i].next = sentinel, first
 	c.nodes[first].prev = i
 	c.nodes[sentinel].next = i
+	if c.nodes[i].entry.Dirty {
+		c.dlink(i, sentinel)
+	}
 }
 
-// unlink takes slot i out of the LRU queue.
+// unlink takes slot i out of the LRU queue and, if dirty, the dirty chain.
 func (c *Cache) unlink(i int32) {
 	n := &c.nodes[i]
 	c.nodes[n.prev].next = n.next
 	c.nodes[n.next].prev = n.prev
+	if n.entry.Dirty {
+		c.dunlink(i)
+	}
+}
+
+// dlink chains the dirty slot i into the dirty chain right behind after, the
+// sentinel or a dirty slot more recently used than i.
+func (c *Cache) dlink(i, after int32) {
+	next := c.nodes[after].dnext
+	c.nodes[i].dprev, c.nodes[i].dnext = after, next
+	c.nodes[next].dprev = i
+	c.nodes[after].dnext = i
+	c.dirty++
+}
+
+// dunlink takes slot i out of the dirty chain.
+func (c *Cache) dunlink(i int32) {
+	n := &c.nodes[i]
+	c.nodes[n.dprev].dnext = n.dnext
+	c.nodes[n.dnext].dprev = n.dprev
+	c.dirty--
 }
 
 // promote makes the queued slot i the most recently used.
@@ -278,15 +315,16 @@ func (c *Cache) Put(e Entry) Evicted {
 	}
 	c.opsSinceCheckpoint++
 	if i := c.find(e.Logical); i != sentinel {
+		c.unlink(i)
 		c.nodes[i].entry = e
-		c.promote(i)
+		c.link(i)
 		return Evicted{}
 	}
 	evicted := c.makeRoom()
 	if need := int(e.Logical) + 1; need > len(c.slot) {
 		c.resizeIndex(max(need, 2*len(c.slot)))
 	}
-	c.slot[e.Logical] = c.pushFront(node{entry: e})
+	c.slot[e.Logical] = c.pushFront(e)
 	c.present[e.Logical/64] |= 1 << uint(e.Logical%64)
 	c.count++
 	return evicted
@@ -298,7 +336,7 @@ func (c *Cache) makeRoom() Evicted {
 		return Evicted{}
 	}
 	for i := c.nodes[sentinel].prev; i != sentinel; i = c.nodes[sentinel].prev {
-		if c.nodes[i].checkpoint {
+		if c.nodes[i].symbol() {
 			// A checkpoint symbol at the LRU end is stale; drop it.
 			c.release(i)
 			continue
@@ -325,41 +363,46 @@ func (c *Cache) Remove(lpn flash.LPN) bool {
 
 // Update applies fn to the cached entry for lpn, if present, and reports
 // whether it was. The entry is not promoted; Update models flag maintenance
-// rather than an application access.
+// rather than an application access. An entry fn makes dirty joins the dirty
+// chain at its place in the queue, behind the nearest more recently used
+// dirty entry.
 func (c *Cache) Update(lpn flash.LPN, fn func(*Entry)) bool {
 	i := c.find(lpn)
-	if i != sentinel {
-		fn(&c.nodes[i].entry)
+	if i == sentinel {
+		return false
 	}
-	return i != sentinel
+	n := &c.nodes[i]
+	wasDirty := n.entry.Dirty
+	fn(&n.entry)
+	switch {
+	case wasDirty && !n.entry.Dirty:
+		c.dunlink(i)
+	case !wasDirty && n.entry.Dirty:
+		after := n.prev
+		for after != sentinel && !c.nodes[after].entry.Dirty {
+			after = c.nodes[after].prev
+		}
+		c.dlink(i, after)
+	}
+	return true
 }
 
-// EntriesOnTranslationPage returns the cached entries whose logical pages
-// belong to the given translation page, in ascending logical order. This is
-// the range query used by synchronization operations — "all dirty mapping
-// entries in the LRU cache that belong to the same translation page as the
-// evicted entry" — answered without scanning the cache; the pinned order
-// means the entries a synchronization writes back — durable flash state —
-// do not depend on insertion history. The slice is reused: it is valid until
-// the next call of this method or DirtyEntriesOnTranslationPage.
-func (c *Cache) EntriesOnTranslationPage(tp int) []Entry {
-	return c.entriesOn(tp, false)
-}
-
-// DirtyEntriesOnTranslationPage returns only the dirty cached entries on the
-// given translation page.
+// DirtyEntriesOnTranslationPage returns the dirty cached entries whose
+// logical pages belong to the given translation page, in ascending logical
+// order. This is the range query used by synchronization operations — "all
+// dirty mapping entries in the LRU cache that belong to the same translation
+// page as the evicted entry" — answered without scanning the cache; the
+// pinned order means the entries a synchronization writes back — durable
+// flash state — do not depend on insertion history. The slice is reused: it
+// is valid until the next call of this method.
 func (c *Cache) DirtyEntriesOnTranslationPage(tp int) []Entry {
-	return c.entriesOn(tp, true)
-}
-
-func (c *Cache) entriesOn(tp int, dirtyOnly bool) []Entry {
 	if tp < 0 || tp > (len(c.slot)-1)/c.entriesPerTP {
 		return nil
 	}
 	out := c.tpBuf[:0]
 	lo := tp * c.entriesPerTP
 	for lpn := range bitmap.Ones(c.present, lo, lo+c.entriesPerTP) {
-		if e := &c.nodes[c.slot[lpn]].entry; e.Dirty || !dirtyOnly {
+		if e := &c.nodes[c.slot[lpn]].entry; e.Dirty {
 			out = append(out, *e)
 		}
 	}
@@ -369,22 +412,25 @@ func (c *Cache) entriesOn(tp int, dirtyOnly bool) []Entry {
 
 // DirtyCount returns the number of dirty entries in the cache. LazyFTL and
 // IB-FTL bound this number during runtime; GeckoFTL does not.
-func (c *Cache) DirtyCount() int {
-	n := 0
-	c.ForEach(func(e Entry) bool {
-		if e.Dirty {
-			n++
-		}
-		return true
-	})
-	return n
+func (c *Cache) DirtyCount() int { return c.dirty }
+
+// DirtyEntries returns the dirty entries, least recently used first. The
+// slice is reused: it is valid until the next call of this method or
+// Checkpoint.
+func (c *Cache) DirtyEntries() []Entry {
+	out := c.staleBuf[:0]
+	for i := c.nodes[sentinel].dprev; i != sentinel; i = c.nodes[i].dprev {
+		out = append(out, c.nodes[i].entry)
+	}
+	c.staleBuf = out
+	return out
 }
 
 // ForEach calls fn on every cached entry in most-recently-used-first order.
 // It stops early if fn returns false.
 func (c *Cache) ForEach(fn func(Entry) bool) {
 	for i := c.nodes[sentinel].next; i != sentinel; i = c.nodes[i].next {
-		if n := &c.nodes[i]; !n.checkpoint && !fn(n.entry) {
+		if n := &c.nodes[i]; !n.symbol() && !fn(n.entry) {
 			return
 		}
 	}
@@ -395,7 +441,7 @@ func (c *Cache) ForEach(fn func(Entry) bool) {
 // that order reproduces this one.
 func (c *Cache) ForEachOldest(fn func(Entry)) {
 	for i := c.nodes[sentinel].prev; i != sentinel; i = c.nodes[i].prev {
-		if n := &c.nodes[i]; !n.checkpoint {
+		if n := &c.nodes[i]; !n.symbol() {
 			fn(n.entry)
 		}
 	}
@@ -411,26 +457,11 @@ func (c *Cache) Entries() []Entry {
 	return out
 }
 
-// LeastRecentlyUsed returns the entry that would be evicted next, if any.
-func (c *Cache) LeastRecentlyUsed() (Entry, bool) {
-	for i := c.nodes[sentinel].prev; i != sentinel; i = c.nodes[i].prev {
-		if n := &c.nodes[i]; !n.checkpoint {
-			return n.entry, true
-		}
-	}
-	return Entry{}, false
-}
-
-// OldestDirty returns the least recently used dirty entry, if any. It walks
-// from the LRU end and stops at the first dirty one, so it visits only the
-// clean entries and checkpoint symbols queued behind it.
+// OldestDirty returns the least recently used dirty entry, if any: the old
+// end of the dirty chain.
 func (c *Cache) OldestDirty() (Entry, bool) {
-	for i := c.nodes[sentinel].prev; i != sentinel; i = c.nodes[i].prev {
-		if n := &c.nodes[i]; !n.checkpoint && n.entry.Dirty {
-			return n.entry, true
-		}
-	}
-	return Entry{}, false
+	i := c.nodes[sentinel].dprev
+	return c.nodes[i].entry, i != sentinel
 }
 
 // Checkpoint implements the runtime checkpoint of Section 4.3. It inserts a
@@ -450,7 +481,7 @@ func (c *Cache) Checkpoint() []Entry {
 	stale := c.staleBuf[:0]
 	for i := c.nodes[sentinel].prev; i != sentinel; i = c.nodes[i].prev {
 		n := &c.nodes[i]
-		if n.checkpoint {
+		if n.symbol() {
 			c.release(i)
 			break
 		}
@@ -458,7 +489,7 @@ func (c *Cache) Checkpoint() []Entry {
 			stale = append(stale, n.entry)
 		}
 	}
-	c.pushFront(node{checkpoint: true})
+	c.pushFront(Entry{Logical: checkpointSymbol})
 	c.staleBuf = stale
 	return stale
 }

@@ -2,9 +2,9 @@ package mapcache
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"geckoftl/internal/flash"
 )
@@ -124,7 +124,7 @@ func TestRemove(t *testing.T) {
 	if c.Len() != 0 {
 		t.Errorf("Len = %d, want 0", c.Len())
 	}
-	if len(c.EntriesOnTranslationPage(0)) != 0 {
+	if len(c.entriesOnPage(0)) != 0 {
 		t.Error("translation-page index not cleaned on Remove")
 	}
 }
@@ -163,7 +163,7 @@ func TestTranslationPageIndex(t *testing.T) {
 		t.Errorf("TranslationPageOf(512) = %d, want 1", got)
 	}
 
-	page0 := c.EntriesOnTranslationPage(0)
+	page0 := c.entriesOnPage(0)
 	if len(page0) != 3 {
 		t.Errorf("page 0 entries = %d, want 3", len(page0))
 	}
@@ -171,11 +171,11 @@ func TestTranslationPageIndex(t *testing.T) {
 	if len(dirty0) != 2 {
 		t.Errorf("page 0 dirty entries = %d, want 2", len(dirty0))
 	}
-	page1 := c.EntriesOnTranslationPage(1)
+	page1 := c.entriesOnPage(1)
 	if len(page1) != 1 || page1[0].Logical != 512 {
 		t.Errorf("page 1 entries = %+v", page1)
 	}
-	if got := c.EntriesOnTranslationPage(7); got != nil {
+	if got := c.entriesOnPage(7); got != nil {
 		t.Errorf("empty page returned %v", got)
 	}
 }
@@ -214,23 +214,29 @@ func TestForEachOrderAndEntries(t *testing.T) {
 	}
 }
 
+// TestLeastRecentlyUsed requires the least recently used entry to be the
+// one evicted even when a checkpoint symbol sits behind it, and the oldest
+// dirty entry to be found past clean ones and the symbol.
 func TestLeastRecentlyUsed(t *testing.T) {
-	c := newTestCache(5)
-	if _, ok := c.LeastRecentlyUsed(); ok {
-		t.Error("LRU of empty cache reported an entry")
+	c := newTestCache(3)
+	if _, ok := c.OldestDirty(); ok {
+		t.Error("OldestDirty of empty cache reported an entry")
 	}
-	c.Put(Entry{Logical: 1})
-	c.Put(Entry{Logical: 2})
-	lru, ok := c.LeastRecentlyUsed()
-	if !ok || lru.Logical != 1 {
-		t.Errorf("LRU = %+v, want 1", lru)
-	}
-	// A checkpoint symbol at the back must be skipped.
 	c.Checkpoint()
-	c.Put(Entry{Logical: 3})
-	lru, ok = c.LeastRecentlyUsed()
-	if !ok || lru.Logical != 1 {
-		t.Errorf("LRU after checkpoint = %+v, want 1", lru)
+	c.Put(Entry{Logical: 1})
+	c.Put(Entry{Logical: 2, Dirty: true})
+	c.Put(Entry{Logical: 3, Dirty: true})
+	if e, ok := c.OldestDirty(); !ok || e.Logical != 2 {
+		t.Errorf("OldestDirty = %+v, %v, want 2", e, ok)
+	}
+	if ev := c.Put(Entry{Logical: 4}); !ev.Valid || ev.Entry.Logical != 1 {
+		t.Errorf("evicted %+v, want 1", ev)
+	}
+	if ev := c.Put(Entry{Logical: 5}); !ev.Valid || ev.Entry.Logical != 2 || !ev.Entry.Dirty {
+		t.Errorf("evicted %+v, want dirty 2", ev)
+	}
+	if e, ok := c.OldestDirty(); !ok || e.Logical != 3 {
+		t.Errorf("OldestDirty after evicting 2 = %+v, %v, want 3", e, ok)
 	}
 }
 
@@ -333,7 +339,7 @@ func TestClear(t *testing.T) {
 	if c.Len() != 0 || c.Contains(1) {
 		t.Error("Clear did not drop entries")
 	}
-	if len(c.EntriesOnTranslationPage(0)) != 0 {
+	if len(c.entriesOnPage(0)) != 0 {
 		t.Error("Clear did not drop the translation-page index")
 	}
 	// The cache must be fully usable after Clear.
@@ -347,6 +353,15 @@ func TestRAMBytes(t *testing.T) {
 	c := newTestCache(1 << 19)
 	if got := c.RAMBytes(8); got != 8<<19 {
 		t.Errorf("RAMBytes = %d, want %d", got, 8<<19)
+	}
+}
+
+// TestNodeWidth pins a slab slot at 40 bytes: the entry and both chains'
+// links, with the checkpoint symbol marked by a reserved Logical rather than
+// a field of its own. Every slot of every shard's cache is one.
+func TestNodeWidth(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 40 {
+		t.Errorf("node is %d bytes, want 40", got)
 	}
 }
 
@@ -426,7 +441,7 @@ func TestQuickTranslationIndexConsistency(t *testing.T) {
 			want[tp] = append(want[tp], e.Logical)
 		}
 		for tp, lpns := range want {
-			got := c.EntriesOnTranslationPage(tp)
+			got := c.entriesOnPage(tp)
 			if len(got) != len(lpns) {
 				return false
 			}
@@ -443,7 +458,7 @@ func TestQuickTranslationIndexConsistency(t *testing.T) {
 		// No phantom pages in the index.
 		total := 0
 		for tp := 0; tp < 8; tp++ {
-			total += len(c.EntriesOnTranslationPage(tp))
+			total += len(c.entriesOnPage(tp))
 		}
 		return total == c.Len()
 	}
@@ -490,18 +505,20 @@ func TestQuickCheckpointCoverage(t *testing.T) {
 }
 
 func TestEntriesSortedHelper(t *testing.T) {
-	// Documented behaviour: EntriesOnTranslationPage gives no ordering
-	// guarantee; verify callers can sort deterministically.
+	// DirtyEntriesOnTranslationPage returns a page's entries in ascending
+	// logical order, whatever order they were put in.
 	c := newTestCache(10)
 	for _, l := range []flash.LPN{9, 3, 7} {
-		c.Put(Entry{Logical: l})
+		c.Put(Entry{Logical: l, Dirty: true})
 	}
-	got := c.EntriesOnTranslationPage(0)
-	sort.Slice(got, func(i, j int) bool { return got[i].Logical < got[j].Logical })
+	got := c.DirtyEntriesOnTranslationPage(0)
 	want := []flash.LPN{3, 7, 9}
+	if len(got) != len(want) {
+		t.Fatalf("entries = %+v, want logical pages %v", got, want)
+	}
 	for i := range want {
 		if got[i].Logical != want[i] {
-			t.Fatalf("sorted entries = %+v", got)
+			t.Fatalf("entries = %+v, want logical pages %v", got, want)
 		}
 	}
 }
@@ -562,16 +579,16 @@ func benchCache() (c *Cache, cached []flash.LPN, logicalPages int) {
 	return c, cached, pages * perTP
 }
 
-// BenchmarkEntriesOnTranslationPage times the range query a synchronization
-// operation starts with, on every translation page in turn.
-func BenchmarkEntriesOnTranslationPage(b *testing.B) {
+// BenchmarkDirtyEntriesOnTranslationPage times the range query a
+// synchronization operation starts with, on every translation page in turn.
+func BenchmarkDirtyEntriesOnTranslationPage(b *testing.B) {
 	c, _, logicalPages := benchCache()
 	pages := logicalPages / 512
 	b.ReportAllocs()
 	b.ResetTimer()
 	entries := 0
 	for i := 0; i < b.N; i++ {
-		entries += len(c.EntriesOnTranslationPage(i % pages))
+		entries += len(c.DirtyEntriesOnTranslationPage(i % pages))
 	}
 	b.ReportMetric(float64(entries)/float64(b.N), "entries/op")
 }

@@ -144,18 +144,24 @@ func (c *listCache) Update(lpn flash.LPN, fn func(*Entry)) bool {
 	return true
 }
 
-func (c *listCache) EntriesOnTranslationPage(tp int) []Entry {
-	set, ok := c.byTP[tp]
-	if !ok {
-		return nil
-	}
-	out := make([]Entry, 0, len(set))
-	for lpn := range set {
+func (c *listCache) entriesOnPage(tp int) []Entry {
+	var out []Entry
+	for lpn := range c.byTP[tp] {
 		if el, ok := c.byLPN[lpn]; ok {
 			out = append(out, el.Value.(*element).entry)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Logical < out[j].Logical })
+	return out
+}
+
+func (c *listCache) DirtyEntriesOnTranslationPage(tp int) []Entry {
+	var out []Entry
+	for _, e := range c.entriesOnPage(tp) {
+		if e.Dirty {
+			out = append(out, e)
+		}
+	}
 	return out
 }
 
@@ -177,15 +183,6 @@ func (c *listCache) Entries() []Entry {
 		}
 	}
 	return out
-}
-
-func (c *listCache) LeastRecentlyUsed() (Entry, bool) {
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		if node := el.Value.(*element); !node.checkpoint {
-			return node.entry, true
-		}
-	}
-	return Entry{}, false
 }
 
 // OldestDirty walks the whole queue from the most recently used end and
@@ -296,19 +293,36 @@ func TestSlabCacheMatchesListCache(t *testing.T) {
 					got.Stats(), got.Len(), got.DirtyCount(), got.OpsSinceCheckpoint(),
 					want.Stats(), want.Len(), want.DirtyCount(), want.OpsSinceCheckpoint())
 			}
-			ge, gok := got.LeastRecentlyUsed()
-			we, wok := want.LeastRecentlyUsed()
-			if ge != we || gok != wok {
-				t.Fatalf("%s: LeastRecentlyUsed() = %v,%v, list cache %v,%v", where, ge, gok, we, wok)
+			// The dirty chain, walked both ways, is the queue's dirty
+			// entries in queue order, and DirtyCount is its length.
+			var wantDirty []Entry
+			for _, e := range want.Entries() {
+				if e.Dirty {
+					wantDirty = append(wantDirty, e)
+				}
 			}
-			ge, gok = got.OldestDirty()
-			we, wok = want.OldestDirty()
+			forward, backward := got.dirtyChain()
+			if slices.Reverse(backward); !slices.Equal(forward, wantDirty) || !slices.Equal(backward, wantDirty) {
+				t.Fatalf("%s: dirty chain %v, reversed backward walk %v, list cache's dirty entries %v", where, forward, backward, wantDirty)
+			}
+			if len(forward) != got.DirtyCount() {
+				t.Fatalf("%s: dirty chain holds %d entries, DirtyCount %d", where, len(forward), got.DirtyCount())
+			}
+			ge, gok := got.OldestDirty()
+			we, wok := want.OldestDirty()
 			if ge != we || gok != wok {
 				t.Fatalf("%s: OldestDirty() = %v,%v, list cache %v,%v", where, ge, gok, we, wok)
 			}
+			dirty := slices.Clone(got.DirtyEntries())
+			if slices.Reverse(dirty); !slices.Equal(dirty, wantDirty) {
+				t.Fatalf("%s: DirtyEntries reversed = %v, list cache %v", where, dirty, wantDirty)
+			}
 			for tp := 0; tp <= (pages-1)/perTP+1; tp++ {
-				if g, w := got.EntriesOnTranslationPage(tp), want.EntriesOnTranslationPage(tp); !slices.Equal(g, w) {
-					t.Fatalf("%s: EntriesOnTranslationPage(%d) = %v, list cache %v", where, tp, g, w)
+				if g, w := got.DirtyEntriesOnTranslationPage(tp), want.DirtyEntriesOnTranslationPage(tp); !slices.Equal(g, w) {
+					t.Fatalf("%s: DirtyEntriesOnTranslationPage(%d) = %v, list cache %v", where, tp, g, w)
+				}
+				if g, w := got.entriesOnPage(tp), want.entriesOnPage(tp); !slices.Equal(g, w) {
+					t.Fatalf("%s: entries on translation page %d = %v, list cache %v", where, tp, g, w)
 				}
 			}
 		}
