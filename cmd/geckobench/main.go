@@ -7,17 +7,16 @@
 //	geckobench -experiment all
 //	geckobench -experiment fig9 -writes 100000
 //	geckobench -experiment channels -sweep 1,2,4,8,16
-//	geckobench -experiment recovery -quick
+//	geckobench -experiment recovery-sweep -quick
 //	geckobench -experiment latency -gc-pages 4 -policy metadata-aware
 //	geckobench -experiment trim -trim-fractions 0,0.1,0.2,0.3 -json
 //	geckobench -experiment queue -depth 8 -admission shed -json
 //
 // The experiments are the entries of the registry, geckoftl.Experiments
-// (docs/benchmarks.md describes each); -experiment takes an entry's name, a
-// group (recovery runs recovery and recovery-sweep) or all. This tool holds
-// no per-experiment code: it maps flags to the registry's parameters, runs
-// the selected entries, and prints their typed rows — as one generic table,
-// or with -json as one object per line of the form
+// (docs/benchmarks.md describes each); -experiment takes an entry's name or
+// all. This tool holds no per-experiment code: it maps flags to the
+// registry's parameters, runs the selected entries, and prints their typed
+// rows — as one generic table, or with -json as one object per line of the form
 // {"experiment": name, "rows": [...], "claims": [...], "go_version": ...,
 // "gomaxprocs": ..., "revision": ...}. The rows are a pure function of the
 // flags (testdata/bench records them at -quick); the other fields say what
@@ -188,30 +187,23 @@ func parseFraction(s string) (float64, error) {
 }
 
 // selectExperiments returns the registry entries a selector names: one entry
-// by name, several by group, or every entry for "all".
+// by name, or every entry for "all".
 func selectExperiments(selector string) []geckoftl.Experiment {
 	var out []geckoftl.Experiment
 	for _, e := range geckoftl.Experiments() {
-		if selector == "all" || selector == e.Name || (e.Group != "" && selector == e.Group) {
+		if selector == "all" || selector == e.Name {
 			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// experimentNames lists every selector once, in registry order, ending with
-// "all". Group selectors that match an experiment name (e.g. "recovery") are
-// not repeated.
+// experimentNames lists every experiment's name in registry order, ending
+// with "all".
 func experimentNames() []string {
 	var names []string
-	seen := make(map[string]bool)
 	for _, e := range geckoftl.Experiments() {
-		for _, n := range []string{e.Name, e.Group} {
-			if n != "" && !seen[n] {
-				seen[n] = true
-				names = append(names, n)
-			}
-		}
+		names = append(names, e.Name)
 	}
 	return append(names, "all")
 }

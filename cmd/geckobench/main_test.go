@@ -109,8 +109,8 @@ func jsonLeaves(prefix string, v any, out *[]string) {
 }
 
 // TestRegistry is the registry's self-check: every registered experiment has
-// a recorded golden and every golden a registered experiment; every name and
-// group is selectable by -experiment and listed exactly once in the usage
+// a recorded golden and every golden a registered experiment; every name is
+// selectable by -experiment and listed exactly once in the usage
 // error, which ends with "all", and README.md carries that list and a claims
 // table row with each claim's id, source and statement; every flag
 // an entry says it reads exists; the default command line is the default
@@ -158,16 +158,11 @@ func TestRegistry(t *testing.T) {
 	}
 
 	for _, e := range geckoftl.Experiments() {
-		for _, selector := range []string{e.Name, e.Group} {
-			if selector == "" {
-				continue
-			}
-			if len(selectExperiments(selector)) == 0 {
-				t.Errorf("%s: selector %q selects nothing", e.Name, selector)
-			}
-			if listed[selector] != 1 {
-				t.Errorf("%s: selector %q listed %d times in %v", e.Name, selector, listed[selector], names)
-			}
+		if got := selectExperiments(e.Name); len(got) != 1 || got[0].Name != e.Name {
+			t.Errorf("%s: selector %q selects %d experiments", e.Name, e.Name, len(got))
+		}
+		if listed[e.Name] != 1 {
+			t.Errorf("%s: listed %d times in %v", e.Name, listed[e.Name], names)
 		}
 		for _, c := range e.Claims {
 			if row := "| `" + c.ID + "` | " + c.Source + " | " + c.Statement + " |"; !strings.Contains(string(readme), row) {

@@ -21,12 +21,12 @@ func QuickScale() ExperimentScale { return sim.QuickScale() }
 // FullScale is the default scale of geckobench and the benchmarks.
 func FullScale() ExperimentScale { return sim.FullScale() }
 
-// Experiment is one entry of the experiment registry: its name and group
-// selectors, the title of its table, the geckobench flags it reads, the
-// function that produces its typed rows, and the claims the evaluation makes
-// of those rows. ExperimentParams carries the scale and those flags' values;
-// its zero value selects every default. Experiment.Verdicts evaluates the
-// claims on a run's rows, one ClaimVerdict each.
+// Experiment is one entry of the experiment registry: its name, the title
+// of its table, the geckobench flags it reads, the function that produces
+// its typed rows, and the claims the evaluation makes of those rows.
+// ExperimentParams carries the scale and those flags' values; its zero value
+// selects every default. Experiment.Verdicts evaluates the claims on a run's
+// rows, one ClaimVerdict each.
 type (
 	Experiment       = sim.Experiment
 	ExperimentParams = sim.Params

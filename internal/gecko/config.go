@@ -11,9 +11,9 @@ import (
 // evaluation (Figure 9) finds T = 2 minimizes write-amplification.
 const DefaultSizeRatio = 2
 
-// DefaultKeyBytes is the size of a Gecko entry key (a block ID), 4 bytes as
-// in Figure 3 of the paper.
-const DefaultKeyBytes = 4
+// keyBytes is the size of a Gecko entry key (a block ID), 4 bytes as in
+// Figure 3 of the paper; the packed spare key and the 8-byte entry assume it.
+const keyBytes = 4
 
 // entryHeaderBytes is the per-entry overhead besides the key and the bitmap
 // chunk: a sub-key (2 bytes) and a flags byte holding the erase flag.
@@ -40,11 +40,9 @@ type Config struct {
 	// (minimum 2).
 	SizeRatio int
 	// PartitionFactor is S, the entry-partitioning factor of Section 3.3.
-	// S = 1 disables partitioning; S = B/(8*KeyBytes) is the paper's
+	// S = 1 disables partitioning; S = B/(8*keyBytes) is the paper's
 	// recommended balance (see RecommendedPartitionFactor).
 	PartitionFactor int
-	// KeyBytes is the size of a block ID key in bytes.
-	KeyBytes int
 	// MultiWayMerge enables the multi-way merge optimization of Appendix A:
 	// a merge that would cascade through several levels is performed as a
 	// single multi-way sort-merge, at the cost of L input buffers in RAM.
@@ -65,7 +63,6 @@ func DefaultConfig(blocks, pagesPerBlock, pageSize int) Config {
 		PagesPerBlock:   pagesPerBlock,
 		PageSize:        pageSize,
 		SizeRatio:       DefaultSizeRatio,
-		KeyBytes:        DefaultKeyBytes,
 		PartitionFactor: 1,
 	}
 	cfg.PartitionFactor = cfg.RecommendedPartitionFactor()
@@ -85,8 +82,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gecko: page size %d must be positive", c.PageSize)
 	case c.SizeRatio < 2:
 		return fmt.Errorf("gecko: size ratio %d must be at least 2", c.SizeRatio)
-	case c.KeyBytes <= 0:
-		return fmt.Errorf("gecko: key bytes %d must be positive", c.KeyBytes)
 	case c.PartitionFactor < 1 || c.PartitionFactor > c.PagesPerBlock:
 		return fmt.Errorf("gecko: partition factor %d out of range [1,%d]", c.PartitionFactor, c.PagesPerBlock)
 	case c.PartitionFactor > maxPartitionFactor:
@@ -99,13 +94,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// RecommendedPartitionFactor returns S = B/(8*KeyBytes), the partitioning
+// RecommendedPartitionFactor returns S = B/(8*keyBytes), the partitioning
 // factor the paper recommends (Section 3.3): each sub-entry then carries a
 // bitmap chunk the same size as its key, which removes the dependence of the
 // update cost on B while keeping space-amplification bounded.
 func (c Config) RecommendedPartitionFactor() int {
-	keyBits := c.KeyBytes * 8
-	s := c.PagesPerBlock / keyBits
+	s := c.PagesPerBlock / (8 * keyBytes)
 	if s < 1 {
 		return 1
 	}
@@ -152,7 +146,7 @@ func (z sizes) fold(result *bitmap.Bitmap, subKey int16, words []uint64) {
 // sub-key + flags header, and the bitmap chunk.
 func (c Config) EntryBytes() int {
 	bitmapBytes := (c.BitsPerEntry() + 7) / 8
-	return c.KeyBytes + entryHeaderBytes + bitmapBytes
+	return keyBytes + entryHeaderBytes + bitmapBytes
 }
 
 // EntriesPerPage returns V, the number of Gecko entries that fit into one

@@ -36,7 +36,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero pages per block", func(c *Config) { c.PagesPerBlock = 0 }},
 		{"zero page size", func(c *Config) { c.PageSize = 0 }},
 		{"size ratio 1", func(c *Config) { c.SizeRatio = 1 }},
-		{"zero key bytes", func(c *Config) { c.KeyBytes = 0 }},
 		{"zero partition factor", func(c *Config) { c.PartitionFactor = 0 }},
 		{"partition factor above B", func(c *Config) { c.PartitionFactor = c.PagesPerBlock + 1 }},
 		{"negative buffer limit", func(c *Config) { c.BufferLimit = -1 }},

@@ -174,7 +174,7 @@ func randomRunPair(rng *rand.Rand, cfg Config, blocks, v int, seq uint64) (*orac
 func TestMergeMatchesPointerEntryMerge(t *testing.T) {
 	for _, s := range []int{1, 2, 4} {
 		for _, ways := range []int{2, 3, 5} {
-			cfg := Config{Blocks: 24, PagesPerBlock: 256, PageSize: 4096, SizeRatio: 2, KeyBytes: 4, PartitionFactor: s}
+			cfg := Config{Blocks: 24, PagesPerBlock: 256, PageSize: 4096, SizeRatio: 2, PartitionFactor: s}
 			merge := steadyMerge(cfg)
 			for seed := int64(1); seed <= 40; seed++ {
 				rng := rand.New(rand.NewSource(seed*100 + int64(10*s+ways)))
@@ -287,7 +287,7 @@ func TestMergeMatchesOracleOnPerfbenchKeys(t *testing.T) {
 // oldest run's chunks of the block are dropped, and its chunk of block 6,
 // which nothing erased, is kept.
 func TestMergeMiddleRunErase(t *testing.T) {
-	cfg := Config{Blocks: 8, PagesPerBlock: 64, PageSize: 4096, SizeRatio: 2, KeyBytes: 4, PartitionFactor: 2}
+	cfg := Config{Blocks: 8, PagesPerBlock: 64, PageSize: 4096, SizeRatio: 2, PartitionFactor: 2}
 	type ent struct {
 		block  flash.BlockID
 		subKey int16

@@ -56,20 +56,6 @@ const (
 // page, which Put refuses for an entry.
 const checkpointSymbol flash.LPN = -2
 
-// EvictionStats counts cache-management events; the FTL uses them to decide
-// when synchronization operations and checkpoints were triggered.
-type EvictionStats struct {
-	// Hits and Misses count Lookup outcomes.
-	Hits, Misses int64
-	// Evictions counts entries removed because the cache was full.
-	Evictions int64
-	// DirtyEvictions counts evictions of dirty entries, each of which forces
-	// a synchronization operation.
-	DirtyEvictions int64
-	// Checkpoints counts checkpoint scans performed.
-	Checkpoints int64
-}
-
 // Cache is an LRU cache of mapping entries with capacity C. It is not safe
 // for concurrent use; the FTL serializes access.
 //
@@ -114,8 +100,6 @@ type Cache struct {
 	// opsSinceCheckpoint counts inserts/updates since the last checkpoint;
 	// GeckoFTL takes a checkpoint every C operations (Section 4.3).
 	opsSinceCheckpoint int
-
-	stats EvictionStats
 }
 
 // New creates a cache that holds at most capacity mapping entries.
@@ -247,9 +231,6 @@ func (c *Cache) Capacity() int { return c.capacity }
 // not counted).
 func (c *Cache) Len() int { return c.count }
 
-// Stats returns a copy of the cache-management counters.
-func (c *Cache) Stats() EvictionStats { return c.stats }
-
 // OpsSinceCheckpoint returns the number of inserts or updates since the last
 // checkpoint scan.
 func (c *Cache) OpsSinceCheckpoint() int { return c.opsSinceCheckpoint }
@@ -274,10 +255,8 @@ func (c *Cache) remove(i int32) {
 func (c *Cache) Lookup(lpn flash.LPN) (Entry, bool) {
 	i := c.find(lpn)
 	if i == sentinel {
-		c.stats.Misses++
 		return Entry{}, false
 	}
-	c.stats.Hits++
 	c.promote(i)
 	return c.nodes[i].entry, true
 }
@@ -343,10 +322,6 @@ func (c *Cache) makeRoom() Evicted {
 		}
 		e := c.nodes[i].entry
 		c.remove(i)
-		c.stats.Evictions++
-		if e.Dirty {
-			c.stats.DirtyEvictions++
-		}
 		return Evicted{Entry: e, Valid: true}
 	}
 	return Evicted{}
@@ -475,7 +450,6 @@ func (c *Cache) OldestDirty() (Entry, bool) {
 // The operation counter used to schedule checkpoints is reset. The returned
 // slice is reused: it is valid until the next Checkpoint.
 func (c *Cache) Checkpoint() []Entry {
-	c.stats.Checkpoints++
 	c.opsSinceCheckpoint = 0
 
 	stale := c.staleBuf[:0]

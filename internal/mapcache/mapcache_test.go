@@ -42,10 +42,6 @@ func TestPutLookup(t *testing.T) {
 	if _, ok := c.Lookup(3); ok {
 		t.Error("Lookup(3) hit on missing entry")
 	}
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want 2 hits 1 miss", st)
-	}
 	if c.Len() != 2 {
 		t.Errorf("Len = %d, want 2", c.Len())
 	}
@@ -95,9 +91,8 @@ func TestDirtyEvictionIsReported(t *testing.T) {
 	if !ev.Valid || !ev.Entry.Dirty || ev.Entry.Logical != 1 {
 		t.Errorf("eviction = %+v, want dirty entry 1", ev)
 	}
-	st := c.Stats()
-	if st.Evictions != 1 || st.DirtyEvictions != 1 {
-		t.Errorf("stats = %+v", st)
+	if c.Len() != 1 || c.DirtyCount() != 0 || c.Contains(1) {
+		t.Errorf("after evicting dirty entry 1: Len %d, DirtyCount %d, holds 1: %v", c.Len(), c.DirtyCount(), c.Contains(1))
 	}
 }
 
@@ -261,6 +256,10 @@ func TestCheckpointSynchronizesLingeringDirtyEntries(t *testing.T) {
 	c.Put(Entry{Logical: 4, Dirty: true})
 	c.Lookup(1)
 
+	if c.OpsSinceCheckpoint() == 0 {
+		t.Error("OpsSinceCheckpoint is 0 after a Put following the first checkpoint")
+	}
+
 	// Second checkpoint scans only entries older than the previous symbol:
 	// entries 2 and 3 (entry 1 was touched, entry 4 is newer than the
 	// symbol). None of those is dirty anymore.
@@ -268,8 +267,8 @@ func TestCheckpointSynchronizesLingeringDirtyEntries(t *testing.T) {
 	if len(stale) != 0 {
 		t.Errorf("second checkpoint returned %v, want none", stale)
 	}
-	if c.Stats().Checkpoints != 2 {
-		t.Errorf("checkpoint count = %d, want 2", c.Stats().Checkpoints)
+	if c.OpsSinceCheckpoint() != 0 {
+		t.Errorf("OpsSinceCheckpoint = %d after the second checkpoint, want 0", c.OpsSinceCheckpoint())
 	}
 }
 

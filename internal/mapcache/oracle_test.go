@@ -22,7 +22,6 @@ type listCache struct {
 	byTP               map[int]map[flash.LPN]struct{}
 	entriesPerTP       int
 	opsSinceCheckpoint int
-	stats              EvictionStats
 }
 
 type element struct {
@@ -41,7 +40,6 @@ func newListCache(capacity, entriesPerTranslationPage int) *listCache {
 }
 
 func (c *listCache) Len() int                { return len(c.byLPN) }
-func (c *listCache) Stats() EvictionStats    { return c.stats }
 func (c *listCache) OpsSinceCheckpoint() int { return c.opsSinceCheckpoint }
 func (c *listCache) TranslationPageOf(lpn flash.LPN) int {
 	return int(int64(lpn) / int64(c.entriesPerTP))
@@ -70,10 +68,8 @@ func (c *listCache) indexRemove(lpn flash.LPN) {
 func (c *listCache) Lookup(lpn flash.LPN) (Entry, bool) {
 	el, ok := c.byLPN[lpn]
 	if !ok {
-		c.stats.Misses++
 		return Entry{}, false
 	}
-	c.stats.Hits++
 	c.order.MoveToFront(el)
 	return el.Value.(*element).entry, true
 }
@@ -115,10 +111,6 @@ func (c *listCache) makeRoom() Evicted {
 		c.order.Remove(el)
 		delete(c.byLPN, node.entry.Logical)
 		c.indexRemove(node.entry.Logical)
-		c.stats.Evictions++
-		if node.entry.Dirty {
-			c.stats.DirtyEvictions++
-		}
 		return Evicted{Entry: node.entry, Valid: true}
 	}
 	return Evicted{}
@@ -200,7 +192,6 @@ func (c *listCache) OldestDirty() (Entry, bool) {
 }
 
 func (c *listCache) Checkpoint() []Entry {
-	c.stats.Checkpoints++
 	c.opsSinceCheckpoint = 0
 	var stale []Entry
 	for el := c.order.Back(); el != nil; {
@@ -287,11 +278,10 @@ func TestSlabCacheMatchesListCache(t *testing.T) {
 			if slices.Reverse(oldest); !slices.Equal(oldest, want.Entries()) {
 				t.Fatalf("%s: ForEachOldest reversed = %v, list cache %v", where, oldest, want.Entries())
 			}
-			if got.Stats() != want.Stats() || got.Len() != want.Len() || got.DirtyCount() != want.DirtyCount() ||
-				got.OpsSinceCheckpoint() != want.OpsSinceCheckpoint() {
-				t.Fatalf("%s: stats %+v len %d dirty %d ops %d, list cache %+v %d %d %d", where,
-					got.Stats(), got.Len(), got.DirtyCount(), got.OpsSinceCheckpoint(),
-					want.Stats(), want.Len(), want.DirtyCount(), want.OpsSinceCheckpoint())
+			if got.Len() != want.Len() || got.DirtyCount() != want.DirtyCount() || got.OpsSinceCheckpoint() != want.OpsSinceCheckpoint() {
+				t.Fatalf("%s: len %d dirty %d ops %d, list cache %d %d %d", where,
+					got.Len(), got.DirtyCount(), got.OpsSinceCheckpoint(),
+					want.Len(), want.DirtyCount(), want.OpsSinceCheckpoint())
 			}
 			// The dirty chain, walked both ways, is the queue's dirty
 			// entries in queue order, and DirtyCount is its length.

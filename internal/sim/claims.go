@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -158,9 +159,9 @@ func shape[T any](rows []T, key func(T) string, want ...string) error {
 
 var fiveFTLs = []string{"DFTL", "LazyFTL", "uFTL", "IB-FTL", "GeckoFTL"}
 
-func resultName(r Result) string           { return r.Name }
-func fig14Name(r Figure14Row) string       { return r.Name }
-func recoveryName(r RecoveryResult) string { return r.Name }
+func resultName(r Result) string         { return r.Name }
+func fig14Name(r Figure14Row) string     { return r.Name }
+func recoveryFTL(p RecoveryPoint) string { return p.FTL }
 
 // claims is the table of every experiment's claims, in registry order; an
 // experiment's are those whose id starts with its name and a dot.
@@ -253,16 +254,13 @@ var claims = []Claim{
 		g := by["GeckoFTL"].WA
 		return need(g <= by["uFTL"].WA && g <= by["DFTL"].WA, "GeckoFTL %.4g, µ-FTL %.4g, DFTL %.4g", g, by["uFTL"].WA, by["DFTL"].WA)
 	}),
-	claim("recovery.battery", "§5.3, Fig. 13 middle", "DFTL recovers from its battery; GeckoFTL needs none.", func(rows []RecoveryResult) error {
-		by := keyed(rows, recoveryName)
+	claim("recovery-sweep.battery", "§5.3, Fig. 13 middle", "DFTL recovers from its battery; GeckoFTL needs none.", func(rows []RecoveryPoint) error {
+		by := keyed(baseSize(rows), recoveryFTL)
 		return need(by["DFTL"].UsedBattery && !by["GeckoFTL"].UsedBattery, "battery used: DFTL %v, GeckoFTL %v", by["DFTL"].UsedBattery, by["GeckoFTL"].UsedBattery)
 	}),
-	claim("recovery.gecko-writes", "§4.3", "GeckoFTL's recovery writes no more pages than LazyFTL's, which synchronizes the entries it recovers.", func(rows []RecoveryResult) error {
-		by := keyed(rows, recoveryName)
+	claim("recovery-sweep.gecko-writes", "§4.3", "GeckoFTL's recovery writes no more pages than LazyFTL's, which synchronizes the entries it recovers.", func(rows []RecoveryPoint) error {
+		by := keyed(baseSize(rows), recoveryFTL)
 		return need(by["GeckoFTL"].PageWrites <= by["LazyFTL"].PageWrites, "GeckoFTL %d page writes, LazyFTL %d", by["GeckoFTL"].PageWrites, by["LazyFTL"].PageWrites)
-	}),
-	rowClaim("recovery.duration", "§4.3", "Every FTL's recovery takes time.", func(r RecoveryResult) error {
-		return need(r.Duration > 0, "%s recovered in %v", r.Name, r.Duration)
 	}),
 	rowClaim("recovery-sweep.consistency", "Recovery sweep", "Every point recovers in positive time, its serial time is at least its wall-clock (equal on one shard), and it recovers at most its cache's worth of entries.", func(p RecoveryPoint) error {
 		return need(p.WallClock > 0 && p.SerialTime >= p.WallClock && (p.Shards != 1 || p.WallClock == p.SerialTime) && p.RecoveredEntries <= p.CacheEntries,
@@ -508,13 +506,37 @@ func dimension(rows []RecoveryPoint, dim string) []RecoveryPoint {
 	return slices.DeleteFunc(slices.Clone(rows), func(p RecoveryPoint) bool { return p.Dimension != dim })
 }
 
-// recoveryPairs returns the capacity rows as GeckoFTL, LazyFTL pairs, one
-// per device size.
-func recoveryPairs(rows []RecoveryPoint) [][2]RecoveryPoint {
+// baseSize returns the capacity rows at the dimension's base (smallest)
+// device size, where every FTL runs.
+func baseSize(rows []RecoveryPoint) []RecoveryPoint {
 	capacity := dimension(rows, "capacity")
+	if len(capacity) == 0 {
+		return nil
+	}
+	least := slices.MinFunc(capacity, func(a, b RecoveryPoint) int { return cmp.Compare(a.Blocks, b.Blocks) }).Blocks
+	return slices.DeleteFunc(capacity, func(p RecoveryPoint) bool { return p.Blocks != least })
+}
+
+// recoveryPairs returns the capacity dimension's GeckoFTL and LazyFTL rows
+// as pairs, one per device size that either runs at, smallest first. A size
+// missing one of the two pairs its row with the zero row.
+func recoveryPairs(rows []RecoveryPoint) [][2]RecoveryPoint {
+	type key struct {
+		blocks int
+		ftl    string
+	}
+	capacity := dimension(rows, "capacity")
+	by := keyed(capacity, func(p RecoveryPoint) key { return key{p.Blocks, p.FTL} })
+	var sizes []int
+	for _, p := range capacity {
+		if p.FTL == "GeckoFTL" || p.FTL == "LazyFTL" {
+			sizes = append(sizes, p.Blocks)
+		}
+	}
+	slices.Sort(sizes)
 	var pairs [][2]RecoveryPoint
-	for i := 0; i+1 < len(capacity); i += 2 {
-		pairs = append(pairs, [2]RecoveryPoint{capacity[i], capacity[i+1]})
+	for _, b := range slices.Compact(sizes) {
+		pairs = append(pairs, [2]RecoveryPoint{by[key{b, "GeckoFTL"}], by[key{b, "LazyFTL"}]})
 	}
 	return pairs
 }

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"encoding/json"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"geckoftl/internal/model"
@@ -81,9 +83,6 @@ var witnesses = map[string]func(any){
 	"fig14.bigger-cache":          mutate(func(r *[]Figure14Row) { (*r)[1].CacheEntries = (*r)[0].CacheEntries }),
 	"fig14.gecko-translation":     mutate(func(r *[]Figure14Row) { (*r)[2].TranslationWA = 1.01 * (*r)[0].TranslationWA }),
 	"fig14.gecko-lowest":          mutate(func(r *[]Figure14Row) { (*r)[2].WA = 1.01 * (*r)[0].WA }),
-	"recovery.battery":            mutate(func(r *[]RecoveryResult) { (*r)[4].UsedBattery = true }),
-	"recovery.gecko-writes":       mutate(func(r *[]RecoveryResult) { (*r)[4].PageWrites = (*r)[1].PageWrites + 1 }),
-	"recovery.duration":           mutate(func(r *[]RecoveryResult) { (*r)[0].Duration = 0 }),
 	"summary.ram":                 mutate(func(r *HeadlineSummary) { r.RAMReduction = 0.94 }),
 	"summary.recovery":            mutate(func(r *HeadlineSummary) { r.RecoveryReduction = 0.50 }),
 	"summary.validity-wa":         mutate(func(r *HeadlineSummary) { r.ValidityWAReduction = 0.79 }),
@@ -105,15 +104,17 @@ var witnesses = map[string]func(any){
 	"endurance.wear-outlives":     mutate(func(r *[]EndurancePoint) { (*r)[5].Lifetime = (*r)[2].Lifetime }),
 	"endurance.fault-free-spread": mutate(func(r *[]EndurancePoint) { (*r)[3].EraseSpread = (*r)[0].EraseSpread }),
 	// recovery-sweep rows: 0-3 channels 1, 2, 4, 8; 4-5 checkpoint caches
-	// 128 and 512; 6-11 capacity, GeckoFTL then LazyFTL at 256, 512 and
-	// 1024 blocks.
+	// 128 and 512; 6-14 capacity: DFTL, LazyFTL, µ-FTL, IB-FTL and GeckoFTL
+	// at 256 blocks, then GeckoFTL and LazyFTL at 512 and at 1024 blocks.
 	"recovery-sweep.consistency":       mutate(func(r *[]RecoveryPoint) { (*r)[0].SerialTime++ }),
 	"recovery-sweep.channels-parallel": mutate(func(r *[]RecoveryPoint) { (*r)[3].WallClock = (*r)[3].SerialTime / 2 }),
 	"recovery-sweep.channels-speedup":  mutate(func(r *[]RecoveryPoint) { (*r)[3].WallClock = (*r)[0].WallClock / 2 }),
 	"recovery-sweep.checkpoint-bound":  mutate(func(r *[]RecoveryPoint) { (*r)[4].RecoveredEntries = (*r)[3].RecoveredEntries + 1 }),
-	"recovery-sweep.lazy-slower":       mutate(func(r *[]RecoveryPoint) { (*r)[9].WallClock = (*r)[8].WallClock }),
+	"recovery-sweep.battery":           mutate(func(r *[]RecoveryPoint) { (*r)[10].UsedBattery = true }),
+	"recovery-sweep.gecko-writes":      mutate(func(r *[]RecoveryPoint) { (*r)[10].PageWrites = (*r)[7].PageWrites + 1 }),
+	"recovery-sweep.lazy-slower":       mutate(func(r *[]RecoveryPoint) { (*r)[12].WallClock = (*r)[11].WallClock }),
 	"recovery-sweep.gap-widens": mutate(func(r *[]RecoveryPoint) {
-		(*r)[11].WallClock = (*r)[10].WallClock + (*r)[9].WallClock - (*r)[8].WallClock
+		(*r)[14].WallClock = (*r)[13].WallClock + (*r)[12].WallClock - (*r)[11].WallClock
 	}),
 	// latency rows: inline then incremental for uniform, zipfian and hotcold
 	// under metadata-aware then greedy.
@@ -164,5 +165,35 @@ func TestClaimWitnesses(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRecoveryPairsIgnoreRowOrder requires recoveryPairs to pair GeckoFTL
+// with LazyFTL by device size and name, not by position: shuffled capacity
+// rows, with the other FTLs' base-size rows between a GeckoFTL row and its
+// LazyFTL row, give the pairs of the golden's order.
+func TestRecoveryPairsIgnoreRowOrder(t *testing.T) {
+	registry := Experiments()
+	sweep := registry[slices.IndexFunc(registry, func(e Experiment) bool { return e.Name == "recovery-sweep" })]
+	rows := *golden(t, sweep).(*[]RecoveryPoint)
+	want := recoveryPairs(rows)
+	if len(want) != len(capacityFactors) {
+		t.Fatalf("%d pairs from the golden, want %d", len(want), len(capacityFactors))
+	}
+	shuffled := slices.Clone(rows)
+	rand.New(rand.NewPCG(1, 2)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	// Put the base size's GeckoFTL row first and its LazyFTL row last, with
+	// the DFTL, µ-FTL and IB-FTL rows between them.
+	base := baseSize(rows)
+	others := slices.DeleteFunc(slices.Clone(base), func(p RecoveryPoint) bool { return p.FTL == "GeckoFTL" || p.FTL == "LazyFTL" })
+	if len(others) != 3 {
+		t.Fatalf("base size has %d rows besides GeckoFTL and LazyFTL, want 3", len(others))
+	}
+	rest := slices.DeleteFunc(shuffled, func(p RecoveryPoint) bool { return p.Dimension == "capacity" && p.Blocks == base[0].Blocks })
+	by := keyed(base, recoveryFTL)
+	mixed := append([]RecoveryPoint{by["GeckoFTL"]}, others...)
+	mixed = append(append(mixed, by["LazyFTL"]), rest...)
+	if got := recoveryPairs(mixed); !reflect.DeepEqual(got, want) {
+		t.Errorf("shuffled rows pair as %+v, want %+v", got, want)
 	}
 }

@@ -5,7 +5,7 @@
 // collects per-purpose IO breakdowns.
 //
 // Experiments are data. Experiments (experiments.go) is the registry: one
-// entry per table, figure and sweep, carrying its name, group, table title,
+// entry per table, figure and sweep, carrying its name, table title,
 // the geckobench flags it reads and a run function from Params to typed rows
 // (a sweep is registered as it is declared: func(Params), or func of the
 // scale alone through the scaled adapter).
@@ -30,22 +30,23 @@
 // logical pages, so write-amplification is still rising after it (ROADMAP
 // item 18). open warms a run and anchors its measured window, the only check
 // of MeasureWrites; close turns its anchors into the window's counter, stat,
-// simulated-time and die-time deltas, and measure is open, pump and close. Every measured
-// point goes through them, the queue sweep's rows included. crash is the one
-// power-fail, recover and audit step of the recovery simulation, the
-// recovery sweep and the restart sweep's cold half. The paper's own FTL
-// comparisons (Figure 13 bottom, Figure 14, the recovery simulation) and the
-// root package's ablation benchmarks run the harness at one channel with one
-// operation per batch — MeasureFTL — where a one-shard engine issues exactly
-// the IO of a bare ftl.FTL (pinned by internal/ftl's
-// TestOneShardEngineMatchesBareFTL). Only the isolated-structure rig of
+// simulated-time and die-time deltas, and measure is open, pump and close.
+// Every measured point goes through them, the queue sweep's rows included.
+// crash is the one power-fail, recover and audit step of the recovery sweep
+// and the restart sweep's cold half. The paper's own FTL comparisons (Figure
+// 13 bottom, Figure 14) and the root package's ablation benchmarks run the
+// harness at one channel with one operation per batch — MeasureFTL — where a
+// one-shard engine issues exactly the IO of a bare ftl.FTL (pinned by
+// internal/ftl's TestOneShardEngineMatchesBareFTL). Only the isolated-structure rig of
 // Figures 9-12 (RunIsolated) drives Logarithmic Gecko and the PVB without an
 // FTL around them. The sweeps beyond the paper:
 //
 //   - ChannelSweep measures how the sharded engine's write throughput scales
 //     with the channel count.
 //   - RecoverySweep crashes the engine and measures how parallel per-shard
-//     recovery scales with channels, checkpoint interval and capacity.
+//     recovery scales with channels, checkpoint interval and capacity; its
+//     base size crashes every FTL on one channel (the measured Figure 13
+//     middle).
 //   - LatencySweep records per-write service-time distributions (p50 through
 //     p99.9 and max) and compares inline whole-victim garbage collection
 //     against the incremental bounded scheduler across victim policies and

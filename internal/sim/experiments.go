@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"geckoftl/internal/ftl"
 	"geckoftl/internal/model"
@@ -76,9 +75,8 @@ type Params struct {
 // Experiment is one entry of the registry: all that geckobench, the goldens
 // under testdata/bench, the benchmarks and CI know about an experiment.
 type Experiment struct {
-	// Name selects the experiment; Group, when set, is a second selector
-	// that also runs it (recovery-sweep runs under "recovery").
-	Name, Group string
+	// Name selects the experiment.
+	Name string
 	// Title heads the experiment's text table.
 	Title string
 	// Flags names the geckobench flags, beyond the scale's, whose Params
@@ -97,9 +95,9 @@ type Experiment struct {
 }
 
 // experiment builds a registry entry from a typed run function.
-func experiment[R any](name, group, title string, flags []string, run func(Params) (R, error)) Experiment {
+func experiment[R any](name, title string, flags []string, run func(Params) (R, error)) Experiment {
 	return Experiment{
-		Name: name, Group: group, Title: title, Flags: flags,
+		Name: name, Title: title, Flags: flags,
 		Run:     func(p Params) (any, error) { return run(p) },
 		NewRows: func() any { return new(R) },
 		Claims:  slices.DeleteFunc(slices.Clone(claims), func(c Claim) bool { return !strings.HasPrefix(c.ID, name+".") }),
@@ -123,45 +121,43 @@ func scaled[R any](rows func(ExperimentScale) (R, error)) func(Params) (R, error
 // records.
 func Experiments() []Experiment {
 	return []Experiment{
-		experiment("fig1", "", "Figure 1: LazyFTL integrated RAM and recovery time vs device capacity (analytical, full scale)",
+		experiment("fig1", "Figure 1: LazyFTL integrated RAM and recovery time vs device capacity (analytical, full scale)",
 			nil, analytic(Figure1)),
-		experiment("table1", "", "Table 1: per-operation IO costs and RAM of page-validity schemes (analytical, full scale)",
+		experiment("table1", "Table 1: per-operation IO costs and RAM of page-validity schemes (analytical, full scale)",
 			nil, analytic(Table1)),
-		experiment("fig9", "", "Figure 9: Logarithmic Gecko vs flash-resident PVB under uniform random updates (simulation)",
+		experiment("fig9", "Figure 9: Logarithmic Gecko vs flash-resident PVB under uniform random updates (simulation)",
 			nil, scaled(Figure9)),
-		experiment("fig10", "", "Figure 10: entry-partitioning makes write-amplification independent of block size (simulation; PartitionFactor -1 is the recommended factor)",
+		experiment("fig10", "Figure 10: entry-partitioning makes write-amplification independent of block size (simulation; PartitionFactor -1 is the recommended factor)",
 			nil, scaled(Figure10)),
-		experiment("fig11", "", "Figure 11: write-amplification vs number of blocks K (simulation)",
+		experiment("fig11", "Figure 11: write-amplification vs number of blocks K (simulation)",
 			nil, scaled(Figure11)),
-		experiment("fig12", "", "Figure 12: over-provisioning vs Logarithmic Gecko IO (simulation)",
+		experiment("fig12", "Figure 12: over-provisioning vs Logarithmic Gecko IO (simulation)",
 			nil, scaled(Figure12)),
-		experiment("fig13ram", "", "Figure 13 (top): integrated RAM breakdown per FTL (analytical, full scale)",
+		experiment("fig13ram", "Figure 13 (top): integrated RAM breakdown per FTL (analytical, full scale)",
 			nil, analytic(Figure13RAM)),
-		experiment("fig13rec", "", "Figure 13 (middle): recovery time breakdown per FTL (analytical, full scale)",
+		experiment("fig13rec", "Figure 13 (middle): recovery time breakdown per FTL (analytical, full scale)",
 			nil, analytic(Figure13Recovery)),
-		experiment("fig13wa", "", "Figure 13 (bottom): write-amplification breakdown per FTL (simulation)",
+		experiment("fig13wa", "Figure 13 (bottom): write-amplification breakdown per FTL (simulation)",
 			nil, scaled(Figure13WA)),
-		experiment("fig14", "", "Figure 14: equal RAM budget; freed PVB RAM used as extra cache (simulation)",
+		experiment("fig14", "Figure 14: equal RAM budget; freed PVB RAM used as extra cache (simulation)",
 			nil, scaled(Figure14)),
-		experiment("recovery", "", "Recovery simulation: crash each FTL mid-workload on one plane, measure recovery IO and time",
-			nil, scaled(RecoverySimulation)),
-		experiment("recovery-sweep", "recovery", "Engine recovery sweep: crash the sharded engine, recover all shards in parallel",
+		experiment("recovery-sweep", "Recovery sweep: crash the sharded engine and recover all shards in parallel, across channel counts, checkpoint intervals and device sizes (every FTL at the base size)",
 			[]string{"sweep"}, RecoverySweep),
-		experiment("channels", "", "Channel scaling: sharded GeckoFTL engine write throughput vs channel count (uniform workload, 1 die per channel by default)",
+		experiment("channels", "Channel scaling: sharded GeckoFTL engine write throughput vs channel count (uniform workload, 1 die per channel by default)",
 			[]string{"sweep", "dies", "sweep-workload"}, ChannelSweep),
-		experiment("latency", "", "Latency sweep: per-write service time of the sharded GeckoFTL engine, inline vs incremental GC",
+		experiment("latency", "Latency sweep: per-write service time of the sharded GeckoFTL engine, inline vs incremental GC",
 			[]string{"gc-mode", "policy", "gc-pages"}, LatencySweep),
-		experiment("trim", "", "Trim sweep: write-amplification of the sharded GeckoFTL engine vs host trim fraction",
+		experiment("trim", "Trim sweep: write-amplification of the sharded GeckoFTL engine vs host trim fraction",
 			[]string{"sweep-workload", "trim-fractions"}, TrimSweep),
-		experiment("wear", "", "Wear sweep: WA and erase-count spread of the sharded GeckoFTL engine, single vs hot/cold frontiers",
+		experiment("wear", "Wear sweep: WA and erase-count spread of the sharded GeckoFTL engine, single vs hot/cold frontiers",
 			[]string{"policy"}, WearSweep),
-		experiment("endurance", "", "Endurance sweep: device lifetime in host writes until capacity exhaustion, fault rate x allocation policy",
+		experiment("endurance", "Endurance sweep: device lifetime in host writes until capacity exhaustion, fault rate x allocation policy",
 			nil, scaled(EnduranceSweep)),
-		experiment("restart", "", "Restart sweep: warm restart from the shutdown checkpoint vs cold GeckoRec recovery of identical state",
+		experiment("restart", "Restart sweep: warm restart from the shutdown checkpoint vs cold GeckoRec recovery of identical state",
 			nil, scaled(RestartSweep)),
-		experiment("queue", "", "Queue sweep: async submission engine vs the synchronous baseline and the queueing model's saturation knee",
+		experiment("queue", "Queue sweep: async submission engine vs the synchronous baseline and the queueing model's saturation knee",
 			[]string{"sweep-workload", "depth", "depths", "admission"}, QueueSweep),
-		experiment("summary", "", "Headline claims: reductions as fractions (paper: page-validity RAM 0.95 vs RAM-resident PVB, recovery time >= 0.51 vs LazyFTL, page-validity WA 0.98 vs flash-resident PVB)",
+		experiment("summary", "Headline claims: reductions as fractions (paper: page-validity RAM 0.95 vs RAM-resident PVB, recovery time >= 0.51 vs LazyFTL, page-validity WA 0.98 vs flash-resident PVB)",
 			nil, scaled(Headlines)),
 	}
 }
@@ -379,47 +375,6 @@ func Figure14(scale ExperimentScale) ([]Figure14Row, error) {
 		rows = append(rows, Figure14Row{Result: res, CacheEntries: c.cache})
 	}
 	return rows, nil
-}
-
-// RecoveryResult is the measured (simulated) recovery cost of one FTL,
-// complementing the analytical Figure 13 middle with an executable check.
-type RecoveryResult struct {
-	Name                    string
-	Duration                time.Duration
-	SpareReads              int64
-	PageReads               int64
-	PageWrites              int64
-	RecoveredMappingEntries int
-	UsedBattery             bool
-}
-
-// RecoverySimulation warms each FTL on one plane as the sweeps do, crashes it
-// and measures its recovery.
-func RecoverySimulation(scale ExperimentScale) ([]RecoveryResult, error) {
-	var out []RecoveryResult
-	for _, kind := range model.Kinds() {
-		run, err := newEngineRun(runSpec{scale: scale, channels: 1, kind: kind, batchPerDie: 1})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := run.warm(); err != nil {
-			return nil, fmt.Errorf("sim: recovery workload (%s): %w", kind, err)
-		}
-		report, err := run.crash()
-		if err != nil {
-			return nil, fmt.Errorf("sim: recovery (%s): %w", kind, err)
-		}
-		out = append(out, RecoveryResult{
-			Name:                    kind.String(),
-			Duration:                report.WallClock,
-			SpareReads:              report.SpareReads,
-			PageReads:               report.PageReads,
-			PageWrites:              report.PageWrites,
-			RecoveredMappingEntries: report.RecoveredMappingEntries,
-			UsedBattery:             report.UsedBattery,
-		})
-	}
-	return out, nil
 }
 
 // HeadlineSummary evaluates the paper's three headline claims: the reduction

@@ -16,8 +16,8 @@ type RecoveryPoint struct {
 	// Dimension names the axis this point varies: "channels" (recovery
 	// parallelism), "checkpoint" (the cache capacity C, which sets the
 	// checkpoint interval and the 2C backwards-scan bound), or "capacity"
-	// (device blocks, comparing FTLs whose recovery grows with capacity
-	// against GeckoFTL's bounded scan).
+	// (device blocks: every FTL at the base size, then LazyFTL, whose
+	// recovery grows with capacity, against GeckoFTL's bounded scan).
 	Dimension string
 	// FTL is the engine's shard configuration.
 	FTL string
@@ -40,6 +40,9 @@ type RecoveryPoint struct {
 	// RecoveredEntries is the number of mapping entries recreated by the
 	// shards' bounded backwards scans.
 	RecoveredEntries int
+	// UsedBattery reports that the FTL persisted its dirty entries from a
+	// battery at power failure instead of recovering them.
+	UsedBattery bool
 	// ModelWall and ModelSerial are the analytic model.EngineRecovery
 	// prediction for the same geometry, shard count and cache budget. The
 	// simulation and the model use different device fills, so compare
@@ -49,9 +52,11 @@ type RecoveryPoint struct {
 
 // RecoverySweep measures engine-wide crash recovery across three axes:
 // recovery parallelism (channel count), checkpoint interval (cache capacity)
-// and device capacity (GeckoFTL versus LazyFTL). Every point fills a sharded
-// engine to steady state, power-fails it, recovers it, verifies consistency,
-// and reports the recovery cost next to the analytic model's prediction.
+// and device capacity (every FTL at the base size, as in Figure 13 middle,
+// then GeckoFTL versus LazyFTL as the device grows, as in Figure 1). Every
+// point fills a sharded engine to steady state, power-fails it, recovers it,
+// verifies consistency, and reports the recovery cost next to the analytic
+// model's prediction.
 //
 // The qualitative trends mirror model.Recovery: wall-clock shrinks with the
 // channel count (the per-shard scan shrinks and shards recover in parallel),
@@ -90,10 +95,14 @@ func RecoverySweep(p Params) ([]RecoveryPoint, error) {
 		}
 		points = append(points, pt)
 	}
-	for _, factor := range capacityFactors {
+	for i, factor := range capacityFactors {
 		at := scale
 		at.Device.Blocks *= factor
-		for _, kind := range []model.FTLKind{model.GeckoFTL, model.LazyFTL} {
+		kinds := []model.FTLKind{model.GeckoFTL, model.LazyFTL}
+		if i == 0 {
+			kinds = model.Kinds()
+		}
+		for _, kind := range kinds {
 			pt, err := recoveryPoint("capacity", at, kind, 1)
 			if err != nil {
 				return nil, fmt.Errorf("sim: recovery sweep, %v x%d capacity: %w", kind, factor, err)
@@ -140,6 +149,7 @@ func recoveryPoint(dimension string, scale ExperimentScale, kind model.FTLKind, 
 		PageReads:        report.PageReads,
 		PageWrites:       report.PageWrites,
 		RecoveredEntries: report.RecoveredMappingEntries,
+		UsedBattery:      report.UsedBattery,
 		ModelWall:        est.WallClock,
 		ModelSerial:      est.SerialTime,
 	}, nil
