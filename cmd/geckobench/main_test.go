@@ -208,6 +208,11 @@ func TestRegistry(t *testing.T) {
 				t.Errorf("%s: text mode has no column for JSON field %s (columns: %s)", e.Name, leaf, header)
 			}
 		}
+		// Derived values are columns too: the wear table's HotPercent() is
+		// one, and a niladic method is read by nothing else.
+		if e.Name == "wear" && !columns["HotPercent()"] {
+			t.Errorf("wear: text mode has no HotPercent() column (columns: %s)", header)
+		}
 	}
 	for file := range unclaimed {
 		t.Errorf("golden %s belongs to no registered experiment", file)

@@ -148,11 +148,11 @@ func TestHostAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		if perTrim := testing.AllocsPerRun(1000, func() {
-			if err := eng.Trim(7); err != nil {
+			if err := eng.Do(flash.HostTrim, 7); err != nil {
 				t.Fatal(err)
 			}
 		}); perTrim != 0 {
-			t.Errorf("%.0f allocs per Engine.Trim of a cached entry, want 0", perTrim)
+			t.Errorf("%.0f allocs per Engine.Do trim of a cached entry, want 0", perTrim)
 		}
 	})
 

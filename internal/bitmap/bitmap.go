@@ -30,42 +30,8 @@ func New(bits int) *Bitmap {
 	}
 }
 
-// FromWords builds a bitmap of the given size backed by a copy of the given
-// words. Bits beyond the size are cleared. It is used when decoding bitmaps
-// that were serialized into Gecko entries.
-func FromWords(bits int, words []uint64) *Bitmap {
-	b := New(bits)
-	copy(b.words, words)
-	b.clearTail()
-	return b
-}
-
-// clearTail zeroes any bits in the last word beyond the bitmap size so that
-// PopCount, Equal and Words stay consistent.
-func (b *Bitmap) clearTail() {
-	if b.bits%wordBits == 0 || len(b.words) == 0 {
-		return
-	}
-	last := len(b.words) - 1
-	mask := (uint64(1) << uint(b.bits%wordBits)) - 1
-	b.words[last] &= mask
-}
-
 // Len returns the number of bits in the bitmap.
 func (b *Bitmap) Len() int { return b.bits }
-
-// Words returns a copy of the underlying words. The last word has any bits
-// beyond Len cleared.
-func (b *Bitmap) Words() []uint64 {
-	out := make([]uint64, len(b.words))
-	copy(out, b.words)
-	return out
-}
-
-// SizeBytes returns the in-memory footprint of the bit storage in bytes,
-// rounded up to whole words. It is what the RAM models charge for a
-// RAM-resident PVB.
-func (b *Bitmap) SizeBytes() int { return len(b.words) * 8 }
 
 func (b *Bitmap) check(i int) {
 	if i < 0 || i >= b.bits {
@@ -79,24 +45,10 @@ func (b *Bitmap) Set(i int) {
 	b.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
-// Clear sets bit i to 0.
-func (b *Bitmap) Clear(i int) {
-	b.check(i)
-	b.words[i/wordBits] &^= 1 << uint(i%wordBits)
-}
-
 // Get reports whether bit i is set.
 func (b *Bitmap) Get(i int) bool {
 	b.check(i)
 	return b.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
-}
-
-// SetAll sets every bit.
-func (b *Bitmap) SetAll() {
-	for i := range b.words {
-		b.words[i] = ^uint64(0)
-	}
-	b.clearTail()
 }
 
 // Reset clears every bit.
@@ -104,15 +56,6 @@ func (b *Bitmap) Reset() {
 	for i := range b.words {
 		b.words[i] = 0
 	}
-}
-
-// PopCount returns the number of set bits.
-func (b *Bitmap) PopCount() int {
-	total := 0
-	for _, w := range b.words {
-		total += bits.OnesCount64(w)
-	}
-	return total
 }
 
 // PopCountBelow returns the number of set bits at indices below n, which is
@@ -129,19 +72,6 @@ func (b *Bitmap) PopCountBelow(n int) int {
 	return total
 }
 
-// Any reports whether at least one bit is set.
-func (b *Bitmap) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// None reports whether no bits are set.
-func (b *Bitmap) None() bool { return !b.Any() }
-
 // Or merges other into b with bitwise OR. This is the merge operator used by
 // GC queries and run merges (Algorithm 3). It panics if the sizes differ.
 func (b *Bitmap) Or(other *Bitmap) {
@@ -151,13 +81,6 @@ func (b *Bitmap) Or(other *Bitmap) {
 	for i := range b.words {
 		b.words[i] |= other.words[i]
 	}
-}
-
-// OrRange merges a sub-bitmap into bits [offset, offset+other.Len()).
-// Entry-partitioning (Section 3.3) stores B/S-bit chunks that must be folded
-// back into a full B-bit bitmap at query time.
-func (b *Bitmap) OrRange(offset int, other *Bitmap) {
-	b.OrWords(offset, other.words, other.bits)
 }
 
 // OrWords merges the first n bits of raw little-endian words into bits
@@ -181,20 +104,6 @@ func (b *Bitmap) OrWords(offset int, words []uint64, n int) {
 	}
 }
 
-// Slice returns a copy of bits [offset, offset+length) as a new bitmap.
-func (b *Bitmap) Slice(offset, length int) *Bitmap {
-	if offset < 0 || length < 0 || offset+length > b.bits {
-		panic(fmt.Sprintf("bitmap: Slice [%d,%d) out of range [0,%d)", offset, offset+length, b.bits))
-	}
-	out := New(length)
-	for i := 0; i < length; i++ {
-		if b.Get(offset + i) {
-			out.Set(i)
-		}
-	}
-	return out
-}
-
 // CopyFrom overwrites b with other's bits, a word at a time. It panics if the
 // sizes differ.
 func (b *Bitmap) CopyFrom(other *Bitmap) {
@@ -209,19 +118,6 @@ func (b *Bitmap) Clone() *Bitmap {
 	out := New(b.bits)
 	copy(out.words, b.words)
 	return out
-}
-
-// Equal reports whether two bitmaps have the same size and contents.
-func (b *Bitmap) Equal(other *Bitmap) bool {
-	if b.bits != other.bits {
-		return false
-	}
-	for i := range b.words {
-		if b.words[i] != other.words[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Ones iterates, in ascending order, over the set bits at or after lo and
@@ -276,9 +172,6 @@ func NewRows(n, bits int) *Rows {
 	return &Rows{n: n, bits: bits, wpr: wpr, words: make([]uint64, n*wpr)}
 }
 
-// Len returns the number of rows.
-func (r *Rows) Len() int { return r.n }
-
 // Row returns row i as a bitmap that shares the rows' storage: setting or
 // OR-ing its bits changes the row.
 func (r *Rows) Row(i int) Bitmap {
@@ -286,26 +179,6 @@ func (r *Rows) Row(i int) Bitmap {
 		panic(fmt.Sprintf("bitmap: row %d out of range [0,%d)", i, r.n))
 	}
 	return Bitmap{bits: r.bits, words: r.words[i*r.wpr : (i+1)*r.wpr : (i+1)*r.wpr]}
-}
-
-// ForEachSet calls fn for every set bit in ascending order. It stops early if
-// fn returns false.
-func (b *Bitmap) ForEachSet(fn func(i int) bool) {
-	for i := range Ones(b.words, 0, b.bits) {
-		if !fn(i) {
-			return
-		}
-	}
-}
-
-// SetBits returns the indices of all set bits in ascending order.
-func (b *Bitmap) SetBits() []int {
-	out := make([]int, 0, b.PopCount())
-	b.ForEachSet(func(i int) bool {
-		out = append(out, i)
-		return true
-	})
-	return out
 }
 
 // String renders the bitmap as a string of '0' and '1' characters, bit 0

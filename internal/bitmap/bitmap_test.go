@@ -13,8 +13,8 @@ func TestNewSizes(t *testing.T) {
 		if b.Len() != n {
 			t.Errorf("New(%d).Len() = %d", n, b.Len())
 		}
-		if b.PopCount() != 0 {
-			t.Errorf("New(%d) has %d set bits, want 0", n, b.PopCount())
+		if len(setBits(b)) != 0 {
+			t.Errorf("New(%d) has %d set bits, want 0", n, len(setBits(b)))
 		}
 	}
 }
@@ -39,15 +39,31 @@ func TestSetGetClear(t *testing.T) {
 			t.Errorf("bit %d not set after Set", i)
 		}
 	}
-	if got := b.PopCount(); got != 8 {
-		t.Errorf("PopCount = %d, want 8", got)
+	if got := len(setBits(b)); got != 8 {
+		t.Errorf("%d bits set, want 8", got)
 	}
-	b.Clear(64)
-	if b.Get(64) {
-		t.Error("bit 64 still set after Clear")
+	b.Reset()
+	if got := setBits(b); len(got) != 0 {
+		t.Errorf("bits %v still set after Reset", got)
 	}
-	if got := b.PopCount(); got != 7 {
-		t.Errorf("PopCount = %d, want 7", got)
+}
+
+// TestSetAllResetAnyNone sets every bit of a bitmap whose last word is
+// partly used, then checks that Reset leaves none set.
+func TestSetAllResetAnyNone(t *testing.T) {
+	b := New(70)
+	if got := setBits(b); len(got) != 0 {
+		t.Errorf("fresh bitmap has bits %v set", got)
+	}
+	for i := 0; i < b.Len(); i++ {
+		b.Set(i)
+	}
+	if got := b.PopCountBelow(b.Len()); got != 70 {
+		t.Errorf("PopCountBelow(70) after setting every bit = %d, want 70", got)
+	}
+	b.Reset()
+	if got := setBits(b); len(got) != 0 {
+		t.Errorf("bits %v still set after Reset", got)
 	}
 }
 
@@ -75,21 +91,18 @@ func TestPopCountBelowMatchesBitLoop(t *testing.T) {
 func TestRowsAreDisjointViews(t *testing.T) {
 	for _, bits := range []int{1, 63, 64, 65, 130} {
 		r := NewRows(5, bits)
-		if r.Len() != 5 {
-			t.Fatalf("NewRows(5, %d).Len() = %d", bits, r.Len())
-		}
-		for i := range r.Len() {
+		for i := range 5 {
 			row := r.Row(i)
 			row.Set(i % bits)
 			row.Set(bits - 1)
 		}
-		for i := range r.Len() {
+		for i := range 5 {
 			row := r.Row(i)
 			want := New(bits)
 			want.Set(i % bits)
 			want.Set(bits - 1)
-			if row.Len() != bits || !row.Equal(want) {
-				t.Fatalf("%d bits: row %d = %v, want %v", bits, i, row.SetBits(), want.SetBits())
+			if !equal(&row, want) {
+				t.Fatalf("%d bits: row %d = %v, want %v", bits, i, setBits(&row), setBits(want))
 			}
 		}
 	}
@@ -105,8 +118,8 @@ func TestSetIsIdempotent(t *testing.T) {
 	b := New(10)
 	b.Set(3)
 	b.Set(3)
-	if got := b.PopCount(); got != 1 {
-		t.Errorf("PopCount after double Set = %d, want 1", got)
+	if got := len(setBits(b)); got != 1 {
+		t.Errorf("%d bits set after double Set, want 1", got)
 	}
 }
 
@@ -124,37 +137,6 @@ func TestOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestSetAllResetAnyNone(t *testing.T) {
-	b := New(70)
-	if b.Any() {
-		t.Error("fresh bitmap reports Any")
-	}
-	if !b.None() {
-		t.Error("fresh bitmap does not report None")
-	}
-	b.SetAll()
-	if got := b.PopCount(); got != 70 {
-		t.Errorf("PopCount after SetAll = %d, want 70", got)
-	}
-	if !b.Any() || b.None() {
-		t.Error("SetAll bitmap should report Any and not None")
-	}
-	b.Reset()
-	if b.Any() {
-		t.Error("Reset bitmap reports Any")
-	}
-}
-
-func TestSetAllClearsTailBits(t *testing.T) {
-	// A 65-bit bitmap uses two words; SetAll must not count the 63 unused
-	// bits of the second word.
-	b := New(65)
-	b.SetAll()
-	if got := b.PopCount(); got != 65 {
-		t.Errorf("PopCount = %d, want 65", got)
-	}
-}
-
 func TestOr(t *testing.T) {
 	a := New(128)
 	b := New(128)
@@ -163,19 +145,12 @@ func TestOr(t *testing.T) {
 	b.Set(2)
 	b.Set(100)
 	a.Or(b)
-	want := []int{1, 2, 100}
-	got := a.SetBits()
-	if len(got) != len(want) {
-		t.Fatalf("SetBits = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SetBits = %v, want %v", got, want)
-		}
+	if got, want := setBits(a), []int{1, 2, 100}; !slices.Equal(got, want) {
+		t.Fatalf("set bits = %v, want %v", got, want)
 	}
 	// OR must not modify the argument.
-	if b.PopCount() != 2 {
-		t.Errorf("argument modified by Or: %v", b.SetBits())
+	if len(setBits(b)) != 2 {
+		t.Errorf("argument modified by Or: %v", setBits(b))
 	}
 }
 
@@ -188,94 +163,21 @@ func TestOrMismatchedSizesPanics(t *testing.T) {
 	New(8).Or(New(16))
 }
 
-func TestOrRangeAndSlice(t *testing.T) {
-	full := New(128)
-	part := New(32)
-	part.Set(0)
-	part.Set(31)
-	full.OrRange(64, part)
-	if !full.Get(64) || !full.Get(95) {
-		t.Errorf("OrRange did not set expected bits: %v", full.SetBits())
-	}
-	if full.PopCount() != 2 {
-		t.Errorf("PopCount = %d, want 2", full.PopCount())
-	}
-	back := full.Slice(64, 32)
-	if !back.Equal(part) {
-		t.Errorf("Slice round-trip mismatch: %v vs %v", back.SetBits(), part.SetBits())
-	}
-}
-
 func TestCloneAndEqual(t *testing.T) {
 	a := New(100)
 	a.Set(7)
 	a.Set(99)
 	b := a.Clone()
-	if !a.Equal(b) {
+	if !equal(a, b) {
 		t.Fatal("clone not equal to original")
 	}
 	b.Set(50)
-	if a.Equal(b) {
-		t.Fatal("modifying clone affected equality")
-	}
 	if a.Get(50) {
 		t.Fatal("modifying clone affected original")
 	}
-	if a.Equal(New(101)) {
-		t.Fatal("bitmaps of different sizes reported equal")
-	}
-}
-
-func TestForEachSetEarlyStop(t *testing.T) {
-	b := New(256)
-	for i := 0; i < 256; i += 16 {
-		b.Set(i)
-	}
-	var visited []int
-	b.ForEachSet(func(i int) bool {
-		visited = append(visited, i)
-		return len(visited) < 3
-	})
-	if len(visited) != 3 {
-		t.Fatalf("visited %d bits, want 3", len(visited))
-	}
-	for i, v := range visited {
-		if v != i*16 {
-			t.Errorf("visited[%d] = %d, want %d", i, v, i*16)
-		}
-	}
-}
-
-func TestFromWordsClearsTail(t *testing.T) {
-	words := []uint64{^uint64(0), ^uint64(0)}
-	b := FromWords(70, words)
-	if got := b.PopCount(); got != 70 {
-		t.Errorf("PopCount = %d, want 70", got)
-	}
-	if b.Len() != 70 {
-		t.Errorf("Len = %d, want 70", b.Len())
-	}
-}
-
-func TestWordsRoundTrip(t *testing.T) {
-	b := New(130)
-	b.Set(0)
-	b.Set(64)
-	b.Set(129)
-	c := FromWords(130, b.Words())
-	if !b.Equal(c) {
-		t.Fatalf("Words/FromWords round trip mismatch")
-	}
-}
-
-func TestSizeBytes(t *testing.T) {
-	cases := []struct{ bits, want int }{
-		{0, 0}, {1, 8}, {64, 8}, {65, 16}, {128, 16}, {129, 24},
-	}
-	for _, c := range cases {
-		if got := New(c.bits).SizeBytes(); got != c.want {
-			t.Errorf("New(%d).SizeBytes() = %d, want %d", c.bits, got, c.want)
-		}
+	a.CopyFrom(b)
+	if !equal(a, b) {
+		t.Fatalf("CopyFrom gave %v, want %v", setBits(a), setBits(b))
 	}
 }
 
@@ -292,7 +194,7 @@ func TestString(t *testing.T) {
 	}
 }
 
-// Property: PopCount equals the number of distinct indices set.
+// Property: the set bits are exactly the distinct indices set.
 func TestQuickPopCountMatchesDistinctSets(t *testing.T) {
 	f := func(indices []uint16) bool {
 		b := New(1 << 16)
@@ -301,7 +203,7 @@ func TestQuickPopCountMatchesDistinctSets(t *testing.T) {
 			b.Set(int(idx))
 			distinct[int(idx)] = true
 		}
-		return b.PopCount() == len(distinct)
+		return len(setBits(b)) == len(distinct)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -321,14 +223,14 @@ func TestQuickOrCommutative(t *testing.T) {
 		a2, b2 := a1.Clone(), b1.Clone()
 		a1.Or(b1) // a1 = a OR b
 		b2.Or(a2) // b2 = b OR a
-		return a1.Equal(b2)
+		return equal(a1, b2)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: Get after Set reflects exactly the inserted set, for random
+// Property: Get reflects exactly the bits Set since the last Reset, for random
 // operations.
 func TestQuickSetClearModel(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
@@ -337,59 +239,23 @@ func TestQuickSetClearModel(t *testing.T) {
 		b := New(size)
 		model := make(map[int]bool)
 		for i := 0; i < 200; i++ {
-			idx := rng.Intn(size)
-			if rng.Intn(2) == 0 {
-				b.Set(idx)
-				model[idx] = true
-			} else {
-				b.Clear(idx)
-				delete(model, idx)
+			if rng.Intn(50) == 0 {
+				b.Reset()
+				clear(model)
+				continue
 			}
+			idx := rng.Intn(size)
+			b.Set(idx)
+			model[idx] = true
 		}
 		for i := 0; i < size; i++ {
 			if b.Get(i) != model[i] {
 				return false
 			}
 		}
-		return b.PopCount() == len(model)
+		return len(setBits(b)) == len(model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: OrRange(off, b.Slice(off, len)) is idempotent with respect to the
-// bits of the slice.
-func TestQuickSliceOrRangeRoundTrip(t *testing.T) {
-	f := func(xs []uint8, offRaw uint8) bool {
-		full := New(512)
-		for _, x := range xs {
-			full.Set(int(x) * 2)
-		}
-		off := int(offRaw) % 384
-		part := full.Slice(off, 128)
-		rebuilt := New(512)
-		rebuilt.OrRange(off, part)
-		// Every bit in rebuilt must be set in full and lie in the window.
-		ok := true
-		rebuilt.ForEachSet(func(i int) bool {
-			if i < off || i >= off+128 || !full.Get(i) {
-				ok = false
-				return false
-			}
-			return true
-		})
-		// Every bit of full inside the window must be in rebuilt.
-		full.ForEachSet(func(i int) bool {
-			if i >= off && i < off+128 && !rebuilt.Get(i) {
-				ok = false
-				return false
-			}
-			return true
-		})
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
@@ -415,21 +281,7 @@ func BenchmarkOr(b *testing.B) {
 	}
 }
 
-func BenchmarkPopCount(b *testing.B) {
-	x := New(1 << 16)
-	for i := 0; i < 1<<16; i += 2 {
-		x.Set(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if x.PopCount() != 1<<15 {
-			b.Fatal("bad popcount")
-		}
-	}
-}
-
-// TestOrWordsMatchesBitwise checks the word-at-a-time OrWords (and OrRange,
-// which is built on it) against setting the bits one by one, at every
+// TestOrWordsMatchesBitwise checks the word-at-a-time OrWords against setting the bits one by one, at every
 // alignment of offset and length around word boundaries.
 func TestOrWordsMatchesBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -445,17 +297,41 @@ func TestOrWordsMatchesBitwise(t *testing.T) {
 				}
 				got, want := New(size), New(size)
 				got.Set(rng.Intn(size))
-				want.OrRange(0, got)
+				want.CopyFrom(got)
 				got.OrWords(offset, words, n)
 				for i := 0; i < n; i++ {
 					if words[i/64]&(1<<uint(i%64)) != 0 {
 						want.Set(offset + i)
 					}
 				}
-				if !got.Equal(want) {
+				if !equal(got, want) {
 					t.Fatalf("size %d: OrWords(%d, words, %d) = %v, bit by bit %v", size, offset, n, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestForEachSetEarlyStop breaks out of a walk over a bitmap's set bits
+// after three and checks they are the three lowest.
+func TestForEachSetEarlyStop(t *testing.T) {
+	b := New(256)
+	for i := 0; i < 256; i += 16 {
+		b.Set(i)
+	}
+	var visited []int
+	for i := range Ones(b.words, 0, b.Len()) {
+		visited = append(visited, i)
+		if len(visited) == 3 {
+			break
+		}
+	}
+	if len(visited) != 3 {
+		t.Fatalf("visited %d bits, want 3", len(visited))
+	}
+	for i, v := range visited {
+		if v != i*16 {
+			t.Errorf("visited[%d] = %d, want %d", i, v, i*16)
 		}
 	}
 }
@@ -525,3 +401,9 @@ func BenchmarkOnes(b *testing.B) {
 		}
 	}
 }
+
+// setBits lists b's set bits in ascending order.
+func setBits(b *Bitmap) []int { return slices.Collect(Ones(b.words, 0, b.bits)) }
+
+// equal reports whether a and b have the same size and bits.
+func equal(a, b *Bitmap) bool { return a.bits == b.bits && slices.Equal(a.words, b.words) }

@@ -12,9 +12,6 @@ const (
 	DefaultPageSize      = 4 * 1024
 	DefaultPagesPerBlock = 128
 	DefaultOverProvision = 0.70
-	// DefaultSpareDivisor is the factor by which a spare area is smaller
-	// than its page (Micron TN-29-07, cited as [1] in the paper).
-	DefaultSpareDivisor = 32
 )
 
 // Default latencies, following Grupp et al. (FAST'12) as cited by the paper:
@@ -142,19 +139,6 @@ func (c Config) PhysicalPages() int { return c.Blocks * c.PagesPerBlock }
 func (c Config) LogicalPages() int {
 	return int(c.OverProvision * float64(c.PhysicalPages()))
 }
-
-// PhysicalBytes returns the raw capacity of the device in bytes.
-func (c Config) PhysicalBytes() int64 {
-	return int64(c.Blocks) * int64(c.PagesPerBlock) * int64(c.PageSize)
-}
-
-// LogicalBytes returns the capacity exposed to the application in bytes.
-func (c Config) LogicalBytes() int64 {
-	return int64(c.LogicalPages()) * int64(c.PageSize)
-}
-
-// SpareSize returns the size of a page's spare area in bytes.
-func (c Config) SpareSize() int { return c.PageSize / DefaultSpareDivisor }
 
 // String summarizes the geometry, e.g. "flash(K=65536 B=128 P=4096 R=0.70)";
 // multi-die devices append the topology as "CxD" (channels x dies each).

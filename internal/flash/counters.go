@@ -64,15 +64,6 @@ func (p Purpose) String() string {
 	return purposeNames[p]
 }
 
-// Purposes returns all defined purposes in declaration order.
-func Purposes() []Purpose {
-	out := make([]Purpose, 0, numPurposes)
-	for p := Purpose(0); p < numPurposes; p++ {
-		out = append(out, p)
-	}
-	return out
-}
-
 // Op identifies the kind of device operation being counted.
 type Op int
 
@@ -146,9 +137,6 @@ func (c *Counters) TotalOp(op Op) int64 {
 
 // Elapsed returns the total simulated device time consumed.
 func (c *Counters) Elapsed() time.Duration { return c.elapsed }
-
-// Snapshot returns a copy of the counters.
-func (c *Counters) Snapshot() Counters { return *c }
 
 // Add accumulates other into c; the device uses it to aggregate per-die
 // counters into a device-wide snapshot.

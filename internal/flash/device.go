@@ -97,8 +97,7 @@ type dieState struct {
 // experiment harness uses these counters to reproduce the per-component
 // write-amplification breakdowns of the paper's evaluation. Counters are kept
 // per die: SimulatedTime sums all die-busy time (the serial, single-plane
-// cost), ParallelSimulatedTime takes the busiest die (the wall-clock of a
-// perfectly overlapped controller).
+// cost), and DieTimes gives each die's share.
 type Device struct {
 	cfg    Config
 	dies   []dieState
@@ -485,11 +484,6 @@ func (d *Device) eraseBlock(block BlockID, p Purpose, floor time.Duration, rail 
 	return nil
 }
 
-// WriteSeq returns the write sequence of the pages programmed through the
-// Device's own methods; a partition's programs advance the partition's
-// (Partition.WriteSeq). Not an IO.
-func (d *Device) WriteSeq() uint64 { return d.writeSeq.Load() }
-
 // Counters returns a snapshot of the IO counters aggregated over all dies.
 // With concurrent callers in flight the snapshot is per-die consistent but
 // not a single global instant; quiesce the device for an exact total.
@@ -519,21 +513,11 @@ func (d *Device) countersOverDies(lo, hi int, lock bool) Counters {
 // ResetCounters zeroes the IO counters of every die, typically after a
 // warm-up phase so that steady-state write-amplification can be measured.
 func (d *Device) ResetCounters() {
-	d.resetCountersOverDies(0, len(d.dies), true)
-}
-
-// resetCountersOverDies zeroes the counters of dies [lo, hi), taking each
-// die's latch when lock is set.
-func (d *Device) resetCountersOverDies(lo, hi int, lock bool) {
-	for i := lo; i < hi; i++ {
+	for i := range d.dies {
 		die := &d.dies[i]
-		if lock {
-			die.latch.Lock()
-		}
+		die.latch.Lock()
 		die.counters.Reset()
-		if lock {
-			die.latch.Unlock()
-		}
+		die.latch.Unlock()
 	}
 }
 
@@ -595,22 +579,6 @@ func (d *Device) busyUntilOverDies(lo, hi int) time.Duration {
 	return max
 }
 
-// ParallelSimulatedTime returns the busy time of the busiest die: the
-// wall-clock lower bound for a controller that overlaps independent dies
-// perfectly. On a 1x1 topology it equals SimulatedTime.
-func (d *Device) ParallelSimulatedTime() time.Duration {
-	var max time.Duration
-	for i := range d.dies {
-		die := &d.dies[i]
-		die.latch.Lock()
-		if t := die.counters.Elapsed(); t > max {
-			max = t
-		}
-		die.latch.Unlock()
-	}
-	return max
-}
-
 // DieTimes returns each die's accumulated busy time, indexed by die. The
 // channel-sweep experiments use it to report load balance.
 func (d *Device) DieTimes() []time.Duration {
@@ -624,47 +592,26 @@ func (d *Device) DieTimes() []time.Duration {
 	return out
 }
 
-// BlocksEndurance returns min, max and mean erase counts across all blocks.
-// The wear-leveling tests use it to bound erase-count discrepancies.
+// BlocksEndurance returns min, max and mean erase counts across all blocks,
+// taking each die's latch once. The wear-leveling tests use it to bound
+// erase-count discrepancies.
 func (d *Device) BlocksEndurance() (min, max int, mean float64) {
-	return d.enduranceRange(0, d.cfg.Blocks, true)
-}
-
-// enduranceRange computes erase-count statistics over the block range
-// [base, base+n), taking each die's latch once when lock is set.
-func (d *Device) enduranceRange(base BlockID, n int, lock bool) (min, max int, mean float64) {
-	if n <= 0 {
-		return 0, 0, 0
-	}
-	first := true
 	var total int64
-	lastDie := d.cfg.DieOfBlock(base + BlockID(n) - 1)
-	for dieID := d.cfg.DieOfBlock(base); dieID <= lastDie; dieID++ {
+	for dieID := range d.dies {
 		lo, hi := d.cfg.DieBlockRange(dieID)
-		if lo < base {
-			lo = base
-		}
-		if limit := base + BlockID(n); hi > limit {
-			hi = limit
-		}
 		die := &d.dies[dieID]
-		if lock {
-			die.latch.Lock()
-		}
+		die.latch.Lock()
 		for b := lo; b < hi; b++ {
 			ec := d.blocks[b].eraseCount
-			if first || ec < min {
+			if b == 0 || ec < min {
 				min = ec
 			}
-			if first || ec > max {
+			if b == 0 || ec > max {
 				max = ec
 			}
-			first = false
 			total += int64(ec)
 		}
-		if lock {
-			die.latch.Unlock()
-		}
+		die.latch.Unlock()
 	}
-	return min, max, float64(total) / float64(n)
+	return min, max, float64(total) / float64(d.cfg.Blocks)
 }

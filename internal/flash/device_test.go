@@ -65,14 +65,8 @@ func TestConfigDerivedQuantities(t *testing.T) {
 	if got, want := cfg.LogicalPages(), wantLogical; got != want {
 		t.Errorf("LogicalPages = %d, want %d", got, want)
 	}
-	if got, want := cfg.PhysicalBytes(), int64(1024)*int64(DefaultPagesPerBlock)*int64(DefaultPageSize); got != want {
-		t.Errorf("PhysicalBytes = %d, want %d", got, want)
-	}
-	if cfg.LogicalBytes() >= cfg.PhysicalBytes() {
+	if cfg.LogicalPages() >= cfg.PhysicalPages() {
 		t.Error("logical capacity should be smaller than physical capacity")
-	}
-	if got, want := cfg.SpareSize(), DefaultPageSize/DefaultSpareDivisor; got != want {
-		t.Errorf("SpareSize = %d, want %d", got, want)
 	}
 	if cfg.String() == "" {
 		t.Error("String is empty")
@@ -84,8 +78,8 @@ func TestDefaultConfigIsPaperGeometry(t *testing.T) {
 	if cfg.Blocks != 1<<22 || cfg.PagesPerBlock != 1<<7 || cfg.PageSize != 1<<12 {
 		t.Errorf("default geometry %v does not match the paper's Figure 2", cfg)
 	}
-	if cfg.PhysicalBytes() != 2<<40 {
-		t.Errorf("default physical capacity = %d bytes, want 2 TiB", cfg.PhysicalBytes())
+	if bytes := int64(cfg.PhysicalPages()) * int64(cfg.PageSize); bytes != 2<<40 {
+		t.Errorf("default physical capacity = %d bytes, want 2 TiB", bytes)
 	}
 	delta := cfg.Latency.WriteReadRatio()
 	if delta != 10 {
@@ -393,7 +387,7 @@ func TestBlocksEndurance(t *testing.T) {
 }
 
 func TestPurposeAndOpStrings(t *testing.T) {
-	for _, p := range Purposes() {
+	for p := range numPurposes {
 		if p.String() == "" {
 			t.Errorf("purpose %d has empty name", int(p))
 		}

@@ -32,11 +32,10 @@
 // die is serialized by exactly one latch — operations on different dies
 // proceed concurrently under separate latches, while operations on the same
 // die serialize, exactly as a real die's ready/busy line would force them
-// to. Per-die IO counters make two clocks
-// available: SimulatedTime, the sum of all die-busy time (the single-plane
-// serial cost used by the paper's write-amplification experiments), and
-// ParallelSimulatedTime, the busiest die's time, which is the wall-clock a
-// parallelism-aware host controller observes when it keeps every die fed.
+// to. Per-die IO counters give SimulatedTime, the sum of all die-busy time
+// (the single-plane serial cost used by the paper's write-amplification
+// experiments), and DieTimes, each die's share of it, which the channel
+// sweep reports as load balance.
 //
 // A Partition is a view of a contiguous block range of a Device, and it is
 // the only view an FTL programs against: ftl.New takes one. The ftl.Engine

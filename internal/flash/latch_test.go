@@ -38,7 +38,7 @@ func TestPartitionLatchPerDie(t *testing.T) {
 				t.Errorf("die-aligned partitions %d and %d share a latch", j, i)
 			}
 		}
-		if p.Latch() != aligned.latch(p.Base()) {
+		if p.Latch() != aligned.latch(p.base) {
 			t.Errorf("partition %d's latch does not latch its die", i)
 		}
 	}
@@ -180,7 +180,7 @@ func TestLatchConcurrentPartitionsAndDevice(t *testing.T) {
 			dev.Counters()
 			dev.SimulatedTime()
 			dev.BlocksEndurance()
-			dev.ParallelSimulatedTime()
+			dev.DieTimes()
 		}
 	}()
 	var writers sync.WaitGroup

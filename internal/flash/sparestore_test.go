@@ -229,9 +229,16 @@ type spareStoreIO interface {
 	ReadPage(ppn PPN, p Purpose) error
 	ReadSpare(ppn PPN, p Purpose) (SpareArea, bool, error)
 	EraseBlock(block BlockID, p Purpose) error
-	WriteSeq() uint64
 	PowerFail()
 	PowerOn()
+}
+
+// writeSeq is the write sequence a plane stamps its next program after.
+func writeSeq(io spareStoreIO) uint64 {
+	if d, ok := io.(*Device); ok {
+		return d.writeSeq.Load()
+	}
+	return io.(*Partition).WriteSeq()
 }
 
 // sameErr reports whether got is want (nil for nil).
@@ -374,9 +381,9 @@ func runSpareStore(t testing.TB, c spareStoreCase, s spareScript, steps int) {
 				wantSeq, cut, wantErr = ref.program(&p.writeSeq, p.base+b, off, spare)
 			}
 			seq, err := p.WritePage(PPNOf(b, off, ppb), spare, PurposeUserWrite)
-			if seq != wantSeq || !sameErr(err, wantErr) || p.WriteSeq() != p.writeSeq {
+			if seq != wantSeq || !sameErr(err, wantErr) || writeSeq(p.spareStoreIO) != p.writeSeq {
 				t.Fatalf("step %d, %s: WritePage(%d:%d, %+v) = (%d, %v) leaving the plane's sequence at %d, want (%d, %v) and %d",
-					step, c, p.base+b, off, spare, seq, err, p.WriteSeq(), wantSeq, wantErr, p.writeSeq)
+					step, c, p.base+b, off, spare, seq, err, writeSeq(p.spareStoreIO), wantSeq, wantErr, p.writeSeq)
 			}
 			if cut {
 				p.up = false

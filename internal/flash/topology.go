@@ -40,24 +40,11 @@ func (c Config) DieOfBlock(block BlockID) int {
 	return int(int64(block) * int64(c.Dies()) / int64(c.Blocks))
 }
 
-// ChannelOfBlock returns the channel whose bus serves the block's die.
-func (c Config) ChannelOfBlock(block BlockID) int {
-	return c.DieOfBlock(block) / c.diesPerChannel()
-}
-
 // DieBlockRange returns the half-open block range [lo,hi) owned by a die.
 func (c Config) DieBlockRange(die int) (lo, hi BlockID) {
 	d, k := int64(c.Dies()), int64(c.Blocks)
 	lo = BlockID((int64(die)*k + d - 1) / d)
 	hi = BlockID((int64(die+1)*k + d - 1) / d)
-	return lo, hi
-}
-
-// ChannelBlockRange returns the half-open block range [lo,hi) served by a
-// channel: the union of its dies' ranges.
-func (c Config) ChannelBlockRange(channel int) (lo, hi BlockID) {
-	lo, _ = c.DieBlockRange(channel * c.diesPerChannel())
-	_, hi = c.DieBlockRange((channel+1)*c.diesPerChannel() - 1)
 	return lo, hi
 }
 
@@ -158,12 +145,6 @@ func (d *Device) Partition(base BlockID, blocks int) (*Partition, error) {
 
 // Config returns the partition-relative configuration.
 func (p *Partition) Config() Config { return p.cfg }
-
-// Base returns the first device block of the partition.
-func (p *Partition) Base() BlockID { return p.base }
-
-// Device returns the parent device.
-func (p *Partition) Device() *Device { return p.dev }
 
 // Latch returns the mutex that serializes the partition's dies: hold it
 // around the partition's methods when other goroutines use the partition,
@@ -308,12 +289,6 @@ func (p *Partition) BadBlock(block BlockID) (bool, error) {
 	return p.dev.blocks[block+p.base].retired, nil
 }
 
-// BlocksEndurance returns min, max and mean erase counts over the
-// partition's blocks only.
-func (p *Partition) BlocksEndurance() (min, max int, mean float64) {
-	return p.dev.enduranceRange(p.base, p.cfg.Blocks, false)
-}
-
 // Counters returns the IO counters of the dies the partition's blocks touch.
 // For a die-aligned partition (as the sharded ftl.Engine creates) this is
 // exactly the partition's own IO; a partition sharing a die with a neighbor
@@ -326,9 +301,6 @@ func (p *Partition) Counters() Counters { return p.dev.countersOverDies(p.loDie,
 func (p *Partition) SimulatedTime() time.Duration {
 	return p.dev.timeOverDies(p.loDie, p.hiDie, false)
 }
-
-// ResetCounters resets the counters of the partition's dies only.
-func (p *Partition) ResetCounters() { p.dev.resetCountersOverDies(p.loDie, p.hiDie, false) }
 
 // floor returns the partition's arrival clock, the earliest instant IO
 // issued through the partition may start.

@@ -51,18 +51,6 @@ func (g Group) blockType() flash.BlockType {
 	}
 }
 
-// purpose maps a group to the IO accounting purpose of its appends.
-func (g Group) purpose() flash.Purpose {
-	switch g {
-	case GroupUser:
-		return flash.PurposeUserWrite
-	case GroupTranslation:
-		return flash.PurposeTranslation
-	default:
-		return flash.PurposePageValidity
-	}
-}
-
 // Temperature classifies user data by update frequency. With hot/cold
 // separation enabled the block manager keeps one user write frontier per
 // temperature, so blocks fill with pages of similar lifetimes: hot blocks
@@ -78,7 +66,6 @@ const (
 	TempCold Temperature = iota
 	// TempHot marks frequently updated logical pages.
 	TempHot
-	numTemps
 )
 
 // String returns "cold" or "hot".
@@ -296,21 +283,14 @@ func (bm *blockManager) FreeBlocks() int { return len(bm.free) }
 // NeedsGC reports whether the free pool has dropped to the reserve.
 func (bm *blockManager) NeedsGC() bool { return len(bm.free) <= bm.gcReserve }
 
-// Erases returns the number of block erases issued by the manager.
-func (bm *blockManager) Erases() int64 { return bm.erases }
-
-// Frees returns the number of blocks the manager has returned to the free
-// pool. Outside of recovery re-basing it always equals Erases.
-func (bm *blockManager) Frees() int64 { return bm.frees }
-
 // ProgramRetries returns the number of failed page programs the manager
 // stepped over by retrying on the next frontier page.
 func (bm *blockManager) ProgramRetries() int64 { return bm.programRetries }
 
 // BadBlocks returns the number of retired (grown bad) blocks. Computed from
 // the per-block state rather than counted, so it always matches the set of
-// blocks Retired reports — including after a crash and recovery re-marks
-// them from the device's bad-block table.
+// retired blocks — including after a crash and recovery re-marks them from
+// the device's bad-block table.
 func (bm *blockManager) BadBlocks() int {
 	n := 0
 	for i := range bm.blocks {
@@ -321,21 +301,12 @@ func (bm *blockManager) BadBlocks() int {
 	return n
 }
 
-// Retired reports whether a block has been retired as a grown bad block.
-func (bm *blockManager) Retired(block flash.BlockID) bool { return bm.blocks[block].retired }
-
-// EraseCount returns the manager's RAM mirror of a block's erase count.
-func (bm *blockManager) EraseCount(block flash.BlockID) int { return bm.blocks[block].eraseCount }
-
 // GroupOf returns the group a block currently belongs to and whether it is
 // allocated at all.
 func (bm *blockManager) GroupOf(block flash.BlockID) (Group, bool) {
 	info := &bm.blocks[block]
 	return info.group, info.allocated
 }
-
-// ValidCount returns the BVC entry of a block.
-func (bm *blockManager) ValidCount(block flash.BlockID) int { return bm.blocks[block].valid }
 
 // WritePointer returns the block's write pointer as known to the FTL.
 func (bm *blockManager) WritePointer(block flash.BlockID) int { return bm.blocks[block].writePointer }

@@ -22,6 +22,12 @@ func wholeDevice(t testing.TB, dev *flash.Device) *flash.Partition {
 // given geometry.
 func newTestDevice(t testing.TB, blocks, pagesPerBlock, pageSize int) *flash.Partition {
 	t.Helper()
+	return wholeDevice(t, newTestFlash(t, blocks, pagesPerBlock, pageSize))
+}
+
+// newTestFlash returns a new device of the given geometry.
+func newTestFlash(t testing.TB, blocks, pagesPerBlock, pageSize int) *flash.Device {
+	t.Helper()
 	cfg := flash.ScaledConfig(blocks)
 	cfg.PagesPerBlock = pagesPerBlock
 	cfg.PageSize = pageSize
@@ -29,7 +35,7 @@ func newTestDevice(t testing.TB, blocks, pagesPerBlock, pageSize int) *flash.Par
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wholeDevice(t, dev)
+	return dev
 }
 
 func TestGroupNamesAndTypes(t *testing.T) {
@@ -41,9 +47,6 @@ func TestGroupNamesAndTypes(t *testing.T) {
 	}
 	if GroupUser.blockType() != flash.BlockUser || GroupTranslation.blockType() != flash.BlockTranslation || GroupMeta.blockType() != flash.BlockGecko {
 		t.Error("group block types wrong")
-	}
-	if GroupUser.purpose() != flash.PurposeUserWrite || GroupTranslation.purpose() != flash.PurposeTranslation || GroupMeta.purpose() != flash.PurposePageValidity {
-		t.Error("group purposes wrong")
 	}
 	if VictimGreedy.String() != "greedy" || VictimMetadataAware.String() != "metadata-aware" {
 		t.Error("victim policy names wrong")
@@ -73,8 +76,8 @@ func TestBlockManagerAllocation(t *testing.T) {
 	if g, ok := bm.GroupOf(firstBlock); !ok || g != GroupUser {
 		t.Errorf("first block group = %v, %v", g, ok)
 	}
-	if bm.ValidCount(firstBlock) != 4 {
-		t.Errorf("BVC of full block = %d, want 4", bm.ValidCount(firstBlock))
+	if bm.blocks[firstBlock].valid != 4 {
+		t.Errorf("BVC of full block = %d, want 4", bm.blocks[firstBlock].valid)
 	}
 	if bm.FreeBlocks() != 6 {
 		t.Errorf("FreeBlocks = %d, want 6", bm.FreeBlocks())
@@ -121,8 +124,8 @@ func TestBlockManagerInvalidateAndErase(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if bm.ValidCount(block) != 0 {
-		t.Errorf("BVC = %d, want 0", bm.ValidCount(block))
+	if bm.blocks[block].valid != 0 {
+		t.Errorf("BVC = %d, want 0", bm.blocks[block].valid)
 	}
 	if err := bm.InvalidatePage(ppns[0]); err == nil {
 		t.Error("BVC underflow not detected")
@@ -140,8 +143,8 @@ func TestBlockManagerInvalidateAndErase(t *testing.T) {
 	if _, allocated := bm.GroupOf(block); allocated {
 		t.Error("erased block still allocated")
 	}
-	if bm.Erases() != 1 {
-		t.Errorf("Erases = %d, want 1", bm.Erases())
+	if bm.erases != 1 {
+		t.Errorf("Erases = %d, want 1", bm.erases)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // deterministicRun drives one seeded FTL through writes and crash/recover
-// cycles and returns everything an identical twin must reproduce: the victim
-// sequence, the logical counters and the device's simulated time.
-func deterministicRun(t *testing.T, opts Options) ([]flash.BlockID, Stats, int64) {
+// cycles and returns everything an identical twin must reproduce: every
+// block's erase count, the logical counters and the device's simulated time.
+func deterministicRun(t *testing.T, opts Options) ([]int, Stats, int64) {
 	t.Helper()
 	cfg := flash.ScaledConfig(128)
 	cfg.PagesPerBlock = 16
@@ -24,8 +24,6 @@ func deterministicRun(t *testing.T, opts Options) ([]flash.BlockID, Stats, int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	var victims []flash.BlockID
-	f.OnVictim(func(b flash.BlockID) { victims = append(victims, b) })
 	gen := workload.MustNewZipfian(f.LogicalPages(), 1.2, 7)
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 4000; i++ {
@@ -44,15 +42,22 @@ func deterministicRun(t *testing.T, opts Options) ([]flash.BlockID, Stats, int64
 			t.Fatal(err)
 		}
 	}
-	return victims, f.Stats(), int64(dev.SimulatedTime())
+	erases := make([]int, cfg.Blocks)
+	for b := range erases {
+		if erases[b], err = f.dev.EraseCount(flash.BlockID(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return erases, f.Stats(), int64(dev.SimulatedTime())
 }
 
 // TestVictimSequenceDeterministic pins simulation reproducibility: two
-// identically-seeded devices must select the same garbage-collection victims
-// in the same order and end with identical counters, for every victim policy
-// and for the hot/cold + wear-aware configuration. Cost-benefit selection
-// scores tie easily (any two fully-invalid blocks of equal age), so this
-// also locks in the lowest-block-ID tie-break.
+// identically-seeded devices must erase every block as often and end with
+// identical counters and simulated time, for every victim policy and for the
+// hot/cold + wear-aware configuration. A victim picked out of order erases a
+// different block. Cost-benefit selection scores tie easily (any two
+// fully-invalid blocks of equal age), so this also locks in the
+// lowest-block-ID tie-break.
 func TestVictimSequenceDeterministic(t *testing.T) {
 	configs := map[string]Options{}
 	for _, policy := range []VictimPolicy{VictimGreedy, VictimMetadataAware, VictimCostBenefit} {
@@ -71,17 +76,14 @@ func TestVictimSequenceDeterministic(t *testing.T) {
 
 	for name, opts := range configs {
 		t.Run(name, func(t *testing.T) {
-			v1, s1, t1 := deterministicRun(t, opts)
-			v2, s2, t2 := deterministicRun(t, opts)
-			if len(v1) == 0 {
+			e1, s1, t1 := deterministicRun(t, opts)
+			e2, s2, t2 := deterministicRun(t, opts)
+			if s1.GCOperations == 0 {
 				t.Fatal("workload never triggered garbage collection; the test is vacuous")
 			}
-			if len(v1) != len(v2) {
-				t.Fatalf("victim sequence lengths differ: %d vs %d", len(v1), len(v2))
-			}
-			for i := range v1 {
-				if v1[i] != v2[i] {
-					t.Fatalf("victim sequences diverge at pick %d: block %d vs %d", i, v1[i], v2[i])
+			for b := range e1 {
+				if e1[b] != e2[b] {
+					t.Fatalf("block %d erased %d vs %d times", b, e1[b], e2[b])
 				}
 			}
 			if s1 != s2 {

@@ -27,7 +27,7 @@
 // # The validity store
 //
 // The store New builds is the only record of which one an FTL has: no label
-// says it again. Every store implements all of validityStore (report a page
+// says it again. Every store implements all of ValidityStore (report a page
 // invalid, record an erase, answer a GC query, RAM bytes, drop RAM at a
 // crash); the flash-resident PVB and the page validity log keep their RAM
 // state with the flash image, so their CrashRAM does nothing and recovery

@@ -164,9 +164,6 @@ func (e *Engine) Name() string {
 	return fmt.Sprintf("%s/%d", e.opts.FTL, len(e.shards))
 }
 
-// Device returns the shared device under all shards.
-func (e *Engine) Device() *flash.Device { return e.dev }
-
 // Shards returns the number of shards.
 func (e *Engine) Shards() int { return len(e.shards) }
 
@@ -313,10 +310,6 @@ func (e *Engine) Write(lpn flash.LPN) error { return e.Do(flash.HostWrite, lpn) 
 
 // Read serves one application read.
 func (e *Engine) Read(lpn flash.LPN) error { return e.Do(flash.HostRead, lpn) }
-
-// Trim serves one host trim (discard) of a logical page. See FTL.Trim for the
-// durability contract (a trim is durable once synchronized, e.g. by Flush).
-func (e *Engine) Trim(lpn flash.LPN) error { return e.Do(flash.HostTrim, lpn) }
 
 // WriteBatch writes every logical page in lpns, fanning the requests out
 // across shards in parallel and joining the results. Pages of the same shard

@@ -34,7 +34,7 @@ func newLatencyTestEngine(t *testing.T, opts Options) *Engine {
 func TestEngineLatencyStats(t *testing.T) {
 	eng := newLatencyTestEngine(t, GeckoFTLOptions(64))
 	gen := workload.MustNewUniform(eng.LogicalPages(), 1)
-	cfg := eng.Device().Config()
+	cfg := eng.dev.Config()
 
 	batch := 4 * cfg.Dies()
 	var writes int64
@@ -142,7 +142,7 @@ func TestEngineLatencyDeterministic(t *testing.T) {
 	}) {
 		eng := newLatencyTestEngine(t, GeckoFTLOptions(64))
 		gen := workload.MustNewUniform(eng.LogicalPages(), 9)
-		batch := 4 * eng.Device().Config().Dies()
+		batch := 4 * eng.dev.Config().Dies()
 		var writes int64
 		for writes < 2*eng.LogicalPages() {
 			_, targets, _ := workload.SplitBatch(workload.TakeBatch(gen, batch))
@@ -172,7 +172,7 @@ func TestEngineSyncArrival(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	busy := eng.Device().BusyUntil()
+	busy := eng.dev.BusyUntil()
 	if busy <= 0 || eng.ShardClock(1) != 0 {
 		t.Fatalf("before the sync: device busy until %v, shard 1 at %v; want shard 0's work and an idle shard 1", busy, eng.ShardClock(1))
 	}

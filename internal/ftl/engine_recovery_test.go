@@ -288,16 +288,13 @@ func TestEngineShardsDieAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := map[int]int{} // die -> shard
+	// Partitions that share a die share its latch.
+	owner := map[*sync.Mutex]int{}
 	for i := 0; i < e.Shards(); i++ {
-		part := e.Shard(i).Device()
-		lo := cfg.DieOfBlock(part.Base())
-		hi := cfg.DieOfBlock(part.Base() + flash.BlockID(part.Config().Blocks) - 1)
-		for die := lo; die <= hi; die++ {
-			if prev, taken := owner[die]; taken {
-				t.Fatalf("die %d shared by shards %d and %d", die, prev, i)
-			}
-			owner[die] = i
+		latch := e.Shard(i).Device().Latch()
+		if prev, taken := owner[latch]; taken {
+			t.Fatalf("shards %d and %d share a die", prev, i)
 		}
+		owner[latch] = i
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -316,7 +317,7 @@ func TestEngineParallelTimeScales(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return dev.ParallelSimulatedTime().Seconds(), dev.SimulatedTime().Seconds()
+		return slices.Max(dev.DieTimes()).Seconds(), dev.SimulatedTime().Seconds()
 	}
 	wall1, serial1 := wallTime(1)
 	wall8, _ := wallTime(8)

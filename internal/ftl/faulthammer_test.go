@@ -38,8 +38,8 @@ func auditFaultInvariants(f *FTL) error {
 	bm := f.bm
 	// Conservation: every successful erase returns exactly one block to the
 	// free pool; retirement touches neither counter.
-	if bm.Erases() != bm.Frees() {
-		return fmt.Errorf("erases %d != blocks freed %d", bm.Erases(), bm.Frees())
+	if bm.erases != bm.frees {
+		return fmt.Errorf("erases %d != blocks freed %d", bm.erases, bm.frees)
 	}
 	freeSet := make(map[flash.BlockID]bool, len(bm.free))
 	for _, b := range bm.free {
@@ -385,18 +385,18 @@ func TestBlockManagerEraseRetiresOnFailure(t *testing.T) {
 				}
 				bm.active[frontierFor(GroupUser, TempCold)] = flash.InvalidBlock
 			}
-			erases, frees := bm.Erases(), bm.Frees()
+			erases, frees := bm.erases, bm.frees
 			if err := bm.Erase(block, flash.PurposeGCErase); err != nil {
 				t.Fatalf("Erase returned %v, want nil (retired)", err)
 			}
-			if !bm.Retired(block) {
+			if !bm.blocks[block].retired {
 				t.Error("block not retired")
 			}
 			if g, _ := bm.GroupOf(block); g == GroupUser && bm.blocks[block].allocated {
 				t.Error("retired block still allocated")
 			}
-			if bm.Erases() != erases || bm.Frees() != frees {
-				t.Errorf("conservation counters moved: erases %d->%d, frees %d->%d", erases, bm.Erases(), frees, bm.Frees())
+			if bm.erases != erases || bm.frees != frees {
+				t.Errorf("conservation counters moved: erases %d->%d, frees %d->%d", erases, bm.erases, frees, bm.frees)
 			}
 			for _, fb := range bm.free {
 				if fb == block {

@@ -21,10 +21,11 @@ import (
 // stops converging. It is the end of a device's life, not a bug.
 var ErrNoSpace = errors.New("ftl: out of space")
 
-// validityStore is an FTL's page-validity store, the one New builds for it:
+// ValidityStore is an FTL's page-validity store, the one New builds for it:
 // Logarithmic Gecko, the RAM- or flash-resident PVB, or the IB-FTL page
-// validity log. Every store implements all of it.
-type validityStore interface {
+// validity log. Every store implements all of it. The isolated page-validity
+// experiments (internal/sim) drive the same interface.
+type ValidityStore interface {
 	// Update reports the page at addr invalid.
 	Update(addr flash.Addr) error
 	// RecordErase reports the block erased: its pages are no longer invalid.
@@ -126,15 +127,11 @@ type FTL struct {
 	// validity is the page-validity store. The calls only Logarithmic Gecko
 	// has (buffer flushes, directory recovery and checkpoints) assert
 	// validity.(*gecko.Gecko) where they are made.
-	validity validityStore
+	validity ValidityStore
 	wear     *wearLeveler
 	// heat routes user writes to the hot or cold frontier when
 	// Options.HotColdSeparation is on.
 	heat *heatClassifier
-
-	// onVictim, when set (OnVictim), observes every garbage-collection
-	// victim at selection time; determinism tests record the sequence.
-	onVictim func(flash.BlockID)
 
 	logicalPages int64
 	stats        Stats
@@ -180,7 +177,7 @@ func New(dev *flash.Partition, opts Options) (*FTL, error) {
 	// burst is the most pages the store programs in one operation: a Gecko
 	// merge cascade writes at most two largest runs, an IB-FTL cleaning pass
 	// what it reinserts.
-	var validity validityStore
+	var validity ValidityStore
 	var burst int
 	var err error
 	store := &groupStore{bm: bm}
@@ -275,18 +272,6 @@ func (f *FTL) LogicalPages() int64 { return f.logicalPages }
 func (f *FTL) RAMBytes() int64 {
 	return f.cache.RAMBytes(8) + f.table.RAMBytes() + f.bm.RAMBytes() + f.validity.RAMBytes() +
 		f.wear.RAMBytes() + f.heat.RAMBytes()
-}
-
-// OnVictim registers fn to observe every garbage-collection victim the FTL
-// selects, in selection order. Tests use it to pin victim-sequence
-// determinism; a nil fn removes the observer.
-func (f *FTL) OnVictim(fn func(flash.BlockID)) { f.onVictim = fn }
-
-// noteVictim reports a selected victim to the observer.
-func (f *FTL) noteVictim(victim flash.BlockID) {
-	if f.onVictim != nil {
-		f.onVictim(victim)
-	}
 }
 
 // Write serves an application update of a logical page (Section 4, "Serving

@@ -215,11 +215,10 @@ func TestReadMissFetchesTranslationPage(t *testing.T) {
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Read a page that is certainly not cached anymore.
+	// Read a page that is certainly not cached anymore: after the flush
+	// every cached entry is clean, so dropping them all loses nothing.
 	target := flash.LPN(0)
-	if f.cache.Contains(target) {
-		f.cache.Remove(target)
-	}
+	f.cache.Clear()
 	before := f.dev.Counters()
 	if err := f.Read(target); err != nil {
 		t.Fatal(err)
@@ -246,7 +245,7 @@ func TestUIPLazyIdentification(t *testing.T) {
 	if oldPPN == flash.InvalidPPN {
 		t.Fatal("setup: page 7 has no flash mapping")
 	}
-	f.cache.Remove(7)
+	f.cache.Clear() // clean after the flush
 
 	before := f.dev.Counters()
 	if err := f.Write(7); err != nil {
@@ -287,7 +286,7 @@ func TestDFTLWriteMissReadsTranslationPage(t *testing.T) {
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	f.cache.Remove(7)
+	f.cache.Clear() // clean after the flush
 	before := f.dev.Counters()
 	if err := f.Write(7); err != nil {
 		t.Fatal(err)
@@ -317,11 +316,19 @@ func TestSustainedWorkloadAllFTLs(t *testing.T) {
 
 func TestSequentialAndSkewedWorkloads(t *testing.T) {
 	f := testFTL(t, model.GeckoFTL, 96, 256)
-	runWorkload(t, f, workload.MustNewSequential(f.LogicalPages()), 5000)
+	seq, err := workload.NewSequential(f.LogicalPages())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorkload(t, f, seq, 5000)
 	checkConsistency(t, f, true)
 
 	f2 := testFTL(t, model.GeckoFTL, 96, 256)
-	runWorkload(t, f2, workload.MustNewHotCold(f2.LogicalPages(), 0.2, 0.8, 7), 5000)
+	hotCold, err := workload.NewHotCold(f2.LogicalPages(), 0.2, 0.8, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorkload(t, f2, hotCold, 5000)
 	checkConsistency(t, f2, true)
 
 	f3 := testFTL(t, model.GeckoFTL, 96, 256)
@@ -410,7 +417,7 @@ func TestMetadataAwareGCNeverTargetsMetadata(t *testing.T) {
 	// observable guarantee: fully-invalid metadata reclaims happened, and the
 	// number of erases equals GC operations plus metadata reclaims.
 	st := f.Stats()
-	if got := f.bm.Erases(); got != st.GCOperations+st.MetadataBlockErases {
+	if got := f.bm.erases; got != st.GCOperations+st.MetadataBlockErases {
 		t.Errorf("erases = %d, GC ops %d + metadata reclaims %d", got, st.GCOperations, st.MetadataBlockErases)
 	}
 }
@@ -429,9 +436,9 @@ func TestWriteAmplificationOrdering(t *testing.T) {
 		gen := workload.MustNewUniform(f.LogicalPages(), 9)
 		// Warm up so that steady-state GC is included.
 		runWorkloadB(f, gen, ops/2)
-		f.dev.ResetCounters()
+		warm := f.dev.Counters()
 		runWorkloadB(f, gen, ops)
-		c := f.dev.Counters()
+		c := f.dev.Counters().Sub(warm)
 		delta := f.cfg.Latency.WriteReadRatio()
 		results[kind.String()] = struct{ total, validity float64 }{
 			total:    c.WriteAmplification(ops, delta),

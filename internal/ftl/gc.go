@@ -184,18 +184,17 @@ func (f *FTL) collectOutOfBand(block flash.BlockID) (bool, error) {
 	return true, nil
 }
 
-// beginVictim starts a victim's drain in g: the victim is counted and
-// reported to the observer, and the page-validity store is queried for its
-// invalid pages, into g's bitmap. Metadata blocks (reachable only under the
-// greedy policy) are drained through the liveness information of their owning
-// structure instead of the page-validity store.
+// beginVictim starts a victim's drain in g: the victim is counted, and the
+// page-validity store is queried for its invalid pages, into g's bitmap.
+// Metadata blocks (reachable only under the greedy policy) are drained
+// through the liveness information of their owning structure instead of the
+// page-validity store.
 func (f *FTL) beginVictim(g *gcState, victim flash.BlockID) error {
 	group, allocated := f.bm.GroupOf(victim)
 	if !allocated {
 		return fmt.Errorf("ftl: victim block %d is not allocated", victim)
 	}
 	f.stats.GCOperations++
-	f.noteVictim(victim)
 	*g = gcState{victim: victim, group: group, written: f.bm.WritePointer(victim), invalid: g.invalid}
 	if group == GroupMeta {
 		return nil

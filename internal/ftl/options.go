@@ -169,11 +169,6 @@ func (o *Options) validate(cfg flash.Config) error {
 	return nil
 }
 
-// DefaultCacheEntries is the paper's default LRU cache capacity: a 4 MB cache
-// at 8 bytes per entry holds 2^19 entries (Section 5). Simulations on scaled
-// devices use proportionally smaller caches.
-const DefaultCacheEntries = 1 << 19
-
 // dirtyBoundFraction is the fraction of the cache LazyFTL and IB-FTL let
 // dirty mapping entries fill before they force a synchronization.
 const dirtyBoundFraction = 0.1

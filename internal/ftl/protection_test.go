@@ -40,7 +40,7 @@ func checkPreviousVersions(f *FTL) (int, error) {
 		if g, _ := f.bm.GroupOf(id); g != GroupTranslation {
 			return 0, fmt.Errorf("protected block %d is in the %v group", id, g)
 		}
-		if f.bm.isFull(&f.bm.blocks[i]) && f.bm.ValidCount(id) == 0 {
+		if f.bm.isFull(&f.bm.blocks[i]) && f.bm.blocks[id].valid == 0 {
 			dead++
 		}
 	}

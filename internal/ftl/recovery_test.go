@@ -237,7 +237,7 @@ func TestRecoveredTranslationBVCMatchesGMD(t *testing.T) {
 						}
 					}
 				}
-				if got := f.bm.ValidCount(block); got != want {
+				if got := f.bm.blocks[block].valid; got != want {
 					t.Errorf("translation block %d: BVC %d, GMD recount %d", block, got, want)
 				}
 			}

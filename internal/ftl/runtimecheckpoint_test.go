@@ -92,8 +92,8 @@ func writeSpread(t *testing.T, f *FTL, n, off int64) {
 // It returns the FTL, still holding the RAM state the failure left.
 func failedCheckpointRun(t *testing.T) *FTL {
 	t.Helper()
-	dev := newTestDevice(t, 256, 16, 512)
-	f, err := New(dev, GeckoFTLOptions(256))
+	dev := newTestFlash(t, 256, 16, 512)
+	f, err := New(wholeDevice(t, dev), GeckoFTLOptions(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,19 +109,23 @@ func failedCheckpointRun(t *testing.T) *FTL {
 		}
 	}
 	writeSpread(t, f, 100, 0)
-	for start := f.stats.Checkpoints; f.stats.Checkpoints < start+2 || f.cache.OpsSinceCheckpoint() != f.cache.Capacity()-1; {
+	for start := f.stats.Checkpoints; f.stats.Checkpoints < start+2; {
 		writeSpread(t, f, 1, 1+f.stats.LogicalWrites%100*(pages/100))
 	}
-	// One more cache operation makes the checkpoint due without programming
-	// anything: refresh the most recently used entry.
-	f.cache.Put(f.cache.Entries()[0])
-	if err := dev.Device().SetFaultPlan(flash.FaultPlan{Schedule: []flash.FaultEvent{{Op: flash.OpPageWrite, AtCount: 1, Cut: flash.CutBefore}}}); err != nil {
+	// Cache operations that program nothing make the checkpoint due:
+	// refreshes of the most recently used entry.
+	var mru mapcache.Entry
+	f.cache.ForEach(func(e mapcache.Entry) bool { mru = e; return false })
+	for !f.cache.CheckpointDue() {
+		f.cache.Put(mru)
+	}
+	if err := dev.SetFaultPlan(flash.FaultPlan{Schedule: []flash.FaultEvent{{Op: flash.OpPageWrite, AtCount: 1, Cut: flash.CutBefore}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.maybeCheckpoint(); !errors.Is(err, flash.ErrPowerFailed) {
 		t.Fatalf("checkpoint under a cut returned %v, want %v", err, flash.ErrPowerFailed)
 	}
-	if err := dev.Device().SetFaultPlan(flash.FaultPlan{}); err != nil {
+	if err := dev.SetFaultPlan(flash.FaultPlan{}); err != nil {
 		t.Fatal(err)
 	}
 	return f

@@ -74,7 +74,7 @@ func TestTranslationTableSynchronizeRoundTrip(t *testing.T) {
 	if table.GMDLocation(0) == oldLoc {
 		t.Error("GMD still points at the old translation page")
 	}
-	if bm.ValidCount(flash.BlockOf(oldLoc, dev.Config().PagesPerBlock)) != 1 {
+	if bm.blocks[flash.BlockOf(oldLoc, dev.Config().PagesPerBlock)].valid != 1 {
 		t.Errorf("old translation page not invalidated in BVC")
 	}
 	c := dev.Counters()

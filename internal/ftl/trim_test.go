@@ -226,7 +226,7 @@ func TestEngineTrimBatch(t *testing.T) {
 	if es.Trims.Count != int64(len(trims)) {
 		t.Errorf("trim latency count = %d, want %d", es.Trims.Count, len(trims))
 	}
-	if err := eng.Trim(flash.LPN(eng.LogicalPages())); !errors.Is(err, flash.ErrOutOfRange) {
+	if err := eng.Do(flash.HostTrim, flash.LPN(eng.LogicalPages())); !errors.Is(err, flash.ErrOutOfRange) {
 		t.Errorf("engine Trim out of range returned %v, want flash.ErrOutOfRange", err)
 	}
 	if err := eng.CheckConsistency(); err != nil {

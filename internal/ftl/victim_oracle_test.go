@@ -219,7 +219,7 @@ func TestVictimScansMatchNaive(t *testing.T) {
 		}
 		for step := 0; step < 60 && bm.FreeBlocks() > 1; step++ {
 			g := Group(rng.Intn(int(numGroups)))
-			ppn, err := bm.AllocatePage(g, flash.SpareArea{Logical: flash.LPN(step)}, g.purpose())
+			ppn, err := bm.AllocatePage(g, flash.SpareArea{Logical: flash.LPN(step)}, flash.PurposeUserWrite)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +265,8 @@ func TestFullBlockIndexFollowsBlockState(t *testing.T) {
 	if testing.Short() {
 		steps = 5000
 	}
-	dev := newTestDevice(t, blocks, pagesPerBlock, 512)
+	device := newTestFlash(t, blocks, pagesPerBlock, 512)
+	dev := wholeDevice(t, device)
 	plan := flash.FaultPlan{Seed: 11, ProgramFailRate: 0.03, EraseFailRate: 0.0005}
 	for _, at := range []uint64{1, 2, 3, 4, 9, 10, 11, 12} {
 		// Whole blocks of failed programs: a block that fills without ever
@@ -273,7 +274,7 @@ func TestFullBlockIndexFollowsBlockState(t *testing.T) {
 		plan.Schedule = append(plan.Schedule, flash.FaultEvent{Op: flash.OpPageWrite, AtCount: at})
 	}
 	plan.Schedule = append(plan.Schedule, flash.FaultEvent{Op: flash.OpErase, AtCount: 2})
-	if err := dev.Device().SetFaultPlan(plan); err != nil {
+	if err := device.SetFaultPlan(plan); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -298,9 +299,9 @@ func TestFullBlockIndexFollowsBlockState(t *testing.T) {
 			var ppn flash.PPN
 			var err error
 			if g := Group(rng.Intn(int(numGroups))); g == GroupUser {
-				ppn, err = bm.AllocateUserPage(Temperature(rng.Intn(int(numTemps))), flash.SpareArea{Logical: flash.LPN(step)}, g.purpose())
+				ppn, err = bm.AllocateUserPage(Temperature(rng.Intn(2)), flash.SpareArea{Logical: flash.LPN(step)}, flash.PurposeUserWrite)
 			} else {
-				ppn, err = bm.AllocatePage(g, flash.SpareArea{Logical: flash.LPN(step)}, g.purpose())
+				ppn, err = bm.AllocatePage(g, flash.SpareArea{Logical: flash.LPN(step)}, flash.PurposeUserWrite)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -22,15 +22,12 @@ type wearLeveler struct {
 	minErase, maxErase int
 	totalErase         int64
 	scanned            int64
-	scansCompleted     int64
 
 	// candidate is the least-worn full block seen in the current scan; it
 	// becomes the wear-leveling victim if the erase-count discrepancy
 	// exceeds the threshold when the scan completes.
 	candidate      flash.BlockID
 	candidateErase int
-
-	migrations int64
 }
 
 // newWearLeveler creates a wear-leveler. threshold is the erase-count
@@ -41,20 +38,6 @@ func newWearLeveler(enabled bool, threshold int) *wearLeveler {
 		threshold = 8
 	}
 	return &wearLeveler{enabled: enabled, threshold: threshold, candidate: flash.InvalidBlock}
-}
-
-// WearStats summarizes wear-leveling activity and the device's erase-count
-// spread.
-type WearStats struct {
-	// ScansCompleted counts full gradual scans of the device.
-	ScansCompleted int64
-	// Migrations counts wear-leveling victim reclaims (static blocks
-	// recycled to even out wear).
-	Migrations int64
-	// MinErase, MaxErase and MeanErase are the statistics of the last
-	// completed scan window.
-	MinErase, MaxErase int
-	MeanErase          float64
 }
 
 // RAMBytes is the integrated-RAM footprint of the wear-leveler: the handful
@@ -114,7 +97,6 @@ func (f *FTL) wearStep() (flash.BlockID, error) {
 		return flash.InvalidBlock, nil
 	}
 	// Scan complete: decide whether to recycle the least-worn static block.
-	w.scansCompleted++
 	w.scanned = 0
 	victim := flash.InvalidBlock
 	if w.candidate != flash.InvalidBlock && w.maxErase-w.candidateErase > w.threshold {
@@ -132,22 +114,6 @@ func (f *FTL) wearLevelIfNeeded() error {
 	if err != nil || victim == flash.InvalidBlock {
 		return err
 	}
-	if ok, err := f.collectOutOfBand(victim); !ok || err != nil {
-		return err
-	}
-	f.wear.migrations++
-	return nil
-}
-
-// WearStats returns the wear-leveler's statistics together with the device's
-// current erase-count spread.
-func (f *FTL) WearStats() WearStats {
-	min, max, mean := f.dev.BlocksEndurance()
-	return WearStats{
-		ScansCompleted: f.wear.scansCompleted,
-		Migrations:     f.wear.migrations,
-		MinErase:       min,
-		MaxErase:       max,
-		MeanErase:      mean,
-	}
+	_, err = f.collectOutOfBand(victim)
+	return err
 }

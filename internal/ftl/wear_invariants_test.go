@@ -30,18 +30,18 @@ func wearSnapshot(t *testing.T, f *FTL) []int {
 // mirror used by wear-aware allocation agrees with the device per block.
 func checkWearInvariants(t *testing.T, f *FTL, shard int) {
 	t.Helper()
-	if f.bm.Erases() != f.bm.Frees() {
-		t.Errorf("shard %d: erases %d != blocks freed %d", shard, f.bm.Erases(), f.bm.Frees())
+	if f.bm.erases != f.bm.frees {
+		t.Errorf("shard %d: erases %d != blocks freed %d", shard, f.bm.erases, f.bm.frees)
 	}
 	var deviceTotal int64
 	for b, ec := range wearSnapshot(t, f) {
 		deviceTotal += int64(ec)
-		if mirror := f.bm.EraseCount(flash.BlockID(b)); mirror != ec {
+		if mirror := f.bm.blocks[flash.BlockID(b)].eraseCount; mirror != ec {
 			t.Errorf("shard %d block %d: RAM erase-count mirror %d != device %d", shard, b, mirror, ec)
 		}
 	}
-	if deviceTotal != f.bm.Erases() {
-		t.Errorf("shard %d: device erase counts sum to %d, block manager counted %d", shard, deviceTotal, f.bm.Erases())
+	if deviceTotal != f.bm.erases {
+		t.Errorf("shard %d: device erase counts sum to %d, block manager counted %d", shard, deviceTotal, f.bm.erases)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestEraseCountsRebasedAfterRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.bm.Erases() == 0 {
+	if f.bm.erases == 0 {
 		t.Fatal("workload produced no erases; the test is vacuous")
 	}
 	if err := f.PowerFail(); err != nil {
@@ -155,7 +155,7 @@ func TestEraseCountsRebasedAfterRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mirror := f.bm.EraseCount(flash.BlockID(b)); mirror != ec {
+		if mirror := f.bm.blocks[flash.BlockID(b)].eraseCount; mirror != ec {
 			t.Fatalf("block %d: post-recovery mirror %d != device %d", b, mirror, ec)
 		}
 	}

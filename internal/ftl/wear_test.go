@@ -48,9 +48,6 @@ func TestWearLevelerDisabledCostsNothing(t *testing.T) {
 	if f.wear.RAMBytes() != 0 {
 		t.Error("disabled wear-leveler charges RAM")
 	}
-	if f.WearStats().ScansCompleted != 0 {
-		t.Error("disabled wear-leveler completed scans")
-	}
 }
 
 func TestWearScanCostsOneSpareReadPerWrite(t *testing.T) {
@@ -62,13 +59,8 @@ func TestWearScanCostsOneSpareReadPerWrite(t *testing.T) {
 	if got := c.Count(flash.OpSpareRead, flash.PurposeWearLeveling); got != writes {
 		t.Errorf("wear-leveling spare reads = %d, want %d (one per write)", got, writes)
 	}
-	st := f.WearStats()
-	wantScans := int64(writes / 64)
-	if st.ScansCompleted != wantScans {
-		t.Errorf("completed scans = %d, want %d", st.ScansCompleted, wantScans)
-	}
-	if st.Migrations != 0 {
-		t.Errorf("migrations = %d despite huge threshold", st.Migrations)
+	if got, want := f.wear.cursor, flash.BlockID(writes%64); got != want {
+		t.Errorf("scan cursor at block %d after %d writes, want %d", got, writes, want)
 	}
 	if f.wear.RAMBytes() != 40 {
 		t.Errorf("wear-leveler RAM = %d, want 40 bytes of global statistics", f.wear.RAMBytes())
@@ -90,10 +82,6 @@ func TestWearLevelingRecyclesStaticBlocks(t *testing.T) {
 	hot := workload.MustNewUniform(logical/10, 63)
 	runWorkload(t, f, hot, 15000)
 
-	st := f.WearStats()
-	if st.Migrations == 0 {
-		t.Fatal("wear-leveler never recycled a static block under a skewed workload")
-	}
 	// Consistency must be preserved despite wear migrations.
 	checkConsistency(t, f, true)
 
@@ -125,19 +113,5 @@ func TestWearLevelingRecyclesStaticBlocks(t *testing.T) {
 	unwornWith, unwornWithout := unworn(f), unworn(g)
 	if unwornWith >= unwornWithout {
 		t.Errorf("wear-leveling left %d essentially-unworn blocks, plain GeckoFTL left %d", unwornWith, unwornWithout)
-	}
-}
-
-func TestWearStatsReflectDeviceEndurance(t *testing.T) {
-	f := newWearFTL(t, 4)
-	gen := workload.MustNewUniform(f.LogicalPages(), 64)
-	runWorkload(t, f, gen, 8000)
-	st := f.WearStats()
-	min, max, mean := f.dev.BlocksEndurance()
-	if st.MinErase != min || st.MaxErase != max || st.MeanErase != mean {
-		t.Errorf("WearStats endurance %+v does not match device (%d,%d,%f)", st, min, max, mean)
-	}
-	if st.MaxErase == 0 {
-		t.Error("no erases recorded despite sustained workload")
 	}
 }

@@ -92,13 +92,6 @@ func RAMPVBCost(blocks, pagesPerBlock int) CostModel {
 	}
 }
 
-// SpaceAmplificationBound returns the worst-case ratio between the flash
-// space Logarithmic Gecko occupies and the space of a single fully-merged
-// run. Because the largest run holds one entry per (block, sub-key) and the
-// smaller levels sum to at most the same size, the bound is 2 for any T
-// (Section 3.2, "Space-Amplification").
-func (c Config) SpaceAmplificationBound() float64 { return 2 }
-
 // OptimalSizeRatio returns the size ratio minimizing the analytical
 // write-amplification for the given GC-query-to-update ratio and write/read
 // cost asymmetry. The paper's Section 5.1 finds T = 2 for its default

@@ -262,12 +262,6 @@ func TestOptimalSizeRatioPrefersSmallTForWriteHeavyWorkloads(t *testing.T) {
 	}
 }
 
-func TestSpaceAmplificationBound(t *testing.T) {
-	if got := DefaultConfig(1024, 128, 4096).SpaceAmplificationBound(); got != 2 {
-		t.Errorf("space amplification bound = %v, want 2", got)
-	}
-}
-
 func TestAnalyticalRAMIsTinyComparedToPVB(t *testing.T) {
 	// The headline claim: a 95% reduction in integrated RAM.
 	blocks, b, p := 1<<22, 128, 4096

@@ -91,9 +91,6 @@ func New(cfg Config, store metastore.Storage) (*Gecko, error) {
 	}, nil
 }
 
-// Config returns the configuration.
-func (g *Gecko) Config() Config { return g.cfg }
-
 // Stats returns a copy of the operation counters.
 func (g *Gecko) Stats() Stats { return g.stats }
 

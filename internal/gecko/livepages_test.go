@@ -1,6 +1,7 @@
 package gecko
 
 import (
+	"reflect"
 	"testing"
 
 	"geckoftl/internal/flash"
@@ -65,7 +66,7 @@ func TestRelocatePreservesQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(m.query(flash.BlockID(b))) {
+		if !reflect.DeepEqual(got, m.query(flash.BlockID(b))) {
 			t.Fatalf("block %d diverged after relocation", b)
 		}
 	}

@@ -3,6 +3,7 @@ package gecko
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -155,7 +156,7 @@ func randomRunPair(rng *rand.Rand, cfg Config, blocks, v int, seq uint64) (*orac
 			// is defined for it, so both merges must agree there too.
 			flagged := rng.Intn(16) == 0
 			old = append(old, oracleEntry{Block: flash.BlockID(b), SubKey: sub, Bits: bm, EraseFlag: flagged})
-			s.push(entry{block: flash.BlockID(b), subKey: sub, erase: flagged}, bm.Words())
+			s.push(entry{block: flash.BlockID(b), subKey: sub, erase: flagged}, wordsOf(bm))
 		}
 	}
 	or := &oracleRun{createSeq: seq}
@@ -205,7 +206,7 @@ func TestMergeMatchesPointerEntryMerge(t *testing.T) {
 					if w.Bits != nil {
 						wantBits = w.Bits
 					}
-					if !bitmap.FromWords(cfg.BitsPerEntry(), got.bits(i)).Equal(wantBits) {
+					if !reflect.DeepEqual(fromWords(cfg.BitsPerEntry(), got.bits(i)), wantBits) {
 						t.Fatalf("%s entry %d (%+v): bits differ from the oracle's", name, i, g)
 					}
 				}
@@ -215,7 +216,7 @@ func TestMergeMatchesPointerEntryMerge(t *testing.T) {
 					o := olds[r]
 					for p := range n.pages {
 						for i := range n.pages[p].ents {
-							if w := o.pages[p][i]; w.Bits != nil && !bitmap.FromWords(cfg.BitsPerEntry(), n.pages[p].bits(i)).Equal(w.Bits) {
+							if w := o.pages[p][i]; w.Bits != nil && !reflect.DeepEqual(fromWords(cfg.BitsPerEntry(), n.pages[p].bits(i)), w.Bits) {
 								t.Fatalf("%s: merge modified input run %d page %d entry %d", name, r, p, i)
 							}
 						}
@@ -251,7 +252,7 @@ func checkAgainstOracle(t *testing.T, name string, cfg Config, got slab, olds []
 		if w.Bits != nil {
 			wantBits = w.Bits
 		}
-		if !bitmap.FromWords(cfg.BitsPerEntry(), got.bits(i)).Equal(wantBits) {
+		if !reflect.DeepEqual(fromWords(cfg.BitsPerEntry(), got.bits(i)), wantBits) {
 			t.Fatalf("%s entry %d (%+v): bits differ from the oracle's", name, i, g)
 		}
 	}
@@ -322,4 +323,20 @@ func TestMergeMiddleRunErase(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fromWords is the bitmap of the first n bits of words.
+func fromWords(n int, words []uint64) *bitmap.Bitmap {
+	b := bitmap.New(n)
+	b.OrWords(0, words, n)
+	return b
+}
+
+// wordsOf packs b's bits into words, bit i in bit i%64 of word i/64.
+func wordsOf(b *bitmap.Bitmap) []uint64 {
+	words := make([]uint64, (b.Len()+63)/64)
+	for _, i := range setBits(b) {
+		words[i/64] |= 1 << uint(i%64)
+	}
+	return words
 }

@@ -3,6 +3,7 @@ package gecko
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -191,8 +192,8 @@ func (w *slabWalk) check(step int, op string) {
 		if err != nil {
 			w.t.Fatalf("step %d (%s): %v", step, op, err)
 		}
-		if want := w.model.query(flash.BlockID(b)); !got.Equal(want) {
-			w.t.Fatalf("step %d (%s): block %d answers %v, the model %v", step, op, b, got.SetBits(), want.SetBits())
+		if want := w.model.query(flash.BlockID(b)); !reflect.DeepEqual(got, want) {
+			w.t.Fatalf("step %d (%s): block %d answers %v, the model %v", step, op, b, setBits(got), setBits(want))
 		}
 	}
 	newer := uint64(0)

@@ -29,3 +29,13 @@ func (c *Cache) entriesOnPage(tp int) []Entry {
 	}
 	return out
 }
+
+// entries returns all cached entries in most-recently-used-first order.
+func (c *Cache) entries() []Entry {
+	out := make([]Entry, 0, c.count)
+	c.ForEach(func(e Entry) bool {
+		out = append(out, e)
+		return true
+	})
+	return out
+}

@@ -231,10 +231,6 @@ func (c *Cache) Capacity() int { return c.capacity }
 // not counted).
 func (c *Cache) Len() int { return c.count }
 
-// OpsSinceCheckpoint returns the number of inserts or updates since the last
-// checkpoint scan.
-func (c *Cache) OpsSinceCheckpoint() int { return c.opsSinceCheckpoint }
-
 // TranslationPageOf returns the index of the translation page that holds the
 // mapping entry for the given logical page.
 func (c *Cache) TranslationPageOf(lpn flash.LPN) int {
@@ -327,15 +323,6 @@ func (c *Cache) makeRoom() Evicted {
 	return Evicted{}
 }
 
-// Remove deletes the entry for lpn, reporting whether it was present.
-func (c *Cache) Remove(lpn flash.LPN) bool {
-	i := c.find(lpn)
-	if i != sentinel {
-		c.remove(i)
-	}
-	return i != sentinel
-}
-
 // Update applies fn to the cached entry for lpn, if present, and reports
 // whether it was. The entry is not promoted; Update models flag maintenance
 // rather than an application access. An entry fn makes dirty joins the dirty
@@ -420,16 +407,6 @@ func (c *Cache) ForEachOldest(fn func(Entry)) {
 			fn(n.entry)
 		}
 	}
-}
-
-// Entries returns all cached entries in most-recently-used-first order.
-func (c *Cache) Entries() []Entry {
-	out := make([]Entry, 0, c.count)
-	c.ForEach(func(e Entry) bool {
-		out = append(out, e)
-		return true
-	})
-	return out
 }
 
 // OldestDirty returns the least recently used dirty entry, if any: the old

@@ -107,23 +107,6 @@ func TestPeekDoesNotPromote(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	c := newTestCache(4)
-	c.Put(Entry{Logical: 1})
-	if !c.Remove(1) {
-		t.Error("Remove(1) = false")
-	}
-	if c.Remove(1) {
-		t.Error("second Remove(1) = true")
-	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d, want 0", c.Len())
-	}
-	if len(c.entriesOnPage(0)) != 0 {
-		t.Error("translation-page index not cleaned on Remove")
-	}
-}
-
 func TestUpdateFlags(t *testing.T) {
 	c := newTestCache(4)
 	c.Put(Entry{Logical: 1, Physical: 10, Dirty: true, UIP: true})
@@ -191,7 +174,7 @@ func TestForEachOrderAndEntries(t *testing.T) {
 		c.Put(Entry{Logical: flash.LPN(i)})
 	}
 	c.Lookup(0) // 0 becomes MRU
-	got := c.Entries()
+	got := c.entries()
 	if len(got) != 5 {
 		t.Fatalf("Entries len = %d", len(got))
 	}
@@ -256,7 +239,7 @@ func TestCheckpointSynchronizesLingeringDirtyEntries(t *testing.T) {
 	c.Put(Entry{Logical: 4, Dirty: true})
 	c.Lookup(1)
 
-	if c.OpsSinceCheckpoint() == 0 {
+	if c.opsSinceCheckpoint == 0 {
 		t.Error("OpsSinceCheckpoint is 0 after a Put following the first checkpoint")
 	}
 
@@ -267,8 +250,8 @@ func TestCheckpointSynchronizesLingeringDirtyEntries(t *testing.T) {
 	if len(stale) != 0 {
 		t.Errorf("second checkpoint returned %v, want none", stale)
 	}
-	if c.OpsSinceCheckpoint() != 0 {
-		t.Errorf("OpsSinceCheckpoint = %d after the second checkpoint, want 0", c.OpsSinceCheckpoint())
+	if c.opsSinceCheckpoint != 0 {
+		t.Errorf("OpsSinceCheckpoint = %d after the second checkpoint, want 0", c.opsSinceCheckpoint)
 	}
 }
 
@@ -309,8 +292,8 @@ func TestCheckpointDue(t *testing.T) {
 	if c.CheckpointDue() {
 		t.Error("checkpoint still due right after checkpointing")
 	}
-	if c.OpsSinceCheckpoint() != 0 {
-		t.Errorf("OpsSinceCheckpoint = %d, want 0", c.OpsSinceCheckpoint())
+	if c.opsSinceCheckpoint != 0 {
+		t.Errorf("OpsSinceCheckpoint = %d, want 0", c.opsSinceCheckpoint)
 	}
 }
 
@@ -400,7 +383,7 @@ func TestQuickCapacityInvariant(t *testing.T) {
 			case 0:
 				c.Lookup(lpn)
 			case 1:
-				c.Remove(lpn)
+				c.Peek(lpn)
 			case 2:
 				if c.CheckpointDue() {
 					c.Checkpoint()
@@ -427,15 +410,11 @@ func TestQuickTranslationIndexConsistency(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 300; i++ {
 			lpn := flash.LPN(rng.Intn(64))
-			if rng.Intn(3) == 0 {
-				c.Remove(lpn)
-			} else {
-				c.Put(Entry{Logical: lpn, Dirty: rng.Intn(2) == 0})
-			}
+			c.Put(Entry{Logical: lpn, Dirty: rng.Intn(2) == 0})
 		}
 		// Rebuild the expected index from Entries and compare.
 		want := map[int][]flash.LPN{}
-		for _, e := range c.Entries() {
+		for _, e := range c.entries() {
 			tp := c.TranslationPageOf(e.Logical)
 			want[tp] = append(want[tp], e.Logical)
 		}
@@ -572,7 +551,7 @@ func benchCache() (c *Cache, cached []flash.LPN, logicalPages int) {
 		lpn := flash.LPN(rng.Intn(pages * perTP))
 		c.Put(Entry{Logical: lpn, Physical: flash.PPN(lpn), Dirty: lpn%2 == 0})
 	}
-	for _, e := range c.Entries() {
+	for _, e := range c.entries() {
 		cached = append(cached, e.Logical)
 	}
 	return c, cached, pages * perTP

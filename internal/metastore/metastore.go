@@ -47,8 +47,6 @@ type BlockStore struct {
 	active  int // index into blocks of the block currently written
 	invalid []int
 	written []int
-
-	erases int64
 }
 
 // NewBlockStore creates a store that owns the given blocks of the device and
@@ -80,21 +78,6 @@ func (s *BlockStore) Blocks() []flash.BlockID {
 	return append([]flash.BlockID(nil), s.blocks...)
 }
 
-// Erases returns how many block erases the store has performed.
-func (s *BlockStore) Erases() int64 { return s.erases }
-
-// FreePages returns the number of pages that can still be appended before the
-// store runs out of space (not counting pages that would be reclaimed by
-// erasing fully-invalid blocks).
-func (s *BlockStore) FreePages() int {
-	b := s.dev.Config().PagesPerBlock
-	free := 0
-	for i := range s.blocks {
-		free += b - s.written[i]
-	}
-	return free
-}
-
 // Append programs the next free page among the store's blocks.
 func (s *BlockStore) Append(spare flash.SpareArea) (flash.PPN, error) {
 	cfg := s.dev.Config()
@@ -106,7 +89,6 @@ func (s *BlockStore) Append(spare flash.SpareArea) (flash.PPN, error) {
 				if err := s.dev.EraseBlock(s.blocks[idx], s.purpose); err != nil {
 					return flash.InvalidPPN, err
 				}
-				s.erases++
 				s.written[idx] = 0
 				s.invalid[idx] = 0
 			} else {
@@ -154,19 +136,4 @@ func (s *BlockStore) Invalidate(ppn flash.PPN) error {
 		}
 	}
 	return fmt.Errorf("metastore: page %d is not in this store", ppn)
-}
-
-// Utilization returns the fraction of owned pages currently holding live
-// (written and not invalidated) data.
-func (s *BlockStore) Utilization() float64 {
-	cfg := s.dev.Config()
-	total := len(s.blocks) * cfg.PagesPerBlock
-	if total == 0 {
-		return 0
-	}
-	live := 0
-	for i := range s.blocks {
-		live += s.written[i] - s.invalid[i]
-	}
-	return float64(live) / float64(total)
 }

@@ -53,9 +53,6 @@ func TestAppendFillsBlocksSequentially(t *testing.T) {
 	if _, err := s.Append(flash.SpareArea{}); !errors.Is(err, ErrNoSpace) {
 		t.Errorf("append on full store err = %v, want ErrNoSpace", err)
 	}
-	if s.FreePages() != 0 {
-		t.Errorf("FreePages = %d, want 0", s.FreePages())
-	}
 }
 
 func TestBlockTypeStampedOnFirstPage(t *testing.T) {
@@ -105,8 +102,9 @@ func TestReclaimFullyInvalidBlock(t *testing.T) {
 	if flash.BlockOf(ppn, 4) != 0 || flash.OffsetOf(ppn, 4) != 0 {
 		t.Errorf("reclaimed append landed at %v, want block 0 offset 0", ppn)
 	}
-	if s.Erases() != 1 {
-		t.Errorf("erases = %d, want 1", s.Erases())
+	io := dev.Counters()
+	if got := io.Count(flash.OpErase, flash.PurposePageValidity); got != 1 {
+		t.Errorf("erases = %d, want 1", got)
 	}
 }
 
@@ -141,23 +139,6 @@ func TestIOAccountingPurpose(t *testing.T) {
 	}
 	if c.Count(flash.OpSpareRead, flash.PurposePageValidity) != 1 {
 		t.Error("spare read not accounted")
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	dev := smallDevice(t, 2, 4)
-	s, _ := NewBlockStore(dev, []flash.BlockID{0, 1}, flash.BlockGecko, flash.PurposePageValidity)
-	if got := s.Utilization(); got != 0 {
-		t.Errorf("empty utilization = %v", got)
-	}
-	ppn, _ := s.Append(flash.SpareArea{})
-	s.Append(flash.SpareArea{})
-	if got := s.Utilization(); got != 0.25 {
-		t.Errorf("utilization = %v, want 0.25", got)
-	}
-	s.Invalidate(ppn)
-	if got := s.Utilization(); got != 0.125 {
-		t.Errorf("utilization = %v, want 0.125", got)
 	}
 }
 

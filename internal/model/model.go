@@ -119,9 +119,6 @@ func (p Parameters) LogicalPages() int64 {
 	return int64(p.OverProvision * float64(p.PhysicalPages()))
 }
 
-// PhysicalBytes returns the device capacity in bytes.
-func (p Parameters) PhysicalBytes() int64 { return p.PhysicalPages() * p.PageSize }
-
 // TranslationTableBytes returns TT = 4*K*B*R, the size of the translation
 // table in flash (Section 2).
 func (p Parameters) TranslationTableBytes() int64 { return 4 * p.LogicalPages() }

@@ -10,8 +10,8 @@ func TestDefaultParametersMatchPaperFigure2(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("default parameters invalid: %v", err)
 	}
-	if p.PhysicalBytes() != 2<<40 {
-		t.Errorf("capacity = %d, want 2 TiB", p.PhysicalBytes())
+	if bytes := p.PhysicalPages() * p.PageSize; bytes != 2<<40 {
+		t.Errorf("capacity = %d, want 2 TiB", bytes)
 	}
 	// Translation table: ~1.4 GB for the 2 TB device (Section 2).
 	tt := p.TranslationTableBytes()
@@ -61,8 +61,8 @@ func TestValidateRejectsBadParameters(t *testing.T) {
 
 func TestWithCapacityScalesBlocks(t *testing.T) {
 	p := Default().WithCapacity(128 << 30) // 128 GB
-	if p.PhysicalBytes() != 128<<30 {
-		t.Errorf("capacity = %d, want 128 GB", p.PhysicalBytes())
+	if bytes := p.PhysicalPages() * p.PageSize; bytes != 128<<30 {
+		t.Errorf("capacity = %d, want 128 GB", bytes)
 	}
 	if p.PagesPerBlock != Default().PagesPerBlock || p.PageSize != Default().PageSize {
 		t.Error("WithCapacity changed geometry other than block count")

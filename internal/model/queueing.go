@@ -30,38 +30,6 @@ func (q QueueingParams) SaturationKnee(lat flash.Latency, wa float64) float64 {
 	return q.Parallel.WriteThroughput(lat, wa)
 }
 
-// Utilization returns rho, the offered load as a fraction of the knee.
-func (q QueueingParams) Utilization(lambda float64, lat flash.Latency, wa float64) float64 {
-	knee := q.SaturationKnee(lat, wa)
-	if knee <= 0 {
-		return 0
-	}
-	return lambda / knee
-}
-
-// DeliveredThroughput predicts the completed-operation rate at offered rate
-// lambda: min(lambda, knee) in the fluid limit. Finite-depth stochastic
-// effects round the corner near rho = 1, which is why the sweep's acceptance
-// band is ~20% rather than exact.
-func (q QueueingParams) DeliveredThroughput(lambda float64, lat flash.Latency, wa float64) float64 {
-	knee := q.SaturationKnee(lat, wa)
-	if lambda < knee {
-		return lambda
-	}
-	return knee
-}
-
-// ShedFraction predicts the fraction of offered operations a shedding
-// admission policy drops at offered rate lambda: max(0, 1 - 1/rho). Below
-// the knee nothing is shed; at 2x overload half the stream is.
-func (q QueueingParams) ShedFraction(lambda float64, lat flash.Latency, wa float64) float64 {
-	rho := q.Utilization(lambda, lat, wa)
-	if rho <= 1 {
-		return 0
-	}
-	return 1 - 1/rho
-}
-
 // DelayBound returns the admission budget: the largest virtual backlog an
 // admitted operation can find ahead of it under a depth-bounded policy,
 // Depth service quanta of wa page writes each. An admitted operation's

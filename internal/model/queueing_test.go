@@ -28,32 +28,6 @@ func TestSaturationKneeMatchesParallelCeiling(t *testing.T) {
 	}
 }
 
-func TestDeliveredThroughputPlateaus(t *testing.T) {
-	q, lat := queueingFixture(8)
-	knee := q.SaturationKnee(lat, 2)
-	if got := q.DeliveredThroughput(0.5*knee, lat, 2); got != 0.5*knee {
-		t.Errorf("below the knee delivered %.0f; want the offered %.0f", got, 0.5*knee)
-	}
-	if got := q.DeliveredThroughput(2*knee, lat, 2); got != knee {
-		t.Errorf("above the knee delivered %.0f; want the knee %.0f", got, knee)
-	}
-}
-
-func TestUtilizationAndShedFraction(t *testing.T) {
-	q, lat := queueingFixture(8)
-	knee := q.SaturationKnee(lat, 2)
-	if rho := q.Utilization(0.25*knee, lat, 2); !close20(rho, 0.25, 1e-9) {
-		t.Errorf("rho at quarter load = %g; want 0.25", rho)
-	}
-	if f := q.ShedFraction(0.5*knee, lat, 2); f != 0 {
-		t.Errorf("shed fraction below the knee = %g; want 0", f)
-	}
-	// At 2x overload half the offered stream must be shed.
-	if f := q.ShedFraction(2*knee, lat, 2); !close20(f, 0.5, 1e-9) {
-		t.Errorf("shed fraction at 2x = %g; want 0.5", f)
-	}
-}
-
 func TestDelayBound(t *testing.T) {
 	q, lat := queueingFixture(8)
 	if got, want := q.DelayBound(lat, 3), 24*time.Millisecond; got != want {

@@ -134,22 +134,3 @@ func SeparatedFrontierWA(p SeparationParams) (float64, error) {
 	}
 	return best, nil
 }
-
-// SeparationWAGain predicts the multiplicative write-amplification reduction
-// of hot/cold separation: SingleFrontierWA / SeparatedFrontierWA. It exceeds
-// 1 exactly when the workload is skewed (HotWriteShare > HotPageFraction)
-// and approaches 1 as the skew vanishes.
-func SeparationWAGain(p SeparationParams) (float64, error) {
-	single, err := SingleFrontierWA(p)
-	if err != nil {
-		return 0, err
-	}
-	sep, err := SeparatedFrontierWA(p)
-	if err != nil {
-		return 0, err
-	}
-	if sep <= 0 {
-		return 0, fmt.Errorf("model: separated WA %g must be positive", sep)
-	}
-	return single / sep, nil
-}

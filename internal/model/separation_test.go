@@ -40,10 +40,7 @@ func TestSeparationGainSkewed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gain, err := SeparationWAGain(tc.p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		gain := single / sep
 		if !(sep < single) {
 			t.Errorf("%s: separated WA %.3f not below single-frontier WA %.3f", tc.name, sep, single)
 		}
@@ -60,10 +57,7 @@ func TestSeparationGainVanishesWithoutSkew(t *testing.T) {
 	// With HotWriteShare == HotPageFraction both classes update at the same
 	// per-page rate: splitting them buys (essentially) nothing.
 	p := SeparationParams{OverProvision: 0.7, HotPageFraction: 0.3, HotWriteShare: 0.3}
-	gain, err := SeparationWAGain(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gain := separationGain(t, p)
 	if gain < 0.99 || gain > 1.02 {
 		t.Errorf("no-skew separation gain = %.4f, want ~1", gain)
 	}
@@ -72,10 +66,7 @@ func TestSeparationGainVanishesWithoutSkew(t *testing.T) {
 func TestSeparationGainMonotonicInSkew(t *testing.T) {
 	prev := 0.0
 	for i, share := range []float64{0.3, 0.5, 0.7, 0.9} {
-		gain, err := SeparationWAGain(SeparationParams{OverProvision: 0.7, HotPageFraction: 0.3, HotWriteShare: share})
-		if err != nil {
-			t.Fatal(err)
-		}
+		gain := separationGain(t, SeparationParams{OverProvision: 0.7, HotPageFraction: 0.3, HotWriteShare: share})
 		if i > 0 && gain < prev-1e-6 {
 			t.Errorf("gain not monotonic in skew: share %.1f gain %.4f < previous %.4f", share, gain, prev)
 		}
@@ -98,4 +89,19 @@ func TestSeparationParamsValidate(t *testing.T) {
 			t.Errorf("SeparatedFrontierWA(%+v) accepted invalid params", p)
 		}
 	}
+}
+
+// separationGain is the write-amplification reduction hot/cold separation
+// buys: SingleFrontierWA / SeparatedFrontierWA.
+func separationGain(t *testing.T, p SeparationParams) float64 {
+	t.Helper()
+	single, err := SingleFrontierWA(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sep, err := SeparatedFrontierWA(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return single / sep
 }

@@ -104,15 +104,6 @@ type FlashPVB struct {
 	// shadow mirrors the flash-resident bitmap so that the simulator can
 	// answer queries after the accounted IO has been issued.
 	shadow []*bitmap.Bitmap
-
-	stats Stats
-}
-
-// Stats counts the logical operations of a flash-resident PVB.
-type Stats struct {
-	Updates int64
-	Erases  int64
-	Queries int64
 }
 
 // NewFlashPVB creates a flash-resident PVB for the given geometry, storing
@@ -147,12 +138,6 @@ func NewFlashPVB(blocks, pagesPerBlock, pageSize int, store metastore.Storage) (
 	}
 	return p, nil
 }
-
-// Pages returns the number of PVB pages the structure comprises.
-func (p *FlashPVB) Pages() int { return len(p.location) }
-
-// Stats returns the operation counters.
-func (p *FlashPVB) Stats() Stats { return p.stats }
 
 func (p *FlashPVB) checkBlock(block flash.BlockID) error {
 	if block < 0 || int(block) >= p.blocks {
@@ -191,7 +176,6 @@ func (p *FlashPVB) Update(addr flash.Addr) error {
 	if addr.Offset < 0 || addr.Offset >= p.pagesPerBlock {
 		return fmt.Errorf("pvb: offset %d out of range [0,%d)", addr.Offset, p.pagesPerBlock)
 	}
-	p.stats.Updates++
 	p.shadow[addr.Block].Set(addr.Offset)
 	return p.rewrite(p.pvbPageOf(addr.Block))
 }
@@ -202,7 +186,6 @@ func (p *FlashPVB) RecordErase(block flash.BlockID) error {
 	if err := p.checkBlock(block); err != nil {
 		return err
 	}
-	p.stats.Erases++
 	p.shadow[block].Reset()
 	return p.rewrite(p.pvbPageOf(block))
 }
@@ -222,7 +205,6 @@ func (p *FlashPVB) QueryInto(block flash.BlockID, dst *bitmap.Bitmap) error {
 	if err := p.checkBlock(block); err != nil {
 		return err
 	}
-	p.stats.Queries++
 	if cur := p.location[p.pvbPageOf(block)]; cur != flash.InvalidPPN {
 		if err := p.store.Read(cur); err != nil {
 			return err

@@ -2,9 +2,11 @@ package pvb
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"geckoftl/internal/bitmap"
 	"geckoftl/internal/flash"
 	"geckoftl/internal/metastore"
 )
@@ -66,18 +68,18 @@ func TestRAMPVBUpdateQueryErase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.PopCount() != 2 || !got.Get(1) || !got.Get(5) {
-		t.Errorf("query = %v", got.SetBits())
+	if len(setBits(got)) != 2 || !got.Get(1) || !got.Get(5) {
+		t.Errorf("query = %v", setBits(got))
 	}
 	p.RecordErase(3)
 	got, _ = p.Query(3)
-	if got.Any() {
-		t.Errorf("query after erase = %v", got.SetBits())
+	if len(setBits(got)) != 0 {
+		t.Errorf("query after erase = %v", setBits(got))
 	}
 	// Query must return a copy, not expose internal state.
 	got.Set(0)
 	again, _ := p.Query(3)
-	if again.Any() {
+	if len(setBits(again)) != 0 {
 		t.Error("Query exposed internal bitmap")
 	}
 }
@@ -95,7 +97,7 @@ func TestRAMPVBCrash(t *testing.T) {
 	p.Update(flash.Addr{Block: 1, Offset: 1})
 	p.CrashRAM()
 	got, _ := p.Query(1)
-	if got.Any() {
+	if len(setBits(got)) != 0 {
 		t.Error("bitmap survived CrashRAM")
 	}
 }
@@ -148,8 +150,8 @@ func TestFlashPVBQueryCostsOneRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Get(3) || got.PopCount() != 1 {
-		t.Errorf("query = %v", got.SetBits())
+	if !got.Get(3) || len(setBits(got)) != 1 {
+		t.Errorf("query = %v", setBits(got))
 	}
 	delta := dev.Counters().Sub(before)
 	if delta.Count(flash.OpPageRead, flash.PurposePageValidity) != 1 || delta.TotalOp(flash.OpPageWrite) != 0 {
@@ -160,7 +162,7 @@ func TestFlashPVBQueryCostsOneRead(t *testing.T) {
 	dev2, p2 := newFlashHarness(t, 64, 16, 512, 8)
 	before = dev2.Counters()
 	got, _ = p2.Query(60)
-	if got.Any() {
+	if len(setBits(got)) != 0 {
 		t.Error("untouched block reported invalid pages")
 	}
 	delta = dev2.Counters().Sub(before)
@@ -177,20 +179,16 @@ func TestFlashPVBEraseClearsBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := p.Query(7)
-	if n := got.PopCount(); n != 0 {
-		t.Errorf("query after erase = %v, %d invalid pages", got.SetBits(), n)
-	}
-	st := p.Stats()
-	if st.Updates != 2 || st.Erases != 1 || st.Queries != 1 {
-		t.Errorf("stats = %+v", st)
+	if n := len(setBits(got)); n != 0 {
+		t.Errorf("query after erase = %v, %d invalid pages", setBits(got), n)
 	}
 }
 
 func TestFlashPVBPagesAndRAM(t *testing.T) {
 	_, p := newFlashHarness(t, 256, 16, 512, 8)
 	// 16-page blocks need 2 bytes of bitmap; 512-byte pages hold 256 blocks.
-	if got := p.Pages(); got != 1 {
-		t.Errorf("Pages = %d, want 1", got)
+	if got := len(p.location); got != 1 {
+		t.Errorf("%d PVB pages, want 1", got)
 	}
 	if got := p.RAMBytes(); got != 8 {
 		t.Errorf("RAMBytes = %d, want 8", got)
@@ -262,7 +260,7 @@ func TestQuickVariantsAgree(t *testing.T) {
 		for blk := 0; blk < blocks; blk++ {
 			x, err1 := fp.Query(flash.BlockID(blk))
 			y, err2 := rp.Query(flash.BlockID(blk))
-			if err1 != nil || err2 != nil || !x.Equal(y) {
+			if err1 != nil || err2 != nil || !reflect.DeepEqual(x, y) {
 				return false
 			}
 		}
@@ -271,4 +269,15 @@ func TestQuickVariantsAgree(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// setBits lists b's set bits in ascending order.
+func setBits(b *bitmap.Bitmap) []int {
+	out := []int{}
+	for i := range b.Len() {
+		if b.Get(i) {
+			out = append(out, i)
+		}
+	}
+	return out
 }

@@ -71,17 +71,6 @@ func (c Config) defaultMaxEntries() int {
 	return 2 * d
 }
 
-// Stats counts the log's logical operations.
-type Stats struct {
-	Updates    int64
-	Erases     int64
-	Queries    int64
-	Flushes    int64
-	Cleanings  int64
-	Reinserted int64
-	Discarded  int64
-}
-
 // Log is the page validity log with RAM-resident chain heads.
 type Log struct {
 	cfg   Config
@@ -113,8 +102,7 @@ type Log struct {
 	// timestamps in integrated RAM).
 	eraseSeq []uint64
 
-	seq   uint64
-	stats Stats
+	seq uint64
 }
 
 // New creates a page validity log over the given store.
@@ -143,12 +131,6 @@ func New(cfg Config, store metastore.Storage) (*Log, error) {
 	}
 	return l, nil
 }
-
-// Config returns the configuration.
-func (l *Log) Config() Config { return l.cfg }
-
-// Stats returns the operation counters.
-func (l *Log) Stats() Stats { return l.stats }
 
 // CleaningPages bounds the log pages one cleaning pass programs: it
 // reinserts only live entries, at most D, half the log bound (Appendix E).
@@ -179,7 +161,6 @@ func (l *Log) Update(addr flash.Addr) error {
 	if addr.Offset < 0 || addr.Offset >= l.cfg.PagesPerBlock {
 		return fmt.Errorf("pvl: offset %d out of range [0,%d)", addr.Offset, l.cfg.PagesPerBlock)
 	}
-	l.stats.Updates++
 	l.seq++
 	l.appendEntry(logEntry{block: addr.Block, offset: uint16(addr.Offset), seq: l.seq, prev: l.head[addr.Block]})
 	return l.maybeFlush()
@@ -214,7 +195,6 @@ func (l *Log) RecordErase(block flash.BlockID) error {
 	if err := l.checkBlock(block); err != nil {
 		return err
 	}
-	l.stats.Erases++
 	l.seq++
 	l.eraseSeq[block] = l.seq
 	l.head[block] = -1
@@ -246,7 +226,6 @@ func (l *Log) writeBuffer() error {
 	if l.buffered == 0 {
 		return nil
 	}
-	l.stats.Flushes++
 	pageIdx := (l.nextSlot - 1) / int64(l.cfg.EntriesPerPage())
 	ppn, err := l.store.Append(flash.SpareArea{Logical: flash.InvalidLPN, Tag: uint64(pageIdx), BlockType: flash.BlockGecko})
 	if err != nil {
@@ -256,9 +235,6 @@ func (l *Log) writeBuffer() error {
 	l.buffered = 0
 	return nil
 }
-
-// Flush forces buffered entries to flash.
-func (l *Log) Flush() error { return l.flush() }
 
 // clean implements the Appendix E cleaning mechanism: while the log exceeds
 // its bound, the oldest log page is read, entries newer than their block's
@@ -277,11 +253,10 @@ func (l *Log) clean() error {
 			// clean from flash.
 			return nil
 		}
-		l.stats.Cleanings++
 		if err := l.store.Read(ppn); err != nil {
 			return err
 		}
-		// A page Flush wrote part-full ends at the newest slot.
+		// A page flush wrote part-full ends at the newest slot.
 		end := min((oldPage+1)*per, l.nextSlot)
 		var reinsert []logEntry
 		discardedThisPass := int64(0)
@@ -290,7 +265,6 @@ func (l *Log) clean() error {
 			if e.seq > l.eraseSeq[e.block] {
 				reinsert = append(reinsert, e)
 			} else {
-				l.stats.Discarded++
 				discardedThisPass++
 			}
 		}
@@ -305,7 +279,6 @@ func (l *Log) clean() error {
 		// not need to follow invalidation order, it only needs to reach
 		// every live entry.
 		for _, e := range reinsert {
-			l.stats.Reinserted++
 			e.prev = l.head[e.block]
 			l.appendEntry(e)
 			if l.buffered >= l.cfg.EntriesPerPage() {
@@ -338,7 +311,6 @@ func (l *Log) QueryInto(block flash.BlockID, dst *bitmap.Bitmap) error {
 	if err := l.checkBlock(block); err != nil {
 		return err
 	}
-	l.stats.Queries++
 	dst.Reset()
 	per := int64(l.cfg.EntriesPerPage())
 	// A chain's slots descend — every entry is appended at the tail and

@@ -2,6 +2,7 @@ package pvl
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -78,16 +79,16 @@ func TestUpdateAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.PopCount() != 2 || !got.Get(0) || !got.Get(7) {
-		t.Errorf("query(2) = %v", got.SetBits())
+	if len(setBits(got)) != 2 || !got.Get(0) || !got.Get(7) {
+		t.Errorf("query(2) = %v", setBits(got))
 	}
 	got, _ = l.Query(5)
-	if got.PopCount() != 1 || !got.Get(3) {
-		t.Errorf("query(5) = %v", got.SetBits())
+	if len(setBits(got)) != 1 || !got.Get(3) {
+		t.Errorf("query(5) = %v", setBits(got))
 	}
 	got, _ = l.Query(9)
-	if got.Any() {
-		t.Errorf("untouched block = %v", got.SetBits())
+	if len(setBits(got)) != 0 {
+		t.Errorf("untouched block = %v", setBits(got))
 	}
 }
 
@@ -115,20 +116,20 @@ func TestEraseHidesOlderEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := l.Query(4)
-	if got.Any() {
-		t.Errorf("query after erase = %v", got.SetBits())
+	if len(setBits(got)) != 0 {
+		t.Errorf("query after erase = %v", setBits(got))
 	}
 	// New invalidations after the erase are visible.
 	l.Update(flash.Addr{Block: 4, Offset: 6})
 	got, _ = l.Query(4)
-	if got.PopCount() != 1 || !got.Get(6) {
-		t.Errorf("query after re-update = %v", got.SetBits())
+	if len(setBits(got)) != 1 || !got.Get(6) {
+		t.Errorf("query after re-update = %v", setBits(got))
 	}
 }
 
 func TestBufferedUpdatesFlushAsOnePageWrite(t *testing.T) {
 	dev, l := newHarness(t, 64, 8, 512, 16, 0)
-	per := l.Config().EntriesPerPage()
+	per := l.cfg.EntriesPerPage()
 	for i := 0; i < per-1; i++ {
 		if err := l.Update(flash.Addr{Block: flash.BlockID(i % 64), Offset: i % 8}); err != nil {
 			t.Fatal(err)
@@ -145,14 +146,11 @@ func TestBufferedUpdatesFlushAsOnePageWrite(t *testing.T) {
 	if c.Count(flash.OpPageWrite, flash.PurposePageValidity) != 1 {
 		t.Errorf("writes after %d updates = %d, want 1", per, c.TotalOp(flash.OpPageWrite))
 	}
-	if l.Stats().Flushes != 1 {
-		t.Errorf("flushes = %d, want 1", l.Stats().Flushes)
-	}
 }
 
 func TestCleaningBoundsLogSize(t *testing.T) {
 	// Default bound: twice the over-provisioned space (2*D).
-	_, l := newHarness(t, 32, 8, 256, 64, 0)
+	dev, l := newHarness(t, 32, 8, 256, 64, 0)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 3000; i++ {
 		if rng.Intn(6) == 0 {
@@ -165,16 +163,15 @@ func TestCleaningBoundsLogSize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The cleaning keeps the live entry count near the bound; reinsertion
-	// and undiscardable pages can exceed it only by a modest factor.
+	// The cleaning keeps the live entry count near the bound, discarding
+	// obsolete entries; reinsertion and undiscardable pages can exceed it
+	// only by a modest factor.
 	if got := l.Entries(); got > 2*l.max {
 		t.Errorf("log holds %d entries, bound %d", got, l.max)
 	}
-	if l.Stats().Cleanings == 0 {
+	// Nothing queried: every page read is a cleaning pass reading a log page.
+	if io := dev.Counters(); io.TotalOp(flash.OpPageRead) == 0 {
 		t.Error("expected cleanings to have run")
-	}
-	if l.Stats().Discarded == 0 {
-		t.Error("expected obsolete entries to be discarded")
 	}
 }
 
@@ -210,8 +207,8 @@ func TestCleaningPreservesAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(query(flash.BlockID(b))) {
-			t.Fatalf("block %d: log=%v reference=%v", b, got.SetBits(), query(flash.BlockID(b)).SetBits())
+		if !reflect.DeepEqual(got, query(flash.BlockID(b))) {
+			t.Fatalf("block %d: log=%v reference=%v", b, setBits(got), setBits(query(flash.BlockID(b))))
 		}
 	}
 }
@@ -229,7 +226,7 @@ func TestLogEntryWidth(t *testing.T) {
 // degrades to a larger one, and every entry and answer survives the ring's
 // doubling.
 func TestUndiscardableLogGrows(t *testing.T) {
-	_, l := newHarness(t, 16, 8, 256, 64, 11)
+	dev, l := newHarness(t, 16, 8, 256, 64, 11)
 	ring := len(l.ring)
 	ref := make([]*bitmap.Bitmap, 16)
 	for i := range ref {
@@ -244,8 +241,10 @@ func TestUndiscardableLogGrows(t *testing.T) {
 		}
 		ref[a.Block].Set(a.Offset)
 	}
-	if l.Stats().Cleanings == 0 || l.Stats().Discarded != 0 {
-		t.Fatalf("%d cleanings discarded %d entries; want some cleanings and no discards", l.Stats().Cleanings, l.Stats().Discarded)
+	// Nothing queried yet: every page read is a cleaning pass. The entry
+	// count below shows none discarded anything.
+	if io := dev.Counters(); io.TotalOp(flash.OpPageRead) == 0 {
+		t.Fatal("no cleaning pass ran")
 	}
 	if l.Entries() != updates || len(l.ring) < updates || ring >= updates {
 		t.Fatalf("%d entries in a ring of %d, grown from %d; want %d entries", l.Entries(), len(l.ring), ring, updates)
@@ -255,8 +254,8 @@ func TestUndiscardableLogGrows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(ref[b]) {
-			t.Errorf("block %d: log=%v reference=%v", b, got.SetBits(), ref[b].SetBits())
+		if !reflect.DeepEqual(got, ref[b]) {
+			t.Errorf("block %d: log=%v reference=%v", b, setBits(got), setBits(ref[b]))
 		}
 	}
 }
@@ -272,7 +271,7 @@ func TestRAMBytesGrowsWithBlocks(t *testing.T) {
 func TestFlushForcesBufferedEntriesOut(t *testing.T) {
 	dev, l := newHarness(t, 16, 8, 512, 8, 0)
 	l.Update(flash.Addr{Block: 1, Offset: 1})
-	if err := l.Flush(); err != nil {
+	if err := l.flush(); err != nil {
 		t.Fatal(err)
 	}
 	c := dev.Counters()
@@ -280,7 +279,7 @@ func TestFlushForcesBufferedEntriesOut(t *testing.T) {
 		t.Errorf("writes after explicit flush = %d, want 1", c.TotalOp(flash.OpPageWrite))
 	}
 	// Flushing an empty buffer is a no-op.
-	if err := l.Flush(); err != nil {
+	if err := l.flush(); err != nil {
 		t.Fatal(err)
 	}
 	c = dev.Counters()
@@ -335,7 +334,7 @@ func TestQuickAgainstReference(t *testing.T) {
 		}
 		for b := 0; b < 16; b++ {
 			got, err := l.Query(flash.BlockID(b))
-			if err != nil || !got.Equal(ref[b]) {
+			if err != nil || !reflect.DeepEqual(got, ref[b]) {
 				return false
 			}
 		}
@@ -344,4 +343,15 @@ func TestQuickAgainstReference(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// setBits lists b's set bits in ascending order.
+func setBits(b *bitmap.Bitmap) []int {
+	out := []int{}
+	for i := range b.Len() {
+		if b.Get(i) {
+			out = append(out, i)
+		}
+	}
+	return out
 }

@@ -143,7 +143,6 @@ type Ticket struct {
 	// completion; readers may touch it only once the ticket has completed
 	// (Wait returned, Err is not ErrPending, or Done is closed).
 	err         error
-	arrival     time.Duration
 	completedAt time.Duration
 
 	// completed is the publication: stored, under mu, after the outcome.
@@ -158,9 +157,8 @@ type Ticket struct {
 
 // finish records the outcome and completes the ticket; the shard worker calls
 // it exactly once per ticket.
-func (t *Ticket) finish(arrival, completedAt time.Duration, err error) {
+func (t *Ticket) finish(completedAt time.Duration, err error) {
 	t.ctx = nil
-	t.arrival = arrival
 	t.completedAt = completedAt
 	t.err = err
 	t.mu.Lock()
@@ -218,12 +216,6 @@ func (t *Ticket) Wait(ctx context.Context) error {
 		return ctx.Err()
 	}
 }
-
-// Arrival returns the operation's effective virtual arrival instant: the
-// stamped arrival, pushed forward to the instant the queue had room when
-// AdmitWait delayed it. Closed-loop drivers read it to advance their producer
-// clock. Valid once the ticket has completed.
-func (t *Ticket) Arrival() time.Duration { return t.arrival }
 
 // CompletedAt returns the operation's virtual completion instant on its
 // shard's timeline; zero for shed or cancelled operations. Valid once the
@@ -448,7 +440,7 @@ func (e *Engine) worker(s int) {
 // shard's arrival stream, deterministic regardless of host scheduling.
 func (e *Engine) process(s int, sq *shardQueue, tk *Ticket) {
 	if tk.req.Kind == opBarrier {
-		tk.finish(tk.req.Arrival, 0, nil)
+		tk.finish(0, nil)
 		return
 	}
 	// The cancellation boundary: an operation whose submission ctx died
@@ -456,7 +448,7 @@ func (e *Engine) process(s int, sq *shardQueue, tk *Ticket) {
 	if tk.ctx != nil {
 		if err := tk.ctx.Err(); err != nil {
 			sq.cancelled.Add(1)
-			tk.finish(tk.req.Arrival, 0, err)
+			tk.finish(0, err)
 			return
 		}
 	}
@@ -467,7 +459,7 @@ func (e *Engine) process(s int, sq *shardQueue, tk *Ticket) {
 			switch e.cfg.Policy {
 			case AdmitShed:
 				sq.shed.Add(1)
-				tk.finish(arr, 0, ErrFull)
+				tk.finish(0, ErrFull)
 				return
 			case AdmitWait:
 				// Admit, accounting the wait from the instant the backlog
@@ -492,7 +484,7 @@ func (e *Engine) process(s int, sq *shardQueue, tk *Ticket) {
 		sq.lat.Record(done - arr)
 		sq.latMu.Unlock()
 	}
-	tk.finish(arr, done, err)
+	tk.finish(done, err)
 }
 
 // Drain blocks until every operation submitted before the call has completed,

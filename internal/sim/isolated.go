@@ -5,21 +5,12 @@ import (
 
 	"geckoftl/internal/bitmap"
 	"geckoftl/internal/flash"
+	"geckoftl/internal/ftl"
 	"geckoftl/internal/gecko"
 	"geckoftl/internal/metastore"
 	"geckoftl/internal/pvb"
 	"geckoftl/internal/workload"
 )
-
-// validityScheme is the page-validity structure measured by the isolated
-// experiments of Sections 5.1 and 5.2 (Logarithmic Gecko under different
-// tunings, or the flash-resident PVB baseline).
-type validityScheme interface {
-	Update(addr flash.Addr) error
-	RecordErase(block flash.BlockID) error
-	Query(block flash.BlockID) (*bitmap.Bitmap, error)
-	RAMBytes() int64
-}
 
 // IsolatedOptions configures an isolated page-validity experiment: the
 // paper's Sections 5.1 and 5.2 drive Logarithmic Gecko and a flash-resident
@@ -54,7 +45,7 @@ type SchemeBuilder struct {
 	// Build creates the structure for a device with the given number of
 	// user blocks, pages per block and page size, storing its pages in the
 	// given store.
-	Build func(userBlocks, pagesPerBlock, pageSize int, store metastore.Storage) (validityScheme, error)
+	Build func(userBlocks, pagesPerBlock, pageSize int, store metastore.Storage) (ftl.ValidityStore, error)
 }
 
 // GeckoScheme builds Logarithmic Gecko with the given size ratio and
@@ -67,7 +58,7 @@ func GeckoScheme(sizeRatio, partitionFactor int) SchemeBuilder {
 	name += ")"
 	return SchemeBuilder{
 		Name: name,
-		Build: func(userBlocks, pagesPerBlock, pageSize int, store metastore.Storage) (validityScheme, error) {
+		Build: func(userBlocks, pagesPerBlock, pageSize int, store metastore.Storage) (ftl.ValidityStore, error) {
 			cfg := gecko.DefaultConfig(userBlocks, pagesPerBlock, pageSize)
 			cfg.SizeRatio = sizeRatio
 			if partitionFactor > 0 {
@@ -82,7 +73,7 @@ func GeckoScheme(sizeRatio, partitionFactor int) SchemeBuilder {
 func FlashPVBScheme() SchemeBuilder {
 	return SchemeBuilder{
 		Name: "flash-pvb",
-		Build: func(userBlocks, pagesPerBlock, pageSize int, store metastore.Storage) (validityScheme, error) {
+		Build: func(userBlocks, pagesPerBlock, pageSize int, store metastore.Storage) (ftl.ValidityStore, error) {
 			return pvb.NewFlashPVB(userBlocks, pagesPerBlock, pageSize, store)
 		},
 	}
@@ -177,9 +168,11 @@ func RunIsolated(opts IsolatedOptions) (IsolatedResult, error) {
 // bookkeeping is free (it models RAM-resident state that every FTL has); only
 // the page-validity structure's IO hits the device.
 type isolatedDriver struct {
-	scheme        validityScheme
+	scheme        ftl.ValidityStore
 	blocks        int
 	pagesPerBlock int
+	// invalid receives each GC query's answer, one bitmap for the run.
+	invalid *bitmap.Bitmap
 
 	mapping  []flash.PPN // lpn -> ppn
 	ownerOf  []flash.LPN // ppn -> lpn (InvalidLPN when free or stale)
@@ -193,11 +186,12 @@ type isolatedDriver struct {
 
 // newIsolatedDriver starts a driver on an empty device of blocks user blocks
 // serving logicalPages logical pages, writing into block 0.
-func newIsolatedDriver(scheme validityScheme, blocks, pagesPerBlock int, logicalPages int64) *isolatedDriver {
+func newIsolatedDriver(scheme ftl.ValidityStore, blocks, pagesPerBlock int, logicalPages int64) *isolatedDriver {
 	d := &isolatedDriver{
 		scheme:        scheme,
 		blocks:        blocks,
 		pagesPerBlock: pagesPerBlock,
+		invalid:       bitmap.New(pagesPerBlock),
 		mapping:       make([]flash.PPN, logicalPages),
 		ownerOf:       make([]flash.LPN, blocks*pagesPerBlock),
 		valid:         make([]int, blocks),
@@ -281,7 +275,7 @@ func (d *isolatedDriver) gcIfNeeded() error {
 			return fmt.Errorf("sim: isolated driver found no GC victim")
 		}
 		d.gcOps++
-		if _, err := d.scheme.Query(flash.BlockID(victim)); err != nil {
+		if err := d.scheme.QueryInto(flash.BlockID(victim), d.invalid); err != nil {
 			return err
 		}
 		// Migrate live pages (the in-memory ownerOf map knows liveness).

@@ -53,10 +53,11 @@ func TestIsolatedGeckoBeatsFlashPVB(t *testing.T) {
 // driver's block bookkeeping does not depend on the structure it feeds.
 type noScheme struct{}
 
-func (noScheme) Update(flash.Addr) error                     { return nil }
-func (noScheme) RecordErase(flash.BlockID) error             { return nil }
-func (noScheme) Query(flash.BlockID) (*bitmap.Bitmap, error) { return nil, nil }
-func (noScheme) RAMBytes() int64                             { return 0 }
+func (noScheme) Update(flash.Addr) error                       { return nil }
+func (noScheme) RecordErase(flash.BlockID) error               { return nil }
+func (noScheme) QueryInto(flash.BlockID, *bitmap.Bitmap) error { return nil }
+func (noScheme) RAMBytes() int64                               { return 0 }
+func (noScheme) CrashRAM()                                     {}
 
 // TestIsolatedDriverCountsFreeBlocks runs the isolated driver through a
 // quick-scale warm-up and window and requires its free-block counter to

@@ -68,15 +68,6 @@ func (h *Histogram) Record(d time.Duration) {
 	}
 }
 
-// Count returns the number of observations recorded.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Max returns the largest observation recorded (exact, not bucketed).
-func (h *Histogram) Max() time.Duration { return h.max }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() time.Duration { return h.sum }
-
 // Mean returns the mean observation, zero when empty.
 func (h *Histogram) Mean() time.Duration {
 	if h.count == 0 {

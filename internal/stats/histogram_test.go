@@ -78,14 +78,14 @@ func TestMergeEqualsConcatenation(t *testing.T) {
 			for _, s := range shards {
 				merged.Merge(s)
 			}
-			if merged.Count() != whole.Count() {
-				t.Fatalf("merged count %d != concatenated count %d", merged.Count(), whole.Count())
+			if merged.count != whole.count {
+				t.Fatalf("merged count %d != concatenated count %d", merged.count, whole.count)
 			}
-			if merged.Sum() != whole.Sum() {
-				t.Fatalf("merged sum %v != concatenated sum %v", merged.Sum(), whole.Sum())
+			if merged.sum != whole.sum {
+				t.Fatalf("merged sum %v != concatenated sum %v", merged.sum, whole.sum)
 			}
-			if merged.Max() != whole.Max() {
-				t.Fatalf("merged max %v != concatenated max %v", merged.Max(), whole.Max())
+			if merged.max != whole.max {
+				t.Fatalf("merged max %v != concatenated max %v", merged.max, whole.max)
 			}
 			for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
 				if m, w := merged.Quantile(q), whole.Quantile(q); m != w {

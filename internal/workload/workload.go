@@ -88,15 +88,6 @@ func NewSequential(logicalPages int64) (*Sequential, error) {
 	return &Sequential{pages: flash.LPN(logicalPages)}, nil
 }
 
-// MustNewSequential is NewSequential that panics on invalid parameters.
-func MustNewSequential(logicalPages int64) *Sequential {
-	s, err := NewSequential(logicalPages)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Next returns a write to the next logical page in sequence.
 func (s *Sequential) Next() Op {
 	op := Op{Kind: OpWrite, Page: s.next}
@@ -187,15 +178,6 @@ func NewHotCold(logicalPages int64, hotFraction, hotProbability float64, seed in
 		hotProbability: hotProbability,
 		rng:            rand.New(rand.NewSource(seed)),
 	}, nil
-}
-
-// MustNewHotCold is NewHotCold that panics on invalid parameters.
-func MustNewHotCold(logicalPages int64, hotFraction, hotProbability float64, seed int64) *HotCold {
-	h, err := NewHotCold(logicalPages, hotFraction, hotProbability, seed)
-	if err != nil {
-		panic(err)
-	}
-	return h
 }
 
 // Next returns a write, hot with the configured probability.
@@ -383,9 +365,6 @@ func ParseTrace(name string, r io.Reader) (*Trace, error) {
 	}
 	return NewTrace(name, ops)
 }
-
-// Len returns the number of operations in the trace.
-func (t *Trace) Len() int { return len(t.ops) }
 
 // Next returns the next traced operation, cycling at the end.
 func (t *Trace) Next() Op {

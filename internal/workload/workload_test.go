@@ -109,7 +109,10 @@ func TestByNameBuildsEveryWorkload(t *testing.T) {
 }
 
 func TestSequentialWrapsAround(t *testing.T) {
-	s := MustNewSequential(3)
+	s, err := NewSequential(3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []flash.LPN{0, 1, 2, 0, 1}
 	for i, w := range want {
 		op := s.Next()
@@ -153,7 +156,10 @@ func TestZipfianIsSkewedAndInRange(t *testing.T) {
 
 func TestHotColdSkew(t *testing.T) {
 	const pages = 1000
-	h := MustNewHotCold(pages, 0.2, 0.8, 3)
+	h, err := NewHotCold(pages, 0.2, 0.8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	hot := 0
 	const draws = 20000
 	for i := 0; i < draws; i++ {
@@ -201,8 +207,8 @@ func TestTraceReplayAndCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 2 {
-		t.Errorf("Len = %d", tr.Len())
+	if len(tr.ops) != 2 {
+		t.Errorf("Len = %d", len(tr.ops))
 	}
 	got := []Op{tr.Next(), tr.Next(), tr.Next()}
 	if got[0] != (Op{OpWrite, 1}) || got[1] != (Op{OpRead, 2}) || got[2] != (Op{OpWrite, 1}) {
@@ -224,8 +230,8 @@ w 30
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", tr.Len())
+	if len(tr.ops) != 3 {
+		t.Fatalf("Len = %d, want 3", len(tr.ops))
 	}
 	ops := []Op{tr.Next(), tr.Next(), tr.Next()}
 	want := []Op{{OpWrite, 10}, {OpRead, 20}, {OpWrite, 30}}
@@ -265,11 +271,19 @@ func TestOpKindString(t *testing.T) {
 func TestQuickGeneratorsStayInRange(t *testing.T) {
 	f := func(seed int64, pagesRaw uint16) bool {
 		pages := int64(pagesRaw)%5000 + 10
+		seq, err := NewSequential(pages)
+		if err != nil {
+			return false
+		}
+		hotCold, err := NewHotCold(pages, 0.25, 0.75, seed)
+		if err != nil {
+			return false
+		}
 		gens := []Generator{
 			MustNewUniform(pages, seed),
-			MustNewSequential(pages),
+			seq,
 			MustNewZipfian(pages, 1.2, seed),
-			MustNewHotCold(pages, 0.25, 0.75, seed),
+			hotCold,
 			MustNewMixed(MustNewUniform(pages, seed), pages, 0.5, seed),
 		}
 		for _, g := range gens {
