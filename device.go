@@ -287,8 +287,8 @@ func (d *Device) Trim(ctx context.Context, start LPN, count int) error {
 	if count < 0 || start < 0 || int64(start)+int64(count) > d.eng.LogicalPages() {
 		return fmt.Errorf("%w: trim range [%d,%d) of %d logical pages", ErrOutOfRange, start, int64(start)+int64(count), d.eng.LogicalPages())
 	}
-	// A short range's page list stays on the stack; the fan-out keeps none
-	// of it.
+	// A short range's page list stays on the stack; TrimBatch keeps none of
+	// it.
 	var short [16]LPN
 	lpns := short[:min(count, len(short))]
 	if count > len(short) {
@@ -300,10 +300,12 @@ func (d *Device) Trim(ctx context.Context, start LPN, count int) error {
 	return wrapErr(d.eng.TrimBatch(ctx, lpns))
 }
 
-// WriteBatch updates every logical page in lpns, fanning the requests out
-// across the engine's shards in parallel. Pages of the same shard are
-// written in slice order; ordering across shards is unspecified, as on a
-// real multi-channel controller.
+// WriteBatch updates every logical page in lpns as one arrival at the device:
+// the pages are grouped by the engine's shards and run on the calling
+// goroutine, and the simulated time overlaps across channels because every
+// die keeps its own clock. Pages of the same shard are written in slice
+// order; callers must not rely on the order across shards, as on a real
+// multi-channel controller. Batches from several goroutines may overlap.
 //
 // ctx is honoured throughout the batch, not only at entry: every shard
 // re-checks it between operations, so cancelling mid-batch stops each
@@ -317,8 +319,8 @@ func (d *Device) WriteBatch(ctx context.Context, lpns []LPN) error {
 	return wrapErr(d.eng.WriteBatch(ctx, lpns))
 }
 
-// ReadBatch reads every logical page in lpns in parallel across shards.
-// Cancellation semantics as for WriteBatch.
+// ReadBatch reads every logical page in lpns as one arrival, grouped by shard
+// as for WriteBatch. Cancellation semantics as for WriteBatch.
 func (d *Device) ReadBatch(ctx context.Context, lpns []LPN) error {
 	if err := d.guard(ctx); err != nil {
 		return err
@@ -326,8 +328,8 @@ func (d *Device) ReadBatch(ctx context.Context, lpns []LPN) error {
 	return wrapErr(d.eng.ReadBatch(ctx, lpns))
 }
 
-// TrimBatch trims every logical page in lpns in parallel across shards.
-// Cancellation semantics as for WriteBatch.
+// TrimBatch trims every logical page in lpns as one arrival, grouped by shard
+// as for WriteBatch. Cancellation semantics as for WriteBatch.
 func (d *Device) TrimBatch(ctx context.Context, lpns []LPN) error {
 	if err := d.guard(ctx); err != nil {
 		return err

@@ -122,9 +122,9 @@ func TestHostAllocBudget(t *testing.T) {
 			}
 
 			// A trim of the same page. Device.Trim takes the batch path: a
-			// short range's page list lives on the stack, the fan-out's own
-			// state is recycled, the caller drives the one bucket itself and
-			// the trim beneath adds nothing (see engine-trim below).
+			// short range's page list lives on the stack, the batch's own
+			// scratch is recycled, the caller drains the one bucket and the
+			// trim beneath adds nothing (see engine-trim below).
 			if perTrim := testing.AllocsPerRun(1000, func() {
 				if err := dev.Trim(ctx, hot, 1); err != nil {
 					t.Fatal(err)
@@ -207,11 +207,9 @@ func TestHostAllocBudget(t *testing.T) {
 		}
 	})
 
-	// Batches: what the fan-out costs around the operations it carries. A
-	// batch spread over S shards starts S-1 goroutines (the caller drives one
-	// bucket itself), each through a runner its pooled batch bound once, and
-	// recycles everything else, so a batch allocates nothing however many
-	// shards it spans. The writes are of cached pages; the rare object a
+	// Batches: what a batch costs around the operations it carries. A batch
+	// runs every bucket on its caller's goroutine over pooled scratch, so it
+	// allocates nothing however many shards it spans. The writes are of cached pages; the rare object a
 	// Gecko merge makes among them (see above) is fewer than one per run,
 	// which AllocsPerRun's integer average drops.
 	t.Run("batches", func(t *testing.T) {

@@ -60,8 +60,8 @@ var seeded = []struct {
 		// Engine.runBucket, the one loop behind every batch, stops checking
 		// ctx between a shard's operations.
 		rule: "ctxcheck", file: "internal/ftl/engine.go",
-		old: "\t\tif ctx != nil {\n\t\t\tif err := ctx.Err(); err != nil {\n\t\t\t\tb.errs[s] = fmt.Errorf(\"shard %d: %w\", s, err)\n\t\t\t\treturn\n\t\t\t}\n\t\t}\n",
-		at:  "for _, lpn := range b.locals[b.starts[s]:b.starts[s+1]] {",
+		old: "\t\tif ctx != nil {\n\t\t\tif err := ctx.Err(); err != nil {\n\t\t\t\treturn err\n\t\t\t}\n\t\t}\n",
+		at:  "for _, lpn := range pages {",
 	},
 	{
 		rule: "detrand", file: "internal/workload/workload.go",

@@ -120,8 +120,8 @@ func BenchmarkSynchronizeFirstTouch(b *testing.B) {
 
 // BenchmarkEngineFanOut times one ReadBatch of 256 pages whose mapping entries
 // are cached, spread evenly over 8 shards: the reads beneath are as cheap as
-// an operation gets, so what is left is the fan-out itself — bucketing, the
-// goroutines, the join.
+// an operation gets, so what is left is the batch's own cost — bucketing, the
+// arrival stamp, a lock per shard.
 func BenchmarkEngineFanOut(b *testing.B) {
 	cfg := flash.ScaledConfig(1024)
 	cfg.Channels = 8

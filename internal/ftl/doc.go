@@ -82,8 +82,10 @@
 // multi-channel devices (see the flash package's topology support): it
 // partitions the device into one contiguous block range per channel, runs an
 // independent FTL per partition, stripes logical pages across the shards,
-// and serves batched IO (ReadBatch/WriteBatch) by fanning requests out to
-// the shards in parallel. Because every shard owns its translation map,
+// and serves batched IO (ReadBatch/WriteBatch/TrimBatch) as one bucket of
+// pages per shard, drained on the caller's goroutine against one arrival
+// instant; the channels' parallelism is in the device's per-die clocks. Because
+// every shard owns its translation map,
 // block manager and validity store outright, the only shared state is the
 // device itself, which latches per die; the whole engine is safe for
 // concurrent use and -race clean.

@@ -30,10 +30,11 @@ import (
 // divide) share one latch and serialize.
 //
 // Single-page Read/Write and the batched ReadBatch/WriteBatch are safe for
-// concurrent use from any number of goroutines. Batches fan out across
-// shards in parallel, which is what exploits the device's channel
-// parallelism: with S shards on S channels, the busiest die sees roughly 1/S
-// of the IO.
+// concurrent use from any number of goroutines. A batch runs on its caller's
+// goroutine, one shard's pages after another's; the device's channel
+// parallelism lives in its per-die virtual clocks, not in host goroutines:
+// with S shards on S channels, the busiest die sees roughly 1/S of the IO
+// and the batch's simulated time is that die's.
 type Engine struct {
 	dev           *flash.Device
 	opts          Options
@@ -46,7 +47,7 @@ type Engine struct {
 	powerMu sync.Mutex
 	failed  bool
 
-	// batches recycles fanOut's per-batch state; see batch.
+	// batches recycles runBatch's scratch; see batch.
 	batches sync.Pool
 }
 
@@ -146,13 +147,7 @@ func NewEngine(dev *flash.Device, opts Options, shards int) (*Engine, error) {
 	}
 	e.perShardPages = e.shards[0].ftl.LogicalPages()
 	e.logicalPages = e.perShardPages * int64(shards)
-	e.batches.New = func() any {
-		b := &batch{starts: make([]int, shards+1), errs: make([]error, shards), run: make([]func(), shards)}
-		for s := range b.run {
-			b.run[s] = func() { e.runBucket(b.ctx, b, b.kind, s, b.arrival) }
-		}
-		return b
-	}
+	e.batches.New = func() any { return &batch{starts: make([]int, shards+1)} }
 	return e, nil
 }
 
@@ -226,7 +221,7 @@ func (e *Engine) ShardAdvanceArrival(s int, t time.Duration) {
 }
 
 // SyncArrival advances every shard's arrival clock to the device's latest
-// die completion and returns it: fanOut's arrival instant for a batch, so an
+// die completion and returns it: runBatch's arrival instant for a batch, so an
 // operation's latency charges queueing behind its round on its die but not
 // idle time from before the round. It takes no lock.
 func (e *Engine) SyncArrival() time.Duration {
@@ -311,27 +306,28 @@ func (e *Engine) Write(lpn flash.LPN) error { return e.Do(flash.HostWrite, lpn) 
 // Read serves one application read.
 func (e *Engine) Read(lpn flash.LPN) error { return e.Do(flash.HostRead, lpn) }
 
-// WriteBatch writes every logical page in lpns, fanning the requests out
-// across shards in parallel and joining the results. Pages of the same shard
-// are written in slice order; ordering across shards is unspecified, as on a
-// real multi-channel controller. Cancelling ctx stops each shard's sub-batch
+// WriteBatch writes every logical page in lpns on the calling goroutine,
+// grouped by shard and with one arrival instant for the whole batch, and
+// joins the shards' errors. Pages of the same shard are written in slice
+// order; callers must not rely on the order across shards, as on a real
+// multi-channel controller. Cancelling ctx stops each shard's sub-batch
 // between operations: pages already written stay written, the rest are
 // skipped, and the joined error matches ctx.Err() under errors.Is. A nil ctx
 // disables cancellation.
 func (e *Engine) WriteBatch(ctx context.Context, lpns []flash.LPN) error {
-	return e.fanOut(ctx, flash.HostWrite, lpns)
+	return e.runBatch(ctx, flash.HostWrite, lpns)
 }
 
-// ReadBatch reads every logical page in lpns, fanning the requests out
-// across shards in parallel. Cancellation semantics as for WriteBatch.
+// ReadBatch reads every logical page in lpns, grouped by shard as for
+// WriteBatch. Cancellation semantics as for WriteBatch.
 func (e *Engine) ReadBatch(ctx context.Context, lpns []flash.LPN) error {
-	return e.fanOut(ctx, flash.HostRead, lpns)
+	return e.runBatch(ctx, flash.HostRead, lpns)
 }
 
-// TrimBatch trims every logical page in lpns, fanning the requests out
-// across shards in parallel. Cancellation semantics as for WriteBatch.
+// TrimBatch trims every logical page in lpns, grouped by shard as for
+// WriteBatch. Cancellation semantics as for WriteBatch.
 func (e *Engine) TrimBatch(ctx context.Context, lpns []flash.LPN) error {
-	return e.fanOut(ctx, flash.HostTrim, lpns)
+	return e.runBatch(ctx, flash.HostTrim, lpns)
 }
 
 // Mapped reports whether a logical page currently maps to flash-resident
@@ -348,28 +344,15 @@ func (e *Engine) Mapped(lpn flash.LPN) (bool, error) {
 	return sh.ftl.Mapped(local)
 }
 
-// batch is the carrying state of one fanOut call: the batch's pages grouped by
-// shard, the call's context, kind and arrival, each shard's first error, and
-// the join of the goroutines that run the buckets. Engines recycle them
-// (Engine.batches), so a batch in steady state allocates none of this.
+// batch is the scratch of one runBatch call: the batch's pages grouped by
+// shard. Engines recycle them (Engine.batches), so a batch in steady state
+// allocates none of it, and concurrent callers each borrow their own.
 type batch struct {
 	// locals holds the batch's shard-local LPNs grouped by shard, slice order
 	// preserved within a shard: shard s's bucket is
 	// locals[starts[s]:starts[s+1]].
 	locals []flash.LPN
 	starts []int
-	errs   []error
-	wg     sync.WaitGroup
-
-	// ctx, kind and arrival are the arguments of the fanOut call that holds
-	// the batch; run[s] drains shard s's bucket with them. The runners are
-	// bound once, when the pool makes the batch: a go statement that passes
-	// arguments heap-allocates a closure to carry them, and one that calls an
-	// argument-less func value does not.
-	ctx     context.Context
-	kind    flash.HostOp
-	arrival time.Duration
-	run     []func()
 }
 
 // bucket groups lpns by shard into b, a counting sort: one pass counts each
@@ -379,7 +362,6 @@ type batch struct {
 // the bucket's start and the pages of a shard in slice order.
 func (e *Engine) bucket(b *batch, lpns []flash.LPN) error {
 	clear(b.starts)
-	clear(b.errs)
 	for _, lpn := range lpns {
 		s, _, err := e.shardOf(lpn)
 		if err != nil {
@@ -405,77 +387,63 @@ func (e *Engine) bucket(b *batch, lpns []flash.LPN) error {
 	return nil
 }
 
-// fanOut buckets a batch of one kind by shard and drains every non-empty
-// bucket through runBucket, in parallel: the calling goroutine runs the first
-// of them itself and a goroutine runs each of the others, so a batch that
-// touches one shard starts none. The goroutines start the batch's bound
-// runners, which read the call's arguments off the batch, so a fan-out
-// allocates nothing. A shard that fails stops early; the joined errors of all
-// failed shards are returned.
+// runBatch buckets a batch of one kind by shard and drains every non-empty
+// bucket through runBucket on the calling goroutine, in ascending shard
+// order. A shard that fails stops early, the other shards still run, and the
+// failed shards' errors are returned joined in shard order. No goroutine is
+// started: every die keeps its own virtual clock, so the simulated time
+// overlaps across channels whichever goroutine drains a bucket, and a
+// goroutine per bucket cost more host CPU than it saved (docs/benchmarks.md,
+// "Batches on the calling goroutine"). Host concurrency is the callers':
+// batches from several goroutines overlap, each holding one shard lock at a
+// time.
 //
-// The batch's arrival instant is taken once, before the fan-out, so every
-// operation's recorded latency is measured against the same virtual "now":
-// the n-th operation of a bucket is charged the queueing behind its n-1
+// The batch's arrival instant is taken once, before the first bucket, so
+// every operation's recorded latency is measured against the same virtual
+// "now": the n-th operation of a bucket is charged the queueing behind its n-1
 // predecessors on the shard's dies, exactly as a host keeping a queue of
-// depth len(batch) would observe. With one batch in flight at a time (how
-// the sweeps drive the engine), each shard's dies are touched only by that
-// shard and the recorded latencies are deterministic regardless of
-// goroutine scheduling; overlapping batches from concurrent callers ratchet
-// every shard's arrival clock and so charge each other's queueing, as
+// depth len(batch) would observe. Overlapping batches from concurrent callers
+// ratchet every shard's arrival clock and so charge each other's queueing, as
 // overlapping arrivals at a real device would.
-func (e *Engine) fanOut(ctx context.Context, kind flash.HostOp, lpns []flash.LPN) error {
+func (e *Engine) runBatch(ctx context.Context, kind flash.HostOp, lpns []flash.LPN) error {
 	b := e.batches.Get().(*batch)
+	defer e.batches.Put(b)
 	if err := e.bucket(b, lpns); err != nil {
-		e.batches.Put(b)
 		return err
 	}
 	arrival := e.SyncArrival()
-	b.ctx, b.kind, b.arrival = ctx, kind, arrival
-	own := -1
+	var errs []error
 	for s := range e.shards {
 		if b.starts[s] == b.starts[s+1] {
 			continue
 		}
-		b.wg.Add(1)
-		if own < 0 {
-			own = s
-			continue
+		if err := e.runBucket(ctx, b.locals[b.starts[s]:b.starts[s+1]], kind, s, arrival); err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", s, err))
 		}
-		go b.run[s]()
 	}
-	if own >= 0 {
-		e.runBucket(ctx, b, kind, own, arrival)
-	}
-	b.wg.Wait()
-	// Join copies the non-nil errors, so b may be recycled under the result.
-	err := errors.Join(b.errs...)
-	b.ctx = nil // a pooled batch must not keep the caller's context alive
-	e.batches.Put(b)
-	return err
+	return errors.Join(errs...)
 }
 
-// runBucket drains shard s's bucket of b sequentially, holding the shard's
-// lock, and leaves the shard's first error in b.errs[s]. It re-checks ctx
-// before every operation — a batch observed to be cancelled stops at an
-// operation boundary on every shard instead of running to completion, and the
-// cancelled shards report ctx.Err().
-func (e *Engine) runBucket(ctx context.Context, b *batch, kind flash.HostOp, s int, arrival time.Duration) {
-	defer b.wg.Done()
+// runBucket drains one shard's bucket sequentially, holding the shard's lock,
+// and returns the shard's first error. It re-checks ctx before every
+// operation — a batch observed to be cancelled stops at an operation boundary
+// on every shard instead of running to completion, and the cancelled shards
+// report ctx.Err().
+func (e *Engine) runBucket(ctx context.Context, pages []flash.LPN, kind flash.HostOp, s int, arrival time.Duration) error {
 	sh := e.shards[s]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for _, lpn := range b.locals[b.starts[s]:b.starts[s+1]] {
+	for _, lpn := range pages {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				b.errs[s] = fmt.Errorf("shard %d: %w", s, err)
-				return
+				return err
 			}
 		}
 		if err := sh.do(kind, lpn, arrival); err != nil {
-			b.errs[s] = fmt.Errorf("shard %d: %w", s, err)
-			return
+			return err
 		}
 	}
+	return nil
 }
 
 // Flush forces all dirty state of every shard to flash. On a power-failed

@@ -210,11 +210,13 @@ func TestEngineBatchHammer(t *testing.T) {
 
 // TestConcurrentBatchesKeepTheirContext runs batches from several goroutines
 // on one engine, each goroutine alternating a cancelled context with a live
-// one. A batch's context, kind and arrival ride on the pooled state its
-// fan-out borrows, so two batches in flight must never see each other's: every
-// live call returns nil having done all its pages, and every cancelled call
-// returns context.Canceled having done none. Cancelled calls write pages no
-// live call touches, so one that ran a page leaves it mapped. Run with -race.
+// one. Each batch borrows pooled scratch for its buckets, so two batches in
+// flight must never see each other's pages or context: every live call
+// returns nil having done all its pages, and every cancelled call returns
+// context.Canceled having done none. Cancelled calls write pages no live call
+// touches, so one that ran a page leaves it mapped. With batches run on their
+// callers' goroutines, this and TestEngineBatchHammer are the batch path's
+// only concurrency. Run with -race.
 func TestConcurrentBatchesKeepTheirContext(t *testing.T) {
 	dev := engineTestDevice(t, 128, 4)
 	e, err := NewEngine(dev, GeckoFTLOptions(128), 4)
@@ -293,6 +295,80 @@ func TestConcurrentBatchesKeepTheirContext(t *testing.T) {
 	}
 	if err := e.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBatchesAreShardLoops pins what a batch is: a loop of shard operations
+// under one arrival stamp. An 8-shard engine driven by WriteBatch, ReadBatch
+// and TrimBatch must end in the same state as a twin driven by Do over the
+// same pages in bucket order — ascending shard, slice order within a shard:
+// the same logical counters, device IO, mapped pages, and consistent maps.
+func TestBatchesAreShardLoops(t *testing.T) {
+	batchDev, doDev := engineTestDevice(t, 256, 8), engineTestDevice(t, 256, 8)
+	batched, err := NewEngine(batchDev, GeckoFTLOptions(256), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	looped, err := NewEngine(doDev, GeckoFTLOptions(256), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	lp := batched.LogicalPages()
+	rng := rand.New(rand.NewSource(23))
+	lpns := make([]flash.LPN, 64)
+	for r := 0; int64(r*len(lpns)) < 4*lp; r++ {
+		for i := range lpns {
+			lpns[i] = flash.LPN(rng.Int63n(lp))
+		}
+		kind := flash.HostWrite
+		switch r % 10 {
+		case 3, 7:
+			kind = flash.HostRead
+			err = batched.ReadBatch(ctx, lpns)
+		case 9:
+			kind = flash.HostTrim
+			err = batched.TrimBatch(ctx, lpns)
+		default:
+			err = batched.WriteBatch(ctx, lpns)
+		}
+		if err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		for s := 0; s < looped.Shards(); s++ {
+			for _, lpn := range lpns {
+				if shard, _ := looped.ShardOf(lpn); shard != s {
+					continue
+				}
+				if err := looped.Do(kind, lpn); err != nil {
+					t.Fatalf("round %d: Do(%v, %d): %v", r, kind, lpn, err)
+				}
+			}
+		}
+	}
+
+	if b, d := batched.Stats(), looped.Stats(); b != d {
+		t.Errorf("logical counters differ:\nbatches %+v\nDo      %+v", b, d)
+	} else if b.GCOperations == 0 || b.TrimmedPages == 0 {
+		t.Fatalf("workload too small to mean anything: %+v", b)
+	}
+	if b, d := batchDev.Counters(), doDev.Counters(); b != d {
+		t.Errorf("device counters differ:\nbatches %+v\nDo      %+v", b, d)
+	}
+	for lpn := flash.LPN(0); int64(lpn) < lp; lpn++ {
+		b, err := batched.Mapped(lpn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, _ := looped.Mapped(lpn); b != d {
+			t.Fatalf("page %d: mapped %v after batches, %v after Do", lpn, b, d)
+		}
+	}
+	if err := batched.CheckConsistency(); err != nil {
+		t.Errorf("after batches: %v", err)
+	}
+	if err := looped.CheckConsistency(); err != nil {
+		t.Errorf("after Do: %v", err)
 	}
 }
 
