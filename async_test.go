@@ -3,6 +3,8 @@ package geckoftl
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -303,5 +305,68 @@ func TestResetStatsRestartsQueueLatency(t *testing.T) {
 	}
 	if snap.Queue.Submitted != n || snap.Queue.Completed != n {
 		t.Errorf("ResetStats cleared the queue's counters: %+v", snap.Queue)
+	}
+}
+
+// TestAsyncSnapshotRepeats requires the asynchronous path to repeat: one
+// goroutine driving the same windows of SubmitWrite and SubmitTrim, each
+// waited on, then a Drain, must leave the same Snapshot twice over, the
+// queue's latency distribution and its shed and delay counts included. It
+// runs at a shedding depth of 1, where part of each round is shed, and at the
+// defaults, where none is.
+func TestAsyncSnapshotRepeats(t *testing.T) {
+	run := func(t *testing.T, opts []Option) Snapshot {
+		d, err := Open(append([]Option{WithChannels(8, 1)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close(context.Background())
+		ctx := context.Background()
+		rng := rand.New(rand.NewSource(1))
+		pages := d.LogicalPages()
+		tickets := make([]*Ticket, 24)
+		for range 500 {
+			for i := range tickets {
+				lpn := LPN(rng.Int63n(pages))
+				if i%6 == 5 {
+					tickets[i], err = d.SubmitTrim(ctx, lpn)
+				} else {
+					tickets[i], err = d.SubmitWrite(ctx, lpn)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, tk := range tickets {
+				if err := tk.Wait(ctx); err != nil && !errors.Is(err, ErrQueueFull) {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := d.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return d.Snapshot()
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		shed bool
+	}{
+		{"depth 1 shed", []Option{WithQueueDepth(1), WithAdmissionPolicy(AdmitShed)}, true},
+		{"defaults", nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			first, second := run(t, tc.opts), run(t, tc.opts)
+			if !reflect.DeepEqual(first, second) {
+				t.Errorf("two identical runs differ:\n first %+v\nsecond %+v", first, second)
+			}
+			q := first.Queue
+			// Waiting ends a round, so each round of 24 arrives afresh and
+			// never overruns the default budget: nothing is delayed.
+			if q.Latency.Count == 0 || (q.Shed > 0) != tc.shed || q.Delayed != 0 {
+				t.Errorf("queue stats %+v; want latencies, shed > 0 = %v and nothing delayed", q, tc.shed)
+			}
+		})
 	}
 }

@@ -49,13 +49,8 @@ type Device struct {
 	// at Close; nil when checkpointing is disabled.
 	checkpointLock *checkpoint.Lock
 
-	// q is the lazily started submission engine (async.go), published once
-	// under qMu; queueDepth and queueAdmission are its configuration, fixed
-	// at Open.
-	qMu            sync.Mutex
-	q              atomic.Pointer[queue.Engine]
-	queueDepth     int
-	queueAdmission AdmissionPolicy
+	// q is the submission engine behind Submit* (async.go).
+	q *queue.Engine
 
 	// ckptMu guards the checkpoint bookkeeping below.
 	ckptMu sync.Mutex
@@ -96,13 +91,11 @@ func Open(opts ...Option) (*Device, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
-	d := &Device{
-		eng:            eng,
-		dev:            dev,
-		checkpointPath: cfg.checkpointPath,
-		queueDepth:     cfg.queueDepth,
-		queueAdmission: cfg.queueAdmission,
+	q, err := eng.NewQueue(cfg.queueDepth, cfg.queueAdmission)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
+	d := &Device{eng: eng, dev: dev, q: q, checkpointPath: cfg.checkpointPath}
 	if d.checkpointPath != "" {
 		// Own the path for this device's lifetime: a second Open of the same
 		// path fails fast with ErrCheckpointLocked instead of the two devices
@@ -380,10 +373,10 @@ func (d *Device) Close(ctx context.Context) error {
 	if d.closed.Swap(true) {
 		return ErrClosed
 	}
-	// Stop the asynchronous submission path first: queued operations execute
-	// to completion before the workers exit, so nothing lands after the flush
-	// and checkpoint below.
-	d.stopQueue()
+	// Stop the submission path first: a submission already executing
+	// finishes and none starts after, so nothing lands after the flush and
+	// checkpoint below.
+	d.q.Close()
 	err := d.closeFlush()
 	if rerr := d.checkpointLock.Release(); rerr != nil && err == nil {
 		err = rerr

@@ -54,9 +54,6 @@ var (
 	// exceeded the queue depth's budget; the drop is counted in
 	// Snapshot.Queue.Shed.
 	ErrQueueFull = errors.New("geckoftl: submission queue is full")
-	// ErrPending is returned by Ticket.Err while the submitted operation is
-	// still in flight.
-	ErrPending = errors.New("geckoftl: operation still in flight")
 )
 
 // checkpointErr classifies a checkpoint load failure under
@@ -93,8 +90,7 @@ func wrapErr(err error) error {
 	case errors.Is(err, ErrClosed), errors.Is(err, ErrPowerFailed),
 		errors.Is(err, ErrOutOfRange), errors.Is(err, ErrInvalidConfig),
 		errors.Is(err, ErrReadDecayed), errors.Is(err, ErrCheckpointInvalid),
-		errors.Is(err, ErrCheckpointLocked), errors.Is(err, ErrQueueFull),
-		errors.Is(err, ErrPending):
+		errors.Is(err, ErrCheckpointLocked), errors.Is(err, ErrQueueFull):
 		return err
 	case errors.Is(err, flash.ErrPowerFailed):
 		return fmt.Errorf("%w: %w", ErrPowerFailed, err)
@@ -108,8 +104,6 @@ func wrapErr(err error) error {
 		return fmt.Errorf("%w: %w", ErrQueueFull, err)
 	case errors.Is(err, queue.ErrClosed):
 		return fmt.Errorf("%w: %w", ErrClosed, err)
-	case errors.Is(err, queue.ErrPending):
-		return fmt.Errorf("%w: %w", ErrPending, err)
 	default:
 		return err
 	}

@@ -163,13 +163,12 @@ func TestHostAllocBudget(t *testing.T) {
 		}
 	})
 
-	// Asynchronous writes, 64 tickets in flight at a time as perfbench's
-	// async-write-8ch submits them. The ticket handed back is the queue's
-	// entry and the future, carved from a per-shard slab of 64 that is one
-	// allocation, and under a ctx that cannot be cancelled waiting on it makes
-	// no channel: a submission costs 1/64 of an object, the FTL's amortized
-	// flushes and merges a little more. A ticket allocated on its own costs
-	// one object per submission and fails the budget twenty times over.
+	// Asynchronous writes, rounds of 64 as perfbench's async-write-8ch
+	// submits them. The ticket handed back is the operation's outcome, carved
+	// from a per-shard slab of 127 that is one allocation: a submission costs
+	// 1/127 of an object, the FTL's amortized flushes and merges a little
+	// more. A ticket allocated on its own costs one object per submission and
+	// fails the budget twenty times over.
 	t.Run("submit-wait", func(t *testing.T) {
 		dev, rng := steadyDevice(t, "geckoftl", 8)
 		pages := dev.LogicalPages()
@@ -193,7 +192,7 @@ func TestHostAllocBudget(t *testing.T) {
 				}
 			}
 		}
-		round(lpns[:depth]) // starts the queue's workers
+		round(lpns[:depth]) // warms the shards' first slabs
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := depth; i < len(lpns); i += depth {
@@ -366,8 +365,8 @@ func TestRecoveryAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkDeviceSubmitWait times one steady-state asynchronous write, 64
-// tickets in flight on 8 channels: SubmitWrite for a window, then Wait on each
+// BenchmarkDeviceSubmitWait times one steady-state asynchronous write in
+// rounds of 64 on 8 channels: SubmitWrite for a round, then Wait on each
 // ticket, the loop of perfbench's async-write-8ch.
 func BenchmarkDeviceSubmitWait(b *testing.B) {
 	b.Run("8ch", func(b *testing.B) {

@@ -202,11 +202,9 @@ func (e *Engine) ShardOf(lpn flash.LPN) (int, error) {
 
 // ShardClock returns shard s's current virtual completion instant: the
 // busy-until of the shard's own plane. It takes neither the shard lock nor the
-// die latches — the die clocks are atomics that only grow — so a submitter
-// stamping an arrival never waits on the shard's worker and concurrent
-// operations on other shards never contend; a reading that races an in-flight
-// operation on the same shard is merely a lower bound, which is all the
-// queue's admission control needs.
+// die latches — the die clocks are atomics that only grow — so reading it
+// never contends with operations on any shard; a reading that races an
+// in-flight operation on the same shard is a lower bound.
 func (e *Engine) ShardClock(s int) time.Duration {
 	return e.shards[s].ftl.Device().BusyUntil()
 }
@@ -243,8 +241,8 @@ func (e *Engine) writeSeq() uint64 {
 }
 
 // Do serves one host operation of the given kind: the single-op body behind
-// Write, Read and Trim, and what the submission queue's workers execute. Safe
-// for concurrent use.
+// Write, Read and Trim, and what the submission queue executes. Safe for
+// concurrent use.
 //
 // A single-page operation's arrival instant is stamped on the shard's own
 // plane (Partition.SyncArrival, not the engine-wide SyncArrival): its
@@ -282,11 +280,11 @@ func (sh *engineShard) do(kind flash.HostOp, lpn flash.LPN, arrival time.Duratio
 	return err
 }
 
-// NewQueue starts an asynchronous submission queue over the engine: one FIFO
-// of the given depth per shard, drained by a worker that executes each
-// admitted request through Do, with admission control measuring the shard's
-// virtual backlog in units of the device's page-program latency. This is the
-// one place the queue's hooks are wired to an engine.
+// NewQueue builds a submission queue over the engine: admission control of
+// the given depth per shard, measuring the shard's virtual backlog in units of
+// the device's page-program latency, in front of Do, which executes each
+// admitted request on the submitting goroutine. This is the one place the
+// queue's hooks are wired to an engine.
 func (e *Engine) NewQueue(depth int, policy queue.Policy) (*queue.Engine, error) {
 	return queue.New(queue.Config{
 		Shards:  len(e.shards),

@@ -85,8 +85,8 @@ var queueKneeMultiples = []float64{0.25, 0.5, 1.0, 2.0}
 // the backlog — the latency collapse admission control exists to prevent.
 //
 // All rows are deterministic for a given scale: admission decisions are made
-// by each shard's worker in submission order against the shard's own virtual
-// clock, so host goroutine scheduling never changes a result.
+// under each shard's queue lock in submission order against the shard's own
+// virtual clock, so host goroutine scheduling never changes a result.
 //
 // It reads p.Depth, the per-shard queue depth of the open-loop rows (zero
 // means 8), p.Depths, the closed-loop depths (empty means 1, 4, 8, 16),

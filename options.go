@@ -229,11 +229,12 @@ func WithCheckpointPath(path string) Option {
 const DefaultQueueDepth = 32
 
 // WithQueueDepth sets the asynchronous submission path's per-shard queue
-// depth: both the number of submissions a shard buffers and, times the
-// page-program latency, the virtual backlog budget admission control enforces
-// (see WithAdmissionPolicy). Deeper queues reach more of the device's
-// parallelism and tolerate burstier arrivals; shallower ones bound the
-// latency an admitted operation can queue behind.
+// depth. It buffers nothing — every submission executes before Submit*
+// returns — but, times the page-program latency, it is the virtual backlog
+// budget admission control enforces against a round's arrival (see
+// SubmitWrite and WithAdmissionPolicy). Deeper queues let a round reach more
+// of the device's parallelism and tolerate burstier arrivals; shallower ones
+// bound the latency an admitted operation can queue behind.
 func WithQueueDepth(n int) Option {
 	return func(c *config) error {
 		if n < 1 {

@@ -43,9 +43,9 @@ type GCStats struct {
 // QueueStats describe the asynchronous submission path (Device.SubmitWrite
 // and friends): the queue configuration (WithQueueDepth,
 // WithAdmissionPolicy), the fates of submitted operations since Open — shed
-// ones failed their Tickets with ErrQueueFull — and the
-// submission-to-completion latency distribution on the virtual timeline
-// since Open or the last ResetStats.
+// ones failed their Tickets with ErrQueueFull — and the arrival-to-completion
+// latency distribution on the virtual timeline (a round's submissions arrive
+// together, see SubmitWrite) since Open or the last ResetStats.
 type QueueStats = queue.Stats
 
 // Snapshot is a stable, self-consistent view of the device's statistics:
@@ -167,7 +167,7 @@ func (d *Device) Snapshot() Snapshot {
 		ReadLatency:        es.Reads,
 		TrimLatency:        es.Trims,
 		GCStalledWrites:    es.GCStalledWrites,
-		Queue:              d.queueStats(),
+		Queue:              d.q.Stats(),
 	}
 }
 
@@ -182,7 +182,5 @@ func (d *Device) ResetStats() {
 	d.baseStats = d.eng.Stats()
 	d.baseMu.Unlock()
 	d.eng.ResetLatencyStats()
-	if q := d.q.Load(); q != nil {
-		q.ResetLatency()
-	}
+	d.q.ResetLatency()
 }
