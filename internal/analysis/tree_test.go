@@ -91,11 +91,12 @@ var seeded = []struct {
 		at:  "e.powerMu.Lock()\n\t\ttotal += sh.ftl.RAMBytes()",
 	},
 	{
-		// Gecko's directory recovery keeps its candidate runs in map order,
-		// so createSeq ties resolve differently from one recovery to the next.
-		rule: "maporder", file: "internal/gecko/recover.go",
-		old: "\tslices.SortFunc(candidates, func(a, b candidate) int { return cmp.Compare(a.id, b.id) })\n",
-		at:  "candidates = append(candidates, candidate{id: id, createSeq: metas[0].writeSeq, pages: metas})",
+		// Gecko buffer recovery replays the translation pages updated since
+		// the last flush in map order, so the buffer fills, and flushes,
+		// differently from one recovery to the next.
+		rule: "maporder", file: "internal/ftl/translation.go",
+		old: "\tslices.Sort(out)\n",
+		at:  "out = append(out, tp)",
 	},
 }
 

@@ -118,11 +118,11 @@ func BenchmarkSynchronizeFirstTouch(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineFanOut times one ReadBatch of 256 pages whose mapping entries
-// are cached, spread evenly over 8 shards: the reads beneath are as cheap as
-// an operation gets, so what is left is the batch's own cost — bucketing, the
-// arrival stamp, a lock per shard.
-func BenchmarkEngineFanOut(b *testing.B) {
+// BenchmarkEngineReadBatch times one ReadBatch of 256 pages whose mapping
+// entries are cached, spread evenly over 8 shards: the reads beneath are as
+// cheap as an operation gets, so what is left is the batch's own cost —
+// bucketing, the arrival stamp, a lock per shard.
+func BenchmarkEngineReadBatch(b *testing.B) {
 	cfg := flash.ScaledConfig(1024)
 	cfg.Channels = 8
 	dev, err := flash.NewDevice(cfg)
@@ -145,6 +145,34 @@ func BenchmarkEngineFanOut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := eng.ReadBatch(ctx, lpns); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFTLRecover times one GeckoRec of a steady-state GeckoFTL shard of
+// 1024 64-page blocks: PowerFail and Recover, after 1000 uniform writes,
+// untimed, that leave the mapping cache dirty and Gecko's buffer part full.
+// A crash refills the RAM structures the shard already owns, so the objects
+// a recovery makes do not grow with the shard (TestRecoveryAllocBudget).
+func BenchmarkFTLRecover(b *testing.B) {
+	f := steadyStateFTL(b, 1024, GeckoFTLOptions)
+	rng := rand.New(rand.NewSource(2))
+	pages := f.LogicalPages()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for range 1000 {
+			if err := f.Write(flash.LPN(rng.Int63n(pages))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := f.PowerFail(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.Recover(); err != nil {
 			b.Fatal(err)
 		}
 	}

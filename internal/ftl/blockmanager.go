@@ -5,6 +5,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
 
 	"geckoftl/internal/bitmap"
@@ -311,16 +312,16 @@ func (bm *blockManager) GroupOf(block flash.BlockID) (Group, bool) {
 // WritePointer returns the block's write pointer as known to the FTL.
 func (bm *blockManager) WritePointer(block flash.BlockID) int { return bm.blocks[block].writePointer }
 
-// BlocksInGroup returns the blocks currently allocated to a group, including
-// its active block(s).
-func (bm *blockManager) BlocksInGroup(g Group) []flash.BlockID {
-	var out []flash.BlockID
-	for i := range bm.blocks {
-		if bm.blocks[i].allocated && bm.blocks[i].group == g {
-			out = append(out, flash.BlockID(i))
+// BlocksInGroup yields the blocks currently allocated to a group, including
+// its active block(s), in ascending order.
+func (bm *blockManager) BlocksInGroup(g Group) iter.Seq[flash.BlockID] {
+	return func(yield func(flash.BlockID) bool) {
+		for i := range bm.blocks {
+			if bm.blocks[i].allocated && bm.blocks[i].group == g && !yield(flash.BlockID(i)) {
+				return
+			}
 		}
 	}
-	return out
 }
 
 // freeHeap orders the manager's free list as a min-heap keyed by
@@ -738,7 +739,7 @@ func (bm *blockManager) CrashRAM() {
 // recently first-written to least recently, which is the order the recovery
 // backwards scan visits them (Section 4.3).
 func (bm *blockManager) userBlocksByRecency() []flash.BlockID {
-	blocks := bm.BlocksInGroup(GroupUser)
+	blocks := slices.AppendSeq(make([]flash.BlockID, 0, len(bm.blocks)), bm.BlocksInGroup(GroupUser))
 	slices.SortFunc(blocks, func(a, b flash.BlockID) int {
 		return cmp.Compare(bm.blocks[b].firstWriteSeq, bm.blocks[a].firstWriteSeq)
 	})

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"slices"
 	"testing"
 
 	"geckoftl/internal/flash"
@@ -102,7 +103,7 @@ func TestBlockManagerGroupsAreSeparate(t *testing.T) {
 	if len(blocks) != 3 {
 		t.Errorf("groups share blocks: %v", blocks)
 	}
-	if got := bm.BlocksInGroup(GroupUser); len(got) != 1 {
+	if got := slices.Collect(bm.BlocksInGroup(GroupUser)); len(got) != 1 {
 		t.Errorf("user group blocks = %v", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync"
 
 	"geckoftl/internal/checkpoint"
 	"geckoftl/internal/flash"
@@ -64,9 +65,10 @@ func (f *FTL) checkpointFiles() bool {
 
 // shardCheckpoint is one shard's decoded RAM state and the destination its
 // sections decode into. A restore points the slices at the shard's own
-// storage and the cache at its own cache, so the decode fills the shard in
-// place; a validation leaves them nil, so the decode allocates fresh slices,
-// checks the cache entries and drops them, and the live shard is untouched.
+// storage (the run directories at its FTL's f.runs) and the cache at its own
+// cache, so the decode fills the shard in place; a validation leaves them
+// nil, so the decode allocates fresh slices, checks the cache entries and
+// drops them, and the live shard is untouched.
 type shardCheckpoint struct {
 	blocks  []blockInfo
 	free    []flash.BlockID
@@ -148,15 +150,8 @@ func (e *Engine) EncodeCheckpoint() ([]byte, error) {
 	if !e.shards[0].ftl.checkpointFiles() {
 		return nil, ErrCheckpointUnsupported
 	}
-	for i, sh := range e.shards {
-		// Shards that share a die share its latch, and only adjacent shards
-		// share dies: lock each latch once.
-		if i > 0 && sh.mu == e.shards[i-1].mu {
-			continue
-		}
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
+	e.latchAll((*sync.Mutex).Lock)
+	defer e.latchAll((*sync.Mutex).Unlock)
 
 	payload := engineRecordBytes
 	for _, sh := range e.shards {
@@ -164,7 +159,7 @@ func (e *Engine) EncodeCheckpoint() ([]byte, error) {
 	}
 	w := checkpoint.NewWriter(checkpoint.FileSize(1+len(e.shards)*len(shardKinds), payload), checkpoint.Version)
 	w.Begin(sectionEngine)
-	w.U64(e.checkpointFingerprint())
+	w.U64(e.fingerprint)
 	w.U32(uint32(len(e.shards)))
 	w.U64(e.writeSeq())
 	w.I64(e.logicalPages)
@@ -173,6 +168,17 @@ func (e *Engine) EncodeCheckpoint() ([]byte, error) {
 		sh.ftl.writeShardSections(w, i)
 	}
 	return w.Bytes(), nil
+}
+
+// latchAll applies op, a lock or an unlock, to every shard latch once.
+// Shards that share a die share its latch, and only adjacent shards share
+// dies.
+func (e *Engine) latchAll(op func(*sync.Mutex)) {
+	for i, sh := range e.shards {
+		if i == 0 || sh.mu != e.shards[i-1].mu {
+			op(sh.mu)
+		}
+	}
 }
 
 // checkpointPayloadBytes returns the summed payload size of the shard's
@@ -253,9 +259,9 @@ func (f *FTL) writeShardSections(w *checkpoint.Writer, shard int) {
 	w.End()
 
 	w.Begin(shardSectionID(sectionShardGecko, shard))
-	runs := f.validity.(*gecko.Gecko).ExportDirectories()
-	w.U32(uint32(len(runs)))
-	for _, r := range runs {
+	f.runs = f.validity.(*gecko.Gecko).ExportDirectories(f.runs)
+	w.U32(uint32(len(f.runs)))
+	for _, r := range f.runs {
 		w.U64(r.ID)
 		w.U64(r.CreateSeq)
 		w.U32(uint32(r.Level))
@@ -389,13 +395,13 @@ func (f *FTL) decodeSection(kind uint32, payload []byte, sc *shardCheckpoint) er
 			}
 		}
 	case sectionShardGecko:
-		sc.runs = make([]gecko.RunExport, r.Count(runHeaderBytes))
+		sc.runs = fill(sc.runs, r.Count(runHeaderBytes))
 		for i := range sc.runs {
 			run := &sc.runs[i]
 			run.ID = r.U64()
 			run.CreateSeq = r.U64()
 			run.Level = int(r.U32())
-			run.Pages = make([]gecko.RunPageExport, r.Count(runPageRecordBytes))
+			run.Pages = fill(run.Pages, r.Count(runPageRecordBytes))
 			for j := range run.Pages {
 				run.Pages[j] = gecko.RunPageExport{PPN: r.I64(), MinKey: r.U32(), MaxKey: r.U32()}
 			}
@@ -420,7 +426,7 @@ func (f *FTL) decodeSection(kind uint32, payload []byte, sc *shardCheckpoint) er
 // sum of the shards' write sequences must match exactly, or the checkpoint
 // describes a different moment of the flash than the one in front of us.
 func (e *Engine) verifyEngineCheckpoint(ec engineCheckpoint) error {
-	if got, want := ec.fingerprint, e.checkpointFingerprint(); got != want {
+	if got, want := ec.fingerprint, e.fingerprint; got != want {
 		return fmt.Errorf("%w: configuration fingerprint %#x, this engine is %#x", checkpoint.ErrInvalid, got, want)
 	}
 	if ec.shards != len(e.shards) {
@@ -557,9 +563,11 @@ func (f *FTL) importShardCheckpoint(file *checkpoint.File, shard int) error {
 	f.cache.Clear()
 	sc := shardCheckpoint{
 		blocks: f.bm.blocks, free: f.bm.free, gmd: f.table.gmd, cache: f.cache,
-		heat: f.heat.heat, heatLast: f.heat.last,
+		runs: f.runs, heat: f.heat.heat, heatLast: f.heat.last,
 	}
-	if err := f.decodeShard(file, shard, &sc); err != nil {
+	err := f.decodeShard(file, shard, &sc)
+	f.runs = sc.runs
+	if err != nil {
 		f.crash()
 		return err
 	}

@@ -49,6 +49,9 @@ type Engine struct {
 
 	// batches recycles runBatch's scratch; see batch.
 	batches sync.Pool
+
+	// fingerprint is checkpointFingerprint's, which the configuration fixes.
+	fingerprint uint64
 }
 
 // engineShard pairs one FTL instance with the lock that serializes it. The
@@ -73,6 +76,12 @@ type engineShard struct {
 	// operation absorbed.
 	stallLat *stats.Histogram
 	maxStall time.Duration
+
+	// recovery and recoverErr are the shard's outcome of an engine-wide
+	// Recover, written by the shard's recovery goroutine and read once all
+	// of them are done.
+	recovery   *RecoveryReport
+	recoverErr error
 }
 
 // observe records the service time of the operation that just completed on
@@ -148,6 +157,7 @@ func NewEngine(dev *flash.Device, opts Options, shards int) (*Engine, error) {
 	e.perShardPages = e.shards[0].ftl.LogicalPages()
 	e.logicalPages = e.perShardPages * int64(shards)
 	e.batches.New = func() any { return &batch{starts: make([]int, shards+1)} }
+	e.fingerprint = e.checkpointFingerprint()
 	return e, nil
 }
 

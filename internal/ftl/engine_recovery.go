@@ -81,11 +81,11 @@ func (e *Engine) PowerFail() error {
 	// fails (its dirty entries are lost, as on a real battery fault), every
 	// shard still crashes and the engine ends in the failed state, so
 	// Recover stays reachable. The flush errors are reported to the caller.
-	errs := make([]error, len(e.shards))
+	var errs []error
 	for i, sh := range e.shards {
 		sh.mu.Lock()
 		if err := sh.ftl.PowerFail(); err != nil {
-			errs[i] = fmt.Errorf("ftl: shard %d power fail: %w", i, err)
+			errs = append(errs, fmt.Errorf("ftl: shard %d power fail: %w", i, err))
 		}
 		sh.mu.Unlock()
 	}
@@ -113,24 +113,23 @@ func (e *Engine) Recover() (*EngineRecoveryReport, error) {
 	// until that shard's recovery turns it back on.
 	e.dev.PowerOn()
 
-	reports := make([]*RecoveryReport, len(e.shards))
-	errs := make([]error, len(e.shards))
 	var wg sync.WaitGroup
-	for i, sh := range e.shards {
+	for _, sh := range e.shards {
 		wg.Add(1)
-		go func(i int, sh *engineShard) {
+		go func() {
 			defer wg.Done()
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
-			report, err := sh.ftl.Recover()
-			if err != nil {
-				errs[i] = fmt.Errorf("ftl: shard %d recover: %w", i, err)
-				return
-			}
-			reports[i] = report
-		}(i, sh)
+			sh.recovery, sh.recoverErr = sh.ftl.Recover()
+		}()
 	}
 	wg.Wait()
+	var errs []error
+	for i, sh := range e.shards {
+		if sh.recoverErr != nil {
+			errs = append(errs, fmt.Errorf("ftl: shard %d recover: %w", i, sh.recoverErr))
+		}
+	}
 	if err := errors.Join(errs...); err != nil {
 		// Roll every shard back to the crashed state (shards that recovered
 		// lose their rebuilt RAM again, shards that failed mid-recovery drop
@@ -147,8 +146,10 @@ func (e *Engine) Recover() (*EngineRecoveryReport, error) {
 	}
 	e.failed = false
 
-	out := &EngineRecoveryReport{Shards: make([]ShardRecoveryReport, len(reports))}
-	for i, r := range reports {
+	out := &EngineRecoveryReport{Shards: make([]ShardRecoveryReport, len(e.shards))}
+	for i, sh := range e.shards {
+		r := sh.recovery
+		sh.recovery = nil
 		out.Shards[i] = ShardRecoveryReport{Shard: i, RecoveryReport: *r}
 		out.SerialTime += r.Duration
 		if r.Duration > out.WallClock {

@@ -48,7 +48,7 @@ type ValidityStore interface {
 // (GeckoFTL's metadata-aware policy never does; the latency sweep's greedy
 // GeckoFTL rows do).
 type flashStore interface {
-	LivePages() []flash.PPN
+	LivePages() iter.Seq[flash.PPN]
 	IsLive(ppn flash.PPN) bool
 	Relocate(old, new flash.PPN) bool
 }
@@ -158,6 +158,9 @@ type FTL struct {
 	syncAll       []mapcache.Entry
 	syncUpdates   []dirtyUpdate
 	syncUncertain []flash.LPN
+	// runs is the Gecko run directories a checkpoint export encodes and a
+	// checkpoint import decodes, reused across calls.
+	runs []gecko.RunExport
 }
 
 // New creates an FTL over a partition of a device with the given options.

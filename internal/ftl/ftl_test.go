@@ -91,7 +91,7 @@ func checkConsistency(t *testing.T, f *FTL, strictStale bool) {
 		}
 	}
 
-	for _, block := range f.bm.BlocksInGroup(GroupUser) {
+	for block := range f.bm.BlocksInGroup(GroupUser) {
 		invalid := queryValidity(t, f, block)
 		written := f.bm.WritePointer(block)
 		for offset := 0; offset < written; offset++ {

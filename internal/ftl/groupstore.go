@@ -1,6 +1,8 @@
 package ftl
 
 import (
+	"slices"
+
 	"geckoftl/internal/flash"
 	"geckoftl/internal/metastore"
 )
@@ -12,7 +14,8 @@ import (
 // feed the Blocks Validity Counter so that fully-invalid metadata blocks can
 // be erased without migrations (Section 4.2).
 type groupStore struct {
-	bm *blockManager
+	bm     *blockManager
+	blocks []flash.BlockID // Blocks' result
 }
 
 var _ metastore.Storage = (*groupStore)(nil)
@@ -39,7 +42,9 @@ func (s *groupStore) Invalidate(ppn flash.PPN) error {
 }
 
 // Blocks returns the blocks currently allocated to the metadata group, which
-// is what Logarithmic Gecko's directory recovery scans.
+// is what Logarithmic Gecko's directory recovery scans. The result is reused
+// scratch, valid until the next call.
 func (s *groupStore) Blocks() []flash.BlockID {
-	return s.bm.BlocksInGroup(GroupMeta)
+	s.blocks = slices.AppendSeq(s.blocks[:0], s.bm.BlocksInGroup(GroupMeta))
+	return s.blocks
 }

@@ -1,9 +1,7 @@
 package ftl
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"time"
 
 	"geckoftl/internal/bitmap"
@@ -280,23 +278,30 @@ func (f *FTL) recoverBlockManager() error {
 	for fr := range bm.active {
 		bm.active[fr] = flash.InvalidBlock
 	}
+	// newer orders partial blocks newest first-write first, ties to the
+	// lower ID: a scan in ascending IDs replaces a block only on a strictly
+	// newer one.
+	newer := func(x, y flash.BlockID) bool {
+		return y == flash.InvalidBlock || bm.blocks[x].firstWriteSeq > bm.blocks[y].firstWriteSeq
+	}
 	for g := Group(0); g < numGroups; g++ {
-		var partials []flash.BlockID
+		newest := [2]flash.BlockID{flash.InvalidBlock, flash.InvalidBlock}
 		for i := range bm.blocks {
 			info := &bm.blocks[i]
 			if !info.allocated || info.group != g || info.writePointer >= f.cfg.PagesPerBlock {
 				continue
 			}
-			partials = append(partials, flash.BlockID(i))
+			if b := flash.BlockID(i); newer(b, newest[0]) {
+				newest[0], newest[1] = b, newest[0]
+			} else if newer(b, newest[1]) {
+				newest[1] = b
+			}
 		}
-		slices.SortFunc(partials, func(x, y flash.BlockID) int {
-			return cmp.Or(cmp.Compare(bm.blocks[y].firstWriteSeq, bm.blocks[x].firstWriteSeq), cmp.Compare(x, y))
-		})
-		if len(partials) > 0 {
-			bm.active[frontierFor(g, TempCold)] = partials[0]
+		if newest[0] != flash.InvalidBlock {
+			bm.active[frontierFor(g, TempCold)] = newest[0]
 		}
-		if g == GroupUser && bm.hotCold && len(partials) > 1 {
-			bm.active[frontierUserHot] = partials[1]
+		if g == GroupUser && bm.hotCold && newest[1] != flash.InvalidBlock {
+			bm.active[frontierUserHot] = newest[1]
 		}
 	}
 	bm.reindexFullBlocks()
@@ -320,7 +325,7 @@ func (f *FTL) recoverGMD() ([]uint64, error) {
 	pages := f.table.Pages()
 	seqs := make([]uint64, 2*pages)
 	newest, contentSeq := seqs[:pages], seqs[pages:]
-	for _, block := range f.bm.BlocksInGroup(GroupTranslation) {
+	for block := range f.bm.BlocksInGroup(GroupTranslation) {
 		written := f.bm.WritePointer(block)
 		for offset := 0; offset < written; offset++ {
 			ppn := flash.PPNOf(block, offset, f.cfg.PagesPerBlock)
@@ -439,7 +444,7 @@ func (f *FTL) rebuildRAMPVB(p *pvb.RAMPVB) error {
 	}
 	// Every written page of a user block that is not referenced by the
 	// translation table is invalid.
-	for _, block := range f.bm.BlocksInGroup(GroupUser) {
+	for block := range f.bm.BlocksInGroup(GroupUser) {
 		written := f.bm.WritePointer(block)
 		for offset := 0; offset < written; offset++ {
 			ppn := flash.PPNOf(block, offset, f.cfg.PagesPerBlock)
@@ -457,7 +462,7 @@ func (f *FTL) rebuildRAMPVB(p *pvb.RAMPVB) error {
 // entire page validity log, one page read per log page. It only charges the
 // scan: the simulator keeps the heads (see pvl.Log.CrashRAM).
 func (f *FTL) rebuildPVLHeads() error {
-	for _, block := range f.bm.BlocksInGroup(GroupMeta) {
+	for block := range f.bm.BlocksInGroup(GroupMeta) {
 		written := f.bm.WritePointer(block)
 		for offset := 0; offset < written; offset++ {
 			ppn := flash.PPNOf(block, offset, f.cfg.PagesPerBlock)
@@ -480,7 +485,7 @@ func (f *FTL) rebuildBVC() error {
 	// sit in blocks of different groups.
 	live := make([]int32, f.cfg.Blocks)
 	if lister, ok := f.validity.(flashStore); ok {
-		for _, ppn := range lister.LivePages() {
+		for ppn := range lister.LivePages() {
 			live[flash.BlockOf(ppn, f.cfg.PagesPerBlock)]++
 		}
 	}

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -144,7 +145,7 @@ func TestRecoveryBackwardsScanIsBounded(t *testing.T) {
 	cfg := f.cfg
 	metaPages := 0
 	for _, g := range []Group{GroupTranslation, GroupMeta} {
-		for _, b := range f.bm.BlocksInGroup(g) {
+		for b := range f.bm.BlocksInGroup(g) {
 			metaPages += f.bm.WritePointer(b)
 		}
 	}
@@ -222,7 +223,7 @@ func TestRecoveredTranslationBVCMatchesGMD(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			f := testFTL(t, kind, 96, 128)
 			crashAndRecover(t, f, 6000, 33)
-			blocks := f.bm.BlocksInGroup(GroupTranslation)
+			blocks := slices.Collect(f.bm.BlocksInGroup(GroupTranslation))
 			if len(blocks) < 2 {
 				t.Fatalf("%d translation blocks, want several", len(blocks))
 			}

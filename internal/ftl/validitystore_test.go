@@ -84,7 +84,7 @@ func TestValidityStoreContract(t *testing.T) {
 			// device and returns the live pages in ascending order.
 			livePages := func(when string) []flash.PPN {
 				t.Helper()
-				listed := slices.Sorted(slices.Values(resident.LivePages()))
+				listed := slices.Sorted(resident.LivePages())
 				var live []flash.PPN
 				for ppn := flash.PPN(0); ppn < flash.PPN(blocks*pagesPerBlock); ppn++ {
 					if resident.IsLive(ppn) {

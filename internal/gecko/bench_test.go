@@ -99,3 +99,30 @@ func BenchmarkBufferDrain(b *testing.B) {
 	}
 	b.ReportMetric(float64(entries), "entries/drain")
 }
+
+// BenchmarkGeckoRecoverDirectories times one directory recovery (Appendix
+// C.1) of BenchmarkGeckoUpdate's structure after 200000 updates: CrashRAM,
+// then the spare-area scan of its 64 metadata blocks and the rebuild of the
+// run directories, into the run structs the crash left spare.
+func BenchmarkGeckoRecoverDirectories(b *testing.B) {
+	const blocks, pagesPerBlock = 1024, 64
+	h := newHarness(b, blocks, pagesPerBlock, 4096, 64, nil)
+	rng := rand.New(rand.NewSource(1))
+	for range 200000 {
+		if err := h.g.Update(flash.Addr{Block: flash.BlockID(rng.Intn(blocks)), Offset: rng.Intn(pagesPerBlock)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := h.g.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.g.CrashRAM()
+		if err := h.g.RecoverDirectories(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(h.g.RunCount()), "runs")
+}

@@ -2,6 +2,7 @@ package gecko
 
 import (
 	"fmt"
+	"slices"
 
 	"geckoftl/internal/flash"
 )
@@ -24,20 +25,22 @@ type RunExport struct {
 	Pages     []RunPageExport
 }
 
-// ExportDirectories snapshots the run directories for a checkpoint, in
-// deterministic order: levels ascending, runs in placement order within a
-// level. Only directory state is exported; the buffer must have been
-// flushed first (Flush), which is the checkpoint writer's responsibility.
-func (g *Gecko) ExportDirectories() []RunExport {
-	var out []RunExport
+// ExportDirectories snapshots the run directories for a checkpoint into
+// runs, in deterministic order: levels ascending, runs in placement order
+// within a level. It overwrites runs, reusing its storage and that of each
+// run's Pages, and returns it resliced. Only directory state is exported;
+// the buffer must have been flushed first (Flush), which is the checkpoint
+// writer's responsibility.
+func (g *Gecko) ExportDirectories(runs []RunExport) []RunExport {
+	runs = runs[:0]
 	for _, level := range g.levels {
 		for _, r := range level {
-			re := RunExport{
-				ID:        r.id,
-				CreateSeq: r.createSeq,
-				Level:     r.level,
-				Pages:     make([]RunPageExport, 0, len(r.pages)),
-			}
+			// Within its capacity the slice still holds the Pages of the
+			// last export.
+			runs = slices.Grow(runs, 1)[:len(runs)+1]
+			re := &runs[len(runs)-1]
+			re.ID, re.CreateSeq, re.Level = r.id, r.createSeq, r.level
+			re.Pages = re.Pages[:0]
 			for i := range r.pages {
 				p := &r.pages[i]
 				re.Pages = append(re.Pages, RunPageExport{
@@ -46,10 +49,9 @@ func (g *Gecko) ExportDirectories() []RunExport {
 					MaxKey: packKey(p.maxKey),
 				})
 			}
-			out = append(out, re)
 		}
 	}
-	return out
+	return runs
 }
 
 // ValidateDirectories checks an exported run set against this instance
@@ -58,12 +60,14 @@ func (g *Gecko) ExportDirectories() []RunExport {
 // validation is importable; one that fails must fall back to
 // RecoverDirectories.
 func (g *Gecko) ValidateDirectories(runs []RunExport) error {
-	seenID := make(map[uint64]bool, len(runs))
-	for _, re := range runs {
-		if seenID[re.ID] {
-			return fmt.Errorf("gecko: checkpoint repeats run %d", re.ID)
+	for i, re := range runs {
+		// A Gecko holds a run a level or so: comparing each pair costs less
+		// than a set.
+		for _, prev := range runs[:i] {
+			if prev.ID == re.ID {
+				return fmt.Errorf("gecko: checkpoint repeats run %d", re.ID)
+			}
 		}
-		seenID[re.ID] = true
 		if re.Level < 0 || re.Level > g.cfg.Levels() {
 			return fmt.Errorf("gecko: checkpoint run %d at level %d of %d", re.ID, re.Level, g.cfg.Levels())
 		}
@@ -85,12 +89,14 @@ func (g *Gecko) ValidateDirectories(runs []RunExport) error {
 // ImportDirectories replaces the RAM run directories with an exported set,
 // relinking page content from the surviving flash image and ratcheting the
 // run-ID and creation-sequence counters, exactly as RecoverDirectories
-// does — but without the spare-area scan. The set must be one
-// ValidateDirectories accepted on this instance: it is not checked again.
+// does — but without the spare-area scan, and into spare runs where they
+// fit. The set must be one ValidateDirectories accepted on this instance: it
+// is not checked again.
 func (g *Gecko) ImportDirectories(runs []RunExport) {
-	g.levels = make([][]*run, g.cfg.Levels()+1)
+	g.retireLevels()
 	for _, re := range runs {
-		r := &run{id: re.ID, createSeq: re.CreateSeq, level: re.Level, pages: make([]runPage, 0, len(re.Pages))}
+		r := g.newRun(len(re.Pages))
+		r.id, r.createSeq, r.level = re.ID, re.CreateSeq, re.Level
 		for _, p := range re.Pages {
 			ppn := flash.PPN(p.PPN)
 			r.pages = append(r.pages, runPage{

@@ -21,8 +21,9 @@
 //     becomes independent of the block size B (Figure 10).
 //   - One two-way merge body implements the leveling merge of Section 3.2;
 //     the multi-way variant of Appendix A is a newest-first fold of it.
-//   - Gecko.RecoverDirectories rebuilds the RAM-resident run directories and the
-//     buffer's protected state after power failure (Appendix C.2).
+//   - Gecko.RecoverDirectories rebuilds the RAM-resident run directories after
+//     power failure from the spare areas of Gecko pages (Appendix C.1); the
+//     FTL replays the buffer's lost content (Appendix C.2).
 //
 // # Storage layout
 //
@@ -45,6 +46,14 @@
 // inputs fold into it newest first through one scratch slab from the free
 // list. Neither it nor a GC query, which ORs words into its result, copies an
 // entry it only reads.
+//
+// A power failure (CrashRAM) drops all of the RAM's content: the buffer's
+// entries, the run directories and the free list's slabs. It keeps the Go
+// storage that held them, empty: each level's slice, the run structs with
+// their directories' backing arrays, zeroed, as spare runs, and the free
+// list's slice. RecoverDirectories and ImportDirectories refill that storage,
+// so a crash allocates only what the flash image does not already hold: the
+// recovery's one scan slice, and the slabs of the runs written after it.
 //
 // Within an FTL, one Gecko instance serves as the validity store of a single
 // flash plane or engine shard; its state is guarded by the owning shard's

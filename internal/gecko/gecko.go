@@ -51,8 +51,8 @@ type Gecko struct {
 	pageContent map[flash.PPN]slab
 
 	// free recycles the slabs of superseded runs and spare their run
-	// structs and directories; byAge is mergeEntryStreams' reused scratch,
-	// and inputs takeMergeInputs'.
+	// structs and directories, also those a crash empties; byAge is
+	// mergeEntryStreams' reused scratch, and inputs takeMergeInputs'.
 	free   slabList
 	spare  []*run
 	byAge  []*run
@@ -263,7 +263,7 @@ func (g *Gecko) flushBuffer() error {
 // g.spare for the runs to come: neither the image nor an export refers to
 // them, and writeRun reads them for the last time here.
 func (g *Gecko) writeRun(entries slab, supersedes []*run) (*run, error) {
-	r := g.newRun(entries)
+	r := g.newRun((cap(entries.ents) + g.sz.perPage - 1) / g.sz.perPage)
 	g.seq++
 	r.id, r.createSeq, r.slab = g.nextRunID, g.seq, entries
 	r.pages = splitIntoPages(r.pages, entries, g.sz.perPage)
@@ -285,10 +285,7 @@ func (g *Gecko) writeRun(entries slab, supersedes []*run) (*run, error) {
 			delete(g.pageContent, old.pages[i].ppn)
 		}
 		g.free.put(old.slab)
-		// A spare run keeps no slab alive: not its own, nor its pages'.
-		clear(old.pages)
-		*old = run{pages: old.pages[:0]}
-		g.spare = append(g.spare, old)
+		g.retire(old)
 	}
 	for i := range r.pages {
 		g.pageContent[r.pages[i].ppn] = r.pages[i].slab
@@ -296,14 +293,12 @@ func (g *Gecko) writeRun(entries slab, supersedes []*run) (*run, error) {
 	return r, nil
 }
 
-// newRun returns an empty run whose directory has room for every page a run
-// written from the slab can have: of the spare runs, the one whose room is
-// the least that will do, or a new run with just that room. Directories are
-// sized by the slab's capacity, which comes in classes, so a spare one fits
-// the next run of its class.
-func (g *Gecko) newRun(entries slab) *run {
-	v := g.sz.perPage
-	room := (cap(entries.ents) + v - 1) / v
+// newRun returns an empty run whose directory has room for the given number
+// of pages: of the spare runs, the one whose room is the least that will do,
+// or a new run with just that room. writeRun sizes directories by the slab's
+// capacity, which comes in classes, so a spare one fits the next run of its
+// class; recovery and import ask for a rebuilt run's page count.
+func (g *Gecko) newRun(room int) *run {
 	best := -1
 	for i, r := range g.spare {
 		if c := cap(r.pages); c >= room && (best < 0 || c < cap(g.spare[best].pages)) {
@@ -318,6 +313,27 @@ func (g *Gecko) newRun(entries slab) *run {
 	g.spare[best], g.spare[last] = g.spare[last], nil
 	g.spare = g.spare[:last]
 	return r
+}
+
+// retire hands a run that nothing reads any more to g.spare, for the runs to
+// come. A spare run keeps its directory's storage and nothing else: no slab,
+// not its own, nor its pages'.
+func (g *Gecko) retire(r *run) {
+	clear(r.pages)
+	*r = run{pages: r.pages[:0]}
+	g.spare = append(g.spare, r)
+}
+
+// retireLevels empties every level, keeping its slice, and retires its runs.
+// Their slabs do not go to the free list: the flash image may still hold
+// them.
+func (g *Gecko) retireLevels() {
+	for i, lvl := range g.levels {
+		for _, r := range lvl {
+			g.retire(r)
+		}
+		g.emptyLevel(i)
+	}
 }
 
 // placeRun inserts a run into the level its size dictates (but never below

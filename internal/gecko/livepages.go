@@ -1,21 +1,26 @@
 package gecko
 
-import "geckoftl/internal/flash"
+import (
+	"iter"
 
-// LivePages returns the physical addresses of every flash page currently
+	"geckoftl/internal/flash"
+)
+
+// LivePages yields the physical address of every flash page currently
 // occupied by a live run. The FTL's recovery procedure uses it to rebuild the
-// Blocks Validity Counter entries of metadata blocks, and the examples use it
-// to report space usage.
-func (g *Gecko) LivePages() []flash.PPN {
-	var out []flash.PPN
-	for _, lvl := range g.levels {
-		for _, r := range lvl {
-			for i := range r.pages {
-				out = append(out, r.pages[i].ppn)
+// Blocks Validity Counter entries of metadata blocks.
+func (g *Gecko) LivePages() iter.Seq[flash.PPN] {
+	return func(yield func(flash.PPN) bool) {
+		for _, lvl := range g.levels {
+			for _, r := range lvl {
+				for i := range r.pages {
+					if !yield(r.pages[i].ppn) {
+						return
+					}
+				}
 			}
 		}
 	}
-	return out
 }
 
 // IsLive reports whether the given flash page belongs to a live run.

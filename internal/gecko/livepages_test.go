@@ -2,6 +2,7 @@ package gecko
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"geckoftl/internal/flash"
@@ -10,7 +11,7 @@ import (
 func TestLivePagesMatchFlashPages(t *testing.T) {
 	h := newHarness(t, 64, 16, 256, 32, nil)
 	populate(t, h, nil, 6000, 71)
-	pages := h.g.LivePages()
+	pages := slices.Collect(h.g.LivePages())
 	if len(pages) != h.g.FlashPages() {
 		t.Errorf("LivePages = %d entries, FlashPages = %d", len(pages), h.g.FlashPages())
 	}
@@ -33,7 +34,7 @@ func TestRelocatePreservesQueries(t *testing.T) {
 	if err := h.g.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	pages := h.g.LivePages()
+	pages := slices.Collect(h.g.LivePages())
 	if len(pages) == 0 {
 		t.Fatal("no live pages to relocate")
 	}
@@ -89,7 +90,7 @@ func TestMergeOutputReusingInputBlockStaysLive(t *testing.T) {
 		if err := h.g.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		for _, ppn := range h.g.LivePages() {
+		for ppn := range h.g.LivePages() {
 			if !h.g.IsLive(ppn) {
 				t.Fatalf("round %d: live page %d has no content", round, ppn)
 			}

@@ -10,14 +10,18 @@ import (
 )
 
 // CrashRAM simulates the loss of integrated RAM at power failure: the buffer
-// contents and the run directories disappear, and the free lists with them.
-// The flash-resident runs (their pages and spare areas) survive on the
-// device; RecoverDirectories rebuilds the RAM state from them.
+// contents and the run directories disappear, and the free list's slabs with
+// them. The flash-resident runs (their pages and spare areas) survive on the
+// device; RecoverDirectories or ImportDirectories rebuilds the RAM state from
+// them. What a crash keeps is host storage with no content in it: each
+// level's slice, emptied; the runs, cleared and spare (see retire); the free
+// list's slice, emptied. The rebuilt directories refill that storage instead
+// of allocating their own.
 func (g *Gecko) CrashRAM() {
 	g.buf.clear()
-	g.levels = make([][]*run, g.cfg.Levels()+1)
-	g.free.slabs = nil
-	g.spare = nil
+	g.retireLevels()
+	clear(g.free.slabs)
+	g.free.slabs = g.free.slabs[:0]
 }
 
 // NewestRunWriteSeq returns the write-sequence number of the first
@@ -55,6 +59,8 @@ func (g *Gecko) NewestRunWriteSeq() (uint64, error) {
 //
 // The store must implement metastore.BlockLister so the scan knows which
 // blocks to visit. The rebuilt directories replace the current RAM state.
+// The scan goes into one slice, and the runs are spare ones where they fit
+// (see CrashRAM).
 func (g *Gecko) RecoverDirectories() error {
 	lister, ok := g.store.(metastore.BlockLister)
 	if !ok {
@@ -62,116 +68,89 @@ func (g *Gecko) RecoverDirectories() error {
 	}
 
 	// Step 1: spare-area scan of every page in every Gecko block.
-	pagesByRun := make(map[uint64][]runPageMeta)
-	for _, block := range lister.Blocks() {
+	blocks := lister.Blocks()
+	scan := make([]runPageMeta, 0, len(blocks)*g.cfg.PagesPerBlock)
+	for _, block := range blocks {
 		for offset := 0; offset < g.cfg.PagesPerBlock; offset++ {
 			ppn := flash.PPNOf(block, offset, g.cfg.PagesPerBlock)
 			spare, written, err := g.store.ReadSpare(ppn)
 			if err != nil {
 				return fmt.Errorf("gecko: recovery scan of %v: %w", ppn, err)
 			}
-			if !written {
-				continue
-			}
-			meta := decodeRunPageSpare(spare, ppn)
-			metas, seen := pagesByRun[meta.runID]
-			if !seen {
-				// Sized once, to the page count recorded on the first of
-				// the run's pages the scan meets: a complete run never
-				// grows it.
-				metas = make([]runPageMeta, 0, meta.totalPages)
-			}
-			pagesByRun[meta.runID] = append(metas, meta)
-		}
-	}
-
-	// Step 2: keep only complete runs (all totalPages present exactly once).
-	type candidate struct {
-		id        uint64
-		createSeq uint64
-		pages     []runPageMeta
-	}
-	var candidates []candidate
-	for id, metas := range pagesByRun {
-		if len(metas) == 0 {
-			continue
-		}
-		total := metas[0].totalPages
-		if len(metas) != total {
-			continue
-		}
-		slices.SortFunc(metas, func(a, b runPageMeta) int { return cmp.Compare(a.pageIndex, b.pageIndex) })
-		complete := true
-		for i, m := range metas {
-			if m.pageIndex != i || m.totalPages != total {
-				complete = false
-				break
+			if written {
+				scan = append(scan, decodeRunPageSpare(spare, ppn))
 			}
 		}
-		if !complete {
+	}
+
+	// Step 2: group the pages by run, each run's in page order, and keep only
+	// complete runs (all totalPages present exactly once). Step 3: the newest
+	// complete run per level. The runs come in ascending ID order, so the
+	// strict > resolves a createSeq tie to the lowest run ID on every
+	// recovery: recovery must replay identically or post-crash GC diverges
+	// between runs of the same crash image.
+	slices.SortFunc(scan, func(a, b runPageMeta) int {
+		return cmp.Or(cmp.Compare(a.runID, b.runID), cmp.Compare(a.pageIndex, b.pageIndex))
+	})
+	// A spare area records 0xffff pages a run at most, and the size ratio
+	// is 2 at least, so no complete run is above level 15.
+	var newest [16][]runPageMeta
+	for lo, hi := 0, 0; lo < len(scan); lo = hi {
+		for hi = lo + 1; hi < len(scan) && scan[hi].runID == scan[lo].runID; hi++ {
+		}
+		pages := scan[lo:hi]
+		if !complete(pages) {
 			continue
 		}
-		candidates = append(candidates, candidate{id: id, createSeq: metas[0].writeSeq, pages: metas})
-	}
-	// candidates was assembled in map-iteration order; pin a total order so
-	// step 3's strict > comparison resolves createSeq ties to the lowest run
-	// ID on every recovery, not to whichever run the map yielded first.
-	// Recovery must replay identically or post-crash GC diverges between
-	// runs of the same crash image.
-	slices.SortFunc(candidates, func(a, b candidate) int { return cmp.Compare(a.id, b.id) })
-
-	// Step 3: newest complete run per level.
-	newestPerLevel := make(map[int]candidate)
-	for _, c := range candidates {
-		level := g.cfg.LevelOfRunPages(len(c.pages))
-		cur, ok := newestPerLevel[level]
-		if !ok || c.createSeq > cur.createSeq {
-			newestPerLevel[level] = c
+		level := g.cfg.LevelOfRunPages(len(pages))
+		if cur := newest[level]; cur == nil || pages[0].writeSeq > cur[0].writeSeq {
+			newest[level] = pages
 		}
 	}
 
-	// Step 4: enforce the recency invariant from the largest level down.
-	levels := make([]int, 0, len(newestPerLevel))
-	for level := range newestPerLevel {
-		levels = append(levels, level)
-	}
-	slices.SortFunc(levels, func(a, b int) int { return cmp.Compare(b, a) })
-	var live []candidate
-	liveLevels := make([]int, 0, len(levels))
-	minSeqOfLarger := uint64(0)
-	for _, level := range levels {
-		c := newestPerLevel[level]
-		if c.createSeq <= minSeqOfLarger {
-			continue // older than a live run at a higher level: obsolete
-		}
-		minSeqOfLarger = c.createSeq
-		live = append(live, c)
-		liveLevels = append(liveLevels, level)
-	}
-
-	// Step 5: rebuild the in-RAM run structures. The entry content of live
+	// Step 4: enforce the recency invariant from the largest level down, and
+	// step 5: rebuild the in-RAM run structures. The entry content of live
 	// pages is the flash content written by writeRun; it is looked up by
 	// physical address from the surviving flash image, pageContent: the
 	// simulator does not store payload bytes in the device, so only directory
 	// state (locations, key ranges, levels) is actually lost and re-derived.
-	g.levels = make([][]*run, g.cfg.Levels()+1)
-	for i, c := range live {
-		r := &run{id: c.id, createSeq: c.createSeq, level: liveLevels[i], pages: make([]runPage, 0, len(c.pages))}
-		for _, m := range c.pages {
-			page, ok := g.pageContent[m.ppn]
+	g.retireLevels()
+	minSeqOfLarger := uint64(0)
+	for level := len(newest) - 1; level >= 0; level-- {
+		pages := newest[level]
+		if pages == nil || pages[0].writeSeq <= minSeqOfLarger {
+			continue // none, or older than a live run at a higher level: obsolete
+		}
+		minSeqOfLarger = pages[0].writeSeq
+		r := g.newRun(len(pages))
+		r.id, r.createSeq, r.level = pages[0].runID, pages[0].writeSeq, level
+		for _, m := range pages {
+			content, ok := g.pageContent[m.ppn]
 			if !ok {
-				return fmt.Errorf("gecko: recovered run %d references page %d with no content", c.id, m.ppn)
+				err := fmt.Errorf("gecko: recovered run %d references page %d with no content", r.id, m.ppn)
+				g.retire(r)
+				return err
 			}
-			r.pages = append(r.pages, runPage{
-				ppn:    m.ppn,
-				minKey: m.minKey,
-				maxKey: m.maxKey,
-				slab:   page,
-			})
+			r.pages = append(r.pages, runPage{ppn: m.ppn, minKey: m.minKey, maxKey: m.maxKey, slab: content})
 		}
 		g.adoptRun(r)
 	}
 	return nil
+}
+
+// complete reports whether one run's scanned pages, in page order, are the
+// whole run: every page of the count each records, once.
+func complete(pages []runPageMeta) bool {
+	total := pages[0].totalPages
+	if len(pages) != total {
+		return false
+	}
+	for i, m := range pages {
+		if m.pageIndex != i || m.totalPages != total {
+			return false
+		}
+	}
+	return true
 }
 
 // adoptRun places a run rebuilt from flash or from a checkpoint and ratchets

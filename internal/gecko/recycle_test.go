@@ -225,7 +225,7 @@ func (w *slabWalk) recover() {
 	if err := w.g.RecoverDirectories(); err != nil {
 		w.t.Fatal(err)
 	}
-	w.store.setLive(w.g.LivePages())
+	w.store.setLive(slices.Collect(w.g.LivePages()))
 }
 
 // TestSlabOwnershipWalk is the referee of who owns a slab when. A seeded
@@ -322,14 +322,14 @@ func slabOwnershipWalk(t *testing.T, seed int64) {
 			}
 		case n < 22:
 			op = "export and import"
-			runs := g.ExportDirectories()
+			runs := g.ExportDirectories(nil)
 			if err := g.ValidateDirectories(runs); err != nil {
 				t.Fatal(err)
 			}
 			g.ImportDirectories(runs)
 		case n < 28 && relocate:
 			op = "relocate"
-			pages := g.LivePages()
+			pages := slices.Collect(g.LivePages())
 			if len(pages) == 0 {
 				break
 			}

@@ -1,6 +1,10 @@
 package pvb
 
-import "geckoftl/internal/flash"
+import (
+	"iter"
+
+	"geckoftl/internal/flash"
+)
 
 // IsLive reports whether the given flash page currently holds the newest
 // version of one of the structure's PVB pages. The FTL's garbage-collector
@@ -28,14 +32,14 @@ func (p *FlashPVB) Relocate(old, new flash.PPN) bool {
 	return false
 }
 
-// LivePages returns the physical addresses of the current version of every
+// LivePages yields the physical address of the current version of every
 // PVB page. Recovery uses it to rebuild per-block valid-page counts.
-func (p *FlashPVB) LivePages() []flash.PPN {
-	var out []flash.PPN
-	for _, loc := range p.location {
-		if loc != flash.InvalidPPN {
-			out = append(out, loc)
+func (p *FlashPVB) LivePages() iter.Seq[flash.PPN] {
+	return func(yield func(flash.PPN) bool) {
+		for _, loc := range p.location {
+			if loc != flash.InvalidPPN && !yield(loc) {
+				return
+			}
 		}
 	}
-	return out
 }

@@ -1,7 +1,8 @@
 package pvl
 
 import (
-	"sort"
+	"iter"
+	"maps"
 
 	"geckoftl/internal/flash"
 )
@@ -30,15 +31,8 @@ func (l *Log) Relocate(old, new flash.PPN) bool {
 	return false
 }
 
-// LivePages returns the physical addresses of every live log page in
-// ascending order. Recovery uses it to rebuild per-block valid-page counts;
-// the pinned order keeps the rebuild's IO schedule identical across
-// recoveries of the same crash image.
-func (l *Log) LivePages() []flash.PPN {
-	out := make([]flash.PPN, 0, len(l.pageOf))
-	for _, loc := range l.pageOf {
-		out = append(out, loc)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// LivePages yields the physical address of every live log page, in no
+// particular order. Recovery counts them into per-block valid-page counts.
+func (l *Log) LivePages() iter.Seq[flash.PPN] {
+	return maps.Values(l.pageOf)
 }
