@@ -4,7 +4,8 @@
 // internal/perfbench/run.sh there for every workload, pairs a run of the old
 // revision with one of the new in alternating order, and adds an A/A block
 // of as many pairs of the old revision with itself. Per workload and host
-// timing metric it prints the medians and quartiles of both sides, the
+// metric (the two timing metrics, allocations and bytes per operation, and
+// the live heap) it prints the medians and quartiles of both sides, the
 // median relative change, the pairs the new revision won, a two-sided
 // sign-test p, the A/A spread (the largest relative difference of an A/A
 // pair) and the operations each side failed. The verdict is "better" or
@@ -34,8 +35,9 @@ import (
 	"strings"
 )
 
-// metrics are the end-to-end metrics compared: the two host timing metrics.
-var metrics = []string{"host_ops_per_s", "host_cpu_us_per_op"}
+// metrics are the end-to-end metrics compared: the host ones, which a change
+// to the program's host side can move while the simulated ones repeat.
+var metrics = []string{"host_ops_per_s", "host_cpu_us_per_op", "host_allocs_per_op", "host_bytes_per_op", "host_live_heap_mb"}
 
 // failedKey holds, beside a run's metric values, the operations the run
 // reports as failed (the result line's "failed").

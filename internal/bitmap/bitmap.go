@@ -172,6 +172,9 @@ func NewRows(n, bits int) *Rows {
 	return &Rows{n: n, bits: bits, wpr: wpr, words: make([]uint64, n*wpr)}
 }
 
+// Reset clears every bit of every row.
+func (r *Rows) Reset() { clear(r.words) }
+
 // Row returns row i as a bitmap that shares the rows' storage: setting or
 // OR-ing its bits changes the row.
 func (r *Rows) Row(i int) Bitmap {

@@ -95,7 +95,7 @@ func BenchmarkSynchronizeFirstTouch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	table.ClearProtected(true)
+	table.ClearProtected()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -107,7 +107,7 @@ func BenchmarkSynchronizeFirstTouch(b *testing.B) {
 		if tp < table.Pages()-1 {
 			continue
 		}
-		table.ClearProtected(true)
+		table.ClearProtected()
 		if bm.FreeBlocks() <= 2 {
 			for _, block := range bm.FullyInvalidBlocks(GroupTranslation) {
 				if err := bm.Erase(block, flash.PurposeGCErase); err != nil {

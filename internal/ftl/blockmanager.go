@@ -221,8 +221,9 @@ type blockManager struct {
 	// rewrites blocks wholesale (recovery, checkpoint import) calls
 	// reindexFullBlocks afterwards.
 	full fullBlocks
-	// deadBuf is FullyInvalidBlocks' reused result.
-	deadBuf []flash.BlockID
+	// deadBuf is FullyInvalidBlocks' reused result, and recentBuf
+	// userBlocksByRecency's.
+	deadBuf, recentBuf []flash.BlockID
 	// protected marks the blocks holding a previous translation-page version
 	// that buffer recovery reads (Appendix C.2.2); garbage collection skips
 	// them until ClearProtection. It models flash the FTL deliberately leaves
@@ -735,13 +736,24 @@ func (bm *blockManager) CrashRAM() {
 	bm.lastSeq = 0
 }
 
+// countLive counts one live page into the BVC entry of its block, if that
+// is an allocated metadata block; recovery rebuilds metadata blocks' entries
+// from their owners' live pages this way.
+func (bm *blockManager) countLive(ppn flash.PPN) {
+	if info := &bm.blocks[flash.BlockOf(ppn, bm.cfg.PagesPerBlock)]; info.allocated && info.group != GroupUser {
+		info.valid++
+	}
+}
+
 // userBlocksByRecency returns the allocated user blocks ordered from most
 // recently first-written to least recently, which is the order the recovery
-// backwards scan visits them (Section 4.3).
+// backwards scan visits them (Section 4.3). The result is reused storage,
+// valid until the next call.
 func (bm *blockManager) userBlocksByRecency() []flash.BlockID {
-	blocks := slices.AppendSeq(make([]flash.BlockID, 0, len(bm.blocks)), bm.BlocksInGroup(GroupUser))
+	blocks := slices.AppendSeq(slices.Grow(bm.recentBuf[:0], len(bm.blocks)), bm.BlocksInGroup(GroupUser))
 	slices.SortFunc(blocks, func(a, b flash.BlockID) int {
 		return cmp.Compare(bm.blocks[b].firstWriteSeq, bm.blocks[a].firstWriteSeq)
 	})
+	bm.recentBuf = blocks
 	return blocks
 }

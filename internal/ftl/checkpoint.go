@@ -7,6 +7,7 @@ import (
 	"math"
 	"sync"
 
+	"geckoftl/internal/bitmap"
 	"geckoftl/internal/checkpoint"
 	"geckoftl/internal/flash"
 	"geckoftl/internal/gecko"
@@ -450,15 +451,20 @@ func (f *FTL) verifyShardCheckpoint(sc *shardCheckpoint) error {
 	if len(sc.blocks) != f.cfg.Blocks {
 		return fmt.Errorf("%w: %d blocks, shard has %d", checkpoint.ErrInvalid, len(sc.blocks), f.cfg.Blocks)
 	}
-	inFree := make([]bool, f.cfg.Blocks)
+	if f.inFree == nil {
+		f.inFree = bitmap.New(f.cfg.Blocks)
+	} else {
+		f.inFree.Reset()
+	}
+	inFree := f.inFree
 	for _, id := range sc.free {
 		if id < 0 || int(id) >= f.cfg.Blocks {
 			return fmt.Errorf("%w: free block %d out of range", checkpoint.ErrInvalid, id)
 		}
-		if inFree[id] {
+		if inFree.Get(int(id)) {
 			return fmt.Errorf("%w: free pool repeats block %d", checkpoint.ErrInvalid, id)
 		}
-		inFree[id] = true
+		inFree.Set(int(id))
 	}
 	for id := range sc.blocks {
 		b := &sc.blocks[id]
@@ -472,10 +478,10 @@ func (f *FTL) verifyShardCheckpoint(sc *shardCheckpoint) error {
 		if b.valid < 0 || b.valid > f.cfg.PagesPerBlock {
 			return fmt.Errorf("%w: block %d validity count %d of %d pages", checkpoint.ErrInvalid, id, b.valid, f.cfg.PagesPerBlock)
 		}
-		if b.allocated && inFree[id] {
+		if b.allocated && inFree.Get(id) {
 			return fmt.Errorf("%w: block %d both allocated and free", checkpoint.ErrInvalid, id)
 		}
-		if b.retired && inFree[id] {
+		if b.retired && inFree.Get(id) {
 			return fmt.Errorf("%w: block %d both retired and free", checkpoint.ErrInvalid, id)
 		}
 		bad, err := f.dev.BadBlock(block)

@@ -43,9 +43,11 @@ type Engine struct {
 	logicalPages  int64
 
 	// powerMu guards failed: the engine-wide crashed/recovered state
-	// transitions of PowerFail and Recover.
-	powerMu sync.Mutex
-	failed  bool
+	// transitions of PowerFail and Recover. recovering, which Recover waits
+	// on for its shards, is the engine's so that a recovery allocates none.
+	powerMu    sync.Mutex
+	failed     bool
+	recovering sync.WaitGroup
 
 	// batches recycles runBatch's scratch; see batch.
 	batches sync.Pool
@@ -78,9 +80,9 @@ type engineShard struct {
 	maxStall time.Duration
 
 	// recovery and recoverErr are the shard's outcome of an engine-wide
-	// Recover, written by the shard's recovery goroutine and read once all
-	// of them are done.
-	recovery   *RecoveryReport
+	// Recover, written by the shard's recovery (engineShard.recover) and
+	// read once all of them are done.
+	recovery   RecoveryReport
 	recoverErr error
 }
 
@@ -255,21 +257,23 @@ func (e *Engine) writeSeq() uint64 {
 // concurrent use.
 //
 // A single-page operation's arrival instant is stamped on the shard's own
-// plane (Partition.SyncArrival, not the engine-wide SyncArrival): its
-// recorded latency is the operation's service time plus any queueing behind
-// operations already holding the shard — IO cannot start before the stamp
-// even on an idle die of a multi-die shard — without charging it work from
-// other shards' dies and without touching their die locks.
+// plane (Partition.SyncArrival, not the engine-wide SyncArrival), under the
+// shard's latch: its recorded latency is the operation's service time plus
+// any queueing behind operations already on the shard's dies — IO cannot
+// start before the stamp even on an idle die of a multi-die shard — without
+// charging it work from other shards' dies. A wait for the latch behind
+// another caller is host scheduling, not device time, and is not part of
+// the recorded latency: stamped before the latch, the same operations would
+// record latencies that depend on which goroutine won it.
 func (e *Engine) Do(kind flash.HostOp, lpn flash.LPN) error {
 	s, local, err := e.shardOf(lpn)
 	if err != nil {
 		return err
 	}
 	sh := e.shards[s]
-	arrival := sh.ftl.Device().SyncArrival()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.do(kind, local, arrival)
+	return sh.do(kind, local, sh.ftl.Device().SyncArrival())
 }
 
 // do executes one operation on the shard's FTL and, when it succeeds, records

@@ -3,7 +3,6 @@ package ftl
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -97,9 +96,10 @@ func (e *Engine) PowerFail() error {
 
 // Recover restores the engine after an engine-wide PowerFail: the shared
 // device rail is restored, then every shard runs its FTL recovery procedure
-// (GeckoRec for GeckoFTL shards) concurrently, one goroutine per shard.
-// Recovery is spare-area-read dominated and each shard scans only its own
-// partition's dies, so recovery wall-clock scales with channel parallelism.
+// (GeckoRec for GeckoFTL shards) concurrently, the first on the calling
+// goroutine and each other one on a goroutine of its own. Recovery is
+// spare-area-read dominated and each shard scans only its own partition's
+// dies, so recovery wall-clock scales with channel parallelism.
 //
 // Recover returns an error when no PowerFail preceded it (including a second
 // Recover after a successful one).
@@ -113,17 +113,15 @@ func (e *Engine) Recover() (*EngineRecoveryReport, error) {
 	// until that shard's recovery turns it back on.
 	e.dev.PowerOn()
 
-	var wg sync.WaitGroup
-	for _, sh := range e.shards {
-		wg.Add(1)
+	for _, sh := range e.shards[1:] {
+		e.recovering.Add(1)
 		go func() {
-			defer wg.Done()
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			sh.recovery, sh.recoverErr = sh.ftl.Recover()
+			defer e.recovering.Done()
+			sh.recover()
 		}()
 	}
-	wg.Wait()
+	e.shards[0].recover()
+	e.recovering.Wait()
 	var errs []error
 	for i, sh := range e.shards {
 		if sh.recoverErr != nil {
@@ -148,8 +146,7 @@ func (e *Engine) Recover() (*EngineRecoveryReport, error) {
 
 	out := &EngineRecoveryReport{Shards: make([]ShardRecoveryReport, len(e.shards))}
 	for i, sh := range e.shards {
-		r := sh.recovery
-		sh.recovery = nil
+		r := &sh.recovery
 		out.Shards[i] = ShardRecoveryReport{Shard: i, RecoveryReport: *r}
 		out.SerialTime += r.Duration
 		if r.Duration > out.WallClock {
@@ -163,4 +160,12 @@ func (e *Engine) Recover() (*EngineRecoveryReport, error) {
 		out.UsedBattery = out.UsedBattery || r.UsedBattery
 	}
 	return out, nil
+}
+
+// recover runs the shard's FTL recovery under the shard lock and keeps its
+// outcome on the shard.
+func (sh *engineShard) recover() {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.recovery, sh.recoverErr = sh.ftl.Recover()
 }

@@ -480,8 +480,8 @@ func TestOneShardEngineMatchesBareFTL(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := engRep.Shards[0].RecoveryReport; got != *bareRep {
-				t.Errorf("recovery reports differ:\nbare   %+v\nengine %+v", *bareRep, got)
+			if got := engRep.Shards[0].RecoveryReport; got != bareRep {
+				t.Errorf("recovery reports differ:\nbare   %+v\nengine %+v", bareRep, got)
 			}
 			same("after recovery")
 		})

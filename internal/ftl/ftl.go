@@ -155,12 +155,19 @@ type FTL struct {
 	ckptFirst []int32
 
 	// Scratch of synchronize, which is never re-entered, reused across calls.
-	syncAll       []mapcache.Entry
-	syncUpdates   []dirtyUpdate
-	syncUncertain []flash.LPN
+	syncAll     []mapcache.Entry
+	syncUpdates []dirtyUpdate
 	// runs is the Gecko run directories a checkpoint export encodes and a
 	// checkpoint import decodes, reused across calls.
 	runs []gecko.RunExport
+	// Scratch of recovery and of checkpoint verification, kept across calls
+	// so that a crash or a warm restart refills it instead of allocating:
+	// recoverGMD's sequences (gmdSeqs), reconcileRecoveredUIP's stale entries
+	// (stale) and verifyShardCheckpoint's free-pool marks (inFree). None of
+	// it means anything outside the call that filled it.
+	gmdSeqs []uint64
+	stale   []flash.LPN
+	inFree  *bitmap.Bitmap
 }
 
 // New creates an FTL over a partition of a device with the given options.
@@ -497,7 +504,7 @@ func (f *FTL) reportInvalid(ppn flash.PPN) error {
 		// this report checks: synchronize's update of an old translation
 		// page can flush the buffer too, and recovery's replay clears once at
 		// its end; checking after either would move recorded results.
-		f.table.ClearProtected(true)
+		f.table.ClearProtected()
 	}
 	return nil
 }
@@ -538,11 +545,10 @@ func (f *FTL) synchronize(seed mapcache.Entry) error {
 	}
 	f.syncAll = all
 
-	f.syncUpdates, f.syncUncertain = f.syncUpdates[:0], f.syncUncertain[:0]
+	f.syncUpdates = f.syncUpdates[:0]
 	for _, e := range all {
 		flashPPN := f.table.FlashEntry(e.Logical)
 		if e.Uncertain {
-			f.syncUncertain = append(f.syncUncertain, e.Logical)
 			if flashPPN == e.Physical {
 				// The entry was wrongly assumed dirty after recovery
 				// (Appendix C.3.1): clear its flags and omit it.
@@ -599,12 +605,10 @@ func (f *FTL) synchronize(seed mapcache.Entry) error {
 		}
 	}
 
-	// Mark the synchronized entries clean.
+	// Mark the synchronized entries clean. The loop above cleaned the ones it
+	// omitted, so no entry of the page is left uncertain.
 	for _, u := range updates {
 		f.clearFlags(u.Logical)
-	}
-	for _, lpn := range f.syncUncertain {
-		f.cache.Update(lpn, func(en *mapcache.Entry) { en.Uncertain = false })
 	}
 	return nil
 }
@@ -892,7 +896,7 @@ func (f *FTL) Flush() error {
 		if err := g.Flush(); err != nil {
 			return err
 		}
-		f.table.ClearProtected(false)
+		f.table.ClearProtected()
 	}
 	return nil
 }

@@ -74,15 +74,15 @@ func (f *FTL) crash() {
 // Recover restores the FTL after a power failure, implementing GeckoRec
 // (Appendix C) for GeckoFTL and the corresponding recovery procedures of the
 // comparison FTLs. It returns a report of the work done.
-func (f *FTL) Recover() (*RecoveryReport, error) {
+func (f *FTL) Recover() (RecoveryReport, error) {
 	if f.dev.Powered() {
-		return nil, fmt.Errorf("ftl: Recover called without a preceding PowerFail")
+		return RecoveryReport{}, fmt.Errorf("ftl: Recover called without a preceding PowerFail")
 	}
 	f.dev.PowerOn()
 
 	startCounters := f.dev.Counters()
 	startTime := f.dev.SimulatedTime()
-	report := &RecoveryReport{UsedBattery: f.facts.battery}
+	report := RecoveryReport{UsedBattery: f.facts.battery}
 
 	// Step 1: rebuild the block information directory (block types, write
 	// pointers, first-write timestamps) with one spare-area read per block,
@@ -92,7 +92,7 @@ func (f *FTL) Recover() (*RecoveryReport, error) {
 	// synchronizations performed later in recovery cannot underflow it; the
 	// accurate rebuild happens at the end.
 	if err := f.recoverBlockManager(); err != nil {
-		return nil, err
+		return RecoveryReport{}, err
 	}
 
 	// Step 2: recover the GMD by scanning the spare areas of all translation
@@ -102,7 +102,7 @@ func (f *FTL) Recover() (*RecoveryReport, error) {
 	// overwrite or trim) is already durable.
 	tpContentSeq, err := f.recoverGMD()
 	if err != nil {
-		return nil, err
+		return RecoveryReport{}, err
 	}
 
 	// Steps 3 & 4: recover the flash-resident page-validity structures. The
@@ -110,16 +110,16 @@ func (f *FTL) Recover() (*RecoveryReport, error) {
 	switch store := f.validity.(type) {
 	case *gecko.Gecko:
 		if err := store.RecoverDirectories(); err != nil {
-			return nil, err
+			return RecoveryReport{}, err
 		}
 		if err := f.recoverGeckoBuffer(store); err != nil {
-			return nil, err
+			return RecoveryReport{}, err
 		}
 	case *pvl.Log:
 		// IB-FTL must rebuild its RAM-resident chain heads by scanning the
 		// whole log, whose size is proportional to device capacity.
 		if err := f.rebuildPVLHeads(); err != nil {
-			return nil, err
+			return RecoveryReport{}, err
 		}
 	}
 
@@ -129,7 +129,7 @@ func (f *FTL) Recover() (*RecoveryReport, error) {
 	if !f.facts.battery {
 		recovered, err := f.recoverDirtyEntries(tpContentSeq)
 		if err != nil {
-			return nil, err
+			return RecoveryReport{}, err
 		}
 		report.RecoveredMappingEntries = recovered
 
@@ -145,7 +145,7 @@ func (f *FTL) Recover() (*RecoveryReport, error) {
 			report.SynchronizedBeforeResume = true
 			dirty, err := f.synchronizeRecoveredEntries()
 			if err != nil {
-				return nil, err
+				return RecoveryReport{}, err
 			}
 			report.RecoveredDirty = dirty
 		}
@@ -157,7 +157,7 @@ func (f *FTL) Recover() (*RecoveryReport, error) {
 	// have been synchronized so that the table reflects the newest versions.
 	if p, ok := f.validity.(*pvb.RAMPVB); ok {
 		if err := f.rebuildRAMPVB(p); err != nil {
-			return nil, err
+			return RecoveryReport{}, err
 		}
 	}
 
@@ -165,7 +165,7 @@ func (f *FTL) Recover() (*RecoveryReport, error) {
 	// Validity Counter from the page-validity store, the translation table
 	// and the metadata structures' live-page sets.
 	if err := f.rebuildBVC(); err != nil {
-		return nil, err
+		return RecoveryReport{}, err
 	}
 
 	delta := f.dev.Counters().Sub(startCounters)
@@ -317,14 +317,16 @@ func (f *FTL) recoverBlockManager() error {
 // reflect. The dirty-entry scan uses it to date the durable mapping state —
 // the page's own WriteSeq will not do, because a garbage-collection copy
 // refreshes it without refreshing the content. The result is indexed by
-// translation page; a page with no recovered version reads zero.
+// translation page; a page with no recovered version reads zero. It is the
+// FTL's own storage (gmdSeqs), valid until the next recovery.
 func (f *FTL) recoverGMD() ([]uint64, error) {
 	f.table.CrashRAM()
 	// newest holds the WriteSeq of each page's newest version so far: zero
 	// until one is found, since written pages' WriteSeqs start at 1.
 	pages := f.table.Pages()
-	seqs := make([]uint64, 2*pages)
-	newest, contentSeq := seqs[:pages], seqs[pages:]
+	f.gmdSeqs = fill(f.gmdSeqs, 2*pages)
+	clear(f.gmdSeqs)
+	newest, contentSeq := f.gmdSeqs[:pages], f.gmdSeqs[pages:]
 	for block := range f.bm.BlocksInGroup(GroupTranslation) {
 		written := f.bm.WritePointer(block)
 		for offset := 0; offset < written; offset++ {
@@ -415,7 +417,7 @@ func (f *FTL) recoverGeckoBuffer(g *gecko.Gecko) error {
 			}
 		}
 	}
-	f.table.ClearProtected(false)
+	f.table.ClearProtected()
 	return nil
 }
 
@@ -480,21 +482,31 @@ func (f *FTL) rebuildPVLHeads() error {
 // Logarithmic Gecko answers for every block with one scan of its runs; the
 // other stores answer one GC query per block.
 func (f *FTL) rebuildBVC() error {
-	// live counts, per block, the live pages of the metadata structures and
-	// the valid translation pages, those the recovered GMD points to; the two
-	// sit in blocks of different groups.
-	live := make([]int32, f.cfg.Blocks)
-	if lister, ok := f.validity.(flashStore); ok {
+	// A metadata block's valid pages are the live pages of the metadata
+	// structures and the valid translation pages, those the recovered GMD
+	// points to; the two sit in blocks of different groups. Each is counted
+	// into its block's BVC entry.
+	for i := range f.bm.blocks {
+		if info := &f.bm.blocks[i]; info.allocated && info.group != GroupUser {
+			info.valid = 0
+		}
+	}
+	g, isGecko := f.validity.(*gecko.Gecko)
+	if isGecko {
+		// On the concrete type the iterator inlines and allocates nothing.
+		for ppn := range g.LivePages() {
+			f.bm.countLive(ppn)
+		}
+	} else if lister, ok := f.validity.(flashStore); ok {
 		for ppn := range lister.LivePages() {
-			live[flash.BlockOf(ppn, f.cfg.PagesPerBlock)]++
+			f.bm.countLive(ppn)
 		}
 	}
 	for tp := 0; tp < f.table.Pages(); tp++ {
 		if loc := f.table.GMDLocation(tp); loc != flash.InvalidPPN {
-			live[flash.BlockOf(loc, f.cfg.PagesPerBlock)]++
+			f.bm.countLive(loc)
 		}
 	}
-	g, isGecko := f.validity.(*gecko.Gecko)
 	var geckoScan *bitmap.Rows
 	var queried *bitmap.Bitmap // the other stores answer each block into it
 	if isGecko {
@@ -507,11 +519,7 @@ func (f *FTL) rebuildBVC() error {
 	}
 	for i := range f.bm.blocks {
 		info := &f.bm.blocks[i]
-		if !info.allocated {
-			continue
-		}
-		switch info.group {
-		case GroupUser:
+		if info.allocated && info.group == GroupUser {
 			var invalid int
 			if isGecko {
 				row := geckoScan.Row(i)
@@ -523,10 +531,6 @@ func (f *FTL) rebuildBVC() error {
 				invalid = queried.PopCountBelow(info.writePointer)
 			}
 			info.valid = info.writePointer - invalid
-		case GroupTranslation, GroupMeta:
-			// Live metadata pages are known to their owning structure, which
-			// rebuilt its directories above.
-			info.valid = int(live[i])
 		}
 	}
 	f.bm.reindexFullBlocks()
@@ -549,7 +553,7 @@ func (f *FTL) rebuildBVC() error {
 // the one moment the FTL holds the complete validity picture (the bitmaps
 // rebuildBVC just scanned) in RAM, so the reconciliation costs no IO.
 func (f *FTL) reconcileRecoveredUIP(geckoScan *bitmap.Rows) {
-	var stale []flash.LPN
+	stale := f.stale[:0]
 	f.cache.ForEach(func(e mapcache.Entry) bool {
 		if !e.UIP || !e.Uncertain {
 			return true
@@ -569,6 +573,7 @@ func (f *FTL) reconcileRecoveredUIP(geckoScan *bitmap.Rows) {
 	for _, lpn := range stale {
 		f.cache.Update(lpn, func(en *mapcache.Entry) { en.UIP = false; en.Trimmed = false })
 	}
+	f.stale = stale
 }
 
 // recoverDirtyEntries performs the bounded backwards scan of Section 4.3: it

@@ -24,7 +24,7 @@ func crashAndRecover(t *testing.T, f *FTL, ops int, seed int64) *RecoveryReport 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return report
+	return &report
 }
 
 func TestRecoverRequiresPowerFail(t *testing.T) {

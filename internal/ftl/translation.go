@@ -48,6 +48,8 @@ type translationTable struct {
 	// Like flashMapping they model flash content, not integrated RAM.
 	undo    []undoRecord
 	touched []uint64
+	// updated is UpdatedSinceProtection's result, reused across calls.
+	updated []int
 }
 
 // prevVersion is the location of a translation page as it was before the
@@ -245,33 +247,31 @@ func (t *translationTable) UndoLog() []undoRecord {
 // Logarithmic Gecko's buffer, and a map-ordered replay could flush different
 // buffer contents on different runs of the same seeded simulation (the
 // buffer drains whenever it fills mid-replay), breaking reproducibility.
+// The result is the table's own storage, valid until the next call.
 func (t *translationTable) UpdatedSinceProtection() []int {
-	out := make([]int, 0, len(t.prevVersions))
+	out := slices.Grow(t.updated[:0], len(t.prevVersions))
 	for tp := range t.prevVersions {
 		out = append(out, tp)
 	}
 	slices.Sort(out)
+	t.updated = out
 	return out
 }
 
 // ClearProtected drops the protected previous versions and releases their
-// blocks; the FTL calls it whenever Logarithmic Gecko's buffer is flushed.
-// With recycle the undo log's storage is kept for the next protections — the
-// steady state, where the next flush is a few hundred writes away; without,
-// it is released, so that a device left idle after a shutdown flush or a
-// recovery holds none.
-func (t *translationTable) ClearProtected(recycle bool) {
+// blocks; the FTL calls it whenever Logarithmic Gecko's buffer is flushed,
+// and so do a shutdown flush and the end of a recovery's buffer replay. The
+// undo log's storage is kept for the next protections: the next flush is a
+// few hundred writes away, and after a recovery or a warm restart the log
+// would otherwise regrow from nothing by doubling.
+func (t *translationTable) ClearProtected() {
 	// Whole words: a neighbour sharing one is protected too or has no bit set.
 	for tp := range t.prevVersions {
 		start := int64(tp) * int64(t.entriesPerTP)
 		end := min(start+int64(t.entriesPerTP), t.logicalPages)
 		clear(t.touched[start/64 : (end+63)/64])
 	}
-	if recycle {
-		t.undo = t.undo[:0]
-	} else {
-		t.undo = nil
-	}
+	t.undo = t.undo[:0]
 	clear(t.prevVersions)
 	t.bm.ClearProtection()
 }

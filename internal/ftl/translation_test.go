@@ -132,7 +132,7 @@ func TestTranslationTableProtectsPreviousVersions(t *testing.T) {
 	// A Gecko buffer flush clears the protection window; the next update to
 	// the translation page starts a new one whose previous version is the
 	// state as of that flush.
-	table.ClearProtected(false)
+	table.ClearProtected()
 	if err := table.Synchronize(0, []dirtyUpdate{{Logical: 1, Physical: 20}}); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestTranslationTableProtectsPreviousVersions(t *testing.T) {
 	if !table.bm.Protected(prevBlock) {
 		t.Error("block of the previous version not protected")
 	}
-	table.ClearProtected(false)
+	table.ClearProtected()
 	if len(table.UpdatedSinceProtection()) != 0 || table.bm.Protected(prevBlock) || len(table.UndoLog()) != 0 {
 		t.Error("ClearProtected left state behind")
 	}

@@ -107,41 +107,39 @@ func TestUndoLogNamedSequences(t *testing.T) {
 		{name: "A, B, A", before: []flash.PPN{a}, window: []flash.PPN{b, a}},
 		{name: "A, trimmed, B", before: []flash.PPN{a}, window: []flash.PPN{flash.InvalidPPN, b}, want: []flash.PPN{a}},
 	} {
-		for _, recycle := range []bool{true, false} {
-			table, dense := newUndoTable(t)
-			const lpn = flash.LPN(57) // in translation page 1, in a word page 0 shares
-			sync := func(ppn flash.PPN) {
-				dense.beforeSynchronize(1)
-				if err := table.Synchronize(1, []dirtyUpdate{{Logical: lpn, Physical: ppn}}); err != nil {
-					t.Fatal(err)
-				}
+		table, dense := newUndoTable(t)
+		const lpn = flash.LPN(57) // in translation page 1, in a word page 0 shares
+		sync := func(ppn flash.PPN) {
+			dense.beforeSynchronize(1)
+			if err := table.Synchronize(1, []dirtyUpdate{{Logical: lpn, Physical: ppn}}); err != nil {
+				t.Fatal(err)
 			}
-			// An earlier window that touched the page, ended either way.
-			for _, ppn := range tc.before {
-				sync(ppn)
-			}
-			table.ClearProtected(recycle)
-			clear(dense.content)
-			for _, ppn := range tc.window {
-				sync(ppn)
-			}
-			name := fmt.Sprintf("%s (recycle %v)", tc.name, recycle)
-			requireSameDiff(t, name, table, dense)
-			var got []flash.PPN
-			for _, r := range replayed(table)[1] {
-				got = append(got, r.previous())
-			}
-			if !slices.Equal(got, tc.want) {
-				t.Errorf("%s: replays old values %v, want %v", name, got, tc.want)
-			}
+		}
+		// An earlier window that touched the page, ended with its log's
+		// storage kept.
+		for _, ppn := range tc.before {
+			sync(ppn)
+		}
+		table.ClearProtected()
+		clear(dense.content)
+		for _, ppn := range tc.window {
+			sync(ppn)
+		}
+		requireSameDiff(t, tc.name, table, dense)
+		var got []flash.PPN
+		for _, r := range replayed(table)[1] {
+			got = append(got, r.previous())
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: replays old values %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
 
 // TestUndoLogMatchesDenseVersions drives random synchronizations — several
 // logical pages at a time, values that repeat, pages synchronized again in
-// the same window, unmapped pages, trims — with windows ended both ways and
-// power lost in the middle of them, and after every step requires the undo
+// the same window, unmapped pages, trims — with windows ended and power
+// lost in the middle of them, and after every step requires the undo
 // log to replay, for every protected translation page, exactly the dense
 // diff, in its order.
 func TestUndoLogMatchesDenseVersions(t *testing.T) {
@@ -152,9 +150,8 @@ func TestUndoLogMatchesDenseVersions(t *testing.T) {
 			when := fmt.Sprintf("seed %d step %d", seed, step)
 			switch n := rng.Intn(20); {
 			case n == 0:
-				recycle := rng.Intn(2) == 0
-				when += fmt.Sprintf(" (window ended, recycle %v)", recycle)
-				table.ClearProtected(recycle)
+				when += " (window ended)"
+				table.ClearProtected()
 				clear(dense.content)
 				if len(table.UndoLog()) != 0 || slices.ContainsFunc(table.touched, func(w uint64) bool { return w != 0 }) {
 					t.Fatalf("%s: the window's log or touched bits outlive it", when)

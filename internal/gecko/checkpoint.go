@@ -32,22 +32,35 @@ type RunExport struct {
 // the buffer must have been flushed first (Flush), which is the checkpoint
 // writer's responsibility.
 func (g *Gecko) ExportDirectories(runs []RunExport) []RunExport {
+	// Within its capacity the slice holds the Pages of earlier exports,
+	// which a growth keeps too.
+	if n := g.RunCount(); cap(runs) < n {
+		runs = slices.Grow(runs[:cap(runs)], n-cap(runs))
+	}
 	runs = runs[:0]
 	for _, level := range g.levels {
 		for _, r := range level {
-			// Within its capacity the slice still holds the Pages of the
-			// last export.
-			runs = slices.Grow(runs, 1)[:len(runs)+1]
-			re := &runs[len(runs)-1]
+			// The runs of the last export sat at other places: of the Pages
+			// not taken yet, the run takes the smallest that holds it.
+			runs = runs[:len(runs)+1]
+			rest := runs[len(runs)-1 : cap(runs)]
+			fit := 0
+			for j := range rest {
+				if c := cap(rest[j].Pages); c >= len(r.pages) && (cap(rest[fit].Pages) < len(r.pages) || c < cap(rest[fit].Pages)) {
+					fit = j
+				}
+			}
+			rest[0].Pages, rest[fit].Pages = rest[fit].Pages, rest[0].Pages
+			re := &rest[0]
 			re.ID, re.CreateSeq, re.Level = r.id, r.createSeq, r.level
-			re.Pages = re.Pages[:0]
+			re.Pages = slices.Grow(re.Pages[:0], len(r.pages))[:len(r.pages)]
 			for i := range r.pages {
 				p := &r.pages[i]
-				re.Pages = append(re.Pages, RunPageExport{
+				re.Pages[i] = RunPageExport{
 					PPN:    int64(p.ppn),
 					MinKey: packKey(p.minKey),
 					MaxKey: packKey(p.maxKey),
-				})
+				}
 			}
 		}
 	}

@@ -65,8 +65,8 @@ func TestSpareKeysCoverEveryAcceptedKey(t *testing.T) {
 	lo := key{0, WholeBlock}
 	hi := key{flash.BlockID(largest.Blocks - 1), int16(largest.PartitionFactor - 1)}
 	got := decodeRunPageSpare(encodeRunPageSpare(7, 1, 2, lo, hi), 0)
-	if got.minKey != lo || got.maxKey != hi {
-		t.Errorf("spare keys %v..%v came back as %v..%v", lo, hi, got.minKey, got.maxKey)
+	if got.minKey() != lo || got.maxKey() != hi {
+		t.Errorf("spare keys %v..%v came back as %v..%v", lo, hi, got.minKey(), got.maxKey())
 	}
 	for name, mutate := range map[string]func(*Config){
 		"one block too many":   func(c *Config) { c.Blocks++ },
@@ -85,6 +85,15 @@ func TestSpareKeysCoverEveryAcceptedKey(t *testing.T) {
 func TestEntryWidth(t *testing.T) {
 	if got := unsafe.Sizeof(entry{}); got != 8 {
 		t.Errorf("a Gecko entry takes %d bytes, want 8", got)
+	}
+}
+
+// TestScanRecordWidth holds the directory scan's record of a page to what
+// the page's spare area carries (two packed words and the write sequence)
+// plus its address: the scan slice lives as long as the Gecko does.
+func TestScanRecordWidth(t *testing.T) {
+	if got := unsafe.Sizeof(runPageMeta{}); got != 32 {
+		t.Errorf("a scanned run page takes %d bytes, want 32", got)
 	}
 }
 

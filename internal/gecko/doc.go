@@ -51,9 +51,13 @@
 // entries, the run directories and the free list's slabs. It keeps the Go
 // storage that held them, empty: each level's slice, the run structs with
 // their directories' backing arrays, zeroed, as spare runs, and the free
-// list's slice. RecoverDirectories and ImportDirectories refill that storage,
-// so a crash allocates only what the flash image does not already hold: the
-// recovery's one scan slice, and the slabs of the runs written after it.
+// list's slice. It also keeps recovery's own working storage, the directory
+// scan's slice (32 bytes a scanned page) and ScanValidity's rows, which the
+// next recovery overwrites before it reads them. RecoverDirectories and
+// ImportDirectories refill that storage, so a crash allocates only what the
+// flash image does not already hold: the slabs of the runs written after it
+// (and, once, the scan's storage, or more of it when the metadata blocks
+// outgrow it).
 //
 // Within an FTL, one Gecko instance serves as the validity store of a single
 // flash plane or engine shard; its state is guarded by the owning shard's

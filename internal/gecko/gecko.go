@@ -57,6 +57,12 @@ type Gecko struct {
 	spare  []*run
 	byAge  []*run
 	inputs []*run
+	// scan is RecoverDirectories' spare-area scan, and rows and marks are
+	// ScanValidity's result and erase bookkeeping: recovery's working
+	// storage, kept from one recovery to the next and overwritten by each.
+	scan  []runPageMeta
+	rows  *bitmap.Rows
+	marks []uint64
 
 	nextRunID uint64
 	seq       uint64 // logical creation sequence for runs

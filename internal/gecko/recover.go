@@ -15,8 +15,9 @@ import (
 // device; RecoverDirectories or ImportDirectories rebuilds the RAM state from
 // them. What a crash keeps is host storage with no content in it: each
 // level's slice, emptied; the runs, cleared and spare (see retire); the free
-// list's slice, emptied. The rebuilt directories refill that storage instead
-// of allocating their own.
+// list's slice, emptied; the recovery scan's slice and ScanValidity's rows,
+// which their next call overwrites before it reads them. The rebuilt
+// directories refill that storage instead of allocating their own.
 func (g *Gecko) CrashRAM() {
 	g.buf.clear()
 	g.retireLevels()
@@ -59,8 +60,8 @@ func (g *Gecko) NewestRunWriteSeq() (uint64, error) {
 //
 // The store must implement metastore.BlockLister so the scan knows which
 // blocks to visit. The rebuilt directories replace the current RAM state.
-// The scan goes into one slice, and the runs are spare ones where they fit
-// (see CrashRAM).
+// The scan goes into one slice, which the Gecko keeps for the next recovery,
+// and the runs are spare ones where they fit (see CrashRAM).
 func (g *Gecko) RecoverDirectories() error {
 	lister, ok := g.store.(metastore.BlockLister)
 	if !ok {
@@ -69,7 +70,7 @@ func (g *Gecko) RecoverDirectories() error {
 
 	// Step 1: spare-area scan of every page in every Gecko block.
 	blocks := lister.Blocks()
-	scan := make([]runPageMeta, 0, len(blocks)*g.cfg.PagesPerBlock)
+	scan := slices.Grow(g.scan[:0], len(blocks)*g.cfg.PagesPerBlock)
 	for _, block := range blocks {
 		for offset := 0; offset < g.cfg.PagesPerBlock; offset++ {
 			ppn := flash.PPNOf(block, offset, g.cfg.PagesPerBlock)
@@ -82,6 +83,7 @@ func (g *Gecko) RecoverDirectories() error {
 			}
 		}
 	}
+	g.scan = scan
 
 	// Step 2: group the pages by run, each run's in page order, and keep only
 	// complete runs (all totalPages present exactly once). Step 3: the newest
@@ -90,13 +92,13 @@ func (g *Gecko) RecoverDirectories() error {
 	// recovery: recovery must replay identically or post-crash GC diverges
 	// between runs of the same crash image.
 	slices.SortFunc(scan, func(a, b runPageMeta) int {
-		return cmp.Or(cmp.Compare(a.runID, b.runID), cmp.Compare(a.pageIndex, b.pageIndex))
+		return cmp.Or(cmp.Compare(a.runID(), b.runID()), cmp.Compare(a.pageIndex(), b.pageIndex()))
 	})
 	// A spare area records 0xffff pages a run at most, and the size ratio
 	// is 2 at least, so no complete run is above level 15.
 	var newest [16][]runPageMeta
 	for lo, hi := 0, 0; lo < len(scan); lo = hi {
-		for hi = lo + 1; hi < len(scan) && scan[hi].runID == scan[lo].runID; hi++ {
+		for hi = lo + 1; hi < len(scan) && scan[hi].runID() == scan[lo].runID(); hi++ {
 		}
 		pages := scan[lo:hi]
 		if !complete(pages) {
@@ -123,7 +125,7 @@ func (g *Gecko) RecoverDirectories() error {
 		}
 		minSeqOfLarger = pages[0].writeSeq
 		r := g.newRun(len(pages))
-		r.id, r.createSeq, r.level = pages[0].runID, pages[0].writeSeq, level
+		r.id, r.createSeq, r.level = pages[0].runID(), pages[0].writeSeq, level
 		for _, m := range pages {
 			content, ok := g.pageContent[m.ppn]
 			if !ok {
@@ -131,7 +133,7 @@ func (g *Gecko) RecoverDirectories() error {
 				g.retire(r)
 				return err
 			}
-			r.pages = append(r.pages, runPage{ppn: m.ppn, minKey: m.minKey, maxKey: m.maxKey, slab: content})
+			r.pages = append(r.pages, runPage{ppn: m.ppn, minKey: m.minKey(), maxKey: m.maxKey(), slab: content})
 		}
 		g.adoptRun(r)
 	}
@@ -141,12 +143,12 @@ func (g *Gecko) RecoverDirectories() error {
 // complete reports whether one run's scanned pages, in page order, are the
 // whole run: every page of the count each records, once.
 func complete(pages []runPageMeta) bool {
-	total := pages[0].totalPages
+	total := pages[0].totalPages()
 	if len(pages) != total {
 		return false
 	}
 	for i, m := range pages {
-		if m.pageIndex != i || m.totalPages != total {
+		if m.pageIndex() != i || m.totalPages() != total {
 			return false
 		}
 	}

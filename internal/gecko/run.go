@@ -56,16 +56,20 @@ func unpackKey(v uint32) key {
 	return key{block: flash.BlockID(v >> 8), subKey: int16(v&0xff) - 1}
 }
 
-// runPageMeta is the decoded form of a run page's spare area.
+// runPageMeta is a run page's spare area as the recovery scan keeps it: the
+// two words encodeRunPageSpare packs, the page's write sequence and its
+// address, 32 bytes a scanned page. The methods decode the packed fields.
 type runPageMeta struct {
-	runID      uint64
-	pageIndex  int
-	totalPages int
-	minKey     key
-	maxKey     key
-	writeSeq   uint64
-	ppn        flash.PPN
+	tag, aux uint64
+	writeSeq uint64
+	ppn      flash.PPN
 }
+
+func (m runPageMeta) runID() uint64   { return m.tag >> 32 }
+func (m runPageMeta) pageIndex() int  { return int(m.tag >> 16 & 0xffff) }
+func (m runPageMeta) totalPages() int { return int(m.tag & 0xffff) }
+func (m runPageMeta) minKey() key     { return unpackKey(uint32(m.aux >> 32)) }
+func (m runPageMeta) maxKey() key     { return unpackKey(uint32(m.aux)) }
 
 // encodeRunPageSpare packs run-page metadata into a spare area. It carries
 // everything Appendix C.1 needs to rebuild run directories from a spare-area
@@ -86,17 +90,10 @@ func encodeRunPageSpare(runID uint64, pageIndex, totalPages int, minKey, maxKey 
 	}
 }
 
-// decodeRunPageSpare reverses encodeRunPageSpare.
+// decodeRunPageSpare keeps what encodeRunPageSpare packed, for the methods
+// of runPageMeta to unpack.
 func decodeRunPageSpare(spare flash.SpareArea, ppn flash.PPN) runPageMeta {
-	return runPageMeta{
-		runID:      spare.Tag >> 32,
-		pageIndex:  int(spare.Tag >> 16 & 0xffff),
-		totalPages: int(spare.Tag & 0xffff),
-		minKey:     unpackKey(uint32(spare.Aux >> 32)),
-		maxKey:     unpackKey(uint32(spare.Aux)),
-		writeSeq:   spare.WriteSeq,
-		ppn:        ppn,
-	}
+	return runPageMeta{tag: spare.Tag, aux: spare.Aux, writeSeq: spare.WriteSeq, ppn: ppn}
 }
 
 // splitIntoPages partitions sorted entries into consecutive groups of at most

@@ -13,18 +13,27 @@ import "geckoftl/internal/bitmap"
 // rebuilding the Blocks Validity Counter needs the validity of every block,
 // and scanning the O(K*B/P) Gecko pages once is far cheaper than issuing K
 // separate GC queries. The IO charged is one page read per live run page.
-// The rows come from one array and the erase bookkeeping from another, so
-// the call allocates the same few objects whatever the number of blocks.
+// The rows come from one array and the erase bookkeeping from another, both
+// the Gecko's own: the first call allocates them, and every later one
+// clears and refills them. The result is valid until the next call.
 func (g *Gecko) ScanValidity() (*bitmap.Rows, error) {
-	rows := bitmap.NewRows(g.cfg.Blocks, g.cfg.PagesPerBlock)
+	if g.rows == nil {
+		g.rows = bitmap.NewRows(g.cfg.Blocks, g.cfg.PagesPerBlock)
+	} else {
+		g.rows.Reset()
+	}
+	rows := g.rows
 	// A block's bit in skip is set once a source newer than the one being
 	// read holds an erase entry for it: its entries in older sources are
 	// obsolete. Entries within the same source as an erase entry postdate the
 	// erase, so erased collects the current source's erase entries and joins
 	// skip only when the next, older, source begins.
 	n := (g.cfg.Blocks + 63) / 64
-	marks := make([]uint64, 2*n)
-	skip, erased := marks[:n], marks[n:]
+	if g.marks == nil {
+		g.marks = make([]uint64, 2*n)
+	}
+	clear(g.marks)
+	skip, erased := g.marks[:n], g.marks[n:]
 
 	fold := func(s *slab, i int) {
 		e := &s.ents[i]
