@@ -39,8 +39,8 @@ func ParseAdmissionPolicy(s string) (AdmissionPolicy, error) {
 //
 // It is the submission queue's own entry for the operation under the public
 // error taxonomy, not a wrapper around one, so the methods below convert the
-// pointer and classify the outcome. Tickets are carved 127 to an allocation
-// from per-shard slabs: holding one keeps its slab (4 KiB) alive.
+// pointer and classify the outcome. A ticket is 16 bytes, carved 255 to an
+// allocation from per-shard slabs: holding one keeps its slab (4 KiB) alive.
 type Ticket queue.Ticket
 
 func (t *Ticket) entry() *queue.Ticket { return (*queue.Ticket)(t) }

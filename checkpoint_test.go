@@ -106,7 +106,7 @@ func TestRestartWarm(t *testing.T) {
 		t.Fatalf("Snapshot.CheckpointBytes = %d, want %d", snap.CheckpointBytes, rep.CheckpointBytes)
 	}
 	// The checkpoint file is on disk and decodable.
-	if _, _, err := checkpoint.ReadFile(path, nil); err != nil {
+	if _, err := checkpoint.ReadFile(new(checkpoint.File), path, nil); err != nil {
 		t.Fatalf("shutdown checkpoint unreadable: %v", err)
 	}
 	// The device keeps working after the warm restart.
@@ -378,7 +378,7 @@ func TestCheckpointCrashHammer(t *testing.T) {
 	if err := dev.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := checkpoint.ReadFile(path, nil); err != nil {
+	if _, err := checkpoint.ReadFile(new(checkpoint.File), path, nil); err != nil {
 		t.Fatalf("post-shutdown checkpoint unreadable: %v", err)
 	}
 }

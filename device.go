@@ -52,6 +52,15 @@ type Device struct {
 	// q is the submission engine behind Submit* (async.go).
 	q *queue.Engine
 
+	// ckptBufMu guards ckptBuf and ckptFile, the storage the device keeps
+	// for its checkpoints: every checkpoint is encoded into ckptBuf, and a
+	// warm restart reads the file back into it and decodes it into
+	// ckptFile, so a restart allocates neither. Nothing restored from the
+	// file aliases them.
+	ckptBufMu sync.Mutex
+	ckptBuf   []byte
+	ckptFile  checkpoint.File
+
 	// ckptMu guards the checkpoint bookkeeping below.
 	ckptMu sync.Mutex
 	// ckptLoad is the outcome of the most recent checkpoint load attempt.
@@ -121,7 +130,8 @@ func Open(opts ...Option) (*Device, error) {
 // is recorded in CheckpointLoad and the device proceeds cold, never
 // half-loaded. Only an internal failure of the fallback itself is an error.
 func (d *Device) loadCheckpointAtOpen() error {
-	file, bytes, err := checkpoint.ReadFile(d.checkpointPath, nil)
+	file := new(checkpoint.File)
+	bytes, err := checkpoint.ReadFile(file, d.checkpointPath, nil)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil
@@ -190,7 +200,9 @@ func (d *Device) writeCheckpoint() error {
 	if d.checkpointPath == "" {
 		return nil
 	}
-	data, err := d.eng.EncodeCheckpoint()
+	d.ckptBufMu.Lock()
+	defer d.ckptBufMu.Unlock()
+	data, err := d.eng.EncodeCheckpoint(d.ckptBuf[:0])
 	switch {
 	case err == nil:
 	case errors.Is(err, ftl.ErrCheckpointUnsupported), errors.Is(err, flash.ErrPowerFailed):
@@ -198,6 +210,7 @@ func (d *Device) writeCheckpoint() error {
 	default:
 		return wrapErr(err)
 	}
+	d.ckptBuf = data
 	if err := checkpoint.WriteFile(d.checkpointPath, data); err != nil {
 		return err
 	}
@@ -483,9 +496,10 @@ type RestartReport struct {
 // the checkpoint cannot be taken (ErrCheckpointUnsupported configurations),
 // written, or loaded, Restart falls back to GeckoRec cold recovery and
 // reports why in RestartReport.Fallback; a bad checkpoint is never an
-// error. The checkpoint is encoded once into one buffer, the file written
-// from it and reloaded into it, and each shard decodes it into its own RAM:
-// nothing of it outlives Restart. Like Recover, a completed Restart starts a
+// error. The checkpoint is encoded once into the buffer the device keeps for
+// it, the file written from it and reloaded into it, and each shard decodes
+// it into its own RAM: nothing restored aliases the buffer, which the next
+// checkpoint overwrites. Like Recover, a completed Restart starts a
 // fresh measurement window. Restarting a power-failed device fails with
 // ErrPowerFailed — use Recover for crashes; Restart models the orderly
 // reboot.
@@ -496,17 +510,20 @@ func (d *Device) Restart(ctx context.Context) (*RestartReport, error) {
 	if err := d.eng.Flush(); err != nil {
 		return nil, wrapErr(err)
 	}
+	d.ckptBufMu.Lock()
+	defer d.ckptBufMu.Unlock()
 	var (
 		file     *checkpoint.File
 		bytes    int64
 		fallback error
 	)
-	switch data, err := d.eng.EncodeCheckpoint(); {
+	switch data, err := d.eng.EncodeCheckpoint(d.ckptBuf[:0]); {
 	case errors.Is(err, ftl.ErrCheckpointUnsupported):
 		fallback = checkpointErr(err)
 	case err != nil:
 		return nil, wrapErr(err)
 	default:
+		d.ckptBuf, file = data, &d.ckptFile
 		bytes = int64(len(data))
 		if d.checkpointPath != "" {
 			// Persist the shutdown checkpoint and reload it through the real
@@ -518,12 +535,12 @@ func (d *Device) Restart(ctx context.Context) (*RestartReport, error) {
 			d.ckptMu.Lock()
 			d.ckptBytes = bytes
 			d.ckptMu.Unlock()
-			file, _, err = checkpoint.ReadFile(d.checkpointPath, data)
+			_, err = checkpoint.ReadFile(file, d.checkpointPath, data)
 		} else {
-			file, err = checkpoint.Decode(data)
+			err = checkpoint.DecodeInto(file, data)
 		}
 		if err != nil {
-			fallback = checkpointErr(err)
+			file, fallback = nil, checkpointErr(err)
 		}
 	}
 	// The reboot: the rail drops and every RAM structure is lost.

@@ -66,7 +66,7 @@ func FileSize(n, payload int) int { return headerSize + n*sectionOverhead + payl
 // Encode serializes a checkpoint into the on-disk byte format, framing each
 // section with the same Writer the FTL's export writes through.
 func Encode(f *File) []byte {
-	w := NewWriter(Size(f), f.Version)
+	w := NewWriter(nil, Size(f), f.Version)
 	for _, s := range f.Sections {
 		w.Begin(s.ID)
 		w.Raw(s.Payload)
@@ -76,45 +76,58 @@ func Encode(f *File) []byte {
 }
 
 // Decode parses and validates the on-disk byte format. Payload slices alias
-// the input — Decode allocates only the section table, sized by a framing
-// pass to the sections the input holds, so hostile inputs cannot force
-// unbounded allocation. Any malformation returns an error wrapping
+// the input — Decode allocates only the File and its section table, sized by
+// a framing pass to the sections the input holds, so hostile inputs cannot
+// force unbounded allocation. Any malformation returns an error wrapping
 // ErrInvalid and a nil File.
 func Decode(data []byte) (*File, error) {
+	f := new(File)
+	if err := DecodeInto(f, data); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// DecodeInto is Decode into f: it overwrites f, reusing f's section table
+// when it has room for the sections data holds. On error f holds no
+// sections.
+func DecodeInto(f *File, data []byte) error {
+	f.Version, f.Sections = 0, f.Sections[:0]
 	if len(data) < headerSize {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrInvalid, len(data), headerSize)
+		return fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrInvalid, len(data), headerSize)
 	}
 	if string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrInvalid, data[:len(magic)])
+		return fmt.Errorf("%w: bad magic %q", ErrInvalid, data[:len(magic)])
 	}
 	version := binary.LittleEndian.Uint32(data[len(magic):headerSize])
 	if version != Version {
-		return nil, fmt.Errorf("%w: format version %d, this build reads version %d", ErrInvalid, version, Version)
+		return fmt.Errorf("%w: format version %d, this build reads version %d", ErrInvalid, version, Version)
 	}
 	body := data[headerSize:]
-	f := &File{
-		Version:  version,
-		Sections: make([]Section, 0, countSections(body)),
+	sections := f.Sections
+	if n := countSections(body); cap(sections) < n {
+		sections = make([]Section, 0, n)
 	}
 	for off := 0; off < len(body); {
 		rest := body[off:]
 		if len(rest) < sectionOverhead {
-			return nil, fmt.Errorf("%w: truncated section framing at offset %d", ErrInvalid, headerSize+off)
+			return fmt.Errorf("%w: truncated section framing at offset %d", ErrInvalid, headerSize+off)
 		}
 		id := binary.LittleEndian.Uint32(rest)
 		n := binary.LittleEndian.Uint32(rest[4:])
 		if uint64(n) > uint64(len(rest)-sectionOverhead) {
-			return nil, fmt.Errorf("%w: section %#x claims %d payload bytes with %d remaining", ErrInvalid, id, n, len(rest)-sectionOverhead)
+			return fmt.Errorf("%w: section %#x claims %d payload bytes with %d remaining", ErrInvalid, id, n, len(rest)-sectionOverhead)
 		}
 		payload := rest[8 : 8+n : 8+n]
 		sum := binary.LittleEndian.Uint32(rest[8+n:])
 		if got := crc32.Checksum(rest[:8+n], castagnoli); got != sum {
-			return nil, fmt.Errorf("%w: section %#x checksum mismatch (stored %#x, computed %#x)", ErrInvalid, id, sum, got)
+			return fmt.Errorf("%w: section %#x checksum mismatch (stored %#x, computed %#x)", ErrInvalid, id, sum, got)
 		}
-		f.Sections = append(f.Sections, Section{ID: id, Payload: payload})
+		sections = append(sections, Section{ID: id, Payload: payload})
 		off += sectionOverhead + int(n)
 	}
-	return f, nil
+	f.Version, f.Sections = version, sections
+	return nil
 }
 
 // countSections returns how many sections body frames before its end or its
@@ -185,14 +198,15 @@ func WriteFile(path string, data []byte) error {
 }
 
 // ReadFile reads a checkpoint file into buf, which it replaces only when the
-// file does not fit in buf's capacity, and decodes it: the sections alias
-// the bytes read. It returns the file's size. Read errors (including a
-// missing file, which callers should treat as an ordinary cold start) come
-// back as the underlying OS error; content errors wrap ErrInvalid.
-func ReadFile(path string, buf []byte) (*File, int64, error) {
+// file does not fit in buf's capacity, and decodes it into f (DecodeInto):
+// the sections alias the bytes read. It returns the file's size. Read errors
+// (including a missing file, which callers should treat as an ordinary cold
+// start) come back as the underlying OS error; content errors wrap
+// ErrInvalid.
+func ReadFile(f *File, path string, buf []byte) (int64, error) {
 	fh, err := os.Open(path)
 	if err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: reading %s: %w", path, err)
+		return 0, fmt.Errorf("checkpoint: reading %s: %w", path, err)
 	}
 	defer fh.Close()
 	st, err := fh.Stat()
@@ -205,11 +219,10 @@ func ReadFile(path string, buf []byte) (*File, int64, error) {
 		_, err = io.ReadFull(fh, buf)
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: reading %s: %w", path, err)
+		return 0, fmt.Errorf("checkpoint: reading %s: %w", path, err)
 	}
-	f, err := Decode(buf)
-	if err != nil {
-		return nil, 0, err
+	if err := DecodeInto(f, buf); err != nil {
+		return 0, err
 	}
-	return f, int64(len(buf)), nil
+	return int64(len(buf)), nil
 }

@@ -158,7 +158,8 @@ func TestWriteFileReadFileRoundTrip(t *testing.T) {
 	}
 	// The reload fills the caller's buffer when the file fits in it.
 	buf := make([]byte, 0, len(data))
-	got, size, err := ReadFile(path, buf)
+	got := new(File)
+	size, err := ReadFile(got, path, buf)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
@@ -183,18 +184,31 @@ func TestWriteFileReadFileRoundTrip(t *testing.T) {
 	if err := WriteFile(path, Encode(&File{Version: Version})); err != nil {
 		t.Fatalf("overwrite: %v", err)
 	}
-	// A buffer too small for the file is replaced, not overrun.
-	got, _, err = ReadFile(path, make([]byte, 0, 1))
-	if err != nil {
+	// A buffer too small for the file is replaced, not overrun, and the
+	// file decoded into keeps its section table.
+	table := &got.Sections[0]
+	if _, err = ReadFile(got, path, make([]byte, 0, 1)); err != nil {
 		t.Fatalf("ReadFile after overwrite: %v", err)
 	}
 	if len(got.Sections) != 0 {
 		t.Errorf("overwritten file has %d sections, want 0", len(got.Sections))
 	}
+	if err := DecodeInto(got, data); err != nil {
+		t.Fatal(err)
+	}
+	if &got.Sections[0] != table {
+		t.Error("DecodeInto replaced a section table that had room")
+	}
+	if !bytes.Equal(Encode(got), data) {
+		t.Error("file decoded into a used File differs")
+	}
+	if err := DecodeInto(got, data[:len(data)-1]); !errors.Is(err, ErrInvalid) || len(got.Sections) != 0 {
+		t.Errorf("DecodeInto a torn file: %v, %d sections left; want ErrInvalid and none", err, len(got.Sections))
+	}
 }
 
 func TestReadFileMissing(t *testing.T) {
-	_, _, err := ReadFile(filepath.Join(t.TempDir(), "absent.ckpt"), nil)
+	_, err := ReadFile(new(File), filepath.Join(t.TempDir(), "absent.ckpt"), nil)
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("err = %v, want os.ErrNotExist", err)
 	}
@@ -208,7 +222,7 @@ func TestReadFileCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadFile(path, nil); !errors.Is(err, ErrInvalid) {
+	if _, err := ReadFile(new(File), path, nil); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("err = %v, want ErrInvalid", err)
 	}
 }

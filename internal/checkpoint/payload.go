@@ -17,10 +17,15 @@ type Writer struct {
 	start int
 }
 
-// NewWriter returns a Writer whose buffer holds exactly size bytes, the
-// size of the file to come, with the header for version already written.
-func NewWriter(size int, version uint32) *Writer {
-	w := &Writer{buf: append(make([]byte, 0, size), magic...)}
+// NewWriter returns a Writer that appends a file of size bytes to dst, with
+// the header for version already written. dst's storage is kept when it has
+// room for size more bytes; otherwise the buffer is replaced by one of exactly
+// len(dst)+size bytes.
+func NewWriter(dst []byte, size int, version uint32) *Writer {
+	if cap(dst)-len(dst) < size {
+		dst = append(make([]byte, 0, len(dst)+size), dst...)
+	}
+	w := &Writer{buf: append(dst, magic...)}
 	w.U32(version)
 	return w
 }

@@ -124,10 +124,10 @@ func (e *Engine) checkpointFingerprint() uint64 {
 }
 
 // ExportCheckpoint snapshots the engine's complete RAM metadata as a
-// checkpoint file: EncodeCheckpoint's bytes, whose sections the file's
-// payloads alias.
+// checkpoint file: EncodeCheckpoint's bytes in a buffer of their own, whose
+// sections the file's payloads alias.
 func (e *Engine) ExportCheckpoint() (*checkpoint.File, error) {
-	data, err := e.EncodeCheckpoint()
+	data, err := e.EncodeCheckpoint(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -135,14 +135,17 @@ func (e *Engine) ExportCheckpoint() (*checkpoint.File, error) {
 }
 
 // EncodeCheckpoint snapshots the engine's complete RAM metadata as an
-// encoded checkpoint file: every shard writes its sections straight into one
-// buffer, sized to the byte before the first is written. The caller should
+// encoded checkpoint file appended to dst: every shard writes its sections
+// straight into one buffer, dst's storage when it has room for the file, else
+// a new buffer of exactly len(dst) plus the file's size, sized before the
+// first byte is written. A caller that encodes again and again passes the
+// last result back as dst[:0] and so reuses its storage. The caller should
 // Flush first so the snapshot describes durable state; every shard lock is
 // held for the duration, so the snapshot is a consistent cut even with
 // concurrent callers. Only battery-less GeckoFTL engines support
 // checkpointing (ErrCheckpointUnsupported otherwise), and a power-failed
 // engine cannot be exported.
-func (e *Engine) EncodeCheckpoint() ([]byte, error) {
+func (e *Engine) EncodeCheckpoint(dst []byte) ([]byte, error) {
 	e.powerMu.Lock()
 	defer e.powerMu.Unlock()
 	if e.failed {
@@ -158,7 +161,7 @@ func (e *Engine) EncodeCheckpoint() ([]byte, error) {
 	for _, sh := range e.shards {
 		payload += sh.ftl.checkpointPayloadBytes()
 	}
-	w := checkpoint.NewWriter(checkpoint.FileSize(1+len(e.shards)*len(shardKinds), payload), checkpoint.Version)
+	w := checkpoint.NewWriter(dst, checkpoint.FileSize(1+len(e.shards)*len(shardKinds), payload), checkpoint.Version)
 	w.Begin(sectionEngine)
 	w.U64(e.fingerprint)
 	w.U32(uint32(len(e.shards)))

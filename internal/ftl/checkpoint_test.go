@@ -83,7 +83,7 @@ func TestExportSizesEachPayload(t *testing.T) {
 		if err := e.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		data, err := e.EncodeCheckpoint()
+		data, err := e.EncodeCheckpoint(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

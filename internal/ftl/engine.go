@@ -216,7 +216,8 @@ func (e *Engine) ShardOf(lpn flash.LPN) (int, error) {
 // busy-until of the shard's own plane. It takes neither the shard lock nor the
 // die latches — the die clocks are atomics that only grow — so reading it
 // never contends with operations on any shard; a reading that races an
-// in-flight operation on the same shard is a lower bound.
+// in-flight operation on the same shard is a lower bound. The queue NewQueue
+// builds reads it under the shard's latch, where it is exact.
 func (e *Engine) ShardClock(s int) time.Duration {
 	return e.shards[s].ftl.Device().BusyUntil()
 }
@@ -273,6 +274,14 @@ func (e *Engine) Do(kind flash.HostOp, lpn flash.LPN) error {
 	sh := e.shards[s]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return sh.doNow(kind, local)
+}
+
+// doNow is Do's body: it stamps the operation's arrival on the shard's plane
+// and executes it. Callers hold the shard lock; the submission queue's Exec
+// calls it under the latch the queue already holds, with the shard the queue
+// routed the page to.
+func (sh *engineShard) doNow(kind flash.HostOp, local flash.LPN) error {
 	return sh.do(kind, local, sh.ftl.Device().SyncArrival())
 }
 
@@ -296,9 +305,12 @@ func (sh *engineShard) do(kind flash.HostOp, lpn flash.LPN, arrival time.Duratio
 
 // NewQueue builds a submission queue over the engine: admission control of
 // the given depth per shard, measuring the shard's virtual backlog in units of
-// the device's page-program latency, in front of Do, which executes each
-// admitted request on the submitting goroutine. This is the one place the
-// queue's hooks are wired to an engine.
+// the device's page-program latency, in front of Do's body, which executes
+// each admitted request on the submitting goroutine. The queue's shard lock is
+// the shard's latch, so a submission takes that one lock for its admission,
+// its execution and the queue's books, and the shard's clock cannot move
+// between the admission that reads it and the execution. This is the one
+// place the queue's hooks are wired to an engine.
 func (e *Engine) NewQueue(depth int, policy queue.Policy) (*queue.Engine, error) {
 	return queue.New(queue.Config{
 		Shards:  len(e.shards),
@@ -306,9 +318,12 @@ func (e *Engine) NewQueue(depth int, policy queue.Policy) (*queue.Engine, error)
 		Policy:  policy,
 		Quantum: e.dev.Config().Latency.PageWrite,
 		ShardOf: e.ShardOf,
-		Exec:    func(_ int, req queue.Request) error { return e.Do(req.Kind, req.LPN) },
+		Exec: func(s int, req queue.Request) error {
+			return e.shards[s].doNow(req.Kind, req.LPN/flash.LPN(len(e.shards)))
+		},
 		Clock:   e.ShardClock,
 		Advance: e.ShardAdvanceArrival,
+		Latch:   func(s int) *sync.Mutex { return e.shards[s].mu },
 	})
 }
 

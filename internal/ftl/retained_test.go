@@ -80,7 +80,7 @@ func TestRetainedStorageCarriesNoContent(t *testing.T) {
 				if err := e.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				data, err := e.EncodeCheckpoint()
+				data, err := e.EncodeCheckpoint(nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -104,27 +104,45 @@ type Config struct {
 	ShardOf func(lpn flash.LPN) (int, error)
 	// Exec executes one admitted request on its shard. It is called on the
 	// submitting goroutine under the shard's lock, one call at a time per
-	// shard, so it must not submit to the same engine.
+	// shard, so it must not submit to the same engine, nor take the lock
+	// Latch returns.
 	Exec func(shard int, req Request) error
 	// Clock returns the shard's current virtual completion instant; nil
-	// disables virtual admission and latency accounting.
+	// disables virtual admission and latency accounting. It is called under
+	// the shard's lock.
 	Clock func(shard int) time.Duration
 	// Advance ratchets the shard's arrival clock forward to at least t; nil
-	// disables pre-execution arrival stamping.
+	// disables pre-execution arrival stamping. It is called under the
+	// shard's lock.
 	Advance func(shard int, t time.Duration)
+	// Latch returns the executor's own lock for a shard, which New reads
+	// once per shard. When set, it is the shard's lock: admission, Exec and
+	// the shard's books all run under it, so a submission takes one lock,
+	// and the shard's clock cannot move between admission and execution.
+	// Shards may share a latch. Nil gives each shard a mutex of the queue's
+	// own.
+	Latch func(shard int) *sync.Mutex
 }
 
 // Ticket is the outcome of one submission. Submit admits and executes the
 // operation (or sheds or cancels it) before it returns the ticket, so a
-// ticket is complete from the start. Tickets are carved from per-shard slabs
-// of slabTickets, one heap object per slab, not per submission; a held ticket
+// ticket is complete from the start. A ticket is 16 bytes, its completion
+// instant and a pointer to its outcome, and is carved from per-shard slabs of
+// slabTickets, one heap object per slab, not per submission; a held ticket
 // keeps its whole slab alive (4 KiB). All methods are safe for concurrent
 // use. A Ticket must not be copied.
 type Ticket struct {
-	err         error
 	completedAt time.Duration
+	out         *outcome
+}
+
+// outcome is what a ticket's operation came to. Every successful submission
+// on an engine points at the engine's one ok outcome; a shed, cancelled or
+// failed one gets an outcome of its own.
+type outcome struct {
 	// e is the engine the ticket came from: Wait ends its round.
-	e *Engine
+	e   *Engine
+	err error
 }
 
 // closedDone is the channel every Done returns: a ticket is complete from the
@@ -142,32 +160,33 @@ func (t *Ticket) Done() <-chan struct{} { return closedDone }
 // Err returns the operation's outcome: nil for success, ErrFull for a shed
 // admission, the submission ctx's error for a cancellation observed before
 // execution, the executor's error otherwise.
-func (t *Ticket) Err() error { return t.err }
+func (t *Ticket) Err() error { return t.out.err }
 
 // Wait returns the operation's outcome, as Err does, and ends the engine's
 // current round of submissions (see Engine.RoundArrival). It never blocks: the
 // operation completed before Submit returned the ticket, so its outcome wins
 // whatever the state of ctx.
 func (t *Ticket) Wait(_ context.Context) error {
-	t.e.round.Store(0)
-	return t.err
+	t.out.e.round.Store(0)
+	return t.out.err
 }
 
 // CompletedAt returns the operation's virtual completion instant on its
 // shard's timeline; zero for shed or cancelled operations.
 func (t *Ticket) CompletedAt() time.Duration { return t.completedAt }
 
-// slabTickets is the number of tickets one slab holds. 127 tickets of 32
-// bytes fill 4064 bytes, which with the 8-byte header Go puts on a pointerful
-// object over 512 bytes fits the 4096-byte size class: 32.25 bytes a ticket.
+// slabTickets is the number of tickets one slab holds. 255 tickets of 16
+// bytes fill 4080 bytes, which with the 8-byte header Go puts on a pointerful
+// object over 512 bytes fits the 4096-byte size class: 16.06 bytes a ticket.
 // One more ticket would push the slab into the 4864-byte class.
-const slabTickets = 127
+const slabTickets = 255
 
 // shardQueue is one shard's admission state and its counters.
 type shardQueue struct {
 	// mu serialises the shard's submissions: admission, execution and every
-	// field below.
-	mu sync.Mutex
+	// field below. It is the executor's latch (Config.Latch) or, without
+	// one, a mutex of the queue's own.
+	mu *sync.Mutex
 
 	// slab is where the shard's next ticket is carved from: slot next, until
 	// every slot is handed out and a fresh slab replaces it.
@@ -217,6 +236,8 @@ type Engine struct {
 	// round is the open round's arrival instant plus one, or zero when no
 	// round is open; see RoundArrival.
 	round atomic.Int64
+	// ok is the outcome every successful submission's ticket points at.
+	ok outcome
 }
 
 // New validates cfg and returns the engine.
@@ -236,22 +257,30 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = time.Millisecond
 	}
-	return &Engine{
+	e := &Engine{
 		cfg:    cfg,
 		budget: time.Duration(cfg.Depth) * cfg.Quantum,
 		shards: make([]shardQueue, cfg.Shards),
-	}, nil
+	}
+	e.ok.e = e
+	for i := range e.shards {
+		if cfg.Latch != nil {
+			e.shards[i].mu = cfg.Latch(i)
+		} else {
+			e.shards[i].mu = new(sync.Mutex)
+		}
+	}
+	return e, nil
 }
 
 // newTicket carves the next ticket from the shard's slab, starting a fresh
 // slab when that one is used up. Callers hold the shard lock.
-func (sq *shardQueue) newTicket(e *Engine) *Ticket {
+func (sq *shardQueue) newTicket() *Ticket {
 	if sq.slab == nil || sq.next == slabTickets {
 		sq.slab, sq.next = new([slabTickets]Ticket), 0
 	}
 	tk := &sq.slab[sq.next]
 	sq.next++
-	tk.e = e
 	return tk
 }
 
@@ -271,9 +300,14 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Ticket, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	tk := sq.newTicket(e)
+	tk := sq.newTicket()
 	sq.submitted++
-	tk.completedAt, tk.err = e.process(ctx, s, sq, req)
+	tk.completedAt, err = e.process(ctx, s, sq, req)
+	if err == nil {
+		tk.out = &e.ok
+	} else {
+		tk.out = &outcome{e: e, err: err}
+	}
 	return tk, nil
 }
 
