@@ -56,8 +56,9 @@ func (t *Ticket) Done() <-chan struct{} { return t.entry().Done() }
 func (t *Ticket) Err() error { return wrapErr(t.entry().Err()) }
 
 // Wait returns the operation's outcome as Err would and ends the device's
-// current round of submissions (see SubmitWrite). It never blocks, and the
-// outcome wins even over a ctx that is already cancelled.
+// current round of submissions for every goroutine (see SubmitWrite). It
+// never blocks, and the outcome wins even over a ctx that is already
+// cancelled.
 func (t *Ticket) Wait(ctx context.Context) error { return wrapErr(t.entry().Wait(ctx)) }
 
 // CompletedAt returns the operation's completion instant on the simulator's
@@ -68,10 +69,15 @@ func (t *Ticket) CompletedAt() time.Duration { return t.entry().CompletedAt() }
 // asynchronous submission path, on the calling goroutine, and returns its
 // completed Ticket.
 //
-// Submissions arrive in rounds: every Submit* call since the caller last
-// waited (Ticket.Wait or Drain) belongs to one round, which arrives on the
-// device's virtual timeline at the latest shard clock at the round's first
-// submission, as a batch's operations share one arrival. Each shard then
+// Submissions arrive in rounds: every Submit* call since the last Ticket.Wait
+// or Drain belongs to one round, which arrives on the device's virtual
+// timeline at the latest shard clock at the round's first submission, as a
+// batch's operations share one arrival. Rounds are the device's, not a
+// goroutine's: a Wait or Drain from any goroutine ends the round for every
+// goroutine, whichever shard its ticket came from. With one goroutine
+// submitting, rounds fall where it waits and Snapshot repeats from run to run;
+// with several, where each round ends depends on how the host interleaves
+// them. Each shard then
 // executes its share of the round back to back on its own dies, so a caller
 // that submits a round before waiting overlaps it across channels and dies,
 // which is how the device's parallelism is reached. An operation whose shard
@@ -105,7 +111,8 @@ func (d *Device) submit(ctx context.Context, kind queue.OpKind, lpn LPN) (*Ticke
 	return (*Ticket)(tk), nil
 }
 
-// Drain ends the current round of submissions (see SubmitWrite). Every
+// Drain ends the current round of submissions for every goroutine (see
+// SubmitWrite). Every
 // operation submitted before the call has already completed, as each
 // completes before its Submit* returns.
 func (d *Device) Drain(ctx context.Context) error {

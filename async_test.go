@@ -308,6 +308,45 @@ func TestResetStatsRestartsQueueLatency(t *testing.T) {
 	}
 }
 
+// TestWaitEndsTheRoundOnEveryShard pins rounds as the device's, not a
+// shard's or a goroutine's: on one goroutine, a Wait on a ticket from shard A
+// ends the round, so the next submission, to shard B, opens a new one at the
+// latest shard clock, which A's write advanced. Without the Wait, B's
+// submission joins A's round and shares its arrival.
+func TestWaitEndsTheRoundOnEveryShard(t *testing.T) {
+	ctx := context.Background()
+	for _, wait := range []bool{false, true} {
+		d, err := Open(WithChannels(2, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const onA, onB = LPN(0), LPN(1) // LPNs are striped across the shards
+		tkA, err := d.SubmitWrite(ctx, onA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrivalA := d.q.RoundArrival()
+		if wait {
+			if err := tkA.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := d.SubmitWrite(ctx, onB); err != nil {
+			t.Fatal(err)
+		}
+		arrivalB := d.q.RoundArrival()
+		switch {
+		case wait && arrivalB < tkA.CompletedAt():
+			t.Errorf("after a Wait on shard A's ticket, shard B's submission arrived at %v, before A's write completed at %v", arrivalB, tkA.CompletedAt())
+		case !wait && arrivalB != arrivalA:
+			t.Errorf("without a Wait, shard B's submission arrived at %v, not at its round's arrival %v", arrivalB, arrivalA)
+		}
+		if err := d.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestAsyncSnapshotRepeats requires the asynchronous path to repeat: one
 // goroutine driving the same windows of SubmitWrite and SubmitTrim, each
 // waited on, then a Drain, must leave the same Snapshot twice over, the

@@ -96,7 +96,7 @@ func Open(opts ...Option) (*Device, error) {
 			return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 		}
 	}
-	eng, err := ftl.NewEngine(dev, ftlOpts, cfg.shards)
+	eng, err := ftl.NewEngine(dev, ftlOpts, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
@@ -430,13 +430,15 @@ func (d *Device) PowerFail() error {
 type RecoveryReport = ftl.EngineRecoveryReport
 
 // ShardRecovery is one engine shard's share of a recovery: the shard index
-// (the channel index under the default one-shard-per-channel layout) and the
-// shard's own duration, IO and recreated mapping entries.
+// (the device runs one shard per channel, so it is the channel index) and
+// the shard's own duration, IO and recreated mapping entries.
 type ShardRecovery = ftl.ShardRecoveryReport
 
 // Recover restores the device after PowerFail, running each shard's recovery
-// procedure (GeckoRec for GeckoFTL) concurrently across channels. It returns
-// a report of the work done, or an error when no PowerFail preceded it.
+// procedure (GeckoRec for GeckoFTL) one after another on the calling
+// goroutine; the simulated recoveries overlap, because each shard runs on its
+// own dies. It returns a report of the work done, or an error when no
+// PowerFail preceded it.
 // Synchronized (flushed) writes and trims are guaranteed to survive; dirty
 // state from the crash window is recovered by the bounded backwards scan
 // where possible.

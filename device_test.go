@@ -67,10 +67,10 @@ func TestOpenInvalidConfig(t *testing.T) {
 		{withFTL(func(o *geckoftl.FTLOptions) { o.GCMode = geckoftl.GCMode(99) })},
 		{withFTL(func(o *geckoftl.FTLOptions) { o.VictimPolicy = geckoftl.VictimPolicy(99) })},
 		{withFTL(func(o *geckoftl.FTLOptions) { o.ScrubReadThreshold = -1 })},
-		{geckoftl.WithShards(0)},
-		// A valid option set whose engine construction fails: more shards
-		// than blocks.
-		{geckoftl.WithGeometry(8, 16, 512), geckoftl.WithShards(16)},
+		// A valid option set whose engine construction fails: eight channels
+		// over 16 blocks leave each shard two blocks, fewer than twice its GC
+		// reserve, so ftl.New refuses the shard.
+		{geckoftl.WithGeometry(16, 16, 512), geckoftl.WithChannels(8, 1)},
 	}
 	for i, opts := range cases {
 		if _, err := geckoftl.Open(opts...); !errors.Is(err, geckoftl.ErrInvalidConfig) {

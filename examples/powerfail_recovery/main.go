@@ -8,8 +8,9 @@
 // Act 2 crashes a production-shaped deployment: an 8-channel device,
 // power-failed abruptly in the middle of concurrent write batches — with a
 // durably trimmed range that must stay absent — then recovered with
-// per-shard GeckoRec running in parallel across the channels. The report
-// shows the wall-clock win over a single serialized recovery scan.
+// per-shard GeckoRec, one shard after another on the caller; the simulated
+// recoveries overlap, because each shard runs on its own channel's dies. The
+// report shows the wall-clock win over a single serialized recovery scan.
 //
 // Run with:
 //
@@ -93,7 +94,7 @@ func crashAndRecover(name string) error {
 
 // crashAndRecoverEngine crashes a sharded 8-channel device in the middle of
 // concurrent write batches — after durably trimming a range — and recovers
-// every shard in parallel.
+// every shard; the shards' simulated recoveries overlap on their own dies.
 func crashAndRecoverEngine() error {
 	ctx := context.Background()
 	dev, err := geckoftl.Open(

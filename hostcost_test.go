@@ -383,6 +383,55 @@ func TestRecoveryAllocBudget(t *testing.T) {
 			t.Errorf("PowerFail+Recover and 5000 writes make %d allocations at %d blocks, budget %d", n, blocks, budget)
 		}
 	}
+
+	// The engine around the shards adds only its report: a warm 4-shard
+	// engine's second PowerFail+Recover allocates the EngineRecoveryReport
+	// and its Shards slice, 2 objects. A goroutine per shard after the first
+	// read 5 to 8; that and recovery scratch regrown to a new high-water
+	// mark (the UIP reconciliation's stale list, the buffer replay's page
+	// list) read 12 to 15.
+	t.Run("engine", func(t *testing.T) {
+		const reportAllocs = 2
+		cfg := flash.ScaledConfig(1024)
+		cfg.PagesPerBlock = 64
+		cfg.Channels, cfg.DiesPerChannel = 4, 1
+		e, err := ftl.NewEngine(flash.MustNewDevice(cfg), ftl.GeckoFTLOptions(1024), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		pages := e.LogicalPages()
+		write := func(lpn flash.LPN) {
+			if err := e.Write(lpn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for lpn := range flash.LPN(pages) {
+			write(lpn)
+		}
+		var before, after runtime.MemStats
+		for range 2 {
+			for range pages {
+				write(flash.LPN(rng.Int63n(pages)))
+			}
+			runtime.ReadMemStats(&before)
+			if err := e.PowerFail(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+		}
+		if err := e.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		n := after.Mallocs - before.Mallocs
+		t.Logf("4 shards: %d allocations and %d bytes in the second PowerFail+Recover", n, after.TotalAlloc-before.TotalAlloc)
+		if n > reportAllocs {
+			t.Errorf("a 4-shard engine's PowerFail+Recover makes %d allocations, want at most %d (the report)", n, reportAllocs)
+		}
+	})
 }
 
 // BenchmarkDeviceSubmitWait times one steady-state asynchronous write in

@@ -657,16 +657,10 @@ func (e *Engine) RestoreCheckpoint(file *checkpoint.File) error {
 		err := sh.ftl.importShardCheckpoint(file, i)
 		sh.mu.Unlock()
 		if err != nil {
-			// Roll every shard back to the crashed state: shards imported so
-			// far drop their rebuilt RAM, untouched shards are already
-			// crashed, and the rail is cut again so Engine.Recover starts
-			// from a clean engine-wide crash.
-			for _, sh2 := range e.shards {
-				sh2.mu.Lock()
-				sh2.ftl.crash()
-				sh2.mu.Unlock()
-			}
-			e.dev.PowerFail()
+			// Shards imported so far drop their rebuilt RAM, untouched shards
+			// are already crashed, and Engine.Recover starts from a clean
+			// engine-wide crash.
+			e.crashAll()
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}

@@ -93,8 +93,9 @@
 // The engine also crashes and recovers as a unit: Engine.PowerFail drops the
 // shared power rail abruptly (mid-batch operations fail with
 // flash.ErrPowerFailed; battery configurations flush first), and
-// Engine.Recover runs every shard's recovery procedure concurrently — each
-// shard is its own flash power domain and scans only its own partition — so
+// Engine.Recover runs every shard's recovery procedure, one after another on
+// the calling goroutine. Each shard is its own flash power domain and scans
+// only its own partition's dies, so the simulated recoveries overlap and
 // recovery wall-clock shrinks with the channel count. The aggregated
 // EngineRecoveryReport breaks the work down per shard and reports the
 // slowest-shard critical path next to the single-plane serial cost.

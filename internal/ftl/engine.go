@@ -43,11 +43,9 @@ type Engine struct {
 	logicalPages  int64
 
 	// powerMu guards failed: the engine-wide crashed/recovered state
-	// transitions of PowerFail and Recover. recovering, which Recover waits
-	// on for its shards, is the engine's so that a recovery allocates none.
-	powerMu    sync.Mutex
-	failed     bool
-	recovering sync.WaitGroup
+	// transitions of PowerFail and Recover.
+	powerMu sync.Mutex
+	failed  bool
 
 	// batches recycles runBatch's scratch; see batch.
 	batches sync.Pool
@@ -78,12 +76,6 @@ type engineShard struct {
 	// operation absorbed.
 	stallLat *stats.Histogram
 	maxStall time.Duration
-
-	// recovery and recoverErr are the shard's outcome of an engine-wide
-	// Recover, written by the shard's recovery (engineShard.recover) and
-	// read once all of them are done.
-	recovery   RecoveryReport
-	recoverErr error
 }
 
 // observe records the service time of the operation that just completed on

@@ -15,17 +15,19 @@ type ShardRecoveryReport struct {
 	RecoveryReport
 }
 
-// EngineRecoveryReport aggregates an engine-wide recovery. Recovery runs
-// per-shard GeckoRec in parallel across channels; because recovery IO is
-// dominated by spare-area reads of each shard's own dies, the wall-clock is
-// the slowest shard's critical path while the serial time is what the same
-// scan would cost on the paper's single serialized plane.
+// EngineRecoveryReport aggregates an engine-wide recovery. Each shard runs
+// GeckoRec on its own channel's dies; the host runs the shards one after
+// another, but their simulated recoveries overlap because no shard advances
+// another's die clocks. Recovery IO is dominated by spare-area reads of each
+// shard's own dies, so the wall-clock is the slowest shard's critical path
+// while the serial time is what the same scan would cost on the paper's
+// single serialized plane.
 type EngineRecoveryReport struct {
 	// Shards holds the per-shard breakdowns, indexed by shard.
 	Shards []ShardRecoveryReport
 	// WallClock is the slowest shard's recovery duration: the engine resumes
-	// serving when its last shard finishes, and shards recover concurrently
-	// on disjoint dies.
+	// serving when its last shard finishes, and the shards' simulated
+	// recoveries overlap on disjoint dies.
 	WallClock time.Duration
 	// SerialTime is the summed per-shard recovery duration: the cost of the
 	// same recovery on a single serialized plane (a 1-shard engine has
@@ -96,10 +98,11 @@ func (e *Engine) PowerFail() error {
 
 // Recover restores the engine after an engine-wide PowerFail: the shared
 // device rail is restored, then every shard runs its FTL recovery procedure
-// (GeckoRec for GeckoFTL shards) concurrently, the first on the calling
-// goroutine and each other one on a goroutine of its own. Recovery is
+// (GeckoRec for GeckoFTL shards) under its latch, one after another on the
+// calling goroutine. The simulated recoveries still overlap: recovery is
 // spare-area-read dominated and each shard scans only its own partition's
-// dies, so recovery wall-clock scales with channel parallelism.
+// dies, whose clocks no other shard advances, so recovery wall-clock scales
+// with channel parallelism whatever order the host runs the shards in.
 //
 // Recover returns an error when no PowerFail preceded it (including a second
 // Recover after a successful one).
@@ -113,41 +116,17 @@ func (e *Engine) Recover() (*EngineRecoveryReport, error) {
 	// until that shard's recovery turns it back on.
 	e.dev.PowerOn()
 
-	for _, sh := range e.shards[1:] {
-		e.recovering.Add(1)
-		go func() {
-			defer e.recovering.Done()
-			sh.recover()
-		}()
-	}
-	e.shards[0].recover()
-	e.recovering.Wait()
+	out := &EngineRecoveryReport{Shards: make([]ShardRecoveryReport, len(e.shards))}
 	var errs []error
 	for i, sh := range e.shards {
-		if sh.recoverErr != nil {
-			errs = append(errs, fmt.Errorf("ftl: shard %d recover: %w", i, sh.recoverErr))
+		sh.mu.Lock()
+		r, err := sh.ftl.Recover()
+		sh.mu.Unlock()
+		if err != nil {
+			errs = append(errs, fmt.Errorf("ftl: shard %d recover: %w", i, err))
+			continue
 		}
-	}
-	if err := errors.Join(errs...); err != nil {
-		// Roll every shard back to the crashed state (shards that recovered
-		// lose their rebuilt RAM again, shards that failed mid-recovery drop
-		// their partial state) and cut the rail, so a retry of Recover starts
-		// from a clean engine-wide crash instead of tripping over the
-		// recovered shards' Powered() preconditions.
-		for _, sh := range e.shards {
-			sh.mu.Lock()
-			sh.ftl.crash()
-			sh.mu.Unlock()
-		}
-		e.dev.PowerFail()
-		return nil, err
-	}
-	e.failed = false
-
-	out := &EngineRecoveryReport{Shards: make([]ShardRecoveryReport, len(e.shards))}
-	for i, sh := range e.shards {
-		r := &sh.recovery
-		out.Shards[i] = ShardRecoveryReport{Shard: i, RecoveryReport: *r}
+		out.Shards[i] = ShardRecoveryReport{Shard: i, RecoveryReport: r}
 		out.SerialTime += r.Duration
 		if r.Duration > out.WallClock {
 			out.WallClock = r.Duration
@@ -159,13 +138,26 @@ func (e *Engine) Recover() (*EngineRecoveryReport, error) {
 		out.RecoveredMappingEntries += r.RecoveredMappingEntries
 		out.UsedBattery = out.UsedBattery || r.UsedBattery
 	}
+	if err := errors.Join(errs...); err != nil {
+		// Shards that recovered lose their rebuilt RAM again and shards that
+		// failed mid-recovery drop their partial state, so a retry of Recover
+		// starts from a clean engine-wide crash instead of tripping over the
+		// recovered shards' Powered() preconditions.
+		e.crashAll()
+		return nil, err
+	}
+	e.failed = false
 	return out, nil
 }
 
-// recover runs the shard's FTL recovery under the shard lock and keeps its
-// outcome on the shard.
-func (sh *engineShard) recover() {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.recovery, sh.recoverErr = sh.ftl.Recover()
+// crashAll returns every shard to the crashed state and cuts the rail: the
+// roll-back of a Recover or RestoreCheckpoint that failed on some shard.
+// Shards still crashed are unaffected.
+func (e *Engine) crashAll() {
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		sh.ftl.crash()
+		sh.mu.Unlock()
+	}
+	e.dev.PowerFail()
 }

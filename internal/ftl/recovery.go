@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"geckoftl/internal/bitmap"
@@ -553,7 +554,9 @@ func (f *FTL) rebuildBVC() error {
 // the one moment the FTL holds the complete validity picture (the bitmaps
 // rebuildBVC just scanned) in RAM, so the reconciliation costs no IO.
 func (f *FTL) reconcileRecoveredUIP(geckoScan *bitmap.Rows) {
-	stale := f.stale[:0]
+	// Only cached entries can be stale: sized for all of them, the scratch
+	// does not regrow when a later recovery finds more than an earlier one.
+	stale := slices.Grow(f.stale[:0], f.cache.Len())
 	f.cache.ForEach(func(e mapcache.Entry) bool {
 		if !e.UIP || !e.Uncertain {
 			return true

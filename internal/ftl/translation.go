@@ -247,9 +247,10 @@ func (t *translationTable) UndoLog() []undoRecord {
 // Logarithmic Gecko's buffer, and a map-ordered replay could flush different
 // buffer contents on different runs of the same seeded simulation (the
 // buffer drains whenever it fills mid-replay), breaking reproducibility.
-// The result is the table's own storage, valid until the next call.
+// The result is the table's own storage, valid until the next call; it is
+// sized for every translation page at once, so no later call regrows it.
 func (t *translationTable) UpdatedSinceProtection() []int {
-	out := slices.Grow(t.updated[:0], len(t.prevVersions))
+	out := slices.Grow(t.updated[:0], t.pages)
 	for tp := range t.prevVersions {
 		out = append(out, tp)
 	}

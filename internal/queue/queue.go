@@ -359,7 +359,8 @@ func (e *Engine) process(ctx context.Context, s int, sq *shardQueue, req Request
 // RoundArrival returns the arrival instant of the current round of
 // submissions, opening a round at the latest shard clock if none is open. A
 // round is every submission stamped with RoundArrival since the last
-// Ticket.Wait or Drain on the engine: like a batch's operations, the round's
+// Ticket.Wait or Drain on the engine, from any goroutine (rounds are the
+// engine's, not a caller's): like a batch's operations, the round's
 // submissions share one arrival, so admission control measures the backlog
 // the round builds on each shard, and a caller that submits without waiting
 // runs into the depth budget.

@@ -141,7 +141,7 @@ func Experiments() []Experiment {
 			nil, scaled(Figure13WA)),
 		experiment("fig14", "Figure 14: equal RAM budget; freed PVB RAM used as extra cache (simulation)",
 			nil, scaled(Figure14)),
-		experiment("recovery-sweep", "Recovery sweep: crash the sharded engine and recover all shards in parallel, across channel counts, checkpoint intervals and device sizes (every FTL at the base size)",
+		experiment("recovery-sweep", "Recovery sweep: crash the sharded engine and recover every shard, their simulated recoveries overlapping, across channel counts, checkpoint intervals and device sizes (every FTL at the base size)",
 			[]string{"sweep"}, RecoverySweep),
 		experiment("channels", "Channel scaling: sharded GeckoFTL engine write throughput vs channel count (uniform workload, 1 die per channel by default)",
 			[]string{"sweep", "dies", "sweep-workload"}, ChannelSweep),

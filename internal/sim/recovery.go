@@ -59,7 +59,8 @@ type RecoveryPoint struct {
 // model's prediction.
 //
 // The qualitative trends mirror model.Recovery: wall-clock shrinks with the
-// channel count (the per-shard scan shrinks and shards recover in parallel),
+// channel count (the per-shard scan shrinks and the shards' simulated
+// recoveries overlap, each on its own dies),
 // the backwards scan is bounded by the checkpointed 2C spare reads, and
 // LazyFTL's recovery grows with capacity while GeckoFTL's cache recovery
 // stays bounded.

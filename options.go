@@ -91,7 +91,6 @@ type config struct {
 	blocks, pagesPerBlock, pageSize int
 	overProvision                   float64
 	channels, diesPerChannel        int
-	shards                          int
 
 	ftlName      string
 	cacheEntries int
@@ -156,26 +155,14 @@ func WithOverProvision(r float64) Option {
 }
 
 // WithChannels sets the device topology: channels times diesPerChannel
-// independently latching dies. The engine runs one FTL shard per channel by
-// default, which is what scales throughput and recovery with the channel
-// count.
+// independently latching dies. The engine runs one FTL shard per channel,
+// which is what scales throughput and recovery with the channel count.
 func WithChannels(channels, diesPerChannel int) Option {
 	return func(c *config) error {
 		if channels < 1 || diesPerChannel < 1 {
 			return fmt.Errorf("%w: topology %dx%d must be at least 1x1", ErrInvalidConfig, channels, diesPerChannel)
 		}
 		c.channels, c.diesPerChannel = channels, diesPerChannel
-		return nil
-	}
-}
-
-// WithShards overrides the engine's shard count (default: one per channel).
-func WithShards(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("%w: shard count %d must be at least 1", ErrInvalidConfig, n)
-		}
-		c.shards = n
 		return nil
 	}
 }
@@ -194,7 +181,8 @@ func WithFTL(name string) Option {
 
 // WithCacheEntries sets C, the mapping cache's capacity in entries (the
 // device's RAM budget knob; 8 bytes per entry under the paper's model). Every
-// shard receives the whole C: with S shards the device caches S*C entries.
+// shard, one per channel, receives the whole C: with N channels the device
+// caches N*C entries.
 func WithCacheEntries(n int) Option {
 	return func(c *config) error {
 		if n < 1 {

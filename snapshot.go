@@ -45,7 +45,9 @@ type GCStats struct {
 // WithAdmissionPolicy), the fates of submitted operations since Open — shed
 // ones failed their Tickets with ErrQueueFull — and the arrival-to-completion
 // latency distribution on the virtual timeline (a round's submissions arrive
-// together, see SubmitWrite) since Open or the last ResetStats.
+// together, see SubmitWrite) since Open or the last ResetStats. Rounds are
+// device-wide, so the distribution repeats from run to run only when a single
+// goroutine submits.
 type QueueStats = queue.Stats
 
 // Snapshot is a stable, self-consistent view of the device's statistics:
