@@ -315,23 +315,26 @@ func TestHostBytesPerPage(t *testing.T) {
 // TestRecoveryAllocBudget pins GeckoRec's host allocations to a count that
 // does not grow with the device. Recovery's indexes are arrays the shard
 // keeps, and a crash leaves Logarithmic Gecko's run structs, level slices
-// and free-list header in place for the recovered directories to refill, the
-// translation table's undo log with its storage, and recovery's scratch (the
-// directory scan, the validity rows, the per-block and per-translation-page
-// arrays) for the next recovery to overwrite. The first crash of a device
-// allocates that scratch; the test measures the second, PowerFail+Recover
-// and the 5000 writes after it, on one GeckoFTL shard after the same seeded
-// overwrite stream: at most 25 objects at 1024 blocks and at 4096, 17 and 20
-// when this was written, most of them the slabs of the runs the writes
-// flush. An undo log released by the recovery and regrown by doubling in
-// the writes, and scratch allocated afresh by each recovery, read 38 and 43;
-// a map or a bitmap per block in internal/ftl/recovery.go or
-// gecko.ScanValidity makes two objects per block, thousands more.
+// and a largest run's worth of its page pool in place for the recovered
+// directories and the runs written next, the translation table's undo log
+// with its storage, and recovery's scratch (the directory scan, the validity
+// rows, the per-block and per-translation-page arrays) for the next recovery
+// to overwrite. The first crash of a device allocates that scratch; the test
+// measures the second, PowerFail+Recover and the 5000 writes after it, on
+// one GeckoFTL shard after the same seeded overwrite stream: at most 10
+// objects at 1024 blocks and at 4096, 5 and 0 when this was written (run
+// pages once the kept pool runs dry). Per-run slabs on a free list that a
+// crash dropped read 15 and 20, most of them the slabs of the runs the
+// writes flush; an
+// undo log released by the recovery and regrown by doubling in the writes,
+// and scratch allocated afresh by each recovery, read 38 and 43; a map or a
+// bitmap per block in internal/ftl/recovery.go or gecko.ScanValidity makes
+// two objects per block, thousands more.
 func TestRecoveryAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the program's behalf")
 	}
-	const budget = 25
+	const budget = 10
 	recoverAllocs := func(blocks int) uint64 {
 		cfg := flash.ScaledConfig(blocks)
 		cfg.PagesPerBlock = 64

@@ -19,11 +19,18 @@ type Writer struct {
 
 // NewWriter returns a Writer that appends a file of size bytes to dst, with
 // the header for version already written. dst's storage is kept when it has
-// room for size more bytes; otherwise the buffer is replaced by one of exactly
-// len(dst)+size bytes.
+// room for size more bytes. Otherwise a dst without storage is replaced by
+// a buffer of exactly size bytes, and a kept one that is too short by one of
+// len(dst)+size bytes and a sixteenth of size more, so that a buffer whose
+// files grow a little from one checkpoint to the next is not replaced at
+// every one.
 func NewWriter(dst []byte, size int, version uint32) *Writer {
 	if cap(dst)-len(dst) < size {
-		dst = append(make([]byte, 0, len(dst)+size), dst...)
+		headroom := 0
+		if cap(dst) > 0 {
+			headroom = size / 16
+		}
+		dst = append(make([]byte, 0, len(dst)+size+headroom), dst...)
 	}
 	w := &Writer{buf: append(dst, magic...)}
 	w.U32(version)

@@ -94,3 +94,27 @@ func TestCountBoundsAllocation(t *testing.T) {
 		t.Fatalf("Done = %v, want ErrInvalid", err)
 	}
 }
+
+// TestNewWriterGrowsAKeptBufferWithHeadroom pins how NewWriter sizes its
+// buffer: a dst with room is kept, a dst without storage becomes a buffer of
+// exactly the file's size, and a kept buffer that is too short becomes one
+// with a sixteenth of the file's size to spare, so that a file a little
+// larger next time still fits.
+func TestNewWriterGrowsAKeptBufferWithHeadroom(t *testing.T) {
+	const size = 1600
+	if w := NewWriter(nil, size, Version); cap(w.buf) != size {
+		t.Errorf("new buffer of %d bytes for a %d-byte file", cap(w.buf), size)
+	}
+	roomy := make([]byte, 0, size)
+	if w := NewWriter(roomy, size, Version); &w.buf[:1][0] != &roomy[:1][0] {
+		t.Error("a buffer with room for the file was replaced")
+	}
+	short := make([]byte, 0, size-1)
+	w := NewWriter(short, size, Version)
+	if want := size + size/16; cap(w.buf) != want {
+		t.Errorf("a kept %d-byte buffer regrew to %d bytes for a %d-byte file, want %d", cap(short), cap(w.buf), size, want)
+	}
+	if next := NewWriter(w.buf[:0], size+size/16, Version); &next.buf[:1][0] != &w.buf[:1][0] {
+		t.Error("the regrown buffer does not hold a file a sixteenth larger")
+	}
+}

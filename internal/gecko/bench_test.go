@@ -43,8 +43,9 @@ func BenchmarkGeckoUpdate(b *testing.B) {
 // without the flash IO around it: two runs, the two-way merge of Section 3.2,
 // on 2048 blocks and on the perfbench device's 4096 (recommended S, one word
 // an entry), and three and five, the multi-way merge of Appendix A. The
-// output goes where production's does (steadyMerge). entries/merge counts the
-// output, ns/entry divides the time by the entries read.
+// output pages come from the pool and go back to it, as a superseded run's
+// do. entries/merge counts the output, ns/entry divides the time by the
+// entries read.
 func BenchmarkGeckoMerge(b *testing.B) {
 	for _, bc := range []struct {
 		name         string
@@ -65,13 +66,15 @@ func BenchmarkGeckoMerge(b *testing.B) {
 				inputs = append(inputs, r)
 				in += r.entryCount()
 			}
-			merge := steadyMerge(cfg)
-			merge(inputs) // the first merge finds the free list empty
+			g := &Gecko{cfg: cfg, sz: cfg.sizes(), pool: newPagePool(cfg)}
+			g.release(g.mergeEntryStreams(inputs)) // the first merge makes the directories
 			b.ReportAllocs()
 			b.ResetTimer()
 			entries := 0
 			for i := 0; i < b.N; i++ {
-				entries = len(merge(inputs).ents)
+				out := g.mergeEntryStreams(inputs)
+				entries = out.entryCount()
+				g.release(out)
 			}
 			b.ReportMetric(float64(entries), "entries/merge")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(in), "ns/entry")
@@ -82,11 +85,11 @@ func BenchmarkGeckoMerge(b *testing.B) {
 // BenchmarkBufferDrain times one flush's worth of buffer work on the
 // benchmark device's key space (4096 blocks, recommended S): V reports of
 // random pages absorbed into distinct entries, then the drain into a sorted
-// level-0 slab, which comes from where production's does (steadyDrain).
+// level-0 page, which comes from the pool, as production's does.
 func BenchmarkBufferDrain(b *testing.B) {
 	cfg := DefaultConfig(4096, 64, 4096)
 	buf := newBuffer(cfg)
-	drain := steadyDrain(buf)
+	pool := newPagePool(cfg)
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -95,7 +98,9 @@ func BenchmarkBufferDrain(b *testing.B) {
 		for !buf.full() {
 			buf.recordInvalid(flash.BlockID(rng.Intn(cfg.Blocks)), rng.Intn(cfg.PagesPerBlock))
 		}
-		entries = len(drain().ents)
+		page := buf.drain(pool.take())
+		entries = len(page.ents)
+		pool.put(page)
 	}
 	b.ReportMetric(float64(entries), "entries/drain")
 }

@@ -148,9 +148,9 @@ func (b *buffer) query(block flash.BlockID, result *bitmap.Bitmap) (erased bool)
 	return b.has(key{block, WholeBlock})
 }
 
-// drain empties the buffer into out, an empty slab with room for its
-// entries, in key order: one walk over present pushes each slot and zeroes its
-// index. It resets the absorption counter; out is a new level-0 run.
+// drain empties the buffer into out, an empty page, in key order: one walk
+// over present pushes each slot and zeroes its index. It resets the
+// absorption counter; out is the one page of a new level-0 run.
 func (b *buffer) drain(out slab) slab {
 	for p := range bitmap.Ones(b.present, 0, len(b.index)) {
 		i := int(b.index[p]) - 1

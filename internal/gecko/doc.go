@@ -35,29 +35,35 @@
 // through a direct-addressed array over the dense key space (K blocks times
 // S sub-keys and the whole-block key) and read back in key order at a flush
 // from a presence bitset — host bookkeeping, outside RAMBytes — in one walk
-// that zeroes the index as it goes. Every run is one slab, filled by the flush
-// or merge that writes it and immutable while the run lives; its pages, and
-// the flash image recovery relinks them from, are sub-slabs of it. When a
-// newer run supersedes it and its pages have left the flash image, the slab
-// goes to a free list (slabList) that the next flush or merge takes its
-// output from, so that in steady state neither allocates; a run rebuilt from
-// the flash image owns no slab and is not recycled. A merge reads a newer and
-// an older run page by page into the output run's slab (mergeTwo); more
-// inputs fold into it newest first through one scratch slab from the free
-// list. Neither it nor a GC query, which ORs words into its result, copies an
-// entry it only reads.
+// that zeroes the index as it goes. A run is a sequence of pages, as on
+// flash, and every run page is a slab of V slots of its own, filled by the
+// flush or merge that writes it and immutable while the run lives; the
+// flash image recovery relinks runs from holds those same page slabs. The
+// pages come from one page pool per Gecko (pagePool), which New fills with
+// three times the largest run's pages and which never holds more. A flush
+// drains the buffer into one pooled page; a merge reads a newer and an older
+// run page by page and writes its output page by page (mergeTwo), taking the
+// next page from the pool when one fills, so that every page but a run's
+// last holds V entries; more inputs fold into it newest first, each step
+// streaming the previous step's pages and then handing them back. When a
+// newer run supersedes a run and its pages have left the flash image, its
+// pages go back to the pool — a run rebuilt from the flash image too, since
+// its pages are page slabs like any other — so that in steady state neither
+// a flush nor a merge allocates. Neither a merge nor a GC query, which ORs
+// words into its result, copies an entry it only reads.
 //
 // A power failure (CrashRAM) drops all of the RAM's content: the buffer's
-// entries, the run directories and the free list's slabs. It keeps the Go
-// storage that held them, empty: each level's slice, the run structs with
-// their directories' backing arrays, zeroed, as spare runs, and the free
-// list's slice. It also keeps recovery's own working storage, the directory
-// scan's slice (32 bytes a scanned page) and ScanValidity's rows, which the
-// next recovery overwrites before it reads them. RecoverDirectories and
-// ImportDirectories refill that storage, so a crash allocates only what the
-// flash image does not already hold: the slabs of the runs written after it
-// (and, once, the scan's storage, or more of it when the metadata blocks
-// outgrow it).
+// entries and the run directories. It keeps the Go storage that held them,
+// empty: each level's slice, the run structs with their directories' backing
+// arrays, zeroed, as spare runs, and one largest run's worth of the page
+// pool, whose pages neither a run nor the flash image holds. It also keeps
+// recovery's own working storage, the directory scan's slice (32 bytes a
+// scanned page) and ScanValidity's rows, which the next recovery overwrites
+// before it reads them. RecoverDirectories and ImportDirectories refill that
+// storage, so a crash allocates only what the flash image and the kept pool
+// do not already hold: the pages of the runs written after it once the pool
+// runs dry (and, once, the scan's storage, or more of it when the metadata
+// blocks outgrow it).
 //
 // Within an FTL, one Gecko instance serves as the validity store of a single
 // flash plane or engine shard; its state is guarded by the owning shard's

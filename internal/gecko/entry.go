@@ -45,8 +45,8 @@ func (a key) packed() uint64 {
 
 // slab stores entries by value: the fixed parts in ents and entry i's
 // validity bits in words[i*wpe:(i+1)*wpe], 8 bytes of entry and 8*wpe of
-// words a slot. The buffer is one slab of V slots; every run is one slab, of
-// which each of its pages is a sub-slab. Erase entries keep their words zero.
+// words a slot. The buffer is one slab of V slots, and so is every run page.
+// Erase entries keep their words zero.
 type slab struct {
 	ents  []entry
 	words []uint64
@@ -60,11 +60,6 @@ func newSlab(capacity, wpe int) slab {
 // bits returns the validity words of entry i.
 func (s *slab) bits(i int) []uint64 { return s.words[i*s.wpe : (i+1)*s.wpe] }
 
-// slice returns the sub-slab of entries [lo, hi); it shares storage with s.
-func (s *slab) slice(lo, hi int) slab {
-	return slab{ents: s.ents[lo:hi:hi], words: s.words[lo*s.wpe : hi*s.wpe : hi*s.wpe], wpe: s.wpe}
-}
-
 // push appends an entry and its bits, word by word.
 func (s *slab) push(e entry, bits []uint64) {
 	s.ents = append(s.ents, e)
@@ -73,62 +68,64 @@ func (s *slab) push(e entry, bits []uint64) {
 	}
 }
 
-// slabList is the free list of run slabs: writeRun puts the slabs of the runs
-// a new run supersedes, and flushes and merges take their output from it, so
-// that in steady state neither allocates. Capacities come in classes — a
-// page's entries times a power of two, up to most — so that a slab freed by
-// one merge fits the next of its level exactly, and the list keeps two of a
-// class at most: what a level holds before it is merged. It is the
+// pagePool holds the page slabs, V slots each, that neither a run nor the
+// flash image refers to: writeRun puts the pages of the runs a new run
+// supersedes, and flushes and merges take their output pages from it. New
+// fills it with three times the largest run's pages: live runs hold about
+// two of those at most (Appendix B), and a merge writes one more while its
+// inputs are live, so in steady state nothing is allocated; it keeps that
+// many at most. A crash keeps one largest run's worth (keep): the pages of
+// the runs recovery rebuilds come back to it when they are superseded,
+// since each page of the flash image is a page slab of its own. It is the
 // simulator's bookkeeping, not part of Gecko.RAMBytes.
-type slabList struct {
-	slabs []slab
-	// unit is the smallest capacity, V, and most the largest, every key
-	// there is: no run holds more.
-	unit, most int
+type pagePool struct {
+	pages      []slab
+	v, wpe     int // slots and words per slot of a page
+	most, keep int
 }
 
-func newSlabList(cfg Config) slabList {
-	return slabList{unit: cfg.EntriesPerPage(), most: cfg.distinctKeys()}
+func newPagePool(cfg Config) pagePool {
+	z := cfg.sizes()
+	p := pagePool{v: z.perPage, wpe: z.wpe, most: 3 * cfg.LargestRunPages(), keep: cfg.LargestRunPages()}
+	p.pages = make([]slab, p.most)
+	for i := range p.pages {
+		p.pages[i] = newSlab(p.v, p.wpe)
+	}
+	return p
 }
 
-// class returns the capacity a slab for n entries gets.
-func (l *slabList) class(n int) int {
-	c := l.unit
-	for c < n {
-		c *= 2
+// take returns an empty page, dirty beyond its length: a pooled one, or a
+// new one when the pool is empty.
+func (p *pagePool) take() slab {
+	last := len(p.pages) - 1
+	if last < 0 {
+		return newSlab(p.v, p.wpe)
 	}
-	return min(c, l.most)
+	s := p.pages[last]
+	p.pages[last] = slab{}
+	p.pages = p.pages[:last]
+	return s
 }
 
-// take returns an empty slab with room for n entries, at most l.most: a free
-// one of n's class, dirty beyond its length, or a new one.
-func (l *slabList) take(n, wpe int) slab {
-	c := l.class(n)
-	for i, s := range l.slabs {
-		if cap(s.ents) == c {
-			last := len(l.slabs) - 1
-			l.slabs[i], l.slabs[last] = l.slabs[last], slab{}
-			l.slabs = l.slabs[:last]
-			return slab{ents: s.ents[:0], words: s.words[:0], wpe: wpe}
-		}
+// put hands the pool a page that nothing refers to any more; it is dropped
+// when the pool is full.
+func (p *pagePool) put(s slab) {
+	if len(p.pages) < p.most {
+		p.pages = append(p.pages, slab{ents: s.ents[:0], words: s.words[:0], wpe: s.wpe})
 	}
-	return newSlab(c, wpe)
 }
 
-// put hands the list a slab that nothing refers to any more; it is dropped
-// when the list has two of its class. A run that owns no slab passes the zero
-// slab.
-func (l *slabList) put(s slab) {
-	if cap(s.ents) == 0 {
-		return
+// putPages puts the slab of every page.
+func (p *pagePool) putPages(pages []runPage) {
+	for i := range pages {
+		p.put(pages[i].slab)
 	}
-	same := 0
-	for i := range l.slabs {
-		if cap(l.slabs[i].ents) == cap(s.ents) {
-			same++
-		}
-	}
-	if same < 2 {
-		l.slabs = append(l.slabs, s)
+}
+
+// crash drops the pages past keep.
+func (p *pagePool) crash() {
+	if len(p.pages) > p.keep {
+		clear(p.pages[p.keep:])
+		p.pages = p.pages[:p.keep]
 	}
 }

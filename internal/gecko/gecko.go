@@ -47,13 +47,14 @@ type Gecko struct {
 	// pageContent models the flash content of live run pages, keyed by
 	// physical address. The device simulator does not store payload bytes,
 	// so this map is the "flash image" that survives power failures and is
-	// consulted when recovery rebuilds the run directories.
+	// consulted when recovery rebuilds the run directories. Its slabs are
+	// the live runs' page slabs themselves.
 	pageContent map[flash.PPN]slab
 
-	// free recycles the slabs of superseded runs and spare their run
+	// pool recycles the pages of superseded runs, and spare their run
 	// structs and directories, also those a crash empties; byAge is
 	// mergeEntryStreams' reused scratch, and inputs takeMergeInputs'.
-	free   slabList
+	pool   pagePool
 	spare  []*run
 	byAge  []*run
 	inputs []*run
@@ -92,7 +93,7 @@ func New(cfg Config, store metastore.Storage) (*Gecko, error) {
 		// table stays about a quarter full, groups almost never fill, and
 		// the map does not grow after New.
 		pageContent: make(map[flash.PPN]slab, 8*cfg.LargestRunPages()),
-		free:        newSlabList(cfg),
+		pool:        newPagePool(cfg),
 		nextRunID:   1,
 	}, nil
 }
@@ -241,38 +242,39 @@ func (g *Gecko) maybeFlush() error {
 	return g.flushBuffer()
 }
 
-// flushBuffer writes the buffer as a new run into level 0 and triggers
-// merging.
+// flushBuffer writes the buffer as a new run of one page into level 0 and
+// triggers merging.
 func (g *Gecko) flushBuffer() error {
-	entries := g.buf.drain(g.free.take(g.buf.len(), g.sz.wpe))
-	if len(entries.ents) == 0 {
+	page := g.buf.drain(g.pool.take())
+	if len(page.ents) == 0 {
+		g.pool.put(page)
 		return nil
 	}
 	g.stats.Flushes++
-	r, err := g.writeRun(entries, nil)
-	if err != nil {
+	r := g.newRun(1)
+	r.pages = append(r.pages, newRunPage(page))
+	if err := g.writeRun(r, nil); err != nil {
 		return err
 	}
 	g.placeRun(r)
 	return g.mergeIfNeeded()
 }
 
-// writeRun persists a sorted slab of entries as a new run, which takes
-// ownership of the slab, and returns it. The flash image changes only once
-// the last page is programmed: until then a power failure leaves an
-// incomplete run, which recovery drops in favour of the runs it was to
-// supersede (a merge's inputs), and flash keeps their pages, invalidated or
-// not, until their blocks are erased. Only then, with their pages out of the
-// flash image, do the superseded runs' slabs go to the free list: recovery
-// relinks runs from the image, so a slab it still reaches is never reused.
-// The superseded runs themselves, their structs and directories, go to
-// g.spare for the runs to come: neither the image nor an export refers to
-// them, and writeRun reads them for the last time here.
-func (g *Gecko) writeRun(entries slab, supersedes []*run) (*run, error) {
-	r := g.newRun((cap(entries.ents) + g.sz.perPage - 1) / g.sz.perPage)
+// writeRun persists r, a run whose directory holds its pages but no
+// addresses yet, as a new run. The flash image changes only once the last
+// page is programmed: until then a power failure leaves an incomplete run,
+// which recovery drops in favour of the runs it was to supersede (a merge's
+// inputs), and flash keeps their pages, invalidated or not, until their
+// blocks are erased. Only then, with their pages out of the flash image, do
+// the superseded runs' pages go to the pool: recovery relinks runs from the
+// image, so a page it still reaches is never reused. The superseded runs
+// themselves, their structs and directories, go to g.spare for the runs to
+// come: neither the image nor an export refers to them, and writeRun reads
+// them for the last time here. If a page cannot be programmed, r's pages go
+// back to the pool, since the image holds none of them.
+func (g *Gecko) writeRun(r *run, supersedes []*run) error {
 	g.seq++
-	r.id, r.createSeq, r.slab = g.nextRunID, g.seq, entries
-	r.pages = splitIntoPages(r.pages, entries, g.sz.perPage)
+	r.id, r.createSeq = g.nextRunID, g.seq
 	r.level = g.cfg.LevelOfRunPages(len(r.pages))
 	g.nextRunID++
 	for i := range r.pages {
@@ -280,7 +282,8 @@ func (g *Gecko) writeRun(entries slab, supersedes []*run) (*run, error) {
 		spare := encodeRunPageSpare(r.id, i, len(r.pages), p.minKey, p.maxKey)
 		ppn, err := g.store.Append(spare)
 		if err != nil {
-			return nil, fmt.Errorf("gecko: writing run %d page %d: %w", r.id, i, err)
+			g.release(r)
+			return fmt.Errorf("gecko: writing run %d page %d: %w", r.id, i, err)
 		}
 		p.ppn = ppn
 	}
@@ -290,20 +293,31 @@ func (g *Gecko) writeRun(entries slab, supersedes []*run) (*run, error) {
 		for i := range old.pages {
 			delete(g.pageContent, old.pages[i].ppn)
 		}
-		g.free.put(old.slab)
-		g.retire(old)
+		g.release(old)
 	}
 	for i := range r.pages {
 		g.pageContent[r.pages[i].ppn] = r.pages[i].slab
 	}
-	return r, nil
+	return nil
+}
+
+// roomFor returns the directory room of a run of up to the given number of
+// entries: its pages rounded up to a power of two, or the largest run's, so
+// that a spare directory fits the next run of its class.
+func (g *Gecko) roomFor(entries int) int {
+	pages := (entries + g.sz.perPage - 1) / g.sz.perPage
+	room := 1
+	for room < pages {
+		room *= 2
+	}
+	return min(room, g.cfg.LargestRunPages())
 }
 
 // newRun returns an empty run whose directory has room for the given number
 // of pages: of the spare runs, the one whose room is the least that will do,
-// or a new run with just that room. writeRun sizes directories by the slab's
-// capacity, which comes in classes, so a spare one fits the next run of its
-// class; recovery and import ask for a rebuilt run's page count.
+// or a new run with just that room. Merges ask for roomFor's classes, so a
+// spare one fits the next run of its class; recovery and import ask for a
+// rebuilt run's page count.
 func (g *Gecko) newRun(room int) *run {
 	best := -1
 	for i, r := range g.spare {
@@ -321,9 +335,15 @@ func (g *Gecko) newRun(room int) *run {
 	return r
 }
 
+// release hands the pages of a run that neither the flash image nor any
+// other run refers to to the pool, and the run to g.spare.
+func (g *Gecko) release(r *run) {
+	g.pool.putPages(r.pages)
+	g.retire(r)
+}
+
 // retire hands a run that nothing reads any more to g.spare, for the runs to
-// come. A spare run keeps its directory's storage and nothing else: no slab,
-// not its own, nor its pages'.
+// come. A spare run keeps its directory's storage and nothing else: no page.
 func (g *Gecko) retire(r *run) {
 	clear(r.pages)
 	*r = run{pages: r.pages[:0]}
@@ -331,8 +351,7 @@ func (g *Gecko) retire(r *run) {
 }
 
 // retireLevels empties every level, keeping its slice, and retires its runs.
-// Their slabs do not go to the free list: the flash image may still hold
-// them.
+// Their pages do not go to the pool: the flash image still holds them.
 func (g *Gecko) retireLevels() {
 	for i, lvl := range g.levels {
 		for _, r := range lvl {
@@ -455,6 +474,7 @@ func (g *Gecko) mergeRuns(inputs []*run) (*run, error) {
 	for _, r := range inputs {
 		for i := range r.pages {
 			if err := g.store.Invalidate(r.pages[i].ppn); err != nil {
+				g.release(merged)
 				return nil, fmt.Errorf("gecko: invalidating run %d: %w", r.id, err)
 			}
 		}
@@ -462,13 +482,18 @@ func (g *Gecko) mergeRuns(inputs []*run) (*run, error) {
 
 	// Only inputs without entries, and so without pages, merge to nothing:
 	// the newest entry of every key survives, erase entries included.
-	if len(merged.ents) == 0 {
+	if len(merged.pages) == 0 {
+		g.retire(merged)
 		return nil, nil
 	}
-	return g.writeRun(merged, inputs)
+	if err := g.writeRun(merged, inputs); err != nil {
+		return nil, err
+	}
+	return merged, nil
 }
 
-// stream is sorted entries read one sub-slab at a time: ents, then pages.
+// stream is sorted entries read one page at a time: ents and words are the
+// page being read, pages those after it.
 type stream struct {
 	ents  []entry
 	words []uint64
@@ -491,11 +516,12 @@ func (s *stream) at(pos int) ([]entry, int, uint64) {
 }
 
 // mergeEntryStreams merges the inputs, in any order (recency is createSeq),
-// into an output slab from the free list; the inputs are only read. Two, the
-// leveled merge of Section 3.2, are one mergeTwo. More (Appendix A) fold
-// newest first: each step merges the result so far, in out or one scratch
-// slab, as the newer stream with the next older run.
-func (g *Gecko) mergeEntryStreams(inputs []*run) slab {
+// into the pages of a new run, which it returns without an ID; the inputs
+// are only read. Two, the leveled merge of Section 3.2, are one mergeTwo.
+// More (Appendix A) fold newest first: each step merges the result so far,
+// in one of two directories, as the newer stream with the next older run,
+// and then hands the previous result's pages back to the pool.
+func (g *Gecko) mergeEntryStreams(inputs []*run) *run {
 	byAge := append(g.byAge[:0], inputs...)
 	slices.SortFunc(byAge, func(a, b *run) int { return cmp.Compare(b.createSeq, a.createSeq) })
 	total := 0
@@ -503,72 +529,96 @@ func (g *Gecko) mergeEntryStreams(inputs []*run) slab {
 		total += r.entryCount()
 	}
 	// Every step's output holds every key once at most.
-	n := min(total, g.cfg.distinctKeys())
-	out := g.free.take(n, g.sz.wpe)
-	mergeTwo(&out, stream{pages: byAge[0].pages}, stream{pages: byAge[1].pages})
+	room := g.roomFor(min(total, g.cfg.distinctKeys()))
+	out := g.newRun(room)
+	out.pages = g.pool.mergeTwo(out.pages, stream{pages: byAge[0].pages}, stream{pages: byAge[1].pages})
 	if len(byAge) > 2 {
-		scratch := g.free.take(n, g.sz.wpe)
+		prev := g.newRun(room)
 		for _, r := range byAge[2:] {
-			mergeTwo(&scratch, stream{ents: out.ents, words: out.words}, stream{pages: r.pages})
-			out, scratch = scratch, out
+			out, prev = prev, out
+			out.pages = g.pool.mergeTwo(out.pages, stream{pages: prev.pages}, stream{pages: r.pages})
+			g.pool.putPages(prev.pages)
+			clear(prev.pages)
+			prev.pages = prev.pages[:0]
 		}
-		g.free.put(scratch)
+		g.retire(prev)
 	}
 	clear(byAge) // do not keep the inputs alive past this call
 	g.byAge = byAge
 	return out
 }
 
-// mergeTwo writes into out, which has room, the merge of a newer and an older
-// stream by Algorithm 3's rules: a newer erase entry, which precedes its
-// block's chunks, drops the block's older entries, and colliding chunks OR
-// their bits and keep the older erase flag, unless the newer is flagged.
-func mergeTwo(out *slab, newer, older stream) {
-	wpe := out.wpe
-	ents, words, n := out.ents[:cap(out.ents)], out.words[:cap(out.words)], 0
+// mergeTwo appends to out the merge of a newer and an older stream by
+// Algorithm 3's rules: a newer erase entry, which precedes its block's
+// chunks, drops the block's older entries, and colliding chunks OR their
+// bits and keep the older erase flag, unless the newer is flagged. It writes
+// page by page, taking the next page from the pool when one fills: every
+// page but the last holds V entries.
+func (p *pagePool) mergeTwo(out []runPage, newer, older stream) []runPage {
+	wpe := p.wpe
 	ne, ni, nk := newer.at(0)
 	oe, oi, ok := older.at(0)
 	cut := flash.InvalidBlock // the block the newer stream last erased
-	for {
-		if ok < nk {
-			if e := oe[oi]; e.block != cut {
-				ents[n] = e
-				copyWords(words, n, older.words, oi, wpe)
-				n++
-			}
-		} else if nk == exhausted {
-			out.ents, out.words = ents[:n], words[:n*wpe]
-			return
-		} else {
-			e := ne[ni]
-			if e.erase && e.subKey == WholeBlock {
-				cut = e.block
-			}
-			copyWords(words, n, newer.words, ni, wpe)
-			collides := nk == ok
-			if collides && !e.erase && e.block != cut {
-				for w := range wpe {
-					words[n*wpe+w] |= older.words[oi*wpe+w]
+	for nk != exhausted || ok != exhausted {
+		page := p.take()
+		ents, words, n := page.ents[:cap(page.ents)], page.words[:cap(page.words)], 0
+		// The page is full once a step has written its last slot and
+		// moved the streams past what it read; checking at the top of the
+		// loop instead made the perfbench device's merge a fifth slower.
+		for {
+			if ok < nk {
+				if e := oe[oi]; e.block != cut {
+					ents[n] = e
+					copyWords(words, n, older.words, oi, wpe)
+					n++
 				}
-				e.erase = oe[oi].erase
-			}
-			ents[n] = e
-			n++
-			if ni++; ni < len(ne) {
-				nk = ne[ni].key().packed()
+			} else if nk == exhausted {
+				break
 			} else {
-				ne, ni, nk = newer.at(ni)
+				e := ne[ni]
+				if e.erase && e.subKey == WholeBlock {
+					cut = e.block
+				}
+				copyWords(words, n, newer.words, ni, wpe)
+				collides := nk == ok
+				if collides && !e.erase && e.block != cut {
+					for w := range wpe {
+						words[n*wpe+w] |= older.words[oi*wpe+w]
+					}
+					e.erase = oe[oi].erase
+				}
+				ents[n] = e
+				n++
+				if ni++; ni < len(ne) {
+					nk = ne[ni].key().packed()
+				} else {
+					ne, ni, nk = newer.at(ni)
+				}
+				if !collides {
+					if n == len(ents) {
+						break
+					}
+					continue
+				}
 			}
-			if !collides {
-				continue
+			if oi++; oi < len(oe) {
+				ok = oe[oi].key().packed()
+			} else {
+				oe, oi, ok = older.at(oi)
+			}
+			if n == len(ents) {
+				break
 			}
 		}
-		if oi++; oi < len(oe) {
-			ok = oe[oi].key().packed()
-		} else {
-			oe, oi, ok = older.at(oi)
+		if n == 0 {
+			// What was left were older entries of a block the newer stream
+			// erased.
+			p.put(page)
+			break
 		}
+		out = append(out, newRunPage(slab{ents: ents[:n], words: words[:n*wpe], wpe: wpe}))
 	}
+	return out
 }
 
 // copyWords copies entry i's words in src to entry n's in dst, one at a time.

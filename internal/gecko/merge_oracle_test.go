@@ -171,12 +171,13 @@ func randomRunPair(rng *rand.Rand, cfg Config, blocks, v int, seq uint64) (*orac
 // multi-way, partition factors 1, 2 and 4 (one and several words per
 // entry), erase entries at every recency, empty inputs, inputs passed in
 // any recency order. From each configuration's second merge on the output
-// goes into a recycled slab, scribbled over to its full capacity.
+// goes into recycled pages, scribbled over to their full capacity
+// (steadyMerge).
 func TestMergeMatchesPointerEntryMerge(t *testing.T) {
 	for _, s := range []int{1, 2, 4} {
 		for _, ways := range []int{2, 3, 5} {
 			cfg := Config{Blocks: 24, PagesPerBlock: 256, PageSize: 4096, SizeRatio: 2, PartitionFactor: s}
-			merge := steadyMerge(cfg)
+			merge := steadyMerge(t, cfg)
 			for seed := int64(1); seed <= 40; seed++ {
 				rng := rand.New(rand.NewSource(seed*100 + int64(10*s+ways)))
 				v := 2 + rng.Intn(5) // small pages: sub-entries straddle them
@@ -222,14 +223,6 @@ func TestMergeMatchesPointerEntryMerge(t *testing.T) {
 						}
 					}
 				}
-				// What the next merge gets back from the free list.
-				ents, words := got.ents[:cap(got.ents)], got.words[:cap(got.words)]
-				for i := range ents {
-					ents[i] = entry{block: flash.BlockID(i), subKey: int16(i % 3), erase: i%2 == 0}
-				}
-				for i := range words {
-					words[i] = ^uint64(0)
-				}
 			}
 		}
 	}
@@ -267,7 +260,7 @@ func TestMergeMatchesOracleOnPerfbenchKeys(t *testing.T) {
 	if cfg.PartitionFactor != 2 || cfg.wordsPerEntry() != 1 {
 		t.Fatalf("%v: want S = 2 and one word an entry", cfg)
 	}
-	merge := steadyMerge(cfg)
+	merge := steadyMerge(t, cfg)
 	for _, ways := range []int{2, 3} {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed*10 + int64(ways)))
@@ -313,7 +306,7 @@ func TestMergeMiddleRunErase(t *testing.T) {
 		{6, 0, false, 1 << 6},
 	}
 	for _, order := range [][]*run{{newest, middle, oldest}, {oldest, newest, middle}, {middle, oldest, newest}} {
-		got := steadyMerge(cfg)(order)
+		got := steadyMerge(t, cfg)(order)
 		if len(got.ents) != len(want) {
 			t.Fatalf("merged %v %x, want %v", got.ents, got.words, want)
 		}

@@ -10,19 +10,20 @@ import (
 )
 
 // CrashRAM simulates the loss of integrated RAM at power failure: the buffer
-// contents and the run directories disappear, and the free list's slabs with
-// them. The flash-resident runs (their pages and spare areas) survive on the
-// device; RecoverDirectories or ImportDirectories rebuilds the RAM state from
-// them. What a crash keeps is host storage with no content in it: each
-// level's slice, emptied; the runs, cleared and spare (see retire); the free
-// list's slice, emptied; the recovery scan's slice and ScanValidity's rows,
-// which their next call overwrites before it reads them. The rebuilt
-// directories refill that storage instead of allocating their own.
+// contents and the run directories disappear. The flash-resident runs (their
+// pages and spare areas) survive on the device; RecoverDirectories or
+// ImportDirectories rebuilds the RAM state from them. What a crash keeps is
+// host storage with no content in it: each level's slice, emptied; the runs,
+// cleared and spare (see retire); one largest run's worth of the page pool,
+// whose pages are empty and none of the flash image's; the recovery scan's
+// slice and ScanValidity's rows, which their next call overwrites before it
+// reads them. The rebuilt directories refill that storage instead of
+// allocating their own, and relink the flash image's pages, which go to the
+// pool when a newer run supersedes theirs.
 func (g *Gecko) CrashRAM() {
 	g.buf.clear()
 	g.retireLevels()
-	clear(g.free.slabs)
-	g.free.slabs = g.free.slabs[:0]
+	g.pool.crash()
 }
 
 // NewestRunWriteSeq returns the write-sequence number of the first

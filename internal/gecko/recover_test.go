@@ -314,9 +314,10 @@ func TestMergeIsCrashAtomic(t *testing.T) {
 // updates and requires it, after each recovery, to hold what a new Gecko
 // recovering the same flash holds: the same directories and the same answer
 // to every GC query. What a crash keeps is storage only: every spare run is
-// zero, its directory too, to the directory's capacity, and the run structs
-// stay few however many crashes there are. A spare run that keeps its pages,
-// or a level that keeps its runs, fails it.
+// zero, its directory too, to the directory's capacity, every pooled page is
+// empty and none of the flash image's, and the run structs stay few however
+// many crashes there are. A spare run that keeps its pages, or a level that
+// keeps its runs, fails it.
 func TestCrashRAMKeepsNoContent(t *testing.T) {
 	for _, multiWay := range []bool{false, true} {
 		t.Run(fmt.Sprintf("multiway %t", multiWay), func(t *testing.T) {
@@ -330,9 +331,10 @@ func TestCrashRAMKeepsNoContent(t *testing.T) {
 				populate(t, h, nil, 1500, int64(crash))
 				h.dev.PowerFail()
 				h.g.CrashRAM()
-				if n, b, f := h.g.RunCount(), h.g.BufferLen(), len(h.g.free.slabs); n+b+f != 0 {
-					t.Fatalf("crash %d: %d runs, %d buffered entries and %d free slabs survive it", crash, n, b, f)
+				if n, b := h.g.RunCount(), h.g.BufferLen(); n+b != 0 {
+					t.Fatalf("crash %d: %d runs and %d buffered entries survive it", crash, n, b)
 				}
+				requirePoolOwnsItsPages(t, h.g, fmt.Sprintf("crash %d", crash))
 				h.dev.PowerOn()
 				if err := h.g.RecoverDirectories(); err != nil {
 					t.Fatal(err)

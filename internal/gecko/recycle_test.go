@@ -6,34 +6,112 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"geckoftl/internal/flash"
 	"geckoftl/internal/metastore"
 )
 
-// steadyMerge returns mergeEntryStreams as production runs it from the second
-// merge on: the output, and a fold's scratch slab, come from a free list that
-// holds the previous output's slab, dirty, as writeRun leaves a superseded
-// run's.
-func steadyMerge(cfg Config) func(inputs []*run) slab {
-	g := &Gecko{cfg: cfg, sz: cfg.sizes(), free: newSlabList(cfg)}
-	var last slab
+// steadyMerge returns mergeEntryStreams as production runs it, its output
+// flattened into one slab: every output page comes from the pool, which
+// holds the previous output's pages, scribbled over to their full capacity
+// before they go back. It fails tb unless the pages split the output, and
+// carry its key ranges, exactly as splitIntoPages does.
+func steadyMerge(tb testing.TB, cfg Config) func(inputs []*run) slab {
+	g := &Gecko{cfg: cfg, sz: cfg.sizes(), pool: newPagePool(cfg)}
+	g.pool.pages = g.pool.pages[:0]
+	var last *run
 	return func(inputs []*run) slab {
-		g.free.put(last)
+		tb.Helper()
+		if last != nil {
+			for i := range last.pages {
+				scribble(last.pages[i].slab)
+			}
+			g.release(last)
+		}
 		last = g.mergeEntryStreams(inputs)
-		return last
+		flat := newSlab(0, g.sz.wpe)
+		for i := range last.pages {
+			p := &last.pages[i]
+			for j := range p.ents {
+				flat.push(p.ents[j], p.bits(j))
+			}
+		}
+		want := splitIntoPages(nil, flat, g.sz.perPage)
+		if len(last.pages) != len(want) {
+			tb.Fatalf("merged %d entries into %d pages, want %d", len(flat.ents), len(last.pages), len(want))
+		}
+		for i, w := range want {
+			p := &last.pages[i]
+			if len(p.ents) != len(w.ents) || p.minKey != w.minKey || p.maxKey != w.maxKey {
+				tb.Fatalf("page %d: %d entries over [%v, %v], want %d over [%v, %v]", i, len(p.ents), p.minKey, p.maxKey, len(w.ents), w.minKey, w.maxKey)
+			}
+		}
+		return flat
 	}
 }
 
 // steadyDrain is steadyMerge's counterpart for the buffer's one-pass drain:
-// its output comes from a free list holding the previous drain's slab.
+// its output page comes from a pool holding the previous drain's page,
+// scribbled over to its full capacity.
 func steadyDrain(b *buffer) func() slab {
-	free := newSlabList(b.cfg)
+	pool := pagePool{v: b.sz.perPage, wpe: b.wpe, most: 1}
 	var last slab
 	return func() slab {
-		free.put(last)
-		last = b.drain(free.take(b.len(), b.wpe))
+		if cap(last.ents) > 0 {
+			scribble(last)
+			pool.put(last)
+		}
+		last = b.drain(pool.take())
 		return last
+	}
+}
+
+// scribble overwrites a page to its full capacity, as a recycled page may be.
+func scribble(s slab) {
+	ents, words := s.ents[:cap(s.ents)], s.words[:cap(s.words)]
+	for i := range ents {
+		ents[i] = entry{block: flash.BlockID(i), subKey: int16(i % 3), erase: i%2 == 0}
+	}
+	for i := range words {
+		words[i] = ^uint64(0)
+	}
+}
+
+// splitIntoPages partitions sorted entries into consecutive groups of at most
+// v entries, computing each group's key range, into pages, whose length it
+// resets. It is how a merge's output pages must split and how tests build
+// input runs.
+func splitIntoPages(pages []runPage, s slab, v int) []runPage {
+	n := len(s.ents)
+	pages = pages[:0]
+	for start := 0; start < n; start += v {
+		end := min(start+v, n)
+		pages = append(pages, newRunPage(slab{
+			ents:  s.ents[start:end:end],
+			words: s.words[start*s.wpe : end*s.wpe : end*s.wpe],
+			wpe:   s.wpe,
+		}))
+	}
+	return pages
+}
+
+// requirePoolOwnsItsPages fails unless every pooled page is empty and none
+// is a page the flash image holds: the next flush or merge would write over
+// what recovery is to read.
+func requirePoolOwnsItsPages(t *testing.T, g *Gecko, when string) {
+	t.Helper()
+	image := make(map[*entry]flash.PPN, len(g.pageContent))
+	for ppn, c := range g.pageContent {
+		image[unsafe.SliceData(c.ents)] = ppn
+	}
+	for i, s := range g.pool.pages {
+		if len(s.ents) != 0 || len(s.words) != 0 {
+			t.Fatalf("%s: pooled page %d holds %d entries and %d words", when, i, len(s.ents), len(s.words))
+		}
+		if ppn, ok := image[unsafe.SliceData(s.ents)]; ok {
+			t.Fatalf("%s: the pool holds page %d, which the flash image still has", when, ppn)
+		}
 	}
 }
 
@@ -139,37 +217,21 @@ type slabWalk struct {
 	store  *walkStore
 	model  *model
 	copies map[flash.PPN]pageCopy
+	// held has the slab of every page the flash image has held.
+	held map[*entry]bool
 }
 
-// requireOwnership fails if a slab on the free list still holds a page of the
-// flash image: the next flush or merge would write over what recovery is to
-// read.
-func (w *slabWalk) requireOwnership(step int, op string) {
-	w.t.Helper()
-	first := map[*entry]flash.PPN{}
-	for ppn, s := range w.g.pageContent {
-		first[&s.ents[0]] = ppn
-	}
-	for _, s := range w.g.free.slabs {
-		whole := s.ents[:cap(s.ents)]
-		for i := range whole {
-			if ppn, ok := first[&whole[i]]; ok {
-				w.t.Fatalf("step %d (%s): the free list holds the slab of page %d, which the flash image still has", step, op, ppn)
-			}
-		}
-	}
-}
-
-// check is what must hold after every step: no free slab is part of the
+// check is what must hold after every step: no pooled page is part of the
 // flash image, which still reads, at every address, what was programmed
 // there; every block answers as the reference model does; and the level
 // table lists the runs newest first.
 func (w *slabWalk) check(step int, op string) {
 	w.t.Helper()
-	w.requireOwnership(step, op)
+	requirePoolOwnsItsPages(w.t, w.g, fmt.Sprintf("step %d (%s)", step, op))
 	for _, ppn := range w.store.appended {
 		if s, ok := w.g.pageContent[ppn]; ok {
 			w.copies[ppn] = pageCopy{slices.Clone(s.ents), slices.Clone(s.words)}
+			w.held[unsafe.SliceData(s.ents)] = true
 		}
 	}
 	w.store.appended = w.store.appended[:0]
@@ -228,20 +290,20 @@ func (w *slabWalk) recover() {
 	w.store.setLive(slices.Collect(w.g.LivePages()))
 }
 
-// TestSlabOwnershipWalk is the referee of who owns a slab when. A seeded
+// TestSlabOwnershipWalk is the referee of who owns a page when. A seeded
 // random walk drives every operation that creates, supersedes, rebuilds or
 // moves runs — updates, erase reports, flushes and their merge cascades,
 // power cuts between and in the middle of those, directory export and
 // import, page relocation — over a store that erases and reprograms blocks
 // as it goes, and after every step requires the flash image to read, page by
 // page, what was programmed (deep copies taken then), and every query to
-// answer as a full in-RAM PVB does, and no slab on the free list to be one
-// the flash image still refers to — checked also at the instant of a power
-// cut, before RAM is dropped. Moving writeRun's g.free.put(old.slab) up into
-// mergeRuns, beside the invalidation of the inputs' pages, fails there on
-// each seed that cuts power, at the first cut in the middle of a merge; were
-// CrashRAM to keep the free list, the same mutation would also fail a flush
-// later, on the page's content.
+// answer as a full in-RAM PVB does, and no pooled page to be one the flash
+// image still refers to — checked also at the instant of a power cut, before
+// RAM is dropped — and the pool to have held, at some step, a page the flash
+// image once held. Moving writeRun's release of the superseded runs' pages
+// up into mergeRuns, beside the invalidation of the inputs' pages, fails
+// there on each seed that cuts power, at the first cut in the middle of a
+// merge.
 //
 // Walks with relocation cut no power: the spare-area scan finds a relocated
 // page at both addresses and drops its run, which is not this test's subject.
@@ -272,7 +334,7 @@ func slabOwnershipWalk(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &slabWalk{t: t, g: g, store: store, model: newModel(pagesPerBlock), copies: map[flash.PPN]pageCopy{}}
+	w := &slabWalk{t: t, g: g, store: store, model: newModel(pagesPerBlock), copies: map[flash.PPN]pageCopy{}, held: map[*entry]bool{}}
 
 	recycled := 0
 	for step := 0; step < 1500; step++ {
@@ -316,7 +378,7 @@ func slabOwnershipWalk(t *testing.T, seed int64) {
 				// Power is off, RAM not yet lost: whatever the flush was in
 				// the middle of, it must not have freed a slab recovery
 				// will read.
-				w.requireOwnership(step, op)
+				requirePoolOwnsItsPages(w.t, w.g, fmt.Sprintf("step %d (%s)", step, op))
 				w.recover()
 				w.resync()
 			}
@@ -359,10 +421,16 @@ func slabOwnershipWalk(t *testing.T, seed int64) {
 			w.model.update(a)
 		}
 		w.check(step, op)
-		recycled = max(recycled, len(g.free.slabs))
+		n := 0
+		for _, p := range g.pool.pages {
+			if w.held[unsafe.SliceData(p.ents)] {
+				n++
+			}
+		}
+		recycled = max(recycled, n)
 	}
 	if recycled == 0 {
-		t.Error("the free list never held a slab")
+		t.Error("the pool never held a page the flash image had held")
 	}
 	if store.erases == 0 {
 		t.Error("the store never erased a block")

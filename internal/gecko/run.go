@@ -8,9 +8,9 @@ import (
 	"geckoftl/internal/flash"
 )
 
-// runPage is one flash page of a run: up to V entries sorted by key, plus the
-// key range used by the run directory to route GC queries to the single page
-// that may contain a given block.
+// runPage is one flash page of a run: up to V entries sorted by key, in a
+// page slab of its own, plus the key range used by the run directory to
+// route GC queries to the single page that may contain a given block.
 type runPage struct {
 	ppn    flash.PPN
 	minKey key
@@ -18,21 +18,23 @@ type runPage struct {
 	slab
 }
 
+// newRunPage returns the page that holds s, a non-empty slab of sorted
+// entries, with its key range.
+func newRunPage(s slab) runPage {
+	return runPage{minKey: s.ents[0].key(), maxKey: s.ents[len(s.ents)-1].key(), slab: s}
+}
+
 // run is a sorted run of Gecko entries stored in flash, together with its
 // RAM-resident run directory (the per-page key ranges and physical
-// locations). The pages' slabs — consecutive sub-slabs of the one slab the
-// run was written from, immutable for as long as the flash image holds them —
-// model the flash content of the run's pages; the directory fields are what
-// is lost at power failure and recovered by Appendix C.1.
+// locations). The pages' slabs — taken from the page pool by the flush or
+// merge that wrote the run, immutable for as long as the flash image holds
+// them — model the flash content of the run's pages; the directory fields
+// are what is lost at power failure and recovered by Appendix C.1.
 type run struct {
 	id        uint64
 	level     int
 	createSeq uint64
 	pages     []runPage
-	// slab is what writeRun wrote the run from and hands to the free list
-	// when the run is superseded. A run rebuilt by recovery or import owns
-	// none: its pages' sub-slabs come from the flash image.
-	slab slab
 }
 
 // entryCount returns the total number of entries in the run.
@@ -94,23 +96,6 @@ func encodeRunPageSpare(runID uint64, pageIndex, totalPages int, minKey, maxKey 
 // of runPageMeta to unpack.
 func decodeRunPageSpare(spare flash.SpareArea, ppn flash.PPN) runPageMeta {
 	return runPageMeta{tag: spare.Tag, aux: spare.Aux, writeSeq: spare.WriteSeq, ppn: ppn}
-}
-
-// splitIntoPages partitions sorted entries into consecutive groups of at most
-// V entries, computing each group's key range, into pages, whose length it
-// resets.
-func splitIntoPages(pages []runPage, s slab, v int) []runPage {
-	n := len(s.ents)
-	pages = pages[:0]
-	for start := 0; start < n; start += v {
-		end := min(start+v, n)
-		pages = append(pages, runPage{
-			minKey: s.ents[start].key(),
-			maxKey: s.ents[end-1].key(),
-			slab:   s.slice(start, end),
-		})
-	}
-	return pages
 }
 
 // pagesFor returns the index range [lo, hi) of the pages of r whose key range
