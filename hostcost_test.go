@@ -312,6 +312,53 @@ func TestHostBytesPerPage(t *testing.T) {
 	}
 }
 
+// TestHostBytesPerShard pins what a device holds on the host for each shard
+// it runs: the live heap of TestHostBytesPerPage's 4096-block device on 8
+// channels less on 1, after four logical fills, over the 7 shards added.
+// The device's pages are the same on both, so the per-page structures cancel
+// out; what is left is each shard's own — the cache's slab of 1024 entries,
+// the engine's and the FTL's fixed structures, and their scratch. The budget
+// is the reading when this was written, 117 KB, times 1.10. When a
+// synchronization and a checkpoint copied the cache's entries into four
+// scratch buffers, each grown to a translation page of 1024 entries, it read
+// 226 KB.
+func TestHostBytesPerShard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the program's behalf")
+	}
+	const blocks, budget = 4096, 129 << 10
+	liveHeap := func(channels int) uint64 {
+		dev, err := geckoftl.Open(
+			geckoftl.WithGeometry(blocks, 64, 4096),
+			geckoftl.WithChannels(channels, 1),
+			geckoftl.WithCacheEntries(1024),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dev.Close(context.Background())
+		rng := fillAndOverwrite(t, dev)
+		for range 2 * dev.LogicalPages() {
+			if err := dev.Write(context.Background(), geckoftl.LPN(rng.Int63n(dev.LogicalPages()))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Collected twice, as in TestHostBytesPerPage.
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(dev)
+		return ms.HeapAlloc
+	}
+	one, eight := liveHeap(1), liveHeap(8)
+	perShard := (float64(eight) - float64(one)) / 7
+	t.Logf("%.2f MB on 1 channel, %.2f MB on 8: %.0f KB per shard", float64(one)/(1<<20), float64(eight)/(1<<20), perShard/(1<<10))
+	if perShard > budget {
+		t.Errorf("%.0f host KB per shard, budget %d", perShard/(1<<10), budget>>10)
+	}
+}
+
 // TestRecoveryAllocBudget pins GeckoRec's host allocations to a count that
 // does not grow with the device. Recovery's indexes are arrays the shard
 // keeps, and a crash leaves Logarithmic Gecko's run structs, level slices

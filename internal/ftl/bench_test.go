@@ -91,7 +91,7 @@ func BenchmarkSynchronizeFirstTouch(b *testing.B) {
 			lpn := flash.LPN(int64(tp)*per + i)
 			updates = append(updates, dirtyUpdate{Logical: lpn, Physical: flash.PPN(lpn)})
 		}
-		if err := table.Synchronize(tp, updates); err != nil {
+		if err := synchronizeTable(table, tp, updates); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func BenchmarkSynchronizeFirstTouch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tp := i % table.Pages()
 		updates = append(updates[:0], dirtyUpdate{Logical: flash.LPN(int64(tp)*per + int64(i)%span(tp)), Physical: flash.PPN(i)})
-		if err := table.Synchronize(tp, updates); err != nil {
+		if err := synchronizeTable(table, tp, updates); err != nil {
 			b.Fatal(err)
 		}
 		if tp < table.Pages()-1 {

@@ -1,7 +1,6 @@
 package ftl
 
 import (
-	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
@@ -745,15 +744,44 @@ func (bm *blockManager) countLive(ppn flash.PPN) {
 	}
 }
 
-// userBlocksByRecency returns the allocated user blocks ordered from most
-// recently first-written to least recently, which is the order the recovery
-// backwards scan visits them (Section 4.3). The result is reused storage,
-// valid until the next call.
-func (bm *blockManager) userBlocksByRecency() []flash.BlockID {
-	blocks := slices.AppendSeq(slices.Grow(bm.recentBuf[:0], len(bm.blocks)), bm.BlocksInGroup(GroupUser))
-	slices.SortFunc(blocks, func(a, b flash.BlockID) int {
-		return cmp.Compare(bm.blocks[b].firstWriteSeq, bm.blocks[a].firstWriteSeq)
-	})
-	bm.recentBuf = blocks
-	return blocks
+// userBlocksByRecency yields the allocated user blocks from most recently
+// first-written to least recently, ties to the lowest block ID: the order the
+// recovery backwards scan visits them (Section 4.3). The scan stops after 2C
+// spare reads, a few dozen of a shard's thousand blocks, so it selects them
+// lazily from a heap in reused storage instead of sorting them all. Only
+// blocks with no readable page tie, at sequence zero.
+func (bm *blockManager) userBlocksByRecency() iter.Seq[flash.BlockID] {
+	return func(yield func(flash.BlockID) bool) {
+		h := slices.AppendSeq(slices.Grow(bm.recentBuf[:0], len(bm.blocks)), bm.BlocksInGroup(GroupUser))
+		bm.recentBuf = h
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			bm.siftNewest(h, i)
+		}
+		for n := len(h) - 1; n >= 0; n-- {
+			newest := h[0]
+			h[0] = h[n]
+			bm.siftNewest(h[:n], 0)
+			if !yield(newest) {
+				return
+			}
+		}
+	}
+}
+
+// siftNewest moves h[i] down the heap h, whose every block is newer than its
+// children, until neither child is newer.
+func (bm *blockManager) siftNewest(h []flash.BlockID, i int) {
+	newer := func(a, b flash.BlockID) bool {
+		sa, sb := bm.blocks[a].firstWriteSeq, bm.blocks[b].firstWriteSeq
+		return sa > sb || sa == sb && a < b
+	}
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && newer(h[c+1], h[c]) {
+			c++
+		}
+		if !newer(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
 }

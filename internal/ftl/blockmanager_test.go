@@ -1,6 +1,8 @@
 package ftl
 
 import (
+	"cmp"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -220,7 +222,7 @@ func TestBlockManagerCrashAndRecencyOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recency := bm.userBlocksByRecency()
+	recency := slices.Collect(bm.userBlocksByRecency())
 	if len(recency) != 3 {
 		t.Fatalf("user blocks = %d, want 3", len(recency))
 	}
@@ -235,6 +237,42 @@ func TestBlockManagerCrashAndRecencyOrder(t *testing.T) {
 	}
 	if _, allocated := bm.GroupOf(0); allocated {
 		t.Error("CrashRAM left allocation state")
+	}
+}
+
+// TestRecencyOrderMatchesSort gives random user blocks random first-write
+// sequences, many of them tied (zero among them), and requires the lazy
+// selection to yield the order of a sort by sequence, newest first, ties to
+// the lowest block ID, and to yield it again after a walk stopped early.
+func TestRecencyOrderMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 200 {
+		dev := newTestDevice(t, 1+rng.Intn(300), 4, 512)
+		bm := newBlockManager(dev, 0, false, false)
+		var want []flash.BlockID
+		for i := range bm.blocks {
+			switch rng.Intn(4) {
+			case 0: // free
+				continue
+			case 1:
+				bm.blocks[i].group = GroupTranslation
+			default:
+				want = append(want, flash.BlockID(i))
+			}
+			bm.blocks[i].allocated = true
+			bm.blocks[i].firstWriteSeq = uint64(rng.Intn(1 + len(bm.blocks)/4))
+		}
+		slices.SortFunc(want, func(a, b flash.BlockID) int {
+			return cmp.Or(cmp.Compare(bm.blocks[b].firstWriteSeq, bm.blocks[a].firstWriteSeq), cmp.Compare(a, b))
+		})
+		for range bm.userBlocksByRecency() {
+			if rng.Intn(8) == 0 {
+				break
+			}
+		}
+		if got := slices.Collect(bm.userBlocksByRecency()); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: recency order %v, the sort's %v", trial, got, want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"time"
 
 	"geckoftl/internal/bitmap"
@@ -148,25 +149,21 @@ type FTL struct {
 	opGCTime  time.Duration
 	opGCSteps int
 
-	// ckptFirst is synchronizePages' scratch for checkpointSeeds, one mark
-	// per translation page, allocated only for the FTLs without a battery:
-	// GeckoFTL's runtime checkpoints and LazyFTL's and IB-FTL's
-	// synchronization after recovery use it. It is all zero between calls.
-	ckptFirst []int32
-
-	// Scratch of synchronize, which is never re-entered, reused across calls.
-	syncAll     []mapcache.Entry
-	syncUpdates []dirtyUpdate
+	// syncLPNs is synchronize's list of the logical pages it writes back,
+	// at most a translation page's worth, and syncPages marks, one bit per
+	// translation page, the pages synchronizeMarked synchronizes. Both are
+	// scratch; syncPages is all clear between calls.
+	syncLPNs  []flash.LPN
+	syncPages []uint64
 	// runs is the Gecko run directories a checkpoint export encodes and a
 	// checkpoint import decodes, reused across calls.
 	runs []gecko.RunExport
 	// Scratch of recovery and of checkpoint verification, kept across calls
 	// so that a crash or a warm restart refills it instead of allocating:
-	// recoverGMD's sequences (gmdSeqs), reconcileRecoveredUIP's stale entries
-	// (stale) and verifyShardCheckpoint's free-pool marks (inFree). None of
-	// it means anything outside the call that filled it.
+	// recoverGMD's sequences (gmdSeqs) and verifyShardCheckpoint's free-pool
+	// marks (inFree). None of it means anything outside the call that filled
+	// it.
 	gmdSeqs []uint64
-	stale   []flash.LPN
 	inFree  *bitmap.Bitmap
 }
 
@@ -234,9 +231,8 @@ func New(dev *flash.Partition, opts Options) (*FTL, error) {
 		gc:           gcState{victim: flash.InvalidBlock},
 		collect:      gcState{victim: flash.InvalidBlock},
 	}
-	if !facts.battery {
-		f.ckptFirst = make([]int32, table.Pages())
-	}
+	f.syncLPNs = make([]flash.LPN, 0, table.EntriesPerPage())
+	f.syncPages = make([]uint64, (table.Pages()+63)/64)
 	if facts.dirtyBound {
 		f.dirtyLimit = max(1, int(dirtyBoundFraction*float64(opts.CacheEntries)))
 	}
@@ -516,47 +512,37 @@ func (f *FTL) putCacheEntry(e mapcache.Entry) error {
 	if !evicted.Valid || !evicted.Entry.Dirty {
 		return nil
 	}
-	return f.synchronize(evicted.Entry)
+	return f.synchronize(f.cache.TranslationPageOf(evicted.Entry.Logical), &evicted.Entry)
 }
 
-// synchronize runs a synchronization operation for the translation page of
-// the given (evicted or checkpoint-selected) dirty entry: all dirty cached
-// entries on the same translation page are written back together, and their
+// synchronize runs a synchronization operation for translation page tp: all
+// dirty cached entries on the page are written back together, and their
 // before-images are reported to the page-validity store (Section 4.1).
-func (f *FTL) synchronize(seed mapcache.Entry) error {
-	tp := f.cache.TranslationPageOf(seed.Logical)
-	dirty := f.cache.DirtyEntriesOnTranslationPage(tp)
-
-	// The dirty entries arrive in ascending logical order. The seed entry may
-	// already have been evicted from the cache; put it at its place among
-	// them. When it is still cached it is one of them.
-	all, placed := f.syncAll[:0], false
-	for _, e := range dirty {
-		if !placed && e.Logical >= seed.Logical {
-			placed = true
-			if e.Logical != seed.Logical {
-				all = append(all, seed)
-			}
-		}
-		all = append(all, e)
+// evicted is the dirty entry whose eviction called for it, or nil. One walk
+// of the cache lists the entries' logical pages in ascending order, the
+// evicted one's at its place, and three passes over the list read the
+// entries in place: every before-image is reported before the translation
+// page is read, the page is updated and programmed, and only then are the
+// entries marked clean, so a failed program leaves them dirty.
+func (f *FTL) synchronize(tp int, evicted *mapcache.Entry) error {
+	lpns := f.cache.AppendDirtyOnTranslationPage(f.syncLPNs[:0], tp)
+	if evicted != nil {
+		at, _ := slices.BinarySearch(lpns, evicted.Logical)
+		lpns = slices.Insert(lpns, at, evicted.Logical)
 	}
-	if !placed {
-		all = append(all, seed)
-	}
-	f.syncAll = all
+	f.syncLPNs = lpns
 
-	f.syncUpdates = f.syncUpdates[:0]
-	for _, e := range all {
-		flashPPN := f.table.FlashEntry(e.Logical)
-		if e.Uncertain {
-			if flashPPN == e.Physical {
-				// The entry was wrongly assumed dirty after recovery
-				// (Appendix C.3.1): clear its flags and omit it.
-				f.clearFlags(e.Logical)
-				continue
-			}
+	kept := lpns[:0]
+	for _, lpn := range lpns {
+		e := f.syncEntry(lpn, evicted)
+		flashPPN := f.table.FlashEntry(lpn)
+		if e.Uncertain && flashPPN == e.Physical {
+			// The entry was wrongly assumed dirty after recovery (Appendix
+			// C.3.1): clear its flags and omit it.
+			f.clearFlags(lpn)
+			continue
 		}
-		f.syncUpdates = append(f.syncUpdates, dirtyUpdate{Logical: e.Logical, Physical: e.Physical})
+		kept = append(kept, lpn)
 		// Lazy invalid-page identification (Section 4.1): if the entry's UIP
 		// flag is set, its flash-resident before-image has not been reported
 		// invalid yet; the synchronization is the moment to do so.
@@ -569,7 +555,7 @@ func (f *FTL) synchronize(seed mapcache.Entry) error {
 			if err != nil {
 				return err
 			}
-			needsReport = written && spare.Logical == e.Logical
+			needsReport = written && spare.Logical == lpn
 		}
 		if needsReport {
 			if e.Trimmed {
@@ -584,33 +570,48 @@ func (f *FTL) synchronize(seed mapcache.Entry) error {
 			}
 		}
 	}
+	lpns = kept
 
-	updates := f.syncUpdates
-	oldTPLocation := f.table.GMDLocation(tp)
-	if err := f.table.Synchronize(tp, updates); err != nil {
+	old, err := f.table.ReadPage(tp)
+	if err != nil || len(lpns) == 0 {
 		return err
 	}
-	if len(updates) > 0 {
-		f.stats.SyncOperations++
-		// FTLs whose garbage-collector may target translation blocks (the
-		// greedy policy of DFTL, LazyFTL, µ-FTL and IB-FTL) track the
-		// validity of translation pages in their page-validity store, so the
-		// superseded version must be reported invalid. The non-greedy
-		// policies never garbage-collect metadata blocks and rely on the BVC
-		// alone.
-		if f.opts.VictimPolicy.MigratesMetadata() && oldTPLocation != flash.InvalidPPN {
-			if err := f.validity.Update(flash.Decompose(oldTPLocation, f.cfg.PagesPerBlock)); err != nil {
-				return err
-			}
+	for _, lpn := range lpns {
+		if err := f.table.Update(tp, lpn, f.syncEntry(lpn, evicted).Physical); err != nil {
+			return err
+		}
+	}
+	if err := f.table.Commit(tp, old); err != nil {
+		return err
+	}
+	f.stats.SyncOperations++
+	// FTLs whose garbage-collector may target translation blocks (the greedy
+	// policy of DFTL, LazyFTL, µ-FTL and IB-FTL) track the validity of
+	// translation pages in their page-validity store, so the superseded
+	// version must be reported invalid. The non-greedy policies never
+	// garbage-collect metadata blocks and rely on the BVC alone.
+	if f.opts.VictimPolicy.MigratesMetadata() && old != flash.InvalidPPN {
+		if err := f.validity.Update(flash.Decompose(old, f.cfg.PagesPerBlock)); err != nil {
+			return err
 		}
 	}
 
-	// Mark the synchronized entries clean. The loop above cleaned the ones it
+	// Mark the synchronized entries clean. The first pass cleaned the ones it
 	// omitted, so no entry of the page is left uncertain.
-	for _, u := range updates {
-		f.clearFlags(u.Logical)
+	for _, lpn := range lpns {
+		f.clearFlags(lpn)
 	}
 	return nil
+}
+
+// syncEntry returns the entry synchronize writes back for lpn: the evicted
+// one, which the cache no longer holds, or the cached one.
+func (f *FTL) syncEntry(lpn flash.LPN, evicted *mapcache.Entry) mapcache.Entry {
+	if evicted != nil && evicted.Logical == lpn {
+		return *evicted
+	}
+	e, _ := f.cache.Peek(lpn)
+	return e
 }
 
 // clearFlags marks a cached entry clean (dirty, UIP and uncertainty cleared).
@@ -632,49 +633,34 @@ func (f *FTL) maybeCheckpoint() error {
 		return nil
 	}
 	f.stats.Checkpoints++
-	return f.synchronizePages(f.cache.Checkpoint())
+	f.cache.Checkpoint(f.syncPages)
+	return f.synchronizeMarked()
 }
 
-// synchronizePages synchronizes each translation page that holds one of the
-// cached dirty entries given, once and in ascending page order: a runtime
-// checkpoint's lingering entries, or every entry recovery recreated. Which
-// entry of a page seeds its synchronization does not matter, since
-// synchronize writes back all of the page's dirty cached entries; and each
-// synchronization cleans only its own page, so every later seed is still
-// dirty when its turn comes.
-func (f *FTL) synchronizePages(dirty []mapcache.Entry) error {
-	for e := range checkpointSeeds(dirty, f.ckptFirst, f.cache) {
-		if err := f.synchronize(e); err != nil {
+// synchronizeMarked synchronizes each translation page marked in syncPages,
+// once and in ascending page order: a runtime checkpoint's, or those holding
+// an entry recovery recreated. Each synchronization cleans only its own page,
+// so every later page still has its dirty entries when its turn comes.
+func (f *FTL) synchronizeMarked() error {
+	for tp := range markedPages(f.syncPages) {
+		if err := f.synchronize(tp, nil); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkpointSeeds yields, in ascending translation-page order, the first
-// of entries on each translation page they touch. It groups them without a
-// sort: one pass records in first, per page, one more than the position of
-// the page's first entry, and the walk over first in page order reads them
-// back. first holds one mark per translation page of cache; it must be all
-// zero when the walk starts, and it is all zero again when the walk ends,
-// whether it ran out or the caller stopped it.
-func checkpointSeeds(entries []mapcache.Entry, first []int32, cache *mapcache.Cache) iter.Seq[mapcache.Entry] {
-	return func(yield func(mapcache.Entry) bool) {
-		for i, e := range entries {
-			if tp := cache.TranslationPageOf(e.Logical); first[tp] == 0 {
-				first[tp] = int32(i + 1)
+// markedPages yields the translation pages marked in marks, one bit each, in
+// ascending order. The marks are all clear when the walk ends, whether it ran
+// out or the caller stopped it.
+func markedPages(marks []uint64) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for tp := range bitmap.Ones(marks, 0, len(marks)*64) {
+			if !yield(tp) {
+				break
 			}
 		}
-		for tp, at := range first {
-			if at == 0 {
-				continue
-			}
-			first[tp] = 0
-			if !yield(entries[at-1]) {
-				clear(first[tp:])
-				return
-			}
-		}
+		clear(marks)
 	}
 }
 
@@ -691,7 +677,7 @@ func (f *FTL) enforceDirtyBound() error {
 			return nil
 		}
 		f.stats.ForcedSyncs++
-		if err := f.synchronize(victim); err != nil {
+		if err := f.synchronize(f.cache.TranslationPageOf(victim.Logical), nil); err != nil {
 			return err
 		}
 	}
@@ -805,7 +791,7 @@ func (f *FTL) migrateValidPage(ppn flash.PPN, group Group) (bool, error) {
 			// must not vanish with the victim's erase before the trim is on
 			// flash. Synchronizing the trim's translation page makes it
 			// durable and identifies the flash-resident before-image.
-			return false, f.synchronize(cached)
+			return false, f.synchronize(f.cache.TranslationPageOf(lpn), nil)
 		}
 		if cached.UIP {
 			if cached.Trimmed {
@@ -886,7 +872,7 @@ func (f *FTL) Flush() error {
 		if !ok {
 			break
 		}
-		if err := f.synchronize(victim); err != nil {
+		if err := f.synchronize(f.cache.TranslationPageOf(victim.Logical), nil); err != nil {
 			return err
 		}
 	}

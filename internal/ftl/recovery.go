@@ -2,7 +2,6 @@ package ftl
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"geckoftl/internal/bitmap"
@@ -554,9 +553,8 @@ func (f *FTL) rebuildBVC() error {
 // the one moment the FTL holds the complete validity picture (the bitmaps
 // rebuildBVC just scanned) in RAM, so the reconciliation costs no IO.
 func (f *FTL) reconcileRecoveredUIP(geckoScan *bitmap.Rows) {
-	// Only cached entries can be stale: sized for all of them, the scratch
-	// does not regrow when a later recovery finds more than an earlier one.
-	stale := slices.Grow(f.stale[:0], f.cache.Len())
+	// Clearing UIP leaves an entry's place in the queue and the dirty chain
+	// as it is, so the walk updates the entries it passes.
 	f.cache.ForEach(func(e mapcache.Entry) bool {
 		if !e.UIP || !e.Uncertain {
 			return true
@@ -569,14 +567,10 @@ func (f *FTL) reconcileRecoveredUIP(geckoScan *bitmap.Rows) {
 		}
 		row := geckoScan.Row(int(flash.BlockOf(flashPPN, f.cfg.PagesPerBlock)))
 		if row.Get(flash.OffsetOf(flashPPN, f.cfg.PagesPerBlock)) {
-			stale = append(stale, e.Logical)
+			f.cache.Update(e.Logical, func(en *mapcache.Entry) { en.UIP = false; en.Trimmed = false })
 		}
 		return true
 	})
-	for _, lpn := range stale {
-		f.cache.Update(lpn, func(en *mapcache.Entry) { en.UIP = false; en.Trimmed = false })
-	}
-	f.stale = stale
 }
 
 // recoverDirtyEntries performs the bounded backwards scan of Section 4.3: it
@@ -608,7 +602,7 @@ func (f *FTL) recoverDirtyEntries(tpContentSeq []uint64) (int, error) {
 	spareReads := 0
 	recovered := 0
 
-	for _, block := range f.bm.userBlocksByRecency() {
+	for block := range f.bm.userBlocksByRecency() {
 		written := f.bm.WritePointer(block)
 		for offset := written - 1; offset >= 0; offset-- {
 			if recovered >= capacity || spareReads >= maxSpareReads {
@@ -656,7 +650,8 @@ func (f *FTL) recoverDirtyEntries(tpContentSeq []uint64) (int, error) {
 // size.
 func (f *FTL) synchronizeRecoveredEntries() (int, error) {
 	dirtyBefore := f.cache.DirtyCount()
-	if err := f.synchronizePages(f.cache.DirtyEntries()); err != nil {
+	f.cache.MarkDirtyPages(f.syncPages)
+	if err := f.synchronizeMarked(); err != nil {
 		return 0, err
 	}
 	return dirtyBefore - f.cache.DirtyCount(), nil

@@ -11,63 +11,66 @@ import (
 	"geckoftl/internal/mapcache"
 )
 
-// stableSortSeeds is the grouping runtime checkpoints used before
-// checkpointSeeds: a stable sort of the lingering entries by translation
-// page, then the first entry of each run of equal pages.
-func stableSortSeeds(stale []mapcache.Entry, cache *mapcache.Cache) []mapcache.Entry {
+// stableSortPages is the grouping runtime checkpoints used before marks: a
+// stable sort of the lingering entries by translation page, then the page of
+// each run of equal pages, whose first entry seeded its synchronization.
+func stableSortPages(stale []mapcache.Entry, cache *mapcache.Cache) []int {
 	sorted := slices.Clone(stale)
 	tpOf := cache.TranslationPageOf
 	slices.SortStableFunc(sorted, func(a, b mapcache.Entry) int { return cmp.Compare(tpOf(a.Logical), tpOf(b.Logical)) })
-	var seeds []mapcache.Entry
+	var pages []int
 	for i, e := range sorted {
 		if i == 0 || tpOf(e.Logical) != tpOf(sorted[i-1].Logical) {
-			seeds = append(seeds, e)
+			pages = append(pages, tpOf(e.Logical))
 		}
 	}
-	return seeds
+	return pages
 }
 
-// TestCheckpointGroupingMatchesStableSort feeds checkpointSeeds random stale
-// lists — repeated logical pages, pages out of order, a few or many per
-// translation page — and requires the seeds, and their order, that the
-// stable sort picked. The marks must be all zero after every walk, including
-// one the caller stops early.
+// TestCheckpointGroupingMatchesStableSort puts random lingering entries in a
+// cache — repeated logical pages, pages out of order, a few or many per
+// translation page — takes a checkpoint, and requires the walk of its marks
+// to yield the pages, in the order, that the stable sort picked. The marks
+// must be all clear after every walk, including one the caller stops early,
+// as a failed synchronization stops it.
 func TestCheckpointGroupingMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	anyMark := func(w uint64) bool { return w != 0 }
 	for trial := 0; trial < 500; trial++ {
 		perTP := 1 + rng.Intn(16)
-		pages := 1 + rng.Intn(40)
-		cache := mapcache.New(1, perTP)
-		first := make([]int32, pages)
+		pages := 1 + rng.Intn(100)
 		stale := make([]mapcache.Entry, rng.Intn(3*perTP*pages))
+		cache := mapcache.New(max(1, len(stale)), perTP)
 		for i := range stale {
 			stale[i] = mapcache.Entry{
 				Logical:  flash.LPN(rng.Intn(perTP * pages)),
 				Physical: flash.PPN(i),
+				Dirty:    true,
 				UIP:      rng.Intn(2) == 0,
 			}
+			cache.Put(stale[i])
 		}
-		var got []mapcache.Entry
-		for e := range checkpointSeeds(stale, first, cache) {
-			got = append(got, e)
+		marks := make([]uint64, (pages+63)/64)
+		cache.Checkpoint(marks)
+		got := slices.Collect(markedPages(marks))
+		if want := stableSortPages(stale, cache); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d entries per page): pages %v, the stable sort's %v", trial, perTP, got, want)
 		}
-		if want := stableSortSeeds(stale, cache); !slices.Equal(got, want) {
-			t.Fatalf("trial %d (%d entries per page): seeds %v, the stable sort's %v", trial, perTP, got, want)
-		}
-		if i := slices.IndexFunc(first, func(m int32) bool { return m != 0 }); i >= 0 {
-			t.Fatalf("trial %d: mark of translation page %d left at %d", trial, i, first[i])
+		if i := slices.IndexFunc(marks, anyMark); i >= 0 {
+			t.Fatalf("trial %d: marks of word %d left at %#x", trial, i, marks[i])
 		}
 
+		cache.MarkDirtyPages(marks)
 		stop := rng.Intn(len(got) + 1)
 		n := 0
-		for range checkpointSeeds(stale, first, cache) {
+		for range markedPages(marks) {
 			if n == stop {
 				break
 			}
 			n++
 		}
-		if i := slices.IndexFunc(first, func(m int32) bool { return m != 0 }); i >= 0 {
-			t.Fatalf("trial %d: stopped after %d seeds, mark of translation page %d left at %d", trial, stop, i, first[i])
+		if i := slices.IndexFunc(marks, anyMark); i >= 0 {
+			t.Fatalf("trial %d: stopped after %d pages, marks of word %d left at %#x", trial, stop, i, marks[i])
 		}
 	}
 }
@@ -137,8 +140,8 @@ func failedCheckpointRun(t *testing.T) *FTL {
 // recovers and runs the next checkpoint to a consistent FTL.
 func TestCheckpointAfterFailedSynchronize(t *testing.T) {
 	f := failedCheckpointRun(t)
-	if i := slices.IndexFunc(f.ckptFirst, func(m int32) bool { return m != 0 }); i >= 0 {
-		t.Errorf("failed checkpoint left the mark of translation page %d at %d", i, f.ckptFirst[i])
+	if i := slices.IndexFunc(f.syncPages, func(w uint64) bool { return w != 0 }); i >= 0 {
+		t.Errorf("failed checkpoint left the marks of word %d at %#x", i, f.syncPages[i])
 	}
 	if err := f.PowerFail(); err != nil {
 		t.Fatal(err)

@@ -130,69 +130,71 @@ func (t *translationTable) ReadEntry(lpn flash.LPN, p flash.Purpose) (flash.PPN,
 	return flash.PPN(t.flashMapping[lpn]), nil
 }
 
-// dirtyUpdate is one cached mapping entry participating in a synchronization
-// operation.
-type dirtyUpdate struct {
-	Logical  flash.LPN
-	Physical flash.PPN
-}
-
-// Synchronize performs a synchronization operation on one translation page
-// (Section 4, "Synchronization Operations"): it reads the current version of
-// the translation page, applies the dirty cached mapping entries that belong
-// to it, writes the updated page out-of-place into the translation block
-// group, updates the GMD and invalidates the old version.
-//
+// ReadPage reads the current version of translation page tp, if it has one,
+// and returns its location. It is the first of the three steps of a
+// synchronization operation on the page (Section 4, "Synchronization
+// Operations"), which the FTL takes with the dirty cached mapping entries
+// still in its cache: ReadPage, Update for each entry, and Commit. One with
+// nothing to update stops after the read (Appendix C.3.1 relies on this).
 // The before-images of the updated logical pages are the caller's business:
 // it reports them to the page-validity store through the entries' UIP flags,
 // which is how invalid user pages are identified lazily (Section 4.1).
-//
-// If updates is empty the operation is aborted at no cost beyond the read
-// that discovered it (Appendix C.3.1 relies on this).
-func (t *translationTable) Synchronize(tp int, updates []dirtyUpdate) error {
+func (t *translationTable) ReadPage(tp int) (flash.PPN, error) {
 	if tp < 0 || tp >= t.pages {
-		return fmt.Errorf("ftl: translation page %d out of range [0,%d)", tp, t.pages)
+		return flash.InvalidPPN, fmt.Errorf("ftl: translation page %d out of range [0,%d)", tp, t.pages)
 	}
 	old := t.gmd[tp]
 	if old != flash.InvalidPPN {
 		if err := t.bm.dev.ReadPage(old, flash.PurposeTranslation); err != nil {
-			return err
+			return flash.InvalidPPN, err
 		}
 	}
-	if len(updates) == 0 {
-		return nil
-	}
+	return old, nil
+}
 
-	// Preserve the previous version of this translation page so that the
-	// recovery procedure can rebuild Logarithmic Gecko's buffer by diffing
-	// translation-page versions (Appendix C.2.2): protect the block it is on
-	// and, below, log what each update overwrites. Both are dropped when the
-	// Gecko buffer flushes (ClearProtected).
+// Update maps lpn, a logical page of translation page tp, to ppn. When the
+// table keeps previous versions, it first logs what the update overwrites
+// (see Commit). Only a logical page's first update of the window sees the
+// previous version's value, mapped or not: were the first mapped value logged
+// instead, unmapped -> A -> B would replay A, which the previous version
+// never held.
+func (t *translationTable) Update(tp int, lpn flash.LPN, ppn flash.PPN) error {
+	if t.pageOf(lpn) != tp {
+		return fmt.Errorf("ftl: update for logical page %d does not belong to translation page %d", lpn, tp)
+	}
+	if t.keepPrevious {
+		if word, bit := &t.touched[lpn/64], uint64(1)<<(lpn%64); *word&bit == 0 {
+			*word |= bit
+			if before := t.flashMapping[lpn]; before != int32(flash.InvalidPPN) {
+				t.undo = append(t.undo, undoRecord{lpn: int32(lpn), old: before})
+			}
+		}
+	}
+	t.flashMapping[lpn] = int32(ppn)
+	return nil
+}
+
+// Commit writes the updated translation page tp out-of-place into the
+// translation block group, points the GMD at it and invalidates the version
+// at old, the one ReadPage returned. The first commit since the last Gecko
+// buffer flush preserves that version, so that recovery can rebuild
+// Logarithmic Gecko's buffer by diffing translation-page versions (Appendix
+// C.2.2): it protects the block the version is on, and the undo log holds
+// what the updates overwrote. Both are dropped when the Gecko buffer flushes
+// (ClearProtected).
+func (t *translationTable) Commit(tp int, old flash.PPN) error {
 	if _, ok := t.prevVersions[tp]; !ok && t.keepPrevious {
 		t.prevVersions[tp] = prevVersion{location: old}
 		if old != flash.InvalidPPN {
 			t.bm.Protect(flash.BlockOf(old, t.bm.cfg.PagesPerBlock))
 		}
 	}
-
-	for _, u := range updates {
-		if t.pageOf(u.Logical) != tp {
-			return fmt.Errorf("ftl: update for logical page %d does not belong to translation page %d", u.Logical, tp)
-		}
-	}
-	if t.keepPrevious {
-		t.logOverwritten(updates)
-	}
-	for _, u := range updates {
-		t.flashMapping[u.Logical] = int32(u.Physical)
-	}
-
 	// Aux carries the content sequence: the newest write sequence the
-	// mapping content of this version reflects. Synchronize includes every
-	// dirty cached entry of the translation page, so the content is current
-	// up to this instant. Garbage-collection copies of the page refresh its
-	// WriteSeq but preserve Aux, which is what lets recovery date the
-	// durable mapping state (see recoverDirtyEntries).
+	// mapping content of this version reflects. A synchronization includes
+	// every dirty cached entry of the translation page, so the content is
+	// current up to this instant. Garbage-collection copies of the page
+	// refresh its WriteSeq but preserve Aux, which is what lets recovery date
+	// the durable mapping state (see recoverDirtyEntries).
 	spare := flash.SpareArea{Logical: flash.InvalidLPN, Tag: uint64(tp), Aux: t.bm.LastWriteSeq()}
 	loc, err := t.bm.AllocatePage(GroupTranslation, spare, flash.PurposeTranslation)
 	if err != nil {
@@ -205,24 +207,6 @@ func (t *translationTable) Synchronize(tp int, updates []dirtyUpdate) error {
 	}
 	t.gmd[tp] = loc
 	return nil
-}
-
-// logOverwritten appends to the undo log what the updates, not yet applied,
-// are about to overwrite. Only a logical page's first update of the window
-// sees the previous version's value, mapped or not: were the first mapped
-// value logged instead, unmapped -> A -> B would replay A, which the previous
-// version never held.
-func (t *translationTable) logOverwritten(updates []dirtyUpdate) {
-	for _, u := range updates {
-		word, bit := &t.touched[u.Logical/64], uint64(1)<<(u.Logical%64)
-		if *word&bit != 0 {
-			continue
-		}
-		*word |= bit
-		if before := t.flashMapping[u.Logical]; before != int32(flash.InvalidPPN) {
-			t.undo = append(t.undo, undoRecord{lpn: int32(u.Logical), old: before})
-		}
-	}
 }
 
 // PreviousVersion returns the preserved pre-update version of a translation

@@ -15,6 +15,29 @@ func newTestTable(t *testing.T) (*blockManager, *translationTable, *flash.Partit
 	return bm, table, dev
 }
 
+// dirtyUpdate is one mapping entry a test writes back to the table.
+type dirtyUpdate struct {
+	Logical  flash.LPN
+	Physical flash.PPN
+}
+
+// synchronizeTable runs a synchronization of translation page tp that writes
+// back updates, in order, with the table's steps as the FTL takes them: it
+// reads the page and, unless there is nothing to apply, applies the updates
+// and commits the new version.
+func synchronizeTable(table *translationTable, tp int, updates []dirtyUpdate) error {
+	old, err := table.ReadPage(tp)
+	if err != nil || len(updates) == 0 {
+		return err
+	}
+	for _, u := range updates {
+		if err := table.Update(tp, u.Logical, u.Physical); err != nil {
+			return err
+		}
+	}
+	return table.Commit(tp, old)
+}
+
 func TestTranslationTableGeometry(t *testing.T) {
 	_, table, dev := newTestTable(t)
 	if got, want := table.EntriesPerPage(), dev.Config().PageSize/4; got != want {
@@ -48,7 +71,7 @@ func TestTranslationTableUnmappedReadsAreFree(t *testing.T) {
 func TestTranslationTableSynchronizeRoundTrip(t *testing.T) {
 	bm, table, dev := newTestTable(t)
 	updates := []dirtyUpdate{{Logical: 1, Physical: 100}, {Logical: 2, Physical: 200}}
-	if err := table.Synchronize(0, updates); err != nil {
+	if err := synchronizeTable(table, 0, updates); err != nil {
 		t.Fatal(err)
 	}
 	if table.FlashEntry(1) != 100 || table.FlashEntry(2) != 200 {
@@ -65,7 +88,7 @@ func TestTranslationTableSynchronizeRoundTrip(t *testing.T) {
 	// A second synchronization that changes page 1 remaps it and invalidates
 	// the old translation page in the BVC.
 	oldLoc := loc
-	if err := table.Synchronize(0, []dirtyUpdate{{Logical: 1, Physical: 111}}); err != nil {
+	if err := synchronizeTable(table, 0, []dirtyUpdate{{Logical: 1, Physical: 111}}); err != nil {
 		t.Fatal(err)
 	}
 	if table.FlashEntry(1) != 111 || table.FlashEntry(2) != 200 {
@@ -85,12 +108,12 @@ func TestTranslationTableSynchronizeRoundTrip(t *testing.T) {
 
 func TestTranslationTableAbortsEmptySynchronization(t *testing.T) {
 	_, table, dev := newTestTable(t)
-	if err := table.Synchronize(0, []dirtyUpdate{{Logical: 3, Physical: 30}}); err != nil {
+	if err := synchronizeTable(table, 0, []dirtyUpdate{{Logical: 3, Physical: 30}}); err != nil {
 		t.Fatal(err)
 	}
 	loc := table.GMDLocation(0)
 	writesBefore := dev.Counters()
-	if err := table.Synchronize(0, nil); err != nil {
+	if err := synchronizeTable(table, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	delta := dev.Counters().Sub(writesBefore)
@@ -108,16 +131,16 @@ func TestTranslationTableAbortsEmptySynchronization(t *testing.T) {
 
 func TestTranslationTableRejectsForeignUpdates(t *testing.T) {
 	_, table, _ := newTestTable(t)
-	if err := table.Synchronize(-1, nil); err == nil {
+	if err := synchronizeTable(table, -1, nil); err == nil {
 		t.Error("negative translation page accepted")
 	}
-	if err := table.Synchronize(table.Pages(), nil); err == nil {
+	if err := synchronizeTable(table, table.Pages(), nil); err == nil {
 		t.Error("out-of-range translation page accepted")
 	}
 	// An update whose logical page belongs to another translation page.
 	foreign := flash.LPN(int64(table.EntriesPerPage()))
 	if int(foreign) < int(table.logicalPages) {
-		if err := table.Synchronize(0, []dirtyUpdate{{Logical: foreign, Physical: 9}}); err == nil {
+		if err := synchronizeTable(table, 0, []dirtyUpdate{{Logical: foreign, Physical: 9}}); err == nil {
 			t.Error("update for a foreign translation page accepted")
 		}
 	}
@@ -125,7 +148,7 @@ func TestTranslationTableRejectsForeignUpdates(t *testing.T) {
 
 func TestTranslationTableProtectsPreviousVersions(t *testing.T) {
 	_, table, dev := newTestTable(t)
-	if err := table.Synchronize(0, []dirtyUpdate{{Logical: 1, Physical: 10}}); err != nil {
+	if err := synchronizeTable(table, 0, []dirtyUpdate{{Logical: 1, Physical: 10}}); err != nil {
 		t.Fatal(err)
 	}
 	firstLoc := table.GMDLocation(0)
@@ -133,7 +156,7 @@ func TestTranslationTableProtectsPreviousVersions(t *testing.T) {
 	// the translation page starts a new one whose previous version is the
 	// state as of that flush.
 	table.ClearProtected()
-	if err := table.Synchronize(0, []dirtyUpdate{{Logical: 1, Physical: 20}}); err != nil {
+	if err := synchronizeTable(table, 0, []dirtyUpdate{{Logical: 1, Physical: 20}}); err != nil {
 		t.Fatal(err)
 	}
 	tps := table.UpdatedSinceProtection()
@@ -162,7 +185,7 @@ func TestTranslationTableProtectsPreviousVersions(t *testing.T) {
 
 func TestTranslationTableCrashDropsGMDOnly(t *testing.T) {
 	_, table, _ := newTestTable(t)
-	if err := table.Synchronize(0, []dirtyUpdate{{Logical: 1, Physical: 10}}); err != nil {
+	if err := synchronizeTable(table, 0, []dirtyUpdate{{Logical: 1, Physical: 10}}); err != nil {
 		t.Fatal(err)
 	}
 	table.CrashRAM()

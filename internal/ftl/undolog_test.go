@@ -111,7 +111,7 @@ func TestUndoLogNamedSequences(t *testing.T) {
 		const lpn = flash.LPN(57) // in translation page 1, in a word page 0 shares
 		sync := func(ppn flash.PPN) {
 			dense.beforeSynchronize(1)
-			if err := table.Synchronize(1, []dirtyUpdate{{Logical: lpn, Physical: ppn}}); err != nil {
+			if err := synchronizeTable(table, 1, []dirtyUpdate{{Logical: lpn, Physical: ppn}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -173,7 +173,7 @@ func TestUndoLogMatchesDenseVersions(t *testing.T) {
 					updates = append(updates, u)
 				}
 				dense.beforeSynchronize(tp)
-				if err := table.Synchronize(tp, updates); err != nil {
+				if err := synchronizeTable(table, tp, updates); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
 			}

@@ -163,3 +163,56 @@ func setBits(b *bitmap.Bitmap) []int {
 	}
 	return out
 }
+
+// TestPageValidityLogIndexMatchesScan runs a seeded IB-FTL, whose greedy
+// collector migrates the page validity log's pages, and every few hundred
+// writes requires the log's reverse index to answer as a scan of its live
+// pages does: IsLive for every page of the device, and Relocate for every
+// live page (moved off the device and back) and for a dead one.
+func TestPageValidityLogIndexMatchesScan(t *testing.T) {
+	dev := newTestFlash(t, 256, 16, 512)
+	f, err := New(wholeDevice(t, dev), IBFTLOptions(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.opts.VictimPolicy.MigratesMetadata() {
+		t.Fatal("IB-FTL's collector does not migrate the log's pages")
+	}
+	log := f.validity.(flashStore)
+	devicePages := flash.PPN(dev.Config().Blocks * dev.Config().PagesPerBlock)
+	check := func(when int64) {
+		live := slices.Sorted(log.LivePages())
+		for ppn := range devicePages {
+			if _, scanned := slices.BinarySearch(live, ppn); log.IsLive(ppn) != scanned {
+				t.Fatalf("after %d writes: IsLive(%d) = %v, the scan finds it %v", when, ppn, !scanned, scanned)
+			}
+		}
+		off := devicePages // never a page of the log
+		for _, ppn := range live {
+			if !log.Relocate(ppn, off) || log.IsLive(ppn) || !log.IsLive(off) || !log.Relocate(off, ppn) {
+				t.Fatalf("after %d writes: live page %d did not move off the device and back", when, ppn)
+			}
+		}
+		if log.Relocate(off, 0) {
+			t.Fatalf("after %d writes: a page the log does not hold was relocated", when)
+		}
+		if got := slices.Sorted(log.LivePages()); !slices.Equal(got, live) {
+			t.Fatalf("after %d writes: relocating there and back changed the live pages", when)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	pages := f.LogicalPages()
+	for i := range 6 * pages {
+		lpn := flash.LPN(i)
+		if i >= pages {
+			lpn = flash.LPN(rng.Int63n(pages))
+		}
+		if err := f.Write(lpn); err != nil {
+			t.Fatal(err)
+		}
+		if i%500 == 0 {
+			check(i)
+		}
+	}
+	check(6 * pages)
+}

@@ -26,7 +26,7 @@
 // operation allocates. The two arrays are host bookkeeping of the simulator;
 // the RAM the paper charges for the cache (RAMBytes) is C entries.
 //
-// DirtyEntriesOnTranslationPage, DirtyEntries and Checkpoint fill buffers
-// the cache reuses: a returned slice is valid until the next call of the
-// same method (the last two share one buffer).
+// No method copies entries out for the FTL to act on: the range query
+// appends logical pages to the caller's slice, and Checkpoint and
+// MarkDirtyPages set translation-page bits in the caller's marks.
 package mapcache

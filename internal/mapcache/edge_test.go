@@ -67,7 +67,7 @@ func TestClearForgetsEveryEntry(t *testing.T) {
 		c.Put(Entry{Logical: lpn, Dirty: true})
 		put = append(put, lpn)
 	}
-	c.Checkpoint()
+	c.checkpointPages()
 	c.Clear()
 	if c.Len() != 0 {
 		t.Fatalf("Len = %d after Clear", c.Len())
@@ -128,9 +128,7 @@ func TestEntriesOnTranslationPageAscendingAndComplete(t *testing.T) {
 				}
 				got = append(got, e.Logical)
 			}
-			for _, e := range c.DirtyEntriesOnTranslationPage(tp) {
-				gotDirty = append(gotDirty, e.Logical)
-			}
+			gotDirty = c.dirtyOnPage(tp)
 			for _, lpn := range want[tp] {
 				if lpn%2 == 0 {
 					wantDirty = append(wantDirty, lpn)

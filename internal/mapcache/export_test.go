@@ -1,6 +1,11 @@
 package mapcache
 
-import "geckoftl/internal/bitmap"
+import (
+	"slices"
+
+	"geckoftl/internal/bitmap"
+	"geckoftl/internal/flash"
+)
 
 // dirtyChain walks the dirty chain both ways: from its most recently used
 // end along dnext, and from its least recently used end along dprev. Each
@@ -39,3 +44,31 @@ func (c *Cache) entries() []Entry {
 	})
 	return out
 }
+
+// pageMarks returns an empty mark set, one bit per translation page, wide
+// enough for every logical page the cache has indexed.
+func (c *Cache) pageMarks() []uint64 {
+	return make([]uint64, len(c.slot)/c.entriesPerTP/64+1)
+}
+
+// marked returns the translation pages marked in tps, ascending.
+func marked(tps []uint64) []int { return slices.Collect(bitmap.Ones(tps, 0, len(tps)*64)) }
+
+// checkpointPages takes a checkpoint and returns the translation pages it
+// marks, ascending.
+func (c *Cache) checkpointPages() []int {
+	tps := c.pageMarks()
+	c.Checkpoint(tps)
+	return marked(tps)
+}
+
+// dirtyPages returns the translation pages MarkDirtyPages marks, ascending.
+func (c *Cache) dirtyPages() []int {
+	tps := c.pageMarks()
+	c.MarkDirtyPages(tps)
+	return marked(tps)
+}
+
+// dirtyOnPage returns AppendDirtyOnTranslationPage's logical pages for tp,
+// appended to a fresh slice.
+func (c *Cache) dirtyOnPage(tp int) []flash.LPN { return c.AppendDirtyOnTranslationPage(nil, tp) }

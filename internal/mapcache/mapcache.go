@@ -93,10 +93,6 @@ type Cache struct {
 
 	entriesPerTP int
 
-	// tpBuf and staleBuf are the reused results of
-	// DirtyEntriesOnTranslationPage and of Checkpoint and DirtyEntries.
-	tpBuf, staleBuf []Entry
-
 	// opsSinceCheckpoint counts inserts/updates since the last checkpoint;
 	// GeckoFTL takes a checkpoint every C operations (Section 4.3).
 	opsSinceCheckpoint int
@@ -349,43 +345,43 @@ func (c *Cache) Update(lpn flash.LPN, fn func(*Entry)) bool {
 	return true
 }
 
-// DirtyEntriesOnTranslationPage returns the dirty cached entries whose
-// logical pages belong to the given translation page, in ascending logical
-// order. This is the range query used by synchronization operations — "all
-// dirty mapping entries in the LRU cache that belong to the same translation
-// page as the evicted entry" — answered without scanning the cache; the
-// pinned order means the entries a synchronization writes back — durable
-// flash state — do not depend on insertion history. The slice is reused: it
-// is valid until the next call of this method.
-func (c *Cache) DirtyEntriesOnTranslationPage(tp int) []Entry {
+// AppendDirtyOnTranslationPage appends to dst the logical pages of the dirty
+// cached entries that belong to the given translation page, in ascending
+// order, and returns the extended slice. This is the range query used by
+// synchronization operations — "all dirty mapping entries in the LRU cache
+// that belong to the same translation page as the evicted entry" — answered
+// without scanning the cache; the pinned order means the entries a
+// synchronization writes back — durable flash state — do not depend on
+// insertion history. The caller reads the entries themselves with Peek.
+func (c *Cache) AppendDirtyOnTranslationPage(dst []flash.LPN, tp int) []flash.LPN {
 	if tp < 0 || tp > (len(c.slot)-1)/c.entriesPerTP {
-		return nil
+		return dst
 	}
-	out := c.tpBuf[:0]
 	lo := tp * c.entriesPerTP
 	for lpn := range bitmap.Ones(c.present, lo, lo+c.entriesPerTP) {
-		if e := &c.nodes[c.slot[lpn]].entry; e.Dirty {
-			out = append(out, *e)
+		if c.nodes[c.slot[lpn]].entry.Dirty {
+			dst = append(dst, flash.LPN(lpn))
 		}
 	}
-	c.tpBuf = out
-	return out
+	return dst
 }
 
 // DirtyCount returns the number of dirty entries in the cache. LazyFTL and
 // IB-FTL bound this number during runtime; GeckoFTL does not.
 func (c *Cache) DirtyCount() int { return c.dirty }
 
-// DirtyEntries returns the dirty entries, least recently used first. The
-// slice is reused: it is valid until the next call of this method or
-// Checkpoint.
-func (c *Cache) DirtyEntries() []Entry {
-	out := c.staleBuf[:0]
+// MarkDirtyPages sets, in tps, one bit per translation page, the bit of
+// every translation page that holds a dirty cached entry.
+func (c *Cache) MarkDirtyPages(tps []uint64) {
 	for i := c.nodes[sentinel].dprev; i != sentinel; i = c.nodes[i].dprev {
-		out = append(out, c.nodes[i].entry)
+		c.mark(tps, c.nodes[i].entry.Logical)
 	}
-	c.staleBuf = out
-	return out
+}
+
+// mark sets the bit of lpn's translation page in tps.
+func (c *Cache) mark(tps []uint64, lpn flash.LPN) {
+	tp := c.TranslationPageOf(lpn)
+	tps[tp/64] |= 1 << uint(tp%64)
 }
 
 // ForEach calls fn on every cached entry in most-recently-used-first order.
@@ -420,16 +416,14 @@ func (c *Cache) OldestDirty() (Entry, bool) {
 // fresh checkpoint symbol at the most-recently-used end, then scans the LRU
 // queue from the end backwards until it finds and removes the symbol inserted
 // by the previous checkpoint (or exhausts the queue on the first checkpoint).
-// Every dirty mapping entry encountered along the way is returned so that the
-// FTL can synchronize it; the entries themselves are left in place (the FTL
-// marks them clean through Update once synchronized).
-//
-// The operation counter used to schedule checkpoints is reset. The returned
-// slice is reused: it is valid until the next Checkpoint.
-func (c *Cache) Checkpoint() []Entry {
+// Every dirty mapping entry encountered along the way has lingered since that
+// checkpoint and must be synchronized: Checkpoint sets its translation page's
+// bit in tps, one bit per translation page, so that the FTL synchronizes each
+// such page once. The entries themselves are left in place (a
+// synchronization marks them clean). The operation counter used to schedule
+// checkpoints is reset.
+func (c *Cache) Checkpoint(tps []uint64) {
 	c.opsSinceCheckpoint = 0
-
-	stale := c.staleBuf[:0]
 	for i := c.nodes[sentinel].prev; i != sentinel; i = c.nodes[i].prev {
 		n := &c.nodes[i]
 		if n.symbol() {
@@ -437,12 +431,10 @@ func (c *Cache) Checkpoint() []Entry {
 			break
 		}
 		if n.entry.Dirty {
-			stale = append(stale, n.entry)
+			c.mark(tps, n.entry.Logical)
 		}
 	}
 	c.pushFront(Entry{Logical: checkpointSymbol})
-	c.staleBuf = stale
-	return stale
 }
 
 // CheckpointDue reports whether C or more inserts/updates have happened since
@@ -450,11 +442,16 @@ func (c *Cache) Checkpoint() []Entry {
 func (c *Cache) CheckpointDue() bool { return c.opsSinceCheckpoint >= c.capacity }
 
 // Clear drops every entry and checkpoint symbol. It models the loss of
-// integrated RAM at power failure.
+// integrated RAM at power failure. Only the index slots of the queued entries
+// are cleared, so a crash costs the cache's size, not the shard's.
 func (c *Cache) Clear() {
+	for i := c.nodes[sentinel].next; i != sentinel; i = c.nodes[i].next {
+		if lpn := c.nodes[i].entry.Logical; lpn != checkpointSymbol {
+			c.slot[lpn] = sentinel
+			c.present[lpn/64] &^= 1 << uint(lpn%64)
+		}
+	}
 	c.reset()
-	clear(c.slot)
-	clear(c.present)
 	c.count = 0
 	c.opsSinceCheckpoint = 0
 }

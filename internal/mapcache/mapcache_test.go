@@ -2,6 +2,7 @@ package mapcache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -145,7 +146,7 @@ func TestTranslationPageIndex(t *testing.T) {
 	if len(page0) != 3 {
 		t.Errorf("page 0 entries = %d, want 3", len(page0))
 	}
-	dirty0 := c.DirtyEntriesOnTranslationPage(0)
+	dirty0 := c.dirtyOnPage(0)
 	if len(dirty0) != 2 {
 		t.Errorf("page 0 dirty entries = %d, want 2", len(dirty0))
 	}
@@ -200,7 +201,7 @@ func TestLeastRecentlyUsed(t *testing.T) {
 	if _, ok := c.OldestDirty(); ok {
 		t.Error("OldestDirty of empty cache reported an entry")
 	}
-	c.Checkpoint()
+	c.checkpointPages()
 	c.Put(Entry{Logical: 1})
 	c.Put(Entry{Logical: 2, Dirty: true})
 	c.Put(Entry{Logical: 3, Dirty: true})
@@ -219,20 +220,21 @@ func TestLeastRecentlyUsed(t *testing.T) {
 }
 
 func TestCheckpointSynchronizesLingeringDirtyEntries(t *testing.T) {
-	c := newTestCache(10)
+	// One entry per translation page: a marked page names its entry.
+	c := New(10, 1)
 	// Three dirty entries inserted early.
 	c.Put(Entry{Logical: 1, Dirty: true})
 	c.Put(Entry{Logical: 2, Dirty: true})
 	c.Put(Entry{Logical: 3, Dirty: false})
 
 	// First checkpoint: no previous symbol, so the scan covers everything.
-	stale := c.Checkpoint()
-	if len(stale) != 2 {
-		t.Fatalf("first checkpoint returned %d dirty entries, want 2", len(stale))
+	stale := c.checkpointPages()
+	if !slices.Equal(stale, []int{1, 2}) {
+		t.Fatalf("first checkpoint marked translation pages %v, want [1 2]", stale)
 	}
 	// The FTL would now synchronize them; emulate by clearing the flags.
-	for _, e := range stale {
-		c.Update(e.Logical, func(en *Entry) { en.Dirty = false })
+	for _, tp := range stale {
+		c.Update(flash.LPN(tp), func(en *Entry) { en.Dirty = false })
 	}
 
 	// New activity after the checkpoint.
@@ -246,9 +248,9 @@ func TestCheckpointSynchronizesLingeringDirtyEntries(t *testing.T) {
 	// Second checkpoint scans only entries older than the previous symbol:
 	// entries 2 and 3 (entry 1 was touched, entry 4 is newer than the
 	// symbol). None of those is dirty anymore.
-	stale = c.Checkpoint()
+	stale = c.checkpointPages()
 	if len(stale) != 0 {
-		t.Errorf("second checkpoint returned %v, want none", stale)
+		t.Errorf("second checkpoint marked %v, want none", stale)
 	}
 	if c.opsSinceCheckpoint != 0 {
 		t.Errorf("OpsSinceCheckpoint = %d after the second checkpoint, want 0", c.opsSinceCheckpoint)
@@ -257,23 +259,16 @@ func TestCheckpointSynchronizesLingeringDirtyEntries(t *testing.T) {
 
 func TestCheckpointBoundsBackwardScan(t *testing.T) {
 	// A dirty entry that keeps lingering at the LRU end without being
-	// updated must be returned by the next checkpoint, so the recovery scan
+	// updated must be marked by the next checkpoint, so the recovery scan
 	// never needs to look back more than 2C writes (Section 4.3).
-	c := newTestCache(8)
+	c := New(8, 1)
 	c.Put(Entry{Logical: 0, Dirty: true})
-	c.Checkpoint()
+	c.checkpointPages()
 	for i := 1; i < 5; i++ {
 		c.Put(Entry{Logical: flash.LPN(i), Dirty: true})
 	}
-	stale := c.Checkpoint()
-	found := false
-	for _, e := range stale {
-		if e.Logical == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("lingering dirty entry 0 not captured by checkpoint")
+	if stale := c.checkpointPages(); !slices.Contains(stale, 0) {
+		t.Errorf("lingering dirty entry 0 not captured by checkpoint: marked %v", stale)
 	}
 }
 
@@ -288,7 +283,7 @@ func TestCheckpointDue(t *testing.T) {
 	if !c.CheckpointDue() {
 		t.Error("checkpoint not due after C operations")
 	}
-	c.Checkpoint()
+	c.checkpointPages()
 	if c.CheckpointDue() {
 		t.Error("checkpoint still due right after checkpointing")
 	}
@@ -300,7 +295,7 @@ func TestCheckpointDue(t *testing.T) {
 func TestCheckpointSymbolsDoNotConsumeCapacity(t *testing.T) {
 	c := newTestCache(2)
 	c.Put(Entry{Logical: 1})
-	c.Checkpoint()
+	c.checkpointPages()
 	c.Put(Entry{Logical: 2})
 	// Capacity 2 with 2 real entries; inserting a third evicts a real entry,
 	// not the checkpoint symbol (which would silently lose an entry slot).
@@ -316,7 +311,7 @@ func TestCheckpointSymbolsDoNotConsumeCapacity(t *testing.T) {
 func TestClear(t *testing.T) {
 	c := newTestCache(4)
 	c.Put(Entry{Logical: 1, Dirty: true})
-	c.Checkpoint()
+	c.checkpointPages()
 	c.Clear()
 	if c.Len() != 0 || c.Contains(1) {
 		t.Error("Clear did not drop entries")
@@ -386,7 +381,7 @@ func TestQuickCapacityInvariant(t *testing.T) {
 				c.Peek(lpn)
 			case 2:
 				if c.CheckpointDue() {
-					c.Checkpoint()
+					c.checkpointPages()
 				}
 			default:
 				c.Put(Entry{Logical: lpn, Physical: flash.PPN(i), Dirty: rng.Intn(2) == 0})
@@ -445,12 +440,13 @@ func TestQuickTranslationIndexConsistency(t *testing.T) {
 	}
 }
 
-// Property: every dirty entry is either returned by one of two consecutive
-// checkpoints or was updated in between, which is the invariant behind the
-// 2C bound on the recovery backwards scan.
+// Property: every dirty entry's translation page is marked by one of two
+// consecutive checkpoints or the entry was updated in between, which is the
+// invariant behind the 2C bound on the recovery backwards scan. One entry per
+// translation page, so a page stands for its one entry.
 func TestQuickCheckpointCoverage(t *testing.T) {
 	f := func(seed int64) bool {
-		c := New(32, 64)
+		c := New(32, 1)
 		rng := rand.New(rand.NewSource(seed))
 		dirtySince := map[flash.LPN]bool{} // dirty entries never touched again
 		for i := 0; i < 32; i++ {
@@ -458,14 +454,12 @@ func TestQuickCheckpointCoverage(t *testing.T) {
 			c.Put(Entry{Logical: lpn, Dirty: true})
 			dirtySince[lpn] = true
 		}
-		first := c.Checkpoint()
 		reported := map[flash.LPN]bool{}
-		for _, e := range first {
-			reported[e.Logical] = true
+		for _, tp := range c.checkpointPages() {
+			reported[flash.LPN(tp)] = true
 		}
-		second := c.Checkpoint()
-		for _, e := range second {
-			reported[e.Logical] = true
+		for _, tp := range c.checkpointPages() {
+			reported[flash.LPN(tp)] = true
 		}
 		for lpn, stillCached := range dirtySince {
 			if !stillCached {
@@ -483,21 +477,15 @@ func TestQuickCheckpointCoverage(t *testing.T) {
 }
 
 func TestEntriesSortedHelper(t *testing.T) {
-	// DirtyEntriesOnTranslationPage returns a page's entries in ascending
-	// logical order, whatever order they were put in.
+	// AppendDirtyOnTranslationPage lists a page's dirty logical pages in
+	// ascending order, whatever order they were put in, after what the
+	// caller's slice already holds.
 	c := newTestCache(10)
 	for _, l := range []flash.LPN{9, 3, 7} {
 		c.Put(Entry{Logical: l, Dirty: true})
 	}
-	got := c.DirtyEntriesOnTranslationPage(0)
-	want := []flash.LPN{3, 7, 9}
-	if len(got) != len(want) {
-		t.Fatalf("entries = %+v, want logical pages %v", got, want)
-	}
-	for i := range want {
-		if got[i].Logical != want[i] {
-			t.Fatalf("entries = %+v, want logical pages %v", got, want)
-		}
+	if got, want := c.AppendDirtyOnTranslationPage([]flash.LPN{600}, 0), []flash.LPN{600, 3, 7, 9}; !slices.Equal(got, want) {
+		t.Fatalf("logical pages = %v, want %v", got, want)
 	}
 }
 
@@ -516,9 +504,11 @@ func BenchmarkCheckpoint(b *testing.B) {
 	for i := 0; i < 1<<12; i++ {
 		c.Put(Entry{Logical: flash.LPN(i), Dirty: true})
 	}
+	tps := c.pageMarks()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Checkpoint()
+		c.Checkpoint(tps)
+		clear(tps)
 	}
 }
 
@@ -557,16 +547,18 @@ func benchCache() (c *Cache, cached []flash.LPN, logicalPages int) {
 	return c, cached, pages * perTP
 }
 
-// BenchmarkDirtyEntriesOnTranslationPage times the range query a
+// BenchmarkAppendDirtyOnTranslationPage times the range query a
 // synchronization operation starts with, on every translation page in turn.
-func BenchmarkDirtyEntriesOnTranslationPage(b *testing.B) {
+func BenchmarkAppendDirtyOnTranslationPage(b *testing.B) {
 	c, _, logicalPages := benchCache()
 	pages := logicalPages / 512
+	lpns := make([]flash.LPN, 0, 512)
 	b.ReportAllocs()
 	b.ResetTimer()
 	entries := 0
 	for i := 0; i < b.N; i++ {
-		entries += len(c.DirtyEntriesOnTranslationPage(i % pages))
+		lpns = c.AppendDirtyOnTranslationPage(lpns[:0], i%pages)
+		entries += len(lpns)
 	}
 	b.ReportMetric(float64(entries)/float64(b.N), "entries/op")
 }

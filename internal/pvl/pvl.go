@@ -91,8 +91,12 @@ type Log struct {
 	nextSlot  int64 // next slot to be assigned
 
 	// pageOf maps a log page index (slot / entriesPerPage) to the flash page
-	// storing it.
-	pageOf map[int64]flash.PPN
+	// storing it, and indexOf is its inverse, so that the garbage-collector's
+	// questions about one flash page (IsLive, Relocate) cost no pass over
+	// the log. Like the ring, indexOf is host bookkeeping: RAMBytes charges
+	// the directory once.
+	pageOf  map[int64]flash.PPN
+	indexOf map[flash.PPN]int64
 
 	// head is the RAM-resident head of each block's chain: the slot of the
 	// newest log entry for the block, or -1.
@@ -123,6 +127,7 @@ func New(cfg Config, store metastore.Storage) (*Log, error) {
 		max:      max,
 		ring:     make([]logEntry, max+2*cfg.EntriesPerPage()),
 		pageOf:   make(map[int64]flash.PPN),
+		indexOf:  make(map[flash.PPN]int64),
 		head:     make([]int64, cfg.Blocks),
 		eraseSeq: make([]uint64, cfg.Blocks),
 	}
@@ -231,9 +236,19 @@ func (l *Log) writeBuffer() error {
 	if err != nil {
 		return err
 	}
-	l.pageOf[pageIdx] = ppn
+	l.setPage(pageIdx, ppn)
 	l.buffered = 0
 	return nil
+}
+
+// setPage records that log page pageIdx is stored at ppn, in both
+// directions.
+func (l *Log) setPage(pageIdx int64, ppn flash.PPN) {
+	if old, ok := l.pageOf[pageIdx]; ok {
+		delete(l.indexOf, old)
+	}
+	l.pageOf[pageIdx] = ppn
+	l.indexOf[ppn] = pageIdx
 }
 
 // clean implements the Appendix E cleaning mechanism: while the log exceeds
@@ -273,6 +288,7 @@ func (l *Log) clean() error {
 			return err
 		}
 		delete(l.pageOf, oldPage)
+		delete(l.indexOf, ppn)
 		// Reinsert surviving entries at the tail. Each reinserted entry is
 		// linked in front of the block's current chain head: the bitmap a GC
 		// query assembles is an OR over the chain, so the chain order does

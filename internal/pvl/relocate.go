@@ -11,24 +11,18 @@ import (
 // log's live pages. The FTL's garbage-collector uses it when a greedy
 // victim-selection policy (IB-FTL's) picks a metadata block for collection.
 func (l *Log) IsLive(ppn flash.PPN) bool {
-	for _, loc := range l.pageOf {
-		if loc == ppn {
-			return true
-		}
-	}
-	return false
+	_, ok := l.indexOf[ppn]
+	return ok
 }
 
 // Relocate informs the log that the garbage-collector moved one of its live
 // pages to a new location. It reports whether the old location was live.
 func (l *Log) Relocate(old, new flash.PPN) bool {
-	for idx, loc := range l.pageOf {
-		if loc == old {
-			l.pageOf[idx] = new
-			return true
-		}
+	idx, ok := l.indexOf[old]
+	if ok {
+		l.setPage(idx, new)
 	}
-	return false
+	return ok
 }
 
 // LivePages yields the physical address of every live log page, in no
